@@ -5,8 +5,8 @@
 GO ?= go
 
 .PHONY: all build test race bench bench-smoke bench-json bench-trajectory \
-	cross-checks fuzz-smoke recovery-smoke obs-smoke govulncheck staticcheck \
-	fmt fmt-check vet ci
+	cross-checks fuzz-smoke recovery-smoke obs-smoke benchmark-check govulncheck \
+	staticcheck fmt fmt-check vet ci
 
 all: build test
 
@@ -73,11 +73,9 @@ bench-trajectory:
 fuzz-smoke:
 	$(GO) test ./internal/netsite -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 20s
 	$(GO) test ./internal/netsite -run '^$$' -fuzz '^FuzzBatchPayload$$' -fuzztime 20s
-	$(GO) test ./internal/netsite -run '^$$' -fuzz '^FuzzAnytimePayload$$' -fuzztime 20s
 	$(GO) test ./internal/netsite -run '^$$' -fuzz '^FuzzUpdatePayload$$' -fuzztime 20s
 	$(GO) test ./internal/netsite -run '^$$' -fuzz '^FuzzRebalancePayload$$' -fuzztime 20s
 	$(GO) test ./internal/netsite -run '^$$' -fuzz '^FuzzSyncPayload$$' -fuzztime 20s
-	$(GO) test ./internal/netsite -run '^$$' -fuzz '^FuzzTracePayload$$' -fuzztime 20s
 	$(GO) test ./internal/oplog -run '^$$' -fuzz '^FuzzOpsCodec$$' -fuzztime 20s
 	$(GO) test ./internal/oplog -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 20s
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzSNAPLoader$$' -fuzztime 20s
@@ -108,6 +106,12 @@ cross-checks:
 	$(GO) test -race -run 'TestNodeOpsWireCrossCheck|TestNodeMutationCrossCheck|TestRebalanceEpochRace|TestRebalanceRestoresBalance' -count 1 ./internal/netsite ./internal/fragment
 	$(GO) test -race -run 'TestTraceCrossCheck|TestWireAccounting' -count 1 ./internal/netsite
 
+# The nested benchmark module (benchmark/go.mod, `replace distreach => ../`)
+# is out of reach of the root `./...`: vet and test it here so a netsite
+# API slip fails CI, not the benchmark pipeline. Under 5 s.
+benchmark-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
 # Static analysis beyond go vet. Downloads the tool on first run.
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@2025.1.1 ./...
@@ -127,4 +131,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check race cross-checks recovery-smoke bench-smoke staticcheck fuzz-smoke
+ci: build vet fmt-check benchmark-check race cross-checks recovery-smoke bench-smoke staticcheck fuzz-smoke

@@ -3,7 +3,7 @@
 // regresses. CI runs it after the bench-trajectory smoke:
 //
 //	go run ./cmd/bench -load -rate ... -json BENCH_PR.json
-//	go run ./cmd/benchcheck -baseline BENCH_PR6.json -current BENCH_PR.json
+//	go run ./cmd/benchcheck -baseline BENCH_PR9.json -current BENCH_PR.json
 //
 // A regression is a throughput drop beyond -max-qps-drop (default 20%),
 // a p99 latency growth beyond -max-p99-growth (default 50%), a

@@ -40,7 +40,7 @@ type gwOptions struct {
 	store       *oplog.Store  // durable oplog (-wal); nil = in-memory order only
 	snapEvery   int           // checkpoint + log-truncate cadence in batches; 0 = never
 	coalesce    time.Duration // adaptive batching window for GET /reach; 0 = off
-	trace       bool          // distributed tracing: 'T' envelopes + /trace endpoints
+	trace       bool          // distributed tracing: traced query frames + /trace endpoints
 	slowQuery   time.Duration // dump traces slower than this to stderr; 0 = off
 
 	// idxStats reads the reachability-index counters of the current

@@ -90,7 +90,7 @@ func main() {
 		wal       = flag.String("wal", "", "durability: write-ahead log directory; every update batch is sequenced and logged before broadcast, and a restarted gateway resumes the order and replays missed batches to the sites")
 		snapEvery = flag.Int("snapshot-every", 256, "with -wal: checkpoint the deployment and truncate the log every N update batches (0 = never)")
 		fsync     = flag.String("fsync", "always", "with -wal: fsync policy, always | never")
-		trace     = flag.Bool("trace", true, "distributed tracing: queries travel in trace envelopes, sites report spans, trees land at GET /trace/{id} (turn off when some sites run a pre-tracing build)")
+		trace     = flag.Bool("trace", true, "distributed tracing: query frames carry a trace context, sites report spans, trees land at GET /trace/{id}")
 		slowQuery = flag.Duration("slowquery", 0, "with -trace: dump the full trace tree of queries slower than this to stderr (0 = off)")
 		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the gateway listener")
 	)

@@ -36,7 +36,7 @@ type gwObs struct {
 
 // newGwObs builds the registry, counters and auditor for one gateway and
 // attaches them to its coordinator. Tracing itself (the sink that makes
-// queries travel in 'T' envelopes) is armed separately by armTracing —
+// query frames carry the trace flag) is armed separately by armTracing —
 // metrics and auditing work with tracing off, they just lose the
 // site-measured eval times.
 func newGwObs(co *netsite.Coordinator) *gwObs {
@@ -130,8 +130,8 @@ func (ob *gwObs) bindGateway(g *gateway) {
 	}
 }
 
-// armTracing turns distributed tracing on: queries travel in 'T'
-// envelopes, finished trace trees land in the ring buffer, and trees
+// armTracing turns distributed tracing on: query frames carry the trace
+// flag, finished trace trees land in the ring buffer, and trees
 // slower than slow (0 disables) are dumped to stderr in full.
 func (ob *gwObs) armTracing(co *netsite.Coordinator, slow time.Duration) {
 	if slow > 0 {

@@ -7,68 +7,29 @@ import (
 	"strconv"
 	"time"
 
-	"distreach/internal/bes"
-	"distreach/internal/core"
 	"distreach/internal/graph"
 	"distreach/internal/obs"
 )
 
-// Anytime answers (coordinator side). A reach query — or an all-reach
-// batch — is posted with its stream flag set; sites then emit 'P' frames
-// carrying equation chunks ahead of their final answer. The coordinator
-// feeds every frame into an incremental equation system (bes.Add keeps
-// the dependency-graph reachability up to date, bes.Decide is O(1)) and
-// resolves the query the instant the accumulated partials prove it true —
-// a positive certificate is a closed chain of equations, each a sound
-// implication at the round's (epoch, LSN), so no absent site can retract
-// it. Proving false still requires every site's complete equations, i.e.
-// all final frames. On an early decision the coordinator cancels the
-// stragglers with 'C' frames and returns.
+// The query round (coordinator side). Every query — a batch of one or of
+// many — runs through streamRound: post the one request frame to every
+// site, consume reply frames in arrival order, hand their bodies to the
+// round's batchSolver. With the stream flag set, sites emit 'P' frames
+// carrying equation chunks ahead of their final answer, and the round
+// returns the instant the solver reports every query decided, cancelling
+// the stragglers with 'C' frames. Without it ("strict": anytime off, or a
+// round with distance or regex queries) the same loop simply sees one
+// final per site and waits for all of them.
 //
-// Strict-round discipline is preserved: the first frame of a round pins
-// its (epoch, LSN); any frame from a different state aborts the round
-// (cancelling all sites) and retries with backoff, exactly like the
-// classic queryRound. Equations therefore only ever accumulate from one
-// consistent deployment state.
+// Round discipline: the first frame of an attempt pins its (epoch, LSN);
+// any frame from a different state aborts the attempt (cancelling all
+// sites) and retries with backoff. Partial answers are Boolean equations
+// over the fragmentation and graph the site evaluated on; composing them
+// across two fragmentations (or across an update that landed on only some
+// replicas) would be meaningless, so equations only ever accumulate from
+// one consistent deployment state.
 
-// reachFlagStream in a reach request payload's flags byte asks the site to
-// stream partial frames. An 8-byte payload (no flags) means the classic
-// single-answer protocol — old payloads stay valid.
-const reachFlagStream = 1
-
-// encodeReachRequest packs qr(s,t): s u32 | t u32 [| flags u8].
-func encodeReachRequest(s, t graph.NodeID, stream bool) []byte {
-	b := make([]byte, 8, 9)
-	binary.LittleEndian.PutUint32(b, uint32(s))
-	binary.LittleEndian.PutUint32(b[4:], uint32(t))
-	if stream {
-		b = append(b, reachFlagStream)
-	}
-	return b
-}
-
-// decodeReachRequest is the inverse of encodeReachRequest. Unknown flag
-// bits and oversized payloads are rejected so the codec stays an identity
-// under fuzzing.
-func decodeReachRequest(p []byte) (s, t graph.NodeID, stream bool, err error) {
-	if len(p) < 8 {
-		return 0, 0, false, fmt.Errorf("short qr payload")
-	}
-	if len(p) > 9 {
-		return 0, 0, false, fmt.Errorf("qr payload of %d bytes", len(p))
-	}
-	s = graph.NodeID(binary.LittleEndian.Uint32(p))
-	t = graph.NodeID(binary.LittleEndian.Uint32(p[4:]))
-	if len(p) == 9 {
-		if p[8]&^byte(reachFlagStream) != 0 {
-			return 0, 0, false, fmt.Errorf("unknown qr flags %#x", p[8])
-		}
-		stream = p[8]&reachFlagStream != 0
-	}
-	return s, t, stream, nil
-}
-
-// encodeBatchChunk packs one streamed batch partial: the target the chunk's
+// encodeBatchChunk packs one streamed partial: the target the chunk's
 // equations answer for, then the marshaled equation chunk.
 //
 //	t u32 | ReachPartial bytes
@@ -79,16 +40,11 @@ func encodeBatchChunk(t graph.NodeID, rv []byte) []byte {
 }
 
 // decodeBatchChunk is the inverse of encodeBatchChunk.
-func decodeBatchChunk(p []byte) (graph.NodeID, *core.ReachPartial, error) {
+func decodeBatchChunk(p []byte) (graph.NodeID, []byte, error) {
 	if len(p) < 4 {
 		return 0, nil, fmt.Errorf("short batch chunk")
 	}
-	t := graph.NodeID(binary.LittleEndian.Uint32(p))
-	rv := new(core.ReachPartial)
-	if err := rv.UnmarshalBinary(p[4:]); err != nil {
-		return 0, nil, err
-	}
-	return t, rv, nil
+	return graph.NodeID(binary.LittleEndian.Uint32(p)), p[4:], nil
 }
 
 // streamEvent is one forwarded response frame (or connection loss) in a
@@ -98,14 +54,6 @@ type streamEvent struct {
 	r     wireReply
 	ok    bool // false: the connection was lost before a final arrived
 	final bool
-}
-
-// streamOutcome is the bookkeeping of one streaming round attempt.
-type streamOutcome struct {
-	st     WireStats
-	finals []bool // per site: its final frame arrived
-	early  bool   // decided before every final arrived; stragglers cancelled
-	split  bool   // a frame carried a different (epoch, LSN); retry
 }
 
 // forwardReplies pumps one site's partial and final frames into the
@@ -148,24 +96,71 @@ func forwardReplies(site int, pr *pendingReq, events chan<- streamEvent, done <-
 	}
 }
 
-// streamRound posts one streaming request to every site and delivers every
-// response frame, in arrival order, to sink. sink returns decided=true
-// when the accumulated frames determine the answer: the round then cancels
-// every site whose final has not arrived and returns early. A frame from a
-// mismatched (epoch, LSN) aborts the round with outcome.split set (the
-// caller retries); site errors, connection losses and context cancellation
-// abort it with an error. Whatever the exit, no pending-table entry
-// outlives the round: every path drops (and usually cancels) the
-// stragglers, and late frames are drained by the read loop.
-func (c *Coordinator) streamRound(ctx context.Context, kind byte, payload []byte, sink func(site int, body []byte, final bool) (bool, error), qt *qtrace) (streamOutcome, error) {
+// Epoch-split retry tuning: how often a query round is retried when its
+// sites answered from different states, and the backoff between attempts.
+// The backoff matters: an immediate retry lands inside the same rebalance
+// or update burst that split the round, while a short exponential pause
+// lets the new state finish propagating to every site's worker.
+const (
+	epochRetries      = 8
+	epochRetryBackoff = time.Millisecond
+)
+
+// streamRound runs one query round to a settled outcome: attempts are
+// repeated, with backoff, while sites answer from different deployment
+// states. sol is reset before each attempt and holds the settled
+// attempt's equations on return. The stats accumulate across attempts —
+// retried frames and bytes are real traffic.
+func (c *Coordinator) streamRound(ctx context.Context, payload []byte, stream bool, sol *batchSolver, qt *qtrace) (WireStats, error) {
+	var total WireStats
+	backoff := epochRetryBackoff
+	for attempt := 0; ; attempt++ {
+		rqt := qt
+		if qt != nil {
+			roundID := qt.b.StartSpan(qt.par, "round", obs.Attr{Key: "attempt", Val: strconv.Itoa(attempt)})
+			rqt = qt.child(roundID)
+		}
+		sol.reset()
+		st, split, err := c.streamAttempt(ctx, payload, stream, sol, rqt)
+		if qt != nil {
+			qt.b.End(rqt.par)
+		}
+		total.add(st)
+		if err != nil || !split {
+			return total, err
+		}
+		if attempt+1 >= epochRetries {
+			return total, fmt.Errorf("%w (after %d attempts)", ErrEpochSplit, attempt+1)
+		}
+		select {
+		case <-ctx.Done():
+			return total, ctx.Err()
+		case <-time.After(backoff):
+		}
+		backoff *= 2
+	}
+}
+
+// streamAttempt posts the request to every site and delivers every
+// response frame, in arrival order, to sol. When sol reports the round
+// decided before every final arrived, the attempt cancels the stragglers
+// and returns early. A frame from a mismatched (epoch, LSN) aborts the
+// attempt with split set (streamRound retries); site errors, connection
+// losses and context cancellation abort it with an error. Whatever the
+// exit, no pending-table entry outlives the attempt: every path drops (and
+// usually cancels) the stragglers, and late frames are drained by the read
+// loop.
+//
+// With qt non-nil the request carries the trace context naming a per-site
+// rpc span, and the spans each site piggybacks on its final are grafted
+// into qt's trace anchored at this coordinator's post instant — no site
+// wall clock is ever trusted.
+func (c *Coordinator) streamAttempt(ctx context.Context, payload []byte, stream bool, sol *batchSolver, qt *qtrace) (st WireStats, split bool, err error) {
 	id := c.nextID.Add(1)
 	start := time.Now()
-	out := streamOutcome{finals: make([]bool, len(c.conns))}
-	st := &out.st
-	if qt != nil && !tracedKind(kind) {
-		qt = nil
-	}
-	// Per-site audit/trace bookkeeping: the rpc span each envelope named,
+	posted := 0 // sites 0..posted-1 hold a pending entry for id
+	finals := make([]bool, len(c.conns))
+	// Per-site audit/trace bookkeeping: the rpc span each request named,
 	// its post instant (the anchor remote spans attach under), and the
 	// response volume and site-measured eval time the auditor checks.
 	var rpcIDs []uint64
@@ -183,9 +178,12 @@ func (c *Coordinator) streamRound(ctx context.Context, kind byte, payload []byte
 	// sends never block once the main loop stops reading.
 	events := make(chan streamEvent, len(c.conns)*(maxPartialBuffer+1))
 
-	cancelStragglers := func(early bool) {
-		for i, sc := range c.conns {
-			if out.finals[i] {
+	// settle closes the attempt's books on every exit but a full round:
+	// posted sites whose final has not arrived are cancelled (and blamed as
+	// stragglers when the round was decided without them).
+	settle := func(early bool) {
+		for i, sc := range c.conns[:posted] {
+			if finals[i] {
 				continue
 			}
 			if qt != nil {
@@ -200,38 +198,28 @@ func (c *Coordinator) streamRound(ctx context.Context, kind byte, payload []byte
 				c.any.stragglers[i].Add(1)
 			}
 		}
-	}
-	finish := func() {
 		st.RoundTrip = time.Since(start)
 	}
-	fail := func(err error) (streamOutcome, error) {
-		cancelStragglers(false)
-		finish()
-		return out, err
+	fail := func(err error) (WireStats, bool, error) {
+		settle(false)
+		return st, false, err
 	}
 
 	for i, sc := range c.conns {
-		wireKind, wirePayload := kind, payload
+		p := payload
 		if qt != nil {
 			rpcIDs[i] = qt.b.StartSpan(qt.par, "rpc", obs.Attr{Key: "site", Val: strconv.Itoa(i)})
-			wireKind = kindTraced
-			wirePayload = encodeTraced(qt.id, rpcIDs[i], kind, payload)
+			p = append([]byte(nil), payload...)
+			binary.LittleEndian.PutUint64(p[spanOffset:], rpcIDs[i])
 			anchors[i] = time.Now()
 		}
-		pr, n, err := sc.postReq(id, wireKind, wirePayload, true)
+		pr, n, err := sc.post(id, kindBatch, p, stream)
 		if err != nil {
-			// Posted sites would evaluate for nobody: cancel them. Their
-			// forwarders were never started, so only the table needs care.
-			for j := 0; j < i; j++ {
-				if n := c.conns[j].cancel(id); n > 0 {
-					st.BytesSent += int64(n)
-					st.CancelFrames++
-					c.any.cancels.Add(1)
-				}
-			}
-			finish()
-			return out, fmt.Errorf("site %d: %w", i, err)
+			// The sites already posted would evaluate for nobody: fail
+			// cancels them.
+			return fail(fmt.Errorf("site %d: %w", i, err))
 		}
+		posted++
 		st.BytesSent += int64(n)
 		st.FramesSent++
 		go forwardReplies(i, pr, events, done)
@@ -250,17 +238,13 @@ func (c *Coordinator) streamRound(ctx context.Context, kind byte, payload []byte
 		case ev = <-events:
 		}
 		if !ev.ok {
-			err := c.conns[ev.site].lastErr()
-			if err == nil {
-				err = fmt.Errorf("connection closed")
-			}
-			return fail(fmt.Errorf("site %d: %w", ev.site, err))
+			return fail(fmt.Errorf("site %d: %w", ev.site, c.conns[ev.site].lastErr()))
 		}
 		r := ev.r
 		if ev.final && r.kind == kindError {
 			return fail(fmt.Errorf("site %d: %s", ev.site, r.payload))
 		}
-		if (ev.final && r.kind != kindAnswer && r.kind != kindTracedAnswer) || (!ev.final && r.kind != kindPartial) {
+		if (ev.final && r.kind != kindAnswer) || (!ev.final && r.kind != kindPartial) {
 			return fail(fmt.Errorf("site %d: unexpected frame kind %q", ev.site, r.kind))
 		}
 		if len(r.payload) < answerPrefix {
@@ -272,33 +256,30 @@ func (c *Coordinator) streamRound(ctx context.Context, kind byte, payload []byte
 			epoch, lsn, stateSet = e, l, true
 			st.Epoch, st.LSN = epoch, lsn
 		} else if e != epoch || l != lsn {
-			// Strict rounds: composing equations across deployment states
-			// is meaningless. Abort (cancelling every site still working)
-			// and let the caller retry against the settled state.
-			out.split = true
-			cancelStragglers(false)
-			finish()
-			return out, nil
+			settle(false)
+			return st, true, nil
 		}
 		st.BytesReceived += int64(r.n)
 		body := r.payload[answerPrefix:]
 		if ev.final {
-			if r.kind == kindTracedAnswer {
-				spans, rest, derr := decodeTracedAnswer(body)
-				if derr != nil {
-					return fail(fmt.Errorf("site %d: %w", ev.site, derr))
-				}
-				if qt != nil {
-					qt.b.AttachRemote(rpcIDs[ev.site], ev.site, anchors[ev.site], spans)
-					qt.b.End(rpcIDs[ev.site])
-				}
-				evalNs[ev.site] = evalDurNs(spans)
-				body = rest
-			} else if qt != nil {
+			// The one query reply: the site's spans (none when untraced)
+			// head the body.
+			spans, rest, derr := obs.DecodeWireSpans(body)
+			if derr != nil {
+				return fail(fmt.Errorf("site %d: %w", ev.site, derr))
+			}
+			body = rest
+			if qt != nil {
+				qt.b.AttachRemote(rpcIDs[ev.site], ev.site, anchors[ev.site], spans)
 				qt.b.End(rpcIDs[ev.site])
 			}
+			for i := range spans {
+				if spans[i].Name == "eval" {
+					evalNs[ev.site] = int64(spans[i].DurNs)
+				}
+			}
 			st.FramesReceived++
-			out.finals[ev.site] = true
+			finals[ev.site] = true
 			nFinal++
 			c.noteSiteLSN(ev.site, l)
 		} else {
@@ -306,233 +287,30 @@ func (c *Coordinator) streamRound(ctx context.Context, kind byte, payload []byte
 			c.any.partials.Add(1)
 		}
 		respBytes[ev.site] += int64(len(body))
-		decided, err := sink(ev.site, body, ev.final)
+		decided, err := sol.feed(ev.site, body, ev.final)
 		if err != nil {
 			return fail(err)
 		}
-		if decided && nFinal < len(c.conns) {
-			out.early = true
-			st.EarlyTerminated = true
-			st.FirstAnswer = time.Since(start)
-			cancelStragglers(true)
-			finish()
-			c.auditStream(kind, respBytes, evalNs)
-			return out, nil
-		}
-		if nFinal == len(c.conns) {
-			finish()
-			st.FirstAnswer = st.RoundTrip
-			c.auditStream(kind, respBytes, evalNs)
-			return out, nil
-		}
-	}
-}
-
-// auditStream reports one settled streaming attempt to the auditor: each
-// site still received exactly one request frame (the posted query — the
-// invariant the paper's 1-visit guarantee is about; cancel frames are
-// control traffic), and RespBytes sums every partial and final body the
-// site emitted before the round settled.
-func (c *Coordinator) auditStream(kind byte, respBytes, evalNs []int64) {
-	a := c.getAuditor()
-	if a == nil || !tracedKind(kind) {
-		return
-	}
-	frames := make([]int64, len(respBytes))
-	for i := range frames {
-		frames[i] = 1
-	}
-	a.Observe(obs.AuditRound{
-		Query:     kindLabel(kind),
-		Frames:    frames,
-		RespBytes: respBytes,
-		EvalNs:    evalNs,
-	})
-}
-
-// reachAnytime is the anytime form of a qr(s,t) round: stream partials
-// from every site, decide incrementally, answer true the moment a
-// certificate closes (cancelling the stragglers) or false once every
-// site's equations are in. Epoch-split rounds retry with the same policy
-// as queryRound.
-func (c *Coordinator) reachAnytime(ctx context.Context, s, t graph.NodeID, qt *qtrace) (bool, WireStats, error) {
-	payload := encodeReachRequest(s, t, true)
-	var total WireStats
-	backoff := epochRetryBackoff
-	for attempt := 0; ; attempt++ {
-		rqt := qt
-		if qt != nil {
-			roundID := qt.b.StartSpan(qt.par, "round", obs.Attr{Key: "attempt", Val: strconv.Itoa(attempt)})
-			rqt = qt.child(roundID)
-		}
-		sys := bes.New[graph.NodeID]()
-		acc := make([]*core.ReachPartial, len(c.conns))
-		sink := func(site int, body []byte, final bool) (bool, error) {
-			chunk := new(core.ReachPartial)
-			if err := chunk.UnmarshalBinary(body); err != nil {
-				return false, fmt.Errorf("netsite: site %d reply: %w", site, err)
-			}
-			chunk.AddToSystem(sys)
-			if acc[site] == nil {
-				acc[site] = new(core.ReachPartial)
-			}
-			acc[site].Merge(chunk)
-			return sys.Decide(s), nil
-		}
-		out, err := c.streamRound(ctx, kindReach, payload, sink, rqt)
-		if qt != nil {
-			qt.b.End(rqt.par)
-		}
-		total.add(out.st)
-		if err != nil {
-			return false, total, err
-		}
-		if !out.split {
-			if out.early {
-				c.any.earlyTerms.Add(1)
-			}
-			// Touched stays sound for an early true: flipping the answer to
-			// false requires breaking every path, in particular the
-			// certificate chain inside the accumulated equations — whose
-			// fragments are exactly the dependency closure computed here.
-			total.Touched = core.TouchedReach(acc, s)
-			return sys.Decide(s), total, nil
-		}
-		if attempt+1 >= epochRetries {
-			return false, total, fmt.Errorf("%w (after %d attempts)", ErrEpochSplit, attempt+1)
-		}
-		select {
-		case <-ctx.Done():
-			return false, total, ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
-}
-
-// batchAnytime is the anytime form of an all-reach batch round: sites
-// stream per-target equation chunks, the coordinator maintains one
-// incremental system per distinct target, and the round ends early iff
-// every query in the batch is proved true before the last final arrives
-// (false verdicts need every site's complete equations, so a batch with
-// any undecided query waits them out — and then composes answers exactly
-// like the classic path).
-func (c *Coordinator) batchAnytime(ctx context.Context, wire []BatchQuery, widx []int, answers []BatchAnswer, qt *qtrace) (WireStats, error) {
-	payload, err := encodeBatchRequest(wire, batchFlagStream)
-	if err != nil {
-		return WireStats{}, err
-	}
-	var total WireStats
-	backoff := epochRetryBackoff
-	for attempt := 0; ; attempt++ {
-		rqt := qt
-		if qt != nil {
-			roundID := qt.b.StartSpan(qt.par, "round", obs.Attr{Key: "attempt", Val: strconv.Itoa(attempt)})
-			rqt = qt.child(roundID)
-		}
-		sysOf := make(map[graph.NodeID]*bes.System[graph.NodeID])
-		accOf := make(map[graph.NodeID][]*core.ReachPartial)
-		for _, q := range wire {
-			if _, ok := sysOf[q.T]; !ok {
-				sysOf[q.T] = bes.New[graph.NodeID]()
-				accOf[q.T] = make([]*core.ReachPartial, len(c.conns))
-			}
-		}
-		merge := func(t graph.NodeID, site int, rv *core.ReachPartial) {
-			rv.AddToSystem(sysOf[t])
-			acc := accOf[t]
-			if acc[site] == nil {
-				acc[site] = new(core.ReachPartial)
-			}
-			acc[site].Merge(rv)
-		}
-		undecided := len(wire)
-		decided := make([]bool, len(wire))
-		finals := make([][]byte, len(c.conns))
-		sink := func(site int, body []byte, final bool) (bool, error) {
-			if !final {
-				t, chunk, err := decodeBatchChunk(body)
-				if err != nil {
-					return false, fmt.Errorf("netsite: site %d partial: %w", site, err)
-				}
-				if _, ok := sysOf[t]; !ok {
-					return false, nil // chunk for a target we never asked about
-				}
-				merge(t, site, chunk)
-			} else {
-				finals[site] = body
-				shared, refs, parts, err := decodeBatchReply(body)
-				if err != nil {
-					return false, fmt.Errorf("netsite: site %d reply: %w", site, err)
-				}
-				if len(parts) != len(wire) {
-					return false, fmt.Errorf("netsite: site %d answered %d of %d batch queries", site, len(parts), len(wire))
-				}
-				// Each shared section belongs to exactly one target; feed it
-				// once however many queries reference it.
-				fed := make(map[uint32]bool, len(shared))
-				for j, q := range wire {
-					if ref := refs[j]; ref > 0 && !fed[ref] {
-						fed[ref] = true
-						rv := new(core.ReachPartial)
-						if err := rv.UnmarshalBinary(shared[ref-1]); err != nil {
-							return false, fmt.Errorf("netsite: site %d shared section %d: %w", site, ref-1, err)
-						}
-						merge(q.T, site, rv)
-					}
-					if len(parts[j]) > 0 {
-						rv := new(core.ReachPartial)
-						if err := rv.UnmarshalBinary(parts[j]); err != nil {
-							return false, fmt.Errorf("netsite: site %d batch query %d: %w", site, widx[j], err)
-						}
-						merge(q.T, site, rv)
-					}
-				}
-			}
-			for j, q := range wire {
-				if !decided[j] && sysOf[q.T].Decide(q.S) {
-					decided[j] = true
-					undecided--
-				}
-			}
-			return undecided == 0, nil
-		}
-		out, err := c.streamRound(ctx, kindBatch, payload, sink, rqt)
-		if qt != nil {
-			qt.b.End(rqt.par)
-		}
-		total.add(out.st)
-		if err != nil {
-			return total, err
-		}
-		if out.split {
-			if attempt+1 >= epochRetries {
-				return total, fmt.Errorf("%w (after %d attempts)", ErrEpochSplit, attempt+1)
-			}
-			select {
-			case <-ctx.Done():
-				return total, ctx.Err()
-			case <-time.After(backoff):
-			}
-			backoff *= 2
+		if !decided && nFinal < len(c.conns) {
 			continue
 		}
-		if out.early {
-			// Every query proved true from the accumulated equations; the
-			// per-query Touched is the dependency closure over them (sound
-			// for positive answers, see reachAnytime).
+		st.FirstAnswer = time.Since(start)
+		st.RoundTrip = st.FirstAnswer
+		if st.EarlyTerminated = nFinal < len(c.conns); st.EarlyTerminated {
 			c.any.earlyTerms.Add(1)
-			for j, q := range wire {
-				answers[widx[j]] = BatchAnswer{Answer: true, Touched: core.TouchedReach(accOf[q.T], q.S)}
+			settle(true)
+		}
+		// Each site received exactly one request frame (the invariant the
+		// paper's 1-visit guarantee is about; cancel frames are control
+		// traffic), and RespBytes sums every partial and final body the
+		// site emitted before the round settled, span sections excluded.
+		if a := c.getAuditor(); a != nil {
+			frames := make([]int64, len(c.conns))
+			for i := range frames {
+				frames[i] = 1
 			}
-			return total, nil
+			a.Observe(obs.AuditRound{Frames: frames, RespBytes: respBytes, EvalNs: evalNs})
 		}
-		// Full round: compose from the final replies exactly like the
-		// classic batch path (answers and Touched are then byte-for-byte
-		// those of a non-anytime round).
-		if err := composeBatchAnswers(finals, wire, widx, answers); err != nil {
-			return total, err
-		}
-		return total, nil
+		return st, false, nil
 	}
 }

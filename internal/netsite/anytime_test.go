@@ -3,11 +3,15 @@ package netsite
 import (
 	"context"
 	"errors"
+	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"distreach/internal/automaton"
+	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
@@ -171,6 +175,104 @@ func TestAnytimeEarlyTermination(t *testing.T) {
 	}
 }
 
+// TestStreamShipsPrefixNotPartial pins what a streaming request costs on
+// the wire: on fragments emitting at least 1,024 equations each, an
+// all-reach batch of k distinct targets that runs to completion (every
+// answer is false, so nothing cancels) makes each site emit at most
+// core.MaxStreamChunks 'P' frames, and the 'P' bodies — a geometric prefix
+// of at most 255 equations per request — sum to at most half the final
+// bodies. A stream that re-ships whole partials ahead of the final costs
+// as much again as the answer.
+func TestStreamShipsPrefixNotPartial(t *testing.T) {
+	const (
+		core0   = 8000 // nodes carrying the random edges
+		nSites  = 4
+		targets = 32 // extra nodes with no in-edges: unreachable
+	)
+	b := graph.NewBuilder(core0 + targets)
+	first := b.AddNodes(core0+targets, "A")
+	rng := gen.NewRNG(23)
+	for i := 0; i < 4*core0; i++ {
+		b.AddEdge(first+graph.NodeID(rng.Intn(core0)), first+graph.NodeID(rng.Intn(core0)))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := make([]int, core0+targets)
+	for i := range assign {
+		assign[i] = i % nSites
+	}
+	fr, err := fragment.Build(g, assign, nSites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fr.Fragments() {
+		if n := len(f.InNodes()); n < 1024 {
+			t.Fatalf("fragment %d has %d in-nodes; the test needs >= 1024 equations per fragment", f.ID, n)
+		}
+	}
+	sites, addrs, err := ServeFragmentation(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range sites {
+			s.Close()
+		}
+	}()
+
+	for _, k := range []int{1, 4, 32} {
+		qs := make([]BatchQuery, k)
+		for i := range qs {
+			qs[i] = BatchQuery{Class: ClassReach, S: first + graph.NodeID(i), T: first + graph.NodeID(core0+i)}
+		}
+		req, err := encodeBatchRequest(qs, batchHeader{stream: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var partialBytes, finalBytes int
+		for site, addr := range addrs {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := writeFrame(conn, 1, kindBatch, req); err != nil {
+				t.Fatal(err)
+			}
+			frames := 0
+			for {
+				_, kind, payload, _, err := readFrame(conn)
+				if err != nil {
+					t.Fatalf("k=%d site %d: %v", k, site, err)
+				}
+				if kind == kindPartial {
+					frames++
+					partialBytes += len(payload) - answerPrefix
+					continue
+				}
+				if kind != kindAnswer {
+					t.Fatalf("k=%d site %d: frame kind %q: %s", k, site, kind, payload)
+				}
+				finalBytes += len(payload) - answerPrefix
+				break
+			}
+			conn.Close()
+			if frames > core.MaxStreamChunks {
+				t.Fatalf("k=%d site %d: %d 'P' frames, budget is %d per request", k, site, frames, core.MaxStreamChunks)
+			}
+			if frames == 0 {
+				t.Fatalf("k=%d site %d: a streaming request emitted no 'P' frame", k, site)
+			}
+		}
+		if 2*partialBytes > finalBytes {
+			t.Fatalf("k=%d: 'P' bodies sum to %d bytes, finals to %d — the stream must stay a prefix (<= half)",
+				k, partialBytes, finalBytes)
+		}
+	}
+}
+
 // TestAnytimeCrossCheck is the anytime acceptance check: 50 random
 // fragmented graphs — alternating indexed and direct evaluation — each
 // driven through wire edge churn and a live rebalance, with every query
@@ -249,13 +351,19 @@ func TestAnytimeCrossCheck(t *testing.T) {
 					t.Fatalf("trial %d step %d: anytime reach(%d,%d): %v", trial, step, s, tt, err)
 				}
 				co.SetAnytime(false)
-				fullAns, _, err := co.Reach(s, tt)
+				fullAns, fst, err := co.Reach(s, tt)
 				if err != nil {
 					t.Fatalf("trial %d step %d: full reach(%d,%d): %v", trial, step, s, tt, err)
 				}
 				if anyAns != want || fullAns != want {
 					t.Fatalf("trial %d step %d: reach(%d,%d) anytime=%v full=%v oracle=%v (early=%v)",
 						trial, step, s, tt, anyAns, fullAns, want, ast.EarlyTerminated)
+				}
+				// Same equations, same closure — unless the anytime round was
+				// decided on a subset of them, whose closure is a subset.
+				if !touchedAgree(ast.Touched, fst.Touched, ast.EarlyTerminated) {
+					t.Fatalf("trial %d step %d: reach(%d,%d) touched anytime=%v full=%v (early=%v)",
+						trial, step, s, tt, ast.Touched, fst.Touched, ast.EarlyTerminated)
 				}
 			}
 			// All-reach batch, anytime vs full-round vs oracle.
@@ -264,7 +372,7 @@ func TestAnytimeCrossCheck(t *testing.T) {
 				qs[i] = BatchQuery{Class: ClassReach, S: graph.NodeID(rng.Intn(nn)), T: graph.NodeID(rng.Intn(nn))}
 			}
 			co.SetAnytime(true)
-			anyAns, _, err := co.Batch(qs)
+			anyAns, bst, err := co.Batch(qs)
 			if err != nil {
 				t.Fatalf("trial %d step %d: anytime batch: %v", trial, step, err)
 			}
@@ -275,9 +383,44 @@ func TestAnytimeCrossCheck(t *testing.T) {
 			}
 			for i, q := range qs {
 				want := mirror.Reachable(q.S, q.T)
-				if anyAns[i].Answer != want || fullAns[i].Answer != want {
-					t.Fatalf("trial %d step %d: batch q%d (%d,%d) anytime=%v full=%v oracle=%v",
-						trial, step, i, q.S, q.T, anyAns[i].Answer, fullAns[i].Answer, want)
+				if anyAns[i].Answer != want || fullAns[i].Answer != want ||
+					!touchedAgree(anyAns[i].Touched, fullAns[i].Touched, bst.EarlyTerminated) {
+					t.Fatalf("trial %d step %d: batch q%d (%d,%d) anytime=%+v full=%+v oracle=%v",
+						trial, step, i, q.S, q.T, anyAns[i], fullAns[i], want)
+				}
+			}
+			// Mixed-class batch: the stream flag stays off, both modes run
+			// the same strict round and must agree with each other and
+			// the oracle, Touched included.
+			mixed := []BatchQuery{
+				qs[0],
+				{Class: ClassDist, S: qs[1].S, T: qs[1].T, L: 1 + rng.Intn(6)},
+				{Class: ClassRPQ, S: qs[2].S, T: qs[2].T, A: automaton.Random(rng, 2, 4, labels)},
+			}
+			co.SetAnytime(true)
+			anyMixed, ast, err := co.Batch(mixed)
+			if err != nil {
+				t.Fatalf("trial %d step %d: anytime mixed batch: %v", trial, step, err)
+			}
+			co.SetAnytime(false)
+			fullMixed, _, err := co.Batch(mixed)
+			if err != nil {
+				t.Fatalf("trial %d step %d: full mixed batch: %v", trial, step, err)
+			}
+			d := mirror.Dist(mixed[1].S, mixed[1].T)
+			wantMixed := []bool{
+				mirror.Reachable(mixed[0].S, mixed[0].T),
+				d >= 0 && d <= mixed[1].L,
+				automaton.Eval(mirror, mixed[2].S, mixed[2].T, mixed[2].A),
+			}
+			if ast.EarlyTerminated || ast.PartialFrames != 0 {
+				t.Fatalf("trial %d step %d: a mixed-class round streamed or ended early: %+v", trial, step, ast)
+			}
+			for i := range mixed {
+				if anyMixed[i].Answer != wantMixed[i] || fullMixed[i].Answer != wantMixed[i] ||
+					!slices.Equal(anyMixed[i].Touched, fullMixed[i].Touched) {
+					t.Fatalf("trial %d step %d: mixed q%d anytime=%+v full=%+v oracle=%v",
+						trial, step, i, anyMixed[i], fullMixed[i], wantMixed[i])
 				}
 			}
 			// Mid-query cancellation under churn: a context cancelled while
@@ -315,6 +458,21 @@ func TestAnytimeCrossCheck(t *testing.T) {
 			s.Close()
 		}
 	}
+}
+
+// touchedAgree compares an anytime round's Touched set with the strict
+// round's: equal for a round that ran to completion, a subset for one
+// decided early (its certificate's closure lies inside the full one).
+func touchedAgree(anytime, full []int, early bool) bool {
+	if !early {
+		return slices.Equal(anytime, full)
+	}
+	for _, site := range anytime {
+		if !slices.Contains(full, site) {
+			return false
+		}
+	}
+	return true
 }
 
 // waitPendingDrained polls until the coordinator's pending tables are

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"distreach/internal/automaton"
@@ -12,24 +13,28 @@ import (
 	"distreach/internal/graph"
 )
 
-// Wire batching: a batch frame ('B') carries many mixed-class queries in
-// one payload, and each site answers with a single frame carrying one
+// The query frame ('B') carries one or more mixed-class queries in one
+// payload, and each site answers with a single final frame carrying one
 // partial answer per query. The per-query visit guarantee thus becomes a
 // per-batch guarantee over real connections: k queries over n sites cost
-// 2n frames, independent of k.
+// 2n frames, independent of k. A single query is a batch of one.
 //
-// Batch request payload (little-endian):
+// Request payload (little-endian):
 //
-//	version u8 | flags u8 | count u32 | per query:
+//	version u8 | flags u8 | [trace ID u64 | parent span ID u64] | count u32
+//	| per query:
 //	  class u8 ('r'|'b'|'q') | s u32 | t u32
 //	  class 'b' adds: l u32
 //	  class 'q' adds: alen u32 | automaton bytes
 //
-// The flags byte carries batchFlagStream: the coordinator invites the site
-// to emit 'P' frames — per-target equation chunks (see encodeBatchChunk) —
-// ahead of the final reply, enabling anytime early termination.
+// flags carries batchFlagStream — the coordinator invites the site to emit
+// 'P' frames, per-target equation chunks (see encodeBatchChunk), ahead of
+// the final reply, enabling anytime early termination — and batchFlagTrace:
+// the bracketed trace context is present and the site records spans for
+// the reply's span section.
 //
-// Batch response payload:
+// Reply payload, after the (epoch, lsn) tag and the span section every
+// query answer carries (see protocol.go):
 //
 //	version u8 | nshared u32 | per section: slen u32 | bytes
 //	           | count u32 | per query: sref u32 | plen u32 | partial bytes
@@ -50,12 +55,11 @@ import (
 // QueryClass tags one query in a wire batch with its query class.
 type QueryClass byte
 
-// The three query classes of the paper, reusing the single-query frame
-// kinds as class tags.
+// The three query classes of the paper.
 const (
-	ClassReach QueryClass = kindReach // qr(s,t)
-	ClassDist  QueryClass = kindDist  // qbr(s,t,l)
-	ClassRPQ   QueryClass = kindRPQ   // qrr(s,t,R)
+	ClassReach QueryClass = 'r' // qr(s,t)
+	ClassDist  QueryClass = 'b' // qbr(s,t,l)
+	ClassRPQ   QueryClass = 'q' // qrr(s,t,R)
 )
 
 // BatchQuery is one query in a wire batch.
@@ -77,14 +81,29 @@ type BatchAnswer struct {
 	Touched []int
 }
 
-// batchVersion versions the batch payload codecs independently of the
+// batchVersion versions the query payload codecs independently of the
 // frame layout. Version 2 added the shared per-target sections to the
-// reply; version 3 added the request flags byte.
-const batchVersion = 3
+// reply; version 3 added the request flags byte; version 4 moved the trace
+// context into the request header and made this the only query frame.
+const batchVersion = 4
 
-// batchFlagStream, in a batch request's flags byte, asks the site to
-// stream per-query equation chunks as 'P' frames ahead of the final reply.
-const batchFlagStream = 1
+// Request flag bits. batchFlagStream asks the site to stream per-target
+// equation chunks as 'P' frames ahead of the final reply; batchFlagTrace
+// says 16 bytes of trace context follow the flags and asks the site to
+// record spans.
+const (
+	batchFlagStream = 1
+	batchFlagTrace  = 2
+)
+
+// batchHeader is the decoded head of a query request: what the flags byte
+// says, plus the trace context when traced. The site never interprets the
+// two IDs — its spans hang off the coordinator's rpc span implicitly — but
+// they make a captured frame attributable to its trace.
+type batchHeader struct {
+	stream, traced bool
+	traceID, span  uint64
+}
 
 // maxBatch bounds the declared per-payload query count against hostile
 // length prefixes; real batches are orders of magnitude smaller.
@@ -166,15 +185,6 @@ func (r *batchReader) count(min int) (int, error) {
 	return int(n), nil
 }
 
-// header decodes the version byte and the item count shared by both batch
-// payloads, guarding the count: each item occupies at least min bytes.
-func (r *batchReader) header(min int) (int, error) {
-	if err := r.version(); err != nil {
-		return 0, err
-	}
-	return r.count(min)
-}
-
 // done rejects trailing bytes, so that decode∘encode is the identity and a
 // frame cannot smuggle data past the codec.
 func (r *batchReader) done() error {
@@ -185,8 +195,16 @@ func (r *batchReader) done() error {
 }
 
 // encodeBatchRequest packs a mixed-class query batch into one payload.
-func encodeBatchRequest(qs []BatchQuery, flags byte) ([]byte, error) {
-	b := []byte{batchVersion, flags}
+func encodeBatchRequest(qs []BatchQuery, h batchHeader) ([]byte, error) {
+	b := []byte{batchVersion, 0}
+	if h.stream {
+		b[1] |= batchFlagStream
+	}
+	if h.traced {
+		b[1] |= batchFlagTrace
+		b = binary.LittleEndian.AppendUint64(b, h.traceID)
+		b = binary.LittleEndian.AppendUint64(b, h.span)
+	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(qs)))
 	for i, q := range qs {
 		b = append(b, byte(q.Class))
@@ -213,37 +231,52 @@ func encodeBatchRequest(qs []BatchQuery, flags byte) ([]byte, error) {
 	return b, nil
 }
 
+// spanOffset is where the parent span ID sits in a traced request payload
+// (version, flags, trace ID): the one field that differs per site, patched
+// into a copy of the shared payload.
+const spanOffset = 2 + 8
+
 // decodeBatchRequest is the inverse of encodeBatchRequest. Unknown flag
 // bits are rejected so the codec stays an identity under fuzzing.
-func decodeBatchRequest(p []byte) ([]BatchQuery, byte, error) {
+func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
+	var h batchHeader
 	r := &batchReader{b: p}
 	if err := r.version(); err != nil {
-		return nil, 0, err
+		return nil, h, err
 	}
 	flags, err := r.u8()
 	if err != nil {
-		return nil, 0, err
+		return nil, h, err
 	}
-	if flags&^byte(batchFlagStream) != 0 {
-		return nil, 0, fmt.Errorf("netsite: unknown batch flags %#x", flags)
+	if flags&^byte(batchFlagStream|batchFlagTrace) != 0 {
+		return nil, h, fmt.Errorf("netsite: unknown batch flags %#x", flags)
+	}
+	h.stream = flags&batchFlagStream != 0
+	if h.traced = flags&batchFlagTrace != 0; h.traced {
+		if h.traceID, err = r.u64(); err != nil {
+			return nil, h, err
+		}
+		if h.span, err = r.u64(); err != nil {
+			return nil, h, err
+		}
 	}
 	n, err := r.count(9) // class + s + t at minimum
 	if err != nil {
-		return nil, 0, err
+		return nil, h, err
 	}
 	qs := make([]BatchQuery, 0, n)
 	for i := 0; i < n; i++ {
 		cls, err := r.u8()
 		if err != nil {
-			return nil, 0, err
+			return nil, h, err
 		}
 		s, err := r.u32()
 		if err != nil {
-			return nil, 0, err
+			return nil, h, err
 		}
 		t, err := r.u32()
 		if err != nil {
-			return nil, 0, err
+			return nil, h, err
 		}
 		q := BatchQuery{Class: QueryClass(cls), S: graph.NodeID(s), T: graph.NodeID(t)}
 		switch q.Class {
@@ -251,38 +284,46 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, byte, error) {
 		case ClassDist:
 			l, err := r.u32()
 			if err != nil {
-				return nil, 0, err
+				return nil, h, err
 			}
 			q.L = int(l)
 		case ClassRPQ:
 			alen, err := r.u32()
 			if err != nil {
-				return nil, 0, err
+				return nil, h, err
 			}
 			ab, err := r.bytes(alen)
 			if err != nil {
-				return nil, 0, err
+				return nil, h, err
 			}
 			q.A = new(automaton.Automaton)
 			if err := q.A.UnmarshalBinary(ab); err != nil {
-				return nil, 0, fmt.Errorf("netsite: batch query %d: %w", i, err)
+				return nil, h, fmt.Errorf("netsite: batch query %d: %w", i, err)
 			}
 		default:
-			return nil, 0, fmt.Errorf("netsite: batch query %d: unknown class %q", i, cls)
+			return nil, h, fmt.Errorf("netsite: batch query %d: unknown class %q", i, cls)
 		}
 		qs = append(qs, q)
 	}
 	if err := r.done(); err != nil {
-		return nil, 0, err
+		return nil, h, err
 	}
-	return qs, flags, nil
+	return qs, h, nil
 }
 
-// encodeBatchReply packs the shared per-target sections plus, per batched
-// query, a section reference (0 = none, else 1+index) and the query's own
-// marshaled partial (empty when the shared section says it all).
-func encodeBatchReply(shared [][]byte, refs []uint32, parts [][]byte) []byte {
-	b := []byte{batchVersion}
+// encodeBatchReply appends to b (a query answer's span section) the shared
+// per-target sections plus, per batched query, a section reference (0 =
+// none, else 1+index) and the query's own marshaled partial (empty when
+// the shared section says it all).
+func encodeBatchReply(b []byte, shared [][]byte, refs []uint32, parts [][]byte) []byte {
+	size := 1 + 4 + 4 // version, section count, query count
+	for _, s := range shared {
+		size += 4 + len(s)
+	}
+	for _, p := range parts {
+		size += 8 + len(p)
+	}
+	b = append(slices.Grow(b, size), batchVersion)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(shared)))
 	for _, s := range shared {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
@@ -301,7 +342,10 @@ func encodeBatchReply(shared [][]byte, refs []uint32, parts [][]byte) []byte {
 // and section reference is validated.
 func decodeBatchReply(p []byte) (shared [][]byte, refs []uint32, parts [][]byte, err error) {
 	r := &batchReader{b: p}
-	ns, err := r.header(4) // a length prefix per section at minimum
+	if err := r.version(); err != nil {
+		return nil, nil, nil, err
+	}
+	ns, err := r.count(4) // a length prefix per section at minimum
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -317,16 +361,13 @@ func decodeBatchReply(p []byte) (shared [][]byte, refs []uint32, parts [][]byte,
 		}
 		shared = append(shared, s)
 	}
-	n, err := r.u32()
+	n, err := r.count(8) // sref + plen at minimum
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if n > maxBatch || uint64(n)*8 > uint64(len(r.b)-r.off) {
-		return nil, nil, nil, fmt.Errorf("netsite: implausible batch reply count %d", n)
-	}
 	refs = make([]uint32, 0, n)
 	parts = make([][]byte, 0, n)
-	for i := 0; i < int(n); i++ {
+	for i := 0; i < n; i++ {
 		ref, err := r.u32()
 		if err != nil {
 			return nil, nil, nil, err
@@ -353,16 +394,22 @@ func decodeBatchReply(p []byte) (shared [][]byte, refs []uint32, parts [][]byte,
 
 // Batch evaluates a mixed-class query batch in one wire round: exactly one
 // request frame per site carries the whole batch, each site evaluates it
-// against its fragment in one pass and answers with one frame carrying a
-// partial per query, and the coordinator demultiplexes and solves each
-// query from its partials. The returned WireStats covers the whole batch:
-// FramesSent (and FramesReceived) equal the site count — independent of
-// len(qs) — which is the per-batch form of the paper's visit bound.
+// against its fragment in one pass and answers with one final frame
+// carrying a partial per query, and the coordinator demultiplexes and
+// solves each query from its partials. The returned WireStats covers the
+// whole batch: FramesSent equals the site count — independent of len(qs) —
+// which is the per-batch form of the paper's visit bound.
+//
+// This is the only query path: Reach, ReachWithin and ReachRegex are
+// batches of one. With anytime on and every wire query a reach query, the
+// round streams partial replies and returns the moment they prove every
+// query true, cancelling the remaining sites; otherwise it waits for every
+// site's final frame (see SetAnytime).
 //
 // Queries that short-circuit locally (s == t, or a non-positive distance
 // bound) are answered without touching the wire; a batch of only such
 // queries sends zero frames. Concurrent batches multiplex over the same
-// connections like single queries do.
+// connections.
 func (c *Coordinator) Batch(qs []BatchQuery) ([]BatchAnswer, WireStats, error) {
 	return c.BatchContext(context.Background(), qs)
 }
@@ -405,134 +452,197 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 	if len(wire) == 0 {
 		return answers, WireStats{}, nil
 	}
-	qt := c.newQueryTrace("batch")
-	if c.anytime.Load() {
-		allReach := true
-		for _, q := range wire {
-			if q.Class != ClassReach {
-				allReach = false
-				break
-			}
-		}
-		// Anytime streaming covers reach-only batches (distance and regex
-		// partials have no incremental solver); mixed batches take the
-		// classic full round.
-		if allReach {
-			st, err := c.batchAnytime(ctx, wire, widx, answers, qt)
-			c.finishTrace(qt, &st, err)
-			if err != nil {
-				return nil, st, err
-			}
-			return answers, st, nil
-		}
+	// Strict mode is a policy of the one round, not another round: the
+	// stream flag stays off, and with it early decision — every final is
+	// waited out. The flag is computed, not chosen: anytime on and every
+	// wire query a reach query (distance and regex partials have no
+	// incremental solver, so such a round could never be decided early).
+	name := "batch"
+	h := batchHeader{stream: c.anytime.Load()}
+	for _, q := range wire {
+		h.stream = h.stream && q.Class == ClassReach
 	}
-	payload, err := encodeBatchRequest(wire, 0)
-	if err != nil {
-		c.finishTrace(qt, &WireStats{}, err)
-		return nil, WireStats{}, err
+	if len(wire) == 1 {
+		name = classLabel(wire[0].Class)
 	}
-	replies, st, err := c.queryRound(ctx, kindBatch, payload, qt)
-	if err != nil {
-		c.finishTrace(qt, &st, err)
-		return nil, st, err
-	}
-	solveStart := time.Now()
-	if err := composeBatchAnswers(replies, wire, widx, answers); err != nil {
-		c.finishTrace(qt, &st, err)
-		return nil, st, err
-	}
+	qt := c.newQueryTrace(name)
 	if qt != nil {
-		qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart))
+		h.traced, h.traceID = true, qt.id
 	}
-	st.FirstAnswer = st.RoundTrip
-	c.finishTrace(qt, &st, nil)
+	sol := &batchSolver{wire: wire, nsites: len(c.conns), early: h.stream}
+	var st WireStats
+	payload, err := encodeBatchRequest(wire, h)
+	if err == nil {
+		st, err = c.streamRound(ctx, payload, h.stream, sol, qt)
+	}
+	if err == nil {
+		solveStart := time.Now()
+		if err = sol.finish(widx, answers); err == nil && qt != nil {
+			qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart))
+		}
+	}
+	c.finishTrace(qt, &st, err)
+	if err != nil {
+		return nil, st, err
+	}
 	return answers, st, nil
 }
 
-// composeBatchAnswers decodes every site's final batch reply and solves
-// each wire query into its answer slot — the compose step shared by the
-// classic full round and an anytime round that ran to completion (their
-// answers are thus byte-for-byte identical).
-func composeBatchAnswers(replies [][]byte, wire []BatchQuery, widx []int, answers []BatchAnswer) error {
-	// Per site: the decoded shared sections (reach rvsets, unmarshaled
-	// once however many queries reference them), plus per-query refs and
-	// own partial bytes.
-	type siteReply struct {
-		shared []*core.ReachPartial
-		refs   []uint32
-		parts  [][]byte
+// classLabel names a query class for trace roots.
+func classLabel(c QueryClass) string {
+	switch c {
+	case ClassReach:
+		return "reach"
+	case ClassDist:
+		return "dist"
+	default:
+		return "rpq"
 	}
-	srs := make([]siteReply, len(replies))
-	for site, resp := range replies {
-		shared, refs, parts, err := decodeBatchReply(resp)
+}
+
+// batchSolver turns one round attempt's reply frames into answers. Reach
+// queries are fed, frame by frame, into one incremental equation system
+// per distinct target (bes.Add keeps the least solution up to date,
+// bes.Decide is O(1)): every equation is decoded and added exactly once,
+// whether the round ends early or runs to completion. A positive
+// certificate is a closed chain of equations, each a sound implication at
+// the round's (epoch, LSN), so no absent site can retract it; proving
+// false requires every site's complete equations, i.e. all final frames.
+// Distance and regex parts have no incremental solver: their bytes are
+// kept per site and solved once, in finish, when the last final is in.
+type batchSolver struct {
+	wire   []BatchQuery
+	nsites int
+	early  bool // streaming round: report it decided once every query is proved
+
+	sys      map[graph.NodeID]*bes.System[graph.NodeID] // per reach target
+	acc      map[graph.NodeID][]*core.ReachPartial      // per target, per site: what Touched walks
+	parts    [][][]byte                                 // per site, per query: dist/rpq partial bytes
+	proved   []bool
+	unproved int
+}
+
+// reset discards everything fed so far; streamRound calls it before each
+// attempt, so equations only ever accumulate from one deployment state.
+func (b *batchSolver) reset() {
+	b.sys = make(map[graph.NodeID]*bes.System[graph.NodeID])
+	b.acc = make(map[graph.NodeID][]*core.ReachPartial)
+	for _, q := range b.wire {
+		if _, ok := b.sys[q.T]; !ok && q.Class == ClassReach {
+			b.sys[q.T] = bes.New[graph.NodeID]()
+			b.acc[q.T] = make([]*core.ReachPartial, b.nsites)
+		}
+	}
+	b.parts = make([][][]byte, b.nsites)
+	b.proved = make([]bool, len(b.wire))
+	b.unproved = len(b.wire)
+}
+
+// addReach decodes one marshaled equation set for target t and feeds it to
+// t's system. Re-adding a streamed prefix is sound: disjunctive systems are
+// idempotent under Add.
+func (b *batchSolver) addReach(t graph.NodeID, site int, data []byte) error {
+	rv := new(core.ReachPartial)
+	if err := rv.UnmarshalBinary(data); err != nil {
+		return err
+	}
+	rv.AddToSystem(b.sys[t])
+	if b.acc[t][site] == nil {
+		b.acc[t][site] = rv
+	} else {
+		b.acc[t][site].Merge(rv)
+	}
+	return nil
+}
+
+// feed consumes one reply body — a 'P' chunk or a site's final — and
+// reports whether every query of the round is now decided.
+func (b *batchSolver) feed(site int, body []byte, final bool) (bool, error) {
+	if !final {
+		t, eqs, err := decodeBatchChunk(body)
 		if err != nil {
-			return fmt.Errorf("netsite: site %d reply: %w", site, err)
+			return false, fmt.Errorf("netsite: site %d partial: %w", site, err)
 		}
-		if len(parts) != len(wire) {
-			return fmt.Errorf("netsite: site %d answered %d of %d batch queries",
-				site, len(parts), len(wire))
+		if b.sys[t] == nil {
+			return false, nil // chunk for a target we never asked about
 		}
-		sr := siteReply{refs: refs, parts: parts, shared: make([]*core.ReachPartial, len(shared))}
-		for k, sb := range shared {
-			sr.shared[k] = new(core.ReachPartial)
-			if err := sr.shared[k].UnmarshalBinary(sb); err != nil {
-				return fmt.Errorf("netsite: site %d shared section %d: %w", site, k, err)
+		if err := b.addReach(t, site, eqs); err != nil {
+			return false, fmt.Errorf("netsite: site %d partial: %w", site, err)
+		}
+	} else {
+		shared, refs, parts, err := decodeBatchReply(body)
+		if err != nil {
+			return false, fmt.Errorf("netsite: site %d reply: %w", site, err)
+		}
+		if len(parts) != len(b.wire) {
+			return false, fmt.Errorf("netsite: site %d answered %d of %d batch queries", site, len(parts), len(b.wire))
+		}
+		b.parts[site] = parts
+		// Each shared section belongs to exactly one target; feed it once
+		// however many queries reference it.
+		fed := make([]bool, len(shared))
+		for j, q := range b.wire {
+			if q.Class != ClassReach {
+				continue
+			}
+			if ref := refs[j]; ref > 0 && !fed[ref-1] {
+				fed[ref-1] = true
+				if err := b.addReach(q.T, site, shared[ref-1]); err != nil {
+					return false, fmt.Errorf("netsite: site %d shared section %d: %w", site, ref-1, err)
+				}
+			}
+			if len(parts[j]) > 0 {
+				if err := b.addReach(q.T, site, parts[j]); err != nil {
+					return false, fmt.Errorf("netsite: site %d batch query %d: %w", site, j, err)
+				}
 			}
 		}
-		srs[site] = sr
 	}
-	// siteOf maps a 2-per-site partial layout (shared, own) back to sites.
-	siteOf := func(idx []int) []int {
-		out := make([]int, 0, len(idx))
-		last := -1
-		for _, x := range idx { // idx is sorted; x/2 is nondecreasing
-			if s := x / 2; s != last {
-				out = append(out, s)
-				last = s
-			}
+	if !b.early {
+		return false, nil
+	}
+	for j, q := range b.wire {
+		if !b.proved[j] && q.Class == ClassReach && b.sys[q.T].Decide(q.S) {
+			b.proved[j] = true
+			b.unproved--
 		}
-		return out
 	}
-	for j, q := range wire {
+	return b.unproved == 0, nil
+}
+
+// finish writes every wire query's answer into its slot once the round
+// has settled. Touched stays sound for a reach query proved early:
+// flipping the answer to false requires breaking every path, in particular
+// the certificate chain inside the accumulated equations — whose fragments
+// are exactly the dependency closure computed here.
+func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
+	for j, q := range b.wire {
 		i := widx[j]
 		switch q.Class {
 		case ClassReach:
-			// Two partials per site: the shared per-target rvset and the
-			// query's own source equation. SolveReach composes them.
-			partials := make([]*core.ReachPartial, 2*len(srs))
-			for site, sr := range srs {
-				if ref := sr.refs[j]; ref > 0 {
-					partials[2*site] = sr.shared[ref-1]
-				}
-				if own := sr.parts[j]; len(own) > 0 {
-					partials[2*site+1] = new(core.ReachPartial)
-					if err := partials[2*site+1].UnmarshalBinary(own); err != nil {
-						return fmt.Errorf("netsite: site %d batch query %d: %w", site, i, err)
-					}
-				}
-			}
-			answers[i].Answer = core.SolveReach(partials, q.S)
-			answers[i].Touched = siteOf(core.TouchedReach(partials, q.S))
+			answers[i] = BatchAnswer{Answer: b.sys[q.T].Decide(q.S), Touched: core.TouchedReach(b.acc[q.T], q.S)}
 		case ClassDist:
-			partials := make([]*core.DistPartial, len(srs))
-			for site, sr := range srs {
+			partials := make([]*core.DistPartial, b.nsites)
+			for site := range partials {
 				partials[site] = new(core.DistPartial)
-				if err := partials[site].UnmarshalBinary(sr.parts[j]); err != nil {
+				if err := partials[site].UnmarshalBinary(b.parts[site][j]); err != nil {
 					return fmt.Errorf("netsite: site %d batch query %d: %w", site, i, err)
 				}
 			}
 			d := core.SolveDist(partials, q.S)
 			answers[i] = BatchAnswer{Answer: d <= int64(q.L), Dist: d, Touched: core.TouchedDist(partials, q.S)}
 		case ClassRPQ:
-			partials := make([]*core.RPQPartial, len(srs))
-			for site, sr := range srs {
+			partials := make([]*core.RPQPartial, b.nsites)
+			for site := range partials {
 				partials[site] = new(core.RPQPartial)
-				if err := partials[site].UnmarshalBinary(sr.parts[j]); err != nil {
+				if err := partials[site].UnmarshalBinary(b.parts[site][j]); err != nil {
 					return fmt.Errorf("netsite: site %d batch query %d: %w", site, i, err)
 				}
 			}
-			answers[i].Answer = core.SolveRPQ(partials, q.S, q.A)
-			answers[i].Touched = core.TouchedRPQ(partials, q.S, q.A.NumStates())
+			answers[i] = BatchAnswer{
+				Answer:  core.SolveRPQ(partials, q.S, q.A),
+				Touched: core.TouchedRPQ(partials, q.S, q.A.NumStates()),
+			}
 		}
 	}
 	return nil

@@ -53,15 +53,32 @@ func TestBatchOneFramePerSite(t *testing.T) {
 	const nSites = 4
 	co, done := deploy(t, g, nSites, 81)
 	defer done()
+	type input struct {
+		qs   []BatchQuery
+		want []bool
+	}
+	var inputs []input
 	for _, k := range []int{1, 5, 17, 48} {
 		qs, want := batchWorkload(g, labels, k, 82+uint64(k))
+		inputs = append(inputs, input{qs, want})
+	}
+	// A batch of one of each class (the workload cycles qr, qbr, qrr), and
+	// a mixed-class pair: the same frame, the same bound.
+	last := inputs[len(inputs)-1]
+	for _, r := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {1, 3}} {
+		inputs = append(inputs, input{last.qs[r[0]:r[1]], last.want[r[0]:r[1]]})
+	}
+	for _, in := range inputs {
+		qs, want, k := in.qs, in.want, len(in.qs)
 		answers, st, err := co.Batch(qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.FramesSent != nSites || st.FramesReceived != nSites {
-			t.Fatalf("batch of %d: %d frames sent, %d received; want %d each (one per site)",
-				k, st.FramesSent, st.FramesReceived, nSites)
+		// An all-reach batch proved true early cancels its stragglers:
+		// fewer finals, never more than one per site.
+		if st.FramesSent != nSites || st.FramesReceived > nSites || (st.FramesReceived < nSites && !st.EarlyTerminated) {
+			t.Fatalf("batch of %d: %d frames sent, %d received (early=%v); want %d each (one per site)",
+				k, st.FramesSent, st.FramesReceived, st.EarlyTerminated, nSites)
 		}
 		if st.BytesSent == 0 || st.BytesReceived == 0 {
 			t.Fatalf("batch of %d: no wire traffic recorded: %+v", k, st)
@@ -190,29 +207,36 @@ func TestBatchShortCircuits(t *testing.T) {
 // fuzzers also probe: corrupt counts, truncations, and trailing bytes must
 // come back as errors, never panics or giant allocations.
 func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
-	valid, err := encodeBatchRequest([]BatchQuery{{Class: ClassReach, S: 1, T: 2}}, 0)
+	valid, err := encodeBatchRequest([]BatchQuery{{Class: ClassReach, S: 1, T: 2}}, batchHeader{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := encodeBatchRequest(nil, batchHeader{traced: true, traceID: 7, span: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, p := range map[string][]byte{
-		"empty":           {},
-		"bad version":     {9, 0, 1, 0, 0, 0},
-		"unknown flags":   {batchVersion, 0xF0, 1, 0, 0, 0},
-		"huge count":      {batchVersion, 0, 0xFF, 0xFF, 0xFF, 0xFF},
-		"truncated query": valid[:len(valid)-2],
-		"trailing bytes":  append(append([]byte{}, valid...), 0xAA),
-		"unknown class":   {batchVersion, 0, 1, 0, 0, 0, 'z', 0, 0, 0, 0, 0, 0, 0, 0},
+		"empty":             {},
+		"bad version":       {9, 0, 1, 0, 0, 0},
+		"previous version":  {batchVersion - 1, 0, 0, 0, 0, 0},
+		"unknown flags":     {batchVersion, 0xF0, 1, 0, 0, 0},
+		"huge count":        {batchVersion, 0, 0xFF, 0xFF, 0xFF, 0xFF},
+		"truncated query":   valid[:len(valid)-2],
+		"trailing bytes":    append(append([]byte{}, valid...), 0xAA),
+		"unknown class":     {batchVersion, 0, 1, 0, 0, 0, 'z', 0, 0, 0, 0, 0, 0, 0, 0},
+		"truncated context": traced[:spanOffset+3],
+		"context, no count": traced[:spanOffset+8],
 	} {
 		if _, _, err := decodeBatchRequest(p); err == nil {
 			t.Errorf("decodeBatchRequest accepted %s payload", name)
 		}
 	}
-	reply := encodeBatchReply([][]byte{{9, 9}}, []uint32{1, 0}, [][]byte{{1, 2, 3}, nil})
+	reply := encodeBatchReply(nil, [][]byte{{9, 9}}, []uint32{1, 0}, [][]byte{{1, 2, 3}, nil})
 	for name, p := range map[string][]byte{
 		"bad version":        {7, 0, 0, 0, 0},
 		"huge section count": {batchVersion, 0xFF, 0xFF, 0xFF, 0x7F},
 		"huge query count":   append([]byte{batchVersion, 0, 0, 0, 0}, 0xFF, 0xFF, 0xFF, 0x7F),
-		"dangling sref":      encodeBatchReply(nil, []uint32{3}, [][]byte{{1}}),
+		"dangling sref":      encodeBatchReply(nil, nil, []uint32{3}, [][]byte{{1}}),
 		"truncated part":     reply[:len(reply)-1],
 		"trailing bytes":     append(append([]byte{}, reply...), 1),
 	} {
@@ -222,21 +246,22 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	}
 	// Round trips survive intact, including empty batches and empty parts.
 	qs := []BatchQuery{{Class: ClassDist, S: 5, T: 9, L: 3}, {Class: ClassReach, S: 0, T: 1}}
-	enc, err := encodeBatchRequest(qs, batchFlagStream)
+	hdr := batchHeader{stream: true, traced: true, traceID: 0xDEADBEEF, span: 2}
+	enc, err := encodeBatchRequest(qs, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, flags, err := decodeBatchRequest(enc)
+	dec, got, err := decodeBatchRequest(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flags != batchFlagStream {
-		t.Fatalf("request round trip flags: %#x", flags)
+	if got != hdr {
+		t.Fatalf("request round trip header: %+v", got)
 	}
 	if len(dec) != 2 || dec[0] != qs[0] || dec[1] != qs[1] {
 		t.Fatalf("request round trip: %+v", dec)
 	}
-	shared, refs, parts, err := decodeBatchReply(encodeBatchReply([][]byte{{5}}, []uint32{0, 1}, [][]byte{nil, {7}}))
+	shared, refs, parts, err := decodeBatchReply(encodeBatchReply(nil, [][]byte{{5}}, []uint32{0, 1}, [][]byte{nil, {7}}))
 	if err != nil || len(shared) != 1 || len(parts) != 2 || refs[0] != 0 || refs[1] != 1 ||
 		len(parts[0]) != 0 || len(parts[1]) != 1 {
 		t.Fatalf("reply round trip: %v %v %v %v", shared, refs, parts, err)

@@ -16,7 +16,7 @@ import (
 // wireQuery is one query of any of the three classes, with the simulation
 // oracle's answer attached.
 type wireQuery struct {
-	class byte // kindReach, kindDist, kindRPQ
+	class QueryClass
 	s, t  graph.NodeID
 	l     int
 	a     *automaton.Automaton
@@ -41,14 +41,14 @@ func mixedWorkload(t *testing.T, g *graph.Graph, fr *fragment.Fragmentation, lab
 		q := wireQuery{s: s, t: tt}
 		switch len(qs) % 3 {
 		case 0:
-			q.class = kindReach
+			q.class = ClassReach
 			q.want = core.DisReach(cl, fr, s, tt, nil).Answer
 		case 1:
-			q.class = kindDist
+			q.class = ClassDist
 			q.l = 1 + rng.Intn(8)
 			q.want = core.DisDist(cl, fr, s, tt, q.l, nil).Answer
 		case 2:
-			q.class = kindRPQ
+			q.class = ClassRPQ
 			q.a = automaton.Random(rng, 2+rng.Intn(2), 3+rng.Intn(4), labels)
 			q.want = core.DisRPQ(cl, fr, s, tt, q.a, nil).Answer
 		}
@@ -62,11 +62,11 @@ func (q wireQuery) run(t *testing.T, co *Coordinator) {
 	var got bool
 	var err error
 	switch q.class {
-	case kindReach:
+	case ClassReach:
 		got, _, err = co.Reach(q.s, q.t)
-	case kindDist:
+	case ClassDist:
 		got, _, _, err = co.ReachWithin(q.s, q.t, q.l)
-	case kindRPQ:
+	case ClassRPQ:
 		got, _, err = co.ReachRegex(q.s, q.t, q.a)
 	}
 	if err != nil {
@@ -74,7 +74,7 @@ func (q wireQuery) run(t *testing.T, co *Coordinator) {
 		return
 	}
 	if got != q.want {
-		t.Errorf("class %q s=%d t=%d: wire=%v sim=%v", q.class, q.s, q.t, got, q.want)
+		t.Errorf("class %q s=%d t=%d: wire=%v sim=%v", byte(q.class), q.s, q.t, got, q.want)
 	}
 }
 

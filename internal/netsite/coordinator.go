@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"strconv"
-
 	"distreach/internal/automaton"
 	"distreach/internal/bes"
 	"distreach/internal/core"
@@ -62,7 +60,7 @@ type Coordinator struct {
 	siteLSNs []atomic.Uint64
 
 	// anytime enables streaming partial replies and early termination for
-	// reach queries and all-reach batches (default on; see SetAnytime).
+	// reach-only rounds (default on; see SetAnytime).
 	anytime atomic.Bool
 	any     anytimeCounters
 
@@ -75,10 +73,10 @@ type Coordinator struct {
 }
 
 // SetTraceSink arms distributed tracing: every subsequent query round is
-// posted inside a 'T' trace envelope, sites piggyback their recorded
-// spans on the reply frames, and the assembled trace tree is delivered to
-// fn when the query finishes. fn must be safe for concurrent use (queries
-// finish concurrently); nil disarms tracing.
+// posted with the trace flag and context in its request header, sites
+// piggyback their recorded spans on the reply frames, and the assembled
+// trace tree is delivered to fn when the query finishes. fn must be safe
+// for concurrent use (queries finish concurrently); nil disarms tracing.
 func (c *Coordinator) SetTraceSink(fn func(*obs.Trace)) {
 	c.traceMu.Lock()
 	c.traceSink = fn
@@ -101,8 +99,8 @@ func (c *Coordinator) getAuditor() *obs.Auditor {
 }
 
 // qtrace threads one query's trace through the round machinery: the
-// shared builder, the trace ID the envelope carries, and the span the
-// current level parents its children under. A nil *qtrace everywhere
+// shared builder, the trace ID the request header carries, and the span
+// the current level parents its children under. A nil *qtrace everywhere
 // means "untraced".
 type qtrace struct {
 	b   *obs.Builder
@@ -194,10 +192,11 @@ func (c *Coordinator) AnytimeStats() AnytimeStats {
 }
 
 // SetAnytime toggles anytime answers: streaming partial replies, early
-// termination the moment accumulated equations prove a reach query true,
-// and cross-site cancellation of the remaining evaluation. On by default.
-// Off, every query waits out the full strict round — byte-accounting tests
-// and latency baselines use that mode.
+// termination the moment accumulated equations prove every reach query of
+// a round true, and cross-site cancellation of the remaining evaluation.
+// On by default. Off, the same round runs strict — no stream flag, and
+// every site's final frame is waited out even when the answer is already
+// decided; byte-accounting tests and latency baselines use that mode.
 func (c *Coordinator) SetAnytime(on bool) { c.anytime.Store(on) }
 
 // Anytime reports whether anytime answers are enabled.
@@ -399,15 +398,7 @@ func (sc *siteConn) redial() {
 // registration happens before the write so a fast reply can never race
 // past its waiter. A streaming post additionally allocates the partial
 // buffer, inviting the site to emit 'P' frames ahead of the final answer.
-func (sc *siteConn) post(id uint32, kind byte, payload []byte) (chan wireReply, int, error) {
-	pr, n, err := sc.postReq(id, kind, payload, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return pr.final, n, nil
-}
-
-func (sc *siteConn) postReq(id uint32, kind byte, payload []byte, stream bool) (*pendingReq, int, error) {
+func (sc *siteConn) post(id uint32, kind byte, payload []byte, stream bool) (*pendingReq, int, error) {
 	pr := &pendingReq{final: make(chan wireReply, 1)}
 	if stream {
 		pr.parts = make(chan wireReply, maxPartialBuffer)
@@ -481,10 +472,14 @@ func (sc *siteConn) pendingCount() int {
 	return len(sc.pending)
 }
 
-// lastErr reports the current failure, if the link is down.
+// lastErr reports why a pending request was woken without a reply: the
+// failure that took the link down.
 func (sc *siteConn) lastErr() error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	if sc.err == nil {
+		return fmt.Errorf("connection closed")
+	}
 	return sc.err
 }
 
@@ -670,310 +665,131 @@ func (st *WireStats) add(o WireStats) {
 	st.LSN = o.LSN
 }
 
-// siteResult is one site's outcome in a round: either a decoded answer
-// (payload + the state tag it carried) or an error. appErr distinguishes
-// an error *reply* from the site (the frame arrived, the site refused)
-// from a connection-level failure (the site never saw or never answered
-// the frame). evalNs is the site-reported local evaluation time parsed
-// from a traced reply's spans (0 when untraced), feeding the guarantee
-// auditor's response-time invariant.
+// siteResult is one site's outcome in a control round: either an answer
+// (body + the state tag it carried) or an error. appErr distinguishes an
+// error *reply* from the site (the frame arrived, the site refused) from a
+// connection-level failure (the site never saw or never answered the
+// frame).
 type siteResult struct {
 	payload []byte
 	epoch   uint64
 	lsn     uint64
 	err     error
 	appErr  bool
-	evalNs  int64
 }
 
-// kindLabel names a query kind for audit rounds and metric labels.
-func kindLabel(kind byte) string {
-	switch kind {
-	case kindReach:
-		return "reach"
-	case kindDist:
-		return "dist"
-	case kindRPQ:
-		return "rpq"
-	case kindBatch:
-		return "batch"
+// await waits for the single response frame of a request posted to site i
+// and parses its state tag — the reply half shared by roundtripAll and
+// postOne. It also reports the frame's size on the wire.
+func (c *Coordinator) await(ctx context.Context, i int, id uint32, pr *pendingReq) (res siteResult, n int) {
+	sc := c.conns[i]
+	var r wireReply
+	var ok bool
+	select {
+	case r, ok = <-pr.final:
+	case <-ctx.Done():
+		sc.drop(id)
+		res.err = fmt.Errorf("site %d: %w", i, ctx.Err())
+		return res, 0
+	}
+	if !ok {
+		res.err = fmt.Errorf("site %d: %w", i, sc.lastErr())
+		return res, 0
+	}
+	res.appErr = true
+	switch {
+	case r.kind == kindError:
+		res.err = fmt.Errorf("site %d: %s", i, r.payload)
+	case r.kind != kindAnswer:
+		res.err = fmt.Errorf("site %d: unexpected frame kind %q", i, r.kind)
+	case len(r.payload) < answerPrefix:
+		res.err = fmt.Errorf("site %d: answer of %d bytes lacks the state tag", i, len(r.payload))
 	default:
-		return string(rune(kind))
+		res.appErr = false
+		res.epoch = binary.LittleEndian.Uint64(r.payload)
+		res.lsn = binary.LittleEndian.Uint64(r.payload[8:])
+		res.payload = r.payload[answerPrefix:]
+		c.noteSiteLSN(i, res.lsn)
 	}
+	return res, r.n
 }
 
-// evalDurNs extracts the site's "eval" span duration from a traced reply.
-func evalDurNs(spans []obs.WireSpan) int64 {
-	for i := range spans {
-		if spans[i].Name == "eval" {
-			return int64(spans[i].DurNs)
-		}
-	}
-	return 0
-}
-
-// auditRound reports one settled attempt's per-site observations to the
-// auditor, when one is attached and the round is a query round (the only
-// rounds the paper's guarantees speak about). results carry the answer
-// body lengths — the response data volume the c·(|Vf|+1)² bound is about,
-// excluding frame headers and piggybacked span sections.
-func (c *Coordinator) auditRound(kind byte, results []siteResult) {
-	a := c.getAuditor()
-	if a == nil || !tracedKind(kind) {
-		return
-	}
-	r := obs.AuditRound{
-		Query:     kindLabel(kind),
-		Frames:    make([]int64, len(results)),
-		RespBytes: make([]int64, len(results)),
-		EvalNs:    make([]int64, len(results)),
-	}
-	for i := range results {
-		if results[i].err == nil {
-			r.Frames[i] = 1
-			r.RespBytes[i] = int64(len(results[i].payload))
-			r.EvalNs[i] = results[i].evalNs
-		}
-	}
-	a.Observe(r)
-}
-
-// roundtripAll posts one frame to every site in parallel and collects one
-// response from each, reporting per-site outcomes: callers that can
-// tolerate individual failures (sequenced updates, whose log re-delivers
-// to laggards) inspect the slice; roundtrip wraps it for all-or-nothing
-// callers. Concurrent rounds interleave freely: each draws a fresh
-// request ID and waits only on its own replies. A context deadline or
-// cancellation abandons the round promptly.
-//
-// With qt non-nil (and kind a query kind), the frame ships inside a 'T'
-// trace envelope naming a per-site rpc span, sites answer 't' frames
-// carrying their recorded spans, and the spans are grafted into qt's
-// trace anchored at this coordinator's post instant — no site wall clock
-// is ever trusted. Settled query rounds are also reported to the
-// guarantee auditor when one is attached.
-func (c *Coordinator) roundtripAll(ctx context.Context, kind byte, payload []byte, qt *qtrace) ([]siteResult, WireStats) {
+// roundtripAll is the control-plane round ('U', 'R', 'S' frames): it posts
+// one frame to every site in parallel and collects one response from each,
+// reporting per-site outcomes, so callers that can tolerate individual
+// failures (sequenced updates, whose log re-delivers to laggards) inspect
+// the slice. Unlike a query round it enforces no state agreement between
+// the replies and never cancels a site on another's failure — which is
+// why it is not the query round with a flag. Concurrent rounds interleave
+// freely: each draws a fresh request ID and waits only on its own replies.
+// A context deadline or cancellation abandons the round promptly.
+func (c *Coordinator) roundtripAll(ctx context.Context, kind byte, payload []byte) ([]siteResult, WireStats) {
 	id := c.nextID.Add(1)
 	start := time.Now()
 	results := make([]siteResult, len(c.conns))
 	var sent, recv, fsent, frecv atomic.Int64
-	if qt != nil && !tracedKind(kind) {
-		qt = nil
-	}
 	var wg sync.WaitGroup
 	for i, sc := range c.conns {
 		wg.Add(1)
 		go func(i int, sc *siteConn) {
 			defer wg.Done()
-			res := &results[i]
-			wireKind, wirePayload := kind, payload
-			var rpcID uint64
-			if qt != nil {
-				rpcID = qt.b.StartSpan(qt.par, "rpc", obs.Attr{Key: "site", Val: strconv.Itoa(i)})
-				wireKind = kindTraced
-				wirePayload = encodeTraced(qt.id, rpcID, kind, payload)
-				defer qt.b.End(rpcID)
-			}
-			anchor := time.Now()
-			ch, n, err := sc.post(id, wireKind, wirePayload)
+			pr, n, err := sc.post(id, kind, payload, false)
 			if err != nil {
-				res.err = fmt.Errorf("site %d: %w", i, err)
+				results[i].err = fmt.Errorf("site %d: %w", i, err)
 				return
 			}
 			sent.Add(int64(n))
 			fsent.Add(1)
-			var r wireReply
-			var ok bool
-			select {
-			case r, ok = <-ch:
-			case <-ctx.Done():
-				sc.drop(id)
-				res.err = fmt.Errorf("site %d: %w", i, ctx.Err())
-				return
-			}
-			if !ok {
-				err := sc.lastErr()
-				if err == nil {
-					err = fmt.Errorf("connection closed")
-				}
-				res.err = fmt.Errorf("site %d: %w", i, err)
-				return
-			}
-			switch r.kind {
-			case kindAnswer, kindTracedAnswer:
-				if len(r.payload) < answerPrefix {
-					res.err = fmt.Errorf("site %d: answer of %d bytes lacks the state tag", i, len(r.payload))
-					res.appErr = true
-					return
-				}
-				body := r.payload[answerPrefix:]
-				if r.kind == kindTracedAnswer {
-					spans, rest, derr := decodeTracedAnswer(body)
-					if derr != nil {
-						res.err = fmt.Errorf("site %d: %w", i, derr)
-						res.appErr = true
-						return
-					}
-					if qt != nil {
-						qt.b.AttachRemote(rpcID, i, anchor, spans)
-					}
-					res.evalNs = evalDurNs(spans)
-					body = rest
-				}
-				recv.Add(int64(r.n))
+			results[i], n = c.await(ctx, i, id, pr)
+			if results[i].err == nil {
+				recv.Add(int64(n))
 				frecv.Add(1)
-				res.epoch = binary.LittleEndian.Uint64(r.payload)
-				res.lsn = binary.LittleEndian.Uint64(r.payload[8:])
-				res.payload = body
-				c.noteSiteLSN(i, res.lsn)
-			case kindError:
-				res.err = fmt.Errorf("site %d: %s", i, r.payload)
-				res.appErr = true
-			default:
-				res.err = fmt.Errorf("site %d: unexpected frame kind %q", i, r.kind)
-				res.appErr = true
 			}
 		}(i, sc)
 	}
 	wg.Wait()
-	st := WireStats{
+	return results, WireStats{
 		BytesSent:      sent.Load(),
 		BytesReceived:  recv.Load(),
 		FramesSent:     fsent.Load(),
 		FramesReceived: frecv.Load(),
 		RoundTrip:      time.Since(start),
 	}
-	c.auditRound(kind, results)
-	return results, st
-}
-
-// roundtrip is roundtripAll for all-or-nothing callers: the first site
-// error fails the round.
-func (c *Coordinator) roundtrip(ctx context.Context, kind byte, payload []byte, qt *qtrace) ([][]byte, []uint64, []uint64, WireStats, error) {
-	results, st := c.roundtripAll(ctx, kind, payload, qt)
-	replies := make([][]byte, len(results))
-	epochs := make([]uint64, len(results))
-	lsns := make([]uint64, len(results))
-	for i, r := range results {
-		if r.err != nil {
-			return nil, nil, nil, st, r.err
-		}
-		replies[i], epochs[i], lsns[i] = r.payload, r.epoch, r.lsn
-	}
-	return replies, epochs, lsns, st, nil
 }
 
 // postOne posts one frame to a single site and waits for its response —
 // the per-site form of roundtripAll used by catch-up replication, whose
 // replay payloads differ per site.
-func (c *Coordinator) postOne(ctx context.Context, site int, kind byte, payload []byte, st *WireStats) (body []byte, epoch, lsn uint64, err error) {
+func (c *Coordinator) postOne(ctx context.Context, site int, kind byte, payload []byte, st *WireStats) ([]byte, error) {
 	if site < 0 || site >= len(c.conns) {
-		return nil, 0, 0, fmt.Errorf("netsite: site %d out of range [0,%d)", site, len(c.conns))
+		return nil, fmt.Errorf("netsite: site %d out of range [0,%d)", site, len(c.conns))
 	}
-	sc := c.conns[site]
 	id := c.nextID.Add(1)
-	ch, n, err := sc.post(id, kind, payload)
+	pr, n, err := c.conns[site].post(id, kind, payload, false)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("site %d: %w", site, err)
+		return nil, fmt.Errorf("site %d: %w", site, err)
 	}
 	if st != nil {
 		st.BytesSent += int64(n)
 		st.FramesSent++
 	}
-	var r wireReply
-	var ok bool
-	select {
-	case r, ok = <-ch:
-	case <-ctx.Done():
-		sc.drop(id)
-		return nil, 0, 0, fmt.Errorf("site %d: %w", site, ctx.Err())
+	res, n := c.await(ctx, site, id, pr)
+	if res.err == nil && st != nil {
+		st.BytesReceived += int64(n)
+		st.FramesReceived++
 	}
-	if !ok {
-		err := sc.lastErr()
-		if err == nil {
-			err = fmt.Errorf("connection closed")
-		}
-		return nil, 0, 0, fmt.Errorf("site %d: %w", site, err)
-	}
-	switch r.kind {
-	case kindAnswer:
-		if len(r.payload) < answerPrefix {
-			return nil, 0, 0, fmt.Errorf("site %d: answer of %d bytes lacks the state tag", site, len(r.payload))
-		}
-		if st != nil {
-			st.BytesReceived += int64(r.n)
-			st.FramesReceived++
-		}
-		epoch = binary.LittleEndian.Uint64(r.payload)
-		lsn = binary.LittleEndian.Uint64(r.payload[8:])
-		c.noteSiteLSN(site, lsn)
-		return r.payload[answerPrefix:], epoch, lsn, nil
-	case kindError:
-		return nil, 0, 0, fmt.Errorf("site %d: %s", site, r.payload)
-	default:
-		return nil, 0, 0, fmt.Errorf("site %d: unexpected frame kind %q", site, r.kind)
-	}
+	return res.payload, res.err
 }
 
-// Epoch-split retry tuning: how often a query round is retried when its
-// sites answered from different states, and the backoff between attempts.
-// The backoff matters: an immediate retry lands inside the same rebalance
-// or update burst that split the round, while a short exponential pause
-// lets the new state finish propagating to every site's worker.
-const (
-	epochRetries      = 8
-	epochRetryBackoff = time.Millisecond
-)
-
-// queryRound is roundtrip for query kinds: it additionally enforces that
-// every site answered from the same deployment state — epoch and
-// update-log LSN — retrying the round otherwise. Partial answers are
-// Boolean equations over the fragmentation and graph the site evaluated
-// on; composing them across two fragmentations (or across an update that
-// landed on only some replicas) would be meaningless, so a round that
-// straddles a live rebalance or update broadcast is thrown away and
-// re-posted against the settled deployment.
-func (c *Coordinator) queryRound(ctx context.Context, kind byte, payload []byte, qt *qtrace) ([][]byte, WireStats, error) {
-	var total WireStats
-	backoff := epochRetryBackoff
-	for attempt := 0; ; attempt++ {
-		rqt := qt
-		if qt != nil {
-			roundID := qt.b.StartSpan(qt.par, "round", obs.Attr{Key: "attempt", Val: strconv.Itoa(attempt)})
-			rqt = qt.child(roundID)
-		}
-		replies, epochs, lsns, st, err := c.roundtrip(ctx, kind, payload, rqt)
-		if qt != nil {
-			qt.b.End(rqt.par)
-		}
-		total.add(st)
-		if err != nil {
-			return nil, total, err
-		}
-		split := false
-		for i := 1; i < len(epochs); i++ {
-			if epochs[i] != epochs[0] || lsns[i] != lsns[0] {
-				split = true
-				break
-			}
-		}
-		if !split {
-			total.Epoch, total.LSN = 0, 0
-			if len(epochs) > 0 {
-				total.Epoch, total.LSN = epochs[0], lsns[0]
-			}
-			return replies, total, nil
-		}
-		if attempt+1 >= epochRetries {
-			return nil, total, fmt.Errorf("%w (epochs %v, lsns %v after %d attempts)", ErrEpochSplit, epochs, lsns, attempt+1)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, total, ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff *= 2
+// one runs a single query as a batch of one, folding the query's Touched
+// set into the round's stats — the shape the single-query methods return.
+func (c *Coordinator) one(ctx context.Context, q BatchQuery) (BatchAnswer, WireStats, error) {
+	answers, st, err := c.BatchContext(ctx, []BatchQuery{q})
+	if err != nil {
+		return BatchAnswer{Dist: bes.Inf}, st, err
 	}
+	st.Touched = answers[0].Touched
+	return answers[0], st, nil
 }
 
 // Reach evaluates qr(s, t) over the connected sites.
@@ -986,42 +802,8 @@ func (c *Coordinator) Reach(s, t graph.NodeID) (bool, WireStats, error) {
 // return the moment they prove the answer true, cancelling the remaining
 // sites; see SetAnytime.
 func (c *Coordinator) ReachContext(ctx context.Context, s, t graph.NodeID) (bool, WireStats, error) {
-	if s == t {
-		return true, WireStats{}, nil
-	}
-	qt := c.newQueryTrace("reach")
-	if c.anytime.Load() {
-		ok, st, err := c.reachAnytime(ctx, s, t, qt)
-		c.finishTrace(qt, &st, err)
-		return ok, st, err
-	}
-	payload := make([]byte, 8)
-	binary.LittleEndian.PutUint32(payload, uint32(s))
-	binary.LittleEndian.PutUint32(payload[4:], uint32(t))
-	replies, st, err := c.queryRound(ctx, kindReach, payload, qt)
-	if err != nil {
-		c.finishTrace(qt, &st, err)
-		return false, st, err
-	}
-	solveStart := time.Now()
-	partials := make([]*core.ReachPartial, len(replies))
-	for i, resp := range replies {
-		partials[i] = new(core.ReachPartial)
-		if err := partials[i].UnmarshalBinary(resp); err != nil {
-			err = fmt.Errorf("netsite: site %d reply: %w", i, err)
-			c.finishTrace(qt, &st, err)
-			return false, st, err
-		}
-	}
-	st.FirstAnswer = st.RoundTrip
-	st.Touched = core.TouchedReach(partials, s)
-	ok := core.SolveReach(partials, s)
-	if qt != nil {
-		qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart),
-			obs.Attr{Key: "answer", Val: strconv.FormatBool(ok)})
-	}
-	c.finishTrace(qt, &st, nil)
-	return ok, st, nil
+	a, st, err := c.one(ctx, BatchQuery{Class: ClassReach, S: s, T: t})
+	return a.Answer, st, err
 }
 
 // ReachWithin evaluates qbr(s, t, l); it returns the answer and the exact
@@ -1033,41 +815,8 @@ func (c *Coordinator) ReachWithin(s, t graph.NodeID, l int) (bool, int64, WireSt
 // ReachWithinContext is ReachWithin honoring a context deadline or
 // cancellation.
 func (c *Coordinator) ReachWithinContext(ctx context.Context, s, t graph.NodeID, l int) (bool, int64, WireStats, error) {
-	if s == t {
-		return l >= 0, 0, WireStats{}, nil
-	}
-	if l <= 0 {
-		return false, bes.Inf, WireStats{}, nil
-	}
-	qt := c.newQueryTrace("dist")
-	payload := make([]byte, 12)
-	binary.LittleEndian.PutUint32(payload, uint32(s))
-	binary.LittleEndian.PutUint32(payload[4:], uint32(t))
-	binary.LittleEndian.PutUint32(payload[8:], uint32(l))
-	replies, st, err := c.queryRound(ctx, kindDist, payload, qt)
-	if err != nil {
-		c.finishTrace(qt, &st, err)
-		return false, bes.Inf, st, err
-	}
-	solveStart := time.Now()
-	partials := make([]*core.DistPartial, len(replies))
-	for i, resp := range replies {
-		partials[i] = new(core.DistPartial)
-		if err := partials[i].UnmarshalBinary(resp); err != nil {
-			err = fmt.Errorf("netsite: site %d reply: %w", i, err)
-			c.finishTrace(qt, &st, err)
-			return false, bes.Inf, st, err
-		}
-	}
-	st.FirstAnswer = st.RoundTrip
-	st.Touched = core.TouchedDist(partials, s)
-	d := core.SolveDist(partials, s)
-	if qt != nil {
-		qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart),
-			obs.Attr{Key: "answer", Val: strconv.FormatBool(d <= int64(l))})
-	}
-	c.finishTrace(qt, &st, nil)
-	return d <= int64(l), d, st, nil
+	a, st, err := c.one(ctx, BatchQuery{Class: ClassDist, S: s, T: t, L: l})
+	return a.Answer, a.Dist, st, err
 }
 
 // ReachRegex evaluates qrr(s, t, R) for the query automaton a.
@@ -1078,40 +827,6 @@ func (c *Coordinator) ReachRegex(s, t graph.NodeID, a *automaton.Automaton) (boo
 // ReachRegexContext is ReachRegex honoring a context deadline or
 // cancellation.
 func (c *Coordinator) ReachRegexContext(ctx context.Context, s, t graph.NodeID, a *automaton.Automaton) (bool, WireStats, error) {
-	if s == t && a.AcceptsLabels(nil) {
-		return true, WireStats{}, nil
-	}
-	ab, err := a.MarshalBinary()
-	if err != nil {
-		return false, WireStats{}, err
-	}
-	qt := c.newQueryTrace("rpq")
-	payload := make([]byte, 8, 8+len(ab))
-	binary.LittleEndian.PutUint32(payload, uint32(s))
-	binary.LittleEndian.PutUint32(payload[4:], uint32(t))
-	payload = append(payload, ab...)
-	replies, st, err := c.queryRound(ctx, kindRPQ, payload, qt)
-	if err != nil {
-		c.finishTrace(qt, &st, err)
-		return false, st, err
-	}
-	solveStart := time.Now()
-	partials := make([]*core.RPQPartial, len(replies))
-	for i, resp := range replies {
-		partials[i] = new(core.RPQPartial)
-		if err := partials[i].UnmarshalBinary(resp); err != nil {
-			err = fmt.Errorf("netsite: site %d reply: %w", i, err)
-			c.finishTrace(qt, &st, err)
-			return false, st, err
-		}
-	}
-	st.FirstAnswer = st.RoundTrip
-	st.Touched = core.TouchedRPQ(partials, s, a.NumStates())
-	ok := core.SolveRPQ(partials, s, a)
-	if qt != nil {
-		qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart),
-			obs.Attr{Key: "answer", Val: strconv.FormatBool(ok)})
-	}
-	c.finishTrace(qt, &st, nil)
-	return ok, st, nil
+	ans, st, err := c.one(ctx, BatchQuery{Class: ClassRPQ, S: s, T: t, A: a})
+	return ans.Answer, st, err
 }

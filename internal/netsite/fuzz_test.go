@@ -3,12 +3,14 @@ package netsite
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"distreach/internal/automaton"
 	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
+	"distreach/internal/obs"
 	"distreach/internal/oplog"
 )
 
@@ -20,7 +22,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// Valid frames of each request kind, plus the codified edge cases.
 	for _, payload := range [][]byte{nil, {1}, bytes.Repeat([]byte{0xAB}, 256)} {
 		var buf bytes.Buffer
-		if _, err := writeFrame(&buf, 42, kindReach, payload); err != nil {
+		if _, err := writeFrame(&buf, 42, kindBatch, payload); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -70,45 +72,90 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzBatchPayload throws arbitrary bytes at both batch payload decoders.
-// Whatever decodes must re-encode and decode back to the same thing; the
-// rest must be rejected with an error, never a panic or an implausible
-// allocation. The automaton codec nested inside RPQ batch entries gets
-// fuzzed along the way.
+// FuzzBatchPayload throws arbitrary bytes at every codec of the one query
+// path: the request (flags byte, trace context, per-class queries with the
+// nested automaton codec), the batch reply, the streamed partial chunk
+// (target + nested equation chunk) and the span section that heads a query
+// answer. Whatever decodes must re-encode and decode back to the same
+// thing; the rest must be rejected with an error, never a panic or an
+// implausible allocation.
 func FuzzBatchPayload(f *testing.F) {
 	rng := gen.NewRNG(7)
 	a := automaton.Random(rng, 3, 5, []string{"A", "B"})
-	seed, err := encodeBatchRequest([]BatchQuery{
+	mixed := []BatchQuery{
 		{Class: ClassReach, S: 1, T: 2},
 		{Class: ClassDist, S: 3, T: 4, L: 6},
 		{Class: ClassRPQ, S: 5, T: 6, A: a},
-	}, batchFlagStream)
-	if err != nil {
-		f.Fatal(err)
 	}
+	enc := func(qs []BatchQuery, h batchHeader) []byte {
+		b, err := encodeBatchRequest(qs, h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	seed := enc(mixed, batchHeader{stream: true})
+	traced := enc(mixed[:1], batchHeader{stream: true, traced: true, traceID: 0xDEADBEEF, span: 2})
 	f.Add(seed)
-	empty, err := encodeBatchRequest(nil, 0)
+	f.Add(enc(nil, batchHeader{}))
+	f.Add(traced)
+	f.Add(enc(nil, batchHeader{traced: true, traceID: 1, span: 1}))
+	f.Add(traced[:spanOffset+7])                           // truncated trace context
+	f.Add(append(append([]byte{}, traced...), traced...))  // a second request nested behind the first
+	f.Add([]byte{batchVersion, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // hostile count
+	f.Add([]byte{batchVersion, 0xFF, 0, 0, 0, 0})          // unknown flag bits
+	f.Add(seed[:len(seed)-3])                              // truncated query
+	// Payloads of the retired single-query and envelope frames, and of a
+	// kind that was never a query: none may decode as a request.
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0})         // 'r': s | t
+	f.Add([]byte{3, 0, 0, 0, 4, 0, 0, 0, 1})      // 'r' with its stream flag
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xFF})   // 'r' with unknown flag bits
+	f.Add(append(make([]byte, 16), 'r', 3, 0, 9)) // 'T': trace ID | span | inner kind | payload
+	f.Add(append(make([]byte, 16), 'T', 1))       // 'T' nested in 'T'
+	ureq, err := encodeUpdateRequest(9, 77, []Op{{Kind: OpInsertEdge, U: 3, V: 4}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(empty)
-	f.Add(encodeBatchReply([][]byte{{9, 8}}, []uint32{1, 0, 1}, [][]byte{{1, 2, 3}, nil, {0xFF}}))
-	f.Add([]byte{batchVersion, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // hostile count
-	f.Add([]byte{batchVersion, 0xFF, 0, 0, 0, 0})          // unknown flags
-	f.Add(seed[:len(seed)-3])                              // truncated query
+	f.Add(ureq)
+
+	f.Add(encodeBatchReply(nil, [][]byte{{9, 8}}, []uint32{1, 0, 1}, [][]byte{{1, 2, 3}, nil, {0xFF}}))
+
+	// A real equation chunk: evaluate a tiny fragment and wrap its partial.
+	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 25, Labels: []string{"A"}, Seed: 5})
+	fr, err := fragment.Random(g, 2, 5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rb, err := core.LocalEvalReach(fr.Fragments()[0], 0, 7, nil).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeBatchChunk(7, rb))
+	f.Add(encodeBatchChunk(7, rb)[:3]) // truncated target
+	f.Add(encodeBatchChunk(7, nil))    // empty chunk body
+
+	// A query answer body: span section, then the batch reply.
+	rec := obs.NewRecorder(time.Now())
+	t0 := time.Now()
+	rec.Span(-1, "queue", t0, t0.Add(time.Millisecond))
+	rec.Span(-1, "eval", t0, t0.Add(2*time.Millisecond),
+		obs.Attr{Key: "reachindex_outcome", Val: "hit"})
+	f.Add(encodeBatchReply(rec.Wire(), nil, []uint32{0}, [][]byte{{1, 0, 4}}))
+	f.Add(obs.AppendWireSpans(nil, nil)) // untraced: the empty section
+	f.Add([]byte{0xFF, 0xFF})            // hostile span count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if qs, flags, err := decodeBatchRequest(data); err == nil {
-			re, err := encodeBatchRequest(qs, flags)
+		if qs, h, err := decodeBatchRequest(data); err == nil {
+			re, err := encodeBatchRequest(qs, h)
 			if err != nil {
 				t.Fatalf("re-encode of a decoded batch failed: %v", err)
 			}
-			qs2, flags2, err := decodeBatchRequest(re)
+			qs2, h2, err := decodeBatchRequest(re)
 			if err != nil {
 				t.Fatalf("decode of a re-encoded batch failed: %v", err)
 			}
-			if flags2 != flags {
-				t.Fatalf("batch flags drifted: %#x then %#x", flags, flags2)
+			if h2 != h || (!h.traced && (h.traceID != 0 || h.span != 0)) {
+				t.Fatalf("batch header drifted: %+v then %+v", h, h2)
 			}
 			if len(qs2) != len(qs) {
 				t.Fatalf("batch round trip drifted: %d then %d queries", len(qs), len(qs2))
@@ -121,7 +168,7 @@ func FuzzBatchPayload(f *testing.F) {
 			}
 		}
 		if shared, refs, parts, err := decodeBatchReply(data); err == nil {
-			shared2, refs2, parts2, err := decodeBatchReply(encodeBatchReply(shared, refs, parts))
+			shared2, refs2, parts2, err := decodeBatchReply(encodeBatchReply(nil, shared, refs, parts))
 			if err != nil {
 				t.Fatalf("reply re-encode round trip failed: %v", err)
 			}
@@ -140,52 +187,40 @@ func FuzzBatchPayload(f *testing.F) {
 				}
 			}
 		}
-	})
-}
-
-// FuzzAnytimePayload throws arbitrary bytes at the anytime codecs: the
-// streaming reach request (flags byte) and the batch partial chunk
-// (target + nested equation chunk). Whatever decodes must survive a
-// re-encode round trip semantically; the rest must error, never panic.
-func FuzzAnytimePayload(f *testing.F) {
-	f.Add(encodeReachRequest(1, 2, false))
-	f.Add(encodeReachRequest(3, 4, true))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xFF}) // unknown flag bits
-	// A real equation chunk: evaluate a tiny fragment and wrap its partial.
-	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 25, Labels: []string{"A"}, Seed: 5})
-	fr, err := fragment.Random(g, 2, 5)
-	if err != nil {
-		f.Fatal(err)
-	}
-	rv := core.LocalEvalReach(fr.Fragments()[0], 0, 7, nil)
-	rb, err := rv.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(encodeBatchChunk(7, rb))
-	f.Add(encodeBatchChunk(7, rb)[:3]) // truncated target
-	f.Add(encodeBatchChunk(7, nil))    // empty chunk body
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if s, tt, stream, err := decodeReachRequest(data); err == nil {
-			s2, t2, stream2, err := decodeReachRequest(encodeReachRequest(s, tt, stream))
-			if err != nil || s2 != s || t2 != tt || stream2 != stream {
-				t.Fatalf("reach request round trip drifted: (%d,%d,%v) -> (%d,%d,%v), %v",
-					s, tt, stream, s2, t2, stream2, err)
+		if tgt, eqs, err := decodeBatchChunk(data); err == nil {
+			chunk := new(core.ReachPartial)
+			if chunk.UnmarshalBinary(eqs) == nil {
+				cb, err := chunk.MarshalBinary()
+				if err != nil {
+					t.Fatalf("re-marshal of a decoded chunk failed: %v", err)
+				}
+				tgt2, eqs2, err := decodeBatchChunk(encodeBatchChunk(tgt, cb))
+				if err != nil || tgt2 != tgt {
+					t.Fatalf("batch chunk round trip drifted: target %d -> %d, %v", tgt, tgt2, err)
+				}
+				chunk2 := new(core.ReachPartial)
+				if err := chunk2.UnmarshalBinary(eqs2); err != nil {
+					t.Fatalf("decode of a re-encoded chunk failed: %v", err)
+				}
+				if cb2, err := chunk2.MarshalBinary(); err != nil || !bytes.Equal(cb2, cb) {
+					t.Fatalf("batch chunk equations drifted on round trip: %v", err)
+				}
 			}
 		}
-		if tgt, chunk, err := decodeBatchChunk(data); err == nil {
-			cb, err := chunk.MarshalBinary()
+		if spans, body, err := obs.DecodeWireSpans(data); err == nil {
+			spans2, body2, err := obs.DecodeWireSpans(append(obs.AppendWireSpans(nil, spans), body...))
 			if err != nil {
-				t.Fatalf("re-marshal of a decoded chunk failed: %v", err)
+				t.Fatalf("decode of a re-encoded span section failed: %v", err)
 			}
-			tgt2, chunk2, err := decodeBatchChunk(encodeBatchChunk(tgt, cb))
-			if err != nil || tgt2 != tgt {
-				t.Fatalf("batch chunk round trip drifted: target %d -> %d, %v", tgt, tgt2, err)
+			if len(spans2) != len(spans) || !bytes.Equal(body2, body) {
+				t.Fatalf("query answer drifted: %d spans/%d body bytes then %d/%d",
+					len(spans), len(body), len(spans2), len(body2))
 			}
-			cb2, err := chunk2.MarshalBinary()
-			if err != nil || !bytes.Equal(cb2, cb) {
-				t.Fatalf("batch chunk equations drifted on round trip: %v", err)
+			for i := range spans {
+				if spans2[i].Name != spans[i].Name || spans2[i].Parent != spans[i].Parent ||
+					spans2[i].DurNs != spans[i].DurNs || len(spans2[i].Attrs) != len(spans[i].Attrs) {
+					t.Fatalf("span %d drifted: %+v -> %+v", i, spans[i], spans2[i])
+				}
 			}
 		}
 	})

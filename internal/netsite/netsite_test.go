@@ -1,6 +1,7 @@
 package netsite
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
+	"distreach/internal/obs"
 	"distreach/internal/rx"
 )
 
@@ -202,6 +204,84 @@ func TestTCPErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	} else if want := g.Reachable(0, 9); got != want {
 		t.Fatalf("after error frame: %v want %v", got, want)
+	}
+}
+
+// TestRetiredFramesRejected posts the frame kinds the one query frame
+// replaced — with the payloads that were valid for them — to a live site:
+// each must come back as an error frame echoing its ID, without a panic or
+// a hang, and a batch query that follows on the same connection must still
+// be answered.
+func TestRetiredFramesRejected(t *testing.T) {
+	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 20, Labels: []string{"A"}, Seed: 48})
+	fr, err := fragment.Random(g, 2, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites, addrs, err := ServeFragmentation(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range sites {
+			s.Close()
+		}
+	}()
+	raw, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.SetDeadline(time.Now().Add(5 * time.Second)) // a hang fails the read, not the suite
+
+	ab, err := automaton.Random(gen.NewRNG(3), 2, 3, []string{"A"}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := []byte{0, 0, 0, 0, 9, 0, 0, 0} // s u32 | t u32
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for i, tc := range []struct {
+		name    string
+		kind    byte
+		payload []byte
+	}{
+		{"qr", 'r', st},
+		{"qr streaming", 'r', cat(st, []byte{1})},
+		{"qbr", 'b', cat(st, []byte{4, 0, 0, 0})},
+		{"qrr", 'q', cat(st, ab)},
+		{"traced qr", 'T', cat(make([]byte, 16), []byte{'r'}, st)},
+		{"traced batch", 'T', cat(make([]byte, 16), []byte{'B', batchVersion - 1, 0, 0, 0, 0, 0})},
+	} {
+		id := uint32(100 + i)
+		if _, err := writeFrame(raw, id, tc.kind, tc.payload); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		gotID, kind, payload, _, err := readFrame(raw)
+		if err != nil {
+			t.Fatalf("%s: no reply: %v", tc.name, err)
+		}
+		if kind != kindError || len(payload) == 0 || gotID != id {
+			t.Fatalf("%s: got frame id=%d kind %q, want an error frame echoing %d", tc.name, gotID, kind, id)
+		}
+	}
+
+	req, err := encodeBatchRequest([]BatchQuery{{Class: ClassReach, S: 0, T: 9}}, batchHeader{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writeFrame(raw, 7, kindBatch, req); err != nil {
+		t.Fatal(err)
+	}
+	id, kind, payload, _, err := readFrame(raw)
+	if err != nil || id != 7 || kind != kindAnswer {
+		t.Fatalf("batch query after the rejected frames: id=%d kind %q err=%v", id, kind, err)
+	}
+	_, body, err := obs.DecodeWireSpans(payload[answerPrefix:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, parts, err := decodeBatchReply(body); err != nil || len(parts) != 1 {
+		t.Fatalf("batch reply after the rejected frames: %d parts, %v", len(parts), err)
 	}
 }
 

@@ -7,62 +7,65 @@
 // exactly once per query, and the reply sizes can be measured on the wire.
 //
 // The protocol is length-prefixed binary frames, multiplexed: every frame
-// carries a request ID, so many queries can be in flight on one connection
+// carries a request ID, so many rounds can be in flight on one connection
 // at once. Sites may answer out of order; the coordinator demultiplexes
-// replies back to their queries by ID.
+// replies back to their rounds by ID.
 //
-//	frame  := length u32 (of the rest) | id u32 | kind u8 | payload
-//	request kinds: 'r' qr(s,t), 'b' qbr(s,t,l), 'q' qrr(s,t,Gq),
-//	               'B' batch (many mixed-class queries in one payload),
-//	               'U' update (a sequenced transactional batch of edge and
-//	               node mutations), 'R' rebalance (re-fragment the
-//	               deployment at a new epoch), 'S' sync (catch-up
-//	               replication: hello / replay / snapshot / fetch),
-//	               'C' cancel (abandon the in-flight request whose ID the
-//	               frame echoes; no response is owed for either frame),
-//	               'T' traced query (additive envelope: trace ID u64 |
-//	               parent span ID u64 | inner query kind u8 | inner
-//	               payload; only the query kinds 'r','b','q','B' may be
-//	               wrapped — a site that predates tracing rejects the
-//	               unknown kind with 'E' and the coordinator falls back
-//	               to the bare query)
-//	response kinds: 'R' answer: epoch u64 | lsn u64 | body (body codec per
-//	               request kind; for 'B', one partial per batched query;
-//	               for 'U', the changed flag, dirtied fragment IDs, new
-//	               node IDs and balance stats), 'E' error,
-//	               'P' partial: epoch u64 | lsn u64 | a chunk of boolean
-//	               equations streamed ahead of the final answer frame,
-//	               't' traced answer: epoch u64 | lsn u64 | spans | body —
-//	               the site's recorded spans (queue wait, lock wait, local
-//	               eval with its reachindex outcome, partial emissions)
-//	               piggybacked between the state tag and the normal answer
-//	               body, so tracing adds zero extra frames
+//	frame := length u32 (of the rest) | id u32 | kind u8 | payload
 //
-// Anytime answers: a query or batch posted with its stream flag set (see
-// encodeReachRequest and the batch request flags byte) invites the site to
-// emit up to core.MaxStreamChunks 'P' frames per request while local
-// evaluation runs, each carrying the equations produced since the last.
-// The final 'R' frame still carries the complete partial — chunks are a
-// redundant prefix, sound to re-add because disjunctive equation systems
-// are idempotent — so a dropped or unsupported partial never affects the
-// answer. The coordinator feeds chunks into an incremental equation system
-// and, the moment they prove the query true, broadcasts 'C' frames so the
-// remaining sites abandon their evaluation (cooperatively: mid-BFS
+//	requests (coordinator -> site)
+//	'B' query      the one query frame: a batch of one or more mixed-class
+//	               queries (layout below)
+//	'U' update     a sequenced transactional batch of edge and node mutations
+//	'R' rebalance  re-fragment the deployment at a new epoch
+//	'S' sync       catch-up replication: hello / replay / snapshot / fetch
+//	'C' cancel     abandon the in-flight request whose ID the frame echoes;
+//	               no response is owed for either frame
+//
+//	responses (site -> coordinator), each echoing the request's ID
+//	'R' answer     epoch u64 | lsn u64 | body — the final frame of a request
+//	'E' error      the error text
+//	'P' partial    epoch u64 | lsn u64 | target u32 | equations — a chunk of
+//	               one reach target's equations, streamed ahead of the 'R'
+//
+// There is one query request and one query reply, whatever the class and
+// however many queries (see batch.go for the per-query fields):
+//
+//	'B' payload := version u8 | flags u8 | [trace ID u64 | parent span u64]
+//	               | count u32 | queries
+//	'R' body    := spans | version u8 | shared sections | per-query parts
+//
+// The flags byte carries the stream flag (the site may emit 'P' frames) and
+// the trace flag (the 16 bytes of trace context follow, and the site
+// records spans). spans is the site's recorded span section (queue wait,
+// lock wait, local eval with its reachindex outcome, partial emissions) —
+// empty, two bytes, when the request was not traced — so tracing adds no
+// frame and no second layout. 'U', 'R' and 'S' answers carry their own body
+// codecs straight after the (epoch, lsn) tag.
+//
+// Anytime answers: a request posted with the stream flag invites the site
+// to emit up to core.MaxStreamChunks 'P' frames while local evaluation
+// runs, each carrying the equations produced since the last. The final 'R'
+// frame still carries the complete partials — chunks are a redundant
+// prefix, sound to re-add because disjunctive equation systems are
+// idempotent — so a dropped partial never affects the answer. The
+// coordinator feeds chunks into an incremental equation system and, the
+// moment they prove every query of the round true, broadcasts 'C' frames so
+// the remaining sites abandon their evaluation (cooperatively: mid-BFS
 // checkpoints, and a cancelled request owes no response at all).
 //
-// A response frame echoes the ID of the request it answers, and every
-// answer is prefixed with the epoch of the fragmentation that produced it
-// plus the LSN of the last update batch it reflects: the coordinator
-// rejects (and retries) a query round whose sites answered from different
-// (epoch, LSN) states, so a query racing a live rebalance or update never
-// combines partial answers across fragmentations or update positions — a
-// persistent LSN split marks a replica that missed updates and triggers
-// catch-up replication. The byte 'R' names both the rebalance request and
-// the answer response; direction disambiguates (coordinators send
-// requests, sites send responses).
+// Every answer is prefixed with the epoch of the fragmentation that
+// produced it plus the LSN of the last update batch it reflects: the
+// coordinator rejects (and retries) a query round whose sites answered from
+// different (epoch, LSN) states, so a query racing a live rebalance or
+// update never combines partial answers across fragmentations or update
+// positions — a persistent LSN split marks a replica that missed updates
+// and triggers catch-up replication. The byte 'R' names both the rebalance
+// request and the answer response; direction disambiguates (coordinators
+// send requests, sites send responses).
 //
-// A batch frame is the wire form of the paper's per-batch visit guarantee:
-// one request frame per site carries the whole batch, and one response
+// The query frame is the wire form of the paper's visit guarantee: one
+// request frame per site carries the whole batch, and one final response
 // frame per site carries every partial answer, so k queries cost the same
 // number of frames as one.
 package netsite
@@ -77,22 +80,14 @@ import (
 // and response kinds never travel in the same direction, so the site
 // reads it as "rebalance" and the coordinator as "answer".
 const (
-	kindReach     = 'r'
-	kindDist      = 'b'
-	kindRPQ       = 'q'
 	kindBatch     = 'B'
 	kindUpdate    = 'U'
 	kindRebalance = 'R'
 	kindSync      = 'S'
 	kindCancel    = 'C'
-	kindTraced    = 'T'
 	kindAnswer    = 'R'
 	kindError     = 'E'
 	kindPartial   = 'P'
-	// kindTracedAnswer mirrors kindAnswer with the site's recorded spans
-	// spliced in after the (epoch, lsn) tag: the first answerPrefix bytes
-	// stay identical to an 'R' frame so state-tag parsing is uniform.
-	kindTracedAnswer = 't'
 )
 
 // answerPrefix is the length of the state tag every answer frame carries:

@@ -11,7 +11,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 4096)} {
 		var buf bytes.Buffer
-		n, err := writeFrame(&buf, 42, kindReach, payload)
+		n, err := writeFrame(&buf, 42, kindBatch, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -22,7 +22,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id != 42 || kind != kindReach || !bytes.Equal(got, payload) || rn != n {
+		if id != 42 || kind != kindBatch || !bytes.Equal(got, payload) || rn != n {
 			t.Fatalf("round trip: id=%d kind=%q len=%d n=%d", id, kind, len(got), rn)
 		}
 	}

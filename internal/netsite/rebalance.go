@@ -162,15 +162,16 @@ func (c *Coordinator) rebalanceLocked(ctx context.Context, epoch uint64, partiti
 	if err != nil {
 		return RebalanceResult{}, WireStats{}, err
 	}
-	replies, _, _, st, err := c.roundtrip(ctx, kindRebalance, payload, nil)
-	if err != nil {
-		return RebalanceResult{}, st, err
-	}
+	results, st := c.roundtripAll(ctx, kindRebalance, payload)
 	var res RebalanceResult
 	var fp0, maxEpoch uint64
 	split, diverged := false, -1
-	for i, resp := range replies {
-		e, applied, fp, bs, err := decodeRebalanceReply(resp)
+	for i, r := range results {
+		// All or nothing: a rebalance no site may skip.
+		if r.err != nil {
+			return RebalanceResult{}, st, r.err
+		}
+		e, applied, fp, bs, err := decodeRebalanceReply(r.payload)
 		if err != nil {
 			return RebalanceResult{}, st, fmt.Errorf("netsite: site %d reply: %w", i, err)
 		}

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"distreach/internal/automaton"
 	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
@@ -229,18 +228,25 @@ func (s *Site) acceptLoop() {
 }
 
 // frameJob is one request frame awaiting evaluation. cancel, non-nil for
-// query kinds, is the flag a later 'C' frame flips; the evaluator polls it
-// at cooperative checkpoints. A frame that arrived inside a 'T' envelope
-// has traced set (kind/payload are the unwrapped inner query) and carries
-// a span recorder anchored at recv, the frame-receipt instant.
+// query frames, is the flag a later 'C' frame flips; the evaluator polls it
+// at cooperative checkpoints. rec is set by handleBatch when the request's
+// header carries the trace flag: a span recorder anchored at recv, the
+// frame-receipt instant.
 type frameJob struct {
 	id      uint32
 	kind    byte
 	payload []byte
 	cancel  *atomic.Bool
-	traced  bool
 	recv    time.Time
 	rec     *obs.Recorder
+}
+
+// kindLabel names a request kind for the site's metric labels.
+func kindLabel(kind byte) string {
+	if kind == kindBatch {
+		return "query"
+	}
+	return string(rune(kind))
 }
 
 // connCancels is one connection's registry of in-flight cancellable
@@ -307,10 +313,6 @@ func (s *Site) serveConn(conn net.Conn) error {
 					continue // connection died; don't evaluate dead work
 				}
 				j := j
-				if j.traced {
-					j.rec = obs.NewRecorder(j.recv)
-					j.rec.Span(-1, "queue", j.recv, time.Now())
-				}
 				if s.met != nil {
 					s.met.frames.With(kindLabel(j.kind)).Inc()
 					s.met.queue.Observe(time.Since(j.recv).Seconds())
@@ -319,13 +321,9 @@ func (s *Site) serveConn(conn net.Conn) error {
 					if broken.Load() || (j.cancel != nil && j.cancel.Load()) {
 						return false
 					}
-					tagged := make([]byte, answerPrefix, answerPrefix+len(body))
-					binary.LittleEndian.PutUint64(tagged, epoch)
-					binary.LittleEndian.PutUint64(tagged[8:], lsn)
-					tagged = append(tagged, body...)
 					wstart := time.Now()
 					wmu.Lock()
-					_, werr := writeFrame(conn, j.id, kindPartial, tagged)
+					_, werr := writeFrame(conn, j.id, kindPartial, tagged(epoch, lsn, body))
 					wmu.Unlock()
 					if werr != nil {
 						broken.Store(true)
@@ -338,7 +336,7 @@ func (s *Site) serveConn(conn net.Conn) error {
 					}
 					return true
 				}
-				epoch, lsn, resp, err := s.handle(j, emit)
+				epoch, lsn, resp, err := s.handle(&j, emit)
 				if j.cancel != nil {
 					cancels.remove(j.id)
 				}
@@ -352,19 +350,7 @@ func (s *Site) serveConn(conn net.Conn) error {
 						s.met.errs.Inc()
 					}
 				} else {
-					tagged := make([]byte, answerPrefix, answerPrefix+len(resp))
-					binary.LittleEndian.PutUint64(tagged, epoch)
-					binary.LittleEndian.PutUint64(tagged[8:], lsn)
-					if j.rec != nil {
-						// Piggyback the recorded spans on the final answer:
-						// tag | spans | body, under the 't' kind so the
-						// coordinator knows to split them back out. Errors
-						// stay plain 'E' frames — untraced, like before.
-						kind = kindTracedAnswer
-						resp = encodeTracedAnswer(tagged, j.rec.Wire(), resp)
-					} else {
-						resp = append(tagged, resp...)
-					}
+					resp = tagged(epoch, lsn, resp)
 				}
 				wmu.Lock()
 				_, werr := writeFrame(conn, j.id, kind, resp)
@@ -390,27 +376,24 @@ func (s *Site) serveConn(conn net.Conn) error {
 			cancels.fire(id)
 			continue
 		}
-		traced := false
-		if kind == kindTraced {
-			// Unwrap the trace envelope here so cancellation registers under
-			// the inner query kind; a malformed envelope keeps kind = 'T'
-			// and the worker answers 'E' for it. The envelope's trace and
-			// parent-span IDs never leave the coordinator — sites record
-			// spans relative to the rpc span implicitly (parent index -1).
-			if _, _, inner, innerPayload, derr := decodeTraced(payload); derr == nil {
-				kind, payload, traced = inner, innerPayload, true
-			}
-		}
 		var flag *atomic.Bool
-		switch kind {
-		case kindReach, kindDist, kindRPQ, kindBatch:
+		if kind == kindBatch {
 			flag = cancels.register(id)
 		}
-		jobs <- frameJob{id: id, kind: kind, payload: payload, cancel: flag, traced: traced, recv: recv}
+		jobs <- frameJob{id: id, kind: kind, payload: payload, cancel: flag, recv: recv}
 	}
 	close(jobs)
 	wg.Wait()
 	return err
+}
+
+// tagged prefixes a response body with the (epoch, lsn) state tag every
+// answer and partial frame starts with.
+func tagged(epoch, lsn uint64, body []byte) []byte {
+	p := make([]byte, answerPrefix, answerPrefix+len(body))
+	binary.LittleEndian.PutUint64(p, epoch)
+	binary.LittleEndian.PutUint64(p[8:], lsn)
+	return append(p, body...)
 }
 
 // pause sleeps the site's artificial service delay in short slices so a
@@ -450,117 +433,25 @@ func (s *Site) snapshot() (*fragment.Fragment, *fragment.Fragmentation, uint64, 
 	return fr.Fragments()[s.fragID], fr, epoch, lsn
 }
 
-// handle evaluates one request frame. emit, when non-nil, writes a 'P'
-// frame carrying body under the given state tag; streaming queries use it
-// to surface equation chunks ahead of the final answer. A request whose
-// cancel flag fires mid-evaluation returns errCancelled: no response frame
-// is written for it.
-func (s *Site) handle(j frameJob, emit func(epoch, lsn uint64, body []byte) bool) (uint64, uint64, []byte, error) {
-	kind, payload := j.kind, j.payload
-	if !s.pause(j.cancel) {
-		return 0, 0, nil, errCancelled
+// handle evaluates one request frame. emit writes a 'P' frame carrying
+// body under the given state tag; streaming queries use it to surface
+// equation chunks ahead of the final answer. A request whose cancel flag
+// fires mid-evaluation returns errCancelled: no response frame is written
+// for it.
+func (s *Site) handle(j *frameJob, emit func(epoch, lsn uint64, body []byte) bool) (uint64, uint64, []byte, error) {
+	if j.kind == kindBatch {
+		return s.handleBatch(j, emit)
 	}
-	switch kind {
+	s.pause(nil)
+	switch j.kind {
 	case kindUpdate:
-		return s.handleUpdate(payload)
+		return s.handleUpdate(j.payload)
 	case kindRebalance:
-		return s.handleRebalance(payload)
+		return s.handleRebalance(j.payload)
 	case kindSync:
-		return s.handleSync(payload)
-	case kindTraced:
-		// The reader failed to unwrap this envelope; reject it like any
-		// malformed payload.
-		return 0, 0, nil, errTracedPayload
-	}
-	// Queries snapshot the current fragmentation and read their fragment
-	// under its lock, so a concurrent update never mutates it
-	// mid-evaluation and a concurrent rebalance swap leaves this
-	// evaluation draining consistently against the old epoch.
-	f, fr, epoch, lsn := s.snapshot()
-	if fr != nil {
-		lockStart := time.Now()
-		fr.RLock()
-		defer fr.RUnlock()
-		if j.rec != nil {
-			j.rec.Span(-1, "lock", lockStart, time.Now())
-		}
-	}
-	var opt *core.Options
-	if j.cancel != nil || j.rec != nil {
-		opt = &core.Options{}
-		if j.cancel != nil {
-			opt.Cancel = j.cancel.Load
-		}
-	}
-	var met *core.EvalMetrics
-	if j.rec != nil {
-		met = &core.EvalMetrics{}
-		opt.Metrics = met
-	}
-	if j.rec != nil || s.met != nil {
-		evalStart := time.Now()
-		defer func() {
-			end := time.Now()
-			if j.rec != nil {
-				j.rec.Span(-1, "eval", evalStart, end, evalAttrs(met)...)
-			}
-			if s.met != nil {
-				s.met.eval.With(kindLabel(kind)).Observe(end.Sub(evalStart).Seconds())
-			}
-		}()
-	}
-	switch kind {
-	case kindReach:
-		src, dst, stream, err := decodeReachRequest(payload)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		var sink func(chunk *core.ReachPartial) bool
-		if stream && emit != nil {
-			sink = func(chunk *core.ReachPartial) bool {
-				b, err := chunk.MarshalBinary()
-				if err != nil {
-					return true // skip the advisory chunk; the final is complete
-				}
-				return emit(epoch, lsn, b)
-			}
-		}
-		rv, ok := core.LocalEvalReachStream(f, src, dst, opt, sink)
-		if !ok {
-			// Cancelled mid-evaluation — or the emit failed, which only
-			// happens on a dead connection, where no response lands anyway.
-			return 0, 0, nil, errCancelled
-		}
-		b, err := rv.MarshalBinary()
-		return epoch, lsn, b, err
-	case kindDist:
-		if len(payload) < 12 {
-			return 0, 0, nil, fmt.Errorf("short qbr payload")
-		}
-		src := graph.NodeID(binary.LittleEndian.Uint32(payload))
-		dst := graph.NodeID(binary.LittleEndian.Uint32(payload[4:]))
-		l := int(binary.LittleEndian.Uint32(payload[8:]))
-		rv := core.LocalEvalDist(f, src, dst, l)
-		b, err := rv.MarshalBinary()
-		return epoch, lsn, b, err
-	case kindRPQ:
-		if len(payload) < 8 {
-			return 0, 0, nil, fmt.Errorf("short qrr payload")
-		}
-		src := graph.NodeID(binary.LittleEndian.Uint32(payload))
-		dst := graph.NodeID(binary.LittleEndian.Uint32(payload[4:]))
-		var a automaton.Automaton
-		if err := a.UnmarshalBinary(payload[8:]); err != nil {
-			return 0, 0, nil, err
-		}
-		rv := core.LocalEvalRPQ(f, src, dst, &a)
-		b, err := rv.MarshalBinary()
-		return epoch, lsn, b, err
-	case kindBatch:
-		b, err := s.handleBatch(f, payload, epoch, lsn, opt, j.cancel, emit)
-		return epoch, lsn, b, err
+		return s.handleSync(j.payload)
 	default:
-		return 0, 0, nil, fmt.Errorf("unknown request kind %q", kind)
+		return 0, 0, nil, fmt.Errorf("unknown request kind %q", j.kind)
 	}
 }
 
@@ -679,104 +570,138 @@ func (s *Site) handleRebalance(payload []byte) (uint64, uint64, []byte, error) {
 	return at, lsn, encodeRebalanceReply(at, applied, fr.Fingerprint(), fr.BalanceStats()), nil
 }
 
-// handleBatch evaluates a whole batch frame against the fragment in one
-// pass and returns one partial answer per query. Reach queries sharing a
-// target share their in-node equations (those are source-independent): the
+// handleBatch is the only query handler: it evaluates a whole query frame
+// — a batch of one or of many — against the fragment in one pass and
+// returns one partial answer per query. Reach queries sharing a target
+// share their in-node equations (those are source-independent): the
 // per-target local evaluation runs once however many queries ask for it,
 // AND its result ships once, as a shared reply section the queries
-// reference — each query's own slot carries only its source equation.
-// Distance and regex queries evaluate individually. The frame's service
-// delay (Site.delay) is paid once per batch, not once per query — the
-// amortization the batch protocol exists to deliver.
+// reference. The section is evaluated with the first such query's source,
+// so it carries that source's equation too (one more sound implication for
+// the others); every later query's own slot carries only its source
+// equation. Distance and regex queries evaluate individually. The frame's
+// service delay (Site.delay) is paid once per batch, not once per query —
+// the amortization the batch protocol exists to deliver.
 //
-// A streaming batch (batchFlagStream set) additionally emits up to
-// core.MaxStreamChunks 'P' frames, one per reach query as it completes:
-// the query's shared section (the first time its target is seen) merged
-// with its source equation, tagged with the target it answers for. The
-// cancel flag is polled between queries and inside the local evaluations.
-func (s *Site) handleBatch(frag *fragment.Fragment, payload []byte, epoch, lsn uint64, opt *core.Options, cancel *atomic.Bool, emit func(epoch, lsn uint64, body []byte) bool) ([]byte, error) {
-	qs, flags, err := decodeBatchRequest(payload)
+// A streaming request additionally emits 'P' frames through the chunker of
+// core.LocalEvalReachStream: each shared evaluation surfaces a geometrically
+// growing, source-equation-first prefix of its equations as it runs, at
+// most core.MaxStreamChunks frames per request across all its targets —
+// never a whole partial; the final reply is complete on its own. The cancel
+// flag is polled between queries and inside the local evaluations.
+func (s *Site) handleBatch(j *frameJob, emit func(epoch, lsn uint64, body []byte) bool) (uint64, uint64, []byte, error) {
+	picked := time.Now()
+	qs, h, err := decodeBatchRequest(j.payload)
 	if err != nil {
-		return nil, err
+		return 0, 0, nil, err
 	}
-	cancelled := func() bool { return cancel != nil && cancel.Load() }
-	stream := flags&batchFlagStream != 0 && emit != nil
-	emitted := 0
-	emitChunk := func(t graph.NodeID, rv *core.ReachPartial) {
-		if !stream || emitted >= core.MaxStreamChunks || rv.NumEqs() == 0 {
-			return
-		}
-		b, err := rv.MarshalBinary()
-		if err != nil {
-			return // skip the advisory chunk; the final reply is complete
-		}
-		if emit(epoch, lsn, encodeBatchChunk(t, b)) {
-			emitted++
-		} else {
-			stream = false
+	if h.traced {
+		j.rec = obs.NewRecorder(j.recv)
+		j.rec.Span(-1, "queue", j.recv, picked)
+	}
+	if !s.pause(j.cancel) {
+		return 0, 0, nil, errCancelled
+	}
+	// Queries snapshot the current fragmentation and read their fragment
+	// under its lock, so a concurrent update never mutates it
+	// mid-evaluation and a concurrent rebalance swap leaves this
+	// evaluation draining consistently against the old epoch.
+	frag, fr, epoch, lsn := s.snapshot()
+	if fr != nil {
+		lockStart := time.Now()
+		fr.RLock()
+		defer fr.RUnlock()
+		if j.rec != nil {
+			j.rec.Span(-1, "lock", lockStart, time.Now())
 		}
 	}
+	opt := &core.Options{Cancel: j.cancel.Load}
+	if j.rec != nil {
+		opt.Metrics = &core.EvalMetrics{}
+	}
+	evalStart := time.Now()
+
+	emitted := 0 // 'P' frames so far, against the per-request budget
 	parts := make([][]byte, len(qs))
 	refs := make([]uint32, len(qs))
 	var shared [][]byte
 	sectionOf := make(map[graph.NodeID]uint32) // target -> 1+section index
 	for i, q := range qs {
-		if cancelled() {
-			return nil, errCancelled
+		if j.cancel.Load() {
+			return 0, 0, nil, errCancelled
 		}
 		switch q.Class {
 		case ClassReach:
-			var base *core.ReachPartial
-			ref, ok := sectionOf[q.T]
-			if !ok {
-				base = core.LocalEvalReach(frag, graph.None, q.T, opt)
-				if base == nil {
-					return nil, errCancelled
+			if ref, ok := sectionOf[q.T]; ok {
+				refs[i] = ref
+				own := core.SourceOnlyReach(frag, q.S, q.T, opt)
+				if own == nil {
+					if j.cancel.Load() {
+						return 0, 0, nil, errCancelled
+					}
+					continue
 				}
-				sb, err := base.MarshalBinary()
-				if err != nil {
-					return nil, err
-				}
-				shared = append(shared, sb)
-				ref = uint32(len(shared))
-				sectionOf[q.T] = ref
-			}
-			refs[i] = ref
-			own := core.SourceOnlyReach(frag, q.S, q.T, opt)
-			if own == nil && cancelled() {
-				return nil, errCancelled
-			}
-			if own != nil {
 				if parts[i], err = own.MarshalBinary(); err != nil {
-					return nil, err
+					return 0, 0, nil, err
+				}
+				continue
+			}
+			var sink func(chunk *core.ReachPartial) bool
+			if h.stream && emitted < core.MaxStreamChunks {
+				sink = func(chunk *core.ReachPartial) bool {
+					if emitted >= core.MaxStreamChunks {
+						return true // budget spent on earlier targets
+					}
+					b, err := chunk.MarshalBinary()
+					if err != nil {
+						return true // skip the advisory chunk; the final is complete
+					}
+					emitted++
+					return emit(epoch, lsn, encodeBatchChunk(q.T, b))
 				}
 			}
-			if stream {
-				chunk := new(core.ReachPartial)
-				if base != nil {
-					chunk.Merge(base)
-				}
-				if own != nil {
-					chunk.Merge(own)
-				}
-				emitChunk(q.T, chunk)
+			base, ok := core.LocalEvalReachStream(frag, q.S, q.T, opt, sink)
+			if !ok {
+				// Cancelled mid-evaluation — or the emit failed, which only
+				// happens on a dead connection, where no response lands anyway.
+				return 0, 0, nil, errCancelled
 			}
+			sb, err := base.MarshalBinary()
+			if err != nil {
+				return 0, 0, nil, err
+			}
+			shared = append(shared, sb)
+			refs[i] = uint32(len(shared))
+			sectionOf[q.T] = refs[i]
 		case ClassDist:
 			rv := core.LocalEvalDist(frag, q.S, q.T, q.L)
 			if parts[i], err = rv.MarshalBinary(); err != nil {
-				return nil, err
+				return 0, 0, nil, err
 			}
 		case ClassRPQ:
 			rv := core.LocalEvalRPQ(frag, q.S, q.T, q.A)
 			if parts[i], err = rv.MarshalBinary(); err != nil {
-				return nil, err
+				return 0, 0, nil, err
 			}
 		default:
 			// Unreachable: decodeBatchRequest rejects unknown classes.
-			return nil, fmt.Errorf("unknown batch query class %q", byte(q.Class))
+			return 0, 0, nil, fmt.Errorf("unknown batch query class %q", byte(q.Class))
 		}
 	}
-	return encodeBatchReply(shared, refs, parts), nil
+	evalEnd := time.Now()
+	if s.met != nil {
+		s.met.eval.With(kindLabel(j.kind)).Observe(evalEnd.Sub(evalStart).Seconds())
+	}
+	// The one query reply: the recorded spans — none, two bytes, when the
+	// request was untraced — head the body.
+	var spans []byte
+	if j.rec != nil {
+		j.rec.Span(-1, "eval", evalStart, evalEnd, evalAttrs(opt.Metrics)...)
+		spans = j.rec.Wire()
+	} else {
+		spans = obs.AppendWireSpans(nil, nil)
+	}
+	return epoch, lsn, encodeBatchReply(spans, shared, refs, parts), nil
 }
 
 // ServeFragmentation is a convenience that starts one Site per fragment on

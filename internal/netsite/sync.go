@@ -208,7 +208,7 @@ type replicaState struct {
 // from the accounting entirely.
 func (c *Coordinator) helloAll(ctx context.Context, wire *WireStats) ([]replicaState, error) {
 	states := make([]replicaState, len(c.conns))
-	results, hst := c.roundtripAll(ctx, kindSync, []byte{syncHello}, nil)
+	results, hst := c.roundtripAll(ctx, kindSync, []byte{syncHello})
 	if wire != nil {
 		wire.add(hst)
 	}
@@ -423,7 +423,7 @@ func (c *Coordinator) catchUp(ctx context.Context, site int, lsn, target uint64,
 			if best < 0 {
 				return 0, 0, 0, fmt.Errorf("netsite: site %d is at LSN %d and no log, snapshot or peer reaches %d", site, lsn, target)
 			}
-			body, _, _, err := c.postOne(ctx, best, kindSync, []byte{syncFetch}, wire)
+			body, err := c.postOne(ctx, best, kindSync, []byte{syncFetch}, wire)
 			if err != nil {
 				return 0, 0, 0, fmt.Errorf("netsite: fetching snapshot from site %d: %w", best, err)
 			}
@@ -439,7 +439,7 @@ func (c *Coordinator) catchUp(ctx context.Context, site int, lsn, target uint64,
 		return 0, 0, bytes, err
 	}
 	payload := append([]byte{syncSnapshot}, sb...)
-	if _, _, _, err := c.postOne(ctx, site, kindSync, payload, wire); err != nil {
+	if _, err := c.postOne(ctx, site, kindSync, payload, wire); err != nil {
 		return 0, 0, bytes, fmt.Errorf("netsite: installing snapshot on site %d: %w", site, err)
 	}
 	snapshots = 1
@@ -482,7 +482,7 @@ func (c *Coordinator) replayTo(ctx context.Context, site int, recs []oplog.Recor
 		if err != nil {
 			return sent, bytes, err
 		}
-		if _, _, _, err := c.postOne(ctx, site, kindSync, payload, wire); err != nil {
+		if _, err := c.postOne(ctx, site, kindSync, payload, wire); err != nil {
 			return sent, bytes, fmt.Errorf("netsite: replaying %d records to site %d: %w", len(chunk), site, err)
 		}
 		sent += len(chunk)
@@ -505,7 +505,7 @@ func (c *Coordinator) FetchSnapshot(ctx context.Context) (*oplog.Snapshot, error
 			best = i
 		}
 	}
-	body, _, _, err := c.postOne(ctx, best, kindSync, []byte{syncFetch}, nil)
+	body, err := c.postOne(ctx, best, kindSync, []byte{syncFetch}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package netsite
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -14,60 +13,10 @@ import (
 	"distreach/internal/reachindex"
 )
 
-// FuzzTracePayload throws arbitrary bytes at the trace envelope and
-// traced-answer codecs. Whatever decodes must re-encode byte-identically
-// (the envelope) or semantically (the span section); the rest must error,
-// never panic. Nested envelopes must always be rejected.
-func FuzzTracePayload(f *testing.F) {
-	f.Add(encodeTraced(0xDEADBEEF, 2, kindReach, encodeReachRequest(3, 9, false)))
-	f.Add(encodeTraced(1, 1, kindBatch, nil))
-	f.Add(encodeTraced(7, 3, kindTraced, []byte{1})) // nested envelope
-	f.Add(encodeTraced(7, 3, kindUpdate, nil))       // untraceable kind
-	f.Add(encodeTraced(5, 5, kindReach, nil)[:tracedHeader-1])
-
-	rec := obs.NewRecorder(time.Now())
-	t0 := time.Now()
-	rec.Span(-1, "queue", t0, t0.Add(time.Millisecond))
-	rec.Span(-1, "eval", t0, t0.Add(2*time.Millisecond),
-		obs.Attr{Key: "reachindex_outcome", Val: "hit"})
-	f.Add(encodeTracedAnswer(nil, rec.Wire(), []byte{1, 0, 4}))
-	f.Add(obs.AppendWireSpans(nil, nil))
-	f.Add([]byte{0xFF, 0xFF}) // hostile span count
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if traceID, parent, inner, payload, err := decodeTraced(data); err == nil {
-			if !tracedKind(inner) {
-				t.Fatalf("decoded envelope with untraceable inner kind %q", inner)
-			}
-			re := encodeTraced(traceID, parent, inner, payload)
-			if !bytes.Equal(re, data) {
-				t.Fatalf("traced envelope round trip drifted: %d then %d bytes", len(data), len(re))
-			}
-		}
-		if spans, body, err := decodeTracedAnswer(data); err == nil {
-			re := encodeTracedAnswer(nil, obs.AppendWireSpans(nil, spans), body)
-			spans2, body2, err := decodeTracedAnswer(re)
-			if err != nil {
-				t.Fatalf("decode of a re-encoded span section failed: %v", err)
-			}
-			if len(spans2) != len(spans) || !bytes.Equal(body2, body) {
-				t.Fatalf("traced answer drifted: %d spans/%d body bytes then %d/%d",
-					len(spans), len(body), len(spans2), len(body2))
-			}
-			for i := range spans {
-				if spans2[i].Name != spans[i].Name || spans2[i].Parent != spans[i].Parent ||
-					spans2[i].DurNs != spans[i].DurNs || len(spans2[i].Attrs) != len(spans[i].Attrs) {
-					t.Fatalf("span %d drifted: %+v -> %+v", i, spans[i], spans2[i])
-				}
-			}
-		}
-	})
-}
-
 // TestTraceCrossCheck runs ~50 random fragmented graphs with two
 // coordinators on the same deployment — one with tracing armed, one
 // without — and requires identical answers and identical frame accounting
-// from both: the 'T' envelope must be an observability layer, never a
+// from both: the trace flag must be an observability layer, never a
 // semantic one. Along the way it pins the acceptance shape of a trace
 // (every contacted site reports spans, including a timed eval span with
 // the reachindex outcome) and that the guarantee auditor sees zero
@@ -154,7 +103,7 @@ func TestTraceCrossCheck(t *testing.T) {
 				t.Fatalf("trial %d query %d (%d->%d): traced=%v untraced=%v", trial, q, s, tt, ansT, ansU)
 			}
 			if !anytime && (stT.FramesSent != stU.FramesSent || stT.FramesReceived != stU.FramesReceived) {
-				t.Fatalf("trial %d query %d: traced %d/%d frames, untraced %d/%d — the envelope changed the round shape",
+				t.Fatalf("trial %d query %d: traced %d/%d frames, untraced %d/%d — the trace flag changed the round shape",
 					trial, q, stT.FramesSent, stT.FramesReceived, stU.FramesSent, stU.FramesReceived)
 			}
 			if stT.FramesSent > 0 && stT.TraceID == 0 {
@@ -204,6 +153,30 @@ func TestTraceCrossCheck(t *testing.T) {
 					}
 				}
 			}
+		}
+
+		// One more input: a mixed-class batch, traced vs untraced.
+		mixed := []BatchQuery{
+			{Class: ClassReach, S: graph.NodeID(rng.Intn(nn)), T: graph.NodeID(rng.Intn(nn))},
+			{Class: ClassDist, S: graph.NodeID(rng.Intn(nn)), T: graph.NodeID(rng.Intn(nn)), L: 1 + rng.Intn(8)},
+			{Class: ClassRPQ, S: graph.NodeID(rng.Intn(nn)), T: graph.NodeID(rng.Intn(nn)), A: automaton.Random(rng, 2, 4, labels)},
+		}
+		ansT, stT, errT := coT.Batch(mixed)
+		ansU, stU, errU := coU.Batch(mixed)
+		if errT != nil || errU != nil {
+			t.Fatalf("trial %d mixed batch: traced err=%v, untraced err=%v", trial, errT, errU)
+		}
+		for i := range mixed {
+			if ansT[i].Answer != ansU[i].Answer || ansT[i].Dist != ansU[i].Dist {
+				t.Fatalf("trial %d mixed batch query %d: traced=%+v untraced=%+v", trial, i, ansT[i], ansU[i])
+			}
+		}
+		if stT.FramesSent != stU.FramesSent || stT.FramesReceived != stU.FramesReceived {
+			t.Fatalf("trial %d mixed batch: traced %d/%d frames, untraced %d/%d",
+				trial, stT.FramesSent, stT.FramesReceived, stU.FramesSent, stU.FramesReceived)
+		}
+		if stT.FramesSent > 0 && (stT.TraceID == 0 || traces[len(traces)-1].ID != stT.TraceID) {
+			t.Fatalf("trial %d mixed batch: wire round without its trace", trial)
 		}
 
 		if v := aud.Violations(); v != 0 {
@@ -290,14 +263,16 @@ func TestWireAccounting(t *testing.T) {
 			acc(st)
 		}
 	}
-	_, st, err := co.Batch([]BatchQuery{
-		{Class: ClassReach, S: 1, T: 40},
-		{Class: ClassDist, S: 2, T: 50, L: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, qs := range [][]BatchQuery{
+		{{Class: ClassReach, S: 1, T: 40}, {Class: ClassDist, S: 2, T: 50, L: 5}},
+		{{Class: ClassRPQ, S: 3, T: 60, A: automaton.Random(rng, 3, 5, labels)}}, // a batch of one
+	} {
+		_, st, err := co.Batch(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc(st)
 	}
-	acc(st)
 	if _, st, err := co.Apply([]Op{
 		{Kind: OpInsertEdge, U: 3, V: 77},
 		{Kind: OpDeleteEdge, U: 0, V: 1},
@@ -336,6 +311,14 @@ func TestWireAccounting(t *testing.T) {
 		s, tt := graph.NodeID(rng.Intn(nn)), graph.NodeID(rng.Intn(nn))
 		_, st, err := co.Reach(s, tt)
 		if err != nil {
+			t.Fatal(err)
+		}
+		acc(st)
+		qs := []BatchQuery{{Class: ClassReach, S: tt, T: s}}
+		if i%2 == 1 {
+			qs = append(qs, BatchQuery{Class: ClassDist, S: s, T: tt, L: 4})
+		}
+		if _, st, err = co.Batch(qs); err != nil {
 			t.Fatal(err)
 		}
 		acc(st)

@@ -328,7 +328,7 @@ func (c *Coordinator) ensureSeqInit(ctx context.Context, seq *oplog.Sequencer) e
 	// The adoption hello is deliberately NOT folded into any update's
 	// WireStats: those keep their one-frame-per-site-per-round meaning.
 	// The connection-level WireTotals still count it.
-	results, _ := c.roundtripAll(ctx, kindSync, []byte{syncHello}, nil)
+	results, _ := c.roundtripAll(ctx, kindSync, []byte{syncHello})
 	var max uint64
 	answered := false
 	var firstErr error
@@ -386,7 +386,7 @@ func (c *Coordinator) ApplyContext(ctx context.Context, ops []Op) (UpdateResult,
 		if err != nil {
 			return err
 		}
-		results, rst := c.roundtripAll(ctx, kindUpdate, payload, nil)
+		results, rst := c.roundtripAll(ctx, kindUpdate, payload)
 		st = rst
 		st.LSN = lsn
 		// A site that is unreachable or behind on the log is a laggard,

@@ -17,7 +17,6 @@ import (
 // AuditRound is one round's per-site observations, reported by the
 // coordinator after the round settles.
 type AuditRound struct {
-	Query     string  // query kind label ("reach", "dist", "rpq", "batch")
 	Frames    []int64 // request frames sent to each site this round
 	RespBytes []int64 // response payload bytes from each site (span overhead excluded)
 	EvalNs    []int64 // site-reported local evaluation time, 0 if unreported

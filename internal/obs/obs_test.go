@@ -323,7 +323,6 @@ func TestAuditor(t *testing.T) {
 	a := NewAuditor()
 	a.SetDeployment(10, 1000) // bound = 64 * 121 = 7744
 	a.Observe(AuditRound{
-		Query:     "reach",
 		Frames:    []int64{1, 1, 1},
 		RespBytes: []int64{100, 7744, 200},
 		EvalNs:    []int64{1000, 2000, 3000},
@@ -332,7 +331,6 @@ func TestAuditor(t *testing.T) {
 		t.Fatalf("clean round produced %d violations", v)
 	}
 	a.Observe(AuditRound{
-		Query:     "reach",
 		Frames:    []int64{2, 1},
 		RespBytes: []int64{7745, 10},
 	})
