@@ -4,8 +4,8 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-json bench-trajectory \
-	cross-checks fuzz-smoke recovery-smoke obs-smoke benchmark-check govulncheck \
+.PHONY: all build test race bench bench-smoke cross-checks fuzz-smoke \
+	recovery-smoke obs-smoke benchmark-check benchmark-pair govulncheck \
 	staticcheck fmt fmt-check vet ci
 
 all: build test
@@ -23,20 +23,14 @@ race:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# One parameterized load-generator invocation shared by every smoke run
-# (the flags were previously duplicated and drifting between lines).
-BENCH_LOAD_FLAGS ?= -load -clients 2 -duration 1s -nodes 300 -edges 1200 -class mixed
-
 # One-iteration smoke run: proves every benchmark still compiles and runs,
-# plus short load-generator iterations — edge churn, node-op churn with a
-# forced live rebalance (also exercising the JSON report path) — against
-# an in-process deployment.
+# then one benchmark workload as the load smoke — queries of all three
+# classes beside live writes on an indexed deployment, every answer checked
+# against the LSN-replay oracle (exit status 0 only with none wrong and
+# none failed).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/bench $(BENCH_LOAD_FLAGS) -churn 5
-	$(GO) run ./cmd/bench $(BENCH_LOAD_FLAGS) -churn 20 -nodechurn -rebalance 300ms -json /tmp/bench-smoke.json
-	$(GO) run ./cmd/bench $(BENCH_LOAD_FLAGS) -churn 20 -index -json /tmp/bench-smoke-index.json
-	$(GO) run ./cmd/bench $(BENCH_LOAD_FLAGS) -anytime -sitedelay 0,0,0,20ms -json /tmp/bench-smoke-anytime.json
+	bash benchmark/run.sh -workload mixed_churn -trace 0
 	$(MAKE) obs-smoke
 
 # Observability smoke: boot the built binaries (self-contained gateway,
@@ -47,26 +41,6 @@ obs-smoke:
 	$(GO) build -o /tmp/distreach-smoke-serve ./cmd/serve
 	$(GO) build -o /tmp/distreach-smoke-site ./cmd/site
 	$(GO) run ./cmd/obscheck -serve /tmp/distreach-smoke-serve -site /tmp/distreach-smoke-site
-
-# The pinned bench-trajectory run: open loop on the checked-in SNAP sample
-# at a fixed offered rate, seed and duration, with the reachability index
-# enabled (and the anytime protocol, its default), emitting a
-# schema-versioned report. This exact configuration produced the committed
-# BENCH_PR9.json baseline; refresh it with
-# `make bench-json BENCH_JSON_OUT=BENCH_PR9.json`.
-BENCH_TRAJECTORY_FLAGS ?= -load -rate 200 -arrival poisson -duration 5s -clients 4 \
-	-churn 10 -seed 6 -snap internal/graph/testdata/p2p-sample.txt -index
-BENCH_JSON_OUT ?= BENCH.json
-
-bench-json:
-	$(GO) run ./cmd/bench $(BENCH_TRAJECTORY_FLAGS) -json $(BENCH_JSON_OUT)
-
-# What CI's bench-trajectory job runs: measure, then gate against the
-# committed baseline (>20% throughput drop or >50% p99 growth fails; see
-# cmd/benchcheck for the override when a regression is intentional).
-bench-trajectory:
-	$(MAKE) bench-json BENCH_JSON_OUT=BENCH_PR.json
-	$(GO) run ./cmd/benchcheck -baseline BENCH_PR9.json -current BENCH_PR.json
 
 # Short fuzzing pass over the wire, durability and dataset codecs (one
 # target per invocation: the Go fuzzer requires exactly one -fuzz match).
@@ -111,6 +85,21 @@ cross-checks:
 # API slip fails CI, not the benchmark pipeline. Under 5 s.
 benchmark-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# The perf gate: benchmark/run.sh on BENCH_BASE (checked out into a git
+# worktree under .bench_build/) and then on this checkout, minutes apart on
+# the same machine — the only comparison the measured run-to-run spread
+# supports — and -check of the pair against BENCHMARK.json's bounds. Both
+# results files stay in .bench_build/pair/ whether or not the check passes.
+benchmark-pair:
+	@test -n "$(BENCH_BASE)" || { echo "usage: make benchmark-pair BENCH_BASE=<ref>"; exit 2; }
+	mkdir -p .bench_build/pair
+	git worktree remove --force .bench_build/base 2>/dev/null || true
+	git worktree add --detach .bench_build/base $(BENCH_BASE)
+	bash .bench_build/base/benchmark/run.sh -trace 0 -out $(CURDIR)/.bench_build/pair/base.json
+	git worktree remove --force .bench_build/base
+	bash benchmark/run.sh -trace 0 -out .bench_build/pair/head.json
+	bash benchmark/run.sh -check .bench_build/pair/base.json .bench_build/pair/head.json
 
 # Static analysis beyond go vet. Downloads the tool on first run.
 staticcheck:

@@ -1,5 +1,5 @@
 // Benchmarks: one testing.B benchmark per table and figure of the paper's
-// evaluation (Table 2, Fig. 11(a)-(l)) plus the DESIGN.md ablations. Each
+// evaluation (Table 2, Fig. 11(a)-(l)) plus the ablations. Each
 // benchmark measures single-query evaluation wall time on the experiment's
 // workload; the full parameter sweeps with modeled network time are
 // produced by cmd/bench (go run ./cmd/bench -all).
@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"distreach/internal/automaton"
 	"distreach/internal/baseline"
@@ -18,7 +19,7 @@ import (
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/mapreduce"
-	"distreach/internal/reach"
+	"distreach/internal/reachindex"
 	"distreach/internal/workload"
 )
 
@@ -341,27 +342,27 @@ func BenchmarkFig11l(b *testing.B) {
 }
 
 // BenchmarkAblationIndex compares the local reachability engines inside
-// localEval (ablation A1).
+// localEval (ablation A1): the direct frontier-cut BFS against the
+// per-fragment reachability index production runs.
 func BenchmarkAblationIndex(b *testing.B) {
 	f := load(b, "Internet", 4)
 	cl := cluster.New(4, cluster.NetModel{})
-	engines := []struct {
-		name string
-		opt  *core.Options
-	}{
-		{"bfs", nil},
-		{"tc-bitset", &core.Options{LocalIndex: core.IndexCache(reach.KindTC)}},
-		{"interval", &core.Options{LocalIndex: core.IndexCache(reach.KindInterval)}},
-		{"landmark", &core.Options{LocalIndex: core.IndexCache(reach.KindLandmark)}},
-	}
-	for _, e := range engines {
-		b.Run(e.name, func(b *testing.B) {
+	run := func(name string, opt *core.Options, buildMS float64) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := f.qs[i%len(f.qs)]
-				core.DisReach(cl, f.fr, q.S, q.T, e.opt)
+				core.DisReach(cl, f.fr, q.S, q.T, opt)
 			}
+			b.ReportMetric(buildMS, "build-ms")
 		})
 	}
+	run("bfs", &core.Options{NoFragmentIndex: true}, 0)
+	start := time.Now()
+	f.fr.EnableReachIndex(reachindex.DefaultBudget)
+	f.fr.WaitReachIndexes()
+	build := time.Since(start)
+	defer f.fr.EnableReachIndex(0) // the fixture is shared
+	run("reachindex", nil, build.Seconds()*1e3)
 }
 
 // BenchmarkAblationBES compares the equation-system solvers (ablation A2).
@@ -391,7 +392,7 @@ func BenchmarkAblationBES(b *testing.B) {
 }
 
 // BenchmarkAblationPartitioner shows how the partitioning strategy drives
-// |Vf| and hence traffic (DESIGN.md ablation 3).
+// |Vf| and hence traffic.
 func BenchmarkAblationPartitioner(b *testing.B) {
 	d, _ := workload.ByName("Amazon")
 	g := d.Generate()

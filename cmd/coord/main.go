@@ -25,7 +25,7 @@ func main() {
 		graphPath   = flag.String("graph", "", "graph file (format of cmd/gengraph)")
 		k           = flag.Int("k", 4, "fragment count (partitioning mode)")
 		seed        = flag.Uint64("seed", 1, "partitioner seed")
-		partition   = flag.String("partition", "random", "partitioner: random | hash | contiguous | greedy")
+		partition   = flag.String("partition", "random", "partitioner: random, hash, contiguous, greedy or edgecut")
 		writeAssign = flag.String("writeassign", "", "write the assignment file and exit")
 		sites       = flag.String("sites", "", "comma-separated site addresses (query mode)")
 		s           = flag.Int("s", 0, "source node")
@@ -50,19 +50,11 @@ func main() {
 	}
 
 	if *writeAssign != "" {
-		var fr *distreach.Fragmentation
-		switch *partition {
-		case "random":
-			fr, err = distreach.PartitionRandom(g, *k, *seed)
-		case "hash":
-			fr, err = distreach.PartitionHash(g, *k)
-		case "contiguous":
-			fr, err = distreach.PartitionContiguous(g, *k)
-		case "greedy":
-			fr, err = distreach.PartitionGreedy(g, *k, *seed)
-		default:
-			err = fmt.Errorf("unknown partitioner %q", *partition)
+		pt, err := fragment.ByName(*partition, *seed)
+		if err != nil {
+			fatal(err)
 		}
+		fr, err := fragment.Partition(g, pt, *k)
 		if err != nil {
 			fatal(err)
 		}

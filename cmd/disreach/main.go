@@ -24,8 +24,8 @@ import (
 	"distreach"
 	"distreach/internal/baseline"
 	"distreach/internal/cluster"
+	"distreach/internal/fragment"
 	"distreach/internal/graph"
-	"distreach/internal/stats"
 )
 
 func main() {
@@ -36,7 +36,7 @@ func main() {
 		t         = flag.Int("t", 1, "target node")
 		l         = flag.Int("l", -1, "distance bound (>= 0 enables bounded reachability)")
 		re        = flag.String("r", "", "regular expression (enables regular reachability)")
-		partition = flag.String("partition", "random", "partitioner: random | hash | contiguous | greedy")
+		partition = flag.String("partition", "random", "partitioner: random, hash, contiguous, greedy or edgecut")
 		seed      = flag.Uint64("seed", 1, "partitioner seed")
 		compare   = flag.Bool("compare", false, "also run the baseline algorithms")
 		latency   = flag.Duration("latency", 500*time.Microsecond, "modeled per-message latency")
@@ -60,19 +60,11 @@ func main() {
 		fatal(fmt.Errorf("endpoints (%d,%d) out of range [0,%d)", *s, *t, g.NumNodes()))
 	}
 
-	var fr *distreach.Fragmentation
-	switch *partition {
-	case "random":
-		fr, err = distreach.PartitionRandom(g, *k, *seed)
-	case "hash":
-		fr, err = distreach.PartitionHash(g, *k)
-	case "contiguous":
-		fr, err = distreach.PartitionContiguous(g, *k)
-	case "greedy":
-		fr, err = distreach.PartitionGreedy(g, *k, *seed)
-	default:
-		err = fmt.Errorf("unknown partitioner %q", *partition)
+	pt, err := fragment.ByName(*partition, *seed)
+	if err != nil {
+		fatal(err)
 	}
+	fr, err := fragment.Partition(g, pt, *k)
 	if err != nil {
 		fatal(err)
 	}
@@ -122,8 +114,8 @@ func main() {
 }
 
 func printReport(name string, answer bool, rep distreach.Report) {
-	fmt.Printf("%-9s answer=%-5v visits=%d (max/site %d)  traffic=%s  msgs=%d  response=%v\n",
-		name, answer, rep.TotalVisits, rep.MaxVisits, stats.Bytes(rep.Bytes), rep.Messages,
+	fmt.Printf("%-9s answer=%-5v visits=%d (max/site %d)  traffic=%dB  msgs=%d  response=%v\n",
+		name, answer, rep.TotalVisits, rep.MaxVisits, rep.Bytes, rep.Messages,
 		rep.Response.Round(time.Microsecond))
 }
 

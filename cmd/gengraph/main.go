@@ -30,7 +30,7 @@ func main() {
 		skew    = flag.Float64("skew", 1.0, "Zipf exponent for label frequencies")
 		model   = flag.String("model", "powerlaw", "generator: powerlaw | uniform | layered | cycle")
 		seed    = flag.Uint64("seed", 1, "generator seed")
-		dataset = flag.String("dataset", "", "generate a named dataset analogue instead (see DESIGN.md)")
+		dataset = flag.String("dataset", "", "generate a named dataset analogue instead (see internal/workload)")
 		snap    = flag.String("snap", "", "convert a SNAP edge-list file (plain or gzip) instead of generating")
 	)
 	flag.Parse()

@@ -61,7 +61,6 @@ import (
 	"strings"
 	"time"
 
-	"distreach"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
 	"distreach/internal/netsite"
@@ -75,7 +74,7 @@ func main() {
 		sites     = flag.String("sites", "", "comma-separated site addresses (dial a running deployment)")
 		graphPath = flag.String("graph", "", "graph file for self-contained mode (format of cmd/gengraph)")
 		k         = flag.Int("k", 4, "fragment count (self-contained mode)")
-		partition = flag.String("partition", "random", "partitioner: random | hash | contiguous | greedy | edgecut")
+		partition = flag.String("partition", "random", "partitioner: random, hash, contiguous, greedy or edgecut")
 		seed      = flag.Uint64("seed", 1, "partitioner seed")
 		cacheCap  = flag.Int("cache", 4096, "answer cache capacity (entries)")
 		dialTO    = flag.Duration("dialtimeout", 3*time.Second, "site dial timeout")
@@ -218,21 +217,11 @@ func selfDeploy(graphPath, partition string, k int, seed uint64, idxBudget int64
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var fr *fragment.Fragmentation
-	switch partition {
-	case "random":
-		fr, err = distreach.PartitionRandom(g, k, seed)
-	case "hash":
-		fr, err = distreach.PartitionHash(g, k)
-	case "contiguous":
-		fr, err = distreach.PartitionContiguous(g, k)
-	case "greedy":
-		fr, err = distreach.PartitionGreedy(g, k, seed)
-	case "edgecut":
-		fr, err = distreach.PartitionEdgeCut(g, k, seed)
-	default:
-		err = fmt.Errorf("unknown partitioner %q", partition)
+	pt, err := fragment.ByName(partition, seed)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	fr, err := fragment.Partition(g, pt, k)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -1,9 +1,10 @@
 package distreach_test
 
 import (
-	"time"
-
+	"os"
+	"os/exec"
 	"testing"
+	"time"
 
 	"distreach"
 	"distreach/internal/gen"
@@ -224,5 +225,22 @@ func TestFacadeReachBatch(t *testing.T) {
 	}
 	if res.Report.MaxVisits != 1 {
 		t.Fatalf("batch visit guarantee violated: %v", res.Report.Visits)
+	}
+}
+
+// TestBenchmarkModuleVets type-checks the nested benchmark module (own
+// go.mod, `replace distreach => ../`, no other dependency), which the root
+// `./...` cannot reach: an API slip against it should fail here, not in the
+// benchmark pipeline.
+func TestBenchmarkModuleVets(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command(goBin, "vet", ".")
+	cmd.Dir = "benchmark"
+	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in benchmark/: %v\n%s", err, out)
 	}
 }

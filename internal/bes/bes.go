@@ -128,7 +128,7 @@ func (s *System[K]) Solve() map[K]bool {
 
 // SolveFixpoint computes the same least solution by naive Kleene iteration
 // (repeatedly re-evaluating every equation until no change). It exists as
-// the ablation baseline A2 of DESIGN.md and as an oracle for tests; it runs
+// the baseline of ablation A2 (internal/exp) and as an oracle for tests; it runs
 // in O(|Vd| · |Ed|) in the worst case.
 func (s *System[K]) SolveFixpoint() map[K]bool {
 	val := make([]bool, len(s.vars))

@@ -9,7 +9,6 @@ import (
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
-	"distreach/internal/reach"
 	"distreach/internal/rx"
 )
 
@@ -145,21 +144,6 @@ func TestDisReachMatchesCentralizedBFS(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: disReach(%d,%d)=%v, BFS=%v on %v, %v",
 				trial, s, tt, got, want, g, fr)
-		}
-	}
-}
-
-func TestDisReachWithIndexesMatchesBFS(t *testing.T) {
-	for _, kind := range []reach.Kind{reach.KindTC, reach.KindInterval, reach.KindLandmark} {
-		opt := &Options{LocalIndex: IndexCache(kind)}
-		rng := gen.NewRNG(uint64(100 + int(kind)))
-		for trial := 0; trial < 120; trial++ {
-			g, fr, s, tt := randomCase(rng, nil)
-			cl := cluster.New(fr.Card(), cluster.NetModel{})
-			got := DisReach(cl, fr, s, tt, opt).Answer
-			if want := g.Reachable(s, tt); got != want {
-				t.Fatalf("kind %d trial %d: got %v want %v", kind, trial, got, want)
-			}
 		}
 	}
 }

@@ -40,7 +40,7 @@ type ReachPartial struct {
 // s = graph.None to compute the in-node equations only (no source
 // equation). A nil opt means defaults; it used to be silently replaced by
 // a fresh &Options{}, which dropped every caller-supplied option
-// (LocalIndex, NoFragmentIndex) on the MapReduce and session paths.
+// (NoFragmentIndex, Cancel, Metrics) on the MapReduce and session paths.
 //
 // When opt.Cancel fires mid-evaluation the partial is abandoned and nil is
 // returned; callers running under cooperative cancellation must treat nil
@@ -245,50 +245,6 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 		return true
 	}
 	met := opt.Metrics
-	if opt.LocalIndex != nil {
-		idx := opt.LocalIndex(f)
-		tLocal, hasT := f.Local(t)
-		for _, v := range iset {
-			if opt.cancelled() {
-				return nil, false
-			}
-			eq := reachEq{node: f.Global(v)}
-			if eq.node == t {
-				// Xt is trivially true (t reaches itself); aliases and
-				// other equations may reference it as a variable.
-				eq.constTrue = true
-				rv.eqs = append(rv.eqs, eq)
-				if met != nil {
-					met.ConstEqs++
-				}
-				if !flush() {
-					return nil, false
-				}
-				continue
-			}
-			if met != nil {
-				met.IndexedEqs++
-			}
-			if hasT && idx.Reaches(graph.NodeID(v), graph.NodeID(tLocal)) {
-				eq.constTrue = true
-			}
-			for _, o := range f.VirtualNodes() {
-				if !idx.Reaches(graph.NodeID(v), graph.NodeID(o)) {
-					continue
-				}
-				if g := f.Global(o); g == t {
-					eq.constTrue = true
-				} else {
-					eq.vars = append(eq.vars, f.Global(o))
-				}
-			}
-			rv.eqs = append(rv.eqs, eq)
-			if !flush() {
-				return nil, false
-			}
-		}
-		return rv, true
-	}
 	// Equation aliasing: in-nodes in the same local SCC reach exactly the
 	// same boundary nodes, so only one representative per SCC needs a full
 	// equation; the rest ship the two-word alias Xv = Xrep. This keeps the
@@ -307,7 +263,7 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 	var idx *reachindex.Index
 	var tLocal int32
 	var hasT bool
-	if !opt.NoFragmentIndex && opt.LocalIndex == nil {
+	if !opt.NoFragmentIndex {
 		if idx = f.ReachIndex(); idx != nil {
 			tLocal, hasT = f.Local(t)
 		}

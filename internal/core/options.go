@@ -16,22 +16,8 @@
 // fragmentation (|Vf|) and the query, never on |G|.
 package core
 
-import (
-	"sync"
-
-	"distreach/internal/fragment"
-	"distreach/internal/reach"
-)
-
 // Options tunes the evaluation algorithms. The zero value is ready to use.
 type Options struct {
-	// LocalIndex, if non-nil, supplies a reachability index for a fragment's
-	// local graph; disReach then answers "v' ∈ des(v, Fi)" through the index
-	// instead of running a fresh BFS per in-node. The paper notes any
-	// centralized index (reachability matrix, 2-hop, ...) can slot in here.
-	// Use IndexCache to memoize construction across queries.
-	LocalIndex func(f *fragment.Fragment) reach.Index
-
 	// NoFragmentIndex disables consulting the fragment's own reachability
 	// index (fragment.ReachIndex) during local evaluation, forcing the
 	// direct frontier-cut BFS. Cross-checks use it to compare the indexed
@@ -61,7 +47,7 @@ type Options struct {
 // but fell back anyway (the reachindex outcome tagging observability needs
 // to tune index budgets in production).
 type EvalMetrics struct {
-	IndexedEqs    int64 // answered from the fragment reachability index (or a LocalIndex)
+	IndexedEqs    int64 // answered from the fragment reachability index
 	BFSEqs        int64 // direct frontier-cut BFS
 	AliasEqs      int64 // two-word alias to an SCC representative
 	ConstEqs      int64 // trivially true (the in-node is the target)
@@ -72,26 +58,3 @@ type EvalMetrics struct {
 // cancelled reports whether a cooperative cancellation was requested. Safe
 // on a nil receiver so the hot paths need no option-presence checks.
 func (o *Options) cancelled() bool { return o != nil && o.Cancel != nil && o.Cancel() }
-
-// IndexCache returns a LocalIndex function that builds one index of the
-// given kind per fragment on first use and reuses it afterwards. It is safe
-// for concurrent use.
-func IndexCache(kind reach.Kind) func(f *fragment.Fragment) reach.Index {
-	type entry struct {
-		once sync.Once
-		idx  reach.Index
-	}
-	var mu sync.Mutex
-	cache := map[*fragment.Fragment]*entry{}
-	return func(f *fragment.Fragment) reach.Index {
-		mu.Lock()
-		e, ok := cache[f]
-		if !ok {
-			e = &entry{}
-			cache[f] = e
-		}
-		mu.Unlock()
-		e.once.Do(func() { e.idx = reach.Build(kind, f.AsGraph()) })
-		return e.idx
-	}
-}

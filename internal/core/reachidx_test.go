@@ -7,7 +7,6 @@ import (
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
-	"distreach/internal/reach"
 )
 
 // evalAll runs the full in-process evaluation (every fragment's partial
@@ -25,30 +24,29 @@ func evalAll(fr *fragment.Fragmentation, s, t graph.NodeID, opt *Options) bool {
 
 // TestLocalEvalReachThreadsOptions is the regression test for the dropped
 // options bug: LocalEvalReach used to hardcode &Options{}, so a caller's
-// LocalIndex (and any other option) was silently ignored on the MapReduce
-// and session paths. The counting wrapper proves the option now reaches
-// localEval, and the answers stay correct either way.
+// options were silently ignored on the MapReduce and session paths. The
+// counting Cancel hook proves the options now reach localEval, and the
+// answers stay correct either way.
 func TestLocalEvalReachThreadsOptions(t *testing.T) {
-	var consulted atomic.Int64
-	cache := IndexCache(reach.KindTC)
-	opt := &Options{LocalIndex: func(f *fragment.Fragment) reach.Index {
-		consulted.Add(1)
-		return cache(f)
+	var polled atomic.Int64
+	opt := &Options{Cancel: func() bool {
+		polled.Add(1)
+		return false
 	}}
 	rng := gen.NewRNG(77)
 	for trial := 0; trial < 50; trial++ {
 		g, fr, s, tt := randomCase(rng, nil)
 		got := evalAll(fr, s, tt, opt)
 		if want := g.Reachable(s, tt); got != want {
-			t.Fatalf("trial %d: indexed eval %v, want %v", trial, got, want)
+			t.Fatalf("trial %d: eval with options %v, want %v", trial, got, want)
 		}
 		// nil must mean defaults, not a crash.
 		if got := evalAll(fr, s, tt, nil); got != g.Reachable(s, tt) {
 			t.Fatalf("trial %d: nil-options eval diverged", trial)
 		}
 	}
-	if consulted.Load() == 0 {
-		t.Fatal("caller-supplied LocalIndex was never consulted — options are being dropped again")
+	if polled.Load() == 0 {
+		t.Fatal("caller-supplied Cancel was never polled — options are being dropped again")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"distreach/internal/cluster"
 	"distreach/internal/core"
 	"distreach/internal/fragment"
-	"distreach/internal/reach"
+	"distreach/internal/reachindex"
 	"distreach/internal/workload"
 )
 
@@ -17,22 +17,20 @@ func init() {
 	register("A2", ablationBES)
 }
 
-// ablationIndex compares the pluggable local reachability engines inside
-// disReach's localEval (DESIGN.md ablation 1; the paper's remark that "any
-// indexing techniques ... can be applied here, which will lead to lower
-// computational cost"). Index build time is paid once per fragment and
-// amortized over the query set.
+// ablationIndex compares the two local reachability engines inside
+// disReach's localEval: the direct frontier-cut BFS and the budgeted
+// per-fragment reachability index production runs (the paper's remark that
+// "any indexing techniques ... can be applied here, which will lead to
+// lower computational cost"). Index build time is paid once per fragment
+// and amortized over the query set.
 func ablationIndex(cfg Config) (Table, error) {
 	t := Table{
 		ID:     "A1",
 		Title:  "Ablation A1: local reachability engine inside localEval",
 		Header: []string{"engine", "build ms", "mean query ms"},
-		Notes: "BFS pays nothing upfront and everything per query; the indexes flip that trade. " +
-			"Index-backed localEval probes |I|x|O| pairs, so it only pays off with O(1) lookups (tc-bitset); " +
-			"the fallback-based indexes lose to the frontier-cut BFS default.",
+		Notes: "BFS pays nothing upfront and one frontier-cut search per in-node SCC per query; " +
+			"the fragment index pays the build once and answers each equation from two lookups.",
 	}
-	// The smallest dataset analogue: index-backed local evaluation is
-	// quadratic in the boundary and would swamp the suite on larger ones.
 	d := workload.ReachDatasets[4] // Amazon analogue
 	d.V = cfg.scale(d.V)
 	d.E = cfg.scale(d.E)
@@ -43,28 +41,7 @@ func ablationIndex(cfg Config) (Table, error) {
 	}
 	qs := workload.ReachQueries(g, cfg.queries(5), 0.3, 71)
 	cl := cluster.New(fr.Card(), cluster.NetModel{})
-	// interval and landmark are excluded here: their negative probes fall
-	// back to BFS, which the |I|x|O| probing pattern turns quadratic; see
-	// BenchmarkAblationIndex for their microbenchmarks.
-	engines := []struct {
-		name string
-		kind reach.Kind
-	}{
-		{"bfs (default)", reach.KindBFS},
-		{"tc-bitset", reach.KindTC},
-	}
-	for _, e := range engines {
-		var opt *core.Options
-		var build time.Duration
-		if e.kind != reach.KindBFS {
-			idx := core.IndexCache(e.kind)
-			start := time.Now()
-			for _, f := range fr.Fragments() {
-				idx(f) // force construction
-			}
-			build = time.Since(start)
-			opt = &core.Options{LocalIndex: idx}
-		}
+	run := func(name string, build time.Duration, opt *core.Options) {
 		var total time.Duration
 		for _, q := range qs {
 			start := time.Now()
@@ -72,16 +49,21 @@ func ablationIndex(cfg Config) (Table, error) {
 			total += time.Since(start)
 		}
 		t.Rows = append(t.Rows, []string{
-			e.name, fmtMS(build), fmtMS(total / time.Duration(len(qs))),
+			name, fmtMS(build), fmtMS(total / time.Duration(len(qs))),
 		})
-		cfg.logf("A1 %s done", e.name)
+		cfg.logf("A1 %s done", name)
 	}
+	run("bfs", 0, &core.Options{NoFragmentIndex: true})
+	start := time.Now()
+	fr.EnableReachIndex(reachindex.DefaultBudget)
+	fr.WaitReachIndexes()
+	run("reachindex (default)", time.Since(start), nil)
 	return t, nil
 }
 
 // ablationBES compares the dependency-graph solver (the paper's evalDG)
 // with naive Kleene iteration on synthetic equation systems of growing
-// |Vf| (DESIGN.md ablation 2).
+// |Vf|.
 func ablationBES(cfg Config) (Table, error) {
 	t := Table{
 		ID:     "A2",

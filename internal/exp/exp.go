@@ -1,9 +1,9 @@
 // Package exp implements the experiment harness of Section 7: one
 // regenerator per table and figure in the paper's evaluation (Table 2,
-// Fig. 11(a)-(l), plus the in-text visit and traffic claims and the
-// DESIGN.md ablations). Each experiment returns a Table whose rows mirror
-// the series the paper plots; cmd/bench renders them and EXPERIMENTS.md
-// records paper-vs-measured.
+// Fig. 11(a)-(l), plus the in-text visit and traffic claims, the ablations
+// A1-A2 and the serving-runtime experiments N1-N11). Each experiment
+// returns a Table whose rows mirror the series the paper plots; cmd/bench
+// renders them.
 package exp
 
 import (

@@ -17,8 +17,8 @@ type CommunitiesConfig struct {
 // blocks with sparse cross-block edges. Locality-aware partitioners
 // (fragment.Greedy, fragment.Contiguous with block-ordered IDs) recover the
 // blocks and so produce far smaller |Vf| than random partitioning — the
-// setup behind the partitioner ablation in DESIGN.md. Node IDs are block
-// ordered: block b holds IDs [b·Size, (b+1)·Size).
+// setup behind BenchmarkAblationPartitioner. Node IDs are block ordered:
+// block b holds IDs [b·Size, (b+1)·Size).
 func Communities(cfg CommunitiesConfig) *graph.Graph {
 	rng := NewRNG(cfg.Seed)
 	n := cfg.Communities * cfg.Size

@@ -7,7 +7,8 @@ package gen
 
 // RNG is a small, fast deterministic pseudo-random generator (splitmix64).
 // We avoid math/rand so that generated graphs are stable across Go releases:
-// the experiments in EXPERIMENTS.md reference specific generated instances.
+// the experiments (internal/exp) and the benchmark depend on specific
+// generated instances.
 type RNG struct{ state uint64 }
 
 // NewRNG returns a generator seeded with seed.

@@ -8,15 +8,15 @@ import (
 // The checked-in sample dataset: a ~1000-node Gnutella-shaped edge list
 // in SNAP format (sparse scrambled IDs, header comments), small enough to
 // commit but real-shaped enough to exercise the loader's remapping and
-// the CSR fragment layout. Tests, exp N7 and the CI bench trajectory all
-// load this same file, so their numbers are comparable across machines.
+// the CSR fragment layout. Tests and exps N7-N9 load this same file, so
+// their numbers are comparable across machines.
 //
 //go:embed testdata/p2p-sample.txt
 var sampleSNAP []byte
 
 // SampleSNAP parses the embedded sample dataset, labeling nodes from the
-// given alphabet (nil = unlabeled). Callers outside the repo tree get the
-// same graph as `cmd/bench -snap internal/graph/testdata/p2p-sample.txt`.
+// given alphabet (nil = unlabeled), so callers need no path to
+// internal/graph/testdata/p2p-sample.txt.
 func SampleSNAP(labels []string) (*Graph, error) {
 	return ReadSNAP(bytes.NewReader(sampleSNAP), labels)
 }

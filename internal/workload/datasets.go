@@ -2,7 +2,7 @@
 // analogues standing in for the paper's real-life graphs, and random query
 // generators for the three query classes.
 //
-// Substitution note (see DESIGN.md): the paper's SNAP datasets are not
+// Substitution note: the paper's SNAP datasets are not
 // redistributable inside this offline reproduction, so each is replaced by
 // a deterministic synthetic graph with the same |E|/|V| ratio, a power-law
 // degree distribution, and the same label-alphabet size, scaled down ~100×
