@@ -396,14 +396,19 @@ func BenchmarkAblationBES(b *testing.B) {
 func BenchmarkAblationPartitioner(b *testing.B) {
 	d, _ := workload.ByName("Amazon")
 	g := d.Generate()
+	modK := make([]int, g.NumNodes())
+	for v := range modK {
+		modK[v] = v % 8
+	}
 	parts := []struct {
 		name  string
 		build func() (*fragment.Fragmentation, error)
 	}{
 		{"random", func() (*fragment.Fragmentation, error) { return fragment.Random(g, 8, 1) }},
-		{"hash", func() (*fragment.Fragmentation, error) { return fragment.Hash(g, 8) }},
-		{"greedy", func() (*fragment.Fragmentation, error) { return fragment.Greedy(g, 8, 1) }},
+		{"v%k", func() (*fragment.Fragmentation, error) { return fragment.Build(g, modK, 8) }},
+		{"bfs", func() (*fragment.Fragmentation, error) { return fragment.Build(g, bfsAssign(g, 8), 8) }},
 		{"contiguous", func() (*fragment.Fragmentation, error) { return fragment.Contiguous(g, 8) }},
+		{"edgecut", func() (*fragment.Fragmentation, error) { return fragment.EdgeCut(g, 8, 1) }},
 	}
 	qs := workload.ReachQueries(g, 16, 0.3, 5)
 	for _, p := range parts {

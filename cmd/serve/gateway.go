@@ -54,6 +54,10 @@ type gwOptions struct {
 // finite so a flood degrades into prompt 429s instead of collapse.
 const defaultMaxInflight = 1024
 
+// defaultRebalancePartitioner is the re-fragmentation strategy when
+// -rebalancepartition is left empty.
+const defaultRebalancePartitioner = "edgecut"
+
 // gateway serves the HTTP/JSON API over one multiplexing coordinator.
 // The request counters live in the obs registry (ob.reg): /stats reads
 // the same instruments GET /metrics renders.
@@ -86,7 +90,7 @@ func newGateway(co *netsite.Coordinator, o gwOptions) *gateway {
 		o.maxInflight = defaultMaxInflight
 	}
 	if o.partitioner == "" {
-		o.partitioner = "edgecut"
+		o.partitioner = defaultRebalancePartitioner
 	}
 	if o.store != nil {
 		co.UseSequencer(oplog.NewDurableSequencer(o.store))
@@ -169,11 +173,11 @@ func (g *gateway) noteEpoch(epoch uint64) {
 
 // wireCtx derives the context for one request's wire round trips,
 // applying the gateway's per-request deadline when configured.
-func (g *gateway) wireCtx(r *http.Request) (context.Context, context.CancelFunc) {
+func (g *gateway) wireCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if g.opts.timeout <= 0 {
-		return r.Context(), func() {}
+		return ctx, func() {}
 	}
-	return context.WithTimeout(r.Context(), g.opts.timeout)
+	return context.WithTimeout(ctx, g.opts.timeout)
 }
 
 // wireError maps a failed wire round to an HTTP status: 504 when the
@@ -319,13 +323,110 @@ func badRequest(w http.ResponseWriter, msg string) {
 	writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg})
 }
 
-func (g *gateway) respond(w http.ResponseWriter, class, query string, start time.Time, ans cachedAnswer, cached bool, st netsite.WireStats) {
-	g.ob.observeQuery(class, start, cached, st)
-	resp := queryResponse{Query: query, Answer: ans.Answer, Cached: cached}
-	if ans.HasDist {
-		resp.Dist = &ans.Dist
+// parsedQuery is one validated query: what travels the wire, the key its
+// answer is cached under, and the label responses echo.
+type parsedQuery struct {
+	bq    netsite.BatchQuery
+	key   string
+	label string
+}
+
+// resolved is one query's outcome from resolve.
+type resolved struct {
+	cachedAnswer
+	cached bool
+	slot   int // index of the query's wire round answer; unused when cached
+}
+
+// response renders one outcome under the label its query echoes.
+func (o resolved) response(label string) queryResponse {
+	resp := queryResponse{Query: label, Answer: o.Answer, Cached: o.cached}
+	if o.HasDist {
+		d := o.Dist
+		resp.Dist = &d
 	}
-	if !cached {
+	return resp
+}
+
+// resolve is the one query path behind every endpoint — a GET is a batch
+// of one. It answers what it can from the cache, ships the distinct
+// misses as ONE wire round (duplicate keys travel and evaluate once), and
+// fills the cache from the round. misses counts the queries that went
+// over the wire; st is that round's stats, zero when nothing missed.
+//
+// A lone reach miss goes through the coalescer when it is on, so
+// concurrent GET /reach misses inside the -coalesce window share one
+// round instead of posting one each.
+func (g *gateway) resolve(ctx context.Context, qs []parsedQuery) (out []resolved, misses int, st netsite.WireStats, err error) {
+	out = make([]resolved, len(qs))
+	var wireQs []netsite.BatchQuery
+	var slotByKey map[string]int
+	// The flush generation is snapshotted first: if a POST /flush races the
+	// round trip, the computed answers must not be re-inserted — they may
+	// describe the deployment the flush just invalidated.
+	gen := g.cache.Generation()
+	for i, q := range qs {
+		g.queries.Add(1)
+		if ans, hit := g.cache.Get(q.key); hit {
+			out[i] = resolved{cachedAnswer: ans, cached: true}
+			continue
+		}
+		slot, dup := slotByKey[q.key]
+		if !dup {
+			slot = len(wireQs)
+			if slotByKey == nil {
+				slotByKey = make(map[string]int)
+			}
+			slotByKey[q.key] = slot
+			wireQs = append(wireQs, q.bq)
+		}
+		out[i].slot = slot
+	}
+	if len(wireQs) == 0 {
+		return out, 0, st, nil
+	}
+	ctx, cancel := g.wireCtx(ctx)
+	defer cancel()
+	var res []netsite.BatchAnswer
+	if g.coal != nil && len(wireQs) == 1 && wireQs[0].Class == netsite.ClassReach {
+		var ba netsite.BatchAnswer
+		ba, st, err = g.coal.reach(ctx, wireQs[0].S, wireQs[0].T)
+		res = []netsite.BatchAnswer{ba}
+	} else {
+		res, st, err = g.co.BatchContext(ctx, wireQs)
+	}
+	if err != nil {
+		return nil, 0, st, err
+	}
+	g.noteEpoch(st.Epoch)
+	for i, q := range qs {
+		if out[i].cached {
+			continue
+		}
+		a := res[out[i].slot]
+		ans := cachedAnswer{Answer: a.Answer}
+		if q.bq.Class == netsite.ClassDist {
+			// The distance is exact only when within the bound; otherwise it
+			// is the solver's infinity sentinel, which callers should not see.
+			ans.Dist, ans.HasDist = a.Dist, a.Answer
+		}
+		g.cache.PutIfGeneration(q.key, ans, gen, a.Touched)
+		out[i].cachedAnswer = ans
+	}
+	return out, len(wireQs), st, nil
+}
+
+// serveOne resolves one parsed GET query and renders its response.
+func (g *gateway) serveOne(w http.ResponseWriter, r *http.Request, class string, q parsedQuery) {
+	start := time.Now()
+	out, _, st, err := g.resolve(r.Context(), []parsedQuery{q})
+	if err != nil {
+		g.wireError(w, err)
+		return
+	}
+	g.ob.observeQuery(class, start, out[0].cached, st)
+	resp := out[0].response(q.label)
+	if !out[0].cached {
 		resp.Wire = toWireJSON(st)
 		if st.TraceID != 0 {
 			resp.TraceID = strconv.FormatUint(st.TraceID, 16)
@@ -341,41 +442,11 @@ func (g *gateway) handleReach(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "reach needs numeric s and t")
 		return
 	}
-	g.queries.Add(1)
-	start := time.Now()
-	query := "qr(" + r.URL.Query().Get("s") + "," + r.URL.Query().Get("t") + ")"
-	key := qcache.ReachKey(s, t)
-	if ans, hit := g.cache.Get(key); hit {
-		g.respond(w, "reach", query, start, ans, true, netsite.WireStats{})
-		return
-	}
-	epoch := g.cache.Generation()
-	ctx, cancel := g.wireCtx(r)
-	defer cancel()
-	var (
-		answer  bool
-		touched []int
-		st      netsite.WireStats
-		err     error
-	)
-	if g.coal != nil {
-		// Adaptive batching: concurrent misses inside the -coalesce window
-		// share one wire round instead of posting one each.
-		var ba netsite.BatchAnswer
-		ba, st, err = g.coal.reach(ctx, s, t)
-		answer, touched = ba.Answer, ba.Touched
-	} else {
-		answer, st, err = g.co.ReachContext(ctx, s, t)
-		touched = st.Touched
-	}
-	if err != nil {
-		g.wireError(w, err)
-		return
-	}
-	g.noteEpoch(st.Epoch)
-	ans := cachedAnswer{Answer: answer}
-	g.cache.PutIfGeneration(key, ans, epoch, touched)
-	g.respond(w, "reach", query, start, ans, false, st)
+	g.serveOne(w, r, "reach", parsedQuery{
+		bq:    netsite.BatchQuery{Class: netsite.ClassReach, S: s, T: t},
+		key:   qcache.ReachKey(s, t),
+		label: "qr(" + r.URL.Query().Get("s") + "," + r.URL.Query().Get("t") + ")",
+	})
 }
 
 func (g *gateway) handleReachWithin(w http.ResponseWriter, r *http.Request) {
@@ -386,28 +457,11 @@ func (g *gateway) handleReachWithin(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "reachwithin needs numeric s, t and bound l >= 0")
 		return
 	}
-	g.queries.Add(1)
-	start := time.Now()
-	query := "qbr(" + r.URL.Query().Get("s") + "," + r.URL.Query().Get("t") + "," + r.URL.Query().Get("l") + ")"
-	key := qcache.DistKey(s, t, l)
-	if ans, hit := g.cache.Get(key); hit {
-		g.respond(w, "reachwithin", query, start, ans, true, netsite.WireStats{})
-		return
-	}
-	epoch := g.cache.Generation()
-	ctx, cancel := g.wireCtx(r)
-	defer cancel()
-	answer, dist, st, err := g.co.ReachWithinContext(ctx, s, t, l)
-	if err != nil {
-		g.wireError(w, err)
-		return
-	}
-	g.noteEpoch(st.Epoch)
-	// The distance is exact only when within the bound; otherwise it is the
-	// solver's infinity sentinel, which callers should not see.
-	ans := cachedAnswer{Answer: answer, Dist: dist, HasDist: answer}
-	g.cache.PutIfGeneration(key, ans, epoch, st.Touched)
-	g.respond(w, "reachwithin", query, start, ans, false, st)
+	g.serveOne(w, r, "reachwithin", parsedQuery{
+		bq:    netsite.BatchQuery{Class: netsite.ClassDist, S: s, T: t, L: l},
+		key:   qcache.DistKey(s, t, l),
+		label: "qbr(" + r.URL.Query().Get("s") + "," + r.URL.Query().Get("t") + "," + r.URL.Query().Get("l") + ")",
+	})
 }
 
 func (g *gateway) handleReachRegex(w http.ResponseWriter, r *http.Request) {
@@ -423,26 +477,11 @@ func (g *gateway) handleReachRegex(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err.Error())
 		return
 	}
-	g.queries.Add(1)
-	start := time.Now()
-	query := "qrr(" + r.URL.Query().Get("s") + "," + r.URL.Query().Get("t") + "," + expr + ")"
-	key := qcache.RPQKey(s, t, expr)
-	if ans, hit := g.cache.Get(key); hit {
-		g.respond(w, "reachregex", query, start, ans, true, netsite.WireStats{})
-		return
-	}
-	epoch := g.cache.Generation()
-	ctx, cancel := g.wireCtx(r)
-	defer cancel()
-	answer, st, err := g.co.ReachRegexContext(ctx, s, t, a)
-	if err != nil {
-		g.wireError(w, err)
-		return
-	}
-	g.noteEpoch(st.Epoch)
-	ans := cachedAnswer{Answer: answer}
-	g.cache.PutIfGeneration(key, ans, epoch, st.Touched)
-	g.respond(w, "reachregex", query, start, ans, false, st)
+	g.serveOne(w, r, "reachregex", parsedQuery{
+		bq:    netsite.BatchQuery{Class: netsite.ClassRPQ, S: s, T: t, A: a},
+		key:   qcache.RPQKey(s, t, expr),
+		label: "qrr(" + r.URL.Query().Get("s") + "," + r.URL.Query().Get("t") + "," + expr + ")",
+	})
 }
 
 // maxBatchQueries bounds one POST /batch request; bigger workloads should
@@ -480,9 +519,9 @@ type batchResponseJSON struct {
 	Wire    *wireJSON       `json:"wire,omitempty"`
 }
 
-// handleBatch serves POST /batch: it answers what it can from the cache,
-// ships the misses as ONE wire batch (one frame per site however many
-// queries missed), and demultiplexes the answers back into request order.
+// handleBatch serves POST /batch: the whole request is validated, then
+// resolved as one batch (one frame per site however many queries missed)
+// and rendered in request order.
 func (g *gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req batchRequestJSON
@@ -499,15 +538,9 @@ func (g *gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Phase 1: validate and compile the whole batch before touching any
-	// serving state, so a rejected batch leaves /stats and the cache's
-	// hit/miss counters exactly as they were.
-	type parsedQuery struct {
-		bq    netsite.BatchQuery
-		key   string
-		label string
-		dist  bool // ClassDist: the answer carries a distance
-	}
+	// Validate and compile the whole batch before touching any serving
+	// state, so a rejected batch leaves /stats and the cache's hit/miss
+	// counters exactly as they were.
 	parsed := make([]parsedQuery, len(req.Queries))
 	for i, q := range req.Queries {
 		if q.S == nil || q.T == nil {
@@ -529,7 +562,6 @@ func (g *gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			p.bq = netsite.BatchQuery{Class: netsite.ClassDist, S: s, T: t, L: *q.L}
 			p.key = qcache.DistKey(s, t, *q.L)
 			p.label = fmt.Sprintf("qbr(%d,%d,%d)", s, t, *q.L)
-			p.dist = true
 		case "reachregex":
 			if q.R == "" {
 				badRequest(w, fmt.Sprintf("batch query %d: reachregex needs expression r", i))
@@ -550,79 +582,23 @@ func (g *gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		parsed[i] = p
 	}
 
-	// Phase 2: answer what the cache holds and strip it from the wire
-	// batch. The flush generation is snapshotted first: if a POST /flush
-	// races the round trip, the computed answers must not be re-inserted —
-	// they may describe the deployment the flush just invalidated.
-	type pendingQuery struct {
-		idx  int
-		slot int // index into wireQs; duplicates share one slot
-		key  string
-		dist bool
+	out, misses, st, err := g.resolve(r.Context(), parsed)
+	if err != nil {
+		g.wireError(w, err)
+		return
 	}
-	answers := make([]queryResponse, len(parsed))
-	wireQs := make([]netsite.BatchQuery, 0, len(parsed))
-	pend := make([]pendingQuery, 0, len(parsed))
-	slotByKey := make(map[string]int)
-	epoch := g.cache.Generation()
-	for i, p := range parsed {
-		g.queries.Add(1)
-		answers[i].Query = p.label
-		if ans, hit := g.cache.Get(p.key); hit {
-			answers[i].Answer = ans.Answer
-			answers[i].Cached = true
-			if ans.HasDist {
-				d := ans.Dist
-				answers[i].Dist = &d
-			}
-			continue
-		}
-		// Duplicate keys within the batch travel (and evaluate) once; the
-		// answer fans out to every index that asked.
-		slot, dup := slotByKey[p.key]
-		if !dup {
-			slot = len(wireQs)
-			slotByKey[p.key] = slot
-			wireQs = append(wireQs, p.bq)
-		}
-		pend = append(pend, pendingQuery{idx: i, slot: slot, key: p.key, dist: p.dist})
+	g.ob.observeQuery("batch", start, misses == 0, st)
+	resp := batchResponseJSON{Answers: make([]queryResponse, len(out)), Misses: misses}
+	for i := range out {
+		resp.Answers[i] = out[i].response(parsed[i].label)
 	}
-
-	// Phase 3: one wire round for all the misses, demultiplexed back into
-	// request order.
-	var wj *wireJSON
-	var traceID string
-	if len(wireQs) > 0 {
-		ctx, cancel := g.wireCtx(r)
-		defer cancel()
-		res, st, err := g.co.BatchContext(ctx, wireQs)
-		if err != nil {
-			g.wireError(w, err)
-			return
-		}
-		g.ob.observeQuery("batch", start, false, st)
-		g.noteEpoch(st.Epoch)
-		for _, p := range pend {
-			ans := cachedAnswer{Answer: res[p.slot].Answer}
-			if p.dist {
-				ans.Dist = res[p.slot].Dist
-				ans.HasDist = res[p.slot].Answer
-			}
-			g.cache.PutIfGeneration(p.key, ans, epoch, res[p.slot].Touched)
-			answers[p.idx].Answer = ans.Answer
-			if ans.HasDist {
-				d := ans.Dist
-				answers[p.idx].Dist = &d
-			}
-		}
-		wj = toWireJSON(st)
+	if misses > 0 {
+		resp.Wire = toWireJSON(st)
 		if st.TraceID != 0 {
-			traceID = strconv.FormatUint(st.TraceID, 16)
+			resp.TraceID = strconv.FormatUint(st.TraceID, 16)
 		}
-	} else {
-		g.ob.observeQuery("batch", start, true, netsite.WireStats{})
 	}
-	writeJSON(w, http.StatusOK, batchResponseJSON{Answers: answers, Misses: len(wireQs), TraceID: traceID, Wire: wj})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // updateOpJSON is one mutation of a POST /update batch. Op selects the
@@ -746,7 +722,7 @@ func (g *gateway) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.updates.Add(1)
-	ctx, cancel := g.wireCtx(r)
+	ctx, cancel := g.wireCtx(r.Context())
 	defer cancel()
 	res, st, err := g.co.ApplyContext(ctx, ops)
 	if err != nil {
@@ -880,6 +856,19 @@ func (g *gateway) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// lsnLag reports the sequencer's update-log position, every replica's, and
+// the largest distance any replica trails it by.
+func (g *gateway) lsnLag() (lsn uint64, replicas []uint64, maxLag uint64) {
+	lsn = g.co.Sequencer().LSN()
+	replicas = g.co.ReplicaLSNs()
+	for _, l := range replicas {
+		if l < lsn && lsn-l > maxLag {
+			maxLag = lsn - l
+		}
+	}
+	return lsn, replicas, maxLag
+}
+
 func (g *gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	hits, misses := g.cache.Stats()
 	g.statsMu.Lock()
@@ -889,14 +878,7 @@ func (g *gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	if last.Fragments > 0 {
 		balance = toBalanceJSON(last)
 	}
-	lsn := g.co.Sequencer().LSN()
-	replicaLSNs := g.co.ReplicaLSNs()
-	var maxLag uint64
-	for _, l := range replicaLSNs {
-		if l < lsn && lsn-l > maxLag {
-			maxLag = lsn - l
-		}
-	}
+	lsn, replicaLSNs, maxLag := g.lsnLag()
 	durability := map[string]any{
 		"lsn":          lsn,
 		"replica_lsns": replicaLSNs,
@@ -916,18 +898,16 @@ func (g *gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	if g.opts.idxStats != nil {
 		st := g.opts.idxStats()
 		reachIndex = map[string]any{
-			"enabled":             st.Enabled,
-			"budget_bytes":        st.BudgetBytes,
-			"policy":              st.Policy,
-			"label_bytes":         st.LabelBytes,
-			"fragments_indexed":   st.Fragments,
-			"hits":                st.Hits,
-			"fallbacks":           st.Fallbacks,
-			"hit_rate":            st.HitRate(),
-			"rebuilds":            st.Rebuilds,
-			"last_rebuild_us":     st.LastBuild.Microseconds(),
-			"total_rebuild_us":    st.TotalBuild.Microseconds(),
-			"per_policy_counters": st.PerPolicy,
+			"enabled":           st.Enabled,
+			"budget_bytes":      st.BudgetBytes,
+			"label_bytes":       st.LabelBytes,
+			"fragments_indexed": st.Fragments,
+			"hits":              st.Hits,
+			"fallbacks":         st.Fallbacks,
+			"hit_rate":          st.HitRate(),
+			"rebuilds":          st.Rebuilds,
+			"last_rebuild_us":   st.LastBuild.Microseconds(),
+			"total_rebuild_us":  st.TotalBuild.Microseconds(),
 		}
 	}
 	ast := g.co.AnytimeStats()

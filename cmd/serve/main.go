@@ -74,7 +74,7 @@ func main() {
 		sites     = flag.String("sites", "", "comma-separated site addresses (dial a running deployment)")
 		graphPath = flag.String("graph", "", "graph file for self-contained mode (format of cmd/gengraph)")
 		k         = flag.Int("k", 4, "fragment count (self-contained mode)")
-		partition = flag.String("partition", "random", "partitioner: random, hash, contiguous, greedy or edgecut")
+		partition = flag.String("partition", "random", "partitioner: "+strings.Join(fragment.Names(), ", "))
 		seed      = flag.Uint64("seed", 1, "partitioner seed")
 		cacheCap  = flag.Int("cache", 4096, "answer cache capacity (entries)")
 		dialTO    = flag.Duration("dialtimeout", 3*time.Second, "site dial timeout")
@@ -83,9 +83,8 @@ func main() {
 		skew      = flag.Float64("skew", 0, "auto-rebalance when max/mean fragment size crosses this (0 = manual /rebalance only; try 2.0)")
 		anytime   = flag.Bool("anytime", true, "anytime answers: sites stream partial equations, the coordinator answers the moment they prove a reach query and cancels the stragglers")
 		coalesce  = flag.Duration("coalesce", 200*time.Microsecond, "adaptive batching: concurrent GET /reach cache misses within this window share one wire batch (0 disables)")
-		rebPart   = flag.String("rebalancepartition", "edgecut", "partitioner used by /rebalance and auto-rebalance")
+		rebPart   = flag.String("rebalancepartition", "", "partitioner used by /rebalance and auto-rebalance (\"\" = default "+defaultRebalancePartitioner+")")
 		idxBudget = flag.Int64("reachindex-budget", reachindex.DefaultBudget, "self-contained mode: per-fragment reachability index label budget in bytes (0 disables the index)")
-		idxPolicy = flag.String("reachindex-policy", "postorder", "self-contained mode: index budget policy, postorder | hits (hit-guided: labels concentrate on the SCCs queries touch)")
 		wal       = flag.String("wal", "", "durability: write-ahead log directory; every update batch is sequenced and logged before broadcast, and a restarted gateway resumes the order and replays missed batches to the sites")
 		snapEvery = flag.Int("snapshot-every", 256, "with -wal: checkpoint the deployment and truncate the log every N update batches (0 = never)")
 		fsync     = flag.String("fsync", "always", "with -wal: fsync policy, always | never")
@@ -109,7 +108,7 @@ func main() {
 		}
 	case *graphPath != "":
 		var addrs []string
-		owned, addrs, rep, err = selfDeploy(*graphPath, *partition, *k, *seed, *idxBudget, *idxPolicy)
+		owned, addrs, rep, err = selfDeploy(*graphPath, *partition, *k, *seed, *idxBudget)
 		if err != nil {
 			fatal(err)
 		}
@@ -207,7 +206,7 @@ func registerPprof(mux *http.ServeMux) {
 // site inside this process. The returned replica is the handle whose
 // current fragmentation /stats reads index counters from; live rebalances
 // carry the index budget across the epoch swap.
-func selfDeploy(graphPath, partition string, k int, seed uint64, idxBudget int64, idxPolicy string) ([]*netsite.Site, []string, *fragment.Replica, error) {
+func selfDeploy(graphPath, partition string, k int, seed uint64, idxBudget int64) ([]*netsite.Site, []string, *fragment.Replica, error) {
 	f, err := os.Open(graphPath)
 	if err != nil {
 		return nil, nil, nil, err
@@ -226,11 +225,6 @@ func selfDeploy(graphPath, partition string, k int, seed uint64, idxBudget int64
 		return nil, nil, nil, err
 	}
 	if idxBudget > 0 {
-		pol, err := reachindex.ParsePolicy(idxPolicy)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		fr.SetReachIndexPolicy(pol)
 		fr.EnableReachIndex(idxBudget)
 	}
 	rep := fragment.NewReplica(fr)

@@ -97,16 +97,7 @@ func (ob *gwObs) bindGateway(g *gateway) {
 	reg.GaugeFunc("gateway_oplog_lsn", "Update-log position of the gateway's sequencer.",
 		func() float64 { return float64(g.co.Sequencer().LSN()) })
 	reg.GaugeFunc("gateway_oplog_max_lag", "Largest LSN distance any replica trails the sequencer by.",
-		func() float64 {
-			lsn := g.co.Sequencer().LSN()
-			var max uint64
-			for _, l := range g.co.ReplicaLSNs() {
-				if l < lsn && lsn-l > max {
-					max = lsn - l
-				}
-			}
-			return float64(max)
-		})
+		func() float64 { _, _, lag := g.lsnLag(); return float64(lag) })
 	if g.coal != nil {
 		reg.GaugeFunc("gateway_coalesce_fold_factor",
 			"Queries per coalesced wire round: how many GET /reach misses shared one batch on average.",

@@ -1,15 +1,15 @@
 // Command site runs one worker site of a real distributed deployment: it
 // loads a graph and a fragmentation assignment, takes ownership of one
 // fragment, and serves partial-evaluation requests over TCP. Pair it with
-// cmd/coord:
+// cmd/disreach:
 //
 //	gengraph -dataset Youtube > g.txt
 //	# partition once, shared by all sites
-//	coord -graph g.txt -k 3 -writeassign a.txt
+//	disreach -graph g.txt -k 3 -writeassign a.txt
 //	site -graph g.txt -assign a.txt -fragment 0 -listen 127.0.0.1:7000 &
 //	site -graph g.txt -assign a.txt -fragment 1 -listen 127.0.0.1:7001 &
 //	site -graph g.txt -assign a.txt -fragment 2 -listen 127.0.0.1:7002 &
-//	coord -graph g.txt -sites 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 -s 0 -t 99
+//	disreach -graph g.txt -sites 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 -s 0 -t 99
 //
 // With -wal DIR the site is durable: every applied update batch is
 // appended to a segmented CRC-framed log, a checkpoint is written every
@@ -32,20 +32,18 @@ import (
 	"distreach/internal/netsite"
 	"distreach/internal/obs"
 	"distreach/internal/oplog"
-	"distreach/internal/reachindex"
 )
 
 func main() {
 	var (
 		graphPath  = flag.String("graph", "", "graph file (format of cmd/gengraph)")
-		assignPath = flag.String("assign", "", "fragmentation assignment file (written by coord -writeassign)")
+		assignPath = flag.String("assign", "", "fragmentation assignment file (written by disreach -writeassign)")
 		fragID     = flag.Int("fragment", 0, "index of the fragment this site owns")
 		listen     = flag.String("listen", "127.0.0.1:0", "TCP listen address")
 		wal        = flag.String("wal", "", "durability: log/snapshot directory; applied batches are logged and a restart recovers from snapshot+log")
 		snapEvery  = flag.Int("snapshot-every", 256, "with -wal: checkpoint and truncate the log every N applied batches (0 = never)")
 		fsync      = flag.String("fsync", "always", "with -wal: fsync policy, always | never")
 		idxBudget  = flag.Int64("reachindex-budget", 0, "per-fragment reachability index label budget in bytes (0 disables the index)")
-		idxPolicy  = flag.String("reachindex-policy", "postorder", "index budget policy, postorder | hits")
 		metrics    = flag.String("metrics", "", "HTTP listen address for GET /metrics (Prometheus text exposition); empty = off")
 		pprofOn    = flag.Bool("pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/")
 	)
@@ -126,20 +124,16 @@ func main() {
 		fatal(fmt.Errorf("fragment %d out of range [0,%d) after recovery", *fragID, cur.Card()))
 	}
 	if *idxBudget > 0 {
-		pol, err := reachindex.ParsePolicy(*idxPolicy)
-		if err != nil {
-			fatal(err)
-		}
 		// A snapshot recovered above may have adopted ready indexes into
 		// the fragmentation (oplog snapshot v2): record the flag-chosen
-		// configuration and backfill only the fragments without one, so
+		// budget and backfill only the fragments without one, so
 		// the site serves indexed answers from its first round instead of
 		// rebuilding what the checkpoint already carried.
 		warm := cur.ReachIndexStats().Fragments
-		cur.ConfigureReachIndex(*idxBudget, pol)
+		cur.ConfigureReachIndex(*idxBudget)
 		cur.KickReachIndexRebuilds()
-		fmt.Printf("site: reachability index on (budget %d, policy %s, %d fragments warm from snapshot)\n",
-			*idxBudget, pol, warm)
+		fmt.Printf("site: reachability index on (budget %d, %d fragments warm from snapshot)\n",
+			*idxBudget, warm)
 	}
 	f := cur.Fragments()[*fragID]
 	s, err := netsite.NewSiteReplica(*listen, rep, *fragID, opts)

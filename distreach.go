@@ -72,18 +72,9 @@ func PartitionRandom(g *Graph, k int, seed uint64) (*Fragmentation, error) {
 	return fragment.Random(g, k, seed)
 }
 
-// PartitionHash partitions g into k fragments by node-ID hash.
-func PartitionHash(g *Graph, k int) (*Fragmentation, error) { return fragment.Hash(g, k) }
-
 // PartitionContiguous partitions g into k fragments of consecutive node IDs.
 func PartitionContiguous(g *Graph, k int) (*Fragmentation, error) {
 	return fragment.Contiguous(g, k)
-}
-
-// PartitionGreedy partitions g into k fragments grown by BFS from random
-// seeds, reducing the number of cross edges relative to PartitionRandom.
-func PartitionGreedy(g *Graph, k int, seed uint64) (*Fragmentation, error) {
-	return fragment.Greedy(g, k, seed)
 }
 
 // PartitionEdgeCut partitions g into k fragments with the balance-aware
@@ -100,13 +91,13 @@ func PartitionEdgeCut(g *Graph, k int, seed uint64) (*Fragmentation, error) {
 type Partitioner = fragment.Partitioner
 
 // PartitionerByName resolves a partitioner from its textual name
-// ("random", "hash", "contiguous", "greedy", "edgecut").
+// ("random", "contiguous", "edgecut").
 func PartitionerByName(name string, seed uint64) (Partitioner, error) {
 	return fragment.ByName(name, seed)
 }
 
 // PartitionBy fragments g with an explicit partitioner and attaches it to
-// the result, so live node insertions and rebalances reuse the strategy.
+// the result.
 func PartitionBy(g *Graph, p Partitioner, k int) (*Fragmentation, error) {
 	return fragment.Partition(g, p, k)
 }
@@ -257,16 +248,9 @@ type Coordinator = netsite.Coordinator
 type WireStats = netsite.WireStats
 
 // Serve starts one TCP site per fragment on loopback ports; callers must
-// Close every returned site. Use ListenSite for explicit addresses.
+// Close every returned site. Use ListenSiteFor for explicit addresses.
 func Serve(fr *Fragmentation) ([]*SiteServer, []string, error) {
 	return netsite.ServeFragmentation(fr)
-}
-
-// ListenSite serves a single fragment on the given TCP address. Sites
-// started this way have no fragmentation replica and reject edge-update
-// frames; use ListenSiteFor for live deployments.
-func ListenSite(addr string, f *fragment.Fragment) (*SiteServer, error) {
-	return netsite.NewSite(addr, f)
 }
 
 // ListenSiteFor serves fragment fragID of fr on the given TCP address,

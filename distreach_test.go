@@ -1,12 +1,17 @@
 package distreach_test
 
 import (
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	"distreach"
+	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
 )
@@ -94,6 +99,30 @@ func TestFacadeMapReduce(t *testing.T) {
 	}
 }
 
+// bfsAssign places nodes on k fragments in BFS discovery order, cut into
+// k equal consecutive blocks: a locality-shaped fragmentation no shipped
+// partitioner produces.
+func bfsAssign(g *graph.Graph, k int) []int {
+	n, placed := g.NumNodes(), 0
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = -1
+	}
+	for r := 0; r < n; r++ {
+		if assign[r] >= 0 {
+			continue
+		}
+		g.BFS(graph.NodeID(r), func(v graph.NodeID, _ int) bool {
+			if assign[v] < 0 {
+				assign[v] = placed * k / n
+				placed++
+			}
+			return true
+		})
+	}
+	return assign
+}
+
 func TestFacadePartitioners(t *testing.T) {
 	g, _, _ := buildSample(t)
 	assign := make([]int, g.NumNodes())
@@ -102,10 +131,10 @@ func TestFacadePartitioners(t *testing.T) {
 	}
 	for name, fr := range map[string]func() (*distreach.Fragmentation, error){
 		"random":     func() (*distreach.Fragmentation, error) { return distreach.PartitionRandom(g, 5, 1) },
-		"hash":       func() (*distreach.Fragmentation, error) { return distreach.PartitionHash(g, 5) },
 		"contiguous": func() (*distreach.Fragmentation, error) { return distreach.PartitionContiguous(g, 5) },
-		"greedy":     func() (*distreach.Fragmentation, error) { return distreach.PartitionGreedy(g, 5, 1) },
-		"explicit":   func() (*distreach.Fragmentation, error) { return distreach.PartitionWith(g, assign, 5) },
+		"edgecut":    func() (*distreach.Fragmentation, error) { return distreach.PartitionEdgeCut(g, 5, 1) },
+		"v%k":        func() (*distreach.Fragmentation, error) { return distreach.PartitionWith(g, assign, 5) },
+		"bfs":        func() (*distreach.Fragmentation, error) { return distreach.PartitionWith(g, bfsAssign(g, 5), 5) },
 	} {
 		f, err := fr()
 		if err != nil {
@@ -242,5 +271,32 @@ func TestBenchmarkModuleVets(t *testing.T) {
 	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go vet in benchmark/: %v\n%s", err, out)
+	}
+}
+
+// TestKnobBudget is a ratchet on user-set choices: the flag definitions
+// under cmd/ and the partitioners fragment.Names reports may shrink
+// freely, but a knob or a partitioner comes back only by raising the
+// number here, in the same diff that adds it.
+func TestKnobBudget(t *testing.T) {
+	const maxFlags, maxPartitioners = 63, 3
+	flagDef := regexp.MustCompile(`\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?\(`)
+	flags := 0
+	err := filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		flags += len(flagDef.FindAll(src, -1))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flags == 0 || flags > maxFlags {
+		t.Fatalf("%d flag definitions under cmd/, budget %d (0 means the count is broken)", flags, maxFlags)
+	}
+	if n := len(fragment.Names()); n > maxPartitioners {
+		t.Fatalf("%d partitioners %v, budget %d", n, fragment.Names(), maxPartitioners)
 	}
 }

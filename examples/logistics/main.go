@@ -30,7 +30,7 @@ func main() {
 	dst := distreach.NodeID(g.NumNodes() - 7) // destination, last layer
 
 	for _, regions := range []int{4, 8, 16} {
-		fr, err := distreach.PartitionGreedy(g, regions, 99)
+		fr, err := distreach.PartitionEdgeCut(g, regions, 99)
 		if err != nil {
 			log.Fatal(err)
 		}

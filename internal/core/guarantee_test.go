@@ -71,16 +71,46 @@ func TestRPQTrafficIndependentOfGraphSize(t *testing.T) {
 	}
 }
 
+// bfsAssign places nodes on k fragments in BFS discovery order, cut into
+// k equal consecutive blocks: a locality-shaped fragmentation no shipped
+// partitioner produces.
+func bfsAssign(g *graph.Graph, k int) []int {
+	n, placed := g.NumNodes(), 0
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = -1
+	}
+	for r := 0; r < n; r++ {
+		if assign[r] >= 0 {
+			continue
+		}
+		g.BFS(graph.NodeID(r), func(v graph.NodeID, _ int) bool {
+			if assign[v] < 0 {
+				assign[v] = placed * k / n
+				placed++
+			}
+			return true
+		})
+	}
+	return assign
+}
+
 // TestVisitGuaranteeUnderEveryPartitioner verifies that one-visit-per-site
 // holds no matter how the graph is fragmented (the paper imposes no
-// constraints on fragmentation).
+// constraints on fragmentation): shipped partitioners and explicit
+// round-robin and BFS-grown assignments alike.
 func TestVisitGuaranteeUnderEveryPartitioner(t *testing.T) {
 	g := gen.PowerLaw(gen.Config{Nodes: 300, Edges: 1200, Labels: gen.LabelAlphabet(3), LabelSkew: 1, Seed: 6})
+	modK := make([]int, g.NumNodes())
+	for v := range modK {
+		modK[v] = v % 5
+	}
 	partitioners := map[string]func() (*fragment.Fragmentation, error){
 		"random":     func() (*fragment.Fragmentation, error) { return fragment.Random(g, 5, 1) },
-		"hash":       func() (*fragment.Fragmentation, error) { return fragment.Hash(g, 5) },
 		"contiguous": func() (*fragment.Fragmentation, error) { return fragment.Contiguous(g, 5) },
-		"greedy":     func() (*fragment.Fragmentation, error) { return fragment.Greedy(g, 5, 1) },
+		"edgecut":    func() (*fragment.Fragmentation, error) { return fragment.EdgeCut(g, 5, 1) },
+		"v%k":        func() (*fragment.Fragmentation, error) { return fragment.Build(g, modK, 5) },
+		"bfs":        func() (*fragment.Fragmentation, error) { return fragment.Build(g, bfsAssign(g, 5), 5) },
 	}
 	a := automaton.FromRegex(rx.MustParse("L0 (L1|L2)*"))
 	for name, build := range partitioners {

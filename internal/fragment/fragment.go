@@ -46,17 +46,15 @@ type Fragmentation struct {
 	crossEdges int
 	vf         int // |Vf|: number of distinct in-nodes plus virtual-node originals
 
-	// part chooses the placement of live-inserted nodes and is reused by
-	// rebalances; nil falls back to least-loaded placement.
+	// part is the strategy that placed this fragmentation, recorded by
+	// snapshots; nil when built from a raw assignment.
 	part Partitioner
 
 	// Reachability-index lifecycle (reachidx.go): the per-fragment label
-	// budget (<= 0: disabled), budget policy (reachindex.Policy), completed
-	// rebuild count, last/total build wall time in nanoseconds, and the
+	// budget (<= 0: disabled), completed rebuild count, last/total build wall time in nanoseconds, and the
 	// WaitGroup WaitReachIndexes blocks on. Overlay auto-compaction
 	// threshold for update batches (update.go); 0 means DefaultOverlayLimit.
 	idxBudget     atomic.Int64
-	idxPolicy     atomic.Int32
 	idxRebuilds   atomic.Int64
 	idxLastBuild  atomic.Int64
 	idxTotalBuild atomic.Int64
@@ -65,9 +63,9 @@ type Fragmentation struct {
 }
 
 // SetPartitioner attaches the strategy that placed this fragmentation, so
-// live node insertions and rebalances reuse it. Partition sets it
-// automatically; fragmentations built from a raw assignment (Build,
-// fragment.Read) default to balance-only placement.
+// snapshots can record it. Partition sets it automatically;
+// fragmentations built from a raw assignment (Build, fragment.Read) have
+// none.
 func (fr *Fragmentation) SetPartitioner(p Partitioner) {
 	fr.mu.Lock()
 	fr.part = p
@@ -127,15 +125,11 @@ type Fragment struct {
 	// atomic swap, consulted lock-free by localEval, incrementally
 	// invalidated under the write lock, retired whenever local slots
 	// renumber. idxHits/idxFallbacks accumulate counters of retired
-	// indexes per budget policy so stats stay cumulative across swaps;
-	// idxHot is the decayed per-source hotness (keyed by global ID, so it
-	// survives slot renumbering) that feeds PolicyHits builds.
+	// indexes so stats stay cumulative across swaps.
 	idx          atomic.Pointer[reachindex.Index]
 	idxBuilding  atomic.Bool
-	idxHits      [2]atomic.Int64
-	idxFallbacks [2]atomic.Int64
-	idxHotMu     sync.Mutex
-	idxHot       map[graph.NodeID]int64
+	idxHits      atomic.Int64
+	idxFallbacks atomic.Int64
 }
 
 // NumLocal reports |Vi|, the number of real nodes stored in the fragment.

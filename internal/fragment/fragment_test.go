@@ -1,6 +1,7 @@
 package fragment
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -60,13 +61,52 @@ func TestMoreFragmentsThanNodes(t *testing.T) {
 	}
 }
 
+// bfsAssign places nodes on k fragments in BFS discovery order, cut into
+// k equal consecutive blocks: a locality-shaped fragmentation no shipped
+// partitioner produces.
+func bfsAssign(g *graph.Graph, k int) []int {
+	n, placed := g.NumNodes(), 0
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = -1
+	}
+	for r := 0; r < n; r++ {
+		if assign[r] >= 0 {
+			continue
+		}
+		g.BFS(graph.NodeID(r), func(v graph.NodeID, _ int) bool {
+			if assign[v] < 0 {
+				assign[v] = placed * k / n
+				placed++
+			}
+			return true
+		})
+	}
+	return assign
+}
+
+// TestPartitionersProduceValidFragmentations covers every shipped
+// partitioner plus two explicit assignments (round-robin and BFS-grown):
+// the paper places no constraint on how G is fragmented.
 func TestPartitionersProduceValidFragmentations(t *testing.T) {
 	g := testGraph(4, 100, 400)
+	modK := make([]int, g.NumNodes())
+	for v := range modK {
+		modK[v] = v % 7
+	}
 	cases := map[string]func() (*Fragmentation, error){
-		"random":     func() (*Fragmentation, error) { return Random(g, 7, 11) },
-		"hash":       func() (*Fragmentation, error) { return Hash(g, 7) },
-		"contiguous": func() (*Fragmentation, error) { return Contiguous(g, 7) },
-		"greedy":     func() (*Fragmentation, error) { return Greedy(g, 7, 11) },
+		"v%k": func() (*Fragmentation, error) { return Build(g, modK, 7) },
+		"bfs": func() (*Fragmentation, error) { return Build(g, bfsAssign(g, 7), 7) },
+	}
+	for _, name := range Names() {
+		name := name
+		cases[name] = func() (*Fragmentation, error) {
+			p, err := ByName(name, 11)
+			if err != nil {
+				return nil, err
+			}
+			return Partition(g, p, 7)
+		}
 	}
 	for name, build := range cases {
 		fr, err := build()
@@ -95,34 +135,19 @@ func TestRandomPartitionIsBalanced(t *testing.T) {
 	}
 }
 
-func TestGreedyCutsFewerEdgesThanRandom(t *testing.T) {
-	// Locality-aware partitioning should cut fewer edges on a graph with
-	// strong community structure (a union of disjoint cliques).
-	b := graph.NewBuilder(80)
-	for i := 0; i < 80; i++ {
-		b.AddNode("")
-	}
-	for c := 0; c < 4; c++ {
-		for i := 0; i < 20; i++ {
-			for j := 0; j < 20; j++ {
-				if i != j {
-					b.AddEdge(graph.NodeID(c*20+i), graph.NodeID(c*20+j))
-				}
+// TestByNameRejectsRetiredPartitioners: the retired strategies fail with an
+// error that names the accepted set.
+func TestByNameRejectsRetiredPartitioners(t *testing.T) {
+	for _, name := range []string{"greedy", "hash", ""} {
+		_, err := ByName(name, 1)
+		if err == nil {
+			t.Fatalf("ByName(%q) accepted", name)
+		}
+		for _, want := range Names() {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("ByName(%q) error %q does not name %q", name, err, want)
 			}
 		}
-	}
-	g := b.MustBuild()
-	rnd, err := Random(g, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grd, err := Greedy(g, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grd.CrossEdges() >= rnd.CrossEdges() {
-		t.Fatalf("greedy cut %d edges, random cut %d; expected fewer",
-			grd.CrossEdges(), rnd.CrossEdges())
 	}
 }
 

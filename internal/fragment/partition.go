@@ -2,6 +2,7 @@ package fragment
 
 import (
 	"fmt"
+	"strings"
 
 	"distreach/internal/gen"
 	"distreach/internal/graph"
@@ -11,9 +12,10 @@ import (
 // randomly partitioned real-life and synthetic graphs G into a set F of
 // fragments") and stresses that the algorithms' guarantees hold no matter
 // how G is fragmented. Every strategy implements the Partitioner
-// interface, so build-time fragmentation, node placement under live
-// insertion, and live re-fragmentation all go through one abstraction; the
-// original free functions (Random, Hash, ...) remain as wrappers.
+// interface, so build-time fragmentation and live re-fragmentation go
+// through one abstraction; the free functions (Random, Contiguous,
+// EdgeCut) are wrappers. A live-inserted node has no edges yet, so
+// whatever the strategy it goes to the least-loaded fragment.
 
 // Partitioner chooses a node-to-fragment assignment. Implementations must
 // be deterministic for a given configuration and graph state: sites
@@ -25,16 +27,10 @@ type Partitioner interface {
 	// Assign maps every node of g to a fragment in [0, k). Entries for
 	// tombstoned (deleted) nodes are ignored by Build.
 	Assign(g *graph.Graph, k int) ([]int, error)
-	// Place picks the fragment for one newly inserted node, given the
-	// current per-fragment real-node counts. The node has no edges yet, so
-	// balance is the only signal; strategies with a structural placement
-	// rule (Hash) may use the node ID instead.
-	Place(v graph.NodeID, sizes []int) int
 }
 
 // Partition fragments g with the given partitioner and attaches the
-// partitioner to the result, so live node insertions and rebalances reuse
-// the same strategy.
+// partitioner to the result, so rebalances reuse the same strategy.
 func Partition(g *graph.Graph, p Partitioner, k int) (*Fragmentation, error) {
 	assign, err := p.Assign(g, k)
 	if err != nil {
@@ -48,49 +44,51 @@ func Partition(g *graph.Graph, p Partitioner, k int) (*Fragmentation, error) {
 	return fr, nil
 }
 
-// ByName resolves a partitioner from its textual name ("random", "hash",
-// "contiguous", "greedy", "edgecut"); seed parameterizes the seeded
-// strategies. This is how CLI flags and rebalance wire frames select a
-// strategy.
-func ByName(name string, seed uint64) (Partitioner, error) {
-	switch name {
-	case "random":
-		return RandomPartitioner{Seed: seed}, nil
-	case "hash":
-		return HashPartitioner{}, nil
-	case "contiguous":
-		return ContiguousPartitioner{}, nil
-	case "greedy":
-		return GreedyPartitioner{Seed: seed}, nil
-	case "edgecut":
-		return EdgeCutPartitioner{Seed: seed}, nil
-	default:
-		return nil, fmt.Errorf("fragment: unknown partitioner %q (want random, hash, contiguous, greedy or edgecut)", name)
+// shipped builds every shipped strategy from a seed (the unseeded ones
+// ignore it), in the order Names reports them.
+func shipped(seed uint64) []Partitioner {
+	return []Partitioner{RandomPartitioner{Seed: seed}, ContiguousPartitioner{}, EdgeCutPartitioner{Seed: seed}}
+}
+
+// Names lists the names ByName accepts; flag help strings and error
+// messages are built from it.
+func Names() []string {
+	var names []string
+	for _, p := range shipped(0) {
+		names = append(names, p.Name())
 	}
+	return names
+}
+
+// ByName resolves a partitioner from its textual name (one of Names);
+// seed parameterizes the seeded strategies. This is how CLI flags,
+// snapshots and rebalance wire frames select a strategy.
+func ByName(name string, seed uint64) (Partitioner, error) {
+	for _, p := range shipped(seed) {
+		if p.Name() == name {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("fragment: unknown partitioner %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
 
 // Describe is the inverse of ByName: the name and seed that reconstruct
 // p. Snapshots record them so a replica seeded from a snapshot re-attaches
-// the same strategy and live node placement stays deterministic across
-// replicas. A nil (or foreign) partitioner describes as "", the
-// least-loaded default.
+// the same strategy and a later rebalance agrees across replicas. A nil
+// (or foreign) partitioner describes as "".
 func Describe(p Partitioner) (name string, seed uint64) {
 	switch t := p.(type) {
 	case RandomPartitioner:
 		return t.Name(), t.Seed
-	case HashPartitioner:
-		return t.Name(), 0
 	case ContiguousPartitioner:
 		return t.Name(), 0
-	case GreedyPartitioner:
-		return t.Name(), t.Seed
 	case EdgeCutPartitioner:
 		return t.Name(), t.Seed
 	}
 	return "", 0
 }
 
-// leastLoaded is the default balance-aware placement: the fragment with
+// leastLoaded is the placement of a live-inserted node: the fragment with
 // the fewest real nodes, lowest index on ties (deterministic across
 // replicas).
 func leastLoaded(sizes []int) int {
@@ -123,37 +121,6 @@ func (p RandomPartitioner) Assign(g *graph.Graph, k int) ([]int, error) {
 	return assign, nil
 }
 
-// Place implements Partitioner.
-func (RandomPartitioner) Place(_ graph.NodeID, sizes []int) int { return leastLoaded(sizes) }
-
-// HashPartitioner assigns by a deterministic hash of the node ID,
-// mirroring the default placement of key/value stores and of Hadoop's
-// default partitioner (Section 6).
-type HashPartitioner struct{}
-
-// Name implements Partitioner.
-func (HashPartitioner) Name() string { return "hash" }
-
-func hashNode(v graph.NodeID, k int) int {
-	h := uint64(v) * 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	return int(h % uint64(k))
-}
-
-// Assign implements Partitioner.
-func (HashPartitioner) Assign(g *graph.Graph, k int) ([]int, error) {
-	n := g.NumNodes()
-	assign := make([]int, n)
-	for v := 0; v < n; v++ {
-		assign[v] = hashNode(graph.NodeID(v), k)
-	}
-	return assign, nil
-}
-
-// Place implements Partitioner: hash placement stays structural so a
-// node's fragment is a pure function of its ID.
-func (HashPartitioner) Place(v graph.NodeID, sizes []int) int { return hashNode(v, len(sizes)) }
-
 // ContiguousPartitioner assigns consecutive node IDs to the same fragment
 // (node v goes to fragment v*k/n). Generators that emit
 // locality-correlated IDs make this a cheap locality-aware baseline.
@@ -175,90 +142,6 @@ func (ContiguousPartitioner) Assign(g *graph.Graph, k int) ([]int, error) {
 	}
 	return assign, nil
 }
-
-// Place implements Partitioner.
-func (ContiguousPartitioner) Place(_ graph.NodeID, sizes []int) int { return leastLoaded(sizes) }
-
-// GreedyPartitioner grows k fragments by parallel BFS from k random seeds
-// over the undirected version of g, assigning each node to the first
-// frontier that reaches it. Compared with Random it produces far fewer
-// cross edges (smaller |Vf|), which lowers the traffic of all algorithms.
-type GreedyPartitioner struct{ Seed uint64 }
-
-// Name implements Partitioner.
-func (GreedyPartitioner) Name() string { return "greedy" }
-
-// Assign implements Partitioner.
-func (p GreedyPartitioner) Assign(g *graph.Graph, k int) ([]int, error) {
-	n := g.NumNodes()
-	rng := gen.NewRNG(p.Seed)
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = -1
-	}
-	// Seed one BFS per fragment at distinct random nodes.
-	perm := rng.Perm(n)
-	queues := make([][]graph.NodeID, k)
-	for i := 0; i < k && i < n; i++ {
-		v := graph.NodeID(perm[i])
-		assign[v] = i
-		queues[i] = append(queues[i], v)
-	}
-	target := (n + k - 1) / k
-	sizes := make([]int, k)
-	for i := 0; i < k && i < n; i++ {
-		sizes[i] = 1
-	}
-	remaining := n - min(k, n)
-	for remaining > 0 {
-		progress := false
-		for i := 0; i < k; i++ {
-			if len(queues[i]) == 0 || sizes[i] >= target+1 {
-				continue
-			}
-			v := queues[i][0]
-			queues[i] = queues[i][1:]
-			expand := func(w graph.NodeID) {
-				if assign[w] == -1 && sizes[i] <= target {
-					assign[w] = i
-					sizes[i]++
-					remaining--
-					progress = true
-					queues[i] = append(queues[i], w)
-				}
-			}
-			for _, w := range g.Out(v) {
-				expand(w)
-			}
-			for _, w := range g.In(v) {
-				expand(w)
-			}
-		}
-		if !progress {
-			// Frontiers exhausted (disconnected graph or size caps hit):
-			// sweep remaining nodes into the currently smallest fragments.
-			for v := 0; v < n && remaining > 0; v++ {
-				if assign[v] != -1 {
-					continue
-				}
-				best := 0
-				for i := 1; i < k; i++ {
-					if sizes[i] < sizes[best] {
-						best = i
-					}
-				}
-				assign[v] = best
-				sizes[best]++
-				remaining--
-				queues[best] = append(queues[best], graph.NodeID(v))
-			}
-		}
-	}
-	return assign, nil
-}
-
-// Place implements Partitioner.
-func (GreedyPartitioner) Place(_ graph.NodeID, sizes []int) int { return leastLoaded(sizes) }
 
 // EdgeCutPartitioner is the balance-aware greedy edge-cut strategy used by
 // live rebalancing: nodes stream in BFS order from seeded random roots (so
@@ -378,9 +261,6 @@ func (p EdgeCutPartitioner) Assign(g *graph.Graph, k int) ([]int, error) {
 	return assign, nil
 }
 
-// Place implements Partitioner.
-func (EdgeCutPartitioner) Place(_ graph.NodeID, sizes []int) int { return leastLoaded(sizes) }
-
 // Random partitions g into k fragments by assigning each node
 // independently and uniformly at random, then rebalancing so fragment
 // sizes differ by at most one node.
@@ -388,30 +268,13 @@ func Random(g *graph.Graph, k int, seed uint64) (*Fragmentation, error) {
 	return Partition(g, RandomPartitioner{Seed: seed}, k)
 }
 
-// Hash partitions g into k fragments by a deterministic hash of the node ID.
-func Hash(g *graph.Graph, k int) (*Fragmentation, error) {
-	return Partition(g, HashPartitioner{}, k)
-}
-
 // Contiguous partitions g into k fragments of consecutive node IDs.
 func Contiguous(g *graph.Graph, k int) (*Fragmentation, error) {
 	return Partition(g, ContiguousPartitioner{}, k)
-}
-
-// Greedy partitions g into k fragments grown by BFS from k random seeds.
-func Greedy(g *graph.Graph, k int, seed uint64) (*Fragmentation, error) {
-	return Partition(g, GreedyPartitioner{Seed: seed}, k)
 }
 
 // EdgeCut partitions g into k fragments with the balance-aware greedy
 // edge-cut (LDG) strategy.
 func EdgeCut(g *graph.Graph, k int, seed uint64) (*Fragmentation, error) {
 	return Partition(g, EdgeCutPartitioner{Seed: seed}, k)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

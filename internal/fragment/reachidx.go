@@ -3,7 +3,6 @@ package fragment
 import (
 	"time"
 
-	"distreach/internal/graph"
 	"distreach/internal/reachindex"
 )
 
@@ -13,8 +12,7 @@ import (
 //
 //   - EnableReachIndex sets the byte budget and kicks an asynchronous
 //     build per fragment. Budget <= 0 disables indexing (and drops any
-//     live indexes). SetReachIndexPolicy picks the budget policy the
-//     builders run under (postorder or hit-guided).
+//     live indexes).
 //   - Mutations (update.go) invalidate incrementally under the write
 //     lock: an edge change marks the ancestor cone of its source slot
 //     stale, and any operation that renumbers local slots (node ops,
@@ -29,10 +27,6 @@ import (
 //     rebalance frames. Single-flight per fragment: concurrent triggers
 //     coalesce, and a mutation that lands between the install and the
 //     builder's exit reschedules instead of leaving stale labels behind.
-//   - Hit feedback: every index counts hits per source slot; whenever an
-//     index is replaced or retired those counts drain into the
-//     fragment's decayed hotness map (keyed by global ID, which survives
-//     slot renumbering) and feed the next build's PolicyHits ordering.
 //   - AdoptReachIndex installs an index decoded from a snapshot without
 //     building, so a recovered replica serves indexed answers
 //     immediately; KickReachIndexRebuilds backfills only the fragments
@@ -46,7 +40,7 @@ func (fr *Fragmentation) EnableReachIndex(budget int64) {
 	fr.idxBudget.Store(budget)
 	if budget <= 0 {
 		for _, f := range fr.frags {
-			f.dropReachIndex()
+			f.retireReachIndex()
 		}
 		return
 	}
@@ -58,25 +52,11 @@ func (fr *Fragmentation) EnableReachIndex(budget int64) {
 // ReachIndexBudget reports the configured budget (<= 0: disabled).
 func (fr *Fragmentation) ReachIndexBudget() int64 { return fr.idxBudget.Load() }
 
-// SetReachIndexPolicy selects the budget policy future index builds run
-// under. It does not rebuild by itself — the next rebuild (mutation,
-// rebalance, EnableReachIndex) picks it up.
-func (fr *Fragmentation) SetReachIndexPolicy(p reachindex.Policy) {
-	fr.idxPolicy.Store(int32(p))
-}
-
-// ReachIndexPolicy reports the configured budget policy.
-func (fr *Fragmentation) ReachIndexPolicy() reachindex.Policy {
-	return reachindex.Policy(fr.idxPolicy.Load())
-}
-
-// ConfigureReachIndex records the budget and policy without scheduling
-// any builds — for restore paths that adopt prebuilt indexes
-// (AdoptReachIndex) and then backfill the rest via
-// KickReachIndexRebuilds.
-func (fr *Fragmentation) ConfigureReachIndex(budget int64, p reachindex.Policy) {
+// ConfigureReachIndex records the budget without scheduling any builds —
+// for restore paths that adopt prebuilt indexes (AdoptReachIndex) and
+// then backfill the rest via KickReachIndexRebuilds.
+func (fr *Fragmentation) ConfigureReachIndex(budget int64) {
 	fr.idxBudget.Store(budget)
-	fr.idxPolicy.Store(int32(p))
 }
 
 // WaitReachIndexes blocks until every scheduled index rebuild has
@@ -87,7 +67,7 @@ func (fr *Fragmentation) WaitReachIndexes() { fr.idxWG.Wait() }
 // ReachIndex returns the fragment's current index, or nil while none is
 // installed (disabled, retired by a slot-renumbering mutation, or still
 // building). The returned index may be concurrently marked stale; its
-// Equation method degrades to !ok rather than misanswering.
+// EquationGlobal method degrades to !ok rather than misanswering.
 func (f *Fragment) ReachIndex() *reachindex.Index { return f.idx.Load() }
 
 // AdoptReachIndex installs a prebuilt index (decoded from a snapshot's
@@ -137,10 +117,9 @@ func (fr *Fragmentation) rebuildReachIndexAsync(f *Fragment) {
 	fr.idxWG.Add(1)
 	go func() {
 		defer fr.idxWG.Done()
-		policy := reachindex.Policy(fr.idxPolicy.Load())
 		start := time.Now()
 		fr.mu.RLock()
-		f.buildReachIndexLocked(budget, policy)
+		f.buildReachIndexLocked(budget)
 		fr.mu.RUnlock()
 		d := time.Since(start).Nanoseconds()
 		fr.idxLastBuild.Store(d)
@@ -159,7 +138,7 @@ func (fr *Fragmentation) rebuildReachIndexAsync(f *Fragment) {
 
 // buildReachIndexLocked computes and installs f's index from the cached
 // local views. Caller holds at least the fragmentation's read lock.
-func (f *Fragment) buildReachIndexLocked(budget int64, policy reachindex.Policy) {
+func (f *Fragment) buildReachIndexLocked(budget int64) {
 	g := f.AsGraph()
 	comp := f.LocalSCC()
 	nc := 0
@@ -168,7 +147,6 @@ func (f *Fragment) buildReachIndexLocked(budget int64, policy reachindex.Policy)
 			nc = int(c) + 1
 		}
 	}
-	hot := f.refreshHotness(policy)
 	idx := reachindex.Build(reachindex.Spec{
 		Graph:    g,
 		Comp:     comp,
@@ -176,64 +154,17 @@ func (f *Fragment) buildReachIndexLocked(budget int64, policy reachindex.Policy)
 		Boundary: f.IsBoundary,
 		Sources:  f.inNodes,
 		Budget:   budget,
-		Policy:   policy,
-		Hot:      hot,
 	})
 	idx.PrecomputeGlobals(f.Global)
 	f.installReachIndex(idx)
 }
 
-// refreshHotness advances the fragment's decayed hotness one generation:
-// halve every stored count (dropping zeros), fold in the live index's
-// per-slot hits, and — for PolicyHits — materialize the map as a
-// slot-indexed slice for Spec.Hot. The map is keyed by global ID, so
-// hotness survives the slot renumbering that retires indexes. Caller
-// holds at least the read lock (slots are stable).
-func (f *Fragment) refreshHotness(policy reachindex.Policy) []int64 {
-	f.idxHotMu.Lock()
-	defer f.idxHotMu.Unlock()
-	for v, h := range f.idxHot {
-		if h >>= 1; h == 0 {
-			delete(f.idxHot, v)
-		} else {
-			f.idxHot[v] = h
-		}
-	}
-	if old := f.idx.Load(); old != nil {
-		f.foldSourceHitsLocked(old)
-	}
-	if policy != reachindex.PolicyHits || len(f.idxHot) == 0 {
-		return nil
-	}
-	hot := make([]int64, f.ids.len())
-	for _, s := range f.inNodes {
-		if h := f.idxHot[f.Global(s)]; h > 0 {
-			hot[s] = h
-		}
-	}
-	return hot
-}
-
-// foldSourceHitsLocked drains idx's per-slot hit counters into the
-// hotness map. Caller holds idxHotMu, and idx's slots must still be the
-// fragment's current slots (true for any live index: renumbering retires
-// first).
-func (f *Fragment) foldSourceHitsLocked(idx *reachindex.Index) {
-	if f.idxHot == nil {
-		f.idxHot = make(map[graph.NodeID]int64)
-	}
-	idx.DrainSourceHits(func(slot int32, hits int64) {
-		f.idxHot[f.Global(slot)] += hits
-	})
-}
-
 // installReachIndex swaps idx in, folding the replaced index's counters
-// into the per-policy accumulators so cumulative stats survive the swap.
+// into the fragment's accumulators so cumulative stats survive the swap.
 func (f *Fragment) installReachIndex(idx *reachindex.Index) {
 	if old := f.idx.Swap(idx); old != nil {
-		p := old.Policy()
-		f.idxHits[p].Add(old.Hits())
-		f.idxFallbacks[p].Add(old.Fallbacks())
+		f.idxHits.Add(old.Hits())
+		f.idxFallbacks.Add(old.Fallbacks())
 	}
 }
 
@@ -247,57 +178,22 @@ func (f *Fragment) idxMarkDirty(l int32) {
 }
 
 // retireReachIndex drops the fragment's index entirely — required by any
-// mutation that renumbers local slots (the index speaks in slots). The
-// retired counters move to the per-policy accumulators and the per-slot
-// hits into the hotness map (slots are still pre-renumbering here, so the
-// slot-to-global mapping is the one the index was built on). Called under
-// the fragmentation's write lock.
-func (f *Fragment) retireReachIndex() {
-	if old := f.idx.Swap(nil); old != nil {
-		f.idxHotMu.Lock()
-		f.foldSourceHitsLocked(old)
-		f.idxHotMu.Unlock()
-		p := old.Policy()
-		f.idxHits[p].Add(old.Hits())
-		f.idxFallbacks[p].Add(old.Fallbacks())
-	}
-}
-
-// dropReachIndex is retireReachIndex without the hotness drain, for the
-// disable path (EnableReachIndex <= 0), which runs without the write lock
-// and must not read the slot mapping concurrently with mutations.
-func (f *Fragment) dropReachIndex() {
-	if old := f.idx.Swap(nil); old != nil {
-		p := old.Policy()
-		f.idxHits[p].Add(old.Hits())
-		f.idxFallbacks[p].Add(old.Fallbacks())
-	}
-}
-
-// PolicyCounters is one budget policy's share of the hit/fallback
-// totals.
-type PolicyCounters struct {
-	Hits      int64 `json:"hits"`
-	Fallbacks int64 `json:"fallbacks"`
-}
+// mutation that renumbers local slots (the index speaks in slots), and by
+// the disable path.
+func (f *Fragment) retireReachIndex() { f.installReachIndex(nil) }
 
 // ReachIndexStats aggregates the index state across fragments for /stats
 // and bench -json.
 type ReachIndexStats struct {
 	Enabled     bool
 	BudgetBytes int64
-	Policy      string // configured budget policy (postorder|hits)
-	LabelBytes  int64  // bytes held by the live indexes
-	Fragments   int    // fragments with a live index installed
-	Hits        int64  // Equation calls answered from an index (cumulative)
-	Fallbacks   int64  // Equation calls that fell back to direct evaluation
-	Rebuilds    int64  // asynchronous builds completed
+	LabelBytes  int64 // bytes held by the live indexes
+	Fragments   int   // fragments with a live index installed
+	Hits        int64 // index probes answered from an index (cumulative)
+	Fallbacks   int64 // index probes that fell back to direct evaluation
+	Rebuilds    int64 // asynchronous builds completed
 	LastBuild   time.Duration
 	TotalBuild  time.Duration
-	// PerPolicy attributes the cumulative hit/fallback counters to the
-	// policy of the index that served them (only policies that served at
-	// least one call appear).
-	PerPolicy map[string]PolicyCounters
 }
 
 // HitRate reports hits/(hits+fallbacks), 0 when no indexed query ran.
@@ -312,33 +208,19 @@ func (s ReachIndexStats) HitRate() float64 {
 func (fr *Fragmentation) ReachIndexStats() ReachIndexStats {
 	st := ReachIndexStats{
 		BudgetBytes: fr.idxBudget.Load(),
-		Policy:      reachindex.Policy(fr.idxPolicy.Load()).String(),
 		Rebuilds:    fr.idxRebuilds.Load(),
 		LastBuild:   time.Duration(fr.idxLastBuild.Load()),
 		TotalBuild:  time.Duration(fr.idxTotalBuild.Load()),
 	}
 	st.Enabled = st.BudgetBytes > 0
-	var pol [2]PolicyCounters
 	for _, f := range fr.frags {
-		for p := range pol {
-			pol[p].Hits += f.idxHits[p].Load()
-			pol[p].Fallbacks += f.idxFallbacks[p].Load()
-		}
+		st.Hits += f.idxHits.Load()
+		st.Fallbacks += f.idxFallbacks.Load()
 		if idx := f.idx.Load(); idx != nil {
 			st.Fragments++
 			st.LabelBytes += idx.LabelBytes()
-			pol[idx.Policy()].Hits += idx.Hits()
-			pol[idx.Policy()].Fallbacks += idx.Fallbacks()
-		}
-	}
-	for p, c := range pol {
-		st.Hits += c.Hits
-		st.Fallbacks += c.Fallbacks
-		if c.Hits != 0 || c.Fallbacks != 0 {
-			if st.PerPolicy == nil {
-				st.PerPolicy = make(map[string]PolicyCounters, 2)
-			}
-			st.PerPolicy[reachindex.Policy(p).String()] = c
+			st.Hits += idx.Hits()
+			st.Fallbacks += idx.Fallbacks()
 		}
 	}
 	return st

@@ -175,7 +175,6 @@ func (r *Replica) Install(fr *Fragmentation, epoch, lsn uint64) (installed bool)
 	if fr.ReachIndexBudget() > 0 {
 		fr.KickReachIndexRebuilds()
 	} else if b := old.ReachIndexBudget(); b > 0 {
-		fr.SetReachIndexPolicy(old.ReachIndexPolicy())
 		fr.EnableReachIndex(b)
 	}
 	return true
@@ -223,7 +222,6 @@ func (r *Replica) Rebalance(epoch uint64, p Partitioner) (bool, error) {
 	// evaluation — the same swap-then-catch-up discipline as the epoch
 	// switch itself.
 	if b := cur.ReachIndexBudget(); b > 0 {
-		next.SetReachIndexPolicy(cur.ReachIndexPolicy())
 		next.EnableReachIndex(b)
 	}
 	return true, nil

@@ -343,8 +343,8 @@ func (fr *Fragmentation) deleteEdgeLocked(u, v graph.NodeID) (dirty []int, chang
 	return dirty, true
 }
 
-// insertNodeLocked adds a node and places it; frag -1 delegates to the
-// partitioner (least-loaded when none is attached).
+// insertNodeLocked adds a node and places it; frag -1 picks the
+// least-loaded fragment.
 func (fr *Fragmentation) insertNodeLocked(label string, frag int) (graph.NodeID, int) {
 	id := fr.g.InsertNode(label)
 	if int(id) == len(fr.owner) {
@@ -355,11 +355,7 @@ func (fr *Fragmentation) insertNodeLocked(label string, frag int) (graph.NodeID,
 		for i, f := range fr.frags {
 			sizes[i] = f.NumLocal()
 		}
-		if fr.part != nil {
-			frag = fr.part.Place(id, sizes)
-		} else {
-			frag = leastLoaded(sizes)
-		}
+		frag = leastLoaded(sizes)
 	}
 	fr.owner[id] = int32(frag)
 	f := fr.frags[frag]

@@ -14,10 +14,10 @@ type CommunitiesConfig struct {
 }
 
 // Communities generates a graph with planted community structure: dense
-// blocks with sparse cross-block edges. Locality-aware partitioners
-// (fragment.Greedy, fragment.Contiguous with block-ordered IDs) recover the
-// blocks and so produce far smaller |Vf| than random partitioning — the
-// setup behind BenchmarkAblationPartitioner. Node IDs are block ordered:
+// blocks with sparse cross-block edges. A locality-aware fragmentation
+// (fragment.Contiguous with block-ordered IDs) recovers the blocks and so
+// produces far smaller |Vf| than random partitioning — the setup behind
+// BenchmarkAblationPartitioner. Node IDs are block ordered:
 // block b holds IDs [b·Size, (b+1)·Size).
 func Communities(cfg CommunitiesConfig) *graph.Graph {
 	rng := NewRNG(cfg.Seed)

@@ -809,24 +809,12 @@ func (c *Coordinator) ReachContext(ctx context.Context, s, t graph.NodeID) (bool
 // ReachWithin evaluates qbr(s, t, l); it returns the answer and the exact
 // distance when within l (bes.Inf otherwise).
 func (c *Coordinator) ReachWithin(s, t graph.NodeID, l int) (bool, int64, WireStats, error) {
-	return c.ReachWithinContext(context.Background(), s, t, l)
-}
-
-// ReachWithinContext is ReachWithin honoring a context deadline or
-// cancellation.
-func (c *Coordinator) ReachWithinContext(ctx context.Context, s, t graph.NodeID, l int) (bool, int64, WireStats, error) {
-	a, st, err := c.one(ctx, BatchQuery{Class: ClassDist, S: s, T: t, L: l})
+	a, st, err := c.one(context.Background(), BatchQuery{Class: ClassDist, S: s, T: t, L: l})
 	return a.Answer, a.Dist, st, err
 }
 
 // ReachRegex evaluates qrr(s, t, R) for the query automaton a.
 func (c *Coordinator) ReachRegex(s, t graph.NodeID, a *automaton.Automaton) (bool, WireStats, error) {
-	return c.ReachRegexContext(context.Background(), s, t, a)
-}
-
-// ReachRegexContext is ReachRegex honoring a context deadline or
-// cancellation.
-func (c *Coordinator) ReachRegexContext(ctx context.Context, s, t graph.NodeID, a *automaton.Automaton) (bool, WireStats, error) {
-	ans, st, err := c.one(ctx, BatchQuery{Class: ClassRPQ, S: s, T: t, A: a})
+	ans, st, err := c.one(context.Background(), BatchQuery{Class: ClassRPQ, S: s, T: t, A: a})
 	return ans.Answer, st, err
 }

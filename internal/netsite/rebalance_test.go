@@ -145,7 +145,7 @@ func TestRebalanceEpochRace(t *testing.T) {
 	}
 	// Alternate partitioners so every switch really changes the node
 	// assignment under the in-flight queries.
-	parts := []string{"edgecut", "random", "greedy", "hash", "contiguous"}
+	parts := fragment.Names()
 	for epoch := uint64(1); epoch <= 8; epoch++ {
 		res, _, err := co.Rebalance(epoch, parts[int(epoch)%len(parts)], 100+epoch)
 		if err != nil {

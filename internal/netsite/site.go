@@ -71,15 +71,15 @@ func newSiteMetrics(r *obs.Registry) *siteMetrics {
 	}
 }
 
-// Site serves one fragment index over TCP. Create with NewSiteFor (or
-// NewSite for a bare fragment without update support), then Addr gives the
-// dial address for the coordinator; Close shuts the listener down. Frames
+// Site serves one fragment index over TCP. Create with NewSiteFor or
+// NewSiteReplica, then Addr gives the dial address for the coordinator;
+// Close shuts the listener down. Frames
 // arriving on one connection are evaluated concurrently by a bounded
 // worker pool, so a coordinator multiplexing many queries over the
 // connection is served in parallel, not one frame at a time.
 //
-// A site built with NewSiteFor (or NewSiteReplica) holds a Replica of the
-// whole fragmentation and accepts update, rebalance and sync frames:
+// A site holds a Replica of the whole fragmentation and accepts update,
+// rebalance and sync frames:
 // queries snapshot the replica's current state, evaluate under its read
 // lock (so a mutation never tears a fragment mid-evaluation), and stamp
 // their answer with the epoch and update-log LSN they evaluated at; a
@@ -89,8 +89,7 @@ func newSiteMetrics(r *obs.Registry) *siteMetrics {
 // created by ServeFragmentation share one Replica, which makes broadcast
 // updates and rebalances idempotent across them.
 type Site struct {
-	rep     *fragment.Replica  // nil: bare fragment, updates rejected
-	bare    *fragment.Fragment // set iff rep is nil
+	rep     *fragment.Replica
 	fragID  int
 	ln      net.Listener
 	workers int
@@ -111,27 +110,11 @@ type Site struct {
 	Logf func(format string, args ...any)
 }
 
-// NewSite starts serving f on addr ("127.0.0.1:0" picks a free port) with
-// default options. The site has no fragmentation replica, so it rejects
-// update and rebalance frames; prefer NewSiteFor for live deployments.
-func NewSite(addr string, f *fragment.Fragment) (*Site, error) {
-	return NewSiteOpts(addr, f, SiteOptions{})
-}
-
-// NewSiteOpts starts serving f on addr with explicit options and no update
-// support (see NewSite).
-func NewSiteOpts(addr string, f *fragment.Fragment, o SiteOptions) (*Site, error) {
-	return newSite(addr, nil, f, f.ID, o)
-}
-
-// NewSiteFor starts serving fragment fragID of fr on addr. The site wraps
-// fr in its own Replica of the deployment, which enables update and
-// rebalance frames.
+// NewSiteFor starts serving fragment fragID of fr on addr
+// ("127.0.0.1:0" picks a free port). The site wraps fr in its own Replica
+// of the deployment.
 func NewSiteFor(addr string, fr *fragment.Fragmentation, fragID int, o SiteOptions) (*Site, error) {
-	if fragID < 0 || fragID >= fr.Card() {
-		return nil, fmt.Errorf("netsite: fragment %d out of range [0,%d)", fragID, fr.Card())
-	}
-	return newSite(addr, fragment.NewReplica(fr), nil, fragID, o)
+	return NewSiteReplica(addr, fragment.NewReplica(fr), fragID, o)
 }
 
 // NewSiteReplica starts serving fragment fragID of the given shared
@@ -143,10 +126,6 @@ func NewSiteReplica(addr string, rep *fragment.Replica, fragID int, o SiteOption
 	if fragID < 0 || fragID >= fr.Card() {
 		return nil, fmt.Errorf("netsite: fragment %d out of range [0,%d)", fragID, fr.Card())
 	}
-	return newSite(addr, rep, nil, fragID, o)
-}
-
-func newSite(addr string, rep *fragment.Replica, bare *fragment.Fragment, fragID int, o SiteOptions) (*Site, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("netsite: %w", err)
@@ -157,7 +136,6 @@ func newSite(addr string, rep *fragment.Replica, bare *fragment.Fragment, fragID
 	}
 	s := &Site{
 		rep:       rep,
-		bare:      bare,
 		fragID:    fragID,
 		ln:        ln,
 		workers:   workers,
@@ -422,17 +400,6 @@ func (s *Site) pause(cancel *atomic.Bool) bool {
 	}
 }
 
-// snapshot resolves the fragmentation and fragment this frame evaluates
-// against, plus the epoch and LSN to stamp the answer with. Bare sites
-// have no replica: epoch 0, LSN 0, no fragmentation lock to take.
-func (s *Site) snapshot() (*fragment.Fragment, *fragment.Fragmentation, uint64, uint64) {
-	if s.rep == nil {
-		return s.bare, nil, 0, 0
-	}
-	fr, epoch, lsn := s.rep.State()
-	return fr.Fragments()[s.fragID], fr, epoch, lsn
-}
-
 // handle evaluates one request frame. emit writes a 'P' frame carrying
 // body under the given state tag; streaming queries use it to surface
 // equation chunks ahead of the final answer. A request whose cancel flag
@@ -526,9 +493,6 @@ func (s *Site) applyPersisted(lsn, nonce uint64, ops []Op) (fragment.ApplyResult
 // the batch against every other writer's, and re-delivered frames replay
 // the recorded outcome.
 func (s *Site) handleUpdate(payload []byte) (uint64, uint64, []byte, error) {
-	if s.rep == nil {
-		return 0, 0, nil, fmt.Errorf("site serves a bare fragment; updates unsupported")
-	}
 	lsn, nonce, ops, err := decodeUpdateRequest(payload)
 	if err != nil {
 		return 0, 0, nil, err
@@ -547,9 +511,6 @@ func (s *Site) handleUpdate(payload []byte) (uint64, uint64, []byte, error) {
 // at (or past) the epoch no-op, which makes the broadcast idempotent both
 // for co-located sites sharing a replica and for re-delivered frames.
 func (s *Site) handleRebalance(payload []byte) (uint64, uint64, []byte, error) {
-	if s.rep == nil {
-		return 0, 0, nil, fmt.Errorf("site serves a bare fragment; rebalance unsupported")
-	}
 	epoch, k, seed, name, err := decodeRebalanceRequest(payload)
 	if err != nil {
 		return 0, 0, nil, err
@@ -606,14 +567,13 @@ func (s *Site) handleBatch(j *frameJob, emit func(epoch, lsn uint64, body []byte
 	// under its lock, so a concurrent update never mutates it
 	// mid-evaluation and a concurrent rebalance swap leaves this
 	// evaluation draining consistently against the old epoch.
-	frag, fr, epoch, lsn := s.snapshot()
-	if fr != nil {
-		lockStart := time.Now()
-		fr.RLock()
-		defer fr.RUnlock()
-		if j.rec != nil {
-			j.rec.Span(-1, "lock", lockStart, time.Now())
-		}
+	fr, epoch, lsn := s.rep.State()
+	frag := fr.Fragments()[s.fragID]
+	lockStart := time.Now()
+	fr.RLock()
+	defer fr.RUnlock()
+	if j.rec != nil {
+		j.rec.Span(-1, "lock", lockStart, time.Now())
 	}
 	opt := &core.Options{Cancel: j.cancel.Load}
 	if j.rec != nil {

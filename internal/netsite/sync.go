@@ -98,9 +98,6 @@ func decodeSyncReplay(p []byte) ([]oplog.Record, error) {
 
 // handleSync serves one 'S' frame against the site's replica.
 func (s *Site) handleSync(payload []byte) (uint64, uint64, []byte, error) {
-	if s.rep == nil {
-		return 0, 0, nil, fmt.Errorf("site serves a bare fragment; sync unsupported")
-	}
 	if len(payload) < 1 {
 		return 0, 0, nil, fmt.Errorf("empty sync payload")
 	}

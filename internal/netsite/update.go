@@ -392,8 +392,8 @@ func (c *Coordinator) ApplyContext(ctx context.Context, ops []Op) (UpdateResult,
 		// A site that is unreachable or behind on the log is a laggard,
 		// not a failure: the batch is sequenced (and, with a durable
 		// sequencer, logged), so catch-up replication re-delivers it. Any
-		// other site error — validation, codec, bare fragment — is
-		// deterministic across replicas and fails the round.
+		// other site error — validation, codec — is deterministic across
+		// replicas and fails the round.
 		applied, behind := 0, false
 		for i, r := range results {
 			if r.err != nil {

@@ -248,40 +248,3 @@ func TestUpdateConcurrentWithQueries(t *testing.T) {
 		}
 	}
 }
-
-// TestUpdateOnBareFragmentSiteFails: a site built without a fragmentation
-// replica must reject update frames with an error, not apply half of one.
-func TestUpdateOnBareFragmentSiteFails(t *testing.T) {
-	g := gen.Uniform(gen.Config{Nodes: 20, Edges: 60, Seed: 97})
-	fr, err := fragment.Random(g, 2, 97)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sites []*Site
-	var addrs []string
-	for _, f := range fr.Fragments() {
-		s, err := NewSite("127.0.0.1:0", f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sites = append(sites, s)
-		addrs = append(addrs, s.Addr())
-	}
-	defer func() {
-		for _, s := range sites {
-			s.Close()
-		}
-	}()
-	co, err := Dial(addrs, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	if _, _, err := co.Update(UpdateInsert, 0, 1); err == nil {
-		t.Fatal("update against bare-fragment sites must fail")
-	}
-	// Queries still work.
-	if _, _, err := co.Reach(0, 19); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"distreach/internal/fragment"
@@ -322,6 +323,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	bad[len(bad)/2] ^= 1
 	if _, err := DecodeSnapshot(bad); err == nil {
 		t.Fatal("mutilated snapshot decoded cleanly")
+	}
+	// A snapshot recording a retired partitioner fails, naming the
+	// accepted set.
+	for _, name := range []string{"greedy", "hash"} {
+		ob, err := EncodeSnapshot(&Snapshot{LSN: snap.LSN, Epoch: snap.Epoch, Partitioner: name, Fr: snap.Fr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeSnapshot(ob)
+		if err == nil {
+			t.Fatalf("snapshot recording partitioner %q decoded", name)
+		}
+		for _, want := range fragment.Names() {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("partitioner %q: error %q does not name %q", name, err, want)
+			}
+		}
 	}
 }
 

@@ -1,13 +1,16 @@
 package oplog
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"sync"
 	"testing"
 	"time"
 
+	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
-	"distreach/internal/reachindex"
+	"distreach/internal/graph"
 )
 
 // indexedDeployment builds a partitioned, indexed, LSN-advanced replica
@@ -24,15 +27,14 @@ func indexedDeployment(t *testing.T) (*fragment.Replica, *fragment.Fragmentation
 		t.Fatal(err)
 	}
 	fr.Compact()
-	fr.SetReachIndexPolicy(reachindex.PolicyHits)
 	fr.EnableReachIndex(1 << 20)
 	fr.WaitReachIndexes()
 	return rep, fr
 }
 
 // TestSnapshotIndexRoundTrip: a v2 snapshot carries one index blob per
-// clean fragment, and the decoded replica serves them — same budget, same
-// policy, nothing stale, zero rebuilds needed.
+// clean fragment, and the decoded replica serves them — same budget,
+// nothing stale, zero rebuilds needed.
 func TestSnapshotIndexRoundTrip(t *testing.T) {
 	rep, fr := indexedDeployment(t)
 	snap, err := TakeSnapshot(rep)
@@ -55,9 +57,6 @@ func TestSnapshotIndexRoundTrip(t *testing.T) {
 	}
 	if got.Fr.ReachIndexBudget() != 1<<20 {
 		t.Fatalf("adopted budget %d, want %d", got.Fr.ReachIndexBudget(), 1<<20)
-	}
-	if got.Fr.ReachIndexPolicy() != reachindex.PolicyHits {
-		t.Fatalf("adopted policy %s, want hits", got.Fr.ReachIndexPolicy())
 	}
 	got.Fr.RLock()
 	for _, f := range got.Fr.Fragments() {
@@ -113,8 +112,8 @@ func sectionOffset(t *testing.T, b []byte) (start, ilen int) {
 }
 
 // TestSnapshotIndexSectionRejected: every way an index section can be
-// wrong — stale LSN, foreign fingerprint, junk policy, zero or absurd
-// budget, corrupted blob — must drop the section, keep the snapshot, and
+// wrong — stale LSN, foreign fingerprint, zero or absurd budget, wrong
+// count, corrupted blob — must drop the section, keep the snapshot, and
 // leave the replica on the ordinary rebuild path with correct answers.
 func TestSnapshotIndexSectionRejected(t *testing.T) {
 	rep, fr := indexedDeployment(t)
@@ -138,7 +137,7 @@ func TestSnapshotIndexSectionRejected(t *testing.T) {
 		{"stale LSN", 0, 0xFF},
 		{"foreign fingerprint", 8, 0xFF},
 		{"absurd budget", 16 + 7, 0x7F}, // top byte of the u64 budget
-		{"junk policy", 24, 0x7F},
+		{"wrong count", 24, 0x7F},
 		{"corrupted blob", -1, 0xFF},
 	}
 	for _, tc := range cases {
@@ -187,6 +186,73 @@ func TestSnapshotIndexSectionRejected(t *testing.T) {
 	}
 }
 
+// TestSnapshotIndexPolicyByteAbandoned: snapshots written before the
+// budget policy was removed carried a policy byte in the index section and
+// in every index blob. Loading one (here with policy 1, the retired
+// hit-guided policy) abandons the section like any other anomaly; the
+// replica rebuilds cold and answers correctly.
+func TestSnapshotIndexPolicyByteAbandoned(t *testing.T) {
+	rep, fr := indexedDeployment(t)
+	snap, err := TakeSnapshot(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, ilen := sectionOffset(t, b)
+	// splice inserts a policy byte at offset at and grows the section's
+	// length prefix to match.
+	splice := func(at int) []byte {
+		out := append([]byte(nil), b[:at]...)
+		out = append(out, 1)
+		out = append(out, b[at:]...)
+		binary.LittleEndian.PutUint32(out[start-4:], uint32(ilen+1))
+		return out
+	}
+	// Section layout: lsn, fingerprint, budget (8 bytes each), then where
+	// the policy byte sat, then count and the first entry's fragID, length,
+	// CRC and blob ("RIX?" magic, n, nc, then where its policy byte sat).
+	const entry = 24 + 4
+	blobAt := start + entry + 12
+	oldBlob := splice(blobAt + 12)
+	copy(oldBlob[blobAt:], "RIX2")
+	blen := binary.LittleEndian.Uint32(b[start+entry+4:]) + 1
+	binary.LittleEndian.PutUint32(oldBlob[start+entry+4:], blen)
+	binary.LittleEndian.PutUint32(oldBlob[start+entry+8:], crc32.Checksum(oldBlob[blobAt:blobAt+int(blen)], crcTable))
+
+	for name, mut := range map[string][]byte{"section policy byte": splice(start + 24), "blob policy byte": oldBlob} {
+		got, err := DecodeSnapshot(mut)
+		if err != nil {
+			t.Fatalf("%s: the snapshot itself must load: %v", name, err)
+		}
+		if got.IndexFrags != 0 || got.Fr.ReachIndexBudget() != 0 {
+			t.Fatalf("%s: adopted %d indexes (budget %d) from a policy-era section", name, got.IndexFrags, got.Fr.ReachIndexBudget())
+		}
+		got.Fr.EnableReachIndex(1 << 20)
+		got.Fr.WaitReachIndexes()
+		if st := got.Fr.ReachIndexStats(); st.Fragments != fr.Card() {
+			t.Fatalf("%s: cold rebuild indexed %d fragments, want %d", name, st.Fragments, fr.Card())
+		}
+		g := got.Fr.Graph()
+		rng := gen.NewRNG(72)
+		for q := 0; q < 200; q++ {
+			s, tt := graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))
+			var partials []*core.ReachPartial
+			for _, f := range got.Fr.Fragments() {
+				partials = append(partials, core.LocalEvalReach(f, s, tt, nil))
+			}
+			if ans, want := core.SolveReach(partials, s), g.Reachable(s, tt); ans != want {
+				t.Fatalf("%s: qr(%d,%d) = %v after the cold rebuild, BFS says %v", name, s, tt, ans, want)
+			}
+		}
+		if st := got.Fr.ReachIndexStats(); st.Hits == 0 {
+			t.Fatalf("%s: the rebuilt indexes served no probe: %+v", name, st)
+		}
+	}
+}
+
 // TestSnapshotRecoverWarm is the restart acceptance check: a site
 // recovered from a store whose snapshot carries the index section serves
 // indexed answers on its very first round — no rebuild has run, the hit
@@ -226,7 +292,7 @@ func TestSnapshotRecoverWarm(t *testing.T) {
 	for _, f := range fr2.Fragments() {
 		idx := f.ReachIndex()
 		for _, s := range f.InNodes() {
-			if _, _, ok := idx.Equation(s, -1, false); ok {
+			if _, _, ok := idx.EquationGlobal(s, -1, false); ok {
 				break
 			}
 		}

@@ -13,7 +13,7 @@ import (
 
 // Snapshot is a checkpoint of the whole fragmentation state at an LSN: the
 // graph, the node-to-fragment assignment, the deployment epoch, and the
-// partitioner that places live-inserted nodes. A snapshot plus the log
+// partitioner that produced the assignment. A snapshot plus the log
 // records after its LSN reconstructs the deployment state exactly; the
 // fingerprint (fragment.Fingerprint over graph + assignment) is verified
 // on decode, so a truncated or bit-rotted snapshot fails loudly instead of
@@ -22,7 +22,7 @@ type Snapshot struct {
 	LSN         uint64
 	Epoch       uint64
 	Fingerprint uint64
-	Partitioner string // "" = none attached (least-loaded placement)
+	Partitioner string // "" = none attached
 	Seed        uint64
 	Fr          *fragment.Fragmentation
 
@@ -58,7 +58,7 @@ type Snapshot struct {
 // reachability indexes so a recovered replica serves indexed answers on
 // its first query round instead of rebuilding from scratch:
 //
-//	lsn u64 | fingerprint u64 | budget u64 | policy u8 | count u32 |
+//	lsn u64 | fingerprint u64 | budget u64 | count u32 |
 //	count × (fragID u32 | bloblen u32 | crc32c u32 | reachindex blob)
 //
 // The section is best-effort in both directions. Encode captures only
@@ -130,7 +130,6 @@ type snapshotState struct {
 	dead          []uint32
 
 	idxBudget int64
-	idxPolicy reachindex.Policy
 	idx       []idxSnapEntry
 }
 
@@ -160,7 +159,6 @@ func encodeSnapshotState(snap *Snapshot) (*snapshotState, error) {
 	st := &snapshotState{}
 	if b := snap.Fr.ReachIndexBudget(); b > 0 {
 		st.idxBudget = b
-		st.idxPolicy = snap.Fr.ReachIndexPolicy()
 		for _, f := range snap.Fr.Fragments() {
 			// Only a fresh index over overlay-free storage survives the
 			// round trip: overlay-free means the live slot numbering is the
@@ -224,7 +222,7 @@ func appendIndexSection(b []byte, snap *Snapshot, st *snapshotState) []byte {
 	if len(st.idx) == 0 {
 		return binary.LittleEndian.AppendUint32(b, 0)
 	}
-	ilen := 8 + 8 + 8 + 1 + 4
+	ilen := 8 + 8 + 8 + 4
 	for _, e := range st.idx {
 		ilen += 4 + 4 + 4 + len(e.blob)
 	}
@@ -232,7 +230,6 @@ func appendIndexSection(b []byte, snap *Snapshot, st *snapshotState) []byte {
 	b = binary.LittleEndian.AppendUint64(b, snap.LSN)
 	b = binary.LittleEndian.AppendUint64(b, snap.Fingerprint)
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.idxBudget))
-	b = append(b, byte(st.idxPolicy))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.idx)))
 	for _, e := range st.idx {
 		b = binary.LittleEndian.AppendUint32(b, e.fragID)
@@ -246,7 +243,7 @@ func appendIndexSection(b []byte, snap *Snapshot, st *snapshotState) []byte {
 // DecodeSnapshot parses and verifies a snapshot: the envelope is
 // bounds-checked against hostile input, the fragmentation is rebuilt, its
 // fingerprint must equal the recorded one, and the recorded partitioner is
-// re-attached so live node placement stays deterministic across replicas.
+// re-attached.
 func DecodeSnapshot(p []byte) (*Snapshot, error) {
 	r := NewCursor(p)
 	magic, err := r.Bytes(uint32(len(snapMagic)))
@@ -357,7 +354,7 @@ func DecodeSnapshot(p []byte) (*Snapshot, error) {
 
 // adoptIndexSection validates the persisted index section against the
 // freshly rebuilt fragmentation and, when everything checks out, installs
-// the indexes and records the budget/policy so the replica serves indexed
+// the indexes and records the budget so the replica serves indexed
 // answers immediately. Any anomaly — the section stamped with a different
 // LSN or fingerprint than the envelope (a stale index), a CRC or codec
 // failure, an unknown fragment, a slot-count mismatch — abandons the
@@ -380,14 +377,6 @@ func adoptIndexSection(fr *fragment.Fragmentation, snap *Snapshot, isec []byte) 
 	}
 	budget, err := r.U64()
 	if err != nil || budget == 0 || budget > 1<<62 {
-		return 0
-	}
-	polByte, err := r.U8()
-	if err != nil {
-		return 0
-	}
-	policy := reachindex.Policy(polByte)
-	if policy > reachindex.PolicyHits {
 		return 0
 	}
 	count, err := r.U32()
@@ -436,7 +425,7 @@ func adoptIndexSection(fr *fragment.Fragmentation, snap *Snapshot, isec []byte) 
 	if r.Done() != nil {
 		return 0
 	}
-	fr.ConfigureReachIndex(int64(budget), policy)
+	fr.ConfigureReachIndex(int64(budget))
 	for _, e := range entries {
 		fr.AdoptReachIndex(e.fragID, e.idx)
 	}

@@ -8,8 +8,8 @@ import (
 	"distreach/internal/graph"
 )
 
-// buildWith is buildFor with explicit policy, hot counts and worker count.
-func buildWith(g *graph.Graph, budget int64, pol Policy, hot []int64, workers int) *Index {
+// buildWith is buildFor with an explicit worker count.
+func buildWith(g *graph.Graph, budget int64, workers int) *Index {
 	comp, nc := g.SCC()
 	var sources []int32
 	for l := int32(0); int(l) < g.NumNodes(); l += 3 {
@@ -22,172 +22,49 @@ func buildWith(g *graph.Graph, budget int64, pol Policy, hot []int64, workers in
 		Boundary: func(l int32) bool { return l%3 == 0 },
 		Sources:  sources,
 		Budget:   budget,
-		Policy:   pol,
-		Hot:      hot,
 		Workers:  workers,
 	})
 }
 
 // TestParallelBuildByteIdentical is the replica-agreement oracle for the
 // parallel builder: across 50 random graphs, every worker count must
-// produce the byte-for-byte serial index — for both policies, for tight
-// and loose budgets, and with non-trivial hotness priorities. Replicas
-// rebuild their indexes independently, so any worker-count-dependent
-// output would let two correct replicas disagree.
+// produce the byte-for-byte serial index, for tight and loose budgets.
+// Replicas rebuild their indexes independently, so any worker-count-
+// dependent output would let two correct replicas disagree.
 func TestParallelBuildByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(300 + seed))
 		n := 10 + rng.Intn(120)
 		g := randomGraph(rng, n, 1+3*n*(1+rng.Intn(2))/2)
-		hot := make([]int64, n)
-		for i := range hot {
-			hot[i] = int64(rng.Intn(5))
-		}
-		for _, pol := range []Policy{PolicyPostorder, PolicyHits} {
-			for _, budget := range []int64{64, 2048, 1 << 20} {
-				serialIx := buildWith(g, budget, pol, hot, 1)
-				serial, err := serialIx.MarshalBinary()
+		for _, budget := range []int64{64, 2048, 1 << 20} {
+			serialIx := buildWith(g, budget, 1)
+			serial, err := serialIx.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 4, 8} {
+				par, err := buildWith(g, budget, workers).MarshalBinary()
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{2, 4, 8} {
-					par, err := buildWith(g, budget, pol, hot, workers).MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(serial, par) {
-						t.Fatalf("seed %d pol %s budget %d: %d-worker build differs from serial (%d vs %d bytes)",
-							seed, pol, budget, workers, len(par), len(serial))
-					}
+				if !bytes.Equal(serial, par) {
+					t.Fatalf("seed %d budget %d: %d-worker build differs from serial (%d vs %d bytes)",
+						seed, budget, workers, len(par), len(serial))
 				}
-				// And the serial build itself must never be wrong.
-				for u := 0; u < n; u++ {
-					for v := 0; v < n; v++ {
-						reached, decided := serialIx.Reaches(int32(u), int32(v))
-						if !decided {
-							continue
-						}
-						if want := g.Reachable(graph.NodeID(u), graph.NodeID(v)); reached != want {
-							t.Fatalf("seed %d pol %s budget %d: Reaches(%d,%d)=%v want %v",
-								seed, pol, budget, u, v, reached, want)
-						}
+			}
+			// And the serial build itself must never be wrong.
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					reached, decided := serialIx.Reaches(int32(u), int32(v))
+					if !decided {
+						continue
+					}
+					if want := g.Reachable(graph.NodeID(u), graph.NodeID(v)); reached != want {
+						t.Fatalf("seed %d budget %d: Reaches(%d,%d)=%v want %v",
+							seed, budget, u, v, reached, want)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestHitsPolicyPrefersHotSources: under a budget too small for every
-// source, the hits policy must keep the hammered source decided while the
-// cold postorder ordering may not — and a cold hits build (no counts) must
-// equal postorder exactly.
-func TestHitsPolicyPrefersHotSources(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	g := randomGraph(rng, 90, 270)
-	comp, nc := g.SCC()
-	var sources []int32
-	for l := int32(0); l < 90; l += 3 {
-		sources = append(sources, l)
-	}
-	spec := Spec{
-		Graph: g, Comp: comp, NC: nc,
-		Boundary: func(l int32) bool { return l%3 == 0 },
-		Sources:  sources,
-		Budget:   1 << 20,
-	}
-	full := Build(spec)
-
-	// Find a budget under which plain postorder leaves some source
-	// undecided, then hammer one of those and check hits rescues it.
-	for _, budget := range []int64{48, 96, 192, 384} {
-		spec.Budget = budget
-		cold := Build(spec)
-		var starvedAll []int32
-		for _, s := range sources {
-			if _, _, ok := cold.Equation(s, -1, false); !ok {
-				starvedAll = append(starvedAll, s)
-			}
-		}
-		if len(starvedAll) == 0 {
-			continue
-		}
-		// A starved source is only rescuable if its closure fits the budget
-		// at all — try each until hammering one gets it decided.
-		var ix *Index
-		var starved int32 = -1
-		for _, s := range starvedAll {
-			hot := make([]int64, 90)
-			hot[s] = 1 << 40
-			hotSpec := spec
-			hotSpec.Policy = PolicyHits
-			hotSpec.Hot = hot
-			cand := Build(hotSpec)
-			if _, _, ok := cand.Equation(s, -1, false); ok {
-				ix, starved = cand, s
-				break
-			}
-		}
-		if ix == nil {
-			continue // nothing rescuable at this budget
-		}
-		_ = starved
-		// Whatever it decides must still be right.
-		for u := 0; u < 90; u++ {
-			for v := 0; v < 90; v++ {
-				reached, decided := ix.Reaches(int32(u), int32(v))
-				if !decided {
-					continue
-				}
-				if want, fdecided := full.Reaches(int32(u), int32(v)); fdecided && reached != want {
-					t.Fatalf("budget %d: hot build wrong on (%d,%d)", budget, u, v)
-				}
-			}
-		}
-		// Cold hits (nil Hot) must be byte-identical to postorder.
-		coldHits := spec
-		coldHits.Policy = PolicyHits
-		a, err := Build(coldHits).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The policy byte differs by design; compare answers instead.
-		chIx, err := UnmarshalBinary(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 0; u < 90; u++ {
-			for v := 0; v < 90; v++ {
-				r1, d1 := cold.Reaches(int32(u), int32(v))
-				r2, d2 := chIx.Reaches(int32(u), int32(v))
-				if r1 != r2 || d1 != d2 {
-					t.Fatalf("budget %d: cold hits diverges from postorder on (%d,%d)", budget, u, v)
-				}
-			}
-		}
-		return
-	}
-	t.Skip("no tested budget starved a source; nothing to rescue")
-}
-
-// TestDrainSourceHits: Equation hits accumulate per-slot and drain
-// atomically exactly once.
-func TestDrainSourceHits(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := randomGraph(rng, 30, 90)
-	ix := buildFor(g, 1<<20)
-	for i := 0; i < 5; i++ {
-		ix.Equation(0, -1, false)
-	}
-	ix.Equation(3, -1, false)
-	got := map[int32]int64{}
-	ix.DrainSourceHits(func(slot int32, n int64) { got[slot] += n })
-	if got[0] != 5 || got[3] != 1 {
-		t.Fatalf("drained %v, want slot0=5 slot3=1", got)
-	}
-	got = map[int32]int64{}
-	ix.DrainSourceHits(func(slot int32, n int64) { got[slot] += n })
-	if len(got) != 0 {
-		t.Fatalf("second drain returned %v, want empty", got)
 	}
 }

@@ -28,17 +28,10 @@
 // node-range scans merged in chunk order, interval labels are computed
 // level-synchronously (every SCC of one condensation level depends only
 // on completed lower levels, so a level's SCCs fan out across the worker
-// pool), and the byte budget is charged in a serial pass whose order is
-// the budget policy. The output is byte-identical for every worker count
+// pool), and the byte budget is charged in a serial pass, successors
+// first in DFS postorder (a label is only computable when its successors'
+// labels are stored). The output is byte-identical for every worker count
 // — replicas that rebuild with different core counts still agree.
-//
-// Budget policies decide which SCCs the byte budget is spent on:
-// PolicyPostorder charges successors-first in DFS postorder (uniform);
-// PolicyHits charges the SCCs with the highest decayed hit counts first
-// (Spec.Hot, fed back from the per-slot counters of the previous index),
-// so labels and frontier lists concentrate on the sources queries
-// actually touch. A hot SCC's descendant closure inherits its priority —
-// a label is only computable when its successors' labels are stored.
 //
 // Incremental maintenance is staleness-based: MarkDirty(u) marks the
 // ancestor cone of u's SCC stale (exactly the sources whose reachable
@@ -48,7 +41,7 @@
 // rebalance ('R') path uses.
 //
 // Concurrency contract: MarkDirty must run while the caller excludes
-// readers (the Fragmentation write lock); Equation/Reaches may run
+// readers (the Fragmentation write lock); EquationGlobal/Reaches may run
 // concurrently with each other under the matching read lock. The counters
 // are atomic and may be read at any time.
 package reachindex
@@ -69,39 +62,6 @@ import (
 // evaluation.
 const DefaultBudget = 4 << 20
 
-// Policy selects the order the byte budget is charged in — which SCCs get
-// labels and frontier lists when the budget cannot cover everything.
-type Policy uint8
-
-const (
-	// PolicyPostorder charges successors-first in DFS postorder: uniform
-	// coverage, no feedback. The default.
-	PolicyPostorder Policy = iota
-	// PolicyHits charges the SCCs with the highest decayed hit counts
-	// (Spec.Hot) first, each preceded by its descendant closure, so the
-	// budget concentrates on what queries actually touch. With no hit
-	// history it degenerates to PolicyPostorder.
-	PolicyHits
-)
-
-// ParsePolicy resolves the -reachindex-policy flag values.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "postorder":
-		return PolicyPostorder, nil
-	case "hits":
-		return PolicyHits, nil
-	}
-	return 0, fmt.Errorf("reachindex: unknown budget policy %q (want postorder or hits)", s)
-}
-
-func (p Policy) String() string {
-	if p == PolicyHits {
-		return "hits"
-	}
-	return "postorder"
-}
-
 // Spec is the input to Build.
 type Spec struct {
 	// Graph is the fragment-local graph (slots as node IDs) the index is
@@ -118,12 +78,6 @@ type Spec struct {
 	Sources []int32
 	// Budget caps label + frontier bytes; <= 0 means DefaultBudget.
 	Budget int64
-	// Policy selects the budget-charging order (see Policy).
-	Policy Policy
-	// Hot carries decayed per-slot hit counts from the previous index
-	// generation (only source slots are consulted; nil = no history).
-	// Consumed by PolicyHits.
-	Hot []int64
 	// Workers bounds build parallelism: 0 = GOMAXPROCS, 1 = serial. The
 	// output is byte-identical for every value.
 	Workers int
@@ -135,7 +89,6 @@ type Index struct {
 	n  int // slot count at build time; later slots are undecided
 	nc int
 
-	policy    Policy
 	comp      []int32   // build-time SCC of every slot
 	dagIn     [][]int32 // deduplicated reverse condensation adjacency
 	post      []int32   // DFS-forest postorder number per SCC
@@ -153,10 +106,6 @@ type Index struct {
 	anyStale atomic.Bool
 
 	hits, fallbacks atomic.Int64
-	// srcHits counts index hits per source slot (atomic), the feedback
-	// PolicyHits builds on. Drained into the fragment's decayed hotness
-	// map when the index is replaced or retired.
-	srcHits []int64
 }
 
 // Build computes the index. It reads spec.Graph but retains nothing from
@@ -175,12 +124,10 @@ func Build(spec Spec) *Index {
 	ix := &Index{
 		n:         n,
 		nc:        nc,
-		policy:    spec.Policy,
 		comp:      append([]int32(nil), comp...),
 		undecided: make([]bool, nc),
 		stale:     make([]bool, nc),
 		fronts:    make([][]int32, nc),
-		srcHits:   make([]int64, n),
 	}
 
 	dagOut := buildCondensation(ix, g, comp, nc, workers)
@@ -194,9 +141,8 @@ func Build(spec Spec) *Index {
 	for c := int32(0); int(c) < nc; c++ {
 		order[post[c]] = c
 	}
-	charge := chargeOrder(spec, comp, dagOut, post, order, nc)
-	used := buildLabels(ix, dagOut, post, sz, order, charge, nc, budget, workers)
-	used = buildFrontiers(ix, g, comp, spec, charge, n, nc, budget, used, workers)
+	used := buildLabels(ix, dagOut, post, sz, order, nc, budget, workers)
+	used = buildFrontiers(ix, g, comp, spec, n, budget, used, workers)
 	ix.bytes = used
 	return ix
 }
@@ -301,49 +247,6 @@ func dfsForest(dagOut [][]int32, nc int) (post, sz []int32) {
 	return post, sz
 }
 
-// chargeOrder decides the serial order the byte budget is charged in.
-// Every order must list an SCC after its successors (a label is only
-// computable from stored successor labels). PolicyPostorder is plain
-// postorder; PolicyHits sorts by descending priority — the decayed hit
-// count of the SCC's sources, propagated to its descendant closure so a
-// hot SCC's prerequisites are funded first — with postorder as the tie
-// break (which also keeps the no-history case identical to postorder).
-func chargeOrder(spec Spec, comp []int32, dagOut [][]int32, post, order []int32, nc int) []int32 {
-	if spec.Policy != PolicyHits {
-		return order
-	}
-	prio := make([]int64, nc)
-	any := false
-	if spec.Hot != nil {
-		for _, s := range spec.Sources {
-			if s < 0 || int(s) >= len(spec.Hot) || int(s) >= len(comp) {
-				continue
-			}
-			if h := spec.Hot[s]; h > 0 {
-				prio[comp[s]] += h
-				any = true
-			}
-		}
-	}
-	if !any {
-		return order
-	}
-	// Ancestors-first (decreasing postorder): push each SCC's priority down
-	// to its successors, so a descendant carries the max priority of any
-	// ancestor that needs it.
-	for i := nc - 1; i >= 0; i-- {
-		c := order[i]
-		for _, d := range dagOut[c] {
-			if prio[c] > prio[d] {
-				prio[d] = prio[c]
-			}
-		}
-	}
-	out := append([]int32(nil), order...)
-	sort.SliceStable(out, func(a, b int) bool { return prio[out[a]] > prio[out[b]] })
-	return out
-}
-
 // buildLabels computes the per-SCC merged interval labels in two phases.
 //
 // Phase A (parallel, level-synchronous): SCCs are bucketed by condensation
@@ -354,13 +257,13 @@ func chargeOrder(spec Spec, comp []int32, dagOut [][]int32, post, order []int32,
 // propagates to ancestors (their labels would be uncomputable) — this is
 // also what bounds phase A's memory.
 //
-// Phase B (serial, cheap): the budget is charged in `charge` order. An SCC
+// Phase B (serial, cheap): the budget is charged in postorder. An SCC
 // is undecided when phase A skipped it, any successor ended undecided, or
 // its label does not fit the remaining budget; undecidedness propagates
 // to all ancestors, so fallback stays sound. The phase split is what
 // makes the output independent of the worker count: computation order
 // varies, the charging order never does.
-func buildLabels(ix *Index, dagOut [][]int32, post, sz, order, charge []int32, nc int, budget int64, workers int) int64 {
+func buildLabels(ix *Index, dagOut [][]int32, post, sz, order []int32, nc int, budget int64, workers int) int64 {
 	level := make([]int32, nc)
 	maxLevel := int32(0)
 	for i := 0; i < nc; i++ {
@@ -409,7 +312,7 @@ func buildLabels(ix *Index, dagOut [][]int32, post, sz, order, charge []int32, n
 		})
 	}
 	var used int64
-	for _, c := range charge {
+	for _, c := range order {
 		und := skip[c]
 		if !und {
 			for _, d := range dagOut[c] {
@@ -450,9 +353,9 @@ func buildLabels(ix *Index, dagOut [][]int32, post, sz, order, charge []int32, n
 // SCCs: the boundary slots the frontier-cut BFS of core.localEval would
 // emit — query-independent, so computed once here and shared by every
 // query. The BFS runs in parallel across source SCCs; the per-SCC results
-// are accounted against the budget serially in the policy's charge order,
-// so the stored set is reproducible whatever the worker count.
-func buildFrontiers(ix *Index, g *graph.Graph, comp []int32, spec Spec, charge []int32, n, nc int, budget, used int64, workers int) int64 {
+// are accounted against the budget serially in postorder, so the stored
+// set is reproducible whatever the worker count.
+func buildFrontiers(ix *Index, g *graph.Graph, comp []int32, spec Spec, n int, budget, used int64, workers int) int64 {
 	if spec.Boundary == nil || len(spec.Sources) == 0 {
 		return used
 	}
@@ -472,20 +375,9 @@ func buildFrontiers(ix *Index, g *graph.Graph, comp []int32, spec Spec, charge [
 			tasks = append(tasks, task{c: c, seed: s})
 		}
 	}
-	// Charge (and store) in policy order: the position of each SCC in the
-	// charge sequence is its frontier priority too, so PolicyHits funds hot
-	// sources' lists first. PolicyPostorder's postorder ranks are as
-	// arbitrary-but-deterministic as the previous sorted-SCC order was.
-	rank := make([]int32, nc)
-	for i, c := range charge {
-		rank[c] = int32(i)
-	}
-	sort.Slice(tasks, func(i, j int) bool {
-		if rank[tasks[i].c] != rank[tasks[j].c] {
-			return rank[tasks[i].c] < rank[tasks[j].c]
-		}
-		return tasks[i].c < tasks[j].c
-	})
+	// Charge (and store) in the labels' postorder; one task per SCC, so
+	// the order is total.
+	sort.Slice(tasks, func(i, j int) bool { return ix.post[tasks[i].c] < ix.post[tasks[j].c] })
 	results := make([][]int32, len(tasks))
 	nworkers := workers
 	if nworkers > len(tasks) {
@@ -661,8 +553,9 @@ func (ix *Index) contains(c, p int32) bool {
 	return j >= 0 && p <= ivs[2*j+1]
 }
 
-// Equation returns the precomputed Boolean-equation body for source slot
-// v: the frontier-cut variable list (callers must not modify it) and
+// EquationGlobal returns the precomputed Boolean-equation body for source
+// slot v: the frontier-cut variable list, mapped to global node IDs by
+// PrecomputeGlobals and shared (callers must treat it as read-only), and
 // whether v reaches the target locally. tLocal is the target's local slot
 // when the target maps into this fragment (hasT); a tLocal at or past the
 // build-time slot count reports reachesT=false, which is exact for an
@@ -670,36 +563,8 @@ func (ix *Index) contains(c, p int32) bool {
 // edges, and gaining one marks its source's cone stale.
 //
 // ok is false — and the caller must fall back to direct evaluation — when
-// v postdates the build, its SCC is stale or undecided, or its frontier
-// was not stored under the budget.
-func (ix *Index) Equation(v, tLocal int32, hasT bool) (vars []int32, reachesT, ok bool) {
-	if v < 0 || int(v) >= ix.n {
-		ix.fallbacks.Add(1)
-		return nil, false, false
-	}
-	c := ix.comp[v]
-	if ix.stale[c] || ix.undecided[c] {
-		ix.fallbacks.Add(1)
-		return nil, false, false
-	}
-	fvars := ix.fronts[c]
-	if fvars == nil {
-		ix.fallbacks.Add(1)
-		return nil, false, false
-	}
-	if hasT && tLocal >= 0 && int(tLocal) < ix.n {
-		d := ix.comp[tLocal]
-		reachesT = c == d || ix.contains(c, ix.post[d])
-	}
-	ix.hits.Add(1)
-	atomic.AddInt64(&ix.srcHits[v], 1)
-	return fvars, reachesT, true
-}
-
-// EquationGlobal is Equation with the variable list already mapped to
-// global node IDs (see PrecomputeGlobals). The returned slice is shared —
-// callers must treat it as read-only. ok is false when Equation's would
-// be, or when PrecomputeGlobals has not run.
+// v postdates the build, its SCC is stale or undecided, its frontier was
+// not stored under the budget, or PrecomputeGlobals has not run.
 func (ix *Index) EquationGlobal(v, tLocal int32, hasT bool) (vars []graph.NodeID, reachesT, ok bool) {
 	if v < 0 || int(v) >= ix.n || ix.gfronts == nil {
 		ix.fallbacks.Add(1)
@@ -720,11 +585,10 @@ func (ix *Index) EquationGlobal(v, tLocal int32, hasT bool) (vars []graph.NodeID
 		reachesT = c == d || ix.contains(c, ix.post[d])
 	}
 	ix.hits.Add(1)
-	atomic.AddInt64(&ix.srcHits[v], 1)
 	return gvars, reachesT, true
 }
 
-// Outcome classifies why Equation/EquationGlobal would (or would not)
+// Outcome classifies why EquationGlobal would (or would not)
 // answer for source slot v — the observability counterpart of the
 // fallback branches above, in the same order, so a traced evaluation can
 // tag its eval span with the reason the index was bypassed. Reading the
@@ -815,17 +679,6 @@ func (ix *Index) MarkDirty(u int32) {
 // AnyStale reports whether any label has been invalidated since the build.
 func (ix *Index) AnyStale() bool { return ix.anyStale.Load() }
 
-// StaleComps counts stale SCCs (diagnostics).
-func (ix *Index) StaleComps() int {
-	n := 0
-	for _, s := range ix.stale {
-		if s {
-			n++
-		}
-	}
-	return n
-}
-
 // LabelBytes reports the bytes charged against the budget (interval labels
 // plus frontier lists).
 func (ix *Index) LabelBytes() int64 { return ix.bytes }
@@ -834,36 +687,15 @@ func (ix *Index) LabelBytes() int64 { return ix.bytes }
 // adoption code cross-checks it against the fragment being restored.
 func (ix *Index) NumSlots() int { return ix.n }
 
-// Policy reports the budget policy the index was built under.
-func (ix *Index) Policy() Policy { return ix.policy }
-
-// Hits reports how many Equation calls were answered from the index.
+// Hits reports how many EquationGlobal calls were answered from the index.
 func (ix *Index) Hits() int64 { return ix.hits.Load() }
 
-// Fallbacks reports how many Equation calls could not be answered.
+// Fallbacks reports how many EquationGlobal calls could not be answered.
 func (ix *Index) Fallbacks() int64 { return ix.fallbacks.Load() }
 
-// AddHits folds retired counters into this index's (used when an index
-// replaces a predecessor so cumulative stats survive the swap).
-func (ix *Index) AddHits(hits, fallbacks int64) {
-	ix.hits.Add(hits)
-	ix.fallbacks.Add(fallbacks)
-}
-
-// DrainSourceHits zeroes the per-slot hit counters, handing each non-zero
-// count to fold. This is the feedback loop of PolicyHits: the owner folds
-// the counts into its decayed hotness keyed by global ID (slots renumber;
-// global IDs do not) and passes them back through Spec.Hot on the next
-// build.
-func (ix *Index) DrainSourceHits(fold func(slot int32, hits int64)) {
-	for v := range ix.srcHits {
-		if h := atomic.SwapInt64(&ix.srcHits[v], 0); h > 0 {
-			fold(int32(v), h)
-		}
-	}
-}
-
-const codecMagic = "RIX2"
+// codecMagic names the blob layout; RIX2 blobs carried a budget-policy byte
+// this layout does not have, so they fail here and their owner rebuilds.
+const codecMagic = "RIX3"
 
 // MarshalBinary encodes the immutable part of the index (staleness and
 // counters are runtime state and deliberately excluded). Because the
@@ -883,7 +715,6 @@ func (ix *Index) MarshalBinary() ([]byte, error) {
 	}
 	u32(uint32(ix.n))
 	u32(uint32(ix.nc))
-	b = append(b, byte(ix.policy))
 	i32s(ix.comp)
 	i32s(ix.post)
 	i32s(ix.ivOff)
@@ -953,21 +784,13 @@ func UnmarshalBinary(b []byte) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("reachindex: truncated policy")
-	}
-	pol := Policy(b[0])
-	b = b[1:]
-	if pol > PolicyHits {
-		return nil, fmt.Errorf("reachindex: unknown policy byte %d", pol)
-	}
 	n, nc := int(nu), int(ncu)
 	// Each slot costs 4 bytes in comp and each SCC 4 in post, so both are
 	// bounded by the input size — reject before allocating otherwise.
 	if n < 0 || nc < 0 || 4*n > len(b) || 4*nc > len(b) {
 		return nil, fmt.Errorf("reachindex: implausible sizes n=%d nc=%d", n, nc)
 	}
-	ix := &Index{n: n, nc: nc, policy: pol, stale: make([]bool, nc), fronts: make([][]int32, nc), srcHits: make([]int64, n)}
+	ix := &Index{n: n, nc: nc, stale: make([]bool, nc), fronts: make([][]int32, nc)}
 	if ix.comp, err = i32s(n); err != nil {
 		return nil, err
 	}

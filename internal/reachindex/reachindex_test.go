@@ -19,14 +19,15 @@ func randomGraph(rng *rand.Rand, n, m int) *graph.Graph {
 }
 
 // buildFor indexes g with every third slot marked boundary/source — a
-// fragment-shaped setup without needing a real Fragmentation.
+// fragment-shaped setup without needing a real Fragmentation; slots are
+// their own global IDs.
 func buildFor(g *graph.Graph, budget int64) *Index {
 	comp, nc := g.SCC()
 	var sources []int32
 	for l := int32(0); int(l) < g.NumNodes(); l += 3 {
 		sources = append(sources, l)
 	}
-	return Build(Spec{
+	ix := Build(Spec{
 		Graph:    g,
 		Comp:     comp,
 		NC:       nc,
@@ -34,6 +35,8 @@ func buildFor(g *graph.Graph, budget int64) *Index {
 		Sources:  sources,
 		Budget:   budget,
 	})
+	ix.PrecomputeGlobals(func(l int32) graph.NodeID { return graph.NodeID(l) })
+	return ix
 }
 
 func TestReachesMatchesGraph(t *testing.T) {
@@ -117,7 +120,7 @@ func TestEquationMatchesReferenceBFS(t *testing.T) {
 		comp, _ := g.SCC()
 		ix := buildFor(g, 1<<30)
 		for l := int32(0); int(l) < n; l += 3 {
-			vars, _, ok := ix.Equation(l, -1, false)
+			vars, _, ok := ix.EquationGlobal(l, -1, false)
 			if !ok {
 				t.Fatalf("seed %d: source %d not indexed under unlimited budget", seed, l)
 			}
@@ -126,18 +129,18 @@ func TestEquationMatchesReferenceBFS(t *testing.T) {
 				t.Fatalf("seed %d: source %d frontier %v want %v", seed, l, vars, want)
 			}
 			for i := range vars {
-				if vars[i] != want[i] {
+				if int32(vars[i]) != want[i] {
 					t.Fatalf("seed %d: source %d frontier %v want %v", seed, l, vars, want)
 				}
 			}
 			// reachesT must track label-decided local reachability.
 			for tt := int32(0); int(tt) < n; tt++ {
-				_, reachesT, ok := ix.Equation(l, tt, true)
+				_, reachesT, ok := ix.EquationGlobal(l, tt, true)
 				if !ok {
 					t.Fatalf("seed %d: source %d lost its index entry", seed, l)
 				}
 				if want := g.Reachable(graph.NodeID(l), graph.NodeID(tt)); reachesT != want {
-					t.Fatalf("seed %d: Equation(%d, t=%d) reachesT=%v want %v", seed, l, tt, reachesT, want)
+					t.Fatalf("seed %d: EquationGlobal(%d, t=%d) reachesT=%v want %v", seed, l, tt, reachesT, want)
 				}
 			}
 		}
