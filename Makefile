@@ -79,6 +79,7 @@ cross-checks:
 	$(GO) test -race -run 'TestGroupCommitCoalesces|TestSnapshotIndex|TestSnapshotRecoverWarm' -count 1 ./internal/oplog
 	$(GO) test -race -run 'TestNodeOpsWireCrossCheck|TestNodeMutationCrossCheck|TestRebalanceEpochRace|TestRebalanceRestoresBalance' -count 1 ./internal/netsite ./internal/fragment
 	$(GO) test -race -run 'TestTraceCrossCheck|TestWireAccounting' -count 1 ./internal/netsite
+	$(GO) test -race -run 'TestTouchedMatchesOracle|TestTouchedSound|TestDriverReportsUnchanged|TestSourceEqMatchesLocalEval|TestSourcesFollowTheClosure' -count 1 ./internal/core ./internal/bes
 
 # The nested benchmark module (benchmark/go.mod, `replace distreach => ../`)
 # is out of reach of the root `./...`: vet and test it here so a netsite

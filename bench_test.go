@@ -181,7 +181,7 @@ func BenchmarkFig11d(b *testing.B) {
 	b.Run("disDist", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := f.qs[i%len(f.qs)]
-			core.DisDist(cl, f.fr, q.S, q.T, 10, nil)
+			core.DisDist(cl, f.fr, q.S, q.T, 10)
 		}
 	})
 	b.Run("disDistn", func(b *testing.B) {
@@ -200,7 +200,7 @@ func BenchmarkFig11e(b *testing.B) {
 		b.Run(name+"/disRPQ", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := f.rq[i%len(f.rq)]
-				core.DisRPQ(cl, f.fr, q.S, q.T, q.A, nil)
+				core.DisRPQ(cl, f.fr, q.S, q.T, q.A)
 			}
 		})
 		b.Run(name+"/disRPQd", func(b *testing.B) {
@@ -228,7 +228,7 @@ func BenchmarkFig11f(b *testing.B) {
 			var bytes int64
 			for i := 0; i < b.N; i++ {
 				q := f.rq[i%len(f.rq)]
-				bytes += core.DisRPQ(cl, f.fr, q.S, q.T, q.A, nil).Report.Bytes
+				bytes += core.DisRPQ(cl, f.fr, q.S, q.T, q.A).Report.Bytes
 			}
 			b.ReportMetric(float64(bytes)/float64(b.N), "bytes/query")
 		})
@@ -253,7 +253,7 @@ func BenchmarkFig11g(b *testing.B) {
 		b.Run(fmt.Sprintf("Vq=%d/disRPQ", vq), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := qs[i%len(qs)]
-				core.DisRPQ(cl, f.fr, q.S, q.T, q.A, nil)
+				core.DisRPQ(cl, f.fr, q.S, q.T, q.A)
 			}
 		})
 	}
@@ -268,7 +268,7 @@ func BenchmarkFig11h(b *testing.B) {
 		b.Run(fmt.Sprintf("sizeF=%d/disRPQ", sizeF), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := f.rq[i%len(f.rq)]
-				core.DisRPQ(cl, f.fr, q.S, q.T, q.A, nil)
+				core.DisRPQ(cl, f.fr, q.S, q.T, q.A)
 			}
 		})
 	}
@@ -282,7 +282,7 @@ func BenchmarkFig11i(b *testing.B) {
 		b.Run(fmt.Sprintf("card=%d/disRPQ", card), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := f.rq[i%len(f.rq)]
-				core.DisRPQ(cl, f.fr, q.S, q.T, q.A, nil)
+				core.DisRPQ(cl, f.fr, q.S, q.T, q.A)
 			}
 		})
 	}
@@ -295,7 +295,7 @@ func BenchmarkFig11j(b *testing.B) {
 	b.Run("disRPQ", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := f.rq[i%len(f.rq)]
-			core.DisRPQ(cl, f.fr, q.S, q.T, q.A, nil)
+			core.DisRPQ(cl, f.fr, q.S, q.T, q.A)
 		}
 	})
 	b.Run("disRPQd", func(b *testing.B) {

@@ -197,8 +197,11 @@ func queryWire(addrs []string, src, dst graph.NodeID, l int, re string) error {
 		}
 		fmt.Printf("qr(%d, %d) = %v\n", src, dst, ans)
 	}
-	fmt.Printf("  sites: %d (one visit each)  sent: %dB  received: %dB  round trip: %v\n",
-		len(addrs), st.BytesSent, st.BytesReceived, st.RoundTrip.Round(time.Microsecond))
+	// One request and one final frame per site is the paper's visit bound;
+	// more means the round straddled a rebalance or an update and retried,
+	// fewer finals that streamed partials decided it early.
+	fmt.Printf("  sites: %d  frames sent: %d  received: %d  sent: %dB  received: %dB  round trip: %v\n",
+		len(addrs), st.FramesSent, st.FramesReceived, st.BytesSent, st.BytesReceived, st.RoundTrip.Round(time.Microsecond))
 	return nil
 }
 

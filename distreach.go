@@ -185,14 +185,14 @@ func ReachBatch(cl *Cluster, fr *Fragmentation, qs []Query) BatchResult {
 // dist(s, t) <= l? It runs algorithm disDist with the same guarantees as
 // Reach.
 func ReachWithin(cl *Cluster, fr *Fragmentation, s, t NodeID, l int) DistResult {
-	return core.DisDist(cl, fr, s, t, l, nil)
+	return core.DisDist(cl, fr, s, t, l)
 }
 
 // ReachRegex evaluates the regular reachability query qrr(s, t, R): is
 // there a path from s to t whose label is in L(R)? It runs algorithm
 // disRPQ: one visit per site, O(|R|²·|Vf|²) traffic.
 func ReachRegex(cl *Cluster, fr *Fragmentation, s, t NodeID, a *Automaton) Result {
-	return core.DisRPQ(cl, fr, s, t, a, nil)
+	return core.DisRPQ(cl, fr, s, t, a)
 }
 
 // ReachRegexExpr is ReachRegex for a textual regular expression.

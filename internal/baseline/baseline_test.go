@@ -96,7 +96,7 @@ func TestBaselinesAgreeWithCore(t *testing.T) {
 		if r3 := DisReachM(cl, fr, s, tt).Answer; r1 != r3 {
 			t.Fatalf("trial %d: disReach=%v disReachm=%v", trial, r1, r3)
 		}
-		q1 := core.DisRPQ(cl, fr, s, tt, a, nil).Answer
+		q1 := core.DisRPQ(cl, fr, s, tt, a).Answer
 		if q2 := DisRPQD(cl, fr, s, tt, a).Answer; q1 != q2 {
 			t.Fatalf("trial %d: disRPQ=%v disRPQd=%v", trial, q1, q2)
 		}

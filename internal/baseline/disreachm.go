@@ -5,7 +5,6 @@ import (
 	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
-	"distreach/internal/pregel"
 )
 
 // DisReachM evaluates qr(s, t) with the message-passing distributed BFS the
@@ -33,10 +32,10 @@ func DisReachM(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeI
 	run.NetPhase(querySize)
 
 	type msg struct{}
-	res := pregel.Run[bool, msg](run, fr, pregel.Config[bool, msg]{
+	res := Run[bool, msg](run, fr, Config[bool, msg]{
 		InitialActive: []graph.NodeID{s},
 		DeliverOnce:   true,
-		Compute: func(ctx *pregel.Context[msg], v graph.NodeID, active *bool, msgs []msg) {
+		Compute: func(ctx *Context[msg], v graph.NodeID, active *bool, msgs []msg) {
 			defer ctx.VoteToHalt()
 			if *active {
 				return // no active node becomes inactive or re-propagates

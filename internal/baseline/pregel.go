@@ -1,13 +1,14 @@
-// Package pregel is a small vertex-centric bulk-synchronous-parallel
-// substrate in the style of Malewicz et al.'s Pregel [21], which the paper
-// uses as its message-passing comparison point (algorithm disReachm in
-// Section 7). One worker (site) hosts each fragment; computation proceeds
-// in supersteps; vertices exchange messages, vote to halt, and are
-// reactivated by incoming messages. Messages between vertices in different
-// fragments are delivered through the master and are accounted as visits to
-// the destination site, matching the paper's visit metric for
+package baseline
+
+// This file is a small vertex-centric bulk-synchronous-parallel substrate
+// in the style of Malewicz et al.'s Pregel [21], which the paper uses as
+// its message-passing comparison point (algorithm disReachm in Section 7;
+// DisReachM is its one client). One worker (site) hosts each fragment;
+// computation proceeds in supersteps; vertices exchange messages, vote to
+// halt, and are reactivated by incoming messages. Messages between vertices
+// in different fragments are delivered through the master and are accounted
+// as visits to the destination site, matching the paper's visit metric for
 // message-passing algorithms.
-package pregel
 
 import (
 	"sync"

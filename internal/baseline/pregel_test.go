@@ -1,4 +1,4 @@
-package pregel
+package baseline
 
 import (
 	"testing"

@@ -11,6 +11,12 @@
 // found no path onward. Solving is by the paper's evalDG strategy: build the
 // dependency graph Gd, merge the true constants into a single node, and
 // decide reachability; a variable is true iff it can reach a true constant.
+//
+// Gd is also where "whose partial answers does this value depend on" is
+// answered: equations are claimed by the source that contributed them
+// (Claim), and Sources / Weighted.Solve report the claimants of a
+// variable's dependency closure, so the coordinator builds one graph per
+// query, not one to decide and another to tag the cache entry.
 package bes
 
 import "fmt"
@@ -31,6 +37,34 @@ type System[K comparable] struct {
 	rev   [][]int32 // reverse dependency edges, maintained by Add
 	val   []bool    // least solution of the equations added so far
 	edges int
+	claims
+}
+
+// claims records which sources (the coordinator's site indices) contributed
+// an equation for which variable — one (variable, source) pair per Claim,
+// duplicates and all — so that the system that decides a query can also say
+// whose partial answers the decision rests on.
+type claims [][2]int32
+
+// sources lists, sorted, the distinct sources that claimed a variable for
+// which in reports true.
+func (c claims) sources(in func(i int) bool) []int {
+	var mark []bool
+	for _, cl := range c {
+		if in(int(cl[0])) {
+			for len(mark) <= int(cl[1]) {
+				mark = append(mark, false)
+			}
+			mark[cl[1]] = true
+		}
+	}
+	out := make([]int, 0, len(mark))
+	for src, ok := range mark {
+		if ok {
+			out = append(out, src)
+		}
+	}
+	return out
 }
 
 // New returns an empty system.
@@ -94,6 +128,37 @@ func (s *System[K]) Add(x K, constTrue bool, vars ...K) {
 	}
 }
 
+// Claim records that source src contributed an equation for x — possibly
+// one with no disjuncts at all: "x has no way onward" is as much a fact of
+// src's fragment as any other. Sources reads the claims back.
+func (s *System[K]) Claim(src int, x K) {
+	s.claims = append(s.claims, [2]int32{int32(s.intern(x)), int32(src)})
+}
+
+// Sources reports, sorted, the sources that claimed a variable in the
+// dependency closure of x: x itself and every variable its equation
+// mentions, transitively. These are the contributors the value of x can
+// depend on — under the equations added so far, and, for a true verdict
+// reached before every contributor answered, under any later ones too,
+// since the chain of implications that proved it lies inside the closure.
+func (s *System[K]) Sources(x K) []int {
+	seen := make([]bool, len(s.vars))
+	if i, ok := s.idx[x]; ok {
+		seen[i] = true
+		for stack := []int{i}; len(stack) > 0; {
+			y := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, z := range s.deps[y] {
+				if !seen[z] {
+					seen[z] = true
+					stack = append(stack, z)
+				}
+			}
+		}
+	}
+	return s.sources(func(i int) bool { return seen[i] })
+}
+
 // Decide reports whether x is true under the least solution of the
 // equations added so far. The solution is monotone in the equation set:
 // a true verdict is definitive no matter what is added later (each
@@ -116,9 +181,12 @@ func (s *System[K]) NumEdges() int { return s.edges }
 // the dependency graph. The reachability itself is maintained by Add, so
 // Solve only materializes the answer map; total cost over the system's
 // lifetime stays O(|Vd| + |Ed|).
-func (s *System[K]) Solve() map[K]bool {
+func (s *System[K]) Solve() map[K]bool { return s.trueSet(s.val) }
+
+// trueSet materializes a valuation as the set of true variables.
+func (s *System[K]) trueSet(val []bool) map[K]bool {
 	out := make(map[K]bool)
-	for i, v := range s.val {
+	for i, v := range val {
 		if v {
 			out[s.vars[i]] = true
 		}
@@ -148,17 +216,8 @@ func (s *System[K]) SolveFixpoint() map[K]bool {
 			}
 		}
 	}
-	out := make(map[K]bool)
-	for i, v := range val {
-		if v {
-			out[s.vars[i]] = true
-		}
-	}
-	return out
+	return s.trueSet(val)
 }
-
-// Value reports the solved value of x given a solution map from Solve.
-func Value[K comparable](sol map[K]bool, x K) bool { return sol[x] }
 
 // String summarizes the system.
 func (s *System[K]) String() string {

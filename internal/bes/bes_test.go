@@ -1,6 +1,7 @@
 package bes
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -174,10 +175,10 @@ func TestWeightedExample5(t *testing.T) {
 	s.AddTerm("Emmy", "Ross", 1)
 	s.AddConst("Ross", 1) // Ross reaches Mark at distance 1
 	s.AddTerm("Pat", "Jack", 1)
-	if d := s.Solve("Ann"); d != 6 {
+	if d, _ := s.Solve("Ann"); d != 6 {
 		t.Fatalf("dist(Ann) = %d, want 6 (Ann->Mat->Fred->Emmy->Ross->Mark)", d)
 	}
-	if d := s.Solve("Ross"); d != 1 {
+	if d, _ := s.Solve("Ross"); d != 1 {
 		t.Fatalf("dist(Ross) = %d, want 1", d)
 	}
 }
@@ -185,10 +186,10 @@ func TestWeightedExample5(t *testing.T) {
 func TestWeightedUnreachable(t *testing.T) {
 	s := NewWeighted[int]()
 	s.AddTerm(1, 2, 5)
-	if d := s.Solve(1); d != Inf {
+	if d, _ := s.Solve(1); d != Inf {
 		t.Fatalf("unreachable var solved to %d", d)
 	}
-	if d := s.Solve(42); d != Inf {
+	if d, _ := s.Solve(42); d != Inf {
 		t.Fatalf("unknown var solved to %d", d)
 	}
 }
@@ -199,12 +200,12 @@ func TestWeightedChoosesMin(t *testing.T) {
 	s.AddTerm(1, 3, 1)
 	s.AddConst(2, 0)
 	s.AddConst(3, 5)
-	if d := s.Solve(1); d != 6 {
+	if d, _ := s.Solve(1); d != 6 {
 		t.Fatalf("min path = %d, want 6", d)
 	}
 	// A tighter constant on the same variable wins.
 	s.AddConst(3, 1)
-	if d := s.Solve(1); d != 2 {
+	if d, _ := s.Solve(1); d != 2 {
 		t.Fatalf("after tightening, min = %d, want 2", d)
 	}
 }
@@ -215,7 +216,7 @@ func TestWeightedCycleDoesNotLoop(t *testing.T) {
 	s.AddTerm(2, 1, 1)
 	s.AddTerm(2, 3, 1)
 	s.AddConst(3, 0)
-	if d := s.Solve(1); d != 2 {
+	if d, _ := s.Solve(1); d != 2 {
 		t.Fatalf("cycle dist = %d, want 2", d)
 	}
 }
@@ -232,5 +233,46 @@ func TestSystemCounters(t *testing.T) {
 	w.AddConst(2, 0)
 	if w.NumVars() != 2 || w.NumEdges() != 1 {
 		t.Fatalf("weighted counters wrong")
+	}
+}
+
+// TestSourcesFollowTheClosure: Sources reports who claimed a variable in
+// the dependency closure of x — through true equations, cycles and
+// unclaimed variables alike — and nobody outside it; the weighted solve
+// reports the same set beside the distance.
+func TestSourcesFollowTheClosure(t *testing.T) {
+	s, w := New[int](), NewWeighted[int]()
+	claim := func(src, x int) { s.Claim(src, x); w.Claim(src, x) }
+	edge := func(x, y int) { s.Add(x, false, y); w.AddTerm(x, y, 1) }
+	claim(0, 1)
+	edge(1, 2)
+	claim(1, 2)
+	edge(2, 1) // cycle
+	edge(2, 3) // 3 is mentioned, never claimed
+	s.Add(2, true)
+	w.AddConst(2, 4)
+	edge(3, 4)
+	claim(2, 4) // an empty equation still has an owner
+	claim(3, 4) // claimed twice: both count
+	claim(3, 4)
+	claim(5, 9) // outside the closure of 1
+	edge(9, 1)
+	if got := s.Sources(1); !slices.Equal(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("Sources(1) = %v", got)
+	}
+	if d, got := w.Solve(1); d != 5 || !slices.Equal(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("weighted Solve(1) = %d, %v", d, got)
+	}
+	if got := s.Sources(9); !slices.Equal(got, []int{0, 1, 2, 3, 5}) {
+		t.Fatalf("Sources(9) = %v", got)
+	}
+	if got := s.Sources(4); !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("Sources(4) = %v", got)
+	}
+	if got := s.Sources(42); len(got) != 0 {
+		t.Fatalf("Sources of an unknown variable = %v", got)
+	}
+	if _, got := w.Solve(42); len(got) != 0 {
+		t.Fatalf("weighted sources of an unknown variable = %v", got)
 	}
 }

@@ -18,6 +18,7 @@ type Weighted[K comparable] struct {
 	cons  []int64 // constant term, or Inf
 	deps  [][]warc
 	edges int
+	claims
 }
 
 type warc struct {
@@ -53,6 +54,12 @@ func (s *Weighted[K]) AddConst(x K, c int64) {
 	}
 }
 
+// Claim records that source src contributed a min-equation for x, possibly
+// one with no terms (see System.Claim).
+func (s *Weighted[K]) Claim(src int, x K) {
+	s.claims = append(s.claims, [2]int32{int32(s.intern(x)), int32(src)})
+}
+
 // AddTerm records the term (v + w) as a candidate for min(x): x <= v + w.
 func (s *Weighted[K]) AddTerm(x K, v K, w int64) {
 	i := s.intern(x)
@@ -71,10 +78,14 @@ func (s *Weighted[K]) NumEdges() int { return s.edges }
 // is unbounded (unreachable). It runs Dijkstra from x over the dependency
 // graph: the value of x is the minimum over dependency paths x ~> y of
 // (path weight + constant at y). Time O(|Ed| + |Vd| log |Vd|).
-func (s *Weighted[K]) Solve(x K) int64 {
+//
+// The search settles exactly the dependency closure of x, so Solve also
+// reports, sorted, the sources that claimed a variable in it — the
+// weighted form of System.Sources.
+func (s *Weighted[K]) Solve(x K) (int64, []int) {
 	src, ok := s.idx[x]
 	if !ok {
-		return Inf
+		return Inf, []int{}
 	}
 	dist := make([]int64, len(s.vars))
 	for i := range dist {
@@ -98,7 +109,7 @@ func (s *Weighted[K]) Solve(x K) int64 {
 			}
 		}
 	}
-	return best
+	return best, s.sources(func(i int) bool { return dist[i] != Inf })
 }
 
 type item64 struct {

@@ -1,0 +1,344 @@
+package core
+
+import (
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"distreach/internal/automaton"
+	"distreach/internal/bes"
+	"distreach/internal/cluster"
+	"distreach/internal/fragment"
+	"distreach/internal/gen"
+	"distreach/internal/graph"
+)
+
+// touchedOracle is the reference the claims-based Touched sets are pinned
+// against: the closure walk over a node -> (owning sites, successor nodes)
+// view of the equations, built beside the system instead of read off it.
+type touchedOracle struct {
+	eqsOf  map[graph.NodeID][]int
+	varsOf map[graph.NodeID][]graph.NodeID
+}
+
+func newTouchedOracle() *touchedOracle {
+	return &touchedOracle{eqsOf: map[graph.NodeID][]int{}, varsOf: map[graph.NodeID][]graph.NodeID{}}
+}
+
+func (o *touchedOracle) add(site int, node graph.NodeID, vars ...graph.NodeID) {
+	o.eqsOf[node] = append(o.eqsOf[node], site)
+	o.varsOf[node] = append(o.varsOf[node], vars...)
+}
+
+func (o *touchedOracle) touched(s graph.NodeID) []int {
+	sites := map[int]bool{}
+	seen := map[graph.NodeID]bool{s: true}
+	for stack := []graph.NodeID{s}; len(stack) > 0; {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, site := range o.eqsOf[x] {
+			sites[site] = true
+		}
+		for _, v := range o.varsOf[x] {
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
+			}
+		}
+	}
+	out := make([]int, 0, len(sites))
+	for site := range sites {
+		out = append(out, site)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestTouchedMatchesOracle pins the Touched sets read off the deciding
+// system against the map-based oracle: for reach, over a strict round
+// (every site's final) and over early-terminated ones (sites fed in random
+// order, some preceded by their streamed chunk prefix, until Xs is
+// proved); for dist, over the strict round — the only kind it has.
+func TestTouchedMatchesOracle(t *testing.T) {
+	rng := gen.NewRNG(2201)
+	early := 0
+	for trial := 0; trial < 300; trial++ {
+		_, fr, s, tt := randomCase(rng, nil)
+		frags := fr.Fragments()
+
+		finals := make([]*ReachPartial, len(frags))
+		so := newTouchedOracle()
+		for site, f := range frags {
+			finals[site] = LocalEvalReach(f, s, tt, nil)
+			for _, eq := range finals[site].eqs {
+				so.add(site, eq.node, eq.vars...)
+			}
+		}
+		strict := assembleReach(finals).Sources(s)
+		if want := so.touched(s); !slices.Equal(strict, want) {
+			t.Fatalf("trial %d: strict qr(%d,%d) touched %v, oracle %v", trial, s, tt, strict, want)
+		}
+
+		anytime, ao := bes.New[graph.NodeID](), newTouchedOracle()
+		order := rng.Perm(len(frags))
+		feed := func(site int, rv *ReachPartial) {
+			rv.AddToSystemFrom(site, anytime)
+			for _, eq := range rv.eqs {
+				ao.add(site, eq.node, eq.vars...)
+			}
+		}
+		for fed, site := range order {
+			if rng.Intn(2) == 0 {
+				LocalEvalReachStream(frags[site], s, tt, nil, func(chunk *ReachPartial) bool {
+					feed(site, chunk)
+					return true
+				})
+			}
+			feed(site, finals[site])
+			if got, want := anytime.Sources(s), ao.touched(s); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: qr(%d,%d) after %d sites touched %v, oracle %v", trial, s, tt, fed+1, got, want)
+			}
+			if anytime.Decide(s) {
+				// A round decided here reports a subset of the strict set.
+				for _, site := range anytime.Sources(s) {
+					if !slices.Contains(strict, site) {
+						t.Fatalf("trial %d: early touched %v not within strict %v", trial, anytime.Sources(s), strict)
+					}
+				}
+				if fed+1 < len(frags) {
+					early++
+				}
+				break
+			}
+		}
+
+		l := 1 + rng.Intn(8)
+		do := newTouchedOracle()
+		dparts := make([]*DistPartial, len(frags))
+		for site, f := range frags {
+			dparts[site] = LocalEvalDist(f, s, tt, l)
+			for _, eq := range dparts[site].eqs {
+				do.add(site, eq.node)
+				for _, term := range eq.terms {
+					if !term.isConst {
+						do.add(site, eq.node, term.varNode)
+					}
+				}
+			}
+		}
+		if _, got := AssembleDist(dparts, s); !slices.Equal(got, do.touched(s)) {
+			t.Fatalf("trial %d: qbr(%d,%d,%d) touched %v, oracle %v", trial, s, tt, l, got, do.touched(s))
+		}
+	}
+	if early == 0 {
+		t.Fatal("no early-terminated round in the corpus")
+	}
+}
+
+// TestTouchedSound is the property cache invalidation rests on, for all
+// three classes: after any sequence of edge updates none of whose dirty
+// sets meets a query's Touched set, the centralized answer is what it was.
+// An update that does meet it may change the answer (and the corpus must
+// contain some that do, or the test proves nothing).
+func TestTouchedSound(t *testing.T) {
+	rng := gen.NewRNG(2202)
+	type verdict struct {
+		ans  bool
+		dist int
+	}
+	var flipped [3]int
+	for trial := 0; trial < 400; trial++ {
+		g, fr, s, tt := randomCase(rng, testLabels)
+		if s == tt {
+			continue // answered without evaluation: no Touched set, nothing cached against one
+		}
+		n := g.NumNodes()
+		l := 1 + rng.Intn(8)
+		a := automaton.FromRegex(randomRegex(rng, 3))
+		central := func() [3]verdict {
+			d := g.Dist(s, tt)
+			within := d >= 0 && d <= l
+			if !within {
+				d = -1
+			}
+			return [3]verdict{{ans: g.Reachable(s, tt)}, {within, d}, {ans: automaton.Eval(g, s, tt, a)}}
+		}
+		frags := fr.Fragments()
+		rp := make([]*ReachPartial, len(frags))
+		dp := make([]*DistPartial, len(frags))
+		qp := make([]*RPQPartial, len(frags))
+		for i, f := range frags {
+			rp[i], dp[i], qp[i] = LocalEvalReach(f, s, tt, nil), LocalEvalDist(f, s, tt, l), LocalEvalRPQ(f, s, tt, a)
+		}
+		var touched [3][]int
+		touched[0] = assembleReach(rp).Sources(s)
+		_, touched[1] = AssembleDist(dp, s)
+		touched[2] = TouchedRPQ(qp, s, a.NumStates())
+		before := central()
+
+		evicted := [3]bool{}
+		for step := 0; step < 4; step++ {
+			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			var dirty []int
+			var err error
+			if rng.Intn(3) == 0 {
+				dirty, _, err = fr.DeleteEdge(u, v)
+			} else {
+				dirty, _, err = fr.InsertEdge(u, v)
+			}
+			if err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+			after := central()
+			for c := range touched {
+				if !evicted[c] && slices.ContainsFunc(dirty, func(f int) bool { return slices.Contains(touched[c], f) }) {
+					evicted[c] = true
+					if after[c] != before[c] {
+						flipped[c]++
+					}
+				}
+				if !evicted[c] && after[c] != before[c] {
+					t.Fatalf("trial %d step %d: class %d (%d->%d, l=%d) went %+v -> %+v after an update dirtying %v, outside touched %v",
+						trial, step, c, s, tt, l, before[c], after[c], dirty, touched[c])
+				}
+			}
+		}
+	}
+	for c, k := range flipped {
+		if k == 0 {
+			t.Errorf("class %d: no update meeting a touched set ever changed an answer", c)
+		}
+	}
+}
+
+// reportTally sums the deterministic fields of a run of Reports.
+type reportTally struct {
+	Visits, Bytes, BytesCoord, Messages int64
+	Rounds                              int
+	NetTime                             time.Duration
+}
+
+func (a *reportTally) add(r cluster.Report) {
+	a.Visits += r.TotalVisits
+	a.Bytes += r.Bytes
+	a.BytesCoord += r.BytesCoord
+	a.Messages += r.Messages
+	a.Rounds += r.Rounds
+	a.NetTime += r.NetTime
+}
+
+// TestDriverReportsUnchanged pins the simulated accounting of every
+// algorithm that runs through threePhase — and of a session's cold and warm
+// queries — to the values the five hand-written skeletons produced on the
+// same seeds (recorded at the commit before the driver replaced them).
+func TestDriverReportsUnchanged(t *testing.T) {
+	g := gen.Uniform(gen.Config{Nodes: 300, Edges: 600, Labels: testLabels, Seed: 22})
+	fr, err := fragment.Random(g, 4, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.New(4, cluster.NetModel{Latency: time.Millisecond, BytesPerSecond: 1e6})
+	rng := gen.NewRNG(22)
+	var qs []Query
+	for i := 0; i < 40; i++ {
+		// Few targets, so the batch groups and the session's warm path both run.
+		qs = append(qs, Query{S: graph.NodeID(rng.Intn(300)), T: graph.NodeID(rng.Intn(3))})
+	}
+	var reach, dist, rpq, batch, session reportTally
+	se := NewSession(cl, fr)
+	for _, q := range qs {
+		reach.add(DisReach(cl, fr, q.S, q.T, nil).Report)
+		dist.add(DisDist(cl, fr, q.S, q.T, 6).Report)
+		rpq.add(DisRPQ(cl, fr, q.S, q.T, automaton.FromRegex(randomRegex(rng, 3))).Report)
+		session.add(se.Reach(q.S, q.T).Report)
+	}
+	batch.add(DisReachBatch(cl, fr, qs).Report)
+	for _, c := range []struct {
+		name      string
+		got, want reportTally
+	}{
+		{"DisReach", reach, reportTally{160, 131807, 129887, 320, 0, 114925 * time.Microsecond}},
+		{"DisDist", dist, reportTally{160, 211300, 209380, 320, 0, 136260 * time.Microsecond}},
+		{"DisRPQ", rpq, reportTally{160, 93883, 82103, 320, 0, 104985996 * time.Nanosecond}},
+		{"DisReachBatch", batch, reportTally{4, 11788, 9868, 8, 0, 5105 * time.Microsecond}},
+		{"Session.Reach", session, reportTally{21, 10134, 9882, 42, 0, 26873 * time.Microsecond}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: report tally %+v, recorded %+v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestSourceEqMatchesLocalEval: the source equation SourceOnlyReach computes
+// alone is the one a full local evaluation appends for the same source, for every
+// kind of source — sharing a local SCC with an in-node (alias), stored here
+// only as a virtual node or already an in-node (no equation of its own),
+// and plain (the frontier-cut BFS both now share).
+func TestSourceEqMatchesLocalEval(t *testing.T) {
+	// Fragment 0 holds a(0) <-> c(1), p(2) -> x(3) -> t0(4); fragment 1
+	// holds w(5) -> z(6). Cross edges w->a (a is an in-node), c->w, x->w.
+	b := graph.NewBuilder(7)
+	b.AddNodes(7, "")
+	for _, e := range [][2]graph.NodeID{{5, 0}, {0, 1}, {1, 0}, {1, 5}, {2, 3}, {3, 5}, {3, 4}, {5, 6}} {
+		b.AddEdge(e[0], e[1])
+	}
+	fr, err := fragment.Build(b.MustBuild(), []int{0, 0, 0, 0, 0, 1, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fr.Fragments()[0]
+	// fromLocalEval extracts s's own equation from a full evaluation: the
+	// one appended beyond the source-independent in-node equations.
+	fromLocalEval := func(s, tt graph.NodeID) (reachEq, bool) {
+		with, base := LocalEvalReach(f, s, tt, nil).eqs, LocalEvalReach(f, graph.None, tt, nil).eqs
+		if len(with) == len(base) {
+			return reachEq{}, false
+		}
+		return with[len(with)-1], true
+	}
+	for _, c := range []struct {
+		name  string
+		s, tt graph.NodeID
+		want  *reachEq // nil: no equation of its own
+	}{
+		{"in-SCC source aliases the in-node", 1, 6, &reachEq{node: 1, vars: []graph.NodeID{0}}},
+		{"virtual-only source", 5, 6, nil},
+		{"in-node source", 0, 6, nil},
+		{"plain source, remote target", 2, 6, &reachEq{node: 2, vars: []graph.NodeID{5}}},
+		{"plain source, local target", 2, 4, &reachEq{node: 2, constTrue: true, vars: []graph.NodeID{5}}},
+	} {
+		var got reachEq
+		own := SourceOnlyReach(f, c.s, c.tt, nil)
+		ok := own != nil
+		if ok {
+			got = own.eqs[0]
+		}
+		full, fullOK := fromLocalEval(c.s, c.tt)
+		if ok != fullOK || ok != (c.want != nil) {
+			t.Errorf("%s: SourceOnlyReach owns an equation: %v, LocalEvalReach: %v, want %v", c.name, ok, fullOK, c.want != nil)
+			continue
+		}
+		same := func(x, y reachEq) bool {
+			return x.node == y.node && x.constTrue == y.constTrue && slices.Equal(x.vars, y.vars)
+		}
+		if ok && (!same(got, full) || !same(got, *c.want)) {
+			t.Errorf("%s: SourceOnlyReach %+v, LocalEvalReach %+v, want %+v", c.name, got, full, *c.want)
+		}
+	}
+	// The one place the two differ, by design: a source sharing a local SCC
+	// with the target, itself an in-node. SourceOnlyReach aliases Xs = Xt (true by
+	// t's own equation); localEval never aliases to t and searches instead.
+	// Both decide the same.
+	alias := SourceOnlyReach(f, 1, 0, nil).eqs[0]
+	searched, _ := fromLocalEval(1, 0)
+	if len(alias.vars) != 1 || alias.vars[0] != 0 || !searched.constTrue {
+		t.Fatalf("source in the target's SCC: SourceOnlyReach %+v, LocalEvalReach %+v", alias, searched)
+	}
+	base := LocalEvalReach(f, graph.None, 0, nil)
+	for _, eq := range []reachEq{alias, searched} {
+		if !SolveReach([]*ReachPartial{base, {eqs: []reachEq{eq}}}, 1) {
+			t.Errorf("qr(1,0) false with source equation %+v", eq)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"distreach/internal/bes"
 	"distreach/internal/cluster"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
@@ -36,103 +35,83 @@ func DisReachBatch(cl *cluster.Cluster, fr *fragment.Fragmentation, qs []Query) 
 		res.Report = run.Finish()
 		return res
 	}
-	frags := fr.Fragments()
 
 	// Group queries by target; equal (s,t) pairs still solve individually
 	// (cheap), but local evaluation runs once per (fragment, target).
 	type group struct {
 		t       graph.NodeID
-		sources []graph.NodeID
-		indexes []int
+		queries []int // indices into qs
 	}
-	groups := map[graph.NodeID]*group{}
-	var order []*group
+	var groups []*group
+	byTarget := map[graph.NodeID]*group{}
 	for i, q := range qs {
-		gr, ok := groups[q.T]
+		gr, ok := byTarget[q.T]
 		if !ok {
 			gr = &group{t: q.T}
-			groups[q.T] = gr
-			order = append(order, gr)
+			byTarget[q.T] = gr
+			groups = append(groups, gr)
 		}
-		gr.sources = append(gr.sources, q.S)
-		gr.indexes = append(gr.indexes, i)
+		gr.queries = append(gr.queries, i)
 	}
 
-	// Phase 1: post the whole batch to every site.
-	batchBytes := querySize * len(qs)
-	for i := range frags {
-		run.Post(i, batchBytes)
-	}
-	run.NetPhase(batchBytes)
-
-	// Phase 2: per site, one rvset per target group plus the source
-	// equations of every query whose source lives there.
-	type sitePartial struct {
-		byTarget map[graph.NodeID]*ReachPartial
-	}
-	partials := make([]sitePartial, len(frags))
-	run.Parallel(func(site int) {
-		f := frags[site]
-		sp := sitePartial{byTarget: make(map[graph.NodeID]*ReachPartial, len(order))}
-		for _, gr := range order {
-			// Include every source stored at this site in the iset: the
-			// in-node pass runs once (s = None) and each source adds only
-			// its own equation.
-			rv := LocalEvalReach(f, graph.None, gr.t, nil)
-			for _, s := range gr.sources {
-				if eq, ok := sourceEq(f, s, gr.t, nil); ok {
-					rv.eqs = append(rv.eqs, eq)
+	// A site's reply is one rvset per target group, in group order.
+	threePhase(run, fr.Fragments(), querySize*len(qs),
+		func(f *fragment.Fragment) []*ReachPartial {
+			reply := make([]*ReachPartial, len(groups))
+			for gi, gr := range groups {
+				// The in-node pass runs once (s = None) and each source
+				// stored at this site adds only its own equation.
+				reply[gi] = LocalEvalReach(f, graph.None, gr.t, nil)
+				for _, i := range gr.queries {
+					if own := SourceOnlyReach(f, qs[i].S, gr.t, nil); own != nil {
+						reply[gi].eqs = append(reply[gi].eqs, own.eqs...)
+					}
 				}
 			}
-			sp.byTarget[gr.t] = rv
-		}
-		partials[site] = sp
-	})
-	maxReply := 0
-	for i := range frags {
-		b := 0
-		for _, rv := range partials[i].byTarget {
-			b += rv.wireSize(frags[i].NumVirtual() + len(frags[i].InNodes()))
-		}
-		run.Reply(i, b)
-		if b > maxReply {
-			maxReply = b
-		}
-	}
-	run.NetPhase(maxReply)
-
-	// Phase 3: one equation system per target group.
-	run.Sequential(func() {
-		for _, gr := range order {
-			sys := bes.New[graph.NodeID]()
-			for site := range frags {
-				rv := partials[site].byTarget[gr.t]
-				for _, eq := range rv.eqs {
-					sys.Add(eq.node, eq.constTrue, eq.vars...)
+			return reply
+		},
+		func(f *fragment.Fragment, reply []*ReachPartial) (b int) {
+			for _, rv := range reply {
+				b += reachReplySize(f, rv)
+			}
+			return b
+		},
+		func(replies [][]*ReachPartial) {
+			// One dependency graph per target group decides all its sources.
+			ofGroup := make([]*ReachPartial, len(replies))
+			for gi, gr := range groups {
+				for site, reply := range replies {
+					ofGroup[site] = reply[gi]
+				}
+				sys := assembleReach(ofGroup)
+				for _, i := range gr.queries {
+					res.Answers[i] = qs[i].S == gr.t || sys.Decide(qs[i].S)
 				}
 			}
-			sol := sys.Solve()
-			for j, s := range gr.sources {
-				res.Answers[gr.indexes[j]] = s == gr.t || sol[s]
-			}
-		}
-	})
+		})
 	res.Report = run.Finish()
 	return res
 }
 
-// sourceEq computes just the source equation of qr(s, t) on f: the
-// frontier-cut BFS of localEval run from s alone, skipping the per-in-node
-// work. It reports false when s contributes no equation of its own — not
-// stored on this fragment, stored only as a virtual node, or already an
-// in-node (whose equation is part of the source-independent rvset).
-func sourceEq(f *fragment.Fragment, s, t graph.NodeID, opt *Options) (reachEq, bool) {
+// SourceOnlyReach returns a partial holding just the source equation of
+// qr(s, t) on f: the frontier-cut BFS of localEval run from s alone,
+// skipping the per-in-node work. It returns nil when s contributes no
+// equation of its own — not stored on this fragment, stored only as a
+// virtual node, or already an in-node (whose equation is part of the
+// source-independent rvset). Together with LocalEvalReach(f, graph.None, t)
+// it splits a fragment's batch answer into a per-target shared part and a
+// per-source part, which the wire batch reply ships deduplicated.
+//
+// nil is also returned when opt.Cancel fires mid-BFS; callers running
+// under cooperative cancellation must re-check their cancel flag before
+// treating nil as "no equation owed".
+func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *ReachPartial {
 	ls, ok := f.Local(s)
 	if !ok || f.IsVirtual(ls) || f.IsInNode(ls) {
-		return reachEq{}, false
+		return nil
 	}
 	if s == t {
-		return reachEq{node: t, constTrue: true}, true
+		return &ReachPartial{eqs: []reachEq{{node: t, constTrue: true}}}
 	}
 	comp := f.LocalSCC()
 	// Equation aliasing, as in localEval: when s shares a local SCC with an
@@ -141,53 +120,11 @@ func sourceEq(f *fragment.Fragment, s, t graph.NodeID, opt *Options) (reachEq, b
 	// own equation is always in the source-independent rvset.
 	for _, v := range f.InNodes() {
 		if comp[v] == comp[ls] {
-			return reachEq{node: s, vars: []graph.NodeID{f.Global(v)}}, true
+			return &ReachPartial{eqs: []reachEq{{node: s, vars: []graph.NodeID{f.Global(v)}}}}
 		}
 	}
-	eq := reachEq{node: s}
-	seen := make([]bool, f.NumTotal())
-	seen[ls] = true
-	queue := make([]int32, 1, 16)
-	queue[0] = ls
-	pops := 0
-	for len(queue) > 0 {
-		if pops++; pops&0xff == 0 && opt.cancelled() {
-			return reachEq{}, false
-		}
-		x := queue[0]
-		queue = queue[1:]
-		if x != ls {
-			if g := f.Global(x); g == t {
-				eq.constTrue = true
-				continue
-			} else if f.IsBoundary(x) && comp[x] != comp[ls] {
-				eq.vars = append(eq.vars, g)
-				continue
-			}
-		}
-		for _, w := range f.Out(x) {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return eq, true
-}
-
-// SourceOnlyReach returns a partial holding just the source equation of
-// qr(s, t) on f, or nil when s contributes no equation of its own (not
-// stored here, stored only as a virtual node, or already an in-node whose
-// equation belongs to the source-independent rvset). Together with
-// LocalEvalReach(f, graph.None, t) it splits a fragment's batch answer
-// into a per-target shared part and a per-source part, which the wire
-// batch reply ships deduplicated.
-//
-// nil is also returned when opt.Cancel fires mid-BFS; callers running
-// under cooperative cancellation must re-check their cancel flag before
-// treating nil as "no equation owed".
-func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *ReachPartial {
-	eq, ok := sourceEq(f, s, t, opt)
+	var bfs cutBFS
+	eq, ok := bfs.from(f, ls, t, comp, opt)
 	if !ok {
 		return nil
 	}

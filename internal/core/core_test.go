@@ -76,14 +76,14 @@ func TestDisDistFigure1(t *testing.T) {
 	g, fr, ids := figure1Graph(t)
 	cl := cluster.New(3, cluster.NetModel{})
 	// Example 5: qbr(Ann, Mark, 6) is true with distance exactly 6.
-	res := DisDist(cl, fr, ids["Ann"], ids["Mark"], 6, nil)
+	res := DisDist(cl, fr, ids["Ann"], ids["Mark"], 6)
 	if !res.Answer || res.Distance != 6 {
 		t.Fatalf("qbr(Ann,Mark,6): got answer=%v dist=%d, want true/6", res.Answer, res.Distance)
 	}
 	if got := g.Dist(ids["Ann"], ids["Mark"]); got != 6 {
 		t.Fatalf("oracle dist = %d, want 6", got)
 	}
-	if res := DisDist(cl, fr, ids["Ann"], ids["Mark"], 5, nil); res.Answer {
+	if res := DisDist(cl, fr, ids["Ann"], ids["Mark"], 5); res.Answer {
 		t.Fatal("qbr(Ann,Mark,5) must be false")
 	}
 	for i, v := range res.Report.Visits {
@@ -98,7 +98,7 @@ func TestDisRPQFigure1(t *testing.T) {
 	cl := cluster.New(3, cluster.NetModel{})
 	// Example 1: R = (DB* ∪ HR*): a chain of DB people or of HR people.
 	a := automaton.FromRegex(rx.MustParse("DB*|HR*"))
-	res := DisRPQ(cl, fr, ids["Ann"], ids["Mark"], a, nil)
+	res := DisRPQ(cl, fr, ids["Ann"], ids["Mark"], a)
 	if !res.Answer {
 		t.Fatal("qrr(Ann, Mark, DB*|HR*) should hold via the HR chain")
 	}
@@ -108,13 +108,13 @@ func TestDisRPQFigure1(t *testing.T) {
 		}
 	}
 	// A DB-only chain does not exist.
-	if res := DisRPQ(cl, fr, ids["Ann"], ids["Mark"], automaton.FromRegex(rx.MustParse("DB*")), nil); res.Answer {
+	if res := DisRPQ(cl, fr, ids["Ann"], ids["Mark"], automaton.FromRegex(rx.MustParse("DB*"))); res.Answer {
 		t.Fatal("qrr(Ann, Mark, DB*) must be false")
 	}
 	// Example 6's second query: qrr(Walt, Mark, (CTO DB*) ∪ HR*) — from
 	// Walt the HR* branch applies (Walt -> Mat -> Fred -> Emmy -> Ross ->
 	// Mark has interior labels HR HR HR HR).
-	if res := DisRPQ(cl, fr, ids["Walt"], ids["Mark"], automaton.FromRegex(rx.MustParse("(CTO DB*)|HR*")), nil); !res.Answer {
+	if res := DisRPQ(cl, fr, ids["Walt"], ids["Mark"], automaton.FromRegex(rx.MustParse("(CTO DB*)|HR*"))); !res.Answer {
 		t.Fatal("qrr(Walt, Mark, (CTO DB*)|HR*) should hold")
 	}
 }
@@ -154,7 +154,7 @@ func TestDisDistMatchesCentralizedDistance(t *testing.T) {
 		g, fr, s, tt := randomCase(rng, nil)
 		l := rng.Intn(12)
 		cl := cluster.New(fr.Card(), cluster.NetModel{})
-		res := DisDist(cl, fr, s, tt, l, nil)
+		res := DisDist(cl, fr, s, tt, l)
 		d := g.Dist(s, tt)
 		want := d >= 0 && d <= l
 		if res.Answer != want {
@@ -200,7 +200,7 @@ func TestDisRPQMatchesCentralizedProductBFS(t *testing.T) {
 		g, fr, s, tt := randomCase(rng, testLabels)
 		a := automaton.FromRegex(randomRegex(rng, 3))
 		cl := cluster.New(fr.Card(), cluster.NetModel{})
-		got := DisRPQ(cl, fr, s, tt, a, nil).Answer
+		got := DisRPQ(cl, fr, s, tt, a).Answer
 		want := automaton.Eval(g, s, tt, a)
 		if got != want {
 			t.Fatalf("trial %d: disRPQ(%d,%d)=%v, oracle=%v on %v, %v, %v",
@@ -215,7 +215,7 @@ func TestDisRPQRandomAutomata(t *testing.T) {
 		g, fr, s, tt := randomCase(rng, testLabels)
 		a := automaton.Random(rng, 2+rng.Intn(8), 4+rng.Intn(16), testLabels)
 		cl := cluster.New(fr.Card(), cluster.NetModel{})
-		got := DisRPQ(cl, fr, s, tt, a, nil).Answer
+		got := DisRPQ(cl, fr, s, tt, a).Answer
 		want := automaton.Eval(g, s, tt, a)
 		if got != want {
 			t.Fatalf("trial %d: got %v want %v (s=%d t=%d, %v, %v)", trial, got, want, s, tt, g, fr)
@@ -233,9 +233,9 @@ func TestVisitGuaranteeHoldsOnEveryRun(t *testing.T) {
 		cl := cluster.New(fr.Card(), cluster.NetModel{})
 		for name, rep := range map[string]cluster.Report{
 			"disReach": DisReach(cl, fr, s, tt, nil).Report,
-			"disDist":  DisDist(cl, fr, s, tt, 5, nil).Report,
+			"disDist":  DisDist(cl, fr, s, tt, 5).Report,
 			"disRPQ": DisRPQ(cl, fr, s, tt,
-				automaton.FromRegex(rx.MustParse("A*|B C*")), nil).Report,
+				automaton.FromRegex(rx.MustParse("A*|B C*"))).Report,
 		} {
 			for site, v := range rep.Visits {
 				if v != 1 {

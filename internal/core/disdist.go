@@ -37,35 +37,6 @@ type DistPartial struct {
 	eqs []distEq
 }
 
-// LocalEvalDist is the exported form of procedure localEvald, used by the
-// MapReduce adaptation. Pass s = graph.None to compute the in-node
-// equations only.
-func LocalEvalDist(f *fragment.Fragment, s, t graph.NodeID, l int) *DistPartial {
-	return localEvalDist(f, s, t, l)
-}
-
-// SolveDist is procedure evalDGd: it assembles partial answers and returns
-// the exact dist(s, t) when it is within the bound used during local
-// evaluation, or bes.Inf.
-func SolveDist(partials []*DistPartial, s graph.NodeID) int64 {
-	sys := bes.NewWeighted[graph.NodeID]()
-	for _, rv := range partials {
-		if rv == nil {
-			continue
-		}
-		for _, eq := range rv.eqs {
-			for _, term := range eq.terms {
-				if term.isConst {
-					sys.AddConst(eq.node, term.w)
-				} else {
-					sys.AddTerm(eq.node, term.varNode, term.w)
-				}
-			}
-		}
-	}
-	return sys.Solve(s)
-}
-
 // wireSize: each equation carries the in-node ID plus (variable ID,
 // distance) pairs — the numeric analogue of the Boolean accounting, still
 // bounded by O(|Fi.I|·|Fi.O|) words.
@@ -81,10 +52,7 @@ func (rv *DistPartial) wireSize() int {
 // dist(s, t) <= l? (algorithm disDist, Section 4). It has the same
 // guarantees as DisReach: one visit per site, traffic in O(|Vf|²),
 // and parallel local evaluation bounded by the largest fragment.
-func DisDist(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID, l int, opt *Options) DistResult {
-	if opt == nil {
-		opt = &Options{}
-	}
+func DisDist(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID, l int) DistResult {
 	run := cl.NewRun()
 	if s == t {
 		return DistResult{Answer: l >= 0, Distance: 0, Report: run.Finish()}
@@ -93,52 +61,17 @@ func DisDist(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID,
 		// No path of positive length fits a non-positive bound.
 		return DistResult{Answer: false, Distance: bes.Inf, Report: run.Finish()}
 	}
-	frags := fr.Fragments()
-
-	// Phase 1: post qbr(s, t, l) to every site.
-	for i := range frags {
-		run.Post(i, querySize)
-	}
-	run.NetPhase(querySize)
-
-	// Phase 2: local evaluation (procedure localEvald), in parallel.
-	partial := make([]*DistPartial, len(frags))
-	run.Parallel(func(site int) {
-		partial[site] = localEvalDist(frags[site], s, t, l)
-	})
-	maxReply := 0
-	for i, rv := range partial {
-		b := rv.wireSize()
-		run.Reply(i, b)
-		if b > maxReply {
-			maxReply = b
-		}
-	}
-	run.NetPhase(maxReply)
-
-	// Phase 3: assemble (procedure evalDGd) — build the weighted dependency
-	// graph and run Dijkstra from Xs.
 	var d int64
-	run.Sequential(func() {
-		sys := bes.NewWeighted[graph.NodeID]()
-		for _, rv := range partial {
-			for _, eq := range rv.eqs {
-				for _, term := range eq.terms {
-					if term.isConst {
-						sys.AddConst(eq.node, term.w)
-					} else {
-						sys.AddTerm(eq.node, term.varNode, term.w)
-					}
-				}
-			}
-		}
-		d = sys.Solve(s)
-	})
+	threePhase(run, fr.Fragments(), querySize,
+		func(f *fragment.Fragment) *DistPartial { return LocalEvalDist(f, s, t, l) },
+		func(_ *fragment.Fragment, rv *DistPartial) int { return rv.wireSize() },
+		func(partial []*DistPartial) { d = SolveDist(partial, s) })
 	return DistResult{Answer: d <= int64(l), Distance: d, Report: run.Finish()}
 }
 
-// localEvalDist runs procedure localEvald on one fragment: for every
-// in-node v (plus s if local) it computes the local BFS distances to the
+// LocalEvalDist runs procedure localEvald on one fragment: for every
+// in-node v (plus s if local; pass s = graph.None for the in-node equations
+// only) it computes the local BFS distances to the
 // virtual nodes (and to t when t is stored here), keeping
 //
 //	Xv <= Xv' + dist(v, v')   for virtual v' with dist(v, v') < l,
@@ -146,7 +79,7 @@ func DisDist(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID,
 //
 // Terms at distance >= l cannot start a path of total length <= l unless
 // they already end at t, matching the pruning in the paper.
-func localEvalDist(f *fragment.Fragment, s, t graph.NodeID, l int) *DistPartial {
+func LocalEvalDist(f *fragment.Fragment, s, t graph.NodeID, l int) *DistPartial {
 	iset := isetOf(f, s)
 	rv := &DistPartial{eqs: make([]distEq, 0, len(iset))}
 	if len(iset) == 0 {

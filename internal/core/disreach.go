@@ -1,7 +1,6 @@
 package core
 
 import (
-	"distreach/internal/bes"
 	"distreach/internal/cluster"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
@@ -38,15 +37,13 @@ type ReachPartial struct {
 // LocalEvalReach is the exported form of procedure localEval, used by the
 // MapReduce adaptation, the incremental session and the wire sites. Pass
 // s = graph.None to compute the in-node equations only (no source
-// equation). A nil opt means defaults; it used to be silently replaced by
-// a fresh &Options{}, which dropped every caller-supplied option
-// (NoFragmentIndex, Cancel, Metrics) on the MapReduce and session paths.
+// equation). A nil opt means defaults.
 //
 // When opt.Cancel fires mid-evaluation the partial is abandoned and nil is
 // returned; callers running under cooperative cancellation must treat nil
 // as "no reply owed".
 func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *ReachPartial {
-	rv, _ := localEvalStream(f, s, t, opt, nil)
+	rv, _ := LocalEvalReachStream(f, s, t, opt, nil)
 	return rv
 }
 
@@ -56,77 +53,16 @@ func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Reac
 // site can never stall the coordinator's demultiplexer.
 const MaxStreamChunks = 8
 
-// LocalEvalReachStream runs localEval in anytime mode: as equations are
-// produced they are handed to emit in chunks (at most MaxStreamChunks
-// calls, geometrically growing so the first certificate-closing equations
-// ship immediately). The chunk passed to emit aliases internal storage and
-// is only valid for the duration of the call. emit returning false — or
-// opt.Cancel firing — abandons the evaluation: the return is (nil, false).
-// Otherwise the complete partial is returned with ok=true; it includes
-// every equation already streamed (chunks are a redundant prefix, sound to
-// re-add since disjunctive equation systems are idempotent under Add).
-//
-// To surface certificates early the in-node order is biased: the source's
-// equation is evaluated first, and when t is stored locally the in-nodes
-// sharing t's SCC (whose equations close certificates with a constant
-// true) come next.
-func LocalEvalReachStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, emit func(chunk *ReachPartial) bool) (*ReachPartial, bool) {
-	return localEvalStream(f, s, t, opt, emit)
-}
-
-// WireSize reports the reply size of the partial answer for a fragment
-// with the given number of boundary variables (|Fi.O| + |Fi.I|).
-func (rv *ReachPartial) WireSize(boundaryVars int) int { return rv.wireSize(boundaryVars) }
-
 // NumEqs reports the number of equations in the partial.
 func (rv *ReachPartial) NumEqs() int { return len(rv.eqs) }
 
-// Merge appends o's equations to rv. Duplicate equations are harmless —
-// disjunctive systems are idempotent under Add — so merging a streamed
-// chunk sequence with the complete final partial stays sound. TouchedReach
-// and SolveReach over the merged partial give the same results as over the
-// complete one.
-func (rv *ReachPartial) Merge(o *ReachPartial) {
-	if o != nil {
-		rv.eqs = append(rv.eqs, o.eqs...)
-	}
-}
-
-// AddToSystem feeds the partial's equations into an incremental equation
-// system. It is the streaming counterpart of SolveReach: the coordinator
-// calls it per received frame and polls sys.Decide(s) instead of
-// re-solving from scratch.
-func (rv *ReachPartial) AddToSystem(sys *bes.System[graph.NodeID]) {
-	if rv == nil {
-		return
-	}
-	for _, eq := range rv.eqs {
-		sys.Add(eq.node, eq.constTrue, eq.vars...)
-	}
-}
-
-// SolveReach is procedure evalDG: it assembles partial answers from all
-// fragments and reports whether Xs holds.
-func SolveReach(partials []*ReachPartial, s graph.NodeID) bool {
-	sys := bes.New[graph.NodeID]()
-	for _, rv := range partials {
-		if rv == nil {
-			continue
-		}
-		for _, eq := range rv.eqs {
-			sys.Add(eq.node, eq.constTrue, eq.vars...)
-		}
-	}
-	sol := sys.Solve()
-	return sol[s]
-}
-
-// wireSize accounts the reply size. Each equation carries the in-node ID
-// plus its disjuncts, encoded as whichever is smaller: a presence bitmap
-// over the fragment's boundary variables (the paper's "|Fi.O| bits"
-// accounting) or an explicit variable list. Either way the total stays
-// within the O(|Vf|²) guarantee.
-func (rv *ReachPartial) wireSize(boundaryVars int) int {
+// WireSize accounts the reply size of the partial answer for a fragment
+// with the given number of boundary variables (|Fi.O| + |Fi.I|). Each
+// equation carries the in-node ID plus its disjuncts, encoded as whichever
+// is smaller: a presence bitmap over the fragment's boundary variables (the
+// paper's "|Fi.O| bits" accounting) or an explicit variable list. Either
+// way the total stays within the O(|Vf|²) guarantee.
+func (rv *ReachPartial) WireSize(boundaryVars int) int {
 	dense := (boundaryVars + 1 + 7) / 8
 	n := 0
 	for _, eq := range rv.eqs {
@@ -145,56 +81,23 @@ func (rv *ReachPartial) wireSize(boundaryVars int) int {
 // exactly once, ships O(|Vf|²) bits in total, and runs local evaluation on
 // all fragments in parallel.
 func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID, opt *Options) Result {
-	if opt == nil {
-		opt = &Options{}
-	}
 	run := cl.NewRun()
 	if s == t {
 		// dist(s, s) = 0; no communication needed.
 		return Result{Answer: true, Report: run.Finish()}
 	}
-	frags := fr.Fragments()
-
-	// Phase 1: post qr(s, t) to every site, as is.
-	for i := range frags {
-		run.Post(i, querySize)
-	}
-	run.NetPhase(querySize)
-
-	// Phase 2: local evaluation, in parallel at each site.
-	partial := make([]*ReachPartial, len(frags))
-	run.Parallel(func(site int) {
-		partial[site] = localEval(frags[site], s, t, opt)
-	})
-	maxReply := 0
-	for i, rv := range partial {
-		b := rv.wireSize(frags[i].NumVirtual() + len(frags[i].InNodes()))
-		run.Reply(i, b)
-		if b > maxReply {
-			maxReply = b
-		}
-	}
-	run.NetPhase(maxReply)
-
-	// Phase 3: assemble at the coordinator — solve the Boolean equation
-	// system with evalDG.
 	var ans bool
-	run.Sequential(func() {
-		sys := bes.New[graph.NodeID]()
-		for _, rv := range partial {
-			for _, eq := range rv.eqs {
-				sys.Add(eq.node, eq.constTrue, eq.vars...)
-			}
-		}
-		sol := sys.Solve()
-		ans = sol[s]
-	})
+	threePhase(run, fr.Fragments(), querySize,
+		func(f *fragment.Fragment) *ReachPartial { return LocalEvalReach(f, s, t, opt) },
+		reachReplySize,
+		func(partial []*ReachPartial) { ans = SolveReach(partial, s) })
 	return Result{Answer: ans, Report: run.Finish()}
 }
 
-// localEval is the per-site partial evaluation of Fig. 3: for every in-node
-// v of the fragment (plus s, if s is stored here) it determines which
-// boundary nodes v can reach locally, yielding the Boolean equation
+// LocalEvalReachStream is procedure localEval, the per-site partial
+// evaluation of Fig. 3: for every in-node v of the fragment (plus s, if s
+// is stored here) it determines which boundary nodes v can reach locally,
+// yielding the Boolean equation
 // Xv = (t reached locally) ∨ (∨ Xv' over reached boundary nodes v').
 // A boundary node equal to t contributes `true` rather than a variable
 // (lines 4-5 of the procedure).
@@ -206,21 +109,28 @@ func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID
 // it keeps both the local work and the reply size near-linear in the
 // fragment's boundary structure instead of |Fi.I|·|Fi| in the worst case
 // (the paper's O(|Vf||Fm|) bound still applies).
-func localEval(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *ReachPartial {
-	rv, _ := localEvalStream(f, s, t, opt, nil)
-	return rv
-}
-
-// localEvalStream is localEval with two anytime hooks: a chunk sink for
-// streaming partial frames (nil for the classic one-shot evaluation) and
-// the cooperative cancellation checkpoints of opt.Cancel. It returns
-// (nil, false) when abandoned.
-func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink func(*ReachPartial) bool) (*ReachPartial, bool) {
+//
+// A non-nil emit runs the evaluation in anytime mode: as equations are
+// produced they are handed to emit in chunks (at most MaxStreamChunks
+// calls, geometrically growing so the first certificate-closing equations
+// ship immediately). The chunk passed to emit aliases internal storage and
+// is only valid for the duration of the call. emit returning false — or
+// opt.Cancel firing at one of its cooperative checkpoints — abandons the
+// evaluation: the return is (nil, false). Otherwise the complete partial
+// is returned with ok=true; it includes every equation already streamed
+// (chunks are a redundant prefix, sound to re-add since disjunctive
+// equation systems are idempotent under Add).
+//
+// To surface certificates early the streamed in-node order is biased: the
+// source's equation is evaluated first, and when t is stored locally the
+// in-nodes sharing t's SCC (whose equations close certificates with a
+// constant true) come next.
+func LocalEvalReachStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, emit func(chunk *ReachPartial) bool) (*ReachPartial, bool) {
 	if opt == nil {
 		opt = &Options{}
 	}
 	iset := isetOf(f, s)
-	if sink != nil {
+	if emit != nil {
 		iset = streamOrder(f, iset, s, t)
 	}
 	rv := &ReachPartial{eqs: make([]reachEq, 0, len(iset))}
@@ -233,10 +143,10 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 	// stay within the MaxStreamChunks frame budget.
 	emitted, last, next := 0, 0, 1
 	flush := func() bool {
-		if sink == nil || emitted >= MaxStreamChunks || len(rv.eqs)-last < next {
+		if emit == nil || emitted >= MaxStreamChunks || len(rv.eqs)-last < next {
 			return true
 		}
-		if !sink(&ReachPartial{eqs: rv.eqs[last:]}) {
+		if !emit(&ReachPartial{eqs: rv.eqs[last:]}) {
 			return false
 		}
 		last = len(rv.eqs)
@@ -245,6 +155,9 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 		return true
 	}
 	met := opt.Metrics
+	if met == nil {
+		met = new(EvalMetrics) // counted, never read
+	}
 	// Equation aliasing: in-nodes in the same local SCC reach exactly the
 	// same boundary nodes, so only one representative per SCC needs a full
 	// equation; the rest ship the two-word alias Xv = Xrep. This keeps the
@@ -268,38 +181,21 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 			tLocal, hasT = f.Local(t)
 		}
 	}
-	// Fallback strategy: one frontier-cut BFS per representative over the
-	// fragment-local adjacency. A stamped seen buffer avoids reallocation
-	// across in-nodes; it is allocated lazily since a fully indexed
-	// evaluation never needs it.
-	var seen []int32
-	var queue []int32
-	for stamp, v := range iset {
-		if opt.cancelled() {
-			return nil, false
-		}
+	// Fallback strategy: one frontier-cut BFS per representative.
+	var bfs cutBFS
+	// equation produces v's equation by the cheapest route that applies; it
+	// reports false only when the BFS was cancelled.
+	equation := func(v int32) (reachEq, bool) {
 		if f.Global(v) == t {
 			// Xt is trivially true (t reaches itself). This must precede
 			// aliasing: if t shares an SCC with other in-nodes, they may
 			// alias to Xt, and Xt itself must never be an alias.
-			rv.eqs = append(rv.eqs, reachEq{node: t, constTrue: true})
-			if met != nil {
-				met.ConstEqs++
-			}
-			if !flush() {
-				return nil, false
-			}
-			continue
+			met.ConstEqs++
+			return reachEq{node: t, constTrue: true}, true
 		}
 		if rep := repOf[comp[v]]; rep != 0 {
-			rv.eqs = append(rv.eqs, reachEq{node: f.Global(v), vars: []graph.NodeID{f.Global(rep - 1)}})
-			if met != nil {
-				met.AliasEqs++
-			}
-			if !flush() {
-				return nil, false
-			}
-			continue
+			met.AliasEqs++
+			return reachEq{node: f.Global(v), vars: []graph.NodeID{f.Global(rep - 1)}}, true
 		}
 		repOf[comp[v]] = v + 1
 		if idx != nil {
@@ -323,66 +219,26 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 				// Shared read-only slice: bes.Add and the wire codec only
 				// read equation bodies, so no per-query copy is needed.
 				eq.vars = gvars
-				rv.eqs = append(rv.eqs, eq)
-				if met != nil {
-					met.IndexedEqs++
-				}
-				if !flush() {
-					return nil, false
-				}
-				continue
+				met.IndexedEqs++
+				return eq, true
 			}
-			if met != nil {
-				switch idx.Outcome(v) {
-				case reachindex.OutcomeStale:
-					met.StaleEqs++
-				case reachindex.OutcomeOverBudget:
-					met.OverBudgetEqs++
-				}
+			switch idx.Outcome(v) {
+			case reachindex.OutcomeStale:
+				met.StaleEqs++
+			case reachindex.OutcomeOverBudget:
+				met.OverBudgetEqs++
 			}
 		}
-		if met != nil {
-			met.BFSEqs++
+		met.BFSEqs++
+		return bfs.from(f, v, t, comp, opt)
+	}
+	for _, v := range iset {
+		if opt.cancelled() {
+			return nil, false
 		}
-		eq := reachEq{node: f.Global(v)}
-		if seen == nil {
-			seen = make([]int32, f.NumTotal())
-			for i := range seen {
-				seen[i] = -1
-			}
-			queue = make([]int32, 0, f.NumTotal())
-		}
-		queue = append(queue[:0], v)
-		seen[v] = int32(stamp)
-		// The fallback BFS is the one potentially long-running stretch of a
-		// local evaluation (the reachindex fast path above is two lookups),
-		// so it polls the cancel hook every few hundred dequeues.
-		pops := 0
-		for len(queue) > 0 {
-			if pops++; pops&0xff == 0 && opt.cancelled() {
-				return nil, false
-			}
-			x := queue[0]
-			queue = queue[1:]
-			if x != v { // v itself is never a disjunct of its own equation
-				if g := f.Global(x); g == t {
-					eq.constTrue = true
-					continue // reaching t locally closes this branch
-				} else if f.IsBoundary(x) && comp[x] != comp[v] {
-					// Stop at boundary nodes outside v's SCC: their own
-					// equations continue the search. In-nodes inside v's
-					// SCC are aliased to v's equation, so the BFS must
-					// expand through them itself.
-					eq.vars = append(eq.vars, g)
-					continue
-				}
-			}
-			for _, w := range f.Out(x) {
-				if seen[w] != int32(stamp) {
-					seen[w] = int32(stamp)
-					queue = append(queue, w)
-				}
-			}
+		eq, ok := equation(v)
+		if !ok {
+			return nil, false
 		}
 		rv.eqs = append(rv.eqs, eq)
 		if !flush() {
@@ -390,6 +246,59 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 		}
 	}
 	return rv, true
+}
+
+// cutBFS is the frontier-cut BFS of localEval over the fragment-local
+// adjacency, written once for the in-node pass and for SourceOnlyReach. Its
+// scratch is reused across the sources of one evaluation — a stamped seen
+// buffer instead of a reallocation per source — and allocated on first
+// use, since a fully indexed evaluation never searches.
+type cutBFS struct {
+	seen  []int32 // stamp of the search that last reached the node
+	queue []int32
+	stamp int32
+}
+
+// from computes the equation of local node v for target t: which boundary
+// nodes outside v's local SCC (comp) v reaches, and whether it reaches t.
+// This is the one potentially long-running stretch of a local evaluation
+// (the reachindex fast path is two lookups), so it polls opt.Cancel every
+// few hundred dequeues and reports false when it fires.
+func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int32, opt *Options) (reachEq, bool) {
+	if b.seen == nil {
+		b.seen = make([]int32, f.NumTotal())
+	}
+	b.stamp++
+	eq := reachEq{node: f.Global(v)}
+	queue := append(b.queue[:0], v)
+	b.seen[v] = b.stamp
+	for head := 0; head < len(queue); head++ {
+		if head&0xff == 0xff && opt.cancelled() {
+			return reachEq{}, false
+		}
+		x := queue[head]
+		if x != v { // v itself is never a disjunct of its own equation
+			if g := f.Global(x); g == t {
+				eq.constTrue = true
+				continue // reaching t locally closes this branch
+			} else if f.IsBoundary(x) && comp[x] != comp[v] {
+				// Stop at boundary nodes outside v's SCC: their own
+				// equations continue the search. In-nodes inside v's
+				// SCC are aliased to v's equation, so the BFS must
+				// expand through them itself.
+				eq.vars = append(eq.vars, g)
+				continue
+			}
+		}
+		for _, w := range f.Out(x) {
+			if b.seen[w] != b.stamp {
+				b.seen[w] = b.stamp
+				queue = append(queue, w)
+			}
+		}
+	}
+	b.queue = queue
+	return eq, true
 }
 
 // streamOrder biases the evaluation order of a streaming localEval so the
@@ -438,17 +347,8 @@ func streamOrder(f *fragment.Fragment, iset []int32, s, t graph.NodeID) []int32 
 // locally (lines 1-2 of localEval).
 func isetOf(f *fragment.Fragment, s graph.NodeID) []int32 {
 	iset := f.InNodes()
-	if ls, ok := f.Local(s); ok && !f.IsVirtual(ls) {
-		found := false
-		for _, v := range iset {
-			if v == ls {
-				found = true
-				break
-			}
-		}
-		if !found {
-			iset = append(append([]int32(nil), iset...), ls)
-		}
+	if ls, ok := f.Local(s); ok && !f.IsVirtual(ls) && !f.IsInNode(ls) {
+		iset = append(append([]int32(nil), iset...), ls)
 	}
 	return iset
 }

@@ -59,15 +59,6 @@ func (rv *RPQPartial) WireSize() int {
 	return n
 }
 
-// addTo folds the partial answer's equations into the coordinator's system.
-func (rv *RPQPartial) addTo(sys *bes.System[rpqVar], nq int) {
-	for _, eq := range rv.eqs {
-		for _, e := range eq.entries {
-			sys.Add(rpqKey(eq.node, e.state, nq), e.constTrue, e.vars...)
-		}
-	}
-}
-
 // SolveRPQ is procedure evalDGr: it assembles the partial answers of all
 // fragments into one Boolean equation system and reports whether X(s, us)
 // holds, i.e. whether s matches the start state of the query automaton.
@@ -75,58 +66,36 @@ func SolveRPQ(partials []*RPQPartial, s graph.NodeID, a *automaton.Automaton) bo
 	nq := a.NumStates()
 	sys := bes.New[rpqVar]()
 	for _, rv := range partials {
-		if rv != nil {
-			rv.addTo(sys, nq)
+		if rv == nil {
+			continue
+		}
+		for _, eq := range rv.eqs {
+			for _, e := range eq.entries {
+				sys.Add(rpqKey(eq.node, e.state, nq), e.constTrue, e.vars...)
+			}
 		}
 	}
-	sol := sys.Solve()
-	return sol[rpqKey(s, automaton.Start, nq)]
+	return sys.Decide(rpqKey(s, automaton.Start, nq))
 }
 
 // DisRPQ evaluates the regular reachability query qrr(s, t, R) given the
 // query automaton a = Gq(R) (algorithm disRPQ, Section 5). Guarantees: one
 // visit per site, traffic in O(|R|²·|Vf|²), local evaluation in
 // O(|Fm|·|R|²) per site in parallel, assembling in O(|R|²·|Vf|²).
-func DisRPQ(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID, a *automaton.Automaton, opt *Options) Result {
-	if opt == nil {
-		opt = &Options{}
-	}
+func DisRPQ(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID, a *automaton.Automaton) Result {
 	run := cl.NewRun()
 	if s == t && a.AcceptsLabels(nil) {
 		// The empty path from s to itself satisfies R (ε ∈ L(R)).
 		return Result{Answer: true, Report: run.Finish()}
 	}
-	frags := fr.Fragments()
-
-	// Phase 1: construct Gq(R) at the coordinator and post it to each site.
-	qBytes := a.EncodedSize() + querySize
-	for i := range frags {
-		run.Post(i, qBytes)
-	}
-	run.NetPhase(qBytes)
-
-	// Phase 2: local evaluation (procedure localEvalr), in parallel.
-	partial := make([]*RPQPartial, len(frags))
-	run.Parallel(func(site int) {
-		partial[site] = LocalEvalRPQ(frags[site], s, t, a)
-	})
-	maxReply := 0
-	for i, rv := range partial {
-		b := rv.WireSize()
-		run.Reply(i, b)
-		if b > maxReply {
-			maxReply = b
-		}
-	}
-	run.NetPhase(maxReply)
-
-	// Phase 3: assemble (procedure evalDGr): one Boolean equation per
-	// (in-node, state) vector entry, solved by dependency-graph
-	// reachability to the merged true node.
+	// Gq(R) is constructed at the coordinator and posted with the query;
+	// evalDGr assembles one Boolean equation per (in-node, state) vector
+	// entry.
 	var ans bool
-	run.Sequential(func() {
-		ans = SolveRPQ(partial, s, a)
-	})
+	threePhase(run, fr.Fragments(), a.EncodedSize()+querySize,
+		func(f *fragment.Fragment) *RPQPartial { return LocalEvalRPQ(f, s, t, a) },
+		func(_ *fragment.Fragment, rv *RPQPartial) int { return rv.WireSize() },
+		func(partial []*RPQPartial) { ans = SolveRPQ(partial, s, a) })
 	return Result{Answer: ans, Report: run.Finish()}
 }
 

@@ -50,7 +50,7 @@ func TestCycleSpanningAllFragments(t *testing.T) {
 				t.Fatalf("cycle: %d should reach %d", i, j)
 			}
 			want := (int(j) - int(i) + 12) % 12
-			res := DisDist(cl, fr, i, j, 12, nil)
+			res := DisDist(cl, fr, i, j, 12)
 			if int(res.Distance) != want {
 				t.Fatalf("cycle dist(%d,%d) = %d, want %d", i, j, res.Distance, want)
 			}
@@ -93,7 +93,7 @@ func TestRegularQueryOnCrossFragmentCycle(t *testing.T) {
 	} {
 		a := automaton.FromRegex(rx.MustParse(c.expr))
 		want := automaton.Eval(g, c.s, c.t, a)
-		got := DisRPQ(cl, fr, c.s, c.t, a, nil).Answer
+		got := DisRPQ(cl, fr, c.s, c.t, a).Answer
 		if got != want {
 			t.Fatalf("%s from %d to %d: disRPQ=%v oracle=%v", c.expr, c.s, c.t, got, want)
 		}
@@ -101,7 +101,7 @@ func TestRegularQueryOnCrossFragmentCycle(t *testing.T) {
 	// Wrap-around: going all the way around the ring more than once is
 	// allowed (paths need not be simple).
 	a := automaton.FromRegex(rx.MustParse("(B A)* B (A B)* "))
-	if got, want := DisRPQ(cl, fr, 0, 0, a, nil).Answer, automaton.Eval(g, 0, 0, a); got != want {
+	if got, want := DisRPQ(cl, fr, 0, 0, a).Answer, automaton.Eval(g, 0, 0, a); got != want {
 		t.Fatalf("wrap-around: disRPQ=%v oracle=%v", got, want)
 	}
 }
@@ -120,7 +120,7 @@ func TestEndpointsOnBoundary(t *testing.T) {
 	if !DisReach(cl, fr, 0, 8, nil).Answer {
 		t.Fatal("boundary endpoints failed")
 	}
-	if d := DisDist(cl, fr, 0, 8, 9, nil); d.Distance != 8 {
+	if d := DisDist(cl, fr, 0, 8, 9); d.Distance != 8 {
 		t.Fatalf("boundary dist = %d, want 8", d.Distance)
 	}
 	_ = g
@@ -138,14 +138,14 @@ func TestSingleNodeAndTinyGraphs(t *testing.T) {
 	if !DisReach(cl, fr, 0, 0, nil).Answer {
 		t.Fatal("self reachability")
 	}
-	if res := DisDist(cl, fr, 0, 0, 0, nil); !res.Answer || res.Distance != 0 {
+	if res := DisDist(cl, fr, 0, 0, 0); !res.Answer || res.Distance != 0 {
 		t.Fatal("self distance")
 	}
 	// s == t regular reachability: ε membership decides.
-	if !DisRPQ(cl, fr, 0, 0, automaton.FromRegex(rx.MustParse("X*")), nil).Answer {
+	if !DisRPQ(cl, fr, 0, 0, automaton.FromRegex(rx.MustParse("X*"))).Answer {
 		t.Fatal("nullable self query")
 	}
-	if DisRPQ(cl, fr, 0, 0, automaton.FromRegex(rx.MustParse("X+")), nil).Answer {
+	if DisRPQ(cl, fr, 0, 0, automaton.FromRegex(rx.MustParse("X+"))).Answer {
 		t.Fatal("non-nullable self query on an acyclic single node")
 	}
 }
@@ -162,7 +162,7 @@ func TestSelfLoopRegularSelfQuery(t *testing.T) {
 	}
 	cl := cluster.New(1, cluster.NetModel{})
 	a := automaton.FromRegex(rx.MustParse("X+"))
-	if got, want := DisRPQ(cl, fr, 0, 0, a, nil).Answer, automaton.Eval(g, 0, 0, a); got != want {
+	if got, want := DisRPQ(cl, fr, 0, 0, a).Answer, automaton.Eval(g, 0, 0, a); got != want {
 		t.Fatalf("self loop X+: disRPQ=%v oracle=%v", got, want)
 	}
 }
@@ -207,7 +207,7 @@ func TestConcurrentQueriesShareFragmentation(t *testing.T) {
 					errs <- "reach mismatch under concurrency"
 					return
 				}
-				if DisRPQ(cl, fr, s, tt, a, nil).Answer != automaton.Eval(g, s, tt, a) {
+				if DisRPQ(cl, fr, s, tt, a).Answer != automaton.Eval(g, s, tt, a) {
 					errs <- "rpq mismatch under concurrency"
 					return
 				}
@@ -229,16 +229,16 @@ func TestDistBoundEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := cluster.New(3, cluster.NetModel{})
-	if res := DisDist(cl, fr, 0, 5, 5, nil); !res.Answer || res.Distance != 5 {
+	if res := DisDist(cl, fr, 0, 5, 5); !res.Answer || res.Distance != 5 {
 		t.Fatalf("exact bound: %+v", res)
 	}
-	if res := DisDist(cl, fr, 0, 5, 4, nil); res.Answer {
+	if res := DisDist(cl, fr, 0, 5, 4); res.Answer {
 		t.Fatal("bound one short must fail")
 	}
-	if res := DisDist(cl, fr, 0, 1, 0, nil); res.Answer {
+	if res := DisDist(cl, fr, 0, 1, 0); res.Answer {
 		t.Fatal("bound 0 with s != t must fail")
 	}
-	if res := DisDist(cl, fr, 0, 1, -3, nil); res.Answer {
+	if res := DisDist(cl, fr, 0, 1, -3); res.Answer {
 		t.Fatal("negative bound must fail")
 	}
 }

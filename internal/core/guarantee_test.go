@@ -49,8 +49,8 @@ func TestDistTrafficIndependentOfGraphSize(t *testing.T) {
 	cl := cluster.New(2, cluster.NetModel{})
 	// Bound below the chain length so pruning keeps messages small and
 	// equal: the cross structure is identical in both instances.
-	small := DisDist(cl, frS, s1, t1, 3, nil).Report
-	large := DisDist(cl, frL, s2, t2, 3, nil).Report
+	small := DisDist(cl, frS, s1, t1, 3).Report
+	large := DisDist(cl, frL, s2, t2, 3).Report
 	if small.Bytes != large.Bytes {
 		t.Fatalf("disDist traffic grew with |G|: %d -> %d bytes", small.Bytes, large.Bytes)
 	}
@@ -64,8 +64,8 @@ func TestRPQTrafficIndependentOfGraphSize(t *testing.T) {
 	frL, s2, t2 := bridgeFragmentation(t, 400, "Z")
 	cl := cluster.New(2, cluster.NetModel{})
 	a := automaton.FromRegex(rx.MustParse("A*")) // never matches label Z
-	small := DisRPQ(cl, frS, s1, t1, a, nil).Report
-	large := DisRPQ(cl, frL, s2, t2, a, nil).Report
+	small := DisRPQ(cl, frS, s1, t1, a).Report
+	large := DisRPQ(cl, frL, s2, t2, a).Report
 	if small.Bytes != large.Bytes {
 		t.Fatalf("disRPQ traffic grew with |G|: %d -> %d bytes", small.Bytes, large.Bytes)
 	}
@@ -121,8 +121,8 @@ func TestVisitGuaranteeUnderEveryPartitioner(t *testing.T) {
 		cl := cluster.New(5, cluster.NetModel{})
 		reports := []cluster.Report{
 			DisReach(cl, fr, 0, 299, nil).Report,
-			DisDist(cl, fr, 0, 299, 7, nil).Report,
-			DisRPQ(cl, fr, 0, 299, a, nil).Report,
+			DisDist(cl, fr, 0, 299, 7).Report,
+			DisRPQ(cl, fr, 0, 299, a).Report,
 		}
 		for i, rep := range reports {
 			if rep.MaxVisits != 1 {
@@ -188,7 +188,7 @@ func TestDisReachAliasCompression(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fr.Fragments()[0]
-	rv := localEval(f, graph.None, 39, &Options{})
+	rv := LocalEvalReach(f, graph.None, 39, &Options{})
 	full, alias := 0, 0
 	for _, eq := range rv.eqs {
 		if len(eq.vars) == 1 && !eq.constTrue {

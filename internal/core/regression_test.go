@@ -31,7 +31,7 @@ func TestRegressionTargetAsAliasRep(t *testing.T) {
 	if got, want := DisReach(cl, fr, s, tt, nil).Answer, g.Reachable(s, tt); got != want {
 		t.Fatalf("disReach = %v, oracle = %v", got, want)
 	}
-	if res := DisDist(cl, fr, s, tt, n, nil); int(res.Distance) != g.Dist(s, tt) {
+	if res := DisDist(cl, fr, s, tt, n); int(res.Distance) != g.Dist(s, tt) {
 		t.Fatalf("disDist distance = %d, oracle = %d", res.Distance, g.Dist(s, tt))
 	}
 }
@@ -62,13 +62,13 @@ func TestSoakAllAlgorithms(t *testing.T) {
 			t.Fatalf("trial %d: disReach=%v oracle=%v (s=%d t=%d %v %v)", trial, got, want, s, tt, g, fr)
 		}
 		l := rng.Intn(8)
-		res := DisDist(cl, fr, s, tt, l, nil)
+		res := DisDist(cl, fr, s, tt, l)
 		d := g.Dist(s, tt)
 		if want := d >= 0 && d <= l; res.Answer != want {
 			t.Fatalf("trial %d: disDist=%v oracle dist=%d l=%d", trial, res.Answer, d, l)
 		}
 		a := automaton.Random(rng, 2+rng.Intn(6), 4+rng.Intn(10), labels)
-		if got, want := DisRPQ(cl, fr, s, tt, a, nil).Answer, automaton.Eval(g, s, tt, a); got != want {
+		if got, want := DisRPQ(cl, fr, s, tt, a).Answer, automaton.Eval(g, s, tt, a); got != want {
 			t.Fatalf("trial %d: disRPQ=%v oracle=%v", trial, got, want)
 		}
 	}

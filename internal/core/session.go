@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"distreach/internal/bes"
 	"distreach/internal/cluster"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
@@ -27,16 +26,12 @@ type Session struct {
 	fr *fragment.Fragmentation
 
 	mu    sync.Mutex
-	cache map[graph.NodeID]*targetCache // target -> per-fragment rvsets
-}
-
-type targetCache struct {
-	partial []*ReachPartial
+	cache map[graph.NodeID][]*ReachPartial // target -> per-fragment rvsets
 }
 
 // NewSession creates a session over a fixed deployment.
 func NewSession(cl *cluster.Cluster, fr *fragment.Fragmentation) *Session {
-	return &Session{cl: cl, fr: fr, cache: make(map[graph.NodeID]*targetCache)}
+	return &Session{cl: cl, fr: fr, cache: make(map[graph.NodeID][]*ReachPartial)}
 }
 
 // Reach answers qr(s, t). The first query for a target t costs one visit
@@ -49,48 +44,37 @@ func (se *Session) Reach(s, t graph.NodeID) Result {
 		return Result{Answer: true, Report: run.Finish()}
 	}
 	frags := se.fr.Fragments()
+	inNodeEqs := func(f *fragment.Fragment) *ReachPartial { return LocalEvalReach(f, graph.None, t, nil) }
 
 	se.mu.Lock()
 	tc := se.cache[t]
 	se.mu.Unlock()
 
 	if tc == nil {
-		// Cold start: the usual three-phase round, but with the in-node
-		// equations kept for reuse (they do not mention s).
-		for i := range frags {
-			run.Post(i, querySize)
-		}
-		run.NetPhase(querySize)
-		partial := make([]*ReachPartial, len(frags))
-		run.Parallel(func(site int) {
-			partial[site] = LocalEvalReach(frags[site], graph.None, t, nil)
-		})
-		maxReply := 0
-		for i, rv := range partial {
-			b := rv.wireSize(frags[i].NumVirtual() + len(frags[i].InNodes()))
-			run.Reply(i, b)
-			if b > maxReply {
-				maxReply = b
-			}
-		}
-		run.NetPhase(maxReply)
-		tc = &targetCache{partial: partial}
+		// Cold start: the usual round, except that what the coordinator
+		// assembles is the cache entry — the in-node equations do not
+		// mention s, so they are kept for reuse.
+		threePhase(run, frags, querySize, inNodeEqs, reachReplySize, func(partial []*ReachPartial) { tc = partial })
 		se.mu.Lock()
 		se.cache[t] = tc
 		se.mu.Unlock()
 	}
 
-	// Refresh any fragments dropped by Invalidate.
-	for i, rv := range tc.partial {
-		if rv != nil {
-			continue
-		}
-		run.Post(i, querySize)
+	// visitOne accounts an extra round trip to a single site: the posted
+	// query and a reply of the given size.
+	visitOne := func(site, reply int) {
+		run.Post(site, querySize)
 		run.NetPhase(querySize)
-		tc.partial[i] = LocalEvalReach(frags[i], graph.None, t, nil)
-		b := tc.partial[i].wireSize(frags[i].NumVirtual() + len(frags[i].InNodes()))
-		run.Reply(i, b)
-		run.NetPhase(b)
+		run.Reply(site, reply)
+		run.NetPhase(reply)
+	}
+
+	// Refresh any fragments dropped by Invalidate.
+	for i, rv := range tc {
+		if rv == nil {
+			tc[i] = inNodeEqs(frags[i])
+			visitOne(i, reachReplySize(frags[i], tc[i]))
+		}
 	}
 
 	// Source equation: only s's site works, and only when s is not already
@@ -100,38 +84,14 @@ func (se *Session) Reach(s, t graph.NodeID) Result {
 		// s was deleted: nothing reaches anywhere from a tombstone.
 		return Result{Answer: false, Report: run.Finish()}
 	}
-	f := frags[owner]
-	var srcEq *ReachPartial
-	ls, _ := f.Local(s)
-	if !f.IsInNode(ls) {
-		run.Post(owner, querySize)
-		run.NetPhase(querySize)
-		run.Sequential(func() {
-			srcEq = LocalEvalReach(f, s, t, nil) // computes in-nodes too; ships only s's equation
-		})
-		b := 5 + 4*len(srcEq.eqs[len(srcEq.eqs)-1].vars)
-		run.Reply(owner, b)
-		run.NetPhase(b)
+	var src *ReachPartial
+	run.Sequential(func() { src = SourceOnlyReach(frags[owner], s, t, nil) })
+	if src != nil {
+		visitOne(owner, 5+4*len(src.eqs[0].vars))
 	}
 
 	var ans bool
-	run.Sequential(func() {
-		sys := bes.New[graph.NodeID]()
-		add := func(rv *ReachPartial) {
-			for _, eq := range rv.eqs {
-				sys.Add(eq.node, eq.constTrue, eq.vars...)
-			}
-		}
-		for _, rv := range tc.partial {
-			add(rv)
-		}
-		if srcEq != nil {
-			eq := srcEq.eqs[len(srcEq.eqs)-1]
-			sys.Add(eq.node, eq.constTrue, eq.vars...)
-		}
-		sol := sys.Solve()
-		ans = sol[s]
-	})
+	run.Sequential(func() { ans = SolveReach(append(tc[:len(tc):len(tc)], src), s) })
 	return Result{Answer: ans, Report: run.Finish()}
 }
 
@@ -201,8 +161,8 @@ func (se *Session) Invalidate(fragmentID int) {
 	se.mu.Lock()
 	defer se.mu.Unlock()
 	for _, tc := range se.cache {
-		if fragmentID >= 0 && fragmentID < len(tc.partial) {
-			tc.partial[fragmentID] = nil
+		if fragmentID >= 0 && fragmentID < len(tc) {
+			tc[fragmentID] = nil
 		}
 	}
 }

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"sort"
-
+	"distreach/internal/bes"
 	"distreach/internal/graph"
 )
 
@@ -23,106 +22,47 @@ import (
 // therefore sound, while entries whose closure avoids the dirtied
 // fragments keep serving hits.
 //
-// The functions below compute, per query, the indices of the partials that
-// own at least one equation in the closure of Xs. The indices refer to
-// positions in the partials slice: callers align those with site /
-// fragment IDs.
+// For qr and qbr the closure is read off the dependency graph that decided
+// the query: every equation is claimed by the site it came from as it is
+// added (AddToSystemFrom, AssembleDist), and bes reports the claimants of
+// the closure of Xs (System.Sources, Weighted.Solve). Touched sets are
+// sorted site indices — equivalently fragment IDs.
 
-// touchedWalk runs the closure BFS shared by all three query classes over
-// a node -> (owners, successor nodes) view of the equation system.
-func touchedWalk(s graph.NodeID, eqsOf map[graph.NodeID][]int, varsOf map[graph.NodeID][]graph.NodeID) []int {
-	touched := map[int]bool{}
-	seen := map[graph.NodeID]bool{s: true}
-	stack := []graph.NodeID{s}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, site := range eqsOf[x] {
-			touched[site] = true
-		}
-		for _, v := range varsOf[x] {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	out := make([]int, 0, len(touched))
-	for site := range touched {
-		out = append(out, site)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// TouchedReach reports which partials the answer of qr(s, t) depends on:
-// the (sorted) indices into partials owning an equation in the dependency
-// closure of Xs. Nil partials are skipped.
-func TouchedReach(partials []*ReachPartial, s graph.NodeID) []int {
-	eqsOf := map[graph.NodeID][]int{}
-	varsOf := map[graph.NodeID][]graph.NodeID{}
-	for i, rv := range partials {
-		if rv == nil {
-			continue
-		}
-		for _, eq := range rv.eqs {
-			eqsOf[eq.node] = append(eqsOf[eq.node], i)
-			varsOf[eq.node] = append(varsOf[eq.node], eq.vars...)
-		}
-	}
-	return touchedWalk(s, eqsOf, varsOf)
-}
-
-// TouchedDist is TouchedReach for the min-equations of qbr(s, t, l).
-func TouchedDist(partials []*DistPartial, s graph.NodeID) []int {
-	eqsOf := map[graph.NodeID][]int{}
-	varsOf := map[graph.NodeID][]graph.NodeID{}
-	for i, rv := range partials {
-		if rv == nil {
-			continue
-		}
-		for _, eq := range rv.eqs {
-			eqsOf[eq.node] = append(eqsOf[eq.node], i)
-			for _, term := range eq.terms {
-				if !term.isConst {
-					varsOf[eq.node] = append(varsOf[eq.node], term.varNode)
-				}
-			}
-		}
-	}
-	return touchedWalk(s, eqsOf, varsOf)
-}
-
-// TouchedRPQ is TouchedReach for qrr(s, t, R); nq is the query automaton's
-// state count (the variable key stride). The closure is tracked at node
-// granularity (states collapsed), which only over-approximates. When s has
-// no equation in any partial — LocalEvalRPQ emits one for every in-node
-// and for a locally stored s, so this means the partials say nothing about
-// s — every index is reported, the conservative tag.
+// TouchedRPQ is the touched set of qrr(s, t, R): the (sorted) indices into
+// partials owning a vector in the dependency closure of s; nq is the query
+// automaton's state count (the variable key stride). Unlike the other two
+// classes it does not read the system SolveRPQ built: that system's
+// variables are (node, state) pairs, and a node whose vector came back
+// empty — LocalEvalRPQ emits it precisely so this analysis sees the
+// fragment — has no variable there at all. The closure is therefore walked
+// over a second, node-granular graph (states collapsed), which only
+// over-approximates.
+// When s has no equation in any partial — LocalEvalRPQ emits one for every
+// in-node and for a locally stored s, so this means the partials say
+// nothing about s — every index is reported, the conservative tag. Nil
+// partials are skipped.
 func TouchedRPQ(partials []*RPQPartial, s graph.NodeID, nq int) []int {
-	eqsOf := map[graph.NodeID][]int{}
-	varsOf := map[graph.NodeID][]graph.NodeID{}
+	sys := bes.New[graph.NodeID]()
+	all := make([]int, 0, len(partials))
+	var nodes []graph.NodeID
 	for i, rv := range partials {
 		if rv == nil {
 			continue
 		}
+		all = append(all, i)
 		for _, eq := range rv.eqs {
-			eqsOf[eq.node] = append(eqsOf[eq.node], i)
+			sys.Claim(i, eq.node)
 			for _, e := range eq.entries {
+				nodes = nodes[:0]
 				for _, v := range e.vars {
-					varsOf[eq.node] = append(varsOf[eq.node], graph.NodeID(v/int64(nq)))
+					nodes = append(nodes, graph.NodeID(v/int64(nq)))
 				}
+				sys.Add(eq.node, false, nodes...)
 			}
 		}
 	}
-	if len(eqsOf[s]) == 0 {
-		all := make([]int, 0, len(partials))
-		for i, rv := range partials {
-			if rv != nil {
-				all = append(all, i)
-			}
-		}
-		return all
+	if touched := sys.Sources(s); len(touched) > 0 {
+		return touched
 	}
-	return touchedWalk(s, eqsOf, varsOf)
+	return all
 }

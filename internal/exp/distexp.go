@@ -38,7 +38,7 @@ func fig11d(cfg Config) (Table, error) {
 		cl := cluster.New(k, cfg.net())
 		var pe, naive agg
 		for _, q := range qs {
-			pe.add(core.DisDist(cl, fr, q.S, q.T, l, nil).Report)
+			pe.add(core.DisDist(cl, fr, q.S, q.T, l).Report)
 			naive.add(baseline.DisDistN(cl, fr, q.S, q.T, l).Report)
 		}
 		cfg.logf("F11d card=%d: %v", k, fr)

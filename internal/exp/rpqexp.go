@@ -25,7 +25,7 @@ var defaultComplexity = workload.Complexity{States: 8, Transitions: 16, Labels: 
 func runRPQSet(fr *fragment.Fragmentation, net cluster.NetModel, qs []workload.RPQQuery, withNaive bool) (pe, dd, naive agg) {
 	cl := cluster.New(fr.Card(), net)
 	for _, q := range qs {
-		pe.add(core.DisRPQ(cl, fr, q.S, q.T, q.A, nil).Report)
+		pe.add(core.DisRPQ(cl, fr, q.S, q.T, q.A).Report)
 		dd.add(baseline.DisRPQD(cl, fr, q.S, q.T, q.A).Report)
 		if withNaive {
 			naive.add(baseline.DisRPQN(cl, fr, q.S, q.T, q.A).Report)

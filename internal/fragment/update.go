@@ -28,7 +28,9 @@ import (
 //
 // The dirty set drives invalidation everywhere: core.Session drops the
 // cached rvsets of dirtied fragments, and the gateway's answer cache
-// evicts exactly the keys whose evaluation touched a dirtied fragment.
+// evicts exactly the keys whose evaluation touched a dirtied fragment
+// (core/touched.go argues why "the edge's source fragment is always dirty"
+// makes that sound).
 //
 // All mutations below write through the fragments' overlay storage
 // (idIndex patches, csr.Store overlay rows); the flat bases are only

@@ -11,6 +11,7 @@ import (
 	"distreach/internal/bes"
 	"distreach/internal/core"
 	"distreach/internal/graph"
+	"distreach/internal/oplog"
 )
 
 // The query frame ('B') carries one or more mixed-class queries in one
@@ -109,89 +110,39 @@ type batchHeader struct {
 // length prefixes; real batches are orders of magnitude smaller.
 const maxBatch = 1 << 20
 
-// batchReader is a bounds-checked cursor over a batch payload.
-type batchReader struct {
-	b   []byte
-	off int
-}
-
-func (r *batchReader) u8() (byte, error) {
-	if r.off+1 > len(r.b) {
-		return 0, fmt.Errorf("netsite: truncated batch payload at offset %d", r.off)
-	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *batchReader) u16() (uint16, error) {
-	if r.off+2 > len(r.b) {
-		return 0, fmt.Errorf("netsite: truncated batch payload at offset %d", r.off)
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v, nil
-}
-
-func (r *batchReader) u32() (uint32, error) {
-	if r.off+4 > len(r.b) {
-		return 0, fmt.Errorf("netsite: truncated batch payload at offset %d", r.off)
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *batchReader) u64() (uint64, error) {
-	if r.off+8 > len(r.b) {
-		return 0, fmt.Errorf("netsite: truncated batch payload at offset %d", r.off)
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *batchReader) bytes(n uint32) ([]byte, error) {
-	if uint64(n) > uint64(len(r.b)-r.off) {
-		return nil, fmt.Errorf("netsite: batch payload claims %d bytes, %d remain", n, len(r.b)-r.off)
-	}
-	v := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return v, nil
-}
-
-// version checks the leading version byte.
-func (r *batchReader) version() error {
-	v, err := r.u8()
+// readVersion checks a payload's leading version byte; what names the
+// codec in the error.
+func readVersion(r *oplog.Cursor, want byte, what string) error {
+	v, err := r.U8()
 	if err != nil {
 		return err
 	}
-	if v != batchVersion {
-		return fmt.Errorf("netsite: unsupported batch version %d", v)
+	if v != want {
+		return fmt.Errorf("netsite: unsupported %s version %d", what, v)
 	}
 	return nil
 }
 
-// count decodes an item count, guarding it: each item occupies at least
-// min bytes of the remaining buffer.
-func (r *batchReader) count(min int) (int, error) {
-	n, err := r.u32()
+// readCount decodes an item count, guarding it: each item occupies at
+// least min bytes of the remaining buffer.
+func readCount(r *oplog.Cursor, min int) (int, error) {
+	n, err := r.U32()
 	if err != nil {
 		return 0, err
 	}
-	if n > maxBatch || uint64(n)*uint64(min) > uint64(len(r.b)-r.off) {
-		return 0, fmt.Errorf("netsite: implausible batch count %d", n)
+	if n > maxBatch || uint64(n)*uint64(min) > uint64(r.Remaining()) {
+		return 0, fmt.Errorf("netsite: implausible count %d with %d bytes left", n, r.Remaining())
 	}
 	return int(n), nil
 }
 
-// done rejects trailing bytes, so that decode∘encode is the identity and a
-// frame cannot smuggle data past the codec.
-func (r *batchReader) done() error {
-	if r.off != len(r.b) {
-		return fmt.Errorf("netsite: %d trailing bytes after batch payload", len(r.b)-r.off)
+// readBlob decodes a length-prefixed byte section (a view, not a copy).
+func readBlob(r *oplog.Cursor) ([]byte, error) {
+	n, err := r.U32()
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return r.Bytes(n)
 }
 
 // encodeBatchRequest packs a mixed-class query batch into one payload.
@@ -240,11 +191,11 @@ const spanOffset = 2 + 8
 // bits are rejected so the codec stays an identity under fuzzing.
 func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 	var h batchHeader
-	r := &batchReader{b: p}
-	if err := r.version(); err != nil {
+	r := oplog.NewCursor(p)
+	if err := readVersion(r, batchVersion, "batch"); err != nil {
 		return nil, h, err
 	}
-	flags, err := r.u8()
+	flags, err := r.U8()
 	if err != nil {
 		return nil, h, err
 	}
@@ -253,28 +204,28 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 	}
 	h.stream = flags&batchFlagStream != 0
 	if h.traced = flags&batchFlagTrace != 0; h.traced {
-		if h.traceID, err = r.u64(); err != nil {
+		if h.traceID, err = r.U64(); err != nil {
 			return nil, h, err
 		}
-		if h.span, err = r.u64(); err != nil {
+		if h.span, err = r.U64(); err != nil {
 			return nil, h, err
 		}
 	}
-	n, err := r.count(9) // class + s + t at minimum
+	n, err := readCount(r, 9) // class + s + t at minimum
 	if err != nil {
 		return nil, h, err
 	}
 	qs := make([]BatchQuery, 0, n)
 	for i := 0; i < n; i++ {
-		cls, err := r.u8()
+		cls, err := r.U8()
 		if err != nil {
 			return nil, h, err
 		}
-		s, err := r.u32()
+		s, err := r.U32()
 		if err != nil {
 			return nil, h, err
 		}
-		t, err := r.u32()
+		t, err := r.U32()
 		if err != nil {
 			return nil, h, err
 		}
@@ -282,17 +233,13 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 		switch q.Class {
 		case ClassReach:
 		case ClassDist:
-			l, err := r.u32()
+			l, err := r.U32()
 			if err != nil {
 				return nil, h, err
 			}
 			q.L = int(l)
 		case ClassRPQ:
-			alen, err := r.u32()
-			if err != nil {
-				return nil, h, err
-			}
-			ab, err := r.bytes(alen)
+			ab, err := readBlob(r)
 			if err != nil {
 				return nil, h, err
 			}
@@ -305,7 +252,7 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 		}
 		qs = append(qs, q)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, h, err
 	}
 	return qs, h, nil
@@ -341,52 +288,44 @@ func encodeBatchReply(b []byte, shared [][]byte, refs []uint32, parts [][]byte) 
 // decodeBatchReply is the inverse of encodeBatchReply. Every count, length
 // and section reference is validated.
 func decodeBatchReply(p []byte) (shared [][]byte, refs []uint32, parts [][]byte, err error) {
-	r := &batchReader{b: p}
-	if err := r.version(); err != nil {
+	r := oplog.NewCursor(p)
+	if err := readVersion(r, batchVersion, "batch"); err != nil {
 		return nil, nil, nil, err
 	}
-	ns, err := r.count(4) // a length prefix per section at minimum
+	ns, err := readCount(r, 4) // a length prefix per section at minimum
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	shared = make([][]byte, 0, ns)
 	for i := 0; i < ns; i++ {
-		slen, err := r.u32()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		s, err := r.bytes(slen)
+		s, err := readBlob(r)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		shared = append(shared, s)
 	}
-	n, err := r.count(8) // sref + plen at minimum
+	n, err := readCount(r, 8) // sref + plen at minimum
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	refs = make([]uint32, 0, n)
 	parts = make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
-		ref, err := r.u32()
+		ref, err := r.U32()
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		if ref > uint32(len(shared)) {
 			return nil, nil, nil, fmt.Errorf("netsite: batch reply query %d references section %d of %d", i, ref, len(shared))
 		}
-		plen, err := r.u32()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		part, err := r.bytes(plen)
+		part, err := readBlob(r)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		refs = append(refs, ref)
 		parts = append(parts, part)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, nil, nil, err
 	}
 	return shared, refs, parts, nil
@@ -515,43 +454,31 @@ type batchSolver struct {
 	nsites int
 	early  bool // streaming round: report it decided once every query is proved
 
-	sys      map[graph.NodeID]*bes.System[graph.NodeID] // per reach target
-	acc      map[graph.NodeID][]*core.ReachPartial      // per target, per site: what Touched walks
-	parts    [][][]byte                                 // per site, per query: dist/rpq partial bytes
-	proved   []bool
-	unproved int
+	sys   map[graph.NodeID]*bes.System[graph.NodeID] // per reach target: answers and Touched sets
+	parts [][][]byte                                 // per site, per query: dist/rpq partial bytes
 }
 
 // reset discards everything fed so far; streamRound calls it before each
 // attempt, so equations only ever accumulate from one deployment state.
 func (b *batchSolver) reset() {
 	b.sys = make(map[graph.NodeID]*bes.System[graph.NodeID])
-	b.acc = make(map[graph.NodeID][]*core.ReachPartial)
 	for _, q := range b.wire {
 		if _, ok := b.sys[q.T]; !ok && q.Class == ClassReach {
 			b.sys[q.T] = bes.New[graph.NodeID]()
-			b.acc[q.T] = make([]*core.ReachPartial, b.nsites)
 		}
 	}
 	b.parts = make([][][]byte, b.nsites)
-	b.proved = make([]bool, len(b.wire))
-	b.unproved = len(b.wire)
 }
 
 // addReach decodes one marshaled equation set for target t and feeds it to
-// t's system. Re-adding a streamed prefix is sound: disjunctive systems are
-// idempotent under Add.
+// t's system as site's contribution. Re-adding a streamed prefix is sound:
+// disjunctive systems are idempotent under Add.
 func (b *batchSolver) addReach(t graph.NodeID, site int, data []byte) error {
 	rv := new(core.ReachPartial)
 	if err := rv.UnmarshalBinary(data); err != nil {
 		return err
 	}
-	rv.AddToSystem(b.sys[t])
-	if b.acc[t][site] == nil {
-		b.acc[t][site] = rv
-	} else {
-		b.acc[t][site].Merge(rv)
-	}
+	rv.AddToSystemFrom(site, b.sys[t])
 	return nil
 }
 
@@ -601,26 +528,27 @@ func (b *batchSolver) feed(site int, body []byte, final bool) (bool, error) {
 	if !b.early {
 		return false, nil
 	}
-	for j, q := range b.wire {
-		if !b.proved[j] && q.Class == ClassReach && b.sys[q.T].Decide(q.S) {
-			b.proved[j] = true
-			b.unproved--
+	// An early round is all reach queries (see BatchContext), each an O(1)
+	// lookup in its target's system.
+	for _, q := range b.wire {
+		if !b.sys[q.T].Decide(q.S) {
+			return false, nil
 		}
 	}
-	return b.unproved == 0, nil
+	return true, nil
 }
 
 // finish writes every wire query's answer into its slot once the round
 // has settled. Touched stays sound for a reach query proved early:
 // flipping the answer to false requires breaking every path, in particular
 // the certificate chain inside the accumulated equations — whose fragments
-// are exactly the dependency closure computed here.
+// are in the dependency closure the target's system reports.
 func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
 	for j, q := range b.wire {
 		i := widx[j]
 		switch q.Class {
 		case ClassReach:
-			answers[i] = BatchAnswer{Answer: b.sys[q.T].Decide(q.S), Touched: core.TouchedReach(b.acc[q.T], q.S)}
+			answers[i] = BatchAnswer{Answer: b.sys[q.T].Decide(q.S), Touched: b.sys[q.T].Sources(q.S)}
 		case ClassDist:
 			partials := make([]*core.DistPartial, b.nsites)
 			for site := range partials {
@@ -629,8 +557,8 @@ func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
 					return fmt.Errorf("netsite: site %d batch query %d: %w", site, i, err)
 				}
 			}
-			d := core.SolveDist(partials, q.S)
-			answers[i] = BatchAnswer{Answer: d <= int64(q.L), Dist: d, Touched: core.TouchedDist(partials, q.S)}
+			d, touched := core.AssembleDist(partials, q.S)
+			answers[i] = BatchAnswer{Answer: d <= int64(q.L), Dist: d, Touched: touched}
 		case ClassRPQ:
 			partials := make([]*core.RPQPartial, b.nsites)
 			for site := range partials {

@@ -46,11 +46,11 @@ func mixedWorkload(t *testing.T, g *graph.Graph, fr *fragment.Fragmentation, lab
 		case 1:
 			q.class = ClassDist
 			q.l = 1 + rng.Intn(8)
-			q.want = core.DisDist(cl, fr, s, tt, q.l, nil).Answer
+			q.want = core.DisDist(cl, fr, s, tt, q.l).Answer
 		case 2:
 			q.class = ClassRPQ
 			q.a = automaton.Random(rng, 2+rng.Intn(2), 3+rng.Intn(4), labels)
-			q.want = core.DisRPQ(cl, fr, s, tt, q.a, nil).Answer
+			q.want = core.DisRPQ(cl, fr, s, tt, q.a).Answer
 		}
 		qs = append(qs, q)
 	}

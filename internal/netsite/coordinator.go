@@ -636,7 +636,8 @@ type WireStats struct {
 
 	// Touched lists, sorted, the sites (== fragment indices) whose partial
 	// answers the query's solution actually depends on — the dependency
-	// closure of the source variable (see core.TouchedReach). An answer
+	// closure of the source variable, read off the system that decided the
+	// query (bes.System.Sources; soundness in core/touched.go). An answer
 	// cache keyed on it can evict precisely when a fragment changes. Nil
 	// for rounds without that notion (batches report it per query, updates
 	// report a dirty set instead).

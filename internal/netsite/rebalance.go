@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"distreach/internal/fragment"
+	"distreach/internal/oplog"
 )
 
 // Live re-fragmentation over the wire. A rebalance frame ('R', request
@@ -67,29 +68,29 @@ func encodeRebalanceRequest(epoch uint64, k int, seed uint64, name string) ([]by
 // decodeRebalanceRequest is the inverse of encodeRebalanceRequest,
 // hardened against hostile payloads.
 func decodeRebalanceRequest(p []byte) (epoch uint64, k int, seed uint64, name string, err error) {
-	r := &batchReader{b: p}
-	if epoch, err = r.u64(); err != nil {
+	r := oplog.NewCursor(p)
+	if epoch, err = r.U64(); err != nil {
 		return 0, 0, 0, "", err
 	}
-	ku, err := r.u32()
+	ku, err := r.U32()
 	if err != nil {
 		return 0, 0, 0, "", err
 	}
-	if seed, err = r.u64(); err != nil {
+	if seed, err = r.U64(); err != nil {
 		return 0, 0, 0, "", err
 	}
-	nlen, err := r.u8()
+	nlen, err := r.U8()
 	if err != nil {
 		return 0, 0, 0, "", err
 	}
 	if nlen == 0 {
 		return 0, 0, 0, "", fmt.Errorf("netsite: rebalance frame with empty partitioner name")
 	}
-	nb, err := r.bytes(uint32(nlen))
+	nb, err := r.Bytes(uint32(nlen))
 	if err != nil {
 		return 0, 0, 0, "", err
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return 0, 0, 0, "", err
 	}
 	return epoch, int(ku), seed, string(nb), nil
@@ -109,24 +110,24 @@ func encodeRebalanceReply(epoch uint64, applied bool, fp uint64, bs fragment.Bal
 
 // decodeRebalanceReply is the inverse of encodeRebalanceReply.
 func decodeRebalanceReply(p []byte) (epoch uint64, applied bool, fp uint64, bs fragment.BalanceStats, err error) {
-	r := &batchReader{b: p}
-	if epoch, err = r.u64(); err != nil {
+	r := oplog.NewCursor(p)
+	if epoch, err = r.U64(); err != nil {
 		return 0, false, 0, bs, err
 	}
-	ap, err := r.u8()
+	ap, err := r.U8()
 	if err != nil {
 		return 0, false, 0, bs, err
 	}
 	if ap > 1 {
 		return 0, false, 0, bs, fmt.Errorf("netsite: rebalance reply applied flag %d", ap)
 	}
-	if fp, err = r.u64(); err != nil {
+	if fp, err = r.U64(); err != nil {
 		return 0, false, 0, bs, err
 	}
 	if bs, err = readBalanceStats(r); err != nil {
 		return 0, false, 0, bs, err
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return 0, false, 0, bs, err
 	}
 	return epoch, ap == 1, fp, bs, nil

@@ -119,12 +119,8 @@ func encodeUpdateRequest(lsn, nonce uint64, ops []Op) ([]byte, error) {
 // trailing bytes are rejected.
 func decodeUpdateRequest(p []byte) (lsn, nonce uint64, ops []Op, err error) {
 	r := oplog.NewCursor(p)
-	v, err := r.U8()
-	if err != nil {
+	if err := readVersion(r, updateVersion, "update"); err != nil {
 		return 0, 0, nil, err
-	}
-	if v != updateVersion {
-		return 0, 0, nil, fmt.Errorf("netsite: unsupported update version %d", v)
 	}
 	if lsn, err = r.U64(); err != nil {
 		return 0, 0, nil, err
@@ -163,59 +159,48 @@ func encodeUpdateReply(changed bool, dirty []int, newIDs []graph.NodeID, bs frag
 // decodeUpdateReply is the inverse of encodeUpdateReply, hardened against
 // hostile payloads.
 func decodeUpdateReply(p []byte) (changed bool, dirty []int, newIDs []graph.NodeID, bs fragment.BalanceStats, err error) {
-	r := &batchReader{b: p}
-	v, err := r.u8()
-	if err != nil {
+	r := oplog.NewCursor(p)
+	if err := readVersion(r, updateVersion, "update reply"); err != nil {
 		return false, nil, nil, bs, err
 	}
-	if v != updateVersion {
-		return false, nil, nil, bs, fmt.Errorf("netsite: unsupported update reply version %d", v)
-	}
-	ch, err := r.u8()
+	ch, err := r.U8()
 	if err != nil {
 		return false, nil, nil, bs, err
 	}
 	if ch > 1 {
 		return false, nil, nil, bs, fmt.Errorf("netsite: update reply changed flag %d", ch)
 	}
-	nd, err := r.u32()
-	if err != nil {
-		return false, nil, nil, bs, err
+	if dirty, err = readIDs[int](r); err != nil {
+		return false, nil, nil, bs, fmt.Errorf("netsite: update reply fragment IDs: %w", err)
 	}
-	if uint64(nd)*4 > uint64(len(r.b)-r.off) {
-		return false, nil, nil, bs, fmt.Errorf("netsite: update reply claims %d fragment IDs in %d bytes", nd, len(r.b)-r.off)
-	}
-	dirty = make([]int, 0, nd)
-	for i := 0; i < int(nd); i++ {
-		d, err := r.u32()
-		if err != nil {
-			return false, nil, nil, bs, err
-		}
-		dirty = append(dirty, int(d))
-	}
-	nn, err := r.u32()
-	if err != nil {
-		return false, nil, nil, bs, err
-	}
-	if uint64(nn)*4 > uint64(len(r.b)-r.off) {
-		return false, nil, nil, bs, fmt.Errorf("netsite: update reply claims %d new IDs in %d bytes", nn, len(r.b)-r.off)
-	}
-	newIDs = make([]graph.NodeID, 0, nn)
-	for i := 0; i < int(nn); i++ {
-		id, err := r.u32()
-		if err != nil {
-			return false, nil, nil, bs, err
-		}
-		newIDs = append(newIDs, graph.NodeID(id))
+	if newIDs, err = readIDs[graph.NodeID](r); err != nil {
+		return false, nil, nil, bs, fmt.Errorf("netsite: update reply new IDs: %w", err)
 	}
 	bs, err = readBalanceStats(r)
 	if err != nil {
 		return false, nil, nil, bs, err
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return false, nil, nil, bs, err
 	}
 	return ch == 1, dirty, newIDs, bs, nil
+}
+
+// readIDs decodes a counted list of u32 IDs.
+func readIDs[T ~int | ~int32](r *oplog.Cursor) ([]T, error) {
+	n, err := readCount(r, 4)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]T, 0, n)
+	for i := 0; i < n; i++ {
+		v, err := r.U32()
+		if err != nil {
+			return nil, err
+		}
+		ids = append(ids, T(v))
+	}
+	return ids, nil
 }
 
 // appendBalanceStats packs the balance summary every update and rebalance
@@ -231,39 +216,25 @@ func appendBalanceStats(b []byte, bs fragment.BalanceStats) []byte {
 }
 
 // readBalanceStats is the inverse of appendBalanceStats.
-func readBalanceStats(r *batchReader) (fragment.BalanceStats, error) {
-	var bs fragment.BalanceStats
-	k, err := r.u32()
-	if err != nil {
-		return bs, err
+func readBalanceStats(r *oplog.Cursor) (bs fragment.BalanceStats, err error) {
+	u32 := func(dst *int) {
+		if err == nil {
+			var v uint32
+			v, err = r.U32()
+			*dst = int(v)
+		}
 	}
-	maxs, err := r.u32()
-	if err != nil {
-		return bs, err
+	u32(&bs.Fragments)
+	u32(&bs.MaxSize)
+	u32(&bs.MinSize)
+	if err == nil {
+		var total uint64
+		total, err = r.U64()
+		bs.TotalSize = int64(total)
 	}
-	mins, err := r.u32()
-	if err != nil {
-		return bs, err
-	}
-	total, err := r.u64()
-	if err != nil {
-		return bs, err
-	}
-	vf, err := r.u32()
-	if err != nil {
-		return bs, err
-	}
-	cross, err := r.u32()
-	if err != nil {
-		return bs, err
-	}
-	bs.Fragments = int(k)
-	bs.MaxSize = int(maxs)
-	bs.MinSize = int(mins)
-	bs.TotalSize = int64(total)
-	bs.Vf = int(vf)
-	bs.CrossEdges = int(cross)
-	return bs, nil
+	u32(&bs.Vf)
+	u32(&bs.CrossEdges)
+	return bs, err
 }
 
 // Update applies one edge insertion or deletion to the deployment — the

@@ -8,8 +8,9 @@
 // redeploy: the graph or fragmentation behind the answers was swapped).
 // For live edge updates there is per-fragment precision: each entry
 // carries the set of fragments its answer's evaluation touched (the
-// coordinator computes it as the dependency closure of the source
-// variable; see core.TouchedReach), and EvictFragments removes exactly the
+// coordinator reads it off the equation system that decided the query, as
+// the sites owning an equation in the dependency closure of the source
+// variable; see core/touched.go for why that is sound), and EvictFragments removes exactly the
 // entries whose set intersects an update's dirtied fragments — everything
 // else keeps serving hits. Both invalidations advance the generation, so
 // answers computed over a round trip that raced an invalidation are never
