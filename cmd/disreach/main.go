@@ -199,9 +199,11 @@ func queryWire(addrs []string, src, dst graph.NodeID, l int, re string) error {
 	}
 	// One request and one final frame per site is the paper's visit bound;
 	// more means the round straddled a rebalance or an update and retried,
-	// fewer finals that streamed partials decided it early.
-	fmt.Printf("  sites: %d  frames sent: %d  received: %d  sent: %dB  received: %dB  round trip: %v\n",
-		len(addrs), st.FramesSent, st.FramesReceived, st.BytesSent, st.BytesReceived, st.RoundTrip.Round(time.Microsecond))
+	// fewer finals that streamed partials decided it early. A one-shot
+	// coordinator holds no boundary rows, so every site that answered a
+	// reach query shipped its own.
+	fmt.Printf("  sites: %d  frames sent: %d  received: %d  shipped rows: %d  sent: %dB  received: %dB  round trip: %v\n",
+		len(addrs), st.FramesSent, st.FramesReceived, st.RowsReplies, st.BytesSent, st.BytesReceived, st.RoundTrip.Round(time.Microsecond))
 	return nil
 }
 

@@ -275,6 +275,7 @@ type wireJSON struct {
 	PartialFrames     int64 `json:"partial_frames,omitempty"`
 	CancelFrames      int64 `json:"cancel_frames,omitempty"`
 	EarlyTerminated   bool  `json:"early_terminated,omitempty"`
+	RowsReplies       int64 `json:"rows_replies,omitempty"` // sites that shipped their boundary rows
 }
 
 func toWireJSON(st netsite.WireStats) *wireJSON {
@@ -288,6 +289,7 @@ func toWireJSON(st netsite.WireStats) *wireJSON {
 		PartialFrames:     st.PartialFrames,
 		CancelFrames:      st.CancelFrames,
 		EarlyTerminated:   st.EarlyTerminated,
+		RowsReplies:       st.RowsReplies,
 	}
 }
 

@@ -73,6 +73,14 @@ func newGwObs(co *netsite.Coordinator) *gwObs {
 			"Rounds decided before this site's final answer arrived — the per-site lag histogram.",
 			"site", strconv.Itoa(i),
 			func() float64 { return float64(co.AnytimeStats().Stragglers[i]) })
+		reg.GaugeFuncVec("gateway_site_rows_hits_total",
+			"Final replies from this site that left its boundary rows out: the coordinator's copy was current.",
+			"site", strconv.Itoa(i),
+			func() float64 { h, _ := ob.auditor.RowsReplies(i); return float64(h) })
+		reg.GaugeFuncVec("gateway_site_rows_misses_total",
+			"Final replies from this site that carried its boundary rows: the coordinator held none, or a stale copy.",
+			"site", strconv.Itoa(i),
+			func() float64 { _, m := ob.auditor.RowsReplies(i); return float64(m) })
 	}
 	return ob
 }

@@ -57,10 +57,8 @@ func reachReplySize(f *fragment.Fragment, rv *ReachPartial) int {
 // answer depends on, instead of re-solving from scratch. A nil partial adds
 // nothing.
 func (rv *ReachPartial) AddToSystemFrom(site int, sys *bes.System[graph.NodeID]) {
-	if rv == nil {
-		return
-	}
-	for _, eq := range rv.eqs {
+	for i := 0; i < rv.NumEqs(); i++ {
+		eq := rv.at(i)
 		if site >= 0 {
 			sys.Claim(site, eq.node)
 		}

@@ -55,6 +55,15 @@ func (o *touchedOracle) touched(s graph.NodeID) []int {
 	return out
 }
 
+// eqs lists the partial's equations (views into its storage).
+func (rv *ReachPartial) eqs() []reachEq {
+	out := make([]reachEq, rv.NumEqs())
+	for i := range out {
+		out[i] = rv.at(i)
+	}
+	return out
+}
+
 // TestTouchedMatchesOracle pins the Touched sets read off the deciding
 // system against the map-based oracle: for reach, over a strict round
 // (every site's final) and over early-terminated ones (sites fed in random
@@ -71,7 +80,7 @@ func TestTouchedMatchesOracle(t *testing.T) {
 		so := newTouchedOracle()
 		for site, f := range frags {
 			finals[site] = LocalEvalReach(f, s, tt, nil)
-			for _, eq := range finals[site].eqs {
+			for _, eq := range finals[site].eqs() {
 				so.add(site, eq.node, eq.vars...)
 			}
 		}
@@ -84,7 +93,7 @@ func TestTouchedMatchesOracle(t *testing.T) {
 		order := rng.Perm(len(frags))
 		feed := func(site int, rv *ReachPartial) {
 			rv.AddToSystemFrom(site, anytime)
-			for _, eq := range rv.eqs {
+			for _, eq := range rv.eqs() {
 				ao.add(site, eq.node, eq.vars...)
 			}
 		}
@@ -291,7 +300,7 @@ func TestSourceEqMatchesLocalEval(t *testing.T) {
 	// fromLocalEval extracts s's own equation from a full evaluation: the
 	// one appended beyond the source-independent in-node equations.
 	fromLocalEval := func(s, tt graph.NodeID) (reachEq, bool) {
-		with, base := LocalEvalReach(f, s, tt, nil).eqs, LocalEvalReach(f, graph.None, tt, nil).eqs
+		with, base := LocalEvalReach(f, s, tt, nil).eqs(), LocalEvalReach(f, graph.None, tt, nil).eqs()
 		if len(with) == len(base) {
 			return reachEq{}, false
 		}
@@ -312,7 +321,7 @@ func TestSourceEqMatchesLocalEval(t *testing.T) {
 		own := SourceOnlyReach(f, c.s, c.tt, nil)
 		ok := own != nil
 		if ok {
-			got = own.eqs[0]
+			got = own.at(0)
 		}
 		full, fullOK := fromLocalEval(c.s, c.tt)
 		if ok != fullOK || ok != (c.want != nil) {
@@ -330,15 +339,132 @@ func TestSourceEqMatchesLocalEval(t *testing.T) {
 	// with the target, itself an in-node. SourceOnlyReach aliases Xs = Xt (true by
 	// t's own equation); localEval never aliases to t and searches instead.
 	// Both decide the same.
-	alias := SourceOnlyReach(f, 1, 0, nil).eqs[0]
+	alias := SourceOnlyReach(f, 1, 0, nil).at(0)
 	searched, _ := fromLocalEval(1, 0)
 	if len(alias.vars) != 1 || alias.vars[0] != 0 || !searched.constTrue {
 		t.Fatalf("source in the target's SCC: SourceOnlyReach %+v, LocalEvalReach %+v", alias, searched)
 	}
 	base := LocalEvalReach(f, graph.None, 0, nil)
 	for _, eq := range []reachEq{alias, searched} {
-		if !SolveReach([]*ReachPartial{base, {eqs: []reachEq{eq}}}, 1) {
+		if !SolveReach([]*ReachPartial{base, partialOf(eq)}, 1) {
 			t.Errorf("qr(1,0) false with source equation %+v", eq)
+		}
+	}
+}
+
+// rowsAndQueryPart decides qr(s, t) the way the wire coordinator does once
+// it holds every fragment's rows: the rows, plus each fragment's query part.
+func rowsAndQueryPart(rows []*ReachPartial, frags []*fragment.Fragment, s, t graph.NodeID, opt *Options) bool {
+	sys := assembleReach(rows)
+	for site, f := range frags {
+		SourceOnlyReach(f, s, t, opt).AddToSystemFrom(site, sys)
+		TargetOnlyReach(f, t, opt).AddToSystemFrom(site, sys)
+	}
+	return sys.Decide(s)
+}
+
+// TestRowsPlusQueryPartMatchesLocalEval: a fragment's in-node rows (no
+// source, no target) plus the query part (SourceOnlyReach, TargetOnlyReach)
+// decide what the full local evaluation decides — on a hand-built
+// fragmentation covering every kind of source and target, and on random
+// ones over all pairs, indexed and direct — and when a compaction between
+// the rows and the query part changes which in-node represents an SCC.
+func TestRowsPlusQueryPartMatchesLocalEval(t *testing.T) {
+	// TestSourceEqMatchesLocalEval's graph: fragment 0 holds a(0) <-> c(1),
+	// p(2) -> x(3) -> t0(4); fragment 1 holds w(5) -> z(6); cross edges
+	// w->a, c->w, x->w. a is an in-node whose SCC holds c.
+	b := graph.NewBuilder(7)
+	b.AddNodes(7, "")
+	for _, e := range [][2]graph.NodeID{{5, 0}, {0, 1}, {1, 0}, {1, 5}, {2, 3}, {3, 5}, {3, 4}, {5, 6}} {
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.MustBuild()
+	fr, err := fragment.Build(g, []int{0, 0, 0, 0, 0, 1, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags := fr.Fragments()
+	rows := make([]*ReachPartial, len(frags))
+	for i, f := range frags {
+		rows[i] = LocalEvalReach(f, graph.None, graph.None, nil)
+	}
+	for _, c := range []struct {
+		name string
+		s, t graph.NodeID
+	}{
+		{"in-SCC source, remote plain target", 1, 6},
+		{"virtual-only source at fragment 0", 5, 6},
+		{"in-node source, local plain target", 0, 1},
+		{"plain source, local plain target", 2, 4},
+		{"plain source, target an in-node", 2, 0},
+		{"plain source, target aliased inside an in-node SCC", 2, 1},
+		{"target virtual at the source's fragment", 2, 5},
+		{"source in the target's SCC", 1, 0},
+		{"unreachable", 4, 2},
+	} {
+		full := make([]*ReachPartial, len(frags))
+		for i, f := range frags {
+			full[i] = LocalEvalReach(f, c.s, c.t, nil)
+		}
+		want := g.Reachable(c.s, c.t)
+		if got := SolveReach(full, c.s); got != want {
+			t.Fatalf("%s: LocalEvalReach decides qr(%d,%d) = %v, want %v", c.name, c.s, c.t, got, want)
+		}
+		if got := rowsAndQueryPart(rows, frags, c.s, c.t, nil); got != want {
+			t.Errorf("%s: rows + query part decide qr(%d,%d) = %v, want %v", c.name, c.s, c.t, got, want)
+		}
+	}
+
+	// Fragment 0 holds junk(0), a(1) <-> b(3), b -> t(2); fragment 1 holds
+	// p(4) -> a and q(5) -> b. Deleting junk swaps b into slot 0, ahead of
+	// a: the rows alias Xa = Xb. The compaction restores ID order, so an
+	// evaluation after it would alias Xb = Xa — the query part must not
+	// depend on which.
+	b = graph.NewBuilder(6)
+	b.AddNodes(6, "")
+	for _, e := range [][2]graph.NodeID{{1, 3}, {3, 1}, {3, 2}, {4, 1}, {5, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	if fr, err = fragment.Build(b.MustBuild(), []int{0, 0, 0, 0, 1, 1}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fr.DeleteNode(0); err != nil {
+		t.Fatal(err)
+	}
+	frags = fr.Fragments()
+	for i, f := range frags {
+		rows[i] = LocalEvalReach(f, graph.None, graph.None, nil)
+	}
+	fr.Compact()
+	for _, s := range []graph.NodeID{4, 5} {
+		if !rowsAndQueryPart(rows, frags, s, 2, nil) {
+			t.Errorf("rows from before a compaction + query part after it: qr(%d,2) = false, want true", s)
+		}
+	}
+
+	rng := gen.NewRNG(2301)
+	for trial := 0; trial < 120; trial++ {
+		g, fr, _, _ := randomCase(rng, nil)
+		n := g.NumNodes()
+		opt := &Options{NoFragmentIndex: trial%2 == 0}
+		if !opt.NoFragmentIndex {
+			fr.EnableReachIndex(1 << 20)
+			fr.WaitReachIndexes()
+		}
+		frags := fr.Fragments()
+		rows := make([]*ReachPartial, len(frags))
+		for i, f := range frags {
+			rows[i] = LocalEvalReach(f, graph.None, graph.None, opt)
+		}
+		for s := graph.NodeID(0); int(s) < n; s++ {
+			for tt := graph.NodeID(0); int(tt) < n; tt++ {
+				if s == tt {
+					continue
+				}
+				if got, want := rowsAndQueryPart(rows, frags, s, tt, opt), g.Reachable(s, tt); got != want {
+					t.Fatalf("trial %d: rows + query part decide qr(%d,%d) = %v, BFS %v on %v, %v", trial, s, tt, got, want, g, fr)
+				}
+			}
 		}
 	}
 }

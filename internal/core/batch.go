@@ -63,9 +63,7 @@ func DisReachBatch(cl *cluster.Cluster, fr *fragment.Fragmentation, qs []Query) 
 				// stored at this site adds only its own equation.
 				reply[gi] = LocalEvalReach(f, graph.None, gr.t, nil)
 				for _, i := range gr.queries {
-					if own := SourceOnlyReach(f, qs[i].S, gr.t, nil); own != nil {
-						reply[gi].eqs = append(reply[gi].eqs, own.eqs...)
-					}
+					reply[gi].Append(SourceOnlyReach(f, qs[i].S, gr.t, nil))
 				}
 			}
 			return reply
@@ -100,7 +98,9 @@ func DisReachBatch(cl *cluster.Cluster, fr *fragment.Fragmentation, qs []Query) 
 // virtual node, or already an in-node (whose equation is part of the
 // source-independent rvset). Together with LocalEvalReach(f, graph.None, t)
 // it splits a fragment's batch answer into a per-target shared part and a
-// per-source part, which the wire batch reply ships deduplicated.
+// per-source part; together with TargetOnlyReach it is the part of the
+// answer that depends on the query at all, which is all a wire site ships
+// to a coordinator that already holds the fragment's rows.
 //
 // nil is also returned when opt.Cancel fires mid-BFS; callers running
 // under cooperative cancellation must re-check their cancel flag before
@@ -111,7 +111,7 @@ func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Rea
 		return nil
 	}
 	if s == t {
-		return &ReachPartial{eqs: []reachEq{{node: t, constTrue: true}}}
+		return partialOf(reachEq{node: t, constTrue: true})
 	}
 	comp := f.LocalSCC()
 	// Equation aliasing, as in localEval: when s shares a local SCC with an
@@ -120,7 +120,7 @@ func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Rea
 	// own equation is always in the source-independent rvset.
 	for _, v := range f.InNodes() {
 		if comp[v] == comp[ls] {
-			return &ReachPartial{eqs: []reachEq{{node: s, vars: []graph.NodeID{f.Global(v)}}}}
+			return partialOf(reachEq{node: s, vars: []graph.NodeID{f.Global(v)}})
 		}
 	}
 	var bfs cutBFS
@@ -128,5 +128,58 @@ func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Rea
 	if !ok {
 		return nil
 	}
-	return &ReachPartial{eqs: []reachEq{eq}}
+	return partialOf(eq)
+}
+
+// TargetOnlyReach returns what f's in-node equations gain from knowing the
+// target: Xv = true for every in-node v that reaches t inside the fragment,
+// Xt itself included when t is an in-node. Added to the fragment's rows —
+// LocalEvalReach(f, graph.None, graph.None), which leave t an ordinary node
+// — it decides exactly what LocalEvalReach(f, graph.None, t) decides:
+//
+//   - sound: each equation states a path that exists in the fragment;
+//   - complete: let an in-node v reach t locally and w be the last in-node
+//     on the path. The rows chain Xv to Xw (every frontier cut stops at an
+//     in-node that has its own row), and w reaches t with no in-node in
+//     between, so w's own evaluation finds t and Xw = true is emitted here.
+//     Where t is only a virtual node the rows already mention Xt, and the
+//     fragment that stores t — of which t is then an in-node — emits it.
+//
+// Every member of a reaching SCC gets its equation, not just the SCC's
+// representative: the rows may have been computed before a compaction
+// renumbered the fragment and picked other representatives, and an
+// equation per member is right under any choice.
+//
+// It returns nil when there is nothing to say — t is not a real node of f,
+// or no in-node reaches it — and when opt.Cancel fires; callers running
+// under cooperative cancellation re-check their flag, as for SourceOnlyReach.
+func TargetOnlyReach(f *fragment.Fragment, t graph.NodeID, opt *Options) *ReachPartial {
+	if !f.HasLocal(t) {
+		return nil
+	}
+	ev := newLocalEval(f, t, opt)
+	reaches := make([]bool, f.NumTotal()) // per local SCC: its members reach t
+	var rv *ReachPartial
+	for _, v := range f.InNodes() {
+		if ev.opt.cancelled() {
+			return nil
+		}
+		c := ev.comp[v]
+		if ev.repOf[c] == 0 {
+			// First in-node of its SCC (or t itself, which never becomes a
+			// representative): its evaluation speaks for the members.
+			eq, ok := ev.equation(v)
+			if !ok {
+				return nil
+			}
+			reaches[c] = reaches[c] || eq.constTrue
+		}
+		if reaches[c] {
+			if rv == nil {
+				rv = new(ReachPartial)
+			}
+			rv.add(reachEq{node: f.Global(v), constTrue: true})
+		}
+	}
+	return rv
 }

@@ -30,8 +30,55 @@ type reachEq struct {
 // ReachPartial is Fi.rvset: the partial answer of one fragment to a
 // reachability query. It is produced by LocalEvalReach at a site (or a
 // mapper) and consumed by SolveReach at the coordinator (or the reducer).
+//
+// The equations are stored flat — equation i is Xnodes[i] = truth[i] ∨
+// (∨ vars[offs[i]:offs[i+1]]) — so a partial decoded off the wire occupies
+// about its marshaled size (9 bytes an equation, 4 a disjunct) however many
+// equations it has. That is what the wire coordinator pays to keep one
+// fragment's in-node rows across queries.
 type ReachPartial struct {
-	eqs []reachEq
+	nodes []graph.NodeID
+	truth []bool
+	offs  []uint32 // len(nodes)+1 entries once an equation was added
+	vars  []graph.NodeID
+}
+
+// partialOf builds a partial from equations.
+func partialOf(eqs ...reachEq) *ReachPartial {
+	rv := new(ReachPartial)
+	for _, eq := range eqs {
+		rv.add(eq)
+	}
+	return rv
+}
+
+// add appends one equation, copying its disjuncts.
+func (rv *ReachPartial) add(eq reachEq) {
+	if len(rv.offs) == 0 {
+		rv.offs = append(rv.offs, 0)
+	}
+	rv.nodes = append(rv.nodes, eq.node)
+	rv.truth = append(rv.truth, eq.constTrue)
+	rv.vars = append(rv.vars, eq.vars...)
+	rv.offs = append(rv.offs, uint32(len(rv.vars)))
+}
+
+// at returns equation i; its vars alias the partial's storage.
+func (rv *ReachPartial) at(i int) reachEq {
+	return reachEq{node: rv.nodes[i], constTrue: rv.truth[i], vars: rv.vars[rv.offs[i]:rv.offs[i+1]]}
+}
+
+// tail returns a view of the equations from index from on; it shares the
+// partial's storage.
+func (rv *ReachPartial) tail(from int) *ReachPartial {
+	return &ReachPartial{nodes: rv.nodes[from:], truth: rv.truth[from:], offs: rv.offs[from:], vars: rv.vars}
+}
+
+// Append adds the equations of more (nil: none) to the partial.
+func (rv *ReachPartial) Append(more *ReachPartial) {
+	for i := 0; i < more.NumEqs(); i++ {
+		rv.add(more.at(i))
+	}
 }
 
 // LocalEvalReach is the exported form of procedure localEval, used by the
@@ -53,8 +100,13 @@ func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Reac
 // site can never stall the coordinator's demultiplexer.
 const MaxStreamChunks = 8
 
-// NumEqs reports the number of equations in the partial.
-func (rv *ReachPartial) NumEqs() int { return len(rv.eqs) }
+// NumEqs reports the number of equations in the partial (none for nil).
+func (rv *ReachPartial) NumEqs() int {
+	if rv == nil {
+		return 0
+	}
+	return len(rv.nodes)
+}
 
 // WireSize accounts the reply size of the partial answer for a fragment
 // with the given number of boundary variables (|Fi.O| + |Fi.I|). Each
@@ -65,8 +117,8 @@ func (rv *ReachPartial) NumEqs() int { return len(rv.eqs) }
 func (rv *ReachPartial) WireSize(boundaryVars int) int {
 	dense := (boundaryVars + 1 + 7) / 8
 	n := 0
-	for _, eq := range rv.eqs {
-		sparse := 4 * len(eq.vars)
+	for i := range rv.nodes {
+		sparse := 4 * int(rv.offs[i+1]-rv.offs[i])
 		if sparse < dense {
 			n += 5 + sparse
 		} else {
@@ -110,142 +162,159 @@ func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID
 // fragment's boundary structure instead of |Fi.I|·|Fi| in the worst case
 // (the paper's O(|Vf||Fm|) bound still applies).
 //
+// With s = t = graph.None the result is the fragment's in-node rows: the
+// part of every answer that depends on the fragment alone. SourceOnlyReach
+// and TargetOnlyReach produce the rest, the part that depends on the query.
+//
 // A non-nil emit runs the evaluation in anytime mode: as equations are
 // produced they are handed to emit in chunks (at most MaxStreamChunks
-// calls, geometrically growing so the first certificate-closing equations
-// ship immediately). The chunk passed to emit aliases internal storage and
-// is only valid for the duration of the call. emit returning false — or
-// opt.Cancel firing at one of its cooperative checkpoints — abandons the
-// evaluation: the return is (nil, false). Otherwise the complete partial
-// is returned with ok=true; it includes every equation already streamed
-// (chunks are a redundant prefix, sound to re-add since disjunctive
-// equation systems are idempotent under Add).
-//
-// To surface certificates early the streamed in-node order is biased: the
-// source's equation is evaluated first, and when t is stored locally the
-// in-nodes sharing t's SCC (whose equations close certificates with a
-// constant true) come next.
+// calls, geometrically growing so the first equations ship immediately).
+// The chunk passed to emit aliases internal storage and is only valid for
+// the duration of the call. emit returning false — or opt.Cancel firing at
+// one of its cooperative checkpoints — abandons the evaluation: the return
+// is (nil, false). Otherwise the complete partial is returned with ok=true;
+// it includes every equation already streamed (chunks are a redundant
+// prefix, sound to re-add since disjunctive equation systems are
+// idempotent under Add).
 func LocalEvalReachStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, emit func(chunk *ReachPartial) bool) (*ReachPartial, bool) {
-	if opt == nil {
-		opt = &Options{}
-	}
 	iset := isetOf(f, s)
-	if emit != nil {
-		iset = streamOrder(f, iset, s, t)
+	rv := &ReachPartial{
+		nodes: make([]graph.NodeID, 0, len(iset)),
+		truth: make([]bool, 0, len(iset)),
+		offs:  make([]uint32, 1, len(iset)+1),
 	}
-	rv := &ReachPartial{eqs: make([]reachEq, 0, len(iset))}
 	if len(iset) == 0 {
 		return rv, true
 	}
 	// flush emits the equations appended since the previous chunk. Chunk
-	// boundaries grow geometrically (1, 2, 4, ...) so the prioritized
-	// head of the evaluation ships with minimum latency while long tails
-	// stay within the MaxStreamChunks frame budget.
+	// boundaries grow geometrically (1, 2, 4, ...) so the head of the
+	// evaluation ships with minimum latency while long tails stay within
+	// the MaxStreamChunks frame budget.
 	emitted, last, next := 0, 0, 1
 	flush := func() bool {
-		if emit == nil || emitted >= MaxStreamChunks || len(rv.eqs)-last < next {
+		if emit == nil || emitted >= MaxStreamChunks || rv.NumEqs()-last < next {
 			return true
 		}
-		if !emit(&ReachPartial{eqs: rv.eqs[last:]}) {
+		if !emit(rv.tail(last)) {
 			return false
 		}
-		last = len(rv.eqs)
+		last = rv.NumEqs()
 		emitted++
 		next *= 2
 		return true
 	}
-	met := opt.Metrics
-	if met == nil {
-		met = new(EvalMetrics) // counted, never read
-	}
-	// Equation aliasing: in-nodes in the same local SCC reach exactly the
-	// same boundary nodes, so only one representative per SCC needs a full
-	// equation; the rest ship the two-word alias Xv = Xrep. This keeps the
-	// reply size near the size of the fragment's condensed boundary
-	// structure on dense fragmentations.
-	comp := f.LocalSCC()
-	// repOf maps SCC -> representative in-node, +1-encoded so the zeroed
-	// slice means "none yet" (a map here dominates the indexed hot path).
-	repOf := make([]int32, f.NumTotal())
-	// Fragment reachability index: when one is installed (and not opted
-	// out of), a representative's whole equation comes from two lookups —
-	// the precomputed frontier-cut variable list and the interval-label
-	// "reaches t locally" bit — instead of a BFS. Stale/undecided/over-
-	// budget entries answer !ok and drop to the BFS below, so an index
-	// mid-rebuild only costs speed, never correctness.
-	var idx *reachindex.Index
-	var tLocal int32
-	var hasT bool
-	if !opt.NoFragmentIndex {
-		if idx = f.ReachIndex(); idx != nil {
-			tLocal, hasT = f.Local(t)
-		}
-	}
-	// Fallback strategy: one frontier-cut BFS per representative.
-	var bfs cutBFS
-	// equation produces v's equation by the cheapest route that applies; it
-	// reports false only when the BFS was cancelled.
-	equation := func(v int32) (reachEq, bool) {
-		if f.Global(v) == t {
-			// Xt is trivially true (t reaches itself). This must precede
-			// aliasing: if t shares an SCC with other in-nodes, they may
-			// alias to Xt, and Xt itself must never be an alias.
-			met.ConstEqs++
-			return reachEq{node: t, constTrue: true}, true
-		}
-		if rep := repOf[comp[v]]; rep != 0 {
-			met.AliasEqs++
-			return reachEq{node: f.Global(v), vars: []graph.NodeID{f.Global(rep - 1)}}, true
-		}
-		repOf[comp[v]] = v + 1
-		if idx != nil {
-			if gvars, reachesT, ok := idx.EquationGlobal(v, tLocal, hasT); ok {
-				eq := reachEq{node: f.Global(v), constTrue: reachesT}
-				if hasT {
-					// t appearing as a variable must contribute `true`
-					// instead (lines 4-5 of localEval). The list holds each
-					// boundary node at most once, so splice it out.
-					for i, gv := range gvars {
-						if gv == t {
-							eq.constTrue = true
-							spliced := make([]graph.NodeID, 0, len(gvars)-1)
-							spliced = append(spliced, gvars[:i]...)
-							spliced = append(spliced, gvars[i+1:]...)
-							gvars = spliced
-							break
-						}
-					}
-				}
-				// Shared read-only slice: bes.Add and the wire codec only
-				// read equation bodies, so no per-query copy is needed.
-				eq.vars = gvars
-				met.IndexedEqs++
-				return eq, true
-			}
-			switch idx.Outcome(v) {
-			case reachindex.OutcomeStale:
-				met.StaleEqs++
-			case reachindex.OutcomeOverBudget:
-				met.OverBudgetEqs++
-			}
-		}
-		met.BFSEqs++
-		return bfs.from(f, v, t, comp, opt)
-	}
+	ev := newLocalEval(f, t, opt)
 	for _, v := range iset {
-		if opt.cancelled() {
+		if ev.opt.cancelled() {
 			return nil, false
 		}
-		eq, ok := equation(v)
+		eq, ok := ev.equation(v)
 		if !ok {
 			return nil, false
 		}
-		rv.eqs = append(rv.eqs, eq)
+		rv.add(eq)
 		if !flush() {
 			return nil, false
 		}
 	}
 	return rv, true
+}
+
+// localEval is the state of one local evaluation against target t: how the
+// equation of a single node is produced, shared by the in-node pass and by
+// TargetOnlyReach.
+type localEval struct {
+	f   *fragment.Fragment
+	t   graph.NodeID
+	opt *Options
+	met *EvalMetrics
+	// Equation aliasing: in-nodes in the same local SCC reach exactly the
+	// same boundary nodes, so only one representative per SCC needs a full
+	// equation; the rest ship the two-word alias Xv = Xrep. This keeps the
+	// reply size near the size of the fragment's condensed boundary
+	// structure on dense fragmentations.
+	comp []int32
+	// repOf maps SCC -> representative in-node, +1-encoded so the zeroed
+	// slice means "none yet" (a map here dominates the indexed hot path).
+	repOf []int32
+	// Fragment reachability index: when one is installed (and not opted
+	// out of), a representative's whole equation comes from two lookups —
+	// the precomputed frontier-cut variable list and the interval-label
+	// "reaches t locally" bit — instead of a BFS. Stale/undecided/over-
+	// budget entries answer !ok and drop to the BFS, so an index
+	// mid-rebuild only costs speed, never correctness.
+	idx    *reachindex.Index
+	tLocal int32
+	hasT   bool
+	// Fallback strategy: one frontier-cut BFS per representative.
+	bfs cutBFS
+}
+
+func newLocalEval(f *fragment.Fragment, t graph.NodeID, opt *Options) *localEval {
+	if opt == nil {
+		opt = &Options{}
+	}
+	ev := &localEval{f: f, t: t, opt: opt, met: opt.Metrics, comp: f.LocalSCC(), repOf: make([]int32, f.NumTotal())}
+	if ev.met == nil {
+		ev.met = new(EvalMetrics) // counted, never read
+	}
+	if !opt.NoFragmentIndex {
+		if ev.idx = f.ReachIndex(); ev.idx != nil {
+			ev.tLocal, ev.hasT = f.Local(t)
+		}
+	}
+	return ev
+}
+
+// equation produces local node v's equation by the cheapest route that
+// applies; it reports false only when the BFS was cancelled.
+func (ev *localEval) equation(v int32) (reachEq, bool) {
+	f, t, met := ev.f, ev.t, ev.met
+	if f.Global(v) == t {
+		// Xt is trivially true (t reaches itself). This must precede
+		// aliasing: if t shares an SCC with other in-nodes, they may
+		// alias to Xt, and Xt itself must never be an alias.
+		met.ConstEqs++
+		return reachEq{node: t, constTrue: true}, true
+	}
+	if rep := ev.repOf[ev.comp[v]]; rep != 0 {
+		met.AliasEqs++
+		return reachEq{node: f.Global(v), vars: []graph.NodeID{f.Global(rep - 1)}}, true
+	}
+	ev.repOf[ev.comp[v]] = v + 1
+	if idx := ev.idx; idx != nil {
+		if gvars, reachesT, ok := idx.EquationGlobal(v, ev.tLocal, ev.hasT); ok {
+			eq := reachEq{node: f.Global(v), constTrue: reachesT}
+			if ev.hasT {
+				// t appearing as a variable must contribute `true`
+				// instead (lines 4-5 of localEval). The list holds each
+				// boundary node at most once, so splice it out.
+				for i, gv := range gvars {
+					if gv == t {
+						eq.constTrue = true
+						spliced := make([]graph.NodeID, 0, len(gvars)-1)
+						spliced = append(spliced, gvars[:i]...)
+						spliced = append(spliced, gvars[i+1:]...)
+						gvars = spliced
+						break
+					}
+				}
+			}
+			// The index's own read-only list: the caller copies or only
+			// reads equation bodies.
+			eq.vars = gvars
+			met.IndexedEqs++
+			return eq, true
+		}
+		switch idx.Outcome(v) {
+		case reachindex.OutcomeStale:
+			met.StaleEqs++
+		case reachindex.OutcomeOverBudget:
+			met.OverBudgetEqs++
+		}
+	}
+	met.BFSEqs++
+	return ev.bfs.from(f, v, t, ev.comp, ev.opt)
 }
 
 // cutBFS is the frontier-cut BFS of localEval over the fragment-local
@@ -299,48 +368,6 @@ func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int3
 	}
 	b.queue = queue
 	return eq, true
-}
-
-// streamOrder biases the evaluation order of a streaming localEval so the
-// equations most likely to close a path certificate at the coordinator
-// ship first: the source's own equation (the root of every certificate
-// chain), then — when t is stored here — the in-nodes sharing t's local
-// SCC (their equations carry the constant true that terminates a chain),
-// then the remaining in-nodes in stored order. The set is unchanged, only
-// the order, so aliasing and the emitted equations stay equivalent to the
-// one-shot evaluation.
-func streamOrder(f *fragment.Fragment, iset []int32, s, t graph.NodeID) []int32 {
-	ls, hasS := f.Local(s)
-	if hasS && f.IsVirtual(ls) {
-		hasS = false
-	}
-	lt, hasT := f.Local(t)
-	if !hasS && !hasT {
-		return iset
-	}
-	var comp []int32
-	if hasT {
-		comp = f.LocalSCC()
-	}
-	out := make([]int32, 0, len(iset))
-	rank := func(v int32) int {
-		switch {
-		case hasS && v == ls:
-			return 0
-		case hasT && comp[v] == comp[lt]:
-			return 1
-		default:
-			return 2
-		}
-	}
-	for r := 0; r <= 2; r++ {
-		for _, v := range iset {
-			if rank(v) == r {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
 }
 
 // isetOf returns the fragment's in-nodes plus the source s when s is stored

@@ -190,7 +190,7 @@ func TestDisReachAliasCompression(t *testing.T) {
 	f := fr.Fragments()[0]
 	rv := LocalEvalReach(f, graph.None, 39, &Options{})
 	full, alias := 0, 0
-	for _, eq := range rv.eqs {
+	for _, eq := range rv.eqs() {
 		if len(eq.vars) == 1 && !eq.constTrue {
 			alias++
 		} else {

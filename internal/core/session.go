@@ -87,7 +87,7 @@ func (se *Session) Reach(s, t graph.NodeID) Result {
 	var src *ReachPartial
 	run.Sequential(func() { src = SourceOnlyReach(frags[owner], s, t, nil) })
 	if src != nil {
-		visitOne(owner, 5+4*len(src.eqs[0].vars))
+		visitOne(owner, 5+4*len(src.at(0).vars))
 	}
 
 	var ans bool

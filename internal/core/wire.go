@@ -76,9 +76,12 @@ func (r *reader) count(n uint32, min int) int {
 
 // MarshalBinary implements encoding.BinaryMarshaler for ReachPartial.
 func (rv *ReachPartial) MarshalBinary() ([]byte, error) {
-	b := []byte{wireVersion}
-	b = appendU32(b, uint32(len(rv.eqs)))
-	for _, eq := range rv.eqs {
+	n := rv.NumEqs()
+	b := make([]byte, 0, 5+9*n+4*len(rv.vars))
+	b = append(b, wireVersion)
+	b = appendU32(b, uint32(n))
+	for i := 0; i < n; i++ {
+		eq := rv.at(i)
 		b = appendU32(b, uint32(eq.node))
 		if eq.constTrue {
 			b = append(b, 1)
@@ -100,19 +103,29 @@ func (rv *ReachPartial) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("core: unsupported ReachPartial version %d", v)
 	}
 	n := r.count(r.u32(), 9)
-	eqs := make([]reachEq, 0, n)
+	// One backing array per field, sized from the payload: every equation
+	// costs 9 bytes and what is left over can only be disjuncts, so the
+	// decoded partial is about as large as its encoding however the
+	// disjuncts are spread over the equations.
+	dec := ReachPartial{
+		nodes: make([]graph.NodeID, 0, n),
+		truth: make([]bool, 0, n),
+		offs:  make([]uint32, 1, n+1),
+		vars:  make([]graph.NodeID, 0, (len(data)-r.off-9*n)/4),
+	}
 	for i := 0; i < n; i++ {
-		eq := reachEq{node: graph.NodeID(r.u32()), constTrue: r.u8() == 1}
+		dec.nodes = append(dec.nodes, graph.NodeID(r.u32()))
+		dec.truth = append(dec.truth, r.u8() == 1)
 		nv := r.count(r.u32(), 4)
 		for j := 0; j < nv; j++ {
-			eq.vars = append(eq.vars, graph.NodeID(r.u32()))
+			dec.vars = append(dec.vars, graph.NodeID(r.u32()))
 		}
-		eqs = append(eqs, eq)
+		dec.offs = append(dec.offs, uint32(len(dec.vars)))
 	}
 	if r.err != nil {
 		return r.err
 	}
-	rv.eqs = eqs
+	*rv = dec
 	return nil
 }
 

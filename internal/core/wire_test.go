@@ -22,11 +22,16 @@ func TestReachPartialRoundTrip(t *testing.T) {
 			if err := back.UnmarshalBinary(data); err != nil {
 				t.Fatal(err)
 			}
-			if len(back.eqs) != len(rv.eqs) {
-				t.Fatalf("equation count changed: %d -> %d", len(rv.eqs), len(back.eqs))
+			if back.NumEqs() != rv.NumEqs() {
+				t.Fatalf("equation count changed: %d -> %d", rv.NumEqs(), back.NumEqs())
 			}
-			for i := range rv.eqs {
-				a, b := rv.eqs[i], back.eqs[i]
+			// A decoded partial is what the wire coordinator keeps per site:
+			// it must stay near its encoding, whatever its shape.
+			if held := 4*cap(back.nodes) + cap(back.truth) + 4*cap(back.offs) + 4*cap(back.vars); 2*held > 3*len(data) {
+				t.Fatalf("decoded partial holds %d bytes for a %d-byte encoding (want <= 1.5x)", held, len(data))
+			}
+			for i := 0; i < rv.NumEqs(); i++ {
+				a, b := rv.at(i), back.at(i)
 				if a.node != b.node || a.constTrue != b.constTrue || len(a.vars) != len(b.vars) {
 					t.Fatalf("equation %d changed: %+v vs %+v", i, a, b)
 				}

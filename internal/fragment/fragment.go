@@ -14,6 +14,8 @@
 package fragment
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -50,6 +52,11 @@ type Fragmentation struct {
 	// snapshots; nil when built from a raw assignment.
 	part Partitioner
 
+	// instance names this Fragmentation value among every one ever built —
+	// by a rebalance, a snapshot install or another process alike. Random
+	// and never zero; see Fragment.Generation for what it keys.
+	instance uint64
+
 	// Reachability-index lifecycle (reachidx.go): the per-fragment label
 	// budget (<= 0: disabled), completed rebuild count, last/total build wall time in nanoseconds, and the
 	// WaitGroup WaitReachIndexes blocks on. Overlay auto-compaction
@@ -77,6 +84,25 @@ func (fr *Fragmentation) Partitioner() Partitioner {
 	fr.mu.RLock()
 	defer fr.mu.RUnlock()
 	return fr.part
+}
+
+// Instance reports the fragmentation's instance ID: random, non-zero,
+// fixed at Build. Two fragmentations never share one, however they came
+// about — a rebalanced or snapshot-installed replacement and a restarted
+// process all draw a fresh ID.
+func (fr *Fragmentation) Instance() uint64 { return fr.instance }
+
+// newInstanceID draws a non-zero random instance ID.
+func newInstanceID() uint64 {
+	var b [8]byte
+	for {
+		if _, err := rand.Read(b[:]); err != nil {
+			panic("fragment: no entropy for an instance ID: " + err.Error())
+		}
+		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
+			return id
+		}
+	}
 }
 
 // RLock takes the fragmentation's read lock: queries evaluated concurrently
@@ -115,6 +141,10 @@ type Fragment struct {
 	isIn    []bool            // local index -> member of Fi.I
 	edges   int               // |Ei| + |cEi|
 
+	// gen counts the update batches that dirtied this fragment; written
+	// under the fragmentation's write lock, read under its read lock.
+	gen uint64
+
 	// Lazily built derived views (the graph.Graph form of the fragment and
 	// its local SCC decomposition), dropped whenever the fragment mutates.
 	viewMu    sync.Mutex
@@ -131,6 +161,16 @@ type Fragment struct {
 	idxHits      atomic.Int64
 	idxFallbacks atomic.Int64
 }
+
+// Generation reports how many update batches have dirtied the fragment
+// since Build. Every mutation path runs through one Apply, which bumps the
+// generation of each fragment in its dirty set before it releases the write
+// lock; hence, for a reader holding the read lock, equal (Instance,
+// Generation) pairs mean equal partial answers — in particular equal
+// in-node rows (core.LocalEvalReach with no source and no target), which
+// is what lets a coordinator keep them across queries. Compaction does not
+// bump it: it renumbers local slots, and partial answers speak global IDs.
+func (f *Fragment) Generation() uint64 { return f.gen }
 
 // NumLocal reports |Vi|, the number of real nodes stored in the fragment.
 func (f *Fragment) NumLocal() int { return f.nLocal }
@@ -492,7 +532,7 @@ func Build(g *graph.Graph, assign []int, k int) (*Fragmentation, error) {
 		}
 		frags[i] = f
 	}
-	return &Fragmentation{g: g, frags: frags, owner: owner, crossEdges: crossEdges, vf: vf}, nil
+	return &Fragmentation{g: g, frags: frags, owner: owner, crossEdges: crossEdges, vf: vf, instance: newInstanceID()}, nil
 }
 
 // Validate checks the structural invariants of the fragmentation against its

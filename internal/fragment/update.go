@@ -27,10 +27,17 @@ import (
 //     and dirties the fragment that stored the node.
 //
 // The dirty set drives invalidation everywhere: core.Session drops the
-// cached rvsets of dirtied fragments, and the gateway's answer cache
-// evicts exactly the keys whose evaluation touched a dirtied fragment
+// cached rvsets of dirtied fragments, the gateway's answer cache evicts
+// exactly the keys whose evaluation touched a dirtied fragment
 // (core/touched.go argues why "the edge's source fragment is always dirty"
-// makes that sound).
+// makes that sound), the reachability indexes of dirtied fragments are
+// rebuilt, and — the fourth consumer — every dirtied fragment's Generation
+// is bumped before the write lock is released. The wire coordinator's
+// cached boundary rows are keyed by (Fragmentation.Instance, Generation),
+// which a site compares under its read lock on every query, so there is
+// no invalidation message to lose: a writer the coordinator never heard of
+// (a second gateway, a direct InsertEdge, a replayed log) invalidates just
+// as well as its own.
 //
 // All mutations below write through the fragments' overlay storage
 // (idIndex patches, csr.Store overlay rows); the flat bases are only
@@ -165,6 +172,9 @@ func (fr *Fragmentation) applyLocked(ops []Op) (ApplyResult, error) {
 		res.Dirty = append(res.Dirty, f)
 	}
 	sort.Ints(res.Dirty)
+	for _, fi := range res.Dirty {
+		fr.frags[fi].gen++
+	}
 	// Bounded overlays: fold a dirtied fragment's overlay back into its
 	// flat base when it crosses the threshold, and likewise the global
 	// graph's, while we still hold the write lock (the exclusivity

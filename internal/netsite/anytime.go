@@ -7,19 +7,24 @@ import (
 	"strconv"
 	"time"
 
-	"distreach/internal/graph"
 	"distreach/internal/obs"
 )
 
 // The query round (coordinator side). Every query — a batch of one or of
 // many — runs through streamRound: post the one request frame to every
 // site, consume reply frames in arrival order, hand their bodies to the
-// round's batchSolver. With the stream flag set, sites emit 'P' frames
-// carrying equation chunks ahead of their final answer, and the round
-// returns the instant the solver reports every query decided, cancelling
-// the stragglers with 'C' frames. Without it ("strict": anytime off, or a
-// round with distance or regex queries) the same loop simply sees one
-// final per site and waits for all of them.
+// round's batchSolver. With the stream flag set, a site that has to ship
+// its boundary rows emits 'P' frames — the query parts, then chunks of the
+// rows — ahead of its final answer, and the round returns the instant the
+// solver reports every query decided, cancelling the stragglers with 'C'
+// frames. Without it ("strict": anytime off, or a round with distance or
+// regex queries) the same loop simply sees one final per site and waits
+// for all of them.
+//
+// Each site's request names the copy of its boundary rows the coordinator
+// holds at that instant (batch.go): the attempt captures that copy, and it
+// is what a rows-free final from the site stands for — never a copy stored
+// later by a concurrent round.
 //
 // Round discipline: the first frame of an attempt pins its (epoch, LSN);
 // any frame from a different state aborts the attempt (cancelling all
@@ -28,24 +33,6 @@ import (
 // across two fragmentations (or across an update that landed on only some
 // replicas) would be meaningless, so equations only ever accumulate from
 // one consistent deployment state.
-
-// encodeBatchChunk packs one streamed partial: the target the chunk's
-// equations answer for, then the marshaled equation chunk.
-//
-//	t u32 | ReachPartial bytes
-func encodeBatchChunk(t graph.NodeID, rv []byte) []byte {
-	b := make([]byte, 4, 4+len(rv))
-	binary.LittleEndian.PutUint32(b, uint32(t))
-	return append(b, rv...)
-}
-
-// decodeBatchChunk is the inverse of encodeBatchChunk.
-func decodeBatchChunk(p []byte) (graph.NodeID, []byte, error) {
-	if len(p) < 4 {
-		return 0, nil, fmt.Errorf("short batch chunk")
-	}
-	return graph.NodeID(binary.LittleEndian.Uint32(p)), p[4:], nil
-}
 
 // streamEvent is one forwarded response frame (or connection loss) in a
 // streaming round.
@@ -206,10 +193,13 @@ func (c *Coordinator) streamAttempt(ctx context.Context, payload []byte, stream 
 	}
 
 	for i, sc := range c.conns {
-		p := payload
+		p := append([]byte(nil), payload...)
+		if held := c.rows[i].Load(); held != nil {
+			sol.held[i] = held
+			held.tag.put(p[tagOffset:])
+		}
 		if qt != nil {
 			rpcIDs[i] = qt.b.StartSpan(qt.par, "rpc", obs.Attr{Key: "site", Val: strconv.Itoa(i)})
-			p = append([]byte(nil), payload...)
 			binary.LittleEndian.PutUint64(p[spanOffset:], rpcIDs[i])
 			anchors[i] = time.Now()
 		}
@@ -300,6 +290,11 @@ func (c *Coordinator) streamAttempt(ctx context.Context, payload []byte, stream 
 			c.any.earlyTerms.Add(1)
 			settle(true)
 		}
+		for _, o := range sol.rows {
+			if o == obs.RowsMiss {
+				st.RowsReplies++
+			}
+		}
 		// Each site received exactly one request frame (the invariant the
 		// paper's 1-visit guarantee is about; cancel frames are control
 		// traffic), and RespBytes sums every partial and final body the
@@ -309,7 +304,8 @@ func (c *Coordinator) streamAttempt(ctx context.Context, payload []byte, stream 
 			for i := range frames {
 				frames[i] = 1
 			}
-			a.Observe(obs.AuditRound{Frames: frames, RespBytes: respBytes, EvalNs: evalNs})
+			a.Observe(obs.AuditRound{Frames: frames, RespBytes: respBytes, EvalNs: evalNs,
+				Rows: sol.rows, Queries: len(sol.wire), ReachOnly: sol.reachOnly})
 		}
 		return st, false, nil
 	}

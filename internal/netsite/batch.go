@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"distreach/internal/automaton"
 	"distreach/internal/bes"
 	"distreach/internal/core"
 	"distreach/internal/graph"
+	"distreach/internal/obs"
 	"distreach/internal/oplog"
 )
 
@@ -22,31 +24,56 @@ import (
 //
 // Request payload (little-endian):
 //
-//	version u8 | flags u8 | [trace ID u64 | parent span ID u64] | count u32
+//	version u8 | flags u8 | rows tag (instance u64 | generation u64)
+//	| [trace ID u64 | parent span ID u64] | count u32
 //	| per query:
 //	  class u8 ('r'|'b'|'q') | s u32 | t u32
 //	  class 'b' adds: l u32
 //	  class 'q' adds: alen u32 | automaton bytes
 //
 // flags carries batchFlagStream — the coordinator invites the site to emit
-// 'P' frames, per-target equation chunks (see encodeBatchChunk), ahead of
-// the final reply, enabling anytime early termination — and batchFlagTrace:
-// the bracketed trace context is present and the site records spans for
-// the reply's span section.
+// 'P' frames ahead of the final reply, enabling anytime early termination —
+// and batchFlagTrace: the bracketed trace context is present and the site
+// records spans for the reply's span section. The rows tag names the copy of
+// this site's boundary rows the coordinator holds (all zero: none); it and
+// the parent span are the per-site fields, patched into each site's copy of
+// the payload.
 //
 // Reply payload, after the (epoch, lsn) tag and the span section every
 // query answer carries (see protocol.go):
 //
-//	version u8 | nshared u32 | per section: slen u32 | bytes
-//	           | count u32 | per query: sref u32 | plen u32 | partial bytes
+//	version u8 | rows u8 (0|1)
+//	           | [instance u64 | generation u64 | rlen u32 | rows bytes]
+//	           | count u32 | per query: plen u32 | partial bytes
 //
-// The shared sections deduplicate the reply: reach queries sharing a
-// target share their in-node equations (they are independent of the
-// source), so the site ships that rvset once as a section and each query
-// references it by sref (1+index; 0 means no section) alongside its own
-// source equation. However many sources ask about one target, the shared
-// equations cross the wire once — mirroring the site already computing
-// them once.
+// Boundary rows. A fragment's answer to qr(s, t) is its in-node rows — for
+// every in-node, which boundary nodes it reaches locally: O(|Vf|²) bits
+// that depend on the fragment alone (core.LocalEvalReach with no source and
+// no target) — plus a query part that is small: s's own equation when the
+// site stores s as a non-in-node (core.SourceOnlyReach), and Xv = true for
+// the in-nodes that reach t where the site stores t (core.TargetOnlyReach;
+// shipped with the first query of the batch that names t). The coordinator
+// keeps each site's rows, and the rows section is there only when the tag
+// in the request is not the fragment's current (Fragmentation.Instance,
+// Fragment.Generation), read under the read lock the evaluation holds: the
+// site then ships the rows once for the whole batch, however many reach
+// queries and distinct targets it carries, and the coordinator replaces its
+// copy. A reach query's partial is its query part either way; distance and
+// regex partials are complete on their own and no rows are involved.
+//
+// Why a match is safe: every mutation of a fragment — sequenced batch,
+// unsequenced apply, direct call on the Fragmentation under the site — runs
+// through fragment.Apply, which bumps the generation of each fragment it
+// dirties under the write lock, and every replacement of the fragmentation
+// (rebalance, snapshot install, site restart) draws a new instance ID. Equal
+// tags therefore mean the rows the coordinator holds are the rows the site
+// would compute now, at the (epoch, LSN) its reply is stamped with. Nothing
+// has to tell the coordinator that its copy went stale, so nothing can be
+// lost: a stale or missing copy costs one full reply, never an answer.
+//
+// A 'P' frame carries the same reply layout, without the span section: the
+// first one of a request the query parts alone, later ones a chunk of the
+// rows (count 0). Sites only stream when they are shipping rows.
 //
 // Both codecs are hardened against hostile input (fuzzed): every count and
 // length is bounds-checked against the remaining buffer and trailing bytes
@@ -85,24 +112,51 @@ type BatchAnswer struct {
 // batchVersion versions the query payload codecs independently of the
 // frame layout. Version 2 added the shared per-target sections to the
 // reply; version 3 added the request flags byte; version 4 moved the trace
-// context into the request header and made this the only query frame.
-const batchVersion = 4
+// context into the request header and made this the only query frame;
+// version 5 added the request's rows tag and replaced the per-target
+// sections with the one optional rows section.
+const batchVersion = 5
 
-// Request flag bits. batchFlagStream asks the site to stream per-target
-// equation chunks as 'P' frames ahead of the final reply; batchFlagTrace
-// says 16 bytes of trace context follow the flags and asks the site to
-// record spans.
+// Request flag bits. batchFlagStream asks the site to stream 'P' frames
+// ahead of the final reply; batchFlagTrace says 16 bytes of trace context
+// follow the rows tag and asks the site to record spans.
 const (
 	batchFlagStream = 1
 	batchFlagTrace  = 2
 )
 
+// rowsTag names one state of one fragment's boundary rows: the instance ID
+// of the fragmentation it belongs to and the fragment's generation. The
+// zero tag is no rows at all (instance IDs are never zero).
+type rowsTag struct {
+	instance, gen uint64
+}
+
+// rowsTagSize is the tag's wire size: instance u64 | generation u64.
+const rowsTagSize = 16
+
+// put writes the tag's wire form over b[:rowsTagSize].
+func (t rowsTag) put(b []byte) {
+	binary.LittleEndian.PutUint64(b, t.instance)
+	binary.LittleEndian.PutUint64(b[8:], t.gen)
+}
+
+// readRowsTag decodes a tag.
+func readRowsTag(r *oplog.Cursor) (t rowsTag, err error) {
+	if t.instance, err = r.U64(); err == nil {
+		t.gen, err = r.U64()
+	}
+	return t, err
+}
+
 // batchHeader is the decoded head of a query request: what the flags byte
-// says, plus the trace context when traced. The site never interprets the
-// two IDs — its spans hang off the coordinator's rpc span implicitly — but
-// they make a captured frame attributable to its trace.
+// says, the tag of the rows the coordinator holds for the receiving site,
+// plus the trace context when traced. The site never interprets the two
+// IDs — its spans hang off the coordinator's rpc span implicitly — but they
+// make a captured frame attributable to its trace.
 type batchHeader struct {
 	stream, traced bool
+	rows           rowsTag
 	traceID, span  uint64
 }
 
@@ -151,6 +205,8 @@ func encodeBatchRequest(qs []BatchQuery, h batchHeader) ([]byte, error) {
 	if h.stream {
 		b[1] |= batchFlagStream
 	}
+	b = append(b, make([]byte, rowsTagSize)...)
+	h.rows.put(b[tagOffset:])
 	if h.traced {
 		b[1] |= batchFlagTrace
 		b = binary.LittleEndian.AppendUint64(b, h.traceID)
@@ -182,10 +238,14 @@ func encodeBatchRequest(qs []BatchQuery, h batchHeader) ([]byte, error) {
 	return b, nil
 }
 
-// spanOffset is where the parent span ID sits in a traced request payload
-// (version, flags, trace ID): the one field that differs per site, patched
-// into a copy of the shared payload.
-const spanOffset = 2 + 8
+// tagOffset and spanOffset are where the rows tag (after version and flags)
+// and, in a traced request, the parent span ID (after the tag and the trace
+// ID) sit in the payload: the fields that differ per site, patched into
+// each site's copy of the shared payload.
+const (
+	tagOffset  = 2
+	spanOffset = tagOffset + rowsTagSize + 8
+)
 
 // decodeBatchRequest is the inverse of encodeBatchRequest. Unknown flag
 // bits are rejected so the codec stays an identity under fuzzing.
@@ -203,6 +263,9 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 		return nil, h, fmt.Errorf("netsite: unknown batch flags %#x", flags)
 	}
 	h.stream = flags&batchFlagStream != 0
+	if h.rows, err = readRowsTag(r); err != nil {
+		return nil, h, err
+	}
 	if h.traced = flags&batchFlagTrace != 0; h.traced {
 		if h.traceID, err = r.U64(); err != nil {
 			return nil, h, err
@@ -258,77 +321,84 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 	return qs, h, nil
 }
 
-// encodeBatchReply appends to b (a query answer's span section) the shared
-// per-target sections plus, per batched query, a section reference (0 =
-// none, else 1+index) and the query's own marshaled partial (empty when
-// the shared section says it all).
-func encodeBatchReply(b []byte, shared [][]byte, refs []uint32, parts [][]byte) []byte {
-	size := 1 + 4 + 4 // version, section count, query count
-	for _, s := range shared {
-		size += 4 + len(s)
+// batchReply is the decoded body of a query reply or of a 'P' frame.
+// hasRows is false when the site shipped none (its fragment matches the
+// request's tag, or the batch has no reach query).
+type batchReply struct {
+	hasRows bool
+	tag     rowsTag
+	rows    []byte   // the fragment's marshaled in-node rows, or a chunk of them
+	parts   [][]byte // per batched query: its marshaled partial (empty: nothing to add)
+}
+
+// encodeBatchReply appends the reply to b (a query answer's span section;
+// nil for a 'P' frame).
+func encodeBatchReply(b []byte, rep batchReply) []byte {
+	size := 1 + 1 + 4 // version, rows flag, query count
+	if rep.hasRows {
+		size += rowsTagSize + 4 + len(rep.rows)
 	}
-	for _, p := range parts {
-		size += 8 + len(p)
+	for _, p := range rep.parts {
+		size += 4 + len(p)
 	}
 	b = append(slices.Grow(b, size), batchVersion)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(shared)))
-	for _, s := range shared {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-		b = append(b, s...)
+	if !rep.hasRows {
+		b = append(b, 0)
+	} else {
+		b = append(b, 1)
+		b = append(b, make([]byte, rowsTagSize)...)
+		rep.tag.put(b[len(b)-rowsTagSize:])
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(rep.rows)))
+		b = append(b, rep.rows...)
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(parts)))
-	for i, p := range parts {
-		b = binary.LittleEndian.AppendUint32(b, refs[i])
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rep.parts)))
+	for _, p := range rep.parts {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
 		b = append(b, p...)
 	}
 	return b
 }
 
-// decodeBatchReply is the inverse of encodeBatchReply. Every count, length
-// and section reference is validated.
-func decodeBatchReply(p []byte) (shared [][]byte, refs []uint32, parts [][]byte, err error) {
+// decodeBatchReply is the inverse of encodeBatchReply. Every count and
+// length is validated; the returned sections are views into p.
+func decodeBatchReply(p []byte) (rep batchReply, err error) {
 	r := oplog.NewCursor(p)
 	if err := readVersion(r, batchVersion, "batch"); err != nil {
-		return nil, nil, nil, err
+		return rep, err
 	}
-	ns, err := readCount(r, 4) // a length prefix per section at minimum
+	flag, err := r.U8()
 	if err != nil {
-		return nil, nil, nil, err
+		return rep, err
 	}
-	shared = make([][]byte, 0, ns)
-	for i := 0; i < ns; i++ {
-		s, err := readBlob(r)
-		if err != nil {
-			return nil, nil, nil, err
+	switch flag {
+	case 0:
+	case 1:
+		rep.hasRows = true
+		if rep.tag, err = readRowsTag(r); err != nil {
+			return rep, err
 		}
-		shared = append(shared, s)
+		if rep.rows, err = readBlob(r); err != nil {
+			return rep, err
+		}
+	default:
+		return rep, fmt.Errorf("netsite: batch reply rows flag %d", flag)
 	}
-	n, err := readCount(r, 8) // sref + plen at minimum
+	n, err := readCount(r, 4) // a length prefix per query at minimum
 	if err != nil {
-		return nil, nil, nil, err
+		return rep, err
 	}
-	refs = make([]uint32, 0, n)
-	parts = make([][]byte, 0, n)
+	rep.parts = make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
-		ref, err := r.U32()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if ref > uint32(len(shared)) {
-			return nil, nil, nil, fmt.Errorf("netsite: batch reply query %d references section %d of %d", i, ref, len(shared))
-		}
 		part, err := readBlob(r)
 		if err != nil {
-			return nil, nil, nil, err
+			return rep, err
 		}
-		refs = append(refs, ref)
-		parts = append(parts, part)
+		rep.parts = append(rep.parts, part)
 	}
 	if err := r.Done(); err != nil {
-		return nil, nil, nil, err
+		return rep, err
 	}
-	return shared, refs, parts, nil
+	return rep, nil
 }
 
 // Batch evaluates a mixed-class query batch in one wire round: exactly one
@@ -397,10 +467,11 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 	// wire query a reach query (distance and regex partials have no
 	// incremental solver, so such a round could never be decided early).
 	name := "batch"
-	h := batchHeader{stream: c.anytime.Load()}
+	reachOnly := true
 	for _, q := range wire {
-		h.stream = h.stream && q.Class == ClassReach
+		reachOnly = reachOnly && q.Class == ClassReach
 	}
+	h := batchHeader{stream: reachOnly && c.anytime.Load()}
 	if len(wire) == 1 {
 		name = classLabel(wire[0].Class)
 	}
@@ -408,7 +479,7 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 	if qt != nil {
 		h.traced, h.traceID = true, qt.id
 	}
-	sol := &batchSolver{wire: wire, nsites: len(c.conns), early: h.stream}
+	sol := &batchSolver{wire: wire, reachOnly: reachOnly, cache: c.rows, early: h.stream}
 	var st WireStats
 	payload, err := encodeBatchRequest(wire, h)
 	if err == nil {
@@ -439,21 +510,39 @@ func classLabel(c QueryClass) string {
 	}
 }
 
+// siteRows is one site's boundary rows as the coordinator keeps them: the
+// decoded in-node equations of its fragment and the tag of the fragment
+// state they were computed at. Immutable once stored.
+type siteRows struct {
+	tag rowsTag
+	rv  *core.ReachPartial
+}
+
 // batchSolver turns one round attempt's reply frames into answers. Reach
 // queries are fed, frame by frame, into one incremental equation system
 // per distinct target (bes.Add keeps the least solution up to date,
-// bes.Decide is O(1)): every equation is decoded and added exactly once,
-// whether the round ends early or runs to completion. A positive
-// certificate is a closed chain of equations, each a sound implication at
-// the round's (epoch, LSN), so no absent site can retract it; proving
-// false requires every site's complete equations, i.e. all final frames.
-// Distance and regex parts have no incremental solver: their bytes are
-// kept per site and solved once, in finish, when the last final is in.
+// bes.Decide is O(1)): a site's rows — shipped in its reply, or the copy
+// the coordinator held when the request was posted — and every query part
+// are added exactly once, whether the round ends early or runs to
+// completion. A positive certificate is a closed chain of equations, each a
+// sound implication at the round's (epoch, LSN), so no absent site can
+// retract it; proving false requires every site's complete equations, i.e.
+// all final frames. Distance and regex parts have no incremental solver:
+// their bytes are kept per site and solved once, in finish, when the last
+// final is in.
 type batchSolver struct {
-	wire   []BatchQuery
-	nsites int
-	early  bool // streaming round: report it decided once every query is proved
+	wire      []BatchQuery
+	reachOnly bool                       // no distance or regex query among them
+	cache     []atomic.Pointer[siteRows] // the coordinator's, one slot per site
+	early     bool                       // streaming round: report it decided once every query is proved
 
+	// Per attempt. held[i] is the copy whose tag the request to site i
+	// carried (nil: none) — captured at post time, so the round never
+	// swaps in a copy a concurrent round stored later, whose tag the site
+	// did not compare. Held rows join the systems only when site i's final
+	// says, at the round's pinned state, that they are still its rows.
+	held  []*siteRows
+	rows  []obs.RowsOutcome                          // what each site's final did about its rows
 	sys   map[graph.NodeID]*bes.System[graph.NodeID] // per reach target: answers and Touched sets
 	parts [][][]byte                                 // per site, per query: dist/rpq partial bytes
 }
@@ -467,11 +556,13 @@ func (b *batchSolver) reset() {
 			b.sys[q.T] = bes.New[graph.NodeID]()
 		}
 	}
-	b.parts = make([][][]byte, b.nsites)
+	b.held = make([]*siteRows, len(b.cache))
+	b.rows = make([]obs.RowsOutcome, len(b.cache))
+	b.parts = make([][][]byte, len(b.cache))
 }
 
-// addReach decodes one marshaled equation set for target t and feeds it to
-// t's system as site's contribution. Re-adding a streamed prefix is sound:
+// addReach decodes one marshaled query part for target t and feeds it to
+// t's system as site's contribution. Re-adding a streamed part is sound:
 // disjunctive systems are idempotent under Add.
 func (b *batchSolver) addReach(t graph.NodeID, site int, data []byte) error {
 	rv := new(core.ReachPartial)
@@ -482,46 +573,46 @@ func (b *batchSolver) addReach(t graph.NodeID, site int, data []byte) error {
 	return nil
 }
 
-// feed consumes one reply body — a 'P' chunk or a site's final — and
+// feed consumes one reply body — a 'P' frame or a site's final — and
 // reports whether every query of the round is now decided.
 func (b *batchSolver) feed(site int, body []byte, final bool) (bool, error) {
-	if !final {
-		t, eqs, err := decodeBatchChunk(body)
-		if err != nil {
-			return false, fmt.Errorf("netsite: site %d partial: %w", site, err)
+	rep, err := decodeBatchReply(body)
+	if err != nil {
+		return false, fmt.Errorf("netsite: site %d reply: %w", site, err)
+	}
+	if len(rep.parts) != len(b.wire) && (final || len(rep.parts) != 0) {
+		return false, fmt.Errorf("netsite: site %d answered %d of %d batch queries", site, len(rep.parts), len(b.wire))
+	}
+	var rows *core.ReachPartial
+	if rep.hasRows {
+		rows = new(core.ReachPartial)
+		if err := rows.UnmarshalBinary(rep.rows); err != nil {
+			return false, fmt.Errorf("netsite: site %d rows: %w", site, err)
 		}
-		if b.sys[t] == nil {
-			return false, nil // chunk for a target we never asked about
+	}
+	if final {
+		b.parts[site] = rep.parts
+		switch {
+		case len(b.sys) == 0:
+			rows = nil // no reach query: rows neither needed nor kept
+		case rows != nil:
+			b.rows[site] = obs.RowsMiss
+			b.cache[site].Store(&siteRows{tag: rep.tag, rv: rows})
+		case b.held[site] == nil:
+			return false, fmt.Errorf("netsite: site %d left out rows the coordinator does not hold", site)
+		default:
+			b.rows[site] = obs.RowsHit
+			rows = b.held[site].rv
 		}
-		if err := b.addReach(t, site, eqs); err != nil {
-			return false, fmt.Errorf("netsite: site %d partial: %w", site, err)
-		}
-	} else {
-		shared, refs, parts, err := decodeBatchReply(body)
-		if err != nil {
-			return false, fmt.Errorf("netsite: site %d reply: %w", site, err)
-		}
-		if len(parts) != len(b.wire) {
-			return false, fmt.Errorf("netsite: site %d answered %d of %d batch queries", site, len(parts), len(b.wire))
-		}
-		b.parts[site] = parts
-		// Each shared section belongs to exactly one target; feed it once
-		// however many queries reference it.
-		fed := make([]bool, len(shared))
-		for j, q := range b.wire {
-			if q.Class != ClassReach {
-				continue
-			}
-			if ref := refs[j]; ref > 0 && !fed[ref-1] {
-				fed[ref-1] = true
-				if err := b.addReach(q.T, site, shared[ref-1]); err != nil {
-					return false, fmt.Errorf("netsite: site %d shared section %d: %w", site, ref-1, err)
-				}
-			}
-			if len(parts[j]) > 0 {
-				if err := b.addReach(q.T, site, parts[j]); err != nil {
-					return false, fmt.Errorf("netsite: site %d batch query %d: %w", site, j, err)
-				}
+	}
+	// The rows serve every target; each query part its own.
+	for _, sys := range b.sys {
+		rows.AddToSystemFrom(site, sys)
+	}
+	for j, part := range rep.parts {
+		if q := b.wire[j]; q.Class == ClassReach && len(part) > 0 {
+			if err := b.addReach(q.T, site, part); err != nil {
+				return false, fmt.Errorf("netsite: site %d batch query %d: %w", site, j, err)
 			}
 		}
 	}
@@ -550,7 +641,7 @@ func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
 		case ClassReach:
 			answers[i] = BatchAnswer{Answer: b.sys[q.T].Decide(q.S), Touched: b.sys[q.T].Sources(q.S)}
 		case ClassDist:
-			partials := make([]*core.DistPartial, b.nsites)
+			partials := make([]*core.DistPartial, len(b.cache))
 			for site := range partials {
 				partials[site] = new(core.DistPartial)
 				if err := partials[site].UnmarshalBinary(b.parts[site][j]); err != nil {
@@ -560,7 +651,7 @@ func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
 			d, touched := core.AssembleDist(partials, q.S)
 			answers[i] = BatchAnswer{Answer: d <= int64(q.L), Dist: d, Touched: touched}
 		case ClassRPQ:
-			partials := make([]*core.RPQPartial, b.nsites)
+			partials := make([]*core.RPQPartial, len(b.cache))
 			for site := range partials {
 				partials[site] = new(core.RPQPartial)
 				if err := partials[site].UnmarshalBinary(b.parts[site][j]); err != nil {

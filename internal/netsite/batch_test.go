@@ -1,6 +1,7 @@
 package netsite
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"testing"
@@ -91,34 +92,58 @@ func TestBatchOneFramePerSite(t *testing.T) {
 		}
 	}
 
-	// Reply deduplication: reach queries sharing a target reference one
-	// shared in-node-equation section instead of repeating it, so the
-	// reply for k same-target queries must grow far slower than k times
-	// the single-query reply.
+	// One rows section per batch: a site that has to ship its boundary rows
+	// ships them once, whatever the batch asks — 32 reach queries with 32
+	// distinct targets cost a cold coordinator about what one query does,
+	// and a warm one a query part each.
 	const fan = 32
+	co.SetAnytime(false) // every final, so bytes compare
+	dropRows(co)
 	single, st1, err := co.Batch([]BatchQuery{{Class: ClassReach, S: 0, T: 199}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st1.RowsReplies != nSites {
+		t.Fatalf("cold query: %d sites shipped rows, want all %d", st1.RowsReplies, nSites)
+	}
 	many := make([]BatchQuery, fan)
 	for i := range many {
-		many[i] = BatchQuery{Class: ClassReach, S: graph.NodeID(i), T: 199}
+		many[i] = BatchQuery{Class: ClassReach, S: graph.NodeID(i), T: graph.NodeID(199 - i)}
 	}
+	dropRows(co)
 	answers, stn, err := co.Batch(many)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range answers {
-		if want := g.Reachable(graph.NodeID(i), 199); a.Answer != want {
-			t.Fatalf("dedup batch query %d: wire=%v oracle=%v", i, a.Answer, want)
+		if want := g.Reachable(many[i].S, many[i].T); a.Answer != want {
+			t.Fatalf("fanned batch query %d: wire=%v oracle=%v", i, a.Answer, want)
 		}
 	}
 	if single[0].Answer != answers[0].Answer {
 		t.Fatal("single and fanned batch disagree on qr(0,199)")
 	}
-	if stn.BytesReceived >= fan*st1.BytesReceived/2 {
-		t.Fatalf("deduplicated reply did not shrink: %d queries cost %dB, single costs %dB (want < %d)",
-			fan, stn.BytesReceived, st1.BytesReceived, fan*st1.BytesReceived/2)
+	if stn.RowsReplies != nSites {
+		t.Fatalf("cold batch of %d targets: %d rows sections, want one per site (%d)", fan, stn.RowsReplies, nSites)
+	}
+	if stn.BytesReceived >= 2*st1.BytesReceived {
+		t.Fatalf("%d distinct targets cost %dB cold, a single query %dB: the rows must ship once per site, not per target",
+			fan, stn.BytesReceived, st1.BytesReceived)
+	}
+	_, warm, err := co.Batch(many)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.RowsReplies != 0 || warm.BytesReceived >= stn.BytesReceived/2 {
+		t.Fatalf("warm batch: %d rows sections, %dB (cold %dB); want query parts only", warm.RowsReplies, warm.BytesReceived, stn.BytesReceived)
+	}
+}
+
+// dropRows empties the coordinator's boundary cache: its next request to
+// every site carries the zero tag, as a freshly dialed coordinator's would.
+func dropRows(co *Coordinator) {
+	for i := range co.rows {
+		co.rows[i].Store(nil)
 	}
 }
 
@@ -219,11 +244,12 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 		"empty":             {},
 		"bad version":       {9, 0, 1, 0, 0, 0},
 		"previous version":  {batchVersion - 1, 0, 0, 0, 0, 0},
-		"unknown flags":     {batchVersion, 0xF0, 1, 0, 0, 0},
-		"huge count":        {batchVersion, 0, 0xFF, 0xFF, 0xFF, 0xFF},
+		"unknown flags":     append([]byte{batchVersion, 0xF0}, valid[2:]...),
+		"truncated tag":     valid[:tagOffset+9],
+		"huge count":        append(append([]byte{}, valid[:tagOffset+rowsTagSize]...), 0xFF, 0xFF, 0xFF, 0xFF),
 		"truncated query":   valid[:len(valid)-2],
 		"trailing bytes":    append(append([]byte{}, valid...), 0xAA),
-		"unknown class":     {batchVersion, 0, 1, 0, 0, 0, 'z', 0, 0, 0, 0, 0, 0, 0, 0},
+		"unknown class":     append(append([]byte{}, valid[:tagOffset+rowsTagSize]...), 1, 0, 0, 0, 'z', 0, 0, 0, 0, 0, 0, 0, 0),
 		"truncated context": traced[:spanOffset+3],
 		"context, no count": traced[:spanOffset+8],
 	} {
@@ -231,22 +257,25 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 			t.Errorf("decodeBatchRequest accepted %s payload", name)
 		}
 	}
-	reply := encodeBatchReply(nil, [][]byte{{9, 9}}, []uint32{1, 0}, [][]byte{{1, 2, 3}, nil})
+	full := batchReply{hasRows: true, tag: rowsTag{7, 3}, rows: []byte{9, 9}, parts: [][]byte{{1, 2, 3}, nil}}
+	reply := encodeBatchReply(nil, full)
 	for name, p := range map[string][]byte{
-		"bad version":        {7, 0, 0, 0, 0},
-		"huge section count": {batchVersion, 0xFF, 0xFF, 0xFF, 0x7F},
-		"huge query count":   append([]byte{batchVersion, 0, 0, 0, 0}, 0xFF, 0xFF, 0xFF, 0x7F),
-		"dangling sref":      encodeBatchReply(nil, nil, []uint32{3}, [][]byte{{1}}),
-		"truncated part":     reply[:len(reply)-1],
-		"trailing bytes":     append(append([]byte{}, reply...), 1),
+		"bad version":      {7, 0, 0, 0, 0, 0},
+		"previous version": {batchVersion - 1, 0, 0, 0, 0, 0, 0, 0, 0},
+		"bad rows flag":    {batchVersion, 2, 0, 0, 0, 0},
+		"truncated tag":    reply[:2+11],
+		"huge rows length": append(append([]byte{}, reply[:2+rowsTagSize]...), 0xFF, 0xFF, 0xFF, 0x7F),
+		"huge query count": {batchVersion, 0, 0xFF, 0xFF, 0xFF, 0x7F},
+		"truncated part":   encodeBatchReply(nil, batchReply{parts: [][]byte{{1, 2, 3}}})[:8],
+		"trailing bytes":   append(append([]byte{}, reply...), 1),
 	} {
-		if _, _, _, err := decodeBatchReply(p); err == nil {
+		if _, err := decodeBatchReply(p); err == nil {
 			t.Errorf("decodeBatchReply accepted %s payload", name)
 		}
 	}
 	// Round trips survive intact, including empty batches and empty parts.
 	qs := []BatchQuery{{Class: ClassDist, S: 5, T: 9, L: 3}, {Class: ClassReach, S: 0, T: 1}}
-	hdr := batchHeader{stream: true, traced: true, traceID: 0xDEADBEEF, span: 2}
+	hdr := batchHeader{stream: true, traced: true, rows: rowsTag{0xABCD, 17}, traceID: 0xDEADBEEF, span: 2}
 	enc, err := encodeBatchRequest(qs, hdr)
 	if err != nil {
 		t.Fatal(err)
@@ -261,10 +290,17 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	if len(dec) != 2 || dec[0] != qs[0] || dec[1] != qs[1] {
 		t.Fatalf("request round trip: %+v", dec)
 	}
-	shared, refs, parts, err := decodeBatchReply(encodeBatchReply(nil, [][]byte{{5}}, []uint32{0, 1}, [][]byte{nil, {7}}))
-	if err != nil || len(shared) != 1 || len(parts) != 2 || refs[0] != 0 || refs[1] != 1 ||
-		len(parts[0]) != 0 || len(parts[1]) != 1 {
-		t.Fatalf("reply round trip: %v %v %v %v", shared, refs, parts, err)
+	for _, want := range []batchReply{full, {parts: [][]byte{nil, {7}}}, {hasRows: true, tag: rowsTag{1, 0}}} {
+		got, err := decodeBatchReply(encodeBatchReply(nil, want))
+		if err != nil || got.hasRows != want.hasRows || got.tag != want.tag || !bytes.Equal(got.rows, want.rows) ||
+			len(got.parts) != len(want.parts) {
+			t.Fatalf("reply round trip: %+v -> %+v, %v", want, got, err)
+		}
+		for i := range want.parts {
+			if !bytes.Equal(got.parts[i], want.parts[i]) {
+				t.Fatalf("reply round trip: part %d %v -> %v", i, want.parts[i], got.parts[i])
+			}
+		}
 	}
 }
 

@@ -1,0 +1,494 @@
+package netsite
+
+import (
+	"context"
+	"fmt"
+	"testing"
+	"time"
+
+	"distreach/internal/automaton"
+	"distreach/internal/fragment"
+	"distreach/internal/gen"
+	"distreach/internal/graph"
+	"distreach/internal/obs"
+	"distreach/internal/oplog"
+)
+
+// bfsAssign places nodes on k fragments in BFS discovery order, cut into k
+// equal consecutive blocks: a locality-shaped fragmentation no shipped
+// partitioner produces.
+func bfsAssign(g *graph.Graph, k int) []int {
+	n, placed := g.NumNodes(), 0
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = -1
+	}
+	for r := 0; r < n; r++ {
+		if assign[r] >= 0 {
+			continue
+		}
+		g.BFS(graph.NodeID(r), func(v graph.NodeID, _ int) bool {
+			if assign[v] < 0 {
+				assign[v] = placed * k / n
+				placed++
+			}
+			return true
+		})
+	}
+	return assign
+}
+
+// cacheDeployment is what TestBoundaryCacheCrossCheck drives: k sites, each
+// over its own replica (the separate-process shape: nothing shared behind
+// the wire), one long-lived coordinator whose boundary cache is under test,
+// a second gateway writing under the same sequencer, and an unfragmented
+// oracle that every mutation is mirrored into.
+type cacheDeployment struct {
+	t      *testing.T
+	rng    *gen.RNG
+	labels []string
+	reps   []*fragment.Replica
+	sites  []*Site
+	addrs  []string
+	co     *Coordinator // queries and writes; the cache under test
+	co2    *Coordinator // the second gateway: writes only
+	aud    *obs.Auditor // co's: per-site rows hits and misses
+	oracle *fragment.Fragmentation
+	epoch  uint64
+}
+
+func (d *cacheDeployment) close() {
+	d.co.Close()
+	d.co2.Close()
+	for _, s := range d.sites {
+		s.Close()
+	}
+}
+
+// live picks a node the oracle still has.
+func (d *cacheDeployment) live() graph.NodeID {
+	g := d.oracle.Graph()
+	for {
+		if v := graph.NodeID(d.rng.Intn(g.NumNodes())); !g.Deleted(v) {
+			return v
+		}
+	}
+}
+
+// misses snapshots the per-site count of finals that carried rows.
+func (d *cacheDeployment) misses() []int64 {
+	out := make([]int64, len(d.sites))
+	for i := range out {
+		_, out[i] = d.aud.RowsReplies(i)
+	}
+	return out
+}
+
+// mirror applies ops to the oracle; the deployment applied them already.
+func (d *cacheDeployment) mirror(step string, ops []Op) fragment.ApplyResult {
+	res, err := d.oracle.Apply(ops)
+	if err != nil {
+		d.t.Fatalf("%s: oracle rejected a batch the deployment took: %v", step, err)
+	}
+	return res
+}
+
+// restore round-trips a replica's state through a snapshot: the same
+// graph and placement in a new Fragmentation value, hence a new instance.
+func (d *cacheDeployment) restore(rep *fragment.Replica) (*fragment.Fragmentation, uint64, uint64) {
+	snap, err := oplog.TakeSnapshot(rep)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	enc, err := oplog.EncodeSnapshot(snap)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	dec, err := oplog.DecodeSnapshot(enc)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	return dec.Fr, snap.Epoch, snap.LSN
+}
+
+// reachStrict runs one strict reach round, checks it against the oracle
+// and reports, per site, whether its final carried rows. A strict round
+// also leaves every site's rows in the cache, whatever came before.
+func (d *cacheDeployment) reachStrict(step string) []bool {
+	d.co.SetAnytime(false)
+	defer d.co.SetAnytime(true)
+	s, tt := d.live(), d.live()
+	for s == tt {
+		tt = d.live()
+	}
+	before := d.misses()
+	got, st, err := d.co.Reach(s, tt)
+	if err != nil {
+		d.t.Fatalf("%s: strict reach(%d,%d): %v", step, s, tt, err)
+	}
+	if want := d.oracle.Graph().Reachable(s, tt); got != want {
+		d.t.Fatalf("%s: strict reach(%d,%d) = %v, oracle %v", step, s, tt, got, want)
+	}
+	if n := int64(len(d.sites)); st.FramesSent != n || st.FramesReceived != n {
+		d.t.Fatalf("%s: strict round cost %d/%d frames over %d sites: a miss must be answered in the frame that reports it",
+			step, st.FramesSent, st.FramesReceived, n)
+	}
+	full := make([]bool, len(d.sites))
+	var nfull int64
+	for i, m := range d.misses() {
+		if full[i] = m > before[i]; full[i] {
+			nfull++
+		}
+	}
+	if nfull != st.RowsReplies {
+		d.t.Fatalf("%s: WireStats counts %d rows replies, the auditor %d", step, st.RowsReplies, nfull)
+	}
+	return full
+}
+
+// wantFull asserts that exactly the given sites shipped rows.
+func (d *cacheDeployment) wantFull(step string, full []bool, dirty []int) {
+	want := make([]bool, len(full))
+	for _, fi := range dirty {
+		want[fi] = true
+	}
+	for i := range full {
+		if full[i] != want[i] {
+			d.t.Fatalf("%s: sites that shipped rows %v, want exactly the dirty set %v", step, full, dirty)
+		}
+	}
+}
+
+// queries drives anytime reach queries and a mixed-class batch, checking
+// every answer against the oracle.
+func (d *cacheDeployment) queries(step string) {
+	g := d.oracle.Graph()
+	for q := 0; q < 4; q++ {
+		s, tt := d.live(), d.live()
+		got, _, err := d.co.Reach(s, tt)
+		if err != nil {
+			d.t.Fatalf("%s: reach(%d,%d): %v", step, s, tt, err)
+		}
+		if want := g.Reachable(s, tt); got != want {
+			d.t.Fatalf("%s: reach(%d,%d) = %v, oracle %v", step, s, tt, got, want)
+		}
+	}
+	batch := make([]BatchQuery, 0, 6)
+	for len(batch) < cap(batch) {
+		q := BatchQuery{S: d.live(), T: d.live()}
+		switch len(batch) % 3 {
+		case 0:
+			q.Class = ClassReach
+		case 1:
+			q.Class, q.L = ClassDist, 1+d.rng.Intn(6)
+		case 2:
+			q.Class, q.A = ClassRPQ, automaton.Random(d.rng, 2+d.rng.Intn(2), 3+d.rng.Intn(4), d.labels)
+		}
+		batch = append(batch, q)
+	}
+	answers, _, err := d.co.Batch(batch)
+	if err != nil {
+		d.t.Fatalf("%s: mixed batch: %v", step, err)
+	}
+	for i, q := range batch {
+		var want bool
+		switch q.Class {
+		case ClassReach:
+			want = g.Reachable(q.S, q.T)
+		case ClassDist:
+			dist := g.Dist(q.S, q.T)
+			want = dist >= 0 && dist <= q.L
+		case ClassRPQ:
+			want = automaton.Eval(g, q.S, q.T, q.A)
+		}
+		if answers[i].Answer != want {
+			d.t.Fatalf("%s: batch query %d, class %q (%d,%d) = %v, oracle %v", step, i, byte(q.Class), q.S, q.T, answers[i].Answer, want)
+		}
+	}
+}
+
+// edgeOps draws a small batch of edge mutations between live nodes.
+func (d *cacheDeployment) edgeOps() []Op {
+	ops := make([]Op, 1+d.rng.Intn(3))
+	for i := range ops {
+		ops[i] = Op{Kind: OpInsertEdge, U: d.live(), V: d.live()}
+		if d.rng.Intn(3) == 0 {
+			ops[i].Kind = OpDeleteEdge
+		}
+	}
+	return ops
+}
+
+// TestBoundaryCacheCrossCheck is the acceptance check of the coordinator's
+// boundary cache: random graphs under explicit v%k, BFS-grown and shipped
+// partitions, one long-lived coordinator, and a seeded script that
+// interleaves queries of every class with every way a fragment's rows can
+// change or the fragmentation be replaced — sequenced edge and node
+// batches (this gateway's and a second one's), an unsequenced lsn-0 apply,
+// a direct Fragmentation.InsertEdge under the sites, a live rebalance, a
+// snapshot installed into every replica, a site restarted from a snapshot
+// and redialed. Every answer equals centralized evaluation on the mirrored
+// graph, and after every step exactly the sites whose rows could have
+// changed ship them again — in the frame that carries their answer.
+func TestBoundaryCacheCrossCheck(t *testing.T) {
+	labels := []string{"A", "B", "C"}
+	rng := gen.NewRNG(2311)
+	kinds := append([]string{"v%k", "bfs"}, fragment.Names()...)
+	for trial := 0; trial < 10; trial++ {
+		n := 30 + rng.Intn(60)
+		seed := uint64(7300 + trial)
+		var g *graph.Graph
+		if trial%2 == 0 {
+			g = gen.Uniform(gen.Config{Nodes: n, Edges: n + rng.Intn(3*n), Labels: labels, Seed: seed})
+		} else {
+			g = gen.PowerLaw(gen.Config{Nodes: n, Edges: n + rng.Intn(3*n), Labels: labels, Seed: seed})
+		}
+		k := 2 + rng.Intn(3)
+		var assign []int
+		switch kind := kinds[trial%len(kinds)]; kind {
+		case "v%k":
+			assign = make([]int, n)
+			for v := range assign {
+				assign[v] = v % k
+			}
+		case "bfs":
+			assign = bfsAssign(g, k)
+		default:
+			p, err := fragment.ByName(kind, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if assign, err = p.Assign(g, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d := &cacheDeployment{t: t, rng: rng, labels: labels, aud: obs.NewAuditor()}
+		for i := 0; i < k; i++ {
+			fr, err := fragment.Build(g.Clone(), assign, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := fragment.NewReplica(fr)
+			site, err := NewSiteReplica("127.0.0.1:0", rep, i, SiteOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.reps, d.sites, d.addrs = append(d.reps, rep), append(d.sites, site), append(d.addrs, site.Addr())
+		}
+		var err error
+		if d.oracle, err = fragment.Build(g.Clone(), make([]int, n), 1); err != nil {
+			t.Fatal(err)
+		}
+		if d.co, err = Dial(d.addrs, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if d.co2, err = Dial(d.addrs, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		seq := oplog.NewSequencer(0)
+		d.co.UseSequencer(seq)
+		d.co2.UseSequencer(seq)
+		d.co.SetAuditor(d.aud)
+
+		all := make([]int, k)
+		for i := range all {
+			all[i] = i
+		}
+		d.wantFull("cold", d.reachStrict("cold"), all)
+		d.wantFull("warm", d.reachStrict("warm"), nil)
+
+		// Every kind of step once, in a seeded order, then a few more at
+		// random.
+		const nKinds = 8
+		script := rng.Perm(nKinds)
+		for i := 0; i < 6; i++ {
+			script = append(script, rng.Intn(nKinds))
+		}
+		for si, kind := range script {
+			step := fmt.Sprintf("trial %d step %d", trial, si)
+			var dirty []int // the sites whose rows the step may have changed
+			switch kind {
+			case 0, 1: // a sequenced edge batch: this gateway's, or the second one's
+				step += ": sequenced edge batch"
+				co := d.co
+				if kind == 1 {
+					step += " by the second gateway"
+					co = d.co2
+				}
+				ops := d.edgeOps()
+				res, _, err := co.Apply(ops)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if want := d.mirror(step, ops); want.Changed != res.Changed {
+					t.Fatalf("%s: changed %v, oracle %v", step, res.Changed, want.Changed)
+				}
+				dirty = res.Dirty
+			case 2: // sequenced node ops
+				step += ": sequenced node ops"
+				ops := []Op{{Kind: OpInsertNode, Label: labels[rng.Intn(len(labels))], Frag: -1}}
+				if d.oracle.Graph().NumLive() > 8 && rng.Intn(2) == 0 {
+					ops = append(ops, Op{Kind: OpDeleteNode, U: d.live()})
+				}
+				res, _, err := d.co.Apply(ops)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if want := d.mirror(step, ops); len(want.NewIDs) != len(res.NewIDs) || want.NewIDs[0] != res.NewIDs[0] {
+					t.Fatalf("%s: new IDs %v, oracle %v", step, res.NewIDs, want.NewIDs)
+				}
+				dirty = res.Dirty
+			case 3: // the lsn-0 escape hatch, on every replica
+				step += ": lsn 0 apply"
+				ops := d.edgeOps()
+				for _, rep := range d.reps {
+					res, advanced, err := rep.ApplyLSN(0, 0, ops)
+					if err != nil || advanced {
+						t.Fatalf("%s: advanced=%v, %v", step, advanced, err)
+					}
+					dirty = res.Dirty
+				}
+				d.mirror(step, ops)
+			case 4: // a direct mutation of the fragmentation under each site
+				step += ": direct InsertEdge"
+				u, v := d.live(), d.live()
+				for _, rep := range d.reps {
+					fr, _ := rep.Current()
+					var err error
+					if dirty, _, err = fr.InsertEdge(u, v); err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+				}
+				d.mirror(step, []Op{{Kind: OpInsertEdge, U: u, V: v}})
+			case 5: // a live rebalance: every fragmentation is replaced
+				step += ": rebalance"
+				d.epoch++
+				names := fragment.Names()
+				if _, _, err := d.co.Rebalance(d.epoch, names[rng.Intn(len(names))], rng.Uint64()); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				dirty = all
+			case 6: // a snapshot installed into every replica
+				step += ": snapshot install"
+				d.epoch++
+				for i, rep := range d.reps {
+					fr, _, lsn := d.restore(rep)
+					if !rep.Install(fr, d.epoch, lsn) {
+						t.Fatalf("%s: replica %d refused the snapshot", step, i)
+					}
+				}
+				dirty = all
+			case 7: // a site restarts from a snapshot of its state; redial
+				i := rng.Intn(k)
+				step += fmt.Sprintf(": restart of site %d", i)
+				fr, epoch, lsn := d.restore(d.reps[i])
+				d.sites[i].Close()
+				d.reps[i] = fragment.NewReplicaAt(fr, epoch, lsn)
+				site, err := NewSiteReplica(d.addrs[i], d.reps[i], i, SiteOptions{})
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				d.sites[i] = site
+				for _, co := range []*Coordinator{d.co, d.co2} {
+					deadline := time.Now().Add(10 * time.Second)
+					for {
+						_, err := co.helloAll(context.Background(), nil)
+						if err == nil {
+							break
+						}
+						if time.Now().After(deadline) {
+							t.Fatalf("%s: never redialed: %v", step, err)
+						}
+						time.Sleep(10 * time.Millisecond)
+					}
+				}
+				dirty = []int{i}
+			}
+			d.wantFull(step, d.reachStrict(step), dirty)
+			d.queries(step)
+			d.wantFull(step+", settled", d.reachStrict(step), nil)
+		}
+		for i, rep := range d.reps {
+			fr, _ := rep.Current()
+			if err := fr.Validate(); err != nil {
+				t.Fatalf("trial %d: replica %d: %v", trial, i, err)
+			}
+		}
+		if n := d.co.pendingTotal(); n != 0 {
+			t.Fatalf("trial %d: %d pending entries leaked", trial, n)
+		}
+		d.close()
+	}
+}
+
+// TestBoundaryCacheBytes pins what the cache buys and what an update costs:
+// the second of two identical strict rounds ships under 5% of the first,
+// and after an update exactly the sites of its dirty set ship rows on the
+// next round, the others their query part.
+func TestBoundaryCacheBytes(t *testing.T) {
+	g := gen.PowerLaw(gen.Config{Nodes: 600, Edges: 2400, Labels: []string{"A"}, Seed: 2321})
+	const k = 4
+	fr, err := fragment.Random(g, k, 2321)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, done := deployFr(t, fr)
+	defer done()
+	aud := obs.NewAuditor()
+	aud.SetDeployment(int64(fr.Vf()), int64(g.NumNodes()))
+	co.SetAuditor(aud)
+	co.SetAnytime(false)
+
+	_, cold, err := co.Reach(0, 599)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, warm, err := co.Reach(0, 599)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.RowsReplies != k || warm.RowsReplies != 0 {
+		t.Fatalf("rows replies: cold %d, warm %d; want %d and 0", cold.RowsReplies, warm.RowsReplies, k)
+	}
+	if 20*warm.BytesReceived >= cold.BytesReceived {
+		t.Fatalf("warm round received %dB, cold %dB: want under 5%%", warm.BytesReceived, cold.BytesReceived)
+	}
+	if warm.FramesSent != k || warm.FramesReceived != k || cold.FramesSent != k || cold.FramesReceived != k {
+		t.Fatalf("frames: cold %d/%d, warm %d/%d; want %d each", cold.FramesSent, cold.FramesReceived, warm.FramesSent, warm.FramesReceived, k)
+	}
+
+	rng := gen.NewRNG(2322)
+	for i := 0; i < 20; i++ {
+		misses := func() []int64 {
+			out := make([]int64, k)
+			for s := range out {
+				_, out[s] = aud.RowsReplies(s)
+			}
+			return out
+		}
+		op := UpdateInsert
+		if i%3 == 2 {
+			op = UpdateDelete
+		}
+		res, _, err := co.Update(op, graph.NodeID(rng.Intn(600)), graph.NodeID(rng.Intn(600)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := misses()
+		if _, _, err := co.Reach(graph.NodeID(rng.Intn(600)), graph.NodeID(rng.Intn(600))); err != nil {
+			t.Fatal(err)
+		}
+		dirty := make([]bool, k)
+		for _, fi := range res.Dirty {
+			dirty[fi] = true
+		}
+		for s, m := range misses() {
+			if shipped := m > before[s]; shipped != dirty[s] {
+				t.Fatalf("update %d (dirty %v): site %d shipped rows: %v", i, res.Dirty, s, shipped)
+			}
+		}
+	}
+	if v := aud.Violations(); v != 0 {
+		t.Fatalf("%d guarantee violations: %+v", v, aud.Summary())
+	}
+}

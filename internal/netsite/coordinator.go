@@ -59,6 +59,13 @@ type Coordinator struct {
 	// replica-lag signal /stats and bench report.
 	siteLSNs []atomic.Uint64
 
+	// rows is the boundary cache: per site, the decoded in-node rows of its
+	// fragment the last full reply carried, tagged with the fragment state
+	// they were computed at (batch.go). Exactly one entry per site,
+	// replaced in place; the site, not the coordinator, decides whether an
+	// entry is current.
+	rows []atomic.Pointer[siteRows]
+
 	// anytime enables streaming partial replies and early termination for
 	// reach-only rounds (default on; see SetAnytime).
 	anytime atomic.Bool
@@ -526,6 +533,7 @@ func Dial(addrs []string, timeout time.Duration) (*Coordinator, error) {
 		c.conns = append(c.conns, newSiteConn(a, conn, timeout))
 	}
 	c.siteLSNs = make([]atomic.Uint64, len(c.conns))
+	c.rows = make([]atomic.Pointer[siteRows], len(c.conns))
 	c.any.stragglers = make([]atomic.Int64, len(c.conns))
 	c.anytime.Store(true)
 	return c, nil
@@ -626,6 +634,12 @@ type WireStats struct {
 	// site's final frame arrived (the remaining sites were cancelled).
 	EarlyTerminated bool
 
+	// RowsReplies counts the sites whose final carried their fragment's
+	// boundary rows — the coordinator held none for them, or a copy from
+	// before the fragment last changed. The other finals of a reach round
+	// carried the query part only. Across retried rounds it accumulates.
+	RowsReplies int64
+
 	// Epoch is the deployment epoch every site answered from, and LSN the
 	// update-log position. Query rounds enforce agreement on both
 	// (retrying the rare round that straddles a live rebalance or update
@@ -661,6 +675,7 @@ func (st *WireStats) add(o WireStats) {
 	st.PartialFrames += o.PartialFrames
 	st.CancelFrames += o.CancelFrames
 	st.FirstAnswer += o.FirstAnswer
+	st.RowsReplies += o.RowsReplies
 	st.EarlyTerminated = o.EarlyTerminated
 	st.Epoch = o.Epoch
 	st.LSN = o.LSN

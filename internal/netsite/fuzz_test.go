@@ -100,11 +100,15 @@ func FuzzBatchPayload(f *testing.F) {
 	f.Add(enc(nil, batchHeader{}))
 	f.Add(traced)
 	f.Add(enc(nil, batchHeader{traced: true, traceID: 1, span: 1}))
-	f.Add(traced[:spanOffset+7])                           // truncated trace context
-	f.Add(append(append([]byte{}, traced...), traced...))  // a second request nested behind the first
-	f.Add([]byte{batchVersion, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // hostile count
-	f.Add([]byte{batchVersion, 0xFF, 0, 0, 0, 0})          // unknown flag bits
-	f.Add(seed[:len(seed)-3])                              // truncated query
+	f.Add(enc(mixed, batchHeader{stream: true, rows: rowsTag{0x1122334455667788, 42}})) // tagged: the coordinator holds rows
+	f.Add(enc(mixed[:1], batchHeader{traced: true, rows: rowsTag{1, 0}, traceID: 9, span: 9}))
+	f.Add(traced[:spanOffset+7])                                                             // truncated trace context
+	f.Add(seed[:tagOffset+5])                                                                // truncated rows tag
+	f.Add(append(append([]byte{}, traced...), traced...))                                    // a second request nested behind the first
+	f.Add(append(append([]byte{}, seed[:tagOffset+rowsTagSize]...), 0xFF, 0xFF, 0xFF, 0xFF)) // hostile count
+	f.Add(append([]byte{batchVersion, 0xFF}, seed[2:]...))                                   // unknown flag bits
+	f.Add(append([]byte{batchVersion - 1, 0}, seed[tagOffset+rowsTagSize:]...))              // the previous version's layout
+	f.Add(seed[:len(seed)-3])                                                                // truncated query
 	// Payloads of the retired single-query and envelope frames, and of a
 	// kind that was never a query: none may decode as a request.
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0})         // 'r': s | t
@@ -118,21 +122,33 @@ func FuzzBatchPayload(f *testing.F) {
 	}
 	f.Add(ureq)
 
-	f.Add(encodeBatchReply(nil, [][]byte{{9, 8}}, []uint32{1, 0, 1}, [][]byte{{1, 2, 3}, nil, {0xFF}}))
-
-	// A real equation chunk: evaluate a tiny fragment and wrap its partial.
+	// Both reply shapes, with real equations: evaluate a tiny fragment for
+	// its rows and a query part.
 	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 25, Labels: []string{"A"}, Seed: 5})
 	fr, err := fragment.Random(g, 2, 5)
 	if err != nil {
 		f.Fatal(err)
 	}
-	rb, err := core.LocalEvalReach(fr.Fragments()[0], 0, 7, nil).MarshalBinary()
+	frag := fr.Fragments()[0]
+	rb, err := core.LocalEvalReach(frag, graph.None, graph.None, nil).MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(encodeBatchChunk(7, rb))
-	f.Add(encodeBatchChunk(7, rb)[:3]) // truncated target
-	f.Add(encodeBatchChunk(7, nil))    // empty chunk body
+	part := new(core.ReachPartial)
+	part.Append(core.SourceOnlyReach(frag, 0, 7, nil))
+	part.Append(core.TargetOnlyReach(frag, 7, nil))
+	pb, err := part.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	miss := batchReply{hasRows: true, tag: rowsTag{fr.Instance(), frag.Generation()}, rows: rb, parts: [][]byte{pb, nil, {0xFF}}}
+	hit := batchReply{parts: [][]byte{pb, nil, {0xFF}}}
+	f.Add(encodeBatchReply(nil, miss))                                               // the coordinator held no current rows
+	f.Add(encodeBatchReply(nil, hit))                                                // it did: query parts only
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb})) // a 'P' rows chunk: no parts
+	f.Add(encodeBatchReply(nil, miss)[:2+rowsTagSize+2])                             // truncated rows length
+	f.Add([]byte{batchVersion, 2, 0, 0, 0, 0})                                       // unknown rows flag
+	f.Add([]byte{batchVersion - 1, 0, 0, 0, 0, 0, 0, 0, 0})                          // the previous version's empty reply
 
 	// A query answer body: span section, then the batch reply.
 	rec := obs.NewRecorder(time.Now())
@@ -140,7 +156,7 @@ func FuzzBatchPayload(f *testing.F) {
 	rec.Span(-1, "queue", t0, t0.Add(time.Millisecond))
 	rec.Span(-1, "eval", t0, t0.Add(2*time.Millisecond),
 		obs.Attr{Key: "reachindex_outcome", Val: "hit"})
-	f.Add(encodeBatchReply(rec.Wire(), nil, []uint32{0}, [][]byte{{1, 0, 4}}))
+	f.Add(encodeBatchReply(rec.Wire(), batchReply{parts: [][]byte{{1, 0, 4}}}))
 	f.Add(obs.AppendWireSpans(nil, nil)) // untraced: the empty section
 	f.Add([]byte{0xFF, 0xFF})            // hostile span count
 
@@ -167,43 +183,33 @@ func FuzzBatchPayload(f *testing.F) {
 				}
 			}
 		}
-		if shared, refs, parts, err := decodeBatchReply(data); err == nil {
-			shared2, refs2, parts2, err := decodeBatchReply(encodeBatchReply(nil, shared, refs, parts))
+		if rep, err := decodeBatchReply(data); err == nil {
+			rep2, err := decodeBatchReply(encodeBatchReply(nil, rep))
 			if err != nil {
 				t.Fatalf("reply re-encode round trip failed: %v", err)
 			}
-			if len(shared2) != len(shared) || len(parts2) != len(parts) {
-				t.Fatalf("reply round trip drifted: %d/%d then %d/%d sections/parts",
-					len(shared), len(parts), len(shared2), len(parts2))
+			if rep2.hasRows != rep.hasRows || rep2.tag != rep.tag || !bytes.Equal(rep2.rows, rep.rows) || len(rep2.parts) != len(rep.parts) {
+				t.Fatalf("reply round trip drifted: %+v then %+v", rep, rep2)
 			}
-			for i := range shared {
-				if !bytes.Equal(shared[i], shared2[i]) {
-					t.Fatalf("reply section %d drifted", i)
-				}
-			}
-			for i := range parts {
-				if refs[i] != refs2[i] || !bytes.Equal(parts[i], parts2[i]) {
+			for i := range rep.parts {
+				if !bytes.Equal(rep.parts[i], rep2.parts[i]) {
 					t.Fatalf("reply part %d drifted", i)
 				}
 			}
-		}
-		if tgt, eqs, err := decodeBatchChunk(data); err == nil {
-			chunk := new(core.ReachPartial)
-			if chunk.UnmarshalBinary(eqs) == nil {
-				cb, err := chunk.MarshalBinary()
+			// What the coordinator does with a rows section: decode, hold,
+			// re-add. The equations must survive that unchanged.
+			rows := new(core.ReachPartial)
+			if rep.hasRows && rows.UnmarshalBinary(rep.rows) == nil {
+				rb, err := rows.MarshalBinary()
 				if err != nil {
-					t.Fatalf("re-marshal of a decoded chunk failed: %v", err)
+					t.Fatalf("re-marshal of decoded rows failed: %v", err)
 				}
-				tgt2, eqs2, err := decodeBatchChunk(encodeBatchChunk(tgt, cb))
-				if err != nil || tgt2 != tgt {
-					t.Fatalf("batch chunk round trip drifted: target %d -> %d, %v", tgt, tgt2, err)
+				rows2 := new(core.ReachPartial)
+				if err := rows2.UnmarshalBinary(rb); err != nil {
+					t.Fatalf("decode of re-encoded rows failed: %v", err)
 				}
-				chunk2 := new(core.ReachPartial)
-				if err := chunk2.UnmarshalBinary(eqs2); err != nil {
-					t.Fatalf("decode of a re-encoded chunk failed: %v", err)
-				}
-				if cb2, err := chunk2.MarshalBinary(); err != nil || !bytes.Equal(cb2, cb) {
-					t.Fatalf("batch chunk equations drifted on round trip: %v", err)
+				if rb2, err := rows2.MarshalBinary(); err != nil || !bytes.Equal(rb2, rb) {
+					t.Fatalf("rows drifted on round trip: %v", err)
 				}
 			}
 		}

@@ -251,6 +251,9 @@ func TestRetiredFramesRejected(t *testing.T) {
 		{"qrr", 'q', cat(st, ab)},
 		{"traced qr", 'T', cat(make([]byte, 16), []byte{'r'}, st)},
 		{"traced batch", 'T', cat(make([]byte, 16), []byte{'B', batchVersion - 1, 0, 0, 0, 0, 0})},
+		// The previous query payload — no rows tag — in today's frame: a
+		// mixed build must fail loudly, not misparse the queries as a tag.
+		{"version-4 batch", kindBatch, cat([]byte{batchVersion - 1, 0, 1, 0, 0, 0, 'r'}, st)},
 	} {
 		id := uint32(100 + i)
 		if _, err := writeFrame(raw, id, tc.kind, tc.payload); err != nil {
@@ -280,8 +283,8 @@ func TestRetiredFramesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, parts, err := decodeBatchReply(body); err != nil || len(parts) != 1 {
-		t.Fatalf("batch reply after the rejected frames: %d parts, %v", len(parts), err)
+	if rep, err := decodeBatchReply(body); err != nil || len(rep.parts) != 1 || !rep.hasRows {
+		t.Fatalf("batch reply after the rejected frames: %d parts, rows %v, %v", len(rep.parts), rep.hasRows, err)
 	}
 }
 

@@ -25,15 +25,16 @@
 //	responses (site -> coordinator), each echoing the request's ID
 //	'R' answer     epoch u64 | lsn u64 | body — the final frame of a request
 //	'E' error      the error text
-//	'P' partial    epoch u64 | lsn u64 | target u32 | equations — a chunk of
-//	               one reach target's equations, streamed ahead of the 'R'
+//	'P' partial    epoch u64 | lsn u64 | a query reply body without its span
+//	               section: the query parts, or a chunk of the site's
+//	               boundary rows, streamed ahead of the 'R'
 //
 // There is one query request and one query reply, whatever the class and
 // however many queries (see batch.go for the per-query fields):
 //
-//	'B' payload := version u8 | flags u8 | [trace ID u64 | parent span u64]
-//	               | count u32 | queries
-//	'R' body    := spans | version u8 | shared sections | per-query parts
+//	'B' payload := version u8 | flags u8 | rows tag (2 x u64)
+//	               | [trace ID u64 | parent span u64] | count u32 | queries
+//	'R' body    := spans | version u8 | [rows tag | rows] | per-query parts
 //
 // The flags byte carries the stream flag (the site may emit 'P' frames) and
 // the trace flag (the 16 bytes of trace context follow, and the site
@@ -43,15 +44,34 @@
 // frame and no second layout. 'U', 'R' and 'S' answers carry their own body
 // codecs straight after the (epoch, lsn) tag.
 //
-// Anytime answers: a request posted with the stream flag invites the site
-// to emit up to core.MaxStreamChunks 'P' frames while local evaluation
-// runs, each carrying the equations produced since the last. The final 'R'
-// frame still carries the complete partials — chunks are a redundant
-// prefix, sound to re-add because disjunctive equation systems are
-// idempotent — so a dropped partial never affects the answer. The
-// coordinator feeds chunks into an incremental equation system and, the
-// moment they prove every query of the round true, broadcasts 'C' frames so
-// the remaining sites abandon their evaluation (cooperatively: mid-BFS
+// The boundary cache lives in that one round trip. What a fragment
+// contributes to a reach answer is, almost entirely, its in-node rows —
+// O(|Vf|²) bits that do not depend on the query. The coordinator keeps the
+// rows each site last shipped, and the request's rows tag names the copy it
+// holds for the receiving site: the instance ID of the site's fragmentation
+// and the fragment's generation, zero when it holds none. A site whose
+// fragment is still at that tag answers with the query parts alone — per
+// reach query, the source's equation and the in-nodes that reach the
+// target: a few dozen bytes — and otherwise ships its rows, once for the
+// whole batch, tagged with the state they were computed at, ahead of the
+// same query parts; the coordinator replaces its copy. Every mutation bumps
+// the generation of the fragments it dirties and every new fragmentation
+// draws a new instance ID (batch.go says why that makes a match safe), so a
+// miss is answered in the frame that reports it: no invalidation message,
+// no refetch round, still one visit per site. Per-query traffic is O(|Vf|);
+// the paper's O(|Vf|²) is paid once per change of a fragment.
+//
+// Anytime answers: a request posted with the stream flag invites a site
+// that is shipping rows to emit up to core.MaxStreamChunks 'P' frames while
+// it evaluates them: the query parts first, then the rows produced since
+// the last frame. The final 'R' frame still carries the complete rows and
+// parts — chunks are a redundant prefix, sound to re-add because
+// disjunctive equation systems are idempotent — so a dropped partial never
+// affects the answer. A site whose rows the coordinator holds has nothing
+// to stream; its final is small and arrives at once. The coordinator feeds
+// every frame into an incremental equation system and, the moment they
+// prove every query of the round true, broadcasts 'C' frames so the
+// remaining sites abandon their evaluation (cooperatively: mid-BFS
 // checkpoints, and a cancelled request owes no response at all).
 //
 // Every answer is prefixed with the epoch of the fragmentation that
@@ -66,8 +86,8 @@
 //
 // The query frame is the wire form of the paper's visit guarantee: one
 // request frame per site carries the whole batch, and one final response
-// frame per site carries every partial answer, so k queries cost the same
-// number of frames as one.
+// frame per site carries every partial answer — and the rows, when they are
+// owed — so k queries cost the same number of frames as one.
 package netsite
 
 import (

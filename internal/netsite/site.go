@@ -1,10 +1,12 @@
 package netsite
 
 import (
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -533,23 +535,23 @@ func (s *Site) handleRebalance(payload []byte) (uint64, uint64, []byte, error) {
 
 // handleBatch is the only query handler: it evaluates a whole query frame
 // — a batch of one or of many — against the fragment in one pass and
-// returns one partial answer per query. Reach queries sharing a target
-// share their in-node equations (those are source-independent): the
-// per-target local evaluation runs once however many queries ask for it,
-// AND its result ships once, as a shared reply section the queries
-// reference. The section is evaluated with the first such query's source,
-// so it carries that source's equation too (one more sound implication for
-// the others); every later query's own slot carries only its source
-// equation. Distance and regex queries evaluate individually. The frame's
-// service delay (Site.delay) is paid once per batch, not once per query —
-// the amortization the batch protocol exists to deliver.
+// returns one partial answer per query. A reach query's partial is its
+// query part: the source's own equation, plus — once per distinct target
+// of the batch — the in-nodes that reach the target here. The fragment's
+// boundary rows, which every reach answer also rests on, ship only when
+// the request's tag says the coordinator does not hold the current ones:
+// one section for the whole batch (see batch.go). Distance and regex
+// queries evaluate individually. The frame's service delay (Site.delay) is
+// paid once per batch, not once per query — the amortization the batch
+// protocol exists to deliver.
 //
-// A streaming request additionally emits 'P' frames through the chunker of
-// core.LocalEvalReachStream: each shared evaluation surfaces a geometrically
-// growing, source-equation-first prefix of its equations as it runs, at
-// most core.MaxStreamChunks frames per request across all its targets —
-// never a whole partial; the final reply is complete on its own. The cancel
-// flag is polled between queries and inside the local evaluations.
+// A streaming request that has to ship rows additionally emits 'P' frames:
+// first the query parts, which are ready at once, then — through the
+// chunker of core.LocalEvalReachStream — a geometrically growing prefix of
+// the rows as they are evaluated; at most core.MaxStreamChunks frames per
+// request, never the whole rows; the final reply is complete on its own.
+// The cancel flag is polled between queries and inside the local
+// evaluations.
 func (s *Site) handleBatch(j *frameJob, emit func(epoch, lsn uint64, body []byte) bool) (uint64, uint64, []byte, error) {
 	picked := time.Now()
 	qs, h, err := decodeBatchRequest(j.payload)
@@ -581,71 +583,76 @@ func (s *Site) handleBatch(j *frameJob, emit func(epoch, lsn uint64, body []byte
 	}
 	evalStart := time.Now()
 
-	emitted := 0 // 'P' frames so far, against the per-request budget
-	parts := make([][]byte, len(qs))
-	refs := make([]uint32, len(qs))
-	var shared [][]byte
-	sectionOf := make(map[graph.NodeID]uint32) // target -> 1+section index
+	rep := batchReply{parts: make([][]byte, len(qs))}
+	asked := make(map[graph.NodeID]bool) // reach targets whose equations an earlier query shipped
 	for i, q := range qs {
 		if j.cancel.Load() {
 			return 0, 0, nil, errCancelled
 		}
+		var rv encoding.BinaryMarshaler
 		switch q.Class {
 		case ClassReach:
-			if ref, ok := sectionOf[q.T]; ok {
-				refs[i] = ref
-				own := core.SourceOnlyReach(frag, q.S, q.T, opt)
-				if own == nil {
-					if j.cancel.Load() {
-						return 0, 0, nil, errCancelled
-					}
-					continue
+			part := core.SourceOnlyReach(frag, q.S, q.T, opt)
+			if !asked[q.T] {
+				asked[q.T] = true
+				if part == nil {
+					part = new(core.ReachPartial)
 				}
-				if parts[i], err = own.MarshalBinary(); err != nil {
-					return 0, 0, nil, err
-				}
-				continue
+				part.Append(core.TargetOnlyReach(frag, q.T, opt))
 			}
-			var sink func(chunk *core.ReachPartial) bool
-			if h.stream && emitted < core.MaxStreamChunks {
-				sink = func(chunk *core.ReachPartial) bool {
-					if emitted >= core.MaxStreamChunks {
-						return true // budget spent on earlier targets
-					}
-					b, err := chunk.MarshalBinary()
-					if err != nil {
-						return true // skip the advisory chunk; the final is complete
-					}
-					emitted++
-					return emit(epoch, lsn, encodeBatchChunk(q.T, b))
-				}
+			if part.NumEqs() == 0 {
+				continue // nothing to say, or cancelled: the loop's check tells
 			}
-			base, ok := core.LocalEvalReachStream(frag, q.S, q.T, opt, sink)
-			if !ok {
-				// Cancelled mid-evaluation — or the emit failed, which only
-				// happens on a dead connection, where no response lands anyway.
-				return 0, 0, nil, errCancelled
-			}
-			sb, err := base.MarshalBinary()
-			if err != nil {
-				return 0, 0, nil, err
-			}
-			shared = append(shared, sb)
-			refs[i] = uint32(len(shared))
-			sectionOf[q.T] = refs[i]
+			rv = part
 		case ClassDist:
-			rv := core.LocalEvalDist(frag, q.S, q.T, q.L)
-			if parts[i], err = rv.MarshalBinary(); err != nil {
-				return 0, 0, nil, err
-			}
+			rv = core.LocalEvalDist(frag, q.S, q.T, q.L)
 		case ClassRPQ:
-			rv := core.LocalEvalRPQ(frag, q.S, q.T, q.A)
-			if parts[i], err = rv.MarshalBinary(); err != nil {
-				return 0, 0, nil, err
-			}
+			rv = core.LocalEvalRPQ(frag, q.S, q.T, q.A)
 		default:
 			// Unreachable: decodeBatchRequest rejects unknown classes.
 			return 0, 0, nil, fmt.Errorf("unknown batch query class %q", byte(q.Class))
+		}
+		if rep.parts[i], err = rv.MarshalBinary(); err != nil {
+			return 0, 0, nil, err
+		}
+	}
+	if j.cancel.Load() {
+		return 0, 0, nil, errCancelled
+	}
+	// The rows, unless the coordinator holds this very state of them. The
+	// generation is read under the lock the evaluation holds, so the tag
+	// names exactly the fragment the rows are computed on.
+	if tag := (rowsTag{fr.Instance(), frag.Generation()}); len(asked) > 0 && h.rows != tag {
+		var sink func(chunk *core.ReachPartial) bool
+		if h.stream {
+			emitted := 0 // 'P' frames so far, against the per-request budget
+			if slices.ContainsFunc(rep.parts, func(p []byte) bool { return len(p) > 0 }) {
+				emitted++
+				if !emit(epoch, lsn, encodeBatchReply(nil, rep)) {
+					return 0, 0, nil, errCancelled
+				}
+			}
+			sink = func(chunk *core.ReachPartial) bool {
+				if emitted >= core.MaxStreamChunks {
+					return true // budget spent
+				}
+				b, err := chunk.MarshalBinary()
+				if err != nil {
+					return true // skip the advisory chunk; the final is complete
+				}
+				emitted++
+				return emit(epoch, lsn, encodeBatchReply(nil, batchReply{hasRows: true, tag: tag, rows: b}))
+			}
+		}
+		rows, ok := core.LocalEvalReachStream(frag, graph.None, graph.None, opt, sink)
+		if !ok {
+			// Cancelled mid-evaluation — or the emit failed, which only
+			// happens on a dead connection, where no response lands anyway.
+			return 0, 0, nil, errCancelled
+		}
+		rep.hasRows, rep.tag = true, tag
+		if rep.rows, err = rows.MarshalBinary(); err != nil {
+			return 0, 0, nil, err
 		}
 	}
 	evalEnd := time.Now()
@@ -661,7 +668,7 @@ func (s *Site) handleBatch(j *frameJob, emit func(epoch, lsn uint64, body []byte
 	} else {
 		spans = obs.AppendWireSpans(nil, nil)
 	}
-	return epoch, lsn, encodeBatchReply(spans, shared, refs, parts), nil
+	return epoch, lsn, encodeBatchReply(spans, rep), nil
 }
 
 // ServeFragmentation is a convenience that starts one Site per fragment on

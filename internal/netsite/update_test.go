@@ -2,6 +2,7 @@ package netsite
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,9 +171,10 @@ func TestUpdateWireCrossCheck(t *testing.T) {
 }
 
 // TestUpdateConcurrentWithQueries floods a deployment with queries while
-// an updater mutates edges: no call may error or race (CI runs -race), and
-// once the churn stops, answers must match a from-scratch oracle on the
-// final graph.
+// an updater mutates edges: no call may error or race (CI runs -race);
+// while an insert-only writer runs, every answer must lie between the
+// oracle before the query and after it; and once the churn stops, answers
+// must match a from-scratch oracle on the final graph.
 func TestUpdateConcurrentWithQueries(t *testing.T) {
 	g := gen.Uniform(gen.Config{Nodes: 120, Edges: 480, Labels: []string{"A", "B"}, Seed: 95})
 	fr, err := fragment.Random(g, 3, 95)
@@ -234,6 +236,80 @@ func TestUpdateConcurrentWithQueries(t *testing.T) {
 	}
 	if err := fr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Second phase, answers checked while the writer runs: with inserts
+	// only, reachability grows with the update log, so a query issued after
+	// c0 batches were acknowledged and answered when c1 were (one more may
+	// be in flight) must lie between the oracle at c0 and at c1+1 — whatever
+	// mix of cold sites, current rows and rows a concurrent round replaced
+	// mid-flight it was assembled from. A round that swapped in a copy other
+	// than the one whose tag it sent shows as an error or under -race.
+	const inserts = 40
+	edges := make([][2]graph.NodeID, inserts)
+	states := []*graph.Graph{fr.Graph().Clone()} // states[j]: after j inserts
+	for j := range edges {
+		edges[j] = [2]graph.NodeID{graph.NodeID(rng.Intn(120)), graph.NodeID(rng.Intn(120))}
+		next := states[j].Clone()
+		next.InsertEdge(edges[j][0], edges[j][1])
+		states = append(states, next)
+	}
+	type sample struct {
+		s, t   graph.NodeID
+		c0, c1 int
+		got    bool
+	}
+	var applied atomic.Int64
+	stop = make(chan struct{})
+	samples := make([][]sample, 4)
+	for w := range samples {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := gen.NewRNG(uint64(300 + w))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sm := sample{s: graph.NodeID(rng.Intn(120)), t: graph.NodeID(rng.Intn(120)), c0: int(applied.Load())}
+				got, _, err := co.Reach(sm.s, sm.t)
+				if err != nil {
+					errc <- err
+					return
+				}
+				sm.got, sm.c1 = got, int(applied.Load())
+				samples[w] = append(samples[w], sm)
+			}
+		}(w)
+	}
+	for _, e := range edges {
+		if _, _, err := co.Update(UpdateInsert, e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+		applied.Add(1)
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+	checked := 0
+	for _, ss := range samples {
+		for _, sm := range ss {
+			lo, hi := states[sm.c0].Reachable(sm.s, sm.t), states[min(sm.c1+1, inserts)].Reachable(sm.s, sm.t)
+			if (lo && !sm.got) || (sm.got && !hi) {
+				t.Fatalf("qr(%d,%d) = %v between batches %d and %d: oracle says %v before, %v after",
+					sm.s, sm.t, sm.got, sm.c0, sm.c1+1, lo, hi)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no query completed beside the writer")
 	}
 	// Quiescent again: answers equal the oracle on the mutated graph.
 	for q := 0; q < 30; q++ {

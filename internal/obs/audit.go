@@ -13,21 +13,45 @@ import (
 // graph, so eval time should not correlate with |G| across deployments.
 // Auditor checks the first two exactly per observed round and tracks the
 // third statistically across deployments of different sizes.
+//
+// The O(|Vf|²) part of a reach reply is the fragment's boundary rows, which
+// the coordinator keeps: a site ships them only when the coordinator's copy
+// is missing or older than the fragment. A reply without them is a query
+// part per query — the source's equation and one constant per in-node that
+// reaches the target, O(|Vf|) — and is held to a linear bound, so the
+// quadratic cost is audited as what it now is: paid per change, not per
+// query.
+
+// RowsOutcome says what a site's final reply did about its fragment's
+// boundary rows.
+type RowsOutcome uint8
+
+const (
+	RowsNone RowsOutcome = iota // no final arrived, or the round had no reach query to need rows
+	RowsHit                     // left out: the coordinator's copy is the fragment's current rows
+	RowsMiss                    // shipped: the coordinator held none, or a stale copy
+)
 
 // AuditRound is one round's per-site observations, reported by the
 // coordinator after the round settles.
 type AuditRound struct {
-	Frames    []int64 // request frames sent to each site this round
-	RespBytes []int64 // response payload bytes from each site (span overhead excluded)
-	EvalNs    []int64 // site-reported local evaluation time, 0 if unreported
+	Frames    []int64       // request frames sent to each site this round
+	RespBytes []int64       // response payload bytes from each site (span overhead excluded)
+	EvalNs    []int64       // site-reported local evaluation time, 0 if unreported
+	Rows      []RowsOutcome // per site; nil counts as all RowsNone
+	Queries   int           // queries the round carried
+	ReachOnly bool          // every one a reach query: distance and regex partials are O(|Vf|²) themselves
 }
 
-// DefaultByteFactor is the constant c in the response-volume bound
-// c·(|Vf|+1)². Each boolean equation is a variable plus a clause over at
-// most |Vf| in-node variables; the wire encoding spends a handful of
-// bytes per term, so 64 is generous without being vacuous — a site
-// shipping its whole fragment's adjacency (O(|Ef|), which can exceed
-// |Vf|²·c on dense fragments with fat encodings) would trip it.
+// DefaultByteFactor is the constant c in the response-volume bounds:
+// c·(|Vf|+1)² for a reply that carries rows (or distance or regex
+// partials), c·(|Vf|+1) per query for a reach reply that does not. Each
+// boolean equation is a variable plus a clause over at most |Vf| in-node
+// variables; the wire encoding spends a handful of bytes per term, so 64
+// is generous without being vacuous — a site shipping its whole
+// fragment's adjacency (O(|Ef|), which can exceed |Vf|²·c on dense
+// fragments with fat encodings) would trip the first, and a site
+// re-shipping rows the coordinator holds the second.
 const DefaultByteFactor = 64
 
 // Auditor verifies the paper's per-round guarantees and aggregates
@@ -45,6 +69,10 @@ type Auditor struct {
 	maxFrames       int64 // worst frames-per-site-per-round seen
 	maxRespBytes    int64 // worst per-site response payload seen
 	byteBound       int64 // current c·(|Vf|+1)²
+
+	// Per site: finals that left the boundary rows out (hits) and finals
+	// that carried them (misses). Grown to the widest round seen.
+	rowsHits, rowsMisses []int64
 
 	// eval-time-vs-|G| correlation: one (|G|, mean eval ns) sample per
 	// deployment size, pushed by SetDeployment-scoped benchmark runs.
@@ -106,11 +134,27 @@ func (a *Auditor) Observe(r AuditRound) {
 			a.frameViolations++
 		}
 	}
-	for _, b := range r.RespBytes {
+	for len(a.rowsHits) < len(r.Rows) {
+		a.rowsHits = append(a.rowsHits, 0)
+		a.rowsMisses = append(a.rowsMisses, 0)
+	}
+	for i, o := range r.Rows {
+		switch o {
+		case RowsHit:
+			a.rowsHits[i]++
+		case RowsMiss:
+			a.rowsMisses[i]++
+		}
+	}
+	for i, b := range r.RespBytes {
 		if b > a.maxRespBytes {
 			a.maxRespBytes = b
 		}
-		if a.byteBound > 0 && b > a.byteBound {
+		bound := a.byteBound
+		if r.ReachOnly && i < len(r.Rows) && r.Rows[i] == RowsHit {
+			bound = int64(r.Queries) * a.byteFactor * (a.vf + 1)
+		}
+		if a.byteBound > 0 && b > bound {
 			a.byteViolations++
 		}
 	}
@@ -155,10 +199,16 @@ type AuditSummary struct {
 	ByteViolations   int64 `json:"byte_violations"`
 	MaxFramesPerSite int64 `json:"max_frames_per_site_per_round"`
 	MaxRespBytes     int64 `json:"max_resp_bytes_per_site"`
-	ByteBound        int64 `json:"byte_bound"` // c·(|Vf|+1)²
+	ByteBound        int64 `json:"byte_bound"`        // c·(|Vf|+1)²: replies carrying rows, distance or regex partials
+	LinearByteBound  int64 `json:"linear_byte_bound"` // c·(|Vf|+1) per query: rows-free reach replies
 	ByteFactor       int64 `json:"byte_factor"`
-	Vf               int64 `json:"vf"`
-	GraphNodes       int64 `json:"graph_nodes"`
+	// RowsHits and RowsMisses count, per site, the final replies that left
+	// the fragment's boundary rows out (the coordinator's copy was current)
+	// and those that carried them.
+	RowsHits   []int64 `json:"rows_hits"`
+	RowsMisses []int64 `json:"rows_misses"`
+	Vf         int64   `json:"vf"`
+	GraphNodes int64   `json:"graph_nodes"`
 	// EvalSizeCorr is Pearson r between |G| and mean eval time across
 	// deployments of different sizes; meaningful only when SizePoints ≥ 2
 	// (exp N11 sweeps sizes; a single live deployment reports NaN→omitted).
@@ -185,14 +235,30 @@ func (a *Auditor) Summary() AuditSummary {
 		MaxRespBytes:     a.maxRespBytes,
 		ByteBound:        a.byteBound,
 		ByteFactor:       a.byteFactor,
+		RowsHits:         append([]int64{}, a.rowsHits...),
+		RowsMisses:       append([]int64{}, a.rowsMisses...),
 		Vf:               a.vf,
 		GraphNodes:       a.graphNodes,
 		SizePoints:       len(sizes),
+	}
+	if a.byteBound > 0 {
+		s.LinearByteBound = a.byteFactor * (a.vf + 1)
 	}
 	if r := pearson(sizes, evals); !math.IsNaN(r) {
 		s.EvalSizeCorr = &r
 	}
 	return s
+}
+
+// RowsReplies reports how many audited finals of the given site left its
+// boundary rows out (hits) and how many carried them (misses).
+func (a *Auditor) RowsReplies(site int) (hits, misses int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if site < 0 || site >= len(a.rowsHits) {
+		return 0, 0
+	}
+	return a.rowsHits[site], a.rowsMisses[site]
 }
 
 // Violations reports the total violation count (both kinds), for quick

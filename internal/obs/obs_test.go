@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -343,6 +344,33 @@ func TestAuditor(t *testing.T) {
 	}
 	if s.Rounds != 2 {
 		t.Fatalf("rounds = %d", s.Rounds)
+	}
+
+	// Rows-free reach replies answer to the linear bound, per query
+	// (64 * 11 = 704 here); a reply carrying rows, any reply of a round with
+	// distance or regex queries, and a site without a final to the
+	// quadratic one.
+	a.Observe(AuditRound{
+		Frames:    []int64{1, 1, 1, 1},
+		RespBytes: []int64{2 * 704, 2*704 + 1, 7744, 7744},
+		Rows:      []RowsOutcome{RowsHit, RowsHit, RowsMiss, RowsNone},
+		Queries:   2, ReachOnly: true,
+	})
+	a.Observe(AuditRound{
+		Frames:    []int64{1, 1},
+		RespBytes: []int64{7744, 7745},
+		Rows:      []RowsOutcome{RowsHit, RowsHit},
+		Queries:   1,
+	})
+	s = a.Summary()
+	if s.ByteViolations != 3 || s.LinearByteBound != 704 {
+		t.Fatalf("linear bound: %+v", s)
+	}
+	if !slices.Equal(s.RowsHits, []int64{2, 2, 0, 0}) || !slices.Equal(s.RowsMisses, []int64{0, 0, 1, 0}) {
+		t.Fatalf("rows counters: hits %v misses %v", s.RowsHits, s.RowsMisses)
+	}
+	if h, m := a.RowsReplies(2); h != 0 || m != 1 {
+		t.Fatalf("RowsReplies(2) = %d, %d", h, m)
 	}
 
 	// Correlation needs ≥2 deployment sizes; uncorrelated eval times stay
