@@ -71,11 +71,11 @@ recovery-smoke:
 # `make race` too; the explicit run guards against cached passes).
 cross-checks:
 	$(GO) test -race -run 'TestBatchWireCrossCheck|TestBatchLifecycleNoLeak' -count 1 ./internal/netsite
-	$(GO) test -race -run 'TestAnytimeCrossCheck|TestAnytimePendingNoLeak' -count 1 ./internal/netsite
+	$(GO) test -race -run 'TestAnytimeCrossCheck|TestAnytimePendingNoLeak|TestPartialFrameFailsRound' -count 1 ./internal/netsite
 	$(GO) test -race -run 'TestUpdateWireCrossCheck|TestUpdateConcurrentWithQueries' -count 1 ./internal/netsite
 	$(GO) test -race -run 'TestIndexChurnCrossCheck|TestFragmentIndexMatchesDirect' -count 1 ./internal/netsite ./internal/core
 	$(GO) test -cpu 1,2,4 -count 1 ./internal/reachindex
-	$(GO) test -race -run 'TestIndexAnswersUnderChurnAndRebalance' -count 1 ./internal/fragment
+	$(GO) test -race -run 'TestIndexAnswersUnderChurnAndRebalance|TestLSNStampedUnderReadLock' -count 1 ./internal/fragment
 	$(GO) test -race -run 'TestGroupCommitCoalesces|TestSnapshotIndex|TestSnapshotRecoverWarm' -count 1 ./internal/oplog
 	$(GO) test -race -run 'TestNodeOpsWireCrossCheck|TestNodeMutationCrossCheck|TestRebalanceEpochRace|TestRebalanceRestoresBalance' -count 1 ./internal/netsite ./internal/fragment
 	$(GO) test -race -run 'TestTraceCrossCheck|TestWireAccounting' -count 1 ./internal/netsite

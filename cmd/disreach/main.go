@@ -197,9 +197,9 @@ func queryWire(addrs []string, src, dst graph.NodeID, l int, re string) error {
 		}
 		fmt.Printf("qr(%d, %d) = %v\n", src, dst, ans)
 	}
-	// One request and one final frame per site is the paper's visit bound;
-	// more means the round straddled a rebalance or an update and retried,
-	// fewer finals that streamed partials decided it early. A one-shot
+	// One request and one reply per site is the paper's visit bound; more
+	// means the round straddled a rebalance or an update and retried, fewer
+	// replies that the ones in hand decided it early. A one-shot
 	// coordinator holds no boundary rows, so every site that answered a
 	// reach query shipped its own.
 	fmt.Printf("  sites: %d  frames sent: %d  received: %d  shipped rows: %d  sent: %dB  received: %dB  round trip: %v\n",

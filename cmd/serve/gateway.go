@@ -272,7 +272,6 @@ type wireJSON struct {
 	FramesReceived    int64 `json:"frames_received"`
 	RoundTripMicros   int64 `json:"round_trip_us"`
 	FirstAnswerMicros int64 `json:"first_answer_us"`
-	PartialFrames     int64 `json:"partial_frames,omitempty"`
 	CancelFrames      int64 `json:"cancel_frames,omitempty"`
 	EarlyTerminated   bool  `json:"early_terminated,omitempty"`
 	RowsReplies       int64 `json:"rows_replies,omitempty"` // sites that shipped their boundary rows
@@ -286,7 +285,6 @@ func toWireJSON(st netsite.WireStats) *wireJSON {
 		FramesReceived:    st.FramesReceived,
 		RoundTripMicros:   st.RoundTrip.Microseconds(),
 		FirstAnswerMicros: st.FirstAnswer.Microseconds(),
-		PartialFrames:     st.PartialFrames,
 		CancelFrames:      st.CancelFrames,
 		EarlyTerminated:   st.EarlyTerminated,
 		RowsReplies:       st.RowsReplies,
@@ -917,9 +915,8 @@ func (g *gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		"enabled":            g.co.Anytime(),
 		"early_terminations": ast.EarlyTerminations,
 		"cancels_sent":       ast.CancelsSent,
-		"partial_frames":     ast.PartialFrames,
 		// Per-site straggler histogram: rounds decided before that site's
-		// final arrived. The site dominating it is the one slowing full
+		// reply arrived. The site dominating it is the one slowing full
 		// rounds down.
 		"stragglers": ast.Stragglers,
 	}

@@ -43,10 +43,9 @@
 // stats, and when max/mean fragment size crosses S a background
 // re-fragmentation (strategy: -rebalancepartition) restores it.
 //
-// -anytime (default on) enables anytime answers: sites stream partial
-// boolean equations ahead of their final reply, the coordinator answers a
-// reach query the instant the accumulated equations prove it, and the
-// straggler sites are told to stop. -coalesce W is adaptive batching:
+// Anytime answers are always on: the coordinator answers a reach query the
+// instant the replies in hand prove it, and the straggler sites are told to
+// stop. -coalesce W is adaptive batching:
 // concurrent GET /reach cache misses arriving within W share one wire
 // batch (one frame per site for the whole group) instead of one round
 // each; 0 disables.
@@ -81,7 +80,6 @@ func main() {
 		reqTO     = flag.Duration("timeout", 0, "per-request wire deadline (0 = none); expiry returns 504")
 		inflight  = flag.Int("maxinflight", 0, "backpressure: max concurrent query/update requests (0 = default 1024); excess gets 429")
 		skew      = flag.Float64("skew", 0, "auto-rebalance when max/mean fragment size crosses this (0 = manual /rebalance only; try 2.0)")
-		anytime   = flag.Bool("anytime", true, "anytime answers: sites stream partial equations, the coordinator answers the moment they prove a reach query and cancels the stragglers")
 		coalesce  = flag.Duration("coalesce", 200*time.Microsecond, "adaptive batching: concurrent GET /reach cache misses within this window share one wire batch (0 disables)")
 		rebPart   = flag.String("rebalancepartition", "", "partitioner used by /rebalance and auto-rebalance (\"\" = default "+defaultRebalancePartitioner+")")
 		idxBudget = flag.Int64("reachindex-budget", reachindex.DefaultBudget, "self-contained mode: per-fragment reachability index label budget in bytes (0 disables the index)")
@@ -127,7 +125,6 @@ func main() {
 			s.Close()
 		}
 	}()
-	co.SetAnytime(*anytime)
 
 	var store *oplog.Store
 	if *wal != "" {

@@ -61,16 +61,13 @@ func newGwObs(co *netsite.Coordinator) *gwObs {
 	reg.GaugeFunc("gateway_anytime_early_terminations_total",
 		"Anytime rounds answered before every site finished.",
 		func() float64 { return float64(co.AnytimeStats().EarlyTerminations) })
-	reg.GaugeFunc("gateway_anytime_partial_frames_total",
-		"Partial ('P') frames received across anytime rounds.",
-		func() float64 { return float64(co.AnytimeStats().PartialFrames) })
 	reg.GaugeFunc("gateway_anytime_cancels_total",
 		"Cancel ('C') frames sent to straggler sites.",
 		func() float64 { return float64(co.AnytimeStats().CancelsSent) })
 	for i := 0; i < co.NumSites(); i++ {
 		i := i
 		reg.GaugeFuncVec("gateway_site_straggler_rounds",
-			"Rounds decided before this site's final answer arrived — the per-site lag histogram.",
+			"Rounds decided before this site's answer arrived — the per-site lag histogram.",
 			"site", strconv.Itoa(i),
 			func() float64 { return float64(co.AnytimeStats().Stragglers[i]) })
 		reg.GaugeFuncVec("gateway_site_rows_hits_total",

@@ -204,18 +204,6 @@ func ReachRegexExpr(cl *Cluster, fr *Fragmentation, s, t NodeID, expr string) (R
 	return ReachRegex(cl, fr, s, t, a), nil
 }
 
-// Session amortizes partial evaluation across queries that share a target:
-// the first qr(s, t) for a target t visits every site once and caches the
-// in-node equations (which are independent of s); later queries for the
-// same t visit at most the source's site. Invalidate(fragmentID) drops a
-// fragment's cached state after updates, and only that fragment is
-// re-evaluated — the incremental direction sketched in the paper's
-// conclusion.
-type Session = core.Session
-
-// NewSession creates an incremental evaluation session over a deployment.
-func NewSession(cl *Cluster, fr *Fragmentation) *Session { return core.NewSession(cl, fr) }
-
 // Coalesce places multiple fragments on fewer sites (placement[i] is the
 // site of fragment i), merging co-located fragments: the paper's remark
 // that "multiple fragments may reside in a single site". Cross edges

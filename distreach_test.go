@@ -152,13 +152,7 @@ func TestFacadePartitioners(t *testing.T) {
 }
 
 func TestFacadeSessionAndCoalesce(t *testing.T) {
-	g, fr, cl := buildSample(t)
-	se := distreach.NewSession(cl, fr)
-	for s := distreach.NodeID(0); s < 20; s++ {
-		if got, want := se.Reach(s, 399).Answer, g.Reachable(s, 399); got != want {
-			t.Fatalf("session Reach(%d,399)=%v want %v", s, got, want)
-		}
-	}
+	g, fr, _ := buildSample(t)
 	co, err := distreach.Coalesce(fr, []int{0, 0, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -274,12 +268,13 @@ func TestBenchmarkModuleVets(t *testing.T) {
 	}
 }
 
-// TestKnobBudget is a ratchet on user-set choices: the flag definitions
-// under cmd/ and the partitioners fragment.Names reports may shrink
-// freely, but a knob or a partitioner comes back only by raising the
-// number here, in the same diff that adds it.
+// TestKnobBudget is a ratchet on user-set choices and on the protocol: the
+// flag definitions under cmd/, the partitioners fragment.Names reports and
+// the frame kinds internal/netsite/protocol.go declares may shrink freely,
+// but a knob, a partitioner or a kind comes back only by raising the number
+// here, in the same diff that adds it.
 func TestKnobBudget(t *testing.T) {
-	const maxFlags, maxPartitioners = 63, 3
+	const maxFlags, maxPartitioners, maxKinds = 62, 3, 7
 	flagDef := regexp.MustCompile(`\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?\(`)
 	flags := 0
 	err := filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
@@ -298,5 +293,13 @@ func TestKnobBudget(t *testing.T) {
 	}
 	if n := len(fragment.Names()); n > maxPartitioners {
 		t.Fatalf("%d partitioners %v, budget %d", n, fragment.Names(), maxPartitioners)
+	}
+	src, err := os.ReadFile("internal/netsite/protocol.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := len(regexp.MustCompile(`(?m)^\s*kind[A-Z]\w*\s*=`).FindAll(src, -1))
+	if kinds == 0 || kinds > maxKinds {
+		t.Fatalf("%d frame kinds declared in protocol.go, budget %d (0 means the count is broken)", kinds, maxKinds)
 	}
 }

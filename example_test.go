@@ -95,13 +95,3 @@ func ExampleCompileRegex() {
 	// true
 	// false
 }
-
-func ExampleNewSession() {
-	_, fr := buildFig1()
-	cl := distreach.NewCluster(3, distreach.NetModel{})
-	se := distreach.NewSession(cl, fr)
-	cold := se.Reach(0, 10) // first query for target Mark: full round
-	warm := se.Reach(2, 10) // Walt -> Mark: only Walt's site is visited
-	fmt.Println(cold.Answer, warm.Answer, warm.Report.TotalVisits <= 1)
-	// Output: true true true
-}

@@ -66,9 +66,9 @@ func (rv *ReachPartial) eqs() []reachEq {
 
 // TestTouchedMatchesOracle pins the Touched sets read off the deciding
 // system against the map-based oracle: for reach, over a strict round
-// (every site's final) and over early-terminated ones (sites fed in random
-// order, some preceded by their streamed chunk prefix, until Xs is
-// proved); for dist, over the strict round — the only kind it has.
+// (every site's final) and over early-terminated ones (finals fed in random
+// order until Xs is proved); for dist, over the strict round — the only
+// kind it has.
 func TestTouchedMatchesOracle(t *testing.T) {
 	rng := gen.NewRNG(2201)
 	early := 0
@@ -98,12 +98,6 @@ func TestTouchedMatchesOracle(t *testing.T) {
 			}
 		}
 		for fed, site := range order {
-			if rng.Intn(2) == 0 {
-				LocalEvalReachStream(frags[site], s, tt, nil, func(chunk *ReachPartial) bool {
-					feed(site, chunk)
-					return true
-				})
-			}
 			feed(site, finals[site])
 			if got, want := anytime.Sources(s), ao.touched(s); !slices.Equal(got, want) {
 				t.Fatalf("trial %d: qr(%d,%d) after %d sites touched %v, oracle %v", trial, s, tt, fed+1, got, want)
@@ -238,9 +232,9 @@ func (a *reportTally) add(r cluster.Report) {
 }
 
 // TestDriverReportsUnchanged pins the simulated accounting of every
-// algorithm that runs through threePhase — and of a session's cold and warm
-// queries — to the values the five hand-written skeletons produced on the
-// same seeds (recorded at the commit before the driver replaced them).
+// algorithm that runs through threePhase to the values the five
+// hand-written skeletons produced on the same seeds (recorded at the commit
+// before the driver replaced them).
 func TestDriverReportsUnchanged(t *testing.T) {
 	g := gen.Uniform(gen.Config{Nodes: 300, Edges: 600, Labels: testLabels, Seed: 22})
 	fr, err := fragment.Random(g, 4, 22)
@@ -251,16 +245,14 @@ func TestDriverReportsUnchanged(t *testing.T) {
 	rng := gen.NewRNG(22)
 	var qs []Query
 	for i := 0; i < 40; i++ {
-		// Few targets, so the batch groups and the session's warm path both run.
+		// Few targets, so the batch groups run.
 		qs = append(qs, Query{S: graph.NodeID(rng.Intn(300)), T: graph.NodeID(rng.Intn(3))})
 	}
-	var reach, dist, rpq, batch, session reportTally
-	se := NewSession(cl, fr)
+	var reach, dist, rpq, batch reportTally
 	for _, q := range qs {
 		reach.add(DisReach(cl, fr, q.S, q.T, nil).Report)
 		dist.add(DisDist(cl, fr, q.S, q.T, 6).Report)
 		rpq.add(DisRPQ(cl, fr, q.S, q.T, automaton.FromRegex(randomRegex(rng, 3))).Report)
-		session.add(se.Reach(q.S, q.T).Report)
 	}
 	batch.add(DisReachBatch(cl, fr, qs).Report)
 	for _, c := range []struct {
@@ -271,7 +263,6 @@ func TestDriverReportsUnchanged(t *testing.T) {
 		{"DisDist", dist, reportTally{160, 211300, 209380, 320, 0, 136260 * time.Microsecond}},
 		{"DisRPQ", rpq, reportTally{160, 93883, 82103, 320, 0, 104985996 * time.Nanosecond}},
 		{"DisReachBatch", batch, reportTally{4, 11788, 9868, 8, 0, 5105 * time.Microsecond}},
-		{"Session.Reach", session, reportTally{21, 10134, 9882, 42, 0, 26873 * time.Microsecond}},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: report tally %+v, recorded %+v", c.name, c.got, c.want)

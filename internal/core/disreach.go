@@ -68,37 +68,12 @@ func (rv *ReachPartial) at(i int) reachEq {
 	return reachEq{node: rv.nodes[i], constTrue: rv.truth[i], vars: rv.vars[rv.offs[i]:rv.offs[i+1]]}
 }
 
-// tail returns a view of the equations from index from on; it shares the
-// partial's storage.
-func (rv *ReachPartial) tail(from int) *ReachPartial {
-	return &ReachPartial{nodes: rv.nodes[from:], truth: rv.truth[from:], offs: rv.offs[from:], vars: rv.vars}
-}
-
 // Append adds the equations of more (nil: none) to the partial.
 func (rv *ReachPartial) Append(more *ReachPartial) {
 	for i := 0; i < more.NumEqs(); i++ {
 		rv.add(more.at(i))
 	}
 }
-
-// LocalEvalReach is the exported form of procedure localEval, used by the
-// MapReduce adaptation, the incremental session and the wire sites. Pass
-// s = graph.None to compute the in-node equations only (no source
-// equation). A nil opt means defaults.
-//
-// When opt.Cancel fires mid-evaluation the partial is abandoned and nil is
-// returned; callers running under cooperative cancellation must treat nil
-// as "no reply owed".
-func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *ReachPartial {
-	rv, _ := LocalEvalReachStream(f, s, t, opt, nil)
-	return rv
-}
-
-// MaxStreamChunks bounds the number of partial-equation chunks a streaming
-// local evaluation emits before the final complete answer. The netsite
-// protocol relies on this bound to size per-request reply buffers so a
-// site can never stall the coordinator's demultiplexer.
-const MaxStreamChunks = 8
 
 // NumEqs reports the number of equations in the partial (none for nil).
 func (rv *ReachPartial) NumEqs() int {
@@ -146,10 +121,10 @@ func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID
 	return Result{Answer: ans, Report: run.Finish()}
 }
 
-// LocalEvalReachStream is procedure localEval, the per-site partial
-// evaluation of Fig. 3: for every in-node v of the fragment (plus s, if s
-// is stored here) it determines which boundary nodes v can reach locally,
-// yielding the Boolean equation
+// LocalEvalReach is procedure localEval, the per-site partial evaluation of
+// Fig. 3: for every in-node v of the fragment (plus s, if s is stored here)
+// it determines which boundary nodes v can reach locally, yielding the
+// Boolean equation
 // Xv = (t reached locally) ∨ (∨ Xv' over reached boundary nodes v').
 // A boundary node equal to t contributes `true` rather than a variable
 // (lines 4-5 of the procedure).
@@ -165,18 +140,12 @@ func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID
 // With s = t = graph.None the result is the fragment's in-node rows: the
 // part of every answer that depends on the fragment alone. SourceOnlyReach
 // and TargetOnlyReach produce the rest, the part that depends on the query.
+// A nil opt means defaults.
 //
-// A non-nil emit runs the evaluation in anytime mode: as equations are
-// produced they are handed to emit in chunks (at most MaxStreamChunks
-// calls, geometrically growing so the first equations ship immediately).
-// The chunk passed to emit aliases internal storage and is only valid for
-// the duration of the call. emit returning false — or opt.Cancel firing at
-// one of its cooperative checkpoints — abandons the evaluation: the return
-// is (nil, false). Otherwise the complete partial is returned with ok=true;
-// it includes every equation already streamed (chunks are a redundant
-// prefix, sound to re-add since disjunctive equation systems are
-// idempotent under Add).
-func LocalEvalReachStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, emit func(chunk *ReachPartial) bool) (*ReachPartial, bool) {
+// When opt.Cancel fires mid-evaluation the partial is abandoned and nil is
+// returned; callers running under cooperative cancellation must treat nil
+// as "no reply owed".
+func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *ReachPartial {
 	iset := isetOf(f, s)
 	rv := &ReachPartial{
 		nodes: make([]graph.NodeID, 0, len(iset)),
@@ -184,40 +153,20 @@ func LocalEvalReachStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options,
 		offs:  make([]uint32, 1, len(iset)+1),
 	}
 	if len(iset) == 0 {
-		return rv, true
-	}
-	// flush emits the equations appended since the previous chunk. Chunk
-	// boundaries grow geometrically (1, 2, 4, ...) so the head of the
-	// evaluation ships with minimum latency while long tails stay within
-	// the MaxStreamChunks frame budget.
-	emitted, last, next := 0, 0, 1
-	flush := func() bool {
-		if emit == nil || emitted >= MaxStreamChunks || rv.NumEqs()-last < next {
-			return true
-		}
-		if !emit(rv.tail(last)) {
-			return false
-		}
-		last = rv.NumEqs()
-		emitted++
-		next *= 2
-		return true
+		return rv
 	}
 	ev := newLocalEval(f, t, opt)
 	for _, v := range iset {
 		if ev.opt.cancelled() {
-			return nil, false
+			return nil
 		}
 		eq, ok := ev.equation(v)
 		if !ok {
-			return nil, false
+			return nil
 		}
 		rv.add(eq)
-		if !flush() {
-			return nil, false
-		}
 	}
-	return rv, true
+	return rv
 }
 
 // localEval is the state of one local evaluation against target t: how the

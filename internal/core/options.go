@@ -18,8 +18,7 @@
 // Phase 2 is one file per query class (disreach.go, disdist.go, disrpq.go:
 // the LocalEval* procedures and their partial-answer types). Phases 1 and
 // 3 are written once, in assemble.go: threePhase is the driver every Dis*
-// and the session's cold start run through, and the assemble functions
-// there build the one dependency graph per query that both decides it and
+// runs through, and the assemble functions there build the one dependency graph per query that both decides it and
 // names the sites the decision depends on (touched.go says why that set is
 // what a cache may invalidate by).
 package core

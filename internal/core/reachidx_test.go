@@ -24,7 +24,7 @@ func evalAll(fr *fragment.Fragmentation, s, t graph.NodeID, opt *Options) bool {
 
 // TestLocalEvalReachThreadsOptions is the regression test for the dropped
 // options bug: LocalEvalReach used to hardcode &Options{}, so a caller's
-// options were silently ignored on the MapReduce and session paths. The
+// options were silently ignored on the MapReduce path. The
 // counting Cancel hook proves the options now reach localEval, and the
 // answers stay correct either way.
 func TestLocalEvalReachThreadsOptions(t *testing.T) {

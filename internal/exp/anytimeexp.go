@@ -15,26 +15,26 @@ func init() {
 	register("N10", anytimeFirstAnswer)
 }
 
-// anytimeFirstAnswer charts the anytime protocol's tentpole claim: when one
-// site is an order of magnitude slower than the rest, a reach query whose
-// certificate lives on the fast sites should answer at fast-site latency
-// instead of waiting the straggler out. The deployment is the two-component
-// skew topology the protocol is designed for — a chain alternating between
-// two fast fragments and an isolated chain owned entirely by the straggler —
-// so every reachable pair in the fast chain can be proven from streamed
-// partials alone. The same workload runs twice, with anytime off (full
+// anytimeFirstAnswer guards early decision: when one site is an order of
+// magnitude slower than the rest, a reach query whose certificate lives on
+// the fast sites answers at fast-site latency — decided on the fast sites'
+// replies, the straggler cancelled — instead of waiting the straggler out.
+// The deployment is the two-component skew topology built to show it — a
+// chain alternating between two fast fragments and an isolated chain owned
+// entirely by the straggler — so every reachable pair in the fast chain can
+// be proven without the straggler's reply. The same workload runs twice, with anytime off (full
 // strict rounds) and on, and the table compares first-answer percentiles.
 // Both passes must agree with the constructed ground truth on every query;
 // the anytime pass must cut first-answer p99 by at least 2x.
 func anytimeFirstAnswer(cfg Config) (Table, error) {
 	t := Table{
 		ID:     "N10",
-		Title:  "Serving N10: first-answer latency under a straggler site — anytime vs full rounds",
+		Title:  "Serving N10: a straggler site is beaten by deciding on the other sites' replies — anytime vs full rounds",
 		Header: []string{"mode", "true queries", "early terminated", "first-ans p50", "first-ans p99", "p99 speedup", "mismatches"},
 		Notes: "Two-component topology: a chain alternating between two fast sites (4ms service time) and an isolated chain owned by " +
 			"one straggler site (80ms, a 20x skew). Reachable pairs inside the fast chain have their whole certificate on the fast " +
-			"sites; with anytime on, streamed partials prove them and the round cancels the straggler, so first answer lands at " +
-			"fast-site latency. False cross-component pairs need every site's finals in both modes and serve as the mismatch " +
+			"sites; with anytime on, the fast sites' replies prove them and the round cancels the straggler, so first answer lands " +
+			"at fast-site latency. False cross-component pairs need every site's reply in both modes and serve as the mismatch " +
 			"cross-check (percentiles cover the true pairs only). The acceptance bound is a ≥2x first-answer p99 cut.",
 	}
 	const (

@@ -57,6 +57,11 @@ type Fragmentation struct {
 	// and never zero; see Fragment.Generation for what it keys.
 	instance uint64
 
+	// lsn is the last sequenced update batch this state reflects (0: none),
+	// written under the write lock of the apply it counts — so a reader
+	// holding RLock sees the LSN of exactly the state it reads; see LSN.
+	lsn uint64
+
 	// Reachability-index lifecycle (reachidx.go): the per-fragment label
 	// budget (<= 0: disabled), completed rebuild count, last/total build wall time in nanoseconds, and the
 	// WaitGroup WaitReachIndexes blocks on. Overlay auto-compaction
@@ -91,6 +96,21 @@ func (fr *Fragmentation) Partitioner() Partitioner {
 // about — a rebalanced or snapshot-installed replacement and a restarted
 // process all draw a fresh ID.
 func (fr *Fragmentation) Instance() uint64 { return fr.instance }
+
+// LSN reports the last sequenced update batch the fragmentation reflects.
+// Replica.ApplyLSN records it under the write lock of the apply itself
+// (a rejected batch takes its slot too), so a reader holding RLock gets the
+// LSN of the state it evaluates on, not of one a batch has since replaced —
+// which Replica.State, read before the lock is taken, cannot promise.
+// Callers racing sequenced updates must hold RLock.
+func (fr *Fragmentation) LSN() uint64 { return fr.lsn }
+
+// setLSN carries a replica's LSN over to a fragmentation it adopts.
+func (fr *Fragmentation) setLSN(lsn uint64) {
+	fr.mu.Lock()
+	fr.lsn = lsn
+	fr.mu.Unlock()
+}
 
 // newInstanceID draws a non-zero random instance ID.
 func newInstanceID() uint64 {

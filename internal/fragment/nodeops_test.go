@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"distreach/internal/gen"
 	"distreach/internal/graph"
@@ -287,6 +288,69 @@ func TestReplicaLSNOrder(t *testing.T) {
 	}
 	if rep.LSN() != 3 {
 		t.Fatalf("replica LSN = %d, want 3 after rejected slot", rep.LSN())
+	}
+}
+
+// TestLSNStampedUnderReadLock: the LSN a reader sees under RLock is the LSN
+// of the state it reads. With the read lock held a sequenced batch blocks
+// and the visible LSN stays the pre-batch one — where Replica.State, read
+// before the lock, would let the batch slip in between unstamped; after
+// release it is the batch's. A rejected batch takes its slot too, and a
+// rebalance and a snapshot install carry the LSN over.
+func TestLSNStampedUnderReadLock(t *testing.T) {
+	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 20, Labels: []string{"A"}, Seed: 2})
+	fr, err := Random(g, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewReplicaAt(fr, 0, 4)
+	if fr.LSN() != 4 {
+		t.Fatalf("NewReplicaAt left the fragmentation at LSN %d, want 4", fr.LSN())
+	}
+	fr.RLock()
+	applied := make(chan error, 1)
+	go func() {
+		_, _, err := rep.ApplyLSN(5, 1, []Op{{Kind: OpInsertNode, Label: "B", Frag: -1}})
+		applied <- err
+	}()
+	select {
+	case err := <-applied:
+		t.Fatalf("ApplyLSN returned (%v) while a reader held the lock", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got, live := fr.LSN(), fr.Graph().NumLive(); got != 4 || live != 10 {
+		t.Fatalf("under the read lock: LSN %d with %d live nodes, want the pre-batch 4 with 10", got, live)
+	}
+	fr.RUnlock()
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	fr.RLock()
+	if got, live := fr.LSN(), fr.Graph().NumLive(); got != 5 || live != 11 {
+		t.Fatalf("after the batch: LSN %d with %d live nodes, want 5 with 11", got, live)
+	}
+	fr.RUnlock()
+	if _, adv, err := rep.ApplyLSN(6, 2, []Op{{Kind: OpInsertEdge, U: 0, V: 9999}}); err == nil || !adv {
+		t.Fatalf("rejected batch: adv=%v err=%v, want advance with error", adv, err)
+	}
+	if fr.LSN() != 6 {
+		t.Fatalf("rejected batch left the fragmentation at LSN %d, want 6", fr.LSN())
+	}
+	if _, err := fr.Apply([]Op{{Kind: OpInsertNode, Label: "B", Frag: -1}}); err != nil || fr.LSN() != 6 {
+		t.Fatalf("unsequenced apply: err %v, LSN %d, want 6 untouched", err, fr.LSN())
+	}
+	if did, err := rep.Rebalance(1, RandomPartitioner{Seed: 9}); err != nil || !did {
+		t.Fatalf("rebalance: did=%v err=%v", did, err)
+	}
+	if next, _ := rep.Current(); next == fr || next.LSN() != 6 {
+		t.Fatalf("rebalanced fragmentation at LSN %d, want 6 carried over", next.LSN())
+	}
+	snap, err := Random(g, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Install(snap, 2, 9) || snap.LSN() != 9 {
+		t.Fatalf("installed snapshot at LSN %d, want 9", snap.LSN())
 	}
 }
 

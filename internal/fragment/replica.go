@@ -64,6 +64,7 @@ func NewReplica(fr *Fragmentation) *Replica { return NewReplicaAt(fr, 0, 0) }
 // NewReplicaAt wraps fr at the given epoch and LSN — the state recovered
 // from a snapshot plus local log replay.
 func NewReplicaAt(fr *Fragmentation, epoch, lsn uint64) *Replica {
+	fr.setLSN(lsn)
 	return &Replica{fr: fr, epoch: epoch, lsn: lsn, seqRes: make(map[uint64]appliedBatch, seqWindow)}
 }
 
@@ -136,7 +137,7 @@ func (r *Replica) ApplyLSN(lsn, nonce uint64, ops []Op) (res ApplyResult, advanc
 	if lsn != r.lsn+1 {
 		return ApplyResult{}, false, fmt.Errorf("%w (batch LSN %d, replica at %d)", ErrReplicaBehind, lsn, r.lsn)
 	}
-	res, err = r.fr.Apply(ops)
+	res, err = r.fr.applyAt(lsn, ops)
 	r.lsn = lsn
 	rec := appliedBatch{nonce: nonce, res: res}
 	if err != nil {
@@ -163,6 +164,7 @@ func (r *Replica) Install(fr *Fragmentation, epoch, lsn uint64) (installed bool)
 		return false
 	}
 	old := r.fr
+	fr.setLSN(lsn)
 	r.fr, r.epoch, r.lsn = fr, epoch, lsn
 	r.seqRes = make(map[uint64]appliedBatch, seqWindow)
 	r.seqLog = nil
@@ -215,6 +217,7 @@ func (r *Replica) Rebalance(epoch uint64, p Partitioner) (bool, error) {
 		return false, fmt.Errorf("fragment: rebalance to epoch %d: %w", epoch, err)
 	}
 	r.mu.Lock()
+	next.setLSN(r.lsn)
 	r.fr, r.epoch = next, epoch
 	r.mu.Unlock()
 	// The rebuilt fragmentation inherits the index configuration; its

@@ -26,12 +26,11 @@ import (
 //   - a node deletion cascades to its incident edges (dirtying as above)
 //     and dirties the fragment that stored the node.
 //
-// The dirty set drives invalidation everywhere: core.Session drops the
-// cached rvsets of dirtied fragments, the gateway's answer cache evicts
-// exactly the keys whose evaluation touched a dirtied fragment
+// The dirty set drives invalidation everywhere: the gateway's answer cache
+// evicts exactly the keys whose evaluation touched a dirtied fragment
 // (core/touched.go argues why "the edge's source fragment is always dirty"
 // makes that sound), the reachability indexes of dirtied fragments are
-// rebuilt, and — the fourth consumer — every dirtied fragment's Generation
+// rebuilt, and — the third consumer — every dirtied fragment's Generation
 // is bumped before the write lock is released. The wire coordinator's
 // cached boundary rows are keyed by (Fragmentation.Instance, Generation),
 // which a site compares under its read lock on every query, so there is
@@ -90,8 +89,12 @@ type ApplyResult struct {
 // nodes that are live when the batch starts, so an edge op cannot target a
 // node inserted earlier in the same batch (its ID is not known to the
 // caller anyway — it is reported in NewIDs).
-func (fr *Fragmentation) Apply(ops []Op) (ApplyResult, error) {
-	res, err := fr.applyLocked(ops)
+func (fr *Fragmentation) Apply(ops []Op) (ApplyResult, error) { return fr.applyAt(0, ops) }
+
+// applyAt is Apply for the sequenced batch lsn (0: unsequenced): the LSN is
+// recorded under the batch's own write lock, rejected or not — see LSN.
+func (fr *Fragmentation) applyAt(lsn uint64, ops []Op) (ApplyResult, error) {
+	res, err := fr.applyLocked(lsn, ops)
 	// Kick asynchronous reachability-index rebuilds for the dirtied
 	// fragments, outside the write lock (builders take the read lock).
 	// fr.frags is never reassigned after Build, so indexing it unlocked
@@ -132,9 +135,12 @@ func (fr *Fragmentation) overlayLimitLocked() int {
 	}
 }
 
-func (fr *Fragmentation) applyLocked(ops []Op) (ApplyResult, error) {
+func (fr *Fragmentation) applyLocked(lsn uint64, ops []Op) (ApplyResult, error) {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
+	if lsn != 0 {
+		fr.lsn = lsn
+	}
 	if err := fr.validateOpsLocked(ops); err != nil {
 		return ApplyResult{}, err
 	}

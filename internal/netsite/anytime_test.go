@@ -3,7 +3,6 @@ package netsite
 import (
 	"context"
 	"errors"
-	"net"
 	"runtime"
 	"slices"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"distreach/internal/automaton"
-	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
@@ -106,9 +104,6 @@ func TestAnytimeEarlyTermination(t *testing.T) {
 	if st.FirstAnswer >= slow-50*time.Millisecond {
 		t.Fatalf("first answer took %v, straggler delay is %v — no early win", st.FirstAnswer, slow)
 	}
-	if st.PartialFrames < 1 {
-		t.Fatalf("no partial frames on an early-terminated round: %+v", st)
-	}
 	if st.CancelFrames < 1 {
 		t.Fatalf("early termination must cancel the straggler: %+v", st)
 	}
@@ -151,7 +146,7 @@ func TestAnytimeEarlyTermination(t *testing.T) {
 	}
 
 	as := co.AnytimeStats()
-	if as.EarlyTerminations < 2 || as.CancelsSent < 1 || as.PartialFrames < 1 {
+	if as.EarlyTerminations < 2 || as.CancelsSent < 1 {
 		t.Fatalf("anytime counters not accumulating: %+v", as)
 	}
 	if len(as.Stragglers) != 3 || as.Stragglers[2] < 1 {
@@ -172,104 +167,6 @@ func TestAnytimeEarlyTermination(t *testing.T) {
 	}
 	if st.FirstAnswer != st.RoundTrip {
 		t.Fatalf("full rounds define FirstAnswer = RoundTrip: %+v", st)
-	}
-}
-
-// TestStreamShipsPrefixNotPartial pins what a streaming request costs on
-// the wire: on fragments emitting at least 1,024 equations each, an
-// all-reach batch of k distinct targets that runs to completion (every
-// answer is false, so nothing cancels) makes each site emit at most
-// core.MaxStreamChunks 'P' frames, and the 'P' bodies — a geometric prefix
-// of at most 255 equations per request — sum to at most half the final
-// bodies. A stream that re-ships whole partials ahead of the final costs
-// as much again as the answer.
-func TestStreamShipsPrefixNotPartial(t *testing.T) {
-	const (
-		core0   = 8000 // nodes carrying the random edges
-		nSites  = 4
-		targets = 32 // extra nodes with no in-edges: unreachable
-	)
-	b := graph.NewBuilder(core0 + targets)
-	first := b.AddNodes(core0+targets, "A")
-	rng := gen.NewRNG(23)
-	for i := 0; i < 4*core0; i++ {
-		b.AddEdge(first+graph.NodeID(rng.Intn(core0)), first+graph.NodeID(rng.Intn(core0)))
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := make([]int, core0+targets)
-	for i := range assign {
-		assign[i] = i % nSites
-	}
-	fr, err := fragment.Build(g, assign, nSites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range fr.Fragments() {
-		if n := len(f.InNodes()); n < 1024 {
-			t.Fatalf("fragment %d has %d in-nodes; the test needs >= 1024 equations per fragment", f.ID, n)
-		}
-	}
-	sites, addrs, err := ServeFragmentation(fr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, s := range sites {
-			s.Close()
-		}
-	}()
-
-	for _, k := range []int{1, 4, 32} {
-		qs := make([]BatchQuery, k)
-		for i := range qs {
-			qs[i] = BatchQuery{Class: ClassReach, S: first + graph.NodeID(i), T: first + graph.NodeID(core0+i)}
-		}
-		req, err := encodeBatchRequest(qs, batchHeader{stream: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var partialBytes, finalBytes int
-		for site, addr := range addrs {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conn.SetDeadline(time.Now().Add(10 * time.Second))
-			if _, err := writeFrame(conn, 1, kindBatch, req); err != nil {
-				t.Fatal(err)
-			}
-			frames := 0
-			for {
-				_, kind, payload, _, err := readFrame(conn)
-				if err != nil {
-					t.Fatalf("k=%d site %d: %v", k, site, err)
-				}
-				if kind == kindPartial {
-					frames++
-					partialBytes += len(payload) - answerPrefix
-					continue
-				}
-				if kind != kindAnswer {
-					t.Fatalf("k=%d site %d: frame kind %q: %s", k, site, kind, payload)
-				}
-				finalBytes += len(payload) - answerPrefix
-				break
-			}
-			conn.Close()
-			if frames > core.MaxStreamChunks {
-				t.Fatalf("k=%d site %d: %d 'P' frames, budget is %d per request", k, site, frames, core.MaxStreamChunks)
-			}
-			if frames == 0 {
-				t.Fatalf("k=%d site %d: a streaming request emitted no 'P' frame", k, site)
-			}
-		}
-		if 2*partialBytes > finalBytes {
-			t.Fatalf("k=%d: 'P' bodies sum to %d bytes, finals to %d — the stream must stay a prefix (<= half)",
-				k, partialBytes, finalBytes)
-		}
 	}
 }
 
@@ -389,7 +286,7 @@ func TestAnytimeCrossCheck(t *testing.T) {
 						trial, step, i, q.S, q.T, anyAns[i], fullAns[i], want)
 				}
 			}
-			// Mixed-class batch: the stream flag stays off, both modes run
+			// Mixed-class batch: early decision stays off, both modes run
 			// the same strict round and must agree with each other and
 			// the oracle, Touched included.
 			mixed := []BatchQuery{
@@ -413,8 +310,8 @@ func TestAnytimeCrossCheck(t *testing.T) {
 				d >= 0 && d <= mixed[1].L,
 				automaton.Eval(mirror, mixed[2].S, mixed[2].T, mixed[2].A),
 			}
-			if ast.EarlyTerminated || ast.PartialFrames != 0 {
-				t.Fatalf("trial %d step %d: a mixed-class round streamed or ended early: %+v", trial, step, ast)
+			if ast.EarlyTerminated {
+				t.Fatalf("trial %d step %d: a mixed-class round ended early: %+v", trial, step, ast)
 			}
 			for i := range mixed {
 				if anyMixed[i].Answer != wantMixed[i] || fullMixed[i].Answer != wantMixed[i] ||

@@ -17,8 +17,8 @@ import (
 )
 
 // The query frame ('B') carries one or more mixed-class queries in one
-// payload, and each site answers with a single final frame carrying one
-// partial answer per query. The per-query visit guarantee thus becomes a
+// payload, and each site answers with a single frame carrying one partial
+// answer per query. The per-query visit guarantee thus becomes a
 // per-batch guarantee over real connections: k queries over n sites cost
 // 2n frames, independent of k. A single query is a batch of one.
 //
@@ -31,10 +31,8 @@ import (
 //	  class 'b' adds: l u32
 //	  class 'q' adds: alen u32 | automaton bytes
 //
-// flags carries batchFlagStream — the coordinator invites the site to emit
-// 'P' frames ahead of the final reply, enabling anytime early termination —
-// and batchFlagTrace: the bracketed trace context is present and the site
-// records spans for the reply's span section. The rows tag names the copy of
+// flags carries batchFlagTrace: the bracketed trace context is present and
+// the site records spans for the reply's span section. The rows tag names the copy of
 // this site's boundary rows the coordinator holds (all zero: none); it and
 // the parent span are the per-site fields, patched into each site's copy of
 // the payload.
@@ -70,10 +68,6 @@ import (
 // would compute now, at the (epoch, LSN) its reply is stamped with. Nothing
 // has to tell the coordinator that its copy went stale, so nothing can be
 // lost: a stale or missing copy costs one full reply, never an answer.
-//
-// A 'P' frame carries the same reply layout, without the span section: the
-// first one of a request the query parts alone, later ones a chunk of the
-// rows (count 0). Sites only stream when they are shipping rows.
 //
 // Both codecs are hardened against hostile input (fuzzed): every count and
 // length is bounds-checked against the remaining buffer and trailing bytes
@@ -117,13 +111,10 @@ type BatchAnswer struct {
 // sections with the one optional rows section.
 const batchVersion = 5
 
-// Request flag bits. batchFlagStream asks the site to stream 'P' frames
-// ahead of the final reply; batchFlagTrace says 16 bytes of trace context
-// follow the rows tag and asks the site to record spans.
-const (
-	batchFlagStream = 1
-	batchFlagTrace  = 2
-)
+// Request flag bits. batchFlagTrace says 16 bytes of trace context follow
+// the rows tag and asks the site to record spans. Bit 1 is retired (it
+// asked for streamed 'P' frames) and rejected like any unknown bit.
+const batchFlagTrace = 2
 
 // rowsTag names one state of one fragment's boundary rows: the instance ID
 // of the fragmentation it belongs to and the fragment's generation. The
@@ -155,9 +146,9 @@ func readRowsTag(r *oplog.Cursor) (t rowsTag, err error) {
 // IDs — its spans hang off the coordinator's rpc span implicitly — but they
 // make a captured frame attributable to its trace.
 type batchHeader struct {
-	stream, traced bool
-	rows           rowsTag
-	traceID, span  uint64
+	traced        bool
+	rows          rowsTag
+	traceID, span uint64
 }
 
 // maxBatch bounds the declared per-payload query count against hostile
@@ -202,9 +193,6 @@ func readBlob(r *oplog.Cursor) ([]byte, error) {
 // encodeBatchRequest packs a mixed-class query batch into one payload.
 func encodeBatchRequest(qs []BatchQuery, h batchHeader) ([]byte, error) {
 	b := []byte{batchVersion, 0}
-	if h.stream {
-		b[1] |= batchFlagStream
-	}
 	b = append(b, make([]byte, rowsTagSize)...)
 	h.rows.put(b[tagOffset:])
 	if h.traced {
@@ -259,10 +247,9 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 	if err != nil {
 		return nil, h, err
 	}
-	if flags&^byte(batchFlagStream|batchFlagTrace) != 0 {
+	if flags&^byte(batchFlagTrace) != 0 {
 		return nil, h, fmt.Errorf("netsite: unknown batch flags %#x", flags)
 	}
-	h.stream = flags&batchFlagStream != 0
 	if h.rows, err = readRowsTag(r); err != nil {
 		return nil, h, err
 	}
@@ -321,18 +308,16 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 	return qs, h, nil
 }
 
-// batchReply is the decoded body of a query reply or of a 'P' frame.
-// hasRows is false when the site shipped none (its fragment matches the
+// batchReply is the decoded body of a query reply. hasRows is false when the site shipped none (its fragment matches the
 // request's tag, or the batch has no reach query).
 type batchReply struct {
 	hasRows bool
 	tag     rowsTag
-	rows    []byte   // the fragment's marshaled in-node rows, or a chunk of them
+	rows    []byte   // the fragment's marshaled in-node rows
 	parts   [][]byte // per batched query: its marshaled partial (empty: nothing to add)
 }
 
-// encodeBatchReply appends the reply to b (a query answer's span section;
-// nil for a 'P' frame).
+// encodeBatchReply appends the reply to b (the query answer's span section).
 func encodeBatchReply(b []byte, rep batchReply) []byte {
 	size := 1 + 1 + 4 // version, rows flag, query count
 	if rep.hasRows {
@@ -403,17 +388,17 @@ func decodeBatchReply(p []byte) (rep batchReply, err error) {
 
 // Batch evaluates a mixed-class query batch in one wire round: exactly one
 // request frame per site carries the whole batch, each site evaluates it
-// against its fragment in one pass and answers with one final frame
-// carrying a partial per query, and the coordinator demultiplexes and
+// against its fragment in one pass and answers with one frame carrying a
+// partial per query, and the coordinator demultiplexes and
 // solves each query from its partials. The returned WireStats covers the
 // whole batch: FramesSent equals the site count — independent of len(qs) —
 // which is the per-batch form of the paper's visit bound.
 //
 // This is the only query path: Reach, ReachWithin and ReachRegex are
 // batches of one. With anytime on and every wire query a reach query, the
-// round streams partial replies and returns the moment they prove every
-// query true, cancelling the remaining sites; otherwise it waits for every
-// site's final frame (see SetAnytime).
+// round returns the moment the replies in hand prove every query true,
+// cancelling the remaining sites; otherwise it waits for every site's reply
+// (see SetAnytime).
 //
 // Queries that short-circuit locally (s == t, or a non-positive distance
 // bound) are answered without touching the wire; a batch of only such
@@ -461,29 +446,29 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 	if len(wire) == 0 {
 		return answers, WireStats{}, nil
 	}
-	// Strict mode is a policy of the one round, not another round: the
-	// stream flag stays off, and with it early decision — every final is
-	// waited out. The flag is computed, not chosen: anytime on and every
-	// wire query a reach query (distance and regex partials have no
-	// incremental solver, so such a round could never be decided early).
+	// Strict mode is a policy of the one round, not another round: early
+	// decision stays off and every reply is waited out. Early decision is
+	// computed, not chosen: anytime on and every wire query a reach query
+	// (distance and regex partials have no incremental solver, so such a
+	// round could never be decided early).
 	name := "batch"
 	reachOnly := true
 	for _, q := range wire {
 		reachOnly = reachOnly && q.Class == ClassReach
 	}
-	h := batchHeader{stream: reachOnly && c.anytime.Load()}
 	if len(wire) == 1 {
 		name = classLabel(wire[0].Class)
 	}
+	var h batchHeader
 	qt := c.newQueryTrace(name)
 	if qt != nil {
 		h.traced, h.traceID = true, qt.id
 	}
-	sol := &batchSolver{wire: wire, reachOnly: reachOnly, cache: c.rows, early: h.stream}
+	sol := &batchSolver{wire: wire, reachOnly: reachOnly, cache: c.rows, early: reachOnly && c.anytime.Load()}
 	var st WireStats
 	payload, err := encodeBatchRequest(wire, h)
 	if err == nil {
-		st, err = c.streamRound(ctx, payload, h.stream, sol, qt)
+		st, err = c.queryRound(ctx, payload, sol, qt)
 	}
 	if err == nil {
 		solveStart := time.Now()
@@ -518,36 +503,34 @@ type siteRows struct {
 	rv  *core.ReachPartial
 }
 
-// batchSolver turns one round attempt's reply frames into answers. Reach
-// queries are fed, frame by frame, into one incremental equation system
-// per distinct target (bes.Add keeps the least solution up to date,
-// bes.Decide is O(1)): a site's rows — shipped in its reply, or the copy
-// the coordinator held when the request was posted — and every query part
-// are added exactly once, whether the round ends early or runs to
-// completion. A positive certificate is a closed chain of equations, each a
-// sound implication at the round's (epoch, LSN), so no absent site can
-// retract it; proving false requires every site's complete equations, i.e.
-// all final frames. Distance and regex parts have no incremental solver:
-// their bytes are kept per site and solved once, in finish, when the last
-// final is in.
+// batchSolver turns one round attempt's replies into answers. Reach queries
+// are fed, reply by reply, into one incremental equation system per
+// distinct target (bes.Add keeps the least solution up to date, bes.Decide
+// is O(1)): a site's rows — shipped in its reply, or the copy the
+// coordinator held when the request was posted — and its query parts.
+// A positive certificate is a closed chain of equations, each a sound
+// implication at the round's (epoch, LSN), so no absent site can retract
+// it; proving false requires every site's equations, i.e. all replies.
+// Distance and regex parts have no incremental solver: their bytes are
+// kept per site and solved once, in finish, when the last reply is in.
 type batchSolver struct {
 	wire      []BatchQuery
 	reachOnly bool                       // no distance or regex query among them
 	cache     []atomic.Pointer[siteRows] // the coordinator's, one slot per site
-	early     bool                       // streaming round: report it decided once every query is proved
+	early     bool                       // report the round decided once every query is proved
 
 	// Per attempt. held[i] is the copy whose tag the request to site i
 	// carried (nil: none) — captured at post time, so the round never
 	// swaps in a copy a concurrent round stored later, whose tag the site
-	// did not compare. Held rows join the systems only when site i's final
+	// did not compare. Held rows join the systems only when site i's reply
 	// says, at the round's pinned state, that they are still its rows.
 	held  []*siteRows
-	rows  []obs.RowsOutcome                          // what each site's final did about its rows
+	rows  []obs.RowsOutcome                          // what each site's reply did about its rows
 	sys   map[graph.NodeID]*bes.System[graph.NodeID] // per reach target: answers and Touched sets
 	parts [][][]byte                                 // per site, per query: dist/rpq partial bytes
 }
 
-// reset discards everything fed so far; streamRound calls it before each
+// reset discards everything fed so far; queryRound calls it before each
 // attempt, so equations only ever accumulate from one deployment state.
 func (b *batchSolver) reset() {
 	b.sys = make(map[graph.NodeID]*bes.System[graph.NodeID])
@@ -562,8 +545,7 @@ func (b *batchSolver) reset() {
 }
 
 // addReach decodes one marshaled query part for target t and feeds it to
-// t's system as site's contribution. Re-adding a streamed part is sound:
-// disjunctive systems are idempotent under Add.
+// t's system as site's contribution.
 func (b *batchSolver) addReach(t graph.NodeID, site int, data []byte) error {
 	rv := new(core.ReachPartial)
 	if err := rv.UnmarshalBinary(data); err != nil {
@@ -573,37 +555,33 @@ func (b *batchSolver) addReach(t graph.NodeID, site int, data []byte) error {
 	return nil
 }
 
-// feed consumes one reply body — a 'P' frame or a site's final — and
-// reports whether every query of the round is now decided.
-func (b *batchSolver) feed(site int, body []byte, final bool) (bool, error) {
+// feed consumes one site's reply body and reports whether every query of
+// the round is now decided.
+func (b *batchSolver) feed(site int, body []byte) (bool, error) {
 	rep, err := decodeBatchReply(body)
 	if err != nil {
 		return false, fmt.Errorf("netsite: site %d reply: %w", site, err)
 	}
-	if len(rep.parts) != len(b.wire) && (final || len(rep.parts) != 0) {
+	if len(rep.parts) != len(b.wire) {
 		return false, fmt.Errorf("netsite: site %d answered %d of %d batch queries", site, len(rep.parts), len(b.wire))
 	}
+	b.parts[site] = rep.parts
 	var rows *core.ReachPartial
-	if rep.hasRows {
+	switch {
+	case len(b.sys) == 0:
+		// No reach query: rows neither needed nor kept.
+	case rep.hasRows:
 		rows = new(core.ReachPartial)
 		if err := rows.UnmarshalBinary(rep.rows); err != nil {
 			return false, fmt.Errorf("netsite: site %d rows: %w", site, err)
 		}
-	}
-	if final {
-		b.parts[site] = rep.parts
-		switch {
-		case len(b.sys) == 0:
-			rows = nil // no reach query: rows neither needed nor kept
-		case rows != nil:
-			b.rows[site] = obs.RowsMiss
-			b.cache[site].Store(&siteRows{tag: rep.tag, rv: rows})
-		case b.held[site] == nil:
-			return false, fmt.Errorf("netsite: site %d left out rows the coordinator does not hold", site)
-		default:
-			b.rows[site] = obs.RowsHit
-			rows = b.held[site].rv
-		}
+		b.rows[site] = obs.RowsMiss
+		b.cache[site].Store(&siteRows{tag: rep.tag, rv: rows})
+	case b.held[site] == nil:
+		return false, fmt.Errorf("netsite: site %d left out rows the coordinator does not hold", site)
+	default:
+		b.rows[site] = obs.RowsHit
+		rows = b.held[site].rv
 	}
 	// The rows serve every target; each query part its own.
 	for _, sys := range b.sys {

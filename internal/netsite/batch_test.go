@@ -275,7 +275,7 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	}
 	// Round trips survive intact, including empty batches and empty parts.
 	qs := []BatchQuery{{Class: ClassDist, S: 5, T: 9, L: 3}, {Class: ClassReach, S: 0, T: 1}}
-	hdr := batchHeader{stream: true, traced: true, rows: rowsTag{0xABCD, 17}, traceID: 0xDEADBEEF, span: 2}
+	hdr := batchHeader{traced: true, rows: rowsTag{0xABCD, 17}, traceID: 0xDEADBEEF, span: 2}
 	enc, err := encodeBatchRequest(qs, hdr)
 	if err != nil {
 		t.Fatal(err)

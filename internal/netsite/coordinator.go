@@ -12,7 +12,6 @@ import (
 
 	"distreach/internal/automaton"
 	"distreach/internal/bes"
-	"distreach/internal/core"
 	"distreach/internal/graph"
 	"distreach/internal/obs"
 	"distreach/internal/oplog"
@@ -32,8 +31,9 @@ var ErrEpochSplit = errors.New("netsite: sites answered from different states")
 // assembling the returned partial answers. It is safe for concurrent use,
 // and concurrent queries are multiplexed over the same connections: each
 // query round is tagged with a request ID, sites answer in whatever order
-// they finish, and a per-connection reader demultiplexes replies back to
-// the waiting queries. Many queries can be in flight at once.
+// they finish, and a per-connection reader demultiplexes each reply into
+// the channel of the round that posted the request. Many queries can be in
+// flight at once.
 //
 // Updates are sequenced: every batch draws a monotonic LSN from the
 // coordinator's sequencer (an in-memory one by default; UseSequencer
@@ -66,8 +66,8 @@ type Coordinator struct {
 	// entry is current.
 	rows []atomic.Pointer[siteRows]
 
-	// anytime enables streaming partial replies and early termination for
-	// reach-only rounds (default on; see SetAnytime).
+	// anytime enables early termination of reach-only rounds (default on;
+	// see SetAnytime).
 	anytime atomic.Bool
 	any     anytimeCounters
 
@@ -162,24 +162,20 @@ func (c *Coordinator) finishTrace(qt *qtrace, st *WireStats, err error) {
 type anytimeCounters struct {
 	earlyTerms atomic.Int64
 	cancels    atomic.Int64
-	partials   atomic.Int64
 	stragglers []atomic.Int64
 }
 
 // AnytimeStats is a snapshot of the anytime-protocol counters since the
 // coordinator was dialed.
 type AnytimeStats struct {
-	// EarlyTerminations counts rounds answered before every site's final
-	// frame arrived.
+	// EarlyTerminations counts rounds answered before every site's reply
+	// arrived.
 	EarlyTerminations int64
 	// CancelsSent counts 'C' frames written (early terminations, aborted
 	// split rounds, and context cancellations all cancel their stragglers).
 	CancelsSent int64
-	// PartialFrames counts 'P' frames received and fed to the incremental
-	// solver.
-	PartialFrames int64
 	// Stragglers counts, per site, the rounds decided before that site's
-	// final arrived — a per-site straggler histogram: a site that dominates
+	// reply arrived — a per-site straggler histogram: a site that dominates
 	// it is the one slowing full rounds down.
 	Stragglers []int64
 }
@@ -189,7 +185,6 @@ func (c *Coordinator) AnytimeStats() AnytimeStats {
 	st := AnytimeStats{
 		EarlyTerminations: c.any.earlyTerms.Load(),
 		CancelsSent:       c.any.cancels.Load(),
-		PartialFrames:     c.any.partials.Load(),
 		Stragglers:        make([]int64, len(c.any.stragglers)),
 	}
 	for i := range c.any.stragglers {
@@ -198,12 +193,11 @@ func (c *Coordinator) AnytimeStats() AnytimeStats {
 	return st
 }
 
-// SetAnytime toggles anytime answers: streaming partial replies, early
-// termination the moment accumulated equations prove every reach query of
-// a round true, and cross-site cancellation of the remaining evaluation.
-// On by default. Off, the same round runs strict — no stream flag, and
-// every site's final frame is waited out even when the answer is already
-// decided; byte-accounting tests and latency baselines use that mode.
+// SetAnytime toggles anytime answers: a reach-only round returns the moment
+// the replies in hand prove every query true, and cancels the sites still
+// evaluating. On by default. Off, the same round runs strict — every
+// site's reply is waited out even when the answer is already decided;
+// byte-accounting tests and latency baselines use that mode.
 func (c *Coordinator) SetAnytime(on bool) { c.anytime.Store(on) }
 
 // Anytime reports whether anytime answers are enabled.
@@ -226,39 +220,31 @@ const (
 	redialMax = 2 * time.Second
 )
 
-// wireReply is one demultiplexed response frame.
-type wireReply struct {
+// siteFrame is the one response to a request: the frame the demultiplexer
+// routed to it or, with err set, the failure that took the connection down
+// before one arrived.
+type siteFrame struct {
+	site    int
 	kind    byte
 	payload []byte
 	n       int // bytes read off the wire for this frame
-}
-
-// maxPartialBuffer sizes the per-request partial-frame buffer. Sites bound
-// themselves to core.MaxStreamChunks 'P' frames per request; the slack
-// absorbs a misbehaving site without ever blocking the demultiplexer —
-// overflowing partials are dropped, which is always sound (the final
-// answer frame carries the complete partial).
-const maxPartialBuffer = 2 * core.MaxStreamChunks
-
-// pendingReq is one in-flight request in a connection's pending table. The
-// final channel (capacity 1) receives the single 'R' or 'E' frame — or is
-// closed when the connection is lost. parts, non-nil only for streaming
-// requests, receives 'P' frames; the read loop never blocks on it (see
-// maxPartialBuffer).
-type pendingReq struct {
-	final chan wireReply
-	parts chan wireReply
+	err     error
 }
 
 // siteConn is one multiplexed connection to a worker site: a write mutex
-// serializes outgoing frames, a reader goroutine routes response frames to
-// the pending query that posted the matching request ID. When the reader
+// serializes outgoing frames, a reader goroutine routes each response frame
+// to the round that posted the matching request ID. A request gets exactly
+// one response, so the pending table maps its ID straight to the round's
+// reply channel, which the round sizes to hold one frame per request it
+// posts on it: the reader never blocks on a round, and a round that has
+// stopped listening strands nothing but a buffered value. When the reader
 // stops (connection dropped, site closed, corrupt frame) every pending
 // query fails promptly with the cause — in-flight queries never hang —
 // and a background redial loop reconnects with bounded exponential
 // backoff; queries posted while the link is down fail fast with the last
 // error.
 type siteConn struct {
+	site    int // index among the coordinator's connections
 	addr    string
 	timeout time.Duration // dial timeout, initial and redial
 	done    chan struct{} // closed by Coordinator.Close; stops redialing
@@ -275,19 +261,20 @@ type siteConn struct {
 
 	mu        sync.Mutex
 	conn      net.Conn // nil while the link is down
-	pending   map[uint32]*pendingReq
+	pending   map[uint32]chan<- siteFrame
 	err       error // last failure; nil while connected
 	closed    bool
 	redialing bool
 }
 
-func newSiteConn(addr string, conn net.Conn, timeout time.Duration) *siteConn {
+func newSiteConn(site int, addr string, conn net.Conn, timeout time.Duration) *siteConn {
 	sc := &siteConn{
+		site:    site,
 		addr:    addr,
 		timeout: timeout,
 		done:    make(chan struct{}),
 		conn:    conn,
-		pending: make(map[uint32]*pendingReq),
+		pending: make(map[uint32]chan<- siteFrame),
 	}
 	go sc.readLoop(conn)
 	return sc
@@ -302,12 +289,8 @@ func (sc *siteConn) readLoop(conn net.Conn) {
 		}
 		sc.bytesReceived.Add(int64(n))
 		sc.mu.Lock()
-		pr, ok := sc.pending[id]
-		if ok && kind != kindPartial {
-			// Only the final frame retires the entry: a streaming request
-			// stays pending across its 'P' frames.
-			delete(sc.pending, id)
-		}
+		replies, ok := sc.pending[id]
+		delete(sc.pending, id)
 		sc.mu.Unlock()
 		if !ok {
 			// A reply with no pending query is dropped: its query already
@@ -315,29 +298,17 @@ func (sc *siteConn) readLoop(conn net.Conn) {
 			// after an early decision — late frames drain here.
 			continue
 		}
-		if kind == kindPartial {
-			if pr.parts != nil {
-				// Never block the demultiplexer on a slow waiter: partials
-				// are advisory (the final frame is complete), so overflow
-				// drops are sound.
-				select {
-				case pr.parts <- wireReply{kind: kind, payload: payload, n: n}:
-				default:
-				}
-			}
-			continue
-		}
-		// The final channel has capacity 1 and the entry was just deleted,
-		// so this send can never block: at most one final frame is ever
-		// routed to a request.
-		pr.final <- wireReply{kind: kind, payload: payload, n: n}
+		// Whatever the kind: the round, not the reader, decides what an
+		// unexpected one means. The entry was just deleted and the channel
+		// has room for this request's one frame, so the send cannot block.
+		replies <- siteFrame{site: sc.site, kind: kind, payload: payload, n: n}
 	}
 }
 
-// lost records a connection failure, wakes every pending query (a closed
-// reply channel tells the waiter to read sc.err), and starts the redial
-// loop. Stale incarnations (a write error racing the reader's own
-// failure) are ignored.
+// lost records a connection failure, fails every pending request with it
+// (the error takes the place of the frame), and starts the redial loop.
+// Stale incarnations (a write error racing the reader's own failure) are
+// ignored.
 func (sc *siteConn) lost(conn net.Conn, err error) {
 	conn.Close()
 	sc.mu.Lock()
@@ -348,14 +319,14 @@ func (sc *siteConn) lost(conn net.Conn, err error) {
 	sc.conn = nil
 	sc.err = err
 	pend := sc.pending
-	sc.pending = make(map[uint32]*pendingReq)
+	sc.pending = make(map[uint32]chan<- siteFrame)
 	redial := !sc.closed && !sc.redialing
 	if redial {
 		sc.redialing = true
 	}
 	sc.mu.Unlock()
-	for _, pr := range pend {
-		close(pr.final)
+	for _, replies := range pend {
+		replies <- siteFrame{site: sc.site, err: err}
 	}
 	if redial {
 		go sc.redial()
@@ -401,19 +372,15 @@ func (sc *siteConn) redial() {
 	}
 }
 
-// post registers id in the pending table and sends the request frame. The
-// registration happens before the write so a fast reply can never race
-// past its waiter. A streaming post additionally allocates the partial
-// buffer, inviting the site to emit 'P' frames ahead of the final answer.
-func (sc *siteConn) post(id uint32, kind byte, payload []byte, stream bool) (*pendingReq, int, error) {
-	pr := &pendingReq{final: make(chan wireReply, 1)}
-	if stream {
-		pr.parts = make(chan wireReply, maxPartialBuffer)
-	}
+// post registers id in the pending table and sends the request frame; it
+// reports the bytes written. The one response — or the connection's failure
+// — is delivered on replies, which must have room for it. The registration
+// happens before the write so a fast reply can never race past its waiter.
+func (sc *siteConn) post(id uint32, kind byte, payload []byte, replies chan<- siteFrame) (int, error) {
 	sc.mu.Lock()
 	if sc.closed {
 		sc.mu.Unlock()
-		return nil, 0, fmt.Errorf("coordinator closed")
+		return 0, fmt.Errorf("coordinator closed")
 	}
 	if sc.conn == nil {
 		err := sc.err
@@ -421,10 +388,10 @@ func (sc *siteConn) post(id uint32, kind byte, payload []byte, stream bool) (*pe
 		if err == nil {
 			err = fmt.Errorf("connection down")
 		}
-		return nil, 0, err
+		return 0, err
 	}
 	conn := sc.conn
-	sc.pending[id] = pr
+	sc.pending[id] = replies
 	sc.mu.Unlock()
 	sc.wmu.Lock()
 	n, err := writeFrame(conn, id, kind, payload)
@@ -434,10 +401,10 @@ func (sc *siteConn) post(id uint32, kind byte, payload []byte, stream bool) (*pe
 		// length-prefixed stream: poison this incarnation rather than let
 		// later queries parse garbage. The redial loop takes it from here.
 		sc.lost(conn, err)
-		return nil, 0, err
+		return 0, err
 	}
 	sc.bytesSent.Add(int64(n))
-	return pr, n, nil
+	return n, nil
 }
 
 // drop abandons a pending request (context deadline, cancellation, or an
@@ -479,17 +446,6 @@ func (sc *siteConn) pendingCount() int {
 	return len(sc.pending)
 }
 
-// lastErr reports why a pending request was woken without a reply: the
-// failure that took the link down.
-func (sc *siteConn) lastErr() error {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.err == nil {
-		return fmt.Errorf("connection closed")
-	}
-	return sc.err
-}
-
 // close tears the connection down for good: no redial, pending queries
 // fail. Safe to call more than once.
 func (sc *siteConn) close() error {
@@ -505,11 +461,12 @@ func (sc *siteConn) close() error {
 	if sc.err == nil {
 		sc.err = fmt.Errorf("coordinator closed")
 	}
+	err := sc.err
 	pend := sc.pending
-	sc.pending = make(map[uint32]*pendingReq)
+	sc.pending = make(map[uint32]chan<- siteFrame)
 	sc.mu.Unlock()
-	for _, pr := range pend {
-		close(pr.final)
+	for _, replies := range pend {
+		replies <- siteFrame{site: sc.site, err: err}
 	}
 	if conn != nil {
 		return conn.Close()
@@ -530,7 +487,7 @@ func Dial(addrs []string, timeout time.Duration) (*Coordinator, error) {
 			c.Close()
 			return nil, fmt.Errorf("netsite: dial %s: %w", a, err)
 		}
-		c.conns = append(c.conns, newSiteConn(a, conn, timeout))
+		c.conns = append(c.conns, newSiteConn(len(c.conns), a, conn, timeout))
 	}
 	c.siteLSNs = make([]atomic.Uint64, len(c.conns))
 	c.rows = make([]atomic.Pointer[siteRows], len(c.conns))
@@ -612,31 +569,30 @@ func (c *Coordinator) Close() error {
 // whole batch round; see Coordinator.Batch).
 type WireStats struct {
 	BytesSent      int64         // query frames to all sites (cancel frames included)
-	BytesReceived  int64         // partial-answer frames ('P' frames included)
+	BytesReceived  int64         // partial-answer frames
 	FramesSent     int64         // request frames; one per site per round
-	FramesReceived int64         // final response frames; at most one per site per round
+	FramesReceived int64         // response frames; at most one per site per round
 	RoundTrip      time.Duration // slowest site's post+reply wall time
 
-	// PartialFrames counts streamed 'P' frames received (anytime rounds
-	// only); CancelFrames counts 'C' frames sent. Neither is included in
-	// FramesSent/FramesReceived, which keep their one-per-site-per-round
-	// meaning.
+	// PartialFrames always reads 0: benchmark/wire.go is its last reader.
 	PartialFrames int64
-	CancelFrames  int64
+	// CancelFrames counts 'C' frames sent; they are not included in
+	// FramesSent, which keeps its one-per-site-per-round meaning.
+	CancelFrames int64
 
 	// FirstAnswer is the elapsed time until the answer was determined: for
-	// an anytime round, the instant accumulated partials proved it (before
-	// the stragglers' finals); otherwise it equals RoundTrip. Across
-	// retried rounds it accumulates like RoundTrip.
+	// an anytime round, the instant the replies in hand proved it (before
+	// the stragglers'); otherwise it equals RoundTrip. Across retried
+	// rounds it accumulates like RoundTrip.
 	FirstAnswer time.Duration
 
 	// EarlyTerminated reports that the round was answered before every
-	// site's final frame arrived (the remaining sites were cancelled).
+	// site's reply arrived (the remaining sites were cancelled).
 	EarlyTerminated bool
 
-	// RowsReplies counts the sites whose final carried their fragment's
+	// RowsReplies counts the sites whose reply carried their fragment's
 	// boundary rows — the coordinator held none for them, or a copy from
-	// before the fragment last changed. The other finals of a reach round
+	// before the fragment last changed. The other replies of a reach round
 	// carried the query part only. Across retried rounds it accumulates.
 	RowsReplies int64
 
@@ -672,7 +628,6 @@ func (st *WireStats) add(o WireStats) {
 	st.FramesSent += o.FramesSent
 	st.FramesReceived += o.FramesReceived
 	st.RoundTrip += o.RoundTrip
-	st.PartialFrames += o.PartialFrames
 	st.CancelFrames += o.CancelFrames
 	st.FirstAnswer += o.FirstAnswer
 	st.RowsReplies += o.RowsReplies
@@ -681,9 +636,9 @@ func (st *WireStats) add(o WireStats) {
 	st.LSN = o.LSN
 }
 
-// siteResult is one site's outcome in a control round: either an answer
-// (body + the state tag it carried) or an error. appErr distinguishes an
-// error *reply* from the site (the frame arrived, the site refused) from a
+// siteResult is one site's outcome in a round: either an answer (body +
+// the state tag it carried) or an error. appErr distinguishes an error
+// *reply* from the site (the frame arrived, the site refused) from a
 // connection-level failure (the site never saw or never answered the
 // frame).
 type siteResult struct {
@@ -694,107 +649,107 @@ type siteResult struct {
 	appErr  bool
 }
 
-// await waits for the single response frame of a request posted to site i
-// and parses its state tag — the reply half shared by roundtripAll and
-// postOne. It also reports the frame's size on the wire.
-func (c *Coordinator) await(ctx context.Context, i int, id uint32, pr *pendingReq) (res siteResult, n int) {
-	sc := c.conns[i]
-	var r wireReply
-	var ok bool
-	select {
-	case r, ok = <-pr.final:
-	case <-ctx.Done():
-		sc.drop(id)
-		res.err = fmt.Errorf("site %d: %w", i, ctx.Err())
-		return res, 0
-	}
-	if !ok {
-		res.err = fmt.Errorf("site %d: %w", i, sc.lastErr())
-		return res, 0
+// answerOf reads one delivered siteFrame as the site's outcome, parsing the
+// state tag off an answer — shared by the query round and the control
+// round. Any kind but 'R' and 'E' is an error naming it.
+func (c *Coordinator) answerOf(f siteFrame) (res siteResult) {
+	if f.err != nil {
+		res.err = fmt.Errorf("site %d: %w", f.site, f.err)
+		return res
 	}
 	res.appErr = true
 	switch {
-	case r.kind == kindError:
-		res.err = fmt.Errorf("site %d: %s", i, r.payload)
-	case r.kind != kindAnswer:
-		res.err = fmt.Errorf("site %d: unexpected frame kind %q", i, r.kind)
-	case len(r.payload) < answerPrefix:
-		res.err = fmt.Errorf("site %d: answer of %d bytes lacks the state tag", i, len(r.payload))
+	case f.kind == kindError:
+		res.err = fmt.Errorf("site %d: %s", f.site, f.payload)
+	case f.kind != kindAnswer:
+		res.err = fmt.Errorf("site %d: unexpected frame kind %q", f.site, f.kind)
+	case len(f.payload) < answerPrefix:
+		res.err = fmt.Errorf("site %d: answer of %d bytes lacks the state tag", f.site, len(f.payload))
 	default:
 		res.appErr = false
-		res.epoch = binary.LittleEndian.Uint64(r.payload)
-		res.lsn = binary.LittleEndian.Uint64(r.payload[8:])
-		res.payload = r.payload[answerPrefix:]
-		c.noteSiteLSN(i, res.lsn)
+		res.epoch = binary.LittleEndian.Uint64(f.payload)
+		res.lsn = binary.LittleEndian.Uint64(f.payload[8:])
+		res.payload = f.payload[answerPrefix:]
+		c.noteSiteLSN(f.site, res.lsn)
 	}
-	return res, r.n
+	return res
 }
 
-// roundtripAll is the control-plane round ('U', 'R', 'S' frames): it posts
-// one frame to every site in parallel and collects one response from each,
-// reporting per-site outcomes, so callers that can tolerate individual
-// failures (sequenced updates, whose log re-delivers to laggards) inspect
-// the slice. Unlike a query round it enforces no state agreement between
-// the replies and never cancels a site on another's failure — which is
-// why it is not the query round with a flag. Concurrent rounds interleave
-// freely: each draws a fresh request ID and waits only on its own replies.
-// A context deadline or cancellation abandons the round promptly.
-func (c *Coordinator) roundtripAll(ctx context.Context, kind byte, payload []byte) ([]siteResult, WireStats) {
+// exchange is the control-plane round ('U', 'R', 'S' frames): it posts one
+// frame to each of the given sites and collects one response from each,
+// reporting per-site outcomes indexed by site, so callers that can tolerate
+// individual failures (sequenced updates, whose log re-delivers to
+// laggards) inspect the slice. Unlike a query round it enforces no state
+// agreement between the replies and never cancels a site on another's
+// failure — which is why it is not the query round with a flag. Concurrent
+// rounds interleave freely: each draws a fresh request ID and its own reply
+// channel. A context deadline or cancellation abandons the round promptly.
+func (c *Coordinator) exchange(ctx context.Context, kind byte, payload []byte, sites ...int) ([]siteResult, WireStats) {
 	id := c.nextID.Add(1)
 	start := time.Now()
 	results := make([]siteResult, len(c.conns))
-	var sent, recv, fsent, frecv atomic.Int64
-	var wg sync.WaitGroup
-	for i, sc := range c.conns {
-		wg.Add(1)
-		go func(i int, sc *siteConn) {
-			defer wg.Done()
-			pr, n, err := sc.post(id, kind, payload, false)
-			if err != nil {
-				results[i].err = fmt.Errorf("site %d: %w", i, err)
-				return
-			}
-			sent.Add(int64(n))
-			fsent.Add(1)
-			results[i], n = c.await(ctx, i, id, pr)
-			if results[i].err == nil {
-				recv.Add(int64(n))
-				frecv.Add(1)
-			}
-		}(i, sc)
+	var st WireStats
+	replies := make(chan siteFrame, len(sites))
+	owed := make([]bool, len(c.conns)) // posted, response not yet in
+	waiting := 0
+	for _, i := range sites {
+		n, err := c.conns[i].post(id, kind, payload, replies)
+		if err != nil {
+			results[i].err = fmt.Errorf("site %d: %w", i, err)
+			continue
+		}
+		st.BytesSent += int64(n)
+		st.FramesSent++
+		owed[i] = true
+		waiting++
 	}
-	wg.Wait()
-	return results, WireStats{
-		BytesSent:      sent.Load(),
-		BytesReceived:  recv.Load(),
-		FramesSent:     fsent.Load(),
-		FramesReceived: frecv.Load(),
-		RoundTrip:      time.Since(start),
+	for waiting > 0 {
+		select {
+		case f := <-replies:
+			if !owed[f.site] {
+				continue // a failed post's connection loss, already reported
+			}
+			owed[f.site] = false
+			waiting--
+			if results[f.site] = c.answerOf(f); results[f.site].err == nil {
+				st.BytesReceived += int64(f.n)
+				st.FramesReceived++
+			}
+		case <-ctx.Done():
+			for i, o := range owed {
+				if o {
+					c.conns[i].drop(id)
+					results[i].err = fmt.Errorf("site %d: %w", i, ctx.Err())
+				}
+			}
+			waiting = 0
+		}
 	}
+	st.RoundTrip = time.Since(start)
+	return results, st
 }
 
-// postOne posts one frame to a single site and waits for its response —
-// the per-site form of roundtripAll used by catch-up replication, whose
-// replay payloads differ per site.
+// roundtripAll is exchange with every site.
+func (c *Coordinator) roundtripAll(ctx context.Context, kind byte, payload []byte) ([]siteResult, WireStats) {
+	all := make([]int, len(c.conns))
+	for i := range all {
+		all[i] = i
+	}
+	return c.exchange(ctx, kind, payload, all...)
+}
+
+// postOne is exchange with a single site — the form catch-up replication
+// uses, whose replay payloads differ per site. A non-nil st accumulates the
+// exchange's wire accounting.
 func (c *Coordinator) postOne(ctx context.Context, site int, kind byte, payload []byte, st *WireStats) ([]byte, error) {
 	if site < 0 || site >= len(c.conns) {
 		return nil, fmt.Errorf("netsite: site %d out of range [0,%d)", site, len(c.conns))
 	}
-	id := c.nextID.Add(1)
-	pr, n, err := c.conns[site].post(id, kind, payload, false)
-	if err != nil {
-		return nil, fmt.Errorf("site %d: %w", site, err)
-	}
+	results, rst := c.exchange(ctx, kind, payload, site)
 	if st != nil {
-		st.BytesSent += int64(n)
-		st.FramesSent++
+		st.add(rst)
 	}
-	res, n := c.await(ctx, site, id, pr)
-	if res.err == nil && st != nil {
-		st.BytesReceived += int64(n)
-		st.FramesReceived++
-	}
-	return res.payload, res.err
+	return results[site].payload, results[site].err
 }
 
 // one runs a single query as a batch of one, folding the query's Touched
@@ -814,9 +769,9 @@ func (c *Coordinator) Reach(s, t graph.NodeID) (bool, WireStats, error) {
 }
 
 // ReachContext is Reach honoring a context deadline or cancellation. With
-// anytime enabled (the default) the round streams partial replies and may
-// return the moment they prove the answer true, cancelling the remaining
-// sites; see SetAnytime.
+// anytime enabled (the default) the round may return the moment the replies
+// in hand prove the answer true, cancelling the remaining sites; see
+// SetAnytime.
 func (c *Coordinator) ReachContext(ctx context.Context, s, t graph.NodeID) (bool, WireStats, error) {
 	a, st, err := c.one(ctx, BatchQuery{Class: ClassReach, S: s, T: t})
 	return a.Answer, st, err

@@ -94,19 +94,20 @@ func FuzzBatchPayload(f *testing.F) {
 		}
 		return b
 	}
-	seed := enc(mixed, batchHeader{stream: true})
-	traced := enc(mixed[:1], batchHeader{stream: true, traced: true, traceID: 0xDEADBEEF, span: 2})
+	seed := enc(mixed, batchHeader{})
+	traced := enc(mixed[:1], batchHeader{traced: true, traceID: 0xDEADBEEF, span: 2})
 	f.Add(seed)
 	f.Add(enc(nil, batchHeader{}))
 	f.Add(traced)
 	f.Add(enc(nil, batchHeader{traced: true, traceID: 1, span: 1}))
-	f.Add(enc(mixed, batchHeader{stream: true, rows: rowsTag{0x1122334455667788, 42}})) // tagged: the coordinator holds rows
+	f.Add(enc(mixed, batchHeader{rows: rowsTag{0x1122334455667788, 42}})) // tagged: the coordinator holds rows
 	f.Add(enc(mixed[:1], batchHeader{traced: true, rows: rowsTag{1, 0}, traceID: 9, span: 9}))
 	f.Add(traced[:spanOffset+7])                                                             // truncated trace context
 	f.Add(seed[:tagOffset+5])                                                                // truncated rows tag
 	f.Add(append(append([]byte{}, traced...), traced...))                                    // a second request nested behind the first
 	f.Add(append(append([]byte{}, seed[:tagOffset+rowsTagSize]...), 0xFF, 0xFF, 0xFF, 0xFF)) // hostile count
 	f.Add(append([]byte{batchVersion, 0xFF}, seed[2:]...))                                   // unknown flag bits
+	f.Add(append([]byte{batchVersion, 1}, seed[2:]...))                                      // the retired stream bit
 	f.Add(append([]byte{batchVersion - 1, 0}, seed[tagOffset+rowsTagSize:]...))              // the previous version's layout
 	f.Add(seed[:len(seed)-3])                                                                // truncated query
 	// Payloads of the retired single-query and envelope frames, and of a
@@ -145,7 +146,7 @@ func FuzzBatchPayload(f *testing.F) {
 	hit := batchReply{parts: [][]byte{pb, nil, {0xFF}}}
 	f.Add(encodeBatchReply(nil, miss))                                               // the coordinator held no current rows
 	f.Add(encodeBatchReply(nil, hit))                                                // it did: query parts only
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb})) // a 'P' rows chunk: no parts
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb})) // rows and no parts
 	f.Add(encodeBatchReply(nil, miss)[:2+rowsTagSize+2])                             // truncated rows length
 	f.Add([]byte{batchVersion, 2, 0, 0, 0, 0})                                       // unknown rows flag
 	f.Add([]byte{batchVersion - 1, 0, 0, 0, 0, 0, 0, 0, 0})                          // the previous version's empty reply

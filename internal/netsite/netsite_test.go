@@ -2,7 +2,9 @@ package netsite
 
 import (
 	"bytes"
+	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -208,10 +210,10 @@ func TestTCPErrorPropagation(t *testing.T) {
 }
 
 // TestRetiredFramesRejected posts the frame kinds the one query frame
-// replaced — with the payloads that were valid for them — to a live site:
-// each must come back as an error frame echoing its ID, without a panic or
-// a hang, and a batch query that follows on the same connection must still
-// be answered.
+// replaced — with the payloads that were valid for them — and a query
+// carrying the retired stream bit to a live site: each must come back as an
+// error frame echoing its ID, without a panic or a hang, and a batch query
+// that follows on the same connection must still be answered.
 func TestRetiredFramesRejected(t *testing.T) {
 	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 20, Labels: []string{"A"}, Seed: 48})
 	fr, err := fragment.Random(g, 2, 48)
@@ -239,6 +241,11 @@ func TestRetiredFramesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := []byte{0, 0, 0, 0, 9, 0, 0, 0} // s u32 | t u32
+	streaming, err := encodeBatchRequest([]BatchQuery{{Class: ClassReach, S: 0, T: 9}}, batchHeader{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streaming[1] |= 1 // the flag bit that used to ask for 'P' frames
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	for i, tc := range []struct {
 		name    string
@@ -254,6 +261,7 @@ func TestRetiredFramesRejected(t *testing.T) {
 		// The previous query payload — no rows tag — in today's frame: a
 		// mixed build must fail loudly, not misparse the queries as a tag.
 		{"version-4 batch", kindBatch, cat([]byte{batchVersion - 1, 0, 1, 0, 0, 0, 'r'}, st)},
+		{"stream bit", kindBatch, streaming},
 	} {
 		id := uint32(100 + i)
 		if _, err := writeFrame(raw, id, tc.kind, tc.payload); err != nil {
@@ -285,6 +293,50 @@ func TestRetiredFramesRejected(t *testing.T) {
 	}
 	if rep, err := decodeBatchReply(body); err != nil || len(rep.parts) != 1 || !rep.hasRows {
 		t.Fatalf("batch reply after the rejected frames: %d parts, rows %v, %v", len(rep.parts), rep.hasRows, err)
+	}
+}
+
+// TestPartialFrameFailsRound: there is one reply per request, so a site
+// that answers a query with a retired 'P' frame fails the round with an
+// error naming the kind — the frame is neither waited past (a hang) nor
+// dropped silently — and no pending entry outlives it.
+func TestPartialFrameFailsRound(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			id, _, _, _, err := readFrame(conn)
+			if err != nil {
+				return
+			}
+			// A well-formed pre-retirement partial: state tag, then a reply
+			// body with no rows and no parts.
+			if _, err := writeFrame(conn, id, 'P', tagged(0, 0, encodeBatchReply(nil, batchReply{}))); err != nil {
+				return
+			}
+		}
+	}()
+	co, err := Dial([]string{ln.Addr().String()}, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, _, err = co.ReachContext(ctx, 0, 9)
+	if err == nil || !strings.Contains(err.Error(), `unexpected frame kind 'P'`) {
+		t.Fatalf("a 'P' reply returned %v, want an error naming the kind", err)
+	}
+	if n := co.pendingTotal(); n != 0 {
+		t.Fatalf("%d pending entries after the failed round", n)
 	}
 }
 

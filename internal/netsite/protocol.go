@@ -9,7 +9,8 @@
 // The protocol is length-prefixed binary frames, multiplexed: every frame
 // carries a request ID, so many rounds can be in flight on one connection
 // at once. Sites may answer out of order; the coordinator demultiplexes
-// replies back to their rounds by ID.
+// replies back to their rounds by ID. Every request but a cancel gets
+// exactly one response.
 //
 //	frame := length u32 (of the rest) | id u32 | kind u8 | payload
 //
@@ -23,11 +24,8 @@
 //	               no response is owed for either frame
 //
 //	responses (site -> coordinator), each echoing the request's ID
-//	'R' answer     epoch u64 | lsn u64 | body — the final frame of a request
+//	'R' answer     epoch u64 | lsn u64 | body
 //	'E' error      the error text
-//	'P' partial    epoch u64 | lsn u64 | a query reply body without its span
-//	               section: the query parts, or a chunk of the site's
-//	               boundary rows, streamed ahead of the 'R'
 //
 // There is one query request and one query reply, whatever the class and
 // however many queries (see batch.go for the per-query fields):
@@ -36,12 +34,11 @@
 //	               | [trace ID u64 | parent span u64] | count u32 | queries
 //	'R' body    := spans | version u8 | [rows tag | rows] | per-query parts
 //
-// The flags byte carries the stream flag (the site may emit 'P' frames) and
-// the trace flag (the 16 bytes of trace context follow, and the site
-// records spans). spans is the site's recorded span section (queue wait,
-// lock wait, local eval with its reachindex outcome, partial emissions) —
-// empty, two bytes, when the request was not traced — so tracing adds no
-// frame and no second layout. 'U', 'R' and 'S' answers carry their own body
+// The flags byte carries the trace flag (the 16 bytes of trace context
+// follow, and the site records spans); any other bit is rejected. spans is
+// the site's recorded span section (queue wait, lock wait, local eval with
+// its reachindex outcome) — empty, two bytes, when the request was not
+// traced — so tracing adds no frame and no second layout. 'U', 'R' and 'S' answers carry their own body
 // codecs straight after the (epoch, lsn) tag.
 //
 // The boundary cache lives in that one round trip. What a fragment
@@ -61,18 +58,17 @@
 // no refetch round, still one visit per site. Per-query traffic is O(|Vf|);
 // the paper's O(|Vf|²) is paid once per change of a fragment.
 //
-// Anytime answers: a request posted with the stream flag invites a site
-// that is shipping rows to emit up to core.MaxStreamChunks 'P' frames while
-// it evaluates them: the query parts first, then the rows produced since
-// the last frame. The final 'R' frame still carries the complete rows and
-// parts — chunks are a redundant prefix, sound to re-add because
-// disjunctive equation systems are idempotent — so a dropped partial never
-// affects the answer. A site whose rows the coordinator holds has nothing
-// to stream; its final is small and arrives at once. The coordinator feeds
-// every frame into an incremental equation system and, the moment they
-// prove every query of the round true, broadcasts 'C' frames so the
-// remaining sites abandon their evaluation (cooperatively: mid-BFS
-// checkpoints, and a cancelled request owes no response at all).
+// Anytime answers: the coordinator feeds each reply, as it arrives, into an
+// incremental equation system and, the moment the replies in hand prove
+// every query of a reach-only round true, returns and broadcasts 'C' frames
+// so the remaining sites abandon their evaluation (cooperatively: mid-BFS
+// checkpoints, and a cancelled request owes no response at all). Deciding
+// on a subset of the sites is sound because the system is monotone: a
+// closed chain of true equations cannot be retracted by an absent site. A
+// site whose rows the coordinator holds replies at once with a few dozen
+// bytes, so a straggler — a slow site, or one re-shipping its rows after an
+// update — is waited for only when the answer needs it. A response of any
+// kind but 'R' and 'E' fails its round with an error naming the kind.
 //
 // Every answer is prefixed with the epoch of the fragmentation that
 // produced it plus the LSN of the last update batch it reflects: the
@@ -82,11 +78,14 @@
 // positions — a persistent LSN split marks a replica that missed updates
 // and triggers catch-up replication. The byte 'R' names both the rebalance
 // request and the answer response; direction disambiguates (coordinators
-// send requests, sites send responses).
+// send requests, sites send responses). A site stamps a query reply with
+// the LSN it reads under the read lock its evaluation holds
+// (fragment.Fragmentation.LSN), so the stamp names the state evaluated even
+// when an update batch is applied while the query waits for the lock.
 //
 // The query frame is the wire form of the paper's visit guarantee: one
-// request frame per site carries the whole batch, and one final response
-// frame per site carries every partial answer — and the rows, when they are
+// request frame per site carries the whole batch, and one response frame
+// per site carries every partial answer — and the rows, when they are
 // owed — so k queries cost the same number of frames as one.
 package netsite
 
@@ -107,7 +106,6 @@ const (
 	kindCancel    = 'C'
 	kindAnswer    = 'R'
 	kindError     = 'E'
-	kindPartial   = 'P'
 )
 
 // answerPrefix is the length of the state tag every answer frame carries:

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -267,8 +266,7 @@ func (c *connCancels) remove(id uint32) {
 // frame that echoes the request ID and carries the epoch and update-log
 // LSN the frame was served at. Responses go out in completion order; the
 // coordinator's demultiplexer reorders by ID. Cancel frames are handled by
-// the reader itself (never queued), and streaming queries may emit 'P'
-// frames ahead of their final answer through the same write mutex.
+// the reader itself (never queued).
 func (s *Site) serveConn(conn net.Conn) error {
 	jobs := make(chan frameJob)
 	cancels := connCancels{m: make(map[uint32]*atomic.Bool)}
@@ -292,31 +290,11 @@ func (s *Site) serveConn(conn net.Conn) error {
 					}
 					continue // connection died; don't evaluate dead work
 				}
-				j := j
 				if s.met != nil {
 					s.met.frames.With(kindLabel(j.kind)).Inc()
 					s.met.queue.Observe(time.Since(j.recv).Seconds())
 				}
-				emit := func(epoch, lsn uint64, body []byte) bool {
-					if broken.Load() || (j.cancel != nil && j.cancel.Load()) {
-						return false
-					}
-					wstart := time.Now()
-					wmu.Lock()
-					_, werr := writeFrame(conn, j.id, kindPartial, tagged(epoch, lsn, body))
-					wmu.Unlock()
-					if werr != nil {
-						broken.Store(true)
-						conn.Close()
-						return false
-					}
-					if j.rec != nil {
-						j.rec.Span(-1, "partial", wstart, time.Now(),
-							obs.Attr{Key: "bytes", Val: strconv.Itoa(len(body))})
-					}
-					return true
-				}
-				epoch, lsn, resp, err := s.handle(&j, emit)
+				epoch, lsn, resp, err := s.handle(&j)
 				if j.cancel != nil {
 					cancels.remove(j.id)
 				}
@@ -368,7 +346,7 @@ func (s *Site) serveConn(conn net.Conn) error {
 }
 
 // tagged prefixes a response body with the (epoch, lsn) state tag every
-// answer and partial frame starts with.
+// answer frame starts with.
 func tagged(epoch, lsn uint64, body []byte) []byte {
 	p := make([]byte, answerPrefix, answerPrefix+len(body))
 	binary.LittleEndian.PutUint64(p, epoch)
@@ -402,14 +380,11 @@ func (s *Site) pause(cancel *atomic.Bool) bool {
 	}
 }
 
-// handle evaluates one request frame. emit writes a 'P' frame carrying
-// body under the given state tag; streaming queries use it to surface
-// equation chunks ahead of the final answer. A request whose cancel flag
-// fires mid-evaluation returns errCancelled: no response frame is written
-// for it.
-func (s *Site) handle(j *frameJob, emit func(epoch, lsn uint64, body []byte) bool) (uint64, uint64, []byte, error) {
+// handle evaluates one request frame. A request whose cancel flag fires
+// mid-evaluation returns errCancelled: no response frame is written for it.
+func (s *Site) handle(j *frameJob) (uint64, uint64, []byte, error) {
 	if j.kind == kindBatch {
-		return s.handleBatch(j, emit)
+		return s.handleBatch(j)
 	}
 	s.pause(nil)
 	switch j.kind {
@@ -543,16 +518,9 @@ func (s *Site) handleRebalance(payload []byte) (uint64, uint64, []byte, error) {
 // one section for the whole batch (see batch.go). Distance and regex
 // queries evaluate individually. The frame's service delay (Site.delay) is
 // paid once per batch, not once per query — the amortization the batch
-// protocol exists to deliver.
-//
-// A streaming request that has to ship rows additionally emits 'P' frames:
-// first the query parts, which are ready at once, then — through the
-// chunker of core.LocalEvalReachStream — a geometrically growing prefix of
-// the rows as they are evaluated; at most core.MaxStreamChunks frames per
-// request, never the whole rows; the final reply is complete on its own.
-// The cancel flag is polled between queries and inside the local
-// evaluations.
-func (s *Site) handleBatch(j *frameJob, emit func(epoch, lsn uint64, body []byte) bool) (uint64, uint64, []byte, error) {
+// protocol exists to deliver. The cancel flag is polled between queries and
+// inside the local evaluations.
+func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 	picked := time.Now()
 	qs, h, err := decodeBatchRequest(j.payload)
 	if err != nil {
@@ -568,12 +536,17 @@ func (s *Site) handleBatch(j *frameJob, emit func(epoch, lsn uint64, body []byte
 	// Queries snapshot the current fragmentation and read their fragment
 	// under its lock, so a concurrent update never mutates it
 	// mid-evaluation and a concurrent rebalance swap leaves this
-	// evaluation draining consistently against the old epoch.
-	fr, epoch, lsn := s.rep.State()
+	// evaluation draining consistently against the old epoch. The LSN the
+	// reply is stamped with is read under that lock too: it is the LSN of
+	// the state evaluated, not of one a batch applied since has replaced.
+	// (Replica.State under the lock would deadlock against ApplyLSN, which
+	// holds the replica's mutex while it waits for the write lock.)
+	fr, epoch := s.rep.Current()
 	frag := fr.Fragments()[s.fragID]
 	lockStart := time.Now()
 	fr.RLock()
 	defer fr.RUnlock()
+	lsn := fr.LSN()
 	if j.rec != nil {
 		j.rec.Span(-1, "lock", lockStart, time.Now())
 	}
@@ -623,31 +596,8 @@ func (s *Site) handleBatch(j *frameJob, emit func(epoch, lsn uint64, body []byte
 	// generation is read under the lock the evaluation holds, so the tag
 	// names exactly the fragment the rows are computed on.
 	if tag := (rowsTag{fr.Instance(), frag.Generation()}); len(asked) > 0 && h.rows != tag {
-		var sink func(chunk *core.ReachPartial) bool
-		if h.stream {
-			emitted := 0 // 'P' frames so far, against the per-request budget
-			if slices.ContainsFunc(rep.parts, func(p []byte) bool { return len(p) > 0 }) {
-				emitted++
-				if !emit(epoch, lsn, encodeBatchReply(nil, rep)) {
-					return 0, 0, nil, errCancelled
-				}
-			}
-			sink = func(chunk *core.ReachPartial) bool {
-				if emitted >= core.MaxStreamChunks {
-					return true // budget spent
-				}
-				b, err := chunk.MarshalBinary()
-				if err != nil {
-					return true // skip the advisory chunk; the final is complete
-				}
-				emitted++
-				return emit(epoch, lsn, encodeBatchReply(nil, batchReply{hasRows: true, tag: tag, rows: b}))
-			}
-		}
-		rows, ok := core.LocalEvalReachStream(frag, graph.None, graph.None, opt, sink)
-		if !ok {
-			// Cancelled mid-evaluation — or the emit failed, which only
-			// happens on a dead connection, where no response lands anyway.
+		rows := core.LocalEvalReach(frag, graph.None, graph.None, opt)
+		if rows == nil {
 			return 0, 0, nil, errCancelled
 		}
 		rep.hasRows, rep.tag = true, tag
