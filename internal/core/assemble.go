@@ -12,8 +12,9 @@ import (
 // cluster, and procedure evalDG — one dependency graph Gd per query, built
 // from partial answers tagged with the site they came from, from which
 // both the value of Xs and the set of sites that value depends on are read.
-// The wire coordinator (internal/netsite) feeds the same graph frame by
-// frame through AddToSystemFrom and AssembleDist.
+// The wire coordinator (internal/netsite) feeds AssembleDist the same way;
+// for reach queries it walks the cached rows from s instead, and this graph
+// is the reference its answers and Touched sets are checked against.
 
 // threePhase runs the scheme of Section 2.2 once over every site:
 //
@@ -52,10 +53,9 @@ func reachReplySize(f *fragment.Fragment, rv *ReachPartial) int {
 
 // AddToSystemFrom feeds the partial's equations into an incremental
 // equation system as the contribution of the given site (a negative site:
-// on nobody's behalf). The coordinator calls it per received frame and
-// reads sys.Decide(s) for the answer and sys.Sources(s) for the sites the
-// answer depends on, instead of re-solving from scratch. A nil partial adds
-// nothing.
+// on nobody's behalf). Feeding partials as they arrive and reading
+// sys.Decide(s) for the answer and sys.Sources(s) for the sites the answer
+// depends on never re-solves from scratch. A nil partial adds nothing.
 func (rv *ReachPartial) AddToSystemFrom(site int, sys *bes.System[graph.NodeID]) {
 	for i := 0; i < rv.NumEqs(); i++ {
 		eq := rv.at(i)

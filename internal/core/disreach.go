@@ -68,6 +68,13 @@ func (rv *ReachPartial) at(i int) reachEq {
 	return reachEq{node: rv.nodes[i], constTrue: rv.truth[i], vars: rv.vars[rv.offs[i]:rv.offs[i+1]]}
 }
 
+// Eq returns equation i, Xnode = constTrue ∨ (∨ vars). vars aliases the
+// partial's storage and must not be modified.
+func (rv *ReachPartial) Eq(i int) (node graph.NodeID, constTrue bool, vars []graph.NodeID) {
+	eq := rv.at(i)
+	return eq.node, eq.constTrue, eq.vars
+}
+
 // Append adds the equations of more (nil: none) to the partial.
 func (rv *ReachPartial) Append(more *ReachPartial) {
 	for i := 0; i < more.NumEqs(); i++ {

@@ -25,8 +25,10 @@ import (
 // For qr and qbr the closure is read off the dependency graph that decided
 // the query: every equation is claimed by the site it came from as it is
 // added (AddToSystemFrom, AssembleDist), and bes reports the claimants of
-// the closure of Xs (System.Sources, Weighted.Solve). Touched sets are
-// sorted site indices — equivalently fragment IDs.
+// the closure of Xs (System.Sources, Weighted.Solve). The wire coordinator
+// reads a reach query's set off its walk from s over the cached rows
+// instead, the same set (internal/netsite, TestProbeMatchesEquationSystem).
+// Touched sets are sorted site indices — equivalently fragment IDs.
 
 // TouchedRPQ is the touched set of qrr(s, t, R): the (sorted) indices into
 // partials owning a vector in the dependency closure of s; nq is the query

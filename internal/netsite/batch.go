@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync/atomic"
+	"strconv"
 	"time"
 
 	"distreach/internal/automaton"
@@ -448,14 +448,8 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 	}
 	// Strict mode is a policy of the one round, not another round: early
 	// decision stays off and every reply is waited out. Early decision is
-	// computed, not chosen: anytime on and every wire query a reach query
-	// (distance and regex partials have no incremental solver, so such a
-	// round could never be decided early).
+	// computed, not chosen (newBatchSolver).
 	name := "batch"
-	reachOnly := true
-	for _, q := range wire {
-		reachOnly = reachOnly && q.Class == ClassReach
-	}
 	if len(wire) == 1 {
 		name = classLabel(wire[0].Class)
 	}
@@ -464,7 +458,7 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 	if qt != nil {
 		h.traced, h.traceID = true, qt.id
 	}
-	sol := &batchSolver{wire: wire, reachOnly: reachOnly, cache: c.rows, early: reachOnly && c.anytime.Load()}
+	sol := newBatchSolver(c, wire, c.anytime.Load())
 	var st WireStats
 	payload, err := encodeBatchRequest(wire, h)
 	if err == nil {
@@ -473,7 +467,15 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 	if err == nil {
 		solveStart := time.Now()
 		if err = sol.finish(widx, answers); err == nil && qt != nil {
-			qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart))
+			var attrs []obs.Attr
+			if sol.targets > 0 {
+				use := "reused"
+				if sol.built {
+					use = "built"
+				}
+				attrs = append(attrs, obs.Attr{Key: "boundary", Val: use})
+			}
+			qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart), attrs...)
 		}
 	}
 	c.finishTrace(qt, &st, err)
@@ -496,63 +498,140 @@ func classLabel(c QueryClass) string {
 }
 
 // siteRows is one site's boundary rows as the coordinator keeps them: the
-// decoded in-node equations of its fragment and the tag of the fragment
-// state they were computed at. Immutable once stored.
+// in-node equations of its fragment and the tag of the fragment state they
+// were computed at. Immutable once stored.
 type siteRows struct {
 	tag rowsTag
-	rv  *core.ReachPartial
+	rv  *core.ReachPartial // the rows as decoded off the wire
+	in  *boundary          // or: the published boundary that lays them out
 }
 
-// batchSolver turns one round attempt's replies into answers. Reach queries
-// are fed, reply by reply, into one incremental equation system per
-// distinct target (bes.Add keeps the least solution up to date, bes.Decide
-// is O(1)): a site's rows — shipped in its reply, or the copy the
-// coordinator held when the request was posted — and its query parts.
-// A positive certificate is a closed chain of equations, each a sound
-// implication at the round's (epoch, LSN), so no absent site can retract
-// it; proving false requires every site's equations, i.e. all replies.
-// Distance and regex parts have no incremental solver: their bytes are
-// kept per site and solved once, in finish, when the last reply is in.
-type batchSolver struct {
-	wire      []BatchQuery
-	reachOnly bool                       // no distance or regex query among them
-	cache     []atomic.Pointer[siteRows] // the coordinator's, one slot per site
-	early     bool                       // report the round decided once every query is proved
+// source reads site's rows back, wherever they are kept.
+func (r *siteRows) source(site int) rowSource {
+	if r.in != nil {
+		return r.in.rowsOf(site)
+	}
+	return r.rv
+}
 
-	// Per attempt. held[i] is the copy whose tag the request to site i
-	// carried (nil: none) — captured at post time, so the round never
-	// swaps in a copy a concurrent round stored later, whose tag the site
-	// did not compare. Held rows join the systems only when site i's reply
-	// says, at the round's pinned state, that they are still its rows.
+// keepRows stores rows a site shipped in its cache slot, unless the slot
+// holds a later generation of the same fragmentation instance: a round
+// pinned at an older LSN must not roll a newer copy back. A different
+// instance always replaces (instances are not ordered).
+func (c *Coordinator) keepRows(site int, r *siteRows) {
+	for {
+		cur := c.rows[site].Load()
+		if cur != nil && cur.tag.instance == r.tag.instance && cur.tag.gen >= r.tag.gen {
+			return
+		}
+		if c.rows[site].CompareAndSwap(cur, r) {
+			return
+		}
+	}
+}
+
+// publish makes bnd the boundary rounds reuse when it lays out the rows
+// the cache holds now — the ones the next round's requests will name — and
+// then points those cache entries at it, so that the coordinator keeps one
+// copy of the rows, not the decoded copies beside their layout. A boundary
+// with shared nodes keeps the entries as they are: it cannot give one
+// site's rows back on their own.
+func (c *Coordinator) publish(bnd *boundary) {
+	cached := make([]*siteRows, len(c.rows))
+	for i := range c.rows {
+		cached[i] = c.rows[i].Load()
+	}
+	if !bnd.holds(cached) {
+		return
+	}
+	c.bnd.Store(bnd)
+	if bnd.shared != nil {
+		return
+	}
+	for i, cur := range cached {
+		if cur != nil && cur.in != bnd {
+			c.rows[i].CompareAndSwap(cur, &siteRows{tag: cur.tag, in: bnd})
+		}
+	}
+}
+
+// batchSolver turns one round attempt's replies into answers. A reach query
+// is a probe (boundary.go): a walk from s over the boundary of the rows the
+// attempt stands on, following the rows of the sites that have replied
+// and the query parts they sent. With early decision on, every reply opens
+// its site's rows and the walks resume at once, so the round is decided
+// the moment every walk has met a true equation; a walk's true is a closed
+// chain of equations, each a sound implication at the round's (epoch,
+// LSN), so no absent site can retract it, while false needs every site's
+// equations, i.e. all replies. Strict rounds walk once, on the last reply.
+// Either way a round costs one closure walk per query. Distance and regex
+// parts have no incremental solver: their bytes are kept per site and
+// solved once, in finish, when the last reply is in.
+type batchSolver struct {
+	c         *Coordinator // the rows cache, the published boundary, the build count
+	wire      []BatchQuery
+	reachOnly bool  // no distance or regex query among them
+	early     bool  // report the round decided once every query is proved
+	target    []int // per wire query: its target's index among the reach targets (-1: not reach)
+	targets   int
+
+	// Per attempt. held[i] is the copy of site i's rows the attempt stands
+	// on: the one whose tag the request carried (nil: none) — captured at
+	// post time, so the round never swaps in a copy a concurrent round
+	// stored later, whose tag the site did not compare — until a reply
+	// ships a newer one. Rows join the walks only once site i's reply says,
+	// at the round's pinned state, that they are its rows.
+	qt    *qtrace // the attempt's trace (nil: untraced); queryRound sets it
 	held  []*siteRows
-	rows  []obs.RowsOutcome                          // what each site's reply did about its rows
-	sys   map[graph.NodeID]*bes.System[graph.NodeID] // per reach target: answers and Touched sets
-	parts [][][]byte                                 // per site, per query: dist/rpq partial bytes
+	rows  []obs.RowsOutcome      // what each site's reply did about its rows
+	reach [][]*core.ReachPartial // per site, per query: its decoded reach query part (nil: none)
+	parts [][][]byte             // per site, per query: partial bytes
+	fed   []int                  // the sites whose replies to a reach round are in, in arrival order
+	built bool                   // the attempt built a boundary rather than reuse one
+
+	// Derived by sync from held and fed.
+	bnd    *boundary
+	eqs    []*targetEqs // per reach target
+	probes []*probe     // per reach query, in wire order
+	opened int          // fed[:opened] are open in the probes
+}
+
+// newBatchSolver prepares the solver of one batch; early decision applies
+// when anytime is on and every query is a reach query (distance and regex
+// partials have no incremental solver, so such a round could never be
+// decided early).
+func newBatchSolver(c *Coordinator, wire []BatchQuery, anytime bool) *batchSolver {
+	b := &batchSolver{c: c, wire: wire, reachOnly: true, target: make([]int, len(wire))}
+	index := make(map[graph.NodeID]int)
+	for j, q := range wire {
+		b.target[j] = -1
+		if q.Class != ClassReach {
+			b.reachOnly = false
+			continue
+		}
+		ti, ok := index[q.T]
+		if !ok {
+			ti = len(index)
+			index[q.T] = ti
+		}
+		b.target[j] = ti
+	}
+	b.targets = len(index)
+	b.early = anytime && b.reachOnly
+	return b
 }
 
 // reset discards everything fed so far; queryRound calls it before each
 // attempt, so equations only ever accumulate from one deployment state.
 func (b *batchSolver) reset() {
-	b.sys = make(map[graph.NodeID]*bes.System[graph.NodeID])
-	for _, q := range b.wire {
-		if _, ok := b.sys[q.T]; !ok && q.Class == ClassReach {
-			b.sys[q.T] = bes.New[graph.NodeID]()
-		}
-	}
-	b.held = make([]*siteRows, len(b.cache))
-	b.rows = make([]obs.RowsOutcome, len(b.cache))
-	b.parts = make([][][]byte, len(b.cache))
-}
-
-// addReach decodes one marshaled query part for target t and feeds it to
-// t's system as site's contribution.
-func (b *batchSolver) addReach(t graph.NodeID, site int, data []byte) error {
-	rv := new(core.ReachPartial)
-	if err := rv.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	rv.AddToSystemFrom(site, b.sys[t])
-	return nil
+	k := len(b.c.rows)
+	b.held = make([]*siteRows, k)
+	b.rows = make([]obs.RowsOutcome, k)
+	b.reach = make([][]*core.ReachPartial, k)
+	b.parts = make([][][]byte, k)
+	b.fed = b.fed[:0]
+	b.built = false
+	b.eqs, b.probes, b.opened = nil, nil, 0
 }
 
 // feed consumes one site's reply body and reports whether every query of
@@ -566,60 +645,124 @@ func (b *batchSolver) feed(site int, body []byte) (bool, error) {
 		return false, fmt.Errorf("netsite: site %d answered %d of %d batch queries", site, len(rep.parts), len(b.wire))
 	}
 	b.parts[site] = rep.parts
-	var rows *core.ReachPartial
+	if b.targets == 0 {
+		return false, nil // no reach query: rows neither needed nor kept
+	}
 	switch {
-	case len(b.sys) == 0:
-		// No reach query: rows neither needed nor kept.
 	case rep.hasRows:
-		rows = new(core.ReachPartial)
+		rows := new(core.ReachPartial)
 		if err := rows.UnmarshalBinary(rep.rows); err != nil {
 			return false, fmt.Errorf("netsite: site %d rows: %w", site, err)
 		}
 		b.rows[site] = obs.RowsMiss
-		b.cache[site].Store(&siteRows{tag: rep.tag, rv: rows})
+		b.held[site] = &siteRows{tag: rep.tag, rv: rows}
+		b.c.keepRows(site, b.held[site])
 	case b.held[site] == nil:
 		return false, fmt.Errorf("netsite: site %d left out rows the coordinator does not hold", site)
 	default:
 		b.rows[site] = obs.RowsHit
-		rows = b.held[site].rv
 	}
-	// The rows serve every target; each query part its own.
-	for _, sys := range b.sys {
-		rows.AddToSystemFrom(site, sys)
-	}
+	reach := make([]*core.ReachPartial, len(b.wire))
 	for j, part := range rep.parts {
-		if q := b.wire[j]; q.Class == ClassReach && len(part) > 0 {
-			if err := b.addReach(q.T, site, part); err != nil {
+		if b.target[j] >= 0 && len(part) > 0 {
+			reach[j] = new(core.ReachPartial)
+			if err := reach[j].UnmarshalBinary(part); err != nil {
 				return false, fmt.Errorf("netsite: site %d batch query %d: %w", site, j, err)
 			}
 		}
 	}
+	b.reach[site] = reach
+	b.fed = append(b.fed, site)
 	if !b.early {
+		if len(b.fed) == len(b.held) {
+			b.sync() // the one walk of a strict round, timed inside it
+		}
 		return false, nil
 	}
-	// An early round is all reach queries (see BatchContext), each an O(1)
-	// lookup in its target's system.
-	for _, q := range b.wire {
-		if !b.sys[q.T].Decide(q.S) {
+	b.sync()
+	for _, p := range b.probes {
+		if !p.answer {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
+// sync brings the probes up to the replies fed so far. The boundary is the
+// one of the rows the attempt stands on: the coordinator's published one
+// when its tags match, built otherwise — and then published when it lays
+// out what the cache holds, so the next round reuses it. A reply that
+// shipped rows changes what the attempt stands on, so the walks restart on
+// the new boundary.
+func (b *batchSolver) sync() {
+	if b.targets == 0 {
+		return
+	}
+	if b.bnd == nil || !b.bnd.holds(b.held) {
+		b.eqs, b.probes, b.opened = nil, nil, 0
+		if b.bnd = b.c.bnd.Load(); b.bnd == nil || !b.bnd.holds(b.held) {
+			b.build()
+		}
+	}
+	if b.probes == nil {
+		b.eqs = make([]*targetEqs, b.targets)
+		for i := range b.eqs {
+			b.eqs[i] = &targetEqs{bnd: b.bnd, eqs: make(map[int32][]siteEq)}
+		}
+		for j, q := range b.wire {
+			if ti := b.target[j]; ti >= 0 {
+				b.probes = append(b.probes, newProbe(b.eqs[ti], q.S, len(b.held)))
+			}
+		}
+	}
+	if b.opened == len(b.fed) {
+		return
+	}
+	added := b.fed[b.opened:]
+	for _, site := range added {
+		for j, part := range b.reach[site] {
+			for e := 0; e < part.NumEqs(); e++ {
+				node, truth, vars := part.Eq(e)
+				b.eqs[b.target[j]].add(site, node, truth, vars)
+			}
+		}
+	}
+	for _, p := range b.probes {
+		p.openSites(added)
+	}
+	b.opened = len(b.fed)
+}
+
+// build lays out the attempt's rows as a boundary, counts it, and records
+// it as a span of the attempt when traced.
+func (b *batchSolver) build() {
+	start := time.Now()
+	b.bnd = buildBoundary(b.held)
+	b.built = true
+	b.c.builds.Add(1)
+	b.c.publish(b.bnd)
+	if b.qt != nil {
+		b.qt.b.AddSpan(b.qt.par, "boundary.build", start, time.Since(start),
+			obs.Attr{Key: "nodes", Val: strconv.Itoa(len(b.bnd.ids))})
+	}
+}
+
 // finish writes every wire query's answer into its slot once the round
 // has settled. Touched stays sound for a reach query proved early:
 // flipping the answer to false requires breaking every path, in particular
-// the certificate chain inside the accumulated equations — whose fragments
-// are in the dependency closure the target's system reports.
+// the certificate chain inside the walk — whose sites it reports.
 func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
+	b.sync()
+	probes := b.probes
 	for j, q := range b.wire {
 		i := widx[j]
 		switch q.Class {
 		case ClassReach:
-			answers[i] = BatchAnswer{Answer: b.sys[q.T].Decide(q.S), Touched: b.sys[q.T].Sources(q.S)}
+			p := probes[0]
+			probes = probes[1:]
+			answers[i] = BatchAnswer{Answer: p.answer, Touched: p.sites()}
 		case ClassDist:
-			partials := make([]*core.DistPartial, len(b.cache))
+			partials := make([]*core.DistPartial, len(b.held))
 			for site := range partials {
 				partials[site] = new(core.DistPartial)
 				if err := partials[site].UnmarshalBinary(b.parts[site][j]); err != nil {
@@ -629,7 +772,7 @@ func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
 			d, touched := core.AssembleDist(partials, q.S)
 			answers[i] = BatchAnswer{Answer: d <= int64(q.L), Dist: d, Touched: touched}
 		case ClassRPQ:
-			partials := make([]*core.RPQPartial, len(b.cache))
+			partials := make([]*core.RPQPartial, len(b.held))
 			for site := range partials {
 				partials[site] = new(core.RPQPartial)
 				if err := partials[site].UnmarshalBinary(b.parts[site][j]); err != nil {

@@ -1,0 +1,374 @@
+package netsite
+
+import (
+	"slices"
+
+	"distreach/internal/graph"
+)
+
+// The coordinator's side of the boundary cache. A reach query qr(s, t) is
+// Xs in the least solution of every site's rows plus the query parts the
+// sites send with it (s's equation, Xv = true for the in-nodes that reach
+// t): Xs holds iff a walk from s along the equations' disjuncts meets an
+// equation with a true disjunct. The rows are a pure function of the k
+// tags the coordinator holds, so it lays them out once per tag vector — a
+// boundary: a dense numbering of every node the rows mention and the rows
+// as one CSR over it, each row tagged with its site — and each query walks
+// that from s, carrying its few query equations on the side. Per query the
+// coordinator then pays one walk over the nodes s reaches, not |Vf|² rows
+// re-added to a fresh equation system. Once published, the boundary is
+// also the coordinator's only copy of the rows: the cache entries it lays
+// out point at it (siteRows.in), and the next build reads them back.
+//
+// The walk only follows the rows of sites that have replied, so early
+// decision keeps its meaning: a reply opens one more site's rows, the walk
+// resumes from the nodes it has already seen, and the answer is true the
+// moment the walk meets a true equation — a chain of sound implications at
+// the round's (epoch, LSN) that no silent site can retract. Touched is read
+// off the completed walk: the sites owning an equation of a visited node,
+// which is the set bes.System.Sources reports for the same equations.
+
+// boundary is one tag vector's rows in walkable form. A node's number is
+// its index in ids. Immutable once built.
+type boundary struct {
+	tags  []rowsTag      // per site: the tag of the rows laid out (zero: none)
+	ids   []graph.NodeID // sorted: every node the rows mention
+	nodes []boundaryNode // per number, plus a sentinel
+	adj   []int32
+	// shared holds, for a node with equations from several sites, every
+	// site's. A node is an in-node of one fragment only, so that takes rows
+	// of different fragmentations: a round straddling a rebalance, before
+	// its stale copies are replaced. Handled, not fast.
+	shared map[int32][]siteEq
+}
+
+// boundaryNode is one node's equation: Xnode = truth ∨ (∨ adj[start:next
+// node's start]), contributed by site — or, with site noOwner, no equation
+// (the node is only mentioned), with site sharedOwners, several (shared).
+type boundaryNode struct {
+	start int32
+	site  int16
+	truth bool
+}
+
+const (
+	noOwner      = -1
+	sharedOwners = -2
+)
+
+// siteEq is one equation, Xnode = truth ∨ (∨ vars) over a boundary's
+// numbering, and the site that sent it.
+type siteEq struct {
+	site  int
+	truth bool
+	vars  []int32
+}
+
+// rowSource is one site's rows as buildBoundary reads them: decoded off
+// the wire (*core.ReachPartial), or read back from the boundary that laid
+// them out (laidOut). vars may be overwritten by the next call to Eq.
+type rowSource interface {
+	NumEqs() int
+	Eq(i int) (node graph.NodeID, constTrue bool, vars []graph.NodeID)
+}
+
+// buildBoundary lays out the rows of one tag vector (rows[i] nil: site i
+// contributed none).
+func buildBoundary(rows []*siteRows) *boundary {
+	b := &boundary{tags: make([]rowsTag, len(rows))}
+	srcs := make([]rowSource, len(rows))
+	number := make(map[graph.NodeID]int32)
+	for i, r := range rows {
+		if r == nil {
+			continue
+		}
+		b.tags[i] = r.tag
+		srcs[i] = r.source(i)
+		for e := 0; e < srcs[i].NumEqs(); e++ {
+			node, _, vs := srcs[i].Eq(e)
+			number[node] = 0
+			for _, v := range vs {
+				number[v] = 0
+			}
+		}
+	}
+	b.ids = make([]graph.NodeID, 0, len(number))
+	for v := range number {
+		b.ids = append(b.ids, v)
+	}
+	slices.Sort(b.ids)
+	for x, v := range b.ids {
+		number[v] = int32(x)
+	}
+	// Translate every equation once, into eqs[i]: site i's equations over
+	// the numbering. Note who owns each node's equation.
+	n := len(b.ids)
+	b.nodes = make([]boundaryNode, n+1)
+	for x := range b.nodes {
+		b.nodes[x].site = noOwner
+	}
+	eqs := make([][]nodeEq, len(rows))
+	for i, src := range srcs {
+		if src == nil {
+			continue
+		}
+		eqs[i] = make([]nodeEq, src.NumEqs())
+		for e := range eqs[i] {
+			node, truth, vs := src.Eq(e)
+			eq := nodeEq{x: number[node], siteEq: siteEq{site: i, truth: truth, vars: make([]int32, len(vs))}}
+			for j, v := range vs {
+				eq.vars[j] = number[v]
+			}
+			eqs[i][e] = eq
+			switch nd := &b.nodes[eq.x]; nd.site {
+			case noOwner:
+				nd.site = int16(i)
+			case int16(i), sharedOwners:
+			default:
+				nd.site = sharedOwners
+			}
+		}
+	}
+	// Count each node's disjuncts and set shared nodes' equations aside,
+	// then lay the rest out.
+	for _, es := range eqs {
+		for _, eq := range es {
+			if nd := &b.nodes[eq.x]; nd.site == sharedOwners {
+				if b.shared == nil {
+					b.shared = make(map[int32][]siteEq)
+				}
+				b.shared[eq.x] = append(b.shared[eq.x], eq.siteEq)
+			} else {
+				nd.truth = nd.truth || eq.truth
+				b.nodes[eq.x+1].start += int32(len(eq.vars))
+			}
+		}
+	}
+	for x := 0; x < n; x++ {
+		b.nodes[x+1].start += b.nodes[x].start
+	}
+	b.adj = make([]int32, b.nodes[n].start)
+	next := make([]int32, n) // per node: where its next disjunct goes
+	for x := range next {
+		next[x] = b.nodes[x].start
+	}
+	for _, es := range eqs {
+		for _, eq := range es {
+			if b.nodes[eq.x].site != sharedOwners {
+				next[eq.x] += int32(copy(b.adj[next[eq.x]:], eq.vars))
+			}
+		}
+	}
+	return b
+}
+
+// nodeEq is one site's equation for node number x, during a build.
+type nodeEq struct {
+	x int32
+	siteEq
+}
+
+// number reports node v's number, if the rows mention it.
+func (b *boundary) number(v graph.NodeID) (int32, bool) {
+	x, ok := slices.BinarySearch(b.ids, v)
+	return int32(x), ok
+}
+
+// laidOut is one site's rows read back from a boundary without shared
+// nodes, where every equation of the site is one node's.
+type laidOut struct {
+	b    *boundary
+	eqs  []int32 // the numbers of the site's nodes
+	vars []graph.NodeID
+}
+
+func (b *boundary) rowsOf(site int) *laidOut {
+	l := &laidOut{b: b}
+	for x, nd := range b.nodes[:len(b.ids)] {
+		if int(nd.site) == site {
+			l.eqs = append(l.eqs, int32(x))
+		}
+	}
+	return l
+}
+
+func (l *laidOut) NumEqs() int { return len(l.eqs) }
+
+func (l *laidOut) Eq(i int) (graph.NodeID, bool, []graph.NodeID) {
+	x := l.eqs[i]
+	l.vars = l.vars[:0]
+	for _, w := range l.b.adj[l.b.nodes[x].start:l.b.nodes[x+1].start] {
+		l.vars = append(l.vars, l.b.ids[w])
+	}
+	return l.b.ids[x], l.b.nodes[x].truth, l.vars
+}
+
+// holds reports whether the boundary lays out exactly the given rows.
+func (b *boundary) holds(rows []*siteRows) bool {
+	for i, r := range rows {
+		var tag rowsTag
+		if r != nil {
+			tag = r.tag
+		}
+		if tag != b.tags[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// targetEqs is the query equations of one target's queries in a round, as
+// the replied sites sent them, over the boundary's numbering: a node the
+// rows never mention (the source, typically) gets an index from n up.
+type targetEqs struct {
+	bnd    *boundary
+	extra  map[graph.NodeID]int32
+	eqs    map[int32][]siteEq
+	probes []*probe // the target's queries
+}
+
+// idOf numbers a node of a query equation.
+func (te *targetEqs) idOf(v graph.NodeID) int32 {
+	if x, ok := te.bnd.number(v); ok {
+		return x
+	}
+	x, ok := te.extra[v]
+	if !ok {
+		if te.extra == nil {
+			te.extra = make(map[graph.NodeID]int32)
+		}
+		x = int32(len(te.bnd.ids) + len(te.extra))
+		te.extra[v] = x
+	}
+	return x
+}
+
+// add records site's equation for node and hands it to the target's
+// probes: one that has already expanded the node takes it in at once, the
+// others when their walk gets there.
+func (te *targetEqs) add(site int, node graph.NodeID, truth bool, vars []graph.NodeID) {
+	x := te.idOf(node)
+	eq := siteEq{site: site, truth: truth, vars: make([]int32, len(vars))}
+	for i, v := range vars {
+		eq.vars[i] = te.idOf(v)
+	}
+	te.eqs[x] = append(te.eqs[x], eq)
+	for _, p := range te.probes {
+		m := p.at(x)
+		*m |= markQuery
+		if *m&markDone != 0 {
+			p.apply(eq)
+		}
+	}
+}
+
+// probe is one reach query's resumable walk from s over the boundary: the
+// rows of the sites opened so far and its target's query equations.
+type probe struct {
+	bnd     *boundary
+	te      *targetEqs
+	mark    []uint8 // per node: markSeen | markDone | markQuery
+	order   []int32 // the nodes seen, in visit order
+	head    int     // order[:head] is expanded through every open site
+	answer  bool    // the walk met a true equation
+	open    []bool  // per site: the walk follows its rows
+	touched []bool  // per site: it owns an equation of a seen node
+}
+
+// Probe node marks: seen by the walk; expanded; has query equations.
+const (
+	markSeen uint8 = 1 << iota
+	markDone
+	markQuery
+)
+
+// newProbe starts a walk at s.
+func newProbe(te *targetEqs, s graph.NodeID, sites int) *probe {
+	p := &probe{bnd: te.bnd, te: te, mark: make([]uint8, len(te.bnd.ids)), open: make([]bool, sites), touched: make([]bool, sites)}
+	te.probes = append(te.probes, p)
+	p.visit(te.idOf(s))
+	return p
+}
+
+// at returns node x's mark, growing the marks over query-only nodes.
+func (p *probe) at(x int32) *uint8 {
+	for int(x) >= len(p.mark) {
+		p.mark = append(p.mark, 0)
+	}
+	return &p.mark[x]
+}
+
+func (p *probe) visit(x int32) {
+	if m := p.at(x); *m&markSeen == 0 {
+		*m |= markSeen
+		p.order = append(p.order, x)
+	}
+}
+
+// apply takes in one equation, sent by an open site, of an expanded node.
+func (p *probe) apply(eq siteEq) {
+	p.touched[eq.site] = true
+	p.answer = p.answer || eq.truth
+	for _, w := range eq.vars {
+		p.visit(w)
+	}
+}
+
+// follow expands node x through its equations from the open sites (only
+// ≥ 0: from that open site alone).
+func (p *probe) follow(x int32, only int) {
+	nodes := p.bnd.nodes
+	if int(x) >= len(nodes)-1 {
+		return // a node only query equations mention
+	}
+	nd := &nodes[x]
+	switch site := int(nd.site); {
+	case site == noOwner:
+	case site == sharedOwners:
+		for _, eq := range p.bnd.shared[x] {
+			if p.open[eq.site] && (only < 0 || eq.site == only) {
+				p.apply(eq)
+			}
+		}
+	case p.open[site] && (only < 0 || site == only):
+		p.touched[site] = true
+		p.answer = p.answer || nd.truth
+		for _, w := range p.bnd.adj[nd.start:nodes[x+1].start] {
+			p.visit(w)
+		}
+	}
+}
+
+// openSites adds the rows of newly replied sites to the walk — the nodes
+// already expanded are expanded through them too — and walks on through
+// every open site until nothing new is seen.
+func (p *probe) openSites(added []int) {
+	for _, i := range added {
+		p.open[i] = true
+		for _, x := range p.order[:p.head] {
+			p.follow(x, i)
+		}
+	}
+	for p.head < len(p.order) {
+		x := p.order[p.head]
+		p.head++
+		p.mark[x] |= markDone
+		p.follow(x, -1)
+		if p.mark[x]&markQuery != 0 {
+			for _, eq := range p.te.eqs[x] {
+				p.apply(eq)
+			}
+		}
+	}
+}
+
+// sites lists, sorted, the sites the walk touched.
+func (p *probe) sites() []int {
+	out := make([]int, 0, len(p.touched))
+	for i, ok := range p.touched {
+		if ok {
+			out = append(out, i)
+		}
+	}
+	return out
+}

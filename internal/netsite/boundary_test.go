@@ -457,7 +457,19 @@ func TestBoundaryCacheBytes(t *testing.T) {
 		t.Fatalf("frames: cold %d/%d, warm %d/%d; want %d each", cold.FramesSent, cold.FramesReceived, warm.FramesSent, warm.FramesReceived, k)
 	}
 
+	// The coordinator lays the rows out once per state: warm rounds, on
+	// any pair, build nothing.
 	rng := gen.NewRNG(2322)
+	built := co.builds.Load()
+	for i := 0; i < 8; i++ {
+		if _, _, err := co.Reach(graph.NodeID(rng.Intn(600)), graph.NodeID(rng.Intn(600))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := co.builds.Load() - built; built == 0 || n != 0 {
+		t.Fatalf("%d boundary builds for the cold round, %d for 9 warm ones; want at least 1 and 0", built, n)
+	}
+
 	for i := 0; i < 20; i++ {
 		misses := func() []int64 {
 			out := make([]int64, k)
@@ -474,9 +486,14 @@ func TestBoundaryCacheBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := misses()
-		if _, _, err := co.Reach(graph.NodeID(rng.Intn(600)), graph.NodeID(rng.Intn(600))); err != nil {
+		before, built := misses(), co.builds.Load()
+		_, st, err := co.Reach(graph.NodeID(rng.Intn(600)), graph.NodeID(rng.Intn(600)))
+		if err != nil {
 			t.Fatal(err)
+		}
+		if n := co.builds.Load() - built; n > 1+st.RowsReplies || st.RowsReplies == 0 && n != 0 {
+			t.Fatalf("update %d: the next round built the boundary %d times after %d rows replies; want at most 1 more, and none without one",
+				i, n, st.RowsReplies)
 		}
 		dirty := make([]bool, k)
 		for _, fi := range res.Dirty {

@@ -59,12 +59,18 @@ type Coordinator struct {
 	// replica-lag signal /stats and bench report.
 	siteLSNs []atomic.Uint64
 
-	// rows is the boundary cache: per site, the decoded in-node rows of its
+	// rows is the boundary cache: per site, the in-node rows of its
 	// fragment the last full reply carried, tagged with the fragment state
 	// they were computed at (batch.go). Exactly one entry per site,
 	// replaced in place; the site, not the coordinator, decides whether an
 	// entry is current.
 	rows []atomic.Pointer[siteRows]
+	// bnd is the boundary (boundary.go) of the rows the cache last held
+	// whole, which then keeps those rows: reach rounds whose requests named
+	// exactly them walk it rather than build their own. builds counts every
+	// boundary built.
+	bnd    atomic.Pointer[boundary]
+	builds atomic.Int64
 
 	// anytime enables early termination of reach-only rounds (default on;
 	// see SetAnytime).
@@ -606,8 +612,9 @@ type WireStats struct {
 
 	// Touched lists, sorted, the sites (== fragment indices) whose partial
 	// answers the query's solution actually depends on — the dependency
-	// closure of the source variable, read off the system that decided the
-	// query (bes.System.Sources; soundness in core/touched.go). An answer
+	// closure of the source variable, read off what decided the query (a
+	// reach query's walk over the boundary, boundary.go; the weighted
+	// system of a distance query; soundness in core/touched.go). An answer
 	// cache keyed on it can evict precisely when a fragment changes. Nil
 	// for rounds without that notion (batches report it per query, updates
 	// report a dirty set instead).

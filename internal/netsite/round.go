@@ -22,8 +22,12 @@ import (
 // regex queries) the same loop waits for every site.
 //
 // Early decision is sound on any subset of the replies because the
-// equation system is monotone: a closed chain of true equations cannot be
-// retracted by a site not yet heard from.
+// equations are monotone: each reply opens its site's rows in the
+// boundary (boundary.go) to every query's walk from s, which resumes from
+// the nodes it has seen, and a query is decided the moment its walk meets a
+// true equation — a closed chain of sound implications that a site not yet
+// heard from cannot retract. A walk that ends without one proves false only
+// once every site has replied.
 //
 // Each site's request names the copy of its boundary rows the coordinator
 // holds at that instant (batch.go): the attempt captures that copy, and it
@@ -62,6 +66,7 @@ func (c *Coordinator) queryRound(ctx context.Context, payload []byte, sol *batch
 			roundID := qt.b.StartSpan(qt.par, "round", obs.Attr{Key: "attempt", Val: strconv.Itoa(attempt)})
 			rqt = qt.child(roundID)
 		}
+		sol.qt = rqt
 		sol.reset()
 		st, split, err := c.queryAttempt(ctx, payload, sol, rqt)
 		if qt != nil {
