@@ -12,9 +12,10 @@ import (
 // cluster, and procedure evalDG — one dependency graph Gd per query, built
 // from partial answers tagged with the site they came from, from which
 // both the value of Xs and the set of sites that value depends on are read.
-// The wire coordinator (internal/netsite) feeds AssembleDist the same way;
-// for reach queries it walks the cached rows from s instead, and this graph
-// is the reference its answers and Touched sets are checked against.
+// The wire coordinator (internal/netsite) walks the cached weighted rows
+// (LocalRows) from s instead, for reach and distance queries alike, and
+// this graph is the reference its answers and Touched sets are checked
+// against.
 
 // threePhase runs the scheme of Section 2.2 once over every site:
 //

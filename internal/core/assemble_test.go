@@ -345,21 +345,100 @@ func TestSourceEqMatchesLocalEval(t *testing.T) {
 
 // rowsAndQueryPart decides qr(s, t) the way the wire coordinator does once
 // it holds every fragment's rows: the rows, plus each fragment's query part.
-func rowsAndQueryPart(rows []*ReachPartial, frags []*fragment.Fragment, s, t graph.NodeID, opt *Options) bool {
-	sys := assembleReach(rows)
+func rowsAndQueryPart(rows []*Rows, frags []*fragment.Fragment, s, t graph.NodeID, opt *Options) bool {
+	sys := bes.New[graph.NodeID]()
 	for site, f := range frags {
+		rows[site].AddToSystemFrom(site, sys)
 		SourceOnlyReach(f, s, t, opt).AddToSystemFrom(site, sys)
 		TargetOnlyReach(f, t, opt).AddToSystemFrom(site, sys)
 	}
 	return sys.Decide(s)
 }
 
-// TestRowsPlusQueryPartMatchesLocalEval: a fragment's in-node rows (no
-// source, no target) plus the query part (SourceOnlyReach, TargetOnlyReach)
+// rowsAndDistPart solves qbr(s, t, l) as min-plus equations over the same
+// rows plus each fragment's DistQueryPart and Xt = 0, as the wire
+// coordinator's search does: the distance when it is at most l, else -1.
+func rowsAndDistPart(rows []*Rows, frags []*fragment.Fragment, s, t graph.NodeID, l int) int {
+	sys := bes.NewWeighted[graph.NodeID]()
+	sys.AddConst(t, 0)
+	for site, f := range frags {
+		for _, rv := range []*Rows{rows[site], DistQueryPart(f, s, t, l, nil)} {
+			for i := 0; i < rv.NumEqs(); i++ {
+				node, cons, vars, ws := rv.Eq(i)
+				if node == t {
+					continue // Xt = 0 whatever a row says
+				}
+				if cons != NoConst {
+					sys.AddConst(node, int64(cons))
+				}
+				for j, v := range vars {
+					sys.AddTerm(node, v, int64(ws[j]))
+				}
+			}
+		}
+	}
+	if d, _ := sys.Solve(s); d <= int64(l) {
+		return int(d)
+	}
+	return -1
+}
+
+// TestLocalRowsMatchCutDist: the 64-wide BFS behind LocalRows gives every
+// in-node the terms the one-source cut BFS gives it, on fragments with
+// more in-nodes than one batch holds.
+func TestLocalRowsMatchCutDist(t *testing.T) {
+	type term struct {
+		b graph.NodeID
+		d int32
+	}
+	batches := 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		g := gen.PowerLaw(gen.Config{Nodes: 400, Edges: 1600, Seed: seed})
+		fr, err := fragment.Random(g, 2+int(seed%3), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fi, f := range fr.Fragments() {
+			if len(f.InNodes()) > 64 {
+				batches++
+			}
+			rv := LocalRows(f, nil)
+			if rv.NumEqs() != len(f.InNodes()) {
+				t.Fatalf("seed %d fragment %d: %d rows for %d in-nodes", seed, fi, rv.NumEqs(), len(f.InNodes()))
+			}
+			var bfs cutDist
+			for i := 0; i < rv.NumEqs(); i++ {
+				node, cons, vars, ws := rv.Eq(i)
+				v, _ := f.Local(node)
+				bfs.from(f, v, graph.None, unbounded, nil)
+				got, want := make([]term, len(vars)), make([]term, len(bfs.vars))
+				for j := range vars {
+					got[j] = term{vars[j], ws[j]}
+				}
+				for j := range bfs.vars {
+					want[j] = term{bfs.vars[j], bfs.ws[j]}
+				}
+				cmp := func(a, b term) int { return int(a.b) - int(b.b) }
+				slices.SortFunc(got, cmp)
+				slices.SortFunc(want, cmp)
+				if cons != NoConst || !slices.Equal(got, want) {
+					t.Fatalf("seed %d fragment %d, X%d: rows give %d %v, the cut BFS %v", seed, fi, node, cons, got, want)
+				}
+			}
+		}
+	}
+	if batches == 0 {
+		t.Fatal("no fragment had more than 64 in-nodes")
+	}
+}
+
+// TestRowsPlusQueryPartMatchesLocalEval: a fragment's weighted in-node rows
+// (LocalRows) plus the query part (SourceOnlyReach, TargetOnlyReach)
 // decide what the full local evaluation decides — on a hand-built
 // fragmentation covering every kind of source and target, and on random
 // ones over all pairs, indexed and direct — and when a compaction between
 // the rows and the query part changes which in-node represents an SCC.
+// The same rows plus DistQueryPart give every distance within its bound.
 func TestRowsPlusQueryPartMatchesLocalEval(t *testing.T) {
 	// TestSourceEqMatchesLocalEval's graph: fragment 0 holds a(0) <-> c(1),
 	// p(2) -> x(3) -> t0(4); fragment 1 holds w(5) -> z(6); cross edges
@@ -375,9 +454,9 @@ func TestRowsPlusQueryPartMatchesLocalEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	frags := fr.Fragments()
-	rows := make([]*ReachPartial, len(frags))
+	rows := make([]*Rows, len(frags))
 	for i, f := range frags {
-		rows[i] = LocalEvalReach(f, graph.None, graph.None, nil)
+		rows[i] = LocalRows(f, nil)
 	}
 	for _, c := range []struct {
 		name string
@@ -404,6 +483,15 @@ func TestRowsPlusQueryPartMatchesLocalEval(t *testing.T) {
 		if got := rowsAndQueryPart(rows, frags, c.s, c.t, nil); got != want {
 			t.Errorf("%s: rows + query part decide qr(%d,%d) = %v, want %v", c.name, c.s, c.t, got, want)
 		}
+		for l := 1; l <= 4; l++ {
+			want := g.Dist(c.s, c.t)
+			if want > l {
+				want = -1
+			}
+			if got := rowsAndDistPart(rows, frags, c.s, c.t, l); got != want {
+				t.Errorf("%s: rows + distance part give dist(%d,%d) within %d = %d, want %d", c.name, c.s, c.t, l, got, want)
+			}
+		}
 	}
 
 	// Fragment 0 holds junk(0), a(1) <-> b(3), b -> t(2); fragment 1 holds
@@ -424,7 +512,7 @@ func TestRowsPlusQueryPartMatchesLocalEval(t *testing.T) {
 	}
 	frags = fr.Fragments()
 	for i, f := range frags {
-		rows[i] = LocalEvalReach(f, graph.None, graph.None, nil)
+		rows[i] = LocalRows(f, nil)
 	}
 	fr.Compact()
 	for _, s := range []graph.NodeID{4, 5} {
@@ -443,9 +531,9 @@ func TestRowsPlusQueryPartMatchesLocalEval(t *testing.T) {
 			fr.WaitReachIndexes()
 		}
 		frags := fr.Fragments()
-		rows := make([]*ReachPartial, len(frags))
+		rows := make([]*Rows, len(frags))
 		for i, f := range frags {
-			rows[i] = LocalEvalReach(f, graph.None, graph.None, opt)
+			rows[i] = LocalRows(f, opt)
 		}
 		for s := graph.NodeID(0); int(s) < n; s++ {
 			for tt := graph.NodeID(0); int(tt) < n; tt++ {
@@ -454,6 +542,14 @@ func TestRowsPlusQueryPartMatchesLocalEval(t *testing.T) {
 				}
 				if got, want := rowsAndQueryPart(rows, frags, s, tt, opt), g.Reachable(s, tt); got != want {
 					t.Fatalf("trial %d: rows + query part decide qr(%d,%d) = %v, BFS %v on %v, %v", trial, s, tt, got, want, g, fr)
+				}
+				l := 1 + int(s+tt)%8
+				want := g.Dist(s, tt)
+				if want > l {
+					want = -1
+				}
+				if got := rowsAndDistPart(rows, frags, s, tt, l); got != want {
+					t.Fatalf("trial %d: rows + distance part give dist(%d,%d) within %d = %d, BFS %d on %v, %v", trial, s, tt, l, got, want, g, fr)
 				}
 			}
 		}

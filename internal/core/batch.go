@@ -134,8 +134,8 @@ func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Rea
 // TargetOnlyReach returns what f's in-node equations gain from knowing the
 // target: Xv = true for every in-node v that reaches t inside the fragment,
 // Xt itself included when t is an in-node. Added to the fragment's rows —
-// LocalEvalReach(f, graph.None, graph.None), which leave t an ordinary node
-// — it decides exactly what LocalEvalReach(f, graph.None, t) decides:
+// LocalRows(f), which leave t an ordinary node — it decides exactly what
+// LocalEvalReach(f, graph.None, t) decides:
 //
 //   - sound: each equation states a path that exists in the fragment;
 //   - complete: let an in-node v reach t locally and w be the last in-node

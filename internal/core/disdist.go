@@ -82,15 +82,7 @@ func DisDist(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID,
 func LocalEvalDist(f *fragment.Fragment, s, t graph.NodeID, l int) *DistPartial {
 	iset := isetOf(f, s)
 	rv := &DistPartial{eqs: make([]distEq, 0, len(iset))}
-	if len(iset) == 0 {
-		return rv
-	}
-	dist := make([]int32, f.NumTotal())
-	queue := make([]int32, 0, f.NumTotal())
-	for i := range dist {
-		dist[i] = -1
-	}
-	touched := make([]int32, 0, f.NumTotal())
+	var bfs cutDist
 	for _, v := range iset {
 		if f.Global(v) == t {
 			// Xt is trivially 0 (dist(t, t) = 0); other equations may
@@ -98,48 +90,15 @@ func LocalEvalDist(f *fragment.Fragment, s, t graph.NodeID, l int) *DistPartial 
 			rv.eqs = append(rv.eqs, distEq{node: t, terms: []distTerm{{isConst: true}}})
 			continue
 		}
-		eq := distEq{node: f.Global(v)}
-		// Bounded BFS from v, pruned at depth l.
-		dist[v] = 0
-		queue = append(queue[:0], v)
-		touched = append(touched[:0], v)
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			d := dist[x]
-			if x != v {
-				g := f.Global(x)
-				switch {
-				case g == t:
-					// Local or virtual occurrence of the target; BFS finds
-					// the local minimum distance first, so stop this branch.
-					if int(d) <= l {
-						eq.terms = append(eq.terms, distTerm{w: int64(d), isConst: true})
-					}
-					continue
-				case f.IsBoundary(x):
-					// Frontier cut (see localEval): the boundary node's own
-					// min-equation continues the path, so emit Xg + d and
-					// stop expanding here.
-					if int(d) < l {
-						eq.terms = append(eq.terms, distTerm{varNode: g, w: int64(d)})
-					}
-					continue
-				}
-			}
-			if int(d) >= l {
-				continue
-			}
-			for _, w := range f.Out(x) {
-				if dist[w] < 0 {
-					dist[w] = d + 1
-					queue = append(queue, w)
-					touched = append(touched, w)
-				}
-			}
+		// Frontier cut (see localEval): a boundary node's own min-equation
+		// continues the path, so the BFS emits Xg + d there and stops.
+		bfs.from(f, v, t, l, nil)
+		eq := distEq{node: f.Global(v), terms: make([]distTerm, 0, len(bfs.vars)+1)}
+		if bfs.cons != NoConst {
+			eq.terms = append(eq.terms, distTerm{w: int64(bfs.cons), isConst: true})
 		}
-		for _, x := range touched {
-			dist[x] = -1
+		for j, g := range bfs.vars {
+			eq.terms = append(eq.terms, distTerm{varNode: g, w: int64(bfs.ws[j])})
 		}
 		rv.eqs = append(rv.eqs, eq)
 	}

@@ -34,8 +34,7 @@ type reachEq struct {
 // The equations are stored flat — equation i is Xnodes[i] = truth[i] ∨
 // (∨ vars[offs[i]:offs[i+1]]) — so a partial decoded off the wire occupies
 // about its marshaled size (9 bytes an equation, 4 a disjunct) however many
-// equations it has. That is what the wire coordinator pays to keep one
-// fragment's in-node rows across queries.
+// equations it has.
 type ReachPartial struct {
 	nodes []graph.NodeID
 	truth []bool
@@ -144,10 +143,11 @@ func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID
 // fragment's boundary structure instead of |Fi.I|·|Fi| in the worst case
 // (the paper's O(|Vf||Fm|) bound still applies).
 //
-// With s = t = graph.None the result is the fragment's in-node rows: the
-// part of every answer that depends on the fragment alone. SourceOnlyReach
-// and TargetOnlyReach produce the rest, the part that depends on the query.
-// A nil opt means defaults.
+// With s = t = graph.None the result is the fragment's in-node equations
+// alone. The wire runtime ships LocalRows instead — the same cut at every
+// boundary node, without aliasing, and weighted — with SourceOnlyReach and
+// TargetOnlyReach for the part that depends on the query. A nil opt means
+// defaults.
 //
 // When opt.Cancel fires mid-evaluation the partial is abandoned and nil is
 // returned; callers running under cooperative cancellation must treat nil

@@ -26,8 +26,9 @@ import (
 // the query: every equation is claimed by the site it came from as it is
 // added (AddToSystemFrom, AssembleDist), and bes reports the claimants of
 // the closure of Xs (System.Sources, Weighted.Solve). The wire coordinator
-// reads a reach query's set off its walk from s over the cached rows
-// instead, the same set (internal/netsite, TestProbeMatchesEquationSystem).
+// reads the set off its walk or distance search from s over the cached
+// rows instead: for a reach query the same set, for a distance query one
+// that contains it (internal/netsite, TestProbeMatchesEquationSystem).
 // Touched sets are sorted site indices — equivalently fragment IDs.
 
 // TouchedRPQ is the touched set of qrr(s, t, R): the (sorted) indices into

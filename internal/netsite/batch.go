@@ -44,20 +44,24 @@ import (
 //	           | [instance u64 | generation u64 | rlen u32 | rows bytes]
 //	           | count u32 | per query: plen u32 | partial bytes
 //
-// Boundary rows. A fragment's answer to qr(s, t) is its in-node rows — for
-// every in-node, which boundary nodes it reaches locally: O(|Vf|²) bits
-// that depend on the fragment alone (core.LocalEvalReach with no source and
-// no target) — plus a query part that is small: s's own equation when the
-// site stores s as a non-in-node (core.SourceOnlyReach), and Xv = true for
-// the in-nodes that reach t where the site stores t (core.TargetOnlyReach;
-// shipped with the first query of the batch that names t). The coordinator
-// keeps each site's rows, and the rows section is there only when the tag
-// in the request is not the fragment's current (Fragmentation.Instance,
+// Boundary rows. A fragment's answer to qr(s, t) and to qbr(s, t, l) is its
+// weighted in-node rows — for every in-node v, the boundary nodes b it
+// reaches locally with no other boundary node in between, each with that
+// distance d: Xv <= Xb + d, O(|Vf|²) terms that depend on the fragment
+// alone (core.LocalRows) — plus a query part that is small. For qr: s's
+// own equation when the site stores s as a non-in-node
+// (core.SourceOnlyReach), and Xv = true for the in-nodes that reach t where
+// the site stores t (core.TargetOnlyReach; shipped with the first query of
+// the batch that names t). For qbr: the same two, weighted and cut at l
+// (core.DistQueryPart). The coordinator keeps each site's rows, and the
+// rows section is there only when the batch holds a qr or qbr query and the
+// tag in the request is not the fragment's current (Fragmentation.Instance,
 // Fragment.Generation), read under the read lock the evaluation holds: the
-// site then ships the rows once for the whole batch, however many reach
-// queries and distinct targets it carries, and the coordinator replaces its
-// copy. A reach query's partial is its query part either way; distance and
-// regex partials are complete on their own and no rows are involved.
+// site then ships the rows once for the whole batch, however many queries
+// and distinct targets it carries, and the coordinator replaces its copy. A
+// reach or distance query's partial is its query part either way; regex
+// partials are complete on their own and no rows are involved — an automaton
+// is drawn per query, so (node, state) rows would rarely be reused.
 //
 // Why a match is safe: every mutation of a fragment — sequenced batch,
 // unsequenced apply, direct call on the Fragmentation under the site — runs
@@ -108,8 +112,10 @@ type BatchAnswer struct {
 // reply; version 3 added the request flags byte; version 4 moved the trace
 // context into the request header and made this the only query frame;
 // version 5 added the request's rows tag and replaced the per-target
-// sections with the one optional rows section.
-const batchVersion = 5
+// sections with the one optional rows section; version 6 made the rows
+// weighted (core.Rows, one codec for qr and qbr) and a distance query's
+// partial its query part.
+const batchVersion = 6
 
 // Request flag bits. batchFlagTrace says 16 bytes of trace context follow
 // the rows tag and asks the site to record spans. Bit 1 is retired (it
@@ -308,12 +314,13 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 	return qs, h, nil
 }
 
-// batchReply is the decoded body of a query reply. hasRows is false when the site shipped none (its fragment matches the
-// request's tag, or the batch has no reach query).
+// batchReply is the decoded body of a query reply. hasRows is false when
+// the site shipped none (its fragment matches the request's tag, or the
+// batch has no reach or distance query).
 type batchReply struct {
 	hasRows bool
 	tag     rowsTag
-	rows    []byte   // the fragment's marshaled in-node rows
+	rows    []byte   // the fragment's marshaled weighted in-node rows
 	parts   [][]byte // per batched query: its marshaled partial (empty: nothing to add)
 }
 
@@ -468,7 +475,7 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 		solveStart := time.Now()
 		if err = sol.finish(widx, answers); err == nil && qt != nil {
 			var attrs []obs.Attr
-			if sol.targets > 0 {
+			if sol.needRows {
 				use := "reused"
 				if sol.built {
 					use = "built"
@@ -502,8 +509,8 @@ func classLabel(c QueryClass) string {
 // were computed at. Immutable once stored.
 type siteRows struct {
 	tag rowsTag
-	rv  *core.ReachPartial // the rows as decoded off the wire
-	in  *boundary          // or: the published boundary that lays them out
+	rv  *core.Rows // the rows as decoded off the wire
+	in  *boundary  // or: the published boundary that lays them out
 }
 
 // source reads site's rows back, wherever they are kept.
@@ -564,16 +571,19 @@ func (c *Coordinator) publish(bnd *boundary) {
 // chain of equations, each a sound implication at the round's (epoch,
 // LSN), so no absent site can retract it, while false needs every site's
 // equations, i.e. all replies. Strict rounds walk once, on the last reply.
-// Either way a round costs one closure walk per query. Distance and regex
-// parts have no incremental solver: their bytes are kept per site and
-// solved once, in finish, when the last reply is in.
+// Either way a round costs one closure walk per query. A distance query is
+// one search over the same boundary, in finish, once every reply is in (a
+// silent site may hold a shorter path); regex parts have no rows and no
+// incremental solver: their bytes are kept per site and solved once, in
+// finish, too.
 type batchSolver struct {
-	c         *Coordinator // the rows cache, the published boundary, the build count
-	wire      []BatchQuery
-	reachOnly bool  // no distance or regex query among them
-	early     bool  // report the round decided once every query is proved
-	target    []int // per wire query: its target's index among the reach targets (-1: not reach)
-	targets   int
+	c          *Coordinator // the rows cache, the published boundary, the build count
+	wire       []BatchQuery
+	needRows   bool  // a reach or distance query among them: replies rest on the rows
+	rowsBacked bool  // no regex query among them: a rows-free reply is O(|Vf|) per query
+	early      bool  // report the round decided once every query is proved
+	target     []int // per wire query: its target's index among the reach targets (-1: not reach)
+	targets    int
 
 	// Per attempt. held[i] is the copy of site i's rows the attempt stands
 	// on: the one whose tag the request carried (nil: none) — captured at
@@ -586,7 +596,7 @@ type batchSolver struct {
 	rows  []obs.RowsOutcome      // what each site's reply did about its rows
 	reach [][]*core.ReachPartial // per site, per query: its decoded reach query part (nil: none)
 	parts [][][]byte             // per site, per query: partial bytes
-	fed   []int                  // the sites whose replies to a reach round are in, in arrival order
+	fed   []int                  // the sites whose replies to a rows round are in, in arrival order
 	built bool                   // the attempt built a boundary rather than reuse one
 
 	// Derived by sync from held and fed.
@@ -597,18 +607,24 @@ type batchSolver struct {
 }
 
 // newBatchSolver prepares the solver of one batch; early decision applies
-// when anytime is on and every query is a reach query (distance and regex
-// partials have no incremental solver, so such a round could never be
-// decided early).
+// when anytime is on and every query is a reach query (a distance needs
+// every site's rows, and regex partials have no incremental solver, so such
+// a round could never be decided early).
 func newBatchSolver(c *Coordinator, wire []BatchQuery, anytime bool) *batchSolver {
-	b := &batchSolver{c: c, wire: wire, reachOnly: true, target: make([]int, len(wire))}
+	b := &batchSolver{c: c, wire: wire, rowsBacked: true, target: make([]int, len(wire))}
 	index := make(map[graph.NodeID]int)
+	allReach := true
 	for j, q := range wire {
 		b.target[j] = -1
-		if q.Class != ClassReach {
-			b.reachOnly = false
+		switch q.Class {
+		case ClassDist:
+			b.needRows, allReach = true, false
+			continue
+		case ClassRPQ:
+			b.rowsBacked, allReach = false, false
 			continue
 		}
+		b.needRows = true
 		ti, ok := index[q.T]
 		if !ok {
 			ti = len(index)
@@ -617,7 +633,7 @@ func newBatchSolver(c *Coordinator, wire []BatchQuery, anytime bool) *batchSolve
 		b.target[j] = ti
 	}
 	b.targets = len(index)
-	b.early = anytime && b.reachOnly
+	b.early = anytime && allReach
 	return b
 }
 
@@ -645,14 +661,17 @@ func (b *batchSolver) feed(site int, body []byte) (bool, error) {
 		return false, fmt.Errorf("netsite: site %d answered %d of %d batch queries", site, len(rep.parts), len(b.wire))
 	}
 	b.parts[site] = rep.parts
-	if b.targets == 0 {
-		return false, nil // no reach query: rows neither needed nor kept
+	if !b.needRows {
+		return false, nil // regex queries only: rows neither needed nor kept
 	}
 	switch {
 	case rep.hasRows:
-		rows := new(core.ReachPartial)
+		rows := new(core.Rows)
 		if err := rows.UnmarshalBinary(rep.rows); err != nil {
 			return false, fmt.Errorf("netsite: site %d rows: %w", site, err)
+		}
+		if rows.HasConst() {
+			return false, fmt.Errorf("netsite: site %d shipped rows with a constant term", site)
 		}
 		b.rows[site] = obs.RowsMiss
 		b.held[site] = &siteRows{tag: rep.tag, rv: rows}
@@ -695,7 +714,7 @@ func (b *batchSolver) feed(site int, body []byte) (bool, error) {
 // shipped rows changes what the attempt stands on, so the walks restart on
 // the new boundary.
 func (b *batchSolver) sync() {
-	if b.targets == 0 {
+	if !b.needRows {
 		return
 	}
 	if b.bnd == nil || !b.bnd.holds(b.held) {
@@ -704,10 +723,10 @@ func (b *batchSolver) sync() {
 			b.build()
 		}
 	}
-	if b.probes == nil {
+	if b.probes == nil && b.targets > 0 {
 		b.eqs = make([]*targetEqs, b.targets)
 		for i := range b.eqs {
-			b.eqs[i] = &targetEqs{bnd: b.bnd, eqs: make(map[int32][]siteEq)}
+			b.eqs[i] = &targetEqs{queryNodes: queryNodes{bnd: b.bnd}, eqs: make(map[int32][]siteEq)}
 		}
 		for j, q := range b.wire {
 			if ti := b.target[j]; ti >= 0 {
@@ -754,6 +773,10 @@ func (b *batchSolver) build() {
 func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
 	b.sync()
 	probes := b.probes
+	open := make([]bool, len(b.held))
+	for _, site := range b.fed {
+		open[site] = true
+	}
 	for j, q := range b.wire {
 		i := widx[j]
 		switch q.Class {
@@ -762,14 +785,16 @@ func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
 			probes = probes[1:]
 			answers[i] = BatchAnswer{Answer: p.answer, Touched: p.sites()}
 		case ClassDist:
-			partials := make([]*core.DistPartial, len(b.held))
-			for site := range partials {
-				partials[site] = new(core.DistPartial)
-				if err := partials[site].UnmarshalBinary(b.parts[site][j]); err != nil {
-					return fmt.Errorf("netsite: site %d batch query %d: %w", site, i, err)
+			parts := make([]*core.Rows, len(b.held))
+			for _, site := range b.fed {
+				if part := b.parts[site][j]; len(part) > 0 {
+					parts[site] = new(core.Rows)
+					if err := parts[site].UnmarshalBinary(part); err != nil {
+						return fmt.Errorf("netsite: site %d batch query %d: %w", site, i, err)
+					}
 				}
 			}
-			d, touched := core.AssembleDist(partials, q.S)
+			d, touched := b.bnd.distance(q.S, q.T, q.L, open, parts)
 			answers[i] = BatchAnswer{Answer: d <= int64(q.L), Dist: d, Touched: touched}
 		case ClassRPQ:
 			partials := make([]*core.RPQPartial, len(b.held))

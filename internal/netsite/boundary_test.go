@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"distreach/internal/automaton"
+	"distreach/internal/bes"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
@@ -111,24 +112,48 @@ func (d *cacheDeployment) restore(rep *fragment.Replica) (*fragment.Fragmentatio
 	return dec.Fr, snap.Epoch, snap.LSN
 }
 
-// reachStrict runs one strict reach round, checks it against the oracle
-// and reports, per site, whether its final carried rows. A strict round
-// also leaves every site's rows in the cache, whatever came before.
-func (d *cacheDeployment) reachStrict(step string) []bool {
+// Strict round shapes: what a strictRound batch holds. Each needs the rows.
+const (
+	roundReach = iota // one reach query
+	roundDist         // distance queries only
+	roundMixed        // a reach, a distance and a regex query
+	roundShapes
+)
+
+// strictRound runs one strict round of the given shape, checks every
+// answer against the oracle and reports, per site, whether its final
+// carried rows. A strict round also leaves every site's rows in the cache,
+// whatever came before.
+func (d *cacheDeployment) strictRound(step string, shape int) []bool {
 	d.co.SetAnytime(false)
 	defer d.co.SetAnytime(true)
-	s, tt := d.live(), d.live()
-	for s == tt {
-		tt = d.live()
+	var batch []BatchQuery
+	add := func(q BatchQuery) {
+		q.S, q.T = d.live(), d.live()
+		for q.S == q.T {
+			q.T = d.live()
+		}
+		batch = append(batch, q)
 	}
+	if shape != roundDist {
+		add(BatchQuery{Class: ClassReach})
+	}
+	if shape != roundReach {
+		add(BatchQuery{Class: ClassDist, L: 1 + d.rng.Intn(8)})
+	}
+	switch shape {
+	case roundDist:
+		add(BatchQuery{Class: ClassDist, L: 1 + d.rng.Intn(8)})
+	case roundMixed:
+		add(BatchQuery{Class: ClassRPQ, A: automaton.Random(d.rng, 2+d.rng.Intn(2), 3+d.rng.Intn(4), d.labels)})
+	}
+	step = fmt.Sprintf("%s, strict round %d", step, shape)
 	before := d.misses()
-	got, st, err := d.co.Reach(s, tt)
+	answers, st, err := d.co.Batch(batch)
 	if err != nil {
-		d.t.Fatalf("%s: strict reach(%d,%d): %v", step, s, tt, err)
+		d.t.Fatalf("%s: %v", step, err)
 	}
-	if want := d.oracle.Graph().Reachable(s, tt); got != want {
-		d.t.Fatalf("%s: strict reach(%d,%d) = %v, oracle %v", step, s, tt, got, want)
-	}
+	d.check(step, batch, answers)
 	if n := int64(len(d.sites)); st.FramesSent != n || st.FramesReceived != n {
 		d.t.Fatalf("%s: strict round cost %d/%d frames over %d sites: a miss must be answered in the frame that reports it",
 			step, st.FramesSent, st.FramesReceived, n)
@@ -155,6 +180,28 @@ func (d *cacheDeployment) wantFull(step string, full []bool, dirty []int) {
 	for i := range full {
 		if full[i] != want[i] {
 			d.t.Fatalf("%s: sites that shipped rows %v, want exactly the dirty set %v", step, full, dirty)
+		}
+	}
+}
+
+// check compares a batch's answers, and every distance, with the oracle's.
+func (d *cacheDeployment) check(step string, batch []BatchQuery, answers []BatchAnswer) {
+	g := d.oracle.Graph()
+	for i, q := range batch {
+		var want bool
+		switch q.Class {
+		case ClassReach:
+			want = g.Reachable(q.S, q.T)
+		case ClassDist:
+			dist := g.Dist(q.S, q.T)
+			if want = dist >= 0 && dist <= q.L; want && answers[i].Dist != int64(dist) || !want && answers[i].Dist != bes.Inf {
+				d.t.Fatalf("%s: query %d, dist(%d,%d) within %d = %d, oracle %d", step, i, q.S, q.T, q.L, answers[i].Dist, dist)
+			}
+		case ClassRPQ:
+			want = automaton.Eval(g, q.S, q.T, q.A)
+		}
+		if answers[i].Answer != want {
+			d.t.Fatalf("%s: query %d, class %q (%d,%d) = %v, oracle %v", step, i, byte(q.Class), q.S, q.T, answers[i].Answer, want)
 		}
 	}
 }
@@ -190,21 +237,7 @@ func (d *cacheDeployment) queries(step string) {
 	if err != nil {
 		d.t.Fatalf("%s: mixed batch: %v", step, err)
 	}
-	for i, q := range batch {
-		var want bool
-		switch q.Class {
-		case ClassReach:
-			want = g.Reachable(q.S, q.T)
-		case ClassDist:
-			dist := g.Dist(q.S, q.T)
-			want = dist >= 0 && dist <= q.L
-		case ClassRPQ:
-			want = automaton.Eval(g, q.S, q.T, q.A)
-		}
-		if answers[i].Answer != want {
-			d.t.Fatalf("%s: batch query %d, class %q (%d,%d) = %v, oracle %v", step, i, byte(q.Class), q.S, q.T, answers[i].Answer, want)
-		}
-	}
+	d.check(step+": mixed batch", batch, answers)
 }
 
 // edgeOps draws a small batch of edge mutations between live nodes.
@@ -227,9 +260,11 @@ func (d *cacheDeployment) edgeOps() []Op {
 // batches (this gateway's and a second one's), an unsequenced lsn-0 apply,
 // a direct Fragmentation.InsertEdge under the sites, a live rebalance, a
 // snapshot installed into every replica, a site restarted from a snapshot
-// and redialed. Every answer equals centralized evaluation on the mirrored
-// graph, and after every step exactly the sites whose rows could have
-// changed ship them again — in the frame that carries their answer.
+// and redialed. Every answer, and every distance, equals centralized
+// evaluation on the mirrored graph, and after every step exactly the sites
+// whose rows could have changed ship them again — in the frame that
+// carries their answer — whether the round asks reach queries, distance
+// queries or a mix of all three classes.
 func TestBoundaryCacheCrossCheck(t *testing.T) {
 	labels := []string{"A", "B", "C"}
 	rng := gen.NewRNG(2311)
@@ -294,8 +329,8 @@ func TestBoundaryCacheCrossCheck(t *testing.T) {
 		for i := range all {
 			all[i] = i
 		}
-		d.wantFull("cold", d.reachStrict("cold"), all)
-		d.wantFull("warm", d.reachStrict("warm"), nil)
+		d.wantFull("cold", d.strictRound("cold", trial%roundShapes), all)
+		d.wantFull("warm", d.strictRound("warm", (trial+1)%roundShapes), nil)
 
 		// Every kind of step once, in a seeded order, then a few more at
 		// random.
@@ -404,9 +439,10 @@ func TestBoundaryCacheCrossCheck(t *testing.T) {
 				}
 				dirty = []int{i}
 			}
-			d.wantFull(step, d.reachStrict(step), dirty)
+			shape := si % roundShapes
+			d.wantFull(step, d.strictRound(step, shape), dirty)
 			d.queries(step)
-			d.wantFull(step+", settled", d.reachStrict(step), nil)
+			d.wantFull(step+", settled", d.strictRound(step, (shape+1)%roundShapes), nil)
 		}
 		for i, rep := range d.reps {
 			fr, _ := rep.Current()
@@ -507,5 +543,46 @@ func TestBoundaryCacheBytes(t *testing.T) {
 	}
 	if v := aud.Violations(); v != 0 {
 		t.Fatalf("%d guarantee violations: %+v", v, aud.Summary())
+	}
+}
+
+// TestBoundaryCacheBytesDist: the rows serve distance queries too. A cold
+// qbr ships every site's rows; the same qbr again ships only its query
+// parts, under 1% of the cold round's bytes (on a graph large enough that
+// the per-reply framing does not dominate), with the exact distance, and
+// within the auditor's linear bound for rows-free finals.
+func TestBoundaryCacheBytesDist(t *testing.T) {
+	g := gen.PowerLaw(gen.Config{Nodes: 3000, Edges: 12000, Labels: []string{"A"}, Seed: 2323})
+	const k = 4
+	fr, err := fragment.Random(g, k, 2323)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, done := deployFr(t, fr)
+	defer done()
+	aud := obs.NewAuditor()
+	aud.SetDeployment(int64(fr.Vf()), int64(g.NumNodes()))
+	co.SetAuditor(aud)
+	want := g.Dist(0, 2999)
+	var cold, warm WireStats
+	for _, st := range []*WireStats{&cold, &warm} {
+		ok, dist, ws, err := co.ReachWithin(0, 2999, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != (want >= 0 && want <= 8) || ok && dist != int64(want) {
+			t.Fatalf("qbr(0,2999,8) = %v/%d, oracle %d", ok, dist, want)
+		}
+		*st = ws
+	}
+	if cold.RowsReplies != k || warm.RowsReplies != 0 {
+		t.Fatalf("rows replies: cold %d, warm %d; want %d and 0", cold.RowsReplies, warm.RowsReplies, k)
+	}
+	if 100*warm.BytesReceived >= cold.BytesReceived {
+		t.Fatalf("warm qbr received %dB, cold %dB: want under 1%%", warm.BytesReceived, cold.BytesReceived)
+	}
+	// The warm finals answer to the auditor's linear bound, as reach finals do.
+	if s := aud.Summary(); s.ByteViolations != 0 || warm.BytesReceived > s.LinearByteBound*k {
+		t.Fatalf("warm qbr of %dB against the linear bound %dB per site: %+v", warm.BytesReceived, s.LinearByteBound, s)
 	}
 }

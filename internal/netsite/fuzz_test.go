@@ -74,9 +74,9 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // FuzzBatchPayload throws arbitrary bytes at every codec of the one query
 // path: the request (flags byte, trace context, per-class queries with the
-// nested automaton codec), the batch reply, the streamed partial chunk
-// (target + nested equation chunk) and the span section that heads a query
-// answer. Whatever decodes must re-encode and decode back to the same
+// nested automaton codec), the batch reply with its weighted rows section
+// (core.Rows, the codec of distance query parts too) and the span section
+// that heads a query answer. Whatever decodes must re-encode and decode back to the same
 // thing; the rest must be rejected with an error, never a panic or an
 // implausible allocation.
 func FuzzBatchPayload(f *testing.F) {
@@ -124,14 +124,14 @@ func FuzzBatchPayload(f *testing.F) {
 	f.Add(ureq)
 
 	// Both reply shapes, with real equations: evaluate a tiny fragment for
-	// its rows and a query part.
+	// its weighted rows and the query parts of a reach and a distance query.
 	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 25, Labels: []string{"A"}, Seed: 5})
 	fr, err := fragment.Random(g, 2, 5)
 	if err != nil {
 		f.Fatal(err)
 	}
 	frag := fr.Fragments()[0]
-	rb, err := core.LocalEvalReach(frag, graph.None, graph.None, nil).MarshalBinary()
+	rb, err := core.LocalRows(frag, nil).MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -142,14 +142,28 @@ func FuzzBatchPayload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	miss := batchReply{hasRows: true, tag: rowsTag{fr.Instance(), frag.Generation()}, rows: rb, parts: [][]byte{pb, nil, {0xFF}}}
-	hit := batchReply{parts: [][]byte{pb, nil, {0xFF}}}
-	f.Add(encodeBatchReply(nil, miss))                                               // the coordinator held no current rows
-	f.Add(encodeBatchReply(nil, hit))                                                // it did: query parts only
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb})) // rows and no parts
-	f.Add(encodeBatchReply(nil, miss)[:2+rowsTagSize+2])                             // truncated rows length
-	f.Add([]byte{batchVersion, 2, 0, 0, 0, 0})                                       // unknown rows flag
-	f.Add([]byte{batchVersion - 1, 0, 0, 0, 0, 0, 0, 0, 0})                          // the previous version's empty reply
+	var dpart *core.Rows // the first qbr(s, t, 6) with a query part here
+	for s := graph.NodeID(0); dpart == nil; s++ {
+		dpart = core.DistQueryPart(frag, s, (s+3)%10, 6, nil)
+	}
+	db, err := dpart.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	miss := batchReply{hasRows: true, tag: rowsTag{fr.Instance(), frag.Generation()}, rows: rb, parts: [][]byte{pb, db, {0xFF}}}
+	hit := batchReply{parts: [][]byte{pb, db, {0xFF}}}
+	f.Add(encodeBatchReply(nil, miss))                                                                                 // the coordinator held no current rows
+	f.Add(encodeBatchReply(nil, hit))                                                                                  // it did: query parts only
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb}))                                   // rows and no parts
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: db}))                                   // a section with a constant term
+	f.Add(encodeBatchReply(nil, miss)[:2+rowsTagSize+2])                                                               // truncated rows length
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb[:len(rb)/2]}))                       // truncated rows
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{1, 0xFF, 0xFF, 0xFF, 0x7F}}))    // hostile equation count
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{1, 1, 0, 0, 0xFF, 0xFF, 0x7F}})) // hostile disjunct count
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag,
+		rows: []byte{1, 1, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}})) // overlong weight
+	f.Add([]byte{batchVersion, 2, 0, 0, 0, 0})              // unknown rows flag
+	f.Add([]byte{batchVersion - 1, 0, 0, 0, 0, 0, 0, 0, 0}) // the previous version's empty reply
 
 	// A query answer body: span section, then the batch reply.
 	rec := obs.NewRecorder(time.Now())
@@ -199,13 +213,13 @@ func FuzzBatchPayload(f *testing.F) {
 			}
 			// What the coordinator does with a rows section: decode, hold,
 			// re-add. The equations must survive that unchanged.
-			rows := new(core.ReachPartial)
+			rows := new(core.Rows)
 			if rep.hasRows && rows.UnmarshalBinary(rep.rows) == nil {
 				rb, err := rows.MarshalBinary()
 				if err != nil {
 					t.Fatalf("re-marshal of decoded rows failed: %v", err)
 				}
-				rows2 := new(core.ReachPartial)
+				rows2 := new(core.Rows)
 				if err := rows2.UnmarshalBinary(rb); err != nil {
 					t.Fatalf("decode of re-encoded rows failed: %v", err)
 				}

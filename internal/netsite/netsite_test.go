@@ -210,8 +210,9 @@ func TestTCPErrorPropagation(t *testing.T) {
 }
 
 // TestRetiredFramesRejected posts the frame kinds the one query frame
-// replaced — with the payloads that were valid for them — and a query
-// carrying the retired stream bit to a live site: each must come back as an
+// replaced — with the payloads that were valid for them — a query carrying
+// the retired stream bit and a version-5 query (unweighted rows) to a live
+// site: each must come back as an
 // error frame echoing its ID, without a panic or a hang, and a batch query
 // that follows on the same connection must still be answered.
 func TestRetiredFramesRejected(t *testing.T) {
@@ -246,6 +247,13 @@ func TestRetiredFramesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	streaming[1] |= 1 // the flag bit that used to ask for 'P' frames
+	// Version 5 had today's request layout but unweighted rows: a site
+	// must refuse it rather than send rows an older coordinator misreads.
+	v5, err := encodeBatchRequest([]BatchQuery{{Class: ClassDist, S: 0, T: 9, L: 4}}, batchHeader{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v5[0] = 5
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	for i, tc := range []struct {
 		name    string
@@ -262,6 +270,7 @@ func TestRetiredFramesRejected(t *testing.T) {
 		// mixed build must fail loudly, not misparse the queries as a tag.
 		{"version-4 batch", kindBatch, cat([]byte{batchVersion - 1, 0, 1, 0, 0, 0, 'r'}, st)},
 		{"stream bit", kindBatch, streaming},
+		{"version-5 batch", kindBatch, v5},
 	} {
 		id := uint32(100 + i)
 		if _, err := writeFrame(raw, id, tc.kind, tc.payload); err != nil {

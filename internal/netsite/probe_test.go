@@ -1,6 +1,8 @@
 package netsite
 
 import (
+	"encoding/binary"
+	"math"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -20,7 +22,7 @@ type probeState struct {
 	state uint64 // tells the stale copies of one state from another's
 	wire  []BatchQuery
 	rows  []*siteRows
-	parts [][]*core.ReachPartial
+	parts [][]partial
 }
 
 // probeRound runs one round of the coordinator's solver over st: the sites
@@ -68,15 +70,23 @@ func probeRound(t *testing.T, co *Coordinator, st *probeState, order []int, hit 
 }
 
 // TestProbeMatchesEquationSystem is the reference check of the
-// coordinator's reach solver: 50 random graphs under random, contiguous,
-// edgecut, v%k and BFS-grown assignments, each at three states — as built,
-// after edge updates, and after a compaction, which keeps every generation,
-// so the coordinator joins rows from before it with query parts from after.
-// For every (s, t) and every subset of replied sites, in a random reply
-// order, with each site's rows held or shipped and early decision on or
-// off, every probe's answer and Touched equal those of a bes.System fed
-// exactly the replied sites' rows and query parts (Decide and Sources); with
-// every site replied the answer is centralized reachability.
+// coordinator's reach and distance solvers: 50 random graphs under random,
+// contiguous, edgecut, v%k and BFS-grown assignments, each at three states
+// — as built, after edge updates, and after a compaction, which keeps every
+// generation, so the coordinator joins rows from before it with query parts
+// from after. For every (s, t) and every subset of replied sites, in a
+// random reply order, with each site's rows held or shipped and early
+// decision on or off:
+//
+//   - every reach probe's answer and Touched equal those of a bes.System
+//     fed exactly the replied sites' rows and query parts (Decide and
+//     Sources);
+//   - every qbr(s, t, l), l in 0..9, has the Dist core.AssembleDist gives
+//     on the replied sites' full LocalEvalDist partials, and a Touched that
+//     contains the sites AssembleDist reports.
+//
+// With every site replied the answers are centralized reachability and
+// distance.
 func TestProbeMatchesEquationSystem(t *testing.T) {
 	labels := []string{"A", "B"}
 	rng := gen.NewRNG(2601)
@@ -113,11 +123,17 @@ func TestProbeMatchesEquationSystem(t *testing.T) {
 			t.Fatal(err)
 		}
 		co := &Coordinator{rows: make([]atomic.Pointer[siteRows], k)}
-		st := &probeState{g: fr.Graph(), rows: make([]*siteRows, k), parts: make([][]*core.ReachPartial, k)}
+		// One reach batch, one distance batch over the same rows.
+		st := &probeState{g: fr.Graph(), rows: make([]*siteRows, k), parts: make([][]partial, k)}
+		dt := &probeState{g: st.g, rows: st.rows, parts: make([][]partial, k)}
+		full := make([][]*core.DistPartial, k) // per site, per distance query: LocalEvalDist's partial
 		for s := 0; s < n; s++ {
 			for tt := 0; tt < n; tt++ {
 				if s != tt {
 					st.wire = append(st.wire, BatchQuery{Class: ClassReach, S: graph.NodeID(s), T: graph.NodeID(tt)})
+					for l := 0; l <= 9; l++ {
+						dt.wire = append(dt.wire, BatchQuery{Class: ClassDist, S: graph.NodeID(s), T: graph.NodeID(tt), L: l})
+					}
 				}
 			}
 		}
@@ -126,7 +142,7 @@ func TestProbeMatchesEquationSystem(t *testing.T) {
 			byTarget[q.T] = append(byTarget[q.T], j)
 		}
 		for state, name := range []string{"built", "updated", "compacted"} {
-			st.state = uint64(state)
+			st.state, dt.state = uint64(state), uint64(state)
 			switch state {
 			case 1:
 				for i := 0; i < 1+rng.Intn(3); i++ {
@@ -149,7 +165,12 @@ func TestProbeMatchesEquationSystem(t *testing.T) {
 				if r := st.rows[i]; r == nil || r.tag != (rowsTag{fr.Instance(), f.Generation()}) {
 					st.rows[i] = rowsOf(fr, i)
 				}
-				st.parts[i] = reachParts(f, st.wire)
+				st.parts[i] = queryParts(f, st.wire)
+				dt.parts[i] = queryParts(f, dt.wire)
+				full[i] = make([]*core.DistPartial, len(dt.wire))
+				for j, q := range dt.wire {
+					full[i][j] = core.LocalEvalDist(f, q.S, q.T, q.L)
+				}
 			}
 			for mask := 1; mask < 1<<k; mask++ {
 				var order []int
@@ -166,7 +187,7 @@ func TestProbeMatchesEquationSystem(t *testing.T) {
 					for _, site := range order {
 						st.rows[site].rv.AddToSystemFrom(site, sys)
 						for _, j := range js {
-							st.parts[site][j].AddToSystemFrom(site, sys)
+							st.parts[site][j].(*core.ReachPartial).AddToSystemFrom(site, sys)
 						}
 					}
 					for _, j := range js {
@@ -182,6 +203,38 @@ func TestProbeMatchesEquationSystem(t *testing.T) {
 						if len(order) == k && a.Answer != st.g.Reachable(q.S, q.T) {
 							t.Fatalf("trial %d %s: reach(%d,%d) = %v with every site replied, oracle %v",
 								trial, name, q.S, q.T, a.Answer, !a.Answer)
+						}
+					}
+				}
+				answers = probeRound(t, co, dt, order, hit, false)
+				replied := make([]*core.DistPartial, k)
+				for j, q := range dt.wire {
+					for _, site := range order {
+						replied[site] = full[site][j]
+					}
+					d, touched := core.AssembleDist(replied, q.S)
+					if d > int64(q.L) {
+						d = bes.Inf
+					}
+					a := answers[j]
+					if a.Dist != d || a.Answer != (d != bes.Inf) {
+						t.Fatalf("trial %d %s, sites %v (hit %v): qbr(%d,%d,%d) = %v/%d, AssembleDist %d",
+							trial, name, order, hit, q.S, q.T, q.L, a.Answer, a.Dist, d)
+					}
+					for _, site := range touched {
+						if !slices.Contains(a.Touched, site) {
+							t.Fatalf("trial %d %s, sites %v (hit %v): qbr(%d,%d,%d) touched %v, AssembleDist %v",
+								trial, name, order, hit, q.S, q.T, q.L, a.Touched, touched)
+						}
+					}
+					if len(order) == k {
+						want := st.g.Dist(q.S, q.T)
+						if want < 0 || want > q.L {
+							want = -1
+						}
+						if got := a.Dist; (want < 0) != (got == bes.Inf) || want >= 0 && got != int64(want) {
+							t.Fatalf("trial %d %s: qbr(%d,%d,%d) = %d with every site replied, oracle %d",
+								trial, name, q.S, q.T, q.L, got, want)
 						}
 					}
 				}
@@ -212,8 +265,8 @@ func TestRowsCacheKeepsNewerGeneration(t *testing.T) {
 		{2, rowsTag{7, 6}, rowsTag{7, 6}},
 		{3, rowsTag{9, 1}, rowsTag{9, 1}}, // another instance
 	} {
-		rows := &siteRows{tag: c.tag, rv: new(core.ReachPartial)}
-		if _, err := rounds[c.round].feed(0, replyBody(t, []*core.ReachPartial{nil}, rows)); err != nil {
+		rows := &siteRows{tag: c.tag, rv: new(core.Rows)}
+		if _, err := rounds[c.round].feed(0, replyBody(t, []partial{(*core.ReachPartial)(nil)}, rows)); err != nil {
 			t.Fatal(err)
 		}
 		if got := co.rows[0].Load().tag; got != c.want {
@@ -274,5 +327,38 @@ func TestBoundaryBuildTraced(t *testing.T) {
 			t.Fatalf("reach(%d,%d): %d boundary.build spans after %d rows replies, solve boundary=%q; want %d to %d and %q",
 				c.s, c.t, builds, st.RowsReplies, use, lo, hi, wantUse)
 		}
+	}
+}
+
+// TestDistanceHugeWeights: the distance search's queue does not grow with
+// the weights the rows carry, and distances stay exact up to 2^31-1 — a
+// chain 0 -> 1 -> ... -> 4 whose rows weigh 2^29 each, asked with the
+// largest bound a query carries.
+func TestDistanceHugeWeights(t *testing.T) {
+	const w = 1 << 29
+	chain := func(from, to graph.NodeID) *core.Rows { // Xv <= Xv+1 + w for v in [from, to)
+		b := binary.AppendUvarint([]byte{1}, uint64(to-from)) // version, equations
+		prev := graph.NodeID(0)
+		for v := from; v < to; v++ {
+			b = binary.AppendUvarint(b, uint64(v-prev)<<1) // node: a zigzag delta
+			b = append(b, 0, 1)                            // no constant, one term
+			b = binary.AppendUvarint(b, uint64(v+1))
+			b = binary.AppendUvarint(b, w)
+			prev = v
+		}
+		rv := new(core.Rows)
+		if err := rv.UnmarshalBinary(b); err != nil {
+			t.Fatal(err)
+		}
+		return rv
+	}
+	bnd := buildBoundary([]*siteRows{{tag: rowsTag{1, 1}, rv: chain(1, 4)}})
+	part := chain(0, 1)
+	l := math.MaxInt32
+	if d, touched := bnd.distance(0, 3, l, []bool{true}, []*core.Rows{part}); d != 3*w || !slices.Equal(touched, []int{0}) {
+		t.Fatalf("dist(0,3) over three hops of %d = %d, touched %v; want %d, [0]", w, d, touched, 3*w)
+	}
+	if d, _ := bnd.distance(0, 4, l, []bool{true}, []*core.Rows{part}); d != bes.Inf {
+		t.Fatalf("dist(0,4) = 2^31 beyond the bound 2^31-1: got %d, want Inf", d)
 	}
 }

@@ -42,21 +42,25 @@
 // codecs straight after the (epoch, lsn) tag.
 //
 // The boundary cache lives in that one round trip. What a fragment
-// contributes to a reach answer is, almost entirely, its in-node rows —
-// O(|Vf|²) bits that do not depend on the query. The coordinator keeps the
-// rows each site last shipped, and the request's rows tag names the copy it
-// holds for the receiving site: the instance ID of the site's fragmentation
-// and the fragment's generation, zero when it holds none. A site whose
-// fragment is still at that tag answers with the query parts alone — per
-// reach query, the source's equation and the in-nodes that reach the
-// target: a few dozen bytes — and otherwise ships its rows, once for the
-// whole batch, tagged with the state they were computed at, ahead of the
-// same query parts; the coordinator replaces its copy. Every mutation bumps
-// the generation of the fragments it dirties and every new fragmentation
-// draws a new instance ID (batch.go says why that makes a match safe), so a
-// miss is answered in the frame that reports it: no invalidation message,
-// no refetch round, still one visit per site. Per-query traffic is O(|Vf|);
-// the paper's O(|Vf|²) is paid once per change of a fragment.
+// contributes to a reach or distance answer is, almost entirely, its
+// weighted in-node rows — O(|Vf|²) terms Xv <= Xb + d that do not depend on
+// the query, read as Booleans for qr and as min-plus equations for qbr. The
+// coordinator keeps the rows each site last shipped, and the request's rows
+// tag names the copy it holds for the receiving site: the instance ID of
+// the site's fragmentation and the fragment's generation, zero when it
+// holds none. A site whose fragment is still at that tag answers with the
+// query parts alone — per reach query, the source's equation and the
+// in-nodes that reach the target; per distance query, the same weighted
+// and cut at its bound: a few dozen bytes — and otherwise ships its rows,
+// once for the whole batch, tagged with the state they were computed at,
+// ahead of the same query parts; the coordinator replaces its copy. Every
+// mutation bumps the generation of the fragments it dirties and every new
+// fragmentation draws a new instance ID (batch.go says why that makes a
+// match safe), so a miss is answered in the frame that reports it: no
+// invalidation message, no refetch round, still one visit per site.
+// Per-query traffic is O(|Vf|); the paper's O(|Vf|²) is paid once per
+// change of a fragment. Regex queries carry their full partials: a fresh
+// automaton per query leaves (node, state) rows nothing to reuse.
 //
 // Anytime answers: the coordinator feeds each reply, as it arrives, into an
 // incremental equation system and, the moment the replies in hand prove

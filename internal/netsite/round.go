@@ -237,7 +237,7 @@ func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *bat
 				frames[i] = 1
 			}
 			a.Observe(obs.AuditRound{Frames: frames, RespBytes: respBytes, EvalNs: evalNs,
-				Rows: sol.rows, Queries: len(sol.wire), ReachOnly: sol.reachOnly})
+				Rows: sol.rows, Queries: len(sol.wire), RowsBacked: sol.rowsBacked})
 		}
 		return st, false, nil
 	}

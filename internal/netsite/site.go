@@ -512,14 +512,15 @@ func (s *Site) handleRebalance(payload []byte) (uint64, uint64, []byte, error) {
 // — a batch of one or of many — against the fragment in one pass and
 // returns one partial answer per query. A reach query's partial is its
 // query part: the source's own equation, plus — once per distinct target
-// of the batch — the in-nodes that reach the target here. The fragment's
-// boundary rows, which every reach answer also rests on, ship only when
-// the request's tag says the coordinator does not hold the current ones:
-// one section for the whole batch (see batch.go). Distance and regex
-// queries evaluate individually. The frame's service delay (Site.delay) is
-// paid once per batch, not once per query — the amortization the batch
-// protocol exists to deliver. The cancel flag is polled between queries and
-// inside the local evaluations.
+// of the batch — the in-nodes that reach the target here. A distance
+// query's is the same within its bound, with weights (core.DistQueryPart).
+// The fragment's weighted boundary rows, which every reach and distance
+// answer also rests on, ship only when the request's tag says the
+// coordinator does not hold the current ones: one section for the whole
+// batch (see batch.go). Regex queries evaluate individually and in full.
+// The frame's service delay (Site.delay) is paid once per batch, not once
+// per query — the amortization the batch protocol exists to deliver. The
+// cancel flag is polled between queries and inside the local evaluations.
 func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 	picked := time.Now()
 	qs, h, err := decodeBatchRequest(j.payload)
@@ -558,6 +559,7 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 
 	rep := batchReply{parts: make([][]byte, len(qs))}
 	asked := make(map[graph.NodeID]bool) // reach targets whose equations an earlier query shipped
+	needRows := false
 	for i, q := range qs {
 		if j.cancel.Load() {
 			return 0, 0, nil, errCancelled
@@ -565,6 +567,7 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 		var rv encoding.BinaryMarshaler
 		switch q.Class {
 		case ClassReach:
+			needRows = true
 			part := core.SourceOnlyReach(frag, q.S, q.T, opt)
 			if !asked[q.T] {
 				asked[q.T] = true
@@ -578,7 +581,12 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 			}
 			rv = part
 		case ClassDist:
-			rv = core.LocalEvalDist(frag, q.S, q.T, q.L)
+			needRows = true
+			part := core.DistQueryPart(frag, q.S, q.T, q.L, opt)
+			if part.NumEqs() == 0 {
+				continue // as for reach
+			}
+			rv = part
 		case ClassRPQ:
 			rv = core.LocalEvalRPQ(frag, q.S, q.T, q.A)
 		default:
@@ -595,8 +603,8 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 	// The rows, unless the coordinator holds this very state of them. The
 	// generation is read under the lock the evaluation holds, so the tag
 	// names exactly the fragment the rows are computed on.
-	if tag := (rowsTag{fr.Instance(), frag.Generation()}); len(asked) > 0 && h.rows != tag {
-		rows := core.LocalEvalReach(frag, graph.None, graph.None, opt)
+	if tag := (rowsTag{fr.Instance(), frag.Generation()}); needRows && h.rows != tag {
+		rows := core.LocalRows(frag, opt)
 		if rows == nil {
 			return 0, 0, nil, errCancelled
 		}

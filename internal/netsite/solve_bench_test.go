@@ -15,33 +15,45 @@ func rowsOf(fr *fragment.Fragmentation, i int) *siteRows {
 	f := fr.Fragments()[i]
 	return &siteRows{
 		tag: rowsTag{fr.Instance(), f.Generation()},
-		rv:  core.LocalEvalReach(f, graph.None, graph.None, nil),
+		rv:  core.LocalRows(f, nil),
 	}
 }
 
-// reachParts is a site's query parts for a reach-only batch, as
-// Site.handleBatch computes them: per query, s's equation where the site
-// stores s, and with the first query naming a target the in-nodes that
-// reach it.
-func reachParts(f *fragment.Fragment, qs []BatchQuery) []*core.ReachPartial {
-	parts := make([]*core.ReachPartial, len(qs))
+// partial is one query's part of a site's reply: a *core.ReachPartial or a
+// *core.Rows (either may be nil: nothing to say).
+type partial interface {
+	NumEqs() int
+	MarshalBinary() ([]byte, error)
+}
+
+// queryParts is a site's query parts for a batch of reach and distance
+// queries, as Site.handleBatch computes them: per reach query, s's
+// equation where the site stores s, and with the first query naming a
+// target the in-nodes that reach it; per distance query, core.DistQueryPart.
+func queryParts(f *fragment.Fragment, qs []BatchQuery) []partial {
+	parts := make([]partial, len(qs))
 	asked := make(map[graph.NodeID]bool)
 	for j, q := range qs {
-		parts[j] = core.SourceOnlyReach(f, q.S, q.T, nil)
+		if q.Class == ClassDist {
+			parts[j] = core.DistQueryPart(f, q.S, q.T, q.L, nil)
+			continue
+		}
+		part := core.SourceOnlyReach(f, q.S, q.T, nil)
 		if !asked[q.T] {
 			asked[q.T] = true
-			if parts[j] == nil {
-				parts[j] = new(core.ReachPartial)
+			if part == nil {
+				part = new(core.ReachPartial)
 			}
-			parts[j].Append(core.TargetOnlyReach(f, q.T, nil))
+			part.Append(core.TargetOnlyReach(f, q.T, nil))
 		}
+		parts[j] = part
 	}
 	return parts
 }
 
 // replyBody encodes a reply body carrying the parts and, when rows is
 // non-nil, the rows section.
-func replyBody(tb testing.TB, parts []*core.ReachPartial, rows *siteRows) []byte {
+func replyBody(tb testing.TB, parts []partial, rows *siteRows) []byte {
 	rep := batchReply{parts: make([][]byte, len(parts))}
 	var err error
 	for j, p := range parts {
@@ -60,13 +72,10 @@ func replyBody(tb testing.TB, parts []*core.ReachPartial, rows *siteRows) []byte
 	return encodeBatchReply(nil, rep)
 }
 
-// BenchmarkWarmReachSolve is the coordinator's share of one warm anytime
-// reach query at reach_cut's shape (power-law, 10,876 nodes, 40,000 edges,
-// random 4-way cut, seed 1): the coordinator holds every site's rows and
-// each reply is a canned rows-free body, so an op is the solver's whole
-// per-query work — reset, a feed per reply until the round is decided, and
-// finish. Replies arrive in site order.
-func BenchmarkWarmReachSolve(b *testing.B) {
+// cutDeployment is reach_cut's and mixed_churn's shape (power-law, 10,876
+// nodes, 40,000 edges, random 4-way cut, seed 1) with a coordinator that
+// holds every site's rows.
+func cutDeployment(b *testing.B) (*fragment.Fragmentation, *graph.Graph, *Coordinator) {
 	const k = 4
 	g := gen.PowerLaw(gen.Config{Nodes: 10876, Edges: 40000, Labels: []string{"A", "B", "C"}, Seed: 1})
 	p, err := fragment.ByName("random", 1)
@@ -85,10 +94,41 @@ func BenchmarkWarmReachSolve(b *testing.B) {
 	for i := 0; i < k; i++ {
 		co.rows[i].Store(rowsOf(fr, i))
 	}
-	type canned struct {
-		qs     []BatchQuery
-		bodies [][]byte
+	return fr, g, co
+}
+
+// canned is one query with each site's rows-free reply body.
+type canned struct {
+	qs     []BatchQuery
+	bodies [][]byte
+}
+
+// warmSolve is the coordinator's whole per-query work on a warm round:
+// reset, a feed per reply until the round is decided, and finish. Replies
+// arrive in site order.
+func warmSolve(b *testing.B, co *Coordinator, c canned, anytime bool) {
+	sol := newBatchSolver(co, c.qs, anytime)
+	sol.reset()
+	for site := range co.rows {
+		sol.held[site] = co.rows[site].Load()
 	}
+	for site, body := range c.bodies {
+		decided, err := sol.feed(site, body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if decided {
+			break
+		}
+	}
+	if err := sol.finish([]int{0}, make([]BatchAnswer, 1)); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// cannedPool draws 256 queries of one class between distinct random nodes
+// and renders every site's reply to each.
+func cannedPool(b *testing.B, fr *fragment.Fragmentation, g *graph.Graph, q func(rng *gen.RNG, s, t graph.NodeID) BatchQuery) []canned {
 	rng := gen.NewRNG(2)
 	pool := make([]canned, 256)
 	for i := range pool {
@@ -96,35 +136,76 @@ func BenchmarkWarmReachSolve(b *testing.B) {
 		for s == t {
 			t = graph.NodeID(rng.Intn(g.NumNodes()))
 		}
-		pool[i].qs = []BatchQuery{{Class: ClassReach, S: s, T: t}}
+		pool[i].qs = []BatchQuery{q(rng, s, t)}
 		for _, f := range fr.Fragments() {
-			pool[i].bodies = append(pool[i].bodies, replyBody(b, reachParts(f, pool[i].qs), nil))
+			pool[i].bodies = append(pool[i].bodies, replyBody(b, queryParts(f, pool[i].qs), nil))
 		}
 	}
-	widx, answers := []int{0}, make([]BatchAnswer, 1)
-	solve := func(c canned) {
-		sol := newBatchSolver(co, c.qs, true)
-		sol.reset()
-		for site := range co.rows {
-			sol.held[site] = co.rows[site].Load()
-		}
-		for site, body := range c.bodies {
-			decided, err := sol.feed(site, body)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if decided {
-				break
-			}
-		}
-		if err := sol.finish(widx, answers); err != nil {
-			b.Fatal(err)
-		}
-	}
-	solve(pool[0]) // whatever the coordinator lays out once per state
+	return pool
+}
+
+// BenchmarkWarmReachSolve is the coordinator's share of one warm anytime
+// reach query at reach_cut's shape: the coordinator holds every site's rows
+// and each reply is a canned rows-free body, so an op is warmSolve.
+func BenchmarkWarmReachSolve(b *testing.B) {
+	fr, g, co := cutDeployment(b)
+	pool := cannedPool(b, fr, g, func(_ *gen.RNG, s, t graph.NodeID) BatchQuery {
+		return BatchQuery{Class: ClassReach, S: s, T: t}
+	})
+	warmSolve(b, co, pool[0], true) // whatever the coordinator lays out once per state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		solve(pool[i%len(pool)])
+		warmSolve(b, co, pool[i%len(pool)], true)
 	}
+}
+
+// distSink keeps the compiler from dropping the solve it times.
+var distSink int64
+
+// BenchmarkWarmDistSolve is the coordinator's share of one qbr(s, t, l),
+// l drawn from 1..8 as mixed_churn draws it, at mixed_churn's shape (the
+// reach_cut graph). "boundary" is a warm round: canned query parts and the
+// search over the held rows. "full" is what the coordinator did before the
+// rows served qbr: decode every site's full LocalEvalDist partial and run
+// core.AssembleDist on them.
+func BenchmarkWarmDistSolve(b *testing.B) {
+	fr, g, co := cutDeployment(b)
+	pool := cannedPool(b, fr, g, func(rng *gen.RNG, s, t graph.NodeID) BatchQuery {
+		return BatchQuery{Class: ClassDist, S: s, T: t, L: 1 + rng.Intn(8)}
+	})
+	b.Run("boundary", func(b *testing.B) {
+		warmSolve(b, co, pool[0], false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			warmSolve(b, co, pool[i%len(pool)], false)
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		full := make([][][]byte, 32) // per query, per site: the encoded partial
+		for i := range full {
+			q := pool[i].qs[0]
+			for _, f := range fr.Fragments() {
+				enc, err := core.LocalEvalDist(f, q.S, q.T, q.L).MarshalBinary()
+				if err != nil {
+					b.Fatal(err)
+				}
+				full[i] = append(full[i], enc)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			encs := full[i%len(full)]
+			partials := make([]*core.DistPartial, len(encs))
+			for site, enc := range encs {
+				partials[site] = new(core.DistPartial)
+				if err := partials[site].UnmarshalBinary(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			distSink, _ = core.AssembleDist(partials, pool[i%len(full)].qs[0].S)
+		}
+	})
 }

@@ -14,20 +14,21 @@ import (
 // Auditor checks the first two exactly per observed round and tracks the
 // third statistically across deployments of different sizes.
 //
-// The O(|Vf|²) part of a reach reply is the fragment's boundary rows, which
-// the coordinator keeps: a site ships them only when the coordinator's copy
-// is missing or older than the fragment. A reply without them is a query
-// part per query — the source's equation and one constant per in-node that
-// reaches the target, O(|Vf|) — and is held to a linear bound, so the
-// quadratic cost is audited as what it now is: paid per change, not per
-// query.
+// The O(|Vf|²) part of a reach or distance reply is the fragment's
+// boundary rows, which the coordinator keeps: a site ships them only when
+// the coordinator's copy is missing or older than the fragment. A reply
+// without them is a query part per query — the source's equation and one
+// constant per in-node that reaches the target (within the bound, for a
+// distance), O(|Vf|) — and is held to a linear bound, so the quadratic cost
+// is audited as what it now is: paid per change, not per query. Regex
+// partials have no rows and stay under the quadratic bound.
 
 // RowsOutcome says what a site's final reply did about its fragment's
 // boundary rows.
 type RowsOutcome uint8
 
 const (
-	RowsNone RowsOutcome = iota // no final arrived, or the round had no reach query to need rows
+	RowsNone RowsOutcome = iota // no final arrived, or the round had no reach or distance query to need rows
 	RowsHit                     // left out: the coordinator's copy is the fragment's current rows
 	RowsMiss                    // shipped: the coordinator held none, or a stale copy
 )
@@ -35,12 +36,12 @@ const (
 // AuditRound is one round's per-site observations, reported by the
 // coordinator after the round settles.
 type AuditRound struct {
-	Frames    []int64       // request frames sent to each site this round
-	RespBytes []int64       // response payload bytes from each site (span overhead excluded)
-	EvalNs    []int64       // site-reported local evaluation time, 0 if unreported
-	Rows      []RowsOutcome // per site; nil counts as all RowsNone
-	Queries   int           // queries the round carried
-	ReachOnly bool          // every one a reach query: distance and regex partials are O(|Vf|²) themselves
+	Frames     []int64       // request frames sent to each site this round
+	RespBytes  []int64       // response payload bytes from each site (span overhead excluded)
+	EvalNs     []int64       // site-reported local evaluation time, 0 if unreported
+	Rows       []RowsOutcome // per site; nil counts as all RowsNone
+	Queries    int           // queries the round carried
+	RowsBacked bool          // no regex query: every reply rests on the rows (regex partials are O(|Vf|²) themselves)
 }
 
 // DefaultByteFactor is the constant c in the response-volume bounds:
@@ -151,7 +152,7 @@ func (a *Auditor) Observe(r AuditRound) {
 			a.maxRespBytes = b
 		}
 		bound := a.byteBound
-		if r.ReachOnly && i < len(r.Rows) && r.Rows[i] == RowsHit {
+		if r.RowsBacked && i < len(r.Rows) && r.Rows[i] == RowsHit {
 			bound = int64(r.Queries) * a.byteFactor * (a.vf + 1)
 		}
 		if a.byteBound > 0 && b > bound {
@@ -200,7 +201,7 @@ type AuditSummary struct {
 	MaxFramesPerSite int64 `json:"max_frames_per_site_per_round"`
 	MaxRespBytes     int64 `json:"max_resp_bytes_per_site"`
 	ByteBound        int64 `json:"byte_bound"`        // c·(|Vf|+1)²: replies carrying rows, distance or regex partials
-	LinearByteBound  int64 `json:"linear_byte_bound"` // c·(|Vf|+1) per query: rows-free reach replies
+	LinearByteBound  int64 `json:"linear_byte_bound"` // c·(|Vf|+1) per query: rows-free reach and distance replies
 	ByteFactor       int64 `json:"byte_factor"`
 	// RowsHits and RowsMisses count, per site, the final replies that left
 	// the fragment's boundary rows out (the coordinator's copy was current)

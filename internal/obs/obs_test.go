@@ -346,15 +346,15 @@ func TestAuditor(t *testing.T) {
 		t.Fatalf("rounds = %d", s.Rounds)
 	}
 
-	// Rows-free reach replies answer to the linear bound, per query
-	// (64 * 11 = 704 here); a reply carrying rows, any reply of a round with
-	// distance or regex queries, and a site without a final to the
-	// quadratic one.
+	// Rows-free replies of a reach or distance round answer to the linear
+	// bound, per query (64 * 11 = 704 here); a reply carrying rows, any
+	// reply of a round with regex queries, and a site without a final to
+	// the quadratic one.
 	a.Observe(AuditRound{
 		Frames:    []int64{1, 1, 1, 1},
 		RespBytes: []int64{2 * 704, 2*704 + 1, 7744, 7744},
 		Rows:      []RowsOutcome{RowsHit, RowsHit, RowsMiss, RowsNone},
-		Queries:   2, ReachOnly: true,
+		Queries:   2, RowsBacked: true,
 	})
 	a.Observe(AuditRound{
 		Frames:    []int64{1, 1},
