@@ -39,7 +39,6 @@ type gwOptions struct {
 	seed        uint64        // rebalance partitioner seed base
 	store       *oplog.Store  // durable oplog (-wal); nil = in-memory order only
 	snapEvery   int           // checkpoint + log-truncate cadence in batches; 0 = never
-	coalesce    time.Duration // adaptive batching window for GET /reach; 0 = off
 	trace       bool          // distributed tracing: traced query frames + /trace endpoints
 	slowQuery   time.Duration // dump traces slower than this to stderr; 0 = off
 
@@ -66,7 +65,6 @@ type gateway struct {
 	cache   *qcache.Cache[cachedAnswer]
 	opts    gwOptions
 	ob      *gwObs
-	coal    *coalescer    // adaptive batching for GET /reach; nil = off
 	sem     chan struct{} // in-flight request slots (backpressure)
 	queries *obs.Counter
 	updates *obs.Counter
@@ -108,9 +106,6 @@ func newGateway(co *netsite.Coordinator, o gwOptions) *gateway {
 		rebalances: ob.reg.Counter("gateway_rebalances_total", "Successful rebalance rounds."),
 		syncs:      ob.reg.Counter("gateway_syncs_total", "Successful catch-up replication rounds."),
 		started:    time.Now(),
-	}
-	if o.coalesce > 0 {
-		g.coal = newCoalescer(co, o.coalesce, o.timeout)
 	}
 	ob.bindGateway(g)
 	if o.trace {
@@ -353,10 +348,6 @@ func (o resolved) response(label string) queryResponse {
 // misses as ONE wire round (duplicate keys travel and evaluate once), and
 // fills the cache from the round. misses counts the queries that went
 // over the wire; st is that round's stats, zero when nothing missed.
-//
-// A lone reach miss goes through the coalescer when it is on, so
-// concurrent GET /reach misses inside the -coalesce window share one
-// round instead of posting one each.
 func (g *gateway) resolve(ctx context.Context, qs []parsedQuery) (out []resolved, misses int, st netsite.WireStats, err error) {
 	out = make([]resolved, len(qs))
 	var wireQs []netsite.BatchQuery
@@ -387,14 +378,7 @@ func (g *gateway) resolve(ctx context.Context, qs []parsedQuery) (out []resolved
 	}
 	ctx, cancel := g.wireCtx(ctx)
 	defer cancel()
-	var res []netsite.BatchAnswer
-	if g.coal != nil && len(wireQs) == 1 && wireQs[0].Class == netsite.ClassReach {
-		var ba netsite.BatchAnswer
-		ba, st, err = g.coal.reach(ctx, wireQs[0].S, wireQs[0].T)
-		res = []netsite.BatchAnswer{ba}
-	} else {
-		res, st, err = g.co.BatchContext(ctx, wireQs)
-	}
+	res, st, err := g.co.BatchContext(ctx, wireQs)
 	if err != nil {
 		return nil, 0, st, err
 	}
@@ -920,10 +904,6 @@ func (g *gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		// rounds down.
 		"stragglers": ast.Stragglers,
 	}
-	var coalesce map[string]any
-	if g.coal != nil {
-		coalesce = g.coal.statsJSON()
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"queries":        g.queries.Value(),
 		"updates":        g.updates.Value(),
@@ -931,7 +911,6 @@ func (g *gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		"rebalances":     g.rebalances.Value(),
 		"uptime_seconds": int64(time.Since(g.started).Seconds()),
 		"anytime":        anytime,
-		"coalesce":       coalesce,
 		"backpressure": map[string]any{
 			"max_inflight": cap(g.sem),
 			"inflight":     len(g.sem),

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -687,104 +688,145 @@ func TestGatewayStatsReachIndex(t *testing.T) {
 	}
 }
 
-// TestGatewayCoalesce is the adaptive-batching satellite: concurrent
-// GET /reach cache misses landing inside one -coalesce window share a
-// single wire batch, every answer still matches the oracle, cached hits
-// bypass the coalescer entirely, and /stats surfaces the round sizes.
-func TestGatewayCoalesce(t *testing.T) {
-	labels := []string{"A", "B"}
-	g := gen.Uniform(gen.Config{Nodes: 80, Edges: 320, Labels: labels, Seed: 66})
-	fr, err := fragment.Random(g, 3, 66)
+// wireTotal reads gateway_wire_sent_bytes_total plus
+// gateway_wire_received_bytes_total off GET /metrics.
+func wireTotal(t *testing.T, url string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites, addrs, err := netsite.ServeFragmentation(fr)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := netsite.Dial(addrs, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := newGateway(co, gwOptions{cacheCap: 128, coalesce: 200 * time.Millisecond})
-	srv := httptest.NewServer(gw.routes())
-	t.Cleanup(func() {
-		srv.Close()
-		co.Close()
-		for _, s := range sites {
-			s.Close()
+	var total int64
+	found := 0
+	for _, line := range strings.Split(string(body), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || (name != "gateway_wire_sent_bytes_total" && name != "gateway_wire_received_bytes_total") {
+			continue
 		}
-	})
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		total += int64(v)
+		found++
+	}
+	if found != 2 {
+		t.Fatalf("/metrics has %d of the two wire byte totals", found)
+	}
+	return total
+}
+
+// TestGatewayConcurrentMisses: concurrent GET /reach misses and a POST
+// /batch each run their own wire round. Every answer matches the oracle, a
+// repeat is served from the cache without touching the wire, and under
+// strict rounds the replies' wire objects add up to exactly the growth of
+// the gateway's byte totals — a reply reports its own round, no more.
+func TestGatewayConcurrentMisses(t *testing.T) {
+	gw, g, srv := testGateway(t)
+	gw.co.SetAnytime(false) // no cancel frames land after a reply is written
+	before := wireTotal(t, srv.URL)
 
 	const n = 8
-	var wg sync.WaitGroup
-	errs := make(chan string, n)
+	batch := [][2]int{{20, 60}, {21, 59}, {22, 58}, {21, 59}}
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		replied int64
+	)
+	// addWire adds one reply's wire object to replied.
+	addWire := func(w any) error {
+		m, ok := w.(map[string]any)
+		if !ok {
+			return fmt.Errorf("miss must report wire stats, got %v", w)
+		}
+		mu.Lock()
+		replied += int64(m["bytes_sent"].(float64) + m["bytes_received"].(float64))
+		mu.Unlock()
+		return nil
+	}
+	check := func(label string, m map[string]any, s, tt int) {
+		if got, want := m["answer"].(bool), g.Reachable(graph.NodeID(s), graph.NodeID(tt)); got != want {
+			t.Errorf("%s: http=%v oracle=%v", label, got, want)
+		}
+	}
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(s, tt int) {
 			defer wg.Done()
-			s, tt := i, 70-i
 			resp, err := http.Get(srv.URL + "/reach?s=" + strconv.Itoa(s) + "&t=" + strconv.Itoa(tt))
 			if err != nil {
-				errs <- err.Error()
+				t.Error(err)
 				return
 			}
 			var m map[string]any
 			err = json.NewDecoder(resp.Body).Decode(&m)
 			resp.Body.Close()
 			if err != nil {
-				errs <- err.Error()
+				t.Error(err)
 				return
 			}
-			if got, want := m["answer"].(bool), g.Reachable(graph.NodeID(s), graph.NodeID(tt)); got != want {
-				errs <- fmt.Sprintf("qr(%d,%d): coalesced=%v oracle=%v", s, tt, got, want)
-				return
+			label := fmt.Sprintf("qr(%d,%d)", s, tt)
+			check(label, m, s, tt)
+			if err := addWire(m["wire"]); err != nil {
+				t.Errorf("%s: %v", label, err)
 			}
-			if m["wire"] == nil {
-				errs <- fmt.Sprintf("qr(%d,%d): miss must report wire stats", s, tt)
-			}
-		}(i)
+		}(i, 70-i)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		qs := make([]string, len(batch))
+		for i, p := range batch {
+			qs[i] = fmt.Sprintf(`{"class":"reach","s":%d,"t":%d}`, p[0], p[1])
+		}
+		body := `{"queries":[` + strings.Join(qs, ",") + `]}`
+		resp, err := http.Post(srv.URL+"/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var m struct {
+			Answers []map[string]any `json:"answers"`
+			Misses  int              `json:"misses"`
+			Wire    any              `json:"wire"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if len(m.Answers) != len(batch) || m.Misses != len(batch)-1 {
+			t.Errorf("batch: %d answers and %d misses, want %d and %d", len(m.Answers), m.Misses, len(batch), len(batch)-1)
+			return
+		}
+		for i, p := range batch {
+			check(fmt.Sprintf("batch qr(%d,%d)", p[0], p[1]), m.Answers[i], p[0], p[1])
+		}
+		if err := addWire(m.Wire); err != nil {
+			t.Errorf("batch: %v", err)
+		}
+	}()
 	wg.Wait()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
+	if t.Failed() {
+		return
+	}
+	if grown := wireTotal(t, srv.URL) - before; replied != grown {
+		t.Fatalf("replies report %d wire bytes, the gateway's totals grew by %d", replied, grown)
 	}
 
-	if q := gw.coal.queries.Load(); q != n {
-		t.Fatalf("%d queries through the coalescer, want %d", q, n)
+	// A repeat is served from the cache and sends nothing.
+	before = wireTotal(t, srv.URL)
+	if m := getJSON(t, srv.URL+"/reach?s=0&t=70", 200); m["cached"] != true || m["wire"] != nil {
+		t.Fatalf("repeat query must hit the cache: %v", m)
 	}
-	rounds := gw.coal.rounds.Load()
-	if rounds < 1 || rounds >= n {
-		t.Fatalf("%d concurrent misses flushed as %d rounds; coalescing never happened", n, rounds)
-	}
-	if c := gw.coal.coalesced.Load(); c < 2 {
-		t.Fatalf("coalesced counter %d, want >= 2", c)
-	}
-
-	// A repeat is served from the cache and never enters the coalescer.
-	if m := getJSON(t, srv.URL+"/reach?s=0&t=70", 200); m["cached"] != true {
-		t.Fatal("repeat query must hit the cache")
-	}
-	if q := gw.coal.queries.Load(); q != n {
-		t.Fatalf("cached hit went through the coalescer (counter %d)", q)
-	}
-
-	// /stats mirrors the live counters.
-	st := getJSON(t, srv.URL+"/stats", 200)
-	cs, ok := st["coalesce"].(map[string]any)
-	if !ok {
-		t.Fatalf("/stats missing coalesce section: %v", st)
-	}
-	if int64(cs["queries"].(float64)) != n {
-		t.Fatalf("coalesce.queries = %v, want %d", cs["queries"], n)
-	}
-	if int64(cs["rounds"].(float64)) != rounds {
-		t.Fatalf("coalesce.rounds = %v, want %d", cs["rounds"], rounds)
-	}
-	if int64(cs["window_us"].(float64)) != 200000 {
-		t.Fatalf("coalesce.window_us = %v", cs["window_us"])
+	if grown := wireTotal(t, srv.URL) - before; grown != 0 {
+		t.Fatalf("cached hit moved %d wire bytes", grown)
 	}
 }
 

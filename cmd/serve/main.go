@@ -45,10 +45,8 @@
 //
 // Anytime answers are always on: the coordinator answers a reach query the
 // instant the replies in hand prove it, and the straggler sites are told to
-// stop. -coalesce W is adaptive batching:
-// concurrent GET /reach cache misses arriving within W share one wire
-// batch (one frame per site for the whole group) instead of one round
-// each; 0 disables.
+// stop. Every cache miss is answered by its own request's wire round: one
+// round per GET, and one per POST /batch for all of its distinct misses.
 package main
 
 import (
@@ -80,7 +78,6 @@ func main() {
 		reqTO     = flag.Duration("timeout", 0, "per-request wire deadline (0 = none); expiry returns 504")
 		inflight  = flag.Int("maxinflight", 0, "backpressure: max concurrent query/update requests (0 = default 1024); excess gets 429")
 		skew      = flag.Float64("skew", 0, "auto-rebalance when max/mean fragment size crosses this (0 = manual /rebalance only; try 2.0)")
-		coalesce  = flag.Duration("coalesce", 200*time.Microsecond, "adaptive batching: concurrent GET /reach cache misses within this window share one wire batch (0 disables)")
 		rebPart   = flag.String("rebalancepartition", "", "partitioner used by /rebalance and auto-rebalance (\"\" = default "+defaultRebalancePartitioner+")")
 		idxBudget = flag.Int64("reachindex-budget", reachindex.DefaultBudget, "self-contained mode: per-fragment reachability index label budget in bytes (0 disables the index)")
 		wal       = flag.String("wal", "", "durability: write-ahead log directory; every update batch is sequenced and logged before broadcast, and a restarted gateway resumes the order and replays missed batches to the sites")
@@ -150,7 +147,6 @@ func main() {
 		seed:        *seed,
 		store:       store,
 		snapEvery:   *snapEvery,
-		coalesce:    *coalesce,
 		trace:       *trace,
 		slowQuery:   *slowQuery,
 	}

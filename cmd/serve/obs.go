@@ -83,7 +83,7 @@ func newGwObs(co *netsite.Coordinator) *gwObs {
 }
 
 // bindGateway registers the gauge bridges that need the gateway itself
-// (cache, backpressure, durability, coalescer, index); called once from
+// (cache, backpressure, durability, index); called once from
 // newGateway after the struct exists.
 func (ob *gwObs) bindGateway(g *gateway) {
 	reg := ob.reg
@@ -103,17 +103,6 @@ func (ob *gwObs) bindGateway(g *gateway) {
 		func() float64 { return float64(g.co.Sequencer().LSN()) })
 	reg.GaugeFunc("gateway_oplog_max_lag", "Largest LSN distance any replica trails the sequencer by.",
 		func() float64 { _, _, lag := g.lsnLag(); return float64(lag) })
-	if g.coal != nil {
-		reg.GaugeFunc("gateway_coalesce_fold_factor",
-			"Queries per coalesced wire round: how many GET /reach misses shared one batch on average.",
-			func() float64 {
-				r := g.coal.rounds.Load()
-				if r == 0 {
-					return 0
-				}
-				return float64(g.coal.queries.Load()) / float64(r)
-			})
-	}
 	if g.opts.idxStats != nil {
 		reg.GaugeFunc("gateway_reachindex_hit_rate", "Fragment reachability-index hit rate.",
 			func() float64 { return g.opts.idxStats().HitRate() })
