@@ -1,6 +1,7 @@
 // Command bench regenerates the paper's evaluation: Table 2, every panel of
-// Fig. 11, the in-text visit/traffic claims, the ablations A1-A2 and the
-// serving-runtime experiments N1-N11 (see -list).
+// Fig. 11, the in-text visit/traffic claims, the ablations A1-A2, the
+// co-location extension E2 and the serving experiments N6, N7 and N10
+// (see -list).
 //
 // Usage:
 //

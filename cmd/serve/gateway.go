@@ -35,7 +35,6 @@ type gwOptions struct {
 	timeout     time.Duration // per-request wire deadline; 0 = none
 	maxInflight int           // backpressure: concurrent requests; 0 = default
 	skew        float64       // auto-rebalance threshold; 0 = disabled
-	partitioner string        // rebalance strategy (fragment.ByName)
 	seed        uint64        // rebalance partitioner seed base
 	store       *oplog.Store  // durable oplog (-wal); nil = in-memory order only
 	snapEvery   int           // checkpoint + log-truncate cadence in batches; 0 = never
@@ -52,10 +51,6 @@ type gwOptions struct {
 // -maxinflight flag is left zero: enough for heavy multiplexed traffic,
 // finite so a flood degrades into prompt 429s instead of collapse.
 const defaultMaxInflight = 1024
-
-// defaultRebalancePartitioner is the re-fragmentation strategy when
-// -rebalancepartition is left empty.
-const defaultRebalancePartitioner = "edgecut"
 
 // gateway serves the HTTP/JSON API over one multiplexing coordinator.
 // The request counters live in the obs registry (ob.reg): /stats reads
@@ -86,9 +81,6 @@ type gateway struct {
 func newGateway(co *netsite.Coordinator, o gwOptions) *gateway {
 	if o.maxInflight <= 0 {
 		o.maxInflight = defaultMaxInflight
-	}
-	if o.partitioner == "" {
-		o.partitioner = defaultRebalancePartitioner
 	}
 	if o.store != nil {
 		co.UseSequencer(oplog.NewDurableSequencer(o.store))
@@ -208,7 +200,7 @@ func (g *gateway) heal() {
 	defer g.syncing.Store(false)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	o := netsite.SyncOptions{Partitioner: g.opts.partitioner, Seed: g.opts.seed}
+	o := netsite.SyncOptions{Seed: g.opts.seed}
 	if g.opts.store != nil {
 		o.Log = g.opts.store.Log()
 		o.Snapshot = func() (*oplog.Snapshot, bool) {
@@ -787,7 +779,7 @@ func (g *gateway) rebalance() (netsite.RebalanceResult, error) {
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		epoch := g.epoch.Load() + 1
-		res, _, err = g.co.RebalanceContext(ctx, epoch, g.opts.partitioner, g.opts.seed+epoch)
+		res, _, err = g.co.RebalanceContext(ctx, epoch, g.opts.seed+epoch)
 		if err != nil {
 			if errors.Is(err, netsite.ErrReplicaDiverged) {
 				// The epoch may not have been fresh for every replica (one

@@ -41,7 +41,7 @@
 // Retry-After instead of queueing. -skew S makes the gateway
 // self-rebalancing: every update reply carries the deployment's balance
 // stats, and when max/mean fragment size crosses S a background
-// re-fragmentation (strategy: -rebalancepartition) restores it.
+// re-fragmentation (the coordinator's one strategy, edgecut) restores it.
 //
 // Anytime answers are always on: the coordinator answers a reach query the
 // instant the replies in hand prove it, and the straggler sites are told to
@@ -78,7 +78,6 @@ func main() {
 		reqTO     = flag.Duration("timeout", 0, "per-request wire deadline (0 = none); expiry returns 504")
 		inflight  = flag.Int("maxinflight", 0, "backpressure: max concurrent query/update requests (0 = default 1024); excess gets 429")
 		skew      = flag.Float64("skew", 0, "auto-rebalance when max/mean fragment size crosses this (0 = manual /rebalance only; try 2.0)")
-		rebPart   = flag.String("rebalancepartition", "", "partitioner used by /rebalance and auto-rebalance (\"\" = default "+defaultRebalancePartitioner+")")
 		idxBudget = flag.Int64("reachindex-budget", reachindex.DefaultBudget, "self-contained mode: per-fragment reachability index label budget in bytes (0 disables the index)")
 		wal       = flag.String("wal", "", "durability: write-ahead log directory; every update batch is sequenced and logged before broadcast, and a restarted gateway resumes the order and replays missed batches to the sites")
 		snapEvery = flag.Int("snapshot-every", 256, "with -wal: checkpoint the deployment and truncate the log every N update batches (0 = never)")
@@ -143,7 +142,6 @@ func main() {
 		timeout:     *reqTO,
 		maxInflight: *inflight,
 		skew:        *skew,
-		partitioner: *rebPart,
 		seed:        *seed,
 		store:       store,
 		snapEvery:   *snapEvery,

@@ -144,7 +144,7 @@ func TestGatewayAutoRebalanceOnSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := newGateway(co, gwOptions{cacheCap: 128, skew: 1.5, partitioner: "edgecut", seed: 68})
+	gw := newGateway(co, gwOptions{cacheCap: 128, skew: 1.5, seed: 68})
 	srv := httptest.NewServer(gw.routes())
 	defer func() {
 		srv.Close()
@@ -291,7 +291,7 @@ func TestGatewayHealsEpochSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := newGateway(co, gwOptions{cacheCap: 128, partitioner: "edgecut", seed: 92})
+	gw := newGateway(co, gwOptions{cacheCap: 128, seed: 92})
 	srv := httptest.NewServer(gw.routes())
 	defer func() {
 		srv.Close()
@@ -388,7 +388,7 @@ func TestGatewayHealsHighEpochSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := newGateway(co, gwOptions{cacheCap: 128, partitioner: "edgecut", seed: 96})
+	gw := newGateway(co, gwOptions{cacheCap: 128, seed: 96})
 	defer func() {
 		co.Close()
 		siteA.Close()

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -274,7 +275,7 @@ func TestBenchmarkModuleVets(t *testing.T) {
 // but a knob, a partitioner or a kind comes back only by raising the number
 // here, in the same diff that adds it.
 func TestKnobBudget(t *testing.T) {
-	const maxFlags, maxPartitioners, maxKinds = 61, 3, 7
+	const maxFlags, maxPartitioners, maxKinds = 60, 3, 7
 	flagDef := regexp.MustCompile(`\bflag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?\(`)
 	flags := 0
 	err := filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
@@ -301,5 +302,63 @@ func TestKnobBudget(t *testing.T) {
 	kinds := len(regexp.MustCompile(`(?m)^\s*kind[A-Z]\w*\s*=`).FindAll(src, -1))
 	if kinds == 0 || kinds > maxKinds {
 		t.Fatalf("%d frame kinds declared in protocol.go, budget %d (0 means the count is broken)", kinds, maxKinds)
+	}
+}
+
+// TestMakefilePinsResolve guards the named test lists of `make
+// cross-checks` and `make recovery-smoke`. go test exits 0 when a -run
+// pattern matches nothing, so a renamed test would silently drop out of
+// them. Every |-alternative of a recipe line's -run pattern must match a
+// Test or Fuzz function declared in a _test.go file of one of that line's
+// packages.
+func TestMakefilePinsResolve(t *testing.T) {
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.ReplaceAll(string(src), "\\\n", " "), "\n")
+	runPattern := regexp.MustCompile(`-run '([^']+)'`)
+	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	for _, target := range []string{"cross-checks", "recovery-smoke"} {
+		pins := 0
+		start := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, target+":") })
+		for i := start + 1; start >= 0 && i < len(lines) && strings.HasPrefix(lines[i], "\t"); i++ {
+			m := runPattern.FindStringSubmatch(lines[i])
+			if m == nil {
+				continue
+			}
+			var pkgs, names []string
+			for _, f := range strings.Fields(lines[i]) {
+				if !strings.HasPrefix(f, "./") {
+					continue
+				}
+				pkgs = append(pkgs, f)
+				files, err := filepath.Glob(filepath.Join(f, "*_test.go"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, file := range files {
+					src, err := os.ReadFile(file)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, fm := range testFunc.FindAllSubmatch(src, -1) {
+						names = append(names, string(fm[1]))
+					}
+				}
+			}
+			for _, alt := range strings.Split(m[1], "|") {
+				pins++
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("make %s: -run alternative %q: %v", target, alt, err)
+				} else if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("make %s: -run alternative %q matches no test in %v", target, alt, pkgs)
+				}
+			}
+		}
+		if pins == 0 {
+			t.Errorf("make %s pins no tests: the recipe was not found or not parsed", target)
+		}
 	}
 }

@@ -15,8 +15,14 @@
 // Gd is also where "whose partial answers does this value depend on" is
 // answered: equations are claimed by the source that contributed them
 // (Claim), and Sources / Weighted.Solve report the claimants of a
-// variable's dependency closure, so the coordinator builds one graph per
-// query, not one to decide and another to tag the cache entry.
+// variable's dependency closure, so a solver builds one graph per query,
+// not one to decide and another to tag the cache entry.
+//
+// The deployed coordinator does not solve reach or distance queries
+// here: it walks the boundary rows it holds (internal/netsite/boundary.go).
+// bes serves the simulated path (core.Dis*), regular-reachability solving
+// on both paths, the benchmark's layer probes, and tests as the reference
+// solver.
 package bes
 
 import "fmt"
@@ -27,8 +33,8 @@ import "fmt"
 // The system is solved incrementally: every Add maintains the least
 // solution of the equations seen so far, so Decide is O(1) at any point
 // while the total propagation work over any Add sequence is O(|Vd|+|Ed|)
-// — the same bound as one batch Solve. This is what lets the coordinator
-// answer a reach query the instant streamed partials close a certificate.
+// — the same bound as one batch Solve. A caller can therefore add one
+// site's equations at a time and Decide after each.
 type System[K comparable] struct {
 	idx   map[K]int // variable -> dense index
 	vars  []K
@@ -163,8 +169,9 @@ func (s *System[K]) Sources(x K) []int {
 // equations added so far. The solution is monotone in the equation set:
 // a true verdict is definitive no matter what is added later (each
 // equation is a sound implication), while false only becomes definitive
-// once every contributing site's equations have been added — exactly the
-// anytime-answer contract used by the coordinator.
+// once every contributing site's equations have been added. The deployed
+// coordinator's early decision rests on the same monotonicity, over its
+// boundary walk rather than a System.
 func (s *System[K]) Decide(x K) bool {
 	i, ok := s.idx[x]
 	return ok && s.val[i]

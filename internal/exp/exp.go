@@ -1,9 +1,12 @@
 // Package exp implements the experiment harness of Section 7: one
 // regenerator per table and figure in the paper's evaluation (Table 2,
-// Fig. 11(a)-(l), plus the in-text visit and traffic claims, the ablations
-// A1-A2 and the serving-runtime experiments N1-N11). Each experiment
-// returns a Table whose rows mirror the series the paper plots; cmd/bench
-// renders them.
+// Fig. 11(a)-(l), the in-text visit and traffic claims X1-X2 and the
+// cross-check CHK), the ablations A1-A2, the co-location extension E2, and
+// the three serving experiments no test or benchmark metric owns: N6
+// (durable recovery and fsync-policy throughput), N7 (load and scale on
+// the SNAP sample) and N10 (early decision under a straggler). Each
+// experiment returns a Table whose rows mirror the series the paper plots;
+// cmd/bench renders them.
 package exp
 
 import (

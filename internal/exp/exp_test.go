@@ -45,9 +45,8 @@ func TestIDsStable(t *testing.T) {
 		"T2": true, "F11a": true, "F11b": true, "F11c": true, "F11d": true,
 		"F11e": true, "F11f": true, "F11g": true, "F11h": true, "F11i": true,
 		"F11j": true, "F11k": true, "F11l": true, "X1": true, "X2": true,
-		"A1": true, "A2": true, "CHK": true, "E2": true, "N1": true,
-		"N2": true, "N3": true, "N4": true, "N5": true, "N6": true, "N7": true,
-		"N8": true, "N9": true, "N10": true, "N11": true,
+		"A1": true, "A2": true, "CHK": true, "E2": true, "N6": true,
+		"N7": true, "N10": true,
 	}
 	if len(ids) != len(want) {
 		t.Fatalf("have %d experiments (%v), want %d", len(ids), ids, len(want))

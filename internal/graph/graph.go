@@ -427,9 +427,6 @@ func (b *Builder) AddNodes(n int, label string) NodeID {
 	return first
 }
 
-// SetLabel overrides the label of an already-added node.
-func (b *Builder) SetLabel(v NodeID, label string) { b.labels[v] = label }
-
 // AddEdge records the directed edge (u, v). Endpoints must already exist by
 // the time Build is called.
 func (b *Builder) AddEdge(u, v NodeID) {

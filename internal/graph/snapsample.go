@@ -8,7 +8,7 @@ import (
 // The checked-in sample dataset: a ~1000-node Gnutella-shaped edge list
 // in SNAP format (sparse scrambled IDs, header comments), small enough to
 // commit but real-shaped enough to exercise the loader's remapping and
-// the CSR fragment layout. Tests and exps N7-N9 load this same file, so
+// the CSR fragment layout. Tests and exp N7 load this same file, so
 // their numbers are comparable across machines.
 //
 //go:embed testdata/p2p-sample.txt

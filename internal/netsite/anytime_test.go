@@ -234,7 +234,7 @@ func TestAnytimeCrossCheck(t *testing.T) {
 			}
 			if step == 2 {
 				epoch++
-				if _, _, err := co.Rebalance(epoch, "edgecut", seed); err != nil {
+				if _, _, err := co.Rebalance(epoch, seed); err != nil {
 					t.Fatalf("trial %d: rebalance: %v", trial, err)
 				}
 			}

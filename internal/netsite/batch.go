@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -436,6 +437,9 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 				answers[i] = BatchAnswer{Answer: false, Dist: bes.Inf}
 				continue
 			}
+			// The wire carries l in 32 bits. No path between 32-bit node
+			// IDs is longer, so the clamp changes no answer.
+			q.L = int(min(uint64(q.L), math.MaxUint32))
 		case ClassRPQ:
 			if q.A == nil {
 				return nil, WireStats{}, fmt.Errorf("netsite: batch query %d: nil automaton", i)

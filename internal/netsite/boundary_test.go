@@ -399,7 +399,7 @@ func TestBoundaryCacheCrossCheck(t *testing.T) {
 				step += ": rebalance"
 				d.epoch++
 				names := fragment.Names()
-				if _, _, err := d.co.Rebalance(d.epoch, names[rng.Intn(len(names))], rng.Uint64()); err != nil {
+				if _, _, err := rebalanceBy(d.co, d.epoch, names[rng.Intn(len(names))], rng.Uint64()); err != nil {
 					t.Fatalf("%s: %v", step, err)
 				}
 				dirty = all

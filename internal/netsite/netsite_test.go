@@ -85,6 +85,26 @@ func TestTCPDistMatchesOracle(t *testing.T) {
 			t.Fatalf("query %d: inconsistent distance %d", q, dist)
 		}
 	}
+	// A bound of 2^32 or more does not fit the wire's 32 bits; it must
+	// still reach as far as any path goes.
+	for _, wide := range []uint64{1 << 32, 1<<32 + 1} {
+		l := int(wide)
+		if uint64(l) != wide {
+			break // int is 32 bits wide
+		}
+		for s := graph.NodeID(0); s < 40; s++ {
+			for tt := graph.NodeID(40); tt < 60; tt++ {
+				got, dist, _, err := co.ReachWithin(s, tt, l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := g.Dist(s, tt)
+				if got != (d >= 0) || (got && dist != int64(d)) {
+					t.Fatalf("qbr(%d, %d, %d) = %v at distance %d, oracle distance %d", s, tt, l, got, dist, d)
+				}
+			}
+		}
+	}
 }
 
 func TestTCPRegexMatchesOracle(t *testing.T) {

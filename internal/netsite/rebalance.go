@@ -133,24 +133,29 @@ func decodeRebalanceReply(p []byte) (epoch uint64, applied bool, fp uint64, bs f
 	return epoch, ap == 1, fp, bs, nil
 }
 
-// Rebalance re-fragments the deployment at the given epoch using the
-// named partitioner (see fragment.ByName) parameterized by seed. The
-// round is serialized against update rounds, so no mutation batch ever
-// straddles the epoch switch from this coordinator. Sites that already
-// reached the epoch no-op (idempotent broadcast); if every site had
-// already passed it, Applied is false and Epoch reports where the
-// deployment actually is — callers retry with a higher epoch.
-func (c *Coordinator) Rebalance(epoch uint64, partitioner string, seed uint64) (RebalanceResult, WireStats, error) {
-	return c.RebalanceContext(context.Background(), epoch, partitioner, seed)
+// rebalancePartitioner is the one re-fragmentation strategy: the
+// gateway's /rebalance and auto-rebalance and SyncReplicas' epoch
+// realignment all run it (see fragment.ByName).
+const rebalancePartitioner = "edgecut"
+
+// Rebalance re-fragments the deployment at the given epoch using
+// rebalancePartitioner parameterized by seed. The round is serialized
+// against update rounds, so no mutation batch ever straddles the epoch
+// switch from this coordinator. Sites that already reached the epoch
+// no-op (idempotent broadcast); if every site had already passed it,
+// Applied is false and Epoch reports where the deployment actually is —
+// callers retry with a higher epoch.
+func (c *Coordinator) Rebalance(epoch, seed uint64) (RebalanceResult, WireStats, error) {
+	return c.RebalanceContext(context.Background(), epoch, seed)
 }
 
 // RebalanceContext is Rebalance honoring a context deadline or
 // cancellation. Prefer a generous deadline: the sites rebuild the whole
 // fragmentation before answering.
-func (c *Coordinator) RebalanceContext(ctx context.Context, epoch uint64, partitioner string, seed uint64) (RebalanceResult, WireStats, error) {
+func (c *Coordinator) RebalanceContext(ctx context.Context, epoch, seed uint64) (RebalanceResult, WireStats, error) {
 	c.updMu.Lock()
 	defer c.updMu.Unlock()
-	return c.rebalanceLocked(ctx, epoch, partitioner, seed)
+	return c.rebalanceLocked(ctx, epoch, rebalancePartitioner, seed)
 }
 
 // rebalanceLocked is RebalanceContext with the round lock already held

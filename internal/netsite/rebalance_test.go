@@ -1,6 +1,7 @@
 package netsite
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,6 +11,14 @@ import (
 	"distreach/internal/gen"
 	"distreach/internal/graph"
 )
+
+// rebalanceBy is Rebalance with a named partitioner, for tests that vary
+// the strategy so that every switch really moves nodes.
+func rebalanceBy(co *Coordinator, epoch uint64, partitioner string, seed uint64) (RebalanceResult, WireStats, error) {
+	co.updMu.Lock()
+	defer co.updMu.Unlock()
+	return co.rebalanceLocked(context.Background(), epoch, partitioner, seed)
+}
 
 func deployFr(t *testing.T, fr *fragment.Fragmentation) (*Coordinator, func()) {
 	t.Helper()
@@ -45,7 +54,7 @@ func TestRebalanceBasics(t *testing.T) {
 	co, cleanup := deployFr(t, fr)
 	defer cleanup()
 
-	res, st, err := co.Rebalance(1, "edgecut", 5)
+	res, st, err := co.Rebalance(1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +68,7 @@ func TestRebalanceBasics(t *testing.T) {
 		t.Fatalf("implausible balance stats: %+v", res.Stats)
 	}
 	// Re-delivery of the same epoch is a no-op.
-	res2, _, err := co.Rebalance(1, "edgecut", 5)
+	res2, _, err := co.Rebalance(1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +156,7 @@ func TestRebalanceEpochRace(t *testing.T) {
 	// assignment under the in-flight queries.
 	parts := fragment.Names()
 	for epoch := uint64(1); epoch <= 8; epoch++ {
-		res, _, err := co.Rebalance(epoch, parts[int(epoch)%len(parts)], 100+epoch)
+		res, _, err := rebalanceBy(co, epoch, parts[int(epoch)%len(parts)], 100+epoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +235,7 @@ func TestRebalanceRestoresBalance(t *testing.T) {
 		t.Fatalf("skewed churn did not raise skew: %.2f -> %.2f", fresh0.Skew(), churned.Skew())
 	}
 
-	res, _, err := co.Rebalance(1, "edgecut", 79)
+	res, _, err := co.Rebalance(1, 79)
 	if err != nil {
 		t.Fatal(err)
 	}

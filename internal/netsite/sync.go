@@ -231,11 +231,9 @@ type SyncOptions struct {
 	// gateway's snapshot file). When a laggard is too far behind for the
 	// log, this is tried before fetching a snapshot from a peer replica.
 	Snapshot func() (*oplog.Snapshot, bool)
-	// Partitioner and Seed drive the forced rebalance that realigns
-	// epochs when replicas report different ones after catch-up. Empty
-	// partitioner defaults to "edgecut".
-	Partitioner string
-	Seed        uint64
+	// Seed drives the forced rebalance that realigns epochs when
+	// replicas report different ones after catch-up.
+	Seed uint64
 }
 
 // SyncReport summarizes one catch-up round.
@@ -272,9 +270,6 @@ const syncAttempts = 5
 // ErrReplicaDiverged. Serialized against this coordinator's update and
 // rebalance rounds.
 func (c *Coordinator) SyncReplicas(ctx context.Context, o SyncOptions) (rep SyncReport, err error) {
-	if o.Partitioner == "" {
-		o.Partitioner = "edgecut"
-	}
 	c.updMu.Lock()
 	defer c.updMu.Unlock()
 	var wire WireStats
@@ -355,7 +350,7 @@ func (c *Coordinator) SyncReplicas(ctx context.Context, o SyncOptions) (rep Sync
 			}
 		}
 		if epochSplit || fpSplit {
-			if _, rst, err := c.rebalanceLocked(ctx, maxEpoch+1, o.Partitioner, o.Seed+maxEpoch+1); err != nil {
+			if _, rst, err := c.rebalanceLocked(ctx, maxEpoch+1, rebalancePartitioner, o.Seed+maxEpoch+1); err != nil {
 				return rep, err
 			} else {
 				wire.add(rst)

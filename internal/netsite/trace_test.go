@@ -283,7 +283,7 @@ func TestWireAccounting(t *testing.T) {
 	}
 	// Sync traffic ('S' hellos and any replay) flows outside query rounds;
 	// the report's WireSent/WireReceived must close that gap.
-	rep, err := co.SyncReplicas(context.Background(), SyncOptions{Partitioner: "edgecut"})
+	rep, err := co.SyncReplicas(context.Background(), SyncOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,6 @@ type Auditor struct {
 
 	vf         int64 // max fragment in-node count of the current deployment
 	graphNodes int64 // |G| of the current deployment
-	byteFactor int64
 
 	rounds          int64
 	frameViolations int64
@@ -83,19 +82,9 @@ type Auditor struct {
 	curN    int64
 }
 
-// NewAuditor returns an auditor with the default byte factor.
+// NewAuditor returns an auditor with no deployment recorded yet.
 func NewAuditor() *Auditor {
-	return &Auditor{byteFactor: DefaultByteFactor}
-}
-
-// SetByteFactor overrides the constant c in the response bound.
-func (a *Auditor) SetByteFactor(c int64) {
-	a.mu.Lock()
-	if c > 0 {
-		a.byteFactor = c
-		a.byteBound = c * (a.vf + 1) * (a.vf + 1)
-	}
-	a.mu.Unlock()
+	return &Auditor{}
 }
 
 // SetDeployment records the fragmentation the next rounds run against:
@@ -110,7 +99,7 @@ func (a *Auditor) SetDeployment(vf, graphNodes int64) {
 	}
 	a.vf = vf
 	a.graphNodes = graphNodes
-	a.byteBound = a.byteFactor * (vf + 1) * (vf + 1)
+	a.byteBound = DefaultByteFactor * (vf + 1) * (vf + 1)
 	a.mu.Unlock()
 }
 
@@ -153,7 +142,7 @@ func (a *Auditor) Observe(r AuditRound) {
 		}
 		bound := a.byteBound
 		if r.RowsBacked && i < len(r.Rows) && r.Rows[i] == RowsHit {
-			bound = int64(r.Queries) * a.byteFactor * (a.vf + 1)
+			bound = int64(r.Queries) * DefaultByteFactor * (a.vf + 1)
 		}
 		if a.byteBound > 0 && b > bound {
 			a.byteViolations++
@@ -212,7 +201,8 @@ type AuditSummary struct {
 	GraphNodes int64   `json:"graph_nodes"`
 	// EvalSizeCorr is Pearson r between |G| and mean eval time across
 	// deployments of different sizes; meaningful only when SizePoints ≥ 2
-	// (exp N11 sweeps sizes; a single live deployment reports NaN→omitted).
+	// (a live gateway adds a point whenever node churn changes |G|; with
+	// one size the correlation is NaN and omitted).
 	EvalSizeCorr *float64 `json:"eval_size_correlation,omitempty"`
 	SizePoints   int      `json:"size_points"`
 }
@@ -235,7 +225,7 @@ func (a *Auditor) Summary() AuditSummary {
 		MaxFramesPerSite: a.maxFrames,
 		MaxRespBytes:     a.maxRespBytes,
 		ByteBound:        a.byteBound,
-		ByteFactor:       a.byteFactor,
+		ByteFactor:       DefaultByteFactor,
 		RowsHits:         append([]int64{}, a.rowsHits...),
 		RowsMisses:       append([]int64{}, a.rowsMisses...),
 		Vf:               a.vf,
@@ -243,7 +233,7 @@ func (a *Auditor) Summary() AuditSummary {
 		SizePoints:       len(sizes),
 	}
 	if a.byteBound > 0 {
-		s.LinearByteBound = a.byteFactor * (a.vf + 1)
+		s.LinearByteBound = DefaultByteFactor * (a.vf + 1)
 	}
 	if r := pearson(sizes, evals); !math.IsNaN(r) {
 		s.EvalSizeCorr = &r

@@ -75,9 +75,6 @@ func (s *Sequencer) LSN() uint64 {
 	return s.last
 }
 
-// Durable reports whether submitted batches are write-ahead logged.
-func (s *Sequencer) Durable() bool { return s.log != nil }
-
 // Advance raises the sequencer to at least lsn. Used when a fresh
 // in-memory sequencer fronts a deployment that already has history: the
 // coordinator adopts the replicas' LSN before its first submit so it

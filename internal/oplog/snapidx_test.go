@@ -256,8 +256,7 @@ func TestSnapshotIndexPolicyByteAbandoned(t *testing.T) {
 // TestSnapshotRecoverWarm is the restart acceptance check: a site
 // recovered from a store whose snapshot carries the index section serves
 // indexed answers on its very first round — no rebuild has run, the hit
-// counters move, and nothing disagrees with direct evaluation (the
-// sibling exp N9 measures the same path end to end with queries).
+// counters move, and nothing disagrees with direct evaluation.
 func TestSnapshotRecoverWarm(t *testing.T) {
 	rep, fr := indexedDeployment(t)
 	snap, err := TakeSnapshot(rep)
