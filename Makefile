@@ -53,7 +53,6 @@ fuzz-smoke:
 	$(GO) test ./internal/oplog -run '^$$' -fuzz '^FuzzOpsCodec$$' -fuzztime 20s
 	$(GO) test ./internal/oplog -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 20s
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzSNAPLoader$$' -fuzztime 20s
-	$(GO) test ./internal/reachindex -run '^$$' -fuzz '^FuzzIndexLabels$$' -fuzztime 20s
 
 # Crash-recovery acceptance pass (race-enabled): kill-and-restart catch-up
 # over 50 randomized graphs, two concurrent gateways under one sequencer,
@@ -74,9 +73,9 @@ cross-checks:
 	$(GO) test -race -run 'TestAnytimeCrossCheck|TestAnytimePendingNoLeak|TestPartialFrameFailsRound' -count 1 ./internal/netsite
 	$(GO) test -race -run 'TestUpdateWireCrossCheck|TestUpdateConcurrentWithQueries' -count 1 ./internal/netsite
 	$(GO) test -race -run 'TestIndexChurnCrossCheck|TestFragmentIndexMatchesDirect' -count 1 ./internal/netsite ./internal/core
-	$(GO) test -cpu 1,2,4 -count 1 ./internal/reachindex
 	$(GO) test -race -run 'TestIndexAnswersUnderChurnAndRebalance|TestLSNStampedUnderReadLock' -count 1 ./internal/fragment
-	$(GO) test -race -run 'TestGroupCommitCoalesces|TestSnapshotIndex|TestSnapshotRecoverWarm' -count 1 ./internal/oplog
+	$(GO) test -race -run 'TestReachIndexLifecycle$$' -count 300 -cpu 1,2,4 ./internal/fragment
+	$(GO) test -race -run 'TestGroupCommitCoalesces' -count 1 ./internal/oplog
 	$(GO) test -race -run 'TestNodeOpsWireCrossCheck|TestNodeMutationCrossCheck|TestRebalanceEpochRace|TestRebalanceRestoresBalance' -count 1 ./internal/netsite ./internal/fragment
 	$(GO) test -race -run 'TestTraceCrossCheck|TestWireAccounting' -count 1 ./internal/netsite
 	$(GO) test -race -run 'TestTouchedMatchesOracle|TestTouchedSound|TestDriverReportsUnchanged|TestSourceEqMatchesLocalEval|TestSourcesFollowTheClosure' -count 1 ./internal/core ./internal/bes

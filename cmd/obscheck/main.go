@@ -295,9 +295,8 @@ func checkGuarantees(base string) error {
 		return err
 	}
 	var s struct {
-		Rounds          int64 `json:"rounds"`
-		FrameViolations int64 `json:"frame_violations"`
-		ByteViolations  int64 `json:"byte_violations"`
+		Rounds         int64 `json:"rounds"`
+		ByteViolations int64 `json:"byte_violations"`
 	}
 	if err := json.Unmarshal(body, &s); err != nil {
 		return fmt.Errorf("/guarantees: %v", err)
@@ -305,9 +304,9 @@ func checkGuarantees(base string) error {
 	if s.Rounds == 0 {
 		return fmt.Errorf("/guarantees: auditor observed no rounds")
 	}
-	if s.FrameViolations != 0 || s.ByteViolations != 0 {
-		return fmt.Errorf("/guarantees: %d frame and %d byte violations over %d rounds: %s",
-			s.FrameViolations, s.ByteViolations, s.Rounds, body)
+	if s.ByteViolations != 0 {
+		return fmt.Errorf("/guarantees: %d byte violations over %d rounds: %s",
+			s.ByteViolations, s.Rounds, body)
 	}
 	fmt.Printf("obscheck: guarantees clean over %d audited rounds\n", s.Rounds)
 	return nil

@@ -124,16 +124,11 @@ func main() {
 		fatal(fmt.Errorf("fragment %d out of range [0,%d) after recovery", *fragID, cur.Card()))
 	}
 	if *idxBudget > 0 {
-		// A snapshot recovered above may have adopted ready indexes into
-		// the fragmentation (oplog snapshot v2): record the flag-chosen
-		// budget and backfill only the fragments without one, so
-		// the site serves indexed answers from its first round instead of
-		// rebuilding what the checkpoint already carried.
-		warm := cur.ReachIndexStats().Fragments
-		cur.ConfigureReachIndex(*idxBudget)
-		cur.KickReachIndexRebuilds()
-		fmt.Printf("site: reachability index on (budget %d, %d fragments warm from snapshot)\n",
-			*idxBudget, warm)
+		// The index is built from the recovered state, never restored:
+		// queries fall back to direct evaluation until each fragment's
+		// build lands.
+		cur.EnableReachIndex(*idxBudget)
+		fmt.Printf("site: reachability index on (budget %d)\n", *idxBudget)
 	}
 	f := cur.Fragments()[*fragID]
 	s, err := netsite.NewSiteReplica(*listen, rep, *fragID, opts)

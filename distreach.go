@@ -96,8 +96,7 @@ func PartitionerByName(name string, seed uint64) (Partitioner, error) {
 	return fragment.ByName(name, seed)
 }
 
-// PartitionBy fragments g with an explicit partitioner and attaches it to
-// the result.
+// PartitionBy fragments g with an explicit partitioner.
 func PartitionBy(g *Graph, p Partitioner, k int) (*Fragmentation, error) {
 	return fragment.Partition(g, p, k)
 }

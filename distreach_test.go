@@ -306,24 +306,28 @@ func TestKnobBudget(t *testing.T) {
 }
 
 // TestMakefilePinsResolve guards the named test lists of `make
-// cross-checks` and `make recovery-smoke`. go test exits 0 when a -run
-// pattern matches nothing, so a renamed test would silently drop out of
-// them. Every |-alternative of a recipe line's -run pattern must match a
-// Test or Fuzz function declared in a _test.go file of one of that line's
-// packages.
+// cross-checks` and `make recovery-smoke` and the targets of `make
+// fuzz-smoke`. go test exits 0 when a -run or -fuzz pattern matches
+// nothing, so a renamed or deleted test would silently drop out of them.
+// Every |-alternative of a recipe line's -run pattern must match a Test or
+// Fuzz function, and every -fuzz pattern a Fuzz function, declared in a
+// _test.go file of one of that line's packages.
 func TestMakefilePinsResolve(t *testing.T) {
 	src, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.ReplaceAll(string(src), "\\\n", " "), "\n")
-	runPattern := regexp.MustCompile(`-run '([^']+)'`)
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
-	for _, target := range []string{"cross-checks", "recovery-smoke"} {
+	for _, pin := range []struct{ target, flag string }{
+		{"cross-checks", "-run"}, {"recovery-smoke", "-run"}, {"fuzz-smoke", "-fuzz"},
+	} {
+		target := pin.target
+		pattern := regexp.MustCompile(pin.flag + ` '([^']+)'`)
 		pins := 0
 		start := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, target+":") })
 		for i := start + 1; start >= 0 && i < len(lines) && strings.HasPrefix(lines[i], "\t"); i++ {
-			m := runPattern.FindStringSubmatch(lines[i])
+			m := pattern.FindStringSubmatch(lines[i])
 			if m == nil {
 				continue
 			}
@@ -343,17 +347,20 @@ func TestMakefilePinsResolve(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, fm := range testFunc.FindAllSubmatch(src, -1) {
-						names = append(names, string(fm[1]))
+						if name := string(fm[1]); pin.flag == "-run" || strings.HasPrefix(name, "Fuzz") {
+							names = append(names, name)
+						}
 					}
 				}
 			}
-			for _, alt := range strings.Split(m[1], "|") {
+			// make turns $$ into $.
+			for _, alt := range strings.Split(strings.ReplaceAll(m[1], "$$", "$"), "|") {
 				pins++
 				re, err := regexp.Compile(alt)
 				if err != nil {
-					t.Errorf("make %s: -run alternative %q: %v", target, alt, err)
+					t.Errorf("make %s: %s alternative %q: %v", target, pin.flag, alt, err)
 				} else if !slices.ContainsFunc(names, re.MatchString) {
-					t.Errorf("make %s: -run alternative %q matches no test in %v", target, alt, pkgs)
+					t.Errorf("make %s: %s alternative %q matches no test in %v", target, pin.flag, alt, pkgs)
 				}
 			}
 		}

@@ -48,10 +48,6 @@ type Fragmentation struct {
 	crossEdges int
 	vf         int // |Vf|: number of distinct in-nodes plus virtual-node originals
 
-	// part is the strategy that placed this fragmentation, recorded by
-	// snapshots; nil when built from a raw assignment.
-	part Partitioner
-
 	// instance names this Fragmentation value among every one ever built —
 	// by a rebalance, a snapshot install or another process alike. Random
 	// and never zero; see Fragment.Generation for what it keys.
@@ -72,23 +68,6 @@ type Fragmentation struct {
 	idxTotalBuild atomic.Int64
 	idxWG         sync.WaitGroup
 	overlayLim    int
-}
-
-// SetPartitioner attaches the strategy that placed this fragmentation, so
-// snapshots can record it. Partition sets it automatically;
-// fragmentations built from a raw assignment (Build, fragment.Read) have
-// none.
-func (fr *Fragmentation) SetPartitioner(p Partitioner) {
-	fr.mu.Lock()
-	fr.part = p
-	fr.mu.Unlock()
-}
-
-// Partitioner reports the attached strategy (nil when none was set).
-func (fr *Fragmentation) Partitioner() Partitioner {
-	fr.mu.RLock()
-	defer fr.mu.RUnlock()
-	return fr.part
 }
 
 // Instance reports the fragmentation's instance ID: random, non-zero,

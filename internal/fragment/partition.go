@@ -29,19 +29,13 @@ type Partitioner interface {
 	Assign(g *graph.Graph, k int) ([]int, error)
 }
 
-// Partition fragments g with the given partitioner and attaches the
-// partitioner to the result, so rebalances reuse the same strategy.
+// Partition fragments g with the given partitioner.
 func Partition(g *graph.Graph, p Partitioner, k int) (*Fragmentation, error) {
 	assign, err := p.Assign(g, k)
 	if err != nil {
 		return nil, err
 	}
-	fr, err := Build(g, assign, k)
-	if err != nil {
-		return nil, err
-	}
-	fr.SetPartitioner(p)
-	return fr, nil
+	return Build(g, assign, k)
 }
 
 // shipped builds every shipped strategy from a seed (the unseeded ones
@@ -61,8 +55,8 @@ func Names() []string {
 }
 
 // ByName resolves a partitioner from its textual name (one of Names);
-// seed parameterizes the seeded strategies. This is how CLI flags,
-// snapshots and rebalance wire frames select a strategy.
+// seed parameterizes the seeded strategies. This is how CLI flags and
+// rebalance wire frames select a strategy.
 func ByName(name string, seed uint64) (Partitioner, error) {
 	for _, p := range shipped(seed) {
 		if p.Name() == name {
@@ -70,22 +64,6 @@ func ByName(name string, seed uint64) (Partitioner, error) {
 		}
 	}
 	return nil, fmt.Errorf("fragment: unknown partitioner %q (want one of %s)", name, strings.Join(Names(), ", "))
-}
-
-// Describe is the inverse of ByName: the name and seed that reconstruct
-// p. Snapshots record them so a replica seeded from a snapshot re-attaches
-// the same strategy and a later rebalance agrees across replicas. A nil
-// (or foreign) partitioner describes as "".
-func Describe(p Partitioner) (name string, seed uint64) {
-	switch t := p.(type) {
-	case RandomPartitioner:
-		return t.Name(), t.Seed
-	case ContiguousPartitioner:
-		return t.Name(), 0
-	case EdgeCutPartitioner:
-		return t.Name(), t.Seed
-	}
-	return "", 0
 }
 
 // leastLoaded is the placement of a live-inserted node: the fragment with

@@ -8,7 +8,8 @@ import (
 
 // Per-fragment reachability index lifecycle. The index itself lives in
 // internal/reachindex; this file owns when it is built, invalidated and
-// swapped:
+// swapped. The index is a cache of the fragment: nothing persists it, and
+// a restarted or newly installed replica rebuilds it from its state.
 //
 //   - EnableReachIndex sets the byte budget and kicks an asynchronous
 //     build per fragment. Budget <= 0 disables indexing (and drops any
@@ -19,18 +20,16 @@ import (
 //     virtual-node reclamation, compaction) retires the whole index.
 //     Queries against stale or retired labels fall back to direct
 //     evaluation — never a wrong answer, only a slower one.
-//   - Apply/Rebalance/Install schedule asynchronous rebuilds for the
-//     affected fragments. A rebuild holds the fragmentation's read lock
-//     (excluding updates, not queries) while it computes the new index
-//     from AsGraph/LocalSCC, then installs it with an atomic pointer
-//     swap — the same serve-while-rebuilding discipline as the 'R'
-//     rebalance frames. Single-flight per fragment: concurrent triggers
-//     coalesce, and a mutation that lands between the install and the
-//     builder's exit reschedules instead of leaving stale labels behind.
-//   - AdoptReachIndex installs an index decoded from a snapshot without
-//     building, so a recovered replica serves indexed answers
-//     immediately; KickReachIndexRebuilds backfills only the fragments
-//     that did not get one.
+//   - Apply/Compact/Rebalance/Install schedule asynchronous rebuilds for
+//     the affected fragments. A rebuild runs on one goroutine per
+//     fragment and holds the fragmentation's read lock (excluding
+//     updates, not queries) while it computes the new index from
+//     AsGraph/LocalSCC, then installs it with an atomic pointer swap —
+//     the same serve-while-rebuilding discipline as the 'R' rebalance
+//     frames. Single-flight per fragment: a trigger that finds a builder
+//     in flight is dropped, which is safe because the builder clears its
+//     flag before it releases the read lock — any mutation the install
+//     does not reflect lands after the clear and schedules its own build.
 
 // EnableReachIndex sets the per-fragment label budget in bytes and
 // asynchronously (re)builds every fragment's index. A budget <= 0 turns
@@ -52,13 +51,6 @@ func (fr *Fragmentation) EnableReachIndex(budget int64) {
 // ReachIndexBudget reports the configured budget (<= 0: disabled).
 func (fr *Fragmentation) ReachIndexBudget() int64 { return fr.idxBudget.Load() }
 
-// ConfigureReachIndex records the budget without scheduling any builds —
-// for restore paths that adopt prebuilt indexes (AdoptReachIndex) and
-// then backfill the rest via KickReachIndexRebuilds.
-func (fr *Fragmentation) ConfigureReachIndex(budget int64) {
-	fr.idxBudget.Store(budget)
-}
-
 // WaitReachIndexes blocks until every scheduled index rebuild has
 // finished. Must not be called while holding the fragmentation's write
 // lock (builders need the read lock).
@@ -70,40 +62,6 @@ func (fr *Fragmentation) WaitReachIndexes() { fr.idxWG.Wait() }
 // EquationGlobal method degrades to !ok rather than misanswering.
 func (f *Fragment) ReachIndex() *reachindex.Index { return f.idx.Load() }
 
-// AdoptReachIndex installs a prebuilt index (decoded from a snapshot's
-// index section) for the fragment with the given ID, bypassing the
-// builder. The caller has already validated the index against the
-// fragment (slot count, snapshot LSN/fingerprint); adoption maps its
-// frontier lists to global IDs and swaps it in. Returns false when no
-// fragment has that ID. Must not race with mutations — callers adopt
-// during Recover/Install, before the replica serves.
-func (fr *Fragmentation) AdoptReachIndex(fragID int, idx *reachindex.Index) bool {
-	for _, f := range fr.frags {
-		if f.ID != fragID {
-			continue
-		}
-		idx.PrecomputeGlobals(f.Global)
-		f.installReachIndex(idx)
-		return true
-	}
-	return false
-}
-
-// KickReachIndexRebuilds schedules asynchronous rebuilds for exactly the
-// fragments that need one — no index installed, or the installed one has
-// gone stale. Fragments that adopted a fresh snapshot index are left
-// serving it. No-op while indexing is disabled.
-func (fr *Fragmentation) KickReachIndexRebuilds() {
-	if fr.idxBudget.Load() <= 0 {
-		return
-	}
-	for _, f := range fr.frags {
-		if idx := f.idx.Load(); idx == nil || idx.AnyStale() {
-			fr.rebuildReachIndexAsync(f)
-		}
-	}
-}
-
 // rebuildReachIndexAsync schedules one asynchronous index rebuild for f,
 // coalescing with an already-running one.
 func (fr *Fragmentation) rebuildReachIndexAsync(f *Fragment) {
@@ -112,7 +70,7 @@ func (fr *Fragmentation) rebuildReachIndexAsync(f *Fragment) {
 		return
 	}
 	if !f.idxBuilding.CompareAndSwap(false, true) {
-		return // a builder is already in flight; it rechecks on exit
+		return // the builder in flight reads the state after the caller's change
 	}
 	fr.idxWG.Add(1)
 	go func() {
@@ -120,19 +78,14 @@ func (fr *Fragmentation) rebuildReachIndexAsync(f *Fragment) {
 		start := time.Now()
 		fr.mu.RLock()
 		f.buildReachIndexLocked(budget)
+		// Clear the flag while still excluding mutations: one that lands
+		// after the unlock finds it clear and schedules a fresh build.
+		f.idxBuilding.Store(false)
 		fr.mu.RUnlock()
 		d := time.Since(start).Nanoseconds()
 		fr.idxLastBuild.Store(d)
 		fr.idxTotalBuild.Add(d)
 		fr.idxRebuilds.Add(1)
-		f.idxBuilding.Store(false)
-		// A mutation that landed after the install above but before the
-		// Store(false) marked the fresh index stale and lost its own
-		// reschedule to the CAS — catch it here so staleness never
-		// outlives the last builder.
-		if idx := f.idx.Load(); idx != nil && idx.AnyStale() {
-			fr.rebuildReachIndexAsync(f)
-		}
 	}()
 }
 

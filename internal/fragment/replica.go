@@ -169,14 +169,10 @@ func (r *Replica) Install(fr *Fragmentation, epoch, lsn uint64) (installed bool)
 	r.seqRes = make(map[uint64]appliedBatch, seqWindow)
 	r.seqLog = nil
 	r.mu.Unlock()
-	// A snapshot's index section (oplog snapshot v2) may have adopted
-	// ready indexes into fr already — only backfill the fragments that
-	// did not get one. Otherwise inherit the configuration from the
-	// replaced state and rebuild asynchronously; queries hitting the
-	// fresh fragmentation fall back to direct evaluation meanwhile.
-	if fr.ReachIndexBudget() > 0 {
-		fr.KickReachIndexRebuilds()
-	} else if b := old.ReachIndexBudget(); b > 0 {
+	// Inherit the index configuration from the replaced state and rebuild
+	// asynchronously; queries hitting the fresh fragmentation fall back to
+	// direct evaluation meanwhile.
+	if b := old.ReachIndexBudget(); b > 0 {
 		fr.EnableReachIndex(b)
 	}
 	return true

@@ -227,16 +227,9 @@ func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *bat
 				st.RowsReplies++
 			}
 		}
-		// Each site received exactly one request frame (the invariant the
-		// paper's 1-visit guarantee is about; cancel frames are control
-		// traffic), and RespBytes is each reply's body, span section
-		// excluded.
+		// RespBytes is each reply's body, span section excluded.
 		if a := c.getAuditor(); a != nil {
-			frames := make([]int64, len(c.conns))
-			for i := range frames {
-				frames[i] = 1
-			}
-			a.Observe(obs.AuditRound{Frames: frames, RespBytes: respBytes, EvalNs: evalNs,
+			a.Observe(obs.AuditRound{RespBytes: respBytes, EvalNs: evalNs,
 				Rows: sol.rows, Queries: len(sol.wire), RowsBacked: sol.rowsBacked})
 		}
 		return st, false, nil

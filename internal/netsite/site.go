@@ -443,15 +443,11 @@ func (s *Site) applyPersisted(lsn, nonce uint64, ops []Op) (fragment.ApplyResult
 		} else if s.snapEvery > 0 && lsn >= s.store.SnapshotLSN()+uint64(s.snapEvery) {
 			// The periodic checkpoint is a designated compaction point:
 			// fold the accumulated mutation overlays back into the flat
-			// CSR bases before freezing the state. Compaction renumbers
-			// slots and retires the reachability indexes, so when they are
-			// enabled, wait out the rebuilds — a checkpoint that carries
-			// the index section hands a restarted site warm indexes.
+			// CSR bases before freezing the state. Compaction retires the
+			// reachability indexes and rebuilds them in the background;
+			// the snapshot does not carry them, so nothing waits.
 			if fr, _ := s.rep.Current(); fr != nil {
 				fr.Compact()
-				if fr.ReachIndexBudget() > 0 {
-					fr.WaitReachIndexes()
-				}
 			}
 			if snap, serr := oplog.TakeSnapshot(s.rep); serr != nil {
 				s.logf("netsite: snapshot at batch %d failed: %v", lsn, serr)

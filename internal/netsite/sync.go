@@ -163,16 +163,10 @@ func (s *Site) handleSync(payload []byte) (uint64, uint64, []byte, error) {
 		}
 		// Serving a snapshot (gateway checkpoint or a peer catching up) is
 		// a compaction point too: the encode walks the whole state anyway.
-		// With indexing on, wait out the rebuilds compaction just kicked so
-		// the snapshot's index section covers every fragment — the receiver
-		// then serves indexed answers from its first round instead of
-		// rebuilding what we already built (the parallel builder keeps this
-		// wait short).
+		// The snapshot is state only, so the index rebuilds compaction
+		// kicks run in the background; the receiver builds its own.
 		if fr, _ := s.rep.Current(); fr != nil {
 			fr.Compact()
-			if fr.ReachIndexBudget() > 0 {
-				fr.WaitReachIndexes()
-			}
 		}
 		snap, err := oplog.TakeSnapshot(s.rep)
 		if err != nil {

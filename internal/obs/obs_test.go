@@ -324,7 +324,6 @@ func TestAuditor(t *testing.T) {
 	a := NewAuditor()
 	a.SetDeployment(10, 1000) // bound = 64 * 121 = 7744
 	a.Observe(AuditRound{
-		Frames:    []int64{1, 1, 1},
 		RespBytes: []int64{100, 7744, 200},
 		EvalNs:    []int64{1000, 2000, 3000},
 	})
@@ -332,14 +331,13 @@ func TestAuditor(t *testing.T) {
 		t.Fatalf("clean round produced %d violations", v)
 	}
 	a.Observe(AuditRound{
-		Frames:    []int64{2, 1},
 		RespBytes: []int64{7745, 10},
 	})
 	s := a.Summary()
-	if s.FrameViolations != 1 || s.ByteViolations != 1 {
+	if s.ByteViolations != 1 {
 		t.Fatalf("violations: %+v", s)
 	}
-	if s.MaxFramesPerSite != 2 || s.MaxRespBytes != 7745 || s.ByteBound != 7744 {
+	if s.MaxRespBytes != 7745 || s.ByteBound != 7744 {
 		t.Fatalf("extrema: %+v", s)
 	}
 	if s.Rounds != 2 {
@@ -351,13 +349,11 @@ func TestAuditor(t *testing.T) {
 	// reply of a round with regex queries, and a site without a final to
 	// the quadratic one.
 	a.Observe(AuditRound{
-		Frames:    []int64{1, 1, 1, 1},
 		RespBytes: []int64{2 * 704, 2*704 + 1, 7744, 7744},
 		Rows:      []RowsOutcome{RowsHit, RowsHit, RowsMiss, RowsNone},
 		Queries:   2, RowsBacked: true,
 	})
 	a.Observe(AuditRound{
-		Frames:    []int64{1, 1},
 		RespBytes: []int64{7744, 7745},
 		Rows:      []RowsOutcome{RowsHit, RowsHit},
 		Queries:   1,
@@ -403,7 +399,7 @@ func TestAuditor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if samples[`distreach_guarantee_violations_total{invariant="frames_per_site"}`] != 1 {
+	if samples[`distreach_guarantee_violations_total{invariant="response_bytes"}`] != 3 {
 		t.Fatalf("registered violation gauge wrong: %v", samples)
 	}
 }

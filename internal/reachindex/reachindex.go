@@ -23,15 +23,15 @@
 //     what the interval labels answer). This is what lets a query skip
 //     the per-in-node BFS entirely.
 //
-// The build is parallel across Spec.Workers cores (default GOMAXPROCS)
-// and deterministic: the condensation DAG is assembled from per-chunk
-// node-range scans merged in chunk order, interval labels are computed
-// level-synchronously (every SCC of one condensation level depends only
-// on completed lower levels, so a level's SCCs fan out across the worker
-// pool), and the byte budget is charged in a serial pass, successors
-// first in DFS postorder (a label is only computable when its successors'
-// labels are stored). The output is byte-identical for every worker count
-// — replicas that rebuild with different core counts still agree.
+// The build runs on the calling goroutine: one pass over the SCCs in DFS
+// postorder (successors first) computes each label from its successors'
+// and charges the byte budget in the same order, so the output is a pure
+// function of the spec. Fragments build concurrently, one builder each
+// (internal/fragment), which already keeps the cores busy; parallel
+// reachability (Jambulapati, Liu and Sidford; PAPERS.md) is the reference
+// should a single build ever need more than one core. Nothing about the
+// index is persisted; it is a cache of the fragment and is rebuilt from
+// it whenever it goes stale or the process restarts.
 //
 // Incremental maintenance is staleness-based: MarkDirty(u) marks the
 // ancestor cone of u's SCC stale (exactly the sources whose reachable
@@ -47,11 +47,7 @@
 package reachindex
 
 import (
-	"encoding/binary"
-	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"distreach/internal/graph"
@@ -78,9 +74,6 @@ type Spec struct {
 	Sources []int32
 	// Budget caps label + frontier bytes; <= 0 means DefaultBudget.
 	Budget int64
-	// Workers bounds build parallelism: 0 = GOMAXPROCS, 1 = serial. The
-	// output is byte-identical for every value.
-	Workers int
 }
 
 // Index is one fragment's reachability index. See the package comment for
@@ -117,10 +110,6 @@ func Build(spec Spec) *Index {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	ix := &Index{
 		n:         n,
 		nc:        nc,
@@ -130,7 +119,7 @@ func Build(spec Spec) *Index {
 		fronts:    make([][]int32, nc),
 	}
 
-	dagOut := buildCondensation(ix, g, comp, nc, workers)
+	dagOut := buildCondensation(ix, g, comp, nc)
 	post, sz := dfsForest(dagOut, nc)
 	ix.post = post
 
@@ -141,63 +130,35 @@ func Build(spec Spec) *Index {
 	for c := int32(0); int(c) < nc; c++ {
 		order[post[c]] = c
 	}
-	used := buildLabels(ix, dagOut, post, sz, order, nc, budget, workers)
-	used = buildFrontiers(ix, g, comp, spec, n, budget, used, workers)
+	used := buildLabels(ix, dagOut, post, sz, order, nc, budget)
+	used = buildFrontiers(ix, g, comp, spec, n, budget, used)
 	ix.bytes = used
 	return ix
 }
 
 // buildCondensation assembles the deduplicated condensation DAG, both
 // directions: forward for the DFS forest and label propagation, reverse
-// for MarkDirty's ancestor walk. The node scan fans out across workers in
-// fixed chunks; each chunk dedupes locally in first-occurrence order and
-// the chunks merge serially in node order, so the adjacency lists come
-// out identical to a single serial scan whatever the worker count.
-func buildCondensation(ix *Index, g *graph.Graph, comp []int32, nc, workers int) [][]int32 {
-	n := g.NumNodes()
+// for MarkDirty's ancestor walk. Adjacency lists keep first-occurrence
+// order of a scan in node order.
+func buildCondensation(ix *Index, g *graph.Graph, comp []int32, nc int) [][]int32 {
 	dagOut := make([][]int32, nc)
 	ix.dagIn = make([][]int32, nc)
-	chunk := 2048
-	nchunks := (n + chunk - 1) / chunk
-	if nchunks < 1 {
-		nchunks = 1
-	}
-	edges := make([][]int64, nchunks) // packed cu<<32|cw, locally deduped
-	parallelFor(workers, nchunks, func(ci int) {
-		lo, hi := ci*chunk, (ci+1)*chunk
-		if hi > n {
-			hi = n
+	seen := make(map[int64]struct{})
+	for u := 0; u < g.NumNodes(); u++ {
+		if g.Deleted(graph.NodeID(u)) {
+			continue
 		}
-		var out []int64
-		seen := make(map[int64]struct{})
-		for u := lo; u < hi; u++ {
-			if g.Deleted(graph.NodeID(u)) {
+		cu := comp[u]
+		for _, w := range g.Out(graph.NodeID(u)) {
+			cw := comp[w]
+			if cu == cw {
 				continue
 			}
-			cu := comp[u]
-			for _, w := range g.Out(graph.NodeID(u)) {
-				cw := comp[w]
-				if cu == cw {
-					continue
-				}
-				key := int64(cu)<<32 | int64(uint32(cw))
-				if _, dup := seen[key]; dup {
-					continue
-				}
-				seen[key] = struct{}{}
-				out = append(out, key)
-			}
-		}
-		edges[ci] = out
-	})
-	seen := make(map[int64]struct{})
-	for _, chunkEdges := range edges {
-		for _, key := range chunkEdges {
+			key := int64(cu)<<32 | int64(uint32(cw))
 			if _, dup := seen[key]; dup {
 				continue
 			}
 			seen[key] = struct{}{}
-			cu, cw := int32(key>>32), int32(uint32(key))
 			dagOut[cu] = append(dagOut[cu], cw)
 			ix.dagIn[cw] = append(ix.dagIn[cw], cu)
 		}
@@ -247,93 +208,38 @@ func dfsForest(dagOut [][]int32, nc int) (post, sz []int32) {
 	return post, sz
 }
 
-// buildLabels computes the per-SCC merged interval labels in two phases.
-//
-// Phase A (parallel, level-synchronous): SCCs are bucketed by condensation
-// level (level(c) = 1 + max over successors); every SCC of one level
-// depends only on completed lower levels, so a level's labels fan out
-// across the worker pool. A label whose merged form alone exceeds the
-// whole budget can never be stored: it is skipped, and the skip
-// propagates to ancestors (their labels would be uncomputable) — this is
-// also what bounds phase A's memory.
-//
-// Phase B (serial, cheap): the budget is charged in postorder. An SCC
-// is undecided when phase A skipped it, any successor ended undecided, or
-// its label does not fit the remaining budget; undecidedness propagates
-// to all ancestors, so fallback stays sound. The phase split is what
-// makes the output independent of the worker count: computation order
-// varies, the charging order never does.
-func buildLabels(ix *Index, dagOut [][]int32, post, sz, order []int32, nc int, budget int64, workers int) int64 {
-	level := make([]int32, nc)
-	maxLevel := int32(0)
-	for i := 0; i < nc; i++ {
-		c := order[i]
-		lv := int32(0)
-		for _, d := range dagOut[c] {
-			if level[d]+1 > lv {
-				lv = level[d] + 1
-			}
-		}
-		level[c] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	buckets := make([][]int32, maxLevel+1)
-	for i := 0; i < nc; i++ {
-		c := order[i]
-		buckets[level[c]] = append(buckets[level[c]], c)
-	}
+// buildLabels computes the per-SCC merged interval labels in one pass in
+// postorder, charging the budget as it goes. An SCC is undecided when a
+// successor is (its label would be uncomputable) or its label does not fit
+// the remaining budget; undecidedness thus propagates to all ancestors, so
+// fallback stays sound, and no label is ever merged from an undecided one.
+func buildLabels(ix *Index, dagOut [][]int32, post, sz, order []int32, nc int, budget int64) int64 {
 	labels := make([][]int32, nc)
-	skip := make([]bool, nc)
-	for lv := int32(0); lv <= maxLevel; lv++ {
-		cs := buckets[lv]
-		parallelFor(workers, len(cs), func(i int) {
-			c := cs[i]
-			est := 2
-			for _, d := range dagOut[c] {
-				if skip[d] {
-					skip[c] = true
-					return
-				}
-				est += len(labels[d])
+	var used int64
+	for _, c := range order {
+		und := false
+		est := 2
+		for _, d := range dagOut[c] {
+			if ix.undecided[d] {
+				und = true
+				break
 			}
+			est += len(labels[d])
+		}
+		if !und {
 			ivs := make([]int32, 0, est)
 			ivs = append(ivs, post[c]-sz[c]+1, post[c])
 			for _, d := range dagOut[c] {
 				ivs = append(ivs, labels[d]...)
 			}
 			ivs = mergeIntervals(ivs)
-			if int64(len(ivs))*4 > budget {
-				skip[c] = true
-				return
-			}
-			labels[c] = ivs
-		})
-	}
-	var used int64
-	for _, c := range order {
-		und := skip[c]
-		if !und {
-			for _, d := range dagOut[c] {
-				if ix.undecided[d] {
-					und = true
-					break
-				}
-			}
-		}
-		if !und {
-			cost := int64(len(labels[c])) * 4
-			if used+cost > budget {
-				und = true
-			} else {
+			if cost := int64(len(ivs)) * 4; used+cost <= budget {
 				used += cost
+				labels[c] = ivs
+				continue
 			}
 		}
-		if und {
-			ix.undecided[c] = true
-			labels[c] = nil
-		}
+		ix.undecided[c] = true
 	}
 	ix.ivOff = make([]int32, nc+1)
 	total := 0
@@ -352,10 +258,8 @@ func buildLabels(ix *Index, dagOut [][]int32, post, sz, order []int32, nc int, b
 // buildFrontiers computes the frontier lists for the source (in-node)
 // SCCs: the boundary slots the frontier-cut BFS of core.localEval would
 // emit — query-independent, so computed once here and shared by every
-// query. The BFS runs in parallel across source SCCs; the per-SCC results
-// are accounted against the budget serially in postorder, so the stored
-// set is reproducible whatever the worker count.
-func buildFrontiers(ix *Index, g *graph.Graph, comp []int32, spec Spec, n int, budget, used int64, workers int) int64 {
+// query. Lists are charged against the budget in the labels' postorder.
+func buildFrontiers(ix *Index, g *graph.Graph, comp []int32, spec Spec, n int, budget, used int64) int64 {
 	if spec.Boundary == nil || len(spec.Sources) == 0 {
 		return used
 	}
@@ -375,93 +279,26 @@ func buildFrontiers(ix *Index, g *graph.Graph, comp []int32, spec Spec, n int, b
 			tasks = append(tasks, task{c: c, seed: s})
 		}
 	}
-	// Charge (and store) in the labels' postorder; one task per SCC, so
-	// the order is total.
+	// One task per SCC, so the order is total.
 	sort.Slice(tasks, func(i, j int) bool { return ix.post[tasks[i].c] < ix.post[tasks[j].c] })
-	results := make([][]int32, len(tasks))
-	nworkers := workers
-	if nworkers > len(tasks) {
-		nworkers = len(tasks)
+	seen := make([]int32, n)
+	for i := range seen {
+		seen[i] = -1
 	}
-	if nworkers < 1 {
-		nworkers = 1
-	}
-	var nextTask atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nworkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			seen := make([]int32, n)
-			for i := range seen {
-				seen[i] = -1
-			}
-			queue := make([]int32, 0, n)
-			for {
-				ti := int(nextTask.Add(1)) - 1
-				if ti >= len(tasks) {
-					return
-				}
-				results[ti] = frontierOf(g, comp, spec.Boundary, tasks[ti].seed, tasks[ti].c, seen, int32(ti), queue)
-			}
-		}()
-	}
-	wg.Wait()
+	queue := make([]int32, 0, n)
 	for i, tk := range tasks {
-		cost := int64(len(results[i]))*4 + 16
+		row := frontierOf(g, comp, spec.Boundary, tk.seed, tk.c, seen, int32(i), queue)
+		cost := int64(len(row))*4 + 16
 		if used+cost > budget {
 			continue // undecided frontier: queries from this SCC fall back
 		}
 		used += cost
-		row := results[i]
 		if row == nil {
 			row = emptyFront // present-but-empty, distinct from not stored
 		}
 		ix.fronts[tk.c] = row
 	}
 	return used
-}
-
-// parallelFor runs fn(0..n-1) across at most `workers` goroutines in
-// dynamically balanced chunks. fn must only write state owned by its own
-// index; with workers <= 1 it degenerates to a plain loop.
-func parallelFor(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	const chunk = 64
-	nchunks := (n + chunk - 1) / chunk
-	if workers > nchunks {
-		workers = nchunks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				lo, hi := ci*chunk, (ci+1)*chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // emptyFront marks a stored frontier that happens to be empty (the source
@@ -475,7 +312,7 @@ var emptyGFront = []graph.NodeID{}
 // PrecomputeGlobals materializes the frontier lists in global node IDs via
 // the fragment's slot-to-global mapping, letting EquationGlobal return
 // equation bodies by reference with zero per-query mapping work. Call once
-// after Build (or decode), before the index starts serving.
+// after Build, before the index starts serving.
 func (ix *Index) PrecomputeGlobals(global func(l int32) graph.NodeID) {
 	ix.gfronts = make([][]graph.NodeID, ix.nc)
 	for c, row := range ix.fronts {
@@ -497,8 +334,8 @@ func (ix *Index) PrecomputeGlobals(global func(l int32) graph.NodeID) {
 // frontierOf runs one frontier-cut BFS from seed (a member of SCC c):
 // expand through everything in c (boundary or not) and through interior
 // nodes, stop at boundary slots outside c and collect them. The result is
-// sorted for determinism. seen is a stamped visit buffer owned by the
-// calling worker.
+// sorted for determinism. seen is a stamped visit buffer reused across
+// calls.
 func frontierOf(g *graph.Graph, comp []int32, boundary func(int32) bool, seed, c int32, seen []int32, stamp int32, queue []int32) []int32 {
 	queue = append(queue[:0], seed)
 	seen[seed] = stamp
@@ -683,206 +520,8 @@ func (ix *Index) AnyStale() bool { return ix.anyStale.Load() }
 // plus frontier lists).
 func (ix *Index) LabelBytes() int64 { return ix.bytes }
 
-// NumSlots reports the local slot count the index was built over —
-// adoption code cross-checks it against the fragment being restored.
-func (ix *Index) NumSlots() int { return ix.n }
-
 // Hits reports how many EquationGlobal calls were answered from the index.
 func (ix *Index) Hits() int64 { return ix.hits.Load() }
 
 // Fallbacks reports how many EquationGlobal calls could not be answered.
 func (ix *Index) Fallbacks() int64 { return ix.fallbacks.Load() }
-
-// codecMagic names the blob layout; RIX2 blobs carried a budget-policy byte
-// this layout does not have, so they fail here and their owner rebuilds.
-const codecMagic = "RIX3"
-
-// MarshalBinary encodes the immutable part of the index (staleness and
-// counters are runtime state and deliberately excluded). Because the
-// build is deterministic, two replicas that built the same fragment under
-// the same spec marshal to identical bytes — the property the parallel
-// builder's cross-checks pin.
-func (ix *Index) MarshalBinary() ([]byte, error) {
-	var b []byte
-	b = append(b, codecMagic...)
-	u32 := func(v uint32) {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	i32s := func(vs []int32) {
-		for _, v := range vs {
-			u32(uint32(v))
-		}
-	}
-	u32(uint32(ix.n))
-	u32(uint32(ix.nc))
-	i32s(ix.comp)
-	i32s(ix.post)
-	i32s(ix.ivOff)
-	u32(uint32(len(ix.ivals)))
-	i32s(ix.ivals)
-	bits := make([]byte, (ix.nc+7)/8)
-	for c, u := range ix.undecided {
-		if u {
-			bits[c/8] |= 1 << (c % 8)
-		}
-	}
-	b = append(b, bits...)
-	for _, row := range ix.dagIn {
-		u32(uint32(len(row)))
-		i32s(row)
-	}
-	nf := 0
-	for _, row := range ix.fronts {
-		if row != nil {
-			nf++
-		}
-	}
-	u32(uint32(nf))
-	for c, row := range ix.fronts {
-		if row == nil {
-			continue
-		}
-		u32(uint32(c))
-		u32(uint32(len(row)))
-		i32s(row)
-	}
-	return b, nil
-}
-
-// UnmarshalBinary decodes an index encoded by MarshalBinary. Every length
-// and reference is validated, so arbitrary input bytes cannot panic or
-// force outsized allocations (the fuzz target exercises exactly that).
-func UnmarshalBinary(b []byte) (*Index, error) {
-	if len(b) < len(codecMagic) || string(b[:len(codecMagic)]) != codecMagic {
-		return nil, fmt.Errorf("reachindex: bad magic")
-	}
-	b = b[len(codecMagic):]
-	u32 := func() (uint32, error) {
-		if len(b) < 4 {
-			return 0, fmt.Errorf("reachindex: truncated")
-		}
-		v := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		return v, nil
-	}
-	i32s := func(n int) ([]int32, error) {
-		if n < 0 || len(b) < 4*n {
-			return nil, fmt.Errorf("reachindex: truncated array")
-		}
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-		}
-		b = b[4*n:]
-		return out, nil
-	}
-	nu, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	ncu, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	n, nc := int(nu), int(ncu)
-	// Each slot costs 4 bytes in comp and each SCC 4 in post, so both are
-	// bounded by the input size — reject before allocating otherwise.
-	if n < 0 || nc < 0 || 4*n > len(b) || 4*nc > len(b) {
-		return nil, fmt.Errorf("reachindex: implausible sizes n=%d nc=%d", n, nc)
-	}
-	ix := &Index{n: n, nc: nc, stale: make([]bool, nc), fronts: make([][]int32, nc)}
-	if ix.comp, err = i32s(n); err != nil {
-		return nil, err
-	}
-	for _, c := range ix.comp {
-		if c < 0 || int(c) >= nc {
-			return nil, fmt.Errorf("reachindex: comp out of range")
-		}
-	}
-	if ix.post, err = i32s(nc); err != nil {
-		return nil, err
-	}
-	if ix.ivOff, err = i32s(nc + 1); err != nil {
-		return nil, err
-	}
-	nivu, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	niv := int(nivu)
-	if niv < 0 || 4*niv > len(b) {
-		return nil, fmt.Errorf("reachindex: implausible ivals size")
-	}
-	if len(ix.ivOff) > 0 && (ix.ivOff[0] != 0 || int(ix.ivOff[nc]) != niv) {
-		return nil, fmt.Errorf("reachindex: bad interval offsets")
-	}
-	for c := 0; c < nc; c++ {
-		d := ix.ivOff[c+1] - ix.ivOff[c]
-		if d < 0 || d%2 != 0 {
-			return nil, fmt.Errorf("reachindex: bad interval offsets")
-		}
-	}
-	if ix.ivals, err = i32s(niv); err != nil {
-		return nil, err
-	}
-	nbits := (nc + 7) / 8
-	if len(b) < nbits {
-		return nil, fmt.Errorf("reachindex: truncated undecided bitmap")
-	}
-	ix.undecided = make([]bool, nc)
-	for c := 0; c < nc; c++ {
-		ix.undecided[c] = b[c/8]&(1<<(c%8)) != 0
-	}
-	b = b[nbits:]
-	ix.dagIn = make([][]int32, nc)
-	for c := 0; c < nc; c++ {
-		lu, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		row, err := i32s(int(lu))
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range row {
-			if p < 0 || int(p) >= nc {
-				return nil, fmt.Errorf("reachindex: dag edge out of range")
-			}
-		}
-		ix.dagIn[c] = row
-	}
-	nf, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(nf); i++ {
-		cu, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		c := int32(cu)
-		if c < 0 || int(c) >= nc {
-			return nil, fmt.Errorf("reachindex: frontier comp out of range")
-		}
-		lu, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		row, err := i32s(int(lu))
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range row {
-			if s < 0 || int(s) >= n {
-				return nil, fmt.Errorf("reachindex: frontier slot out of range")
-			}
-		}
-		if len(row) == 0 {
-			row = emptyFront // i32s(0) already returns non-nil, but be explicit
-		}
-		ix.fronts[c] = row
-		ix.bytes += int64(len(row))*4 + 16
-	}
-	ix.bytes += int64(niv) * 4
-	return ix, nil
-}

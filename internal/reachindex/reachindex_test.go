@@ -179,91 +179,3 @@ func TestMarkDirtyAncestorCone(t *testing.T) {
 		t.Fatal("out-of-range MarkDirty should stale the whole index")
 	}
 }
-
-func TestCodecRoundtrip(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(200 + seed))
-		n := 10 + rng.Intn(40)
-		g := randomGraph(rng, n, 2*n)
-		ix := buildFor(g, 1<<20)
-		enc, err := ix.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := UnmarshalBinary(enc)
-		if err != nil {
-			t.Fatalf("seed %d: decode: %v", seed, err)
-		}
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				r1, d1 := ix.Reaches(int32(u), int32(v))
-				r2, d2 := dec.Reaches(int32(u), int32(v))
-				if r1 != r2 || d1 != d2 {
-					t.Fatalf("seed %d: decoded Reaches(%d,%d) diverges", seed, u, v)
-				}
-			}
-		}
-		// MarkDirty must work on the decoded form too (dagIn roundtrips).
-		if n > 0 {
-			dec.MarkDirty(0)
-			if !dec.AnyStale() {
-				t.Fatal("decoded index ignored MarkDirty")
-			}
-		}
-	}
-}
-
-// FuzzIndexLabels fuzzes both directions: arbitrary bytes through the
-// codec must never panic, and an index built from a fuzz-shaped graph must
-// agree with direct graph reachability on every decided answer and survive
-// a codec roundtrip.
-func FuzzIndexLabels(f *testing.F) {
-	f.Add([]byte{3, 0, 1, 1, 2, 2, 0}, uint16(64))
-	f.Add([]byte{10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0}, uint16(4096))
-	f.Add([]byte{}, uint16(0))
-	f.Fuzz(func(t *testing.T, data []byte, rawBudget uint16) {
-		// Hostile decode: must error or succeed, never panic.
-		if ix, err := UnmarshalBinary(data); err == nil {
-			ix.Reaches(0, 0)
-			ix.MarkDirty(0)
-		}
-		if len(data) == 0 {
-			return
-		}
-		n := 1 + int(data[0])%24
-		b := graph.NewBuilder(n)
-		b.AddNodes(n, "A")
-		for i := 1; i+1 < len(data); i += 2 {
-			b.AddEdge(graph.NodeID(int(data[i])%n), graph.NodeID(int(data[i+1])%n))
-		}
-		g := b.MustBuild()
-		budget := int64(rawBudget)
-		if budget == 0 {
-			budget = 1 << 20
-		}
-		ix := buildFor(g, budget)
-		check := func(ix *Index, what string) {
-			for u := 0; u < n; u++ {
-				for v := 0; v < n; v++ {
-					reached, decided := ix.Reaches(int32(u), int32(v))
-					if !decided {
-						continue
-					}
-					if want := g.Reachable(graph.NodeID(u), graph.NodeID(v)); reached != want {
-						t.Fatalf("%s: Reaches(%d,%d)=%v want %v", what, u, v, reached, want)
-					}
-				}
-			}
-		}
-		check(ix, "built")
-		enc, err := ix.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := UnmarshalBinary(enc)
-		if err != nil {
-			t.Fatalf("roundtrip decode: %v", err)
-		}
-		check(dec, "decoded")
-	})
-}
