@@ -82,6 +82,7 @@ cross-checks:
 	$(GO) test -race -run 'TestBoundaryCacheCrossCheck|TestBoundaryCacheBytes|TestRowsPlusQueryPartMatchesLocalEval|TestProbeMatchesEquationSystem|TestRowsCacheKeepsNewerGeneration' -count 1 ./internal/netsite ./internal/core
 	$(GO) test -race -run 'FuzzBatchPayload|TestRetiredFramesRejected|TestDistanceHugeWeights|TestLocalRowsMatchCutDist|TestRowsRoundTrip|TestRPQPartialRoundTrip|TestUnmarshalRejectsGarbage' -count 1 ./internal/netsite ./internal/core
 	$(GO) test -race -run 'TestGatewayConcurrentMisses' -count 1 ./cmd/serve
+	$(GO) test -race -run 'TestBatchFramesPerExpectedSite|TestBoundaryCacheCrossCheck$$|TestBoundaryCacheCrossCheckShared|TestNonOwnerQueryPartsEmpty' -count 1 ./internal/netsite ./internal/core
 
 # The nested benchmark module (benchmark/go.mod, `replace distreach => ../`)
 # is out of reach of the root `./...`: vet and test it here so a netsite

@@ -6,9 +6,10 @@
 //   - GET /metrics on the gateway AND on each cmd/site process must be
 //     well-formed Prometheus text exposition (obs.ValidateExposition, the
 //     checks a real scraper enforces), with the load visibly counted;
-//   - GET /guarantees must report zero frames-per-site and zero
-//     response-volume violations over the traffic just driven — the
-//     paper's bounds, audited live, gate CI;
+//   - GET /guarantees must report zero visit violations (a site posted
+//     twice in one attempt) and zero response-volume violations over the
+//     traffic just driven, and at most the site count of sites posted per
+//     round on average — the paper's bounds, audited live, gate CI;
 //   - a traced query's GET /trace/{id} must return the assembled tree,
 //     site eval spans and reachindex outcomes included.
 //
@@ -295,8 +296,11 @@ func checkGuarantees(base string) error {
 		return err
 	}
 	var s struct {
-		Rounds         int64 `json:"rounds"`
-		ByteViolations int64 `json:"byte_violations"`
+		Rounds          int64   `json:"rounds"`
+		VisitViolations int64   `json:"visit_violations"`
+		MeanSitesPosted float64 `json:"mean_sites_posted"`
+		Sites           int     `json:"sites"`
+		ByteViolations  int64   `json:"byte_violations"`
 	}
 	if err := json.Unmarshal(body, &s); err != nil {
 		return fmt.Errorf("/guarantees: %v", err)
@@ -304,11 +308,15 @@ func checkGuarantees(base string) error {
 	if s.Rounds == 0 {
 		return fmt.Errorf("/guarantees: auditor observed no rounds")
 	}
-	if s.ByteViolations != 0 {
-		return fmt.Errorf("/guarantees: %d byte violations over %d rounds: %s",
-			s.ByteViolations, s.Rounds, body)
+	if s.ByteViolations != 0 || s.VisitViolations != 0 {
+		return fmt.Errorf("/guarantees: %d byte and %d visit violations over %d rounds: %s",
+			s.ByteViolations, s.VisitViolations, s.Rounds, body)
 	}
-	fmt.Printf("obscheck: guarantees clean over %d audited rounds\n", s.Rounds)
+	if s.Sites == 0 || s.MeanSitesPosted <= 0 || s.MeanSitesPosted > float64(s.Sites) {
+		return fmt.Errorf("/guarantees: %.2f sites posted per round of %d sites: %s", s.MeanSitesPosted, s.Sites, body)
+	}
+	fmt.Printf("obscheck: guarantees clean over %d audited rounds, %.2f of %d sites posted per round\n",
+		s.Rounds, s.MeanSitesPosted, s.Sites)
 	return nil
 }
 

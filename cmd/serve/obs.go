@@ -214,9 +214,10 @@ func (g *gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGuarantees serves GET /guarantees: the auditor's running verdict
-// on the paper's performance guarantees — frames per site per round,
-// response volume against the c·(|Vf|+1)² bound, and whether evaluation
-// time correlates with graph size.
+// on the paper's performance guarantees — sites posted twice in one round
+// and the mean sites posted per round against the site count, response
+// volume against the c·(|Vf|+1)² bound, and whether evaluation time
+// correlates with graph size.
 func (g *gateway) handleGuarantees(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, g.ob.auditor.Summary())
 }

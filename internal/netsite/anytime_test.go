@@ -156,8 +156,22 @@ func TestAnytimeEarlyTermination(t *testing.T) {
 		t.Fatalf("site 2 must dominate the straggler histogram: %+v", as.Stragglers)
 	}
 
-	// Off means off: the same query pays the full round again.
+	// The sites share one replica and the coordinator now holds every
+	// site's rows: a false answer whose nodes the straggler does not own
+	// posts to the two owners only, and the first reply vouches for the
+	// straggler's rows.
+	ok, st, err = co.Reach(a0+11, a0)
+	if err != nil || ok {
+		t.Fatalf("warm reach(a11,a0) = %v, %v; want false", ok, err)
+	}
+	if st.FramesSent != 2 || st.RoundTrip >= slow-50*time.Millisecond {
+		t.Fatalf("warm false answer posted %d frames in %v; want the two owners, at fast-site latency", st.FramesSent, st.RoundTrip)
+	}
+
+	// Off means off: the same query, posted to the straggler — its rows
+	// marked stale, so that it must reply — pays the full round again.
 	co.SetAnytime(false)
+	co.markStale([]int{2}, co.heldTags())
 	ok, st, err = co.Reach(a0, a0+11)
 	if err != nil || !ok || st.EarlyTerminated {
 		t.Fatalf("full round: %v %+v %v", ok, st, err)

@@ -18,10 +18,11 @@ import (
 )
 
 // The query frame ('B') carries one or more mixed-class queries in one
-// payload, and each site answers with a single frame carrying one partial
-// answer per query. The per-query visit guarantee thus becomes a
-// per-batch guarantee over real connections: k queries over n sites cost
-// 2n frames, independent of k. A single query is a batch of one.
+// payload, and each posted site answers with a single frame carrying one
+// partial answer per query. The per-query visit guarantee thus becomes a
+// per-batch guarantee over real connections: k queries cost one request
+// and one reply per posted site, independent of k, and no site is posted
+// twice in one attempt. A single query is a batch of one.
 //
 // Request payload (little-endian):
 //
@@ -31,18 +32,25 @@ import (
 //	  class u8 ('r'|'b'|'q') | s u32 | t u32
 //	  class 'b' adds: l u32
 //	  class 'q' adds: alen u32 | automaton bytes
+//	| [skip section: instance u64 | n uvarint (>= 1)
+//	  | per skipped site, ascending: site uvarint | generation uvarint]
 //
 // flags carries batchFlagTrace: the bracketed trace context is present and
 // the site records spans for the reply's span section. The rows tag names the copy of
 // this site's boundary rows the coordinator holds (all zero: none); it and
 // the parent span are the per-site fields, patched into each site's copy of
-// the payload.
+// the payload. The skip section, present only when the attempt leaves
+// sites out, names the rows the coordinator holds for each of them (see
+// Routing below).
 //
 // Reply payload, after the (epoch, lsn) tag and the span section every
 // query answer carries (see protocol.go):
 //
 //	version u8 | rows u8 (0|1)
 //	           | [instance u64 | generation u64 | rlen u32 | rows bytes]
+//	           | nstale uvarint | per stale skipped site: site uvarint
+//	           | nowners uvarint | per reach or distance query, in batch
+//	             order: owner(s)+1 uvarint | owner(t)+1 uvarint (0: none)
 //	           | count u32 | per query: plen u32 | partial bytes
 //
 // Boundary rows. A fragment's answer to qr(s, t) and to qbr(s, t, l) is its
@@ -73,6 +81,34 @@ import (
 // would compute now, at the (epoch, LSN) its reply is stamped with. Nothing
 // has to tell the coordinator that its copy went stale, so nothing can be
 // lost: a stale or missing copy costs one full reply, never an answer.
+//
+// Routing. Only the fragments that store s or t as a real node — owner(s)
+// and owner(t) — have a query part for qr(s, t) or qbr(s, t, l)
+// (TestNonOwnerQueryPartsEmpty), so any other site whose held rows are
+// current would reply with nothing new. When every held tag names one
+// fragmentation instance — the sites share one Replica, as the sites of
+// ServeFragmentation do — and the coordinator knows the owner of every
+// node of a batch of reach and distance queries, an attempt posts only to
+// owner(s) ∪ owner(t) over its queries, plus every site whose rows it does
+// not hold or knows stale (an update it acknowledged dirtied them), and the
+// request's skip section carries the held generation of each site left
+// out. A posted site evaluates on the same fragmentation as
+// the skipped ones, so it reads their generations under the read lock its
+// evaluation holds and names, in nstale, the ones whose rows moved (all of
+// them when its instance is another). Every reply also names the owners of
+// each reach and distance query's s and t, which is how the coordinator
+// learns its node→site table (ownerTable) without the assignment ever
+// crossing the wire. The first reply of the attempt vouches for the rest:
+// the coordinator posts, in the same attempt and under the same request
+// ID, to each skipped site that reply names stale or as an owner, and opens
+// every other skipped site's held rows as if it had replied with nothing
+// but a rows hit. Each site is posted at most once per attempt, so the
+// paper's one visit per site still holds. A later reply that names a
+// vouched site contradicts the first at the same (epoch, LSN) — only an
+// unsequenced mutation can do that — and splits the attempt. Sites on
+// separate replicas draw separate instances, cannot vouch for one another
+// and are all posted, as are cold rounds, first-sight nodes and any batch
+// with a regex query.
 //
 // Both codecs are hardened against hostile input (fuzzed): every count and
 // length is bounds-checked against the remaining buffer and trailing bytes
@@ -115,8 +151,9 @@ type BatchAnswer struct {
 // version 5 added the request's rows tag and replaced the per-target
 // sections with the one optional rows section; version 6 made the rows
 // weighted (core.Rows, one codec for qr and qbr) and a distance query's
-// partial its query part.
-const batchVersion = 6
+// partial its query part; version 7 added the request's skip section and
+// the reply's stale and owners sections.
+const batchVersion = 7
 
 // Request flag bits. batchFlagTrace says 16 bytes of trace context follow
 // the rows tag and asks the site to record spans. Bit 1 is retired (it
@@ -156,6 +193,88 @@ type batchHeader struct {
 	traced        bool
 	rows          rowsTag
 	traceID, span uint64
+	skip          skipList
+}
+
+// skipList is a request's skip section: the fragmentation instance every
+// tag the coordinator holds names, and the sites the attempt left out, in
+// ascending order, each with the generation of the rows held for it. The
+// zero value is no section.
+type skipList struct {
+	instance uint64
+	sites    []int
+	gens     []uint64
+}
+
+// appendSkip writes the skip section; nothing when no site was skipped.
+func appendSkip(b []byte, sk skipList) []byte {
+	if len(sk.sites) == 0 {
+		return b
+	}
+	b = binary.LittleEndian.AppendUint64(b, sk.instance)
+	b = binary.AppendUvarint(b, uint64(len(sk.sites)))
+	for i, site := range sk.sites {
+		b = binary.AppendUvarint(b, uint64(site))
+		b = binary.AppendUvarint(b, sk.gens[i])
+	}
+	return b
+}
+
+// readSkip decodes a skip section: at least one site, strictly ascending,
+// each a plausible site index.
+func readSkip(r *oplog.Cursor) (sk skipList, err error) {
+	if sk.instance, err = r.U64(); err != nil {
+		return sk, err
+	}
+	n, err := readUvarintCount(r, 2) // site + generation at minimum
+	if err != nil {
+		return sk, err
+	}
+	if n == 0 {
+		return sk, fmt.Errorf("netsite: empty skip section")
+	}
+	sk.sites, sk.gens = make([]int, n), make([]uint64, n)
+	for i := range sk.sites {
+		if sk.sites[i], err = readSite(r); err != nil {
+			return sk, err
+		}
+		if i > 0 && sk.sites[i] <= sk.sites[i-1] {
+			return sk, fmt.Errorf("netsite: skip section sites out of order")
+		}
+		if sk.gens[i], err = r.Uvarint(); err != nil {
+			return sk, err
+		}
+	}
+	return sk, nil
+}
+
+// maxSites bounds a site index on the wire: the coordinator's owner table
+// keeps a site plus one in 16 bits.
+const maxSites = math.MaxUint16 - 1
+
+// readSite decodes one site index.
+func readSite(r *oplog.Cursor) (int, error) {
+	v, err := r.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v >= maxSites {
+		return 0, fmt.Errorf("netsite: site index %d out of range", v)
+	}
+	return int(v), nil
+}
+
+// readUvarintCount decodes a varint item count, guarding it as readCount
+// does.
+func readUvarintCount(r *oplog.Cursor, min int) (int, error) {
+	n, err := r.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > maxBatch || n*uint64(min) > uint64(r.Remaining()) {
+		return 0, fmt.Errorf("netsite: implausible count %d with %d bytes left", n, r.Remaining())
+	}
+	return int(n), nil
 }
 
 // maxBatch bounds the declared per-payload query count against hostile
@@ -230,7 +349,7 @@ func encodeBatchRequest(qs []BatchQuery, h batchHeader) ([]byte, error) {
 			return nil, fmt.Errorf("netsite: batch query %d: unknown class %q", i, byte(q.Class))
 		}
 	}
-	return b, nil
+	return appendSkip(b, h.skip), nil
 }
 
 // tagOffset and spanOffset are where the rows tag (after version and flags)
@@ -309,6 +428,11 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 		}
 		qs = append(qs, q)
 	}
+	if r.Remaining() > 0 {
+		if h.skip, err = readSkip(r); err != nil {
+			return nil, h, err
+		}
+	}
 	if err := r.Done(); err != nil {
 		return nil, h, err
 	}
@@ -322,15 +446,18 @@ type batchReply struct {
 	hasRows bool
 	tag     rowsTag
 	rows    []byte   // the fragment's marshaled weighted in-node rows
+	stale   []int    // the skipped sites whose held rows are not current
+	owners  []int    // per reach or distance query: owner(s), owner(t) (-1: none)
 	parts   [][]byte // per batched query: its marshaled partial (empty: nothing to add)
 }
 
 // encodeBatchReply appends the reply to b (the query answer's span section).
 func encodeBatchReply(b []byte, rep batchReply) []byte {
-	size := 1 + 1 + 4 // version, rows flag, query count
+	size := 1 + 1 + 2 + 4 // version, rows flag, the two varint counts, query count
 	if rep.hasRows {
 		size += rowsTagSize + 4 + len(rep.rows)
 	}
+	size += len(rep.stale) + len(rep.owners)
 	for _, p := range rep.parts {
 		size += 4 + len(p)
 	}
@@ -343,6 +470,14 @@ func encodeBatchReply(b []byte, rep batchReply) []byte {
 		rep.tag.put(b[len(b)-rowsTagSize:])
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(rep.rows)))
 		b = append(b, rep.rows...)
+	}
+	b = binary.AppendUvarint(b, uint64(len(rep.stale)))
+	for _, site := range rep.stale {
+		b = binary.AppendUvarint(b, uint64(site))
+	}
+	b = binary.AppendUvarint(b, uint64(len(rep.owners)))
+	for _, o := range rep.owners {
+		b = binary.AppendUvarint(b, uint64(o+1))
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(rep.parts)))
 	for _, p := range rep.parts {
@@ -376,7 +511,28 @@ func decodeBatchReply(p []byte) (rep batchReply, err error) {
 	default:
 		return rep, fmt.Errorf("netsite: batch reply rows flag %d", flag)
 	}
-	n, err := readCount(r, 4) // a length prefix per query at minimum
+	n, err := readUvarintCount(r, 1)
+	if err != nil {
+		return rep, err
+	}
+	rep.stale = make([]int, n)
+	for i := range rep.stale {
+		if rep.stale[i], err = readSite(r); err != nil {
+			return rep, err
+		}
+	}
+	if n, err = readUvarintCount(r, 1); err != nil {
+		return rep, err
+	}
+	rep.owners = make([]int, n)
+	for i := range rep.owners {
+		o, err := readSite(r)
+		if err != nil {
+			return rep, err
+		}
+		rep.owners[i] = o - 1
+	}
+	n, err = readCount(r, 4) // a length prefix per query at minimum
 	if err != nil {
 		return rep, err
 	}
@@ -395,18 +551,22 @@ func decodeBatchReply(p []byte) (rep batchReply, err error) {
 }
 
 // Batch evaluates a mixed-class query batch in one wire round: exactly one
-// request frame per site carries the whole batch, each site evaluates it
-// against its fragment in one pass and answers with one frame carrying a
-// partial per query, and the coordinator demultiplexes and
-// solves each query from its partials. The returned WireStats covers the
-// whole batch: FramesSent equals the site count — independent of len(qs) —
-// which is the per-batch form of the paper's visit bound.
+// request frame to each posted site carries the whole batch, each posted
+// site evaluates it against its fragment in one pass and answers with one
+// frame carrying a partial per query, and the coordinator demultiplexes
+// and solves each query from its partials. The returned WireStats covers
+// the whole batch: FramesSent counts the posted sites — every site for a
+// cold round, a round naming a node for the first time or one with a regex
+// query; owner(s) ∪ owner(t) over the batch, plus any site whose held rows
+// are missing or stale, for a warm one over sites sharing a replica (see
+// Routing above) — independent of len(qs), and never more than the site
+// count: the per-batch form of the paper's visit bound.
 //
 // This is the only query path: Reach, ReachWithin and ReachRegex are
 // batches of one. With anytime on and every wire query a reach query, the
 // round returns the moment the replies in hand prove every query true,
-// cancelling the remaining sites; otherwise it waits for every site's reply
-// (see SetAnytime).
+// cancelling the remaining sites; otherwise it waits for every posted
+// site's reply (see SetAnytime).
 //
 // Queries that short-circuit locally (s == t, or a non-positive distance
 // bound) are answered without touching the wire; a batch of only such
@@ -512,9 +672,10 @@ func classLabel(c QueryClass) string {
 // in-node equations of its fragment and the tag of the fragment state they
 // were computed at. Immutable once stored.
 type siteRows struct {
-	tag rowsTag
-	rv  *core.Rows // the rows as decoded off the wire
-	in  *boundary  // or: the published boundary that lays them out
+	tag   rowsTag
+	rv    *core.Rows // the rows as decoded off the wire
+	in    *boundary  // or: the published boundary that lays them out
+	stale bool       // known to be older than the fragment (markStale)
 }
 
 // source reads site's rows back, wherever they are kept.
@@ -541,6 +702,43 @@ func (c *Coordinator) keepRows(site int, r *siteRows) {
 	}
 }
 
+// heldTags snapshots the tag of every cache slot (zero: empty).
+func (c *Coordinator) heldTags() []rowsTag {
+	tags := make([]rowsTag, len(c.rows))
+	for i := range c.rows {
+		if r := c.rows[i].Load(); r != nil {
+			tags[i] = r.tag
+		}
+	}
+	return tags
+}
+
+// markStale marks the rows the cache holds for the given sites — the
+// fragments an update acknowledged through this coordinator dirtied — as
+// known stale, when the slot still holds the rows it held before the
+// update (before[i], from heldTags). The next round then posts to those
+// sites up front rather than learn from another site's reply that they are
+// stale and post to them a second time. The rows stay in the slot, so
+// rounds keep walking the published boundary until the new rows arrive
+// instead of building one without the site. A slot a concurrent round has
+// refilled since is left alone: its rows may already be the new ones, and
+// a stale copy costs a second wave, never an answer.
+func (c *Coordinator) markStale(sites []int, before []rowsTag) {
+	for _, i := range sites {
+		for {
+			cur := c.rows[i].Load()
+			if cur == nil || cur.stale || cur.tag != before[i] {
+				break
+			}
+			marked := *cur
+			marked.stale = true
+			if c.rows[i].CompareAndSwap(cur, &marked) {
+				break
+			}
+		}
+	}
+}
+
 // publish makes bnd the boundary rounds reuse when it lays out the rows
 // the cache holds now — the ones the next round's requests will name — and
 // then points those cache entries at it, so that the coordinator keeps one
@@ -561,20 +759,22 @@ func (c *Coordinator) publish(bnd *boundary) {
 	}
 	for i, cur := range cached {
 		if cur != nil && cur.in != bnd {
-			c.rows[i].CompareAndSwap(cur, &siteRows{tag: cur.tag, in: bnd})
+			c.rows[i].CompareAndSwap(cur, &siteRows{tag: cur.tag, in: bnd, stale: cur.stale})
 		}
 	}
 }
 
 // batchSolver turns one round attempt's replies into answers. A reach query
 // is a probe (boundary.go): a walk from s over the boundary of the rows the
-// attempt stands on, following the rows of the sites that have replied
-// and the query parts they sent. With early decision on, every reply opens
-// its site's rows and the walks resume at once, so the round is decided
+// attempt stands on, following the rows of the sites that have replied or
+// been vouched for and the query parts the replies sent. With early
+// decision on, every reply opens its site's rows (the first also the
+// vouched sites') and the walks resume at once, so the round is decided
 // the moment every walk has met a true equation; a walk's true is a closed
 // chain of equations, each a sound implication at the round's (epoch,
 // LSN), so no absent site can retract it, while false needs every site's
-// equations, i.e. all replies. Strict rounds walk once, on the last reply.
+// equations, i.e. all replies and vouches. Strict rounds walk once, when
+// the last site is in.
 // Either way a round costs one closure walk per query. A distance query is
 // one search over the same boundary, in finish, once every reply is in (a
 // silent site may hold a shorter path); regex parts have no rows and no
@@ -654,34 +854,29 @@ func (b *batchSolver) reset() {
 	b.eqs, b.probes, b.opened = nil, nil, 0
 }
 
-// feed consumes one site's reply body and reports whether every query of
-// the round is now decided.
-func (b *batchSolver) feed(site int, body []byte) (bool, error) {
-	rep, err := decodeBatchReply(body)
-	if err != nil {
-		return false, fmt.Errorf("netsite: site %d reply: %w", site, err)
-	}
+// feed consumes one posted site's decoded reply.
+func (b *batchSolver) feed(site int, rep batchReply) error {
 	if len(rep.parts) != len(b.wire) {
-		return false, fmt.Errorf("netsite: site %d answered %d of %d batch queries", site, len(rep.parts), len(b.wire))
+		return fmt.Errorf("netsite: site %d answered %d of %d batch queries", site, len(rep.parts), len(b.wire))
 	}
 	b.parts[site] = rep.parts
 	if !b.needRows {
-		return false, nil // regex queries only: rows neither needed nor kept
+		return nil // regex queries only: rows neither needed nor kept
 	}
 	switch {
 	case rep.hasRows:
 		rows := new(core.Rows)
 		if err := rows.UnmarshalBinary(rep.rows); err != nil {
-			return false, fmt.Errorf("netsite: site %d rows: %w", site, err)
+			return fmt.Errorf("netsite: site %d rows: %w", site, err)
 		}
 		if rows.HasConst() {
-			return false, fmt.Errorf("netsite: site %d shipped rows with a constant term", site)
+			return fmt.Errorf("netsite: site %d shipped rows with a constant term", site)
 		}
 		b.rows[site] = obs.RowsMiss
 		b.held[site] = &siteRows{tag: rep.tag, rv: rows}
 		b.c.keepRows(site, b.held[site])
 	case b.held[site] == nil:
-		return false, fmt.Errorf("netsite: site %d left out rows the coordinator does not hold", site)
+		return fmt.Errorf("netsite: site %d left out rows the coordinator does not hold", site)
 	default:
 		b.rows[site] = obs.RowsHit
 	}
@@ -690,25 +885,43 @@ func (b *batchSolver) feed(site int, body []byte) (bool, error) {
 		if b.target[j] >= 0 && len(part) > 0 {
 			reach[j] = new(core.ReachPartial)
 			if err := reach[j].UnmarshalBinary(part); err != nil {
-				return false, fmt.Errorf("netsite: site %d batch query %d: %w", site, j, err)
+				return fmt.Errorf("netsite: site %d batch query %d: %w", site, j, err)
 			}
 		}
 	}
 	b.reach[site] = reach
 	b.fed = append(b.fed, site)
+	return nil
+}
+
+// vouch opens a skipped site's held rows as a reply with no query parts
+// and no rows would: another site's reply said they are current and that
+// the site owns no node of the batch.
+func (b *batchSolver) vouch(site int) {
+	b.rows[site] = obs.RowsHit
+	b.fed = append(b.fed, site)
+}
+
+// advance brings the walks up to what was fed and vouched for, and reports
+// whether every query of the round is now decided. A strict round walks
+// once, when every site is in.
+func (b *batchSolver) advance() bool {
+	if !b.needRows {
+		return false
+	}
 	if !b.early {
 		if len(b.fed) == len(b.held) {
 			b.sync() // the one walk of a strict round, timed inside it
 		}
-		return false, nil
+		return false
 	}
 	b.sync()
 	for _, p := range b.probes {
 		if !p.answer {
-			return false, nil
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // sync brings the probes up to the replies fed so far. The boundary is the
@@ -791,6 +1004,9 @@ func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
 		case ClassDist:
 			parts := make([]*core.Rows, len(b.held))
 			for _, site := range b.fed {
+				if b.parts[site] == nil {
+					continue // vouched for: no query part
+				}
 				if part := b.parts[site][j]; len(part) > 0 {
 					parts[site] = new(core.Rows)
 					if err := parts[site].UnmarshalBinary(part); err != nil {

@@ -2,7 +2,12 @@ package netsite
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +17,7 @@ import (
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
+	"distreach/internal/obs"
 )
 
 // batchWorkload builds n mixed-class batch queries with oracle answers
@@ -44,58 +50,273 @@ func batchWorkload(g *graph.Graph, labels []string, n int, seed uint64) ([]Batch
 	return qs, want
 }
 
-// TestBatchOneFramePerSite is the acceptance check for wire batching: a
-// batch of k mixed-class queries over n sites costs exactly n request
-// frames and n response frames — independent of k. Answers must match the
-// centralized oracle for every query.
-func TestBatchOneFramePerSite(t *testing.T) {
+// framesProbe watches which sites a coordinator's rounds post to, through
+// its auditor's per-site post counts, and the order the posts went out in,
+// through its traces.
+type framesProbe struct {
+	t      *testing.T
+	co     *Coordinator
+	aud    *obs.Auditor
+	k      int
+	mu     sync.Mutex
+	traces []*obs.Trace
+}
+
+func newFramesProbe(t *testing.T, co *Coordinator) *framesProbe {
+	p := &framesProbe{t: t, co: co, aud: obs.NewAuditor(), k: co.NumSites()}
+	co.SetAuditor(p.aud)
+	co.SetTraceSink(func(tr *obs.Trace) {
+		p.mu.Lock()
+		p.traces = append(p.traces, tr)
+		p.mu.Unlock()
+	})
+	return p
+}
+
+// round runs one strict batch and checks that it posted exactly one frame
+// to each site of want and none to the others; then, when second is
+// non-nil, that exactly its sites were posted after a reply had arrived.
+// It returns the answers and the round's stats.
+func (p *framesProbe) round(step string, qs []BatchQuery, want, second []bool) ([]BatchAnswer, WireStats) {
+	p.t.Helper()
+	before := make([]int64, p.k)
+	for i := range before {
+		before[i] = p.aud.Posts(i)
+	}
+	answers, st, err := p.co.Batch(qs)
+	if err != nil {
+		p.t.Fatalf("%s: %v", step, err)
+	}
+	var n int64
+	for i := 0; i < p.k; i++ {
+		got := p.aud.Posts(i) > before[i]
+		if got != want[i] {
+			p.t.Fatalf("%s: site %d posted: %v, want %v (want set %v)", step, i, got, want[i], siteList(want))
+		}
+		if got {
+			n++
+		}
+	}
+	if st.FramesSent != n || st.FramesReceived != n {
+		p.t.Fatalf("%s: %d frames sent, %d received, want one to and from each of %v", step, st.FramesSent, st.FramesReceived, siteList(want))
+	}
+	if v := p.aud.Summary().VisitViolations; v != 0 {
+		p.t.Fatalf("%s: %d sites posted twice in one attempt", step, v)
+	}
+	if second != nil {
+		p.mu.Lock()
+		tr := p.traces[len(p.traces)-1]
+		p.mu.Unlock()
+		if tr.ID != st.TraceID {
+			p.t.Fatalf("%s: trace %x is not the round's (%x)", step, tr.ID, st.TraceID)
+		}
+		// An rpc span started after another one ended was posted on a
+		// reply's word.
+		firstEnd := time.Time{}
+		for _, sp := range tr.Spans {
+			if end := sp.Start.Add(sp.Dur); sp.Name == "rpc" && (firstEnd.IsZero() || end.Before(firstEnd)) {
+				firstEnd = end
+			}
+		}
+		late := make([]bool, p.k)
+		for _, sp := range tr.Spans {
+			if sp.Name != "rpc" || sp.Start.Before(firstEnd) {
+				continue
+			}
+			for _, a := range sp.Attrs {
+				if a.Key == "site" {
+					i, _ := strconv.Atoi(a.Val)
+					late[i] = true
+				}
+			}
+		}
+		if !slices.Equal(late, second) {
+			p.t.Fatalf("%s: sites posted on a reply's word %v, want %v", step, siteList(late), siteList(second))
+		}
+	}
+	return answers, st
+}
+
+// TestBatchFramesPerExpectedSite pins the routing of every query round on
+// a small deployment whose sites share one replica: over every (s, t), a
+// round sends exactly one frame to each site it has to hear from and none
+// to the others —
+//   - a cold round, or one naming a node for the first time: every site;
+//   - a warm reach or distance round: owner(s) ∪ owner(t), over the batch;
+//   - any round with a regex query: every site;
+//   - after an update acknowledged through this coordinator: owner(s) ∪
+//     owner(t) ∪ its dirty set, all up front;
+//   - after an unsequenced lsn-0 apply the coordinator never saw: owner(s)
+//     ∪ owner(t) first, then exactly the dirtied sites the first reply
+//     names stale.
+//
+// Batches cost one frame per posted site whatever their size, every answer
+// matches the centralized oracle, and a site whose rows must ship ships
+// them once per batch.
+func TestBatchFramesPerExpectedSite(t *testing.T) {
 	labels := []string{"A", "B", "C"}
-	g := gen.PowerLaw(gen.Config{Nodes: 200, Edges: 800, Labels: labels, Seed: 81})
-	const nSites = 4
-	co, done := deploy(t, g, nSites, 81)
-	defer done()
-	type input struct {
-		qs   []BatchQuery
-		want []bool
+	g := gen.PowerLaw(gen.Config{Nodes: 40, Edges: 120, Labels: labels, Seed: 81})
+	const k = 4
+	fr, err := fragment.Random(g, k, 81)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var inputs []input
-	for _, k := range []int{1, 5, 17, 48} {
-		qs, want := batchWorkload(g, labels, k, 82+uint64(k))
-		inputs = append(inputs, input{qs, want})
+	rep := fragment.NewReplica(fr)
+	sites, addrs, err := ServeReplica(rep, SiteOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A batch of one of each class (the workload cycles qr, qbr, qrr), and
-	// a mixed-class pair: the same frame, the same bound.
-	last := inputs[len(inputs)-1]
-	for _, r := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {1, 3}} {
-		inputs = append(inputs, input{last.qs[r[0]:r[1]], last.want[r[0]:r[1]]})
+	defer func() {
+		for _, s := range sites {
+			s.Close()
+		}
+	}()
+	co, err := Dial(addrs, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, in := range inputs {
-		qs, want, k := in.qs, in.want, len(in.qs)
-		answers, st, err := co.Batch(qs)
-		if err != nil {
-			t.Fatal(err)
+	defer co.Close()
+	co.SetAnytime(false) // every posted site's reply, so frames compare
+	p := newFramesProbe(t, co)
+	every := []bool{true, true, true, true}
+	seen := make(map[graph.NodeID]bool) // nodes some round has named
+	owners := func(qs []BatchQuery, extra ...int) []bool {
+		want := make([]bool, k)
+		for _, q := range qs {
+			if !seen[q.S] || !seen[q.T] || q.Class == ClassRPQ {
+				return every
+			}
+			want[fr.Owner(q.S)], want[fr.Owner(q.T)] = true, true
 		}
-		// An all-reach batch proved true early cancels its stragglers:
-		// fewer finals, never more than one per site.
-		if st.FramesSent != nSites || st.FramesReceived > nSites || (st.FramesReceived < nSites && !st.EarlyTerminated) {
-			t.Fatalf("batch of %d: %d frames sent, %d received (early=%v); want %d each (one per site)",
-				k, st.FramesSent, st.FramesReceived, st.EarlyTerminated, nSites)
+		for _, i := range extra {
+			want[i] = true
 		}
-		if st.BytesSent == 0 || st.BytesReceived == 0 {
-			t.Fatalf("batch of %d: no wire traffic recorded: %+v", k, st)
+		return want
+	}
+	check := func(step string, qs []BatchQuery, answers []BatchAnswer) {
+		for j, q := range qs {
+			var want bool
+			switch q.Class {
+			case ClassReach:
+				want = g.Reachable(q.S, q.T)
+			case ClassDist:
+				d := g.Dist(q.S, q.T)
+				want = d >= 0 && d <= q.L
+			case ClassRPQ:
+				want = automaton.Eval(g, q.S, q.T, q.A)
+			}
+			if answers[j].Answer != want {
+				t.Fatalf("%s: query %d (class %q %d->%d) = %v, oracle %v", step, j, byte(q.Class), q.S, q.T, answers[j].Answer, want)
+			}
+			seen[q.S], seen[q.T] = true, true
 		}
-		for i, a := range answers {
-			if a.Answer != want[i] {
-				t.Fatalf("batch of %d, query %d (class %q %d->%d): wire=%v oracle=%v",
-					k, i, byte(qs[i].Class), qs[i].S, qs[i].T, a.Answer, want[i])
+	}
+	n := graph.NodeID(g.NumNodes())
+	pair := func(s, tt graph.NodeID) []BatchQuery {
+		q := BatchQuery{Class: ClassReach, S: s, T: tt}
+		if (s+tt)%2 == 1 {
+			q.Class, q.L = ClassDist, 1+int(s+tt)%4
+		}
+		return []BatchQuery{q}
+	}
+
+	// Every (s, t): the first rounds name new nodes and post to every
+	// site; once both nodes are known, only their owners are posted.
+	var rounds, frames int64
+	for s := graph.NodeID(0); s < n; s++ {
+		for tt := graph.NodeID(0); tt < n; tt++ {
+			if s == tt {
+				continue
+			}
+			qs := pair(s, tt)
+			step := fmt.Sprintf("qr/qbr(%d,%d)", s, tt)
+			answers, st := p.round(step, qs, owners(qs), nil)
+			if st.RowsReplies != 0 && (s != 0 || tt != 1) {
+				t.Fatalf("%s: %d sites shipped rows on a warm round", step, st.RowsReplies)
+			}
+			check(step, qs, answers)
+			rounds, frames = rounds+1, frames+st.FramesSent
+		}
+	}
+	if 2*frames >= int64(k)*rounds {
+		t.Fatalf("%d frames over %d rounds: warm rounds must post to the owners only", frames, rounds)
+	}
+	t.Logf("every (s, t): %.2f frames sent per round over %d rounds, %d sites", float64(frames)/float64(rounds), rounds, k)
+
+	// Batches: one frame per posted site whatever the size; a regex query
+	// posts to every site.
+	for _, size := range []int{1, 5, 17, 48} {
+		qs, _ := batchWorkload(g, labels, size, 82+uint64(size))
+		answers, _ := p.round(fmt.Sprintf("mixed batch of %d", size), qs, owners(qs), nil)
+		check("mixed batch", qs, answers)
+		var rowsQs []BatchQuery
+		for _, q := range qs {
+			if q.Class != ClassRPQ && q.S != q.T {
+				rowsQs = append(rowsQs, q)
+			}
+		}
+		answers, _ = p.round(fmt.Sprintf("reach and distance batch of %d", len(rowsQs)), rowsQs, owners(rowsQs), nil)
+		check("reach and distance batch", rowsQs, answers)
+	}
+
+	rng := gen.NewRNG(83)
+	draw := func() []BatchQuery {
+		for {
+			if s, tt := graph.NodeID(rng.Intn(int(n))), graph.NodeID(rng.Intn(int(n))); s != tt {
+				return pair(s, tt)
 			}
 		}
 	}
+	for i := 0; i < 12; i++ {
+		// An update acknowledged through the coordinator: its dirty sites
+		// are posted up front, and ship their rows.
+		u, v := graph.NodeID(rng.Intn(int(n))), graph.NodeID(rng.Intn(int(n)))
+		res, _, err := co.Update(UpdateInsert, u, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := draw()
+		step := fmt.Sprintf("update %d (dirty %v) then %v", i, res.Dirty, qs[0])
+		answers, st := p.round(step, qs, owners(qs, res.Dirty...), make([]bool, k))
+		if st.RowsReplies != int64(len(res.Dirty)) {
+			t.Fatalf("%s: %d sites shipped rows, want the %d dirty ones", step, st.RowsReplies, len(res.Dirty))
+		}
+		check(step, qs, answers)
+
+		// An lsn-0 apply under the sites: the owners are posted first and
+		// the first reply names the dirtied sites, which are posted next.
+		u, v = graph.NodeID(rng.Intn(int(n))), graph.NodeID(rng.Intn(int(n)))
+		ares, _, err := rep.ApplyLSN(0, 0, []Op{{Kind: OpDeleteEdge, U: u, V: v}, {Kind: OpInsertEdge, U: v, V: u}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = draw()
+		step = fmt.Sprintf("lsn 0 apply %d (dirty %v) then %v", i, ares.Dirty, qs[0])
+		first := owners(qs)
+		second := make([]bool, k)
+		for _, d := range ares.Dirty {
+			second[d] = !first[d]
+		}
+		answers, st = p.round(step, qs, owners(qs, ares.Dirty...), second)
+		if st.RowsReplies != int64(len(ares.Dirty)) {
+			t.Fatalf("%s: %d sites shipped rows, want the %d dirtied ones", step, st.RowsReplies, len(ares.Dirty))
+		}
+		check(step, qs, answers)
+	}
+	if n := co.pendingTotal(); n != 0 {
+		t.Fatalf("%d pending entries leaked", n)
+	}
+	co.SetTraceSink(nil)
+	co.SetAuditor(nil)
 
 	// One rows section per batch: a site that has to ship its boundary rows
 	// ships them once, whatever the batch asks — 32 reach queries with 32
 	// distinct targets cost a cold coordinator about what one query does,
 	// and a warm one a query part each.
+	g = gen.PowerLaw(gen.Config{Nodes: 200, Edges: 800, Labels: labels, Seed: 81})
+	const nSites = 4
+	co, done := deploy(t, g, nSites, 81)
+	defer done()
 	const fan = 32
 	co.SetAnytime(false) // every final, so bytes compare
 	dropRows(co)
@@ -257,7 +478,7 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 			t.Errorf("decodeBatchRequest accepted %s payload", name)
 		}
 	}
-	full := batchReply{hasRows: true, tag: rowsTag{7, 3}, rows: []byte{9, 9}, parts: [][]byte{{1, 2, 3}, nil}}
+	full := batchReply{hasRows: true, tag: rowsTag{7, 3}, rows: []byte{9, 9}, stale: []int{2}, owners: []int{0, -1, 3, 1}, parts: [][]byte{{1, 2, 3}, nil}}
 	reply := encodeBatchReply(nil, full)
 	for name, p := range map[string][]byte{
 		"bad version":      {7, 0, 0, 0, 0, 0},
@@ -275,7 +496,8 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	}
 	// Round trips survive intact, including empty batches and empty parts.
 	qs := []BatchQuery{{Class: ClassDist, S: 5, T: 9, L: 3}, {Class: ClassReach, S: 0, T: 1}}
-	hdr := batchHeader{traced: true, rows: rowsTag{0xABCD, 17}, traceID: 0xDEADBEEF, span: 2}
+	hdr := batchHeader{traced: true, rows: rowsTag{0xABCD, 17}, traceID: 0xDEADBEEF, span: 2,
+		skip: skipList{instance: 0xABCD, sites: []int{1, 3}, gens: []uint64{0, 300}}}
 	enc, err := encodeBatchRequest(qs, hdr)
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +506,24 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != hdr {
+	if !reflect.DeepEqual(got, hdr) {
 		t.Fatalf("request round trip header: %+v", got)
+	}
+	// The skip section: at least one site, strictly ascending, whole.
+	plain, err := encodeBatchRequest(qs, batchHeader{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string][]byte{
+		"empty skip section":  binary.AppendUvarint(binary.LittleEndian.AppendUint64(append([]byte{}, plain...), 5), 0),
+		"skip sites reversed": appendSkip(append([]byte{}, plain...), skipList{instance: 5, sites: []int{3, 1}, gens: []uint64{0, 0}}),
+		"skip sites repeated": appendSkip(append([]byte{}, plain...), skipList{instance: 5, sites: []int{2, 2}, gens: []uint64{0, 0}}),
+		"truncated skip":      enc[:len(enc)-1],
+		"huge skip site":      appendSkip(append([]byte{}, plain...), skipList{instance: 5, sites: []int{1 << 20}, gens: []uint64{0}}),
+	} {
+		if _, _, err := decodeBatchRequest(p); err == nil {
+			t.Errorf("decodeBatchRequest accepted %s payload", name)
+		}
 	}
 	if len(dec) != 2 || dec[0] != qs[0] || dec[1] != qs[1] {
 		t.Fatalf("request round trip: %+v", dec)
@@ -293,7 +531,7 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	for _, want := range []batchReply{full, {parts: [][]byte{nil, {7}}}, {hasRows: true, tag: rowsTag{1, 0}}} {
 		got, err := decodeBatchReply(encodeBatchReply(nil, want))
 		if err != nil || got.hasRows != want.hasRows || got.tag != want.tag || !bytes.Equal(got.rows, want.rows) ||
-			len(got.parts) != len(want.parts) {
+			!slices.Equal(got.stale, want.stale) || !slices.Equal(got.owners, want.owners) || len(got.parts) != len(want.parts) {
 			t.Fatalf("reply round trip: %+v -> %+v, %v", want, got, err)
 		}
 		for i := range want.parts {

@@ -3,6 +3,7 @@ package netsite
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,14 +42,16 @@ func bfsAssign(g *graph.Graph, k int) []int {
 
 // cacheDeployment is what TestBoundaryCacheCrossCheck drives: k sites, each
 // over its own replica (the separate-process shape: nothing shared behind
-// the wire), one long-lived coordinator whose boundary cache is under test,
-// a second gateway writing under the same sequencer, and an unfragmented
-// oracle that every mutation is mirrored into.
+// the wire) — or, for TestBoundaryCacheCrossCheckShared, all over one — one
+// long-lived coordinator whose boundary cache is under test, a second
+// gateway writing under the same sequencer, and an unfragmented oracle that
+// every mutation is mirrored into.
 type cacheDeployment struct {
 	t      *testing.T
 	rng    *gen.RNG
 	labels []string
-	reps   []*fragment.Replica
+	shared bool                // the sites share reps[0]
+	reps   []*fragment.Replica // one per site, or the one shared
 	sites  []*Site
 	addrs  []string
 	co     *Coordinator // queries and writes; the cache under test
@@ -56,6 +59,12 @@ type cacheDeployment struct {
 	aud    *obs.Auditor // co's: per-site rows hits and misses
 	oracle *fragment.Fragmentation
 	epoch  uint64
+
+	// Shared replica only: the last strict round's batch, the sites it
+	// posted to, and how many such rounds skipped a site.
+	batch   []BatchQuery
+	posted  []bool
+	skipped int
 }
 
 func (d *cacheDeployment) close() {
@@ -149,12 +158,31 @@ func (d *cacheDeployment) strictRound(step string, shape int) []bool {
 	}
 	step = fmt.Sprintf("%s, strict round %d", step, shape)
 	before := d.misses()
+	posts := make([]int64, len(d.sites))
+	for i := range posts {
+		posts[i] = d.aud.Posts(i)
+	}
 	answers, st, err := d.co.Batch(batch)
 	if err != nil {
 		d.t.Fatalf("%s: %v", step, err)
 	}
 	d.check(step, batch, answers)
-	if n := int64(len(d.sites)); st.FramesSent != n || st.FramesReceived != n {
+	if d.shared {
+		// Which sites were posted is wantFull's to judge, with the dirty set.
+		d.batch, d.posted = batch, make([]bool, len(d.sites))
+		var n int64
+		for i := range posts {
+			if d.posted[i] = d.aud.Posts(i) > posts[i]; d.posted[i] {
+				n++
+			}
+		}
+		if st.FramesSent != n || st.FramesReceived != n {
+			d.t.Fatalf("%s: strict round cost %d/%d frames over the %d sites it posted to", step, st.FramesSent, st.FramesReceived, n)
+		}
+		if v := d.aud.Summary().VisitViolations; v != 0 {
+			d.t.Fatalf("%s: %d sites posted twice in one attempt", step, v)
+		}
+	} else if n := int64(len(d.sites)); st.FramesSent != n || st.FramesReceived != n {
 		d.t.Fatalf("%s: strict round cost %d/%d frames over %d sites: a miss must be answered in the frame that reports it",
 			step, st.FramesSent, st.FramesReceived, n)
 	}
@@ -181,6 +209,31 @@ func (d *cacheDeployment) wantFull(step string, full []bool, dirty []int) {
 		if full[i] != want[i] {
 			d.t.Fatalf("%s: sites that shipped rows %v, want exactly the dirty set %v", step, full, dirty)
 		}
+	}
+	if d.shared {
+		d.wantPosted(step, want)
+	}
+}
+
+// wantPosted asserts that the last strict round over a shared replica
+// posted to every site, or to exactly the owners of its nodes plus the
+// dirty sites; a round with a regex query to every site.
+func (d *cacheDeployment) wantPosted(step string, dirty []bool) {
+	fr, _ := d.reps[0].Current()
+	want := slices.Clone(dirty)
+	for _, q := range d.batch {
+		if q.Class == ClassRPQ {
+			want = nil
+			break
+		}
+		want[fr.Owner(q.S)], want[fr.Owner(q.T)] = true, true
+	}
+	if slices.Equal(d.posted, want) && slices.Contains(want, false) {
+		d.skipped++
+		return
+	}
+	if slices.Contains(d.posted, false) {
+		d.t.Fatalf("%s: posted to %v, want every site or exactly owners ∪ dirty %v", step, siteList(d.posted), siteList(want))
 	}
 }
 
@@ -212,12 +265,29 @@ func (d *cacheDeployment) queries(step string) {
 	g := d.oracle.Graph()
 	for q := 0; q < 4; q++ {
 		s, tt := d.live(), d.live()
-		got, _, err := d.co.Reach(s, tt)
+		got, st, err := d.co.Reach(s, tt)
 		if err != nil {
 			d.t.Fatalf("%s: reach(%d,%d): %v", step, s, tt, err)
 		}
+		if n := int64(len(d.sites)); !d.shared && s != tt && st.FramesSent != n {
+			d.t.Fatalf("%s: reach(%d,%d) posted %d frames: sites on separate replicas cannot vouch for one another, want all %d",
+				step, s, tt, st.FramesSent, n)
+		}
 		if want := g.Reachable(s, tt); got != want {
 			d.t.Fatalf("%s: reach(%d,%d) = %v, oracle %v", step, s, tt, got, want)
+		}
+		if !d.shared || s == tt {
+			continue
+		}
+		// Again, warm: the coordinator now knows both owners and holds
+		// current rows, so it posts to those owners only.
+		again, st, err := d.co.Reach(s, tt)
+		if err != nil || again != got {
+			d.t.Fatalf("%s: warm reach(%d,%d) = %v, %v; first %v", step, s, tt, again, err, got)
+		}
+		fr, _ := d.reps[0].Current()
+		if owners := int64(len(slices.Compact([]int{min(fr.Owner(s), fr.Owner(tt)), max(fr.Owner(s), fr.Owner(tt))}))); st.FramesSent != owners {
+			d.t.Fatalf("%s: warm reach(%d,%d) posted %d frames, want the %d owners", step, s, tt, st.FramesSent, owners)
 		}
 	}
 	batch := make([]BatchQuery, 0, 6)
@@ -265,10 +335,24 @@ func (d *cacheDeployment) edgeOps() []Op {
 // whose rows could have changed ship them again — in the frame that
 // carries their answer — whether the round asks reach queries, distance
 // queries or a mix of all three classes.
-func TestBoundaryCacheCrossCheck(t *testing.T) {
+func TestBoundaryCacheCrossCheck(t *testing.T) { runCacheCrossCheck(t, false) }
+
+// TestBoundaryCacheCrossCheckShared runs TestBoundaryCacheCrossCheck's
+// seeded script over sites that share one fragment.Replica, as the sites
+// of ServeReplica do, with every step kind but the site restart (a
+// restarted process holds a replica of its own): both gateways' sequenced
+// batches, node ops, an lsn-0 apply, a direct InsertEdge, a live rebalance
+// and a snapshot install. Warm rounds there post to the owners of their
+// nodes and vouch for the other sites. Every answer equals the oracle's,
+// exactly the dirtied sites ship rows, and a strict round posts either to
+// every site or to exactly owner(s) ∪ owner(t) ∪ the dirty sites.
+func TestBoundaryCacheCrossCheckShared(t *testing.T) { runCacheCrossCheck(t, true) }
+
+func runCacheCrossCheck(t *testing.T, shared bool) {
 	labels := []string{"A", "B", "C"}
 	rng := gen.NewRNG(2311)
 	kinds := append([]string{"v%k", "bfs"}, fragment.Names()...)
+	skipped := 0 // shared replica: strict rounds that skipped a site
 	for trial := 0; trial < 10; trial++ {
 		n := 30 + rng.Intn(60)
 		seed := uint64(7300 + trial)
@@ -297,8 +381,19 @@ func TestBoundaryCacheCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d := &cacheDeployment{t: t, rng: rng, labels: labels, aud: obs.NewAuditor()}
-		for i := 0; i < k; i++ {
+		d := &cacheDeployment{t: t, rng: rng, labels: labels, shared: shared, aud: obs.NewAuditor()}
+		var err error
+		if shared {
+			fr, err := fragment.Build(g.Clone(), assign, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.reps = []*fragment.Replica{fragment.NewReplica(fr)}
+			if d.sites, d.addrs, err = ServeReplica(d.reps[0], SiteOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; !shared && i < k; i++ {
 			fr, err := fragment.Build(g.Clone(), assign, k)
 			if err != nil {
 				t.Fatal(err)
@@ -310,7 +405,6 @@ func TestBoundaryCacheCrossCheck(t *testing.T) {
 			}
 			d.reps, d.sites, d.addrs = append(d.reps, rep), append(d.sites, site), append(d.addrs, site.Addr())
 		}
-		var err error
 		if d.oracle, err = fragment.Build(g.Clone(), make([]int, n), 1); err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +428,10 @@ func TestBoundaryCacheCrossCheck(t *testing.T) {
 
 		// Every kind of step once, in a seeded order, then a few more at
 		// random.
-		const nKinds = 8
+		nKinds := 8
+		if shared {
+			nKinds = 7 // no site restart: a restarted process has a replica of its own
+		}
 		script := rng.Perm(nKinds)
 		for i := 0; i < 6; i++ {
 			script = append(script, rng.Intn(nKinds))
@@ -453,7 +550,11 @@ func TestBoundaryCacheCrossCheck(t *testing.T) {
 		if n := d.co.pendingTotal(); n != 0 {
 			t.Fatalf("trial %d: %d pending entries leaked", trial, n)
 		}
+		skipped += d.skipped
 		d.close()
+	}
+	if shared && skipped == 0 {
+		t.Fatal("no strict round skipped a site")
 	}
 }
 
@@ -489,8 +590,15 @@ func TestBoundaryCacheBytes(t *testing.T) {
 	if 20*warm.BytesReceived >= cold.BytesReceived {
 		t.Fatalf("warm round received %dB, cold %dB: want under 5%%", warm.BytesReceived, cold.BytesReceived)
 	}
-	if warm.FramesSent != k || warm.FramesReceived != k || cold.FramesSent != k || cold.FramesReceived != k {
-		t.Fatalf("frames: cold %d/%d, warm %d/%d; want %d each", cold.FramesSent, cold.FramesReceived, warm.FramesSent, warm.FramesReceived, k)
+	// The sites share one replica: the warm round posts to the owners of 0
+	// and 599 only, and vouches for the rest.
+	owners := int64(1)
+	if fr.Owner(0) != fr.Owner(599) {
+		owners = 2
+	}
+	if warm.FramesSent != owners || warm.FramesReceived != owners || cold.FramesSent != k || cold.FramesReceived != k {
+		t.Fatalf("frames: cold %d/%d, warm %d/%d; want %d each cold, %d each warm (owner(0) ∪ owner(599))",
+			cold.FramesSent, cold.FramesReceived, warm.FramesSent, warm.FramesReceived, k, owners)
 	}
 
 	// The coordinator lays the rows out once per state: warm rounds, on

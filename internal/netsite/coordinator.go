@@ -27,8 +27,10 @@ import (
 var ErrEpochSplit = errors.New("netsite: sites answered from different states")
 
 // Coordinator is the site Sc: it holds one TCP connection per worker site
-// and evaluates queries by posting them to every site in parallel and
-// assembling the returned partial answers. It is safe for concurrent use,
+// and evaluates queries by posting them to the sites a query needs — every
+// site, or for a warm reach or distance round over a shared replica the
+// owners of its nodes — in parallel and assembling the returned partial
+// answers. It is safe for concurrent use,
 // and concurrent queries are multiplexed over the same connections: each
 // query round is tagged with a request ID, sites answer in whatever order
 // they finish, and a per-connection reader demultiplexes each reply into
@@ -71,6 +73,9 @@ type Coordinator struct {
 	// boundary built.
 	bnd    atomic.Pointer[boundary]
 	builds atomic.Int64
+	// owners is the node→site table routing reads (round.go): which sites
+	// a warm reach or distance round has to post to.
+	owners ownerTable
 
 	// anytime enables early termination of reach-only rounds (default on;
 	// see SetAnytime).
@@ -97,7 +102,7 @@ func (c *Coordinator) SetTraceSink(fn func(*obs.Trace)) {
 }
 
 // SetAuditor attaches a guarantee auditor: every query round reports its
-// per-site frame counts, response volumes, and site-measured evaluation
+// per-site post counts, response volumes, and site-measured evaluation
 // times to it (see obs.Auditor). nil detaches.
 func (c *Coordinator) SetAuditor(a *obs.Auditor) {
 	c.traceMu.Lock()
@@ -576,14 +581,14 @@ func (c *Coordinator) Close() error {
 type WireStats struct {
 	BytesSent      int64         // query frames to all sites (cancel frames included)
 	BytesReceived  int64         // partial-answer frames
-	FramesSent     int64         // request frames; one per site per round
-	FramesReceived int64         // response frames; at most one per site per round
+	FramesSent     int64         // request frames; one per posted site per round, at most the site count
+	FramesReceived int64         // response frames; at most one per posted site per round
 	RoundTrip      time.Duration // slowest site's post+reply wall time
 
 	// PartialFrames always reads 0: benchmark/wire.go is its last reader.
 	PartialFrames int64
 	// CancelFrames counts 'C' frames sent; they are not included in
-	// FramesSent, which keeps its one-per-site-per-round meaning.
+	// FramesSent, which keeps its one-per-posted-site-per-round meaning.
 	CancelFrames int64
 
 	// FirstAnswer is the elapsed time until the answer was determined: for

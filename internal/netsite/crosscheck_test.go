@@ -92,12 +92,15 @@ func TestBatchWireCrossCheck(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (n=%d k=%d m=%d): %v", trial, nn, k, m, err)
 		}
+		// The expected set: the coordinator is fresh, so a batch that needs
+		// the wire is a cold round and posts exactly one frame to every
+		// site, whatever its size; one answered locally posts none.
 		wantFrames := int64(0)
 		if anyWire {
 			wantFrames = int64(k)
 		}
 		if st.FramesSent != wantFrames || st.FramesReceived != wantFrames {
-			t.Fatalf("trial %d: %d/%d frames for %d queries over %d sites, want %d",
+			t.Fatalf("trial %d: %d/%d frames for %d queries over %d sites, want %d (a cold round: every site)",
 				trial, st.FramesSent, st.FramesReceived, m, k, wantFrames)
 		}
 

@@ -2,6 +2,8 @@ package netsite
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,14 +104,15 @@ func FuzzBatchPayload(f *testing.F) {
 	f.Add(enc(nil, batchHeader{traced: true, traceID: 1, span: 1}))
 	f.Add(enc(mixed, batchHeader{rows: rowsTag{0x1122334455667788, 42}})) // tagged: the coordinator holds rows
 	f.Add(enc(mixed[:1], batchHeader{traced: true, rows: rowsTag{1, 0}, traceID: 9, span: 9}))
-	f.Add(traced[:spanOffset+7])                                                             // truncated trace context
-	f.Add(seed[:tagOffset+5])                                                                // truncated rows tag
-	f.Add(append(append([]byte{}, traced...), traced...))                                    // a second request nested behind the first
-	f.Add(append(append([]byte{}, seed[:tagOffset+rowsTagSize]...), 0xFF, 0xFF, 0xFF, 0xFF)) // hostile count
-	f.Add(append([]byte{batchVersion, 0xFF}, seed[2:]...))                                   // unknown flag bits
-	f.Add(append([]byte{batchVersion, 1}, seed[2:]...))                                      // the retired stream bit
-	f.Add(append([]byte{batchVersion - 1, 0}, seed[tagOffset+rowsTagSize:]...))              // the previous version's layout
-	f.Add(seed[:len(seed)-3])                                                                // truncated query
+	f.Add(enc(mixed[:2], batchHeader{rows: rowsTag{1, 4}, skip: skipList{instance: 1, sites: []int{0, 2}, gens: []uint64{7, 1 << 40}}})) // a warm attempt that skipped two sites
+	f.Add(traced[:spanOffset+7])                                                                                                         // truncated trace context
+	f.Add(seed[:tagOffset+5])                                                                                                            // truncated rows tag
+	f.Add(append(append([]byte{}, traced...), traced...))                                                                                // a second request nested behind the first
+	f.Add(append(append([]byte{}, seed[:tagOffset+rowsTagSize]...), 0xFF, 0xFF, 0xFF, 0xFF))                                             // hostile count
+	f.Add(append([]byte{batchVersion, 0xFF}, seed[2:]...))                                                                               // unknown flag bits
+	f.Add(append([]byte{batchVersion, 1}, seed[2:]...))                                                                                  // the retired stream bit
+	f.Add(append([]byte{batchVersion - 1, 0}, seed[tagOffset+rowsTagSize:]...))                                                          // the previous version's layout
+	f.Add(seed[:len(seed)-3])                                                                                                            // truncated query
 	// Payloads of the retired single-query and envelope frames, and of a
 	// kind that was never a query: none may decode as a request.
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0})         // 'r': s | t
@@ -151,9 +154,10 @@ func FuzzBatchPayload(f *testing.F) {
 		f.Fatal(err)
 	}
 	miss := batchReply{hasRows: true, tag: rowsTag{fr.Instance(), frag.Generation()}, rows: rb, parts: [][]byte{pb, db, {0xFF}}}
-	hit := batchReply{parts: [][]byte{pb, db, {0xFF}}}
+	hit := batchReply{owners: []int{0, 1, -1, 0}, parts: [][]byte{pb, db, {0xFF}}}
 	f.Add(encodeBatchReply(nil, miss))                                                                                 // the coordinator held no current rows
 	f.Add(encodeBatchReply(nil, hit))                                                                                  // it did: query parts only
+	f.Add(encodeBatchReply(nil, batchReply{stale: []int{1, 3}, owners: []int{2, 2}, parts: [][]byte{nil}}))            // two skipped sites found stale
 	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb}))                                   // rows and no parts
 	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: db}))                                   // a section with a constant term
 	f.Add(encodeBatchReply(nil, miss)[:2+rowsTagSize+2])                                                               // truncated rows length
@@ -185,7 +189,7 @@ func FuzzBatchPayload(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decode of a re-encoded batch failed: %v", err)
 			}
-			if h2 != h || (!h.traced && (h.traceID != 0 || h.span != 0)) {
+			if !reflect.DeepEqual(h2, h) || (!h.traced && (h.traceID != 0 || h.span != 0)) {
 				t.Fatalf("batch header drifted: %+v then %+v", h, h2)
 			}
 			if len(qs2) != len(qs) {
@@ -203,7 +207,8 @@ func FuzzBatchPayload(f *testing.F) {
 			if err != nil {
 				t.Fatalf("reply re-encode round trip failed: %v", err)
 			}
-			if rep2.hasRows != rep.hasRows || rep2.tag != rep.tag || !bytes.Equal(rep2.rows, rep.rows) || len(rep2.parts) != len(rep.parts) {
+			if rep2.hasRows != rep.hasRows || rep2.tag != rep.tag || !bytes.Equal(rep2.rows, rep.rows) ||
+				!slices.Equal(rep2.stale, rep.stale) || !slices.Equal(rep2.owners, rep.owners) || len(rep2.parts) != len(rep.parts) {
 				t.Fatalf("reply round trip drifted: %+v then %+v", rep, rep2)
 			}
 			for i := range rep.parts {

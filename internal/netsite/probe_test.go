@@ -54,7 +54,7 @@ func probeRound(t *testing.T, co *Coordinator, st *probeState, order []int, hit 
 		if !hit[site] {
 			rows = st.rows[site]
 		}
-		if _, err := sol.feed(site, replyBody(t, st.parts[site], rows)); err != nil {
+		if _, err := feedBody(sol, site, replyBody(t, st.parts[site], rows)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestRowsCacheKeepsNewerGeneration(t *testing.T) {
 		{3, rowsTag{9, 1}, rowsTag{9, 1}}, // another instance
 	} {
 		rows := &siteRows{tag: c.tag, rv: new(core.Rows)}
-		if _, err := rounds[c.round].feed(0, replyBody(t, []partial{(*core.ReachPartial)(nil)}, rows)); err != nil {
+		if _, err := feedBody(rounds[c.round], 0, replyBody(t, []partial{(*core.ReachPartial)(nil)}, rows)); err != nil {
 			t.Fatal(err)
 		}
 		if got := co.rows[0].Load().tag; got != c.want {

@@ -4,7 +4,9 @@
 // partial answers, and assembles them. It is the wire-level counterpart of
 // the in-process simulation in internal/cluster — answers are identical,
 // but here the bytes actually cross a socket, each site really is visited
-// exactly once per query, and the reply sizes can be measured on the wire.
+// at most once per query — a warm reach or distance round visits only the
+// sites that own its nodes or hold rows the coordinator lacks (batch.go,
+// Routing) — and the reply sizes can be measured on the wire.
 //
 // The protocol is length-prefixed binary frames, multiplexed: every frame
 // carries a request ID, so many rounds can be in flight on one connection
@@ -32,7 +34,9 @@
 //
 //	'B' payload := version u8 | flags u8 | rows tag (2 x u64)
 //	               | [trace ID u64 | parent span u64] | count u32 | queries
-//	'R' body    := spans | version u8 | [rows tag | rows] | per-query parts
+//	               | [skip section]
+//	'R' body    := spans | version u8 | [rows tag | rows] | stale sites
+//	               | owners | per-query parts
 //
 // The flags byte carries the trace flag (the 16 bytes of trace context
 // follow, and the site records spans); any other bit is rejected. spans is
@@ -57,7 +61,7 @@
 // mutation bumps the generation of the fragments it dirties and every new
 // fragmentation draws a new instance ID (batch.go says why that makes a
 // match safe), so a miss is answered in the frame that reports it: no
-// invalidation message, no refetch round, still one visit per site.
+// invalidation message, no refetch round, still at most one visit per site.
 // Per-query traffic is O(|Vf|); the paper's O(|Vf|²) is paid once per
 // change of a fragment. Regex queries carry their full partials: a fresh
 // automaton per query leaves (node, state) rows nothing to reuse.
@@ -88,9 +92,12 @@
 // when an update batch is applied while the query waits for the lock.
 //
 // The query frame is the wire form of the paper's visit guarantee: one
-// request frame per site carries the whole batch, and one response frame
-// per site carries every partial answer — and the rows, when they are
-// owed — so k queries cost the same number of frames as one.
+// request frame per posted site carries the whole batch, and one response
+// frame per posted site carries every partial answer — and the rows, when
+// they are owed — so k queries cost the same number of frames as one, and
+// no site is posted twice in one attempt. A site that is not posted has
+// nothing new to say: another site, reading the same replica under the same
+// lock, vouches that the rows the coordinator holds for it are current.
 package netsite
 
 import (

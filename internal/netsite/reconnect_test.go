@@ -42,16 +42,24 @@ func TestReconnectAfterSiteRestart(t *testing.T) {
 	}
 	defer co.Close()
 
-	if _, _, err := co.Reach(0, 59); err != nil {
+	// A pair with one end on each site: a warm round over it posts to both.
+	s, tt := graph.NodeID(0), graph.NodeID(59)
+	for fr.Owner(s) != 0 {
+		s++
+	}
+	for fr.Owner(tt) != 1 {
+		tt--
+	}
+	if _, _, err := co.Reach(s, tt); err != nil {
 		t.Fatal(err)
 	}
-	// Kill site 1: queries must fail fast, not hang.
+	// Kill site 1: queries that need it must fail fast, not hang.
 	sites[1].Close()
 	sites[1] = nil
 	failed := false
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, _, err := co.Reach(0, 59); err != nil {
+		if _, _, err := co.Reach(s, tt); err != nil {
 			failed = true
 			break
 		}
@@ -68,9 +76,9 @@ func TestReconnectAfterSiteRestart(t *testing.T) {
 	recovered := false
 	deadline = time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if got, _, err := co.Reach(0, 59); err == nil {
-			if want := g.Reachable(0, 59); got != want {
-				t.Fatalf("post-reconnect qr(0,59) = %v, oracle %v", got, want)
+		if got, _, err := co.Reach(s, tt); err == nil {
+			if want := g.Reachable(s, tt); got != want {
+				t.Fatalf("post-reconnect qr(%d,%d) = %v, oracle %v", s, tt, got, want)
 			}
 			recovered = true
 			break

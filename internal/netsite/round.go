@@ -5,21 +5,28 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
+	"distreach/internal/graph"
 	"distreach/internal/obs"
 )
 
 // The query round (coordinator side). Every query — a batch of one or of
-// many — runs through queryRound: post the one request frame to every site,
-// take each site's one reply as it arrives, hand its body to the round's
-// batchSolver. There is one reply per request, so the demultiplexer
-// delivers it straight into the attempt's one channel and a round starts no
-// goroutine of its own. With early decision on (anytime on and every query
-// a reach query) the round returns the instant the solver reports every
-// query decided by the replies in hand, cancelling the stragglers with 'C'
+// many — runs through queryRound: post the one request frame to each site
+// the attempt routes it to (route; every site unless batch.go's routing
+// lets it skip some), take each posted site's one reply as it arrives, hand
+// its body to the round's batchSolver. There is one reply per request, so
+// the demultiplexer delivers it straight into the attempt's one channel and
+// a round starts no goroutine of its own. The first reply of an attempt
+// that skipped sites vouches for them: the ones it names stale or as owners
+// of the batch's nodes are posted then, in the same attempt, and the rest
+// are opened from the rows the coordinator holds. No site is posted twice in
+// one attempt. With early decision on (anytime on and every query a reach
+// query) the round returns the instant the solver reports every query
+// decided by the replies in hand, cancelling the stragglers with 'C'
 // frames; otherwise ("strict": anytime off, or a round with distance or
-// regex queries) the same loop waits for every site.
+// regex queries) the same loop waits for every posted site.
 //
 // Early decision is sound on any subset of the replies because the
 // equations are monotone: each reply opens its site's rows in the
@@ -27,19 +34,20 @@ import (
 // the nodes it has seen, and a query is decided the moment its walk meets a
 // true equation — a closed chain of sound implications that a site not yet
 // heard from cannot retract. A walk that ends without one proves false only
-// once every site has replied.
+// once every site has replied or been vouched for.
 //
 // Each site's request names the copy of its boundary rows the coordinator
-// holds at that instant (batch.go): the attempt captures that copy, and it
-// is what a rows-free reply from the site stands for — never a copy stored
-// later by a concurrent round.
+// holds at that instant (batch.go): the attempt captures every site's copy
+// before it posts, and that copy is what a rows-free reply from the site —
+// or a vouch for it — stands for, never a copy stored later by a
+// concurrent round.
 //
 // Round discipline: the first reply of an attempt pins its (epoch, LSN);
-// a reply from a different state aborts the attempt (cancelling all sites)
-// and retries with backoff. Partial answers are Boolean equations over the
-// fragmentation and graph the site evaluated on; composing them across two
-// fragmentations (or across an update that landed on only some replicas)
-// would be meaningless, so equations only ever accumulate from one
+// a reply from a different state aborts the attempt (cancelling all posted
+// sites) and retries with backoff. Partial answers are Boolean equations
+// over the fragmentation and graph the site evaluated on; composing them
+// across two fragmentations (or across an update that landed on only some
+// replicas) would be meaningless, so equations only ever accumulate from one
 // consistent deployment state.
 
 // Epoch-split retry tuning: how often a query round is retried when its
@@ -88,15 +96,17 @@ func (c *Coordinator) queryRound(ctx context.Context, payload []byte, sol *batch
 	}
 }
 
-// queryAttempt posts the request to every site and delivers each site's
-// reply, in arrival order, to sol. When sol reports the round decided
-// before every reply arrived, the attempt cancels the stragglers and
-// returns early. A reply from a mismatched (epoch, LSN) aborts the attempt
-// with split set (queryRound retries); site errors, connection losses, a
-// reply of any kind but 'R' and context cancellation abort it with an
-// error. Whatever the exit, no pending-table entry outlives the attempt:
-// every path drops (and usually cancels) the stragglers, and late frames
-// are drained by the read loop.
+// queryAttempt posts the request to the sites route picks and delivers
+// each posted site's reply, in arrival order, to sol; the first reply's word
+// on the skipped sites posts the ones it names and vouches for the rest.
+// When sol reports the round decided before every posted site replied, the
+// attempt cancels the stragglers and returns early. A reply from a
+// mismatched (epoch, LSN), or one naming a site the first reply vouched
+// for, aborts the attempt with split set (queryRound retries); site errors,
+// connection losses, a reply of any kind but 'R' and context cancellation
+// abort it with an error. Whatever the exit, no pending-table entry
+// outlives the attempt: every path drops (and usually cancels) the
+// stragglers, and late frames are drained by the read loop.
 //
 // With qt non-nil the request carries the trace context naming a per-site
 // rpc span, and the spans each site piggybacks on its reply are grafted
@@ -105,30 +115,40 @@ func (c *Coordinator) queryRound(ctx context.Context, payload []byte, sol *batch
 func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *batchSolver, qt *qtrace) (st WireStats, split bool, err error) {
 	id := c.nextID.Add(1)
 	start := time.Now()
-	posted := 0 // sites 0..posted-1 hold a pending entry for id
-	replied := make([]bool, len(c.conns))
+	k := len(c.conns)
+	for i := range c.rows {
+		sol.held[i] = c.rows[i].Load()
+	}
+	first, skip := c.route(sol)
+	// Per site: posted (it holds a pending entry for id), vouched for by
+	// the first reply, replied. A site is never both posted and vouched.
+	posted := make([]bool, k)
+	vouched := make([]bool, k)
+	replied := make([]bool, k)
+	nPosted, nReplied := 0, 0
 	// Per-site audit/trace bookkeeping: the rpc span each request named,
 	// its post instant (the anchor remote spans attach under), and the
-	// response volume and site-measured eval time the auditor checks.
+	// posts, response volume and site-measured eval time the auditor checks.
 	var rpcIDs []uint64
 	var anchors []time.Time
-	respBytes := make([]int64, len(c.conns))
-	evalNs := make([]int64, len(c.conns))
+	posts := make([]int, k)
+	respBytes := make([]int64, k)
+	evalNs := make([]int64, k)
 	if qt != nil {
-		rpcIDs = make([]uint64, len(c.conns))
-		anchors = make([]time.Time, len(c.conns))
+		rpcIDs = make([]uint64, k)
+		anchors = make([]time.Time, k)
 	}
 
 	// One frame per site at most: the demultiplexer never blocks on a round
 	// that has stopped listening.
-	replies := make(chan siteFrame, len(c.conns))
+	replies := make(chan siteFrame, k)
 
 	// settle closes the attempt's books on every exit but a full round:
 	// posted sites whose reply has not arrived are cancelled (and blamed as
 	// stragglers when the round was decided without them).
 	settle := func(early bool) {
-		for i, sc := range c.conns[:posted] {
-			if replied[i] {
+		for i, sc := range c.conns {
+			if !posted[i] || replied[i] {
 				continue
 			}
 			if qt != nil {
@@ -149,11 +169,11 @@ func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *bat
 		settle(false)
 		return st, false, err
 	}
-
-	for i, sc := range c.conns {
-		p := append([]byte(nil), payload...)
-		if held := c.rows[i].Load(); held != nil {
-			sol.held[i] = held
+	// post sends site i its copy of p, carrying the tag of the rows the
+	// attempt holds for it.
+	post := func(i int, p []byte) error {
+		p = append([]byte(nil), p...)
+		if held := sol.held[i]; held != nil {
 			held.tag.put(p[tagOffset:])
 		}
 		if qt != nil {
@@ -161,18 +181,31 @@ func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *bat
 			binary.LittleEndian.PutUint64(p[spanOffset:], rpcIDs[i])
 			anchors[i] = time.Now()
 		}
-		n, err := sc.post(id, kindBatch, p, replies)
+		n, err := c.conns[i].post(id, kindBatch, p, replies)
 		if err != nil {
-			// The sites already posted would evaluate for nobody: fail
-			// cancels them.
-			return fail(fmt.Errorf("site %d: %w", i, err))
+			return fmt.Errorf("site %d: %w", i, err)
 		}
-		posted++
+		posted[i] = true
+		posts[i]++
+		nPosted++
 		st.BytesSent += int64(n)
 		st.FramesSent++
+		return nil
 	}
 
-	nReplied := 0
+	// The first wave carries the skip section; a site posted on a reply's
+	// word gets the plain request, as it skips no one.
+	firstPayload := appendSkip(payload[:len(payload):len(payload)], skip)
+	for i := range c.conns {
+		if first == nil || first[i] {
+			if err := post(i, firstPayload); err != nil {
+				// The sites already posted would evaluate for nobody: fail
+				// cancels them.
+				return fail(err)
+			}
+		}
+	}
+
 	for {
 		var f siteFrame
 		select {
@@ -209,16 +242,43 @@ func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *bat
 			}
 		}
 		respBytes[f.site] = int64(len(body))
-		decided, err := sol.feed(f.site, body)
+		rep, derr := decodeBatchReply(body)
+		if derr != nil {
+			return fail(fmt.Errorf("netsite: site %d reply: %w", f.site, derr))
+		}
+		if err := sol.feed(f.site, rep); err != nil {
+			return fail(err)
+		}
+		named, err := c.named(sol, f.site, rep)
 		if err != nil {
 			return fail(err)
 		}
-		if !decided && nReplied < len(c.conns) {
+		for _, i := range named {
+			switch {
+			case posted[i]:
+			case vouched[i]:
+				settle(false) // the replies disagree on one (epoch, LSN)
+				return st, true, nil
+			default:
+				if err := post(i, payload); err != nil {
+					return fail(err)
+				}
+			}
+		}
+		if nReplied == 1 {
+			for _, i := range skip.sites {
+				if !posted[i] {
+					vouched[i] = true
+					sol.vouch(i)
+				}
+			}
+		}
+		if !sol.advance() && nReplied < nPosted {
 			continue
 		}
 		st.FirstAnswer = time.Since(start)
 		st.RoundTrip = st.FirstAnswer
-		if st.EarlyTerminated = nReplied < len(c.conns); st.EarlyTerminated {
+		if st.EarlyTerminated = nReplied < nPosted; st.EarlyTerminated {
 			c.any.earlyTerms.Add(1)
 			settle(true)
 		}
@@ -229,9 +289,149 @@ func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *bat
 		}
 		// RespBytes is each reply's body, span section excluded.
 		if a := c.getAuditor(); a != nil {
-			a.Observe(obs.AuditRound{RespBytes: respBytes, EvalNs: evalNs,
+			a.Observe(obs.AuditRound{Posts: posts, RespBytes: respBytes, EvalNs: evalNs,
 				Rows: sol.rows, Queries: len(sol.wire), RowsBacked: sol.rowsBacked})
 		}
 		return st, false, nil
+	}
+}
+
+// route picks the sites an attempt posts to first — nil: every site — and
+// the skip section their requests carry (batch.go, Routing). It skips only
+// in a batch of reach and distance queries, when every rows tag the
+// attempt holds names one fragmentation instance and the owner table knows,
+// for that instance, every s and t of the batch; then the first wave is
+// owner(s) ∪ owner(t) over the queries plus every site whose rows the
+// attempt does not hold or knows to be stale.
+func (c *Coordinator) route(sol *batchSolver) ([]bool, skipList) {
+	if !sol.needRows || !sol.rowsBacked {
+		return nil, skipList{}
+	}
+	var instance uint64
+	for _, h := range sol.held {
+		switch {
+		case h == nil:
+		case instance == 0:
+			instance = h.tag.instance
+		case h.tag.instance != instance:
+			return nil, skipList{} // separate replicas, or a replacement half seen
+		}
+	}
+	first := make([]bool, len(sol.held))
+	if instance == 0 || !c.owners.mark(instance, sol.wire, first) {
+		return nil, skipList{}
+	}
+	sk := skipList{instance: instance}
+	for i, h := range sol.held {
+		switch {
+		case h == nil || h.stale:
+			first[i] = true
+		case !first[i]:
+			sk.sites = append(sk.sites, i)
+			sk.gens = append(sk.gens, h.tag.gen)
+		}
+	}
+	if sk.sites == nil {
+		return nil, skipList{}
+	}
+	return first, sk
+}
+
+// named reads what a posted site's reply says about the other sites — the
+// skipped sites whose rows it found stale, and the owners of the s and t of
+// every reach and distance query — and learns the owners, for the
+// fragmentation instance the site evaluated on. It lists every site named.
+func (c *Coordinator) named(sol *batchSolver, site int, rep batchReply) ([]int, error) {
+	k := len(c.conns)
+	nodes := make([]graph.NodeID, 0, len(rep.owners))
+	for _, q := range sol.wire {
+		if q.Class != ClassRPQ {
+			nodes = append(nodes, q.S, q.T)
+		}
+	}
+	if len(rep.owners) != len(nodes) {
+		return nil, fmt.Errorf("netsite: site %d named %d owners for %d nodes", site, len(rep.owners), len(nodes))
+	}
+	out := make([]int, 0, len(rep.stale)+len(rep.owners))
+	for _, i := range rep.stale {
+		if i >= k {
+			return nil, fmt.Errorf("netsite: site %d named site %d stale of %d", site, i, k)
+		}
+		out = append(out, i)
+	}
+	for _, o := range rep.owners {
+		if o >= k {
+			return nil, fmt.Errorf("netsite: site %d named site %d an owner of %d", site, o, k)
+		}
+		if o >= 0 {
+			out = append(out, o)
+		}
+	}
+	if len(nodes) > 0 {
+		// A rows-backed reply stands on the site's current tag: the one it
+		// shipped, or the one it matched.
+		c.owners.learn(sol.held[site].tag.instance, nodes, rep.owners)
+	}
+	return out, nil
+}
+
+// ownerTable is the coordinator's node→site map, learned from the owners
+// every reply names and kept for one fragmentation instance: an instance
+// change drops it whole. Two bytes a node; 0 is unknown.
+type ownerTable struct {
+	mu       sync.RWMutex
+	instance uint64
+	sites    []uint16 // per node: its owner plus one
+}
+
+// maxOwnerNodes bounds the table: a node ID past it is never learned, and a
+// query naming it posts to every site.
+const maxOwnerNodes = 1 << 26
+
+// mark sets first[o] for the owner o of every s and t of qs, and reports
+// whether it knew them all under instance.
+func (t *ownerTable) mark(instance uint64, qs []BatchQuery, first []bool) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.instance != instance {
+		return false
+	}
+	for _, q := range qs {
+		for _, v := range [2]graph.NodeID{q.S, q.T} {
+			if int(v) >= len(t.sites) || t.sites[v] == 0 {
+				return false
+			}
+			first[t.sites[v]-1] = true
+		}
+	}
+	return true
+}
+
+// learn records owners[i] as the owner of nodes[i] under instance (-1:
+// none, which is not recorded).
+func (t *ownerTable) learn(instance uint64, nodes []graph.NodeID, owners []int) {
+	t.mu.RLock()
+	known := t.instance == instance
+	for i := 0; known && i < len(nodes); i++ {
+		v := int(nodes[i])
+		known = owners[i] < 0 || v < len(t.sites) && int(t.sites[v]) == owners[i]+1
+	}
+	t.mu.RUnlock()
+	if known {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.instance != instance {
+		t.instance, t.sites = instance, nil
+	}
+	for i, v := range nodes {
+		if owners[i] < 0 || v >= maxOwnerNodes {
+			continue
+		}
+		if int(v) >= len(t.sites) {
+			t.sites = append(t.sites, make([]uint16, int(v)+1-len(t.sites))...)
+		}
+		t.sites[v] = uint16(owners[i] + 1)
 	}
 }

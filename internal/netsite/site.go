@@ -513,7 +513,11 @@ func (s *Site) handleRebalance(payload []byte) (uint64, uint64, []byte, error) {
 // The fragment's weighted boundary rows, which every reach and distance
 // answer also rests on, ship only when the request's tag says the
 // coordinator does not hold the current ones: one section for the whole
-// batch (see batch.go). Regex queries evaluate individually and in full.
+// batch (see batch.go). The reply also names the owners of each reach and
+// distance query's nodes and, when the request skipped sites, the skipped
+// sites whose rows the coordinator holds at a stale generation, so that
+// it may vouch for the others. Regex queries evaluate individually and in
+// full.
 // The frame's service delay (Site.delay) is paid once per batch, not once
 // per query — the amortization the batch protocol exists to deliver. The
 // cancel flag is polled between queries and inside the local evaluations.
@@ -556,9 +560,20 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 	rep := batchReply{parts: make([][]byte, len(qs))}
 	asked := make(map[graph.NodeID]bool) // reach targets whose equations an earlier query shipped
 	needRows := false
+	// The owner of a node, for the reply's owners section; -1 when the
+	// node is none of the graph's or a tombstone.
+	owner := func(v graph.NodeID) int {
+		if int(v) < fr.Graph().NumNodes() {
+			return fr.Owner(v)
+		}
+		return -1
+	}
 	for i, q := range qs {
 		if j.cancel.Load() {
 			return 0, 0, nil, errCancelled
+		}
+		if q.Class != ClassRPQ {
+			rep.owners = append(rep.owners, owner(q.S), owner(q.T))
 		}
 		var rv encoding.BinaryMarshaler
 		switch q.Class {
@@ -595,6 +610,14 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 	}
 	if j.cancel.Load() {
 		return 0, 0, nil, errCancelled
+	}
+	// The sites the coordinator skipped share this fragmentation only when
+	// the skip section names its instance; then their generations, read
+	// under the same lock, say whose held rows are stale. Otherwise all are.
+	for i, site := range h.skip.sites {
+		if h.skip.instance != fr.Instance() || site >= fr.Card() || fr.Fragments()[site].Generation() != h.skip.gens[i] {
+			rep.stale = append(rep.stale, site)
+		}
 	}
 	// The rows, unless the coordinator holds this very state of them. The
 	// generation is read under the lock the evaluation holds, so the tag

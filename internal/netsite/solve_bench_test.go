@@ -72,6 +72,20 @@ func replyBody(tb testing.TB, parts []partial, rows *siteRows) []byte {
 	return encodeBatchReply(nil, rep)
 }
 
+// feedBody is what a round does with one posted site's reply body: decode
+// it, feed it to the solver and advance the walks. It reports whether every
+// query is decided.
+func feedBody(sol *batchSolver, site int, body []byte) (bool, error) {
+	rep, err := decodeBatchReply(body)
+	if err != nil {
+		return false, err
+	}
+	if err := sol.feed(site, rep); err != nil {
+		return false, err
+	}
+	return sol.advance(), nil
+}
+
 // cutDeployment is reach_cut's and mixed_churn's shape (power-law, 10,876
 // nodes, 40,000 edges, random 4-way cut, seed 1) with a coordinator that
 // holds every site's rows.
@@ -113,7 +127,7 @@ func warmSolve(b *testing.B, co *Coordinator, c canned, anytime bool) {
 		sol.held[site] = co.rows[site].Load()
 	}
 	for site, body := range c.bodies {
-		decided, err := sol.feed(site, body)
+		decided, err := feedBody(sol, site, body)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -351,6 +351,7 @@ func (c *Coordinator) ApplyContext(ctx context.Context, ops []Op) (UpdateResult,
 	}
 	var res UpdateResult
 	var st WireStats
+	held := c.heldTags()
 	nonce := rand.Uint64() | 1 // nonzero: 0 means "replay, match anything"
 	_, err := seq.Submit(ops, func(lsn uint64) error {
 		payload, err := encodeUpdateRequest(lsn, nonce, ops)
@@ -437,6 +438,7 @@ func (c *Coordinator) ApplyContext(ctx context.Context, ops []Op) (UpdateResult,
 		return UpdateResult{}, st, err
 	}
 	sort.Ints(res.Dirty)
+	c.markStale(res.Dirty, held)
 	res.Stats.Epoch = res.Epoch
 	st.Epoch = res.Epoch
 	return res, st, nil

@@ -6,15 +6,18 @@ import (
 )
 
 // The paper's guarantees, as checkable invariants on one coordinator
-// round ("visit each site once"): the coordinator sends at most one
+// round ("visit each site at most once"): the coordinator sends at most one
 // request frame per site per round; each site's response data is bounded
 // by the fragmentation — O(|Vf|²) booleans per site, independent of |G|;
 // and local evaluation time depends on the fragment, not the whole
 // graph, so eval time should not correlate with |G| across deployments.
-// The first holds by construction — a round writes one batch frame per
-// site, which TestBatchOneFramePerSite pins — so Auditor does not count
-// it. It checks the second exactly per observed round and tracks the
-// third statistically across deployments of different sizes.
+// A warm reach or distance round posts to the owners of its nodes first
+// and to any site a reply names stale later in the same attempt, so the
+// first is a real check: Auditor counts every post per site and flags a
+// site posted twice in one attempt (TestBatchFramesPerExpectedSite pins
+// the exact set posted). It checks the second exactly per observed round
+// and tracks the third statistically across deployments of different
+// sizes.
 //
 // The O(|Vf|²) part of a reach or distance reply is the fragment's
 // boundary rows, which the coordinator keeps: a site ships them only when
@@ -31,13 +34,14 @@ type RowsOutcome uint8
 
 const (
 	RowsNone RowsOutcome = iota // no final arrived, or the round had no reach or distance query to need rows
-	RowsHit                     // left out: the coordinator's copy is the fragment's current rows
+	RowsHit                     // left out, or not posted and vouched for: the coordinator's copy is the fragment's current rows
 	RowsMiss                    // shipped: the coordinator held none, or a stale copy
 )
 
 // AuditRound is one round's per-site observations, reported by the
 // coordinator after the round settles.
 type AuditRound struct {
+	Posts      []int         // request frames posted to each site in the attempt; at most 1 each
 	RespBytes  []int64       // response payload bytes from each site (span overhead excluded)
 	EvalNs     []int64       // site-reported local evaluation time, 0 if unreported
 	Rows       []RowsOutcome // per site; nil counts as all RowsNone
@@ -64,10 +68,12 @@ type Auditor struct {
 	vf         int64 // max fragment in-node count of the current deployment
 	graphNodes int64 // |G| of the current deployment
 
-	rounds         int64
-	byteViolations int64
-	maxRespBytes   int64 // worst per-site response payload seen
-	byteBound      int64 // current c·(|Vf|+1)²
+	rounds          int64
+	visitViolations int64   // sites posted more than once in one attempt
+	posts           []int64 // per site: the rounds that posted to it
+	byteViolations  int64
+	maxRespBytes    int64 // worst per-site response payload seen
+	byteBound       int64 // current c·(|Vf|+1)²
 
 	// Per site: finals that left the boundary rows out (hits) and finals
 	// that carried them (misses). Grown to the widest round seen.
@@ -115,6 +121,17 @@ func (a *Auditor) Observe(r AuditRound) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.rounds++
+	for len(a.posts) < len(r.Posts) {
+		a.posts = append(a.posts, 0)
+	}
+	for i, n := range r.Posts {
+		if n > 0 {
+			a.posts[i]++
+		}
+		if n > 1 {
+			a.visitViolations++
+		}
+	}
 	for len(a.rowsHits) < len(r.Rows) {
 		a.rowsHits = append(a.rowsHits, 0)
 		a.rowsMisses = append(a.rowsMisses, 0)
@@ -175,12 +192,19 @@ func pearson(xs, ys []float64) float64 {
 
 // AuditSummary is the /guarantees payload.
 type AuditSummary struct {
-	Rounds          int64 `json:"rounds"`
-	ByteViolations  int64 `json:"byte_violations"`
-	MaxRespBytes    int64 `json:"max_resp_bytes_per_site"`
-	ByteBound       int64 `json:"byte_bound"`        // c·(|Vf|+1)²: replies carrying rows, distance or regex partials
-	LinearByteBound int64 `json:"linear_byte_bound"` // c·(|Vf|+1) per query: rows-free reach and distance replies
-	ByteFactor      int64 `json:"byte_factor"`
+	Rounds int64 `json:"rounds"`
+	// VisitViolations counts sites posted more than once in one attempt.
+	VisitViolations int64 `json:"visit_violations"`
+	// MeanSitesPosted is the sites a round posted to, on average, against
+	// Sites, the deployment's site count: every site for cold and regex
+	// rounds, the owners of the queried nodes for warm ones.
+	MeanSitesPosted float64 `json:"mean_sites_posted"`
+	Sites           int     `json:"sites"`
+	ByteViolations  int64   `json:"byte_violations"`
+	MaxRespBytes    int64   `json:"max_resp_bytes_per_site"`
+	ByteBound       int64   `json:"byte_bound"`        // c·(|Vf|+1)²: replies carrying rows, distance or regex partials
+	LinearByteBound int64   `json:"linear_byte_bound"` // c·(|Vf|+1) per query: rows-free reach and distance replies
+	ByteFactor      int64   `json:"byte_factor"`
 	// RowsHits and RowsMisses count, per site, the final replies that left
 	// the fragment's boundary rows out (the coordinator's copy was current)
 	// and those that carried them.
@@ -208,19 +232,28 @@ func (a *Auditor) Summary() AuditSummary {
 		evals = append(evals, float64(a.curSum)/float64(a.curN))
 	}
 	s := AuditSummary{
-		Rounds:         a.rounds,
-		ByteViolations: a.byteViolations,
-		MaxRespBytes:   a.maxRespBytes,
-		ByteBound:      a.byteBound,
-		ByteFactor:     DefaultByteFactor,
-		RowsHits:       append([]int64{}, a.rowsHits...),
-		RowsMisses:     append([]int64{}, a.rowsMisses...),
-		Vf:             a.vf,
-		GraphNodes:     a.graphNodes,
-		SizePoints:     len(sizes),
+		Rounds:          a.rounds,
+		VisitViolations: a.visitViolations,
+		Sites:           len(a.posts),
+		ByteViolations:  a.byteViolations,
+		MaxRespBytes:    a.maxRespBytes,
+		ByteBound:       a.byteBound,
+		ByteFactor:      DefaultByteFactor,
+		RowsHits:        append([]int64{}, a.rowsHits...),
+		RowsMisses:      append([]int64{}, a.rowsMisses...),
+		Vf:              a.vf,
+		GraphNodes:      a.graphNodes,
+		SizePoints:      len(sizes),
 	}
 	if a.byteBound > 0 {
 		s.LinearByteBound = DefaultByteFactor * (a.vf + 1)
+	}
+	if a.rounds > 0 {
+		var posts int64
+		for _, n := range a.posts {
+			posts += n
+		}
+		s.MeanSitesPosted = float64(posts) / float64(a.rounds)
 	}
 	if r := pearson(sizes, evals); !math.IsNaN(r) {
 		s.EvalSizeCorr = &r
@@ -239,12 +272,22 @@ func (a *Auditor) RowsReplies(site int) (hits, misses int64) {
 	return a.rowsHits[site], a.rowsMisses[site]
 }
 
-// Violations reports the response-volume violation count, for quick CI
-// gating.
+// Posts reports how many audited rounds posted to the given site.
+func (a *Auditor) Posts(site int) int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if site < 0 || site >= len(a.posts) {
+		return 0
+	}
+	return a.posts[site]
+}
+
+// Violations reports the violation count of both checked invariants —
+// response volume and visits — for quick CI gating.
 func (a *Auditor) Violations() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.byteViolations
+	return a.byteViolations + a.visitViolations
 }
 
 // Register exposes the auditor's counters as gauges on r.
@@ -258,6 +301,11 @@ func (a *Auditor) Register(r *Registry) {
 		a.mu.Lock()
 		defer a.mu.Unlock()
 		return float64(a.byteViolations)
+	})
+	r.GaugeFuncVec("distreach_guarantee_violations_total", "Guarantee violations observed, by invariant.", "invariant", "site_visits", func() float64 {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return float64(a.visitViolations)
 	})
 	r.GaugeFunc("distreach_guarantee_byte_bound", "Current response-volume bound c*(|Vf|+1)^2 in bytes.", func() float64 {
 		a.mu.Lock()

@@ -369,6 +369,20 @@ func TestAuditor(t *testing.T) {
 		t.Fatalf("RowsReplies(2) = %d, %d", h, m)
 	}
 
+	// Visits: a site posted twice in one attempt is a violation; a site
+	// not posted at all (vouched for) is none, and the mean counts the
+	// sites posted per round.
+	v := NewAuditor()
+	v.Observe(AuditRound{Posts: []int{1, 1, 0, 0}})
+	v.Observe(AuditRound{Posts: []int{1, 0, 1, 1}})
+	if s := v.Summary(); s.VisitViolations != 0 || s.Sites != 4 || s.MeanSitesPosted != 2.5 || v.Violations() != 0 {
+		t.Fatalf("clean visits: %+v", s)
+	}
+	v.Observe(AuditRound{Posts: []int{2, 1, 0, 0}})
+	if s := v.Summary(); s.VisitViolations != 1 || v.Violations() != 1 || v.Posts(0) != 3 || v.Posts(3) != 1 {
+		t.Fatalf("a site posted twice: %+v, posts %d", s, v.Posts(0))
+	}
+
 	// Correlation needs ≥2 deployment sizes; uncorrelated eval times stay
 	// well under a strong-correlation threshold.
 	a2 := NewAuditor()
@@ -399,7 +413,8 @@ func TestAuditor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if samples[`distreach_guarantee_violations_total{invariant="response_bytes"}`] != 3 {
+	if samples[`distreach_guarantee_violations_total{invariant="response_bytes"}`] != 3 ||
+		samples[`distreach_guarantee_violations_total{invariant="site_visits"}`] != 0 {
 		t.Fatalf("registered violation gauge wrong: %v", samples)
 	}
 }

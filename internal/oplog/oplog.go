@@ -187,6 +187,16 @@ func (r *Cursor) U64() (uint64, error) {
 	return v, nil
 }
 
+// Uvarint reads one unsigned varint; a truncated or overlong one fails.
+func (r *Cursor) Uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("oplog: bad varint at offset %d", r.off)
+	}
+	r.off += n
+	return v, nil
+}
+
 // Bytes reads n raw bytes (a view into the payload, not a copy).
 func (r *Cursor) Bytes(n uint32) ([]byte, error) {
 	if uint64(n) > uint64(len(r.b)-r.off) {
