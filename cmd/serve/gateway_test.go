@@ -31,7 +31,7 @@ func testGatewayOpts(t *testing.T, o netsite.SiteOptions) (*gateway, *graph.Grap
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites, addrs, err := netsite.ServeFragmentationOpts(fr, o)
+	sites, addrs, err := netsite.ServeReplica(fragment.NewReplica(fr), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestGatewayRequestTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites, addrs, err := netsite.ServeFragmentationOpts(fr, netsite.SiteOptions{Delay: 2 * time.Second})
+	sites, addrs, err := netsite.ServeReplica(fragment.NewReplica(fr), netsite.SiteOptions{Delay: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func TestGatewayBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Slow sites hold queries in flight long enough to fill the slots.
-	sites, addrs, err := netsite.ServeFragmentationOpts(fr, netsite.SiteOptions{Delay: 100 * time.Millisecond})
+	sites, addrs, err := netsite.ServeReplica(fragment.NewReplica(fr), netsite.SiteOptions{Delay: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,7 @@ import (
 	"distreach/internal/netsite"
 	"distreach/internal/obs"
 	"distreach/internal/oplog"
+	"distreach/internal/reachindex"
 )
 
 func main() {
@@ -43,7 +44,7 @@ func main() {
 		wal        = flag.String("wal", "", "durability: log/snapshot directory; applied batches are logged and a restart recovers from snapshot+log")
 		snapEvery  = flag.Int("snapshot-every", 256, "with -wal: checkpoint and truncate the log every N applied batches (0 = never)")
 		fsync      = flag.String("fsync", "always", "with -wal: fsync policy, always | never")
-		idxBudget  = flag.Int64("reachindex-budget", 0, "per-fragment reachability index label budget in bytes (0 disables the index)")
+		idxBudget  = flag.Int64("reachindex-budget", reachindex.DefaultBudget, "per-fragment reachability index label budget in bytes (0 disables the index)")
 		metrics    = flag.String("metrics", "", "HTTP listen address for GET /metrics (Prometheus text exposition); empty = off")
 		pprofOn    = flag.Bool("pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/")
 	)

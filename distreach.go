@@ -167,19 +167,6 @@ func Reach(cl *Cluster, fr *Fragmentation, s, t NodeID) Result {
 	return core.DisReach(cl, fr, s, t, nil)
 }
 
-// Query is one (source, target) pair for batch evaluation.
-type Query = core.Query
-
-// BatchResult is the outcome of a batched evaluation.
-type BatchResult = core.BatchResult
-
-// ReachBatch evaluates many reachability queries in one round: the visit
-// guarantee strengthens to one visit per site per batch, and queries that
-// share a target share their per-site partial evaluation.
-func ReachBatch(cl *Cluster, fr *Fragmentation, qs []Query) BatchResult {
-	return core.DisReachBatch(cl, fr, qs)
-}
-
 // ReachWithin evaluates the bounded reachability query qbr(s, t, l): is
 // dist(s, t) <= l? It runs algorithm disDist with the same guarantees as
 // Reach.

@@ -235,23 +235,6 @@ func TestFacadeBuilderErrors(t *testing.T) {
 	_ = graph.None
 }
 
-func TestFacadeReachBatch(t *testing.T) {
-	g, fr, cl := buildSample(t)
-	qs := make([]distreach.Query, 0, 30)
-	for s := distreach.NodeID(0); s < 15; s++ {
-		qs = append(qs, distreach.Query{S: s, T: 399}, distreach.Query{S: s, T: 0})
-	}
-	res := distreach.ReachBatch(cl, fr, qs)
-	for i, q := range qs {
-		if want := g.Reachable(q.S, q.T); res.Answers[i] != want {
-			t.Fatalf("batch query %d: %v want %v", i, res.Answers[i], want)
-		}
-	}
-	if res.Report.MaxVisits != 1 {
-		t.Fatalf("batch visit guarantee violated: %v", res.Report.Visits)
-	}
-}
-
 // TestBenchmarkModuleVets type-checks the nested benchmark module (own
 // go.mod, `replace distreach => ../`, no other dependency), which the root
 // `./...` cannot reach: an API slip against it should fail here, not in the

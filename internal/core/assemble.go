@@ -48,34 +48,13 @@ func threePhase[P any](run *cluster.Run, frags []*fragment.Fragment, postBytes i
 }
 
 // reachReplySize is the reply size of a fragment's reachability rvset.
-func reachReplySize(f *fragment.Fragment, rv *ReachPartial) int {
-	return rv.WireSize(f.NumVirtual() + len(f.InNodes()))
-}
-
-// AddToSystemFrom feeds the partial's equations into an incremental
-// equation system as the contribution of the given site (a negative site:
-// on nobody's behalf). Feeding partials as they arrive and reading
-// sys.Decide(s) for the answer and sys.Sources(s) for the sites the answer
-// depends on never re-solves from scratch. A nil partial adds nothing.
-func (rv *ReachPartial) AddToSystemFrom(site int, sys *bes.System[graph.NodeID]) {
-	for i := 0; i < rv.NumEqs(); i++ {
-		eq := rv.at(i)
-		if site >= 0 {
-			sys.Claim(site, eq.node)
-		}
-		sys.Add(eq.node, eq.constTrue, eq.vars...)
-	}
-}
-
-// AddToSystem is AddToSystemFrom for callers that only want the value of
-// Xs, not who it depends on.
-func (rv *ReachPartial) AddToSystem(sys *bes.System[graph.NodeID]) {
-	rv.AddToSystemFrom(-1, sys)
+func reachReplySize(f *fragment.Fragment, rv *Rows) int {
+	return ReachWireSize(rv, f.NumVirtual()+len(f.InNodes()))
 }
 
 // assembleReach builds the dependency graph of procedure evalDG from the
 // partial answers of all fragments, partials[i] being site i's.
-func assembleReach(partials []*ReachPartial) *bes.System[graph.NodeID] {
+func assembleReach(partials []*Rows) *bes.System[graph.NodeID] {
 	sys := bes.New[graph.NodeID]()
 	for site, rv := range partials {
 		rv.AddToSystemFrom(site, sys)
@@ -84,8 +63,8 @@ func assembleReach(partials []*ReachPartial) *bes.System[graph.NodeID] {
 }
 
 // SolveReach is procedure evalDG: it assembles partial answers from all
-// fragments and reports whether Xs holds.
-func SolveReach(partials []*ReachPartial, s graph.NodeID) bool {
+// fragments, weights ignored, and reports whether Xs holds.
+func SolveReach(partials []*Rows, s graph.NodeID) bool {
 	return assembleReach(partials).Decide(s)
 }
 
@@ -94,21 +73,26 @@ func SolveReach(partials []*ReachPartial, s graph.NodeID) bool {
 // are skipped) and runs Dijkstra from Xs. It returns the exact dist(s, t)
 // when that is within the bound used during local evaluation, or bes.Inf,
 // together with the sorted indices of the partials owning an equation in
-// the dependency closure of Xs — the sites the answer depends on.
-func AssembleDist(partials []*DistPartial, s graph.NodeID) (int64, []int) {
+// the dependency closure of Xs — the sites the answer depends on. The
+// partials come from LocalEvalDist; an unweighted one is a caller's bug and
+// panics rather than be read as distance 0.
+func AssembleDist(partials []*Rows, s graph.NodeID) (int64, []int) {
 	sys := bes.NewWeighted[graph.NodeID]()
 	for site, rv := range partials {
 		if rv == nil {
 			continue
 		}
-		for _, eq := range rv.eqs {
-			sys.Claim(site, eq.node)
-			for _, term := range eq.terms {
-				if term.isConst {
-					sys.AddConst(eq.node, term.w)
-				} else {
-					sys.AddTerm(eq.node, term.varNode, term.w)
-				}
+		if !rv.weighted {
+			panic("core: AssembleDist over an unweighted equation list")
+		}
+		for i := 0; i < rv.NumEqs(); i++ {
+			node, cons, vars, ws := rv.Eq(i)
+			sys.Claim(site, node)
+			if cons != NoConst {
+				sys.AddConst(node, int64(cons))
+			}
+			for j, v := range vars {
+				sys.AddTerm(node, v, int64(ws[j]))
 			}
 		}
 	}
@@ -116,7 +100,7 @@ func AssembleDist(partials []*DistPartial, s graph.NodeID) (int64, []int) {
 }
 
 // SolveDist is AssembleDist for callers that only want the distance.
-func SolveDist(partials []*DistPartial, s graph.NodeID) int64 {
+func SolveDist(partials []*Rows, s graph.NodeID) int64 {
 	d, _ := AssembleDist(partials, s)
 	return d
 }

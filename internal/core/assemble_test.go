@@ -55,13 +55,32 @@ func (o *touchedOracle) touched(s graph.NodeID) []int {
 	return out
 }
 
-// eqs lists the partial's equations (views into its storage).
-func (rv *ReachPartial) eqs() []reachEq {
-	out := make([]reachEq, rv.NumEqs())
+// boolEq is one equation of a Boolean list, Xnode = truth ∨ (∨ vars),
+// as the tests compare them.
+type boolEq struct {
+	node  graph.NodeID
+	truth bool
+	vars  []graph.NodeID
+}
+
+// boolEqs lists the equations of rv read as Booleans (vars are views into
+// its storage).
+func boolEqs(rv *Rows) []boolEq {
+	out := make([]boolEq, rv.NumEqs())
 	for i := range out {
-		out[i] = rv.at(i)
+		node, cons, vars, _ := rv.Eq(i)
+		out[i] = boolEq{node, cons != NoConst, vars}
 	}
 	return out
+}
+
+// boolRows builds an unweighted list from equations.
+func boolRows(eqs ...boolEq) *Rows {
+	rv := new(Rows)
+	for _, eq := range eqs {
+		rv.add(eq.node, truthCons(eq.truth), eq.vars, nil)
+	}
+	return rv
 }
 
 // TestTouchedMatchesOracle pins the Touched sets read off the deciding
@@ -76,11 +95,11 @@ func TestTouchedMatchesOracle(t *testing.T) {
 		_, fr, s, tt := randomCase(rng, nil)
 		frags := fr.Fragments()
 
-		finals := make([]*ReachPartial, len(frags))
+		finals := make([]*Rows, len(frags))
 		so := newTouchedOracle()
 		for site, f := range frags {
 			finals[site] = LocalEvalReach(f, s, tt, nil)
-			for _, eq := range finals[site].eqs() {
+			for _, eq := range boolEqs(finals[site]) {
 				so.add(site, eq.node, eq.vars...)
 			}
 		}
@@ -91,9 +110,9 @@ func TestTouchedMatchesOracle(t *testing.T) {
 
 		anytime, ao := bes.New[graph.NodeID](), newTouchedOracle()
 		order := rng.Perm(len(frags))
-		feed := func(site int, rv *ReachPartial) {
+		feed := func(site int, rv *Rows) {
 			rv.AddToSystemFrom(site, anytime)
-			for _, eq := range rv.eqs() {
+			for _, eq := range boolEqs(rv) {
 				ao.add(site, eq.node, eq.vars...)
 			}
 		}
@@ -118,16 +137,12 @@ func TestTouchedMatchesOracle(t *testing.T) {
 
 		l := 1 + rng.Intn(8)
 		do := newTouchedOracle()
-		dparts := make([]*DistPartial, len(frags))
+		dparts := make([]*Rows, len(frags))
 		for site, f := range frags {
 			dparts[site] = LocalEvalDist(f, s, tt, l)
-			for _, eq := range dparts[site].eqs {
-				do.add(site, eq.node)
-				for _, term := range eq.terms {
-					if !term.isConst {
-						do.add(site, eq.node, term.varNode)
-					}
-				}
+			for i := 0; i < dparts[site].NumEqs(); i++ {
+				node, _, vars, _ := dparts[site].Eq(i)
+				do.add(site, node, vars...)
 			}
 		}
 		if _, got := AssembleDist(dparts, s); !slices.Equal(got, do.touched(s)) {
@@ -168,8 +183,8 @@ func TestTouchedSound(t *testing.T) {
 			return [3]verdict{{ans: g.Reachable(s, tt)}, {within, d}, {ans: automaton.Eval(g, s, tt, a)}}
 		}
 		frags := fr.Fragments()
-		rp := make([]*ReachPartial, len(frags))
-		dp := make([]*DistPartial, len(frags))
+		rp := make([]*Rows, len(frags))
+		dp := make([]*Rows, len(frags))
 		qp := make([]*RPQPartial, len(frags))
 		for i, f := range frags {
 			rp[i], dp[i], qp[i] = LocalEvalReach(f, s, tt, nil), LocalEvalDist(f, s, tt, l), LocalEvalRPQ(f, s, tt, a)
@@ -243,18 +258,17 @@ func TestDriverReportsUnchanged(t *testing.T) {
 	}
 	cl := cluster.New(4, cluster.NetModel{Latency: time.Millisecond, BytesPerSecond: 1e6})
 	rng := gen.NewRNG(22)
-	var qs []Query
+	var qs [][2]graph.NodeID
 	for i := 0; i < 40; i++ {
-		// Few targets, so the batch groups run.
-		qs = append(qs, Query{S: graph.NodeID(rng.Intn(300)), T: graph.NodeID(rng.Intn(3))})
+		// Few targets: the draw the tallies below were recorded on.
+		qs = append(qs, [2]graph.NodeID{graph.NodeID(rng.Intn(300)), graph.NodeID(rng.Intn(3))})
 	}
-	var reach, dist, rpq, batch reportTally
+	var reach, dist, rpq reportTally
 	for _, q := range qs {
-		reach.add(DisReach(cl, fr, q.S, q.T, nil).Report)
-		dist.add(DisDist(cl, fr, q.S, q.T, 6).Report)
-		rpq.add(DisRPQ(cl, fr, q.S, q.T, automaton.FromRegex(randomRegex(rng, 3))).Report)
+		reach.add(DisReach(cl, fr, q[0], q[1], nil).Report)
+		dist.add(DisDist(cl, fr, q[0], q[1], 6).Report)
+		rpq.add(DisRPQ(cl, fr, q[0], q[1], automaton.FromRegex(randomRegex(rng, 3))).Report)
 	}
-	batch.add(DisReachBatch(cl, fr, qs).Report)
 	for _, c := range []struct {
 		name      string
 		got, want reportTally
@@ -262,7 +276,6 @@ func TestDriverReportsUnchanged(t *testing.T) {
 		{"DisReach", reach, reportTally{160, 131807, 129887, 320, 0, 114925 * time.Microsecond}},
 		{"DisDist", dist, reportTally{160, 211300, 209380, 320, 0, 136260 * time.Microsecond}},
 		{"DisRPQ", rpq, reportTally{160, 93883, 82103, 320, 0, 104985996 * time.Nanosecond}},
-		{"DisReachBatch", batch, reportTally{4, 11788, 9868, 8, 0, 5105 * time.Microsecond}},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: report tally %+v, recorded %+v", c.name, c.got, c.want)
@@ -290,37 +303,37 @@ func TestSourceEqMatchesLocalEval(t *testing.T) {
 	f := fr.Fragments()[0]
 	// fromLocalEval extracts s's own equation from a full evaluation: the
 	// one appended beyond the source-independent in-node equations.
-	fromLocalEval := func(s, tt graph.NodeID) (reachEq, bool) {
-		with, base := LocalEvalReach(f, s, tt, nil).eqs(), LocalEvalReach(f, graph.None, tt, nil).eqs()
+	fromLocalEval := func(s, tt graph.NodeID) (boolEq, bool) {
+		with, base := boolEqs(LocalEvalReach(f, s, tt, nil)), boolEqs(LocalEvalReach(f, graph.None, tt, nil))
 		if len(with) == len(base) {
-			return reachEq{}, false
+			return boolEq{}, false
 		}
 		return with[len(with)-1], true
 	}
 	for _, c := range []struct {
 		name  string
 		s, tt graph.NodeID
-		want  *reachEq // nil: no equation of its own
+		want  *boolEq // nil: no equation of its own
 	}{
-		{"in-SCC source aliases the in-node", 1, 6, &reachEq{node: 1, vars: []graph.NodeID{0}}},
+		{"in-SCC source aliases the in-node", 1, 6, &boolEq{node: 1, vars: []graph.NodeID{0}}},
 		{"virtual-only source", 5, 6, nil},
 		{"in-node source", 0, 6, nil},
-		{"plain source, remote target", 2, 6, &reachEq{node: 2, vars: []graph.NodeID{5}}},
-		{"plain source, local target", 2, 4, &reachEq{node: 2, constTrue: true, vars: []graph.NodeID{5}}},
+		{"plain source, remote target", 2, 6, &boolEq{node: 2, vars: []graph.NodeID{5}}},
+		{"plain source, local target", 2, 4, &boolEq{node: 2, truth: true, vars: []graph.NodeID{5}}},
 	} {
-		var got reachEq
+		var got boolEq
 		own := SourceOnlyReach(f, c.s, c.tt, nil)
 		ok := own != nil
 		if ok {
-			got = own.at(0)
+			got = boolEqs(own)[0]
 		}
 		full, fullOK := fromLocalEval(c.s, c.tt)
 		if ok != fullOK || ok != (c.want != nil) {
 			t.Errorf("%s: SourceOnlyReach owns an equation: %v, LocalEvalReach: %v, want %v", c.name, ok, fullOK, c.want != nil)
 			continue
 		}
-		same := func(x, y reachEq) bool {
-			return x.node == y.node && x.constTrue == y.constTrue && slices.Equal(x.vars, y.vars)
+		same := func(x, y boolEq) bool {
+			return x.node == y.node && x.truth == y.truth && slices.Equal(x.vars, y.vars)
 		}
 		if ok && (!same(got, full) || !same(got, *c.want)) {
 			t.Errorf("%s: SourceOnlyReach %+v, LocalEvalReach %+v, want %+v", c.name, got, full, *c.want)
@@ -330,14 +343,14 @@ func TestSourceEqMatchesLocalEval(t *testing.T) {
 	// with the target, itself an in-node. SourceOnlyReach aliases Xs = Xt (true by
 	// t's own equation); localEval never aliases to t and searches instead.
 	// Both decide the same.
-	alias := SourceOnlyReach(f, 1, 0, nil).at(0)
+	alias := boolEqs(SourceOnlyReach(f, 1, 0, nil))[0]
 	searched, _ := fromLocalEval(1, 0)
-	if len(alias.vars) != 1 || alias.vars[0] != 0 || !searched.constTrue {
+	if len(alias.vars) != 1 || alias.vars[0] != 0 || !searched.truth {
 		t.Fatalf("source in the target's SCC: SourceOnlyReach %+v, LocalEvalReach %+v", alias, searched)
 	}
 	base := LocalEvalReach(f, graph.None, 0, nil)
-	for _, eq := range []reachEq{alias, searched} {
-		if !SolveReach([]*ReachPartial{base, partialOf(eq)}, 1) {
+	for _, eq := range []boolEq{alias, searched} {
+		if !SolveReach([]*Rows{base, boolRows(eq)}, 1) {
 			t.Errorf("qr(1,0) false with source equation %+v", eq)
 		}
 	}
@@ -472,7 +485,7 @@ func TestRowsPlusQueryPartMatchesLocalEval(t *testing.T) {
 		{"source in the target's SCC", 1, 0},
 		{"unreachable", 4, 2},
 	} {
-		full := make([]*ReachPartial, len(frags))
+		full := make([]*Rows, len(frags))
 		for i, f := range frags {
 			full[i] = LocalEvalReach(f, c.s, c.t, nil)
 		}

@@ -11,49 +11,6 @@ import (
 	"distreach/internal/graph"
 )
 
-func TestBatchMatchesSingleQueries(t *testing.T) {
-	rng := gen.NewRNG(61)
-	for trial := 0; trial < 80; trial++ {
-		g, fr, _, _ := randomCase(rng, nil)
-		cl := cluster.New(fr.Card(), cluster.NetModel{})
-		m := 1 + rng.Intn(12)
-		qs := make([]Query, m)
-		for i := range qs {
-			qs[i] = Query{
-				S: graph.NodeID(rng.Intn(g.NumNodes())),
-				// Few distinct targets so grouping is exercised.
-				T: graph.NodeID(rng.Intn(min(3, g.NumNodes()))),
-			}
-		}
-		res := DisReachBatch(cl, fr, qs)
-		for i, q := range qs {
-			if want := g.Reachable(q.S, q.T); res.Answers[i] != want {
-				t.Fatalf("trial %d query %d (%d->%d): batch=%v oracle=%v",
-					trial, i, q.S, q.T, res.Answers[i], want)
-			}
-		}
-		// One visit per site for the whole batch.
-		for site, v := range res.Report.Visits {
-			if v != 1 {
-				t.Fatalf("trial %d: site %d visited %d times for the batch", trial, site, v)
-			}
-		}
-	}
-}
-
-func TestBatchEmpty(t *testing.T) {
-	g := gen.Uniform(gen.Config{Nodes: 5, Edges: 10, Seed: 62})
-	fr, err := fragment.Random(g, 2, 62)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := cluster.New(2, cluster.NetModel{})
-	res := DisReachBatch(cl, fr, nil)
-	if len(res.Answers) != 0 || res.Report.TotalVisits != 0 {
-		t.Fatalf("empty batch did work: %+v", res.Report)
-	}
-}
-
 // TestQuickDisReach drives disReach with testing/quick: arbitrary seeds
 // define the instance, and the distributed answer must equal centralized
 // BFS for every endpoint pair probed.
@@ -93,15 +50,15 @@ func TestSharedTargetSplitMatchesSingle(t *testing.T) {
 		}
 		frags := fr.Fragments()
 		tt := graph.NodeID(rng.Intn(n))
-		bases := make([]*ReachPartial, len(frags))
+		bases := make([]*Rows, len(frags))
 		for fi, f := range frags {
 			bases[fi] = LocalEvalReach(f, graph.None, tt, nil)
 		}
 		m := 1 + rng.Intn(6)
 		for qi := 0; qi < m; qi++ {
 			s := graph.NodeID(rng.Intn(n))
-			splitParts := make([]*ReachPartial, 0, 2*len(frags))
-			singleParts := make([]*ReachPartial, len(frags))
+			splitParts := make([]*Rows, 0, 2*len(frags))
+			singleParts := make([]*Rows, len(frags))
 			for fi, f := range frags {
 				splitParts = append(splitParts, bases[fi], SourceOnlyReach(f, s, tt, nil))
 				singleParts[fi] = LocalEvalReach(f, s, tt, nil)
@@ -115,13 +72,6 @@ func TestSharedTargetSplitMatchesSingle(t *testing.T) {
 			}
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestNonOwnerQueryPartsEmpty pins the invariant a coordinator's routing

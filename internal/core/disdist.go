@@ -17,37 +17,6 @@ type DistResult struct {
 	Report   cluster.Report
 }
 
-// distTerm is one candidate term of a min-equation: Xv <= Xvar + W, or
-// Xv <= Const when the target was reached locally.
-type distTerm struct {
-	varNode graph.NodeID
-	w       int64
-	isConst bool
-}
-
-type distEq struct {
-	node  graph.NodeID
-	terms []distTerm
-}
-
-// DistPartial is Fi.rvset for a bounded reachability query: one
-// min-equation per in-node (plus s when local). It is produced by
-// LocalEvalDist and consumed by SolveDist.
-type DistPartial struct {
-	eqs []distEq
-}
-
-// wireSize: each equation carries the in-node ID plus (variable ID,
-// distance) pairs — the numeric analogue of the Boolean accounting, still
-// bounded by O(|Fi.I|·|Fi.O|) words.
-func (rv *DistPartial) wireSize() int {
-	n := 0
-	for _, eq := range rv.eqs {
-		n += 4 + 8*len(eq.terms)
-	}
-	return n
-}
-
 // DisDist evaluates the bounded reachability query qbr(s, t, l): is
 // dist(s, t) <= l? (algorithm disDist, Section 4). It has the same
 // guarantees as DisReach: one visit per site, traffic in O(|Vf|²),
@@ -63,44 +32,38 @@ func DisDist(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID,
 	}
 	var d int64
 	threePhase(run, fr.Fragments(), querySize,
-		func(f *fragment.Fragment) *DistPartial { return LocalEvalDist(f, s, t, l) },
-		func(_ *fragment.Fragment, rv *DistPartial) int { return rv.wireSize() },
-		func(partial []*DistPartial) { d = SolveDist(partial, s) })
+		func(f *fragment.Fragment) *Rows { return LocalEvalDist(f, s, t, l) },
+		func(_ *fragment.Fragment, rv *Rows) int { return distWireSize(rv) },
+		func(partial []*Rows) { d = SolveDist(partial, s) })
 	return DistResult{Answer: d <= int64(l), Distance: d, Report: run.Finish()}
 }
 
-// LocalEvalDist runs procedure localEvald on one fragment: for every
+// LocalEvalDist runs procedure localEvald on one fragment — Fi.rvset of
+// qbr(s, t, l), a weighted Rows list consumed by SolveDist: for every
 // in-node v (plus s if local; pass s = graph.None for the in-node equations
-// only) it computes the local BFS distances to the
-// virtual nodes (and to t when t is stored here), keeping
+// only) it computes the local BFS distances to the virtual nodes (and to t
+// when t is stored here), keeping
 //
 //	Xv <= Xv' + dist(v, v')   for virtual v' with dist(v, v') < l,
 //	Xv <= dist(v, t)          when t is reached locally within l.
 //
 // Terms at distance >= l cannot start a path of total length <= l unless
 // they already end at t, matching the pruning in the paper.
-func LocalEvalDist(f *fragment.Fragment, s, t graph.NodeID, l int) *DistPartial {
+func LocalEvalDist(f *fragment.Fragment, s, t graph.NodeID, l int) *Rows {
 	iset := isetOf(f, s)
-	rv := &DistPartial{eqs: make([]distEq, 0, len(iset))}
+	rv := newRows(len(iset), true)
 	var bfs cutDist
 	for _, v := range iset {
 		if f.Global(v) == t {
 			// Xt is trivially 0 (dist(t, t) = 0); other equations may
 			// reference it as a variable.
-			rv.eqs = append(rv.eqs, distEq{node: t, terms: []distTerm{{isConst: true}}})
+			rv.add(t, 0, nil, nil)
 			continue
 		}
 		// Frontier cut (see localEval): a boundary node's own min-equation
 		// continues the path, so the BFS emits Xg + d there and stops.
 		bfs.from(f, v, t, l, nil)
-		eq := distEq{node: f.Global(v), terms: make([]distTerm, 0, len(bfs.vars)+1)}
-		if bfs.cons != NoConst {
-			eq.terms = append(eq.terms, distTerm{w: int64(bfs.cons), isConst: true})
-		}
-		for j, g := range bfs.vars {
-			eq.terms = append(eq.terms, distTerm{varNode: g, w: int64(bfs.ws[j])})
-		}
-		rv.eqs = append(rv.eqs, eq)
+		rv.add(f.Global(v), bfs.cons, bfs.vars, bfs.ws)
 	}
 	return rv
 }

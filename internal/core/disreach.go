@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"distreach/internal/cluster"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
@@ -17,98 +19,6 @@ type Result struct {
 	Report cluster.Report
 }
 
-// reachEq is one Boolean equation Xv = constTrue ∨ (∨ Xv') produced by
-// local evaluation: v is an in-node (or the source s), and the variables on
-// the right-hand side are the virtual nodes of the fragment that v reaches
-// locally.
-type reachEq struct {
-	node      graph.NodeID
-	constTrue bool
-	vars      []graph.NodeID
-}
-
-// ReachPartial is Fi.rvset: the partial answer of one fragment to a
-// reachability query. It is produced by LocalEvalReach at a site (or a
-// mapper) and consumed by SolveReach at the coordinator (or the reducer).
-//
-// The equations are stored flat — equation i is Xnodes[i] = truth[i] ∨
-// (∨ vars[offs[i]:offs[i+1]]) — so a partial decoded off the wire occupies
-// about its marshaled size (9 bytes an equation, 4 a disjunct) however many
-// equations it has.
-type ReachPartial struct {
-	nodes []graph.NodeID
-	truth []bool
-	offs  []uint32 // len(nodes)+1 entries once an equation was added
-	vars  []graph.NodeID
-}
-
-// partialOf builds a partial from equations.
-func partialOf(eqs ...reachEq) *ReachPartial {
-	rv := new(ReachPartial)
-	for _, eq := range eqs {
-		rv.add(eq)
-	}
-	return rv
-}
-
-// add appends one equation, copying its disjuncts.
-func (rv *ReachPartial) add(eq reachEq) {
-	if len(rv.offs) == 0 {
-		rv.offs = append(rv.offs, 0)
-	}
-	rv.nodes = append(rv.nodes, eq.node)
-	rv.truth = append(rv.truth, eq.constTrue)
-	rv.vars = append(rv.vars, eq.vars...)
-	rv.offs = append(rv.offs, uint32(len(rv.vars)))
-}
-
-// at returns equation i; its vars alias the partial's storage.
-func (rv *ReachPartial) at(i int) reachEq {
-	return reachEq{node: rv.nodes[i], constTrue: rv.truth[i], vars: rv.vars[rv.offs[i]:rv.offs[i+1]]}
-}
-
-// Eq returns equation i, Xnode = constTrue ∨ (∨ vars). vars aliases the
-// partial's storage and must not be modified.
-func (rv *ReachPartial) Eq(i int) (node graph.NodeID, constTrue bool, vars []graph.NodeID) {
-	eq := rv.at(i)
-	return eq.node, eq.constTrue, eq.vars
-}
-
-// Append adds the equations of more (nil: none) to the partial.
-func (rv *ReachPartial) Append(more *ReachPartial) {
-	for i := 0; i < more.NumEqs(); i++ {
-		rv.add(more.at(i))
-	}
-}
-
-// NumEqs reports the number of equations in the partial (none for nil).
-func (rv *ReachPartial) NumEqs() int {
-	if rv == nil {
-		return 0
-	}
-	return len(rv.nodes)
-}
-
-// WireSize accounts the reply size of the partial answer for a fragment
-// with the given number of boundary variables (|Fi.O| + |Fi.I|). Each
-// equation carries the in-node ID plus its disjuncts, encoded as whichever
-// is smaller: a presence bitmap over the fragment's boundary variables (the
-// paper's "|Fi.O| bits" accounting) or an explicit variable list. Either
-// way the total stays within the O(|Vf|²) guarantee.
-func (rv *ReachPartial) WireSize(boundaryVars int) int {
-	dense := (boundaryVars + 1 + 7) / 8
-	n := 0
-	for i := range rv.nodes {
-		sparse := 4 * int(rv.offs[i+1]-rv.offs[i])
-		if sparse < dense {
-			n += 5 + sparse
-		} else {
-			n += 5 + dense
-		}
-	}
-	return n
-}
-
 // DisReach evaluates the reachability query qr(s, t) over the fragmentation
 // fr deployed on cl (algorithm disReach, Fig. 3). It visits each site
 // exactly once, ships O(|Vf|²) bits in total, and runs local evaluation on
@@ -121,16 +31,18 @@ func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID
 	}
 	var ans bool
 	threePhase(run, fr.Fragments(), querySize,
-		func(f *fragment.Fragment) *ReachPartial { return LocalEvalReach(f, s, t, opt) },
+		func(f *fragment.Fragment) *Rows { return LocalEvalReach(f, s, t, opt) },
 		reachReplySize,
-		func(partial []*ReachPartial) { ans = SolveReach(partial, s) })
+		func(partial []*Rows) { ans = SolveReach(partial, s) })
 	return Result{Answer: ans, Report: run.Finish()}
 }
 
 // LocalEvalReach is procedure localEval, the per-site partial evaluation of
-// Fig. 3: for every in-node v of the fragment (plus s, if s is stored here)
-// it determines which boundary nodes v can reach locally, yielding the
-// Boolean equation
+// Fig. 3 — Fi.rvset, the fragment's partial answer to qr(s, t), an
+// unweighted Rows list consumed by SolveReach at the coordinator (or the
+// reducer): for every in-node v of the fragment (plus s, if s is stored
+// here) it determines which boundary nodes v can reach locally, yielding
+// the Boolean equation
 // Xv = (t reached locally) ∨ (∨ Xv' over reached boundary nodes v').
 // A boundary node equal to t contributes `true` rather than a variable
 // (lines 4-5 of the procedure).
@@ -152,13 +64,9 @@ func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID
 // When opt.Cancel fires mid-evaluation the partial is abandoned and nil is
 // returned; callers running under cooperative cancellation must treat nil
 // as "no reply owed".
-func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *ReachPartial {
+func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Rows {
 	iset := isetOf(f, s)
-	rv := &ReachPartial{
-		nodes: make([]graph.NodeID, 0, len(iset)),
-		truth: make([]bool, 0, len(iset)),
-		offs:  make([]uint32, 1, len(iset)+1),
-	}
+	rv := newRows(len(iset), false)
 	if len(iset) == 0 {
 		return rv
 	}
@@ -167,11 +75,11 @@ func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Reac
 		if ev.opt.cancelled() {
 			return nil
 		}
-		eq, ok := ev.equation(v)
+		truth, vars, ok := ev.equation(v)
 		if !ok {
 			return nil
 		}
-		rv.add(eq)
+		rv.add(f.Global(v), truthCons(truth), vars, nil)
 	}
 	return rv
 }
@@ -204,6 +112,8 @@ type localEval struct {
 	hasT   bool
 	// Fallback strategy: one frontier-cut BFS per representative.
 	bfs cutBFS
+	// alias holds the one variable of an alias equation.
+	alias [1]graph.NodeID
 }
 
 func newLocalEval(f *fragment.Fragment, t graph.NodeID, opt *Options) *localEval {
@@ -222,45 +132,38 @@ func newLocalEval(f *fragment.Fragment, t graph.NodeID, opt *Options) *localEval
 	return ev
 }
 
-// equation produces local node v's equation by the cheapest route that
-// applies; it reports false only when the BFS was cancelled.
-func (ev *localEval) equation(v int32) (reachEq, bool) {
+// equation produces the equation of local node v, Xv = truth ∨ (∨ vars),
+// by the cheapest route that applies; it reports false only when the BFS
+// was cancelled. vars is read-only and valid until the next call: the
+// caller copies it or only reads it.
+func (ev *localEval) equation(v int32) (truth bool, vars []graph.NodeID, ok bool) {
 	f, t, met := ev.f, ev.t, ev.met
 	if f.Global(v) == t {
 		// Xt is trivially true (t reaches itself). This must precede
 		// aliasing: if t shares an SCC with other in-nodes, they may
 		// alias to Xt, and Xt itself must never be an alias.
 		met.ConstEqs++
-		return reachEq{node: t, constTrue: true}, true
+		return true, nil, true
 	}
 	if rep := ev.repOf[ev.comp[v]]; rep != 0 {
 		met.AliasEqs++
-		return reachEq{node: f.Global(v), vars: []graph.NodeID{f.Global(rep - 1)}}, true
+		ev.alias[0] = f.Global(rep - 1)
+		return false, ev.alias[:], true
 	}
 	ev.repOf[ev.comp[v]] = v + 1
 	if idx := ev.idx; idx != nil {
 		if gvars, reachesT, ok := idx.EquationGlobal(v, ev.tLocal, ev.hasT); ok {
-			eq := reachEq{node: f.Global(v), constTrue: reachesT}
 			if ev.hasT {
 				// t appearing as a variable must contribute `true`
 				// instead (lines 4-5 of localEval). The list holds each
 				// boundary node at most once, so splice it out.
-				for i, gv := range gvars {
-					if gv == t {
-						eq.constTrue = true
-						spliced := make([]graph.NodeID, 0, len(gvars)-1)
-						spliced = append(spliced, gvars[:i]...)
-						spliced = append(spliced, gvars[i+1:]...)
-						gvars = spliced
-						break
-					}
+				if i := slices.Index(gvars, t); i >= 0 {
+					reachesT = true
+					gvars = slices.Concat(gvars[:i], gvars[i+1:])
 				}
 			}
-			// The index's own read-only list: the caller copies or only
-			// reads equation bodies.
-			eq.vars = gvars
 			met.IndexedEqs++
-			return eq, true
+			return reachesT, gvars, true
 		}
 		switch idx.Outcome(v) {
 		case reachindex.OutcomeStale:
@@ -281,37 +184,39 @@ func (ev *localEval) equation(v int32) (reachEq, bool) {
 type cutBFS struct {
 	seen  []int32 // stamp of the search that last reached the node
 	queue []int32
+	vars  []graph.NodeID
 	stamp int32
 }
 
 // from computes the equation of local node v for target t: which boundary
-// nodes outside v's local SCC (comp) v reaches, and whether it reaches t.
-// This is the one potentially long-running stretch of a local evaluation
-// (the reachindex fast path is two lookups), so it polls opt.Cancel every
-// few hundred dequeues and reports false when it fires.
-func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int32, opt *Options) (reachEq, bool) {
+// nodes outside v's local SCC (comp) v reaches (vars, valid until the next
+// call), and whether it reaches t. This is the one potentially
+// long-running stretch of a local evaluation (the reachindex fast path is
+// two lookups), so it polls opt.Cancel every few hundred dequeues and
+// reports false when it fires.
+func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int32, opt *Options) (truth bool, vars []graph.NodeID, ok bool) {
 	if b.seen == nil {
 		b.seen = make([]int32, f.NumTotal())
 	}
 	b.stamp++
-	eq := reachEq{node: f.Global(v)}
+	vars = b.vars[:0]
 	queue := append(b.queue[:0], v)
 	b.seen[v] = b.stamp
 	for head := 0; head < len(queue); head++ {
 		if head&0xff == 0xff && opt.cancelled() {
-			return reachEq{}, false
+			return false, nil, false
 		}
 		x := queue[head]
 		if x != v { // v itself is never a disjunct of its own equation
 			if g := f.Global(x); g == t {
-				eq.constTrue = true
+				truth = true
 				continue // reaching t locally closes this branch
 			} else if f.IsBoundary(x) && comp[x] != comp[v] {
 				// Stop at boundary nodes outside v's SCC: their own
 				// equations continue the search. In-nodes inside v's
 				// SCC are aliased to v's equation, so the BFS must
 				// expand through them itself.
-				eq.vars = append(eq.vars, g)
+				vars = append(vars, g)
 				continue
 			}
 		}
@@ -322,8 +227,105 @@ func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int3
 			}
 		}
 	}
-	b.queue = queue
-	return eq, true
+	b.queue, b.vars = queue, vars
+	return truth, vars, true
+}
+
+// SourceOnlyReach returns a partial holding just the source equation of
+// qr(s, t) on f: the frontier-cut BFS of localEval run from s alone,
+// skipping the per-in-node work. It returns nil when s contributes no
+// equation of its own — not stored on this fragment, stored only as a
+// virtual node, or already an in-node (whose equation is part of the
+// source-independent rvset). Together with LocalEvalReach(f, graph.None, t)
+// it splits a fragment's batch answer into a per-target shared part and a
+// per-source part; together with TargetOnlyReach it is the part of the
+// answer that depends on the query at all, which is all a wire site ships
+// to a coordinator that already holds the fragment's rows.
+//
+// nil is also returned when opt.Cancel fires mid-BFS; callers running
+// under cooperative cancellation must re-check their cancel flag before
+// treating nil as "no equation owed".
+func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Rows {
+	ls, ok := f.Local(s)
+	if !ok || f.IsVirtual(ls) || f.IsInNode(ls) {
+		return nil
+	}
+	rv := newRows(1, false)
+	if s == t {
+		rv.add(t, 0, nil, nil)
+		return rv
+	}
+	comp := f.LocalSCC()
+	// Equation aliasing, as in localEval: when s shares a local SCC with an
+	// in-node, the two reach exactly the same boundary nodes, so the
+	// two-word alias Xs = Xv replaces a full BFS equation. The in-node's
+	// own equation is always in the source-independent rvset.
+	for _, v := range f.InNodes() {
+		if comp[v] == comp[ls] {
+			rv.add(s, NoConst, []graph.NodeID{f.Global(v)}, nil)
+			return rv
+		}
+	}
+	var bfs cutBFS
+	truth, vars, ok := bfs.from(f, ls, t, comp, opt)
+	if !ok {
+		return nil
+	}
+	rv.add(s, truthCons(truth), vars, nil)
+	return rv
+}
+
+// TargetOnlyReach returns what f's in-node equations gain from knowing the
+// target: Xv = true for every in-node v that reaches t inside the fragment,
+// Xt itself included when t is an in-node. Added to the fragment's rows —
+// LocalRows(f), which leave t an ordinary node — it decides exactly what
+// LocalEvalReach(f, graph.None, t) decides:
+//
+//   - sound: each equation states a path that exists in the fragment;
+//   - complete: let an in-node v reach t locally and w be the last in-node
+//     on the path. The rows chain Xv to Xw (every frontier cut stops at an
+//     in-node that has its own row), and w reaches t with no in-node in
+//     between, so w's own evaluation finds t and Xw = true is emitted here.
+//     Where t is only a virtual node the rows already mention Xt, and the
+//     fragment that stores t — of which t is then an in-node — emits it.
+//
+// Every member of a reaching SCC gets its equation, not just the SCC's
+// representative: the rows may have been computed before a compaction
+// renumbered the fragment and picked other representatives, and an
+// equation per member is right under any choice.
+//
+// It returns nil when there is nothing to say — t is not a real node of f,
+// or no in-node reaches it — and when opt.Cancel fires; callers running
+// under cooperative cancellation re-check their flag, as for SourceOnlyReach.
+func TargetOnlyReach(f *fragment.Fragment, t graph.NodeID, opt *Options) *Rows {
+	if !f.HasLocal(t) {
+		return nil
+	}
+	ev := newLocalEval(f, t, opt)
+	reaches := make([]bool, f.NumTotal()) // per local SCC: its members reach t
+	var rv *Rows
+	for _, v := range f.InNodes() {
+		if ev.opt.cancelled() {
+			return nil
+		}
+		c := ev.comp[v]
+		if ev.repOf[c] == 0 {
+			// First in-node of its SCC (or t itself, which never becomes a
+			// representative): its evaluation speaks for the members.
+			truth, _, ok := ev.equation(v)
+			if !ok {
+				return nil
+			}
+			reaches[c] = reaches[c] || truth
+		}
+		if reaches[c] {
+			if rv == nil {
+				rv = new(Rows)
+			}
+			rv.add(f.Global(v), 0, nil, nil)
+		}
+	}
+	return rv
 }
 
 // isetOf returns the fragment's in-nodes plus the source s when s is stored

@@ -190,8 +190,8 @@ func TestDisReachAliasCompression(t *testing.T) {
 	f := fr.Fragments()[0]
 	rv := LocalEvalReach(f, graph.None, 39, &Options{})
 	full, alias := 0, 0
-	for _, eq := range rv.eqs() {
-		if len(eq.vars) == 1 && !eq.constTrue {
+	for _, eq := range boolEqs(rv) {
+		if len(eq.vars) == 1 && !eq.truth {
 			alias++
 		} else {
 			full++

@@ -16,11 +16,13 @@
 // fragmentation (|Vf|) and the query, never on |G|.
 //
 // Phase 2 is one file per query class (disreach.go, disdist.go, disrpq.go:
-// the LocalEval* procedures and their partial-answer types). Phases 1 and
-// 3 are written once, in assemble.go: threePhase is the driver every Dis*
-// runs through, and the assemble functions there build the one dependency graph per query that both decides it and
-// names the sites the decision depends on (touched.go says why that set is
-// what a cache may invalidate by).
+// the LocalEval* procedures). qr and qbr share one equation type, Rows
+// (rows.go): Boolean for qr, weighted for qbr; qrr has its own vector
+// equations, RPQPartial. Phases 1 and 3 are written once, in assemble.go:
+// threePhase is the driver every Dis* runs through, and the assemble
+// functions there build the one dependency graph per query that both
+// decides it and names the sites the decision depends on (touched.go says
+// why that set is what a cache may invalidate by).
 package core
 
 // Options tunes the evaluation algorithms. The zero value is ready to use.

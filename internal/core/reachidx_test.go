@@ -15,7 +15,7 @@ func evalAll(fr *fragment.Fragmentation, s, t graph.NodeID, opt *Options) bool {
 	if s == t {
 		return true
 	}
-	partials := make([]*ReachPartial, 0, fr.Card())
+	partials := make([]*Rows, 0, fr.Card())
 	for _, f := range fr.Fragments() {
 		partials = append(partials, LocalEvalReach(f, s, t, opt))
 	}

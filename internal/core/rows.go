@@ -10,14 +10,18 @@ import (
 	"distreach/internal/graph"
 )
 
-// Weighted boundary rows: the part of a fragment's answer to qr and qbr
-// that depends on the fragment alone. For every in-node v, the frontier-cut
-// BFS of localEvald (stop at every boundary node) with no target and no
-// bound gives
+// Rows is the one equation list of qr and qbr: every partial answer of
+// disReach and disDist, on the wire and in the simulation. A reachability
+// list is Boolean — Xv = (t reached locally) ∨ (∨ Xv') — and carries no
+// weights; a distance list is min-plus — Xv <= min(dist(v, t), min over v'
+// of Xv' + dist(v, v')) — and carries one weight per variable. Read with
+// its weights ignored, a distance list is a reachability list too, which is
+// how the wire coordinator's reach walk reads a fragment's boundary rows:
+// for every in-node v, the frontier-cut BFS of localEvald (stop at every
+// boundary node) with no target and no bound gives
 //
-//	Xv <= Xb + dist(v, b)   for every boundary node b the cut reaches,
+//	Xv <= Xb + dist(v, b)   for every boundary node b the cut reaches.
 //
-// which is a distance row and — weights ignored — a reachability row too.
 // A wire site ships these once per fragment state (internal/netsite); the
 // query parts ride beside them: SourceOnlyReach/TargetOnlyReach for qr,
 // DistQueryPart for qbr.
@@ -28,22 +32,53 @@ const NoConst = -1
 // unbounded is the distance bound of rows that no query prunes.
 const unbounded = math.MaxInt32
 
-// Rows is a list of weighted equations stored flat: equation i is
+// Rows is a list of equations stored flat: equation i is
 //
 //	X(nodes[i]) <= min(cons[i], min over j of X(vars[j]) + ws[j])
 //
 // for j in offs[i]:offs[i+1], with cons[i] = NoConst when there is no
-// constant term. A fragment's rows (LocalRows) have none; a distance query
-// part (DistQueryPart) carries the constants that say where t is.
+// constant term. An unweighted (Boolean) list has no ws, and its constants
+// are 0: X(nodes[i]) = (cons[i] != NoConst) ∨ (∨ X(vars[j])). The zero
+// value is an empty Boolean list. A fragment's rows (LocalRows) have no
+// constants; a distance query part (DistQueryPart) carries the constants
+// that say where t is.
 type Rows struct {
-	nodes []graph.NodeID
-	cons  []int32
-	offs  []uint32 // len(nodes)+1 entries once an equation was added
-	vars  []graph.NodeID
-	ws    []int32
+	weighted bool
+	nodes    []graph.NodeID
+	cons     []int32
+	offs     []uint32 // len(nodes)+1 entries once an equation was added
+	vars     []graph.NodeID
+	ws       []int32 // parallel to vars; nil unless weighted
 }
 
-// add appends one equation, copying its terms.
+// ReachPartial and DistPartial are the names the partials of qr and qbr
+// had when each was a type of its own; benchmark/layers.go still names
+// them, and they go once it says Rows.
+type (
+	ReachPartial = Rows
+	DistPartial  = Rows
+)
+
+// newRows returns an empty list with room for n equations.
+func newRows(n int, weighted bool) *Rows {
+	return &Rows{
+		weighted: weighted,
+		nodes:    make([]graph.NodeID, 0, n),
+		cons:     make([]int32, 0, n),
+		offs:     make([]uint32, 1, n+1),
+	}
+}
+
+// truthCons is a Boolean equation's constant term: 0 (true) or none.
+func truthCons(truth bool) int32 {
+	if truth {
+		return 0
+	}
+	return NoConst
+}
+
+// add appends one equation, copying its terms; ws is ignored unless the
+// list is weighted.
 func (rv *Rows) add(node graph.NodeID, cons int32, vars []graph.NodeID, ws []int32) {
 	if len(rv.offs) == 0 {
 		rv.offs = append(rv.offs, 0)
@@ -51,8 +86,21 @@ func (rv *Rows) add(node graph.NodeID, cons int32, vars []graph.NodeID, ws []int
 	rv.nodes = append(rv.nodes, node)
 	rv.cons = append(rv.cons, cons)
 	rv.vars = append(rv.vars, vars...)
-	rv.ws = append(rv.ws, ws...)
+	if rv.weighted {
+		rv.ws = append(rv.ws, ws...)
+	}
 	rv.offs = append(rv.offs, uint32(len(rv.vars)))
+}
+
+// Append adds the equations of more (nil: none), which must be weighted
+// exactly when rv is.
+func (rv *Rows) Append(more *Rows) {
+	if more.NumEqs() > 0 && more.weighted != rv.weighted {
+		panic("core: Rows.Append mixes weighted and unweighted equations")
+	}
+	for i := 0; i < more.NumEqs(); i++ {
+		rv.add(more.Eq(i))
+	}
 }
 
 // NumEqs reports the number of equations (none for nil).
@@ -63,24 +111,42 @@ func (rv *Rows) NumEqs() int {
 	return len(rv.nodes)
 }
 
+// Weighted reports whether the list carries a weight per variable (nil:
+// no).
+func (rv *Rows) Weighted() bool { return rv != nil && rv.weighted }
+
 // Eq returns equation i: its node, its constant term (NoConst: none), and
-// its variables with their weights. The slices alias the storage and must
-// not be modified.
+// its variables with their weights (nil when unweighted). The slices alias
+// the storage and must not be modified.
 func (rv *Rows) Eq(i int) (node graph.NodeID, cons int32, vars []graph.NodeID, ws []int32) {
 	lo, hi := rv.offs[i], rv.offs[i+1]
-	return rv.nodes[i], rv.cons[i], rv.vars[lo:hi], rv.ws[lo:hi]
+	if rv.weighted {
+		ws = rv.ws[lo:hi]
+	}
+	return rv.nodes[i], rv.cons[i], rv.vars[lo:hi], ws
 }
 
-// AddToSystemFrom feeds the rows into a Boolean equation system as the
-// contribution of the given site, weights dropped: Xnode = (a constant
-// term) ∨ (∨ vars). It is the reachability reading of the rows, the
-// reference the wire coordinator's reach walk is checked against.
+// AddToSystemFrom feeds the list into a Boolean equation system as the
+// contribution of the given site (a negative site: on nobody's behalf),
+// weights dropped: Xnode = (a constant term) ∨ (∨ vars). Feeding lists as
+// they arrive and reading sys.Decide(s) for the answer and sys.Sources(s)
+// for the sites the answer depends on never re-solves from scratch; it is
+// the reference the wire coordinator's reach walk is checked against. A
+// nil list adds nothing.
 func (rv *Rows) AddToSystemFrom(site int, sys *bes.System[graph.NodeID]) {
 	for i := 0; i < rv.NumEqs(); i++ {
 		node, cons, vars, _ := rv.Eq(i)
-		sys.Claim(site, node)
+		if site >= 0 {
+			sys.Claim(site, node)
+		}
 		sys.Add(node, cons != NoConst, vars...)
 	}
+}
+
+// AddToSystem is AddToSystemFrom for callers that only want the value of
+// Xs, not who it depends on.
+func (rv *Rows) AddToSystem(sys *bes.System[graph.NodeID]) {
+	rv.AddToSystemFrom(-1, sys)
 }
 
 // HasConst reports whether any equation has a constant term.
@@ -93,6 +159,37 @@ func (rv *Rows) HasConst() bool {
 	return false
 }
 
+// ReachWireSize is the paper's reply size of a reachability list for a
+// fragment with the given number of boundary variables (|Fi.O| + |Fi.I|).
+// Each equation carries the in-node ID plus its disjuncts, encoded as
+// whichever is smaller: a presence bitmap over the fragment's boundary
+// variables (the paper's "|Fi.O| bits" accounting) or an explicit variable
+// list. Either way the total stays within the O(|Vf|²) guarantee.
+func ReachWireSize(rv *Rows, boundaryVars int) int {
+	dense := (boundaryVars + 1 + 7) / 8
+	n := 0
+	for i := 0; i < rv.NumEqs(); i++ {
+		sparse := 4 * int(rv.offs[i+1]-rv.offs[i])
+		n += 5 + min(sparse, dense)
+	}
+	return n
+}
+
+// distWireSize is the numeric analogue for a distance list: each equation
+// carries the in-node ID plus a (variable ID, distance) pair per term, the
+// constant included — still bounded by O(|Fi.I|·|Fi.O|) words.
+func distWireSize(rv *Rows) int {
+	n := 0
+	for i := 0; i < rv.NumEqs(); i++ {
+		terms := int(rv.offs[i+1] - rv.offs[i])
+		if rv.cons[i] != NoConst {
+			terms++
+		}
+		n += 4 + 8*terms
+	}
+	return n
+}
+
 // LocalRows returns f's weighted in-node rows, one equation per in-node,
 // in node order — an in-node that reaches no boundary node gets an empty
 // one, so that whoever solves over the rows sees which fragment owns it.
@@ -100,11 +197,7 @@ func (rv *Rows) HasConst() bool {
 func LocalRows(f *fragment.Fragment, opt *Options) *Rows {
 	in := slices.Clone(f.InNodes())
 	slices.SortFunc(in, func(a, b int32) int { return int(f.Global(a)) - int(f.Global(b)) })
-	rv := &Rows{
-		nodes: make([]graph.NodeID, 0, len(in)),
-		cons:  make([]int32, 0, len(in)),
-		offs:  make([]uint32, 1, len(in)+1),
-	}
+	rv := newRows(len(in), true)
 	var bfs cutRows
 	for lo := 0; lo < len(in); lo += 64 {
 		src := in[lo:min(lo+64, len(in))]
@@ -203,7 +296,7 @@ func DistQueryPart(f *fragment.Fragment, s, t graph.NodeID, l int, opt *Options)
 		}
 		// Emitted even when empty: it says which fragment s's closure
 		// starts in.
-		rv = new(Rows)
+		rv = newRows(1, true)
 		rv.add(s, bfs.cons, bfs.vars, bfs.ws)
 	}
 	if lt, ok := f.Local(t); ok && !f.IsBoundary(lt) {
@@ -213,7 +306,7 @@ func DistQueryPart(f *fragment.Fragment, s, t graph.NodeID, l int, opt *Options)
 			}
 			if bfs.cons != NoConst {
 				if rv == nil {
-					rv = new(Rows)
+					rv = newRows(1, true)
 				}
 				rv.add(f.Global(v), bfs.cons, nil, nil)
 			}

@@ -8,17 +8,16 @@ import (
 	"distreach/internal/graph"
 )
 
-// Binary wire codecs for the partial answers, used by the TCP runtime
-// (internal/netsite). The encodings realize the byte accounting of the
-// in-process simulation: an equation costs its node ID plus its disjunct
-// list. All integers are little-endian; formats carry a leading version
-// byte so they can evolve.
-
-const wireVersion = 1
-
-// appendU32 and friends keep the codecs allocation-light.
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+// Binary wire codecs for the two equation lists, Rows (every partial of qr
+// and qbr) and RPQPartial, used by the TCP runtime (internal/netsite). The
+// simulation does not run them: it charges the paper's byte accounting
+// (ReachWireSize, distWireSize, RPQPartial.WireSize) instead. Every
+// integer is a varint, and node IDs are zigzag deltas from the previous
+// node of the list, so an equation costs a few bytes and a disjunct one to
+// three on graphs of up to a few million nodes. Each layout carries a
+// leading version byte so it can evolve; a decoder accepts only the
+// shortest form of each varint, so whatever decodes re-encodes to the same
+// bytes.
 
 type reader struct {
 	b   []byte
@@ -36,26 +35,6 @@ func (r *reader) u8() byte {
 	return v
 }
 
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
 func (r *reader) fail() {
 	if r.err == nil {
 		r.err = fmt.Errorf("core: truncated wire payload at offset %d", r.off)
@@ -68,7 +47,7 @@ func (r *reader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[r.off+n-1] == 0 { // truncated, overlong or padded
 		r.fail()
 		return 0
 	}
@@ -134,126 +113,29 @@ func (r *reader) count(n uint64, min int) int {
 	return int(n)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler for ReachPartial.
-func (rv *ReachPartial) MarshalBinary() ([]byte, error) {
-	n := rv.NumEqs()
-	b := make([]byte, 0, 5+9*n+4*len(rv.vars))
-	b = append(b, wireVersion)
-	b = appendU32(b, uint32(n))
-	for i := 0; i < n; i++ {
-		eq := rv.at(i)
-		b = appendU32(b, uint32(eq.node))
-		if eq.constTrue {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendU32(b, uint32(len(eq.vars)))
-		for _, v := range eq.vars {
-			b = appendU32(b, uint32(v))
-		}
-	}
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler for ReachPartial.
-func (rv *ReachPartial) UnmarshalBinary(data []byte) error {
-	r := &reader{b: data}
-	if v := r.u8(); v != wireVersion && r.err == nil {
-		return fmt.Errorf("core: unsupported ReachPartial version %d", v)
-	}
-	n := r.count(uint64(r.u32()), 9)
-	// One backing array per field, sized from the payload: every equation
-	// costs 9 bytes and what is left over can only be disjuncts, so the
-	// decoded partial is about as large as its encoding however the
-	// disjuncts are spread over the equations.
-	dec := ReachPartial{
-		nodes: make([]graph.NodeID, 0, n),
-		truth: make([]bool, 0, n),
-		offs:  make([]uint32, 1, n+1),
-		vars:  make([]graph.NodeID, 0, (len(data)-r.off-9*n)/4),
-	}
-	for i := 0; i < n; i++ {
-		dec.nodes = append(dec.nodes, graph.NodeID(r.u32()))
-		dec.truth = append(dec.truth, r.u8() == 1)
-		nv := r.count(uint64(r.u32()), 4)
-		for j := 0; j < nv; j++ {
-			dec.vars = append(dec.vars, graph.NodeID(r.u32()))
-		}
-		dec.offs = append(dec.offs, uint32(len(dec.vars)))
-	}
-	if r.err != nil {
-		return r.err
-	}
-	*rv = dec
-	return nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler for DistPartial.
-func (rv *DistPartial) MarshalBinary() ([]byte, error) {
-	b := []byte{wireVersion}
-	b = appendU32(b, uint32(len(rv.eqs)))
-	for _, eq := range rv.eqs {
-		b = appendU32(b, uint32(eq.node))
-		b = appendU32(b, uint32(len(eq.terms)))
-		for _, term := range eq.terms {
-			if term.isConst {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
-			b = appendU32(b, uint32(term.varNode))
-			b = appendU64(b, uint64(term.w))
-		}
-	}
-	return b, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler for DistPartial.
-func (rv *DistPartial) UnmarshalBinary(data []byte) error {
-	r := &reader{b: data}
-	if v := r.u8(); v != wireVersion && r.err == nil {
-		return fmt.Errorf("core: unsupported DistPartial version %d", v)
-	}
-	n := r.count(uint64(r.u32()), 8)
-	eqs := make([]distEq, 0, n)
-	for i := 0; i < n; i++ {
-		eq := distEq{node: graph.NodeID(r.u32())}
-		nt := r.count(uint64(r.u32()), 13)
-		for j := 0; j < nt; j++ {
-			term := distTerm{isConst: r.u8() == 1}
-			term.varNode = graph.NodeID(r.u32())
-			term.w = int64(r.u64())
-			eq.terms = append(eq.terms, term)
-		}
-		eqs = append(eqs, eq)
-	}
-	if r.err != nil {
-		return r.err
-	}
-	rv.eqs = eqs
-	return nil
-}
-
-// The compact layouts: weighted rows (Rows) and regex partials
-// (RPQPartial), the two equation lists whose size the wire pays for. Every
-// integer is a varint and node IDs are zigzag deltas from the previous node
-// of the list, so an equation costs a few bytes and a disjunct two or three
-// on graphs of up to a few million nodes. Each layout has its own version.
+// Layout versions. Rows version 1 had no flags byte and weighed every
+// variable; RPQPartial version 1 spent fixed-width words on every field.
 const (
-	rowsVersion = 1
-	rpqVersion  = 2 // version 1 spent fixed-width words on every field
+	rowsVersion = 2
+	rpqVersion  = 2
 )
+
+// rowsWeighted is the Rows flag bit that says every variable carries a
+// weight; no other bit is defined.
+const rowsWeighted = 1
 
 // MarshalBinary implements encoding.BinaryMarshaler for Rows:
 //
-//	version u8 | equations uvarint | per equation:
+//	version u8 | flags u8 | equations uvarint | per equation:
 //	  node (delta) | cons+1 uvarint (0: no constant) | vars uvarint
-//	  | per variable: ID uvarint | weight uvarint
+//	  | per variable: ID uvarint [| weight uvarint, when weighted]
 func (rv *Rows) MarshalBinary() ([]byte, error) {
 	n := rv.NumEqs()
-	b := make([]byte, 0, 1+binary.MaxVarintLen32+4*n+4*len(rv.vars))
-	b = append(b, rowsVersion)
+	b := make([]byte, 0, 2+binary.MaxVarintLen32+4*n+4*len(rv.vars))
+	b = append(b, rowsVersion, 0)
+	if rv.weighted {
+		b[1] = rowsWeighted
+	}
 	b = binary.AppendUvarint(b, uint64(n))
 	var prev int64
 	for i := 0; i < n; i++ {
@@ -263,42 +145,62 @@ func (rv *Rows) MarshalBinary() ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(len(vars)))
 		for j, v := range vars {
 			b = binary.AppendUvarint(b, uint64(v))
-			b = binary.AppendUvarint(b, uint64(ws[j]))
+			if rv.weighted {
+				b = binary.AppendUvarint(b, uint64(ws[j]))
+			}
 		}
 	}
 	return b, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler for Rows. Every
-// equation takes at least 3 bytes and every disjunct 2, so what it decodes
-// is at most about 4x its encoding however a payload is shaped. Trailing
+// equation takes at least 3 bytes and every disjunct 1 (2 when weighted),
+// and the storage is sized from the payload, so what it decodes is at most
+// about 4x its encoding however a payload is shaped. Unknown flags, a Boolean constant other than true, and trailing
 // bytes are rejected.
 func (rv *Rows) UnmarshalBinary(data []byte) error {
 	r := &reader{b: data}
 	if v := r.u8(); v != rowsVersion && r.err == nil {
 		return fmt.Errorf("core: unsupported Rows version %d", v)
 	}
+	flags := r.u8()
+	if flags&^rowsWeighted != 0 {
+		return fmt.Errorf("core: unknown Rows flags %#x", flags)
+	}
+	weighted := flags == rowsWeighted
+	term := 1
+	if weighted {
+		term = 2
+	}
 	n := r.count(r.uvarint(), 3)
-	dec := Rows{
-		nodes: make([]graph.NodeID, 0, n),
-		cons:  make([]int32, 0, n),
-		offs:  make([]uint32, 1, n+1),
+	dec := newRows(n, weighted)
+	// What the equations leave of the payload bounds the disjuncts.
+	terms := max(0, len(data)-r.off-3*n) / term
+	dec.vars = make([]graph.NodeID, 0, terms)
+	if weighted {
+		dec.ws = make([]int32, 0, terms)
 	}
 	var prev int64
 	for i := 0; i < n && r.err == nil; i++ {
 		dec.nodes = append(dec.nodes, r.node(&prev))
-		dec.cons = append(dec.cons, r.varint31()-1)
-		nv := r.count(r.uvarint(), 2)
+		cons := r.varint31() - 1
+		if !weighted && cons > 0 {
+			return fmt.Errorf("core: Boolean equation with constant %d", cons)
+		}
+		dec.cons = append(dec.cons, cons)
+		nv := r.count(r.uvarint(), term)
 		for j := 0; j < nv; j++ {
 			dec.vars = append(dec.vars, graph.NodeID(r.varint31()))
-			dec.ws = append(dec.ws, r.varint31())
+			if weighted {
+				dec.ws = append(dec.ws, r.varint31())
+			}
 		}
 		dec.offs = append(dec.offs, uint32(len(dec.vars)))
 	}
 	if r.end(); r.err != nil {
 		return r.err
 	}
-	*rv = dec
+	*rv = *dec
 	return nil
 }
 

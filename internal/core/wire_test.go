@@ -6,9 +6,11 @@ import (
 
 	"distreach/internal/automaton"
 	"distreach/internal/gen"
-	"distreach/internal/graph"
 )
 
+// TestReachPartialRoundTrip: reachability partials — unweighted Rows —
+// survive the codec equation for equation, stay unweighted, and decode
+// into about four times their encoding at most.
 func TestReachPartialRoundTrip(t *testing.T) {
 	rng := gen.NewRNG(51)
 	for trial := 0; trial < 100; trial++ {
@@ -19,33 +21,29 @@ func TestReachPartialRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var back ReachPartial
+			var back Rows
 			if err := back.UnmarshalBinary(data); err != nil {
 				t.Fatal(err)
 			}
-			if back.NumEqs() != rv.NumEqs() {
-				t.Fatalf("equation count changed: %d -> %d", rv.NumEqs(), back.NumEqs())
+			if back.Weighted() || back.ws != nil {
+				t.Fatalf("a reachability partial came back weighted")
 			}
 			// A decoded partial is what the wire coordinator keeps per site:
 			// it must stay near its encoding, whatever its shape.
-			if held := 4*cap(back.nodes) + cap(back.truth) + 4*cap(back.offs) + 4*cap(back.vars); 2*held > 3*len(data) {
-				t.Fatalf("decoded partial holds %d bytes for a %d-byte encoding (want <= 1.5x)", held, len(data))
+			if held := 4*cap(back.nodes) + 4*cap(back.cons) + 4*cap(back.offs) + 4*cap(back.vars); held > 4*len(data)+16 {
+				t.Fatalf("decoded partial holds %d bytes for a %d-byte encoding (want <= 4x)", held, len(data))
 			}
-			for i := 0; i < rv.NumEqs(); i++ {
-				a, b := rv.at(i), back.at(i)
-				if a.node != b.node || a.constTrue != b.constTrue || len(a.vars) != len(b.vars) {
-					t.Fatalf("equation %d changed: %+v vs %+v", i, a, b)
-				}
-				for j := range a.vars {
-					if a.vars[j] != b.vars[j] {
-						t.Fatalf("var %d changed", j)
-					}
-				}
+			if !slices.EqualFunc(boolEqs(rv), boolEqs(&back), func(a, b boolEq) bool {
+				return a.node == b.node && a.truth == b.truth && slices.Equal(a.vars, b.vars)
+			}) {
+				t.Fatalf("equations changed: %+v -> %+v", boolEqs(rv), boolEqs(&back))
 			}
 		}
 	}
 }
 
+// TestDistPartialRoundTrip: distance partials — weighted Rows — survive
+// the codec and solve to the same distances.
 func TestDistPartialRoundTrip(t *testing.T) {
 	rng := gen.NewRNG(52)
 	for trial := 0; trial < 100; trial++ {
@@ -56,12 +54,14 @@ func TestDistPartialRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var back DistPartial
+			var back Rows
 			if err := back.UnmarshalBinary(data); err != nil {
 				t.Fatal(err)
 			}
-			// The decoded partial must solve to the same distances.
-			if a, b := SolveDist([]*DistPartial{rv}, s), SolveDist([]*DistPartial{&back}, s); a != b {
+			if !back.Weighted() {
+				t.Fatalf("a distance partial came back unweighted")
+			}
+			if a, b := SolveDist([]*Rows{rv}, s), SolveDist([]*Rows{&back}, s); a != b {
 				t.Fatalf("solutions differ after round trip: %d vs %d", a, b)
 			}
 		}
@@ -158,44 +158,37 @@ func TestRPQPartialRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	garbage := [][]byte{
-		nil,
-		{},
-		{99},                     // wrong version
-		{1, 255, 255, 255, 255},  // absurd count
-		{1, 2, 0, 0, 0},          // count 2 but no data
-		{1, 1, 0, 0, 0, 7, 0, 0}, // truncated equation
-	}
-	for _, data := range garbage {
-		var rv ReachPartial
-		if err := rv.UnmarshalBinary(data); err == nil {
-			t.Errorf("ReachPartial accepted %v", data)
-		}
-		var dv DistPartial
-		if err := dv.UnmarshalBinary(data); err == nil {
-			t.Errorf("DistPartial accepted %v", data)
-		}
+	for _, data := range [][]byte{nil, {}, {99}} { // empty, wrong version
 		var qv RPQPartial
 		if err := qv.UnmarshalBinary(data); err == nil {
 			t.Errorf("RPQPartial accepted %v", data)
 		}
-		var rv2 Rows
-		if err := rv2.UnmarshalBinary(data); err == nil {
+		var rv Rows
+		if err := rv.UnmarshalBinary(data); err == nil {
 			t.Errorf("Rows accepted %v", data)
 		}
 	}
-	// The compact layouts, each under its own version byte.
+	// Each layout under its own version byte; w is the weighted flag.
 	over := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01} // an 11-byte varint
+	const w = rowsWeighted
 	for _, data := range [][]byte{
-		{rowsVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},                // absurd count
-		{rowsVersion, 2, 0, 0, 0},                                  // count 2, one equation
-		{rowsVersion, 1, 0, 0, 0xFF, 0xFF, 0x03},                   // absurd disjunct count
-		{rowsVersion, 1, 0, 0, 1, 5},                               // truncated disjunct
-		{rowsVersion, 1, 3, 0, 0},                                  // node below zero
-		{rowsVersion, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0},       // constant beyond int32
-		{rowsVersion, 1, 0, 0, 1, 5, 0x80, 0x80, 0x80, 0x80, 0x10}, // weight beyond int32
-		append([]byte{rowsVersion, 1}, over...),                    // overlong node
-		{rowsVersion, 0, 0},                                        // trailing byte
+		{rowsVersion, w, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},                // absurd count
+		{rowsVersion, w, 2, 0, 0, 0},                                  // count 2, one equation
+		{rowsVersion, w, 1, 0, 0, 0xFF, 0xFF, 0x03},                   // absurd disjunct count
+		{rowsVersion, w, 1, 0, 0, 1, 5},                               // truncated disjunct: weight missing
+		{rowsVersion, 0, 1, 0, 0, 1},                                  // truncated disjunct
+		{rowsVersion, w, 1, 3, 0, 0},                                  // node below zero
+		{rowsVersion, w, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0},       // constant beyond int32
+		{rowsVersion, w, 1, 0, 0, 1, 5, 0x80, 0x80, 0x80, 0x80, 0x10}, // weight beyond int32
+		{rowsVersion, w, 1, 0, 0, 1, 5, 0x80},                         // weighted list truncated mid-weight
+		{rowsVersion, 0, 1, 0, 2, 0},                                  // Boolean constant 1: weights in an unweighted list
+		{rowsVersion, 0, 1, 0, 0, 1, 0x85, 0x00},                      // padded varint: two bytes for 5
+		{rowsVersion, 2, 0},                                           // unknown flag bit
+		{rowsVersion, 0xFF, 0},                                        // every flag bit
+		append([]byte{rowsVersion, w, 1}, over...),                    // overlong node
+		{rowsVersion, w, 0, 0},                                        // trailing byte
+		{1, 1, 0, 0, 1, 5, 3},                                         // version 1: weighted, no flags byte
+		{1, 0},                                                        // version 1, no equations
 	} {
 		var rv Rows
 		if err := rv.UnmarshalBinary(data); err == nil {
@@ -217,5 +210,12 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 			t.Errorf("RPQPartial accepted %v", data)
 		}
 	}
-	_ = graph.None
+	// The shortest forms decode: an empty list of either kind, and a
+	// Boolean equation that is true.
+	for _, data := range [][]byte{{rowsVersion, 0, 0}, {rowsVersion, w, 0}, {rowsVersion, 0, 1, 0, 1, 0}} {
+		var rv Rows
+		if err := rv.UnmarshalBinary(data); err != nil {
+			t.Errorf("Rows rejected %v: %v", data, err)
+		}
+	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func solveVia(fr *fragment.Fragmentation, s, t graph.NodeID, opt *core.Options) bool {
-	partials := make([]*core.ReachPartial, 0, fr.Card())
+	partials := make([]*core.Rows, 0, fr.Card())
 	for _, f := range fr.Fragments() {
 		partials = append(partials, core.LocalEvalReach(f, s, t, opt))
 	}

@@ -29,18 +29,18 @@ func MRdReach(g *graph.Graph, s, t graph.NodeID, mappers int) (bool, Stats, erro
 	for i, f := range fr.Fragments() {
 		inputs = append(inputs, Pair[int, *fragment.Fragment]{Key: i, Value: f})
 	}
-	job := Job[int, *fragment.Fragment, int, *core.ReachPartial, bool]{
-		Map: func(_ int, f *fragment.Fragment, emit func(int, *core.ReachPartial)) {
+	job := Job[int, *fragment.Fragment, int, *core.Rows, bool]{
+		Map: func(_ int, f *fragment.Fragment, emit func(int, *core.Rows)) {
 			emit(1, core.LocalEvalReach(f, s, t, nil))
 		},
-		Reduce: func(_ int, rvsets []*core.ReachPartial) bool {
+		Reduce: func(_ int, rvsets []*core.Rows) bool {
 			return core.SolveReach(rvsets, s)
 		},
 		InputBytes: func(_ int, f *fragment.Fragment) int { return f.EncodedSize() + 12 },
-		InterBytes: func(_ int, rv *core.ReachPartial) int {
+		InterBytes: func(_ int, rv *core.Rows) int {
 			// Boundary-variable space is not in scope here; use a generous
 			// sparse-only estimate.
-			return rv.WireSize(1 << 20)
+			return core.ReachWireSize(rv, 1<<20)
 		},
 		Reducers: 1,
 	}
@@ -71,11 +71,11 @@ func MRdDist(g *graph.Graph, s, t graph.NodeID, l, mappers int) (bool, int64, St
 	for i, f := range fr.Fragments() {
 		inputs = append(inputs, Pair[int, *fragment.Fragment]{Key: i, Value: f})
 	}
-	job := Job[int, *fragment.Fragment, int, *core.DistPartial, int64]{
-		Map: func(_ int, f *fragment.Fragment, emit func(int, *core.DistPartial)) {
+	job := Job[int, *fragment.Fragment, int, *core.Rows, int64]{
+		Map: func(_ int, f *fragment.Fragment, emit func(int, *core.Rows)) {
 			emit(1, core.LocalEvalDist(f, s, t, l))
 		},
-		Reduce: func(_ int, rvsets []*core.DistPartial) int64 {
+		Reduce: func(_ int, rvsets []*core.Rows) int64 {
 			return core.SolveDist(rvsets, s)
 		},
 		InputBytes: func(_ int, f *fragment.Fragment) int { return f.EncodedSize() + 12 },

@@ -53,6 +53,10 @@ import (
 //	             order: owner(s)+1 uvarint | owner(t)+1 uvarint (0: none)
 //	           | count u32 | per query: plen u32 | partial bytes
 //
+// A reach or distance query's partial is a core.Rows list, the layout of
+// the rows section too — unweighted for reach, weighted for distance —
+// and a regex query's a core.RPQPartial; an empty partial says nothing.
+//
 // Boundary rows. A fragment's answer to qr(s, t) and to qbr(s, t, l) is its
 // weighted in-node rows — for every in-node v, the boundary nodes b it
 // reaches locally with no other boundary node in between, each with that
@@ -61,8 +65,10 @@ import (
 // own equation when the site stores s as a non-in-node
 // (core.SourceOnlyReach), and Xv = true for the in-nodes that reach t where
 // the site stores t (core.TargetOnlyReach; shipped with the first query of
-// the batch that names t). For qbr: the same two, weighted and cut at l
-// (core.DistQueryPart). The coordinator keeps each site's rows, and the
+// the batch that names t), without weights. For qbr: the same two,
+// weighted and cut at l (core.DistQueryPart). The coordinator decodes
+// every part once, as the reply arrives, and refuses a distance part
+// without weights. It keeps each site's rows, and the
 // rows section is there only when the batch holds a qr or qbr query and the
 // tag in the request is not the fragment's current (Fragmentation.Instance,
 // Fragment.Generation), read under the read lock the evaluation holds: the
@@ -152,8 +158,10 @@ type BatchAnswer struct {
 // sections with the one optional rows section; version 6 made the rows
 // weighted (core.Rows, one codec for qr and qbr) and a distance query's
 // partial its query part; version 7 added the request's skip section and
-// the reply's stale and owners sections.
-const batchVersion = 7
+// the reply's stale and owners sections; version 8 put reach query parts
+// in the Rows layout too (unweighted), where a fixed-width layout of their
+// own had carried them.
+const batchVersion = 8
 
 // Request flag bits. batchFlagTrace says 16 bytes of trace context follow
 // the rows tag and asks the site to record spans. Bit 1 is retired (it
@@ -795,13 +803,13 @@ type batchSolver struct {
 	// stored later, whose tag the site did not compare — until a reply
 	// ships a newer one. Rows join the walks only once site i's reply says,
 	// at the round's pinned state, that they are its rows.
-	qt    *qtrace // the attempt's trace (nil: untraced); queryRound sets it
-	held  []*siteRows
-	rows  []obs.RowsOutcome      // what each site's reply did about its rows
-	reach [][]*core.ReachPartial // per site, per query: its decoded reach query part (nil: none)
-	parts [][][]byte             // per site, per query: partial bytes
-	fed   []int                  // the sites whose replies to a rows round are in, in arrival order
-	built bool                   // the attempt built a boundary rather than reuse one
+	qt     *qtrace // the attempt's trace (nil: untraced); queryRound sets it
+	held   []*siteRows
+	rows   []obs.RowsOutcome // what each site's reply did about its rows
+	qparts [][]*core.Rows    // per site, per query: its decoded reach or distance query part (nil: none)
+	parts  [][][]byte        // per site, per query: partial bytes, read for regex queries
+	fed    []int             // the sites whose replies to a rows round are in, in arrival order
+	built  bool              // the attempt built a boundary rather than reuse one
 
 	// Derived by sync from held and fed.
 	bnd    *boundary
@@ -847,7 +855,7 @@ func (b *batchSolver) reset() {
 	k := len(b.c.rows)
 	b.held = make([]*siteRows, k)
 	b.rows = make([]obs.RowsOutcome, k)
-	b.reach = make([][]*core.ReachPartial, k)
+	b.qparts = make([][]*core.Rows, k)
 	b.parts = make([][][]byte, k)
 	b.fed = b.fed[:0]
 	b.built = false
@@ -880,16 +888,16 @@ func (b *batchSolver) feed(site int, rep batchReply) error {
 	default:
 		b.rows[site] = obs.RowsHit
 	}
-	reach := make([]*core.ReachPartial, len(b.wire))
+	qparts := make([]*core.Rows, len(b.wire))
 	for j, part := range rep.parts {
-		if b.target[j] >= 0 && len(part) > 0 {
-			reach[j] = new(core.ReachPartial)
-			if err := reach[j].UnmarshalBinary(part); err != nil {
+		if b.wire[j].Class != ClassRPQ && len(part) > 0 {
+			qparts[j] = new(core.Rows)
+			if err := qparts[j].UnmarshalBinary(part); err != nil {
 				return fmt.Errorf("netsite: site %d batch query %d: %w", site, j, err)
 			}
 		}
 	}
-	b.reach[site] = reach
+	b.qparts[site] = qparts
 	b.fed = append(b.fed, site)
 	return nil
 }
@@ -956,10 +964,12 @@ func (b *batchSolver) sync() {
 	}
 	added := b.fed[b.opened:]
 	for _, site := range added {
-		for j, part := range b.reach[site] {
-			for e := 0; e < part.NumEqs(); e++ {
-				node, truth, vars := part.Eq(e)
-				b.eqs[b.target[j]].add(site, node, truth, vars)
+		for j, part := range b.qparts[site] {
+			if ti := b.target[j]; ti >= 0 {
+				for e := 0; e < part.NumEqs(); e++ {
+					node, cons, vars, _ := part.Eq(e)
+					b.eqs[ti].add(site, node, cons, vars)
+				}
 			}
 		}
 	}
@@ -1003,18 +1013,15 @@ func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
 			answers[i] = BatchAnswer{Answer: p.answer, Touched: p.sites()}
 		case ClassDist:
 			parts := make([]*core.Rows, len(b.held))
-			for _, site := range b.fed {
-				if b.parts[site] == nil {
-					continue // vouched for: no query part
-				}
-				if part := b.parts[site][j]; len(part) > 0 {
-					parts[site] = new(core.Rows)
-					if err := parts[site].UnmarshalBinary(part); err != nil {
-						return fmt.Errorf("netsite: site %d batch query %d: %w", site, i, err)
-					}
+			for site, qp := range b.qparts {
+				if qp != nil { // nil: silent, or vouched for with no query part
+					parts[site] = qp[j]
 				}
 			}
-			d, touched := b.bnd.distance(q.S, q.T, q.L, open, parts)
+			d, touched, err := b.bnd.distance(q.S, q.T, q.L, open, parts)
+			if err != nil {
+				return fmt.Errorf("netsite: batch query %d: %w", i, err)
+			}
 			answers[i] = BatchAnswer{Answer: d <= int64(q.L), Dist: d, Touched: touched}
 		case ClassRPQ:
 			partials := make([]*core.RPQPartial, len(b.held))

@@ -14,6 +14,7 @@ import (
 
 	"distreach/internal/automaton"
 	"distreach/internal/bes"
+	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
@@ -411,6 +412,80 @@ func TestBatchMatchesSingleQueryAPI(t *testing.T) {
 	}
 }
 
+// TestBatchSharesTargetEquations: the in-nodes that reach a target are
+// the same for every source, so a site ships them with the first query of
+// a batch that names the target and not again. A warm batch of m reach
+// queries to one target therefore carries that target's equations once
+// per posted site, where m single queries carry them m times: the batch's
+// reply bytes stay below the m singles' less m-1 copies of the equations.
+func TestBatchSharesTargetEquations(t *testing.T) {
+	g := gen.PowerLaw(gen.Config{Nodes: 400, Edges: 1600, Labels: []string{"A"}, Seed: 85})
+	fr, err := fragment.Random(g, 3, 85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The target with the most in-nodes reaching it at its site.
+	var tt graph.NodeID
+	var most []byte
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		part := core.TargetOnlyReach(fr.Fragments()[fr.Owner(v)], v, nil)
+		if part.NumEqs() > 0 {
+			if b, err := part.MarshalBinary(); err != nil {
+				t.Fatal(err)
+			} else if len(b) > len(most) {
+				tt, most = v, b
+			}
+		}
+	}
+	if len(most) < 64 {
+		t.Fatalf("the largest target part is %d bytes: too small to tell", len(most))
+	}
+	const m = 12
+	rng := gen.NewRNG(86)
+	var qs []BatchQuery
+	for len(qs) < m {
+		if s := graph.NodeID(rng.Intn(g.NumNodes())); s != tt {
+			qs = append(qs, BatchQuery{Class: ClassReach, S: s, T: tt})
+		}
+	}
+	co, done := deployFr(t, fr)
+	defer done()
+	co.SetAnytime(false) // every posted site replies
+	batch := func() ([]BatchAnswer, WireStats) {
+		answers, st, err := co.Batch(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answers, st
+	}
+	batch() // cold: every site ships its rows and names the owners
+	var singles int64
+	for _, q := range qs {
+		_, st, err := co.Reach(q.S, q.T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.RowsReplies != 0 {
+			t.Fatalf("single reach(%d,%d) was not warm: %d rows replies", q.S, q.T, st.RowsReplies)
+		}
+		singles += st.BytesReceived
+	}
+	answers, st := batch()
+	if st.RowsReplies != 0 {
+		t.Fatalf("the batch was not warm: %d rows replies", st.RowsReplies)
+	}
+	for i, q := range qs {
+		if want := g.Reachable(q.S, q.T); answers[i].Answer != want {
+			t.Fatalf("reach(%d,%d) = %v, want %v", q.S, q.T, answers[i].Answer, want)
+		}
+	}
+	if limit := singles - (m-1)*int64(len(most)); st.BytesReceived >= limit {
+		t.Fatalf("a warm batch of %d queries to one target received %d bytes; %d singles received %d, so at most %d with the %d-byte target part shipped once",
+			m, st.BytesReceived, m, singles, limit, len(most))
+	}
+	t.Logf("%d queries to one target: batch %d bytes, singles %d bytes, target part %d bytes", m, st.BytesReceived, singles, len(most))
+}
+
 // TestBatchShortCircuits checks the local fast paths: s==t and degenerate
 // bounds answer without any frames, and an all-local batch sends nothing.
 func TestBatchShortCircuits(t *testing.T) {
@@ -565,7 +640,7 @@ func TestBatchLifecycleNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites, addrs, err := ServeFragmentationOpts(fr, SiteOptions{Delay: 300 * time.Millisecond})
+	sites, addrs, err := ServeReplica(fragment.NewReplica(fr), SiteOptions{Delay: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package netsite
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -279,11 +280,7 @@ type targetEqs struct {
 // add records site's equation for node and hands it to the target's
 // probes: one that has already expanded the node takes it in at once, the
 // others when their walk gets there.
-func (te *targetEqs) add(site int, node graph.NodeID, truth bool, vars []graph.NodeID) {
-	cons := int32(core.NoConst)
-	if truth {
-		cons = 0
-	}
+func (te *targetEqs) add(site int, node graph.NodeID, cons int32, vars []graph.NodeID) {
 	x, eq := te.eq(site, node, cons, vars, nil)
 	te.eqs[x] = append(te.eqs[x], eq)
 	for _, p := range te.probes {
@@ -412,7 +409,9 @@ func siteList(touched []bool) []int {
 // query parts they sent (parts[i]: site i's, nil: none): the least weight
 // of a chain of equations from s to Xt = 0 or to a constant term, with the
 // sorted sites owning an equation of a node the search walked. The
-// distance is exact when it is at most l, and bes.Inf otherwise.
+// distance is exact when it is at most l, and bes.Inf otherwise. A query
+// part without weights fails the search: reading its terms as weight 0
+// could report a distance shorter than the graph has.
 //
 // It is Dijkstra's search over the terms lighter than l (the ones
 // LocalEvalDist keeps: no path of length at most l continues past a
@@ -421,10 +420,13 @@ func siteList(touched []bool) []int {
 // Touched covers every node AssembleDist's closure over the same query's
 // full partials covers. The queue is a binary heap rather than a bucket per
 // distance, so no weight a site sends can size it.
-func (b *boundary) distance(s, t graph.NodeID, l int, open []bool, parts []*core.Rows) (int64, []int) {
+func (b *boundary) distance(s, t graph.NodeID, l int, open []bool, parts []*core.Rows) (int64, []int, error) {
 	q := queryNodes{bnd: b}
 	qeqs := make(map[int32][]siteEq)
 	for site, part := range parts {
+		if part != nil && !part.Weighted() {
+			return 0, nil, fmt.Errorf("site %d sent a distance query part without weights", site)
+		}
 		for e := 0; e < part.NumEqs(); e++ {
 			node, cons, vars, ws := part.Eq(e)
 			x, eq := q.eq(site, node, cons, vars, ws)
@@ -507,7 +509,7 @@ func (b *boundary) distance(s, t graph.NodeID, l int, open []bool, parts []*core
 	if best > int64(l) {
 		best = bes.Inf
 	}
-	return best, siteList(touched)
+	return best, siteList(touched), nil
 }
 
 // distQueue is a binary min-heap of (distance, node) pairs, each packed

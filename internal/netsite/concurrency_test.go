@@ -92,7 +92,7 @@ func TestConcurrentThroughputSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites, addrs, err := ServeFragmentationOpts(fr, SiteOptions{Delay: 10 * time.Millisecond})
+	sites, addrs, err := ServeReplica(fragment.NewReplica(fr), SiteOptions{Delay: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSiteDropMidFlightFailsQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites, addrs, err := ServeFragmentationOpts(fr, SiteOptions{Delay: 300 * time.Millisecond})
+	sites, addrs, err := ServeReplica(fragment.NewReplica(fr), SiteOptions{Delay: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ import (
 // must be identical to (a) the naive single-query baselines of
 // internal/baseline — which ship whole fragments and solve centrally, a
 // maximally different code path — and (b) for the reach queries, to
-// core.DisReachBatch, the in-process one-visit-per-batch algorithm the
-// wire protocol mirrors. The frames-per-site bound is asserted on every
-// trial along the way.
+// core.DisReach per query, the in-process algorithm whose equations the
+// wire protocol splits into rows and query parts. The frames-per-site
+// bound is asserted on every trial along the way.
 func TestBatchWireCrossCheck(t *testing.T) {
 	labels := []string{"A", "B", "C"}
 	rng := gen.NewRNG(71)
@@ -62,8 +62,6 @@ func TestBatchWireCrossCheck(t *testing.T) {
 
 		m := 1 + rng.Intn(16)
 		qs := make([]BatchQuery, 0, m)
-		var reachQs []core.Query // the reach subset, for DisReachBatch
-		var reachIdx []int
 		anyWire := false
 		for i := 0; i < m; i++ {
 			q := BatchQuery{
@@ -73,8 +71,6 @@ func TestBatchWireCrossCheck(t *testing.T) {
 			switch i % 3 {
 			case 0:
 				q.Class = ClassReach
-				reachQs = append(reachQs, core.Query{S: q.S, T: q.T})
-				reachIdx = append(reachIdx, i)
 				anyWire = anyWire || q.S != q.T
 			case 1:
 				q.Class = ClassDist
@@ -135,14 +131,14 @@ func TestBatchWireCrossCheck(t *testing.T) {
 			}
 		}
 
-		// (b) The reach subset against the in-process batch algorithm.
-		if len(reachQs) > 0 {
-			res := core.DisReachBatch(cl, fr, reachQs)
-			for j, i := range reachIdx {
-				if answers[i].Answer != res.Answers[j] {
-					t.Fatalf("trial %d query %d: qr(%d,%d) wire=%v DisReachBatch=%v",
-						trial, i, qs[i].S, qs[i].T, answers[i].Answer, res.Answers[j])
-				}
+		// (b) The reach subset against the in-process algorithm.
+		for i, q := range qs {
+			if q.Class != ClassReach {
+				continue
+			}
+			if want := core.DisReach(cl, fr, q.S, q.T, nil).Answer; answers[i].Answer != want {
+				t.Fatalf("trial %d query %d: qr(%d,%d) wire=%v DisReach=%v",
+					trial, i, q.S, q.T, answers[i].Answer, want)
 			}
 		}
 

@@ -77,10 +77,12 @@ func FuzzDecodeFrame(f *testing.F) {
 // FuzzBatchPayload throws arbitrary bytes at every codec of the one query
 // path: the request (flags byte, trace context, per-class queries with the
 // nested automaton codec), the batch reply with its weighted rows section
-// (core.Rows, the codec of distance query parts too) and the span section
-// that heads a query answer. Whatever decodes must re-encode and decode back to the same
-// thing; the rest must be rejected with an error, never a panic or an
-// implausible allocation.
+// and its query parts (core.Rows, the one codec of the rows and of every
+// reach and distance part) and the span section that heads a query answer.
+// Whatever decodes must re-encode and decode back to the same thing — a
+// rows section or part that decodes as core.Rows, to the very same bytes;
+// the rest must be rejected with an error, never a panic or an implausible
+// allocation.
 func FuzzBatchPayload(f *testing.F) {
 	rng := gen.NewRNG(7)
 	a := automaton.Random(rng, 3, 5, []string{"A", "B"})
@@ -138,7 +140,7 @@ func FuzzBatchPayload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	part := new(core.ReachPartial)
+	part := new(core.Rows) // unweighted, as a site ships a reach part
 	part.Append(core.SourceOnlyReach(frag, 0, 7, nil))
 	part.Append(core.TargetOnlyReach(frag, 7, nil))
 	pb, err := part.MarshalBinary()
@@ -155,17 +157,17 @@ func FuzzBatchPayload(f *testing.F) {
 	}
 	miss := batchReply{hasRows: true, tag: rowsTag{fr.Instance(), frag.Generation()}, rows: rb, parts: [][]byte{pb, db, {0xFF}}}
 	hit := batchReply{owners: []int{0, 1, -1, 0}, parts: [][]byte{pb, db, {0xFF}}}
-	f.Add(encodeBatchReply(nil, miss))                                                                                 // the coordinator held no current rows
-	f.Add(encodeBatchReply(nil, hit))                                                                                  // it did: query parts only
-	f.Add(encodeBatchReply(nil, batchReply{stale: []int{1, 3}, owners: []int{2, 2}, parts: [][]byte{nil}}))            // two skipped sites found stale
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb}))                                   // rows and no parts
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: db}))                                   // a section with a constant term
-	f.Add(encodeBatchReply(nil, miss)[:2+rowsTagSize+2])                                                               // truncated rows length
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb[:len(rb)/2]}))                       // truncated rows
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{1, 0xFF, 0xFF, 0xFF, 0x7F}}))    // hostile equation count
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{1, 1, 0, 0, 0xFF, 0xFF, 0x7F}})) // hostile disjunct count
+	f.Add(encodeBatchReply(nil, miss))                                                                                    // the coordinator held no current rows
+	f.Add(encodeBatchReply(nil, hit))                                                                                     // it did: query parts only
+	f.Add(encodeBatchReply(nil, batchReply{stale: []int{1, 3}, owners: []int{2, 2}, parts: [][]byte{nil}}))               // two skipped sites found stale
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb}))                                      // rows and no parts
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: db}))                                      // a section with a constant term
+	f.Add(encodeBatchReply(nil, miss)[:2+rowsTagSize+2])                                                                  // truncated rows length
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb[:len(rb)/2]}))                          // truncated rows
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{2, 1, 0xFF, 0xFF, 0xFF, 0x7F}}))    // hostile equation count
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{2, 1, 1, 0, 0, 0xFF, 0xFF, 0x7F}})) // hostile disjunct count
 	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag,
-		rows: []byte{1, 1, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}})) // overlong weight
+		rows: []byte{2, 1, 1, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}})) // overlong weight
 	f.Add([]byte{batchVersion, 2, 0, 0, 0, 0})              // unknown rows flag
 	f.Add([]byte{batchVersion - 1, 0, 0, 0, 0, 0, 0, 0, 0}) // the previous version's empty reply
 
@@ -216,20 +218,20 @@ func FuzzBatchPayload(f *testing.F) {
 					t.Fatalf("reply part %d drifted", i)
 				}
 			}
-			// What the coordinator does with a rows section: decode, hold,
-			// re-add. The equations must survive that unchanged.
-			rows := new(core.Rows)
-			if rep.hasRows && rows.UnmarshalBinary(rep.rows) == nil {
-				rb, err := rows.MarshalBinary()
-				if err != nil {
-					t.Fatalf("re-marshal of decoded rows failed: %v", err)
+			// The coordinator decodes the rows section and every reach or
+			// distance part once and keeps the equations: whatever decodes
+			// must be exactly what the bytes said.
+			sections := rep.parts
+			if rep.hasRows {
+				sections = append(slices.Clip(sections), rep.rows)
+			}
+			for i, sec := range sections {
+				rv := new(core.Rows)
+				if rv.UnmarshalBinary(sec) != nil {
+					continue
 				}
-				rows2 := new(core.Rows)
-				if err := rows2.UnmarshalBinary(rb); err != nil {
-					t.Fatalf("decode of re-encoded rows failed: %v", err)
-				}
-				if rb2, err := rows2.MarshalBinary(); err != nil || !bytes.Equal(rb2, rb) {
-					t.Fatalf("rows drifted on round trip: %v", err)
+				if b, err := rv.MarshalBinary(); err != nil || !bytes.Equal(b, sec) {
+					t.Fatalf("section %d decodes as Rows but re-encodes as %x, not %x (%v)", i, b, sec, err)
 				}
 			}
 		}

@@ -20,7 +20,7 @@ func evalInProc(fr *fragment.Fragmentation, s, t graph.NodeID, opt *core.Options
 		return true
 	}
 	fr.RLock()
-	partials := make([]*core.ReachPartial, 0, fr.Card())
+	partials := make([]*core.Rows, 0, fr.Card())
 	for _, f := range fr.Fragments() {
 		partials = append(partials, core.LocalEvalReach(f, s, t, opt))
 	}
@@ -151,7 +151,7 @@ func TestIndexChurnCrossCheck(t *testing.T) {
 				cg := cur.Graph()
 				cur.RLock()
 				s, tt := pickLive(qrng, cg), pickLive(qrng, cg)
-				var indexed, direct []*core.ReachPartial
+				var indexed, direct []*core.Rows
 				for _, f := range cur.Fragments() {
 					indexed = append(indexed, core.LocalEvalReach(f, s, tt, nil))
 					direct = append(direct, core.LocalEvalReach(f, s, tt, &core.Options{NoFragmentIndex: true}))

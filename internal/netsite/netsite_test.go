@@ -10,6 +10,7 @@ import (
 
 	"distreach/internal/automaton"
 	"distreach/internal/bes"
+	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
@@ -363,6 +364,73 @@ func TestPartialFrameFailsRound(t *testing.T) {
 	_, _, err = co.ReachContext(ctx, 0, 9)
 	if err == nil || !strings.Contains(err.Error(), `unexpected frame kind 'P'`) {
 		t.Fatalf("a 'P' reply returned %v, want an error naming the kind", err)
+	}
+	if n := co.pendingTotal(); n != 0 {
+		t.Fatalf("%d pending entries after the failed round", n)
+	}
+}
+
+// TestUnweightedDistancePartFailsRound: a distance query part must carry
+// weights. A site that answers qbr(0, 9, 5) on the path 0 -> 1 -> ... -> 9
+// with a Boolean part — X0 = true, the reach part for (0, 9), which read
+// with weights 0 would say dist(0, 9) = 0 — fails the round with an error,
+// never an answer.
+func TestUnweightedDistancePartFailsRound(t *testing.T) {
+	b := graph.NewBuilder(10)
+	b.AddNodes(10, "")
+	for v := graph.NodeID(0); v < 9; v++ {
+		b.AddEdge(v, v+1)
+	}
+	fr, err := fragment.Random(b.MustBuild(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fr.Fragments()[0]
+	rb, err := core.LocalRows(f, nil).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reachPart := core.SourceOnlyReach(f, 0, 9, nil)
+	if reachPart.NumEqs() != 1 || reachPart.Weighted() || !reachPart.HasConst() {
+		t.Fatalf("the reach part of (0, 9) is not the Boolean X0 = true")
+	}
+	pb, err := reachPart.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			id, _, _, _, err := readFrame(conn)
+			if err != nil {
+				return
+			}
+			body := encodeBatchReply(obs.AppendWireSpans(nil, nil), batchReply{
+				hasRows: true, tag: rowsTag{fr.Instance(), f.Generation()}, rows: rb,
+				owners: []int{0, 0}, parts: [][]byte{pb},
+			})
+			if _, err := writeFrame(conn, id, kindAnswer, tagged(0, 0, body)); err != nil {
+				return
+			}
+		}
+	}()
+	co, err := Dial([]string{ln.Addr().String()}, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	ok, d, _, err := co.ReachWithin(0, 9, 5)
+	if err == nil || !strings.Contains(err.Error(), "without weights") {
+		t.Fatalf("qbr(0, 9, 5) over an unweighted part = %v/%d, %v; want an error", ok, d, err)
 	}
 	if n := co.pendingTotal(); n != 0 {
 		t.Fatalf("%d pending entries after the failed round", n)

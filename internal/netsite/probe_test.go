@@ -22,7 +22,7 @@ type probeState struct {
 	state uint64 // tells the stale copies of one state from another's
 	wire  []BatchQuery
 	rows  []*siteRows
-	parts [][]partial
+	parts [][]*core.Rows
 }
 
 // probeRound runs one round of the coordinator's solver over st: the sites
@@ -124,9 +124,9 @@ func TestProbeMatchesEquationSystem(t *testing.T) {
 		}
 		co := &Coordinator{rows: make([]atomic.Pointer[siteRows], k)}
 		// One reach batch, one distance batch over the same rows.
-		st := &probeState{g: fr.Graph(), rows: make([]*siteRows, k), parts: make([][]partial, k)}
-		dt := &probeState{g: st.g, rows: st.rows, parts: make([][]partial, k)}
-		full := make([][]*core.DistPartial, k) // per site, per distance query: LocalEvalDist's partial
+		st := &probeState{g: fr.Graph(), rows: make([]*siteRows, k), parts: make([][]*core.Rows, k)}
+		dt := &probeState{g: st.g, rows: st.rows, parts: make([][]*core.Rows, k)}
+		full := make([][]*core.Rows, k) // per site, per distance query: LocalEvalDist's partial
 		for s := 0; s < n; s++ {
 			for tt := 0; tt < n; tt++ {
 				if s != tt {
@@ -167,7 +167,7 @@ func TestProbeMatchesEquationSystem(t *testing.T) {
 				}
 				st.parts[i] = queryParts(f, st.wire)
 				dt.parts[i] = queryParts(f, dt.wire)
-				full[i] = make([]*core.DistPartial, len(dt.wire))
+				full[i] = make([]*core.Rows, len(dt.wire))
 				for j, q := range dt.wire {
 					full[i][j] = core.LocalEvalDist(f, q.S, q.T, q.L)
 				}
@@ -187,7 +187,7 @@ func TestProbeMatchesEquationSystem(t *testing.T) {
 					for _, site := range order {
 						st.rows[site].rv.AddToSystemFrom(site, sys)
 						for _, j := range js {
-							st.parts[site][j].(*core.ReachPartial).AddToSystemFrom(site, sys)
+							st.parts[site][j].AddToSystemFrom(site, sys)
 						}
 					}
 					for _, j := range js {
@@ -207,7 +207,7 @@ func TestProbeMatchesEquationSystem(t *testing.T) {
 					}
 				}
 				answers = probeRound(t, co, dt, order, hit, false)
-				replied := make([]*core.DistPartial, k)
+				replied := make([]*core.Rows, k)
 				for j, q := range dt.wire {
 					for _, site := range order {
 						replied[site] = full[site][j]
@@ -266,7 +266,7 @@ func TestRowsCacheKeepsNewerGeneration(t *testing.T) {
 		{3, rowsTag{9, 1}, rowsTag{9, 1}}, // another instance
 	} {
 		rows := &siteRows{tag: c.tag, rv: new(core.Rows)}
-		if _, err := feedBody(rounds[c.round], 0, replyBody(t, []partial{(*core.ReachPartial)(nil)}, rows)); err != nil {
+		if _, err := feedBody(rounds[c.round], 0, replyBody(t, []*core.Rows{nil}, rows)); err != nil {
 			t.Fatal(err)
 		}
 		if got := co.rows[0].Load().tag; got != c.want {
@@ -337,7 +337,7 @@ func TestBoundaryBuildTraced(t *testing.T) {
 func TestDistanceHugeWeights(t *testing.T) {
 	const w = 1 << 29
 	chain := func(from, to graph.NodeID) *core.Rows { // Xv <= Xv+1 + w for v in [from, to)
-		b := binary.AppendUvarint([]byte{1}, uint64(to-from)) // version, equations
+		b := binary.AppendUvarint([]byte{2, 1}, uint64(to-from)) // version, weighted, equations
 		prev := graph.NodeID(0)
 		for v := from; v < to; v++ {
 			b = binary.AppendUvarint(b, uint64(v-prev)<<1) // node: a zigzag delta
@@ -355,10 +355,10 @@ func TestDistanceHugeWeights(t *testing.T) {
 	bnd := buildBoundary([]*siteRows{{tag: rowsTag{1, 1}, rv: chain(1, 4)}})
 	part := chain(0, 1)
 	l := math.MaxInt32
-	if d, touched := bnd.distance(0, 3, l, []bool{true}, []*core.Rows{part}); d != 3*w || !slices.Equal(touched, []int{0}) {
-		t.Fatalf("dist(0,3) over three hops of %d = %d, touched %v; want %d, [0]", w, d, touched, 3*w)
+	if d, touched, err := bnd.distance(0, 3, l, []bool{true}, []*core.Rows{part}); err != nil || d != 3*w || !slices.Equal(touched, []int{0}) {
+		t.Fatalf("dist(0,3) over three hops of %d = %d, touched %v, %v; want %d, [0]", w, d, touched, err, 3*w)
 	}
-	if d, _ := bnd.distance(0, 4, l, []bool{true}, []*core.Rows{part}); d != bes.Inf {
-		t.Fatalf("dist(0,4) = 2^31 beyond the bound 2^31-1: got %d, want Inf", d)
+	if d, _, err := bnd.distance(0, 4, l, []bool{true}, []*core.Rows{part}); err != nil || d != bes.Inf {
+		t.Fatalf("dist(0,4) = 2^31 beyond the bound 2^31-1: got %d, %v; want Inf", d, err)
 	}
 }

@@ -55,9 +55,10 @@
 // holds none. A site whose fragment is still at that tag answers with the
 // query parts alone — per reach query, the source's equation and the
 // in-nodes that reach the target; per distance query, the same weighted
-// and cut at its bound: a few dozen bytes — and otherwise ships its rows,
-// once for the whole batch, tagged with the state they were computed at,
-// ahead of the same query parts; the coordinator replaces its copy. Every
+// and cut at its bound: a few dozen bytes, in the rows' own layout
+// (core.Rows), with no weights on a reach part — and otherwise ships its
+// rows, once for the whole batch, tagged with the state they were computed
+// at, ahead of the same query parts; the coordinator replaces its copy. Every
 // mutation bumps the generation of the fragments it dirties and every new
 // fragmentation draws a new instance ID (batch.go says why that makes a
 // match safe), so a miss is answered in the frame that reports it: no

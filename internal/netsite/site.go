@@ -22,17 +22,14 @@ import (
 // request owes no response at all, so the worker writes nothing.
 var errCancelled = errors.New("netsite: request cancelled")
 
-// defaultWorkers bounds the per-connection worker pool when SiteOptions
-// leaves Workers zero: enough to keep a multiplexing coordinator busy
-// without letting one connection monopolize the site.
-const defaultWorkers = 8
+// workers bounds the per-connection worker pool — how many frames from one
+// coordinator connection evaluate concurrently: enough to keep a
+// multiplexing coordinator busy without letting one connection monopolize
+// the site.
+const workers = 8
 
 // SiteOptions tunes a Site at construction time.
 type SiteOptions struct {
-	// Workers bounds the per-connection worker pool: how many frames from
-	// one coordinator connection evaluate concurrently. 0 means the
-	// default (8).
-	Workers int
 	// Delay adds an artificial pause before each local evaluation. It
 	// emulates slower sites (WAN deployments, loaded machines) and gives
 	// tests a deterministic per-query service time; 0 disables it.
@@ -90,11 +87,10 @@ func newSiteMetrics(r *obs.Registry) *siteMetrics {
 // created by ServeFragmentation share one Replica, which makes broadcast
 // updates and rebalances idempotent across them.
 type Site struct {
-	rep     *fragment.Replica
-	fragID  int
-	ln      net.Listener
-	workers int
-	delay   time.Duration
+	rep    *fragment.Replica
+	fragID int
+	ln     net.Listener
+	delay  time.Duration
 
 	store     *oplog.Store
 	snapEvery int
@@ -131,15 +127,10 @@ func NewSiteReplica(addr string, rep *fragment.Replica, fragID int, o SiteOption
 	if err != nil {
 		return nil, fmt.Errorf("netsite: %w", err)
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = defaultWorkers
-	}
 	s := &Site{
 		rep:       rep,
 		fragID:    fragID,
 		ln:        ln,
-		workers:   workers,
 		delay:     o.Delay,
 		store:     o.Store,
 		snapEvery: o.SnapshotEvery,
@@ -275,7 +266,7 @@ func (s *Site) serveConn(conn net.Conn) error {
 		broken atomic.Bool // a response write failed; drain without writing
 		wg     sync.WaitGroup
 	)
-	for w := 0; w < s.workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -583,7 +574,7 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 			if !asked[q.T] {
 				asked[q.T] = true
 				if part == nil {
-					part = new(core.ReachPartial)
+					part = new(core.Rows)
 				}
 				part.Append(core.TargetOnlyReach(frag, q.T, opt))
 			}
@@ -653,13 +644,7 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 // share one Replica, so broadcast updates and rebalances apply once.
 // Callers must Close every site.
 func ServeFragmentation(fr *fragment.Fragmentation) ([]*Site, []string, error) {
-	return ServeFragmentationOpts(fr, SiteOptions{})
-}
-
-// ServeFragmentationOpts is ServeFragmentation with explicit site options.
-func ServeFragmentationOpts(fr *fragment.Fragmentation, o SiteOptions) ([]*Site, []string, error) {
-	rep := fragment.NewReplica(fr)
-	return ServeReplica(rep, o)
+	return ServeReplica(fragment.NewReplica(fr), SiteOptions{})
 }
 
 // ServeReplica starts one Site per fragment of the given shared replica on

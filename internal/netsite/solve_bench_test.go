@@ -19,19 +19,12 @@ func rowsOf(fr *fragment.Fragmentation, i int) *siteRows {
 	}
 }
 
-// partial is one query's part of a site's reply: a *core.ReachPartial or a
-// *core.Rows (either may be nil: nothing to say).
-type partial interface {
-	NumEqs() int
-	MarshalBinary() ([]byte, error)
-}
-
 // queryParts is a site's query parts for a batch of reach and distance
 // queries, as Site.handleBatch computes them: per reach query, s's
 // equation where the site stores s, and with the first query naming a
 // target the in-nodes that reach it; per distance query, core.DistQueryPart.
-func queryParts(f *fragment.Fragment, qs []BatchQuery) []partial {
-	parts := make([]partial, len(qs))
+func queryParts(f *fragment.Fragment, qs []BatchQuery) []*core.Rows {
+	parts := make([]*core.Rows, len(qs))
 	asked := make(map[graph.NodeID]bool)
 	for j, q := range qs {
 		if q.Class == ClassDist {
@@ -42,7 +35,7 @@ func queryParts(f *fragment.Fragment, qs []BatchQuery) []partial {
 		if !asked[q.T] {
 			asked[q.T] = true
 			if part == nil {
-				part = new(core.ReachPartial)
+				part = new(core.Rows)
 			}
 			part.Append(core.TargetOnlyReach(f, q.T, nil))
 		}
@@ -51,9 +44,9 @@ func queryParts(f *fragment.Fragment, qs []BatchQuery) []partial {
 	return parts
 }
 
-// replyBody encodes a reply body carrying the parts and, when rows is
-// non-nil, the rows section.
-func replyBody(tb testing.TB, parts []partial, rows *siteRows) []byte {
+// replyBody encodes a reply body carrying the parts (nil or empty: nothing
+// to say) and, when rows is non-nil, the rows section.
+func replyBody(tb testing.TB, parts []*core.Rows, rows *siteRows) []byte {
 	rep := batchReply{parts: make([][]byte, len(parts))}
 	var err error
 	for j, p := range parts {
@@ -212,9 +205,9 @@ func BenchmarkWarmDistSolve(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			encs := full[i%len(full)]
-			partials := make([]*core.DistPartial, len(encs))
+			partials := make([]*core.Rows, len(encs))
 			for site, enc := range encs {
-				partials[site] = new(core.DistPartial)
+				partials[site] = new(core.Rows)
 				if err := partials[site].UnmarshalBinary(enc); err != nil {
 					b.Fatal(err)
 				}

@@ -487,7 +487,7 @@ func TestSnapshotRecoverWarm(t *testing.T) {
 	rng := gen.NewRNG(72)
 	for q := 0; q < 200; q++ {
 		s, tt := graph.NodeID(rng.Intn(cg.NumNodes())), graph.NodeID(rng.Intn(cg.NumNodes()))
-		var partials []*core.ReachPartial
+		var partials []*core.Rows
 		for _, f := range cur.Fragments() {
 			partials = append(partials, core.LocalEvalReach(f, s, tt, nil))
 		}
