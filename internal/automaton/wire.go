@@ -10,6 +10,10 @@ import (
 //
 //	version u8 | nstates u32 | per state: labelLen u32, label bytes |
 //	ntrans u32 | per transition: from u32, to u32
+//
+// The decoder accepts only what MarshalBinary writes — Start and Final
+// unlabelled, transitions in strictly ascending (from, to) order, nothing
+// after them — so whatever decodes re-encodes to the same bytes.
 const wireVersion = 1
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -82,6 +86,9 @@ func (a *Automaton) UnmarshalBinary(data []byte) error {
 	if int(nt)*8 > len(data)-off {
 		return fmt.Errorf("automaton: implausible transition count %d", nt)
 	}
+	if labels[Start] != "" || labels[Final] != "" {
+		return fmt.Errorf("automaton: labelled Start or Final state")
+	}
 	edges := make([][2]int, 0, nt)
 	for i := 0; i < int(nt); i++ {
 		from, err := u32()
@@ -92,7 +99,14 @@ func (a *Automaton) UnmarshalBinary(data []byte) error {
 		if err != nil {
 			return err
 		}
-		edges = append(edges, [2]int{int(from), int(to)})
+		e := [2]int{int(from), int(to)}
+		if i > 0 && (e[0] < edges[i-1][0] || e[0] == edges[i-1][0] && e[1] <= edges[i-1][1]) {
+			return fmt.Errorf("automaton: transitions out of order")
+		}
+		edges = append(edges, e)
+	}
+	if off != len(data) {
+		return fmt.Errorf("automaton: %d trailing bytes", len(data)-off)
 	}
 	dec, err := New(labels[2:], edges)
 	if err != nil {

@@ -24,34 +24,41 @@ import (
 // and one reply per posted site, independent of k, and no site is posted
 // twice in one attempt. A single query is a batch of one.
 //
-// Request payload (little-endian):
+// Request payload (fixed-width fields little-endian; every varint in its
+// shortest form):
 //
-//	version u8 | flags u8 | rows tag (instance u64 | generation u64)
-//	| [trace ID u64 | parent span ID u64] | count u32
-//	| per query:
-//	  class u8 ('r'|'b'|'q') | s u32 | t u32
-//	  class 'b' adds: l u32
-//	  class 'q' adds: alen u32 | automaton bytes
-//	| [skip section: instance u64 | n uvarint (>= 1)
-//	  | per skipped site, ascending: site uvarint | generation uvarint]
+//	head:   version u8 | flags u8 | instance u64
+//	        | generation+1 uvarint (0: no rows held)
+//	        | [trace ID u64 | parent span ID u64]
+//	shared: count uvarint
+//	        | per query:
+//	          class u8 ('r'|'b'|'q') | s uvarint | t uvarint (<= i32)
+//	          class 'b' adds: l uvarint (<= u32)
+//	          class 'q' adds: alen uvarint | automaton bytes
+//	        | [skip section: n uvarint (>= 1)
+//	          | per skipped site, ascending: site uvarint | generation uvarint]
 //
 // flags carries batchFlagTrace: the bracketed trace context is present and
-// the site records spans for the reply's span section. The rows tag names the copy of
-// this site's boundary rows the coordinator holds (all zero: none); it and
-// the parent span are the per-site fields, patched into each site's copy of
-// the payload. The skip section, present only when the attempt leaves
-// sites out, names the rows the coordinator holds for each of them (see
-// Routing below).
+// the site records spans for the reply's span section. The head is each
+// site's own: (instance, generation) is the rows tag naming the copy of
+// this site's boundary rows the coordinator holds, and the parent span the
+// site's rpc span. The shared section is encoded once per round, and each
+// posted site's frame is its head followed by those bytes. The skip
+// section, present only when the attempt leaves sites out, names the rows
+// the coordinator holds for each of them (see Routing below); the
+// fragmentation instance it stands on is the head's, which routing only
+// skips under when every held tag names it — also when the coordinator
+// holds no rows for the receiving site itself.
 //
 // Reply payload, after the (epoch, lsn) tag and the span section every
 // query answer carries (see protocol.go):
 //
 //	version u8 | rows u8 (0|1)
-//	           | [instance u64 | generation u64 | rlen u32 | rows bytes]
+//	           | [instance u64 | generation uvarint | rlen uvarint | rows]
 //	           | nstale uvarint | per stale skipped site: site uvarint
 //	           | nowners uvarint | per reach or distance query, in batch
 //	             order: owner(s)+1 uvarint | owner(t)+1 uvarint (0: none)
-//	           | count u32 | per query: plen u32 | partial bytes
+//	           | count uvarint | per query: plen uvarint | partial bytes
 //
 // A reach or distance query's partial is a core.Rows list, the layout of
 // the rows section too — unweighted for reach, weighted for distance —
@@ -160,8 +167,11 @@ type BatchAnswer struct {
 // partial its query part; version 7 added the request's skip section and
 // the reply's stale and owners sections; version 8 put reach query parts
 // in the Rows layout too (unweighted), where a fixed-width layout of their
-// own had carried them.
-const batchVersion = 8
+// own had carried them; version 9 made every count, length, node ID,
+// bound and generation a varint, wrote the instance once (in the request
+// head, which the skip section shares) and encodes the shared section once
+// per round.
+const batchVersion = 9
 
 // Request flag bits. batchFlagTrace says 16 bytes of trace context follow
 // the rows tag and asks the site to record spans. Bit 1 is retired (it
@@ -175,43 +185,59 @@ type rowsTag struct {
 	instance, gen uint64
 }
 
-// rowsTagSize is the tag's wire size: instance u64 | generation u64.
-const rowsTagSize = 16
-
-// put writes the tag's wire form over b[:rowsTagSize].
-func (t rowsTag) put(b []byte) {
-	binary.LittleEndian.PutUint64(b, t.instance)
-	binary.LittleEndian.PutUint64(b[8:], t.gen)
-}
-
-// readRowsTag decodes a tag.
-func readRowsTag(r *oplog.Cursor) (t rowsTag, err error) {
-	if t.instance, err = r.U64(); err == nil {
-		t.gen, err = r.U64()
-	}
-	return t, err
-}
-
-// batchHeader is the decoded head of a query request: what the flags byte
-// says, the tag of the rows the coordinator holds for the receiving site,
-// plus the trace context when traced. The site never interprets the two
-// IDs — its spans hang off the coordinator's rpc span implicitly — but they
-// make a captured frame attributable to its trace.
+// batchHeader is the decoded head of a query request — what the flags
+// byte says, the fragmentation instance, whether the coordinator holds
+// rows for the receiving site and at which generation, plus the trace
+// context when traced — and its skip section. The site never interprets
+// the two trace IDs — its spans hang off the coordinator's rpc span
+// implicitly — but they make a captured frame attributable to its trace.
 type batchHeader struct {
 	traced        bool
-	rows          rowsTag
+	instance      uint64
+	held          bool
+	gen           uint64
 	traceID, span uint64
 	skip          skipList
 }
 
-// skipList is a request's skip section: the fragmentation instance every
-// tag the coordinator holds names, and the sites the attempt left out, in
+// rows is the tag of the rows the coordinator holds for the receiving
+// site; the zero tag when it holds none.
+func (h batchHeader) rows() rowsTag {
+	if !h.held {
+		return rowsTag{}
+	}
+	return rowsTag{h.instance, h.gen}
+}
+
+// batchHeadMax bounds the encoded head of a query request.
+const batchHeadMax = 2 + 8 + binary.MaxVarintLen64 + 16
+
+// appendBatchHead appends the head of a query request: everything before
+// the shared section.
+func appendBatchHead(b []byte, h batchHeader) []byte {
+	var flags byte
+	if h.traced {
+		flags = batchFlagTrace
+	}
+	b = binary.LittleEndian.AppendUint64(append(b, batchVersion, flags), h.instance)
+	var held uint64
+	if h.held {
+		held = h.gen + 1
+	}
+	b = binary.AppendUvarint(b, held)
+	if h.traced {
+		b = binary.LittleEndian.AppendUint64(b, h.traceID)
+		b = binary.LittleEndian.AppendUint64(b, h.span)
+	}
+	return b
+}
+
+// skipList is a request's skip section: the sites the attempt left out, in
 // ascending order, each with the generation of the rows held for it. The
 // zero value is no section.
 type skipList struct {
-	instance uint64
-	sites    []int
-	gens     []uint64
+	sites []int
+	gens  []uint64
 }
 
 // appendSkip writes the skip section; nothing when no site was skipped.
@@ -219,7 +245,6 @@ func appendSkip(b []byte, sk skipList) []byte {
 	if len(sk.sites) == 0 {
 		return b
 	}
-	b = binary.LittleEndian.AppendUint64(b, sk.instance)
 	b = binary.AppendUvarint(b, uint64(len(sk.sites)))
 	for i, site := range sk.sites {
 		b = binary.AppendUvarint(b, uint64(site))
@@ -231,9 +256,6 @@ func appendSkip(b []byte, sk skipList) []byte {
 // readSkip decodes a skip section: at least one site, strictly ascending,
 // each a plausible site index.
 func readSkip(r *oplog.Cursor) (sk skipList, err error) {
-	if sk.instance, err = r.U64(); err != nil {
-		return sk, err
-	}
 	n, err := readUvarintCount(r, 2) // site + generation at minimum
 	if err != nil {
 		return sk, err
@@ -272,8 +294,8 @@ func readSite(r *oplog.Cursor) (int, error) {
 	return int(v), nil
 }
 
-// readUvarintCount decodes a varint item count, guarding it as readCount
-// does.
+// readUvarintCount decodes a varint item count, guarding it: each item
+// occupies at least min bytes of the remaining buffer.
 func readUvarintCount(r *oplog.Cursor, min int) (int, error) {
 	n, err := r.Uvarint()
 	if err != nil {
@@ -283,6 +305,28 @@ func readUvarintCount(r *oplog.Cursor, min int) (int, error) {
 		return 0, fmt.Errorf("netsite: implausible count %d with %d bytes left", n, r.Remaining())
 	}
 	return int(n), nil
+}
+
+// readBlob decodes a uvarint-length-prefixed byte section (a view, not a
+// copy).
+func readBlob(r *oplog.Cursor) ([]byte, error) {
+	n, err := r.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("netsite: section of %d bytes with %d left", n, r.Remaining())
+	}
+	return r.Bytes(uint32(n))
+}
+
+// readUint decodes a uvarint no larger than max.
+func readUint(r *oplog.Cursor, max uint64, what string) (uint64, error) {
+	v, err := r.Uvarint()
+	if err == nil && v > max {
+		err = fmt.Errorf("netsite: %s %d out of range", what, v)
+	}
+	return v, err
 }
 
 // maxBatch bounds the declared per-payload query count against hostile
@@ -302,47 +346,18 @@ func readVersion(r *oplog.Cursor, want byte, what string) error {
 	return nil
 }
 
-// readCount decodes an item count, guarding it: each item occupies at
-// least min bytes of the remaining buffer.
-func readCount(r *oplog.Cursor, min int) (int, error) {
-	n, err := r.U32()
-	if err != nil {
-		return 0, err
-	}
-	if n > maxBatch || uint64(n)*uint64(min) > uint64(r.Remaining()) {
-		return 0, fmt.Errorf("netsite: implausible count %d with %d bytes left", n, r.Remaining())
-	}
-	return int(n), nil
-}
-
-// readBlob decodes a length-prefixed byte section (a view, not a copy).
-func readBlob(r *oplog.Cursor) ([]byte, error) {
-	n, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	return r.Bytes(n)
-}
-
-// encodeBatchRequest packs a mixed-class query batch into one payload.
-func encodeBatchRequest(qs []BatchQuery, h batchHeader) ([]byte, error) {
-	b := []byte{batchVersion, 0}
-	b = append(b, make([]byte, rowsTagSize)...)
-	h.rows.put(b[tagOffset:])
-	if h.traced {
-		b[1] |= batchFlagTrace
-		b = binary.LittleEndian.AppendUint64(b, h.traceID)
-		b = binary.LittleEndian.AppendUint64(b, h.span)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(qs)))
+// appendQueries appends the section of a query request every posted site
+// shares, skip section aside: the count and the queries.
+func appendQueries(b []byte, qs []BatchQuery) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(qs)))
 	for i, q := range qs {
 		b = append(b, byte(q.Class))
-		b = binary.LittleEndian.AppendUint32(b, uint32(q.S))
-		b = binary.LittleEndian.AppendUint32(b, uint32(q.T))
+		b = binary.AppendUvarint(b, uint64(q.S))
+		b = binary.AppendUvarint(b, uint64(q.T))
 		switch q.Class {
 		case ClassReach:
 		case ClassDist:
-			b = binary.LittleEndian.AppendUint32(b, uint32(q.L))
+			b = binary.AppendUvarint(b, uint64(q.L))
 		case ClassRPQ:
 			if q.A == nil {
 				return nil, fmt.Errorf("netsite: batch query %d: nil automaton", i)
@@ -351,26 +366,19 @@ func encodeBatchRequest(qs []BatchQuery, h batchHeader) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(ab)))
+			b = binary.AppendUvarint(b, uint64(len(ab)))
 			b = append(b, ab...)
 		default:
 			return nil, fmt.Errorf("netsite: batch query %d: unknown class %q", i, byte(q.Class))
 		}
 	}
-	return appendSkip(b, h.skip), nil
+	return b, nil
 }
 
-// tagOffset and spanOffset are where the rows tag (after version and flags)
-// and, in a traced request, the parent span ID (after the tag and the trace
-// ID) sit in the payload: the fields that differ per site, patched into
-// each site's copy of the shared payload.
-const (
-	tagOffset  = 2
-	spanOffset = tagOffset + rowsTagSize + 8
-)
-
-// decodeBatchRequest is the inverse of encodeBatchRequest. Unknown flag
-// bits are rejected so the codec stays an identity under fuzzing.
+// decodeBatchRequest decodes a query request: its head, its queries and
+// its skip section. Unknown flag bits, and IDs and bounds the encoder
+// could not have written, are rejected so the codec stays an identity
+// under fuzzing.
 func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 	var h batchHeader
 	r := oplog.NewCursor(p)
@@ -384,8 +392,15 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 	if flags&^byte(batchFlagTrace) != 0 {
 		return nil, h, fmt.Errorf("netsite: unknown batch flags %#x", flags)
 	}
-	if h.rows, err = readRowsTag(r); err != nil {
+	if h.instance, err = r.U64(); err != nil {
 		return nil, h, err
+	}
+	held, err := readUint(r, math.MaxUint64-1, "held generation+1")
+	if err != nil {
+		return nil, h, err
+	}
+	if h.held = held > 0; h.held {
+		h.gen = held - 1
 	}
 	if h.traced = flags&batchFlagTrace != 0; h.traced {
 		if h.traceID, err = r.U64(); err != nil {
@@ -395,7 +410,7 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 			return nil, h, err
 		}
 	}
-	n, err := readCount(r, 9) // class + s + t at minimum
+	n, err := readUvarintCount(r, 3) // class + s + t at minimum
 	if err != nil {
 		return nil, h, err
 	}
@@ -405,11 +420,11 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 		if err != nil {
 			return nil, h, err
 		}
-		s, err := r.U32()
+		s, err := readUint(r, math.MaxInt32, "node")
 		if err != nil {
 			return nil, h, err
 		}
-		t, err := r.U32()
+		t, err := readUint(r, math.MaxInt32, "node")
 		if err != nil {
 			return nil, h, err
 		}
@@ -417,7 +432,7 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 		switch q.Class {
 		case ClassReach:
 		case ClassDist:
-			l, err := r.U32()
+			l, err := readUint(r, math.MaxUint32, "distance bound")
 			if err != nil {
 				return nil, h, err
 			}
@@ -459,24 +474,28 @@ type batchReply struct {
 	parts   [][]byte // per batched query: its marshaled partial (empty: nothing to add)
 }
 
+// size bounds the reply's encoded size.
+func (rep batchReply) size() int {
+	const v = binary.MaxVarintLen32 // a count, length or site index
+	n := 2 + 3*v + v*(len(rep.stale)+len(rep.owners))
+	if rep.hasRows {
+		n += 8 + binary.MaxVarintLen64 + v + len(rep.rows)
+	}
+	for _, p := range rep.parts {
+		n += v + len(p)
+	}
+	return n
+}
+
 // encodeBatchReply appends the reply to b (the query answer's span section).
 func encodeBatchReply(b []byte, rep batchReply) []byte {
-	size := 1 + 1 + 2 + 4 // version, rows flag, the two varint counts, query count
-	if rep.hasRows {
-		size += rowsTagSize + 4 + len(rep.rows)
-	}
-	size += len(rep.stale) + len(rep.owners)
-	for _, p := range rep.parts {
-		size += 4 + len(p)
-	}
-	b = append(slices.Grow(b, size), batchVersion)
+	b = append(slices.Grow(b, rep.size()), batchVersion)
 	if !rep.hasRows {
 		b = append(b, 0)
 	} else {
-		b = append(b, 1)
-		b = append(b, make([]byte, rowsTagSize)...)
-		rep.tag.put(b[len(b)-rowsTagSize:])
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(rep.rows)))
+		b = binary.LittleEndian.AppendUint64(append(b, 1), rep.tag.instance)
+		b = binary.AppendUvarint(b, rep.tag.gen)
+		b = binary.AppendUvarint(b, uint64(len(rep.rows)))
 		b = append(b, rep.rows...)
 	}
 	b = binary.AppendUvarint(b, uint64(len(rep.stale)))
@@ -487,9 +506,9 @@ func encodeBatchReply(b []byte, rep batchReply) []byte {
 	for _, o := range rep.owners {
 		b = binary.AppendUvarint(b, uint64(o+1))
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(rep.parts)))
+	b = binary.AppendUvarint(b, uint64(len(rep.parts)))
 	for _, p := range rep.parts {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
+		b = binary.AppendUvarint(b, uint64(len(p)))
 		b = append(b, p...)
 	}
 	return b
@@ -510,7 +529,10 @@ func decodeBatchReply(p []byte) (rep batchReply, err error) {
 	case 0:
 	case 1:
 		rep.hasRows = true
-		if rep.tag, err = readRowsTag(r); err != nil {
+		if rep.tag.instance, err = r.U64(); err != nil {
+			return rep, err
+		}
+		if rep.tag.gen, err = r.Uvarint(); err != nil {
 			return rep, err
 		}
 		if rep.rows, err = readBlob(r); err != nil {
@@ -540,7 +562,7 @@ func decodeBatchReply(p []byte) (rep batchReply, err error) {
 		}
 		rep.owners[i] = o - 1
 	}
-	n, err = readCount(r, 4) // a length prefix per query at minimum
+	n, err = readUvarintCount(r, 1) // a length prefix per query at minimum
 	if err != nil {
 		return rep, err
 	}
@@ -632,16 +654,12 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 	if len(wire) == 1 {
 		name = classLabel(wire[0].Class)
 	}
-	var h batchHeader
 	qt := c.newQueryTrace(name)
-	if qt != nil {
-		h.traced, h.traceID = true, qt.id
-	}
 	sol := newBatchSolver(c, wire, c.anytime.Load())
 	var st WireStats
-	payload, err := encodeBatchRequest(wire, h)
+	queries, err := appendQueries(nil, wire)
 	if err == nil {
-		st, err = c.queryRound(ctx, payload, sol, qt)
+		st, err = c.queryRound(ctx, queries, sol, qt)
 	}
 	if err == nil {
 		solveStart := time.Now()

@@ -524,6 +524,16 @@ func TestBatchShortCircuits(t *testing.T) {
 	}
 }
 
+// encodeBatchRequest packs a whole query request as a round sends it to one
+// site: its head, the shared section and the skip section.
+func encodeBatchRequest(qs []BatchQuery, h batchHeader) ([]byte, error) {
+	b, err := appendQueries(appendBatchHead(nil, h), qs)
+	if err != nil {
+		return nil, err
+	}
+	return appendSkip(b, h.skip), nil
+}
+
 // TestBatchCodecRejectsHostilePayloads exercises the decoder guards the
 // fuzzers also probe: corrupt counts, truncations, and trailing bytes must
 // come back as errors, never panics or giant allocations.
@@ -536,18 +546,26 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const head = 2 + 8 + 1 // version, flags, instance, generation+1 (no rows held)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	for name, p := range map[string][]byte{
-		"empty":             {},
-		"bad version":       {9, 0, 1, 0, 0, 0},
-		"previous version":  {batchVersion - 1, 0, 0, 0, 0, 0},
-		"unknown flags":     append([]byte{batchVersion, 0xF0}, valid[2:]...),
-		"truncated tag":     valid[:tagOffset+9],
-		"huge count":        append(append([]byte{}, valid[:tagOffset+rowsTagSize]...), 0xFF, 0xFF, 0xFF, 0xFF),
-		"truncated query":   valid[:len(valid)-2],
-		"trailing bytes":    append(append([]byte{}, valid...), 0xAA),
-		"unknown class":     append(append([]byte{}, valid[:tagOffset+rowsTagSize]...), 1, 0, 0, 0, 'z', 0, 0, 0, 0, 0, 0, 0, 0),
-		"truncated context": traced[:spanOffset+3],
-		"context, no count": traced[:spanOffset+8],
+		"empty":               {},
+		"bad version":         {7, 0, 1, 0, 0, 0},
+		"previous version":    cat([]byte{batchVersion - 1}, valid[1:]),
+		"unknown flags":       cat([]byte{batchVersion, 0xF0}, valid[2:]),
+		"truncated instance":  valid[:2+7],
+		"padded generation":   cat(valid[:head-1], []byte{0x80, 0}, valid[head:]),
+		"huge count":          cat(valid[:head], []byte{0xFF, 0xFF, 0xFF, 0x7F}),
+		"padded count":        cat(valid[:head], []byte{0x81, 0}, valid[head+1:]),
+		"truncated query":     valid[:len(valid)-2],
+		"trailing bytes":      cat(valid, []byte{0xAA}),
+		"unknown class":       cat(valid[:head], []byte{1, 'z', 0, 0}),
+		"node above i32":      cat(valid[:head], []byte{1, 'r'}, binary.AppendUvarint(nil, 1<<31), []byte{0}),
+		"bound above u32":     cat(valid[:head], []byte{1, 'b', 0, 1}, binary.AppendUvarint(nil, 1<<32)),
+		"truncated context":   traced[:head+3],
+		"context, no count":   traced[:head+16],
+		"truncated node":      cat(valid[:head], []byte{1, 'r', 0x80}),
+		"truncated automaton": cat(valid[:head], []byte{1, 'q', 0, 1, 9, 1}),
 	} {
 		if _, _, err := decodeBatchRequest(p); err == nil {
 			t.Errorf("decodeBatchRequest accepted %s payload", name)
@@ -556,14 +574,15 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	full := batchReply{hasRows: true, tag: rowsTag{7, 3}, rows: []byte{9, 9}, stale: []int{2}, owners: []int{0, -1, 3, 1}, parts: [][]byte{{1, 2, 3}, nil}}
 	reply := encodeBatchReply(nil, full)
 	for name, p := range map[string][]byte{
-		"bad version":      {7, 0, 0, 0, 0, 0},
-		"previous version": {batchVersion - 1, 0, 0, 0, 0, 0, 0, 0, 0},
-		"bad rows flag":    {batchVersion, 2, 0, 0, 0, 0},
-		"truncated tag":    reply[:2+11],
-		"huge rows length": append(append([]byte{}, reply[:2+rowsTagSize]...), 0xFF, 0xFF, 0xFF, 0x7F),
-		"huge query count": {batchVersion, 0, 0xFF, 0xFF, 0xFF, 0x7F},
-		"truncated part":   encodeBatchReply(nil, batchReply{parts: [][]byte{{1, 2, 3}}})[:8],
-		"trailing bytes":   append(append([]byte{}, reply...), 1),
+		"bad version":       {7, 0, 0, 0, 0},
+		"previous version":  cat([]byte{batchVersion - 1}, reply[1:]),
+		"bad rows flag":     {batchVersion, 2, 0, 0, 0},
+		"truncated tag":     reply[:2+7],
+		"huge rows length":  cat(reply[:2+8+1], []byte{0xFF, 0xFF, 0xFF, 0x7F}),
+		"huge query count":  {batchVersion, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F},
+		"truncated part":    encodeBatchReply(nil, batchReply{parts: [][]byte{{1, 2, 3}}})[:7],
+		"padded part count": {batchVersion, 0, 0, 0, 0x80, 0},
+		"trailing bytes":    cat(reply, []byte{1}),
 	} {
 		if _, err := decodeBatchReply(p); err == nil {
 			t.Errorf("decodeBatchReply accepted %s payload", name)
@@ -571,8 +590,8 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	}
 	// Round trips survive intact, including empty batches and empty parts.
 	qs := []BatchQuery{{Class: ClassDist, S: 5, T: 9, L: 3}, {Class: ClassReach, S: 0, T: 1}}
-	hdr := batchHeader{traced: true, rows: rowsTag{0xABCD, 17}, traceID: 0xDEADBEEF, span: 2,
-		skip: skipList{instance: 0xABCD, sites: []int{1, 3}, gens: []uint64{0, 300}}}
+	hdr := batchHeader{traced: true, instance: 0xABCD, held: true, gen: 17, traceID: 0xDEADBEEF, span: 2,
+		skip: skipList{sites: []int{1, 3}, gens: []uint64{0, 300}}}
 	enc, err := encodeBatchRequest(qs, hdr)
 	if err != nil {
 		t.Fatal(err)
@@ -590,11 +609,11 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, p := range map[string][]byte{
-		"empty skip section":  binary.AppendUvarint(binary.LittleEndian.AppendUint64(append([]byte{}, plain...), 5), 0),
-		"skip sites reversed": appendSkip(append([]byte{}, plain...), skipList{instance: 5, sites: []int{3, 1}, gens: []uint64{0, 0}}),
-		"skip sites repeated": appendSkip(append([]byte{}, plain...), skipList{instance: 5, sites: []int{2, 2}, gens: []uint64{0, 0}}),
+		"empty skip section":  binary.AppendUvarint(append([]byte{}, plain...), 0),
+		"skip sites reversed": appendSkip(append([]byte{}, plain...), skipList{sites: []int{3, 1}, gens: []uint64{0, 0}}),
+		"skip sites repeated": appendSkip(append([]byte{}, plain...), skipList{sites: []int{2, 2}, gens: []uint64{0, 0}}),
 		"truncated skip":      enc[:len(enc)-1],
-		"huge skip site":      appendSkip(append([]byte{}, plain...), skipList{instance: 5, sites: []int{1 << 20}, gens: []uint64{0}}),
+		"huge skip site":      appendSkip(append([]byte{}, plain...), skipList{sites: []int{1 << 20}, gens: []uint64{0}}),
 	} {
 		if _, _, err := decodeBatchRequest(p); err == nil {
 			t.Errorf("decodeBatchRequest accepted %s payload", name)

@@ -228,10 +228,12 @@ func benchDeploy(b *testing.B) (*Coordinator, []graph.NodeID, func()) {
 }
 
 // BenchmarkWireReachSerial measures one-at-a-time wire queries: the
-// serialized baseline.
+// serialized baseline. It reports the wire bytes (both directions) and
+// frames (both directions, cancels aside) per query.
 func BenchmarkWireReachSerial(b *testing.B) {
 	co, pairs, done := benchDeploy(b)
 	defer done()
+	var bytes, frames int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := pairs[(2*i)%len(pairs)]
@@ -239,10 +241,15 @@ func BenchmarkWireReachSerial(b *testing.B) {
 		if s == t {
 			t = (t + 1) % 1000
 		}
-		if _, _, err := co.Reach(s, t); err != nil {
+		_, st, err := co.Reach(s, t)
+		if err != nil {
 			b.Fatal(err)
 		}
+		bytes += st.BytesSent + st.BytesReceived
+		frames += st.FramesSent + st.FramesReceived
 	}
+	b.ReportMetric(float64(bytes)/float64(b.N), "wireB/op")
+	b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
 }
 
 // BenchmarkWireReachConcurrent measures multiplexed wire queries: 8

@@ -1,10 +1,11 @@
 package netsite
 
 import (
+	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -287,13 +288,28 @@ func newSiteConn(site int, addr string, conn net.Conn, timeout time.Duration) *s
 		conn:    conn,
 		pending: make(map[uint32]chan<- siteFrame),
 	}
+	sc.bytesSent.Add(int64(len(preamble)))
 	go sc.readLoop(conn)
 	return sc
 }
 
+// dialSite connects to a site and opens the connection with the preamble.
+func dialSite(addr string, timeout time.Duration) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := io.WriteString(conn, preamble); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return conn, nil
+}
+
 func (sc *siteConn) readLoop(conn net.Conn) {
+	r := bufio.NewReader(conn)
 	for {
-		id, kind, payload, n, err := readFrame(conn)
+		id, kind, payload, n, err := readFrame(r)
 		if err != nil {
 			sc.lost(conn, err)
 			return
@@ -354,7 +370,7 @@ func (sc *siteConn) redial() {
 			return
 		default:
 		}
-		conn, err := net.DialTimeout("tcp", sc.addr, sc.timeout)
+		conn, err := dialSite(sc.addr, sc.timeout)
 		if err == nil {
 			sc.mu.Lock()
 			if sc.closed {
@@ -366,6 +382,7 @@ func (sc *siteConn) redial() {
 			sc.err = nil
 			sc.redialing = false
 			sc.mu.Unlock()
+			sc.bytesSent.Add(int64(len(preamble)))
 			go sc.readLoop(conn)
 			return
 		}
@@ -383,11 +400,12 @@ func (sc *siteConn) redial() {
 	}
 }
 
-// post registers id in the pending table and sends the request frame; it
+// post registers id in the pending table and sends the request frame whose
+// payload follows the headroom of the frame buffer buf (newFrame); it
 // reports the bytes written. The one response — or the connection's failure
 // — is delivered on replies, which must have room for it. The registration
 // happens before the write so a fast reply can never race past its waiter.
-func (sc *siteConn) post(id uint32, kind byte, payload []byte, replies chan<- siteFrame) (int, error) {
+func (sc *siteConn) post(id uint32, kind byte, buf []byte, replies chan<- siteFrame) (int, error) {
 	sc.mu.Lock()
 	if sc.closed {
 		sc.mu.Unlock()
@@ -405,7 +423,7 @@ func (sc *siteConn) post(id uint32, kind byte, payload []byte, replies chan<- si
 	sc.pending[id] = replies
 	sc.mu.Unlock()
 	sc.wmu.Lock()
-	n, err := writeFrame(conn, id, kind, payload)
+	n, err := writeFrame(conn, id, kind, buf, frameHeadroom)
 	sc.wmu.Unlock()
 	if err != nil {
 		// A failed write may have flushed part of the frame, desyncing the
@@ -439,8 +457,9 @@ func (sc *siteConn) cancel(id uint32) int {
 	if conn == nil {
 		return 0
 	}
+	var buf [maxHeader]byte
 	sc.wmu.Lock()
-	n, err := writeFrame(conn, id, kindCancel, nil)
+	n, err := writeFrame(conn, id, kindCancel, buf[:], maxHeader)
 	sc.wmu.Unlock()
 	if err != nil {
 		sc.lost(conn, err)
@@ -493,7 +512,7 @@ func (sc *siteConn) close() error {
 func Dial(addrs []string, timeout time.Duration) (*Coordinator, error) {
 	c := &Coordinator{seq: oplog.NewSequencer(0)}
 	for _, a := range addrs {
-		conn, err := net.DialTimeout("tcp", a, timeout)
+		conn, err := dialSite(a, timeout)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("netsite: dial %s: %w", a, err)
@@ -549,11 +568,11 @@ func (c *Coordinator) noteSiteLSN(i int, lsn uint64) {
 }
 
 // WireTotals reports the coordinator's lifetime wire traffic across all
-// site connections: every byte written and read since Dial, including
-// control frames (cancels, sync catch-up) and late replies drained after
-// their round ended. Per-round WireStats necessarily undercounts the
-// latter; this pair is what the accounting cross-check and the gateway's
-// wire gauges sum against.
+// site connections: every byte written and read since Dial, including each
+// connection's preamble, control frames (cancels, sync catch-up) and late
+// replies drained after their round ended. Per-round WireStats necessarily
+// undercounts the latter; this pair is what the accounting cross-checks
+// and the gateway's wire gauges sum against.
 func (c *Coordinator) WireTotals() (sent, received int64) {
 	for _, sc := range c.conns {
 		sent += sc.bytesSent.Load()
@@ -675,16 +694,26 @@ func (c *Coordinator) answerOf(f siteFrame) (res siteResult) {
 		res.err = fmt.Errorf("site %d: %s", f.site, f.payload)
 	case f.kind != kindAnswer:
 		res.err = fmt.Errorf("site %d: unexpected frame kind %q", f.site, f.kind)
-	case len(f.payload) < answerPrefix:
-		res.err = fmt.Errorf("site %d: answer of %d bytes lacks the state tag", f.site, len(f.payload))
 	default:
+		var err error
+		if res.epoch, res.lsn, res.payload, err = readTag(f.payload); err != nil {
+			res.err = fmt.Errorf("site %d: answer state tag: %w", f.site, err)
+			return res
+		}
 		res.appErr = false
-		res.epoch = binary.LittleEndian.Uint64(f.payload)
-		res.lsn = binary.LittleEndian.Uint64(f.payload[8:])
-		res.payload = f.payload[answerPrefix:]
 		c.noteSiteLSN(f.site, res.lsn)
 	}
 	return res
+}
+
+// readTag splits an answer payload into its (epoch, lsn) state tag and the
+// body after it.
+func readTag(p []byte) (epoch, lsn uint64, body []byte, err error) {
+	r := oplog.NewCursor(p)
+	if epoch, err = r.Uvarint(); err == nil {
+		lsn, err = r.Uvarint()
+	}
+	return epoch, lsn, p[len(p)-r.Remaining():], err
 }
 
 // exchange is the control-plane round ('U', 'R', 'S' frames): it posts one
@@ -704,8 +733,9 @@ func (c *Coordinator) exchange(ctx context.Context, kind byte, payload []byte, s
 	replies := make(chan siteFrame, len(sites))
 	owed := make([]bool, len(c.conns)) // posted, response not yet in
 	waiting := 0
+	buf := append(newFrame(len(payload)), payload...)
 	for _, i := range sites {
-		n, err := c.conns[i].post(id, kind, payload, replies)
+		n, err := c.conns[i].post(id, kind, buf, replies)
 		if err != nil {
 			results[i].err = fmt.Errorf("site %d: %w", i, err)
 			continue

@@ -1,8 +1,10 @@
 package netsite
 
 import (
+	"bufio"
 	"bytes"
-	"reflect"
+	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -18,58 +20,72 @@ import (
 
 // FuzzDecodeFrame throws arbitrary byte streams at the frame decoder: it
 // must either error or produce a frame that re-encodes to exactly the
-// bytes it consumed. Seeds come from the edge cases the handwritten tests
-// pin down.
+// bytes it consumed, and report that many bytes as its wire size. Seeds
+// come from the edge cases the handwritten tests pin down.
 func FuzzDecodeFrame(f *testing.F) {
 	// Valid frames of each request kind, plus the codified edge cases.
 	for _, payload := range [][]byte{nil, {1}, bytes.Repeat([]byte{0xAB}, 256)} {
 		var buf bytes.Buffer
-		if _, err := writeFrame(&buf, 42, kindBatch, payload); err != nil {
+		if _, err := sendFrame(&buf, 42, kindBatch, payload); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 	}
-	f.Add(rawHeader(0))                                           // zero length
-	f.Add(append(rawHeader(3), 1, 2, 3))                          // shorter than id+kind
-	f.Add(rawHeader(maxFrame + 1))                                // oversized length
-	f.Add(append(rawHeader(100), bytes.Repeat([]byte{7}, 10)...)) // truncated payload
-	f.Add([]byte{1, 0})                                           // truncated header
+	f.Add([]byte{0})                                                              // zero length
+	f.Add([]byte{1, 5})                                                           // shorter than id+kind
+	f.Add(binary.AppendUvarint(nil, maxFrame+1))                                  // length above maxFrame
+	f.Add([]byte{0x82, 0x00, 5, 'C'})                                             // padded length
+	f.Add([]byte{3, 0x85, 0x00, 'C'})                                             // padded id
+	f.Add(append(binary.AppendUvarint([]byte{6}, math.MaxUint32+1), 'C'))         // id above u32
+	f.Add(append(binary.AppendUvarint(nil, 100), bytes.Repeat([]byte{7}, 10)...)) // truncated payload
+	f.Add([]byte{0x85})                                                           // truncated length varint
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, 6), 1, 0, 0, 0, 'B', 8))   // the previous u32 framing
+	f.Add(append([]byte(preamble), 3, 1, 'B', batchVersion))                      // a preamble ahead of a frame
 	// Update and rebalance frames, request and reply.
 	var upd bytes.Buffer
 	ureq, err := encodeUpdateRequest(9, 77, []Op{{Kind: OpInsertEdge, U: 3, V: 4}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := writeFrame(&upd, 7, kindUpdate, ureq); err != nil {
+	if _, err := sendFrame(&upd, 7, kindUpdate, ureq); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := writeFrame(&upd, 7, kindAnswer, encodeUpdateReply(true, []int{0, 2}, nil, fragment.BalanceStats{})); err != nil {
+	if err := sendAnswer(&upd, 7, kindAnswer, 2, 300, encodeUpdateReply(true, []int{0, 2}, nil, fragment.BalanceStats{})); err != nil {
 		f.Fatal(err)
 	}
 	rreq, err := encodeRebalanceRequest(3, 4, 11, "edgecut")
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := writeFrame(&upd, 8, kindRebalance, rreq); err != nil {
+	if _, err := sendFrame(&upd, 1<<20, kindRebalance, rreq); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(upd.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id, kind, payload, n, err := readFrame(bytes.NewReader(data))
+		src := bytes.NewReader(data)
+		r := bufio.NewReader(src)
+		id, kind, payload, n, err := readFrame(r)
 		if err != nil {
 			return // rejecting is always legal; not panicking is the property
 		}
-		if n < 4+minFrame || n > len(data) {
-			t.Fatalf("readFrame consumed %d of %d bytes", n, len(data))
+		if consumed := len(data) - src.Len() - r.Buffered(); n < 1+minFrame || n != consumed {
+			t.Fatalf("readFrame reported %d bytes, consumed %d", n, consumed)
 		}
 		var buf bytes.Buffer
-		wn, err := writeFrame(&buf, id, kind, payload)
+		wn, err := sendFrame(&buf, id, kind, payload)
 		if err != nil {
 			t.Fatalf("re-encode of a decoded frame failed: %v", err)
 		}
 		if wn != n || !bytes.Equal(buf.Bytes(), data[:n]) {
 			t.Fatalf("frame round trip drifted: read %d bytes, wrote %d", n, wn)
+		}
+		// An answer's state tag is varints in shortest form too.
+		if epoch, lsn, body, err := readTag(payload); err == nil {
+			buf.Reset()
+			if err := sendAnswer(&buf, id, kind, epoch, lsn, body); err != nil || !bytes.Equal(buf.Bytes(), data[:n]) {
+				t.Fatalf("answer tag round trip drifted: %v", err)
+			}
 		}
 	})
 }
@@ -79,10 +95,10 @@ func FuzzDecodeFrame(f *testing.F) {
 // nested automaton codec), the batch reply with its weighted rows section
 // and its query parts (core.Rows, the one codec of the rows and of every
 // reach and distance part) and the span section that heads a query answer.
-// Whatever decodes must re-encode and decode back to the same thing — a
-// rows section or part that decodes as core.Rows, to the very same bytes;
-// the rest must be rejected with an error, never a panic or an implausible
-// allocation.
+// Whatever decodes must re-encode to the very same bytes — the request,
+// the reply, the span section, and a rows section or part that decodes as
+// core.Rows; the rest must be rejected with an error, never a panic or an
+// implausible allocation.
 func FuzzBatchPayload(f *testing.F) {
 	rng := gen.NewRNG(7)
 	a := automaton.Random(rng, 3, 5, []string{"A", "B"})
@@ -98,23 +114,35 @@ func FuzzBatchPayload(f *testing.F) {
 		}
 		return b
 	}
+	const head = 2 + 8 + 1 // version, flags, instance, generation+1 with no rows held
 	seed := enc(mixed, batchHeader{})
 	traced := enc(mixed[:1], batchHeader{traced: true, traceID: 0xDEADBEEF, span: 2})
 	f.Add(seed)
 	f.Add(enc(nil, batchHeader{}))
 	f.Add(traced)
 	f.Add(enc(nil, batchHeader{traced: true, traceID: 1, span: 1}))
-	f.Add(enc(mixed, batchHeader{rows: rowsTag{0x1122334455667788, 42}})) // tagged: the coordinator holds rows
-	f.Add(enc(mixed[:1], batchHeader{traced: true, rows: rowsTag{1, 0}, traceID: 9, span: 9}))
-	f.Add(enc(mixed[:2], batchHeader{rows: rowsTag{1, 4}, skip: skipList{instance: 1, sites: []int{0, 2}, gens: []uint64{7, 1 << 40}}})) // a warm attempt that skipped two sites
-	f.Add(traced[:spanOffset+7])                                                                                                         // truncated trace context
-	f.Add(seed[:tagOffset+5])                                                                                                            // truncated rows tag
-	f.Add(append(append([]byte{}, traced...), traced...))                                                                                // a second request nested behind the first
-	f.Add(append(append([]byte{}, seed[:tagOffset+rowsTagSize]...), 0xFF, 0xFF, 0xFF, 0xFF))                                             // hostile count
-	f.Add(append([]byte{batchVersion, 0xFF}, seed[2:]...))                                                                               // unknown flag bits
-	f.Add(append([]byte{batchVersion, 1}, seed[2:]...))                                                                                  // the retired stream bit
-	f.Add(append([]byte{batchVersion - 1, 0}, seed[tagOffset+rowsTagSize:]...))                                                          // the previous version's layout
-	f.Add(seed[:len(seed)-3])                                                                                                            // truncated query
+	f.Add(enc(mixed, batchHeader{instance: 0x1122334455667788, held: true, gen: 42})) // tagged: the coordinator holds rows
+	f.Add(enc(mixed[:1], batchHeader{traced: true, instance: 1, held: true, traceID: 9, span: 9}))
+	f.Add(enc(mixed[:2], batchHeader{instance: 1, held: true, gen: 4, skip: skipList{sites: []int{0, 2}, gens: []uint64{7, 1 << 40}}})) // a warm attempt that skipped two sites
+	f.Add(enc(mixed[:1], batchHeader{instance: 3, skip: skipList{sites: []int{1}, gens: []uint64{0}}}))                                 // a skip section with no rows held
+	f.Add(enc([]BatchQuery{{Class: ClassReach, S: math.MaxInt32, T: 1 << 20}, {Class: ClassDist, S: 0, T: 1, L: math.MaxUint32}}, batchHeader{}))
+	f.Add(traced[:head+7])                                                                   // truncated trace context
+	f.Add(seed[:5])                                                                          // truncated instance
+	f.Add(append(append([]byte{}, seed[:head-1]...), 0x80))                                  // truncated generation varint
+	f.Add(append(append([]byte{}, seed[:head-1]...), 0x81, 0x00))                            // padded generation varint
+	f.Add(append(append([]byte{}, traced...), traced...))                                    // a second request nested behind the first
+	f.Add(append(append([]byte{}, seed[:head]...), 0xFF, 0xFF, 0xFF, 0x7F))                  // hostile count
+	f.Add(append(append([]byte{}, seed[:head]...), 1, 'r', 0x80))                            // truncated node varint
+	f.Add(append(append([]byte{}, seed[:head]...), 1, 'r', 0x80, 0x80, 0x80, 0x80, 0x08, 1)) // node above i32
+	f.Add(append([]byte{batchVersion, 0xFF}, seed[2:]...))                                   // unknown flag bits
+	f.Add(append([]byte{batchVersion, 1}, seed[2:]...))                                      // the retired stream bit
+	f.Add(append([]byte{batchVersion - 1, 0}, make([]byte, 16)...))                          // the previous version's rows tag
+	f.Add(seed[:len(seed)-3])                                                                // truncated query
+	ab, err := a.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append(append([]byte{}, seed[:head]...), 1, 'q', 0, 1, byte(len(ab)+1)), append(ab, 0)...)) // an automaton with a trailing byte
 	// Payloads of the retired single-query and envelope frames, and of a
 	// kind that was never a query: none may decode as a request.
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0})         // 'r': s | t
@@ -162,13 +190,14 @@ func FuzzBatchPayload(f *testing.F) {
 	f.Add(encodeBatchReply(nil, batchReply{stale: []int{1, 3}, owners: []int{2, 2}, parts: [][]byte{nil}}))               // two skipped sites found stale
 	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb}))                                      // rows and no parts
 	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: db}))                                      // a section with a constant term
-	f.Add(encodeBatchReply(nil, miss)[:2+rowsTagSize+2])                                                                  // truncated rows length
+	f.Add(encodeBatchReply(nil, miss)[:2+8+1+1])                                                                          // truncated rows length
 	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb[:len(rb)/2]}))                          // truncated rows
 	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{2, 1, 0xFF, 0xFF, 0xFF, 0x7F}}))    // hostile equation count
 	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{2, 1, 1, 0, 0, 0xFF, 0xFF, 0x7F}})) // hostile disjunct count
 	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag,
 		rows: []byte{2, 1, 1, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}})) // overlong weight
-	f.Add([]byte{batchVersion, 2, 0, 0, 0, 0})              // unknown rows flag
+	f.Add([]byte{batchVersion, 2, 0, 0, 0})                 // unknown rows flag
+	f.Add([]byte{batchVersion, 0, 0, 0, 1, 0x80, 0x00})     // padded part length
 	f.Add([]byte{batchVersion - 1, 0, 0, 0, 0, 0, 0, 0, 0}) // the previous version's empty reply
 
 	// A query answer body: span section, then the batch reply.
@@ -177,9 +206,10 @@ func FuzzBatchPayload(f *testing.F) {
 	rec.Span(-1, "queue", t0, t0.Add(time.Millisecond))
 	rec.Span(-1, "eval", t0, t0.Add(2*time.Millisecond),
 		obs.Attr{Key: "reachindex_outcome", Val: "hit"})
-	f.Add(encodeBatchReply(rec.Wire(), batchReply{parts: [][]byte{{1, 0, 4}}}))
+	f.Add(encodeBatchReply(rec.AppendWire(nil), batchReply{parts: [][]byte{{1, 0, 4}}}))
 	f.Add(obs.AppendWireSpans(nil, nil)) // untraced: the empty section
 	f.Add([]byte{0xFF, 0xFF})            // hostile span count
+	f.Add([]byte{0x80, 0x00})            // padded span count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if qs, h, err := decodeBatchRequest(data); err == nil {
@@ -187,36 +217,13 @@ func FuzzBatchPayload(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encode of a decoded batch failed: %v", err)
 			}
-			qs2, h2, err := decodeBatchRequest(re)
-			if err != nil {
-				t.Fatalf("decode of a re-encoded batch failed: %v", err)
-			}
-			if !reflect.DeepEqual(h2, h) || (!h.traced && (h.traceID != 0 || h.span != 0)) {
-				t.Fatalf("batch header drifted: %+v then %+v", h, h2)
-			}
-			if len(qs2) != len(qs) {
-				t.Fatalf("batch round trip drifted: %d then %d queries", len(qs), len(qs2))
-			}
-			for i := range qs {
-				if qs2[i].Class != qs[i].Class || qs2[i].S != qs[i].S ||
-					qs2[i].T != qs[i].T || qs2[i].L != qs[i].L {
-					t.Fatalf("query %d drifted: %+v -> %+v", i, qs[i], qs2[i])
-				}
+			if !bytes.Equal(re, data) {
+				t.Fatalf("batch request re-encodes as %x, not %x", re, data)
 			}
 		}
 		if rep, err := decodeBatchReply(data); err == nil {
-			rep2, err := decodeBatchReply(encodeBatchReply(nil, rep))
-			if err != nil {
-				t.Fatalf("reply re-encode round trip failed: %v", err)
-			}
-			if rep2.hasRows != rep.hasRows || rep2.tag != rep.tag || !bytes.Equal(rep2.rows, rep.rows) ||
-				!slices.Equal(rep2.stale, rep.stale) || !slices.Equal(rep2.owners, rep.owners) || len(rep2.parts) != len(rep.parts) {
-				t.Fatalf("reply round trip drifted: %+v then %+v", rep, rep2)
-			}
-			for i := range rep.parts {
-				if !bytes.Equal(rep.parts[i], rep2.parts[i]) {
-					t.Fatalf("reply part %d drifted", i)
-				}
+			if re := encodeBatchReply(nil, rep); !bytes.Equal(re, data) {
+				t.Fatalf("batch reply re-encodes as %x, not %x", re, data)
 			}
 			// The coordinator decodes the rows section and every reach or
 			// distance part once and keeps the equations: whatever decodes
@@ -236,19 +243,8 @@ func FuzzBatchPayload(f *testing.F) {
 			}
 		}
 		if spans, body, err := obs.DecodeWireSpans(data); err == nil {
-			spans2, body2, err := obs.DecodeWireSpans(append(obs.AppendWireSpans(nil, spans), body...))
-			if err != nil {
-				t.Fatalf("decode of a re-encoded span section failed: %v", err)
-			}
-			if len(spans2) != len(spans) || !bytes.Equal(body2, body) {
-				t.Fatalf("query answer drifted: %d spans/%d body bytes then %d/%d",
-					len(spans), len(body), len(spans2), len(body2))
-			}
-			for i := range spans {
-				if spans2[i].Name != spans[i].Name || spans2[i].Parent != spans[i].Parent ||
-					spans2[i].DurNs != spans[i].DurNs || len(spans2[i].Attrs) != len(spans[i].Attrs) {
-					t.Fatalf("span %d drifted: %+v -> %+v", i, spans[i], spans2[i])
-				}
+			if re := append(obs.AppendWireSpans(nil, spans), body...); !bytes.Equal(re, data) {
+				t.Fatalf("query answer re-encodes as %x, not %x", re, data)
 			}
 		}
 	})

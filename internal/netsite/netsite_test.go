@@ -3,6 +3,7 @@ package netsite
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
@@ -200,15 +201,12 @@ func TestTCPErrorPropagation(t *testing.T) {
 	// Hand-roll a malformed frame on a raw connection: an unknown kind must
 	// come back as an error frame echoing the request ID, and the
 	// connection must survive for a coordinator dialing afterwards.
-	raw, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw, r := dialRaw(t, addrs[0])
 	defer raw.Close()
-	if _, err := writeFrame(raw, 77, 'z', []byte{1, 2, 3}); err != nil {
+	if _, err := sendFrame(raw, 77, 'z', []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	id, kind, payload, _, err := readFrame(raw)
+	id, kind, payload, _, err := readFrame(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,17 +230,20 @@ func TestTCPErrorPropagation(t *testing.T) {
 
 // TestRetiredFramesRejected posts the frame kinds the one query frame
 // replaced — with the payloads that were valid for them — a query carrying
-// the retired stream bit and a version-5 query (unweighted rows) to a live
-// site: each must come back as an
-// error frame echoing its ID, without a panic or a hang, and a batch query
-// that follows on the same connection must still be answered.
+// the retired stream bit and queries of earlier batch versions to a live
+// site: each must come back as an error frame echoing its ID, without a
+// panic or a hang, and a batch query that follows on the same connection
+// must still be answered. A peer of the previous framing — a length u32 |
+// id u32 header and no preamble — must find the connection closed. None of
+// them may reach an evaluation.
 func TestRetiredFramesRejected(t *testing.T) {
 	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 20, Labels: []string{"A"}, Seed: 48})
 	fr, err := fragment.Random(g, 2, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites, addrs, err := ServeFragmentation(fr)
+	reg := obs.NewRegistry()
+	sites, addrs, err := ServeReplica(fragment.NewReplica(fr), SiteOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +252,29 @@ func TestRetiredFramesRejected(t *testing.T) {
 			s.Close()
 		}
 	}()
-	raw, err := net.Dial("tcp", addrs[0])
+	evals := reg.HistogramVec("site_eval_seconds", "", "kind", nil).With("query")
+
+	// The previous framing: its first frame is no preamble, so the site
+	// closes the connection without parsing it.
+	old, err := net.Dial("tcp", addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer old.Close()
+	old.SetDeadline(time.Now().Add(5 * time.Second))
+	v8 := []byte{8, 0}                                       // version | flags
+	v8 = append(v8, make([]byte, 16)...)                     // rows tag
+	v8 = append(v8, 1, 0, 0, 0, 'r', 0, 0, 0, 0, 9, 0, 0, 0) // count u32 | class | s u32 | t u32
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(5+len(v8)))
+	frame = append(binary.LittleEndian.AppendUint32(frame, 3), kindBatch)
+	if _, err := old.Write(append(frame, v8...)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := old.Read(make([]byte, 64)); err == nil {
+		t.Fatalf("an old-framing peer got %d bytes back, want a closed connection", n)
+	}
+
+	raw, r := dialRaw(t, addrs[0])
 	defer raw.Close()
 	raw.SetDeadline(time.Now().Add(5 * time.Second)) // a hang fails the read, not the suite
 
@@ -268,13 +288,10 @@ func TestRetiredFramesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	streaming[1] |= 1 // the flag bit that used to ask for 'P' frames
-	// Version 5 had today's request layout but unweighted rows: a site
-	// must refuse it rather than send rows an older coordinator misreads.
-	v5, err := encodeBatchRequest([]BatchQuery{{Class: ClassDist, S: 0, T: 9, L: 4}}, batchHeader{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v5[0] = 5
+	// Version 5 had the request layout of 5 to 8 but unweighted rows: a
+	// site must refuse it rather than send rows an older coordinator
+	// misreads.
+	v5 := append([]byte{5}, v8[1:]...)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	for i, tc := range []struct {
 		name    string
@@ -286,18 +303,20 @@ func TestRetiredFramesRejected(t *testing.T) {
 		{"qbr", 'b', cat(st, []byte{4, 0, 0, 0})},
 		{"qrr", 'q', cat(st, ab)},
 		{"traced qr", 'T', cat(make([]byte, 16), []byte{'r'}, st)},
-		{"traced batch", 'T', cat(make([]byte, 16), []byte{'B', batchVersion - 1, 0, 0, 0, 0, 0})},
-		// The previous query payload — no rows tag — in today's frame: a
+		{"traced batch", 'T', cat(make([]byte, 16), []byte{'B', 4, 0, 0, 0, 0, 0})},
+		// The version-4 query payload — no rows tag — in today's frame: a
 		// mixed build must fail loudly, not misparse the queries as a tag.
-		{"version-4 batch", kindBatch, cat([]byte{batchVersion - 1, 0, 1, 0, 0, 0, 'r'}, st)},
+		{"version-4 batch", kindBatch, cat([]byte{4, 0, 1, 0, 0, 0, 'r'}, st)},
 		{"stream bit", kindBatch, streaming},
 		{"version-5 batch", kindBatch, v5},
+		// The previous version's fixed-width request, in today's frame.
+		{"version-8 batch", kindBatch, v8},
 	} {
 		id := uint32(100 + i)
-		if _, err := writeFrame(raw, id, tc.kind, tc.payload); err != nil {
+		if _, err := sendFrame(raw, id, tc.kind, tc.payload); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		gotID, kind, payload, _, err := readFrame(raw)
+		gotID, kind, payload, _, err := readFrame(r)
 		if err != nil {
 			t.Fatalf("%s: no reply: %v", tc.name, err)
 		}
@@ -305,24 +324,33 @@ func TestRetiredFramesRejected(t *testing.T) {
 			t.Fatalf("%s: got frame id=%d kind %q, want an error frame echoing %d", tc.name, gotID, kind, id)
 		}
 	}
+	if n := evals.Count(); n != 0 {
+		t.Fatalf("the rejected frames ran %d evaluations", n)
+	}
 
 	req, err := encodeBatchRequest([]BatchQuery{{Class: ClassReach, S: 0, T: 9}}, batchHeader{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeFrame(raw, 7, kindBatch, req); err != nil {
+	if _, err := sendFrame(raw, 7, kindBatch, req); err != nil {
 		t.Fatal(err)
 	}
-	id, kind, payload, _, err := readFrame(raw)
+	id, kind, payload, _, err := readFrame(r)
 	if err != nil || id != 7 || kind != kindAnswer {
 		t.Fatalf("batch query after the rejected frames: id=%d kind %q err=%v", id, kind, err)
 	}
-	_, body, err := obs.DecodeWireSpans(payload[answerPrefix:])
+	_, _, body, err := readTag(payload)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, body, err = obs.DecodeWireSpans(body); err != nil {
 		t.Fatal(err)
 	}
 	if rep, err := decodeBatchReply(body); err != nil || len(rep.parts) != 1 || !rep.hasRows {
 		t.Fatalf("batch reply after the rejected frames: %d parts, rows %v, %v", len(rep.parts), rep.hasRows, err)
+	}
+	if n := evals.Count(); n != 1 {
+		t.Fatalf("the one valid query ran %d evaluations", n)
 	}
 }
 
@@ -337,19 +365,19 @@ func TestPartialFrameFailsRound(t *testing.T) {
 	}
 	defer ln.Close()
 	go func() {
-		conn, err := ln.Accept()
+		conn, r, err := acceptRaw(ln)
 		if err != nil {
 			return
 		}
 		defer conn.Close()
 		for {
-			id, _, _, _, err := readFrame(conn)
+			id, _, _, _, err := readFrame(r)
 			if err != nil {
 				return
 			}
 			// A well-formed pre-retirement partial: state tag, then a reply
 			// body with no rows and no parts.
-			if _, err := writeFrame(conn, id, 'P', tagged(0, 0, encodeBatchReply(nil, batchReply{}))); err != nil {
+			if err := sendAnswer(conn, id, 'P', 0, 0, encodeBatchReply(nil, batchReply{})); err != nil {
 				return
 			}
 		}
@@ -404,13 +432,13 @@ func TestUnweightedDistancePartFailsRound(t *testing.T) {
 	}
 	defer ln.Close()
 	go func() {
-		conn, err := ln.Accept()
+		conn, r, err := acceptRaw(ln)
 		if err != nil {
 			return
 		}
 		defer conn.Close()
 		for {
-			id, _, _, _, err := readFrame(conn)
+			id, _, _, _, err := readFrame(r)
 			if err != nil {
 				return
 			}
@@ -418,7 +446,7 @@ func TestUnweightedDistancePartFailsRound(t *testing.T) {
 				hasRows: true, tag: rowsTag{fr.Instance(), f.Generation()}, rows: rb,
 				owners: []int{0, 0}, parts: [][]byte{pb},
 			})
-			if _, err := writeFrame(conn, id, kindAnswer, tagged(0, 0, body)); err != nil {
+			if err := sendAnswer(conn, id, kindAnswer, 0, 0, body); err != nil {
 				return
 			}
 		}

@@ -12,9 +12,22 @@
 // carries a request ID, so many rounds can be in flight on one connection
 // at once. Sites may answer out of order; the coordinator demultiplexes
 // replies back to their rounds by ID. Every request but a cancel gets
-// exactly one response.
+// exactly one response. A coordinator opens each connection with the
+// 4-byte preamble "DRW2"; a site closes a connection that starts with
+// anything else, so a peer still on the fixed-width frame header of the
+// previous framing (length u32 | id u32) is refused before its first frame
+// is parsed, and the preamble, read as such a header, names a length that
+// peer rejects too.
 //
-//	frame := length u32 (of the rest) | id u32 | kind u8 | payload
+//	frame := length uvarint (of the rest) | id uvarint (<= u32) | kind u8
+//	         | payload
+//
+// Every varint on the wire is in its shortest form, and a reader rejects
+// any other, a length above maxFrame (before allocating for it) and an ID
+// above u32: whatever decodes re-encodes to the same bytes. Each end reads
+// a connection through one buffered reader, and writes each frame —
+// header, state tag and body — from one buffer that reserved room for the
+// header and tag ahead of the body, in one Write.
 //
 //	requests (coordinator -> site)
 //	'B' query      the one query frame: a batch of one or more mixed-class
@@ -26,24 +39,24 @@
 //	               no response is owed for either frame
 //
 //	responses (site -> coordinator), each echoing the request's ID
-//	'R' answer     epoch u64 | lsn u64 | body
+//	'R' answer     epoch uvarint | lsn uvarint | body
 //	'E' error      the error text
 //
 // There is one query request and one query reply, whatever the class and
 // however many queries (see batch.go for the per-query fields):
 //
-//	'B' payload := version u8 | flags u8 | rows tag (2 x u64)
-//	               | [trace ID u64 | parent span u64] | count u32 | queries
-//	               | [skip section]
+//	'B' payload := version u8 | flags u8 | instance u64 | generation+1
+//	               uvarint (0: no rows held) | [trace ID u64 | parent span
+//	               u64] | count uvarint | queries | [skip section]
 //	'R' body    := spans | version u8 | [rows tag | rows] | stale sites
 //	               | owners | per-query parts
 //
 // The flags byte carries the trace flag (the 16 bytes of trace context
 // follow, and the site records spans); any other bit is rejected. spans is
 // the site's recorded span section (queue wait, lock wait, local eval with
-// its reachindex outcome) — empty, two bytes, when the request was not
-// traced — so tracing adds no frame and no second layout. 'U', 'R' and 'S' answers carry their own body
-// codecs straight after the (epoch, lsn) tag.
+// its reachindex outcome) — empty, one byte, when the request was not
+// traced — so tracing adds no frame and no second layout. 'U', 'R' and 'S'
+// answers carry their own body codecs straight after the (epoch, lsn) tag.
 //
 // The boundary cache lives in that one round trip. What a fragment
 // contributes to a reach or distance answer is, almost entirely, its
@@ -51,8 +64,8 @@
 // the query, read as Booleans for qr and as min-plus equations for qbr. The
 // coordinator keeps the rows each site last shipped, and the request's rows
 // tag names the copy it holds for the receiving site: the instance ID of
-// the site's fragmentation and the fragment's generation, zero when it
-// holds none. A site whose fragment is still at that tag answers with the
+// the site's fragmentation and the fragment's generation (generation+1 is
+// 0 when it holds none). A site whose fragment is still at that tag answers with the
 // query parts alone — per reach query, the source's equation and the
 // in-nodes that reach the target; per distance query, the same weighted
 // and cut at its bound: a few dozen bytes, in the rows' own layout
@@ -102,9 +115,12 @@
 package netsite
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Frame kinds. kindRebalance shares the byte 'R' with kindAnswer: request
@@ -120,44 +136,128 @@ const (
 	kindError     = 'E'
 )
 
-// answerPrefix is the length of the state tag every answer frame carries:
-// epoch u64 | lsn u64.
-const answerPrefix = 16
+// preamble opens every coordinator connection. Read as the previous
+// framing's little-endian u32 length it is above that framing's maxFrame,
+// so a site of that framing rejects it as well.
+const preamble = "DRW2"
 
 // maxFrame bounds a frame to guard against corrupt length prefixes.
 const maxFrame = 1 << 28
 
-// minFrame is the smallest legal length value: id u32 + kind u8, no payload.
-const minFrame = 5
+// minFrame is the smallest legal length value: a one-byte id and the kind,
+// no payload.
+const minFrame = 2
 
-// writeFrame sends one frame and reports the bytes written. The frame is
-// assembled into one buffer so a single Write hits the socket: concurrent
-// senders serialized by a mutex then interleave whole frames, never bytes.
-func writeFrame(w io.Writer, id uint32, kind byte, payload []byte) (int, error) {
-	buf := make([]byte, 4+minFrame+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(minFrame+len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], id)
-	buf[8] = kind
-	copy(buf[9:], payload)
-	if _, err := w.Write(buf); err != nil {
-		return 0, err
-	}
-	return len(buf), nil
+// maxHeader is the largest frame header: length and id uvarints and the
+// kind. frameHeadroom is what a frame buffer reserves ahead of its
+// payload: the header plus an answer's (epoch, lsn) state tag.
+const (
+	maxHeader     = 2*binary.MaxVarintLen32 + 1
+	frameHeadroom = maxHeader + 2*binary.MaxVarintLen64
+)
+
+// newFrame returns an empty frame buffer with room for size payload bytes:
+// frameHeadroom reserved bytes the payload is appended after.
+func newFrame(size int) []byte {
+	return make([]byte, frameHeadroom, frameHeadroom+size)
 }
 
-// readFrame receives one frame and reports the bytes read.
-func readFrame(r io.Reader) (id uint32, kind byte, payload []byte, n int, err error) {
-	hdr := make([]byte, 4)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+// prepend writes v as a uvarint ending just before b[off] and returns
+// where it starts.
+func prepend(b []byte, off int, v uint64) int {
+	var tmp [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(tmp[:], v)
+	return off - copy(b[off-n:], tmp[:n])
+}
+
+// putTag writes an answer's (epoch, lsn) state tag just before the payload
+// of the frame buffer b and returns where the tagged payload starts.
+func putTag(b []byte, epoch, lsn uint64) int {
+	return prepend(b, prepend(b, frameHeadroom, lsn), epoch)
+}
+
+// writeFrame sends the frame whose payload is buf[off:] and reports the
+// bytes written. The header goes into buf[:off], which must hold maxHeader
+// bytes, so a single Write of one buffer hits the socket: concurrent
+// senders serialized by a mutex then interleave whole frames, never bytes.
+func writeFrame(w io.Writer, id uint32, kind byte, buf []byte, off int) (int, error) {
+	off--
+	buf[off] = kind
+	off = prepend(buf, off, uint64(id))
+	if size := len(buf) - off; size > maxFrame {
+		return 0, fmt.Errorf("netsite: frame of %d bytes exceeds %d", size, maxFrame)
+	}
+	off = prepend(buf, off, uint64(len(buf)-off))
+	if _, err := w.Write(buf[off:]); err != nil {
+		return 0, err
+	}
+	return len(buf) - off, nil
+}
+
+// errPadded rejects a varint that is not in its shortest form.
+var errPadded = errors.New("netsite: padded varint in frame header")
+
+// readFrame receives one frame from a connection's reader and reports its
+// wire size.
+func readFrame(r *bufio.Reader) (id uint32, kind byte, payload []byte, n int, err error) {
+	size, ln, err := readLength(r)
+	if err != nil {
 		return 0, 0, nil, 0, err
 	}
-	size := binary.LittleEndian.Uint32(hdr)
 	if size < minFrame || size > maxFrame {
 		return 0, 0, nil, 0, fmt.Errorf("netsite: implausible frame size %d", size)
 	}
 	body := make([]byte, size)
 	if _, err := io.ReadFull(r, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, 0, nil, 0, err
 	}
-	return binary.LittleEndian.Uint32(body), body[4], body[5:], 4 + int(size), nil
+	v, m := binary.Uvarint(body)
+	switch {
+	case m <= 0 || m >= len(body):
+		return 0, 0, nil, 0, fmt.Errorf("netsite: frame of %d bytes lacks its id and kind", size)
+	case m > 1 && body[m-1] == 0:
+		return 0, 0, nil, 0, errPadded
+	case v > math.MaxUint32:
+		return 0, 0, nil, 0, fmt.Errorf("netsite: frame id %d exceeds u32", v)
+	}
+	return uint32(v), body[m], body[m+1:], ln + int(size), nil
+}
+
+// readLength reads a frame's length uvarint and its byte count. A stream
+// that ends before the first byte is a clean io.EOF; one that ends inside
+// the varint is io.ErrUnexpectedEOF.
+func readLength(r io.ByteReader) (uint64, int, error) {
+	var v uint64
+	for i := 0; i < binary.MaxVarintLen32; i++ {
+		c, err := r.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, i, err
+		}
+		v |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if i > 0 && c == 0 {
+				return 0, i + 1, errPadded
+			}
+			return v, i + 1, nil
+		}
+	}
+	return 0, binary.MaxVarintLen32, fmt.Errorf("netsite: overlong frame length")
+}
+
+// readPreamble consumes a connection's preamble, failing on anything else.
+func readPreamble(r io.Reader) error {
+	var p [len(preamble)]byte
+	if _, err := io.ReadFull(r, p[:]); err != nil {
+		return err
+	}
+	if string(p[:]) != preamble {
+		return fmt.Errorf("netsite: connection preamble %q, want %q", p[:], preamble)
+	}
+	return nil
 }

@@ -2,7 +2,6 @@ package netsite
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"strconv"
 	"sync"
@@ -62,10 +61,11 @@ const (
 
 // queryRound runs one query round to a settled outcome: attempts are
 // repeated, with backoff, while sites answer from different deployment
-// states. sol is reset before each attempt and holds the settled
-// attempt's equations on return. The stats accumulate across attempts —
-// retried frames and bytes are real traffic.
-func (c *Coordinator) queryRound(ctx context.Context, payload []byte, sol *batchSolver, qt *qtrace) (WireStats, error) {
+// states. queries is the request's shared section (appendQueries), encoded
+// once for the round. sol is reset before each attempt and holds the
+// settled attempt's equations on return. The stats accumulate across
+// attempts — retried frames and bytes are real traffic.
+func (c *Coordinator) queryRound(ctx context.Context, queries []byte, sol *batchSolver, qt *qtrace) (WireStats, error) {
 	var total WireStats
 	backoff := epochRetryBackoff
 	for attempt := 0; ; attempt++ {
@@ -76,7 +76,7 @@ func (c *Coordinator) queryRound(ctx context.Context, payload []byte, sol *batch
 		}
 		sol.qt = rqt
 		sol.reset()
-		st, split, err := c.queryAttempt(ctx, payload, sol, rqt)
+		st, split, err := c.queryAttempt(ctx, queries, sol, rqt)
 		if qt != nil {
 			qt.b.End(rqt.par)
 		}
@@ -112,14 +112,14 @@ func (c *Coordinator) queryRound(ctx context.Context, payload []byte, sol *batch
 // rpc span, and the spans each site piggybacks on its reply are grafted
 // into qt's trace anchored at this coordinator's post instant — no site
 // wall clock is ever trusted.
-func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *batchSolver, qt *qtrace) (st WireStats, split bool, err error) {
+func (c *Coordinator) queryAttempt(ctx context.Context, queries []byte, sol *batchSolver, qt *qtrace) (st WireStats, split bool, err error) {
 	id := c.nextID.Add(1)
 	start := time.Now()
 	k := len(c.conns)
 	for i := range c.rows {
 		sol.held[i] = c.rows[i].Load()
 	}
-	first, skip := c.route(sol)
+	first, instance, skip := c.route(sol)
 	// Per site: posted (it holds a pending entry for id), vouched for by
 	// the first reply, replied. A site is never both posted and vouched.
 	posted := make([]bool, k)
@@ -169,19 +169,21 @@ func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *bat
 		settle(false)
 		return st, false, err
 	}
-	// post sends site i its copy of p, carrying the tag of the rows the
-	// attempt holds for it.
-	post := func(i int, p []byte) error {
-		p = append([]byte(nil), p...)
+	// post sends site i its request: its own head — the tag of the rows
+	// the attempt holds for it, else the instance a skip section in shared
+	// stands on, and its rpc span — then the shared section.
+	post := func(i int, shared []byte, instance uint64) error {
+		h := batchHeader{instance: instance}
 		if held := sol.held[i]; held != nil {
-			held.tag.put(p[tagOffset:])
+			h.instance, h.held, h.gen = held.tag.instance, true, held.tag.gen
 		}
 		if qt != nil {
 			rpcIDs[i] = qt.b.StartSpan(qt.par, "rpc", obs.Attr{Key: "site", Val: strconv.Itoa(i)})
-			binary.LittleEndian.PutUint64(p[spanOffset:], rpcIDs[i])
+			h.traced, h.traceID, h.span = true, qt.id, rpcIDs[i]
 			anchors[i] = time.Now()
 		}
-		n, err := c.conns[i].post(id, kindBatch, p, replies)
+		buf := append(appendBatchHead(newFrame(batchHeadMax+len(shared)), h), shared...)
+		n, err := c.conns[i].post(id, kindBatch, buf, replies)
 		if err != nil {
 			return fmt.Errorf("site %d: %w", i, err)
 		}
@@ -195,10 +197,10 @@ func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *bat
 
 	// The first wave carries the skip section; a site posted on a reply's
 	// word gets the plain request, as it skips no one.
-	firstPayload := appendSkip(payload[:len(payload):len(payload)], skip)
+	firstShared := appendSkip(queries[:len(queries):len(queries)], skip)
 	for i := range c.conns {
 		if first == nil || first[i] {
-			if err := post(i, firstPayload); err != nil {
+			if err := post(i, firstShared, instance); err != nil {
 				// The sites already posted would evaluate for nobody: fail
 				// cancels them.
 				return fail(err)
@@ -260,7 +262,7 @@ func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *bat
 				settle(false) // the replies disagree on one (epoch, LSN)
 				return st, true, nil
 			default:
-				if err := post(i, payload); err != nil {
+				if err := post(i, queries, 0); err != nil {
 					return fail(err)
 				}
 			}
@@ -297,15 +299,16 @@ func (c *Coordinator) queryAttempt(ctx context.Context, payload []byte, sol *bat
 }
 
 // route picks the sites an attempt posts to first — nil: every site — and
-// the skip section their requests carry (batch.go, Routing). It skips only
-// in a batch of reach and distance queries, when every rows tag the
-// attempt holds names one fragmentation instance and the owner table knows,
-// for that instance, every s and t of the batch; then the first wave is
-// owner(s) ∪ owner(t) over the queries plus every site whose rows the
-// attempt does not hold or knows to be stale.
-func (c *Coordinator) route(sol *batchSolver) ([]bool, skipList) {
+// the skip section their requests carry, with the fragmentation instance
+// it stands on (batch.go, Routing). It skips only in a batch of reach and
+// distance queries, when every rows tag the attempt holds names one
+// fragmentation instance and the owner table knows, for that instance,
+// every s and t of the batch; then the first wave is owner(s) ∪ owner(t)
+// over the queries plus every site whose rows the attempt does not hold or
+// knows to be stale.
+func (c *Coordinator) route(sol *batchSolver) ([]bool, uint64, skipList) {
 	if !sol.needRows || !sol.rowsBacked {
-		return nil, skipList{}
+		return nil, 0, skipList{}
 	}
 	var instance uint64
 	for _, h := range sol.held {
@@ -314,14 +317,14 @@ func (c *Coordinator) route(sol *batchSolver) ([]bool, skipList) {
 		case instance == 0:
 			instance = h.tag.instance
 		case h.tag.instance != instance:
-			return nil, skipList{} // separate replicas, or a replacement half seen
+			return nil, 0, skipList{} // separate replicas, or a replacement half seen
 		}
 	}
 	first := make([]bool, len(sol.held))
 	if instance == 0 || !c.owners.mark(instance, sol.wire, first) {
-		return nil, skipList{}
+		return nil, 0, skipList{}
 	}
-	sk := skipList{instance: instance}
+	var sk skipList
 	for i, h := range sol.held {
 		switch {
 		case h == nil || h.stale:
@@ -332,9 +335,9 @@ func (c *Coordinator) route(sol *batchSolver) ([]bool, skipList) {
 		}
 	}
 	if sk.sites == nil {
-		return nil, skipList{}
+		return nil, 0, skipList{}
 	}
-	return first, sk
+	return first, instance, sk
 }
 
 // named reads what a posted site's reply says about the other sites — the

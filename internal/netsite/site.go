@@ -1,8 +1,8 @@
 package netsite
 
 import (
+	"bufio"
 	"encoding"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -292,17 +292,18 @@ func (s *Site) serveConn(conn net.Conn) error {
 				if errors.Is(err, errCancelled) {
 					continue // a cancelled request owes no response
 				}
-				kind := byte(kindAnswer)
+				kind, off := byte(kindAnswer), 0
 				if err != nil {
-					kind, resp = kindError, []byte(err.Error())
+					kind, off = kindError, frameHeadroom
+					resp = append(newFrame(len(err.Error())), err.Error()...)
 					if s.met != nil {
 						s.met.errs.Inc()
 					}
 				} else {
-					resp = tagged(epoch, lsn, resp)
+					off = putTag(resp, epoch, lsn)
 				}
 				wmu.Lock()
-				_, werr := writeFrame(conn, j.id, kind, resp)
+				_, werr := writeFrame(conn, j.id, kind, resp, off)
 				wmu.Unlock()
 				if werr != nil {
 					// Poison the connection: the reader unblocks with an
@@ -313,9 +314,10 @@ func (s *Site) serveConn(conn net.Conn) error {
 			}
 		}()
 	}
-	var err error
-	for {
-		id, kind, payload, _, rerr := readFrame(conn)
+	r := bufio.NewReader(conn)
+	err := readPreamble(r)
+	for err == nil {
+		id, kind, payload, _, rerr := readFrame(r)
 		if rerr != nil {
 			err = rerr // includes clean EOF on coordinator close
 			break
@@ -334,15 +336,6 @@ func (s *Site) serveConn(conn net.Conn) error {
 	close(jobs)
 	wg.Wait()
 	return err
-}
-
-// tagged prefixes a response body with the (epoch, lsn) state tag every
-// answer frame starts with.
-func tagged(epoch, lsn uint64, body []byte) []byte {
-	p := make([]byte, answerPrefix, answerPrefix+len(body))
-	binary.LittleEndian.PutUint64(p, epoch)
-	binary.LittleEndian.PutUint64(p[8:], lsn)
-	return append(p, body...)
 }
 
 // pause sleeps the site's artificial service delay in short slices so a
@@ -371,23 +364,33 @@ func (s *Site) pause(cancel *atomic.Bool) bool {
 	}
 }
 
-// handle evaluates one request frame. A request whose cancel flag fires
-// mid-evaluation returns errCancelled: no response frame is written for it.
+// handle evaluates one request frame and returns the answer body in a
+// frame buffer (newFrame). A request whose cancel flag fires mid-evaluation
+// returns errCancelled: no response frame is written for it.
 func (s *Site) handle(j *frameJob) (uint64, uint64, []byte, error) {
 	if j.kind == kindBatch {
 		return s.handleBatch(j)
 	}
 	s.pause(nil)
+	var (
+		epoch, lsn uint64
+		body       []byte
+		err        error
+	)
 	switch j.kind {
 	case kindUpdate:
-		return s.handleUpdate(j.payload)
+		epoch, lsn, body, err = s.handleUpdate(j.payload)
 	case kindRebalance:
-		return s.handleRebalance(j.payload)
+		epoch, lsn, body, err = s.handleRebalance(j.payload)
 	case kindSync:
-		return s.handleSync(j.payload)
+		epoch, lsn, body, err = s.handleSync(j.payload)
 	default:
-		return 0, 0, nil, fmt.Errorf("unknown request kind %q", j.kind)
+		err = fmt.Errorf("unknown request kind %q", j.kind)
 	}
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return epoch, lsn, append(newFrame(len(body)), body...), nil
 }
 
 // evalAttrs renders one evaluation's equation counters as eval-span
@@ -603,17 +606,18 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 		return 0, 0, nil, errCancelled
 	}
 	// The sites the coordinator skipped share this fragmentation only when
-	// the skip section names its instance; then their generations, read
-	// under the same lock, say whose held rows are stale. Otherwise all are.
+	// the request head, which the skip section stands on, names its
+	// instance; then their generations, read under the same lock, say whose
+	// held rows are stale. Otherwise all are.
 	for i, site := range h.skip.sites {
-		if h.skip.instance != fr.Instance() || site >= fr.Card() || fr.Fragments()[site].Generation() != h.skip.gens[i] {
+		if h.instance != fr.Instance() || site >= fr.Card() || fr.Fragments()[site].Generation() != h.skip.gens[i] {
 			rep.stale = append(rep.stale, site)
 		}
 	}
 	// The rows, unless the coordinator holds this very state of them. The
 	// generation is read under the lock the evaluation holds, so the tag
 	// names exactly the fragment the rows are computed on.
-	if tag := (rowsTag{fr.Instance(), frag.Generation()}); needRows && h.rows != tag {
+	if tag := (rowsTag{fr.Instance(), frag.Generation()}); needRows && h.rows() != tag {
 		rows := core.LocalRows(frag, opt)
 		if rows == nil {
 			return 0, 0, nil, errCancelled
@@ -627,16 +631,16 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 	if s.met != nil {
 		s.met.eval.With(kindLabel(j.kind)).Observe(evalEnd.Sub(evalStart).Seconds())
 	}
-	// The one query reply: the recorded spans — none, two bytes, when the
+	// The one query reply: the recorded spans — none, one byte, when the
 	// request was untraced — head the body.
-	var spans []byte
+	b := newFrame(rep.size() + 1)
 	if j.rec != nil {
 		j.rec.Span(-1, "eval", evalStart, evalEnd, evalAttrs(opt.Metrics)...)
-		spans = j.rec.Wire()
+		b = j.rec.AppendWire(b)
 	} else {
-		spans = obs.AppendWireSpans(nil, nil)
+		b = obs.AppendWireSpans(b, nil)
 	}
-	return epoch, lsn, encodeBatchReply(spans, rep), nil
+	return epoch, lsn, encodeBatchReply(b, rep), nil
 }
 
 // ServeFragmentation is a convenience that starts one Site per fragment on

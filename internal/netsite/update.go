@@ -186,14 +186,17 @@ func decodeUpdateReply(p []byte) (changed bool, dirty []int, newIDs []graph.Node
 	return ch == 1, dirty, newIDs, bs, nil
 }
 
-// readIDs decodes a counted list of u32 IDs.
+// readIDs decodes a u32-counted list of u32 IDs.
 func readIDs[T ~int | ~int32](r *oplog.Cursor) ([]T, error) {
-	n, err := readCount(r, 4)
+	n, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
+	if n > maxBatch || uint64(n)*4 > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("netsite: implausible count %d with %d bytes left", n, r.Remaining())
+	}
 	ids := make([]T, 0, n)
-	for i := 0; i < n; i++ {
+	for i := uint32(0); i < n; i++ {
 		v, err := r.U32()
 		if err != nil {
 			return nil, err

@@ -195,14 +195,19 @@ func TestWireSpanCapsAndMalformed(t *testing.T) {
 	if len(got[0].Name) != maxSpanName || len(got[0].Attrs[0].Key) != maxAttrKeyLen || len(got[0].Attrs[0].Val) != maxAttrValLen {
 		t.Fatalf("caps not applied: name=%d key=%d val=%d", len(got[0].Name), len(got[0].Attrs[0].Key), len(got[0].Attrs[0].Val))
 	}
-	// Truncated buffers and absurd counts must error, not panic.
+	// No spans is one byte.
+	if p := AppendWireSpans(nil, nil); len(p) != 1 {
+		t.Fatalf("the empty section is %d bytes, want 1", len(p))
+	}
+	// Truncated buffers, absurd counts and padded ones must error, not panic.
 	for _, b := range [][]byte{
 		{},
-		{0x00},
-		{0xFF, 0xFF},                   // 65535 spans claimed
-		{0x00, 0x01},                   // 1 span, no body
-		{0x00, 0x01, 0xFF, 0xFF, 0x70}, // nameLen 112, no name
-		append([]byte{0x00, 0x01, 0xFF, 0xFF, 0x01}, 'a'), // name but no times
+		{0xFF, 0xFF},             // truncated count varint
+		{0x81, 0x02},             // 257 spans claimed
+		{0x80, 0x00},             // padded count
+		{0x01},                   // 1 span, no body
+		{0x01, 0xFF, 0xFF, 0x70}, // nameLen 112, no name
+		append([]byte{0x01, 0xFF, 0xFF, 0x01}, 'a'), // name but no times
 	} {
 		if _, _, err := DecodeWireSpans(b); err == nil {
 			t.Fatalf("decoded malformed %x", b)
@@ -273,7 +278,7 @@ func TestRecorderAnchoring(t *testing.T) {
 	rec.Span(-1, "queue", t0.Add(-time.Millisecond), t0.Add(time.Millisecond))
 	i := rec.Span(-1, "eval", t0.Add(2*time.Millisecond), t0.Add(5*time.Millisecond))
 	rec.Span(i, "partial", t0.Add(3*time.Millisecond), t0.Add(3*time.Millisecond))
-	spans, rest, err := DecodeWireSpans(rec.Wire())
+	spans, rest, err := DecodeWireSpans(rec.AppendWire(nil))
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: %v rest=%d", err, len(rest))
 	}

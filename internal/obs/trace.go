@@ -169,7 +169,8 @@ type WireSpan struct {
 	Attrs         []Attr
 }
 
-// AppendWireSpans encodes spans onto dst. Layout per span:
+// AppendWireSpans encodes spans onto dst: a uvarint span count (one byte
+// for no spans), then per span:
 //
 //	parent i16 | nameLen u8 | name | startOffsetNs u64 | durNs u64 |
 //	nAttrs u8 | (keyLen u8 | key | valLen u16 | val)*
@@ -177,7 +178,7 @@ func AppendWireSpans(dst []byte, spans []WireSpan) []byte {
 	if len(spans) > maxWireSpans {
 		spans = spans[:maxWireSpans]
 	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(spans)))
+	dst = binary.AppendUvarint(dst, uint64(len(spans)))
 	for _, s := range spans {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(s.Parent))
 		name := s.Name
@@ -213,16 +214,15 @@ func AppendWireSpans(dst []byte, spans []WireSpan) []byte {
 var errWireSpans = errors.New("obs: malformed wire spans")
 
 // DecodeWireSpans decodes a span batch produced by AppendWireSpans and
-// returns the remaining bytes after it.
+// returns the remaining bytes after it. The count must be a shortest-form
+// varint, so what decodes re-encodes to the same bytes.
 func DecodeWireSpans(p []byte) ([]WireSpan, []byte, error) {
-	if len(p) < 2 {
+	count, m := binary.Uvarint(p)
+	if m <= 0 || m > 1 && p[m-1] == 0 || count > maxWireSpans {
 		return nil, nil, errWireSpans
 	}
-	n := int(binary.BigEndian.Uint16(p))
-	p = p[2:]
-	if n > maxWireSpans {
-		return nil, nil, errWireSpans
-	}
+	n := int(count)
+	p = p[m:]
 	spans := make([]WireSpan, 0, n)
 	for i := 0; i < n; i++ {
 		if len(p) < wireSpanMinSize {
@@ -308,9 +308,9 @@ func (r *Recorder) Span(parent int, name string, start, end time.Time, attrs ...
 	return len(r.spans) - 1
 }
 
-// Wire encodes everything recorded so far.
-func (r *Recorder) Wire() []byte {
-	return AppendWireSpans(nil, r.spans)
+// AppendWire appends everything recorded so far, encoded, to dst.
+func (r *Recorder) AppendWire(dst []byte) []byte {
+	return AppendWireSpans(dst, r.spans)
 }
 
 // TraceStore is a fixed-capacity ring of recent traces with O(1) lookup

@@ -187,10 +187,12 @@ func (r *Cursor) U64() (uint64, error) {
 	return v, nil
 }
 
-// Uvarint reads one unsigned varint; a truncated or overlong one fails.
+// Uvarint reads one unsigned varint; a truncated, overlong or padded (not
+// shortest-form) one fails, so whatever decodes re-encodes to the same
+// bytes. Writers never pad.
 func (r *Cursor) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[r.off+n-1] == 0 {
 		return 0, fmt.Errorf("oplog: bad varint at offset %d", r.off)
 	}
 	r.off += n
