@@ -64,13 +64,14 @@ type gateway struct {
 	queries *obs.Counter
 	updates *obs.Counter
 
-	rejected    *obs.Counter  // requests turned away with 429
-	epoch       atomic.Uint64 // highest deployment epoch observed
-	rebalances  *obs.Counter  // successful rebalance rounds
-	rebalancing atomic.Bool   // single-flight latch for auto-rebalance
-	syncing     atomic.Bool   // single-flight latch for catch-up replication
-	syncs       *obs.Counter  // successful catch-up rounds
-	snapping    atomic.Bool   // single-flight latch for checkpointing
+	rejected    *obs.Counter   // requests turned away with 429
+	epoch       atomic.Uint64  // highest deployment epoch observed
+	rebalances  *obs.Counter   // successful rebalance rounds
+	rebalancing atomic.Bool    // single-flight latch for auto-rebalance
+	syncing     atomic.Bool    // single-flight latch for catch-up replication
+	syncs       *obs.Counter   // successful catch-up rounds
+	snapping    atomic.Bool    // single-flight latch for checkpointing
+	snapWG      sync.WaitGroup // the checkpoint in flight, joined by Close
 
 	statsMu   sync.Mutex
 	lastStats fragment.BalanceStats // latest balance seen in an update reply
@@ -237,7 +238,9 @@ func (g *gateway) maybeSnapshot() {
 	if !g.snapping.CompareAndSwap(false, true) {
 		return
 	}
+	g.snapWG.Add(1)
 	go func() {
+		defer g.snapWG.Done()
 		defer g.snapping.Store(false)
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
@@ -249,6 +252,13 @@ func (g *gateway) maybeSnapshot() {
 			fmt.Fprintf(os.Stderr, "serve: snapshot at LSN %d failed: %v\n", snap.LSN, err)
 		}
 	}()
+}
+
+// Close waits for the checkpoint in flight, if any, so that nothing writes
+// into the store after it returns. Call it once the HTTP server has stopped
+// and before the store and the coordinator close.
+func (g *gateway) Close() {
+	g.snapWG.Wait()
 }
 
 // wireJSON mirrors netsite.WireStats for responses served off the wire.

@@ -47,15 +47,23 @@
 // instant the replies in hand prove it, and the straggler sites are told to
 // stop. Every cache miss is answered by its own request's wire round: one
 // round per GET, and one per POST /batch for all of its distinct misses.
+//
+// SIGINT or SIGTERM shuts the gateway down: the HTTP server stops, a
+// checkpoint in flight finishes, and the store and the sites close.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"distreach/internal/fragment"
@@ -88,11 +96,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// Bind the listen address before building the deployment, so a port
+	// picked for this process cannot go to the loopback sockets the
+	// deployment opens in the meantime.
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		fatal(err)
+	}
 	var (
 		co    *netsite.Coordinator
 		owned []*netsite.Site
 		rep   *fragment.Replica
-		err   error
 	)
 	switch {
 	case *sites != "":
@@ -176,9 +190,18 @@ func main() {
 	}
 	fmt.Printf("serve: gateway on http://%s (cache %d entries, request timeout %v, max in-flight %d, skew threshold %.1f)\n",
 		*listen, *cacheCap, *reqTO, cap(gw.sem), *skew)
-	if err := http.ListenAndServe(*listen, mux); err != nil {
+	srv := &http.Server{Handler: mux}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	go func() {
+		<-ctx.Done()
+		stop() // a second signal kills the process as before
+		srv.Shutdown(context.Background())
+	}()
+	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
+	gw.Close()
 }
 
 // registerPprof mounts the standard profiling endpoints on our own mux

@@ -37,6 +37,7 @@ func TestGatewayDurabilityStats(t *testing.T) {
 	srv := httptest.NewServer(gw.routes())
 	defer func() {
 		srv.Close()
+		gw.Close() // join the checkpoint before its directory goes
 		co.Close()
 		for _, s := range sites {
 			s.Close()
@@ -131,6 +132,7 @@ func TestGatewayRecoversDeploymentFromWAL(t *testing.T) {
 	// this seed unless churned.
 	postUpdate(t, srv1.URL, `{"op":"insert","u":0,"v":39}`, 200)
 	srv1.Close()
+	gw1.Close()
 	co1.Close()
 	for _, s := range sites1 {
 		s.Close()
@@ -162,6 +164,7 @@ func TestGatewayRecoversDeploymentFromWAL(t *testing.T) {
 	srv2 := httptest.NewServer(gw2.routes())
 	defer func() {
 		srv2.Close()
+		gw2.Close()
 		co2.Close()
 		for _, s := range sites2 {
 			s.Close()

@@ -288,6 +288,46 @@ func TestKnobBudget(t *testing.T) {
 	}
 }
 
+// TestOneCodec is a ratchet on the payload codec: every payload is written
+// and read through internal/codec, so a fixed-width byte order appears
+// nowhere else in the non-test Go code. The one exception is the
+// write-ahead log's record frame (size and CRC, written once and read by
+// both record scans) and its segment header's base LSN (written once, read
+// once), which the torn-tail scan reads at fixed offsets: at most that many
+// uses in internal/oplog/log.go.
+func TestOneCodec(t *testing.T) {
+	const logFrameUses = 8
+	fixed := regexp.MustCompile(`\bbinary\.(LittleEndian|BigEndian)\b`)
+	found := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		n := len(fixed.FindAll(src, -1))
+		found += n
+		switch {
+		case strings.HasPrefix(path, "internal/codec/"):
+		case path == "internal/oplog/log.go":
+			if n > logFrameUses {
+				t.Errorf("%s: %d fixed-width byte-order uses, budget %d (the record frame and segment header)", path, n, logFrameUses)
+			}
+		case n > 0:
+			t.Errorf("%s: %d fixed-width byte-order uses outside internal/codec; read and write payloads through it", path, n)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Fatal("no byte-order use found at all: the scan is broken")
+	}
+}
+
 // TestMakefilePinsResolve guards the named test lists of `make
 // cross-checks` and `make recovery-smoke` and the targets of `make
 // fuzz-smoke`. go test exits 0 when a -run or -fuzz pattern matches

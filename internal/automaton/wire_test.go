@@ -1,6 +1,7 @@
 package automaton
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"distreach/internal/gen"
@@ -80,12 +81,15 @@ func TestAutomatonWireRejectsGarbage(t *testing.T) {
 	garbage := [][]byte{
 		nil,
 		{},
-		{9},                     // wrong version
-		{1},                     // missing state count
-		{1, 1, 0, 0, 0},         // fewer than 2 states
-		{1, 255, 255, 255, 255}, // absurd state count
-		good[:len(good)-3],      // truncated transitions
-		append(append([]byte{}, good[:5]...), 200), // truncated label
+		{1, 0, 0},                           // fewer than 2 states
+		{0x82, 0x00, 0, 0, 0, 0},            // padded state count
+		{0xff, 0xff, 0xff, 0xff, 0x0f},      // absurd state count
+		{3, 0, 2, 2, 1, 0, 0, 1, 'x', 1, 1}, // Start's targets out of order
+		{3, 0, 1, 2, 0, 0, 1, 'x', 1, 2, 9}, // trailing byte
+		{2, 1, 'x', 0, 0, 0},                // labelled Start
+		good[:len(good)-1],                  // truncated transitions
+		good[:4],                            // truncated label
+		fixedWidth(good),                    // the retired fixed-width layout
 	}
 	for i, data := range garbage {
 		var a Automaton
@@ -93,4 +97,27 @@ func TestAutomatonWireRejectsGarbage(t *testing.T) {
 			t.Errorf("case %d: garbage accepted", i)
 		}
 	}
+}
+
+// fixedWidth re-encodes a wire automaton in the retired fixed-width layout
+// (version 1, u32 counts and lengths, transitions as (from, to) u32 pairs),
+// which the decoder must refuse.
+func fixedWidth(data []byte) []byte {
+	var a Automaton
+	if err := a.UnmarshalBinary(data); err != nil {
+		panic(err)
+	}
+	b := binary.LittleEndian.AppendUint32([]byte{1}, uint32(a.NumStates()))
+	for u := 0; u < a.NumStates(); u++ {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(a.StateLabel(u))))
+		b = append(b, a.StateLabel(u)...)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(a.NumTransitions()))
+	for u := 0; u < a.NumStates(); u++ {
+		for _, v := range a.Next(u) {
+			b = binary.LittleEndian.AppendUint32(b, uint32(u))
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+	}
+	return b
 }

@@ -137,16 +137,14 @@ func newLocalEval(f *fragment.Fragment, t graph.NodeID, opt *Options) *localEval
 // was cancelled. vars is read-only and valid until the next call: the
 // caller copies it or only reads it.
 func (ev *localEval) equation(v int32) (truth bool, vars []graph.NodeID, ok bool) {
-	f, t, met := ev.f, ev.t, ev.met
+	f, t := ev.f, ev.t
 	if f.Global(v) == t {
 		// Xt is trivially true (t reaches itself). This must precede
 		// aliasing: if t shares an SCC with other in-nodes, they may
 		// alias to Xt, and Xt itself must never be an alias.
-		met.ConstEqs++
 		return true, nil, true
 	}
 	if rep := ev.repOf[ev.comp[v]]; rep != 0 {
-		met.AliasEqs++
 		ev.alias[0] = f.Global(rep - 1)
 		return false, ev.alias[:], true
 	}
@@ -162,17 +160,16 @@ func (ev *localEval) equation(v int32) (truth bool, vars []graph.NodeID, ok bool
 					gvars = slices.Concat(gvars[:i], gvars[i+1:])
 				}
 			}
-			met.IndexedEqs++
+			ev.met.IndexedEqs++
 			return reachesT, gvars, true
 		}
 		switch idx.Outcome(v) {
 		case reachindex.OutcomeStale:
-			met.StaleEqs++
+			ev.met.StaleEqs++
 		case reachindex.OutcomeOverBudget:
-			met.OverBudgetEqs++
+			ev.met.OverBudgetEqs++
 		}
 	}
-	met.BFSEqs++
 	return ev.bfs.from(f, v, t, ev.comp, ev.opt)
 }
 

@@ -42,24 +42,20 @@ type Options struct {
 	Cancel func() bool
 
 	// Metrics, if non-nil, receives per-equation counters from the local
-	// evaluation — which path produced each in-node equation, and why the
-	// fragment index was bypassed when it was. The struct is written by the
-	// single evaluating goroutine with no synchronization; callers wanting
-	// aggregates across queries must copy it out per evaluation (the traced
-	// query path attaches it to the eval span).
+	// evaluation: how often the fragment index answered, and why it was
+	// bypassed when it was. The struct is written by the single evaluating
+	// goroutine with no synchronization; callers wanting aggregates across
+	// queries must copy it out per evaluation (the traced query path turns
+	// it into the eval span's reachindex outcome).
 	Metrics *EvalMetrics
 }
 
-// EvalMetrics counts, for one local evaluation, how each in-node equation
-// was produced. Indexed + BFS + Alias + Const covers every equation; Stale
-// and OverBudget are the subsets of BFS that had a fragment index installed
-// but fell back anyway (the reachindex outcome tagging observability needs
-// to tune index budgets in production).
+// EvalMetrics counts, for one local evaluation, the in-node equations the
+// fragment reachability index answered and the ones that had an index
+// installed but fell back to BFS anyway — the reachindex outcome tagging
+// observability needs to tune index budgets in production.
 type EvalMetrics struct {
 	IndexedEqs    int64 // answered from the fragment reachability index
-	BFSEqs        int64 // direct frontier-cut BFS
-	AliasEqs      int64 // two-word alias to an SCC representative
-	ConstEqs      int64 // trivially true (the in-node is the target)
 	StaleEqs      int64 // BFS because the index entry was invalidated by a mutation
 	OverBudgetEqs int64 // BFS because the label budget excluded the entry (or it is undecided mid-rebuild)
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"distreach/internal/automaton"
+	"distreach/internal/fragment"
 	"distreach/internal/gen"
+	"distreach/internal/graph"
 )
 
 // TestReachPartialRoundTrip: reachability partials — unweighted Rows —
@@ -158,7 +160,7 @@ func TestRPQPartialRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	for _, data := range [][]byte{nil, {}, {99}} { // empty, wrong version
+	for _, data := range [][]byte{nil, {}, {99}} { // empty, a lone byte
 		var qv RPQPartial
 		if err := qv.UnmarshalBinary(data); err == nil {
 			t.Errorf("RPQPartial accepted %v", data)
@@ -168,27 +170,27 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 			t.Errorf("Rows accepted %v", data)
 		}
 	}
-	// Each layout under its own version byte; w is the weighted flag.
+	// w is the Rows flag that says the list is weighted.
 	over := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01} // an 11-byte varint
 	const w = rowsWeighted
 	for _, data := range [][]byte{
-		{rowsVersion, w, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},                // absurd count
-		{rowsVersion, w, 2, 0, 0, 0},                                  // count 2, one equation
-		{rowsVersion, w, 1, 0, 0, 0xFF, 0xFF, 0x03},                   // absurd disjunct count
-		{rowsVersion, w, 1, 0, 0, 1, 5},                               // truncated disjunct: weight missing
-		{rowsVersion, 0, 1, 0, 0, 1},                                  // truncated disjunct
-		{rowsVersion, w, 1, 3, 0, 0},                                  // node below zero
-		{rowsVersion, w, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0},       // constant beyond int32
-		{rowsVersion, w, 1, 0, 0, 1, 5, 0x80, 0x80, 0x80, 0x80, 0x10}, // weight beyond int32
-		{rowsVersion, w, 1, 0, 0, 1, 5, 0x80},                         // weighted list truncated mid-weight
-		{rowsVersion, 0, 1, 0, 2, 0},                                  // Boolean constant 1: weights in an unweighted list
-		{rowsVersion, 0, 1, 0, 0, 1, 0x85, 0x00},                      // padded varint: two bytes for 5
-		{rowsVersion, 2, 0},                                           // unknown flag bit
-		{rowsVersion, 0xFF, 0},                                        // every flag bit
-		append([]byte{rowsVersion, w, 1}, over...),                    // overlong node
-		{rowsVersion, w, 0, 0},                                        // trailing byte
-		{1, 1, 0, 0, 1, 5, 3},                                         // version 1: weighted, no flags byte
-		{1, 0},                                                        // version 1, no equations
+		{w, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},                // absurd count
+		{w, 2, 0, 0, 0},                                  // count 2, one equation
+		{w, 1, 0, 0, 0xFF, 0xFF, 0x03},                   // absurd disjunct count
+		{w, 1, 0, 0, 1, 5},                               // truncated disjunct: weight missing
+		{0, 1, 0, 0, 1},                                  // truncated disjunct
+		{w, 1, 3, 0, 0},                                  // node below zero
+		{w, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0},       // constant beyond int32
+		{w, 1, 0, 0, 1, 5, 0x80, 0x80, 0x80, 0x80, 0x10}, // weight beyond int32
+		{w, 1, 0, 0, 1, 5, 0x80},                         // weighted list truncated mid-weight
+		{0, 1, 0, 2, 0},                                  // Boolean constant 1: weights in an unweighted list
+		{0, 1, 0, 0, 1, 0x85, 0x00},                      // padded varint: two bytes for 5
+		{2, 0},                                           // unknown flag bit
+		{0xFF, 0},                                        // every flag bit
+		append([]byte{w, 1}, over...),                    // overlong node
+		{w, 0, 0},                                        // trailing byte
+		{2, w, 1, 0, 0, 1, 5, 3},                         // the retired layout: a leading version byte 2
+		{2, 0, 0},                                        // version byte 2, no equations
 	} {
 		var rv Rows
 		if err := rv.UnmarshalBinary(data); err == nil {
@@ -196,14 +198,15 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		}
 	}
 	for _, data := range [][]byte{
-		{rpqVersion, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},             // absurd count
-		{rpqVersion, 0, 1, 0, 0xFF, 0x7F},                         // absurd entry count
-		{rpqVersion, 0, 1, 0, 1, 2, 0xFF, 0x7F},                   // absurd variable count
-		{rpqVersion, 0, 1, 0, 1, 2, 2, 7},                         // truncated variables
-		{rpqVersion, 0, 1, 0, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 0}, // state beyond int32
-		{rpqVersion, 0x80, 0x80, 0x80, 0x80, 0x10, 0},             // variable space beyond int32
-		append([]byte{rpqVersion, 0, 1}, over...),                 // overlong node
-		{1, 0, 0, 0, 0, 0, 0, 0, 0},                               // version 1, an empty partial in the old layout
+		{0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},             // absurd count
+		{0, 1, 0, 0xFF, 0x7F},                         // absurd entry count
+		{0, 1, 0, 1, 2, 0xFF, 0x7F},                   // absurd variable count
+		{0, 1, 0, 1, 2, 2, 7},                         // truncated variables
+		{0, 1, 0, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 0}, // state beyond int32
+		{0x80, 0x80, 0x80, 0x80, 0x10, 0},             // variable space beyond int32
+		append([]byte{0, 1}, over...),                 // overlong node
+		{1, 0, 0, 0, 0, 0, 0, 0, 0},                   // version 1, an empty partial in the old layout
+		{2, 0, 0},                                     // version byte 2, an empty partial
 	} {
 		var qv RPQPartial
 		if err := qv.UnmarshalBinary(data); err == nil {
@@ -212,10 +215,61 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	// The shortest forms decode: an empty list of either kind, and a
 	// Boolean equation that is true.
-	for _, data := range [][]byte{{rowsVersion, 0, 0}, {rowsVersion, w, 0}, {rowsVersion, 0, 1, 0, 1, 0}} {
+	for _, data := range [][]byte{{0, 0}, {w, 0}, {0, 1, 0, 1, 0}} {
 		var rv Rows
 		if err := rv.UnmarshalBinary(data); err != nil {
 			t.Errorf("Rows rejected %v: %v", data, err)
 		}
+	}
+}
+
+// BenchmarkCodecRows decodes what the replies of a reach round carry, at
+// reach_cut's shape (a 10,876-node power-law graph with 40,000 edges, cut
+// at random into 4 fragments): "part" is a warm reply's reach query part
+// (the source's equation and the in-nodes that reach the target), "rows"
+// one fragment's weighted in-node rows, the section a cold or re-shipping
+// reply carries.
+func BenchmarkCodecRows(b *testing.B) {
+	g := gen.PowerLaw(gen.Config{Nodes: 10876, Edges: 40000, Labels: gen.LabelAlphabet(4), Seed: 1})
+	fr, err := fragment.Random(g, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := fr.Fragments()[0]
+	rows, err := LocalRows(f, nil).MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The first query owned by f whose part holds both kinds of equation.
+	part := new(Rows)
+	for s := graph.NodeID(0); part.NumEqs() < 2; s++ {
+		t := (s*7919 + 1) % graph.NodeID(g.NumNodes())
+		if fr.Owner(s) != 0 || fr.Owner(t) != 0 {
+			continue
+		}
+		src, tgt := SourceOnlyReach(f, s, t, nil), TargetOnlyReach(f, t, nil)
+		if src.NumEqs() > 0 && tgt.NumEqs() > 0 {
+			part.Append(src)
+			part.Append(tgt)
+		}
+	}
+	pb, err := part.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"part", pb}, {"rows", rows}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var rv Rows
+				if err := rv.UnmarshalBinary(c.data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,8 +1,11 @@
 package fragment
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
+	"distreach/internal/codec"
 	"distreach/internal/graph"
 )
 
@@ -47,6 +50,33 @@ func (bs BalanceStats) Skew() float64 {
 func (bs BalanceStats) String() string {
 	return fmt.Sprintf("balance{k=%d, |Fm|=%d, mean=%.1f, skew=%.2f, |Vf|=%d, |Ef|=%d}",
 		bs.Fragments, bs.MaxSize, bs.MeanSize(), bs.Skew(), bs.Vf, bs.CrossEdges)
+}
+
+// AppendBinary implements encoding.BinaryAppender: the six counts in field
+// order, each a uvarint (internal/codec). Epoch is not part of it: the
+// update and rebalance replies that end with the stats are tagged with
+// their epoch already.
+func (bs BalanceStats) AppendBinary(b []byte) ([]byte, error) {
+	for _, v := range [...]int64{int64(bs.Fragments), int64(bs.MaxSize), int64(bs.MinSize), bs.TotalSize, int64(bs.Vf), int64(bs.CrossEdges)} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	return b, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler, the inverse of
+// AppendBinary; trailing bytes are rejected.
+func (bs *BalanceStats) UnmarshalBinary(data []byte) error {
+	r := codec.NewReader(data)
+	var v [6]int64
+	for i := range v {
+		v[i] = int64(r.Uint(math.MaxInt64))
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("fragment: balance stats: %w", err)
+	}
+	*bs = BalanceStats{Fragments: int(v[0]), MaxSize: int(v[1]), MinSize: int(v[2]),
+		TotalSize: v[3], Vf: int(v[4]), CrossEdges: int(v[5])}
+	return nil
 }
 
 // BalanceStats reports the current balance of the fragmentation. It takes

@@ -14,9 +14,8 @@
 package fragment
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,14 +90,11 @@ func (fr *Fragmentation) setLSN(lsn uint64) {
 	fr.mu.Unlock()
 }
 
-// newInstanceID draws a non-zero random instance ID.
+// newInstanceID draws a non-zero random instance ID from the runtime's
+// generator, which every process seeds from system entropy.
 func newInstanceID() uint64 {
-	var b [8]byte
 	for {
-		if _, err := rand.Read(b[:]); err != nil {
-			panic("fragment: no entropy for an instance ID: " + err.Error())
-		}
-		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
+		if id := rand.Uint64(); id != 0 {
 			return id
 		}
 	}

@@ -3,6 +3,7 @@ package netsite
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -11,10 +12,10 @@ import (
 
 	"distreach/internal/automaton"
 	"distreach/internal/bes"
+	"distreach/internal/codec"
 	"distreach/internal/core"
 	"distreach/internal/graph"
 	"distreach/internal/obs"
-	"distreach/internal/oplog"
 )
 
 // The query frame ('B') carries one or more mixed-class queries in one
@@ -24,12 +25,12 @@ import (
 // and one reply per posted site, independent of k, and no site is posted
 // twice in one attempt. A single query is a batch of one.
 //
-// Request payload (fixed-width fields little-endian; every varint in its
-// shortest form):
+// Request payload (internal/codec: the instance and trace IDs fixed
+// little-endian u64s, every other integer a shortest-form uvarint):
 //
-//	head:   version u8 | flags u8 | instance u64
+//	head:   flags u8 | instance u64
 //	        | generation+1 uvarint (0: no rows held)
-//	        | [trace ID u64 | parent span ID u64]
+//	        | [trace ID u64 | parent span ID uvarint]
 //	shared: count uvarint
 //	        | per query:
 //	          class u8 ('r'|'b'|'q') | s uvarint | t uvarint (<= i32)
@@ -53,12 +54,15 @@ import (
 // Reply payload, after the (epoch, lsn) tag and the span section every
 // query answer carries (see protocol.go):
 //
-//	version u8 | rows u8 (0|1)
-//	           | [instance u64 | generation uvarint | rlen uvarint | rows]
-//	           | nstale uvarint | per stale skipped site: site uvarint
-//	           | nowners uvarint | per reach or distance query, in batch
-//	             order: owner(s)+1 uvarint | owner(t)+1 uvarint (0: none)
-//	           | count uvarint | per query: plen uvarint | partial bytes
+//	rows u8 (0|1)
+//	  | [instance u64 | generation uvarint | rlen uvarint | rows]
+//	  | nstale uvarint | per stale skipped site: site uvarint
+//	  | nowners uvarint | per reach or distance query, in batch
+//	    order: owner(s)+1 uvarint | owner(t)+1 uvarint (0: none)
+//	  | count uvarint | per query: plen uvarint | partial bytes
+//
+// Neither payload carries a version: the connection preamble is the
+// protocol's only one (protocol.go).
 //
 // A reach or distance query's partial is a core.Rows list, the layout of
 // the rows section too — unweighted for reach, weighted for distance —
@@ -157,24 +161,8 @@ type BatchAnswer struct {
 	Touched []int
 }
 
-// batchVersion versions the query payload codecs independently of the
-// frame layout. Version 2 added the shared per-target sections to the
-// reply; version 3 added the request flags byte; version 4 moved the trace
-// context into the request header and made this the only query frame;
-// version 5 added the request's rows tag and replaced the per-target
-// sections with the one optional rows section; version 6 made the rows
-// weighted (core.Rows, one codec for qr and qbr) and a distance query's
-// partial its query part; version 7 added the request's skip section and
-// the reply's stale and owners sections; version 8 put reach query parts
-// in the Rows layout too (unweighted), where a fixed-width layout of their
-// own had carried them; version 9 made every count, length, node ID,
-// bound and generation a varint, wrote the instance once (in the request
-// head, which the skip section shares) and encodes the shared section once
-// per round.
-const batchVersion = 9
-
-// Request flag bits. batchFlagTrace says 16 bytes of trace context follow
-// the rows tag and asks the site to record spans. Bit 1 is retired (it
+// Request flag bits. batchFlagTrace says the trace context follows the
+// rows tag and asks the site to record spans. Bit 1 is retired (it
 // asked for streamed 'P' frames) and rejected like any unknown bit.
 const batchFlagTrace = 2
 
@@ -210,7 +198,7 @@ func (h batchHeader) rows() rowsTag {
 }
 
 // batchHeadMax bounds the encoded head of a query request.
-const batchHeadMax = 2 + 8 + binary.MaxVarintLen64 + 16
+const batchHeadMax = 1 + 8 + binary.MaxVarintLen64 + 8 + binary.MaxVarintLen64
 
 // appendBatchHead appends the head of a query request: everything before
 // the shared section.
@@ -219,15 +207,15 @@ func appendBatchHead(b []byte, h batchHeader) []byte {
 	if h.traced {
 		flags = batchFlagTrace
 	}
-	b = binary.LittleEndian.AppendUint64(append(b, batchVersion, flags), h.instance)
+	b = codec.AppendU64(append(b, flags), h.instance)
 	var held uint64
 	if h.held {
 		held = h.gen + 1
 	}
 	b = binary.AppendUvarint(b, held)
 	if h.traced {
-		b = binary.LittleEndian.AppendUint64(b, h.traceID)
-		b = binary.LittleEndian.AppendUint64(b, h.span)
+		b = codec.AppendU64(b, h.traceID)
+		b = binary.AppendUvarint(b, h.span)
 	}
 	return b
 }
@@ -254,97 +242,30 @@ func appendSkip(b []byte, sk skipList) []byte {
 }
 
 // readSkip decodes a skip section: at least one site, strictly ascending,
-// each a plausible site index.
-func readSkip(r *oplog.Cursor) (sk skipList, err error) {
-	n, err := readUvarintCount(r, 2) // site + generation at minimum
-	if err != nil {
-		return sk, err
-	}
+// each a plausible site index. A malformed one fails r.
+func readSkip(r *codec.Reader) (sk skipList) {
+	n := r.Count(2) // site + generation at minimum
 	if n == 0 {
-		return sk, fmt.Errorf("netsite: empty skip section")
+		r.Fail(errors.New("empty skip section"))
 	}
 	sk.sites, sk.gens = make([]int, n), make([]uint64, n)
 	for i := range sk.sites {
-		if sk.sites[i], err = readSite(r); err != nil {
-			return sk, err
-		}
+		sk.sites[i] = int(r.Uint(maxSites - 1))
 		if i > 0 && sk.sites[i] <= sk.sites[i-1] {
-			return sk, fmt.Errorf("netsite: skip section sites out of order")
+			r.Fail(errors.New("skip section sites out of order"))
 		}
-		if sk.gens[i], err = r.Uvarint(); err != nil {
-			return sk, err
-		}
+		sk.gens[i] = r.Uvarint()
 	}
-	return sk, nil
+	return sk
 }
 
 // maxSites bounds a site index on the wire: the coordinator's owner table
 // keeps a site plus one in 16 bits.
 const maxSites = math.MaxUint16 - 1
 
-// readSite decodes one site index.
-func readSite(r *oplog.Cursor) (int, error) {
-	v, err := r.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v >= maxSites {
-		return 0, fmt.Errorf("netsite: site index %d out of range", v)
-	}
-	return int(v), nil
-}
-
-// readUvarintCount decodes a varint item count, guarding it: each item
-// occupies at least min bytes of the remaining buffer.
-func readUvarintCount(r *oplog.Cursor, min int) (int, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > maxBatch || n*uint64(min) > uint64(r.Remaining()) {
-		return 0, fmt.Errorf("netsite: implausible count %d with %d bytes left", n, r.Remaining())
-	}
-	return int(n), nil
-}
-
-// readBlob decodes a uvarint-length-prefixed byte section (a view, not a
-// copy).
-func readBlob(r *oplog.Cursor) ([]byte, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("netsite: section of %d bytes with %d left", n, r.Remaining())
-	}
-	return r.Bytes(uint32(n))
-}
-
-// readUint decodes a uvarint no larger than max.
-func readUint(r *oplog.Cursor, max uint64, what string) (uint64, error) {
-	v, err := r.Uvarint()
-	if err == nil && v > max {
-		err = fmt.Errorf("netsite: %s %d out of range", what, v)
-	}
-	return v, err
-}
-
 // maxBatch bounds the declared per-payload query count against hostile
 // length prefixes; real batches are orders of magnitude smaller.
 const maxBatch = 1 << 20
-
-// readVersion checks a payload's leading version byte; what names the
-// codec in the error.
-func readVersion(r *oplog.Cursor, want byte, what string) error {
-	v, err := r.U8()
-	if err != nil {
-		return err
-	}
-	if v != want {
-		return fmt.Errorf("netsite: unsupported %s version %d", what, v)
-	}
-	return nil
-}
 
 // appendQueries appends the section of a query request every posted site
 // shares, skip section aside: the count and the queries.
@@ -381,83 +302,45 @@ func appendQueries(b []byte, qs []BatchQuery) ([]byte, error) {
 // under fuzzing.
 func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 	var h batchHeader
-	r := oplog.NewCursor(p)
-	if err := readVersion(r, batchVersion, "batch"); err != nil {
-		return nil, h, err
-	}
-	flags, err := r.U8()
-	if err != nil {
-		return nil, h, err
-	}
+	r := codec.NewReader(p)
+	flags := r.U8()
 	if flags&^byte(batchFlagTrace) != 0 {
-		return nil, h, fmt.Errorf("netsite: unknown batch flags %#x", flags)
+		r.Fail(fmt.Errorf("unknown flags %#x", flags))
 	}
-	if h.instance, err = r.U64(); err != nil {
-		return nil, h, err
-	}
-	held, err := readUint(r, math.MaxUint64-1, "held generation+1")
-	if err != nil {
-		return nil, h, err
-	}
-	if h.held = held > 0; h.held {
-		h.gen = held - 1
+	h.instance = r.U64()
+	if held := r.Uint(math.MaxUint64 - 1); held > 0 {
+		h.held, h.gen = true, held-1
 	}
 	if h.traced = flags&batchFlagTrace != 0; h.traced {
-		if h.traceID, err = r.U64(); err != nil {
-			return nil, h, err
-		}
-		if h.span, err = r.U64(); err != nil {
-			return nil, h, err
-		}
+		h.traceID, h.span = r.U64(), r.Uvarint()
 	}
-	n, err := readUvarintCount(r, 3) // class + s + t at minimum
-	if err != nil {
-		return nil, h, err
+	n := r.Count(3) // class + s + t at minimum
+	if n > maxBatch {
+		r.Fail(fmt.Errorf("implausible batch of %d queries", n))
 	}
-	qs := make([]BatchQuery, 0, n)
-	for i := 0; i < n; i++ {
-		cls, err := r.U8()
-		if err != nil {
-			return nil, h, err
-		}
-		s, err := readUint(r, math.MaxInt32, "node")
-		if err != nil {
-			return nil, h, err
-		}
-		t, err := readUint(r, math.MaxInt32, "node")
-		if err != nil {
-			return nil, h, err
-		}
-		q := BatchQuery{Class: QueryClass(cls), S: graph.NodeID(s), T: graph.NodeID(t)}
+	qs := make([]BatchQuery, 0, min(n, maxBatch))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		q := BatchQuery{Class: QueryClass(r.U8())}
+		q.S, q.T = graph.NodeID(r.Int31()), graph.NodeID(r.Int31())
 		switch q.Class {
 		case ClassReach:
 		case ClassDist:
-			l, err := readUint(r, math.MaxUint32, "distance bound")
-			if err != nil {
-				return nil, h, err
-			}
-			q.L = int(l)
+			q.L = int(r.Uint(math.MaxUint32))
 		case ClassRPQ:
-			ab, err := readBlob(r)
-			if err != nil {
-				return nil, h, err
-			}
 			q.A = new(automaton.Automaton)
-			if err := q.A.UnmarshalBinary(ab); err != nil {
-				return nil, h, fmt.Errorf("netsite: batch query %d: %w", i, err)
+			if err := q.A.UnmarshalBinary(r.Blob()); err != nil {
+				r.Fail(fmt.Errorf("query %d: %w", i, err))
 			}
 		default:
-			return nil, h, fmt.Errorf("netsite: batch query %d: unknown class %q", i, cls)
+			r.Fail(fmt.Errorf("query %d: unknown class %q", i, byte(q.Class)))
 		}
 		qs = append(qs, q)
 	}
 	if r.Remaining() > 0 {
-		if h.skip, err = readSkip(r); err != nil {
-			return nil, h, err
-		}
+		h.skip = readSkip(r)
 	}
 	if err := r.Done(); err != nil {
-		return nil, h, err
+		return nil, h, fmt.Errorf("netsite: batch request: %w", err)
 	}
 	return qs, h, nil
 }
@@ -477,7 +360,7 @@ type batchReply struct {
 // size bounds the reply's encoded size.
 func (rep batchReply) size() int {
 	const v = binary.MaxVarintLen32 // a count, length or site index
-	n := 2 + 3*v + v*(len(rep.stale)+len(rep.owners))
+	n := 1 + 3*v + v*(len(rep.stale)+len(rep.owners))
 	if rep.hasRows {
 		n += 8 + binary.MaxVarintLen64 + v + len(rep.rows)
 	}
@@ -489,14 +372,11 @@ func (rep batchReply) size() int {
 
 // encodeBatchReply appends the reply to b (the query answer's span section).
 func encodeBatchReply(b []byte, rep batchReply) []byte {
-	b = append(slices.Grow(b, rep.size()), batchVersion)
-	if !rep.hasRows {
-		b = append(b, 0)
-	} else {
-		b = binary.LittleEndian.AppendUint64(append(b, 1), rep.tag.instance)
+	b = codec.AppendBool(slices.Grow(b, rep.size()), rep.hasRows)
+	if rep.hasRows {
+		b = codec.AppendU64(b, rep.tag.instance)
 		b = binary.AppendUvarint(b, rep.tag.gen)
-		b = binary.AppendUvarint(b, uint64(len(rep.rows)))
-		b = append(b, rep.rows...)
+		b = codec.AppendBlob(b, rep.rows)
 	}
 	b = binary.AppendUvarint(b, uint64(len(rep.stale)))
 	for _, site := range rep.stale {
@@ -508,8 +388,7 @@ func encodeBatchReply(b []byte, rep batchReply) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(rep.parts)))
 	for _, p := range rep.parts {
-		b = binary.AppendUvarint(b, uint64(len(p)))
-		b = append(b, p...)
+		b = codec.AppendBlob(b, p)
 	}
 	return b
 }
@@ -517,65 +396,25 @@ func encodeBatchReply(b []byte, rep batchReply) []byte {
 // decodeBatchReply is the inverse of encodeBatchReply. Every count and
 // length is validated; the returned sections are views into p.
 func decodeBatchReply(p []byte) (rep batchReply, err error) {
-	r := oplog.NewCursor(p)
-	if err := readVersion(r, batchVersion, "batch"); err != nil {
-		return rep, err
+	r := codec.NewReader(p)
+	if rep.hasRows = r.Bool(); rep.hasRows {
+		rep.tag = rowsTag{instance: r.U64(), gen: r.Uvarint()}
+		rep.rows = r.Blob()
 	}
-	flag, err := r.U8()
-	if err != nil {
-		return rep, err
-	}
-	switch flag {
-	case 0:
-	case 1:
-		rep.hasRows = true
-		if rep.tag.instance, err = r.U64(); err != nil {
-			return rep, err
-		}
-		if rep.tag.gen, err = r.Uvarint(); err != nil {
-			return rep, err
-		}
-		if rep.rows, err = readBlob(r); err != nil {
-			return rep, err
-		}
-	default:
-		return rep, fmt.Errorf("netsite: batch reply rows flag %d", flag)
-	}
-	n, err := readUvarintCount(r, 1)
-	if err != nil {
-		return rep, err
-	}
-	rep.stale = make([]int, n)
+	rep.stale = make([]int, r.Count(1))
 	for i := range rep.stale {
-		if rep.stale[i], err = readSite(r); err != nil {
-			return rep, err
-		}
+		rep.stale[i] = int(r.Uint(maxSites - 1))
 	}
-	if n, err = readUvarintCount(r, 1); err != nil {
-		return rep, err
-	}
-	rep.owners = make([]int, n)
+	rep.owners = make([]int, r.Count(1))
 	for i := range rep.owners {
-		o, err := readSite(r)
-		if err != nil {
-			return rep, err
-		}
-		rep.owners[i] = o - 1
+		rep.owners[i] = int(r.Uint(maxSites-1)) - 1
 	}
-	n, err = readUvarintCount(r, 1) // a length prefix per query at minimum
-	if err != nil {
-		return rep, err
-	}
-	rep.parts = make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		part, err := readBlob(r)
-		if err != nil {
-			return rep, err
-		}
-		rep.parts = append(rep.parts, part)
+	rep.parts = make([][]byte, r.Count(1)) // a length prefix per query at minimum
+	for i := range rep.parts {
+		rep.parts[i] = r.Blob()
 	}
 	if err := r.Done(); err != nil {
-		return rep, err
+		return batchReply{}, fmt.Errorf("netsite: batch reply: %w", err)
 	}
 	return rep, nil
 }

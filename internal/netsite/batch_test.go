@@ -546,14 +546,13 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const head = 2 + 8 + 1 // version, flags, instance, generation+1 (no rows held)
+	const head = 1 + 8 + 1 // flags, instance, generation+1 (no rows held)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	for name, p := range map[string][]byte{
 		"empty":               {},
-		"bad version":         {7, 0, 1, 0, 0, 0},
-		"previous version":    cat([]byte{batchVersion - 1}, valid[1:]),
-		"unknown flags":       cat([]byte{batchVersion, 0xF0}, valid[2:]),
-		"truncated instance":  valid[:2+7],
+		"version-9 layout":    cat([]byte{9}, valid), // the retired leading version byte
+		"unknown flags":       cat([]byte{0xF0}, valid[1:]),
+		"truncated instance":  valid[:1+7],
 		"padded generation":   cat(valid[:head-1], []byte{0x80, 0}, valid[head:]),
 		"huge count":          cat(valid[:head], []byte{0xFF, 0xFF, 0xFF, 0x7F}),
 		"padded count":        cat(valid[:head], []byte{0x81, 0}, valid[head+1:]),
@@ -563,7 +562,8 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 		"node above i32":      cat(valid[:head], []byte{1, 'r'}, binary.AppendUvarint(nil, 1<<31), []byte{0}),
 		"bound above u32":     cat(valid[:head], []byte{1, 'b', 0, 1}, binary.AppendUvarint(nil, 1<<32)),
 		"truncated context":   traced[:head+3],
-		"context, no count":   traced[:head+16],
+		"context, no count":   traced[:head+8+1],
+		"padded parent span":  cat(traced[:head+8], []byte{0x83, 0}, traced[head+9:]),
 		"truncated node":      cat(valid[:head], []byte{1, 'r', 0x80}),
 		"truncated automaton": cat(valid[:head], []byte{1, 'q', 0, 1, 9, 1}),
 	} {
@@ -573,15 +573,15 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	}
 	full := batchReply{hasRows: true, tag: rowsTag{7, 3}, rows: []byte{9, 9}, stale: []int{2}, owners: []int{0, -1, 3, 1}, parts: [][]byte{{1, 2, 3}, nil}}
 	reply := encodeBatchReply(nil, full)
+	onePart := encodeBatchReply(nil, batchReply{parts: [][]byte{{1, 2, 3}}})
 	for name, p := range map[string][]byte{
-		"bad version":       {7, 0, 0, 0, 0},
-		"previous version":  cat([]byte{batchVersion - 1}, reply[1:]),
-		"bad rows flag":     {batchVersion, 2, 0, 0, 0},
-		"truncated tag":     reply[:2+7],
-		"huge rows length":  cat(reply[:2+8+1], []byte{0xFF, 0xFF, 0xFF, 0x7F}),
-		"huge query count":  {batchVersion, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F},
-		"truncated part":    encodeBatchReply(nil, batchReply{parts: [][]byte{{1, 2, 3}}})[:7],
-		"padded part count": {batchVersion, 0, 0, 0, 0x80, 0},
+		"bad rows flag":     {2, 0, 0, 0},
+		"version-9 layout":  cat([]byte{9}, reply), // the retired leading version byte
+		"truncated tag":     reply[:1+7],
+		"huge rows length":  cat(reply[:1+8+1], []byte{0xFF, 0xFF, 0xFF, 0x7F}),
+		"huge query count":  {0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F},
+		"truncated part":    onePart[:len(onePart)-2],
+		"padded part count": {0, 0, 0, 0x80, 0},
 		"trailing bytes":    cat(reply, []byte{1}),
 	} {
 		if _, err := decodeBatchReply(p); err == nil {

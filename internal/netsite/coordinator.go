@@ -13,6 +13,7 @@ import (
 
 	"distreach/internal/automaton"
 	"distreach/internal/bes"
+	"distreach/internal/codec"
 	"distreach/internal/graph"
 	"distreach/internal/obs"
 	"distreach/internal/oplog"
@@ -709,11 +710,9 @@ func (c *Coordinator) answerOf(f siteFrame) (res siteResult) {
 // readTag splits an answer payload into its (epoch, lsn) state tag and the
 // body after it.
 func readTag(p []byte) (epoch, lsn uint64, body []byte, err error) {
-	r := oplog.NewCursor(p)
-	if epoch, err = r.Uvarint(); err == nil {
-		lsn, err = r.Uvarint()
-	}
-	return epoch, lsn, p[len(p)-r.Remaining():], err
+	r := codec.NewReader(p)
+	epoch, lsn = r.Uvarint(), r.Uvarint()
+	return epoch, lsn, r.Rest(), r.Err()
 }
 
 // exchange is the control-plane round ('U', 'R', 'S' frames): it posts one

@@ -40,7 +40,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(append(binary.AppendUvarint(nil, 100), bytes.Repeat([]byte{7}, 10)...)) // truncated payload
 	f.Add([]byte{0x85})                                                           // truncated length varint
 	f.Add(append(binary.LittleEndian.AppendUint32(nil, 6), 1, 0, 0, 0, 'B', 8))   // the previous u32 framing
-	f.Add(append([]byte(preamble), 3, 1, 'B', batchVersion))                      // a preamble ahead of a frame
+	f.Add(append([]byte(preamble), 3, 1, 'B', 0))                                 // a preamble ahead of a frame
+	f.Add(append([]byte("DRW2"), 3, 1, 'B', 9))                                   // the previous build's preamble and a version-9 payload
 	// Update and rebalance frames, request and reply.
 	var upd bytes.Buffer
 	ureq, err := encodeUpdateRequest(9, 77, []Op{{Kind: OpInsertEdge, U: 3, V: 4}})
@@ -114,7 +115,7 @@ func FuzzBatchPayload(f *testing.F) {
 		}
 		return b
 	}
-	const head = 2 + 8 + 1 // version, flags, instance, generation+1 with no rows held
+	const head = 1 + 8 + 1 // flags, instance, generation+1 with no rows held
 	seed := enc(mixed, batchHeader{})
 	traced := enc(mixed[:1], batchHeader{traced: true, traceID: 0xDEADBEEF, span: 2})
 	f.Add(seed)
@@ -126,23 +127,29 @@ func FuzzBatchPayload(f *testing.F) {
 	f.Add(enc(mixed[:2], batchHeader{instance: 1, held: true, gen: 4, skip: skipList{sites: []int{0, 2}, gens: []uint64{7, 1 << 40}}})) // a warm attempt that skipped two sites
 	f.Add(enc(mixed[:1], batchHeader{instance: 3, skip: skipList{sites: []int{1}, gens: []uint64{0}}}))                                 // a skip section with no rows held
 	f.Add(enc([]BatchQuery{{Class: ClassReach, S: math.MaxInt32, T: 1 << 20}, {Class: ClassDist, S: 0, T: 1, L: math.MaxUint32}}, batchHeader{}))
-	f.Add(traced[:head+7])                                                                   // truncated trace context
-	f.Add(seed[:5])                                                                          // truncated instance
-	f.Add(append(append([]byte{}, seed[:head-1]...), 0x80))                                  // truncated generation varint
-	f.Add(append(append([]byte{}, seed[:head-1]...), 0x81, 0x00))                            // padded generation varint
-	f.Add(append(append([]byte{}, traced...), traced...))                                    // a second request nested behind the first
-	f.Add(append(append([]byte{}, seed[:head]...), 0xFF, 0xFF, 0xFF, 0x7F))                  // hostile count
-	f.Add(append(append([]byte{}, seed[:head]...), 1, 'r', 0x80))                            // truncated node varint
-	f.Add(append(append([]byte{}, seed[:head]...), 1, 'r', 0x80, 0x80, 0x80, 0x80, 0x08, 1)) // node above i32
-	f.Add(append([]byte{batchVersion, 0xFF}, seed[2:]...))                                   // unknown flag bits
-	f.Add(append([]byte{batchVersion, 1}, seed[2:]...))                                      // the retired stream bit
-	f.Add(append([]byte{batchVersion - 1, 0}, make([]byte, 16)...))                          // the previous version's rows tag
-	f.Add(seed[:len(seed)-3])                                                                // truncated query
+	f.Add(traced[:head+7])                                                                      // truncated trace context
+	f.Add(seed[:5])                                                                             // truncated instance
+	f.Add(append(append([]byte{}, seed[:head-1]...), 0x80))                                     // truncated generation varint
+	f.Add(append(append([]byte{}, seed[:head-1]...), 0x81, 0x00))                               // padded generation varint
+	f.Add(append(append([]byte{}, traced...), traced...))                                       // a second request nested behind the first
+	f.Add(append(append([]byte{}, seed[:head]...), 0xFF, 0xFF, 0xFF, 0x7F))                     // hostile count
+	f.Add(append(append([]byte{}, seed[:head]...), 1, 'r', 0x80))                               // truncated node varint
+	f.Add(append(append([]byte{}, seed[:head]...), 1, 'r', 0x80, 0x80, 0x80, 0x80, 0x08, 1))    // node above i32
+	f.Add(append([]byte{0xFF}, seed[1:]...))                                                    // unknown flag bits
+	f.Add(append([]byte{1}, seed[1:]...))                                                       // the retired stream bit
+	f.Add(append([]byte{9}, seed...))                                                           // the retired leading version byte
+	f.Add(append(append(append([]byte{}, traced[:head+8]...), 0x82, 0x00), traced[head+9:]...)) // padded parent span
+	f.Add(seed[:len(seed)-3])                                                                   // truncated query
 	ab, err := a.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append(append(append([]byte{}, seed[:head]...), 1, 'q', 0, 1, byte(len(ab)+1)), append(ab, 0)...)) // an automaton with a trailing byte
+	withAutomaton := func(ab []byte) []byte {
+		return append(append(append([]byte{}, seed[:head]...), 1, 'q', 0, 1, byte(len(ab))), ab...)
+	}
+	f.Add(withAutomaton(append(ab, 0)))                                 // an automaton with a trailing byte
+	f.Add(withAutomaton(append([]byte{ab[0] | 0x80, 0x00}, ab[1:]...))) // an automaton with a padded state count
+	f.Add(withAutomaton(fixedWidthAutomaton(a)))                        // an automaton in the retired fixed-width layout
 	// Payloads of the retired single-query and envelope frames, and of a
 	// kind that was never a query: none may decode as a request.
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0})         // 'r': s | t
@@ -185,20 +192,21 @@ func FuzzBatchPayload(f *testing.F) {
 	}
 	miss := batchReply{hasRows: true, tag: rowsTag{fr.Instance(), frag.Generation()}, rows: rb, parts: [][]byte{pb, db, {0xFF}}}
 	hit := batchReply{owners: []int{0, 1, -1, 0}, parts: [][]byte{pb, db, {0xFF}}}
-	f.Add(encodeBatchReply(nil, miss))                                                                                    // the coordinator held no current rows
-	f.Add(encodeBatchReply(nil, hit))                                                                                     // it did: query parts only
-	f.Add(encodeBatchReply(nil, batchReply{stale: []int{1, 3}, owners: []int{2, 2}, parts: [][]byte{nil}}))               // two skipped sites found stale
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb}))                                      // rows and no parts
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: db}))                                      // a section with a constant term
-	f.Add(encodeBatchReply(nil, miss)[:2+8+1+1])                                                                          // truncated rows length
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb[:len(rb)/2]}))                          // truncated rows
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{2, 1, 0xFF, 0xFF, 0xFF, 0x7F}}))    // hostile equation count
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{2, 1, 1, 0, 0, 0xFF, 0xFF, 0x7F}})) // hostile disjunct count
+	f.Add(encodeBatchReply(nil, miss))                                                                                 // the coordinator held no current rows
+	f.Add(encodeBatchReply(nil, hit))                                                                                  // it did: query parts only
+	f.Add(encodeBatchReply(nil, batchReply{stale: []int{1, 3}, owners: []int{2, 2}, parts: [][]byte{nil}}))            // two skipped sites found stale
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb}))                                   // rows and no parts
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: db}))                                   // a section with a constant term
+	f.Add(encodeBatchReply(nil, miss)[:1+8+1+1])                                                                       // truncated rows length
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb[:len(rb)/2]}))                       // truncated rows
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{1, 0xFF, 0xFF, 0xFF, 0x7F}}))    // hostile equation count
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{1, 1, 0, 0, 0xFF, 0xFF, 0x7F}})) // hostile disjunct count
 	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag,
-		rows: []byte{2, 1, 1, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}})) // overlong weight
-	f.Add([]byte{batchVersion, 2, 0, 0, 0})                 // unknown rows flag
-	f.Add([]byte{batchVersion, 0, 0, 0, 1, 0x80, 0x00})     // padded part length
-	f.Add([]byte{batchVersion - 1, 0, 0, 0, 0, 0, 0, 0, 0}) // the previous version's empty reply
+		rows: []byte{1, 1, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}})) // overlong weight
+	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{2, 1, 1, 0, 0, 1, 1, 1}})) // rows with the retired version byte
+	f.Add([]byte{2, 0, 0, 0})                                                                                    // unknown rows flag
+	f.Add([]byte{0, 0, 0, 1, 0x80, 0x00})                                                                        // padded part length
+	f.Add([]byte{9, 0, 0, 0, 0})                                                                                 // the retired leading version byte
 
 	// A query answer body: span section, then the batch reply.
 	rec := obs.NewRecorder(time.Now())
@@ -207,9 +215,13 @@ func FuzzBatchPayload(f *testing.F) {
 	rec.Span(-1, "eval", t0, t0.Add(2*time.Millisecond),
 		obs.Attr{Key: "reachindex_outcome", Val: "hit"})
 	f.Add(encodeBatchReply(rec.AppendWire(nil), batchReply{parts: [][]byte{{1, 0, 4}}}))
-	f.Add(obs.AppendWireSpans(nil, nil)) // untraced: the empty section
-	f.Add([]byte{0xFF, 0xFF})            // hostile span count
-	f.Add([]byte{0x80, 0x00})            // padded span count
+	f.Add(obs.AppendWireSpans(nil, nil))     // untraced: the empty section
+	f.Add([]byte{0xFF, 0xFF})                // hostile span count
+	f.Add([]byte{0x80, 0x00})                // padded span count
+	f.Add([]byte{1, 0, 0, 0x80, 0x00, 0, 0}) // padded start offset
+	// One span in the retired fixed-width layout (parent i16, name length
+	// u8, start and duration u64 big-endian, attribute count u8).
+	f.Add([]byte{1, 0xFF, 0xFF, 1, 'q', 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if qs, h, err := decodeBatchRequest(data); err == nil {
@@ -274,12 +286,21 @@ func FuzzUpdatePayload(f *testing.F) {
 	bs := fragment.BalanceStats{Fragments: 3, MaxSize: 40, MinSize: 10, TotalSize: 90, Vf: 12, CrossEdges: 30}
 	f.Add(encodeUpdateReply(true, []int{0, 1, 5}, []graph.NodeID{9}, bs))
 	f.Add(encodeUpdateReply(false, nil, nil, fragment.BalanceStats{}))
-	f.Add([]byte{updateVersion, 0xFF, 0xFF, 0xFF, 0x7F})                        // hostile op count
-	f.Add([]byte{updateVersion, 1, 0xFF, 0xFF, 0xFF, 0x7F})                     // hostile dirty count
-	f.Add(append(mixed[:len(mixed)-2], 0xFF))                                   // truncated op
-	f.Add([]byte{'i', 1, 0, 0, 0, 2, 0, 0, 0})                                  // legacy v1 single-edge frame
-	f.Add([]byte{2, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'i'})                   // legacy v2 frame
-	f.Add([]byte{updateVersion, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'n', 0xFF}) // truncated node op
+	noLSN := make([]byte, 1+8)                                  // LSN 0, nonce 0
+	f.Add(append(noLSN, 0xFF, 0xFF, 0xFF, 0x7F))                // hostile op count
+	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 0x7F})                    // hostile dirty count
+	f.Add(append(mixed[:len(mixed)-2], 0xFF))                   // truncated op
+	f.Add([]byte{'i', 1, 0, 0, 0, 2, 0, 0, 0})                  // legacy v1 single-edge frame
+	f.Add([]byte{2, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'i'})   // legacy v2 frame
+	f.Add(append(noLSN, 1, 'n', 0xFF))                          // truncated node op
+	f.Add(append([]byte{0x91, 0x00}, single[1:]...))            // padded LSN
+	f.Add([]byte{1, 0x81, 0x00, 0, 0, 0, 0, 0, 0, 0, 0})        // padded dirty count
+	f.Add(append([]byte{0, 1, 0x80, 0x00}, make([]byte, 6)...)) // padded dirty fragment
+	// The retired fixed-width layouts (version 3): a request (lsn and
+	// nonce u64, op count u32, u and v u32) and a reply (changed, dirty
+	// and new-ID lists u32-counted, balance stats u32/u64).
+	f.Add([]byte{3, 9, 0, 0, 0, 0, 0, 0, 0, 77, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'i', 3, 0, 0, 0, 4, 0, 0, 0})
+	f.Add(append([]byte{3, 1, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 28)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if lsn, nonce, ops, err := decodeUpdateRequest(data); err == nil {
 			re, err := encodeUpdateRequest(lsn, nonce, ops)
@@ -319,8 +340,12 @@ func FuzzSyncPayload(f *testing.F) {
 	f.Add(empty)
 	f.Add([]byte{syncHello})
 	f.Add([]byte{syncFetch})
-	f.Add([]byte{syncReplay, 0xFF, 0xFF, 0xFF, 0xFF}) // hostile record count
-	f.Add(rep[:len(rep)-3])                           // truncated record
+	f.Add([]byte{syncReplay, 0xFF, 0xFF, 0xFF, 0xFF})         // hostile record count
+	f.Add(rep[:len(rep)-3])                                   // truncated record
+	f.Add(append([]byte{syncReplay, 0x82, 0x00}, rep[2:]...)) // padded record count
+	// One record in the retired fixed-width layout: count u32, lsn u64,
+	// op count u32, an edge insert with u32 endpoints.
+	f.Add([]byte{syncReplay, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'i', 1, 0, 0, 0, 2, 0, 0, 0})
 	// A real snapshot seed, plus mutilations of it.
 	g := gen.Uniform(gen.Config{Nodes: 12, Edges: 30, Labels: []string{"A", "B"}, Seed: 11})
 	fr, err := fragment.Random(g, 2, 11)
@@ -340,6 +365,9 @@ func FuzzSyncPayload(f *testing.F) {
 	mut := append([]byte{syncSnapshot}, sb...)
 	mut[len(mut)/2] ^= 0xFF
 	f.Add(mut)
+	v := 1 + len("DRSNAP")                                                                                  // the version byte
+	f.Add(append(append([]byte{syncSnapshot}, sb[:v-1]...), append([]byte{3}, sb[v:]...)...))               // the retired version 3
+	f.Add(append(append([]byte{syncSnapshot}, sb[:v]...), append([]byte{sb[v] | 0x80, 0}, sb[v+1:]...)...)) // padded LSN
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -391,6 +419,16 @@ func FuzzRebalancePayload(f *testing.F) {
 	f.Add(encodeRebalanceReply(0, false, 0, fragment.BalanceStats{}))
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0}) // truncated request
 	f.Add(bytes.Repeat([]byte{0xFF}, 22))             // hostile name length
+	req, err := encodeRebalanceRequest(5, 4, 99, "edgecut")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte{0x85, 0x00}, req[1:]...)) // padded epoch
+	// The retired fixed-width request: epoch u64, k u32, seed u64, name
+	// length u8 and name; and reply: epoch u64, applied, fingerprint u64,
+	// balance stats u32/u64.
+	f.Add(append([]byte{5, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 99, 0, 0, 0, 0, 0, 0, 0, 7}, "edgecut"...))
+	f.Add(append([]byte{6, 0, 0, 0, 0, 0, 0, 0, 1, 0xEF, 0xBE, 0xAD, 0xDE, 0, 0, 0, 0}, make([]byte, 28)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if epoch, k, seed, name, err := decodeRebalanceRequest(data); err == nil {
 			re, err := encodeRebalanceRequest(epoch, k, seed, name)
@@ -407,4 +445,23 @@ func FuzzRebalancePayload(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fixedWidthAutomaton encodes a in the automaton layout this protocol
+// retired (version 1: u32 counts and lengths, transitions as (from, to)
+// u32 pairs), which no decoder may accept.
+func fixedWidthAutomaton(a *automaton.Automaton) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte{1}, uint32(a.NumStates()))
+	for u := 0; u < a.NumStates(); u++ {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(a.StateLabel(u))))
+		b = append(b, a.StateLabel(u)...)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(a.NumTransitions()))
+	for u := 0; u < a.NumStates(); u++ {
+		for _, v := range a.Next(u) {
+			b = binary.LittleEndian.AppendUint32(b, uint32(u))
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+	}
+	return b
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -233,9 +235,10 @@ func TestTCPErrorPropagation(t *testing.T) {
 // the retired stream bit and queries of earlier batch versions to a live
 // site: each must come back as an error frame echoing its ID, without a
 // panic or a hang, and a batch query that follows on the same connection
-// must still be answered. A peer of the previous framing — a length u32 |
-// id u32 header and no preamble — must find the connection closed. None of
-// them may reach an evaluation.
+// must still be answered. A peer of an earlier framing — a length u32 |
+// id u32 header and no preamble — and a peer of the previous build — the
+// "DRW2" preamble ahead of a version-9 request — must find the connection
+// closed. None of them may reach an evaluation.
 func TestRetiredFramesRejected(t *testing.T) {
 	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 20, Labels: []string{"A"}, Seed: 48})
 	fr, err := fragment.Random(g, 2, 48)
@@ -254,25 +257,16 @@ func TestRetiredFramesRejected(t *testing.T) {
 	}()
 	evals := reg.HistogramVec("site_eval_seconds", "", "kind", nil).With("query")
 
-	// The previous framing: its first frame is no preamble, so the site
+	// An earlier framing: its first frame is no preamble, so the site
 	// closes the connection without parsing it.
-	old, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	old.SetDeadline(time.Now().Add(5 * time.Second))
 	v8 := []byte{8, 0}                                       // version | flags
 	v8 = append(v8, make([]byte, 16)...)                     // rows tag
 	v8 = append(v8, 1, 0, 0, 0, 'r', 0, 0, 0, 0, 9, 0, 0, 0) // count u32 | class | s u32 | t u32
 	frame := binary.LittleEndian.AppendUint32(nil, uint32(5+len(v8)))
 	frame = append(binary.LittleEndian.AppendUint32(frame, 3), kindBatch)
-	if _, err := old.Write(append(frame, v8...)); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := old.Read(make([]byte, 64)); err == nil {
-		t.Fatalf("an old-framing peer got %d bytes back, want a closed connection", n)
-	}
+	assertRefused(t, addrs[0], "an old-framing peer", append(frame, v8...))
+	// The previous build: a varint frame behind the "DRW2" preamble.
+	assertRefused(t, addrs[0], "a DRW2 peer", drw2Request())
 
 	raw, r := dialRaw(t, addrs[0])
 	defer raw.Close()
@@ -287,7 +281,7 @@ func TestRetiredFramesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streaming[1] |= 1 // the flag bit that used to ask for 'P' frames
+	streaming[0] |= 1 // the flag bit that used to ask for 'P' frames
 	// Version 5 had the request layout of 5 to 8 but unweighted rows: a
 	// site must refuse it rather than send rows an older coordinator
 	// misreads.
@@ -309,8 +303,6 @@ func TestRetiredFramesRejected(t *testing.T) {
 		{"version-4 batch", kindBatch, cat([]byte{4, 0, 1, 0, 0, 0, 'r'}, st)},
 		{"stream bit", kindBatch, streaming},
 		{"version-5 batch", kindBatch, v5},
-		// The previous version's fixed-width request, in today's frame.
-		{"version-8 batch", kindBatch, v8},
 	} {
 		id := uint32(100 + i)
 		if _, err := sendFrame(raw, id, tc.kind, tc.payload); err != nil {
@@ -351,6 +343,37 @@ func TestRetiredFramesRejected(t *testing.T) {
 	}
 	if n := evals.Count(); n != 1 {
 		t.Fatalf("the one valid query ran %d evaluations", n)
+	}
+}
+
+// drw2Request is what a coordinator of the previous build opens a
+// connection with: the "DRW2" preamble and a version-9 query request for
+// qr(0, 9) in the varint frame of id 3.
+func drw2Request() []byte {
+	v9 := append([]byte{9, 0}, make([]byte, 8)...) // version | flags | instance u64
+	v9 = append(v9, 0, 1, 'r', 0, 9)               // generation+1 | count | class | s | t
+	frame := append([]byte{byte(2 + len(v9)), 3, kindBatch}, v9...)
+	return append([]byte("DRW2"), frame...)
+}
+
+// assertRefused opens a raw connection to a site, writes what a peer of
+// another build would, and fails unless the site closes the connection
+// without a byte in reply.
+func assertRefused(t *testing.T, addr, peer string, opening []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(opening); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 64)); err == nil {
+		t.Fatalf("%s got %d bytes back, want a closed connection", peer, n)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("%s: the site neither answered nor closed the connection", peer)
 	}
 }
 

@@ -154,6 +154,15 @@ func TestApplyTransactional(t *testing.T) {
 	if g.NumEdges() != edges {
 		t.Fatalf("rejected batch mutated the deployment: %d edges, want %d", g.NumEdges(), edges)
 	}
+	// A batch the codec cannot carry (a negative node ID) is refused before
+	// any frame goes out, and hands its LSN on: the batches after it apply.
+	lsn := co.Sequencer().LSN()
+	if _, st, err := co.Apply([]Op{{Kind: OpDeleteNode, U: -1}}); err == nil || st.FramesSent != 0 {
+		t.Fatalf("unencodable batch: %d frames sent, err %v; want none and an error", st.FramesSent, err)
+	}
+	if got := co.Sequencer().LSN(); got != lsn {
+		t.Fatalf("unencodable batch moved the LSN %d -> %d", lsn, got)
+	}
 	// A valid batch inserting and wiring a node applies as one unit.
 	res, _, err := co.Apply([]Op{{Kind: OpInsertNode, Label: "B", Frag: -1}})
 	if err != nil {

@@ -337,7 +337,7 @@ func TestBoundaryBuildTraced(t *testing.T) {
 func TestDistanceHugeWeights(t *testing.T) {
 	const w = 1 << 29
 	chain := func(from, to graph.NodeID) *core.Rows { // Xv <= Xv+1 + w for v in [from, to)
-		b := binary.AppendUvarint([]byte{2, 1}, uint64(to-from)) // version, weighted, equations
+		b := binary.AppendUvarint([]byte{1}, uint64(to-from)) // weighted, equations
 		prev := graph.NodeID(0)
 		for v := from; v < to; v++ {
 			b = binary.AppendUvarint(b, uint64(v-prev)<<1) // node: a zigzag delta

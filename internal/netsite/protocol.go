@@ -13,28 +13,36 @@
 // at once. Sites may answer out of order; the coordinator demultiplexes
 // replies back to their rounds by ID. Every request but a cancel gets
 // exactly one response. A coordinator opens each connection with the
-// 4-byte preamble "DRW2"; a site closes a connection that starts with
-// anything else, so a peer still on the fixed-width frame header of the
-// previous framing (length u32 | id u32) is refused before its first frame
-// is parsed, and the preamble, read as such a header, names a length that
+// 4-byte preamble "DRW3", the protocol's only version: no payload carries a
+// version byte of its own. A site closes a connection that starts with
+// anything else, so a peer of another build — "DRW2", whose control
+// payloads were fixed-width and whose query payloads each led with a
+// version byte, or one still on the fixed-width frame header of the framing
+// before it (length u32 | id u32) — is refused before its first frame is
+// parsed, and the preamble, read as such a header, names a length that
 // peer rejects too.
 //
 //	frame := length uvarint (of the rest) | id uvarint (<= u32) | kind u8
 //	         | payload
 //
-// Every varint on the wire is in its shortest form, and a reader rejects
-// any other, a length above maxFrame (before allocating for it) and an ID
-// above u32: whatever decodes re-encodes to the same bytes. Each end reads
-// a connection through one buffered reader, and writes each frame —
+// Every payload is written and read through internal/codec: every integer
+// a shortest-form uvarint, except random or clock-seeded identifiers
+// (fragmentation instance, update nonce, fingerprint, partitioner seed,
+// trace ID), which are fixed little-endian u64s. A reader rejects any
+// padded varint, a length above maxFrame (before allocating for it) and an
+// ID above u32: whatever decodes re-encodes to the same bytes. Each end
+// reads a connection through one buffered reader, and writes each frame —
 // header, state tag and body — from one buffer that reserved room for the
 // header and tag ahead of the body, in one Write.
 //
 //	requests (coordinator -> site)
 //	'B' query      the one query frame: a batch of one or more mixed-class
 //	               queries (layout below)
-//	'U' update     a sequenced transactional batch of edge and node mutations
-//	'R' rebalance  re-fragment the deployment at a new epoch
+//	'U' update     a sequenced transactional batch of edge and node
+//	               mutations (update.go)
+//	'R' rebalance  re-fragment the deployment at a new epoch (rebalance.go)
 //	'S' sync       catch-up replication: hello / replay / snapshot / fetch
+//	               (sync.go)
 //	'C' cancel     abandon the in-flight request whose ID the frame echoes;
 //	               no response is owed for either frame
 //
@@ -45,18 +53,18 @@
 // There is one query request and one query reply, whatever the class and
 // however many queries (see batch.go for the per-query fields):
 //
-//	'B' payload := version u8 | flags u8 | instance u64 | generation+1
-//	               uvarint (0: no rows held) | [trace ID u64 | parent span
-//	               u64] | count uvarint | queries | [skip section]
-//	'R' body    := spans | version u8 | [rows tag | rows] | stale sites
+//	'B' payload := flags u8 | instance u64 | generation+1 uvarint (0: no
+//	               rows held) | [trace ID u64 | parent span uvarint]
+//	               | count uvarint | queries | [skip section]
+//	'R' body    := spans | rows u8 | [rows tag | rows] | stale sites
 //	               | owners | per-query parts
 //
-// The flags byte carries the trace flag (the 16 bytes of trace context
-// follow, and the site records spans); any other bit is rejected. spans is
-// the site's recorded span section (queue wait, lock wait, local eval with
-// its reachindex outcome) — empty, one byte, when the request was not
-// traced — so tracing adds no frame and no second layout. 'U', 'R' and 'S'
-// answers carry their own body codecs straight after the (epoch, lsn) tag.
+// The flags byte carries the trace flag (the trace context follows, and the
+// site records spans); any other bit is rejected. spans is the site's
+// recorded span section (queue wait, lock wait, local eval with its
+// reachindex outcome) — empty, one byte, when the request was not traced —
+// so tracing adds no frame and no second layout. 'U', 'R' and 'S' answers
+// carry their own body codecs straight after the (epoch, lsn) tag.
 //
 // The boundary cache lives in that one round trip. What a fragment
 // contributes to a reach or distance answer is, almost entirely, its
@@ -121,6 +129,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"distreach/internal/codec"
 )
 
 // Frame kinds. kindRebalance shares the byte 'R' with kindAnswer: request
@@ -136,10 +146,14 @@ const (
 	kindError     = 'E'
 )
 
-// preamble opens every coordinator connection. Read as the previous
-// framing's little-endian u32 length it is above that framing's maxFrame,
-// so a site of that framing rejects it as well.
-const preamble = "DRW2"
+// preamble opens every coordinator connection, and it is the protocol's
+// only version: no payload carries one. A site of another build closes the
+// connection before it reads a frame, whatever the payloads changed. "DRW2"
+// was the varint framing with fixed-width control payloads and per-payload
+// version bytes; read as the u32 length of the framing before it, either
+// preamble is above that framing's maxFrame, so a site of that framing
+// rejects it as well.
+const preamble = "DRW3"
 
 // maxFrame bounds a frame to guard against corrupt length prefixes.
 const maxFrame = 1 << 28
@@ -194,8 +208,8 @@ func writeFrame(w io.Writer, id uint32, kind byte, buf []byte, off int) (int, er
 	return len(buf) - off, nil
 }
 
-// errPadded rejects a varint that is not in its shortest form.
-var errPadded = errors.New("netsite: padded varint in frame header")
+// errPadded rejects a frame length that is not in its shortest form.
+var errPadded = errors.New("netsite: padded frame length")
 
 // readFrame receives one frame from a connection's reader and reports its
 // wire size.
@@ -214,16 +228,12 @@ func readFrame(r *bufio.Reader) (id uint32, kind byte, payload []byte, n int, er
 		}
 		return 0, 0, nil, 0, err
 	}
-	v, m := binary.Uvarint(body)
-	switch {
-	case m <= 0 || m >= len(body):
-		return 0, 0, nil, 0, fmt.Errorf("netsite: frame of %d bytes lacks its id and kind", size)
-	case m > 1 && body[m-1] == 0:
-		return 0, 0, nil, 0, errPadded
-	case v > math.MaxUint32:
-		return 0, 0, nil, 0, fmt.Errorf("netsite: frame id %d exceeds u32", v)
+	hr := codec.NewReader(body)
+	v, kind := hr.Uint(math.MaxUint32), hr.U8()
+	if err := hr.Err(); err != nil {
+		return 0, 0, nil, 0, fmt.Errorf("netsite: header of a %d-byte frame: %w", size, err)
 	}
-	return uint32(v), body[m], body[m+1:], ln + int(size), nil
+	return uint32(v), kind, hr.Rest(), ln + int(size), nil
 }
 
 // readLength reads a frame's length uvarint and its byte count. A stream

@@ -137,13 +137,35 @@ func TestReadFrameTruncatedHeader(t *testing.T) {
 	}
 }
 
-// TestPreambleRefusedByOldFraming: a site of the previous framing reads
-// the preamble as its length u32 and must refuse it, so a current
-// coordinator fails loudly against it rather than being misparsed.
+// TestPreambleRefusedByOldFraming: a site of the framing before the
+// varint one reads the preamble as its length u32 and must refuse it, so a
+// current coordinator fails loudly against it rather than being misparsed;
+// and a current site must close the connection of a coordinator of the
+// previous build, whose "DRW2" preamble opens a version-9 request, before
+// anything is evaluated.
 func TestPreambleRefusedByOldFraming(t *testing.T) {
 	const oldMaxFrame = 1 << 28
 	if n := binary.LittleEndian.Uint32([]byte(preamble)); n <= oldMaxFrame {
 		t.Fatalf("the preamble reads as a plausible old-framing length %d", n)
+	}
+	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 20, Labels: []string{"A"}, Seed: 48})
+	fr, err := fragment.Random(g, 2, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	sites, addrs, err := ServeReplica(fragment.NewReplica(fr), SiteOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range sites {
+			s.Close()
+		}
+	}()
+	assertRefused(t, addrs[0], "a DRW2 peer", drw2Request())
+	if n := reg.HistogramVec("site_eval_seconds", "", "kind", nil).With("query").Count(); n != 0 {
+		t.Fatalf("the DRW2 peer's request ran %d evaluations", n)
 	}
 }
 
@@ -385,14 +407,14 @@ func TestWarmReachFrameBudget(t *testing.T) {
 		partial = len(pb)
 	}
 	const (
-		// length 1 | id 1 | kind 1 || version 1 | flags 1 | instance 8 |
+		// length 1 | id 1 | kind 1 || flags 1 | instance 8 |
 		// generation+1 1 || count 1 | class 1 | s 1 | t 1 || skip: n 1 |
-		// site 1 | generation 1
-		R = 3 + 11 + 4 + 3
+		// site 1 | generation 1 (measured: 20)
+		R = 3 + 10 + 4 + 3
 		// length 1 | id 1 | kind 1 || epoch 1 | lsn 1 || spans 1 ||
-		// version 1 | rows flag 1 | stale 1 | owners 1 + 2 | count 1 |
-		// plen 1, then the part
-		P = 3 + 2 + 1 + 9
+		// rows flag 1 | stale 1 | owners 1 + 2 | count 1 | plen 1, then
+		// the part (measured: 13 + a 5-byte part)
+		P = 3 + 2 + 1 + 7
 	)
 	t.Logf("warm qr: request %d B, reply %d B with a %d-byte part", st.BytesSent, st.BytesReceived, partial)
 	if st.BytesSent > R {

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 
+	"distreach/internal/codec"
 	"distreach/internal/fragment"
-	"distreach/internal/oplog"
 )
 
 // Live re-fragmentation over the wire. A rebalance frame ('R', request
@@ -21,13 +21,13 @@ import (
 // from two epochs. The fragment count is preserved: sites keep serving
 // their fragment index, just with a new node assignment behind it.
 //
-// Rebalance request payload (little-endian):
+// Rebalance request payload (internal/codec):
 //
-//	epoch u64 | k u32 | seed u64 | nlen u8 | partitioner name
+//	epoch uvarint | k uvarint | seed u64 | partitioner name blob (1..255 bytes)
 //
 // Rebalance response payload:
 //
-//	epoch u64 (the replica's epoch after handling the frame) |
+//	epoch uvarint (the replica's epoch after handling the frame) |
 //	applied u8 (1 when this site performed the rebuild) |
 //	fingerprint u64 (digest of graph + assignment; see
 //	fragment.Fingerprint) | balance stats (as in the update reply)
@@ -57,80 +57,43 @@ func encodeRebalanceRequest(epoch uint64, k int, seed uint64, name string) ([]by
 	if len(name) == 0 || len(name) > 0xFF {
 		return nil, fmt.Errorf("netsite: partitioner name of %d bytes out of range [1,255]", len(name))
 	}
-	b := binary.LittleEndian.AppendUint64(nil, epoch)
-	b = binary.LittleEndian.AppendUint32(b, uint32(k))
-	b = binary.LittleEndian.AppendUint64(b, seed)
-	b = append(b, byte(len(name)))
-	b = append(b, name...)
-	return b, nil
+	b := binary.AppendUvarint(binary.AppendUvarint(nil, epoch), uint64(k))
+	return codec.AppendBlob(codec.AppendU64(b, seed), name), nil
 }
 
 // decodeRebalanceRequest is the inverse of encodeRebalanceRequest,
 // hardened against hostile payloads.
 func decodeRebalanceRequest(p []byte) (epoch uint64, k int, seed uint64, name string, err error) {
-	r := oplog.NewCursor(p)
-	if epoch, err = r.U64(); err != nil {
-		return 0, 0, 0, "", err
-	}
-	ku, err := r.U32()
-	if err != nil {
-		return 0, 0, 0, "", err
-	}
-	if seed, err = r.U64(); err != nil {
-		return 0, 0, 0, "", err
-	}
-	nlen, err := r.U8()
-	if err != nil {
-		return 0, 0, 0, "", err
-	}
-	if nlen == 0 {
-		return 0, 0, 0, "", fmt.Errorf("netsite: rebalance frame with empty partitioner name")
-	}
-	nb, err := r.Bytes(uint32(nlen))
-	if err != nil {
-		return 0, 0, 0, "", err
-	}
+	r := codec.NewReader(p)
+	epoch, k, seed = r.Uvarint(), int(r.Int31()), r.U64()
+	nb := r.Blob()
 	if err := r.Done(); err != nil {
-		return 0, 0, 0, "", err
+		return 0, 0, 0, "", fmt.Errorf("netsite: rebalance request: %w", err)
 	}
-	return epoch, int(ku), seed, string(nb), nil
+	if len(nb) == 0 || len(nb) > 0xFF {
+		return 0, 0, 0, "", fmt.Errorf("netsite: rebalance frame with a partitioner name of %d bytes", len(nb))
+	}
+	return epoch, k, seed, string(nb), nil
 }
 
 // encodeRebalanceReply packs one site's view of a handled rebalance.
 func encodeRebalanceReply(epoch uint64, applied bool, fp uint64, bs fragment.BalanceStats) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, epoch)
-	if applied {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.LittleEndian.AppendUint64(b, fp)
-	return appendBalanceStats(b, bs)
+	b := codec.AppendBool(binary.AppendUvarint(nil, epoch), applied)
+	b, _ = bs.AppendBinary(codec.AppendU64(b, fp))
+	return b
 }
 
 // decodeRebalanceReply is the inverse of encodeRebalanceReply.
 func decodeRebalanceReply(p []byte) (epoch uint64, applied bool, fp uint64, bs fragment.BalanceStats, err error) {
-	r := oplog.NewCursor(p)
-	if epoch, err = r.U64(); err != nil {
-		return 0, false, 0, bs, err
-	}
-	ap, err := r.U8()
-	if err != nil {
-		return 0, false, 0, bs, err
-	}
-	if ap > 1 {
-		return 0, false, 0, bs, fmt.Errorf("netsite: rebalance reply applied flag %d", ap)
-	}
-	if fp, err = r.U64(); err != nil {
-		return 0, false, 0, bs, err
-	}
-	if bs, err = readBalanceStats(r); err != nil {
-		return 0, false, 0, bs, err
+	r := codec.NewReader(p)
+	epoch, applied, fp = r.Uvarint(), r.Bool(), r.U64()
+	if err := bs.UnmarshalBinary(r.Rest()); err != nil {
+		r.Fail(err)
 	}
 	if err := r.Done(); err != nil {
-		return 0, false, 0, bs, err
+		return 0, false, 0, bs, fmt.Errorf("netsite: rebalance reply: %w", err)
 	}
-	return epoch, ap == 1, fp, bs, nil
+	return epoch, applied, fp, bs, nil
 }
 
 // rebalancePartitioner is the one re-fragmentation strategy: the

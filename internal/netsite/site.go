@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -393,11 +392,11 @@ func (s *Site) handle(j *frameJob) (uint64, uint64, []byte, error) {
 	return epoch, lsn, append(newFrame(len(body)), body...), nil
 }
 
-// evalAttrs renders one evaluation's equation counters as eval-span
-// attributes, headed by the overall reachability-index outcome: hit
-// (every index consult answered), fallback (every consult fell back to
-// BFS — stale entry or over-budget component), mixed, or off (no
-// equation consulted an index at all).
+// evalAttrs renders one evaluation's reachability-index outcome as the
+// eval span's attribute: hit (every index consult answered), fallback
+// (every consult fell back to BFS — stale entry or over-budget component),
+// mixed, or off (no equation consulted an index at all). /stats reachindex
+// aggregates the per-equation hits and fallbacks.
 func evalAttrs(met *core.EvalMetrics) []obs.Attr {
 	fell := met.StaleEqs + met.OverBudgetEqs
 	outcome := "off"
@@ -409,15 +408,7 @@ func evalAttrs(met *core.EvalMetrics) []obs.Attr {
 	case fell > 0:
 		outcome = "fallback"
 	}
-	return []obs.Attr{
-		{Key: "reachindex_outcome", Val: outcome},
-		{Key: "eqs_indexed", Val: strconv.FormatInt(met.IndexedEqs, 10)},
-		{Key: "eqs_bfs", Val: strconv.FormatInt(met.BFSEqs, 10)},
-		{Key: "eqs_alias", Val: strconv.FormatInt(met.AliasEqs, 10)},
-		{Key: "eqs_const", Val: strconv.FormatInt(met.ConstEqs, 10)},
-		{Key: "eqs_stale", Val: strconv.FormatInt(met.StaleEqs, 10)},
-		{Key: "eqs_overbudget", Val: strconv.FormatInt(met.OverBudgetEqs, 10)},
-	}
+	return []obs.Attr{{Key: "reachindex_outcome", Val: outcome}}
 }
 
 // applyPersisted runs one sequenced batch through the replica and, when

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sort"
 
+	"distreach/internal/codec"
 	"distreach/internal/fragment"
 	"distreach/internal/oplog"
 )
@@ -15,15 +16,17 @@ import (
 // four sub-requests, selected by the first payload byte:
 //
 //	'h' hello:    (empty) — where does the replica stand?
-//	'r' replay:   count u32 | per record: lsn u64 | ops (oplog codec) —
-//	              apply this update-log suffix in order
-//	's' snapshot: snapshot bytes (oplog codec) — install this checkpoint
+//	'r' replay:   count uvarint | per record: lsn uvarint | ops
+//	              (oplog.AppendRecord, a log record's body) — apply this
+//	              update-log suffix in order
+//	's' snapshot: snapshot bytes (oplog.EncodeSnapshot) — install this
+//	              checkpoint
 //	'f' fetch:    (empty) — encode your current state as a snapshot
 //
 // Replies ride inside the (epoch, lsn)-prefixed answer frame:
 //
 //	'h': fingerprint u64
-//	'r': applied u32 | fingerprint u64
+//	'r': applied uvarint | fingerprint u64
 //	's': installed u8 | fingerprint u64
 //	'f': snapshot bytes
 //
@@ -55,12 +58,10 @@ const replayChunk = 512
 
 // encodeSyncReplay packs a contiguous run of log records.
 func encodeSyncReplay(recs []oplog.Record) ([]byte, error) {
-	b := []byte{syncReplay}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(recs)))
+	b := binary.AppendUvarint([]byte{syncReplay}, uint64(len(recs)))
 	var err error
 	for _, rec := range recs {
-		b = binary.LittleEndian.AppendUint64(b, rec.LSN)
-		if b, err = oplog.AppendOps(b, rec.Ops); err != nil {
+		if b, err = oplog.AppendRecord(b, rec); err != nil {
 			return nil, err
 		}
 	}
@@ -70,28 +71,17 @@ func encodeSyncReplay(recs []oplog.Record) ([]byte, error) {
 // decodeSyncReplay is the inverse of encodeSyncReplay (after the sub-kind
 // byte), hardened against hostile payloads.
 func decodeSyncReplay(p []byte) ([]oplog.Record, error) {
-	r := oplog.NewCursor(p)
-	n, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSyncRecords || uint64(n)*12 > uint64(r.Remaining()+12) {
+	r := codec.NewReader(p)
+	n := r.Count(2) // an LSN and an op count at minimum
+	if n > maxSyncRecords {
 		return nil, fmt.Errorf("netsite: implausible replay record count %d", n)
 	}
 	recs := make([]oplog.Record, 0, n)
-	for i := 0; i < int(n); i++ {
-		lsn, err := r.U64()
-		if err != nil {
-			return nil, err
-		}
-		ops, err := oplog.ReadOps(r)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, oplog.Record{LSN: lsn, Ops: ops})
+	for i := 0; i < n && r.Err() == nil; i++ {
+		recs = append(recs, oplog.ReadRecord(r))
 	}
 	if err := r.Done(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("netsite: sync replay: %w", err)
 	}
 	return recs, nil
 }
@@ -108,7 +98,7 @@ func (s *Site) handleSync(payload []byte) (uint64, uint64, []byte, error) {
 			return 0, 0, nil, fmt.Errorf("sync hello carries %d unexpected bytes", len(body))
 		}
 		fr, epoch, lsn := s.rep.State()
-		return epoch, lsn, binary.LittleEndian.AppendUint64(nil, fr.Fingerprint()), nil
+		return epoch, lsn, codec.AppendU64(nil, fr.Fingerprint()), nil
 	case syncReplay:
 		recs, err := decodeSyncReplay(body)
 		if err != nil {
@@ -131,8 +121,7 @@ func (s *Site) handleSync(payload []byte) (uint64, uint64, []byte, error) {
 			}
 		}
 		fr, epoch, lsn := s.rep.State()
-		resp := binary.LittleEndian.AppendUint32(nil, uint32(applied))
-		resp = binary.LittleEndian.AppendUint64(resp, fr.Fingerprint())
+		resp := codec.AppendU64(binary.AppendUvarint(nil, uint64(applied)), fr.Fingerprint())
 		return epoch, lsn, resp, nil
 	case syncSnapshot:
 		snap, err := oplog.DecodeSnapshot(body)
@@ -151,11 +140,7 @@ func (s *Site) handleSync(payload []byte) (uint64, uint64, []byte, error) {
 			s.persistMu.Unlock()
 		}
 		fr, epoch, lsn := s.rep.State()
-		resp := []byte{0}
-		if installed {
-			resp[0] = 1
-		}
-		resp = binary.LittleEndian.AppendUint64(resp, fr.Fingerprint())
+		resp := codec.AppendU64(codec.AppendBool(nil, installed), fr.Fingerprint())
 		return epoch, lsn, resp, nil
 	case syncFetch:
 		if len(body) != 0 {
@@ -207,10 +192,12 @@ func (c *Coordinator) helloAll(ctx context.Context, wire *WireStats) ([]replicaS
 		if r.err != nil {
 			return nil, r.err
 		}
-		if len(r.payload) != 8 {
-			return nil, fmt.Errorf("netsite: site %d hello reply of %d bytes", i, len(r.payload))
+		rd := codec.NewReader(r.payload)
+		fp := rd.U64()
+		if err := rd.Done(); err != nil {
+			return nil, fmt.Errorf("netsite: site %d hello reply: %w", i, err)
 		}
-		states[i] = replicaState{LSN: r.lsn, Epoch: r.epoch, Fingerprint: binary.LittleEndian.Uint64(r.payload)}
+		states[i] = replicaState{LSN: r.lsn, Epoch: r.epoch, Fingerprint: fp}
 	}
 	return states, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"distreach/internal/codec"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
 	"distreach/internal/oplog"
@@ -25,14 +26,16 @@ import (
 // insertion, unlike edge ops, is not idempotent — and the coordinator
 // unions the replies into the definitive dirty set.
 //
-// Update request payload (little-endian):
+// Update request payload (internal/codec; every integer a uvarint but the
+// nonce):
 //
-//	ver u8 (3) | lsn u64 | nonce u64 | count u32 | per op:
+//	lsn uvarint | nonce u64 | ops (oplog.AppendOps):
+//	  count uvarint | per op:
 //	  kind u8 ('i' insert edge | 'd' delete edge | 'n' insert node |
 //	           'r' delete node)
-//	  'i'/'d' add: u u32 | v u32
-//	  'n'     adds: frag i32 (-1 = partitioner places) | llen u16 | label
-//	  'r'     adds: v u32
+//	  'i'/'d' add: u uvarint | v uvarint
+//	  'n'     adds: frag+1 uvarint (0 = partitioner places) | label blob
+//	  'r'     adds: v uvarint
 //
 // The nonce identifies the submitter: a replica that sees a *different*
 // writer's batch at an LSN it already applied errors loudly (two gateways
@@ -41,10 +44,10 @@ import (
 //
 // Update response payload:
 //
-//	ver u8 (3) | changed u8 | ndirty u32 | dirty u32 each
-//	          | nnew u32 | new node IDs u32 each
-//	          | balance stats: k u32 | maxSize u32 | minSize u32 |
-//	            totalSize u64 | vf u32 | crossEdges u32
+//	changed u8 | ndirty uvarint | dirty uvarint each
+//	  | nnew uvarint | new node IDs uvarint each
+//	  | balance stats (fragment.BalanceStats.AppendBinary: k | maxSize
+//	    | minSize | totalSize | vf | crossEdges, uvarint each)
 //
 // Every reply rides inside the (epoch, lsn)-prefixed answer frame, and the
 // reply carries the post-update BalanceStats so the gateway can watch skew
@@ -103,36 +106,20 @@ type UpdateResult struct {
 	Stats fragment.BalanceStats
 }
 
-// updateVersion versions the update payload codecs.
-const updateVersion = 3
-
 // encodeUpdateRequest packs one sequenced transactional mutation batch.
 func encodeUpdateRequest(lsn, nonce uint64, ops []Op) ([]byte, error) {
-	b := []byte{updateVersion}
-	b = binary.LittleEndian.AppendUint64(b, lsn)
-	b = binary.LittleEndian.AppendUint64(b, nonce)
-	return oplog.AppendOps(b, ops)
+	return oplog.AppendOps(codec.AppendU64(binary.AppendUvarint(nil, lsn), nonce), ops)
 }
 
 // decodeUpdateRequest is the inverse of encodeUpdateRequest, hardened
 // against hostile payloads: every count and length is bounds-checked and
 // trailing bytes are rejected.
 func decodeUpdateRequest(p []byte) (lsn, nonce uint64, ops []Op, err error) {
-	r := oplog.NewCursor(p)
-	if err := readVersion(r, updateVersion, "update"); err != nil {
-		return 0, 0, nil, err
-	}
-	if lsn, err = r.U64(); err != nil {
-		return 0, 0, nil, err
-	}
-	if nonce, err = r.U64(); err != nil {
-		return 0, 0, nil, err
-	}
-	if ops, err = oplog.ReadOps(r); err != nil {
-		return 0, 0, nil, err
-	}
+	r := codec.NewReader(p)
+	lsn, nonce = r.Uvarint(), r.U64()
+	ops = oplog.ReadOps(r)
 	if err := r.Done(); err != nil {
-		return 0, 0, nil, err
+		return 0, 0, nil, fmt.Errorf("netsite: update request: %w", err)
 	}
 	return lsn, nonce, ops, nil
 }
@@ -140,104 +127,39 @@ func decodeUpdateRequest(p []byte) (lsn, nonce uint64, ops []Op, err error) {
 // encodeUpdateReply packs one site's view of an applied update batch plus
 // the post-update balance stats.
 func encodeUpdateReply(changed bool, dirty []int, newIDs []graph.NodeID, bs fragment.BalanceStats) []byte {
-	b := []byte{updateVersion, 0}
-	if changed {
-		b[1] = 1
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(dirty)))
+	b := codec.AppendBool(nil, changed)
+	b = binary.AppendUvarint(b, uint64(len(dirty)))
 	for _, d := range dirty {
-		b = binary.LittleEndian.AppendUint32(b, uint32(d))
+		b = binary.AppendUvarint(b, uint64(d))
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(newIDs)))
+	b = binary.AppendUvarint(b, uint64(len(newIDs)))
 	for _, id := range newIDs {
-		b = binary.LittleEndian.AppendUint32(b, uint32(id))
+		b = binary.AppendUvarint(b, uint64(id))
 	}
-	b = appendBalanceStats(b, bs)
+	b, _ = bs.AppendBinary(b)
 	return b
 }
 
 // decodeUpdateReply is the inverse of encodeUpdateReply, hardened against
 // hostile payloads.
 func decodeUpdateReply(p []byte) (changed bool, dirty []int, newIDs []graph.NodeID, bs fragment.BalanceStats, err error) {
-	r := oplog.NewCursor(p)
-	if err := readVersion(r, updateVersion, "update reply"); err != nil {
-		return false, nil, nil, bs, err
+	r := codec.NewReader(p)
+	changed = r.Bool()
+	dirty = make([]int, r.Count(1))
+	for i := range dirty {
+		dirty[i] = int(r.Int31())
 	}
-	ch, err := r.U8()
-	if err != nil {
-		return false, nil, nil, bs, err
+	newIDs = make([]graph.NodeID, r.Count(1))
+	for i := range newIDs {
+		newIDs[i] = graph.NodeID(r.Int31())
 	}
-	if ch > 1 {
-		return false, nil, nil, bs, fmt.Errorf("netsite: update reply changed flag %d", ch)
-	}
-	if dirty, err = readIDs[int](r); err != nil {
-		return false, nil, nil, bs, fmt.Errorf("netsite: update reply fragment IDs: %w", err)
-	}
-	if newIDs, err = readIDs[graph.NodeID](r); err != nil {
-		return false, nil, nil, bs, fmt.Errorf("netsite: update reply new IDs: %w", err)
-	}
-	bs, err = readBalanceStats(r)
-	if err != nil {
-		return false, nil, nil, bs, err
+	if err := bs.UnmarshalBinary(r.Rest()); err != nil {
+		r.Fail(err)
 	}
 	if err := r.Done(); err != nil {
-		return false, nil, nil, bs, err
+		return false, nil, nil, bs, fmt.Errorf("netsite: update reply: %w", err)
 	}
-	return ch == 1, dirty, newIDs, bs, nil
-}
-
-// readIDs decodes a u32-counted list of u32 IDs.
-func readIDs[T ~int | ~int32](r *oplog.Cursor) ([]T, error) {
-	n, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxBatch || uint64(n)*4 > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("netsite: implausible count %d with %d bytes left", n, r.Remaining())
-	}
-	ids := make([]T, 0, n)
-	for i := uint32(0); i < n; i++ {
-		v, err := r.U32()
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, T(v))
-	}
-	return ids, nil
-}
-
-// appendBalanceStats packs the balance summary every update and rebalance
-// reply carries.
-func appendBalanceStats(b []byte, bs fragment.BalanceStats) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(bs.Fragments))
-	b = binary.LittleEndian.AppendUint32(b, uint32(bs.MaxSize))
-	b = binary.LittleEndian.AppendUint32(b, uint32(bs.MinSize))
-	b = binary.LittleEndian.AppendUint64(b, uint64(bs.TotalSize))
-	b = binary.LittleEndian.AppendUint32(b, uint32(bs.Vf))
-	b = binary.LittleEndian.AppendUint32(b, uint32(bs.CrossEdges))
-	return b
-}
-
-// readBalanceStats is the inverse of appendBalanceStats.
-func readBalanceStats(r *oplog.Cursor) (bs fragment.BalanceStats, err error) {
-	u32 := func(dst *int) {
-		if err == nil {
-			var v uint32
-			v, err = r.U32()
-			*dst = int(v)
-		}
-	}
-	u32(&bs.Fragments)
-	u32(&bs.MaxSize)
-	u32(&bs.MinSize)
-	if err == nil {
-		var total uint64
-		total, err = r.U64()
-		bs.TotalSize = int64(total)
-	}
-	u32(&bs.Vf)
-	u32(&bs.CrossEdges)
-	return bs, err
+	return changed, dirty, newIDs, bs, nil
 }
 
 // Update applies one edge insertion or deletion to the deployment — the
@@ -359,7 +281,8 @@ func (c *Coordinator) ApplyContext(ctx context.Context, ops []Op) (UpdateResult,
 	_, err := seq.Submit(ops, func(lsn uint64) error {
 		payload, err := encodeUpdateRequest(lsn, nonce, ops)
 		if err != nil {
-			return err
+			// Nothing went out, so the sequencer may hand the LSN on.
+			return fmt.Errorf("%w: %w", oplog.ErrNotDelivered, err)
 		}
 		results, rst := c.roundtripAll(ctx, kindUpdate, payload)
 		st = rst

@@ -200,14 +200,22 @@ func TestWireSpanCapsAndMalformed(t *testing.T) {
 		t.Fatalf("the empty section is %d bytes, want 1", len(p))
 	}
 	// Truncated buffers, absurd counts and padded ones must error, not panic.
+	nameOverCap := append([]byte{0x01, 0x00, maxSpanName + 1}, strings.Repeat("a", maxSpanName+1)...)
 	for _, b := range [][]byte{
 		{},
-		{0xFF, 0xFF},             // truncated count varint
-		{0x81, 0x02},             // 257 spans claimed
-		{0x80, 0x00},             // padded count
-		{0x01},                   // 1 span, no body
-		{0x01, 0xFF, 0xFF, 0x70}, // nameLen 112, no name
-		append([]byte{0x01, 0xFF, 0xFF, 0x01}, 'a'), // name but no times
+		{0xFF, 0xFF},                         // truncated count varint
+		{0x81, 0x02},                         // 257 spans claimed
+		{0x80, 0x00},                         // padded count
+		{0x01},                               // 1 span, no body
+		{0x01, 0x00, 0x70, 0x00, 0x00},       // name length 112, no name
+		{0x01, 0x82, 0x02, 0x00, 0x00, 0x00}, // parent+1 of 258, above the span cap
+		{0x01, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00}, // padded start offset
+		{0x01, 0x00, 0x00, 0x00, 0x00, 0x11},       // 17 attributes claimed
+		append(nameOverCap, 0x00, 0x00, 0x00),      // name above its cap
+		// One span in the retired fixed-width layout: parent i16 -1,
+		// name length u8, name, start and duration u64 big-endian, no
+		// attributes.
+		{0x01, 0xFF, 0xFF, 0x01, 'q', 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0x00},
 	} {
 		if _, _, err := DecodeWireSpans(b); err == nil {
 			t.Fatalf("decoded malformed %x", b)

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"distreach/internal/codec"
 )
 
 // Attr is one key/value annotation on a span.
@@ -154,7 +156,7 @@ const (
 	maxSpanAttrs    = 16
 	maxAttrKeyLen   = 64
 	maxAttrValLen   = 256
-	wireSpanMinSize = 2 + 1 + 8 + 8 + 1 // parent + nameLen + start + dur + nAttrs
+	wireSpanMinSize = 5 // parent + name length + start + dur + attribute count
 )
 
 // WireSpan is a site-recorded span in shipping form: times are offsets
@@ -169,43 +171,29 @@ type WireSpan struct {
 	Attrs         []Attr
 }
 
-// AppendWireSpans encodes spans onto dst: a uvarint span count (one byte
-// for no spans), then per span:
+// AppendWireSpans encodes spans onto dst (internal/codec): a uvarint span
+// count (one byte for no spans), then per span:
 //
-//	parent i16 | nameLen u8 | name | startOffsetNs u64 | durNs u64 |
-//	nAttrs u8 | (keyLen u8 | key | valLen u16 | val)*
+//	parent+1 uvarint (0: the rpc span) | name blob | startOffsetNs uvarint
+//	| durNs uvarint | nAttrs uvarint | per attribute: key blob | value blob
+//
+// where a blob is a uvarint length and the bytes. Names, keys, values and
+// the counts are cut to the caps the decoder enforces.
 func AppendWireSpans(dst []byte, spans []WireSpan) []byte {
 	if len(spans) > maxWireSpans {
 		spans = spans[:maxWireSpans]
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(spans)))
 	for _, s := range spans {
-		dst = binary.BigEndian.AppendUint16(dst, uint16(s.Parent))
-		name := s.Name
-		if len(name) > maxSpanName {
-			name = name[:maxSpanName]
-		}
-		dst = append(dst, byte(len(name)))
-		dst = append(dst, name...)
-		dst = binary.BigEndian.AppendUint64(dst, s.StartOffsetNs)
-		dst = binary.BigEndian.AppendUint64(dst, s.DurNs)
-		attrs := s.Attrs
-		if len(attrs) > maxSpanAttrs {
-			attrs = attrs[:maxSpanAttrs]
-		}
-		dst = append(dst, byte(len(attrs)))
+		dst = binary.AppendUvarint(dst, uint64(int64(s.Parent)+1))
+		dst = codec.AppendBlob(dst, s.Name[:min(len(s.Name), maxSpanName)])
+		dst = binary.AppendUvarint(dst, s.StartOffsetNs)
+		dst = binary.AppendUvarint(dst, s.DurNs)
+		attrs := s.Attrs[:min(len(s.Attrs), maxSpanAttrs)]
+		dst = binary.AppendUvarint(dst, uint64(len(attrs)))
 		for _, a := range attrs {
-			k, v := a.Key, a.Val
-			if len(k) > maxAttrKeyLen {
-				k = k[:maxAttrKeyLen]
-			}
-			if len(v) > maxAttrValLen {
-				v = v[:maxAttrValLen]
-			}
-			dst = append(dst, byte(len(k)))
-			dst = append(dst, k...)
-			dst = binary.BigEndian.AppendUint16(dst, uint16(len(v)))
-			dst = append(dst, v...)
+			dst = codec.AppendBlob(dst, a.Key[:min(len(a.Key), maxAttrKeyLen)])
+			dst = codec.AppendBlob(dst, a.Val[:min(len(a.Val), maxAttrValLen)])
 		}
 	}
 	return dst
@@ -214,58 +202,39 @@ func AppendWireSpans(dst []byte, spans []WireSpan) []byte {
 var errWireSpans = errors.New("obs: malformed wire spans")
 
 // DecodeWireSpans decodes a span batch produced by AppendWireSpans and
-// returns the remaining bytes after it. The count must be a shortest-form
-// varint, so what decodes re-encodes to the same bytes.
+// returns the remaining bytes after it. Every varint must be in its
+// shortest form and every count and length within its cap, so what decodes
+// re-encodes to the same bytes.
 func DecodeWireSpans(p []byte) ([]WireSpan, []byte, error) {
-	count, m := binary.Uvarint(p)
-	if m <= 0 || m > 1 && p[m-1] == 0 || count > maxWireSpans {
+	r := codec.NewReader(p)
+	n := r.Count(wireSpanMinSize)
+	if n > maxWireSpans {
 		return nil, nil, errWireSpans
 	}
-	n := int(count)
-	p = p[m:]
 	spans := make([]WireSpan, 0, n)
-	for i := 0; i < n; i++ {
-		if len(p) < wireSpanMinSize {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		s := WireSpan{Parent: int16(int(r.Uint(maxWireSpans)) - 1)}
+		name := r.Blob()
+		s.StartOffsetNs = r.Uvarint()
+		s.DurNs = r.Uvarint()
+		nAttrs := r.Count(2)
+		if len(name) > maxSpanName || nAttrs > maxSpanAttrs {
 			return nil, nil, errWireSpans
 		}
-		var s WireSpan
-		s.Parent = int16(binary.BigEndian.Uint16(p))
-		nameLen := int(p[2])
-		p = p[3:]
-		if nameLen > maxSpanName || len(p) < nameLen+17 {
-			return nil, nil, errWireSpans
-		}
-		s.Name = string(p[:nameLen])
-		p = p[nameLen:]
-		s.StartOffsetNs = binary.BigEndian.Uint64(p)
-		s.DurNs = binary.BigEndian.Uint64(p[8:])
-		nAttrs := int(p[16])
-		p = p[17:]
-		if nAttrs > maxSpanAttrs {
-			return nil, nil, errWireSpans
-		}
+		s.Name = string(name)
 		for j := 0; j < nAttrs; j++ {
-			if len(p) < 1 {
+			k, v := r.Blob(), r.Blob()
+			if len(k) > maxAttrKeyLen || len(v) > maxAttrValLen {
 				return nil, nil, errWireSpans
 			}
-			kLen := int(p[0])
-			p = p[1:]
-			if kLen > maxAttrKeyLen || len(p) < kLen+2 {
-				return nil, nil, errWireSpans
-			}
-			k := string(p[:kLen])
-			p = p[kLen:]
-			vLen := int(binary.BigEndian.Uint16(p))
-			p = p[2:]
-			if vLen > maxAttrValLen || len(p) < vLen {
-				return nil, nil, errWireSpans
-			}
-			s.Attrs = append(s.Attrs, Attr{Key: k, Val: string(p[:vLen])})
-			p = p[vLen:]
+			s.Attrs = append(s.Attrs, Attr{Key: string(k), Val: string(v)})
 		}
 		spans = append(spans, s)
 	}
-	return spans, p, nil
+	if r.Err() != nil {
+		return nil, nil, fmt.Errorf("%w: %v", errWireSpans, r.Err())
+	}
+	return spans, r.Rest(), nil
 }
 
 // Recorder captures spans on a site worker while it processes one traced

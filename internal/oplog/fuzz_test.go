@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"distreach/internal/codec"
 	"distreach/internal/fragment"
 )
 
@@ -31,13 +32,17 @@ func FuzzOpsCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(empty)
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})       // hostile count
-	f.Add(seed[:len(seed)-2])                   // truncated op
-	f.Add(append(seed[:5], 'z', 0, 0, 0, 0, 0)) // unknown kind
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})                     // hostile count
+	f.Add(seed[:len(seed)-2])                                 // truncated op
+	f.Add(append([]byte{1}, 'z', 0, 0))                       // unknown kind
+	f.Add([]byte{1, byte(fragment.OpDeleteNode), 0x87, 0x00}) // padded node ID
+	// The retired fixed-width layout of one edge insert: count u32, kind,
+	// u and v u32.
+	f.Add([]byte{1, 0, 0, 0, byte(fragment.OpInsertEdge), 1, 0, 0, 0, 2, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewCursor(data)
-		ops, err := ReadOps(r)
-		if err != nil || r.Done() != nil {
+		r := codec.NewReader(data)
+		ops := ReadOps(r)
+		if r.Done() != nil {
 			return
 		}
 		re, err := AppendOps(nil, ops)
@@ -59,15 +64,15 @@ func FuzzSegmentScan(f *testing.F) {
 	copy(hdr, segMagic)
 	hdr[5] = segVersion
 	binary.LittleEndian.PutUint64(hdr[8:], 0)
+	frame := func(body []byte) []byte {
+		fr := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+		fr = binary.LittleEndian.AppendUint32(fr, crc32.Checksum(body, crcTable))
+		return append(fr, body...)
+	}
 	seg := append([]byte(nil), hdr...)
 	for lsn := uint64(1); lsn <= 2; lsn++ {
-		body := binary.LittleEndian.AppendUint64(nil, lsn)
-		body, _ = AppendOps(body, []fragment.Op{{Kind: fragment.OpInsertEdge, U: 0, V: 1}})
-		frame := make([]byte, recHeaderSize+len(body))
-		binary.LittleEndian.PutUint32(frame, uint32(len(body)))
-		binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(body, crcTable))
-		copy(frame[recHeaderSize:], body)
-		seg = append(seg, frame...)
+		body, _ := AppendRecord(nil, Record{LSN: lsn, Ops: []fragment.Op{{Kind: fragment.OpInsertEdge, U: 0, V: 1}}})
+		seg = append(seg, frame(body)...)
 	}
 	f.Add(seg)
 	f.Add(seg[:len(seg)-3])               // torn tail
@@ -77,6 +82,15 @@ func FuzzSegmentScan(f *testing.F) {
 	mut := append([]byte(nil), seg...)
 	mut[segHeaderSize+recHeaderSize+2] ^= 0xFF // corrupt first record body
 	f.Add(mut)
+	// A record whose CRC holds but whose op count is a padded varint.
+	f.Add(append(append([]byte(nil), hdr...), frame([]byte{1, 0x81, 0x00, byte(fragment.OpDeleteNode), 0})...))
+	// The retired version 1 segment: its header, and a record body with a
+	// u64 LSN and fixed-width ops.
+	old := append([]byte(nil), hdr...)
+	old[5] = 1
+	oldBody := binary.LittleEndian.AppendUint64(nil, 1)
+	oldBody = append(binary.LittleEndian.AppendUint32(oldBody, 1), byte(fragment.OpDeleteNode), 0, 0, 0, 0)
+	f.Add(append(old, frame(oldBody)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

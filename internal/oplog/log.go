@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"distreach/internal/codec"
 )
 
 // SyncPolicy selects when the log flushes appends to stable storage.
@@ -44,12 +46,18 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 //
 //	header := magic "DRWAL" u8*5 | version u8 | reserved u16 | base u64
 //	record := size u32 | crc32c u32 | body          (size = len(body))
-//	body   := lsn u64 | ops (AppendOps codec)
+//	body   := lsn uvarint | ops (AppendRecord)
+//
+// The header and the record frame are fixed-width little-endian, because
+// the torn-tail scan reads them at fixed offsets; the body is the record
+// codec log replay and sync replay frames share. Version 1 wrote the body's
+// LSN and ops fixed-width; such a segment is refused with its version.
 const (
 	segMagic      = "DRWAL"
-	segVersion    = 1
+	segVersion    = 2
 	segHeaderSize = 5 + 1 + 2 + 8
 	recHeaderSize = 8
+	minRecordBody = 2 // an LSN and an op count, one byte each at least
 )
 
 // maxRecordBody bounds one record against corrupt size prefixes.
@@ -168,8 +176,11 @@ func scanSegment(path string, tail bool) (segment, error) {
 	if _, err := io.ReadFull(f, hdr); err != nil {
 		return segment{}, fmt.Errorf("oplog: %s: short header: %w", filepath.Base(path), err)
 	}
-	if string(hdr[:5]) != segMagic || hdr[5] != segVersion {
+	if string(hdr[:5]) != segMagic {
 		return segment{}, fmt.Errorf("oplog: %s: bad segment header", filepath.Base(path))
+	}
+	if hdr[5] != segVersion {
+		return segment{}, fmt.Errorf("oplog: %s: unsupported segment version %d (want %d)", filepath.Base(path), hdr[5], segVersion)
 	}
 	seg := segment{path: path, base: binary.LittleEndian.Uint64(hdr[8:]), size: segHeaderSize}
 	seg.last = seg.base
@@ -186,7 +197,7 @@ func scanSegment(path string, tail bool) (segment, error) {
 		}
 		size := binary.LittleEndian.Uint32(rh)
 		crc := binary.LittleEndian.Uint32(rh[4:])
-		if size < 8 || size > maxRecordBody {
+		if size < minRecordBody || size > maxRecordBody {
 			if tail {
 				return seg, nil
 			}
@@ -205,7 +216,13 @@ func scanSegment(path string, tail bool) (segment, error) {
 			}
 			return segment{}, fmt.Errorf("oplog: %s: record CRC mismatch mid-log", filepath.Base(path))
 		}
-		lsn := binary.LittleEndian.Uint64(body)
+		// A record whose CRC holds was written whole, so one that does not
+		// decode is corruption, not a torn tail, wherever it sits.
+		r := codec.NewReader(body)
+		lsn := ReadRecord(r).LSN
+		if err := r.Done(); err != nil {
+			return segment{}, fmt.Errorf("oplog: %s: record after LSN %d: %w", filepath.Base(path), seg.last, err)
+		}
 		if lsn != seg.last+1 {
 			return segment{}, fmt.Errorf("oplog: %s: record LSN %d after %d", filepath.Base(path), lsn, seg.last)
 		}
@@ -283,8 +300,7 @@ func (l *Log) AppendNoSync(rec Record) (seq uint64, err error) {
 // active segment is full) and advances the write sequence. Caller holds
 // l.mu; the frame is not flushed.
 func (l *Log) appendFrameLocked(rec Record) (seq uint64, err error) {
-	body := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), rec.LSN)
-	body, err = AppendOps(body, rec.Ops)
+	body, err := AppendRecord(make([]byte, 0, 16), rec)
 	if err != nil {
 		return 0, err
 	}
@@ -427,26 +443,19 @@ func readSegmentRecords(seg segment) ([]Record, error) {
 	for off+recHeaderSize <= len(data) {
 		size := binary.LittleEndian.Uint32(data[off:])
 		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if size < 8 || size > maxRecordBody || off+recHeaderSize+int(size) > len(data) {
+		if size < minRecordBody || size > maxRecordBody || off+recHeaderSize+int(size) > len(data) {
 			return nil, fmt.Errorf("oplog: %s: corrupt record at offset %d", filepath.Base(seg.path), off)
 		}
 		body := data[off+recHeaderSize : off+recHeaderSize+int(size)]
 		if crc32.Checksum(body, crcTable) != crc {
 			return nil, fmt.Errorf("oplog: %s: record CRC mismatch at offset %d", filepath.Base(seg.path), off)
 		}
-		cur := NewCursor(body)
-		lsn, err := cur.U64()
-		if err != nil {
-			return nil, err
+		r := codec.NewReader(body)
+		rec := ReadRecord(r)
+		if err := r.Done(); err != nil {
+			return nil, fmt.Errorf("oplog: %s: record %d: %w", filepath.Base(seg.path), rec.LSN, err)
 		}
-		ops, err := ReadOps(cur)
-		if err != nil {
-			return nil, fmt.Errorf("oplog: %s: record %d: %w", filepath.Base(seg.path), lsn, err)
-		}
-		if err := cur.Done(); err != nil {
-			return nil, err
-		}
-		recs = append(recs, Record{LSN: lsn, Ops: ops})
+		recs = append(recs, rec)
 		off += recHeaderSize + int(size)
 	}
 	return recs, nil

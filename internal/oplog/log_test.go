@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -155,6 +156,29 @@ func TestLogTornTailTruncated(t *testing.T) {
 // resume exactly where the previous incarnation stopped — even when a
 // snapshot has truncated every record away, because the segment header
 // pins the LSN.
+// TestLogRefusesOldSegmentVersion writes a well-formed version 1 segment —
+// the record body's LSN a fixed u64 and the ops fixed-width — and checks
+// that opening the log fails with an error naming that version, rather than
+// misreading its records.
+func TestLogRefusesOldSegmentVersion(t *testing.T) {
+	dir := t.TempDir()
+	seg := append([]byte(segMagic), 1, 0, 0)
+	seg = binary.LittleEndian.AppendUint64(seg, 0)
+	body := binary.LittleEndian.AppendUint64(nil, 1)                         // lsn u64
+	body = binary.LittleEndian.AppendUint32(body, 1)                         // op count u32
+	body = append(body, byte(fragment.OpInsertEdge), 0, 0, 0, 0, 1, 0, 0, 0) // u, v u32
+	seg = binary.LittleEndian.AppendUint32(seg, uint32(len(body)))
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(body, crcTable))
+	seg = append(seg, body...)
+	if err := os.WriteFile(filepath.Join(dir, segName(0)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenLog(dir, LogOptions{Fsync: SyncNever})
+	if want := "unsupported segment version 1"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenLog of a version 1 segment: err = %v, want %q", err, want)
+	}
+}
+
 func TestSequencerResumesAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir, LogOptions{Fsync: SyncNever})
@@ -307,9 +331,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got.Fingerprint != snap.Fr.Fingerprint() || got.Fr.Fingerprint() != got.Fingerprint {
 		t.Fatal("snapshot fingerprint drifted through the round trip")
 	}
-	// Versions 1 and 2 carried the recorded partitioner (nlen u8, name,
-	// seed u64) after the version byte, and version 2 an index section
-	// (ilen u32, 0 = none) at the tail. Both are rejected, however
+	// Versions 1 to 3 wrote every integer fixed-width; 1 and 2 also
+	// carried the recorded partitioner (nlen u8, name, seed u64) after the
+	// version byte, and version 2 an index section (ilen u32, 0 = none) at
+	// the tail. All three are rejected with their version, however
 	// well-formed: assemble them by hand from the decoded state.
 	legacy := func(ver byte) []byte {
 		var gb, ab bytes.Buffer
@@ -326,8 +351,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				dead = append(dead, uint32(v))
 			}
 		}
-		out := append([]byte(snapMagic), ver, 0)
-		for _, u := range []uint64{0, got.LSN, got.Epoch, got.Fingerprint} {
+		out := append([]byte(snapMagic), ver)
+		ids := []uint64{got.LSN, got.Epoch, got.Fingerprint}
+		if ver < 3 {
+			out = append(out, 0)
+			ids = append([]uint64{0}, ids...)
+		}
+		for _, u := range ids {
 			out = binary.LittleEndian.AppendUint64(out, u)
 		}
 		out = binary.LittleEndian.AppendUint32(out, uint32(gb.Len()))
@@ -343,10 +373,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		return out
 	}
-	for _, ver := range []byte{1, 2} {
+	for _, ver := range []byte{1, 2, 3} {
 		_, err := DecodeSnapshot(legacy(ver))
-		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
-			t.Fatalf("version %d envelope: err = %v, want unsupported snapshot version", ver, err)
+		if want := fmt.Sprintf("unsupported snapshot version %d", ver); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d envelope: err = %v, want %q", ver, err, want)
 		}
 	}
 	// Tombstone determinism: the same insert on both sides reuses the same

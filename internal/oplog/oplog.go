@@ -31,7 +31,9 @@ package oplog
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
+	"distreach/internal/codec"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
 )
@@ -50,26 +52,41 @@ const maxOps = 1 << 16
 // maxLabel bounds one inserted node's label on the wire and on disk.
 const maxLabel = 0xFFFF
 
-// AppendOps appends the shared ops codec to b: count u32, then per op the
-// kind byte and its operands (little-endian). It is the payload format of
-// log records, update frames and sync replay frames.
+// AppendOps appends the shared ops codec to b (internal/codec): count
+// uvarint, then per op the kind byte and its operands —
+//
+//	'i' insert edge | 'd' delete edge: u uvarint | v uvarint
+//	'n' insert node: frag+1 uvarint (0: the partitioner places it) | label blob
+//	'r' delete node: v uvarint
+//
+// It is the payload format of log records, update frames and sync replay
+// frames. Node IDs must be non-negative and a placement -1 or a fragment
+// index, as the decoder accepts nothing else.
 func AppendOps(b []byte, ops []fragment.Op) ([]byte, error) {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ops)))
+	b = binary.AppendUvarint(b, uint64(len(ops)))
 	for i, op := range ops {
 		b = append(b, byte(op.Kind))
 		switch op.Kind {
 		case fragment.OpInsertEdge, fragment.OpDeleteEdge:
-			b = binary.LittleEndian.AppendUint32(b, uint32(op.U))
-			b = binary.LittleEndian.AppendUint32(b, uint32(op.V))
+			if op.U < 0 || op.V < 0 {
+				return nil, fmt.Errorf("oplog: op %d: negative node ID", i)
+			}
+			b = binary.AppendUvarint(b, uint64(op.U))
+			b = binary.AppendUvarint(b, uint64(op.V))
 		case fragment.OpInsertNode:
 			if len(op.Label) > maxLabel {
 				return nil, fmt.Errorf("oplog: op %d: label of %d bytes exceeds the limit", i, len(op.Label))
 			}
-			b = binary.LittleEndian.AppendUint32(b, uint32(int32(op.Frag)))
-			b = binary.LittleEndian.AppendUint16(b, uint16(len(op.Label)))
-			b = append(b, op.Label...)
+			if op.Frag < -1 || op.Frag >= math.MaxInt32 {
+				return nil, fmt.Errorf("oplog: op %d: node placement %d out of range", i, op.Frag)
+			}
+			b = binary.AppendUvarint(b, uint64(op.Frag+1))
+			b = codec.AppendBlob(b, op.Label)
 		case fragment.OpDeleteNode:
-			b = binary.LittleEndian.AppendUint32(b, uint32(op.U))
+			if op.U < 0 {
+				return nil, fmt.Errorf("oplog: op %d: negative node ID", i)
+			}
+			b = binary.AppendUvarint(b, uint64(op.U))
 		default:
 			return nil, fmt.Errorf("oplog: op %d: unknown kind %q", i, byte(op.Kind))
 		}
@@ -77,142 +94,46 @@ func AppendOps(b []byte, ops []fragment.Op) ([]byte, error) {
 	return b, nil
 }
 
-// ReadOps is the inverse of AppendOps, consuming from the cursor. Every
-// count and length is bounds-checked so hostile input is rejected with an
-// error, never a panic or an implausible allocation.
-func ReadOps(r *Cursor) ([]fragment.Op, error) {
-	n, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxOps || uint64(n) > uint64(r.Remaining()) { // each op is >= 1 byte
-		return nil, fmt.Errorf("oplog: implausible op count %d", n)
+// ReadOps is the inverse of AppendOps. Every count and length is
+// bounds-checked, so hostile input fails the reader, never panics or
+// allocates implausibly; a failure sticks to r (codec.Reader).
+func ReadOps(r *codec.Reader) []fragment.Op {
+	n := r.Count(1) // each op is >= 1 byte
+	if n > maxOps {
+		r.Fail(fmt.Errorf("oplog: implausible op count %d", n))
+		return nil
 	}
 	ops := make([]fragment.Op, 0, n)
-	for i := 0; i < int(n); i++ {
-		kind, err := r.U8()
-		if err != nil {
-			return nil, err
-		}
-		op := fragment.Op{Kind: fragment.OpKind(kind)}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		op := fragment.Op{Kind: fragment.OpKind(r.U8())}
 		switch op.Kind {
 		case fragment.OpInsertEdge, fragment.OpDeleteEdge:
-			u, err := r.U32()
-			if err != nil {
-				return nil, err
-			}
-			v, err := r.U32()
-			if err != nil {
-				return nil, err
-			}
-			op.U, op.V = graph.NodeID(u), graph.NodeID(v)
+			op.U, op.V = graph.NodeID(r.Int31()), graph.NodeID(r.Int31())
 		case fragment.OpInsertNode:
-			f, err := r.U32()
-			if err != nil {
-				return nil, err
+			op.Frag = int(r.Int31()) - 1
+			label := r.Blob()
+			if len(label) > maxLabel {
+				r.Fail(fmt.Errorf("oplog: op %d: label of %d bytes exceeds the limit", i, len(label)))
 			}
-			llen, err := r.U16()
-			if err != nil {
-				return nil, err
-			}
-			lb, err := r.Bytes(uint32(llen))
-			if err != nil {
-				return nil, err
-			}
-			op.Frag = int(int32(f))
-			op.Label = string(lb)
+			op.Label = string(label)
 		case fragment.OpDeleteNode:
-			u, err := r.U32()
-			if err != nil {
-				return nil, err
-			}
-			op.U = graph.NodeID(u)
+			op.U = graph.NodeID(r.Int31())
 		default:
-			return nil, fmt.Errorf("oplog: op %d: unknown kind %q", i, kind)
+			r.Fail(fmt.Errorf("oplog: op %d: unknown kind %q", i, byte(op.Kind)))
 		}
 		ops = append(ops, op)
 	}
-	return ops, nil
+	return ops
 }
 
-// Cursor is a bounds-checked reader over a codec payload.
-type Cursor struct {
-	b   []byte
-	off int
+// AppendRecord appends one sequenced batch — lsn uvarint | ops — the body
+// of a log record and of each record in a sync replay frame.
+func AppendRecord(b []byte, rec Record) ([]byte, error) {
+	return AppendOps(binary.AppendUvarint(b, rec.LSN), rec.Ops)
 }
 
-// NewCursor wraps b.
-func NewCursor(b []byte) *Cursor { return &Cursor{b: b} }
-
-// Remaining reports the unread byte count.
-func (r *Cursor) Remaining() int { return len(r.b) - r.off }
-
-// U8 reads one byte.
-func (r *Cursor) U8() (byte, error) {
-	if r.off+1 > len(r.b) {
-		return 0, fmt.Errorf("oplog: truncated payload at offset %d", r.off)
-	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
-}
-
-// U16 reads one little-endian uint16.
-func (r *Cursor) U16() (uint16, error) {
-	if r.off+2 > len(r.b) {
-		return 0, fmt.Errorf("oplog: truncated payload at offset %d", r.off)
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v, nil
-}
-
-// U32 reads one little-endian uint32.
-func (r *Cursor) U32() (uint32, error) {
-	if r.off+4 > len(r.b) {
-		return 0, fmt.Errorf("oplog: truncated payload at offset %d", r.off)
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-// U64 reads one little-endian uint64.
-func (r *Cursor) U64() (uint64, error) {
-	if r.off+8 > len(r.b) {
-		return 0, fmt.Errorf("oplog: truncated payload at offset %d", r.off)
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-// Uvarint reads one unsigned varint; a truncated, overlong or padded (not
-// shortest-form) one fails, so whatever decodes re-encodes to the same
-// bytes. Writers never pad.
-func (r *Cursor) Uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 || n > 1 && r.b[r.off+n-1] == 0 {
-		return 0, fmt.Errorf("oplog: bad varint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// Bytes reads n raw bytes (a view into the payload, not a copy).
-func (r *Cursor) Bytes(n uint32) ([]byte, error) {
-	if uint64(n) > uint64(len(r.b)-r.off) {
-		return nil, fmt.Errorf("oplog: payload claims %d bytes, %d remain", n, len(r.b)-r.off)
-	}
-	v := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return v, nil
-}
-
-// Done rejects trailing bytes, so decode∘encode is the identity.
-func (r *Cursor) Done() error {
-	if r.off != len(r.b) {
-		return fmt.Errorf("oplog: %d trailing bytes after payload", len(r.b)-r.off)
-	}
-	return nil
+// ReadRecord is the inverse of AppendRecord.
+func ReadRecord(r *codec.Reader) Record {
+	lsn := r.Uvarint()
+	return Record{LSN: lsn, Ops: ReadOps(r)}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"distreach/internal/codec"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
 )
@@ -30,22 +31,24 @@ type Snapshot struct {
 	enc []byte
 }
 
-// Snapshot envelope (little-endian):
+// Snapshot envelope (internal/codec; a blob is a uvarint length and the
+// bytes):
 //
-//	magic "DRSNAP" | version u8 | lsn u64 | epoch u64 | fingerprint u64 |
-//	glen u32 | graph text (graph.Write) |
-//	alen u32 | assignment text (fragment.Write) |
-//	dlen u32 | tombstoned node IDs u32 each (ascending)
+//	magic "DRSNAP" | version u8 | lsn uvarint | epoch uvarint |
+//	fingerprint u64 | graph text blob (graph.Write) |
+//	assignment text blob (fragment.Write) |
+//	dlen uvarint | tombstoned node IDs, ascending, uvarint each
 //
 // The graph text codec does not record tombstones (slots freed by node
 // deletion, whose IDs a later insert reuses), so the envelope carries them
 // explicitly and the decoder re-deletes those slots before rebuilding the
 // fragmentation — ID assignment stays deterministic across a snapshot
 // round trip. Versions 1 and 2 also recorded the partitioner, and version
-// 2 the built indexes; neither is read any more, so both are rejected.
+// 2 the built indexes; version 3 wrote every integer fixed-width. None is
+// read any more: an older snapshot is rejected with its version.
 const (
 	snapMagic   = "DRSNAP"
-	snapVersion = 3
+	snapVersion = 4
 )
 
 // TakeSnapshot captures the replica state behind rep as a Snapshot whose
@@ -122,19 +125,17 @@ func encodeSnapshotState(snap *Snapshot) (*snapshotState, error) {
 // finishSnapshotEnvelope assembles the final envelope from the identity
 // fields and a captured state.
 func finishSnapshotEnvelope(snap *Snapshot, st *snapshotState) []byte {
-	b := make([]byte, 0, len(snapMagic)+1+36+len(st.graph)+len(st.assign)+4*len(st.dead))
+	b := make([]byte, 0, len(snapMagic)+1+48+len(st.graph)+len(st.assign)+5*len(st.dead))
 	b = append(b, snapMagic...)
 	b = append(b, snapVersion)
-	b = binary.LittleEndian.AppendUint64(b, snap.LSN)
-	b = binary.LittleEndian.AppendUint64(b, snap.Epoch)
-	b = binary.LittleEndian.AppendUint64(b, snap.Fingerprint)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.graph)))
-	b = append(b, st.graph...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.assign)))
-	b = append(b, st.assign...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.dead)))
+	b = binary.AppendUvarint(b, snap.LSN)
+	b = binary.AppendUvarint(b, snap.Epoch)
+	b = codec.AppendU64(b, snap.Fingerprint)
+	b = codec.AppendBlob(b, st.graph)
+	b = codec.AppendBlob(b, st.assign)
+	b = binary.AppendUvarint(b, uint64(len(st.dead)))
 	for _, v := range st.dead {
-		b = binary.LittleEndian.AppendUint32(b, v)
+		b = binary.AppendUvarint(b, uint64(v))
 	}
 	return b
 }
@@ -143,61 +144,21 @@ func finishSnapshotEnvelope(snap *Snapshot, st *snapshotState) []byte {
 // bounds-checked against hostile input, the fragmentation is rebuilt, and
 // its fingerprint must equal the recorded one.
 func DecodeSnapshot(p []byte) (*Snapshot, error) {
-	r := NewCursor(p)
-	magic, err := r.Bytes(uint32(len(snapMagic)))
-	if err != nil || string(magic) != snapMagic {
+	if !bytes.HasPrefix(p, []byte(snapMagic)) {
 		return nil, fmt.Errorf("oplog: not a snapshot (bad magic)")
 	}
-	ver, err := r.U8()
-	if err != nil {
-		return nil, err
+	r := codec.NewReader(p[len(snapMagic):])
+	if ver := r.U8(); r.Err() == nil && ver != snapVersion {
+		return nil, fmt.Errorf("oplog: unsupported snapshot version %d (want %d)", ver, snapVersion)
 	}
-	if ver != snapVersion {
-		return nil, fmt.Errorf("oplog: unsupported snapshot version %d", ver)
-	}
-	snap := &Snapshot{}
-	if snap.LSN, err = r.U64(); err != nil {
-		return nil, err
-	}
-	if snap.Epoch, err = r.U64(); err != nil {
-		return nil, err
-	}
-	if snap.Fingerprint, err = r.U64(); err != nil {
-		return nil, err
-	}
-	glen, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	gtext, err := r.Bytes(glen)
-	if err != nil {
-		return nil, err
-	}
-	alen, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	atext, err := r.Bytes(alen)
-	if err != nil {
-		return nil, err
-	}
-	dlen, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(dlen)*4 > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("oplog: snapshot claims %d tombstones in %d bytes", dlen, r.Remaining())
-	}
-	dead := make([]uint32, 0, dlen)
-	for i := 0; i < int(dlen); i++ {
-		v, err := r.U32()
-		if err != nil {
-			return nil, err
-		}
-		dead = append(dead, v)
+	snap := &Snapshot{LSN: r.Uvarint(), Epoch: r.Uvarint(), Fingerprint: r.U64()}
+	gtext, atext := r.Blob(), r.Blob()
+	dead := make([]graph.NodeID, r.Count(1))
+	for i := range dead {
+		dead[i] = graph.NodeID(r.Int31())
 	}
 	if err := r.Done(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("oplog: snapshot: %w", err)
 	}
 	g, err := graph.Read(bytes.NewReader(gtext))
 	if err != nil {
@@ -206,7 +167,7 @@ func DecodeSnapshot(p []byte) (*Snapshot, error) {
 	// Re-tombstone in ascending ID order, so the free-slot list (which a
 	// later insert consumes lowest-first) matches the snapshotted state.
 	for _, v := range dead {
-		if int(v) >= g.NumNodes() || !g.DeleteNode(graph.NodeID(v)) {
+		if int(v) >= g.NumNodes() || !g.DeleteNode(v) {
 			return nil, fmt.Errorf("oplog: snapshot tombstone %d invalid", v)
 		}
 	}
