@@ -271,7 +271,8 @@ type wireJSON struct {
 	FirstAnswerMicros int64 `json:"first_answer_us"`
 	CancelFrames      int64 `json:"cancel_frames,omitempty"`
 	EarlyTerminated   bool  `json:"early_terminated,omitempty"`
-	RowsReplies       int64 `json:"rows_replies,omitempty"` // sites that shipped their boundary rows
+	RowsReplies       int64 `json:"rows_replies,omitempty"` // sites that shipped their boundary rows, in full or as a delta
+	RowsDeltas        int64 `json:"rows_deltas,omitempty"`  // those that shipped a delta
 }
 
 func toWireJSON(st netsite.WireStats) *wireJSON {
@@ -285,6 +286,7 @@ func toWireJSON(st netsite.WireStats) *wireJSON {
 		CancelFrames:      st.CancelFrames,
 		EarlyTerminated:   st.EarlyTerminated,
 		RowsReplies:       st.RowsReplies,
+		RowsDeltas:        st.RowsDeltas,
 	}
 }
 
@@ -896,6 +898,7 @@ func (g *gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			"total_rebuild_us":  st.TotalBuild.Microseconds(),
 		}
 	}
+	rowsReplies, rowsDeltas := g.co.RowsTotals()
 	ast := g.co.AnytimeStats()
 	anytime := map[string]any{
 		"enabled":            g.co.Anytime(),
@@ -920,6 +923,12 @@ func (g *gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		"durability": durability,
 		"balance":    balance,
+		// Replies that shipped a site's boundary rows, in full or as a
+		// delta against the coordinator's copy, and the deltas among them.
+		"rows": map[string]any{
+			"replies": rowsReplies,
+			"deltas":  rowsDeltas,
+		},
 		"reachindex": reachIndex,
 		"cache": map[string]any{
 			"hits":      hits,

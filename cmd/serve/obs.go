@@ -75,9 +75,13 @@ func newGwObs(co *netsite.Coordinator) *gwObs {
 			"site", strconv.Itoa(i),
 			func() float64 { h, _ := ob.auditor.RowsReplies(i); return float64(h) })
 		reg.GaugeFuncVec("gateway_site_rows_misses_total",
-			"Final replies from this site that carried its boundary rows: the coordinator held none, or a stale copy.",
+			"Final replies from this site that carried its boundary rows in full: the coordinator held none, or a copy the site no longer keeps.",
 			"site", strconv.Itoa(i),
 			func() float64 { _, m := ob.auditor.RowsReplies(i); return float64(m) })
+		reg.GaugeFuncVec("gateway_site_rows_patches_total",
+			"Final replies from this site that carried a delta of its boundary rows, patched into the coordinator's stale copy.",
+			"site", strconv.Itoa(i),
+			func() float64 { return float64(ob.auditor.RowsPatches(i)) })
 	}
 	return ob
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -192,23 +194,159 @@ func distWireSize(rv *Rows) int {
 
 // LocalRows returns f's weighted in-node rows, one equation per in-node,
 // in node order — an in-node that reaches no boundary node gets an empty
-// one, so that whoever solves over the rows sees which fragment owns it.
-// It returns nil when opt.Cancel fires.
+// one, so that whoever solves over the rows sees which fragment owns it —
+// each equation's terms in node order too. The rows are thus a function of
+// the fragment's nodes and edges alone, not of its local numbering or of
+// which in-nodes share a BFS: equal fragments give byte-identical rows,
+// and Diff finds only the equations that really changed. It returns nil
+// when opt.Cancel fires.
 func LocalRows(f *fragment.Fragment, opt *Options) *Rows {
 	in := slices.Clone(f.InNodes())
 	slices.SortFunc(in, func(a, b int32) int { return int(f.Global(a)) - int(f.Global(b)) })
 	rv := newRows(len(in), true)
 	var bfs cutRows
+	var terms []uint64
 	for lo := 0; lo < len(in); lo += 64 {
 		src := in[lo:min(lo+64, len(in))]
 		if !bfs.from(f, src, opt) {
 			return nil
 		}
 		for i, v := range src {
-			rv.add(f.Global(v), NoConst, bfs.vars[i], bfs.ws[i])
+			// Sort the terms by node, each packed with its weight (both
+			// non-negative 32-bit values).
+			vars, ws := bfs.vars[i], bfs.ws[i]
+			terms = terms[:0]
+			for j, b := range vars {
+				terms = append(terms, uint64(b)<<32|uint64(ws[j]))
+			}
+			slices.Sort(terms)
+			for j, t := range terms {
+				vars[j], ws[j] = graph.NodeID(t>>32), int32(uint32(t))
+			}
+			rv.add(f.Global(v), NoConst, vars, ws)
 		}
 	}
 	return rv
+}
+
+// Equations is a list of equations read one at a time: a *Rows, or rows
+// kept in another layout. The slices Eq returns may be overwritten by the
+// next call.
+type Equations interface {
+	NumEqs() int
+	Eq(i int) (node graph.NodeID, cons int32, vars []graph.NodeID, ws []int32)
+}
+
+// RowsDelta is what turns one state of a fragment's rows into a later
+// one: the equations whose head is new or whose terms changed, heads
+// ascending, and the heads that are gone, ascending. An update changes a
+// handful of a fragment's equations, so a delta costs bytes for what the
+// update changed, not for the O(|Vf|²) rows.
+type RowsDelta struct {
+	Changed *Rows
+	Dropped []graph.NodeID
+}
+
+// Diff returns the delta from old to cur, two weighted lists with heads
+// ascending, as LocalRows gives them.
+func Diff(old, cur *Rows) RowsDelta {
+	d := RowsDelta{Changed: newRows(0, true)}
+	i, j := 0, 0
+	for i < old.NumEqs() || j < cur.NumEqs() {
+		switch {
+		case j == cur.NumEqs() || i < old.NumEqs() && old.nodes[i] < cur.nodes[j]:
+			d.Dropped = append(d.Dropped, old.nodes[i])
+			i++
+		case i == old.NumEqs() || cur.nodes[j] < old.nodes[i]:
+			d.Changed.add(cur.Eq(j))
+			j++
+		default:
+			if !sameEq(old, i, cur, j) {
+				d.Changed.add(cur.Eq(j))
+			}
+			i++
+			j++
+		}
+	}
+	return d
+}
+
+// sameEq reports whether equation i of a and equation j of b have the same
+// constant and terms.
+func sameEq(a *Rows, i int, b *Rows, j int) bool {
+	_, ca, va, wa := a.Eq(i)
+	_, cb, vb, wb := b.Eq(j)
+	return ca == cb && slices.Equal(va, vb) && slices.Equal(wa, wb)
+}
+
+// Patch returns base with d applied: base's equations, heads ascending,
+// with every changed equation put in (replacing base's for its head) and
+// every dropped head taken out. Applied to rows at one state and Diff of
+// them against a later state, it gives the later rows equation for
+// equation, so they encode byte-identically. A delta that cannot have been
+// taken against base is refused: changed equations without weights or
+// with a constant term, heads out of order (base's too), a changed head
+// that is also dropped, and a dropped head base does not hold.
+func Patch(base Equations, d RowsDelta) (*Rows, error) {
+	ch := d.Changed
+	if ch.NumEqs() > 0 && !ch.weighted {
+		return nil, errors.New("core: delta equations without weights")
+	}
+	for k := 1; k < len(d.Dropped); k++ {
+		if d.Dropped[k] <= d.Dropped[k-1] {
+			return nil, fmt.Errorf("core: delta drops head %d after %d", d.Dropped[k], d.Dropped[k-1])
+		}
+	}
+	nb, nc, dropped := base.NumEqs(), ch.NumEqs(), d.Dropped
+	out := newRows(max(0, nb+nc-len(dropped)), true)
+	prev := int64(-1) // the last head of base read
+	j := 0
+	// putChanged adds the changed equations with heads below limit.
+	putChanged := func(limit int64) error {
+		for ; j < nc && int64(ch.nodes[j]) < limit; j++ {
+			if j > 0 && ch.nodes[j] <= ch.nodes[j-1] {
+				return fmt.Errorf("core: delta head %d after %d", ch.nodes[j], ch.nodes[j-1])
+			}
+			if ch.cons[j] != NoConst {
+				return fmt.Errorf("core: delta equation of %d with a constant term", ch.nodes[j])
+			}
+			out.add(ch.Eq(j))
+		}
+		return nil
+	}
+	for i := 0; i < nb; i++ {
+		node, cons, vars, ws := base.Eq(i)
+		if int64(node) <= prev {
+			return nil, fmt.Errorf("core: base head %d after %d", node, prev)
+		}
+		if cons != NoConst || len(ws) != len(vars) {
+			return nil, fmt.Errorf("core: base equation of %d is not a weighted row", node)
+		}
+		prev = int64(node)
+		if err := putChanged(prev); err != nil {
+			return nil, err
+		}
+		if len(dropped) > 0 && dropped[0] < node {
+			return nil, fmt.Errorf("core: delta drops head %d, which the base does not hold", dropped[0])
+		}
+		replaced := j < nc && ch.nodes[j] == node
+		switch {
+		case len(dropped) > 0 && dropped[0] == node:
+			if replaced {
+				return nil, fmt.Errorf("core: delta both changes and drops head %d", node)
+			}
+			dropped = dropped[1:]
+		case !replaced:
+			out.add(node, cons, vars, ws)
+		}
+	}
+	if err := putChanged(math.MaxInt64); err != nil {
+		return nil, err
+	}
+	if len(dropped) > 0 {
+		return nil, fmt.Errorf("core: delta drops head %d, which the base does not hold", dropped[0])
+	}
+	return out, nil
 }
 
 // cutRows is cutDist with no target and no bound, run from up to 64

@@ -54,8 +54,10 @@ import (
 // Reply payload, after the (epoch, lsn) tag and the span section every
 // query answer carries (see protocol.go):
 //
-//	rows u8 (0|1)
-//	  | [instance u64 | generation uvarint | rlen uvarint | rows]
+//	rows u8 (0: none | 1: full | 2: delta)
+//	  | full:  instance u64 | generation uvarint | rlen uvarint | rows
+//	  | delta: generation uvarint | rlen uvarint | changed rows
+//	         | ndrop uvarint | per dropped head, ascending: node (delta)
 //	  | nstale uvarint | per stale skipped site: site uvarint
 //	  | nowners uvarint | per reach or distance query, in batch
 //	    order: owner(s)+1 uvarint | owner(t)+1 uvarint (0: none)
@@ -89,6 +91,22 @@ import (
 // partials are complete on their own and no rows are involved — an automaton
 // is drawn per query, so (node, state) rows would rarely be reused.
 //
+// Row deltas. A write changes a handful of a fragment's equations, not its
+// O(|Vf|²) rows, so when the request's tag names an earlier generation of
+// the fragment's own instance and the site still keeps its rows at that
+// tag (it keeps the newest two states it computed, rowsMemo), it ships a
+// delta against them instead: the equations whose head is new or whose
+// terms changed, as a weighted core.Rows list with heads ascending, and the
+// heads that are gone (core.Diff). Its base is the request's own tag, so
+// the reply names only the new generation. The coordinator patches the
+// copy the attempt stands on — the one whose tag the request carried —
+// into the rows at the new tag (core.Patch) and keeps them as it keeps
+// shipped rows. A site that keeps no rows at the request's tag (a
+// rebalance, snapshot install or restart drew a new instance, or the copy
+// aged out of its memo) ships full rows, and a request that names no rows
+// gets full rows too. The site computes core.LocalRows once per state of
+// its fragment, however many rounds in flight ask for it.
+//
 // Why a match is safe: every mutation of a fragment — sequenced batch,
 // unsequenced apply, direct call on the Fragmentation under the site — runs
 // through fragment.Apply, which bumps the generation of each fragment it
@@ -97,7 +115,22 @@ import (
 // tags therefore mean the rows the coordinator holds are the rows the site
 // would compute now, at the (epoch, LSN) its reply is stamped with. Nothing
 // has to tell the coordinator that its copy went stale, so nothing can be
-// lost: a stale or missing copy costs one full reply, never an answer.
+// lost: a stale or missing copy costs one reply that ships rows — a delta
+// or the full rows — never an answer.
+//
+// Why a patch is safe: core.LocalRows is a function of the fragment's nodes
+// and edges alone — equations in node order, each one's terms in node
+// order — so the rows the site keeps at the request's tag are, equation for
+// equation, the rows the coordinator holds at that tag, whether it decoded
+// them, patched them or reads them back from a boundary. The delta is the
+// difference of those rows and the rows at the new tag, computed under the
+// read lock the evaluation holds, so patching the held copy gives exactly
+// the rows the site would ship in full, at the (epoch, LSN) its reply is
+// stamped with (TestRowsDeltaPatch pins the equality byte for byte). A delta
+// that cannot have been taken against the held copy — in reply to a
+// request that named no rows, to a generation not past the held one, with
+// heads out of order, or dropping a head the copy does not hold — fails the
+// round with an error, never a wrong answer.
 //
 // Routing. Only the fragments that store s or t as a real node — owner(s)
 // and owner(t) — have a query part for qr(s, t) or qbr(s, t, l)
@@ -345,24 +378,32 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, batchHeader, error) {
 	return qs, h, nil
 }
 
-// batchReply is the decoded body of a query reply. hasRows is false when
-// the site shipped none (its fragment matches the request's tag, or the
-// batch has no reach or distance query).
+// What a reply's rows section holds.
+const (
+	rowsNone  = 0 // nothing: the coordinator's copy is current, or the batch needs no rows
+	rowsFull  = 1 // the fragment's rows
+	rowsDelta = 2 // what changed since the request's tag
+)
+
+// batchReply is the decoded body of a query reply. rowsKind is rowsNone
+// when the site shipped no rows (its fragment matches the request's tag,
+// or the batch has no reach or distance query).
 type batchReply struct {
-	hasRows bool
-	tag     rowsTag
-	rows    []byte   // the fragment's marshaled weighted in-node rows
-	stale   []int    // the skipped sites whose held rows are not current
-	owners  []int    // per reach or distance query: owner(s), owner(t) (-1: none)
-	parts   [][]byte // per batched query: its marshaled partial (empty: nothing to add)
+	rowsKind byte
+	tag      rowsTag        // full: the rows' tag; delta: its generation (the instance is the request's)
+	rows     []byte         // full: the fragment's marshaled weighted in-node rows; delta: the changed ones
+	dropped  []graph.NodeID // delta: the heads that are gone, ascending
+	stale    []int          // the skipped sites whose held rows are not current
+	owners   []int          // per reach or distance query: owner(s), owner(t) (-1: none)
+	parts    [][]byte       // per batched query: its marshaled partial (empty: nothing to add)
 }
 
 // size bounds the reply's encoded size.
 func (rep batchReply) size() int {
 	const v = binary.MaxVarintLen32 // a count, length or site index
 	n := 1 + 3*v + v*(len(rep.stale)+len(rep.owners))
-	if rep.hasRows {
-		n += 8 + binary.MaxVarintLen64 + v + len(rep.rows)
+	if rep.rowsKind != rowsNone {
+		n += 8 + binary.MaxVarintLen64 + 2*v + len(rep.rows) + v*len(rep.dropped)
 	}
 	for _, p := range rep.parts {
 		n += v + len(p)
@@ -372,11 +413,20 @@ func (rep batchReply) size() int {
 
 // encodeBatchReply appends the reply to b (the query answer's span section).
 func encodeBatchReply(b []byte, rep batchReply) []byte {
-	b = codec.AppendBool(slices.Grow(b, rep.size()), rep.hasRows)
-	if rep.hasRows {
+	b = append(slices.Grow(b, rep.size()), rep.rowsKind)
+	switch rep.rowsKind {
+	case rowsFull:
 		b = codec.AppendU64(b, rep.tag.instance)
 		b = binary.AppendUvarint(b, rep.tag.gen)
 		b = codec.AppendBlob(b, rep.rows)
+	case rowsDelta:
+		b = binary.AppendUvarint(b, rep.tag.gen)
+		b = codec.AppendBlob(b, rep.rows)
+		b = binary.AppendUvarint(b, uint64(len(rep.dropped)))
+		var prev int64
+		for _, v := range rep.dropped {
+			b = codec.AppendNode(b, int32(v), &prev)
+		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(rep.stale)))
 	for _, site := range rep.stale {
@@ -397,9 +447,21 @@ func encodeBatchReply(b []byte, rep batchReply) []byte {
 // length is validated; the returned sections are views into p.
 func decodeBatchReply(p []byte) (rep batchReply, err error) {
 	r := codec.NewReader(p)
-	if rep.hasRows = r.Bool(); rep.hasRows {
+	switch rep.rowsKind = r.U8(); rep.rowsKind {
+	case rowsNone:
+	case rowsFull:
 		rep.tag = rowsTag{instance: r.U64(), gen: r.Uvarint()}
 		rep.rows = r.Blob()
+	case rowsDelta:
+		rep.tag.gen = r.Uvarint()
+		rep.rows = r.Blob()
+		rep.dropped = make([]graph.NodeID, r.Count(1))
+		var prev int64
+		for i := range rep.dropped {
+			rep.dropped[i] = graph.NodeID(r.Node(&prev))
+		}
+	default:
+		r.Fail(fmt.Errorf("unknown rows section %d", rep.rowsKind))
 	}
 	rep.stale = make([]int, r.Count(1))
 	for i := range rep.stale {
@@ -538,13 +600,13 @@ func classLabel(c QueryClass) string {
 // were computed at. Immutable once stored.
 type siteRows struct {
 	tag   rowsTag
-	rv    *core.Rows // the rows as decoded off the wire
+	rv    *core.Rows // the rows as decoded off the wire, or patched
 	in    *boundary  // or: the published boundary that lays them out
 	stale bool       // known to be older than the fragment (markStale)
 }
 
 // source reads site's rows back, wherever they are kept.
-func (r *siteRows) source(site int) rowSource {
+func (r *siteRows) source(site int) core.Equations {
 	if r.in != nil {
 		return r.in.rowsOf(site)
 	}
@@ -729,7 +791,7 @@ func (b *batchSolver) feed(site int, rep batchReply) error {
 		return nil // regex queries only: rows neither needed nor kept
 	}
 	switch {
-	case rep.hasRows:
+	case rep.rowsKind == rowsFull:
 		rows := new(core.Rows)
 		if err := rows.UnmarshalBinary(rep.rows); err != nil {
 			return fmt.Errorf("netsite: site %d rows: %w", site, err)
@@ -740,6 +802,14 @@ func (b *batchSolver) feed(site int, rep batchReply) error {
 		b.rows[site] = obs.RowsMiss
 		b.held[site] = &siteRows{tag: rep.tag, rv: rows}
 		b.c.keepRows(site, b.held[site])
+	case rep.rowsKind == rowsDelta:
+		rows, err := b.patch(site, rep)
+		if err != nil {
+			return fmt.Errorf("netsite: site %d rows delta: %w", site, err)
+		}
+		b.rows[site] = obs.RowsPatch
+		b.held[site] = rows
+		b.c.keepRows(site, rows)
 	case b.held[site] == nil:
 		return fmt.Errorf("netsite: site %d left out rows the coordinator does not hold", site)
 	default:
@@ -757,6 +827,28 @@ func (b *batchSolver) feed(site int, rep batchReply) error {
 	b.qparts[site] = qparts
 	b.fed = append(b.fed, site)
 	return nil
+}
+
+// patch applies a reply's rows delta to the copy of site's rows the
+// attempt stands on, the base the site diffed against (see "Why a patch is
+// safe").
+func (b *batchSolver) patch(site int, rep batchReply) (*siteRows, error) {
+	base := b.held[site]
+	if base == nil {
+		return nil, errors.New("a delta in reply to a request that named no rows")
+	}
+	if rep.tag.gen <= base.tag.gen {
+		return nil, fmt.Errorf("a delta to generation %d is not taken against the held generation %d", rep.tag.gen, base.tag.gen)
+	}
+	changed := new(core.Rows)
+	if err := changed.UnmarshalBinary(rep.rows); err != nil {
+		return nil, err
+	}
+	rows, err := core.Patch(base.source(site), core.RowsDelta{Changed: changed, Dropped: rep.dropped})
+	if err != nil {
+		return nil, err
+	}
+	return &siteRows{tag: rowsTag{base.tag.instance, rep.tag.gen}, rv: rows}, nil
 }
 
 // vouch opens a skipped site's held rows as a reply with no query parts

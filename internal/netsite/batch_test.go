@@ -9,11 +9,13 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"distreach/internal/automaton"
 	"distreach/internal/bes"
+	"distreach/internal/codec"
 	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
@@ -571,18 +573,23 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 			t.Errorf("decodeBatchRequest accepted %s payload", name)
 		}
 	}
-	full := batchReply{hasRows: true, tag: rowsTag{7, 3}, rows: []byte{9, 9}, stale: []int{2}, owners: []int{0, -1, 3, 1}, parts: [][]byte{{1, 2, 3}, nil}}
+	full := batchReply{rowsKind: rowsFull, tag: rowsTag{7, 3}, rows: []byte{9, 9}, stale: []int{2}, owners: []int{0, -1, 3, 1}, parts: [][]byte{{1, 2, 3}, nil}}
 	reply := encodeBatchReply(nil, full)
 	onePart := encodeBatchReply(nil, batchReply{parts: [][]byte{{1, 2, 3}}})
+	delta := batchReply{rowsKind: rowsDelta, tag: rowsTag{gen: 4}, rows: []byte{1, 0}, dropped: []graph.NodeID{3, 8}, parts: [][]byte{nil}}
+	deltaReply := encodeBatchReply(nil, delta)
 	for name, p := range map[string][]byte{
-		"bad rows flag":     {2, 0, 0, 0},
-		"version-9 layout":  cat([]byte{9}, reply), // the retired leading version byte
-		"truncated tag":     reply[:1+7],
-		"huge rows length":  cat(reply[:1+8+1], []byte{0xFF, 0xFF, 0xFF, 0x7F}),
-		"huge query count":  {0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F},
-		"truncated part":    onePart[:len(onePart)-2],
-		"padded part count": {0, 0, 0, 0x80, 0},
-		"trailing bytes":    cat(reply, []byte{1}),
+		"bad rows flag":          {3, 0, 0, 0},
+		"truncated dropped head": deltaReply[:1+1+3+1+1],
+		"huge drop count":        cat(deltaReply[:1+1+3], []byte{0xFF, 0xFF, 0xFF, 0x7F}),
+		"padded drop count":      cat(deltaReply[:1+1+3], []byte{0x82, 0}, deltaReply[1+1+3+1:]),
+		"version-9 layout":       cat([]byte{9}, reply), // the retired leading version byte
+		"truncated tag":          reply[:1+7],
+		"huge rows length":       cat(reply[:1+8+1], []byte{0xFF, 0xFF, 0xFF, 0x7F}),
+		"huge query count":       {0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F},
+		"truncated part":         onePart[:len(onePart)-2],
+		"padded part count":      {0, 0, 0, 0x80, 0},
+		"trailing bytes":         cat(reply, []byte{1}),
 	} {
 		if _, err := decodeBatchReply(p); err == nil {
 			t.Errorf("decodeBatchReply accepted %s payload", name)
@@ -622,9 +629,10 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	if len(dec) != 2 || dec[0] != qs[0] || dec[1] != qs[1] {
 		t.Fatalf("request round trip: %+v", dec)
 	}
-	for _, want := range []batchReply{full, {parts: [][]byte{nil, {7}}}, {hasRows: true, tag: rowsTag{1, 0}}} {
+	for _, want := range []batchReply{full, {parts: [][]byte{nil, {7}}}, {rowsKind: rowsFull, tag: rowsTag{1, 0}}, delta} {
 		got, err := decodeBatchReply(encodeBatchReply(nil, want))
-		if err != nil || got.hasRows != want.hasRows || got.tag != want.tag || !bytes.Equal(got.rows, want.rows) ||
+		if err != nil || got.rowsKind != want.rowsKind || got.tag != want.tag || !bytes.Equal(got.rows, want.rows) ||
+			!slices.Equal(got.dropped, want.dropped) ||
 			!slices.Equal(got.stale, want.stale) || !slices.Equal(got.owners, want.owners) || len(got.parts) != len(want.parts) {
 			t.Fatalf("reply round trip: %+v -> %+v, %v", want, got, err)
 		}
@@ -634,6 +642,70 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 			}
 		}
 	}
+
+	// A rows delta that cannot have been taken against the copy the
+	// request named fails the reply with an error, never a wrong copy.
+	base := &siteRows{tag: rowsTag{7, 3}, rv: new(core.Rows)}
+	if err := base.rv.UnmarshalBinary(rowsWithHeads(2, 4, 6)); err != nil {
+		t.Fatal(err)
+	}
+	feed := func(held *siteRows, rep batchReply) (*siteRows, error) {
+		co := &Coordinator{rows: make([]atomic.Pointer[siteRows], 1)}
+		sol := newBatchSolver(co, []BatchQuery{{Class: ClassReach, S: 1, T: 2}}, false)
+		sol.reset()
+		sol.held[0] = held
+		rep.parts = [][]byte{nil}
+		if err := sol.feed(0, rep); err != nil {
+			return nil, err
+		}
+		return sol.held[0], nil
+	}
+	deltaOf := func(gen uint64, heads []graph.NodeID, dropped ...graph.NodeID) batchReply {
+		return batchReply{rowsKind: rowsDelta, tag: rowsTag{gen: gen}, rows: rowsWithHeads(heads...), dropped: dropped}
+	}
+	for name, c := range map[string]struct {
+		held *siteRows
+		rep  batchReply
+	}{
+		"delta to a request that named no rows": {nil, deltaOf(4, []graph.NodeID{5})},
+		"delta to the held generation":          {base, deltaOf(3, []graph.NodeID{5})},
+		"delta to an older generation":          {base, deltaOf(2, []graph.NodeID{5})},
+		"changed heads descending":              {base, deltaOf(4, []graph.NodeID{5, 3})},
+		"dropped heads descending":              {base, deltaOf(4, nil, 6, 2)},
+		"dropped head the base does not hold":   {base, deltaOf(4, nil, 5)},
+		"head both changed and dropped":         {base, deltaOf(4, []graph.NodeID{4}, 4)},
+	} {
+		if got, err := feed(c.held, c.rep); err == nil {
+			t.Errorf("%s: patched into %d equations at %v, want an error", name, got.rv.NumEqs(), got.tag)
+		}
+	}
+	patched, err := feed(base, deltaOf(4, []graph.NodeID{1, 5}, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := rowsWithHeads(1, 2, 5, 6); patched.tag != (rowsTag{7, 4}) || !bytes.Equal(must(patched.rv.MarshalBinary()), want) {
+		t.Fatalf("well-formed delta: patched into %v at %v, want %v at {7 4}", must(patched.rv.MarshalBinary()), patched.tag, want)
+	}
+}
+
+// rowsWithHeads encodes a weighted core.Rows list of one empty equation
+// per head, in the order given.
+func rowsWithHeads(heads ...graph.NodeID) []byte {
+	b := []byte{1, byte(len(heads))} // weighted; len(heads) < 128
+	var prev int64
+	for _, h := range heads {
+		b = codec.AppendNode(b, int32(h), &prev)
+		b = append(b, 0, 0) // no constant, no terms
+	}
+	return b
+}
+
+// must returns v, panicking on a non-nil error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // countGoroutines polls until the count settles at or below want, tolerating

@@ -81,19 +81,13 @@ type siteEq struct {
 	ws   []int32
 }
 
-// rowSource is one site's rows as buildBoundary reads them: decoded off
-// the wire (*core.Rows), or read back from the boundary that laid them out
-// (laidOut). vars may be overwritten by the next call to Eq.
-type rowSource interface {
-	NumEqs() int
-	Eq(i int) (node graph.NodeID, cons int32, vars []graph.NodeID, ws []int32)
-}
-
 // buildBoundary lays out the rows of one tag vector (rows[i] nil: site i
 // contributed none).
 func buildBoundary(rows []*siteRows) *boundary {
 	b := &boundary{tags: make([]rowsTag, len(rows))}
-	srcs := make([]rowSource, len(rows))
+	// Site i's rows: decoded off the wire or patched (*core.Rows), or read
+	// back from the boundary that laid them out (laidOut).
+	srcs := make([]core.Equations, len(rows))
 	number := make(map[graph.NodeID]int32)
 	for i, r := range rows {
 		if r == nil {

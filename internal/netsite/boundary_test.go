@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"distreach/internal/automaton"
 	"distreach/internal/bes"
+	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
@@ -85,13 +87,15 @@ func (d *cacheDeployment) live() graph.NodeID {
 	}
 }
 
-// misses snapshots the per-site count of finals that carried rows.
-func (d *cacheDeployment) misses() []int64 {
-	out := make([]int64, len(d.sites))
-	for i := range out {
-		_, out[i] = d.aud.RowsReplies(i)
+// shipped snapshots, per site, the count of finals that carried rows in
+// full and of those that carried a delta.
+func (d *cacheDeployment) shipped() (full, delta []int64) {
+	full, delta = make([]int64, len(d.sites)), make([]int64, len(d.sites))
+	for i := range full {
+		_, full[i] = d.aud.RowsReplies(i)
+		delta[i] = d.aud.RowsPatches(i)
 	}
-	return out
+	return full, delta
 }
 
 // mirror applies ops to the oracle; the deployment applied them already.
@@ -130,10 +134,10 @@ const (
 )
 
 // strictRound runs one strict round of the given shape, checks every
-// answer against the oracle and reports, per site, whether its final
-// carried rows. A strict round also leaves every site's rows in the cache,
-// whatever came before.
-func (d *cacheDeployment) strictRound(step string, shape int) []bool {
+// answer against the oracle and reports, per site, what its final did
+// about its rows (obs.RowsNone: no rows shipped). A strict round also
+// leaves every site's rows in the cache, whatever came before.
+func (d *cacheDeployment) strictRound(step string, shape int) []obs.RowsOutcome {
 	d.co.SetAnytime(false)
 	defer d.co.SetAnytime(true)
 	var batch []BatchQuery
@@ -157,7 +161,7 @@ func (d *cacheDeployment) strictRound(step string, shape int) []bool {
 		add(BatchQuery{Class: ClassRPQ, A: automaton.Random(d.rng, 2+d.rng.Intn(2), 3+d.rng.Intn(4), d.labels)})
 	}
 	step = fmt.Sprintf("%s, strict round %d", step, shape)
-	before := d.misses()
+	fullBefore, deltaBefore := d.shipped()
 	posts := make([]int64, len(d.sites))
 	for i := range posts {
 		posts[i] = d.aud.Posts(i)
@@ -186,32 +190,39 @@ func (d *cacheDeployment) strictRound(step string, shape int) []bool {
 		d.t.Fatalf("%s: strict round cost %d/%d frames over %d sites: a miss must be answered in the frame that reports it",
 			step, st.FramesSent, st.FramesReceived, n)
 	}
-	full := make([]bool, len(d.sites))
-	var nfull int64
-	for i, m := range d.misses() {
-		if full[i] = m > before[i]; full[i] {
+	out := make([]obs.RowsOutcome, len(d.sites))
+	var nfull, ndelta int64
+	full, delta := d.shipped()
+	for i := range out {
+		switch {
+		case full[i] > fullBefore[i]:
+			out[i] = obs.RowsMiss
 			nfull++
+		case delta[i] > deltaBefore[i]:
+			out[i] = obs.RowsPatch
+			ndelta++
 		}
 	}
-	if nfull != st.RowsReplies {
-		d.t.Fatalf("%s: WireStats counts %d rows replies, the auditor %d", step, st.RowsReplies, nfull)
+	if nfull+ndelta != st.RowsReplies || ndelta != st.RowsDeltas {
+		d.t.Fatalf("%s: WireStats counts %d rows replies, %d of them deltas; the auditor %d full and %d deltas",
+			step, st.RowsReplies, st.RowsDeltas, nfull, ndelta)
 	}
-	return full
+	return out
 }
 
-// wantFull asserts that exactly the given sites shipped rows.
-func (d *cacheDeployment) wantFull(step string, full []bool, dirty []int) {
-	want := make([]bool, len(full))
+// wantFull asserts that exactly the given sites shipped rows, each the way
+// want says: obs.RowsMiss for full rows, obs.RowsPatch for a delta.
+func (d *cacheDeployment) wantFull(step string, got []obs.RowsOutcome, dirty []int, want obs.RowsOutcome) {
+	wantAll := make([]obs.RowsOutcome, len(got))
+	dirtied := make([]bool, len(got))
 	for _, fi := range dirty {
-		want[fi] = true
+		wantAll[fi], dirtied[fi] = want, true
 	}
-	for i := range full {
-		if full[i] != want[i] {
-			d.t.Fatalf("%s: sites that shipped rows %v, want exactly the dirty set %v", step, full, dirty)
-		}
+	if !slices.Equal(got, wantAll) {
+		d.t.Fatalf("%s: rows shipped per site %v, want %v from exactly the dirty set %v", step, got, wantAll, dirty)
 	}
 	if d.shared {
-		d.wantPosted(step, want)
+		d.wantPosted(step, dirtied)
 	}
 }
 
@@ -334,7 +345,10 @@ func (d *cacheDeployment) edgeOps() []Op {
 // evaluation on the mirrored graph, and after every step exactly the sites
 // whose rows could have changed ship them again — in the frame that
 // carries their answer — whether the round asks reach queries, distance
-// queries or a mix of all three classes.
+// queries or a mix of all three classes: as a delta against the rows the
+// coordinator holds after an edge or node write, in full after a
+// rebalance, a snapshot install or a restart (a new instance). The sites
+// outside the dirty set ship nothing.
 func TestBoundaryCacheCrossCheck(t *testing.T) { runCacheCrossCheck(t, false) }
 
 // TestBoundaryCacheCrossCheckShared runs TestBoundaryCacheCrossCheck's
@@ -344,8 +358,9 @@ func TestBoundaryCacheCrossCheck(t *testing.T) { runCacheCrossCheck(t, false) }
 // batches, node ops, an lsn-0 apply, a direct InsertEdge, a live rebalance
 // and a snapshot install. Warm rounds there post to the owners of their
 // nodes and vouch for the other sites. Every answer equals the oracle's,
-// exactly the dirtied sites ship rows, and a strict round posts either to
-// every site or to exactly owner(s) ∪ owner(t) ∪ the dirty sites.
+// exactly the dirtied sites ship rows — a delta after a write, full rows
+// after a new instance — and a strict round posts either to every site or
+// to exactly owner(s) ∪ owner(t) ∪ the dirty sites.
 func TestBoundaryCacheCrossCheckShared(t *testing.T) { runCacheCrossCheck(t, true) }
 
 func runCacheCrossCheck(t *testing.T, shared bool) {
@@ -423,8 +438,8 @@ func runCacheCrossCheck(t *testing.T, shared bool) {
 		for i := range all {
 			all[i] = i
 		}
-		d.wantFull("cold", d.strictRound("cold", trial%roundShapes), all)
-		d.wantFull("warm", d.strictRound("warm", (trial+1)%roundShapes), nil)
+		d.wantFull("cold", d.strictRound("cold", trial%roundShapes), all, obs.RowsMiss)
+		d.wantFull("warm", d.strictRound("warm", (trial+1)%roundShapes), nil, obs.RowsNone)
 
 		// Every kind of step once, in a seeded order, then a few more at
 		// random.
@@ -439,6 +454,9 @@ func runCacheCrossCheck(t *testing.T, shared bool) {
 		for si, kind := range script {
 			step := fmt.Sprintf("trial %d step %d", trial, si)
 			var dirty []int // the sites whose rows the step may have changed
+			// How they ship them: a delta against the rows the coordinator
+			// holds after a write, full rows after a new instance.
+			ships := obs.RowsPatch
 			switch kind {
 			case 0, 1: // a sequenced edge batch: this gateway's, or the second one's
 				step += ": sequenced edge batch"
@@ -499,7 +517,7 @@ func runCacheCrossCheck(t *testing.T, shared bool) {
 				if _, _, err := rebalanceBy(d.co, d.epoch, names[rng.Intn(len(names))], rng.Uint64()); err != nil {
 					t.Fatalf("%s: %v", step, err)
 				}
-				dirty = all
+				dirty, ships = all, obs.RowsMiss
 			case 6: // a snapshot installed into every replica
 				step += ": snapshot install"
 				d.epoch++
@@ -509,7 +527,7 @@ func runCacheCrossCheck(t *testing.T, shared bool) {
 						t.Fatalf("%s: replica %d refused the snapshot", step, i)
 					}
 				}
-				dirty = all
+				dirty, ships = all, obs.RowsMiss
 			case 7: // a site restarts from a snapshot of its state; redial
 				i := rng.Intn(k)
 				step += fmt.Sprintf(": restart of site %d", i)
@@ -534,12 +552,12 @@ func runCacheCrossCheck(t *testing.T, shared bool) {
 						time.Sleep(10 * time.Millisecond)
 					}
 				}
-				dirty = []int{i}
+				dirty, ships = []int{i}, obs.RowsMiss
 			}
 			shape := si % roundShapes
-			d.wantFull(step, d.strictRound(step, shape), dirty)
+			d.wantFull(step, d.strictRound(step, shape), dirty, ships)
 			d.queries(step)
-			d.wantFull(step+", settled", d.strictRound(step, (shape+1)%roundShapes), nil)
+			d.wantFull(step+", settled", d.strictRound(step, (shape+1)%roundShapes), nil, obs.RowsNone)
 		}
 		for i, rep := range d.reps {
 			fr, _ := rep.Current()
@@ -560,8 +578,9 @@ func runCacheCrossCheck(t *testing.T, shared bool) {
 
 // TestBoundaryCacheBytes pins what the cache buys and what an update costs:
 // the second of two identical strict rounds ships under 5% of the first,
-// and after an update exactly the sites of its dirty set ship rows on the
-// next round, the others their query part.
+// and after a one-edge update exactly the sites of its dirty set ship rows
+// on the next round, each a delta in a reply under 5% of its full rows,
+// the others their query part.
 func TestBoundaryCacheBytes(t *testing.T) {
 	g := gen.PowerLaw(gen.Config{Nodes: 600, Edges: 2400, Labels: []string{"A"}, Seed: 2321})
 	const k = 4
@@ -614,13 +633,15 @@ func TestBoundaryCacheBytes(t *testing.T) {
 		t.Fatalf("%d boundary builds for the cold round, %d for 9 warm ones; want at least 1 and 0", built, n)
 	}
 
+	deltas := 0
 	for i := 0; i < 20; i++ {
-		misses := func() []int64 {
-			out := make([]int64, k)
-			for s := range out {
-				_, out[s] = aud.RowsReplies(s)
+		shipped := func() (full, delta, recv []int64) {
+			full, delta, recv = make([]int64, k), make([]int64, k), make([]int64, k)
+			for s := range full {
+				_, full[s] = aud.RowsReplies(s)
+				delta[s], recv[s] = aud.RowsPatches(s), co.conns[s].bytesReceived.Load()
 			}
-			return out
+			return full, delta, recv
 		}
 		op := UpdateInsert
 		if i%3 == 2 {
@@ -630,8 +651,22 @@ func TestBoundaryCacheBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, built := misses(), co.builds.Load()
-		_, st, err := co.Reach(graph.NodeID(rng.Intn(600)), graph.NodeID(rng.Intn(600)))
+		dirty := make([]bool, k)
+		for _, fi := range res.Dirty {
+			dirty[fi] = true
+		}
+		// A pair owned outside the dirty set: a dirty site's reply then
+		// carries its rows section and no query part.
+		clean := func() graph.NodeID {
+			for {
+				if v := graph.NodeID(rng.Intn(600)); !dirty[fr.Owner(v)] {
+					return v
+				}
+			}
+		}
+		fullBefore, deltaBefore, recvBefore := shipped()
+		built := co.builds.Load()
+		_, st, err := co.Reach(clean(), clean())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -639,15 +674,30 @@ func TestBoundaryCacheBytes(t *testing.T) {
 			t.Fatalf("update %d: the next round built the boundary %d times after %d rows replies; want at most 1 more, and none without one",
 				i, n, st.RowsReplies)
 		}
-		dirty := make([]bool, k)
-		for _, fi := range res.Dirty {
-			dirty[fi] = true
-		}
-		for s, m := range misses() {
-			if shipped := m > before[s]; shipped != dirty[s] {
-				t.Fatalf("update %d (dirty %v): site %d shipped rows: %v", i, res.Dirty, s, shipped)
+		// Exactly the dirty sites ship their rows, each a delta under 5% of
+		// its full rows.
+		full, delta, recv := shipped()
+		for s := range full {
+			if full[s] != fullBefore[s] || (delta[s] > deltaBefore[s]) != dirty[s] {
+				t.Fatalf("update %d (dirty %v): site %d shipped %d full rows and %d deltas",
+					i, res.Dirty, s, full[s]-fullBefore[s], delta[s]-deltaBefore[s])
+			}
+			if !dirty[s] {
+				continue
+			}
+			deltas++
+			f := fr.Fragments()[s]
+			fr.RLock()
+			rows, _ := core.LocalRows(f, nil).MarshalBinary()
+			fr.RUnlock()
+			if got := recv[s] - recvBefore[s]; 20*got >= int64(len(rows)) {
+				t.Fatalf("update %d: site %d's reply of %dB carries its delta; its full rows are %dB: want under 5%%",
+					i, s, got, len(rows))
 			}
 		}
+	}
+	if deltas == 0 {
+		t.Fatal("no update dirtied a site")
 	}
 	if v := aud.Violations(); v != 0 {
 		t.Fatalf("%d guarantee violations: %+v", v, aud.Summary())
@@ -692,5 +742,95 @@ func TestBoundaryCacheBytesDist(t *testing.T) {
 	// The warm finals answer to the auditor's linear bound, as reach finals do.
 	if s := aud.Summary(); s.ByteViolations != 0 || warm.BytesReceived > s.LinearByteBound*k {
 		t.Fatalf("warm qbr of %dB against the linear bound %dB per site: %+v", warm.BytesReceived, s.LinearByteBound, s)
+	}
+}
+
+// TestRowsMemoOncePerGeneration: rounds in flight together after one write
+// share the dirty sites' rows computation — each site calls
+// core.LocalRows once per generation of its fragment, however many rounds
+// ask for the rows at once (run it under -race) — and every answer still
+// equals the oracle's.
+func TestRowsMemoOncePerGeneration(t *testing.T) {
+	g := gen.PowerLaw(gen.Config{Nodes: 600, Edges: 2400, Labels: []string{"A"}, Seed: 2331})
+	const k = 4
+	fr, err := fragment.Random(g, k, 2331)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A service delay lines the rounds' frames up at each site.
+	sites, addrs, err := ServeReplica(fragment.NewReplica(fr), SiteOptions{Delay: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range sites {
+			s.Close()
+		}
+	}()
+	co, err := Dial(addrs, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	co.SetAnytime(false)
+	computed := func() []int64 {
+		out := make([]int64, k)
+		for i, s := range sites {
+			out[i] = s.memo.computed.Load()
+		}
+		return out
+	}
+	if _, _, err := co.Reach(0, 599); err != nil {
+		t.Fatal(err)
+	}
+	if got := computed(); !slices.Equal(got, []int64{1, 1, 1, 1}) {
+		t.Fatalf("the cold round computed the rows %v times per site, want once each", got)
+	}
+	rng := gen.NewRNG(2332)
+	var res UpdateResult
+	for len(res.Dirty) == 0 {
+		if res, _, err = co.Update(UpdateInsert, graph.NodeID(rng.Intn(600)), graph.NodeID(rng.Intn(600))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 8
+	batches := make([][]BatchQuery, rounds)
+	for r := range batches {
+		s, tt := graph.NodeID(rng.Intn(600)), graph.NodeID(rng.Intn(600))
+		batches[r] = []BatchQuery{{Class: ClassReach, S: s, T: tt}, {Class: ClassDist, S: tt, T: s, L: 1 + rng.Intn(8)}}
+	}
+	answers := make([][]BatchAnswer, rounds)
+	errs := make([]error, rounds)
+	var wg sync.WaitGroup
+	for r := range batches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[r], _, errs[r] = co.Batch(batches[r])
+		}()
+	}
+	wg.Wait()
+	for r, batch := range batches {
+		if errs[r] != nil {
+			t.Fatalf("round %d: %v", r, errs[r])
+		}
+		reach, dist := batch[0], batch[1]
+		if want := g.Reachable(reach.S, reach.T); answers[r][0].Answer != want {
+			t.Fatalf("round %d: reach(%d,%d) = %v, oracle %v", r, reach.S, reach.T, answers[r][0].Answer, want)
+		}
+		d := g.Dist(dist.S, dist.T)
+		if want := d >= 0 && d <= dist.L; answers[r][1].Answer != want || want && answers[r][1].Dist != int64(d) {
+			t.Fatalf("round %d: dist(%d,%d) within %d = %v/%d, oracle %d", r, dist.S, dist.T, dist.L, answers[r][1].Answer, answers[r][1].Dist, d)
+		}
+	}
+	want := []int64{1, 1, 1, 1}
+	for _, fi := range res.Dirty {
+		want[fi] = 2
+	}
+	if got := computed(); !slices.Equal(got, want) {
+		t.Fatalf("%d rounds in flight after a write dirtying %v computed the rows %v times per site, want %v", rounds, res.Dirty, got, want)
+	}
+	if replies, deltas := co.RowsTotals(); deltas < int64(len(res.Dirty)) || replies != k+deltas {
+		t.Fatalf("%d rows replies, %d of them deltas; want %d full and at least one delta per dirty site %v", replies, deltas, k, res.Dirty)
 	}
 }

@@ -64,7 +64,8 @@ type Coordinator struct {
 	siteLSNs []atomic.Uint64
 
 	// rows is the boundary cache: per site, the in-node rows of its
-	// fragment the last full reply carried, tagged with the fragment state
+	// fragment the last reply carried in full or patched into its copy
+	// with a delta, tagged with the fragment state
 	// they were computed at (batch.go). Exactly one entry per site,
 	// replaced in place; the site, not the coordinator, decides whether an
 	// entry is current.
@@ -75,6 +76,9 @@ type Coordinator struct {
 	// boundary built.
 	bnd    atomic.Pointer[boundary]
 	builds atomic.Int64
+	// rowsReplies and rowsDeltas total WireStats.RowsReplies and
+	// RowsDeltas over every settled attempt (RowsTotals).
+	rowsReplies, rowsDeltas atomic.Int64
 	// owners is the node→site table routing reads (round.go): which sites
 	// a warm reach or distance round has to post to.
 	owners ownerTable
@@ -582,6 +586,13 @@ func (c *Coordinator) WireTotals() (sent, received int64) {
 	return sent, received
 }
 
+// RowsTotals reports how many settled query rounds' replies carried a
+// site's boundary rows, in full or as a delta, and how many of those were
+// deltas — WireStats.RowsReplies and RowsDeltas summed since Dial.
+func (c *Coordinator) RowsTotals() (replies, deltas int64) {
+	return c.rowsReplies.Load(), c.rowsDeltas.Load()
+}
+
 // Close shuts down all site connections; in-flight queries fail and no
 // reconnection is attempted.
 func (c *Coordinator) Close() error {
@@ -623,9 +634,11 @@ type WireStats struct {
 
 	// RowsReplies counts the sites whose reply carried their fragment's
 	// boundary rows — the coordinator held none for them, or a copy from
-	// before the fragment last changed. The other replies of a reach round
-	// carried the query part only. Across retried rounds it accumulates.
+	// before the fragment last changed — in full or as a delta; RowsDeltas
+	// counts the deltas among them. The other replies of a reach round
+	// carried the query part only. Across retried rounds both accumulate.
 	RowsReplies int64
+	RowsDeltas  int64
 
 	// Epoch is the deployment epoch every site answered from, and LSN the
 	// update-log position. Query rounds enforce agreement on both
@@ -663,6 +676,7 @@ func (st *WireStats) add(o WireStats) {
 	st.CancelFrames += o.CancelFrames
 	st.FirstAnswer += o.FirstAnswer
 	st.RowsReplies += o.RowsReplies
+	st.RowsDeltas += o.RowsDeltas
 	st.EarlyTerminated = o.EarlyTerminated
 	st.Epoch = o.Epoch
 	st.LSN = o.LSN

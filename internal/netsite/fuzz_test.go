@@ -94,12 +94,13 @@ func FuzzDecodeFrame(f *testing.F) {
 // FuzzBatchPayload throws arbitrary bytes at every codec of the one query
 // path: the request (flags byte, trace context, per-class queries with the
 // nested automaton codec), the batch reply with its weighted rows section
-// and its query parts (core.Rows, the one codec of the rows and of every
-// reach and distance part) and the span section that heads a query answer.
-// Whatever decodes must re-encode to the very same bytes — the request,
-// the reply, the span section, and a rows section or part that decodes as
-// core.Rows; the rest must be rejected with an error, never a panic or an
-// implausible allocation.
+// — full rows or a delta — and its query parts (core.Rows, the one codec
+// of the rows and of every reach and distance part) and the span section
+// that heads a query answer. Whatever decodes must re-encode to the very
+// same bytes — the request, the reply, the span section, and a rows
+// section or part that decodes as core.Rows — and a delta must patch into
+// well-formed rows or be refused; the rest must be rejected with an error,
+// never a panic or an implausible allocation.
 func FuzzBatchPayload(f *testing.F) {
 	rng := gen.NewRNG(7)
 	a := automaton.Random(rng, 3, 5, []string{"A", "B"})
@@ -190,23 +191,40 @@ func FuzzBatchPayload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	miss := batchReply{hasRows: true, tag: rowsTag{fr.Instance(), frag.Generation()}, rows: rb, parts: [][]byte{pb, db, {0xFF}}}
+	miss := batchReply{rowsKind: rowsFull, tag: rowsTag{fr.Instance(), frag.Generation()}, rows: rb, parts: [][]byte{pb, db, {0xFF}}}
 	hit := batchReply{owners: []int{0, 1, -1, 0}, parts: [][]byte{pb, db, {0xFF}}}
-	f.Add(encodeBatchReply(nil, miss))                                                                                 // the coordinator held no current rows
-	f.Add(encodeBatchReply(nil, hit))                                                                                  // it did: query parts only
-	f.Add(encodeBatchReply(nil, batchReply{stale: []int{1, 3}, owners: []int{2, 2}, parts: [][]byte{nil}}))            // two skipped sites found stale
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb}))                                   // rows and no parts
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: db}))                                   // a section with a constant term
-	f.Add(encodeBatchReply(nil, miss)[:1+8+1+1])                                                                       // truncated rows length
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: rb[:len(rb)/2]}))                       // truncated rows
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{1, 0xFF, 0xFF, 0xFF, 0x7F}}))    // hostile equation count
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{1, 1, 0, 0, 0xFF, 0xFF, 0x7F}})) // hostile disjunct count
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag,
+	f.Add(encodeBatchReply(nil, miss))                                                                                      // the coordinator held no current rows
+	f.Add(encodeBatchReply(nil, hit))                                                                                       // it did: query parts only
+	f.Add(encodeBatchReply(nil, batchReply{stale: []int{1, 3}, owners: []int{2, 2}, parts: [][]byte{nil}}))                 // two skipped sites found stale
+	f.Add(encodeBatchReply(nil, batchReply{rowsKind: rowsFull, tag: miss.tag, rows: rb}))                                   // rows and no parts
+	f.Add(encodeBatchReply(nil, batchReply{rowsKind: rowsFull, tag: miss.tag, rows: db}))                                   // a section with a constant term
+	f.Add(encodeBatchReply(nil, miss)[:1+8+1+1])                                                                            // truncated rows length
+	f.Add(encodeBatchReply(nil, batchReply{rowsKind: rowsFull, tag: miss.tag, rows: rb[:len(rb)/2]}))                       // truncated rows
+	f.Add(encodeBatchReply(nil, batchReply{rowsKind: rowsFull, tag: miss.tag, rows: []byte{1, 0xFF, 0xFF, 0xFF, 0x7F}}))    // hostile equation count
+	f.Add(encodeBatchReply(nil, batchReply{rowsKind: rowsFull, tag: miss.tag, rows: []byte{1, 1, 0, 0, 0xFF, 0xFF, 0x7F}})) // hostile disjunct count
+	f.Add(encodeBatchReply(nil, batchReply{rowsKind: rowsFull, tag: miss.tag,
 		rows: []byte{1, 1, 0, 0, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}})) // overlong weight
-	f.Add(encodeBatchReply(nil, batchReply{hasRows: true, tag: miss.tag, rows: []byte{2, 1, 1, 0, 0, 1, 1, 1}})) // rows with the retired version byte
-	f.Add([]byte{2, 0, 0, 0})                                                                                    // unknown rows flag
-	f.Add([]byte{0, 0, 0, 1, 0x80, 0x00})                                                                        // padded part length
-	f.Add([]byte{9, 0, 0, 0, 0})                                                                                 // the retired leading version byte
+	f.Add(encodeBatchReply(nil, batchReply{rowsKind: rowsFull, tag: miss.tag, rows: []byte{2, 1, 1, 0, 0, 1, 1, 1}})) // rows with the retired version byte
+	// Rows deltas against base, fragment 0's rows at generation 1: one that
+	// patches, and each shape the coordinator refuses — a delta to the held
+	// generation (not taken against the held copy), changed heads out of
+	// order, a dropped head the base does not hold (a delta to a request
+	// that named no rows is tried on every delta that decodes, below).
+	base := &siteRows{tag: rowsTag{fr.Instance(), 1}, rv: core.LocalRows(frag, nil)}
+	head0, _, _, _ := base.rv.Eq(0)
+	deltaOf := func(gen uint64, heads []graph.NodeID, dropped ...graph.NodeID) []byte {
+		return encodeBatchReply(nil, batchReply{rowsKind: rowsDelta, tag: rowsTag{gen: gen}, rows: rowsWithHeads(heads...), dropped: dropped, parts: [][]byte{nil}})
+	}
+	f.Add(deltaOf(2, []graph.NodeID{head0, 99}, head0+1))                                         // changes one head, adds another, drops one it may not hold
+	f.Add(deltaOf(2, nil, head0))                                                                 // drops a head the base holds
+	f.Add(deltaOf(1, []graph.NodeID{99}))                                                         // a delta to the held generation
+	f.Add(deltaOf(2, []graph.NodeID{99, head0}))                                                  // changed heads out of order
+	f.Add(deltaOf(2, nil, 98))                                                                    // a dropped head the base does not hold
+	f.Add(deltaOf(2, nil, 98, head0))                                                             // dropped heads out of order
+	f.Add(encodeBatchReply(nil, batchReply{rowsKind: rowsDelta, tag: rowsTag{gen: 2}, rows: db})) // changed equations with a constant term
+	f.Add([]byte{3, 0, 0, 0})                                                                     // unknown rows flag
+	f.Add([]byte{0, 0, 0, 1, 0x80, 0x00})                                                         // padded part length
+	f.Add([]byte{9, 0, 0, 0, 0})                                                                  // the retired leading version byte
 
 	// A query answer body: span section, then the batch reply.
 	rec := obs.NewRecorder(time.Now())
@@ -241,7 +259,7 @@ func FuzzBatchPayload(f *testing.F) {
 			// distance part once and keeps the equations: whatever decodes
 			// must be exactly what the bytes said.
 			sections := rep.parts
-			if rep.hasRows {
+			if rep.rowsKind != rowsNone {
 				sections = append(slices.Clip(sections), rep.rows)
 			}
 			for i, sec := range sections {
@@ -251,6 +269,24 @@ func FuzzBatchPayload(f *testing.F) {
 				}
 				if b, err := rv.MarshalBinary(); err != nil || !bytes.Equal(b, sec) {
 					t.Fatalf("section %d decodes as Rows but re-encodes as %x, not %x (%v)", i, b, sec, err)
+				}
+			}
+			// A delta patches only the copy its request named, and what it
+			// patches into is a list of rows: heads ascending, no
+			// constants.
+			if rep.rowsKind == rowsDelta {
+				sol := &batchSolver{held: []*siteRows{nil}}
+				if _, err := sol.patch(0, rep); err == nil {
+					t.Fatal("a delta patched rows the request never named")
+				}
+				sol.held[0] = base
+				if rows, err := sol.patch(0, rep); err == nil {
+					for i := 0; i < rows.rv.NumEqs(); i++ {
+						node, cons, _, _ := rows.rv.Eq(i)
+						if prev, _, _, _ := rows.rv.Eq(max(i-1, 0)); i > 0 && node <= prev || cons != core.NoConst {
+							t.Fatalf("patched rows: equation %d of %d, after %d's, constant %d", i, node, prev, cons)
+						}
+					}
 				}
 			}
 		}

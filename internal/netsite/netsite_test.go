@@ -338,8 +338,8 @@ func TestRetiredFramesRejected(t *testing.T) {
 	if _, body, err = obs.DecodeWireSpans(body); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := decodeBatchReply(body); err != nil || len(rep.parts) != 1 || !rep.hasRows {
-		t.Fatalf("batch reply after the rejected frames: %d parts, rows %v, %v", len(rep.parts), rep.hasRows, err)
+	if rep, err := decodeBatchReply(body); err != nil || len(rep.parts) != 1 || rep.rowsKind != rowsFull {
+		t.Fatalf("batch reply after the rejected frames: %d parts, rows %v, %v", len(rep.parts), rep.rowsKind, err)
 	}
 	if n := evals.Count(); n != 1 {
 		t.Fatalf("the one valid query ran %d evaluations", n)
@@ -466,7 +466,7 @@ func TestUnweightedDistancePartFailsRound(t *testing.T) {
 				return
 			}
 			body := encodeBatchReply(obs.AppendWireSpans(nil, nil), batchReply{
-				hasRows: true, tag: rowsTag{fr.Instance(), f.Generation()}, rows: rb,
+				rowsKind: rowsFull, tag: rowsTag{fr.Instance(), f.Generation()}, rows: rb,
 				owners: []int{0, 0}, parts: [][]byte{pb},
 			})
 			if err := sendAnswer(conn, id, kindAnswer, 0, 0, body); err != nil {

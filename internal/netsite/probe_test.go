@@ -2,8 +2,10 @@ package netsite
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
 	"slices"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -279,7 +281,9 @@ func TestRowsCacheKeepsNewerGeneration(t *testing.T) {
 // a cold reach round builds it — at most once per reply that shipped rows,
 // since each changes the rows the round stands on — in boundary.build
 // spans under its round span, and says boundary=built on its solve span; a
-// warm round reuses it, with no build span.
+// warm round reuses it, with no build span. Each site's rpc span names
+// what its reply did about the rows: miss on the cold round, patch after a
+// write dirtied the site.
 func TestBoundaryBuildTraced(t *testing.T) {
 	g := gen.PowerLaw(gen.Config{Nodes: 200, Edges: 800, Labels: []string{"A"}, Seed: 2602})
 	fr, err := fragment.Random(g, 3, 2602)
@@ -326,6 +330,39 @@ func TestBoundaryBuildTraced(t *testing.T) {
 		if builds < lo || builds > hi || use != wantUse {
 			t.Fatalf("reach(%d,%d): %d boundary.build spans after %d rows replies, solve boundary=%q; want %d to %d and %q",
 				c.s, c.t, builds, st.RowsReplies, use, lo, hi, wantUse)
+		}
+	}
+	// Each rpc span says what its site's reply did about the rows: miss
+	// (full rows) on the cold round, patch from the sites a write dirtied.
+	rowsOf := func(tr *obs.Trace) map[string]string {
+		out := make(map[string]string)
+		for _, sp := range tr.Spans {
+			attrs := make(map[string]string)
+			for _, a := range sp.Attrs {
+				attrs[a.Key] = a.Val
+			}
+			if sp.Name == "rpc" {
+				out[attrs["site"]] = attrs["rows"]
+			}
+		}
+		return out
+	}
+	if got := rowsOf(traces[0]); !maps.Equal(got, map[string]string{"0": "miss", "1": "miss", "2": "miss"}) {
+		t.Fatalf("cold round: rows per rpc span %v, want miss from every site", got)
+	}
+	var res UpdateResult
+	for u := graph.NodeID(0); len(res.Dirty) == 0; u++ {
+		if res, _, err = co.Update(UpdateInsert, u, 199-u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := co.Reach(2, 197); err != nil {
+		t.Fatal(err)
+	}
+	got := rowsOf(traces[len(traces)-1])
+	for _, fi := range res.Dirty {
+		if got[strconv.Itoa(fi)] != "patch" {
+			t.Fatalf("after a write dirtying %v: rows per rpc span %v, want patch from the dirty sites", res.Dirty, got)
 		}
 	}
 }

@@ -56,8 +56,8 @@
 //	'B' payload := flags u8 | instance u64 | generation+1 uvarint (0: no
 //	               rows held) | [trace ID u64 | parent span uvarint]
 //	               | count uvarint | queries | [skip section]
-//	'R' body    := spans | rows u8 | [rows tag | rows] | stale sites
-//	               | owners | per-query parts
+//	'R' body    := spans | rows u8 | [rows tag | rows] or [generation
+//	               | rows delta] | stale sites | owners | per-query parts
 //
 // The flags byte carries the trace flag (the trace context follows, and the
 // site records spans); any other bit is rejected. spans is the site's
@@ -79,13 +79,16 @@
 // and cut at its bound: a few dozen bytes, in the rows' own layout
 // (core.Rows), with no weights on a reach part — and otherwise ships its
 // rows, once for the whole batch, tagged with the state they were computed
-// at, ahead of the same query parts; the coordinator replaces its copy. Every
+// at, ahead of the same query parts; the coordinator replaces its copy.
+// When the site still keeps its rows at the request's tag, it ships only a
+// delta against them — the equations a write changed — and the coordinator
+// patches its copy (batch.go, Row deltas). Every
 // mutation bumps the generation of the fragments it dirties and every new
 // fragmentation draws a new instance ID (batch.go says why that makes a
 // match safe), so a miss is answered in the frame that reports it: no
 // invalidation message, no refetch round, still at most one visit per site.
 // Per-query traffic is O(|Vf|); the paper's O(|Vf|²) is paid once per
-// change of a fragment. Regex queries carry their full partials: a fresh
+// new fragmentation, and a write costs the equations it changed. Regex queries carry their full partials: a fresh
 // automaton per query leaves (node, state) rows nothing to reuse.
 //
 // Anytime answers: the coordinator feeds each reply, as it arrives, into an

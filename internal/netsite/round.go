@@ -236,7 +236,6 @@ func (c *Coordinator) queryAttempt(ctx context.Context, queries []byte, sol *bat
 		}
 		if qt != nil {
 			qt.b.AttachRemote(rpcIDs[f.site], f.site, anchors[f.site], spans)
-			qt.b.End(rpcIDs[f.site])
 		}
 		for i := range spans {
 			if spans[i].Name == "eval" {
@@ -246,10 +245,20 @@ func (c *Coordinator) queryAttempt(ctx context.Context, queries []byte, sol *bat
 		respBytes[f.site] = int64(len(body))
 		rep, derr := decodeBatchReply(body)
 		if derr != nil {
-			return fail(fmt.Errorf("netsite: site %d reply: %w", f.site, derr))
+			derr = fmt.Errorf("netsite: site %d reply: %w", f.site, derr)
+		} else {
+			derr = sol.feed(f.site, rep)
 		}
-		if err := sol.feed(f.site, rep); err != nil {
-			return fail(err)
+		if qt != nil {
+			// The rpc span says what the reply did about the site's rows.
+			var attrs []obs.Attr
+			if o := sol.rows[f.site]; o != obs.RowsNone {
+				attrs = append(attrs, obs.Attr{Key: "rows", Val: o.String()})
+			}
+			qt.b.End(rpcIDs[f.site], attrs...)
+		}
+		if derr != nil {
+			return fail(derr)
 		}
 		named, err := c.named(sol, f.site, rep)
 		if err != nil {
@@ -285,9 +294,17 @@ func (c *Coordinator) queryAttempt(ctx context.Context, queries []byte, sol *bat
 			settle(true)
 		}
 		for _, o := range sol.rows {
-			if o == obs.RowsMiss {
+			switch o {
+			case obs.RowsPatch:
+				st.RowsDeltas++
+				fallthrough
+			case obs.RowsMiss:
 				st.RowsReplies++
 			}
+		}
+		if st.RowsReplies > 0 {
+			c.rowsReplies.Add(st.RowsReplies)
+			c.rowsDeltas.Add(st.RowsDeltas)
 		}
 		// RespBytes is each reply's body, span section excluded.
 		if a := c.getAuditor(); a != nil {

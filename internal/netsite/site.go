@@ -95,6 +95,7 @@ type Site struct {
 	snapEvery int
 	persistMu sync.Mutex // orders replica apply + log append across workers
 	met       *siteMetrics
+	memo      rowsMemo // the newest two states of the fragment's rows
 
 	mu     sync.Mutex
 	closed bool
@@ -605,17 +606,27 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 			rep.stale = append(rep.stale, site)
 		}
 	}
-	// The rows, unless the coordinator holds this very state of them. The
-	// generation is read under the lock the evaluation holds, so the tag
-	// names exactly the fragment the rows are computed on.
+	// The rows, unless the coordinator holds this very state of them: a
+	// delta against the state it holds when the memo keeps that, else in
+	// full. The generation is read under the lock the evaluation holds, so
+	// the tag names exactly the fragment the rows are computed on.
 	if tag := (rowsTag{fr.Instance(), frag.Generation()}); needRows && h.rows() != tag {
-		rows := core.LocalRows(frag, opt)
-		if rows == nil {
+		cur, base := s.memo.rows(frag, tag, h.rows(), opt)
+		switch {
+		case cur == nil:
 			return 0, 0, nil, errCancelled
-		}
-		rep.hasRows, rep.tag = true, tag
-		if rep.rows, err = rows.MarshalBinary(); err != nil {
-			return 0, 0, nil, err
+		case base != nil:
+			var was, now core.Rows
+			if err := errors.Join(was.UnmarshalBinary(base.enc), now.UnmarshalBinary(cur.enc)); err != nil {
+				return 0, 0, nil, err
+			}
+			d := core.Diff(&was, &now)
+			rep.rowsKind, rep.tag.gen, rep.dropped = rowsDelta, tag.gen, d.Dropped
+			if rep.rows, err = d.Changed.MarshalBinary(); err != nil {
+				return 0, 0, nil, err
+			}
+		default:
+			rep.rowsKind, rep.tag, rep.rows = rowsFull, tag, cur.enc
 		}
 	}
 	evalEnd := time.Now()
@@ -632,6 +643,56 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 		b = obs.AppendWireSpans(b, nil)
 	}
 	return epoch, lsn, encodeBatchReply(b, rep), nil
+}
+
+// rowsMemo keeps the newest two states of one site's fragment rows it
+// computed, keyed by their full tag: the state a stale coordinator holds,
+// to diff the current one against, and the current one, so that every
+// round in flight at one generation shares a single core.LocalRows. A new
+// instance (rebalance, snapshot install, restart) matches no kept state of
+// the old one, so its first replies ship full rows.
+type rowsMemo struct {
+	mu       sync.Mutex
+	kept     [2]*memoRows // kept[1] the newer; entries immutable
+	computed atomic.Int64 // core.LocalRows calls that completed
+}
+
+// memoRows is one kept state of the rows, kept encoded: the encoding is
+// what a full reply ships, and a few times smaller than the decoded rows.
+type memoRows struct {
+	tag rowsTag
+	enc []byte
+}
+
+// rows returns the fragment's rows at tag — its current state, read under
+// the read lock the caller holds — computing them unless kept, and the
+// rows kept at base when base is an earlier generation of tag's instance
+// (nil otherwise). cur is nil when opt.Cancel fired; a later round then
+// computes the rows again.
+func (m *rowsMemo) rows(f *fragment.Fragment, tag, base rowsTag, opt *core.Options) (cur, old *memoRows) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.kept {
+		switch {
+		case e == nil:
+		case e.tag == tag:
+			cur = e
+		case e.tag == base && base.instance == tag.instance && base.gen < tag.gen:
+			old = e
+		}
+	}
+	if cur != nil {
+		return cur, old
+	}
+	rv := core.LocalRows(f, opt)
+	if rv == nil {
+		return nil, nil
+	}
+	m.computed.Add(1)
+	enc, _ := rv.MarshalBinary() // never fails
+	cur = &memoRows{tag: tag, enc: enc}
+	m.kept[0], m.kept[1] = m.kept[1], cur
+	return cur, old
 }
 
 // ServeFragmentation is a convenience that starts one Site per fragment on

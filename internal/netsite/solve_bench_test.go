@@ -57,7 +57,7 @@ func replyBody(tb testing.TB, parts []*core.Rows, rows *siteRows) []byte {
 		}
 	}
 	if rows != nil {
-		rep.hasRows, rep.tag = true, rows.tag
+		rep.rowsKind, rep.tag = rowsFull, rows.tag
 		if rep.rows, err = rows.rv.MarshalBinary(); err != nil {
 			tb.Fatal(err)
 		}

@@ -21,7 +21,10 @@ import (
 //
 // The O(|Vf|²) part of a reach or distance reply is the fragment's
 // boundary rows, which the coordinator keeps: a site ships them only when
-// the coordinator's copy is missing or older than the fragment. A reply
+// the coordinator's copy is missing or older than the fragment — as a delta
+// against that copy when it still keeps its rows at the copy's state, in
+// full otherwise. A delta is held to the quadratic bound too: it carries
+// no more than the fragment's equations and the heads it drops. A reply
 // without them is a query part per query — the source's equation and one
 // constant per in-node that reaches the target (within the bound, for a
 // distance), O(|Vf|) — and is held to a linear bound, so the quadratic cost
@@ -33,10 +36,25 @@ import (
 type RowsOutcome uint8
 
 const (
-	RowsNone RowsOutcome = iota // no final arrived, or the round had no reach or distance query to need rows
-	RowsHit                     // left out, or not posted and vouched for: the coordinator's copy is the fragment's current rows
-	RowsMiss                    // shipped: the coordinator held none, or a stale copy
+	RowsNone  RowsOutcome = iota // no final arrived, or the round had no reach or distance query to need rows
+	RowsHit                      // left out, or not posted and vouched for: the coordinator's copy is the fragment's current rows
+	RowsMiss                     // shipped in full: the coordinator held none, or a copy the site no longer keeps
+	RowsPatch                    // shipped as a delta the coordinator patched its stale copy with
 )
+
+// String names the outcome as traces report it.
+func (o RowsOutcome) String() string {
+	switch o {
+	case RowsHit:
+		return "hit"
+	case RowsMiss:
+		return "miss"
+	case RowsPatch:
+		return "patch"
+	default:
+		return "none"
+	}
+}
 
 // AuditRound is one round's per-site observations, reported by the
 // coordinator after the round settles.
@@ -75,9 +93,10 @@ type Auditor struct {
 	maxRespBytes    int64 // worst per-site response payload seen
 	byteBound       int64 // current c·(|Vf|+1)²
 
-	// Per site: finals that left the boundary rows out (hits) and finals
-	// that carried them (misses). Grown to the widest round seen.
-	rowsHits, rowsMisses []int64
+	// Per site: finals that left the boundary rows out (hits), finals that
+	// carried them in full (misses) and finals that carried a delta
+	// (patches). Grown to the widest round seen.
+	rowsHits, rowsMisses, rowsPatches []int64
 
 	// eval-time-vs-|G| correlation: one (|G|, mean eval ns) sample per
 	// deployment size, pushed by SetDeployment-scoped benchmark runs.
@@ -135,6 +154,7 @@ func (a *Auditor) Observe(r AuditRound) {
 	for len(a.rowsHits) < len(r.Rows) {
 		a.rowsHits = append(a.rowsHits, 0)
 		a.rowsMisses = append(a.rowsMisses, 0)
+		a.rowsPatches = append(a.rowsPatches, 0)
 	}
 	for i, o := range r.Rows {
 		switch o {
@@ -142,13 +162,15 @@ func (a *Auditor) Observe(r AuditRound) {
 			a.rowsHits[i]++
 		case RowsMiss:
 			a.rowsMisses[i]++
+		case RowsPatch:
+			a.rowsPatches[i]++
 		}
 	}
 	for i, b := range r.RespBytes {
 		if b > a.maxRespBytes {
 			a.maxRespBytes = b
 		}
-		bound := a.byteBound
+		bound := a.byteBound // a miss or a patch: the rows, or a delta of them
 		if r.RowsBacked && i < len(r.Rows) && r.Rows[i] == RowsHit {
 			bound = int64(r.Queries) * DefaultByteFactor * (a.vf + 1)
 		}
@@ -205,13 +227,15 @@ type AuditSummary struct {
 	ByteBound       int64   `json:"byte_bound"`        // c·(|Vf|+1)²: replies carrying rows, distance or regex partials
 	LinearByteBound int64   `json:"linear_byte_bound"` // c·(|Vf|+1) per query: rows-free reach and distance replies
 	ByteFactor      int64   `json:"byte_factor"`
-	// RowsHits and RowsMisses count, per site, the final replies that left
-	// the fragment's boundary rows out (the coordinator's copy was current)
-	// and those that carried them.
-	RowsHits   []int64 `json:"rows_hits"`
-	RowsMisses []int64 `json:"rows_misses"`
-	Vf         int64   `json:"vf"`
-	GraphNodes int64   `json:"graph_nodes"`
+	// RowsHits, RowsMisses and RowsPatches count, per site, the final
+	// replies that left the fragment's boundary rows out (the coordinator's
+	// copy was current), those that carried them in full, and those that
+	// carried a delta against the coordinator's copy.
+	RowsHits    []int64 `json:"rows_hits"`
+	RowsMisses  []int64 `json:"rows_misses"`
+	RowsPatches []int64 `json:"rows_patches"`
+	Vf          int64   `json:"vf"`
+	GraphNodes  int64   `json:"graph_nodes"`
 	// EvalSizeCorr is Pearson r between |G| and mean eval time across
 	// deployments of different sizes; meaningful only when SizePoints ≥ 2
 	// (a live gateway adds a point whenever node churn changes |G|; with
@@ -241,6 +265,7 @@ func (a *Auditor) Summary() AuditSummary {
 		ByteFactor:      DefaultByteFactor,
 		RowsHits:        append([]int64{}, a.rowsHits...),
 		RowsMisses:      append([]int64{}, a.rowsMisses...),
+		RowsPatches:     append([]int64{}, a.rowsPatches...),
 		Vf:              a.vf,
 		GraphNodes:      a.graphNodes,
 		SizePoints:      len(sizes),
@@ -270,6 +295,17 @@ func (a *Auditor) RowsReplies(site int) (hits, misses int64) {
 		return 0, 0
 	}
 	return a.rowsHits[site], a.rowsMisses[site]
+}
+
+// RowsPatches reports how many audited finals of the given site carried a
+// delta of its boundary rows.
+func (a *Auditor) RowsPatches(site int) int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if site < 0 || site >= len(a.rowsPatches) {
+		return 0
+	}
+	return a.rowsPatches[site]
 }
 
 // Posts reports how many audited rounds posted to the given site.

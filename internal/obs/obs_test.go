@@ -381,6 +381,21 @@ func TestAuditor(t *testing.T) {
 	if h, m := a.RowsReplies(2); h != 0 || m != 1 {
 		t.Fatalf("RowsReplies(2) = %d, %d", h, m)
 	}
+	// A reply carrying a delta of the rows answers to the quadratic bound,
+	// as full rows do, and counts as a patch.
+	pa := NewAuditor()
+	pa.SetDeployment(10, 1000)
+	pa.Observe(AuditRound{
+		RespBytes: []int64{2000, 7745, 0},
+		Rows:      []RowsOutcome{RowsPatch, RowsPatch, RowsHit},
+		Queries:   1, RowsBacked: true,
+	})
+	if ps := pa.Summary(); ps.ByteViolations != 1 || !slices.Equal(ps.RowsPatches, []int64{1, 1, 0}) || pa.RowsPatches(1) != 1 || pa.RowsPatches(2) != 0 {
+		t.Fatalf("patches: %+v", ps)
+	}
+	if RowsPatch.String() != "patch" || RowsMiss.String() != "miss" || RowsHit.String() != "hit" {
+		t.Fatalf("outcome names: %v %v %v", RowsPatch, RowsMiss, RowsHit)
+	}
 
 	// Visits: a site posted twice in one attempt is a violation; a site
 	// not posted at all (vouched for) is none, and the mean counts the
