@@ -328,6 +328,29 @@ func TestOneCodec(t *testing.T) {
 	}
 }
 
+// TestNetsiteSolvesWithoutBes is a ratchet on the wire coordinator: it
+// answers every query class by walking rows (reach and regex) or searching
+// them (distance), never by building an equation system, so no non-test
+// file of internal/netsite imports internal/bes.
+func TestNetsiteSolvesWithoutBes(t *testing.T) {
+	files, err := filepath.Glob("internal/netsite/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no netsite sources found (%v): the scan is broken", err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(src), `"distreach/internal/bes"`) {
+			t.Errorf("%s imports internal/bes", path)
+		}
+	}
+}
+
 // TestMakefilePinsResolve guards the named test lists of `make
 // cross-checks` and `make recovery-smoke` and the targets of `make
 // fuzz-smoke`. go test exits 0 when a -run or -fuzz pattern matches

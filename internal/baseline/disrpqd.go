@@ -42,14 +42,14 @@ func DisRPQD(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID,
 	}
 	run.NetPhase(qBytes)
 
-	partial := make([]*core.RPQPartial, k)
+	partial := make([]*core.Rows, k)
 	run.Parallel(func(site int) {
 		partial[site] = core.LocalEvalRPQ(frags[site], s, t, a)
 	})
 	total := 0
 	maxReply := 0
 	for i, rv := range partial {
-		b := rv.WireSize()
+		b := core.RPQWireSize(frags[i], rv, a)
 		run.Reply(i, b)
 		total += b
 		if b > maxReply {

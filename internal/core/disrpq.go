@@ -1,81 +1,67 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+
 	"distreach/internal/automaton"
-	"distreach/internal/bes"
 	"distreach/internal/bitset"
 	"distreach/internal/cluster"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
 )
 
-// rpqVar identifies the Boolean variable X(v,u): "node v matches automaton
-// state u". Variables are keyed globally as node*|Vq|+state.
-type rpqVar = int64
+// rpqKey is the key of the Boolean variable X(v, u), "node v matches
+// automaton state u", among product variables: v·nq + u, a 32-bit NodeID
+// while |V|·nq < 2^31, which callers check first (CheckRPQKeys).
+func rpqKey(v graph.NodeID, u, nq int) graph.NodeID { return v*graph.NodeID(nq) + graph.NodeID(u) }
 
-func rpqKey(v graph.NodeID, u, nq int) rpqVar { return int64(v)*int64(nq) + int64(u) }
-
-// rpqEntry is one vector entry of an in-node: the Boolean formula for
-// X(node, state), a disjunction of variables over virtual-node/state pairs
-// plus an optional constant-true disjunct.
-type rpqEntry struct {
-	state     int
-	constTrue bool
-	vars      []rpqVar
+// CheckRPQKeys refuses a qrr query whose product keys would not fit a
+// 32-bit NodeID: a graph of n nodes and an automaton of nq states.
+func CheckRPQKeys(n, nq int) error {
+	if int64(n)*int64(nq) >= 1<<31 {
+		return fmt.Errorf("core: %d nodes × %d automaton states is past the 2^31 product keys", n, nq)
+	}
+	return nil
 }
 
-type rpqEqs struct {
-	node    graph.NodeID
-	entries []rpqEntry
-}
-
-// RPQPartial is Fi.rvset for a regular reachability query: the vectors of
-// Boolean formulas of one fragment's in-nodes. It is produced by
-// LocalEvalRPQ at a site (or a mapper) and consumed by SolveRPQ at the
-// coordinator (or the reducer).
-type RPQPartial struct {
-	eqs      []rpqEqs
-	varSpace int // number of distinct (virtual, state) variables in scope
-}
-
-// WireSize follows the paper's accounting: O(|R|²·|Fi.I|·|Fi.O|) in the
-// worst case — each in-node ships up to |Vq| entries, each encoded as the
-// smaller of a bit vector over the fragment's (boundary node × state)
-// variable space and an explicit variable list.
-func (rv *RPQPartial) WireSize() int {
-	dense := (rv.varSpace + 1 + 7) / 8
-	n := 0
-	for _, eq := range rv.eqs {
-		n += 4
-		for _, e := range eq.entries {
-			sparse := 4 * len(e.vars)
-			if sparse < dense {
-				n += 3 + sparse
-			} else {
-				n += 3 + dense
+// RPQWireSize follows the paper's accounting for f's qrr partial rv under
+// automaton a: O(|R|²·|Fi.I|·|Fi.O|) in the worst case — 4 bytes per node
+// with an equation, and per equation that says something the smaller of a
+// bit vector over the fragment's (boundary node × state) variable space
+// and an explicit variable list.
+func RPQWireSize(f *fragment.Fragment, rv *Rows, a *automaton.Automaton) int {
+	nq := a.NumStates()
+	varSpace := 0
+	for l := int32(0); int(l) < f.NumTotal(); l++ {
+		for u := 0; f.IsBoundary(l) && u < nq; u++ {
+			if u != automaton.Start && u != automaton.Final && a.MatchesLabel(u, f.Label(l)) {
+				varSpace++
 			}
+		}
+	}
+	dense := (varSpace + 1 + 7) / 8
+	n, prev := 0, graph.NodeID(-1)
+	for i := 0; i < rv.NumEqs(); i++ {
+		key, cons, vars, _ := rv.Eq(i)
+		if v := key / graph.NodeID(nq); v != prev {
+			n, prev = n+4, v
+		}
+		if cons != NoConst || len(vars) > 0 {
+			n += 3 + min(4*len(vars), dense)
 		}
 	}
 	return n
 }
 
-// SolveRPQ is procedure evalDGr: it assembles the partial answers of all
-// fragments into one Boolean equation system and reports whether X(s, us)
-// holds, i.e. whether s matches the start state of the query automaton.
-func SolveRPQ(partials []*RPQPartial, s graph.NodeID, a *automaton.Automaton) bool {
-	nq := a.NumStates()
-	sys := bes.New[rpqVar]()
-	for _, rv := range partials {
-		if rv == nil {
-			continue
-		}
-		for _, eq := range rv.eqs {
-			for _, e := range eq.entries {
-				sys.Add(rpqKey(eq.node, e.state, nq), e.constTrue, e.vars...)
-			}
-		}
-	}
-	return sys.Decide(rpqKey(s, automaton.Start, nq))
+// SolveRPQ is procedure evalDGr: it assembles the product rows of all
+// fragments into one Boolean equation system, as SolveReach does, and
+// reports whether X(s, Start) holds, i.e. whether s matches the start state
+// of the query automaton. The wire coordinator answers with WalkRPQ
+// instead; this is the reference it is checked against.
+func SolveRPQ(partials []*Rows, s graph.NodeID, a *automaton.Automaton) bool {
+	return assembleReach(partials).Decide(rpqKey(s, automaton.Start, a.NumStates()))
 }
 
 // DisRPQ evaluates the regular reachability query qrr(s, t, R) given the
@@ -93,13 +79,16 @@ func DisRPQ(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID, 
 	// entry.
 	var ans bool
 	threePhase(run, fr.Fragments(), a.EncodedSize()+querySize,
-		func(f *fragment.Fragment) *RPQPartial { return LocalEvalRPQ(f, s, t, a) },
-		func(_ *fragment.Fragment, rv *RPQPartial) int { return rv.WireSize() },
-		func(partial []*RPQPartial) { ans = SolveRPQ(partial, s, a) })
+		func(f *fragment.Fragment) *Rows { return LocalEvalRPQ(f, s, t, a) },
+		func(f *fragment.Fragment, rv *Rows) int { return RPQWireSize(f, rv, a) },
+		func(partial []*Rows) { ans = SolveRPQ(partial, s, a) })
 	return Result{Answer: ans, Report: run.Finish()}
 }
 
-// LocalEvalRPQ computes the vectors Fi.rvset of procedure localEvalr. The
+// LocalEvalRPQ computes the vectors Fi.rvset of procedure localEvalr as
+// product rows, heads ascending: one Boolean equation rpqKey(v, u) per
+// (in-node or locally stored s, state) entry with a term or a constant,
+// and (s, Start) even without, to say which fragment holds s. The
 // recursion of cmpRvec/cmposeVec is realized as a reverse-topological sweep
 // over the strongly connected components of the fragment-local product
 // graph (fragment node × automaton state), which handles cyclic fragments
@@ -114,7 +103,7 @@ func DisRPQ(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID, 
 //     X(b,u); (t, Final) contributes constant true;
 //   - the formula of an in-node entry (v, u) is the disjunction of the
 //     leaf contributions reachable from it through interior nodes.
-func LocalEvalRPQ(f *fragment.Fragment, s, t graph.NodeID, a *automaton.Automaton) *RPQPartial {
+func LocalEvalRPQ(f *fragment.Fragment, s, t graph.NodeID, a *automaton.Automaton) *Rows {
 	nq := a.NumStates()
 	total := f.NumTotal()
 
@@ -252,22 +241,23 @@ func LocalEvalRPQ(f *fragment.Fragment, s, t graph.NodeID, a *automaton.Automato
 		}
 	}
 
-	// Emit the vector of every in-node (plus s when stored here): each
-	// in-node is expanded as a source even though it is a frontier for
-	// other sources.
-	iset := isetOf(f, s)
-	rv := &RPQPartial{varSpace: len(vars)}
+	// Emit the vector of every in-node (plus s when stored here), nodes
+	// ascending: each in-node is expanded as a source even though it is a
+	// frontier for other sources.
+	iset := slices.Clone(isetOf(f, s))
+	slices.SortFunc(iset, func(x, y int32) int { return cmp.Compare(f.Global(x), f.Global(y)) })
+	rv := newRows(len(iset), false)
 	entryVars := bitset.New(len(vars))
+	var terms []graph.NodeID
 	for _, v := range iset {
 		gv := f.Global(v)
-		eq := rpqEqs{node: gv}
 		for u := 0; u < nq; u++ {
 			// The source pair itself must be a plausible match: a matching
 			// position state, Start at s, or Final at t (constant true).
 			switch {
 			case u == automaton.Final:
 				if gv == t {
-					eq.entries = append(eq.entries, rpqEntry{state: u, constTrue: true})
+					rv.add(rpqKey(gv, u, nq), 0, nil, nil)
 				}
 				continue
 			case u == automaton.Start:
@@ -279,33 +269,29 @@ func LocalEvalRPQ(f *fragment.Fragment, s, t graph.NodeID, a *automaton.Automato
 					continue
 				}
 			}
-			entry := rpqEntry{state: u}
+			constTrue := false
 			entryVars.Reset()
 			expand(v, u,
-				func() { entry.constTrue = true },
+				func() { constTrue = true },
 				func(id int32) { entryVars.Set(int(id)) },
 				func(q int32) {
 					c := comp[q]
 					if constOf[c] {
-						entry.constTrue = true
+						constTrue = true
 					}
 					if setOf[c] != nil {
 						entryVars.Or(setOf[c])
 					}
 				},
 			)
+			terms = terms[:0]
 			entryVars.ForEach(func(i int) {
-				entry.vars = append(entry.vars, rpqKey(vars[i].g, int(vars[i].u), nq))
+				terms = append(terms, rpqKey(vars[i].g, int(vars[i].u), nq))
 			})
-			if entry.constTrue || len(entry.vars) > 0 {
-				eq.entries = append(eq.entries, entry)
+			if constTrue || len(terms) > 0 || u == automaton.Start {
+				rv.add(rpqKey(gv, u, nq), truthCons(constTrue), terms, nil)
 			}
 		}
-		// Emit the vector even when every entry is empty: the equation's
-		// presence records that this fragment evaluated the node, which the
-		// touched-fragment analysis (TouchedRPQ) relies on for sound cache
-		// invalidation under live updates.
-		rv.eqs = append(rv.eqs, eq)
 	}
 	return rv
 }

@@ -151,7 +151,7 @@ func TestRPQWireBoundHolds(t *testing.T) {
 			// in-node at most nq; plus 4 bytes per in-node header.
 			perEntry := 3 + (boundary*nq+1+7)/8
 			bound := (len(f.InNodes()) + 1) * (4 + nq*perEntry)
-			if got := rv.WireSize(); got > bound {
+			if got := RPQWireSize(f, rv, a); got > bound {
 				t.Fatalf("trial %d: wire %d exceeds bound %d (|I|=%d |O|=%d nq=%d)",
 					trial, got, bound, len(f.InNodes()), f.NumVirtual(), nq)
 			}

@@ -16,9 +16,9 @@
 // fragmentation (|Vf|) and the query, never on |G|.
 //
 // Phase 2 is one file per query class (disreach.go, disdist.go, disrpq.go:
-// the LocalEval* procedures). qr and qbr share one equation type, Rows
-// (rows.go): Boolean for qr, weighted for qbr; qrr has its own vector
-// equations, RPQPartial. Phases 1 and 3 are written once, in assemble.go:
+// the LocalEval* procedures). All share one equation type, Rows (rows.go):
+// Boolean for qr and over qrr's (node, state) products, weighted for qbr.
+// Phases 1 and 3 are written once, in assemble.go:
 // threePhase is the driver every Dis* runs through, and the assemble
 // functions there build the one dependency graph per query that both
 // decides it and names the sites the decision depends on (touched.go says

@@ -12,24 +12,30 @@ import (
 	"distreach/internal/graph"
 )
 
-// Rows is the one equation list of qr and qbr: every partial answer of
-// disReach and disDist, on the wire and in the simulation. A reachability
-// list is Boolean — Xv = (t reached locally) ∨ (∨ Xv') — and carries no
-// weights; a distance list is min-plus — Xv <= min(dist(v, t), min over v'
-// of Xv' + dist(v, v')) — and carries one weight per variable. Read with
-// its weights ignored, a distance list is a reachability list too, which is
-// how the wire coordinator's reach walk reads a fragment's boundary rows:
-// for every in-node v, the frontier-cut BFS of localEvald (stop at every
-// boundary node) with no target and no bound gives
+// Rows is the one equation list of all three query classes: every partial
+// answer of disReach, disDist and disRPQ, on the wire and in the
+// simulation. A reachability list is Boolean — Xv = (t reached locally) ∨
+// (∨ Xv') — and carries no weights; a distance list is min-plus — Xv <=
+// min(dist(v, t), min over v' of Xv' + dist(v, v')) — and carries one
+// weight per variable. Read with its weights ignored, a distance list is a
+// reachability list too, which is how the wire coordinator's reach walk
+// reads a fragment's boundary rows: for every in-node v, the frontier-cut
+// BFS of localEvald (stop at every boundary node) with no target and no
+// bound gives
 //
 //	Xv <= Xb + dist(v, b)   for every boundary node b the cut reaches.
 //
 // A wire site ships these once per fragment state (internal/netsite); the
 // query parts ride beside them: SourceOnlyReach/TargetOnlyReach for qr,
-// DistQueryPart for qbr.
+// DistQueryPart for qbr. A qrr partial (LocalEvalRPQ) is a Boolean list
+// over product variables X(v, u), "node v matches automaton state u",
+// keyed v·|Vq| + u (rpqKey).
 
 // NoConst marks an equation of Rows without a constant term.
 const NoConst = -1
+
+// Inf is the distance of a target no path within the bound reaches.
+const Inf = bes.Inf
 
 // unbounded is the distance bound of rows that no query prunes.
 const unbounded = math.MaxInt32
@@ -43,7 +49,8 @@ const unbounded = math.MaxInt32
 // are 0: X(nodes[i]) = (cons[i] != NoConst) ∨ (∨ X(vars[j])). The zero
 // value is an empty Boolean list. A fragment's rows (LocalRows) have no
 // constants; a distance query part (DistQueryPart) carries the constants
-// that say where t is.
+// that say where t is. Each equation's terms are strictly ascending by node
+// (add sorts them), which the codec's gap coding relies on.
 type Rows struct {
 	weighted bool
 	nodes    []graph.NodeID
@@ -53,12 +60,13 @@ type Rows struct {
 	ws       []int32 // parallel to vars; nil unless weighted
 }
 
-// ReachPartial and DistPartial are the names the partials of qr and qbr
-// had when each was a type of its own; benchmark/layers.go still names
-// them, and they go once it says Rows.
+// ReachPartial, DistPartial and RPQPartial are the names the partials of
+// qr, qbr and qrr had when each was a type of its own; benchmark/layers.go
+// still names them, and they go once it says Rows.
 type (
 	ReachPartial = Rows
 	DistPartial  = Rows
+	RPQPartial   = Rows
 )
 
 // newRows returns an empty list with room for n equations.
@@ -79,17 +87,34 @@ func truthCons(truth bool) int32 {
 	return NoConst
 }
 
-// add appends one equation, copying its terms; ws is ignored unless the
-// list is weighted.
+// add appends one equation, copying its terms in ascending order; ws is
+// ignored unless the list is weighted.
 func (rv *Rows) add(node graph.NodeID, cons int32, vars []graph.NodeID, ws []int32) {
 	if len(rv.offs) == 0 {
 		rv.offs = append(rv.offs, 0)
 	}
 	rv.nodes = append(rv.nodes, node)
 	rv.cons = append(rv.cons, cons)
+	lo := len(rv.vars)
 	rv.vars = append(rv.vars, vars...)
 	if rv.weighted {
 		rv.ws = append(rv.ws, ws...)
+	}
+	switch {
+	case slices.IsSorted(rv.vars[lo:]):
+	case rv.weighted:
+		// Sort the terms packed with their (non-negative) weights.
+		var buf [64]uint64
+		terms := buf[:0]
+		for j, v := range rv.vars[lo:] {
+			terms = append(terms, uint64(v)<<32|uint64(rv.ws[lo+j]))
+		}
+		slices.Sort(terms)
+		for j, t := range terms {
+			rv.vars[lo+j], rv.ws[lo+j] = graph.NodeID(t>>32), int32(uint32(t))
+		}
+	default:
+		slices.Sort(rv.vars[lo:])
 	}
 	rv.offs = append(rv.offs, uint32(len(rv.vars)))
 }
@@ -111,6 +136,14 @@ func (rv *Rows) NumEqs() int {
 		return 0
 	}
 	return len(rv.nodes)
+}
+
+// NumTerms reports the number of terms over all equations (none for nil).
+func (rv *Rows) NumTerms() int {
+	if rv == nil {
+		return 0
+	}
+	return len(rv.vars)
 }
 
 // Weighted reports whether the list carries a weight per variable (nil:
@@ -205,25 +238,13 @@ func LocalRows(f *fragment.Fragment, opt *Options) *Rows {
 	slices.SortFunc(in, func(a, b int32) int { return int(f.Global(a)) - int(f.Global(b)) })
 	rv := newRows(len(in), true)
 	var bfs cutRows
-	var terms []uint64
 	for lo := 0; lo < len(in); lo += 64 {
 		src := in[lo:min(lo+64, len(in))]
 		if !bfs.from(f, src, opt) {
 			return nil
 		}
 		for i, v := range src {
-			// Sort the terms by node, each packed with its weight (both
-			// non-negative 32-bit values).
-			vars, ws := bfs.vars[i], bfs.ws[i]
-			terms = terms[:0]
-			for j, b := range vars {
-				terms = append(terms, uint64(b)<<32|uint64(ws[j]))
-			}
-			slices.Sort(terms)
-			for j, t := range terms {
-				vars[j], ws[j] = graph.NodeID(t>>32), int32(uint32(t))
-			}
-			rv.add(f.Global(v), NoConst, vars, ws)
+			rv.add(f.Global(v), NoConst, bfs.vars[i], bfs.ws[i])
 		}
 	}
 	return rv
@@ -234,6 +255,7 @@ func LocalRows(f *fragment.Fragment, opt *Options) *Rows {
 // next call.
 type Equations interface {
 	NumEqs() int
+	NumTerms() int
 	Eq(i int) (node graph.NodeID, cons int32, vars []graph.NodeID, ws []int32)
 }
 
@@ -299,6 +321,8 @@ func Patch(base Equations, d RowsDelta) (*Rows, error) {
 	}
 	nb, nc, dropped := base.NumEqs(), ch.NumEqs(), d.Dropped
 	out := newRows(max(0, nb+nc-len(dropped)), true)
+	terms := base.NumTerms() + ch.NumTerms()
+	out.vars, out.ws = make([]graph.NodeID, 0, terms), make([]int32, 0, terms)
 	prev := int64(-1) // the last head of base read
 	j := 0
 	// putChanged adds the changed equations with heads below limit.

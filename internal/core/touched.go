@@ -1,7 +1,10 @@
 package core
 
 import (
-	"distreach/internal/bes"
+	"fmt"
+	"slices"
+
+	"distreach/internal/automaton"
 	"distreach/internal/graph"
 )
 
@@ -29,43 +32,72 @@ import (
 // reads the set off its walk or distance search from s over the cached
 // rows instead: for a reach query the same set, for a distance query one
 // that contains it (internal/netsite, TestProbeMatchesEquationSystem).
-// Touched sets are sorted site indices — equivalently fragment IDs.
+// For qrr the closure is the walk of WalkRPQ over product rows, which
+// answers the query too. Touched sets are sorted site indices —
+// equivalently fragment IDs.
 
-// TouchedRPQ is the touched set of qrr(s, t, R): the (sorted) indices into
-// partials owning a vector in the dependency closure of s; nq is the query
-// automaton's state count (the variable key stride). Unlike the other two
-// classes it does not read the system SolveRPQ built: that system's
-// variables are (node, state) pairs, and a node whose vector came back
-// empty — LocalEvalRPQ emits it precisely so this analysis sees the
-// fragment — has no variable there at all. The closure is therefore walked
-// over a second, node-granular graph (states collapsed), which only
-// over-approximates.
-// When s has no equation in any partial — LocalEvalRPQ emits one for every
-// in-node and for a locally stored s, so this means the partials say
-// nothing about s — every index is reported, the conservative tag. Nil
-// partials are skipped.
-func TouchedRPQ(partials []*RPQPartial, s graph.NodeID, nq int) []int {
-	sys := bes.New[graph.NodeID]()
-	all := make([]int, 0, len(partials))
-	var nodes []graph.NodeID
-	for i, rv := range partials {
-		if rv == nil {
-			continue
-		}
-		all = append(all, i)
-		for _, eq := range rv.eqs {
-			sys.Claim(i, eq.node)
-			for _, e := range eq.entries {
-				nodes = nodes[:0]
-				for _, v := range e.vars {
-					nodes = append(nodes, graph.NodeID(v/int64(nq)))
+// WalkRPQ answers qrr(s, t, R) over product rows (LocalEvalRPQ; parts[i]
+// is site i's, nil: none, each with heads ascending, CheckRPQPartial) with
+// one walk from X(s, Start) along the equations' terms: the answer is
+// whether the walk meets a constant. nq is the automaton's state count.
+// It also returns the touched set: the sites owning an equation the walk
+// expanded, plus, for each walked variable that no part defines, the owner
+// of its node — a site with nothing to say about (v, u) says it only until
+// an edge out of v changes, and that edge dirties owner(v). owner names a
+// node's one owner, or -1 when it cannot; then, and when no part defines
+// X(s, Start), every index of parts is touched, the conservative tag.
+func WalkRPQ(parts []*Rows, s graph.NodeID, nq int, owner func(graph.NodeID) int) (bool, []int) {
+	on := make([]bool, len(parts))
+	start := rpqKey(s, automaton.Start, nq)
+	seen := map[graph.NodeID]bool{start: true}
+	stack := []graph.NodeID{start}
+	answer, all := false, false
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		defined := false
+		for i, rv := range parts {
+			if rv == nil {
+				continue
+			}
+			e, ok := slices.BinarySearch(rv.nodes, x)
+			if !ok {
+				continue
+			}
+			defined, on[i] = true, true
+			_, cons, vars, _ := rv.Eq(e)
+			answer = answer || cons != NoConst
+			for _, y := range vars {
+				if !seen[y] {
+					seen[y] = true
+					stack = append(stack, y)
 				}
-				sys.Add(eq.node, false, nodes...)
+			}
+		}
+		if !defined {
+			if o := owner(x / graph.NodeID(nq)); x != start && o >= 0 && o < len(on) {
+				on[o] = true
+			} else {
+				all = true
 			}
 		}
 	}
-	if touched := sys.Sources(s); len(touched) > 0 {
-		return touched
+	touched := make([]int, 0, len(parts))
+	for i, ok := range on {
+		if ok || all {
+			touched = append(touched, i)
+		}
 	}
-	return all
+	return answer, touched
+}
+
+// CheckRPQPartial refuses product rows WalkRPQ cannot search: heads not
+// strictly ascending.
+func CheckRPQPartial(rv *Rows) error {
+	for i := 1; i < rv.NumEqs(); i++ {
+		if rv.nodes[i] <= rv.nodes[i-1] {
+			return fmt.Errorf("core: qrr partial head %d after %d", rv.nodes[i], rv.nodes[i-1])
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -108,18 +109,33 @@ func TestRowsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRPQPartialRoundTrip: regex partials survive the compact codec —
-// every equation, entry-less ones included, since TouchedRPQ reads their
-// presence — and decode into a footprint that follows the encoding.
+// TestRPQPartialRoundTrip: qrr partials are product rows — Boolean, heads
+// ascending, terms strictly ascending, no equation without a term or a
+// constant but (s, Start) — and survive the codec equation for equation,
+// decode into about four times their encoding at most, and answer and
+// touch the same after the round trip.
 func TestRPQPartialRoundTrip(t *testing.T) {
 	rng := gen.NewRNG(53)
 	for trial := 0; trial < 100; trial++ {
 		_, fr, s, tt := randomCase(rng, testLabels)
 		a := automaton.Random(rng, 2+rng.Intn(6), 4+rng.Intn(10), testLabels)
-		partials := make([]*RPQPartial, 0, fr.Card())
-		decoded := make([]*RPQPartial, 0, fr.Card())
+		nq := a.NumStates()
+		partials := make([]*Rows, 0, fr.Card())
+		decoded := make([]*Rows, 0, fr.Card())
 		for _, f := range fr.Fragments() {
 			rv := LocalEvalRPQ(f, s, tt, a)
+			if err := CheckRPQPartial(rv); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			for i := 0; i < rv.NumEqs(); i++ {
+				key, cons, vars, _ := rv.Eq(i)
+				if cons == NoConst && len(vars) == 0 && key != rpqKey(s, automaton.Start, nq) {
+					t.Fatalf("trial %d: equation of %d says nothing", trial, key)
+				}
+				if !slices.IsSorted(vars) {
+					t.Fatalf("trial %d: equation of %d has terms out of order: %v", trial, key, vars)
+				}
+			}
 			data, err := rv.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
@@ -128,24 +144,16 @@ func TestRPQPartialRoundTrip(t *testing.T) {
 			if err := back.UnmarshalBinary(data); err != nil {
 				t.Fatal(err)
 			}
-			if len(back.eqs) != len(rv.eqs) || back.varSpace != rv.varSpace {
-				t.Fatalf("trial %d: %d equations over %d variables -> %d over %d", trial, len(rv.eqs), rv.varSpace, len(back.eqs), back.varSpace)
+			if back.Weighted() {
+				t.Fatalf("trial %d: a qrr partial came back weighted", trial)
 			}
-			held := 32 * cap(back.eqs)
-			for i, eq := range back.eqs {
-				held += 40 * len(eq.entries)
-				if eq.node != rv.eqs[i].node || len(eq.entries) != len(rv.eqs[i].entries) {
-					t.Fatalf("trial %d: equation %d changed", trial, i)
-				}
-				for j, e := range eq.entries {
-					held += 8 * len(e.vars)
-					if w := rv.eqs[i].entries[j]; e.state != w.state || e.constTrue != w.constTrue || !slices.Equal(e.vars, w.vars) {
-						t.Fatalf("trial %d: entry %d of equation %d changed: %+v -> %+v", trial, j, i, w, e)
-					}
-				}
+			if held := 4*cap(back.nodes) + 4*cap(back.cons) + 4*cap(back.offs) + 4*cap(back.vars); held > 4*len(data)+16 {
+				t.Fatalf("trial %d: decoded partial holds %d bytes for a %d-byte encoding (want <= 4x)", trial, held, len(data))
 			}
-			if held > 16*len(data)+64 {
-				t.Fatalf("trial %d: decoded partial holds %d bytes for a %d-byte encoding (want <= 16x)", trial, held, len(data))
+			if !slices.EqualFunc(boolEqs(rv), boolEqs(back), func(a, b boolEq) bool {
+				return a.node == b.node && a.truth == b.truth && slices.Equal(a.vars, b.vars)
+			}) {
+				t.Fatalf("trial %d: equations changed: %+v -> %+v", trial, boolEqs(rv), boolEqs(back))
 			}
 			partials = append(partials, rv)
 			decoded = append(decoded, back)
@@ -153,9 +161,36 @@ func TestRPQPartialRoundTrip(t *testing.T) {
 		if x, y := SolveRPQ(partials, s, a), SolveRPQ(decoded, s, a); x != y {
 			t.Fatalf("trial %d: answers differ after round trip: %v vs %v", trial, x, y)
 		}
-		if x, y := TouchedRPQ(partials, s, a.NumStates()), TouchedRPQ(decoded, s, a.NumStates()); !slices.Equal(x, y) {
-			t.Fatalf("trial %d: touched differs after round trip: %v vs %v", trial, x, y)
+		x, tx := WalkRPQ(partials, s, nq, fr.Owner)
+		y, ty := WalkRPQ(decoded, s, nq, fr.Owner)
+		if x != y || !slices.Equal(tx, ty) {
+			t.Fatalf("trial %d: walk differs after round trip: %v %v vs %v %v", trial, x, tx, y, ty)
 		}
+	}
+}
+
+// TestRPQKeyBound: product keys are v·|Vq| + u in a 32-bit NodeID, so a
+// graph and automaton with |V|·|Vq| >= 2^31 are refused, on the numbers
+// alone.
+func TestRPQKeyBound(t *testing.T) {
+	for _, c := range []struct {
+		n, nq int
+		ok    bool
+	}{
+		{1 << 20, 2048, false}, // exactly 2^31
+		{1<<20 - 1, 2048, true},
+		{1 << 30, 2, false},
+		{1<<30 - 1, 2, true},
+		{math.MaxInt32, 1, true},
+		{math.MaxInt32, 2, false},
+		{3, 2, true},
+	} {
+		if err := CheckRPQKeys(c.n, c.nq); (err == nil) != c.ok {
+			t.Errorf("CheckRPQKeys(%d, %d) = %v, want ok %v", c.n, c.nq, err, c.ok)
+		}
+	}
+	if k := rpqKey(math.MaxInt32/3-1, 2, 3); k != math.MaxInt32/3*3-1 {
+		t.Errorf("rpqKey near the bound = %d", k)
 	}
 }
 
@@ -197,21 +232,32 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 			t.Errorf("Rows accepted %v", data)
 		}
 	}
+	// qrr partials are product rows: a zero gap between terms, a product
+	// key past 2^31 and a partial in the retired RPQPartial layout (variable
+	// space | equations | per equation: node | entries | per entry: state
+	// and constant | keys) do not decode.
 	for _, data := range [][]byte{
-		{0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},             // absurd count
-		{0, 1, 0, 0xFF, 0x7F},                         // absurd entry count
-		{0, 1, 0, 1, 2, 0xFF, 0x7F},                   // absurd variable count
-		{0, 1, 0, 1, 2, 2, 7},                         // truncated variables
-		{0, 1, 0, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 0}, // state beyond int32
-		{0x80, 0x80, 0x80, 0x80, 0x10, 0},             // variable space beyond int32
-		append([]byte{0, 1}, over...),                 // overlong node
-		{1, 0, 0, 0, 0, 0, 0, 0, 0},                   // version 1, an empty partial in the old layout
-		{2, 0, 0},                                     // version byte 2, an empty partial
+		{0, 1, 10, 1, 2, 5, 0},                            // a zero gap: term 5 twice
+		{0, 1, 10, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x08},    // a term of 2^31
+		{0, 1, 10, 1, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0x07, 1}, // terms adding up to 2^31
+		{0, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 0},        // a head of 2^31
+		{12, 1, 10, 1, 5, 1, 17},                          // the retired layout
+		{0, 1, 10, 1, 4, 0},                               // the retired layout, no variables
+		{1, 1, 10, 1, 4, 0, 0, 0},                         // the retired layout, one variable
 	} {
 		var qv RPQPartial
 		if err := qv.UnmarshalBinary(data); err == nil {
 			t.Errorf("RPQPartial accepted %v", data)
 		}
+	}
+	// A descending head decodes, as a reach query part may have one, but it
+	// is no qrr partial.
+	var desc RPQPartial
+	if err := desc.UnmarshalBinary([]byte{0, 2, 10, 0, 0, 3, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckRPQPartial(&desc); err == nil {
+		t.Error("CheckRPQPartial accepted heads 5, 3")
 	}
 	// The shortest forms decode: an empty list of either kind, and a
 	// Boolean equation that is true.

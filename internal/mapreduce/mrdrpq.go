@@ -54,17 +54,26 @@ func MRdRPQOn(fr *fragment.Fragmentation, s, t graph.NodeID, a *automaton.Automa
 	for i, f := range fr.Fragments() {
 		inputs = append(inputs, Pair[int, *fragment.Fragment]{Key: i, Value: f})
 	}
-	job := Job[int, *fragment.Fragment, int, *core.RPQPartial, bool]{
-		Map: func(_ int, f *fragment.Fragment, emit func(int, *core.RPQPartial)) {
-			emit(1, core.LocalEvalRPQ(f, s, t, a))
+	type rvset struct {
+		rv    *core.Rows
+		bytes int // the paper's accounting, read off the fragment
+	}
+	job := Job[int, *fragment.Fragment, int, rvset, bool]{
+		Map: func(_ int, f *fragment.Fragment, emit func(int, rvset)) {
+			rv := core.LocalEvalRPQ(f, s, t, a)
+			emit(1, rvset{rv, core.RPQWireSize(f, rv, a)})
 		},
-		Reduce: func(_ int, rvsets []*core.RPQPartial) bool {
-			return core.SolveRPQ(rvsets, s, a)
+		Reduce: func(_ int, sets []rvset) bool {
+			rvs := make([]*core.Rows, len(sets))
+			for i, set := range sets {
+				rvs[i] = set.rv
+			}
+			return core.SolveRPQ(rvs, s, a)
 		},
 		InputBytes: func(_ int, f *fragment.Fragment) int {
 			return f.EncodedSize() + a.EncodedSize()
 		},
-		InterBytes: func(_ int, rv *core.RPQPartial) int { return rv.WireSize() },
+		InterBytes: func(_ int, set rvset) int { return set.bytes },
 		Reducers:   1,
 	}
 	results, st := Run(job, inputs, mappers)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"distreach/internal/automaton"
-	"distreach/internal/bes"
 	"distreach/internal/codec"
 	"distreach/internal/core"
 	"distreach/internal/graph"
@@ -61,14 +60,16 @@ import (
 //	  | nstale uvarint | per stale skipped site: site uvarint
 //	  | nowners uvarint | per reach or distance query, in batch
 //	    order: owner(s)+1 uvarint | owner(t)+1 uvarint (0: none)
-//	  | count uvarint | per query: plen uvarint | partial bytes
+//	  | count uvarint | per query: plen uvarint | partial (core.Rows)
 //
 // Neither payload carries a version: the connection preamble is the
 // protocol's only one (protocol.go).
 //
-// A reach or distance query's partial is a core.Rows list, the layout of
-// the rows section too — unweighted for reach, weighted for distance —
-// and a regex query's a core.RPQPartial; an empty partial says nothing.
+// Every partial is a core.Rows list, the layout of the rows section too —
+// unweighted for reach and regex, weighted for distance — and an empty
+// partial says nothing. A regex query's partial is its product rows
+// (core.LocalEvalRPQ): one equation per (in-node or stored s, automaton
+// state) entry that says something, headed v·|Vq| + u, heads ascending.
 //
 // Boundary rows. A fragment's answer to qr(s, t) and to qbr(s, t, l) is its
 // weighted in-node rows — for every in-node v, the boundary nodes b it
@@ -81,15 +82,17 @@ import (
 // the batch that names t), without weights. For qbr: the same two,
 // weighted and cut at l (core.DistQueryPart). The coordinator decodes
 // every part once, as the reply arrives, and refuses a distance part
-// without weights. It keeps each site's rows, and the
-// rows section is there only when the batch holds a qr or qbr query and the
-// tag in the request is not the fragment's current (Fragmentation.Instance,
+// without weights and a regex part with heads out of order. It keeps each
+// site's rows, and the rows section is there only when the tag in the
+// request is not the fragment's current (Fragmentation.Instance,
 // Fragment.Generation), read under the read lock the evaluation holds: the
 // site then ships the rows once for the whole batch, however many queries
 // and distinct targets it carries, and the coordinator replaces its copy. A
-// reach or distance query's partial is its query part either way; regex
-// partials are complete on their own and no rows are involved — an automaton
-// is drawn per query, so (node, state) rows would rarely be reused.
+// reach or distance query's partial is its query part either way. A regex
+// query's partial is complete on its own (an automaton is drawn per query,
+// so product rows would rarely be reused), but the walk over it reads the
+// owner of a node it reaches without an equation off the rows, whose heads
+// are each fragment's in-nodes: a batch with a regex query is a rows round.
 //
 // Row deltas. A write changes a handful of a fragment's equations, not its
 // O(|Vf|²) rows, so when the request's tag names an earlier generation of
@@ -158,7 +161,7 @@ import (
 // unsequenced mutation can do that — and splits the attempt. Sites on
 // separate replicas draw separate instances, cannot vouch for one another
 // and are all posted, as are cold rounds, first-sight nodes and any batch
-// with a regex query.
+// with a regex query (every site may hold part of its product).
 //
 // Both codecs are hardened against hostile input (fuzzed): every count and
 // length is bounds-checked against the remaining buffer and trailing bytes
@@ -184,7 +187,7 @@ type BatchQuery struct {
 }
 
 // BatchAnswer is one query's answer within a batch. Dist is meaningful for
-// ClassDist only: the exact distance when Answer is true, bes.Inf
+// ClassDist only: the exact distance when Answer is true, core.Inf
 // otherwise (mirroring Coordinator.ReachWithin). Touched mirrors
 // WireStats.Touched per query: the sites whose partials the answer
 // depends on (nil for locally short-circuited queries).
@@ -525,7 +528,7 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 				continue
 			}
 			if q.L <= 0 {
-				answers[i] = BatchAnswer{Answer: false, Dist: bes.Inf}
+				answers[i] = BatchAnswer{Answer: false, Dist: core.Inf}
 				continue
 			}
 			// The wire carries l in 32 bits. No path between 32-bit node
@@ -538,6 +541,10 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 			if q.S == q.T && q.A.AcceptsLabels(nil) {
 				answers[i] = BatchAnswer{Answer: true}
 				continue
+			}
+			// Only a site knows |V|: refuse what s and t already overflow.
+			if err := core.CheckRPQKeys(int(max(q.S, q.T))+1, q.A.NumStates()); err != nil {
+				return nil, WireStats{}, fmt.Errorf("netsite: batch query %d: %w", i, err)
 			}
 		default:
 			return nil, WireStats{}, fmt.Errorf("netsite: batch query %d: unknown class %q", i, byte(q.Class))
@@ -565,15 +572,11 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 	if err == nil {
 		solveStart := time.Now()
 		if err = sol.finish(widx, answers); err == nil && qt != nil {
-			var attrs []obs.Attr
-			if sol.needRows {
-				use := "reused"
-				if sol.built {
-					use = "built"
-				}
-				attrs = append(attrs, obs.Attr{Key: "boundary", Val: use})
+			use := "reused"
+			if sol.built {
+				use = "built"
 			}
-			qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart), attrs...)
+			qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart), obs.Attr{Key: "boundary", Val: use})
 		}
 	}
 	c.finishTrace(qt, &st, err)
@@ -704,13 +707,12 @@ func (c *Coordinator) publish(bnd *boundary) {
 // the last site is in.
 // Either way a round costs one closure walk per query. A distance query is
 // one search over the same boundary, in finish, once every reply is in (a
-// silent site may hold a shorter path); regex parts have no rows and no
-// incremental solver: their bytes are kept per site and solved once, in
-// finish, too.
+// silent site may hold a shorter path); a regex query is one walk over its
+// product rows (core.WalkRPQ), in finish too, which reads node owners off
+// the boundary.
 type batchSolver struct {
 	c          *Coordinator // the rows cache, the published boundary, the build count
 	wire       []BatchQuery
-	needRows   bool  // a reach or distance query among them: replies rest on the rows
 	rowsBacked bool  // no regex query among them: a rows-free reply is O(|Vf|) per query
 	early      bool  // report the round decided once every query is proved
 	target     []int // per wire query: its target's index among the reach targets (-1: not reach)
@@ -725,9 +727,8 @@ type batchSolver struct {
 	qt     *qtrace // the attempt's trace (nil: untraced); queryRound sets it
 	held   []*siteRows
 	rows   []obs.RowsOutcome // what each site's reply did about its rows
-	qparts [][]*core.Rows    // per site, per query: its decoded reach or distance query part (nil: none)
-	parts  [][][]byte        // per site, per query: partial bytes, read for regex queries
-	fed    []int             // the sites whose replies to a rows round are in, in arrival order
+	qparts [][]*core.Rows    // per site, per query: its decoded partial (nil: none)
+	fed    []int             // the sites whose replies are in, in arrival order
 	built  bool              // the attempt built a boundary rather than reuse one
 
 	// Derived by sync from held and fed.
@@ -739,8 +740,8 @@ type batchSolver struct {
 
 // newBatchSolver prepares the solver of one batch; early decision applies
 // when anytime is on and every query is a reach query (a distance needs
-// every site's rows, and regex partials have no incremental solver, so such
-// a round could never be decided early).
+// every site's rows, and a regex walk every site's product rows, so such a
+// round could never be decided early).
 func newBatchSolver(c *Coordinator, wire []BatchQuery, anytime bool) *batchSolver {
 	b := &batchSolver{c: c, wire: wire, rowsBacked: true, target: make([]int, len(wire))}
 	index := make(map[graph.NodeID]int)
@@ -749,13 +750,12 @@ func newBatchSolver(c *Coordinator, wire []BatchQuery, anytime bool) *batchSolve
 		b.target[j] = -1
 		switch q.Class {
 		case ClassDist:
-			b.needRows, allReach = true, false
+			allReach = false
 			continue
 		case ClassRPQ:
 			b.rowsBacked, allReach = false, false
 			continue
 		}
-		b.needRows = true
 		ti, ok := index[q.T]
 		if !ok {
 			ti = len(index)
@@ -775,7 +775,6 @@ func (b *batchSolver) reset() {
 	b.held = make([]*siteRows, k)
 	b.rows = make([]obs.RowsOutcome, k)
 	b.qparts = make([][]*core.Rows, k)
-	b.parts = make([][][]byte, k)
 	b.fed = b.fed[:0]
 	b.built = false
 	b.eqs, b.probes, b.opened = nil, nil, 0
@@ -785,10 +784,6 @@ func (b *batchSolver) reset() {
 func (b *batchSolver) feed(site int, rep batchReply) error {
 	if len(rep.parts) != len(b.wire) {
 		return fmt.Errorf("netsite: site %d answered %d of %d batch queries", site, len(rep.parts), len(b.wire))
-	}
-	b.parts[site] = rep.parts
-	if !b.needRows {
-		return nil // regex queries only: rows neither needed nor kept
 	}
 	switch {
 	case rep.rowsKind == rowsFull:
@@ -817,11 +812,16 @@ func (b *batchSolver) feed(site int, rep batchReply) error {
 	}
 	qparts := make([]*core.Rows, len(b.wire))
 	for j, part := range rep.parts {
-		if b.wire[j].Class != ClassRPQ && len(part) > 0 {
-			qparts[j] = new(core.Rows)
-			if err := qparts[j].UnmarshalBinary(part); err != nil {
-				return fmt.Errorf("netsite: site %d batch query %d: %w", site, j, err)
-			}
+		if len(part) == 0 {
+			continue
+		}
+		qparts[j] = new(core.Rows)
+		err := qparts[j].UnmarshalBinary(part)
+		if err == nil && b.wire[j].Class == ClassRPQ {
+			err = core.CheckRPQPartial(qparts[j]) // what the walk can search
+		}
+		if err != nil {
+			return fmt.Errorf("netsite: site %d batch query %d: %w", site, j, err)
 		}
 	}
 	b.qparts[site] = qparts
@@ -863,9 +863,6 @@ func (b *batchSolver) vouch(site int) {
 // whether every query of the round is now decided. A strict round walks
 // once, when every site is in.
 func (b *batchSolver) advance() bool {
-	if !b.needRows {
-		return false
-	}
 	if !b.early {
 		if len(b.fed) == len(b.held) {
 			b.sync() // the one walk of a strict round, timed inside it
@@ -888,9 +885,6 @@ func (b *batchSolver) advance() bool {
 // shipped rows changes what the attempt stands on, so the walks restart on
 // the new boundary.
 func (b *batchSolver) sync() {
-	if !b.needRows {
-		return
-	}
 	if b.bnd == nil || !b.bnd.holds(b.held) {
 		b.eqs, b.probes, b.opened = nil, nil, 0
 		if b.bnd = b.c.bnd.Load(); b.bnd == nil || !b.bnd.holds(b.held) {
@@ -961,30 +955,28 @@ func (b *batchSolver) finish(widx []int, answers []BatchAnswer) error {
 			probes = probes[1:]
 			answers[i] = BatchAnswer{Answer: p.answer, Touched: p.sites()}
 		case ClassDist:
-			parts := make([]*core.Rows, len(b.held))
-			for site, qp := range b.qparts {
-				if qp != nil { // nil: silent, or vouched for with no query part
-					parts[site] = qp[j]
-				}
-			}
-			d, touched, err := b.bnd.distance(q.S, q.T, q.L, open, parts)
+			d, touched, err := b.bnd.distance(q.S, q.T, q.L, open, b.partsOf(j))
 			if err != nil {
 				return fmt.Errorf("netsite: batch query %d: %w", i, err)
 			}
 			answers[i] = BatchAnswer{Answer: d <= int64(q.L), Dist: d, Touched: touched}
 		case ClassRPQ:
-			partials := make([]*core.RPQPartial, len(b.held))
-			for site := range partials {
-				partials[site] = new(core.RPQPartial)
-				if err := partials[site].UnmarshalBinary(b.parts[site][j]); err != nil {
-					return fmt.Errorf("netsite: site %d batch query %d: %w", site, i, err)
-				}
-			}
-			answers[i] = BatchAnswer{
-				Answer:  core.SolveRPQ(partials, q.S, q.A),
-				Touched: core.TouchedRPQ(partials, q.S, q.A.NumStates()),
-			}
+			// Every site was posted, so every site's part is in.
+			ans, touched := core.WalkRPQ(b.partsOf(j), q.S, q.A.NumStates(), b.bnd.owner)
+			answers[i] = BatchAnswer{Answer: ans, Touched: touched}
 		}
 	}
 	return nil
+}
+
+// partsOf collects wire query j's partial from every site (nil: silent,
+// vouched for with no query part, or an empty part).
+func (b *batchSolver) partsOf(j int) []*core.Rows {
+	parts := make([]*core.Rows, len(b.held))
+	for site, qp := range b.qparts {
+		if qp != nil {
+			parts[site] = qp[j]
+		}
+	}
+	return parts
 }

@@ -14,13 +14,13 @@ import (
 	"time"
 
 	"distreach/internal/automaton"
-	"distreach/internal/bes"
 	"distreach/internal/codec"
 	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
 	"distreach/internal/obs"
+	"distreach/internal/rx"
 )
 
 // batchWorkload builds n mixed-class batch queries with oracle answers
@@ -509,7 +509,7 @@ func TestBatchShortCircuits(t *testing.T) {
 	if !answers[0].Answer || !answers[1].Answer || answers[1].Dist != 0 {
 		t.Fatalf("s==t short circuits wrong: %+v", answers[:2])
 	}
-	if answers[2].Answer || answers[2].Dist != bes.Inf {
+	if answers[2].Answer || answers[2].Dist != core.Inf {
 		t.Fatalf("l<=0 short circuit wrong: %+v", answers[2])
 	}
 	// A mix of local and wire queries still costs one frame per site.
@@ -679,6 +679,28 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 			t.Errorf("%s: patched into %d equations at %v, want an error", name, got.rv.NumEqs(), got.tag)
 		}
 	}
+	// A regex query's part is product rows the walk can search: one it
+	// cannot fails the reply, whatever rows the site shipped with it.
+	feedRPQ := func(part []byte) error {
+		co := &Coordinator{rows: make([]atomic.Pointer[siteRows], 1)}
+		sol := newBatchSolver(co, []BatchQuery{{Class: ClassRPQ, S: 1, T: 2, A: automaton.FromRegex(rx.MustParse("A*"))}}, false)
+		sol.reset()
+		sol.held[0] = base
+		return sol.feed(0, batchReply{parts: [][]byte{part}})
+	}
+	for name, part := range map[string][]byte{
+		"zero term gap":           {0, 1, 10, 1, 2, 5, 0},
+		"descending head":         {0, 2, 10, 0, 0, 3, 0, 0},
+		"product key of 2^31":     {0, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 0},
+		"retired RPQPartial part": {12, 1, 10, 1, 5, 1, 17}, // variable space 12, one entry of node 5
+	} {
+		if err := feedRPQ(part); err == nil {
+			t.Errorf("a regex part with a %s was accepted", name)
+		}
+	}
+	if err := feedRPQ([]byte{0, 2, 10, 1, 0, 2, 0, 1, 9}); err != nil { // X(5) = true, X(6) = X(9)
+		t.Errorf("well-formed regex part refused: %v", err)
+	}
 	patched, err := feed(base, deltaOf(4, []graph.NodeID{1, 5}, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -800,5 +822,16 @@ func TestBatchLifecycleNoLeak(t *testing.T) {
 	}
 	if n := countGoroutines(t, before); n > before {
 		t.Fatalf("goroutine leak: %d before, %d after shutdown", before, n)
+	}
+}
+
+// TestRegexKeysRefusedBeforePosting: a qrr query whose own nodes already
+// put its product keys past 2^31 fails before any frame is posted (the
+// coordinator here has no sites to post to).
+func TestRegexKeysRefusedBeforePosting(t *testing.T) {
+	a := automaton.FromRegex(rx.MustParse("A")) // Start, Final and one position: 3 states
+	co := &Coordinator{}
+	if _, st, err := co.Batch([]BatchQuery{{Class: ClassRPQ, S: 1 << 30, T: 0, A: a}}); err == nil || st.FramesSent != 0 {
+		t.Fatalf("qrr from node 2^30 over %d states: err %v after %d frames, want an error before any", a.NumStates(), err, st.FramesSent)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"distreach/internal/bes"
 	"distreach/internal/core"
 	"distreach/internal/graph"
 )
@@ -189,9 +188,10 @@ func (b *boundary) number(v graph.NodeID) (int32, bool) {
 // laidOut is one site's rows read back from a boundary without shared
 // nodes, where every equation of the site is one node's.
 type laidOut struct {
-	b    *boundary
-	eqs  []int32 // the numbers of the site's nodes
-	vars []graph.NodeID
+	b     *boundary
+	eqs   []int32 // the numbers of the site's nodes
+	terms int
+	vars  []graph.NodeID
 }
 
 func (b *boundary) rowsOf(site int) *laidOut {
@@ -199,12 +199,14 @@ func (b *boundary) rowsOf(site int) *laidOut {
 	for x, nd := range b.nodes[:len(b.ids)] {
 		if int(nd.site) == site {
 			l.eqs = append(l.eqs, int32(x))
+			l.terms += int(b.nodes[x+1].start - nd.start)
 		}
 	}
 	return l
 }
 
-func (l *laidOut) NumEqs() int { return len(l.eqs) }
+func (l *laidOut) NumEqs() int   { return len(l.eqs) }
+func (l *laidOut) NumTerms() int { return l.terms }
 
 func (l *laidOut) Eq(i int) (graph.NodeID, int32, []graph.NodeID, []int32) {
 	x := l.eqs[i]
@@ -214,6 +216,15 @@ func (l *laidOut) Eq(i int) (graph.NodeID, int32, []graph.NodeID, []int32) {
 		l.vars = append(l.vars, l.b.ids[w])
 	}
 	return l.b.ids[x], core.NoConst, l.vars, l.b.ws[lo:hi]
+}
+
+// owner names the one site whose row heads node v: v is an in-node of that
+// site's fragment. It is -1 when no row, or more than one, heads v.
+func (b *boundary) owner(v graph.NodeID) int {
+	if x, ok := b.number(v); ok && b.nodes[x].site >= 0 {
+		return int(b.nodes[x].site)
+	}
+	return -1
 }
 
 // holds reports whether the boundary lays out exactly the given rows.
@@ -403,7 +414,7 @@ func siteList(touched []bool) []int {
 // query parts they sent (parts[i]: site i's, nil: none): the least weight
 // of a chain of equations from s to Xt = 0 or to a constant term, with the
 // sorted sites owning an equation of a node the search walked. The
-// distance is exact when it is at most l, and bes.Inf otherwise. A query
+// distance is exact when it is at most l, and core.Inf otherwise. A query
 // part without weights fails the search: reading its terms as weight 0
 // could report a distance shorter than the graph has.
 //
@@ -435,7 +446,7 @@ func (b *boundary) distance(s, t graph.NodeID, l int, open []bool, parts []*core
 	}
 	var queue distQueue
 	var beyond []int32 // the nodes found at distance lim or more
-	best := bes.Inf
+	best := core.Inf
 	touched := make([]bool, len(open))
 	var d int32
 	relax := func(y, w int32) {
@@ -501,7 +512,7 @@ func (b *boundary) distance(s, t graph.NodeID, l int, open []bool, parts []*core
 		}
 	}
 	if best > int64(l) {
-		best = bes.Inf
+		best = core.Inf
 	}
 	return best, siteList(touched), nil
 }

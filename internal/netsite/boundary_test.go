@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"distreach/internal/automaton"
-	"distreach/internal/bes"
 	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
@@ -258,7 +257,7 @@ func (d *cacheDeployment) check(step string, batch []BatchQuery, answers []Batch
 			want = g.Reachable(q.S, q.T)
 		case ClassDist:
 			dist := g.Dist(q.S, q.T)
-			if want = dist >= 0 && dist <= q.L; want && answers[i].Dist != int64(dist) || !want && answers[i].Dist != bes.Inf {
+			if want = dist >= 0 && dist <= q.L; want && answers[i].Dist != int64(dist) || !want && answers[i].Dist != core.Inf {
 				d.t.Fatalf("%s: query %d, dist(%d,%d) within %d = %d, oracle %d", step, i, q.S, q.T, q.L, answers[i].Dist, dist)
 			}
 		case ClassRPQ:

@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"distreach/internal/automaton"
-	"distreach/internal/bes"
 	"distreach/internal/codec"
+	"distreach/internal/core"
 	"distreach/internal/graph"
 	"distreach/internal/obs"
 	"distreach/internal/oplog"
@@ -812,7 +812,7 @@ func (c *Coordinator) postOne(ctx context.Context, site int, kind byte, payload 
 func (c *Coordinator) one(ctx context.Context, q BatchQuery) (BatchAnswer, WireStats, error) {
 	answers, st, err := c.BatchContext(ctx, []BatchQuery{q})
 	if err != nil {
-		return BatchAnswer{Dist: bes.Inf}, st, err
+		return BatchAnswer{Dist: core.Inf}, st, err
 	}
 	st.Touched = answers[0].Touched
 	return answers[0], st, nil
@@ -833,7 +833,7 @@ func (c *Coordinator) ReachContext(ctx context.Context, s, t graph.NodeID) (bool
 }
 
 // ReachWithin evaluates qbr(s, t, l); it returns the answer and the exact
-// distance when within l (bes.Inf otherwise).
+// distance when within l (core.Inf otherwise).
 func (c *Coordinator) ReachWithin(s, t graph.NodeID, l int) (bool, int64, WireStats, error) {
 	a, st, err := c.one(context.Background(), BatchQuery{Class: ClassDist, S: s, T: t, L: l})
 	return a.Answer, a.Dist, st, err

@@ -240,6 +240,18 @@ func FuzzBatchPayload(f *testing.F) {
 	// One span in the retired fixed-width layout (parent i16, name length
 	// u8, start and duration u64 big-endian, attribute count u8).
 	f.Add([]byte{1, 0xFF, 0xFF, 1, 'q', 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0})
+	// Replies carrying a regex query's product rows: real ones, and each
+	// shape the coordinator refuses — a zero gap between terms, a
+	// descending head, a product key of 2^31 and a part in the retired
+	// RPQPartial layout.
+	qb, err := core.LocalEvalRPQ(frag, 0, 7, a).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, qp := range [][]byte{qb, {0, 1, 10, 1, 2, 5, 0}, {0, 2, 10, 0, 0, 3, 0, 0},
+		{0, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 0}, {12, 1, 10, 1, 5, 1, 17}} {
+		f.Add(encodeBatchReply(nil, batchReply{rowsKind: rowsFull, tag: miss.tag, rows: rb, parts: [][]byte{pb, db, qp}}))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if qs, h, err := decodeBatchRequest(data); err == nil {
@@ -269,6 +281,11 @@ func FuzzBatchPayload(f *testing.F) {
 				}
 				if b, err := rv.MarshalBinary(); err != nil || !bytes.Equal(b, sec) {
 					t.Fatalf("section %d decodes as Rows but re-encodes as %x, not %x (%v)", i, b, sec, err)
+				}
+				// What a regex part must be for the coordinator's walk to
+				// search it, it is; the walk then ends on any keys.
+				if core.CheckRPQPartial(rv) == nil {
+					core.WalkRPQ([]*core.Rows{rv}, 0, 3, func(graph.NodeID) int { return -1 })
 				}
 			}
 			// A delta patches only the copy its request named, and what it

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"distreach/internal/automaton"
-	"distreach/internal/bes"
 	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
@@ -85,7 +84,7 @@ func TestTCPDistMatchesOracle(t *testing.T) {
 		if want && dist != int64(d) {
 			t.Fatalf("query %d: distance %d, oracle %d", q, dist, d)
 		}
-		if !want && dist != bes.Inf && dist <= int64(l) {
+		if !want && dist != core.Inf && dist <= int64(l) {
 			t.Fatalf("query %d: inconsistent distance %d", q, dist)
 		}
 	}

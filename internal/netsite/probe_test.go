@@ -216,10 +216,10 @@ func TestProbeMatchesEquationSystem(t *testing.T) {
 					}
 					d, touched := core.AssembleDist(replied, q.S)
 					if d > int64(q.L) {
-						d = bes.Inf
+						d = core.Inf
 					}
 					a := answers[j]
-					if a.Dist != d || a.Answer != (d != bes.Inf) {
+					if a.Dist != d || a.Answer != (d != core.Inf) {
 						t.Fatalf("trial %d %s, sites %v (hit %v): qbr(%d,%d,%d) = %v/%d, AssembleDist %d",
 							trial, name, order, hit, q.S, q.T, q.L, a.Answer, a.Dist, d)
 					}
@@ -234,7 +234,7 @@ func TestProbeMatchesEquationSystem(t *testing.T) {
 						if want < 0 || want > q.L {
 							want = -1
 						}
-						if got := a.Dist; (want < 0) != (got == bes.Inf) || want >= 0 && got != int64(want) {
+						if got := a.Dist; (want < 0) != (got == core.Inf) || want >= 0 && got != int64(want) {
 							t.Fatalf("trial %d %s: qbr(%d,%d,%d) = %d with every site replied, oracle %d",
 								trial, name, q.S, q.T, q.L, got, want)
 						}
@@ -395,7 +395,7 @@ func TestDistanceHugeWeights(t *testing.T) {
 	if d, touched, err := bnd.distance(0, 3, l, []bool{true}, []*core.Rows{part}); err != nil || d != 3*w || !slices.Equal(touched, []int{0}) {
 		t.Fatalf("dist(0,3) over three hops of %d = %d, touched %v, %v; want %d, [0]", w, d, touched, err, 3*w)
 	}
-	if d, _, err := bnd.distance(0, 4, l, []bool{true}, []*core.Rows{part}); err != nil || d != bes.Inf {
+	if d, _, err := bnd.distance(0, 4, l, []bool{true}, []*core.Rows{part}); err != nil || d != core.Inf {
 		t.Fatalf("dist(0,4) = 2^31 beyond the bound 2^31-1: got %d, %v; want Inf", d, err)
 	}
 }

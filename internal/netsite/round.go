@@ -324,7 +324,7 @@ func (c *Coordinator) queryAttempt(ctx context.Context, queries []byte, sol *bat
 // over the queries plus every site whose rows the attempt does not hold or
 // knows to be stale.
 func (c *Coordinator) route(sol *batchSolver) ([]bool, uint64, skipList) {
-	if !sol.needRows || !sol.rowsBacked {
+	if !sol.rowsBacked {
 		return nil, 0, skipList{}
 	}
 	var instance uint64

@@ -502,8 +502,9 @@ func (s *Site) handleRebalance(payload []byte) (uint64, uint64, []byte, error) {
 // batch (see batch.go). The reply also names the owners of each reach and
 // distance query's nodes and, when the request skipped sites, the skipped
 // sites whose rows the coordinator holds at a stale generation, so that
-// it may vouch for the others. Regex queries evaluate individually and in
-// full.
+// it may vouch for the others. A regex query's partial is its product rows,
+// evaluated individually and in full; its round ships rows too, since the
+// coordinator reads node owners off them.
 // The frame's service delay (Site.delay) is paid once per batch, not once
 // per query — the amortization the batch protocol exists to deliver. The
 // cancel flag is polled between queries and inside the local evaluations.
@@ -545,7 +546,6 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 
 	rep := batchReply{parts: make([][]byte, len(qs))}
 	asked := make(map[graph.NodeID]bool) // reach targets whose equations an earlier query shipped
-	needRows := false
 	// The owner of a node, for the reply's owners section; -1 when the
 	// node is none of the graph's or a tombstone.
 	owner := func(v graph.NodeID) int {
@@ -564,7 +564,6 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 		var rv encoding.BinaryMarshaler
 		switch q.Class {
 		case ClassReach:
-			needRows = true
 			part := core.SourceOnlyReach(frag, q.S, q.T, opt)
 			if !asked[q.T] {
 				asked[q.T] = true
@@ -578,13 +577,15 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 			}
 			rv = part
 		case ClassDist:
-			needRows = true
 			part := core.DistQueryPart(frag, q.S, q.T, q.L, opt)
 			if part.NumEqs() == 0 {
 				continue // as for reach
 			}
 			rv = part
 		case ClassRPQ:
+			if err := core.CheckRPQKeys(fr.Graph().NumNodes(), q.A.NumStates()); err != nil {
+				return 0, 0, nil, err
+			}
 			rv = core.LocalEvalRPQ(frag, q.S, q.T, q.A)
 		default:
 			// Unreachable: decodeBatchRequest rejects unknown classes.
@@ -610,7 +611,7 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 	// delta against the state it holds when the memo keeps that, else in
 	// full. The generation is read under the lock the evaluation holds, so
 	// the tag names exactly the fragment the rows are computed on.
-	if tag := (rowsTag{fr.Instance(), frag.Generation()}); needRows && h.rows() != tag {
+	if tag := (rowsTag{fr.Instance(), frag.Generation()}); h.rows() != tag {
 		cur, base := s.memo.rows(frag, tag, h.rows(), opt)
 		switch {
 		case cur == nil:

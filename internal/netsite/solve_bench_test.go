@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"distreach/internal/automaton"
 	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
@@ -19,16 +20,20 @@ func rowsOf(fr *fragment.Fragmentation, i int) *siteRows {
 	}
 }
 
-// queryParts is a site's query parts for a batch of reach and distance
-// queries, as Site.handleBatch computes them: per reach query, s's
-// equation where the site stores s, and with the first query naming a
-// target the in-nodes that reach it; per distance query, core.DistQueryPart.
+// queryParts is a site's query parts for a batch, as Site.handleBatch
+// computes them: per reach query, s's equation where the site stores s,
+// and with the first query naming a target the in-nodes that reach it; per
+// distance query, core.DistQueryPart; per regex query, its product rows.
 func queryParts(f *fragment.Fragment, qs []BatchQuery) []*core.Rows {
 	parts := make([]*core.Rows, len(qs))
 	asked := make(map[graph.NodeID]bool)
 	for j, q := range qs {
-		if q.Class == ClassDist {
+		switch q.Class {
+		case ClassDist:
 			parts[j] = core.DistQueryPart(f, q.S, q.T, q.L, nil)
+			continue
+		case ClassRPQ:
+			parts[j] = core.LocalEvalRPQ(f, q.S, q.T, q.A)
 			continue
 		}
 		part := core.SourceOnlyReach(f, q.S, q.T, nil)
@@ -133,11 +138,11 @@ func warmSolve(b *testing.B, co *Coordinator, c canned, anytime bool) {
 	}
 }
 
-// cannedPool draws 256 queries of one class between distinct random nodes
+// cannedPool draws n queries of one class between distinct random nodes
 // and renders every site's reply to each.
-func cannedPool(b *testing.B, fr *fragment.Fragmentation, g *graph.Graph, q func(rng *gen.RNG, s, t graph.NodeID) BatchQuery) []canned {
+func cannedPool(b *testing.B, fr *fragment.Fragmentation, g *graph.Graph, n int, q func(rng *gen.RNG, s, t graph.NodeID) BatchQuery) []canned {
 	rng := gen.NewRNG(2)
-	pool := make([]canned, 256)
+	pool := make([]canned, n)
 	for i := range pool {
 		s, t := graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))
 		for s == t {
@@ -156,7 +161,7 @@ func cannedPool(b *testing.B, fr *fragment.Fragmentation, g *graph.Graph, q func
 // and each reply is a canned rows-free body, so an op is warmSolve.
 func BenchmarkWarmReachSolve(b *testing.B) {
 	fr, g, co := cutDeployment(b)
-	pool := cannedPool(b, fr, g, func(_ *gen.RNG, s, t graph.NodeID) BatchQuery {
+	pool := cannedPool(b, fr, g, 256, func(_ *gen.RNG, s, t graph.NodeID) BatchQuery {
 		return BatchQuery{Class: ClassReach, S: s, T: t}
 	})
 	warmSolve(b, co, pool[0], true) // whatever the coordinator lays out once per state
@@ -178,7 +183,7 @@ var distSink int64
 // core.AssembleDist on them.
 func BenchmarkWarmDistSolve(b *testing.B) {
 	fr, g, co := cutDeployment(b)
-	pool := cannedPool(b, fr, g, func(rng *gen.RNG, s, t graph.NodeID) BatchQuery {
+	pool := cannedPool(b, fr, g, 256, func(rng *gen.RNG, s, t graph.NodeID) BatchQuery {
 		return BatchQuery{Class: ClassDist, S: s, T: t, L: 1 + rng.Intn(8)}
 	})
 	b.Run("boundary", func(b *testing.B) {
@@ -215,4 +220,29 @@ func BenchmarkWarmDistSolve(b *testing.B) {
 			distSink, _ = core.AssembleDist(partials, pool[i%len(full)].qs[0].S)
 		}
 	})
+}
+
+// BenchmarkSolveRPQWire is the coordinator's share of one qrr(s, t, R) at
+// reach_cut's shape, with automata drawn as mixed_churn draws them: decode
+// the four sites' product rows, walk them from (s, Start) and read Touched
+// off the walk and the held rows (an op is warmSolve). It reports the parts'
+// bytes per query.
+func BenchmarkSolveRPQWire(b *testing.B) {
+	fr, g, co := cutDeployment(b)
+	pool := cannedPool(b, fr, g, 16, func(rng *gen.RNG, s, t graph.NodeID) BatchQuery {
+		return BatchQuery{Class: ClassRPQ, S: s, T: t, A: automaton.Random(rng, 2+rng.Intn(4), 4+rng.Intn(8), []string{"A", "B", "C"})}
+	})
+	bytes := 0
+	for _, c := range pool {
+		for _, body := range c.bodies {
+			bytes += len(body)
+		}
+	}
+	warmSolve(b, co, pool[0], false) // whatever the coordinator lays out once per state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		warmSolve(b, co, pool[i%len(pool)], false)
+	}
+	b.ReportMetric(float64(bytes)/float64(len(pool)), "partB/query")
 }
