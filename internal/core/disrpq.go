@@ -14,7 +14,9 @@ import (
 
 // rpqKey is the key of the Boolean variable X(v, u), "node v matches
 // automaton state u", among product variables: v·nq + u, a 32-bit NodeID
-// while |V|·nq < 2^31, which callers check first (CheckRPQKeys).
+// while |V|·nq < 2^31. LocalEvalRPQ panics on a fragment past that rather
+// than let keys wrap and collide; the wire coordinator and sites refuse
+// such a query with an error first (CheckRPQKeys).
 func rpqKey(v graph.NodeID, u, nq int) graph.NodeID { return v*graph.NodeID(nq) + graph.NodeID(u) }
 
 // CheckRPQKeys refuses a qrr query whose product keys would not fit a
@@ -34,13 +36,7 @@ func CheckRPQKeys(n, nq int) error {
 func RPQWireSize(f *fragment.Fragment, rv *Rows, a *automaton.Automaton) int {
 	nq := a.NumStates()
 	varSpace := 0
-	for l := int32(0); int(l) < f.NumTotal(); l++ {
-		for u := 0; f.IsBoundary(l) && u < nq; u++ {
-			if u != automaton.Start && u != automaton.Final && a.MatchesLabel(u, f.Label(l)) {
-				varSpace++
-			}
-		}
-	}
+	rpqProduct(f, a, true, func(int32, int) { varSpace++ })
 	dense := (varSpace + 1 + 7) / 8
 	n, prev := 0, graph.NodeID(-1)
 	for i := 0; i < rv.NumEqs(); i++ {
@@ -59,7 +55,7 @@ func RPQWireSize(f *fragment.Fragment, rv *Rows, a *automaton.Automaton) int {
 // fragments into one Boolean equation system, as SolveReach does, and
 // reports whether X(s, Start) holds, i.e. whether s matches the start state
 // of the query automaton. The wire coordinator answers with WalkRPQ
-// instead; this is the reference it is checked against.
+// instead; the two agree on every query (TestRPQPartialRoundTrip).
 func SolveRPQ(partials []*Rows, s graph.NodeID, a *automaton.Automaton) bool {
 	return assembleReach(partials).Decide(rpqKey(s, automaton.Start, a.NumStates()))
 }
@@ -107,13 +103,6 @@ func LocalEvalRPQ(f *fragment.Fragment, s, t graph.NodeID, a *automaton.Automato
 	nq := a.NumStates()
 	total := f.NumTotal()
 
-	// validMid reports whether (l, u) can appear as an intermediate or
-	// frontier product node: a position state whose label matches. Start
-	// is only ever a source; Final is only ever the constant (t, Final).
-	validMid := func(l int32, u int) bool {
-		return u != automaton.Start && u != automaton.Final && a.MatchesLabel(u, f.Label(l))
-	}
-
 	// Variable IDs for boundary frontier pairs (boundary node × position
 	// state). The constant (t, Final) is not a variable.
 	varID := make([]int32, total*nq)
@@ -125,16 +114,14 @@ func LocalEvalRPQ(f *fragment.Fragment, s, t graph.NodeID, a *automaton.Automato
 		u int32
 	}
 	var vars []varMeta
-	for l := int32(0); int(l) < total; l++ {
-		if !f.IsBoundary(l) {
-			continue
-		}
-		for u := 0; u < nq; u++ {
-			if validMid(l, u) {
-				varID[int(l)*nq+u] = int32(len(vars))
-				vars = append(vars, varMeta{f.Global(l), int32(u)})
-			}
-		}
+	top := max(s, t) // every key of the part is s's, t's or a variable's
+	rpqProduct(f, a, true, func(l int32, u int) {
+		varID[int(l)*nq+u] = int32(len(vars))
+		vars = append(vars, varMeta{f.Global(l), int32(u)})
+		top = max(top, f.Global(l))
+	})
+	if err := CheckRPQKeys(int(top)+1, nq); err != nil {
+		panic(err)
 	}
 
 	// Interior product nodes: non-boundary fragment nodes at compatible
@@ -148,17 +135,10 @@ func LocalEvalRPQ(f *fragment.Fragment, s, t graph.NodeID, a *automaton.Automato
 		u int32
 	}
 	var pnodes []pnode
-	for l := int32(0); int(l) < total; l++ {
-		if f.IsBoundary(l) {
-			continue
-		}
-		for u := 0; u < nq; u++ {
-			if validMid(l, u) {
-				pid[int(l)*nq+u] = int32(len(pnodes))
-				pnodes = append(pnodes, pnode{l, int32(u)})
-			}
-		}
-	}
+	rpqProduct(f, a, false, func(l int32, u int) {
+		pid[int(l)*nq+u] = int32(len(pnodes))
+		pnodes = append(pnodes, pnode{l, int32(u)})
+	})
 
 	// Per-interior-node direct leaf contributions and interior edges.
 	leafConst := make([]bool, len(pnodes))
@@ -294,4 +274,21 @@ func LocalEvalRPQ(f *fragment.Fragment, s, t graph.NodeID, a *automaton.Automato
 		}
 	}
 	return rv
+}
+
+// rpqProduct calls fn for every product node (l, u) of f under a that can
+// be an intermediate or frontier node — a position state matching l's label
+// (Start is only a source, Final only the constant (t, Final)) — over f's
+// boundary nodes (the variables) or its other nodes (the interior), ascending.
+func rpqProduct(f *fragment.Fragment, a *automaton.Automaton, boundary bool, fn func(l int32, u int)) {
+	for l := int32(0); int(l) < f.NumTotal(); l++ {
+		if f.IsBoundary(l) != boundary {
+			continue
+		}
+		for u := 0; u < a.NumStates(); u++ {
+			if u != automaton.Start && u != automaton.Final && a.MatchesLabel(u, f.Label(l)) {
+				fn(l, u)
+			}
+		}
+	}
 }

@@ -113,7 +113,8 @@ func TestRowsRoundTrip(t *testing.T) {
 // ascending, terms strictly ascending, no equation without a term or a
 // constant but (s, Start) — and survive the codec equation for equation,
 // decode into about four times their encoding at most, and answer and
-// touch the same after the round trip.
+// touch the same after the round trip; the walk answers as the equation
+// system does.
 func TestRPQPartialRoundTrip(t *testing.T) {
 	rng := gen.NewRNG(53)
 	for trial := 0; trial < 100; trial++ {
@@ -158,13 +159,17 @@ func TestRPQPartialRoundTrip(t *testing.T) {
 			partials = append(partials, rv)
 			decoded = append(decoded, back)
 		}
-		if x, y := SolveRPQ(partials, s, a), SolveRPQ(decoded, s, a); x != y {
-			t.Fatalf("trial %d: answers differ after round trip: %v vs %v", trial, x, y)
+		ref := SolveRPQ(partials, s, a)
+		if y := SolveRPQ(decoded, s, a); ref != y {
+			t.Fatalf("trial %d: answers differ after round trip: %v vs %v", trial, ref, y)
 		}
 		x, tx := WalkRPQ(partials, s, nq, fr.Owner)
 		y, ty := WalkRPQ(decoded, s, nq, fr.Owner)
 		if x != y || !slices.Equal(tx, ty) {
 			t.Fatalf("trial %d: walk differs after round trip: %v %v vs %v %v", trial, x, tx, y, ty)
+		}
+		if x != ref {
+			t.Fatalf("trial %d: the walk answers %v, the equation system %v", trial, x, ref)
 		}
 	}
 }
@@ -192,6 +197,16 @@ func TestRPQKeyBound(t *testing.T) {
 	if k := rpqKey(math.MaxInt32/3-1, 2, 3); k != math.MaxInt32/3*3-1 {
 		t.Errorf("rpqKey near the bound = %d", k)
 	}
+	// LocalEvalRPQ itself refuses a key past the bound — here s's, on a
+	// small graph — rather than wrap it.
+	_, fr, _, tt := randomCase(gen.NewRNG(5), testLabels)
+	a := automaton.Random(gen.NewRNG(5), 2, 4, testLabels)
+	defer func() {
+		if recover() == nil {
+			t.Error("LocalEvalRPQ took a source whose product keys pass 2^31")
+		}
+	}()
+	LocalEvalRPQ(fr.Fragments()[0], 1<<30, tt, a)
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {

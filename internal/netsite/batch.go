@@ -92,7 +92,8 @@ import (
 // query's partial is complete on its own (an automaton is drawn per query,
 // so product rows would rarely be reused), but the walk over it reads the
 // owner of a node it reaches without an equation off the rows, whose heads
-// are each fragment's in-nodes: a batch with a regex query is a rows round.
+// are each fragment's in-nodes: a batch with a regex query is a rows round
+// — but one of regex queries alone ships none to a coordinator with none.
 //
 // Row deltas. A write changes a handful of a fragment's equations, not its
 // O(|Vf|²) rows, so when the request's tag names an earlier generation of
@@ -713,6 +714,7 @@ func (c *Coordinator) publish(bnd *boundary) {
 type batchSolver struct {
 	c          *Coordinator // the rows cache, the published boundary, the build count
 	wire       []BatchQuery
+	needRows   bool  // a reach or distance query among them: every reply ships or confirms the rows
 	rowsBacked bool  // no regex query among them: a rows-free reply is O(|Vf|) per query
 	early      bool  // report the round decided once every query is proved
 	target     []int // per wire query: its target's index among the reach targets (-1: not reach)
@@ -750,12 +752,13 @@ func newBatchSolver(c *Coordinator, wire []BatchQuery, anytime bool) *batchSolve
 		b.target[j] = -1
 		switch q.Class {
 		case ClassDist:
-			allReach = false
+			b.needRows, allReach = true, false
 			continue
 		case ClassRPQ:
 			b.rowsBacked, allReach = false, false
 			continue
 		}
+		b.needRows = true
 		ti, ok := index[q.T]
 		if !ok {
 			ti = len(index)
@@ -805,9 +808,9 @@ func (b *batchSolver) feed(site int, rep batchReply) error {
 		b.rows[site] = obs.RowsPatch
 		b.held[site] = rows
 		b.c.keepRows(site, rows)
-	case b.held[site] == nil:
+	case b.held[site] == nil && b.needRows:
 		return fmt.Errorf("netsite: site %d left out rows the coordinator does not hold", site)
-	default:
+	case b.held[site] != nil:
 		b.rows[site] = obs.RowsHit
 	}
 	qparts := make([]*core.Rows, len(b.wire))

@@ -361,6 +361,22 @@ func TestBatchFramesPerExpectedSite(t *testing.T) {
 	if warm.RowsReplies != 0 || warm.BytesReceived >= stn.BytesReceived/2 {
 		t.Fatalf("warm batch: %d rows sections, %dB (cold %dB); want query parts only", warm.RowsReplies, warm.BytesReceived, stn.BytesReceived)
 	}
+
+	// A batch of regex queries only reads node owners off the rows: a
+	// coordinator that holds none gets none, while a batch that also asks
+	// a reach query gets every site's.
+	rq := []BatchQuery{{Class: ClassRPQ, S: 0, T: 199, A: automaton.Random(gen.NewRNG(81), 3, 6, labels)}}
+	dropRows(co)
+	ra, rst, err := co.Batch(rq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := automaton.Eval(g, 0, 199, rq[0].A); ra[0].Answer != want || rst.RowsReplies != 0 {
+		t.Fatalf("cold regex batch: answer %v (oracle %v), %d rows sections; want none", ra[0].Answer, want, rst.RowsReplies)
+	}
+	if _, mst, err := co.Batch(append(rq, many[0])); err != nil || mst.RowsReplies != nSites {
+		t.Fatalf("cold mixed batch: %d rows sections, %v; want one per site (%d)", mst.RowsReplies, err, nSites)
+	}
 }
 
 // dropRows empties the coordinator's boundary cache: its next request to
@@ -827,11 +843,43 @@ func TestBatchLifecycleNoLeak(t *testing.T) {
 
 // TestRegexKeysRefusedBeforePosting: a qrr query whose own nodes already
 // put its product keys past 2^31 fails before any frame is posted (the
-// coordinator here has no sites to post to).
+// coordinator here has no sites to post to), and a site that receives one
+// anyway answers it with an error frame and goes on serving.
 func TestRegexKeysRefusedBeforePosting(t *testing.T) {
 	a := automaton.FromRegex(rx.MustParse("A")) // Start, Final and one position: 3 states
 	co := &Coordinator{}
 	if _, st, err := co.Batch([]BatchQuery{{Class: ClassRPQ, S: 1 << 30, T: 0, A: a}}); err == nil || st.FramesSent != 0 {
 		t.Fatalf("qrr from node 2^30 over %d states: err %v after %d frames, want an error before any", a.NumStates(), err, st.FramesSent)
+	}
+
+	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 20, Labels: []string{"A"}, Seed: 48})
+	fr, err := fragment.Random(g, 2, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites, addrs, err := ServeReplica(fragment.NewReplica(fr), SiteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range sites {
+			s.Close()
+		}
+	}()
+	raw, r := dialRaw(t, addrs[0])
+	defer raw.Close()
+	raw.SetDeadline(time.Now().Add(5 * time.Second))
+	for i, q := range []BatchQuery{{Class: ClassRPQ, S: 1 << 30, T: 0, A: a}, {Class: ClassRPQ, S: 0, T: 9, A: a}} {
+		req, err := encodeBatchRequest([]BatchQuery{q}, batchHeader{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sendFrame(raw, uint32(i+1), kindBatch, req); err != nil {
+			t.Fatal(err)
+		}
+		want := []byte{kindError, kindAnswer}[i]
+		if id, kind, _, _, err := readFrame(r); err != nil || id != uint32(i+1) || kind != want {
+			t.Fatalf("qrr(%d, %d) at the site: frame id=%d kind %q, %v; want kind %q", q.S, q.T, id, kind, err, want)
+		}
 	}
 }

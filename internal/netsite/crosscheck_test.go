@@ -155,8 +155,9 @@ func TestBatchWireCrossCheck(t *testing.T) {
 // core.Rows, one walk at the coordinator — on 50 seeded graphs under each
 // shipped partitioner, with random automata and false answers included:
 // every wire answer equals automaton.Eval on the graph, and every Touched
-// set is the one core.WalkRPQ reads off the same product rows with the
-// fragmentation's own owners, within the owners of the nodes s reaches.
+// set of a coordinator that holds the rows is the one core.WalkRPQ reads
+// off the same product rows with the fragmentation's own owners, within
+// the owners of the nodes s reaches; a cold coordinator's contains it.
 func TestRegexWireCrossCheck(t *testing.T) {
 	labels := []string{"A", "B", "C"}
 	rng := gen.NewRNG(4403)
@@ -192,7 +193,16 @@ func TestRegexWireCrossCheck(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			answers, _, err := co.Batch(qs)
+			// Cold, the coordinator holds no rows and the sites ship none;
+			// a distance round then fetches every site's rows.
+			cold, _, err := co.Batch(qs)
+			if err == nil {
+				_, _, _, err = co.ReachWithin(0, 1, 1)
+			}
+			var answers []BatchAnswer
+			if err == nil {
+				answers, _, err = co.Batch(qs)
+			}
 			co.Close()
 			for _, s := range sites {
 				s.Close()
@@ -205,8 +215,8 @@ func TestRegexWireCrossCheck(t *testing.T) {
 					continue // answered without the wire
 				}
 				want := automaton.Eval(g, q.S, q.T, q.A)
-				if answers[i].Answer != want {
-					t.Fatalf("trial %d %s query %d: qrr(%d,%d) wire=%v oracle=%v", trial, name, i, q.S, q.T, answers[i].Answer, want)
+				if answers[i].Answer != want || cold[i].Answer != want {
+					t.Fatalf("trial %d %s query %d: qrr(%d,%d) wire=%v (cold %v) oracle=%v", trial, name, i, q.S, q.T, answers[i].Answer, cold[i].Answer, want)
 				}
 				answered[btoi(want)]++
 				parts := make([]*core.Rows, fr.Card())
@@ -216,6 +226,11 @@ func TestRegexWireCrossCheck(t *testing.T) {
 				_, touched := core.WalkRPQ(parts, q.S, q.A.NumStates(), fr.Owner)
 				if !slices.Equal(answers[i].Touched, touched) {
 					t.Fatalf("trial %d %s query %d: wire touched %v, the walk over the same rows %v", trial, name, i, answers[i].Touched, touched)
+				}
+				for _, f := range touched {
+					if !slices.Contains(cold[i].Touched, f) {
+						t.Fatalf("trial %d %s query %d: cold touched %v misses fragment %d of %v", trial, name, i, cold[i].Touched, f, touched)
+					}
 				}
 				reached := make([]bool, fr.Card())
 				for v, ok := range g.Descendants(q.S) {

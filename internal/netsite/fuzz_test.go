@@ -41,7 +41,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0x85})                                                           // truncated length varint
 	f.Add(append(binary.LittleEndian.AppendUint32(nil, 6), 1, 0, 0, 0, 'B', 8))   // the previous u32 framing
 	f.Add(append([]byte(preamble), 3, 1, 'B', 0))                                 // a preamble ahead of a frame
-	f.Add(append([]byte("DRW2"), 3, 1, 'B', 9))                                   // the previous build's preamble and a version-9 payload
+	f.Add(append([]byte("DRW2"), 3, 1, 'B', 9))                                   // an earlier build's preamble and a version-9 payload
+	f.Add(drw3Request())                                                          // the previous build's preamble and a qr request
 	// Update and rebalance frames, request and reply.
 	var upd bytes.Buffer
 	ureq, err := encodeUpdateRequest(9, 77, []Op{{Kind: OpInsertEdge, U: 3, V: 4}})

@@ -235,9 +235,10 @@ func TestTCPErrorPropagation(t *testing.T) {
 // site: each must come back as an error frame echoing its ID, without a
 // panic or a hang, and a batch query that follows on the same connection
 // must still be answered. A peer of an earlier framing — a length u32 |
-// id u32 header and no preamble — and a peer of the previous build — the
-// "DRW2" preamble ahead of a version-9 request — must find the connection
-// closed. None of them may reach an evaluation.
+// id u32 header and no preamble — and peers of earlier varint builds — the
+// "DRW2" preamble ahead of a version-9 request, or the "DRW3" preamble
+// ahead of a request whose rows carry absolute term IDs — must find the
+// connection closed. None of them may reach an evaluation.
 func TestRetiredFramesRejected(t *testing.T) {
 	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 20, Labels: []string{"A"}, Seed: 48})
 	fr, err := fragment.Random(g, 2, 48)
@@ -264,8 +265,9 @@ func TestRetiredFramesRejected(t *testing.T) {
 	frame := binary.LittleEndian.AppendUint32(nil, uint32(5+len(v8)))
 	frame = append(binary.LittleEndian.AppendUint32(frame, 3), kindBatch)
 	assertRefused(t, addrs[0], "an old-framing peer", append(frame, v8...))
-	// The previous build: a varint frame behind the "DRW2" preamble.
+	// Earlier varint builds: a frame behind the "DRW2" or "DRW3" preamble.
 	assertRefused(t, addrs[0], "a DRW2 peer", drw2Request())
+	assertRefused(t, addrs[0], "a DRW3 peer", drw3Request())
 
 	raw, r := dialRaw(t, addrs[0])
 	defer raw.Close()
@@ -345,7 +347,7 @@ func TestRetiredFramesRejected(t *testing.T) {
 	}
 }
 
-// drw2Request is what a coordinator of the previous build opens a
+// drw2Request is what a coordinator of the build before "DRW3" opens a
 // connection with: the "DRW2" preamble and a version-9 query request for
 // qr(0, 9) in the varint frame of id 3.
 func drw2Request() []byte {
@@ -353,6 +355,18 @@ func drw2Request() []byte {
 	v9 = append(v9, 0, 1, 'r', 0, 9)               // generation+1 | count | class | s | t
 	frame := append([]byte{byte(2 + len(v9)), 3, kindBatch}, v9...)
 	return append([]byte("DRW2"), frame...)
+}
+
+// drw3Request is what a coordinator of the previous build opens a
+// connection with: the "DRW3" preamble and a query request for qr(0, 9) in
+// the varint frame of id 3. The request's layout is today's, but that
+// build reads and writes core.Rows terms as absolute node IDs, so only the
+// preamble can tell the two apart.
+func drw3Request() []byte {
+	req := append([]byte{0}, make([]byte, 8)...) // flags | instance u64
+	req = append(req, 0, 1, 'r', 0, 9)           // generation+1 | count | class | s | t
+	frame := append([]byte{byte(2 + len(req)), 3, kindBatch}, req...)
+	return append([]byte("DRW3"), frame...)
 }
 
 // assertRefused opens a raw connection to a site, writes what a peer of

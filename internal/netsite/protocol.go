@@ -13,12 +13,11 @@
 // at once. Sites may answer out of order; the coordinator demultiplexes
 // replies back to their rounds by ID. Every request but a cancel gets
 // exactly one response. A coordinator opens each connection with the
-// 4-byte preamble "DRW3", the protocol's only version: no payload carries a
+// 4-byte preamble "DRW4", the protocol's only version: no payload carries a
 // version byte of its own. A site closes a connection that starts with
-// anything else, so a peer of another build — "DRW2", whose control
-// payloads were fixed-width and whose query payloads each led with a
-// version byte, or one still on the fixed-width frame header of the framing
-// before it (length u32 | id u32) — is refused before its first frame is
+// anything else, so a peer of another build — "DRW3" or "DRW2" (see
+// preamble), or one on the fixed-width frame header of the framing before
+// them (length u32 | id u32) — is refused before its first frame is
 // parsed, and the preamble, read as such a header, names a length that
 // peer rejects too.
 //
@@ -151,12 +150,12 @@ const (
 
 // preamble opens every coordinator connection, and it is the protocol's
 // only version: no payload carries one. A site of another build closes the
-// connection before it reads a frame, whatever the payloads changed. "DRW2"
-// was the varint framing with fixed-width control payloads and per-payload
-// version bytes; read as the u32 length of the framing before it, either
-// preamble is above that framing's maxFrame, so a site of that framing
-// rejects it as well.
-const preamble = "DRW3"
+// connection before it reads a frame, whatever the payloads changed:
+// "DRW3" wrote core.Rows terms as absolute IDs and regex partials in a
+// layout of their own, "DRW2" control payloads fixed-width and a version
+// byte per payload. Read as the u32 length of the framing before it, each
+// is above that framing's maxFrame, which therefore rejects it as well.
+const preamble = "DRW4"
 
 // maxFrame bounds a frame to guard against corrupt length prefixes.
 const maxFrame = 1 << 28

@@ -140,13 +140,15 @@ func TestReadFrameTruncatedHeader(t *testing.T) {
 // TestPreambleRefusedByOldFraming: a site of the framing before the
 // varint one reads the preamble as its length u32 and must refuse it, so a
 // current coordinator fails loudly against it rather than being misparsed;
-// and a current site must close the connection of a coordinator of the
-// previous build, whose "DRW2" preamble opens a version-9 request, before
-// anything is evaluated.
+// and a current site must close the connection of a coordinator of an
+// earlier build — "DRW2" ahead of a version-9 request, or "DRW3", whose
+// rows carry absolute term IDs — before anything is evaluated.
 func TestPreambleRefusedByOldFraming(t *testing.T) {
 	const oldMaxFrame = 1 << 28
-	if n := binary.LittleEndian.Uint32([]byte(preamble)); n <= oldMaxFrame {
-		t.Fatalf("the preamble reads as a plausible old-framing length %d", n)
+	for _, p := range []string{preamble, "DRW3", "DRW2"} {
+		if n := binary.LittleEndian.Uint32([]byte(p)); n <= oldMaxFrame {
+			t.Fatalf("the preamble %q reads as a plausible old-framing length %d", p, n)
+		}
 	}
 	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 20, Labels: []string{"A"}, Seed: 48})
 	fr, err := fragment.Random(g, 2, 48)
@@ -164,8 +166,9 @@ func TestPreambleRefusedByOldFraming(t *testing.T) {
 		}
 	}()
 	assertRefused(t, addrs[0], "a DRW2 peer", drw2Request())
+	assertRefused(t, addrs[0], "a DRW3 peer", drw3Request())
 	if n := reg.HistogramVec("site_eval_seconds", "", "kind", nil).With("query").Count(); n != 0 {
-		t.Fatalf("the DRW2 peer's request ran %d evaluations", n)
+		t.Fatalf("the earlier builds' requests ran %d evaluations", n)
 	}
 }
 

@@ -503,8 +503,8 @@ func (s *Site) handleRebalance(payload []byte) (uint64, uint64, []byte, error) {
 // distance query's nodes and, when the request skipped sites, the skipped
 // sites whose rows the coordinator holds at a stale generation, so that
 // it may vouch for the others. A regex query's partial is its product rows,
-// evaluated individually and in full; its round ships rows too, since the
-// coordinator reads node owners off them.
+// evaluated individually and in full; its round ships rows too (the
+// coordinator reads node owners off them) unless the coordinator has none.
 // The frame's service delay (Site.delay) is paid once per batch, not once
 // per query — the amortization the batch protocol exists to deliver. The
 // cancel flag is polled between queries and inside the local evaluations.
@@ -583,7 +583,7 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 			}
 			rv = part
 		case ClassRPQ:
-			if err := core.CheckRPQKeys(fr.Graph().NumNodes(), q.A.NumStates()); err != nil {
+			if err := core.CheckRPQKeys(max(fr.Graph().NumNodes(), int(max(q.S, q.T))+1), q.A.NumStates()); err != nil {
 				return 0, 0, nil, err
 			}
 			rv = core.LocalEvalRPQ(frag, q.S, q.T, q.A)
@@ -609,9 +609,10 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 	}
 	// The rows, unless the coordinator holds this very state of them: a
 	// delta against the state it holds when the memo keeps that, else in
-	// full. The generation is read under the lock the evaluation holds, so
+	// full; none for regex queries alone (no owners named) if it holds
+	// none. The generation is read under the lock the evaluation holds, so
 	// the tag names exactly the fragment the rows are computed on.
-	if tag := (rowsTag{fr.Instance(), frag.Generation()}); h.rows() != tag {
+	if tag := (rowsTag{fr.Instance(), frag.Generation()}); h.rows() != tag && (h.held || len(rep.owners) > 0) {
 		cur, base := s.memo.rows(frag, tag, h.rows(), opt)
 		switch {
 		case cur == nil:
