@@ -73,7 +73,7 @@ cross-checks:
 	$(GO) test -race -run 'TestAnytimeCrossCheck|TestAnytimePendingNoLeak|TestPartialFrameFailsRound' -count 1 ./internal/netsite
 	$(GO) test -race -run 'TestUpdateWireCrossCheck|TestUpdateConcurrentWithQueries' -count 1 ./internal/netsite
 	$(GO) test -race -run 'TestIndexChurnCrossCheck|TestFragmentIndexMatchesDirect' -count 1 ./internal/netsite ./internal/core
-	$(GO) test -race -run 'TestIndexAnswersUnderChurnAndRebalance|TestLSNStampedUnderReadLock' -count 1 ./internal/fragment
+	$(GO) test -race -run 'TestIndexAnswersUnderChurnAndRebalance|TestIndexProbeCountsAcrossSwap|TestLSNStampedUnderReadLock' -count 1 ./internal/fragment
 	$(GO) test -race -run 'TestReachIndexLifecycle$$' -count 300 -cpu 1,2,4 ./internal/fragment
 	$(GO) test -race -run 'TestGroupCommitCoalesces' -count 1 ./internal/oplog
 	$(GO) test -race -run 'TestNodeOpsWireCrossCheck|TestNodeMutationCrossCheck|TestRebalanceEpochRace|TestRebalanceRestoresBalance' -count 1 ./internal/netsite ./internal/fragment

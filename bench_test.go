@@ -341,17 +341,20 @@ func BenchmarkFig11l(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIndex compares the local reachability engines inside
-// localEval (ablation A1): the direct frontier-cut BFS against the
-// per-fragment reachability index production runs.
+// BenchmarkAblationIndex times what a warm site runs per reach query
+// (ablation A1): SourceOnlyReach plus TargetOnlyReach on every fragment,
+// with each in-node SCC's "reaches t" bit from a frontier-cut BFS against
+// a probe of the fragment's interval labels, whose build time it reports.
 func BenchmarkAblationIndex(b *testing.B) {
 	f := load(b, "Internet", 4)
-	cl := cluster.New(4, cluster.NetModel{})
 	run := func(name string, opt *core.Options, buildMS float64) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := f.qs[i%len(f.qs)]
-				core.DisReach(cl, f.fr, q.S, q.T, opt)
+				for _, frag := range f.fr.Fragments() {
+					core.SourceOnlyReach(frag, q.S, q.T, opt)
+					core.TargetOnlyReach(frag, q.T, opt)
+				}
 			}
 			b.ReportMetric(buildMS, "build-ms")
 		})

@@ -47,11 +47,6 @@ func threePhase[P any](run *cluster.Run, frags []*fragment.Fragment, postBytes i
 	run.Sequential(func() { assemble(partial) })
 }
 
-// reachReplySize is the reply size of a fragment's reachability rvset.
-func reachReplySize(f *fragment.Fragment, rv *Rows) int {
-	return ReachWireSize(rv, f.NumVirtual()+len(f.InNodes()))
-}
-
 // assembleReach builds the dependency graph of procedure evalDG from the
 // partial answers of all fragments, partials[i] being site i's.
 func assembleReach(partials []*Rows) *bes.System[graph.NodeID] {

@@ -12,6 +12,7 @@ import (
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
+	"distreach/internal/rx"
 )
 
 // touchedOracle is the reference the claims-based Touched sets are pinned
@@ -160,6 +161,36 @@ func TestTouchedMatchesOracle(t *testing.T) {
 // An update that does meet it may change the answer (and the corpus must
 // contain some that do, or the test proves nothing).
 func TestTouchedSound(t *testing.T) {
+	// First a fixed qrr case for the owners of walked keys no part
+	// defines: s = 0 (fragment 0) reaches v = 1 (fragment 1), labelled A,
+	// which has no successor yet, so fragment 1 has no row for (v, A)'s
+	// product key. Inserting v -> t = 2 (fragment 2) makes qrr(0, 2, "A")
+	// true; it dirties fragment 1, which Touched must name.
+	b := graph.NewBuilder(3)
+	for _, l := range []string{"A", "A", "B"} {
+		b.AddNode(l)
+	}
+	b.AddEdge(0, 1)
+	fixed := b.MustBuild()
+	fr, err := fragment.Build(fixed, []int{0, 1, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := automaton.FromRegex(rx.MustParse("A"))
+	parts := make([]*Rows, fr.Card())
+	for i, f := range fr.Fragments() {
+		parts[i] = LocalEvalRPQ(f, 0, 2, a)
+	}
+	before, touched := WalkRPQ(parts, 0, a.NumStates(), fr.Owner)
+	dirty, _, err := fr.InsertEdge(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before || !automaton.Eval(fixed, 0, 2, a) || !slices.ContainsFunc(dirty, func(f int) bool { return slices.Contains(touched, f) }) {
+		t.Fatalf("fixed qrr case: %v touching %v, then %v after inserting 1 -> 2 dirtied %v; want false, then true, touching a dirtied fragment",
+			before, touched, automaton.Eval(fixed, 0, 2, a), dirty)
+	}
+
 	rng := gen.NewRNG(2202)
 	type verdict struct {
 		ans  bool

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"distreach/internal/cluster"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
@@ -32,7 +30,7 @@ func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID
 	var ans bool
 	threePhase(run, fr.Fragments(), querySize,
 		func(f *fragment.Fragment) *Rows { return LocalEvalReach(f, s, t, opt) },
-		reachReplySize,
+		ReachWireSize,
 		func(partial []*Rows) { ans = SolveReach(partial, s) })
 	return Result{Answer: ans, Report: run.Finish()}
 }
@@ -85,13 +83,11 @@ func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Rows
 }
 
 // localEval is the state of one local evaluation against target t: how the
-// equation of a single node is produced, shared by the in-node pass and by
-// TargetOnlyReach.
+// equation of a single node is produced.
 type localEval struct {
 	f   *fragment.Fragment
 	t   graph.NodeID
 	opt *Options
-	met *EvalMetrics
 	// Equation aliasing: in-nodes in the same local SCC reach exactly the
 	// same boundary nodes, so only one representative per SCC needs a full
 	// equation; the rest ship the two-word alias Xv = Xrep. This keeps the
@@ -99,43 +95,21 @@ type localEval struct {
 	// structure on dense fragmentations.
 	comp []int32
 	// repOf maps SCC -> representative in-node, +1-encoded so the zeroed
-	// slice means "none yet" (a map here dominates the indexed hot path).
+	// slice means "none yet".
 	repOf []int32
-	// Fragment reachability index: when one is installed (and not opted
-	// out of), a representative's whole equation comes from two lookups —
-	// the precomputed frontier-cut variable list and the interval-label
-	// "reaches t locally" bit — instead of a BFS. Stale/undecided/over-
-	// budget entries answer !ok and drop to the BFS, so an index
-	// mid-rebuild only costs speed, never correctness.
-	idx    *reachindex.Index
-	tLocal int32
-	hasT   bool
-	// Fallback strategy: one frontier-cut BFS per representative.
-	bfs cutBFS
+	bfs   cutBFS
 	// alias holds the one variable of an alias equation.
 	alias [1]graph.NodeID
 }
 
 func newLocalEval(f *fragment.Fragment, t graph.NodeID, opt *Options) *localEval {
-	if opt == nil {
-		opt = &Options{}
-	}
-	ev := &localEval{f: f, t: t, opt: opt, met: opt.Metrics, comp: f.LocalSCC(), repOf: make([]int32, f.NumTotal())}
-	if ev.met == nil {
-		ev.met = new(EvalMetrics) // counted, never read
-	}
-	if !opt.NoFragmentIndex {
-		if ev.idx = f.ReachIndex(); ev.idx != nil {
-			ev.tLocal, ev.hasT = f.Local(t)
-		}
-	}
-	return ev
+	return &localEval{f: f, t: t, opt: opt, comp: f.LocalSCC(), repOf: make([]int32, f.NumTotal())}
 }
 
-// equation produces the equation of local node v, Xv = truth ∨ (∨ vars),
-// by the cheapest route that applies; it reports false only when the BFS
-// was cancelled. vars is read-only and valid until the next call: the
-// caller copies it or only reads it.
+// equation produces the equation of local node v, Xv = truth ∨ (∨ vars):
+// an alias when an earlier in-node of v's SCC has one, else a frontier-cut
+// BFS. It reports false only when the BFS was cancelled. vars is read-only
+// and valid until the next call: the caller copies it or only reads it.
 func (ev *localEval) equation(v int32) (truth bool, vars []graph.NodeID, ok bool) {
 	f, t := ev.f, ev.t
 	if f.Global(v) == t {
@@ -149,35 +123,15 @@ func (ev *localEval) equation(v int32) (truth bool, vars []graph.NodeID, ok bool
 		return false, ev.alias[:], true
 	}
 	ev.repOf[ev.comp[v]] = v + 1
-	if idx := ev.idx; idx != nil {
-		if gvars, reachesT, ok := idx.EquationGlobal(v, ev.tLocal, ev.hasT); ok {
-			if ev.hasT {
-				// t appearing as a variable must contribute `true`
-				// instead (lines 4-5 of localEval). The list holds each
-				// boundary node at most once, so splice it out.
-				if i := slices.Index(gvars, t); i >= 0 {
-					reachesT = true
-					gvars = slices.Concat(gvars[:i], gvars[i+1:])
-				}
-			}
-			ev.met.IndexedEqs++
-			return reachesT, gvars, true
-		}
-		switch idx.Outcome(v) {
-		case reachindex.OutcomeStale:
-			ev.met.StaleEqs++
-		case reachindex.OutcomeOverBudget:
-			ev.met.OverBudgetEqs++
-		}
-	}
 	return ev.bfs.from(f, v, t, ev.comp, ev.opt)
 }
 
 // cutBFS is the frontier-cut BFS of localEval over the fragment-local
-// adjacency, written once for the in-node pass and for SourceOnlyReach. Its
-// scratch is reused across the sources of one evaluation — a stamped seen
-// buffer instead of a reallocation per source — and allocated on first
-// use, since a fully indexed evaluation never searches.
+// adjacency, written once for the in-node pass, SourceOnlyReach and
+// TargetOnlyReach's fallback. Its scratch is reused across the sources of
+// one evaluation — a stamped seen buffer instead of a reallocation per
+// source — and allocated on first use, since an evaluation the index
+// answers never searches.
 type cutBFS struct {
 	seen  []int32 // stamp of the search that last reached the node
 	queue []int32
@@ -188,9 +142,9 @@ type cutBFS struct {
 // from computes the equation of local node v for target t: which boundary
 // nodes outside v's local SCC (comp) v reaches (vars, valid until the next
 // call), and whether it reaches t. This is the one potentially
-// long-running stretch of a local evaluation (the reachindex fast path is
-// two lookups), so it polls opt.Cancel every few hundred dequeues and
-// reports false when it fires.
+// long-running stretch of a local evaluation (an index probe is one
+// lookup), so it polls opt.Cancel every few hundred dequeues and reports
+// false when it fires.
 func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int32, opt *Options) (truth bool, vars []graph.NodeID, ok bool) {
 	if b.seen == nil {
 		b.seen = make([]int32, f.NumTotal())
@@ -286,34 +240,52 @@ func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Row
 //     Where t is only a virtual node the rows already mention Xt, and the
 //     fragment that stores t — of which t is then an in-node — emits it.
 //
-// Every member of a reaching SCC gets its equation, not just the SCC's
-// representative: the rows may have been computed before a compaction
-// renumbered the fragment and picked other representatives, and an
-// equation per member is right under any choice.
+// The one bit per in-node SCC comes from the fragment's reachability index
+// (full local reachability, which only adds true paths) unless opt says
+// NoFragmentIndex or the labels cannot decide it; then from the SCC's
+// frontier-cut BFS. Every member of a reaching SCC gets its equation, not
+// just one: the rows may have been computed before a compaction renumbered
+// the fragment and picked other representatives, and an equation per
+// member is right under any choice.
 //
 // It returns nil when there is nothing to say — t is not a real node of f,
 // or no in-node reaches it — and when opt.Cancel fires; callers running
 // under cooperative cancellation re-check their flag, as for SourceOnlyReach.
 func TargetOnlyReach(f *fragment.Fragment, t graph.NodeID, opt *Options) *Rows {
-	if !f.HasLocal(t) {
+	lt, ok := f.Local(t)
+	if !ok || f.IsVirtual(lt) {
 		return nil
 	}
-	ev := newLocalEval(f, t, opt)
-	reaches := make([]bool, f.NumTotal()) // per local SCC: its members reach t
+	var probe fragment.IndexProbe
+	if opt == nil || !opt.NoFragmentIndex {
+		probe = f.IndexProbe()
+	}
+	comp := f.LocalSCC()
+	// Per local SCC, once its first in-node is evaluated: whether its
+	// members reach t.
+	evaluated := make([]bool, f.NumTotal())
+	reaches := make([]bool, f.NumTotal())
+	var bfs cutBFS
 	var rv *Rows
 	for _, v := range f.InNodes() {
-		if ev.opt.cancelled() {
+		if opt.cancelled() {
 			return nil
 		}
-		c := ev.comp[v]
-		if ev.repOf[c] == 0 {
-			// First in-node of its SCC (or t itself, which never becomes a
-			// representative): its evaluation speaks for the members.
-			truth, _, ok := ev.equation(v)
-			if !ok {
-				return nil
+		c := comp[v]
+		if !evaluated[c] {
+			evaluated[c] = true
+			reached := v == lt
+			if !reached {
+				var out reachindex.Outcome
+				reached, out = probe.Reaches(v, lt)
+				opt.count(out)
+				if out != reachindex.OutcomeHit {
+					if reached, _, ok = bfs.from(f, v, t, comp, opt); !ok {
+						return nil
+					}
+				}
 			}
-			reaches[c] = reaches[c] || truth
+			reaches[c] = reached
 		}
 		if reaches[c] {
 			if rv == nil {

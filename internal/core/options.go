@@ -25,39 +25,57 @@
 // why that set is what a cache may invalidate by).
 package core
 
+import "distreach/internal/reachindex"
+
 // Options tunes the evaluation algorithms. The zero value is ready to use.
 type Options struct {
-	// NoFragmentIndex disables consulting the fragment's own reachability
-	// index (fragment.ReachIndex) during local evaluation, forcing the
-	// direct frontier-cut BFS. Cross-checks use it to compare the indexed
-	// and direct paths on the same deployment.
+	// NoFragmentIndex keeps TargetOnlyReach off the fragment's
+	// reachability index (fragment.IndexProbe), forcing the frontier-cut
+	// BFS. Cross-checks use it to compare the labels with the search on
+	// the same deployment.
 	NoFragmentIndex bool
 
 	// Cancel, if non-nil, is polled at cooperative checkpoints during local
 	// evaluation (between in-node equations and periodically inside the
-	// fallback BFS). When it returns true the evaluation abandons its work
+	// BFS). When it returns true the evaluation abandons its work
 	// and returns nil: the coordinator has already answered the query from
 	// other sites' partials and broadcast a cancel frame. Must be safe for
 	// concurrent use (it is typically an atomic load).
 	Cancel func() bool
 
-	// Metrics, if non-nil, receives per-equation counters from the local
-	// evaluation: how often the fragment index answered, and why it was
-	// bypassed when it was. The struct is written by the single evaluating
-	// goroutine with no synchronization; callers wanting aggregates across
-	// queries must copy it out per evaluation (the traced query path turns
-	// it into the eval span's reachindex outcome).
+	// Metrics, if non-nil, receives the outcomes of the index probes of
+	// the local evaluation: how often the labels answered, and why they
+	// did not when they did not. The struct is written by the single
+	// evaluating goroutine with no synchronization; callers wanting
+	// aggregates across queries must copy it out per evaluation (the
+	// traced query path turns it into the eval span's reachindex outcome).
 	Metrics *EvalMetrics
 }
 
-// EvalMetrics counts, for one local evaluation, the in-node equations the
-// fragment reachability index answered and the ones that had an index
-// installed but fell back to BFS anyway — the reachindex outcome tagging
-// observability needs to tune index budgets in production.
+// EvalMetrics counts, for one local evaluation, the index probes the
+// fragment's labels answered and the ones that fell back to BFS with an
+// index installed — the reachindex outcome tagging observability needs to
+// tune index budgets in production. A probe asks whether one in-node SCC
+// reaches the query's target (TargetOnlyReach).
 type EvalMetrics struct {
-	IndexedEqs    int64 // answered from the fragment reachability index
-	StaleEqs      int64 // BFS because the index entry was invalidated by a mutation
-	OverBudgetEqs int64 // BFS because the label budget excluded the entry (or it is undecided mid-rebuild)
+	IndexedEqs    int64 // answered from the fragment's interval labels
+	StaleEqs      int64 // BFS because a mutation invalidated the labels
+	OverBudgetEqs int64 // BFS because the label budget excluded the SCC's label
+}
+
+// count tallies one index probe's outcome in o.Metrics, if any.
+func (o *Options) count(out reachindex.Outcome) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	switch out {
+	case reachindex.OutcomeHit:
+		o.Metrics.IndexedEqs++
+	case reachindex.OutcomeStale:
+		o.Metrics.StaleEqs++
+	case reachindex.OutcomeOverBudget:
+		o.Metrics.OverBudgetEqs++
+	}
 }
 
 // cancelled reports whether a cooperative cancellation was requested. Safe

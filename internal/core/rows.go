@@ -194,14 +194,14 @@ func (rv *Rows) HasConst() bool {
 	return false
 }
 
-// ReachWireSize is the paper's reply size of a reachability list for a
-// fragment with the given number of boundary variables (|Fi.O| + |Fi.I|).
+// ReachWireSize is the paper's reply size of f's reachability list rv.
 // Each equation carries the in-node ID plus its disjuncts, encoded as
 // whichever is smaller: a presence bitmap over the fragment's boundary
-// variables (the paper's "|Fi.O| bits" accounting) or an explicit variable
-// list. Either way the total stays within the O(|Vf|²) guarantee.
-func ReachWireSize(rv *Rows, boundaryVars int) int {
-	dense := (boundaryVars + 1 + 7) / 8
+// variables, |Fi.O| + |Fi.I| of them (the paper's "|Fi.O| bits"
+// accounting), or an explicit variable list. Either way the total stays
+// within the O(|Vf|²) guarantee.
+func ReachWireSize(f *fragment.Fragment, rv *Rows) int {
+	dense := (f.NumVirtual() + len(f.InNodes()) + 1 + 7) / 8
 	n := 0
 	for i := 0; i < rv.NumEqs(); i++ {
 		sparse := 4 * int(rv.offs[i+1]-rv.offs[i])

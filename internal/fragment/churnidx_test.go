@@ -10,10 +10,15 @@ import (
 	"distreach/internal/graph"
 )
 
+// solveVia decides qr(s, t) as a wire coordinator does: every fragment's
+// rows plus its query part, whose TargetOnlyReach reads the index.
 func solveVia(fr *fragment.Fragmentation, s, t graph.NodeID, opt *core.Options) bool {
-	partials := make([]*core.Rows, 0, fr.Card())
+	if s == t {
+		return true
+	}
+	var partials []*core.Rows
 	for _, f := range fr.Fragments() {
-		partials = append(partials, core.LocalEvalReach(f, s, t, opt))
+		partials = append(partials, core.LocalRows(f, opt), core.SourceOnlyReach(f, s, t, opt), core.TargetOnlyReach(f, t, opt))
 	}
 	return core.SolveReach(partials, s)
 }
@@ -22,7 +27,7 @@ func solveVia(fr *fragment.Fragmentation, s, t graph.NodeID, opt *core.Options) 
 // check for the indexed path: across churn batches and live rebalances —
 // with queries racing the async index rebuilds the whole time — the
 // indexed evaluation must agree with direct evaluation on every query.
-// Run under -race this also exercises install/retire vs EquationGlobal.
+// Run under -race this also exercises install/retire vs the label probe.
 func TestIndexAnswersUnderChurnAndRebalance(t *testing.T) {
 	g := gen.Uniform(gen.Config{Nodes: 200, Edges: 700, Labels: []string{"A"}, Seed: 61})
 	fr, err := fragment.Partition(g, fragment.EdgeCutPartitioner{Seed: 61}, 4)

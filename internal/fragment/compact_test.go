@@ -148,14 +148,14 @@ func TestCompactPreservesQueries(t *testing.T) {
 	f := fr.Fragments()[0]
 	type pair struct{ u, v graph.NodeID }
 	before := map[pair]bool{}
-	view := f.AsGraph()
+	view := localGraph(f)
 	for lu := int32(0); int(lu) < f.NumTotal(); lu++ {
 		for lv := int32(0); int(lv) < f.NumTotal(); lv++ {
 			before[pair{f.Global(lu), f.Global(lv)}] = view.Reachable(graph.NodeID(lu), graph.NodeID(lv))
 		}
 	}
 	fr.Compact()
-	view = f.AsGraph()
+	view = localGraph(f)
 	for lu := int32(0); int(lu) < f.NumTotal(); lu++ {
 		for lv := int32(0); int(lv) < f.NumTotal(); lv++ {
 			p := pair{f.Global(lu), f.Global(lv)}

@@ -140,17 +140,16 @@ type Fragment struct {
 	// under the fragmentation's write lock, read under its read lock.
 	gen uint64
 
-	// Lazily built derived views (the graph.Graph form of the fragment and
-	// its local SCC decomposition), dropped whenever the fragment mutates.
-	viewMu    sync.Mutex
-	viewGraph *graph.Graph
-	viewSCC   []int32
+	// The local SCC decomposition (LocalSCC), built on first use and
+	// dropped whenever the fragment mutates.
+	sccMu sync.Mutex
+	scc   []int32
 
 	// Reachability index (reachidx.go): installed by an async builder via
-	// atomic swap, consulted lock-free by localEval, incrementally
+	// atomic swap, probed lock-free by TargetOnlyReach, incrementally
 	// invalidated under the write lock, retired whenever local slots
-	// renumber. idxHits/idxFallbacks accumulate counters of retired
-	// indexes so stats stay cumulative across swaps.
+	// renumber. idxHits/idxFallbacks count the probes, answered and not,
+	// of whichever index a probe loaded.
 	idx          atomic.Pointer[reachindex.Index]
 	idxBuilding  atomic.Bool
 	idxHits      atomic.Int64
@@ -205,6 +204,31 @@ func (f *Fragment) IsVirtual(l int32) bool { return int(l) >= f.nLocal }
 // Out returns the local out-neighbors of local node l. Callers must not
 // modify the returned slice, nor hold it across a Compact.
 func (f *Fragment) Out(l int32) []int32 { return f.adj.Row(l) }
+
+// LocalSCC returns the strongly-connected-component index of every local
+// slot of the fragment (virtual nodes, which have no outgoing edges, are
+// singletons), numbered as graph.SCCOf numbers them. The decomposition is
+// query-independent: it is computed from the fragment's own adjacency on
+// first use, cached, and dropped by mutation. It backs the equation
+// aliasing of local evaluation — in-nodes in the same local SCC reach
+// exactly the same boundary nodes, so their Boolean equations are
+// identical — and the reachability index build, which keeps it. Callers
+// must not modify the returned slice.
+func (f *Fragment) LocalSCC() []int32 {
+	f.sccMu.Lock()
+	defer f.sccMu.Unlock()
+	if f.scc == nil {
+		f.scc, _ = graph.SCCOf(f.NumTotal(), f.Out)
+	}
+	return f.scc
+}
+
+// invalidateSCC drops the cached SCC decomposition after a mutation.
+func (f *Fragment) invalidateSCC() {
+	f.sccMu.Lock()
+	f.scc = nil
+	f.sccMu.Unlock()
+}
 
 // Label returns the label of local node l.
 func (f *Fragment) Label(l int32) string { return f.labs.get(l) }
@@ -317,7 +341,7 @@ func (f *Fragment) compact() {
 			f.inNodes = append(f.inNodes, int32(l))
 		}
 	}
-	f.invalidateViews()
+	f.invalidateSCC()
 }
 
 // Graph returns the underlying global graph.

@@ -224,25 +224,64 @@ func TestLocalGlobalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAsGraphMatchesFragment(t *testing.T) {
+// localGraph copies the fragment's local structure (real nodes followed by
+// virtual nodes, with internal and cross edges) into a graph.Graph whose
+// node IDs are the local slots.
+func localGraph(f *Fragment) *graph.Graph {
+	b := graph.NewBuilder(f.NumTotal())
+	for l := int32(0); int(l) < f.NumTotal(); l++ {
+		b.AddNode(f.Label(l))
+	}
+	for l := int32(0); int(l) < f.NumTotal(); l++ {
+		for _, w := range f.Out(l) {
+			b.AddEdge(graph.NodeID(l), graph.NodeID(w))
+		}
+	}
+	return b.MustBuild()
+}
+
+// sameComponents reports whether two component maps partition the slots
+// alike, whatever the component IDs: the fragment's rows keep their
+// insertion order, a graph's are sorted, so the searches, and with them
+// the IDs, may run differently.
+func sameComponents(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	ab, ba := map[int32]int32{}, map[int32]int32{}
+	for i := range a {
+		if x, ok := ab[a[i]]; ok && x != b[i] {
+			return false
+		}
+		if y, ok := ba[b[i]]; ok && y != a[i] {
+			return false
+		}
+		ab[a[i]], ba[b[i]] = b[i], a[i]
+	}
+	return true
+}
+
+// TestLocalSCCMatchesFragment: LocalSCC, computed over the fragment's own
+// adjacency, finds the components graph.SCC finds in the same structure
+// copied into a graph, and is cached.
+func TestLocalSCCMatchesFragment(t *testing.T) {
 	g := testGraph(7, 30, 120)
 	fr, err := Random(g, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range fr.Fragments() {
-		lg := f.AsGraph()
+		lg := localGraph(f)
 		if lg.NumNodes() != f.NumTotal() || lg.NumEdges() != f.NumEdges() {
-			t.Fatalf("AsGraph size mismatch: %v vs fragment %d/%d", lg, f.NumTotal(), f.NumEdges())
+			t.Fatalf("local copy size mismatch: %v vs fragment %d/%d", lg, f.NumTotal(), f.NumEdges())
 		}
-		// Cached: second call returns the same object.
-		if f.AsGraph() != lg {
-			t.Fatal("AsGraph not cached")
+		comp := f.LocalSCC()
+		want, _ := lg.SCC()
+		if !sameComponents(comp, want) {
+			t.Fatalf("fragment %d: LocalSCC %v, SCC of its copy %v", f.ID, comp, want)
 		}
-		for l := int32(0); int(l) < f.NumTotal(); l++ {
-			if lg.Label(graph.NodeID(l)) != f.Label(l) {
-				t.Fatal("AsGraph label mismatch")
-			}
+		if again := f.LocalSCC(); &again[0] != &comp[0] {
+			t.Fatal("LocalSCC not cached")
 		}
 	}
 }

@@ -18,18 +18,21 @@ import (
 //     lock: an edge change marks the ancestor cone of its source slot
 //     stale, and any operation that renumbers local slots (node ops,
 //     virtual-node reclamation, compaction) retires the whole index.
-//     Queries against stale or retired labels fall back to direct
-//     evaluation — never a wrong answer, only a slower one.
+//     Probes of stale or retired labels fall back to a search of the
+//     fragment — never a wrong answer, only a slower one.
 //   - Apply/Compact/Rebalance/Install schedule asynchronous rebuilds for
 //     the affected fragments. A rebuild runs on one goroutine per
 //     fragment and holds the fragmentation's read lock (excluding
-//     updates, not queries) while it computes the new index from
-//     AsGraph/LocalSCC, then installs it with an atomic pointer swap —
-//     the same serve-while-rebuilding discipline as the 'R' rebalance
-//     frames. Single-flight per fragment: a trigger that finds a builder
-//     in flight is dropped, which is safe because the builder clears its
-//     flag before it releases the read lock — any mutation the install
-//     does not reflect lands after the clear and schedules its own build.
+//     updates, not queries) while it computes the new index from the
+//     fragment's own adjacency and LocalSCC, then installs it with an
+//     atomic pointer swap — the same serve-while-rebuilding discipline as
+//     the 'R' rebalance frames. Single-flight per fragment: a trigger that
+//     finds a builder in flight is dropped, which is safe because the
+//     builder clears its flag before it releases the read lock — any
+//     mutation the install does not reflect lands after the clear and
+//     schedules its own build.
+//   - Probes count on the fragment (IndexProbe), not on the index, so a
+//     swap loses none of them.
 
 // EnableReachIndex sets the per-fragment label budget in bytes and
 // asynchronously (re)builds every fragment's index. A budget <= 0 turns
@@ -59,8 +62,37 @@ func (fr *Fragmentation) WaitReachIndexes() { fr.idxWG.Wait() }
 // ReachIndex returns the fragment's current index, or nil while none is
 // installed (disabled, retired by a slot-renumbering mutation, or still
 // building). The returned index may be concurrently marked stale; its
-// EquationGlobal method degrades to !ok rather than misanswering.
+// Reaches degrades to undecided rather than misanswering.
 func (f *Fragment) ReachIndex() *reachindex.Index { return f.idx.Load() }
+
+// IndexProbe is the reachability index one evaluation loaded from its
+// fragment. Its probes count on the fragment, so those of an index that
+// has been swapped out since still reach ReachIndexStats.
+type IndexProbe struct {
+	f   *Fragment
+	idx *reachindex.Index
+}
+
+// IndexProbe loads the fragment's current index for one evaluation.
+func (f *Fragment) IndexProbe() IndexProbe { return IndexProbe{f, f.idx.Load()} }
+
+// Reaches reports whether local slot u reaches slot v as the loaded
+// index's labels decide it (reachindex.Index.Reaches) and counts the probe
+// on the fragment: a hit, or a fallback the caller answers by searching.
+// With no index loaded it reports false, reachindex.OutcomeNoIndex and
+// counts nothing.
+func (p IndexProbe) Reaches(u, v int32) (reached bool, out reachindex.Outcome) {
+	if p.idx == nil {
+		return false, reachindex.OutcomeNoIndex
+	}
+	reached, out = p.idx.Reaches(u, v)
+	if out == reachindex.OutcomeHit {
+		p.f.idxHits.Add(1)
+	} else {
+		p.f.idxFallbacks.Add(1)
+	}
+	return reached, out
+}
 
 // rebuildReachIndexAsync schedules one asynchronous index rebuild for f,
 // coalescing with an already-running one.
@@ -89,36 +121,16 @@ func (fr *Fragmentation) rebuildReachIndexAsync(f *Fragment) {
 	}()
 }
 
-// buildReachIndexLocked computes and installs f's index from the cached
-// local views. Caller holds at least the fragmentation's read lock.
+// buildReachIndexLocked computes f's index from its own adjacency and
+// LocalSCC and installs it. Caller holds at least the fragmentation's read
+// lock.
 func (f *Fragment) buildReachIndexLocked(budget int64) {
-	g := f.AsGraph()
-	comp := f.LocalSCC()
-	nc := 0
-	for _, c := range comp {
-		if int(c)+1 > nc {
-			nc = int(c) + 1
-		}
-	}
-	idx := reachindex.Build(reachindex.Spec{
-		Graph:    g,
-		Comp:     comp,
-		NC:       nc,
-		Boundary: f.IsBoundary,
-		Sources:  f.inNodes,
-		Budget:   budget,
-	})
-	idx.PrecomputeGlobals(f.Global)
-	f.installReachIndex(idx)
-}
-
-// installReachIndex swaps idx in, folding the replaced index's counters
-// into the fragment's accumulators so cumulative stats survive the swap.
-func (f *Fragment) installReachIndex(idx *reachindex.Index) {
-	if old := f.idx.Swap(idx); old != nil {
-		f.idxHits.Add(old.Hits())
-		f.idxFallbacks.Add(old.Fallbacks())
-	}
+	f.idx.Store(reachindex.Build(reachindex.Spec{
+		N:      f.NumTotal(),
+		Out:    f.Out,
+		Comp:   f.LocalSCC(),
+		Budget: budget,
+	}))
 }
 
 // idxMarkDirty incrementally invalidates the labels affected by a
@@ -133,7 +145,7 @@ func (f *Fragment) idxMarkDirty(l int32) {
 // retireReachIndex drops the fragment's index entirely — required by any
 // mutation that renumbers local slots (the index speaks in slots), and by
 // the disable path.
-func (f *Fragment) retireReachIndex() { f.installReachIndex(nil) }
+func (f *Fragment) retireReachIndex() { f.idx.Store(nil) }
 
 // ReachIndexStats aggregates the index state across fragments for /stats
 // and bench -json.
@@ -142,8 +154,8 @@ type ReachIndexStats struct {
 	BudgetBytes int64
 	LabelBytes  int64 // bytes held by the live indexes
 	Fragments   int   // fragments with a live index installed
-	Hits        int64 // index probes answered from an index (cumulative)
-	Fallbacks   int64 // index probes that fell back to direct evaluation
+	Hits        int64 // index probes the labels answered (cumulative)
+	Fallbacks   int64 // index probes that fell back to a search
 	Rebuilds    int64 // asynchronous builds completed
 	LastBuild   time.Duration
 	TotalBuild  time.Duration
@@ -172,8 +184,6 @@ func (fr *Fragmentation) ReachIndexStats() ReachIndexStats {
 		if idx := f.idx.Load(); idx != nil {
 			st.Fragments++
 			st.LabelBytes += idx.LabelBytes()
-			st.Hits += idx.Hits()
-			st.Fallbacks += idx.Fallbacks()
 		}
 	}
 	return st

@@ -5,6 +5,7 @@ import (
 
 	"distreach/internal/gen"
 	"distreach/internal/graph"
+	"distreach/internal/reachindex"
 )
 
 // TestOverlayAutoCompaction is the bounded-memory churn check: with an
@@ -170,5 +171,37 @@ func TestReachIndexCarryover(t *testing.T) {
 		if f.ReachIndex() == nil {
 			t.Fatalf("fragment %d: no index after install", f.ID)
 		}
+	}
+}
+
+// TestIndexProbeCountsAcrossSwap: an evaluation loads its fragment's index
+// once and may probe it after a rebuild swapped it out; those probes must
+// still reach ReachIndexStats, which the benchmark's hit ratio and /stats
+// read.
+func TestIndexProbeCountsAcrossSwap(t *testing.T) {
+	g := gen.Uniform(gen.Config{Nodes: 40, Edges: 120, Labels: []string{"A"}, Seed: 43})
+	fr, err := Random(g, 2, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.EnableReachIndex(1 << 20)
+	fr.WaitReachIndexes()
+	f := fr.Fragments()[0]
+	p := f.IndexProbe()
+	fr.EnableReachIndex(1 << 20) // a rebuild installs a new index
+	fr.WaitReachIndexes()
+	if p.idx == nil || f.ReachIndex() == p.idx {
+		t.Fatal("no index was swapped out")
+	}
+	before := fr.ReachIndexStats()
+	if reached, out := p.Reaches(0, 0); !reached || out != reachindex.OutcomeHit {
+		t.Fatalf("probe of the swapped-out index: %v, outcome %d", reached, out)
+	}
+	if _, out := p.Reaches(0, int32(f.NumTotal())); out != reachindex.OutcomeUnslotted {
+		t.Fatalf("probe past the slots: outcome %d, want unslotted", out)
+	}
+	after := fr.ReachIndexStats()
+	if after.Hits != before.Hits+1 || after.Fallbacks != before.Fallbacks+1 {
+		t.Fatalf("stats %+v -> %+v: want one more hit and one more fallback", before, after)
 	}
 }

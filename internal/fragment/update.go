@@ -286,7 +286,7 @@ func (fr *Fragmentation) insertEdgeLocked(u, v graph.NodeID) (dirty []int, chang
 	if a == b {
 		lv, _ := fa.ids.local(v)
 		fa.addLocalEdge(lu, lv)
-		fa.invalidateViews()
+		fa.invalidateSCC()
 		fa.idxMarkDirty(lu)
 		return []int{a}, true
 	}
@@ -300,7 +300,7 @@ func (fr *Fragmentation) insertEdgeLocked(u, v graph.NodeID) (dirty []int, chang
 	// that bypasses a new cut point is still a sound and complete cut.
 	lv := fa.ensureVirtual(v, fr.g.Label(v))
 	fa.addLocalEdge(lu, lv)
-	fa.invalidateViews()
+	fa.invalidateSCC()
 	fa.idxMarkDirty(lu)
 	fr.crossEdges++
 	dirty = []int{a}
@@ -326,12 +326,12 @@ func (fr *Fragmentation) deleteEdgeLocked(u, v graph.NodeID) (dirty []int, chang
 	fa.removeLocalEdge(lu, lv)
 	fa.idxMarkDirty(lu)
 	if a == b {
-		fa.invalidateViews()
+		fa.invalidateSCC()
 		return []int{a}, true
 	}
 	fr.crossEdges--
 	fa.dropVirtualIfOrphan(lv)
-	fa.invalidateViews()
+	fa.invalidateSCC()
 	dirty = []int{a}
 	// v stays an in-node of its fragment iff some cross edge still enters
 	// it; the global graph (whose reverse adjacency is maintained
@@ -378,7 +378,7 @@ func (fr *Fragmentation) insertNodeLocked(label string, frag int) (graph.NodeID,
 	fr.owner[id] = int32(frag)
 	f := fr.frags[frag]
 	f.addRealNode(id, label)
-	f.invalidateViews()
+	f.invalidateSCC()
 	return id, frag
 }
 
@@ -405,7 +405,7 @@ func (fr *Fragmentation) deleteNodeLocked(v graph.NodeID) (map[int]bool, bool) {
 	fi := int(fr.owner[v])
 	f := fr.frags[fi]
 	f.removeRealNode(v)
-	f.invalidateViews()
+	f.invalidateSCC()
 	fr.owner[v] = -1
 	fr.g.DeleteNode(v) // edges are already gone; this leaves the tombstone
 	dirty[fi] = true

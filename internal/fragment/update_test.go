@@ -120,9 +120,9 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 						t.Fatalf("trial %d step %d fragment %d: virtual node %d missing", trial, step, i, v)
 					}
 				}
-				// The derived views reflect the mutated structure.
-				if f.AsGraph().NumEdges() != wf.AsGraph().NumEdges() {
-					t.Fatalf("trial %d step %d fragment %d: AsGraph went stale", trial, step, i)
+				// The cached SCC decomposition reflects the mutated structure.
+				if want, _ := localGraph(f).SCC(); !sameComponents(f.LocalSCC(), want) {
+					t.Fatalf("trial %d step %d fragment %d: LocalSCC went stale", trial, step, i)
 				}
 			}
 		}

@@ -129,18 +129,19 @@ func (g *Graph) DistancesFrom(s NodeID, maxDepth int) []int32 {
 
 // DFSPostorder performs an iterative depth-first search over the whole graph
 // (restarting from every unvisited node in ID order) and returns the nodes
-// in postorder. It is a building block for SCC computation and for the
-// interval reachability index.
-func (g *Graph) DFSPostorder() []NodeID {
-	n := g.NumNodes()
+// in postorder.
+func (g *Graph) DFSPostorder() []NodeID { return dfsPostorder(g.NumNodes(), g.Out) }
+
+// dfsPostorder is DFSPostorder over nodes 0..n-1 with out-adjacency out.
+func dfsPostorder[T ~int32](n int, out func(T) []T) []T {
 	seen := make([]bool, n)
-	post := make([]NodeID, 0, n)
+	post := make([]T, 0, n)
 	type frame struct {
-		v NodeID
+		v T
 		i int // next out-edge index to explore
 	}
 	var stack []frame
-	for root := NodeID(0); int(root) < n; root++ {
+	for root := T(0); int(root) < n; root++ {
 		if seen[root] {
 			continue
 		}
@@ -148,8 +149,8 @@ func (g *Graph) DFSPostorder() []NodeID {
 		stack = append(stack, frame{root, 0})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.i < len(g.Out(f.v)) {
-				w := g.Out(f.v)[f.i]
+			if row := out(f.v); f.i < len(row) {
+				w := row[f.i]
 				f.i++
 				if !seen[w] {
 					seen[w] = true
@@ -164,32 +165,58 @@ func (g *Graph) DFSPostorder() []NodeID {
 	return post
 }
 
-// SCC computes strongly connected components using Kosaraju's algorithm.
-// It returns comp, a slice mapping each node to its component index, and the
-// number of components. Component indices are a reverse topological order of
-// the condensation: if there is an edge from component a to component b with
-// a != b, then comp values satisfy a > b... see TopoComponents for an
-// explicit order.
-func (g *Graph) SCC() (comp []int32, n int) {
-	post := g.DFSPostorder()
-	rg := g.Reverse()
-	comp = make([]int32, g.NumNodes())
+// SCC computes g's strongly connected components; see SCCOf.
+func (g *Graph) SCC() (comp []int32, n int) { return SCCOf(g.NumNodes(), g.Out) }
+
+// SCCOf computes the strongly connected components of the graph with nodes
+// 0..n-1 and out-adjacency out — a Graph's, or a fragment's over its local
+// slots — by Kosaraju's algorithm. It returns comp, mapping each node to
+// its component, and the number of components. Components are numbered in
+// topological order of the condensation: an edge between two components
+// goes from the lower ID to the higher. Kosaraju yields that order as it
+// goes (the second pass starts from the node that finished last, which
+// lies in a source component); Condensation and LocalEvalRPQ's reverse
+// sweep rely on it, and an SCC algorithm that finds components sinks first
+// (Tarjan's) would have to renumber them to keep it.
+func SCCOf[T ~int32](n int, out func(T) []T) (comp []int32, nc int) {
+	post := dfsPostorder(n, out)
+	// The reverse adjacency, flat: in[off[v]:off[v+1]] are v's in-neighbors.
+	off := make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		for _, w := range out(T(v)) {
+			off[w+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	in := make([]T, off[n])
+	fill := append([]int32(nil), off[:n]...)
+	for v := 0; v < n; v++ {
+		for _, w := range out(T(v)) {
+			in[fill[w]] = T(v)
+			fill[w]++
+		}
+	}
+	comp = make([]int32, n)
 	for i := range comp {
 		comp[i] = -1
 	}
 	var c int32
-	// Process in reverse postorder of g; each DFS tree in rg is one SCC.
+	var stack []T
+	// Process in reverse postorder; each search of the reverse graph from
+	// an unassigned root collects exactly one SCC.
 	for i := len(post) - 1; i >= 0; i-- {
 		root := post[i]
 		if comp[root] >= 0 {
 			continue
 		}
-		stack := []NodeID{root}
 		comp[root] = c
+		stack = append(stack[:0], root)
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, w := range rg.Out(v) {
+			for _, w := range in[off[v]:off[v+1]] {
 				if comp[w] < 0 {
 					comp[w] = c
 					stack = append(stack, w)
@@ -202,17 +229,11 @@ func (g *Graph) SCC() (comp []int32, n int) {
 }
 
 // Condensation returns the DAG of strongly connected components: comp maps
-// nodes to component IDs in topological order (edges go from lower to higher
-// component IDs is NOT guaranteed by SCC alone, so this routine renumbers),
-// and dag is the component graph with one node per SCC, labeled "".
+// nodes to component IDs as SCC numbers them — in topological order, so
+// every edge of dag goes from a lower ID to a higher one — and dag is the
+// component graph with one node per SCC, labeled "".
 func (g *Graph) Condensation() (comp []int32, dag *Graph) {
 	comp, nc := g.SCC()
-	// Kosaraju assigns component 0 to a source component of the condensation:
-	// components are discovered in reverse topological order of the
-	// condensation DAG reversed, i.e. comp IDs already form a topological
-	// order (edges go from smaller IDs to larger IDs never happens; verify by
-	// construction: an edge u->v across components means u's component was
-	// discovered no later than v's). We renumber defensively by checking.
 	b := NewBuilder(nc)
 	b.AddNodes(nc, "")
 	seen := make(map[int64]struct{})

@@ -34,8 +34,9 @@ type Job[K1 comparable, V1 any, K2 comparable, V2 any, R any] struct {
 	// mapper). Nil means 16 bytes.
 	InputBytes func(K1, V1) int
 	// InterBytes accounts the wire size of one intermediate pair (mapper to
-	// reducer). Nil means 16 bytes.
-	InterBytes func(K2, V2) int
+	// reducer), given the input pair whose Map emitted it. Nil means 16
+	// bytes.
+	InterBytes func(K1, V1, K2, V2) int
 	// Reducers is the number of reducer slots (>= 1). Intermediates are
 	// hash-partitioned over them by key.
 	Reducers int
@@ -75,7 +76,7 @@ func Run[K1 comparable, V1 any, K2 comparable, V2 any, R any](
 	}
 	interBytes := job.InterBytes
 	if interBytes == nil {
-		interBytes = func(K2, V2) int { return 16 }
+		interBytes = func(K1, V1, K2, V2) int { return 16 }
 	}
 	st := Stats{
 		Mappers:        mappers,
@@ -94,7 +95,7 @@ func Run[K1 comparable, V1 any, K2 comparable, V2 any, R any](
 	// Map phase: one goroutine per mapper.
 	type emitted struct {
 		pairs []Pair[K2, V2]
-		bytes int64
+		bytes []int64 // each pair's InterBytes
 	}
 	out := make([]emitted, mappers)
 	start := time.Now()
@@ -106,7 +107,7 @@ func Run[K1 comparable, V1 any, K2 comparable, V2 any, R any](
 			for _, p := range split[m] {
 				job.Map(p.Key, p.Value, func(k K2, v V2) {
 					out[m].pairs = append(out[m].pairs, Pair[K2, V2]{k, v})
-					out[m].bytes += int64(interBytes(k, v))
+					out[m].bytes = append(out[m].bytes, int64(interBytes(p.Key, p.Value, k, v)))
 				})
 			}
 		}(m)
@@ -121,10 +122,10 @@ func Run[K1 comparable, V1 any, K2 comparable, V2 any, R any](
 	}
 	mapperToReducer := make([]int64, mappers)
 	for m := range out {
-		for _, p := range out[m].pairs {
+		for i, p := range out[m].pairs {
 			r := hashKey(p.Key) % uint64(reducers)
 			groups[r][p.Key] = append(groups[r][p.Key], p.Value)
-			b := int64(interBytes(p.Key, p.Value))
+			b := out[m].bytes[i]
 			st.ReducerInBytes[r] += b
 			mapperToReducer[m] += b
 		}

@@ -37,12 +37,8 @@ func MRdReach(g *graph.Graph, s, t graph.NodeID, mappers int) (bool, Stats, erro
 			return core.SolveReach(rvsets, s)
 		},
 		InputBytes: func(_ int, f *fragment.Fragment) int { return f.EncodedSize() + 12 },
-		InterBytes: func(_ int, rv *core.Rows) int {
-			// Boundary-variable space is not in scope here; use a generous
-			// sparse-only estimate.
-			return core.ReachWireSize(rv, 1<<20)
-		},
-		Reducers: 1,
+		InterBytes: func(_ int, f *fragment.Fragment, _ int, rv *core.Rows) int { return core.ReachWireSize(f, rv) },
+		Reducers:   1,
 	}
 	results, st := Run(job, inputs, mappers)
 	for _, r := range results {

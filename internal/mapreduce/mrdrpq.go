@@ -54,26 +54,17 @@ func MRdRPQOn(fr *fragment.Fragmentation, s, t graph.NodeID, a *automaton.Automa
 	for i, f := range fr.Fragments() {
 		inputs = append(inputs, Pair[int, *fragment.Fragment]{Key: i, Value: f})
 	}
-	type rvset struct {
-		rv    *core.Rows
-		bytes int // the paper's accounting, read off the fragment
-	}
-	job := Job[int, *fragment.Fragment, int, rvset, bool]{
-		Map: func(_ int, f *fragment.Fragment, emit func(int, rvset)) {
-			rv := core.LocalEvalRPQ(f, s, t, a)
-			emit(1, rvset{rv, core.RPQWireSize(f, rv, a)})
+	job := Job[int, *fragment.Fragment, int, *core.Rows, bool]{
+		Map: func(_ int, f *fragment.Fragment, emit func(int, *core.Rows)) {
+			emit(1, core.LocalEvalRPQ(f, s, t, a))
 		},
-		Reduce: func(_ int, sets []rvset) bool {
-			rvs := make([]*core.Rows, len(sets))
-			for i, set := range sets {
-				rvs[i] = set.rv
-			}
-			return core.SolveRPQ(rvs, s, a)
+		Reduce: func(_ int, rvsets []*core.Rows) bool {
+			return core.SolveRPQ(rvsets, s, a)
 		},
 		InputBytes: func(_ int, f *fragment.Fragment) int {
 			return f.EncodedSize() + a.EncodedSize()
 		},
-		InterBytes: func(_ int, set rvset) int { return set.bytes },
+		InterBytes: func(_ int, f *fragment.Fragment, _ int, rv *core.Rows) int { return core.RPQWireSize(f, rv, a) },
 		Reducers:   1,
 	}
 	results, st := Run(job, inputs, mappers)

@@ -394,10 +394,10 @@ func (s *Site) handle(j *frameJob) (uint64, uint64, []byte, error) {
 }
 
 // evalAttrs renders one evaluation's reachability-index outcome as the
-// eval span's attribute: hit (every index consult answered), fallback
-// (every consult fell back to BFS — stale entry or over-budget component),
-// mixed, or off (no equation consulted an index at all). /stats reachindex
-// aggregates the per-equation hits and fallbacks.
+// eval span's attribute: hit (the labels answered every probe), fallback
+// (every probe fell back to BFS — stale entry or over-budget component),
+// mixed, or off (no probe reached an index at all). /stats reachindex
+// aggregates the per-probe hits and fallbacks.
 func evalAttrs(met *core.EvalMetrics) []obs.Attr {
 	fell := met.StaleEqs + met.OverBudgetEqs
 	outcome := "off"

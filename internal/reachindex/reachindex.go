@@ -1,27 +1,20 @@
 // Package reachindex implements a budgeted per-fragment reachability
-// index over the fragment's condensation DAG, in the spirit of Seufert et
-// al., "High-Performance Reachability Query Processing under Index Size
-// Restrictions" (PAPERS.md): interval/tree labels answer "u reaches v
-// locally" in O(log labels), and a per-in-node-SCC precomputed frontier
-// cut turns the whole local evaluation of a reachability query into table
-// lookups. Everything is computed under one global byte budget; whatever
-// does not fit stays undecided and falls back to direct evaluation.
+// index over the fragment's condensation DAG: the interval labels of
+// Seufert et al., "High-Performance Reachability Query Processing under
+// Index Size Restrictions" (PAPERS.md), which answer "u reaches v locally"
+// in O(log labels). The labels are computed under one byte budget;
+// whatever does not fit stays undecided and the caller falls back to a
+// search of the fragment.
 //
-// The index stores three things, all over the SCC condensation of the
-// fragment-local graph (slots are the fragment's local indices):
+// The index stores two things, over the SCC condensation of the fragment's
+// own adjacency (slots are the fragment's local indices):
 //
 //   - a DFS spanning forest of the condensation with postorder numbers:
 //     each SCC's own subtree is one interval [low, post];
 //   - per-SCC merged interval labels: label(c) covers exactly the
 //     postorder numbers of the SCCs reachable from c (own subtree plus
 //     the union of the successors' labels, coalesced). Membership of
-//     post(d) in label(c) decides c ⇝ d;
-//   - per-source-SCC frontier lists: for each in-node SCC, the boundary
-//     slots its frontier-cut BFS would emit — the exact variable list of
-//     the Boolean equation core.localEval produces, which is target-
-//     independent (the target only flips the constTrue bit, and that is
-//     what the interval labels answer). This is what lets a query skip
-//     the per-in-node BFS entirely.
+//     post(d) in label(c) decides c ⇝ d.
 //
 // The build runs on the calling goroutine: one pass over the SCCs in DFS
 // postorder (successors first) computes each label from its successors'
@@ -34,53 +27,43 @@
 // it whenever it goes stale or the process restarts.
 //
 // Incremental maintenance is staleness-based: MarkDirty(u) marks the
-// ancestor cone of u's SCC stale (exactly the sources whose reachable
-// set, hence equation, may have changed); stale SCCs answer !ok and the
-// caller falls back to direct evaluation until an asynchronous rebuild
-// installs a fresh index — the same swap-while-serving discipline the
-// rebalance ('R') path uses.
+// ancestor cone of u's SCC stale (exactly the sources whose reachable set
+// may have changed); stale SCCs answer undecided and the caller falls
+// back until an asynchronous rebuild installs a fresh index — the same
+// swap-while-serving discipline the rebalance ('R') path uses.
 //
 // Concurrency contract: MarkDirty must run while the caller excludes
-// readers (the Fragmentation write lock); EquationGlobal/Reaches may run
-// concurrently with each other under the matching read lock. The counters
-// are atomic and may be read at any time.
+// readers (the Fragmentation write lock); Reaches may run concurrently
+// with itself under the matching read lock. The index counts nothing: the
+// fragment that installed it counts its probes.
 package reachindex
 
 import (
 	"sort"
 	"sync/atomic"
-
-	"distreach/internal/graph"
 )
 
-// DefaultBudget is the per-fragment label budget in bytes. Labels plus
-// frontier lists beyond it stay undecided and fall back to direct
-// evaluation.
+// DefaultBudget is the per-fragment label budget in bytes. Labels beyond
+// it stay undecided.
 const DefaultBudget = 4 << 20
 
 // Spec is the input to Build.
 type Spec struct {
-	// Graph is the fragment-local graph (slots as node IDs) the index is
-	// computed over; Comp/NC its SCC decomposition (as from LocalSCC).
-	Graph *graph.Graph
-	Comp  []int32
-	NC    int
-	// Boundary reports whether a slot is a boundary node (virtual node or
-	// in-node) — where the frontier-cut BFS stops. Nil disables frontier
-	// precomputation (labels only).
-	Boundary func(l int32) bool
-	// Sources are the slots (in-nodes) whose SCCs get precomputed
-	// frontier lists.
-	Sources []int32
-	// Budget caps label + frontier bytes; <= 0 means DefaultBudget.
+	// N is the slot count and Out the slots' out-adjacency (a fragment's
+	// NumTotal and Out); Comp is its SCC decomposition with components
+	// numbered from 0 (as from LocalSCC), which the index keeps: nobody may
+	// modify it afterwards.
+	N    int
+	Out  func(l int32) []int32
+	Comp []int32
+	// Budget caps label bytes; <= 0 means DefaultBudget.
 	Budget int64
 }
 
 // Index is one fragment's reachability index. See the package comment for
 // the structure and the concurrency contract.
 type Index struct {
-	n  int // slot count at build time; later slots are undecided
-	nc int
+	n int // slot count at build time; later slots are undecided
 
 	comp      []int32   // build-time SCC of every slot
 	dagIn     [][]int32 // deduplicated reverse condensation adjacency
@@ -88,38 +71,32 @@ type Index struct {
 	ivals     []int32   // flattened [lo,hi] interval pairs, all SCCs
 	ivOff     []int32   // per-SCC offsets into ivals (len nc+1)
 	undecided []bool    // label over budget (or transitively undecided)
-	fronts    [][]int32 // per-SCC frontier slot lists; nil = not stored
-	// gfronts mirrors fronts with the slots mapped to global node IDs
-	// (PrecomputeGlobals); EquationGlobal hands these out by reference so
-	// the hot path never copies or re-maps a variable list.
-	gfronts [][]graph.NodeID
-	bytes   int64
+	bytes     int64
 
 	stale    []bool // mutated via MarkDirty under the external write lock
 	anyStale atomic.Bool
-
-	hits, fallbacks atomic.Int64
 }
 
-// Build computes the index. It reads spec.Graph but retains nothing from
-// it; the returned index is immutable except for staleness and counters.
+// Build computes the index. It reads spec.Out but retains nothing from it;
+// the returned index is immutable except for staleness.
 func Build(spec Spec) *Index {
-	g, comp, nc := spec.Graph, spec.Comp, spec.NC
-	n := g.NumNodes()
+	comp := spec.Comp
+	nc := 0
+	for _, c := range comp {
+		nc = max(nc, int(c)+1)
+	}
 	budget := spec.Budget
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
 	ix := &Index{
-		n:         n,
-		nc:        nc,
-		comp:      append([]int32(nil), comp...),
+		n:         spec.N,
+		comp:      comp,
 		undecided: make([]bool, nc),
 		stale:     make([]bool, nc),
-		fronts:    make([][]int32, nc),
 	}
 
-	dagOut := buildCondensation(ix, g, comp, nc)
+	dagOut := buildCondensation(ix, spec, nc)
 	post, sz := dfsForest(dagOut, nc)
 	ix.post = post
 
@@ -130,9 +107,7 @@ func Build(spec Spec) *Index {
 	for c := int32(0); int(c) < nc; c++ {
 		order[post[c]] = c
 	}
-	used := buildLabels(ix, dagOut, post, sz, order, nc, budget)
-	used = buildFrontiers(ix, g, comp, spec, n, budget, used)
-	ix.bytes = used
+	ix.bytes = buildLabels(ix, dagOut, post, sz, order, nc, budget)
 	return ix
 }
 
@@ -140,16 +115,14 @@ func Build(spec Spec) *Index {
 // directions: forward for the DFS forest and label propagation, reverse
 // for MarkDirty's ancestor walk. Adjacency lists keep first-occurrence
 // order of a scan in node order.
-func buildCondensation(ix *Index, g *graph.Graph, comp []int32, nc int) [][]int32 {
+func buildCondensation(ix *Index, spec Spec, nc int) [][]int32 {
+	comp := spec.Comp
 	dagOut := make([][]int32, nc)
 	ix.dagIn = make([][]int32, nc)
 	seen := make(map[int64]struct{})
-	for u := 0; u < g.NumNodes(); u++ {
-		if g.Deleted(graph.NodeID(u)) {
-			continue
-		}
+	for u := int32(0); int(u) < spec.N; u++ {
 		cu := comp[u]
-		for _, w := range g.Out(graph.NodeID(u)) {
+		for _, w := range spec.Out(u) {
 			cw := comp[w]
 			if cu == cw {
 				continue
@@ -255,108 +228,6 @@ func buildLabels(ix *Index, dagOut [][]int32, post, sz, order []int32, nc int, b
 	return used
 }
 
-// buildFrontiers computes the frontier lists for the source (in-node)
-// SCCs: the boundary slots the frontier-cut BFS of core.localEval would
-// emit — query-independent, so computed once here and shared by every
-// query. Lists are charged against the budget in the labels' postorder.
-func buildFrontiers(ix *Index, g *graph.Graph, comp []int32, spec Spec, n int, budget, used int64) int64 {
-	if spec.Boundary == nil || len(spec.Sources) == 0 {
-		return used
-	}
-	type task struct {
-		c    int32
-		seed int32
-	}
-	var tasks []task
-	taken := make(map[int32]bool, len(spec.Sources))
-	for _, s := range spec.Sources {
-		if s < 0 || int(s) >= n {
-			continue
-		}
-		c := comp[s]
-		if !taken[c] {
-			taken[c] = true
-			tasks = append(tasks, task{c: c, seed: s})
-		}
-	}
-	// One task per SCC, so the order is total.
-	sort.Slice(tasks, func(i, j int) bool { return ix.post[tasks[i].c] < ix.post[tasks[j].c] })
-	seen := make([]int32, n)
-	for i := range seen {
-		seen[i] = -1
-	}
-	queue := make([]int32, 0, n)
-	for i, tk := range tasks {
-		row := frontierOf(g, comp, spec.Boundary, tk.seed, tk.c, seen, int32(i), queue)
-		cost := int64(len(row))*4 + 16
-		if used+cost > budget {
-			continue // undecided frontier: queries from this SCC fall back
-		}
-		used += cost
-		if row == nil {
-			row = emptyFront // present-but-empty, distinct from not stored
-		}
-		ix.fronts[tk.c] = row
-	}
-	return used
-}
-
-// emptyFront marks a stored frontier that happens to be empty (the source
-// SCC reaches no boundary outside itself) — non-nil so lookup code can
-// tell it apart from "not stored under the budget".
-var emptyFront = []int32{}
-
-// emptyGFront is emptyFront's global-ID counterpart.
-var emptyGFront = []graph.NodeID{}
-
-// PrecomputeGlobals materializes the frontier lists in global node IDs via
-// the fragment's slot-to-global mapping, letting EquationGlobal return
-// equation bodies by reference with zero per-query mapping work. Call once
-// after Build, before the index starts serving.
-func (ix *Index) PrecomputeGlobals(global func(l int32) graph.NodeID) {
-	ix.gfronts = make([][]graph.NodeID, ix.nc)
-	for c, row := range ix.fronts {
-		if row == nil {
-			continue
-		}
-		if len(row) == 0 {
-			ix.gfronts[c] = emptyGFront
-			continue
-		}
-		g := make([]graph.NodeID, len(row))
-		for i, s := range row {
-			g[i] = global(s)
-		}
-		ix.gfronts[c] = g
-	}
-}
-
-// frontierOf runs one frontier-cut BFS from seed (a member of SCC c):
-// expand through everything in c (boundary or not) and through interior
-// nodes, stop at boundary slots outside c and collect them. The result is
-// sorted for determinism. seen is a stamped visit buffer reused across
-// calls.
-func frontierOf(g *graph.Graph, comp []int32, boundary func(int32) bool, seed, c int32, seen []int32, stamp int32, queue []int32) []int32 {
-	queue = append(queue[:0], seed)
-	seen[seed] = stamp
-	var out []int32
-	for qi := 0; qi < len(queue); qi++ {
-		x := queue[qi]
-		if x != seed && boundary(x) && comp[x] != c {
-			out = append(out, x)
-			continue
-		}
-		for _, w := range g.Out(graph.NodeID(x)) {
-			if seen[w] != stamp {
-				seen[w] = stamp
-				queue = append(queue, int32(w))
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // mergeIntervals sorts [lo,hi] pairs by lo and coalesces overlapping or
 // adjacent ones.
 func mergeIntervals(ivs []int32) []int32 {
@@ -390,92 +261,42 @@ func (ix *Index) contains(c, p int32) bool {
 	return j >= 0 && p <= ivs[2*j+1]
 }
 
-// EquationGlobal returns the precomputed Boolean-equation body for source
-// slot v: the frontier-cut variable list, mapped to global node IDs by
-// PrecomputeGlobals and shared (callers must treat it as read-only), and
-// whether v reaches the target locally. tLocal is the target's local slot
-// when the target maps into this fragment (hasT); a tLocal at or past the
-// build-time slot count reports reachesT=false, which is exact for an
-// unstale source: slots appended after the build only ever gain incoming
-// edges, and gaining one marks its source's cone stale.
-//
-// ok is false — and the caller must fall back to direct evaluation — when
-// v postdates the build, its SCC is stale or undecided, its frontier was
-// not stored under the budget, or PrecomputeGlobals has not run.
-func (ix *Index) EquationGlobal(v, tLocal int32, hasT bool) (vars []graph.NodeID, reachesT, ok bool) {
-	if v < 0 || int(v) >= ix.n || ix.gfronts == nil {
-		ix.fallbacks.Add(1)
-		return nil, false, false
-	}
-	c := ix.comp[v]
-	if ix.stale[c] || ix.undecided[c] {
-		ix.fallbacks.Add(1)
-		return nil, false, false
-	}
-	gvars := ix.gfronts[c]
-	if gvars == nil {
-		ix.fallbacks.Add(1)
-		return nil, false, false
-	}
-	if hasT && tLocal >= 0 && int(tLocal) < ix.n {
-		d := ix.comp[tLocal]
-		reachesT = c == d || ix.contains(c, ix.post[d])
-	}
-	ix.hits.Add(1)
-	return gvars, reachesT, true
-}
-
-// Outcome classifies why EquationGlobal would (or would not)
-// answer for source slot v — the observability counterpart of the
-// fallback branches above, in the same order, so a traced evaluation can
-// tag its eval span with the reason the index was bypassed. Reading the
-// same fields the lookup reads, it must be called under the same
-// fragmentation read lock; it touches no hit counters.
-func (ix *Index) Outcome(v int32) Outcome {
-	if v < 0 || int(v) >= ix.n {
-		return OutcomeUnslotted
-	}
-	c := ix.comp[v]
-	if ix.stale[c] {
-		return OutcomeStale
-	}
-	if ix.undecided[c] || ix.fronts[c] == nil {
-		return OutcomeOverBudget
-	}
-	return OutcomeHit
-}
-
-// Outcome is the index's answerability verdict for one source slot.
+// Outcome is the index's verdict on one probe: whether the labels
+// decided it, and if not, why — the reason a traced evaluation tags its
+// eval span with.
 type Outcome uint8
 
 const (
-	// OutcomeHit: the index answers this slot's equation in two lookups.
+	// OutcomeHit: the labels decided the probe.
 	OutcomeHit Outcome = iota
-	// OutcomeUnslotted: the slot postdates the build (node added since).
+	// OutcomeUnslotted: a slot postdates the build (node added since).
 	OutcomeUnslotted
-	// OutcomeStale: a mutation invalidated the slot's SCC cone.
+	// OutcomeStale: a mutation invalidated the source's SCC cone.
 	OutcomeStale
-	// OutcomeOverBudget: the label budget excluded the SCC's frontier, or
-	// the entry is undecided mid-rebuild.
+	// OutcomeOverBudget: the label budget excluded the source's SCC
+	// label, or one it depends on.
 	OutcomeOverBudget
+	// OutcomeNoIndex: no index was installed to probe.
+	OutcomeNoIndex
 )
 
-// Reaches reports whether slot u reaches slot v locally. decided is false
-// (and reached meaningless) when the index cannot answer: a slot postdates
-// the build, or u's SCC is stale or undecided.
-func (ix *Index) Reaches(u, v int32) (reached, decided bool) {
+// Reaches reports whether slot u reaches slot v locally. reached is
+// meaningful only when out is OutcomeHit; any other outcome says why the
+// labels cannot answer: a slot postdates the build, or u's SCC is stale or
+// over budget.
+func (ix *Index) Reaches(u, v int32) (reached bool, out Outcome) {
 	if u < 0 || int(u) >= ix.n || v < 0 || int(v) >= ix.n {
-		return false, false
+		return false, OutcomeUnslotted
 	}
 	c := ix.comp[u]
-	if ix.stale[c] || ix.undecided[c] {
-		return false, false
+	switch {
+	case ix.stale[c]:
+		return false, OutcomeStale
+	case ix.undecided[c]:
+		return false, OutcomeOverBudget
 	}
 	d := ix.comp[v]
-	if c == d {
-		return true, true
-	}
-	return ix.contains(c, ix.post[d]), true
+	return c == d || ix.contains(c, ix.post[d]), OutcomeHit
 }
 
 // MarkDirty marks the labels invalidated by a mutation at slot u: the
@@ -516,12 +337,5 @@ func (ix *Index) MarkDirty(u int32) {
 // AnyStale reports whether any label has been invalidated since the build.
 func (ix *Index) AnyStale() bool { return ix.anyStale.Load() }
 
-// LabelBytes reports the bytes charged against the budget (interval labels
-// plus frontier lists).
+// LabelBytes reports the bytes charged against the budget.
 func (ix *Index) LabelBytes() int64 { return ix.bytes }
-
-// Hits reports how many EquationGlobal calls were answered from the index.
-func (ix *Index) Hits() int64 { return ix.hits.Load() }
-
-// Fallbacks reports how many EquationGlobal calls could not be answered.
-func (ix *Index) Fallbacks() int64 { return ix.fallbacks.Load() }
