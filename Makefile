@@ -80,7 +80,7 @@ cross-checks:
 	$(GO) test -race -run 'TestTraceCrossCheck|TestWireAccounting|TestWireStatsMatchSocketBytes' -count 1 ./internal/netsite
 	$(GO) test -race -run 'TestTouchedMatchesOracle|TestTouchedSound|TestDriverReportsUnchanged|TestSourceEqMatchesLocalEval|TestSourcesFollowTheClosure' -count 1 ./internal/core ./internal/bes
 	$(GO) test -race -run 'TestBoundaryCacheCrossCheck|TestBoundaryCacheCrossCheckShared|TestBoundaryCacheBytes|TestRowsPlusQueryPartMatchesLocalEval|TestProbeMatchesEquationSystem|TestRowsCacheKeepsNewerGeneration|TestRowsMemoOncePerGeneration|TestRowsDeltaPatch|TestPatchRefusesForeignDeltas' -count 1 ./internal/netsite ./internal/core
-	$(GO) test -race -run 'FuzzBatchPayload|TestRetiredFramesRejected|TestDistanceHugeWeights|TestLocalRowsMatchCutDist|TestRowsRoundTrip|TestRPQPartialRoundTrip|TestRegexWireCrossCheck|TestRegexTouchedSound|TestRPQKeyBound|TestUnmarshalRejectsGarbage' -count 1 ./internal/netsite ./internal/core
+	$(GO) test -race -run 'FuzzBatchPayload|TestRetiredFramesRejected|TestDistanceHugeWeights|TestLocalRowsMatchCutDist|TestRowsRoundTrip|TestRPQPartialRoundTrip|TestLocalEvalRPQMatchesOracle|TestLocalEvalRPQConcurrent|TestRegexWireCrossCheck|TestRegexTouchedSound|TestRPQKeyBound|TestUnmarshalRejectsGarbage' -count 1 ./internal/netsite ./internal/core
 	$(GO) test -race -run 'TestGatewayConcurrentMisses' -count 1 ./cmd/serve
 	$(GO) test -race -run 'TestBatchFramesPerExpectedSite|TestBoundaryCacheCrossCheck$$|TestBoundaryCacheCrossCheckShared|TestNonOwnerQueryPartsEmpty' -count 1 ./internal/netsite ./internal/core
 

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"distreach/internal/automaton"
-	"distreach/internal/bitset"
 	"distreach/internal/cluster"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
@@ -35,8 +35,16 @@ func CheckRPQKeys(n, nq int) error {
 // and an explicit variable list.
 func RPQWireSize(f *fragment.Fragment, rv *Rows, a *automaton.Automaton) int {
 	nq := a.NumStates()
+	var states rpqStates
+	states.init(f, a)
 	varSpace := 0
-	rpqProduct(f, a, true, func(int32, int) { varSpace++ })
+	for l := int32(0); int(l) < f.NumTotal(); l++ {
+		if f.IsBoundary(l) {
+			for _, w := range states.of(l) {
+				varSpace += bits.OnesCount64(w)
+			}
+		}
+	}
 	dense := (varSpace + 1 + 7) / 8
 	n, prev := 0, graph.NodeID(-1)
 	for i := 0; i < rv.NumEqs(); i++ {
@@ -62,8 +70,10 @@ func SolveRPQ(partials []*Rows, s graph.NodeID, a *automaton.Automaton) bool {
 
 // DisRPQ evaluates the regular reachability query qrr(s, t, R) given the
 // query automaton a = Gq(R) (algorithm disRPQ, Section 5). Guarantees: one
-// visit per site, traffic in O(|R|²·|Vf|²), local evaluation in
-// O(|Fm|·|R|²) per site in parallel, assembling in O(|R|²·|Vf|²).
+// visit per site, traffic in O(|R|²·|Vf|²), assembling in O(|R|²·|Vf|²),
+// and local evaluation per site in parallel: the paper's O(|Fm|·|R|²) per
+// pass of LocalEvalRPQ's frontier cut, which takes ⌈|Fi.I|·|R|/64⌉ of them
+// (64 entries a pass).
 func DisRPQ(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID, a *automaton.Automaton) Result {
 	run := cl.NewRun()
 	if s == t && a.AcceptsLabels(nil) {
@@ -71,8 +81,7 @@ func DisRPQ(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID, 
 		return Result{Answer: true, Report: run.Finish()}
 	}
 	// Gq(R) is constructed at the coordinator and posted with the query;
-	// evalDGr assembles one Boolean equation per (in-node, state) vector
-	// entry.
+	// evalDGr assembles the product rows of every site.
 	var ans bool
 	threePhase(run, fr.Fragments(), a.EncodedSize()+querySize,
 		func(f *fragment.Fragment) *Rows { return LocalEvalRPQ(f, s, t, a) },
@@ -85,210 +94,267 @@ func DisRPQ(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID, 
 // product rows, heads ascending: one Boolean equation rpqKey(v, u) per
 // (in-node or locally stored s, state) entry with a term or a constant,
 // and (s, Start) even without, to say which fragment holds s. The
-// recursion of cmpRvec/cmposeVec is realized as a reverse-topological sweep
-// over the strongly connected components of the fragment-local product
-// graph (fragment node × automaton state), which handles cyclic fragments
-// exactly where the naive recursion of Fig. 7 would not terminate:
+// recursion of cmpRvec/cmposeVec, which would not terminate on a cyclic
+// fragment as Fig. 7 writes it, is realized as the frontier cut of
+// localEval over the fragment-local product graph (fragment node ×
+// automaton state), which is never built:
 //
 //   - product node (v, u) exists when v can match u — L(v) = Lq(u) for a
-//     position state, v = s for Start, v = t for Final;
+//     position state (rpqStates), v = s for Start, v = t for Final;
 //   - edge (v,u) -> (w,u') when (v,w) is a fragment edge and (u,u') ∈ Eq;
-//   - leaves: (b, u) for a boundary node b (virtual node or another
-//     in-node — the frontier cut of localEval applies here too, since
-//     in-node entries have their own equations) contributes variable
-//     X(b,u); (t, Final) contributes constant true;
-//   - the formula of an in-node entry (v, u) is the disjunction of the
-//     leaf contributions reachable from it through interior nodes.
+//   - a search from an entry stops at every boundary pair (b, u), b a
+//     virtual node or an in-node (whose entries have equations of their
+//     own), which is the term X(b,u); reaching (t, Final) is the constant
+//     true.
+//
+// The searches run 64 entries at a time, bit-parallel as cutRows runs
+// LocalRows' (rpqScratch.search), so each pass costs O(|Fm|·|R|²) word
+// operations.
 func LocalEvalRPQ(f *fragment.Fragment, s, t graph.NodeID, a *automaton.Automaton) *Rows {
 	nq := a.NumStates()
-	total := f.NumTotal()
+	if err := CheckRPQKeys(f.NumTotal(), nq); err != nil {
+		panic(err) // product nodes are numbered l·|Vq| + u in an int32
+	}
+	sc := rpqScratchPool.Get().(*rpqScratch)
+	sc.prepare(f, a)
+	lt, ok := f.Local(t)
+	if !ok {
+		lt = -1
+	}
 
-	// Variable IDs for boundary frontier pairs (boundary node × position
-	// state). The constant (t, Final) is not a variable.
-	varID := make([]int32, total*nq)
-	for i := range varID {
-		varID[i] = -1
+	// The entries, heads ascending: nodes by global ID, then Start (s
+	// only), Final (t only, the constant true) and the position states
+	// the node matches.
+	iset := sc.iset[:0]
+	for _, v := range isetOf(f, s) {
+		iset = append(iset, uint64(f.Global(v))<<32|uint64(v))
 	}
-	type varMeta struct {
-		g graph.NodeID
-		u int32
+	slices.Sort(iset)
+	ents := sc.ents[:0]
+	for _, x := range iset {
+		v, gv := int32(uint32(x)), graph.NodeID(x>>32)
+		if gv == s {
+			ents = append(ents, rpqEntry{v, automaton.Start})
+		}
+		if gv == t {
+			ents = append(ents, rpqEntry{v, automaton.Final})
+		}
+		for k, w := range sc.states.of(v) {
+			for ; w != 0; w &= w - 1 {
+				ents = append(ents, rpqEntry{v, int32(k*64 + bits.TrailingZeros64(w))})
+			}
+		}
 	}
-	var vars []varMeta
-	top := max(s, t) // every key of the part is s's, t's or a variable's
-	rpqProduct(f, a, true, func(l int32, u int) {
-		varID[int(l)*nq+u] = int32(len(vars))
-		vars = append(vars, varMeta{f.Global(l), int32(u)})
-		top = max(top, f.Global(l))
-	})
+
+	rv := newRows(len(iset), false)
+	top := max(s, t) // every key of the part is s's, t's, an entry's or a term's
+	for lo := 0; lo < len(ents); {
+		src, hi := sc.src[:0], lo
+		for ; hi < len(ents) && len(src) < 64; hi++ {
+			if ents[hi].u != automaton.Final {
+				src = append(src, ents[hi])
+			}
+		}
+		hit := sc.search(f, nq, lt, src, &top)
+		i := 0
+		for _, e := range ents[lo:hi] {
+			gv := f.Global(e.l)
+			top = max(top, gv)
+			key := rpqKey(gv, int(e.u), nq)
+			if e.u == automaton.Final {
+				rv.add(key, 0, nil, nil)
+				continue
+			}
+			if cons, terms := hit>>i&1 != 0, sc.terms[i]; cons || len(terms) > 0 || e.u == automaton.Start {
+				rv.add(key, truthCons(cons), terms, nil)
+			}
+			i++
+		}
+		sc.src, lo = src, hi
+	}
+	sc.iset, sc.ents = iset, ents
+	sc.states.f, sc.states.a = nil, nil // the pool keeps no fragment alive
+	rpqScratchPool.Put(sc)
 	if err := CheckRPQKeys(int(top)+1, nq); err != nil {
 		panic(err)
-	}
-
-	// Interior product nodes: non-boundary fragment nodes at compatible
-	// position states.
-	pid := make([]int32, total*nq)
-	for i := range pid {
-		pid[i] = -1
-	}
-	type pnode struct {
-		l int32
-		u int32
-	}
-	var pnodes []pnode
-	rpqProduct(f, a, false, func(l int32, u int) {
-		pid[int(l)*nq+u] = int32(len(pnodes))
-		pnodes = append(pnodes, pnode{l, int32(u)})
-	})
-
-	// Per-interior-node direct leaf contributions and interior edges.
-	leafConst := make([]bool, len(pnodes))
-	leafVars := make([]bitset.Set, len(pnodes))
-	b := graph.NewBuilder(len(pnodes))
-	b.AddNodes(len(pnodes), "")
-	// expand distributes the successors of fragment node l at state u into
-	// const / boundary-var / interior-edge contributions for product node i
-	// (i < 0 means "collect into a caller-provided sink", used for source
-	// entries below).
-	expand := func(l int32, u int, onConst func(), onVar func(v int32), onEdge func(q int32)) {
-		for _, w := range f.Out(l) {
-			for _, u2 := range a.Next(u) {
-				if u2 == automaton.Final {
-					if f.Global(w) == t {
-						onConst()
-					}
-					continue
-				}
-				if u2 == automaton.Start {
-					continue // no transitions enter Start
-				}
-				if !a.MatchesLabel(u2, f.Label(w)) {
-					continue
-				}
-				if f.IsBoundary(w) {
-					onVar(varID[int(w)*nq+u2])
-					continue
-				}
-				if q := pid[int(w)*nq+u2]; q >= 0 {
-					onEdge(q)
-				}
-			}
-		}
-	}
-	for i, p := range pnodes {
-		i32 := int32(i)
-		expand(p.l, int(p.u),
-			func() { leafConst[i32] = true },
-			func(v int32) {
-				if leafVars[i32] == nil {
-					leafVars[i32] = bitset.New(len(vars))
-				}
-				leafVars[i32].Set(int(v))
-			},
-			func(q int32) { b.AddEdge(graph.NodeID(i32), graph.NodeID(q)) },
-		)
-	}
-	pg := b.MustBuild()
-
-	// Reverse-topological sweep over the interior SCCs, accumulating
-	// per-component formulas as (const, bitset-of-variables).
-	comp, dag := pg.Condensation()
-	nc := dag.NumNodes()
-	constOf := make([]bool, nc)
-	setOf := make([]bitset.Set, nc)
-	for i := range pnodes {
-		c := comp[i]
-		if leafConst[i] {
-			constOf[c] = true
-		}
-		if leafVars[i] != nil {
-			if setOf[c] == nil {
-				setOf[c] = bitset.New(len(vars))
-			}
-			setOf[c].Or(leafVars[i])
-		}
-	}
-	for c := nc - 1; c >= 0; c-- {
-		for _, d := range dag.Out(graph.NodeID(c)) {
-			if constOf[d] {
-				constOf[c] = true
-			}
-			if setOf[d] != nil {
-				if setOf[c] == nil {
-					setOf[c] = bitset.New(len(vars))
-				}
-				setOf[c].Or(setOf[d])
-			}
-		}
-	}
-
-	// Emit the vector of every in-node (plus s when stored here), nodes
-	// ascending: each in-node is expanded as a source even though it is a
-	// frontier for other sources.
-	iset := slices.Clone(isetOf(f, s))
-	slices.SortFunc(iset, func(x, y int32) int { return cmp.Compare(f.Global(x), f.Global(y)) })
-	rv := newRows(len(iset), false)
-	entryVars := bitset.New(len(vars))
-	var terms []graph.NodeID
-	for _, v := range iset {
-		gv := f.Global(v)
-		for u := 0; u < nq; u++ {
-			// The source pair itself must be a plausible match: a matching
-			// position state, Start at s, or Final at t (constant true).
-			switch {
-			case u == automaton.Final:
-				if gv == t {
-					rv.add(rpqKey(gv, u, nq), 0, nil, nil)
-				}
-				continue
-			case u == automaton.Start:
-				if gv != s {
-					continue
-				}
-			default:
-				if !a.MatchesLabel(u, f.Label(v)) {
-					continue
-				}
-			}
-			constTrue := false
-			entryVars.Reset()
-			expand(v, u,
-				func() { constTrue = true },
-				func(id int32) { entryVars.Set(int(id)) },
-				func(q int32) {
-					c := comp[q]
-					if constOf[c] {
-						constTrue = true
-					}
-					if setOf[c] != nil {
-						entryVars.Or(setOf[c])
-					}
-				},
-			)
-			terms = terms[:0]
-			entryVars.ForEach(func(i int) {
-				terms = append(terms, rpqKey(vars[i].g, int(vars[i].u), nq))
-			})
-			if constTrue || len(terms) > 0 || u == automaton.Start {
-				rv.add(rpqKey(gv, u, nq), truthCons(constTrue), terms, nil)
-			}
-		}
 	}
 	return rv
 }
 
-// rpqProduct calls fn for every product node (l, u) of f under a that can
-// be an intermediate or frontier node — a position state matching l's label
-// (Start is only a source, Final only the constant (t, Final)) — over f's
-// boundary nodes (the variables) or its other nodes (the interior), ascending.
-func rpqProduct(f *fragment.Fragment, a *automaton.Automaton, boundary bool, fn func(l int32, u int)) {
-	for l := int32(0); int(l) < f.NumTotal(); l++ {
-		if f.IsBoundary(l) != boundary {
-			continue
+// rpqEntry is a product node (l, u) by local slot and state.
+type rpqEntry struct{ l, u int32 }
+
+// rpqStates is the one rule of which product nodes (v, u) exist besides
+// the entries of s and t: u is a position state whose label matches v's
+// (automaton.MatchesLabel; Start is s's alone and Final t's alone, so
+// neither is among them). It is worked out once per query for every label
+// of the fragment's dictionary, as a bitset over states of words words.
+type rpqStates struct {
+	f      *fragment.Fragment
+	a      *automaton.Automaton
+	words  int
+	byCode []uint64 // dictionary id × words
+	spill  []uint64 // the states of the last spilled label asked for
+}
+
+func (m *rpqStates) init(f *fragment.Fragment, a *automaton.Automaton) {
+	m.f, m.a, m.words = f, a, (a.NumStates()+63)/64
+	dict := f.LabelDict()
+	m.byCode = zeroed(m.byCode, len(dict)*m.words)
+	for c, label := range dict {
+		m.fill(m.byCode[c*m.words:(c+1)*m.words], label)
+	}
+}
+
+// fill sets in set, zeroed, the states that match label.
+func (m *rpqStates) fill(set []uint64, label string) {
+	for u := 0; u < m.a.NumStates(); u++ {
+		if m.a.MatchesLabel(u, label) {
+			set[u/64] |= 1 << (u % 64)
 		}
-		for u := 0; u < a.NumStates(); u++ {
-			if u != automaton.Start && u != automaton.Final && a.MatchesLabel(u, f.Label(l)) {
-				fn(l, u)
+	}
+}
+
+// of returns the states slot l can match. The words are valid until the
+// next call.
+func (m *rpqStates) of(l int32) []uint64 {
+	if c, ok := m.f.LabelCode(l); ok {
+		i := int(c) * m.words
+		return m.byCode[i : i+m.words]
+	}
+	return m.spilled(l)
+}
+
+// spilled is of for a slot whose label is outside the dictionary: matched
+// by its string, on every call.
+func (m *rpqStates) spilled(l int32) []uint64 {
+	m.spill = zeroed(m.spill, m.words)
+	m.fill(m.spill, m.f.Label(l))
+	return m.spill
+}
+
+// rpqScratch is one LocalEvalRPQ call's scratch. The product's words are
+// total·|Vq| long — about 0.5 MB a fragment at reach_cut's shape — too
+// much to allocate per query and too much to keep per fragment or site, so
+// scratch lives in rpqScratchPool, which the collector empties. Between
+// calls every word of seen, cur and nxt is zero.
+type rpqScratch struct {
+	states       rpqStates
+	next         []uint64 // state × words: Next(u) without Final
+	toFinal      []bool   // state: Final ∈ Next(u)
+	seen, cur    []uint64 // product node l·|Vq| + u → sources
+	nxt          []uint64
+	front, after []int32 // product nodes
+	touched      []int32 // product nodes whose seen word is set
+	iset         []uint64
+	ents, src    []rpqEntry
+	terms        [64][]graph.NodeID
+}
+
+var rpqScratchPool = sync.Pool{New: func() any { return new(rpqScratch) }}
+
+// prepare sizes the scratch for f and a and works out a's states and
+// transitions as words.
+func (sc *rpqScratch) prepare(f *fragment.Fragment, a *automaton.Automaton) {
+	sc.states.init(f, a)
+	nq, words := a.NumStates(), sc.states.words
+	sc.next = zeroed(sc.next, nq*words)
+	sc.toFinal = zeroed(sc.toFinal, nq)
+	for u := 0; u < nq; u++ {
+		for _, u2 := range a.Next(u) {
+			if u2 == automaton.Final {
+				sc.toFinal[u] = true
+			} else {
+				sc.next[u*words+u2/64] |= 1 << (u2 % 64)
 			}
 		}
 	}
+	if n := f.NumTotal() * nq; cap(sc.seen) < n {
+		sc.seen, sc.cur, sc.nxt = make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	} else {
+		sc.seen, sc.cur, sc.nxt = sc.seen[:n], sc.cur[:n], sc.nxt[:n]
+	}
+}
+
+// search runs the frontier cut from up to 64 distinct entries at once, as
+// cutRows does over the fragment: bit i of a product node's word stands for
+// src[i]. A boundary pair (b, u) reached past the entries closes its
+// branch as the term X(b, u) of every entry whose bit arrives; an edge into
+// (t, Final) (lt: t's slot, or -1) sets the entry's bit of the word it
+// returns. Afterwards terms[i] holds src[i]'s terms, and top is at least
+// every node they name.
+func (sc *rpqScratch) search(f *fragment.Fragment, nq int, lt int32, src []rpqEntry, top *graph.NodeID) (hit uint64) {
+	words, nq32 := sc.states.words, int32(nq)
+	front, touched := sc.front[:0], sc.touched[:0]
+	for i, e := range src {
+		sc.terms[i] = sc.terms[i][:0]
+		p := e.l*nq32 + e.u
+		sc.cur[p] = 1 << i
+		front = append(front, p)
+		if !f.IsBoundary(e.l) {
+			// An interior entry is expanded once; a boundary one is a term
+			// of its own equation when a cycle leads back to it.
+			sc.seen[p] = 1 << i
+			touched = append(touched, p)
+		}
+	}
+	for d := 0; len(front) > 0; d++ {
+		after := sc.after[:0]
+		for _, p := range front {
+			word := sc.cur[p]
+			sc.cur[p] = 0
+			l, u := p/nq32, int(p%nq32)
+			if d > 0 && f.IsBoundary(l) {
+				g := f.Global(l)
+				*top = max(*top, g)
+				key := rpqKey(g, u, nq)
+				for m := word; m != 0; m &= m - 1 {
+					i := bits.TrailingZeros64(m)
+					sc.terms[i] = append(sc.terms[i], key)
+				}
+				continue
+			}
+			next, toFinal := sc.next[u*words:(u+1)*words], sc.toFinal[u]
+			for _, w := range f.Out(l) {
+				if toFinal && w == lt {
+					hit |= word
+				}
+				for k, match := range sc.states.of(w) {
+					for m := next[k] & match; m != 0; m &= m - 1 {
+						q := w*nq32 + int32(k*64+bits.TrailingZeros64(m))
+						nb := word &^ sc.seen[q]
+						if nb == 0 {
+							continue
+						}
+						if sc.seen[q] == 0 {
+							touched = append(touched, q)
+						}
+						sc.seen[q] |= nb
+						if sc.nxt[q] == 0 {
+							after = append(after, q)
+						}
+						sc.nxt[q] |= nb
+					}
+				}
+			}
+		}
+		sc.cur, sc.nxt = sc.nxt, sc.cur
+		sc.front, sc.after = after, front
+		front = after
+	}
+	for _, p := range touched {
+		sc.seen[p] = 0
+	}
+	sc.touched = touched
+	return hit
+}
+
+// zeroed returns s cleared to length n, reusing its storage when it can.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -233,6 +233,15 @@ func (f *Fragment) invalidateSCC() {
 // Label returns the label of local node l.
 func (f *Fragment) Label(l int32) string { return f.labs.get(l) }
 
+// LabelCode returns the position of slot l's label in LabelDict, or false
+// when the label did not fit the dictionary's 256 ids; read such a label
+// with Label.
+func (f *Fragment) LabelCode(l int32) (uint8, bool) { return f.labs.code(l) }
+
+// LabelDict returns the labels LabelCode indexes, at most 256. Callers must
+// not modify it.
+func (f *Fragment) LabelDict() []string { return f.labs.dict[:min(len(f.labs.dict), 256)] }
+
 // InNodes returns Fi.I as local indices, sorted ascending. Callers must not
 // modify the returned slice.
 func (f *Fragment) InNodes() []int32 { return f.inNodes }

@@ -1,6 +1,7 @@
 package fragment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -300,5 +301,36 @@ func TestFragmentSizesSumToGraph(t *testing.T) {
 	}
 	if edges != g.NumEdges() || nodes != g.NumNodes() {
 		t.Fatalf("fragments carry %d/%d, graph has %d/%d", nodes, edges, g.NumNodes(), g.NumEdges())
+	}
+}
+
+// TestLabelTableSpill: past 256 distinct labels the extras spill to a map.
+// code says so, get still reads every slot right, and relabelling a
+// spilled slot with a dictionary label or truncating it away takes it out
+// of the spill again, down to an empty spill map.
+func TestLabelTableSpill(t *testing.T) {
+	lt := newLabelTable(0)
+	want := make([]string, 300)
+	for i := range want {
+		want[i] = fmt.Sprintf("L%d", i)
+		lt.append(want[i])
+	}
+	for l, s := range want {
+		if got := lt.get(int32(l)); got != s {
+			t.Fatalf("slot %d reads %q, want %q", l, got, s)
+		}
+		if id, ok := lt.code(int32(l)); ok != (l < 256) || ok && lt.dict[id] != s {
+			t.Fatalf("slot %d: code %d, %v", l, id, ok)
+		}
+	}
+	lt.set(299, "L7")
+	if id, ok := lt.code(299); !ok || lt.dict[id] != "L7" || lt.get(299) != "L7" {
+		t.Fatalf("relabelled slot 299: code %d, %v, label %q", id, ok, lt.get(299))
+	}
+	if lt.truncate(280); len(lt.spill) != 24 {
+		t.Fatalf("%d spilled slots below 280, want 24", len(lt.spill))
+	}
+	if lt.truncate(256); len(lt.spill) != 0 {
+		t.Fatalf("%d spilled slots below 256", len(lt.spill))
 	}
 }

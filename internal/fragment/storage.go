@@ -189,10 +189,23 @@ func (lt *labelTable) len() int { return len(lt.of) }
 
 // get returns the label of slot l.
 func (lt *labelTable) get(l int32) string {
-	if s, ok := lt.spill[l]; ok {
-		return s
+	if id, ok := lt.code(l); ok {
+		return lt.dict[id]
 	}
-	return lt.dict[lt.of[l]]
+	return lt.spill[l]
+}
+
+// code returns the dictionary id of slot l's label, or false when the
+// label is spilled. The spill map is consulted only when it holds
+// anything, which keeps a map lookup off every read of a fragment with at
+// most 256 distinct labels.
+func (lt *labelTable) code(l int32) (uint8, bool) {
+	if len(lt.spill) != 0 {
+		if _, ok := lt.spill[l]; ok {
+			return 0, false
+		}
+	}
+	return lt.of[l], true
 }
 
 // intern returns the dictionary id for s, or -1 when the dictionary is

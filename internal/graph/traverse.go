@@ -175,9 +175,8 @@ func (g *Graph) SCC() (comp []int32, n int) { return SCCOf(g.NumNodes(), g.Out) 
 // topological order of the condensation: an edge between two components
 // goes from the lower ID to the higher. Kosaraju yields that order as it
 // goes (the second pass starts from the node that finished last, which
-// lies in a source component); Condensation and LocalEvalRPQ's reverse
-// sweep rely on it, and an SCC algorithm that finds components sinks first
-// (Tarjan's) would have to renumber them to keep it.
+// lies in a source component); an SCC algorithm that finds components
+// sinks first (Tarjan's) would have to renumber them to keep it.
 func SCCOf[T ~int32](n int, out func(T) []T) (comp []int32, nc int) {
 	post := dfsPostorder(n, out)
 	// The reverse adjacency, flat: in[off[v]:off[v+1]] are v's in-neighbors.
@@ -226,27 +225,4 @@ func SCCOf[T ~int32](n int, out func(T) []T) (comp []int32, nc int) {
 		c++
 	}
 	return comp, int(c)
-}
-
-// Condensation returns the DAG of strongly connected components: comp maps
-// nodes to component IDs as SCC numbers them — in topological order, so
-// every edge of dag goes from a lower ID to a higher one — and dag is the
-// component graph with one node per SCC, labeled "".
-func (g *Graph) Condensation() (comp []int32, dag *Graph) {
-	comp, nc := g.SCC()
-	b := NewBuilder(nc)
-	b.AddNodes(nc, "")
-	seen := make(map[int64]struct{})
-	g.Edges(func(u, v NodeID) bool {
-		cu, cv := comp[u], comp[v]
-		if cu != cv {
-			key := int64(cu)<<32 | int64(uint32(cv))
-			if _, ok := seen[key]; !ok {
-				seen[key] = struct{}{}
-				b.AddEdge(NodeID(cu), NodeID(cv))
-			}
-		}
-		return true
-	})
-	return comp, b.MustBuild()
 }
