@@ -79,7 +79,7 @@ func BenchmarkTable2(b *testing.B) {
 		b.Run(name+"/disReach", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := f.qs[i%len(f.qs)]
-				core.DisReach(cl, f.fr, q.S, q.T, nil)
+				core.DisReach(cl, f.fr, q.S, q.T)
 			}
 		})
 		b.Run(name+"/disReachn", func(b *testing.B) {
@@ -106,7 +106,7 @@ func BenchmarkFig11a(b *testing.B) {
 		b.Run(fmt.Sprintf("card=%d/disReach", card), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := f.qs[i%len(f.qs)]
-				core.DisReach(cl, f.fr, q.S, q.T, nil)
+				core.DisReach(cl, f.fr, q.S, q.T)
 			}
 		})
 		b.Run(fmt.Sprintf("card=%d/disReachm", card), func(b *testing.B) {
@@ -150,7 +150,7 @@ func BenchmarkFig11b(b *testing.B) {
 		b.Run(fmt.Sprintf("sizeF=%d/disReach", sizeF), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := f.qs[i%len(f.qs)]
-				core.DisReach(cl, f.fr, q.S, q.T, nil)
+				core.DisReach(cl, f.fr, q.S, q.T)
 			}
 		})
 	}
@@ -163,7 +163,7 @@ func BenchmarkFig11c(b *testing.B) {
 	b.Run("disReach", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := f.qs[i%len(f.qs)]
-			core.DisReach(cl, f.fr, q.S, q.T, nil)
+			core.DisReach(cl, f.fr, q.S, q.T)
 		}
 	})
 	b.Run("disReachm", func(b *testing.B) {
@@ -352,7 +352,7 @@ func BenchmarkAblationIndex(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := f.qs[i%len(f.qs)]
 				for _, frag := range f.fr.Fragments() {
-					core.SourceOnlyReach(frag, q.S, q.T, opt)
+					core.SourceOnlyReach(frag, q.S, q.T)
 					core.TargetOnlyReach(frag, q.T, opt)
 				}
 			}
@@ -424,7 +424,7 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 			var bytes int64
 			for i := 0; i < b.N; i++ {
 				q := qs[i%len(qs)]
-				bytes += core.DisReach(cl, fr, q.S, q.T, nil).Report.Bytes
+				bytes += core.DisReach(cl, fr, q.S, q.T).Report.Bytes
 			}
 			b.ReportMetric(float64(bytes)/float64(b.N), "bytes/query")
 			b.ReportMetric(float64(fr.Vf()), "Vf")

@@ -269,7 +269,6 @@ type wireJSON struct {
 	FramesReceived    int64 `json:"frames_received"`
 	RoundTripMicros   int64 `json:"round_trip_us"`
 	FirstAnswerMicros int64 `json:"first_answer_us"`
-	CancelFrames      int64 `json:"cancel_frames,omitempty"`
 	EarlyTerminated   bool  `json:"early_terminated,omitempty"`
 	RowsReplies       int64 `json:"rows_replies,omitempty"` // sites that shipped their boundary rows, in full or as a delta
 	RowsDeltas        int64 `json:"rows_deltas,omitempty"`  // those that shipped a delta
@@ -283,7 +282,6 @@ func toWireJSON(st netsite.WireStats) *wireJSON {
 		FramesReceived:    st.FramesReceived,
 		RoundTripMicros:   st.RoundTrip.Microseconds(),
 		FirstAnswerMicros: st.FirstAnswer.Microseconds(),
-		CancelFrames:      st.CancelFrames,
 		EarlyTerminated:   st.EarlyTerminated,
 		RowsReplies:       st.RowsReplies,
 		RowsDeltas:        st.RowsDeltas,
@@ -903,7 +901,6 @@ func (g *gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	anytime := map[string]any{
 		"enabled":            g.co.Anytime(),
 		"early_terminations": ast.EarlyTerminations,
-		"cancels_sent":       ast.CancelsSent,
 		// Per-site straggler histogram: rounds decided before that site's
 		// reply arrived. The site dominating it is the one slowing full
 		// rounds down.

@@ -728,7 +728,7 @@ func wireTotal(t *testing.T, url string) int64 {
 // the gateway's byte totals — a reply reports its own round, no more.
 func TestGatewayConcurrentMisses(t *testing.T) {
 	gw, g, srv := testGateway(t)
-	gw.co.SetAnytime(false) // no cancel frames land after a reply is written
+	gw.co.SetAnytime(false) // no straggler replies land after a reply is written
 	before := wireTotal(t, srv.URL)
 
 	const n = 8
@@ -902,8 +902,8 @@ func TestGatewayAnytimeStats(t *testing.T) {
 	if fa := time.Duration(wire["first_answer_us"].(float64)) * time.Microsecond; fa <= 0 || fa >= slow {
 		t.Fatalf("first_answer_us = %v, want positive and ahead of the straggler", fa)
 	}
-	if int64(wire["cancel_frames"].(float64)) < 1 {
-		t.Fatalf("wire JSON reports no cancel frames: %v", wire)
+	if _, ok := wire["cancel_frames"]; ok {
+		t.Fatalf("wire JSON reports cancel frames, which no round writes: %v", wire)
 	}
 
 	st := getJSON(t, srv.URL+"/stats", 200)
@@ -917,8 +917,8 @@ func TestGatewayAnytimeStats(t *testing.T) {
 	if n := int64(at["early_terminations"].(float64)); n < 1 {
 		t.Fatalf("early_terminations = %d, want >= 1", n)
 	}
-	if n := int64(at["cancels_sent"].(float64)); n < 1 {
-		t.Fatalf("cancels_sent = %d, want >= 1", n)
+	if _, ok := at["cancels_sent"]; ok {
+		t.Fatalf("anytime section reports cancels_sent, which no round writes: %v", at)
 	}
 	str, ok := at["stragglers"].([]any)
 	if !ok || len(str) != 3 {

@@ -53,7 +53,7 @@ func newGwObs(co *netsite.Coordinator) *gwObs {
 	ob.auditor.Register(reg)
 	co.SetAuditor(ob.auditor)
 	reg.GaugeFunc("gateway_wire_sent_bytes_total",
-		"Bytes written to site connections since dial, frames and cancels included.",
+		"Bytes written to site connections since dial, preambles included.",
 		func() float64 { s, _ := co.WireTotals(); return float64(s) })
 	reg.GaugeFunc("gateway_wire_received_bytes_total",
 		"Bytes read from site connections since dial, late drained frames included.",
@@ -61,9 +61,6 @@ func newGwObs(co *netsite.Coordinator) *gwObs {
 	reg.GaugeFunc("gateway_anytime_early_terminations_total",
 		"Anytime rounds answered before every site finished.",
 		func() float64 { return float64(co.AnytimeStats().EarlyTerminations) })
-	reg.GaugeFunc("gateway_anytime_cancels_total",
-		"Cancel ('C') frames sent to straggler sites.",
-		func() float64 { return float64(co.AnytimeStats().CancelsSent) })
 	for i := 0; i < co.NumSites(); i++ {
 		i := i
 		reg.GaugeFuncVec("gateway_site_straggler_rounds",

@@ -164,7 +164,7 @@ func CompileRegex(expr string) (*Automaton, error) {
 // Reach evaluates the reachability query qr(s, t): can s reach t?
 // It runs algorithm disReach: one visit per site, O(|Vf|²) traffic.
 func Reach(cl *Cluster, fr *Fragmentation, s, t NodeID) Result {
-	return core.DisReach(cl, fr, s, t, nil)
+	return core.DisReach(cl, fr, s, t)
 }
 
 // ReachWithin evaluates the bounded reachability query qbr(s, t, l): is

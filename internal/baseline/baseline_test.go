@@ -89,7 +89,7 @@ func TestBaselinesAgreeWithCore(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		_, fr, s, tt := randomCase(rng, testLabels)
 		cl := cluster.New(fr.Card(), cluster.NetModel{})
-		r1 := core.DisReach(cl, fr, s, tt, nil).Answer
+		r1 := core.DisReach(cl, fr, s, tt).Answer
 		if r2 := DisReachN(cl, fr, s, tt).Answer; r1 != r2 {
 			t.Fatalf("trial %d: disReach=%v disReachn=%v", trial, r1, r2)
 		}
@@ -125,7 +125,7 @@ func TestDisReachMVisitsManySites(t *testing.T) {
 		t.Skip("no deep positive query in generated graph")
 	}
 	mRep := DisReachM(cl, fr, s, tt).Report
-	pRep := core.DisReach(cl, fr, s, tt, nil).Report
+	pRep := core.DisReach(cl, fr, s, tt).Report
 	if pRep.MaxVisits != 1 {
 		t.Fatalf("disReach max visits = %d, want 1", pRep.MaxVisits)
 	}

@@ -296,7 +296,7 @@ func TestDriverReportsUnchanged(t *testing.T) {
 	}
 	var reach, dist, rpq reportTally
 	for _, q := range qs {
-		reach.add(DisReach(cl, fr, q[0], q[1], nil).Report)
+		reach.add(DisReach(cl, fr, q[0], q[1]).Report)
 		dist.add(DisDist(cl, fr, q[0], q[1], 6).Report)
 		rpq.add(DisRPQ(cl, fr, q[0], q[1], automaton.FromRegex(randomRegex(rng, 3))).Report)
 	}
@@ -355,7 +355,7 @@ func TestSourceEqMatchesLocalEval(t *testing.T) {
 		{"plain source, local target", 2, 4, &boolEq{node: 2, truth: true, vars: []graph.NodeID{5}}},
 	} {
 		var got boolEq
-		own := SourceOnlyReach(f, c.s, c.tt, nil)
+		own := SourceOnlyReach(f, c.s, c.tt)
 		ok := own != nil
 		if ok {
 			got = boolEqs(own)[0]
@@ -376,7 +376,7 @@ func TestSourceEqMatchesLocalEval(t *testing.T) {
 	// with the target, itself an in-node. SourceOnlyReach aliases Xs = Xt (true by
 	// t's own equation); localEval never aliases to t and searches instead.
 	// Both decide the same.
-	alias := boolEqs(SourceOnlyReach(f, 1, 0, nil))[0]
+	alias := boolEqs(SourceOnlyReach(f, 1, 0))[0]
 	searched, _ := fromLocalEval(1, 0)
 	if len(alias.vars) != 1 || alias.vars[0] != 0 || !searched.truth {
 		t.Fatalf("source in the target's SCC: SourceOnlyReach %+v, LocalEvalReach %+v", alias, searched)
@@ -395,7 +395,7 @@ func rowsAndQueryPart(rows []*Rows, frags []*fragment.Fragment, s, t graph.NodeI
 	sys := bes.New[graph.NodeID]()
 	for site, f := range frags {
 		rows[site].AddToSystemFrom(site, sys)
-		SourceOnlyReach(f, s, t, opt).AddToSystemFrom(site, sys)
+		SourceOnlyReach(f, s, t).AddToSystemFrom(site, sys)
 		TargetOnlyReach(f, t, opt).AddToSystemFrom(site, sys)
 	}
 	return sys.Decide(s)
@@ -408,7 +408,7 @@ func rowsAndDistPart(rows []*Rows, frags []*fragment.Fragment, s, t graph.NodeID
 	sys := bes.NewWeighted[graph.NodeID]()
 	sys.AddConst(t, 0)
 	for site, f := range frags {
-		for _, rv := range []*Rows{rows[site], DistQueryPart(f, s, t, l, nil)} {
+		for _, rv := range []*Rows{rows[site], DistQueryPart(f, s, t, l)} {
 			for i := 0; i < rv.NumEqs(); i++ {
 				node, cons, vars, ws := rv.Eq(i)
 				if node == t {
@@ -448,7 +448,7 @@ func TestLocalRowsMatchCutDist(t *testing.T) {
 			if len(f.InNodes()) > 64 {
 				batches++
 			}
-			rv := LocalRows(f, nil)
+			rv := LocalRows(f)
 			if rv.NumEqs() != len(f.InNodes()) {
 				t.Fatalf("seed %d fragment %d: %d rows for %d in-nodes", seed, fi, rv.NumEqs(), len(f.InNodes()))
 			}
@@ -456,7 +456,7 @@ func TestLocalRowsMatchCutDist(t *testing.T) {
 			for i := 0; i < rv.NumEqs(); i++ {
 				node, cons, vars, ws := rv.Eq(i)
 				v, _ := f.Local(node)
-				bfs.from(f, v, graph.None, unbounded, nil)
+				bfs.from(f, v, graph.None, unbounded)
 				got, want := make([]term, len(vars)), make([]term, len(bfs.vars))
 				for j := range vars {
 					got[j] = term{vars[j], ws[j]}
@@ -502,7 +502,7 @@ func TestRowsPlusQueryPartMatchesLocalEval(t *testing.T) {
 	frags := fr.Fragments()
 	rows := make([]*Rows, len(frags))
 	for i, f := range frags {
-		rows[i] = LocalRows(f, nil)
+		rows[i] = LocalRows(f)
 	}
 	for _, c := range []struct {
 		name string
@@ -558,7 +558,7 @@ func TestRowsPlusQueryPartMatchesLocalEval(t *testing.T) {
 	}
 	frags = fr.Fragments()
 	for i, f := range frags {
-		rows[i] = LocalRows(f, nil)
+		rows[i] = LocalRows(f)
 	}
 	fr.Compact()
 	for _, s := range []graph.NodeID{4, 5} {
@@ -579,7 +579,7 @@ func TestRowsPlusQueryPartMatchesLocalEval(t *testing.T) {
 		frags := fr.Fragments()
 		rows := make([]*Rows, len(frags))
 		for i, f := range frags {
-			rows[i] = LocalRows(f, opt)
+			rows[i] = LocalRows(f)
 		}
 		for s := graph.NodeID(0); int(s) < n; s++ {
 			for tt := graph.NodeID(0); int(tt) < n; tt++ {

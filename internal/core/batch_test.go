@@ -26,7 +26,7 @@ func TestQuickDisReach(t *testing.T) {
 		s := graph.NodeID(int(sRaw) % n)
 		tt := graph.NodeID(int(tRaw) % n)
 		cl := cluster.New(fr.Card(), cluster.NetModel{})
-		return DisReach(cl, fr, s, tt, nil).Answer == g.Reachable(s, tt)
+		return DisReach(cl, fr, s, tt).Answer == g.Reachable(s, tt)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestSharedTargetSplitMatchesSingle(t *testing.T) {
 			splitParts := make([]*Rows, 0, 2*len(frags))
 			singleParts := make([]*Rows, len(frags))
 			for fi, f := range frags {
-				splitParts = append(splitParts, bases[fi], SourceOnlyReach(f, s, tt, nil))
+				splitParts = append(splitParts, bases[fi], SourceOnlyReach(f, s, tt))
 				singleParts[fi] = LocalEvalReach(f, s, tt, nil)
 			}
 			got := s == tt || SolveReach(splitParts, s)
@@ -129,14 +129,14 @@ func TestNonOwnerQueryPartsEmpty(t *testing.T) {
 						}
 						where := fmt.Sprintf("trial %d (%s, k=%d, index off %v): fragment %d, s=%d (owner %d), t=%d (owner %d)",
 							trial, kind, k, opt.NoFragmentIndex, f.ID, s, fr.Owner(s), tt, fr.Owner(tt))
-						if p := SourceOnlyReach(f, s, tt, opt); p.NumEqs() != 0 {
+						if p := SourceOnlyReach(f, s, tt); p.NumEqs() != 0 {
 							t.Fatalf("%s: SourceOnlyReach returned %d equations", where, p.NumEqs())
 						}
 						if p := TargetOnlyReach(f, tt, opt); p.NumEqs() != 0 {
 							t.Fatalf("%s: TargetOnlyReach returned %d equations", where, p.NumEqs())
 						}
 						for l := 1; l <= 4; l++ {
-							if p := DistQueryPart(f, s, tt, l, opt); p.NumEqs() != 0 {
+							if p := DistQueryPart(f, s, tt, l); p.NumEqs() != 0 {
 								t.Fatalf("%s: DistQueryPart(l=%d) returned %d equations", where, l, p.NumEqs())
 							}
 						}

@@ -54,7 +54,7 @@ func figure1Graph(t *testing.T) (*graph.Graph, *fragment.Fragmentation, map[stri
 func TestDisReachFigure1(t *testing.T) {
 	_, fr, ids := figure1Graph(t)
 	cl := cluster.New(3, cluster.NetModel{})
-	res := DisReach(cl, fr, ids["Ann"], ids["Mark"], nil)
+	res := DisReach(cl, fr, ids["Ann"], ids["Mark"])
 	if !res.Answer {
 		t.Fatal("Ann should reach Mark (Example 3)")
 	}
@@ -64,10 +64,10 @@ func TestDisReachFigure1(t *testing.T) {
 			t.Errorf("site %d visited %d times, want 1", i, v)
 		}
 	}
-	if res := DisReach(cl, fr, ids["Mark"], ids["Ann"], nil); res.Answer {
+	if res := DisReach(cl, fr, ids["Mark"], ids["Ann"]); res.Answer {
 		t.Fatal("Mark must not reach Ann")
 	}
-	if res := DisReach(cl, fr, ids["Tom"], ids["Jack"], nil); res.Answer {
+	if res := DisReach(cl, fr, ids["Tom"], ids["Jack"]); res.Answer {
 		t.Fatal("Tom is a sink; must not reach Jack")
 	}
 }
@@ -139,7 +139,7 @@ func TestDisReachMatchesCentralizedBFS(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		g, fr, s, tt := randomCase(rng, nil)
 		cl := cluster.New(fr.Card(), cluster.NetModel{})
-		got := DisReach(cl, fr, s, tt, nil).Answer
+		got := DisReach(cl, fr, s, tt).Answer
 		want := g.Reachable(s, tt)
 		if got != want {
 			t.Fatalf("trial %d: disReach(%d,%d)=%v, BFS=%v on %v, %v",
@@ -232,7 +232,7 @@ func TestVisitGuaranteeHoldsOnEveryRun(t *testing.T) {
 		}
 		cl := cluster.New(fr.Card(), cluster.NetModel{})
 		for name, rep := range map[string]cluster.Report{
-			"disReach": DisReach(cl, fr, s, tt, nil).Report,
+			"disReach": DisReach(cl, fr, s, tt).Report,
 			"disDist":  DisDist(cl, fr, s, tt, 5).Report,
 			"disRPQ": DisRPQ(cl, fr, s, tt,
 				automaton.FromRegex(rx.MustParse("A*|B C*"))).Report,
@@ -280,8 +280,8 @@ func TestTrafficIndependentOfGraphSize(t *testing.T) {
 	frSmall, s1, t1 := build(5)
 	frLarge, s2, t2 := build(500)
 	cl := cluster.New(2, cluster.NetModel{})
-	small := DisReach(cl, frSmall, s1, t1, nil).Report
-	large := DisReach(cl, frLarge, s2, t2, nil).Report
+	small := DisReach(cl, frSmall, s1, t1).Report
+	large := DisReach(cl, frLarge, s2, t2).Report
 	if small.Bytes != large.Bytes {
 		t.Fatalf("traffic grew with graph size: %d -> %d bytes (|Vf| fixed)", small.Bytes, large.Bytes)
 	}

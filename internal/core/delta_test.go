@@ -42,12 +42,12 @@ func TestRowsDeltaPatch(t *testing.T) {
 			rows := make([]*Rows, k)
 			gens := make([]uint64, k)
 			for i, f := range fr.Fragments() {
-				rows[i], gens[i] = LocalRows(f, nil), f.Generation()
+				rows[i], gens[i] = LocalRows(f), f.Generation()
 			}
 			for step := 0; step < 12; step++ {
 				what := deltaStep(t, fr, rng, labels, step)
 				for i, f := range fr.Fragments() {
-					cur := LocalRows(f, nil)
+					cur := LocalRows(f)
 					want, _ := cur.MarshalBinary()
 					d := Diff(rows[i], cur)
 					if f.Generation() == gens[i] {
@@ -228,7 +228,7 @@ func BenchmarkRowsDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	f := fr.Fragments()[0]
-	old := LocalRows(f, nil)
+	old := LocalRows(f)
 	// The first edge from another fragment into fragment 0 that changes
 	// its rows.
 	var cur *Rows
@@ -240,7 +240,7 @@ func BenchmarkRowsDelta(b *testing.B) {
 		if _, err := fr.Apply([]fragment.Op{{Kind: fragment.OpInsertEdge, U: u, V: v}}); err != nil {
 			b.Fatal(err)
 		}
-		if rv := LocalRows(f, nil); Diff(old, rv).Changed.NumEqs() > 0 {
+		if rv := LocalRows(f); Diff(old, rv).Changed.NumEqs() > 0 {
 			cur = rv
 		}
 	}

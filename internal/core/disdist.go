@@ -62,7 +62,7 @@ func LocalEvalDist(f *fragment.Fragment, s, t graph.NodeID, l int) *Rows {
 		}
 		// Frontier cut (see localEval): a boundary node's own min-equation
 		// continues the path, so the BFS emits Xg + d there and stops.
-		bfs.from(f, v, t, l, nil)
+		bfs.from(f, v, t, l)
 		rv.add(f.Global(v), bfs.cons, bfs.vars, bfs.ws)
 	}
 	return rv

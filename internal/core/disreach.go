@@ -21,7 +21,7 @@ type Result struct {
 // fr deployed on cl (algorithm disReach, Fig. 3). It visits each site
 // exactly once, ships O(|Vf|²) bits in total, and runs local evaluation on
 // all fragments in parallel.
-func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID, opt *Options) Result {
+func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID) Result {
 	run := cl.NewRun()
 	if s == t {
 		// dist(s, s) = 0; no communication needed.
@@ -29,7 +29,7 @@ func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID
 	}
 	var ans bool
 	threePhase(run, fr.Fragments(), querySize,
-		func(f *fragment.Fragment) *Rows { return LocalEvalReach(f, s, t, opt) },
+		func(f *fragment.Fragment) *Rows { return LocalEvalReach(f, s, t, nil) },
 		ReachWireSize,
 		func(partial []*Rows) { ans = SolveReach(partial, s) })
 	return Result{Answer: ans, Report: run.Finish()}
@@ -56,27 +56,17 @@ func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID
 // With s = t = graph.None the result is the fragment's in-node equations
 // alone. The wire runtime ships LocalRows instead — the same cut at every
 // boundary node, without aliasing, and weighted — with SourceOnlyReach and
-// TargetOnlyReach for the part that depends on the query. A nil opt means
-// defaults.
-//
-// When opt.Cancel fires mid-evaluation the partial is abandoned and nil is
-// returned; callers running under cooperative cancellation must treat nil
-// as "no reply owed".
+// TargetOnlyReach for the part that depends on the query. No option
+// changes what it computes: opt is read by nothing.
 func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Rows {
 	iset := isetOf(f, s)
 	rv := newRows(len(iset), false)
 	if len(iset) == 0 {
 		return rv
 	}
-	ev := newLocalEval(f, t, opt)
+	ev := newLocalEval(f, t)
 	for _, v := range iset {
-		if ev.opt.cancelled() {
-			return nil
-		}
-		truth, vars, ok := ev.equation(v)
-		if !ok {
-			return nil
-		}
+		truth, vars := ev.equation(v)
 		rv.add(f.Global(v), truthCons(truth), vars, nil)
 	}
 	return rv
@@ -85,9 +75,8 @@ func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Rows
 // localEval is the state of one local evaluation against target t: how the
 // equation of a single node is produced.
 type localEval struct {
-	f   *fragment.Fragment
-	t   graph.NodeID
-	opt *Options
+	f *fragment.Fragment
+	t graph.NodeID
 	// Equation aliasing: in-nodes in the same local SCC reach exactly the
 	// same boundary nodes, so only one representative per SCC needs a full
 	// equation; the rest ship the two-word alias Xv = Xrep. This keeps the
@@ -102,28 +91,28 @@ type localEval struct {
 	alias [1]graph.NodeID
 }
 
-func newLocalEval(f *fragment.Fragment, t graph.NodeID, opt *Options) *localEval {
-	return &localEval{f: f, t: t, opt: opt, comp: f.LocalSCC(), repOf: make([]int32, f.NumTotal())}
+func newLocalEval(f *fragment.Fragment, t graph.NodeID) *localEval {
+	return &localEval{f: f, t: t, comp: f.LocalSCC(), repOf: make([]int32, f.NumTotal())}
 }
 
 // equation produces the equation of local node v, Xv = truth ∨ (∨ vars):
 // an alias when an earlier in-node of v's SCC has one, else a frontier-cut
-// BFS. It reports false only when the BFS was cancelled. vars is read-only
-// and valid until the next call: the caller copies it or only reads it.
-func (ev *localEval) equation(v int32) (truth bool, vars []graph.NodeID, ok bool) {
+// BFS. vars is read-only and valid until the next call: the caller copies
+// it or only reads it.
+func (ev *localEval) equation(v int32) (truth bool, vars []graph.NodeID) {
 	f, t := ev.f, ev.t
 	if f.Global(v) == t {
 		// Xt is trivially true (t reaches itself). This must precede
 		// aliasing: if t shares an SCC with other in-nodes, they may
 		// alias to Xt, and Xt itself must never be an alias.
-		return true, nil, true
+		return true, nil
 	}
 	if rep := ev.repOf[ev.comp[v]]; rep != 0 {
 		ev.alias[0] = f.Global(rep - 1)
-		return false, ev.alias[:], true
+		return false, ev.alias[:]
 	}
 	ev.repOf[ev.comp[v]] = v + 1
-	return ev.bfs.from(f, v, t, ev.comp, ev.opt)
+	return ev.bfs.from(f, v, t, ev.comp)
 }
 
 // cutBFS is the frontier-cut BFS of localEval over the fragment-local
@@ -141,11 +130,8 @@ type cutBFS struct {
 
 // from computes the equation of local node v for target t: which boundary
 // nodes outside v's local SCC (comp) v reaches (vars, valid until the next
-// call), and whether it reaches t. This is the one potentially
-// long-running stretch of a local evaluation (an index probe is one
-// lookup), so it polls opt.Cancel every few hundred dequeues and reports
-// false when it fires.
-func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int32, opt *Options) (truth bool, vars []graph.NodeID, ok bool) {
+// call), and whether it reaches t.
+func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int32) (truth bool, vars []graph.NodeID) {
 	if b.seen == nil {
 		b.seen = make([]int32, f.NumTotal())
 	}
@@ -154,9 +140,6 @@ func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int3
 	queue := append(b.queue[:0], v)
 	b.seen[v] = b.stamp
 	for head := 0; head < len(queue); head++ {
-		if head&0xff == 0xff && opt.cancelled() {
-			return false, nil, false
-		}
 		x := queue[head]
 		if x != v { // v itself is never a disjunct of its own equation
 			if g := f.Global(x); g == t {
@@ -179,7 +162,7 @@ func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int3
 		}
 	}
 	b.queue, b.vars = queue, vars
-	return truth, vars, true
+	return truth, vars
 }
 
 // SourceOnlyReach returns a partial holding just the source equation of
@@ -192,11 +175,7 @@ func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int3
 // per-source part; together with TargetOnlyReach it is the part of the
 // answer that depends on the query at all, which is all a wire site ships
 // to a coordinator that already holds the fragment's rows.
-//
-// nil is also returned when opt.Cancel fires mid-BFS; callers running
-// under cooperative cancellation must re-check their cancel flag before
-// treating nil as "no equation owed".
-func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Rows {
+func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID) *Rows {
 	ls, ok := f.Local(s)
 	if !ok || f.IsVirtual(ls) || f.IsInNode(ls) {
 		return nil
@@ -218,10 +197,7 @@ func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Row
 		}
 	}
 	var bfs cutBFS
-	truth, vars, ok := bfs.from(f, ls, t, comp, opt)
-	if !ok {
-		return nil
-	}
+	truth, vars := bfs.from(f, ls, t, comp)
 	rv.add(s, truthCons(truth), vars, nil)
 	return rv
 }
@@ -248,9 +224,8 @@ func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *Row
 // the fragment and picked other representatives, and an equation per
 // member is right under any choice.
 //
-// It returns nil when there is nothing to say — t is not a real node of f,
-// or no in-node reaches it — and when opt.Cancel fires; callers running
-// under cooperative cancellation re-check their flag, as for SourceOnlyReach.
+// It returns nil when there is nothing to say: t is not a real node of f,
+// or no in-node reaches it.
 func TargetOnlyReach(f *fragment.Fragment, t graph.NodeID, opt *Options) *Rows {
 	lt, ok := f.Local(t)
 	if !ok || f.IsVirtual(lt) {
@@ -268,9 +243,6 @@ func TargetOnlyReach(f *fragment.Fragment, t graph.NodeID, opt *Options) *Rows {
 	var bfs cutBFS
 	var rv *Rows
 	for _, v := range f.InNodes() {
-		if opt.cancelled() {
-			return nil
-		}
 		c := comp[v]
 		if !evaluated[c] {
 			evaluated[c] = true
@@ -280,9 +252,7 @@ func TargetOnlyReach(f *fragment.Fragment, t graph.NodeID, opt *Options) *Rows {
 				reached, out = probe.Reaches(v, lt)
 				opt.count(out)
 				if out != reachindex.OutcomeHit {
-					if reached, _, ok = bfs.from(f, v, t, comp, opt); !ok {
-						return nil
-					}
+					reached, _ = bfs.from(f, v, t, comp)
 				}
 			}
 			reaches[c] = reached

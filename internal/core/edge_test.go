@@ -46,7 +46,7 @@ func TestCycleSpanningAllFragments(t *testing.T) {
 	// On a cycle every node reaches every node; distances are (j-i) mod n.
 	for i := graph.NodeID(0); i < 12; i++ {
 		for j := graph.NodeID(0); j < 12; j++ {
-			if !DisReach(cl, fr, i, j, nil).Answer {
+			if !DisReach(cl, fr, i, j).Answer {
 				t.Fatalf("cycle: %d should reach %d", i, j)
 			}
 			want := (int(j) - int(i) + 12) % 12
@@ -117,7 +117,7 @@ func TestEndpointsOnBoundary(t *testing.T) {
 				f.ID, len(f.InNodes()), f.NumLocal())
 		}
 	}
-	if !DisReach(cl, fr, 0, 8, nil).Answer {
+	if !DisReach(cl, fr, 0, 8).Answer {
 		t.Fatal("boundary endpoints failed")
 	}
 	if d := DisDist(cl, fr, 0, 8, 9); d.Distance != 8 {
@@ -135,7 +135,7 @@ func TestSingleNodeAndTinyGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := cluster.New(1, cluster.NetModel{})
-	if !DisReach(cl, fr, 0, 0, nil).Answer {
+	if !DisReach(cl, fr, 0, 0).Answer {
 		t.Fatal("self reachability")
 	}
 	if res := DisDist(cl, fr, 0, 0, 0); !res.Answer || res.Distance != 0 {
@@ -178,7 +178,7 @@ func TestEmptyFragmentsTolerated(t *testing.T) {
 	cl := cluster.New(9, cluster.NetModel{})
 	for i := graph.NodeID(0); i < 5; i++ {
 		for j := graph.NodeID(0); j < 5; j++ {
-			if got, want := DisReach(cl, fr, i, j, nil).Answer, g.Reachable(i, j); got != want {
+			if got, want := DisReach(cl, fr, i, j).Answer, g.Reachable(i, j); got != want {
 				t.Fatalf("(%d,%d): %v want %v", i, j, got, want)
 			}
 		}
@@ -203,7 +203,7 @@ func TestConcurrentQueriesShareFragmentation(t *testing.T) {
 			for q := 0; q < 20; q++ {
 				s := graph.NodeID(rng.Intn(500))
 				tt := graph.NodeID(rng.Intn(500))
-				if DisReach(cl, fr, s, tt, nil).Answer != g.Reachable(s, tt) {
+				if DisReach(cl, fr, s, tt).Answer != g.Reachable(s, tt) {
 					errs <- "reach mismatch under concurrency"
 					return
 				}

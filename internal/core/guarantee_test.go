@@ -120,7 +120,7 @@ func TestVisitGuaranteeUnderEveryPartitioner(t *testing.T) {
 		}
 		cl := cluster.New(5, cluster.NetModel{})
 		reports := []cluster.Report{
-			DisReach(cl, fr, 0, 299, nil).Report,
+			DisReach(cl, fr, 0, 299).Report,
 			DisDist(cl, fr, 0, 299, 7).Report,
 			DisRPQ(cl, fr, 0, 299, a).Report,
 		}
@@ -204,7 +204,7 @@ func TestDisReachAliasCompression(t *testing.T) {
 	cl := cluster.New(2, cluster.NetModel{})
 	for i := graph.NodeID(0); i < 40; i++ {
 		for j := graph.NodeID(0); j < 40; j += 7 {
-			if got, want := DisReach(cl, fr, i, j, nil).Answer, g.Reachable(i, j); got != want {
+			if got, want := DisReach(cl, fr, i, j).Answer, g.Reachable(i, j); got != want {
 				t.Fatalf("(%d,%d): %v want %v", i, j, got, want)
 			}
 		}

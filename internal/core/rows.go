@@ -231,18 +231,15 @@ func distWireSize(rv *Rows) int {
 // each equation's terms in node order too. The rows are thus a function of
 // the fragment's nodes and edges alone, not of its local numbering or of
 // which in-nodes share a BFS: equal fragments give byte-identical rows,
-// and Diff finds only the equations that really changed. It returns nil
-// when opt.Cancel fires.
-func LocalRows(f *fragment.Fragment, opt *Options) *Rows {
+// and Diff finds only the equations that really changed.
+func LocalRows(f *fragment.Fragment) *Rows {
 	in := slices.Clone(f.InNodes())
 	slices.SortFunc(in, func(a, b int32) int { return int(f.Global(a)) - int(f.Global(b)) })
 	rv := newRows(len(in), true)
 	var bfs cutRows
 	for lo := 0; lo < len(in); lo += 64 {
 		src := in[lo:min(lo+64, len(in))]
-		if !bfs.from(f, src, opt) {
-			return nil
-		}
+		bfs.from(f, src)
 		for i, v := range src {
 			rv.add(f.Global(v), NoConst, bfs.vars[i], bfs.ws[i])
 		}
@@ -385,9 +382,8 @@ type cutRows struct {
 }
 
 // from runs the cut BFS from the distinct local nodes src (at most 64);
-// afterwards vars[i] and ws[i] hold src[i]'s terms. It polls opt.Cancel
-// every few hundred expanded nodes and reports false when it fires.
-func (b *cutRows) from(f *fragment.Fragment, src []int32, opt *Options) bool {
+// afterwards vars[i] and ws[i] hold src[i]'s terms.
+func (b *cutRows) from(f *fragment.Fragment, src []int32) {
 	if b.seen == nil {
 		n := f.NumTotal()
 		b.seen, b.cur, b.next = make([]uint64, n), make([]uint64, n), make([]uint64, n)
@@ -400,7 +396,6 @@ func (b *cutRows) from(f *fragment.Fragment, src []int32, opt *Options) bool {
 		b.cur[v] |= 1 << i
 		front = append(front, v)
 	}
-	polled := 0
 	for d := int32(0); len(front) > 0; d++ {
 		after := b.after[:0]
 		for _, x := range front {
@@ -414,11 +409,6 @@ func (b *cutRows) from(f *fragment.Fragment, src []int32, opt *Options) bool {
 					b.ws[i] = append(b.ws[i], d)
 				}
 				continue
-			}
-			if polled++; polled&0xff == 0 && opt.cancelled() {
-				clear(b.cur)
-				clear(b.next)
-				return false
 			}
 			for _, w := range f.Out(x) {
 				if nb := word &^ b.seen[w]; nb != 0 {
@@ -434,7 +424,6 @@ func (b *cutRows) from(f *fragment.Fragment, src []int32, opt *Options) bool {
 		b.front, b.after = after, front
 		front = after
 	}
-	return true
 }
 
 // DistQueryPart returns what f adds to its rows for qbr(s, t, l): s's own
@@ -446,16 +435,12 @@ func (b *cutRows) from(f *fragment.Fragment, src []int32, opt *Options) bool {
 // end at Xt, and the coordinator knows Xt = 0.) Together with every
 // fragment's rows it gives dist(s, t) whenever that is at most l.
 //
-// It returns nil when there is nothing to say, and when opt.Cancel fires;
-// callers under cooperative cancellation re-check their flag, as for
-// SourceOnlyReach.
-func DistQueryPart(f *fragment.Fragment, s, t graph.NodeID, l int, opt *Options) *Rows {
+// It returns nil when there is nothing to say.
+func DistQueryPart(f *fragment.Fragment, s, t graph.NodeID, l int) *Rows {
 	var rv *Rows
 	var bfs cutDist
 	if ls, ok := f.Local(s); ok && !f.IsVirtual(ls) && !f.IsInNode(ls) {
-		if !bfs.from(f, ls, t, l, opt) {
-			return nil
-		}
+		bfs.from(f, ls, t, l)
 		// Emitted even when empty: it says which fragment s's closure
 		// starts in.
 		rv = newRows(1, true)
@@ -463,9 +448,7 @@ func DistQueryPart(f *fragment.Fragment, s, t graph.NodeID, l int, opt *Options)
 	}
 	if lt, ok := f.Local(t); ok && !f.IsBoundary(lt) {
 		for _, v := range f.InNodes() {
-			if !bfs.from(f, v, t, l, opt) {
-				return nil
-			}
+			bfs.from(f, v, t, l)
 			if bfs.cons != NoConst {
 				if rv == nil {
 					rv = newRows(1, true)
@@ -493,9 +476,8 @@ type cutDist struct {
 // from runs the cut BFS from local node v for target t (graph.None: none)
 // under bound l: t reached at distance d <= l is the constant d and closes
 // its branch; a boundary node b at distance d < l is the term Xb + d and
-// closes its branch; nothing at depth l or beyond is expanded. It polls
-// opt.Cancel every few hundred dequeues and reports false when it fires.
-func (b *cutDist) from(f *fragment.Fragment, v int32, t graph.NodeID, l int, opt *Options) bool {
+// closes its branch; nothing at depth l or beyond is expanded.
+func (b *cutDist) from(f *fragment.Fragment, v int32, t graph.NodeID, l int) {
 	if b.dist == nil {
 		b.dist = make([]int32, f.NumTotal())
 		for i := range b.dist {
@@ -506,10 +488,6 @@ func (b *cutDist) from(f *fragment.Fragment, v int32, t graph.NodeID, l int, opt
 	b.dist[v] = 0
 	queue := append(b.queue[:0], v)
 	for head := 0; head < len(queue); head++ {
-		if head&0xff == 0xff && opt.cancelled() {
-			b.reset(queue)
-			return false
-		}
 		x := queue[head]
 		d := b.dist[x]
 		if x != v {
@@ -539,7 +517,6 @@ func (b *cutDist) from(f *fragment.Fragment, v int32, t graph.NodeID, l int, opt
 		}
 	}
 	b.reset(queue)
-	return true
 }
 
 // reset clears the distances of the nodes one search reached.

@@ -79,7 +79,7 @@ func TestRowsRoundTrip(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		_, fr, s, tt := randomCase(rng, nil)
 		for _, f := range fr.Fragments() {
-			for _, rv := range []*Rows{LocalRows(f, nil), DistQueryPart(f, s, tt, 1+rng.Intn(8), nil)} {
+			for _, rv := range []*Rows{LocalRows(f), DistQueryPart(f, s, tt, 1+rng.Intn(8))} {
 				if rv == nil {
 					continue
 				}
@@ -297,7 +297,7 @@ func BenchmarkCodecRows(b *testing.B) {
 		b.Fatal(err)
 	}
 	f := fr.Fragments()[0]
-	rows, err := LocalRows(f, nil).MarshalBinary()
+	rows, err := LocalRows(f).MarshalBinary()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func BenchmarkCodecRows(b *testing.B) {
 		if fr.Owner(s) != 0 || fr.Owner(t) != 0 {
 			continue
 		}
-		src, tgt := SourceOnlyReach(f, s, t, nil), TargetOnlyReach(f, t, nil)
+		src, tgt := SourceOnlyReach(f, s, t), TargetOnlyReach(f, t, nil)
 		if src.NumEqs() > 0 && tgt.NumEqs() > 0 {
 			part.Append(src)
 			part.Append(tgt)

@@ -45,7 +45,7 @@ func ablationIndex(cfg Config) (Table, error) {
 		start := time.Now()
 		for _, q := range qs {
 			for _, f := range fr.Fragments() {
-				core.SourceOnlyReach(f, q.S, q.T, opt)
+				core.SourceOnlyReach(f, q.S, q.T)
 				core.TargetOnlyReach(f, q.T, opt)
 			}
 		}

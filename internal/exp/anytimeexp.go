@@ -18,7 +18,8 @@ func init() {
 // anytimeFirstAnswer guards early decision: when one site is an order of
 // magnitude slower than the rest, a reach query whose certificate lives on
 // the fast sites answers at fast-site latency — decided on the fast sites'
-// replies, the straggler cancelled — instead of waiting the straggler out.
+// replies, the straggler's late reply drained — instead of waiting the
+// straggler out.
 // The deployment is the two-component skew topology built to show it — a
 // chain alternating between two fast fragments and an isolated chain owned
 // entirely by the straggler — so every reachable pair in the fast chain can
@@ -36,7 +37,8 @@ func anytimeFirstAnswer(cfg Config) (Table, error) {
 		Header: []string{"mode", "true queries", "early terminated", "first-ans p50", "first-ans p99", "p99 speedup", "mismatches"},
 		Notes: "Two-component topology: a chain alternating between two fast sites (4ms service time) and an isolated chain owned by " +
 			"one straggler site (80ms, a 20x skew). Reachable pairs inside the fast chain have their whole certificate on the fast " +
-			"sites; with anytime on, the fast sites' replies prove them and the round cancels the straggler, so first answer lands " +
+			"sites; with anytime on, the fast sites' replies prove them and the round returns without the straggler, whose late reply " +
+			"is drained, so first answer lands " +
 			"at fast-site latency. False cross-component pairs need every site's reply in both modes and serve as the mismatch " +
 			"cross-check (percentiles cover the true pairs only). Each site holds its own replica, so every round posts to every " +
 			"site. The acceptance bound is a ≥2x first-answer p99 cut.",

@@ -36,7 +36,7 @@ func coalescePlacement(cfg Config) (Table, error) {
 		cl := cluster.New(f.Card(), cfg.net())
 		var rep cluster.Report
 		for _, q := range qs {
-			rep.Merge(core.DisReach(cl, f, q.S, q.T, nil).Report)
+			rep.Merge(core.DisReach(cl, f, q.S, q.T).Report)
 		}
 		t.Rows = append(t.Rows, []string{
 			name, fmt.Sprint(f.Card()), fmt.Sprint(f.Vf()),

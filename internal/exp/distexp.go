@@ -72,7 +72,7 @@ func consistency(cfg Config) (Table, error) {
 		qs := workload.ReachQueries(g, cfg.queries(10), 0.3, d.Seed+3)
 		agree := 0
 		for _, q := range qs {
-			a := core.DisReach(cl, fr, q.S, q.T, nil).Answer
+			a := core.DisReach(cl, fr, q.S, q.T).Answer
 			b := baseline.DisReachN(cl, fr, q.S, q.T).Answer
 			c := baseline.DisReachM(cl, fr, q.S, q.T).Answer
 			if a == b && b == c {

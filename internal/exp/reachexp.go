@@ -47,7 +47,7 @@ func (a *agg) meanResp() time.Duration {
 func runReachSet(fr *fragment.Fragmentation, net cluster.NetModel, qs []workload.Query) (pe, naive, mp agg) {
 	cl := cluster.New(fr.Card(), net)
 	for _, q := range qs {
-		pe.add(core.DisReach(cl, fr, q.S, q.T, nil).Report)
+		pe.add(core.DisReach(cl, fr, q.S, q.T).Report)
 		naive.add(baseline.DisReachN(cl, fr, q.S, q.T).Report)
 		mp.add(baseline.DisReachM(cl, fr, q.S, q.T).Report)
 	}
@@ -164,7 +164,7 @@ func fig11c(cfg Config) (Table, error) {
 		cl := cluster.New(k, cfg.net())
 		var pe, mp agg
 		for _, q := range qs {
-			pe.add(core.DisReach(cl, fr, q.S, q.T, nil).Report)
+			pe.add(core.DisReach(cl, fr, q.S, q.T).Report)
 			mp.add(baseline.DisReachM(cl, fr, q.S, q.T).Report)
 		}
 		cfg.logf("F11c card=%d: %v", k, fr)
@@ -227,7 +227,7 @@ func trafficRatio(cfg Config) (Table, error) {
 		cl := cluster.New(fr.Card(), cfg.net())
 		var pe agg
 		for _, q := range qs {
-			pe.add(core.DisReach(cl, fr, q.S, q.T, nil).Report)
+			pe.add(core.DisReach(cl, fr, q.S, q.T).Report)
 		}
 		gb := int64(graph.EncodedSize(g))
 		per := pe.bytes / int64(nq)

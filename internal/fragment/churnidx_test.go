@@ -18,7 +18,7 @@ func solveVia(fr *fragment.Fragmentation, s, t graph.NodeID, opt *core.Options) 
 	}
 	var partials []*core.Rows
 	for _, f := range fr.Fragments() {
-		partials = append(partials, core.LocalRows(f, opt), core.SourceOnlyReach(f, s, t, opt), core.TargetOnlyReach(f, t, opt))
+		partials = append(partials, core.LocalRows(f), core.SourceOnlyReach(f, s, t), core.TargetOnlyReach(f, t, opt))
 	}
 	return core.SolveReach(partials, s)
 }

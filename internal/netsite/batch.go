@@ -500,8 +500,8 @@ func decodeBatchReply(p []byte) (rep batchReply, err error) {
 // This is the only query path: Reach, ReachWithin and ReachRegex are
 // batches of one. With anytime on and every wire query a reach query, the
 // round returns the moment the replies in hand prove every query true,
-// cancelling the remaining sites; otherwise it waits for every posted
-// site's reply (see SetAnytime).
+// without waiting for the remaining sites; otherwise it waits for every
+// posted site's reply (see SetAnytime).
 //
 // Queries that short-circuit locally (s == t, or a non-positive distance
 // bound) are answered without touching the wire; a batch of only such

@@ -687,7 +687,7 @@ func TestBoundaryCacheBytes(t *testing.T) {
 			deltas++
 			f := fr.Fragments()[s]
 			fr.RLock()
-			rows, _ := core.LocalRows(f, nil).MarshalBinary()
+			rows, _ := core.LocalRows(f).MarshalBinary()
 			fr.RUnlock()
 			if got := recv[s] - recvBefore[s]; 20*got >= int64(len(rows)) {
 				t.Fatalf("update %d: site %d's reply of %dB carries its delta; its full rows are %dB: want under 5%%",

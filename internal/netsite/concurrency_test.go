@@ -42,7 +42,7 @@ func mixedWorkload(t *testing.T, g *graph.Graph, fr *fragment.Fragmentation, lab
 		switch len(qs) % 3 {
 		case 0:
 			q.class = ClassReach
-			q.want = core.DisReach(cl, fr, s, tt, nil).Answer
+			q.want = core.DisReach(cl, fr, s, tt).Answer
 		case 1:
 			q.class = ClassDist
 			q.l = 1 + rng.Intn(8)
@@ -229,7 +229,7 @@ func benchDeploy(b *testing.B) (*Coordinator, []graph.NodeID, func()) {
 
 // BenchmarkWireReachSerial measures one-at-a-time wire queries: the
 // serialized baseline. It reports the wire bytes (both directions) and
-// frames (both directions, cancels aside) per query.
+// frames (both directions) per query.
 func BenchmarkWireReachSerial(b *testing.B) {
 	co, pairs, done := benchDeploy(b)
 	defer done()

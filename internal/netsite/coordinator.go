@@ -178,7 +178,6 @@ func (c *Coordinator) finishTrace(qt *qtrace, st *WireStats, err error) {
 // bench report; see AnytimeStats.
 type anytimeCounters struct {
 	earlyTerms atomic.Int64
-	cancels    atomic.Int64
 	stragglers []atomic.Int64
 }
 
@@ -188,9 +187,6 @@ type AnytimeStats struct {
 	// EarlyTerminations counts rounds answered before every site's reply
 	// arrived.
 	EarlyTerminations int64
-	// CancelsSent counts 'C' frames written (early terminations, aborted
-	// split rounds, and context cancellations all cancel their stragglers).
-	CancelsSent int64
 	// Stragglers counts, per site, the rounds decided before that site's
 	// reply arrived — a per-site straggler histogram: a site that dominates
 	// it is the one slowing full rounds down.
@@ -201,7 +197,6 @@ type AnytimeStats struct {
 func (c *Coordinator) AnytimeStats() AnytimeStats {
 	st := AnytimeStats{
 		EarlyTerminations: c.any.earlyTerms.Load(),
-		CancelsSent:       c.any.cancels.Load(),
 		Stragglers:        make([]int64, len(c.any.stragglers)),
 	}
 	for i := range c.any.stragglers {
@@ -211,10 +206,12 @@ func (c *Coordinator) AnytimeStats() AnytimeStats {
 }
 
 // SetAnytime toggles anytime answers: a reach-only round returns the moment
-// the replies in hand prove every query true, and cancels the sites still
-// evaluating. On by default. Off, the same round runs strict — every
-// site's reply is waited out even when the answer is already decided;
-// byte-accounting tests and latency baselines use that mode.
+// the replies in hand prove every query true, and drops the sites still
+// evaluating: nothing more is written to them, and their late replies are
+// drained by the read loop. On by default. Off, the same round runs
+// strict — every site's reply is waited out even when the answer is
+// already decided; byte-accounting tests and latency baselines use that
+// mode.
 func (c *Coordinator) SetAnytime(on bool) { c.anytime.Store(on) }
 
 // Anytime reports whether anytime answers are enabled.
@@ -267,7 +264,7 @@ type siteConn struct {
 	done    chan struct{} // closed by Coordinator.Close; stops redialing
 
 	// Lifetime wire totals for this connection (across redials): every
-	// frame written (queries, updates, sync, cancels) and every frame read
+	// frame written (queries, updates, sync) and every frame read
 	// — including late replies the demultiplexer drains after a round
 	// already ended, which per-round WireStats can never see. The pair is
 	// the ground truth the accounting cross-check sums against.
@@ -326,8 +323,8 @@ func (sc *siteConn) readLoop(conn net.Conn) {
 		sc.mu.Unlock()
 		if !ok {
 			// A reply with no pending query is dropped: its query already
-			// failed on another site's error, timed out, or was cancelled
-			// after an early decision — late frames drain here.
+			// failed on another site's error, timed out, split, or was
+			// decided early without it — late frames drain here.
 			continue
 		}
 		// Whatever the kind: the round, not the reader, decides what an
@@ -441,37 +438,13 @@ func (sc *siteConn) post(id uint32, kind byte, buf []byte, replies chan<- siteFr
 	return n, nil
 }
 
-// drop abandons a pending request (context deadline, cancellation, or an
-// early anytime decision): the reply, if it ever arrives, is discarded by
-// the read loop.
+// drop abandons a pending request (context deadline or cancellation, a
+// failed or split round, or an early anytime decision): nothing is sent,
+// the site still answers, and the read loop discards the reply.
 func (sc *siteConn) drop(id uint32) {
 	sc.mu.Lock()
 	delete(sc.pending, id)
 	sc.mu.Unlock()
-}
-
-// cancel drops a pending request and sends the site a best-effort 'C'
-// frame so it abandons the evaluation; it reports the bytes written. A
-// write failure poisons the connection exactly like a failed post (the
-// stream may be desynced).
-func (sc *siteConn) cancel(id uint32) int {
-	sc.drop(id)
-	sc.mu.Lock()
-	conn := sc.conn
-	sc.mu.Unlock()
-	if conn == nil {
-		return 0
-	}
-	var buf [maxHeader]byte
-	sc.wmu.Lock()
-	n, err := writeFrame(conn, id, kindCancel, buf[:], maxHeader)
-	sc.wmu.Unlock()
-	if err != nil {
-		sc.lost(conn, err)
-		return 0
-	}
-	sc.bytesSent.Add(int64(n))
-	return n
 }
 
 // pendingCount reports the number of in-flight entries (leak tests).
@@ -574,7 +547,7 @@ func (c *Coordinator) noteSiteLSN(i int, lsn uint64) {
 
 // WireTotals reports the coordinator's lifetime wire traffic across all
 // site connections: every byte written and read since Dial, including each
-// connection's preamble, control frames (cancels, sync catch-up) and late
+// connection's preamble, control frames (sync catch-up) and late
 // replies drained after their round ended. Per-round WireStats necessarily
 // undercounts the latter; this pair is what the accounting cross-checks
 // and the gateway's wire gauges sum against.
@@ -610,7 +583,7 @@ func (c *Coordinator) Close() error {
 // WireStats is the on-the-wire accounting of one query round (or one
 // whole batch round; see Coordinator.Batch).
 type WireStats struct {
-	BytesSent      int64         // query frames to all sites (cancel frames included)
+	BytesSent      int64         // query frames to all sites
 	BytesReceived  int64         // partial-answer frames
 	FramesSent     int64         // request frames; one per posted site per round, at most the site count
 	FramesReceived int64         // response frames; at most one per posted site per round
@@ -618,8 +591,8 @@ type WireStats struct {
 
 	// PartialFrames always reads 0: benchmark/wire.go is its last reader.
 	PartialFrames int64
-	// CancelFrames counts 'C' frames sent; they are not included in
-	// FramesSent, which keeps its one-per-posted-site-per-round meaning.
+	// CancelFrames always reads 0, as PartialFrames does: a round writes
+	// nothing after its requests.
 	CancelFrames int64
 
 	// FirstAnswer is the elapsed time until the answer was determined: for
@@ -629,7 +602,7 @@ type WireStats struct {
 	FirstAnswer time.Duration
 
 	// EarlyTerminated reports that the round was answered before every
-	// site's reply arrived (the remaining sites were cancelled).
+	// site's reply arrived (the remaining sites' replies are drained).
 	EarlyTerminated bool
 
 	// RowsReplies counts the sites whose reply carried their fragment's
@@ -673,7 +646,6 @@ func (st *WireStats) add(o WireStats) {
 	st.FramesSent += o.FramesSent
 	st.FramesReceived += o.FramesReceived
 	st.RoundTrip += o.RoundTrip
-	st.CancelFrames += o.CancelFrames
 	st.FirstAnswer += o.FirstAnswer
 	st.RowsReplies += o.RowsReplies
 	st.RowsDeltas += o.RowsDeltas
@@ -734,7 +706,7 @@ func readTag(p []byte) (epoch, lsn uint64, body []byte, err error) {
 // reporting per-site outcomes indexed by site, so callers that can tolerate
 // individual failures (sequenced updates, whose log re-delivers to
 // laggards) inspect the slice. Unlike a query round it enforces no state
-// agreement between the replies and never cancels a site on another's
+// agreement between the replies and never drops a site on another's
 // failure — which is why it is not the query round with a flag. Concurrent
 // rounds interleave freely: each draws a fresh request ID and its own reply
 // channel. A context deadline or cancellation abandons the round promptly.
@@ -825,8 +797,8 @@ func (c *Coordinator) Reach(s, t graph.NodeID) (bool, WireStats, error) {
 
 // ReachContext is Reach honoring a context deadline or cancellation. With
 // anytime enabled (the default) the round may return the moment the replies
-// in hand prove the answer true, cancelling the remaining sites; see
-// SetAnytime.
+// in hand prove the answer true, without waiting for the remaining sites;
+// see SetAnytime.
 func (c *Coordinator) ReachContext(ctx context.Context, s, t graph.NodeID) (bool, WireStats, error) {
 	a, st, err := c.one(ctx, BatchQuery{Class: ClassReach, S: s, T: t})
 	return a.Answer, st, err

@@ -138,7 +138,7 @@ func TestBatchWireCrossCheck(t *testing.T) {
 			if q.Class != ClassReach {
 				continue
 			}
-			if want := core.DisReach(cl, fr, q.S, q.T, nil).Answer; answers[i].Answer != want {
+			if want := core.DisReach(cl, fr, q.S, q.T).Answer; answers[i].Answer != want {
 				t.Fatalf("trial %d query %d: qr(%d,%d) wire=%v DisReach=%v",
 					trial, i, q.S, q.T, answers[i].Answer, want)
 			}

@@ -173,12 +173,12 @@ func FuzzBatchPayload(f *testing.F) {
 		f.Fatal(err)
 	}
 	frag := fr.Fragments()[0]
-	rb, err := core.LocalRows(frag, nil).MarshalBinary()
+	rb, err := core.LocalRows(frag).MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
 	part := new(core.Rows) // unweighted, as a site ships a reach part
-	part.Append(core.SourceOnlyReach(frag, 0, 7, nil))
+	part.Append(core.SourceOnlyReach(frag, 0, 7))
 	part.Append(core.TargetOnlyReach(frag, 7, nil))
 	pb, err := part.MarshalBinary()
 	if err != nil {
@@ -186,7 +186,7 @@ func FuzzBatchPayload(f *testing.F) {
 	}
 	var dpart *core.Rows // the first qbr(s, t, 6) with a query part here
 	for s := graph.NodeID(0); dpart == nil; s++ {
-		dpart = core.DistQueryPart(frag, s, (s+3)%10, 6, nil)
+		dpart = core.DistQueryPart(frag, s, (s+3)%10, 6)
 	}
 	db, err := dpart.MarshalBinary()
 	if err != nil {
@@ -211,7 +211,7 @@ func FuzzBatchPayload(f *testing.F) {
 	// generation (not taken against the held copy), changed heads out of
 	// order, a dropped head the base does not hold (a delta to a request
 	// that named no rows is tried on every delta that decodes, below).
-	base := &siteRows{tag: rowsTag{fr.Instance(), 1}, rv: core.LocalRows(frag, nil)}
+	base := &siteRows{tag: rowsTag{fr.Instance(), 1}, rv: core.LocalRows(frag)}
 	head0, _, _, _ := base.rv.Eq(0)
 	deltaOf := func(gen uint64, heads []graph.NodeID, dropped ...graph.NodeID) []byte {
 		return encodeBatchReply(nil, batchReply{rowsKind: rowsDelta, tag: rowsTag{gen: gen}, rows: rowsWithHeads(heads...), dropped: dropped, parts: [][]byte{nil}})

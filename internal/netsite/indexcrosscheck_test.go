@@ -22,7 +22,7 @@ func evalInProc(fr *fragment.Fragmentation, s, t graph.NodeID, opt *core.Options
 	}
 	partials := make([]*core.Rows, 0, 3*fr.Card())
 	for _, f := range fr.Fragments() {
-		partials = append(partials, core.LocalRows(f, opt), core.SourceOnlyReach(f, s, t, opt), core.TargetOnlyReach(f, t, opt))
+		partials = append(partials, core.LocalRows(f), core.SourceOnlyReach(f, s, t), core.TargetOnlyReach(f, t, opt))
 	}
 	return core.SolveReach(partials, s)
 }

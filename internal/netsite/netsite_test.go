@@ -230,9 +230,9 @@ func TestTCPErrorPropagation(t *testing.T) {
 }
 
 // TestRetiredFramesRejected posts the frame kinds the one query frame
-// replaced — with the payloads that were valid for them — a query carrying
-// the retired stream bit and queries of earlier batch versions to a live
-// site: each must come back as an error frame echoing its ID, without a
+// replaced — with the payloads that were valid for them — the retired
+// cancel frame, a query carrying the retired stream bit and queries of
+// earlier batch versions to a live site: each must come back as an error frame echoing its ID, without a
 // panic or a hang, and a batch query that follows on the same connection
 // must still be answered. A peer of an earlier framing — a length u32 |
 // id u32 header and no preamble — and peers of earlier varint builds — the
@@ -304,6 +304,10 @@ func TestRetiredFramesRejected(t *testing.T) {
 		{"version-4 batch", kindBatch, cat([]byte{4, 0, 1, 0, 0, 0, 'r'}, st)},
 		{"stream bit", kindBatch, streaming},
 		{"version-5 batch", kindBatch, v5},
+		// The cancel frame a DRW4 coordinator of an earlier build sends
+		// after an early decision: the error frame answering it carries
+		// an ID that coordinator has dropped, so its read loop drains it.
+		{"cancel", 'C', nil},
 	} {
 		id := uint32(100 + i)
 		if _, err := sendFrame(raw, id, tc.kind, tc.payload); err != nil {
@@ -450,11 +454,11 @@ func TestUnweightedDistancePartFailsRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fr.Fragments()[0]
-	rb, err := core.LocalRows(f, nil).MarshalBinary()
+	rb, err := core.LocalRows(f).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reachPart := core.SourceOnlyReach(f, 0, 9, nil)
+	reachPart := core.SourceOnlyReach(f, 0, 9)
 	if reachPart.NumEqs() != 1 || reachPart.Weighted() || !reachPart.HasConst() {
 		t.Fatalf("the reach part of (0, 9) is not the Boolean X0 = true")
 	}

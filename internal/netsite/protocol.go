@@ -11,8 +11,8 @@
 // The protocol is length-prefixed binary frames, multiplexed: every frame
 // carries a request ID, so many rounds can be in flight on one connection
 // at once. Sites may answer out of order; the coordinator demultiplexes
-// replies back to their rounds by ID. Every request but a cancel gets
-// exactly one response. A coordinator opens each connection with the
+// replies back to their rounds by ID. Every request gets exactly one
+// response. A coordinator opens each connection with the
 // 4-byte preamble "DRW4", the protocol's only version: no payload carries a
 // version byte of its own. A site closes a connection that starts with
 // anything else, so a peer of another build — "DRW3" or "DRW2" (see
@@ -42,8 +42,10 @@
 //	'R' rebalance  re-fragment the deployment at a new epoch (rebalance.go)
 //	'S' sync       catch-up replication: hello / replay / snapshot / fetch
 //	               (sync.go)
-//	'C' cancel     abandon the in-flight request whose ID the frame echoes;
-//	               no response is owed for either frame
+//
+// 'C', the cancel frame of earlier DRW4 builds, is retired. A site answers
+// it, as any unknown kind, with an error frame; the coordinator that sent
+// it waits for no reply under that ID, so its read loop drains the frame.
 //
 //	responses (site -> coordinator), each echoing the request's ID
 //	'R' answer     epoch uvarint | lsn uvarint | body
@@ -92,15 +94,15 @@
 //
 // Anytime answers: the coordinator feeds each reply, as it arrives, into an
 // incremental equation system and, the moment the replies in hand prove
-// every query of a reach-only round true, returns and broadcasts 'C' frames
-// so the remaining sites abandon their evaluation (cooperatively: mid-BFS
-// checkpoints, and a cancelled request owes no response at all). Deciding
-// on a subset of the sites is sound because the system is monotone: a
-// closed chain of true equations cannot be retracted by an absent site. A
-// site whose rows the coordinator holds replies at once with a few dozen
-// bytes, so a straggler — a slow site, or one re-shipping its rows after an
-// update — is waited for only when the answer needs it. A response of any
-// kind but 'R' and 'E' fails its round with an error naming the kind.
+// every query of a reach-only round true, returns. It writes nothing to the
+// remaining sites: they finish their evaluation and reply, and the read
+// loop drains the replies nobody waits for. Deciding on a subset of the
+// sites is sound because the system is monotone: a closed chain of true
+// equations cannot be retracted by an absent site. A site whose rows the
+// coordinator holds replies at once with a few dozen bytes, so a
+// straggler — a slow site, or one re-shipping its rows after an update —
+// is waited for only when the answer needs it. A response of any kind but
+// 'R' and 'E' fails its round with an error naming the kind.
 //
 // Every answer is prefixed with the epoch of the fragmentation that
 // produced it plus the LSN of the last update batch it reflects: the
@@ -143,7 +145,6 @@ const (
 	kindUpdate    = 'U'
 	kindRebalance = 'R'
 	kindSync      = 'S'
-	kindCancel    = 'C'
 	kindAnswer    = 'R'
 	kindError     = 'E'
 )

@@ -91,7 +91,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	// The header is varints: a small frame pays three bytes of it.
 	var buf bytes.Buffer
-	if n, _ := sendFrame(&buf, 5, kindCancel, nil); n != 3 {
+	if n, _ := sendFrame(&buf, 5, kindSync, nil); n != 3 {
 		t.Fatalf("an empty frame with a one-byte id took %d bytes, want 3", n)
 	}
 }
@@ -238,10 +238,12 @@ func (r *countingRelay) close() {
 // site and checks that the summed per-round WireStats — plus each
 // connection's preamble — and the coordinator's WireTotals both equal the
 // bytes the relays carried, in each direction, over cold and warm qr, qbr
-// and qrr rounds, a mixed batch and an anytime round that cancels its
-// stragglers with 'C' frames. Frames are read through a buffered reader, so
-// this pins that a frame reports its own wire size, not what the reader
-// buffered around it.
+// and qrr rounds, a mixed batch and an anytime round decided before its
+// stragglers reply. That round writes nothing after its requests; the
+// stragglers' late replies cross the relays and count in WireTotals, not
+// in the round. Frames are read through a buffered reader, so this pins
+// that a frame reports its own wire size, not what the reader buffered
+// around it.
 func TestWireStatsMatchSocketBytes(t *testing.T) {
 	labels := []string{"A", "B"}
 	g := gen.Uniform(gen.Config{Nodes: 90, Edges: 300, Labels: labels, Seed: 17})
@@ -251,8 +253,7 @@ func TestWireStatsMatchSocketBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sites 1 and 2 are slow, so a round that site 0 alone decides is
-	// decided before they reply, and they are cancelled while they wait:
-	// no late reply escapes the per-round stats.
+	// decided before they reply.
 	rep := fragment.NewReplica(fr)
 	relays := make([]*countingRelay, k)
 	addrs := make([]string, k)
@@ -299,10 +300,35 @@ func TestWireStatsMatchSocketBytes(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("qr(%d, %d) = %v, %v", s0, t0, ok, err)
 	}
-	if !st.EarlyTerminated || st.CancelFrames == 0 {
-		t.Fatalf("the anytime round was not decided early: %+v", st)
+	if !st.EarlyTerminated || st.CancelFrames != 0 {
+		t.Fatalf("the anytime round was not decided early, or wrote a cancel: %+v", st)
 	}
 	acc(st)
+	// The stragglers still reply. Wait until the read loop has drained
+	// each late reply whole — what it read equals what the relay carried —
+	// and take their size at the relays.
+	var late int64
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		late = 0
+		drained := true
+		for i := 1; i < k; i++ {
+			d := relays[i].down.Load()
+			drained = drained && d > 0 && d == co.conns[i].bytesReceived.Load()
+			late += d
+		}
+		if drained {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the stragglers' late replies never arrived")
+		}
+	}
+	if d := relays[0].down.Load(); st.BytesReceived != d {
+		t.Fatalf("the anytime round received %d bytes, site 0 sent %d", st.BytesReceived, d)
+	}
+	if n := co.pendingTotal(); n != 0 {
+		t.Fatalf("%d pending entries after the late replies drained", n)
+	}
 
 	co.SetAnytime(false)
 	rng := gen.NewRNG(18)
@@ -349,8 +375,8 @@ func TestWireStatsMatchSocketBytes(t *testing.T) {
 	if sent != sumSent || up != sumSent {
 		t.Fatalf("sent: per-round stats and preambles %d, WireTotals %d, relayed %d", sumSent, sent, up)
 	}
-	if recv != sumRecv || down != sumRecv {
-		t.Fatalf("received: per-round stats %d, WireTotals %d, relayed %d", sumRecv, recv, down)
+	if recv != sumRecv+late || down != sumRecv+late {
+		t.Fatalf("received: per-round stats %d and late replies %d, WireTotals %d, relayed %d", sumRecv, late, recv, down)
 	}
 }
 
@@ -399,7 +425,7 @@ func TestWarmReachFrameBudget(t *testing.T) {
 	// that reach a.
 	frag := fr.Fragments()[fr.Owner(a)]
 	part := new(core.Rows)
-	part.Append(core.SourceOnlyReach(frag, b, a, nil))
+	part.Append(core.SourceOnlyReach(frag, b, a))
 	part.Append(core.TargetOnlyReach(frag, a, nil))
 	partial := 0
 	if part.NumEqs() > 0 {

@@ -23,9 +23,10 @@ import (
 // are opened from the rows the coordinator holds. No site is posted twice in
 // one attempt. With early decision on (anytime on and every query a reach
 // query) the round returns the instant the solver reports every query
-// decided by the replies in hand, cancelling the stragglers with 'C'
-// frames; otherwise ("strict": anytime off, or a round with distance or
-// regex queries) the same loop waits for every posted site.
+// decided by the replies in hand, and drops the stragglers: it writes
+// nothing more to them, and the read loop drains their late replies.
+// Otherwise ("strict": anytime off, or a round with distance or regex
+// queries) the same loop waits for every posted site.
 //
 // Early decision is sound on any subset of the replies because the
 // equations are monotone: each reply opens its site's rows in the
@@ -42,12 +43,12 @@ import (
 // concurrent round.
 //
 // Round discipline: the first reply of an attempt pins its (epoch, LSN);
-// a reply from a different state aborts the attempt (cancelling all posted
-// sites) and retries with backoff. Partial answers are Boolean equations
-// over the fragmentation and graph the site evaluated on; composing them
-// across two fragmentations (or across an update that landed on only some
-// replicas) would be meaningless, so equations only ever accumulate from one
-// consistent deployment state.
+// a reply from a different state aborts the attempt (dropping every posted
+// site still owed a reply) and retries with backoff. Partial answers are
+// Boolean equations over the fragmentation and graph the site evaluated
+// on; composing them across two fragmentations (or across an update that
+// landed on only some replicas) would be meaningless, so equations only
+// ever accumulate from one consistent deployment state.
 
 // Epoch-split retry tuning: how often a query round is retried when its
 // sites answered from different states, and the backoff between attempts.
@@ -100,13 +101,13 @@ func (c *Coordinator) queryRound(ctx context.Context, queries []byte, sol *batch
 // each posted site's reply, in arrival order, to sol; the first reply's word
 // on the skipped sites posts the ones it names and vouches for the rest.
 // When sol reports the round decided before every posted site replied, the
-// attempt cancels the stragglers and returns early. A reply from a
+// attempt drops the stragglers and returns early. A reply from a
 // mismatched (epoch, LSN), or one naming a site the first reply vouched
 // for, aborts the attempt with split set (queryRound retries); site errors,
 // connection losses, a reply of any kind but 'R' and context cancellation
 // abort it with an error. Whatever the exit, no pending-table entry
-// outlives the attempt: every path drops (and usually cancels) the
-// stragglers, and late frames are drained by the read loop.
+// outlives the attempt: every path drops the stragglers, writing nothing,
+// and their late frames are drained by the read loop.
 //
 // With qt non-nil the request carries the trace context naming a per-site
 // rpc span, and the spans each site piggybacks on its reply are grafted
@@ -144,7 +145,7 @@ func (c *Coordinator) queryAttempt(ctx context.Context, queries []byte, sol *bat
 	replies := make(chan siteFrame, k)
 
 	// settle closes the attempt's books on every exit but a full round:
-	// posted sites whose reply has not arrived are cancelled (and blamed as
+	// posted sites whose reply has not arrived are dropped (and blamed as
 	// stragglers when the round was decided without them).
 	settle := func(early bool) {
 		for i, sc := range c.conns {
@@ -152,13 +153,9 @@ func (c *Coordinator) queryAttempt(ctx context.Context, queries []byte, sol *bat
 				continue
 			}
 			if qt != nil {
-				qt.b.End(rpcIDs[i], obs.Attr{Key: "cancelled", Val: "true"})
+				qt.b.End(rpcIDs[i], obs.Attr{Key: "dropped", Val: "true"})
 			}
-			if n := sc.cancel(id); n > 0 {
-				st.BytesSent += int64(n)
-				st.CancelFrames++
-				c.any.cancels.Add(1)
-			}
+			sc.drop(id)
 			if early {
 				c.any.stragglers[i].Add(1)
 			}
@@ -201,8 +198,8 @@ func (c *Coordinator) queryAttempt(ctx context.Context, queries []byte, sol *bat
 	for i := range c.conns {
 		if first == nil || first[i] {
 			if err := post(i, firstShared, instance); err != nil {
-				// The sites already posted would evaluate for nobody: fail
-				// cancels them.
+				// The sites already posted evaluate for nobody: fail drops
+				// their pending entries.
 				return fail(err)
 			}
 		}

@@ -17,10 +17,6 @@ import (
 	"distreach/internal/oplog"
 )
 
-// errCancelled marks a request abandoned after a 'C' frame: a cancelled
-// request owes no response at all, so the worker writes nothing.
-var errCancelled = errors.New("netsite: request cancelled")
-
 // workers bounds the per-connection worker pool — how many frames from one
 // coordinator connection evaluate concurrently: enough to keep a
 // multiplexing coordinator busy without letting one connection monopolize
@@ -197,16 +193,13 @@ func (s *Site) acceptLoop() {
 	}
 }
 
-// frameJob is one request frame awaiting evaluation. cancel, non-nil for
-// query frames, is the flag a later 'C' frame flips; the evaluator polls it
-// at cooperative checkpoints. rec is set by handleBatch when the request's
-// header carries the trace flag: a span recorder anchored at recv, the
-// frame-receipt instant.
+// frameJob is one request frame awaiting evaluation. rec is set by
+// handleBatch when the request's header carries the trace flag: a span
+// recorder anchored at recv, the frame-receipt instant.
 type frameJob struct {
 	id      uint32
 	kind    byte
 	payload []byte
-	cancel  *atomic.Bool
 	recv    time.Time
 	rec     *obs.Recorder
 }
@@ -219,48 +212,13 @@ func kindLabel(kind byte) string {
 	return string(rune(kind))
 }
 
-// connCancels is one connection's registry of in-flight cancellable
-// requests. The reader registers query frames before queueing them and
-// fires 'C' frames inline — a cancel thus overtakes queued work even when
-// every worker is busy. Workers remove entries when their job finishes
-// (or was skipped); a 'C' for a finished request finds no entry and is a
-// no-op, as the protocol requires.
-type connCancels struct {
-	mu sync.Mutex
-	m  map[uint32]*atomic.Bool
-}
-
-func (c *connCancels) register(id uint32) *atomic.Bool {
-	flag := new(atomic.Bool)
-	c.mu.Lock()
-	c.m[id] = flag
-	c.mu.Unlock()
-	return flag
-}
-
-func (c *connCancels) fire(id uint32) {
-	c.mu.Lock()
-	if flag, ok := c.m[id]; ok {
-		flag.Store(true)
-	}
-	c.mu.Unlock()
-}
-
-func (c *connCancels) remove(id uint32) {
-	c.mu.Lock()
-	delete(c.m, id)
-	c.mu.Unlock()
-}
-
 // serveConn handles one coordinator connection: a reader feeds request
 // frames to a bounded pool of workers, each answering with a response
 // frame that echoes the request ID and carries the epoch and update-log
 // LSN the frame was served at. Responses go out in completion order; the
-// coordinator's demultiplexer reorders by ID. Cancel frames are handled by
-// the reader itself (never queued).
+// coordinator's demultiplexer reorders by ID.
 func (s *Site) serveConn(conn net.Conn) error {
 	jobs := make(chan frameJob)
-	cancels := connCancels{m: make(map[uint32]*atomic.Bool)}
 	var (
 		wmu    sync.Mutex  // serializes whole response frames
 		broken atomic.Bool // a response write failed; drain without writing
@@ -271,14 +229,7 @@ func (s *Site) serveConn(conn net.Conn) error {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				if j.cancel != nil && j.cancel.Load() {
-					cancels.remove(j.id)
-					continue // cancelled while queued; no response owed
-				}
 				if broken.Load() {
-					if j.cancel != nil {
-						cancels.remove(j.id)
-					}
 					continue // connection died; don't evaluate dead work
 				}
 				if s.met != nil {
@@ -286,12 +237,6 @@ func (s *Site) serveConn(conn net.Conn) error {
 					s.met.queue.Observe(time.Since(j.recv).Seconds())
 				}
 				epoch, lsn, resp, err := s.handle(&j)
-				if j.cancel != nil {
-					cancels.remove(j.id)
-				}
-				if errors.Is(err, errCancelled) {
-					continue // a cancelled request owes no response
-				}
 				kind, off := byte(kindAnswer), 0
 				if err != nil {
 					kind, off = kindError, frameHeadroom
@@ -322,56 +267,21 @@ func (s *Site) serveConn(conn net.Conn) error {
 			err = rerr // includes clean EOF on coordinator close
 			break
 		}
-		recv := time.Now()
-		if kind == kindCancel {
-			cancels.fire(id)
-			continue
-		}
-		var flag *atomic.Bool
-		if kind == kindBatch {
-			flag = cancels.register(id)
-		}
-		jobs <- frameJob{id: id, kind: kind, payload: payload, cancel: flag, recv: recv}
+		jobs <- frameJob{id: id, kind: kind, payload: payload, recv: time.Now()}
 	}
 	close(jobs)
 	wg.Wait()
 	return err
 }
 
-// pause sleeps the site's artificial service delay in short slices so a
-// cancel frame cuts the wait short; it reports false when cancelled.
-func (s *Site) pause(cancel *atomic.Bool) bool {
-	if s.delay <= 0 {
-		return true
-	}
-	if cancel == nil {
-		time.Sleep(s.delay)
-		return true
-	}
-	deadline := time.Now().Add(s.delay)
-	for {
-		if cancel.Load() {
-			return false
-		}
-		left := time.Until(deadline)
-		if left <= 0 {
-			return true
-		}
-		if left > time.Millisecond {
-			left = time.Millisecond
-		}
-		time.Sleep(left)
-	}
-}
-
 // handle evaluates one request frame and returns the answer body in a
-// frame buffer (newFrame). A request whose cancel flag fires mid-evaluation
-// returns errCancelled: no response frame is written for it.
+// frame buffer (newFrame). Every request kind pays the site's artificial
+// service delay (SiteOptions.Delay) first.
 func (s *Site) handle(j *frameJob) (uint64, uint64, []byte, error) {
 	if j.kind == kindBatch {
 		return s.handleBatch(j)
 	}
-	s.pause(nil)
+	time.Sleep(s.delay)
 	var (
 		epoch, lsn uint64
 		body       []byte
@@ -506,8 +416,7 @@ func (s *Site) handleRebalance(payload []byte) (uint64, uint64, []byte, error) {
 // evaluated individually and in full; its round ships rows too (the
 // coordinator reads node owners off them) unless the coordinator has none.
 // The frame's service delay (Site.delay) is paid once per batch, not once
-// per query — the amortization the batch protocol exists to deliver. The
-// cancel flag is polled between queries and inside the local evaluations.
+// per query — the amortization the batch protocol exists to deliver.
 func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 	picked := time.Now()
 	qs, h, err := decodeBatchRequest(j.payload)
@@ -518,9 +427,7 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 		j.rec = obs.NewRecorder(j.recv)
 		j.rec.Span(-1, "queue", j.recv, picked)
 	}
-	if !s.pause(j.cancel) {
-		return 0, 0, nil, errCancelled
-	}
+	time.Sleep(s.delay)
 	// Queries snapshot the current fragmentation and read their fragment
 	// under its lock, so a concurrent update never mutates it
 	// mid-evaluation and a concurrent rebalance swap leaves this
@@ -538,9 +445,9 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 	if j.rec != nil {
 		j.rec.Span(-1, "lock", lockStart, time.Now())
 	}
-	opt := &core.Options{Cancel: j.cancel.Load}
+	var opt *core.Options
 	if j.rec != nil {
-		opt.Metrics = &core.EvalMetrics{}
+		opt = &core.Options{Metrics: &core.EvalMetrics{}}
 	}
 	evalStart := time.Now()
 
@@ -555,16 +462,13 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 		return -1
 	}
 	for i, q := range qs {
-		if j.cancel.Load() {
-			return 0, 0, nil, errCancelled
-		}
 		if q.Class != ClassRPQ {
 			rep.owners = append(rep.owners, owner(q.S), owner(q.T))
 		}
 		var rv encoding.BinaryMarshaler
 		switch q.Class {
 		case ClassReach:
-			part := core.SourceOnlyReach(frag, q.S, q.T, opt)
+			part := core.SourceOnlyReach(frag, q.S, q.T)
 			if !asked[q.T] {
 				asked[q.T] = true
 				if part == nil {
@@ -573,11 +477,11 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 				part.Append(core.TargetOnlyReach(frag, q.T, opt))
 			}
 			if part.NumEqs() == 0 {
-				continue // nothing to say, or cancelled: the loop's check tells
+				continue // nothing to say
 			}
 			rv = part
 		case ClassDist:
-			part := core.DistQueryPart(frag, q.S, q.T, q.L, opt)
+			part := core.DistQueryPart(frag, q.S, q.T, q.L)
 			if part.NumEqs() == 0 {
 				continue // as for reach
 			}
@@ -595,9 +499,6 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 			return 0, 0, nil, err
 		}
 	}
-	if j.cancel.Load() {
-		return 0, 0, nil, errCancelled
-	}
 	// The sites the coordinator skipped share this fragmentation only when
 	// the request head, which the skip section stands on, names its
 	// instance; then their generations, read under the same lock, say whose
@@ -613,10 +514,8 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 	// none. The generation is read under the lock the evaluation holds, so
 	// the tag names exactly the fragment the rows are computed on.
 	if tag := (rowsTag{fr.Instance(), frag.Generation()}); h.rows() != tag && (h.held || len(rep.owners) > 0) {
-		cur, base := s.memo.rows(frag, tag, h.rows(), opt)
+		cur, base := s.memo.rows(frag, tag, h.rows())
 		switch {
-		case cur == nil:
-			return 0, 0, nil, errCancelled
 		case base != nil:
 			var was, now core.Rows
 			if err := errors.Join(was.UnmarshalBinary(base.enc), now.UnmarshalBinary(cur.enc)); err != nil {
@@ -656,7 +555,7 @@ func (s *Site) handleBatch(j *frameJob) (uint64, uint64, []byte, error) {
 type rowsMemo struct {
 	mu       sync.Mutex
 	kept     [2]*memoRows // kept[1] the newer; entries immutable
-	computed atomic.Int64 // core.LocalRows calls that completed
+	computed atomic.Int64 // core.LocalRows calls
 }
 
 // memoRows is one kept state of the rows, kept encoded: the encoding is
@@ -669,9 +568,8 @@ type memoRows struct {
 // rows returns the fragment's rows at tag — its current state, read under
 // the read lock the caller holds — computing them unless kept, and the
 // rows kept at base when base is an earlier generation of tag's instance
-// (nil otherwise). cur is nil when opt.Cancel fired; a later round then
-// computes the rows again.
-func (m *rowsMemo) rows(f *fragment.Fragment, tag, base rowsTag, opt *core.Options) (cur, old *memoRows) {
+// (nil otherwise).
+func (m *rowsMemo) rows(f *fragment.Fragment, tag, base rowsTag) (cur, old *memoRows) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range m.kept {
@@ -686,10 +584,7 @@ func (m *rowsMemo) rows(f *fragment.Fragment, tag, base rowsTag, opt *core.Optio
 	if cur != nil {
 		return cur, old
 	}
-	rv := core.LocalRows(f, opt)
-	if rv == nil {
-		return nil, nil
-	}
+	rv := core.LocalRows(f)
 	m.computed.Add(1)
 	enc, _ := rv.MarshalBinary() // never fails
 	cur = &memoRows{tag: tag, enc: enc}

@@ -16,7 +16,7 @@ func rowsOf(fr *fragment.Fragmentation, i int) *siteRows {
 	f := fr.Fragments()[i]
 	return &siteRows{
 		tag: rowsTag{fr.Instance(), f.Generation()},
-		rv:  core.LocalRows(f, nil),
+		rv:  core.LocalRows(f),
 	}
 }
 
@@ -30,13 +30,13 @@ func queryParts(f *fragment.Fragment, qs []BatchQuery) []*core.Rows {
 	for j, q := range qs {
 		switch q.Class {
 		case ClassDist:
-			parts[j] = core.DistQueryPart(f, q.S, q.T, q.L, nil)
+			parts[j] = core.DistQueryPart(f, q.S, q.T, q.L)
 			continue
 		case ClassRPQ:
 			parts[j] = core.LocalEvalRPQ(f, q.S, q.T, q.A)
 			continue
 		}
-		part := core.SourceOnlyReach(f, q.S, q.T, nil)
+		part := core.SourceOnlyReach(f, q.S, q.T)
 		if !asked[q.T] {
 			asked[q.T] = true
 			if part == nil {

@@ -321,8 +321,8 @@ func TestWireAccounting(t *testing.T) {
 		t.Fatalf("received bytes: connections counted %d, per-round stats sum to %d", got, want)
 	}
 
-	// Anytime leg: cancel frames are accounted synchronously (sent-side
-	// equality must hold); straggler finals may drain after the round
+	// Anytime leg: a round writes nothing after its requests (sent-side
+	// equality must hold); straggler replies may drain after the round
 	// (received-side is a lower bound).
 	co.SetAnytime(true)
 	sent0, recv0 = co.WireTotals()

@@ -140,7 +140,7 @@ func TestUpdateWireCrossCheck(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d step %d: %v", trial, step, err)
 				}
-				if want := core.DisReach(cl, scratch, s, tt, nil).Answer; got != want {
+				if want := core.DisReach(cl, scratch, s, tt).Answer; got != want {
 					t.Fatalf("trial %d step %d: qr(%d,%d) wire=%v from-scratch DisReach=%v",
 						trial, step, s, tt, got, want)
 				}

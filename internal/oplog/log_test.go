@@ -524,7 +524,7 @@ func TestSnapshotRecoverWarm(t *testing.T) {
 		// probes the index.
 		var partials []*core.Rows
 		for _, f := range cur.Fragments() {
-			partials = append(partials, core.LocalRows(f, nil), core.SourceOnlyReach(f, s, tt, nil), core.TargetOnlyReach(f, tt, nil))
+			partials = append(partials, core.LocalRows(f), core.SourceOnlyReach(f, s, tt), core.TargetOnlyReach(f, tt, nil))
 		}
 		if ans, want := core.SolveReach(partials, s), cg.Reachable(s, tt); ans != want {
 			t.Fatalf("qr(%d,%d) = %v after recovery, BFS says %v", s, tt, ans, want)
