@@ -23,8 +23,9 @@ race:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# One-iteration smoke run: proves every benchmark still compiles and runs,
-# then one benchmark workload as the load smoke — queries of all three
+# One-iteration smoke run: proves every benchmark still compiles and runs
+# (among them BenchmarkQueryParts, a site's query parts at reach_cut's and
+# reach_local's shapes), then one benchmark workload as the load smoke — queries of all three
 # classes beside live writes on an indexed deployment, every answer checked
 # against the LSN-replay oracle (exit status 0 only with none wrong and
 # none failed).
@@ -75,6 +76,7 @@ cross-checks:
 	$(GO) test -race -run 'TestIndexChurnCrossCheck|TestFragmentIndexMatchesDirect' -count 1 ./internal/netsite ./internal/core
 	$(GO) test -race -run 'TestIndexAnswersUnderChurnAndRebalance|TestIndexProbeCountsAcrossSwap|TestLSNStampedUnderReadLock' -count 1 ./internal/fragment
 	$(GO) test -race -run 'TestReachIndexLifecycle$$' -count 300 -cpu 1,2,4 ./internal/fragment
+	$(GO) test -race -run 'TestQueryPartsBesideWrites$$' -count 300 -cpu 1,2,4 ./internal/core
 	$(GO) test -race -run 'TestGroupCommitCoalesces' -count 1 ./internal/oplog
 	$(GO) test -race -run 'TestNodeOpsWireCrossCheck|TestNodeMutationCrossCheck|TestRebalanceEpochRace|TestRebalanceRestoresBalance' -count 1 ./internal/netsite ./internal/fragment
 	$(GO) test -race -run 'TestTraceCrossCheck|TestWireAccounting|TestWireStatsMatchSocketBytes' -count 1 ./internal/netsite

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"distreach/internal/automaton"
 	"distreach/internal/baseline"
@@ -19,7 +18,6 @@ import (
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/mapreduce"
-	"distreach/internal/reachindex"
 	"distreach/internal/workload"
 )
 
@@ -339,33 +337,6 @@ func BenchmarkFig11l(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationIndex times what a warm site runs per reach query
-// (ablation A1): SourceOnlyReach plus TargetOnlyReach on every fragment,
-// with each in-node SCC's "reaches t" bit from a frontier-cut BFS against
-// a probe of the fragment's interval labels, whose build time it reports.
-func BenchmarkAblationIndex(b *testing.B) {
-	f := load(b, "Internet", 4)
-	run := func(name string, opt *core.Options, buildMS float64) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q := f.qs[i%len(f.qs)]
-				for _, frag := range f.fr.Fragments() {
-					core.SourceOnlyReach(frag, q.S, q.T)
-					core.TargetOnlyReach(frag, q.T, opt)
-				}
-			}
-			b.ReportMetric(buildMS, "build-ms")
-		})
-	}
-	run("bfs", &core.Options{NoFragmentIndex: true}, 0)
-	start := time.Now()
-	f.fr.EnableReachIndex(reachindex.DefaultBudget)
-	f.fr.WaitReachIndexes()
-	build := time.Since(start)
-	defer f.fr.EnableReachIndex(0) // the fixture is shared
-	run("reachindex", nil, build.Seconds()*1e3)
 }
 
 // BenchmarkAblationBES compares the equation-system solvers (ablation A2).

@@ -109,9 +109,9 @@ func newGateway(co *netsite.Coordinator, o gwOptions) *gateway {
 
 func (g *gateway) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /reach", g.limit(g.handleReach))
-	mux.HandleFunc("GET /reachwithin", g.limit(g.handleReachWithin))
-	mux.HandleFunc("GET /reachregex", g.limit(g.handleReachRegex))
+	for _, class := range []string{"reach", "reachwithin", "reachregex"} {
+		mux.HandleFunc("GET /"+class, g.limit(g.handleQuery(class)))
+	}
 	mux.HandleFunc("POST /batch", g.limit(g.handleBatch))
 	mux.HandleFunc("POST /update", g.limit(g.handleUpdate))
 	mux.HandleFunc("POST /rebalance", g.handleRebalance)
@@ -421,53 +421,67 @@ func (g *gateway) serveOne(w http.ResponseWriter, r *http.Request, class string,
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (g *gateway) handleReach(w http.ResponseWriter, r *http.Request) {
-	s, ok := nodeParam(r, "s")
-	t, ok2 := nodeParam(r, "t")
-	if !ok || !ok2 {
-		badRequest(w, "reach needs numeric s and t")
-		return
+// handleQuery serves GET /reach, /reachwithin and /reachregex: the query
+// class, with s and t, the bound l and the expression r from the URL.
+func (g *gateway) handleQuery(class string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s, ok := nodeParam(r, "s")
+		t, ok2 := nodeParam(r, "t")
+		if !ok || !ok2 {
+			badRequest(w, class+" needs numeric s and t")
+			return
+		}
+		var l *int
+		if n, err := strconv.Atoi(r.URL.Query().Get("l")); err == nil {
+			l = &n
+		}
+		q, err := parseQuery(class, s, t, l, r.URL.Query().Get("r"))
+		if err != nil {
+			badRequest(w, err.Error())
+			return
+		}
+		g.serveOne(w, r, class, q)
 	}
-	g.serveOne(w, r, "reach", parsedQuery{
-		bq:    netsite.BatchQuery{Class: netsite.ClassReach, S: s, T: t},
-		key:   qcache.ReachKey(s, t),
-		label: "qr(" + r.URL.Query().Get("s") + "," + r.URL.Query().Get("t") + ")",
-	})
 }
 
-func (g *gateway) handleReachWithin(w http.ResponseWriter, r *http.Request) {
-	s, ok := nodeParam(r, "s")
-	t, ok2 := nodeParam(r, "t")
-	l, err := strconv.Atoi(r.URL.Query().Get("l"))
-	if !ok || !ok2 || err != nil || l < 0 {
-		badRequest(w, "reachwithin needs numeric s, t and bound l >= 0")
-		return
+// parseQuery is the one parser of a query, for the GET endpoints and POST
+// /batch alike: from its class ("reach", "reachwithin" or "reachregex"),
+// endpoints, bound l (reachwithin's; nil: none) and expression r
+// (reachregex's), it builds what travels the wire, the key the answer is
+// cached under, and the label the response echoes, which prints the nodes
+// as numbers however the request spelled them.
+func parseQuery(class string, s, t graph.NodeID, l *int, r string) (parsedQuery, error) {
+	switch class {
+	case "reach":
+		return parsedQuery{
+			bq:    netsite.BatchQuery{Class: netsite.ClassReach, S: s, T: t},
+			key:   qcache.ReachKey(s, t),
+			label: fmt.Sprintf("qr(%d,%d)", s, t),
+		}, nil
+	case "reachwithin":
+		if l == nil || *l < 0 {
+			return parsedQuery{}, errors.New("reachwithin needs numeric bound l >= 0")
+		}
+		return parsedQuery{
+			bq:    netsite.BatchQuery{Class: netsite.ClassDist, S: s, T: t, L: *l},
+			key:   qcache.DistKey(s, t, *l),
+			label: fmt.Sprintf("qbr(%d,%d,%d)", s, t, *l),
+		}, nil
+	case "reachregex":
+		if r == "" {
+			return parsedQuery{}, errors.New("reachregex needs expression r")
+		}
+		a, err := distreach.CompileRegex(r)
+		if err != nil {
+			return parsedQuery{}, err
+		}
+		return parsedQuery{
+			bq:    netsite.BatchQuery{Class: netsite.ClassRPQ, S: s, T: t, A: a},
+			key:   qcache.RPQKey(s, t, r),
+			label: fmt.Sprintf("qrr(%d,%d,%s)", s, t, r),
+		}, nil
 	}
-	g.serveOne(w, r, "reachwithin", parsedQuery{
-		bq:    netsite.BatchQuery{Class: netsite.ClassDist, S: s, T: t, L: l},
-		key:   qcache.DistKey(s, t, l),
-		label: "qbr(" + r.URL.Query().Get("s") + "," + r.URL.Query().Get("t") + "," + r.URL.Query().Get("l") + ")",
-	})
-}
-
-func (g *gateway) handleReachRegex(w http.ResponseWriter, r *http.Request) {
-	s, ok := nodeParam(r, "s")
-	t, ok2 := nodeParam(r, "t")
-	expr := r.URL.Query().Get("r")
-	if !ok || !ok2 || expr == "" {
-		badRequest(w, "reachregex needs numeric s, t and expression r")
-		return
-	}
-	a, err := distreach.CompileRegex(expr)
-	if err != nil {
-		badRequest(w, err.Error())
-		return
-	}
-	g.serveOne(w, r, "reachregex", parsedQuery{
-		bq:    netsite.BatchQuery{Class: netsite.ClassRPQ, S: s, T: t, A: a},
-		key:   qcache.RPQKey(s, t, expr),
-		label: "qrr(" + r.URL.Query().Get("s") + "," + r.URL.Query().Get("t") + "," + expr + ")",
-	})
+	return parsedQuery{}, fmt.Errorf("unknown class %q (want reach, reachwithin or reachregex)", class)
 }
 
 // maxBatchQueries bounds one POST /batch request; bigger workloads should
@@ -533,36 +547,9 @@ func (g *gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			badRequest(w, fmt.Sprintf("batch query %d: needs numeric s and t", i))
 			return
 		}
-		s, t := graph.NodeID(*q.S), graph.NodeID(*q.T)
-		p := parsedQuery{}
-		switch q.Class {
-		case "reach":
-			p.bq = netsite.BatchQuery{Class: netsite.ClassReach, S: s, T: t}
-			p.key = qcache.ReachKey(s, t)
-			p.label = fmt.Sprintf("qr(%d,%d)", s, t)
-		case "reachwithin":
-			if q.L == nil || *q.L < 0 {
-				badRequest(w, fmt.Sprintf("batch query %d: reachwithin needs bound l >= 0", i))
-				return
-			}
-			p.bq = netsite.BatchQuery{Class: netsite.ClassDist, S: s, T: t, L: *q.L}
-			p.key = qcache.DistKey(s, t, *q.L)
-			p.label = fmt.Sprintf("qbr(%d,%d,%d)", s, t, *q.L)
-		case "reachregex":
-			if q.R == "" {
-				badRequest(w, fmt.Sprintf("batch query %d: reachregex needs expression r", i))
-				return
-			}
-			a, err := distreach.CompileRegex(q.R)
-			if err != nil {
-				badRequest(w, fmt.Sprintf("batch query %d: %v", i, err))
-				return
-			}
-			p.bq = netsite.BatchQuery{Class: netsite.ClassRPQ, S: s, T: t, A: a}
-			p.key = qcache.RPQKey(s, t, q.R)
-			p.label = fmt.Sprintf("qrr(%d,%d,%s)", s, t, q.R)
-		default:
-			badRequest(w, fmt.Sprintf("batch query %d: unknown class %q (want reach, reachwithin or reachregex)", i, q.Class))
+		p, err := parseQuery(q.Class, graph.NodeID(*q.S), graph.NodeID(*q.T), q.L, q.R)
+		if err != nil {
+			badRequest(w, fmt.Sprintf("batch query %d: %v", i, err))
 			return
 		}
 		parsed[i] = p

@@ -152,6 +152,32 @@ func TestGatewayRejectsBadParams(t *testing.T) {
 	}
 }
 
+// TestGatewayGetMatchesBatch: a GET and a one-query POST /batch of the
+// same query go through one parser, so they echo the same label — nodes
+// printed as numbers however the URL spelled them — share a cache key (the
+// batch after the GET is served from the cache) and give the same answer.
+func TestGatewayGetMatchesBatch(t *testing.T) {
+	_, _, srv := testGateway(t)
+	for _, c := range []struct{ get, batch, label string }{
+		{"/reach?s=007&t=12", `{"class":"reach","s":7,"t":12}`, "qr(7,12)"},
+		{"/reachwithin?s=03&t=40&l=05", `{"class":"reachwithin","s":3,"t":40,"l":5}`, "qbr(3,40,5)"},
+		{"/reachregex?s=09&t=2&r=A%2A", `{"class":"reachregex","s":9,"t":2,"r":"A*"}`, "qrr(9,2,A*)"},
+	} {
+		got := getJSON(t, srv.URL+c.get, 200)
+		m := postBatch(t, srv.URL, `{"queries":[`+c.batch+`]}`, 200)
+		ans := m["answers"].([]any)[0].(map[string]any)
+		if got["query"] != c.label || ans["query"] != c.label {
+			t.Errorf("%s: GET label %v, batch label %v; want %s", c.get, got["query"], ans["query"], c.label)
+		}
+		if m["misses"] != 0.0 || ans["cached"] != true {
+			t.Errorf("%s: the batch after the GET missed the cache (misses %v): the two keys differ", c.get, m["misses"])
+		}
+		if got["answer"] != ans["answer"] || got["dist"] != ans["dist"] {
+			t.Errorf("%s: GET answer %v/%v, batch %v/%v", c.get, got["answer"], got["dist"], ans["answer"], ans["dist"])
+		}
+	}
+}
+
 // postBatch posts a /batch request and decodes the response envelope.
 func postBatch(t *testing.T, url string, body string, wantStatus int) map[string]any {
 	t.Helper()

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"math"
+	"slices"
+	"sync"
+
 	"distreach/internal/cluster"
 	"distreach/internal/fragment"
 	"distreach/internal/graph"
@@ -115,27 +119,42 @@ func (ev *localEval) equation(v int32) (truth bool, vars []graph.NodeID) {
 	return ev.bfs.from(f, v, t, ev.comp)
 }
 
-// cutBFS is the frontier-cut BFS of localEval over the fragment-local
-// adjacency, written once for the in-node pass, SourceOnlyReach and
-// TargetOnlyReach's fallback. Its scratch is reused across the sources of
-// one evaluation — a stamped seen buffer instead of a reallocation per
-// source — and allocated on first use, since an evaluation the index
-// answers never searches.
+// cutBFS is the scratch of the single-source searches of reachability:
+// the frontier-cut BFS forward from a source (from) of localEval and
+// SourceOnlyReach, and the search back from the target (reaching). Its seen
+// buffer is stamped, so search after search needs no clearing; a query
+// part takes one from cutBFSPool.
 type cutBFS struct {
 	seen  []int32 // stamp of the search that last reached the node
 	queue []int32
 	vars  []graph.NodeID
+	found []reacher
 	stamp int32
+}
+
+// reacher is an in-node the search from the target found, and the length
+// of its path.
+type reacher struct{ v, d int32 }
+
+var cutBFSPool = sync.Pool{New: func() any { return new(cutBFS) }}
+
+// begin starts a search over n slots: every slot is unseen afterwards.
+func (b *cutBFS) begin(n int) {
+	if b.stamp == math.MaxInt32 {
+		clear(b.seen)
+		b.stamp = 0
+	}
+	if len(b.seen) < n {
+		b.seen = make([]int32, n)
+	}
+	b.stamp++
 }
 
 // from computes the equation of local node v for target t: which boundary
 // nodes outside v's local SCC (comp) v reaches (vars, valid until the next
 // call), and whether it reaches t.
 func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int32) (truth bool, vars []graph.NodeID) {
-	if b.seen == nil {
-		b.seen = make([]int32, f.NumTotal())
-	}
-	b.stamp++
+	b.begin(f.NumTotal())
 	vars = b.vars[:0]
 	queue := append(b.queue[:0], v)
 	b.seen[v] = b.stamp
@@ -165,6 +184,44 @@ func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int3
 	return truth, vars
 }
 
+// reaching is the one search from the target of a query part: a BFS from
+// real slot lt over f.LocalReverse() that finds, in InNodes order (valid
+// until the next call), every in-node with a path of at most l edges to
+// lt, lt itself included, and its shortest such path's length. With cut, a
+// path passes through no boundary node — cutDist run backwards, so the
+// length is the constant cutDist.from finds; without, the in-nodes found
+// are exactly those that reach lt inside the fragment.
+func (b *cutBFS) reaching(f *fragment.Fragment, lt int32, l int, cut bool) []reacher {
+	b.begin(f.NumTotal())
+	rev := f.LocalReverse()
+	found := b.found[:0]
+	if f.IsInNode(lt) {
+		found = append(found, reacher{lt, 0})
+	}
+	queue := append(b.queue[:0], lt)
+	b.seen[lt] = b.stamp
+	for d, head := int32(0), 0; head < len(queue) && int(d) < l; d++ {
+		for end := len(queue); head < end; head++ {
+			x := queue[head]
+			if cut && x != lt && f.IsInNode(x) {
+				continue // a cut path ends at its in-node
+			}
+			for _, u := range rev.Row(x) {
+				if b.seen[u] != b.stamp {
+					b.seen[u] = b.stamp
+					queue = append(queue, u)
+					if f.IsInNode(u) {
+						found = append(found, reacher{u, d + 1})
+					}
+				}
+			}
+		}
+	}
+	slices.SortFunc(found, func(x, y reacher) int { return int(x.v - y.v) })
+	b.queue, b.found = queue, found
+	return found
+}
+
 // SourceOnlyReach returns a partial holding just the source equation of
 // qr(s, t) on f: the frontier-cut BFS of localEval run from s alone,
 // skipping the per-in-node work. It returns nil when s contributes no
@@ -174,7 +231,8 @@ func (b *cutBFS) from(f *fragment.Fragment, v int32, t graph.NodeID, comp []int3
 // it splits a fragment's batch answer into a per-target shared part and a
 // per-source part; together with TargetOnlyReach it is the part of the
 // answer that depends on the query at all, which is all a wire site ships
-// to a coordinator that already holds the fragment's rows.
+// to a coordinator that already holds the fragment's rows. Its search
+// scratch comes from cutBFSPool.
 func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID) *Rows {
 	ls, ok := f.Local(s)
 	if !ok || f.IsVirtual(ls) || f.IsInNode(ls) {
@@ -196,7 +254,8 @@ func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID) *Rows {
 			return rv
 		}
 	}
-	var bfs cutBFS
+	bfs := cutBFSPool.Get().(*cutBFS)
+	defer cutBFSPool.Put(bfs)
 	truth, vars := bfs.from(f, ls, t, comp)
 	rv.add(s, truthCons(truth), vars, nil)
 	return rv
@@ -204,25 +263,24 @@ func SourceOnlyReach(f *fragment.Fragment, s, t graph.NodeID) *Rows {
 
 // TargetOnlyReach returns what f's in-node equations gain from knowing the
 // target: Xv = true for every in-node v that reaches t inside the fragment,
-// Xt itself included when t is an in-node. Added to the fragment's rows —
-// LocalRows(f), which leave t an ordinary node — it decides exactly what
-// LocalEvalReach(f, graph.None, t) decides:
+// Xt itself included when t is an in-node, in InNodes order. Added to the
+// fragment's rows — LocalRows(f), which leave t an ordinary node — it
+// decides exactly what LocalEvalReach(f, graph.None, t) decides:
 //
 //   - sound: each equation states a path that exists in the fragment;
 //   - complete: let an in-node v reach t locally and w be the last in-node
 //     on the path. The rows chain Xv to Xw (every frontier cut stops at an
-//     in-node that has its own row), and w reaches t with no in-node in
-//     between, so w's own evaluation finds t and Xw = true is emitted here.
-//     Where t is only a virtual node the rows already mention Xt, and the
-//     fragment that stores t — of which t is then an in-node — emits it.
+//     in-node that has its own row), and w reaches t, so Xw = true is
+//     emitted here. Where t is only a virtual node the rows already
+//     mention Xt, and the fragment that stores t — of which t is then an
+//     in-node — emits it.
 //
-// The one bit per in-node SCC comes from the fragment's reachability index
-// (full local reachability, which only adds true paths) unless opt says
-// NoFragmentIndex or the labels cannot decide it; then from the SCC's
-// frontier-cut BFS. Every member of a reaching SCC gets its equation, not
-// just one: the rows may have been computed before a compaction renumbered
-// the fragment and picked other representatives, and an equation per
-// member is right under any choice.
+// The in-nodes come from the fragment's reachability index when one is
+// installed, opt does not say NoFragmentIndex, and its labels decide every
+// in-node; else from the search back from t (cutBFS.reaching, uncut). Both
+// are full local reachability, so the part is byte-identical either way.
+// The labels stay because they are cheaper on fragments whose ancestor
+// cones are large.
 //
 // It returns nil when there is nothing to say: t is not a real node of f,
 // or no in-node reaches it.
@@ -231,39 +289,48 @@ func TargetOnlyReach(f *fragment.Fragment, t graph.NodeID, opt *Options) *Rows {
 	if !ok || f.IsVirtual(lt) {
 		return nil
 	}
-	var probe fragment.IndexProbe
 	if opt == nil || !opt.NoFragmentIndex {
-		probe = f.IndexProbe()
+		if rv, ok := labelledReach(f, lt, opt); ok {
+			return rv
+		}
 	}
-	comp := f.LocalSCC()
-	// Per local SCC, once its first in-node is evaluated: whether its
-	// members reach t.
-	evaluated := make([]bool, f.NumTotal())
-	reaches := make([]bool, f.NumTotal())
-	var bfs cutBFS
+	bfs := cutBFSPool.Get().(*cutBFS)
+	defer cutBFSPool.Put(bfs)
 	var rv *Rows
+	for _, r := range bfs.reaching(f, lt, unbounded, false) {
+		rv = addTrue(rv, f.Global(r.v))
+	}
+	return rv
+}
+
+// labelledReach is TargetOnlyReach read off the fragment's labels, one
+// probe per in-node; ok is false when no index is installed or the labels
+// leave an in-node undecided.
+func labelledReach(f *fragment.Fragment, lt int32, opt *Options) (rv *Rows, ok bool) {
+	probe := f.IndexProbe()
 	for _, v := range f.InNodes() {
-		c := comp[v]
-		if !evaluated[c] {
-			evaluated[c] = true
-			reached := v == lt
-			if !reached {
-				var out reachindex.Outcome
-				reached, out = probe.Reaches(v, lt)
-				opt.count(out)
-				if out != reachindex.OutcomeHit {
-					reached, _ = bfs.from(f, v, t, comp)
-				}
+		reached := v == lt
+		if !reached {
+			var out reachindex.Outcome
+			reached, out = probe.Reaches(v, lt)
+			opt.count(out)
+			if out != reachindex.OutcomeHit {
+				return nil, false
 			}
-			reaches[c] = reached
 		}
-		if reaches[c] {
-			if rv == nil {
-				rv = new(Rows)
-			}
-			rv.add(f.Global(v), 0, nil, nil)
+		if reached {
+			rv = addTrue(rv, f.Global(v))
 		}
 	}
+	return rv, true
+}
+
+// addTrue appends the equation Xv = true to rv, allocating it when nil.
+func addTrue(rv *Rows, v graph.NodeID) *Rows {
+	if rv == nil {
+		rv = new(Rows)
+	}
+	rv.add(v, 0, nil, nil)
 	return rv
 }
 

@@ -30,9 +30,9 @@ import "distreach/internal/reachindex"
 // Options tunes the evaluation algorithms. The zero value is ready to use.
 type Options struct {
 	// NoFragmentIndex keeps TargetOnlyReach off the fragment's
-	// reachability index (fragment.IndexProbe), forcing the frontier-cut
-	// BFS. Cross-checks use it to compare the labels with the search on
-	// the same deployment.
+	// reachability index (fragment.IndexProbe), forcing the search back
+	// from the target. Cross-checks use it to compare the labels with the
+	// search on the same deployment.
 	NoFragmentIndex bool
 
 	// Metrics, if non-nil, receives the outcomes of the index probes of
@@ -45,14 +45,14 @@ type Options struct {
 }
 
 // EvalMetrics counts, for one local evaluation, the index probes the
-// fragment's labels answered and the ones that fell back to BFS with an
-// index installed — the reachindex outcome tagging observability needs to
-// tune index budgets in production. A probe asks whether one in-node SCC
-// reaches the query's target (TargetOnlyReach).
+// fragment's labels answered and the ones that sent it to the search with
+// an index installed — the reachindex outcome tagging observability needs
+// to tune index budgets in production. A probe asks whether one in-node
+// reaches the query's target (TargetOnlyReach); the first one the labels
+// leave undecided ends the probing.
 type EvalMetrics struct {
 	IndexedEqs    int64 // answered from the fragment's interval labels
-	StaleEqs      int64 // BFS because a mutation invalidated the labels
-	OverBudgetEqs int64 // BFS because the label budget excluded the SCC's label
+	OverBudgetEqs int64 // a search because the label budget excluded an SCC's label
 }
 
 // count tallies one index probe's outcome in o.Metrics, if any.
@@ -63,8 +63,6 @@ func (o *Options) count(out reachindex.Outcome) {
 	switch out {
 	case reachindex.OutcomeHit:
 		o.Metrics.IndexedEqs++
-	case reachindex.OutcomeStale:
-		o.Metrics.StaleEqs++
 	case reachindex.OutcomeOverBudget:
 		o.Metrics.OverBudgetEqs++
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"distreach/internal/bes"
 	"distreach/internal/fragment"
@@ -430,40 +431,43 @@ func (b *cutRows) from(f *fragment.Fragment, src []int32) {
 // equation when f stores s as a node that is not an in-node (an in-node's
 // is among the rows), pruned as localEvald prunes it — variables at
 // distance below l, t as a constant within l — and Xv <= dist(v, t) for the
-// in-nodes v whose frontier cut meets t within l, when f stores t as a node
-// that is not a boundary node. (Where t is a boundary node the rows already
-// end at Xt, and the coordinator knows Xt = 0.) Together with every
-// fragment's rows it gives dist(s, t) whenever that is at most l.
+// in-nodes v whose frontier cut meets t within l, in InNodes order, when f
+// stores t as a node that is not a boundary node. (Where t is a boundary
+// node the rows already end at Xt, and the coordinator knows Xt = 0.) The
+// target half is the search back from t (cutBFS.reaching), cut and bounded.
+// Together with every fragment's rows it gives dist(s, t) whenever that is
+// at most l.
 //
 // It returns nil when there is nothing to say.
 func DistQueryPart(f *fragment.Fragment, s, t graph.NodeID, l int) *Rows {
 	var rv *Rows
-	var bfs cutDist
 	if ls, ok := f.Local(s); ok && !f.IsVirtual(ls) && !f.IsInNode(ls) {
-		bfs.from(f, ls, t, l)
+		src := cutDistPool.Get().(*cutDist)
+		defer cutDistPool.Put(src)
+		src.from(f, ls, t, l)
 		// Emitted even when empty: it says which fragment s's closure
 		// starts in.
 		rv = newRows(1, true)
-		rv.add(s, bfs.cons, bfs.vars, bfs.ws)
+		rv.add(s, src.cons, src.vars, src.ws)
 	}
 	if lt, ok := f.Local(t); ok && !f.IsBoundary(lt) {
-		for _, v := range f.InNodes() {
-			bfs.from(f, v, t, l)
-			if bfs.cons != NoConst {
-				if rv == nil {
-					rv = newRows(1, true)
-				}
-				rv.add(f.Global(v), bfs.cons, nil, nil)
+		bfs := cutBFSPool.Get().(*cutBFS)
+		defer cutBFSPool.Put(bfs)
+		for _, r := range bfs.reaching(f, lt, l, true) {
+			if rv == nil {
+				rv = newRows(1, true)
 			}
+			rv.add(f.Global(r.v), r.d, nil, nil)
 		}
 	}
 	return rv
 }
 
-// cutDist is the frontier-cut BFS of localEvald, written once for the rows,
-// the distance query parts and LocalEvalDist. Its scratch is reused across
-// the sources of one evaluation; after from, cons, vars and ws hold the
-// source's terms until the next call.
+// cutDist is the frontier-cut BFS of localEvald, written once for the
+// source half of DistQueryPart and for LocalEvalDist. Its scratch is reused
+// across the sources of one evaluation, and across query parts through
+// cutDistPool; after from, cons, vars and ws hold the source's terms until
+// the next call.
 type cutDist struct {
 	dist    []int32
 	queue   []int32
@@ -478,8 +482,8 @@ type cutDist struct {
 // its branch; a boundary node b at distance d < l is the term Xb + d and
 // closes its branch; nothing at depth l or beyond is expanded.
 func (b *cutDist) from(f *fragment.Fragment, v int32, t graph.NodeID, l int) {
-	if b.dist == nil {
-		b.dist = make([]int32, f.NumTotal())
+	if n := f.NumTotal(); len(b.dist) < n {
+		b.dist = make([]int32, n)
 		for i := range b.dist {
 			b.dist[i] = -1
 		}
@@ -516,13 +520,10 @@ func (b *cutDist) from(f *fragment.Fragment, v int32, t graph.NodeID, l int) {
 			}
 		}
 	}
-	b.reset(queue)
-}
-
-// reset clears the distances of the nodes one search reached.
-func (b *cutDist) reset(queue []int32) {
 	for _, x := range queue {
 		b.dist[x] = -1
 	}
 	b.queue = queue
 }
+
+var cutDistPool = sync.Pool{New: func() any { return new(cutDist) }}

@@ -57,6 +57,29 @@ func FromRows[T ~int32](rows [][]T) *Store[T] {
 	return &Store[T]{offs: offs, tgts: tgts, n: len(rows)}
 }
 
+// Transpose builds a compact store of the reverse of the n rows out gives:
+// row w lists, ascending, every i whose row holds w.
+func Transpose[T ~int32](n int, out func(T) []T) *Store[T] {
+	offs := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		for _, w := range out(T(i)) {
+			offs[w+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		offs[i+1] += offs[i]
+	}
+	tgts := make([]T, offs[n])
+	fill := append([]int32(nil), offs[:n]...)
+	for i := 0; i < n; i++ {
+		for _, w := range out(T(i)) {
+			tgts[fill[w]] = T(i)
+			fill[w]++
+		}
+	}
+	return &Store[T]{offs: offs, tgts: tgts, n: n}
+}
+
 func (s *Store[T]) baseN() int { return len(s.offs) - 1 }
 
 // NumRows reports the current number of rows.

@@ -19,18 +19,18 @@ func init() {
 // ablationIndex compares the two ways a warm wire site answers the part
 // of a reach query qr(s, t) that depends on it (SourceOnlyReach plus
 // TargetOnlyReach, what a site ships beside the rows a coordinator
-// already holds): with every in-node SCC's "reaches t" bit a frontier-cut
-// BFS, or a probe of the fragment's interval labels (the paper's remark
-// that "any indexing techniques ... can be applied here, which will lead
-// to lower computational cost"). The labels' build time is paid once per
-// fragment and amortized over the query set.
+// already holds): with the in-nodes that reach t found by one search back
+// from t, or by a probe per in-node of the fragment's interval labels (the
+// paper's remark that "any indexing techniques ... can be applied here,
+// which will lead to lower computational cost"). The labels' build time is
+// paid once per fragment and amortized over the query set.
 func ablationIndex(cfg Config) (Table, error) {
 	t := Table{
 		ID:     "A1",
-		Title:  "Ablation A1: a warm site's per-query reach work, BFS vs interval labels",
+		Title:  "Ablation A1: a warm site's per-query reach work, search vs interval labels",
 		Header: []string{"engine", "build ms", "mean query ms"},
-		Notes: "BFS pays nothing upfront and one frontier-cut search per in-node SCC of t's fragment per query; " +
-			"the labels pay the build once and answer each of those searches with one probe.",
+		Notes: "The search pays nothing upfront and visits t's ancestor cone in t's fragment per query; " +
+			"the labels pay the build once and answer with one probe per in-node of that fragment.",
 	}
 	d := workload.ReachDatasets[4] // Amazon analogue
 	d.V = cfg.scale(d.V)
@@ -54,7 +54,7 @@ func ablationIndex(cfg Config) (Table, error) {
 		})
 		cfg.logf("A1 %s done", name)
 	}
-	run("bfs", 0, &core.Options{NoFragmentIndex: true})
+	run("search", 0, &core.Options{NoFragmentIndex: true})
 	start := time.Now()
 	fr.EnableReachIndex(reachindex.DefaultBudget)
 	fr.WaitReachIndexes()

@@ -140,16 +140,18 @@ type Fragment struct {
 	// under the fragmentation's write lock, read under its read lock.
 	gen uint64
 
-	// The local SCC decomposition (LocalSCC), built on first use and
-	// dropped whenever the fragment mutates.
-	sccMu sync.Mutex
-	scc   []int32
+	// The local SCC decomposition (LocalSCC) and reverse adjacency
+	// (LocalReverse), each built on first use and dropped, with the
+	// reachability index, whenever the adjacency or the slots change
+	// (dropDerived).
+	derivedMu sync.Mutex
+	scc       []int32
+	rev       *csr.Store[int32]
 
 	// Reachability index (reachidx.go): installed by an async builder via
-	// atomic swap, probed lock-free by TargetOnlyReach, incrementally
-	// invalidated under the write lock, retired whenever local slots
-	// renumber. idxHits/idxFallbacks count the probes, answered and not,
-	// of whichever index a probe loaded.
+	// atomic swap, probed lock-free by TargetOnlyReach, retired by every
+	// mutation of the adjacency or the slots. idxHits/idxFallbacks count
+	// the probes, answered and not, of whichever index a probe loaded.
 	idx          atomic.Pointer[reachindex.Index]
 	idxBuilding  atomic.Bool
 	idxHits      atomic.Int64
@@ -210,24 +212,42 @@ func (f *Fragment) Out(l int32) []int32 { return f.adj.Row(l) }
 // singletons), numbered as graph.SCCOf numbers them. The decomposition is
 // query-independent: it is computed from the fragment's own adjacency on
 // first use, cached, and dropped by mutation. It backs the equation
-// aliasing of local evaluation — in-nodes in the same local SCC reach
-// exactly the same boundary nodes, so their Boolean equations are
-// identical — and the reachability index build, which keeps it. Callers
-// must not modify the returned slice.
+// aliasing of LocalEvalReach and SourceOnlyReach — in-nodes in the same
+// local SCC reach exactly the same boundary nodes, so their Boolean
+// equations are identical — and the reachability index build, which keeps
+// it. Callers must not modify the returned slice.
 func (f *Fragment) LocalSCC() []int32 {
-	f.sccMu.Lock()
-	defer f.sccMu.Unlock()
+	f.derivedMu.Lock()
+	defer f.derivedMu.Unlock()
 	if f.scc == nil {
 		f.scc, _ = graph.SCCOf(f.NumTotal(), f.Out)
 	}
 	return f.scc
 }
 
-// invalidateSCC drops the cached SCC decomposition after a mutation.
-func (f *Fragment) invalidateSCC() {
-	f.sccMu.Lock()
-	f.scc = nil
-	f.sccMu.Unlock()
+// LocalReverse returns the fragment's reverse local adjacency — row l
+// lists the slots with an edge to l — built on first use and dropped by
+// mutation, as LocalSCC is. Only a search from a query's target builds it,
+// so a deployment whose labels answer every qr query part never holds it.
+// Callers must not modify it.
+func (f *Fragment) LocalReverse() *csr.Store[int32] {
+	f.derivedMu.Lock()
+	defer f.derivedMu.Unlock()
+	if f.rev == nil {
+		f.rev = csr.Transpose(f.NumTotal(), f.Out)
+	}
+	return f.rev
+}
+
+// dropDerived is the one hook of every mutation of the fragment's
+// adjacency or slots: it drops LocalSCC, LocalReverse and the reachability
+// labels, which the scheduled rebuild reinstalls. Called under the
+// fragmentation's write lock.
+func (f *Fragment) dropDerived() {
+	f.derivedMu.Lock()
+	f.scc, f.rev = nil, nil
+	f.derivedMu.Unlock()
+	f.idx.Store(nil)
 }
 
 // Label returns the label of local node l.
@@ -299,9 +319,9 @@ func (f *Fragment) compact() {
 	if f.OverlayEntries() == 0 {
 		return
 	}
-	// Renumbering invalidates every slot reference the reachability index
-	// holds; retire it (the owner reschedules a rebuild).
-	f.retireReachIndex()
+	// Renumbering invalidates every slot reference the derived state holds
+	// (the owner reschedules the index rebuild).
+	f.dropDerived()
 	nTotal := f.ids.len()
 	order := make([]graph.NodeID, nTotal)
 	for l := 0; l < nTotal; l++ {
@@ -350,7 +370,6 @@ func (f *Fragment) compact() {
 			f.inNodes = append(f.inNodes, int32(l))
 		}
 	}
-	f.invalidateSCC()
 }
 
 // Graph returns the underlying global graph.

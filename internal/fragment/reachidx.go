@@ -14,12 +14,14 @@ import (
 //   - EnableReachIndex sets the byte budget and kicks an asynchronous
 //     build per fragment. Budget <= 0 disables indexing (and drops any
 //     live indexes).
-//   - Mutations (update.go) invalidate incrementally under the write
-//     lock: an edge change marks the ancestor cone of its source slot
-//     stale, and any operation that renumbers local slots (node ops,
-//     virtual-node reclamation, compaction) retires the whole index.
-//     Probes of stale or retired labels fall back to a search of the
-//     fragment — never a wrong answer, only a slower one.
+//   - Every mutation that changes a fragment's adjacency or its slots
+//     (update.go: edges, virtual nodes, node ops; compaction) retires the
+//     fragment's labels under the write lock, with its LocalSCC and
+//     LocalReverse, through the one hook dropDerived. A query part on a
+//     fragment without labels searches it from the target
+//     (core.TargetOnlyReach) — the same answer, only slower on some
+//     shapes. A change of in-node status alone keeps the labels: local
+//     reachability does not depend on it.
 //   - Apply/Compact/Rebalance/Install schedule asynchronous rebuilds for
 //     the affected fragments. A rebuild runs on one goroutine per
 //     fragment and holds the fragmentation's read lock (excluding
@@ -42,7 +44,7 @@ func (fr *Fragmentation) EnableReachIndex(budget int64) {
 	fr.idxBudget.Store(budget)
 	if budget <= 0 {
 		for _, f := range fr.frags {
-			f.retireReachIndex()
+			f.idx.Store(nil)
 		}
 		return
 	}
@@ -60,9 +62,8 @@ func (fr *Fragmentation) ReachIndexBudget() int64 { return fr.idxBudget.Load() }
 func (fr *Fragmentation) WaitReachIndexes() { fr.idxWG.Wait() }
 
 // ReachIndex returns the fragment's current index, or nil while none is
-// installed (disabled, retired by a slot-renumbering mutation, or still
-// building). The returned index may be concurrently marked stale; its
-// Reaches degrades to undecided rather than misanswering.
+// installed (disabled, retired by a mutation, or still building). An
+// index never changes once installed: a mutation retires it whole.
 func (f *Fragment) ReachIndex() *reachindex.Index { return f.idx.Load() }
 
 // IndexProbe is the reachability index one evaluation loaded from its
@@ -132,20 +133,6 @@ func (f *Fragment) buildReachIndexLocked(budget int64) {
 		Budget: budget,
 	}))
 }
-
-// idxMarkDirty incrementally invalidates the labels affected by a
-// mutation at slot l (the ancestor cone of l's SCC). Called under the
-// fragmentation's write lock.
-func (f *Fragment) idxMarkDirty(l int32) {
-	if idx := f.idx.Load(); idx != nil {
-		idx.MarkDirty(l)
-	}
-}
-
-// retireReachIndex drops the fragment's index entirely — required by any
-// mutation that renumbers local slots (the index speaks in slots), and by
-// the disable path.
-func (f *Fragment) retireReachIndex() { f.idx.Store(nil) }
 
 // ReachIndexStats aggregates the index state across fragments for /stats
 // and bench -json.

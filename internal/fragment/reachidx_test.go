@@ -74,8 +74,9 @@ func TestOverlayAutoCompaction(t *testing.T) {
 }
 
 // TestReachIndexLifecycle: enabling builds an index per fragment;
-// mutations retire or stale it and the scheduled rebuild restores it;
-// budget 0 disables and drops the indexes.
+// mutations retire it and the scheduled rebuild restores it, built over
+// the fragment as the last mutation left it; budget 0 disables and drops
+// the indexes.
 func TestReachIndexLifecycle(t *testing.T) {
 	g := gen.Uniform(gen.Config{Nodes: 60, Edges: 200, Labels: []string{"A"}, Seed: 41})
 	fr, err := Random(g, 4, 41)
@@ -94,7 +95,8 @@ func TestReachIndexLifecycle(t *testing.T) {
 		t.Fatalf("bad stats after enable: %+v", st)
 	}
 	// Churn: every kind of mutation, then wait — fresh indexes must be
-	// installed (not stale) for every dirtied fragment.
+	// installed for every dirtied fragment, and must answer for the
+	// fragment as it is now.
 	rng := gen.NewRNG(42)
 	for step := 0; step < 50; step++ {
 		n := g.NumNodes()
@@ -112,8 +114,14 @@ func TestReachIndexLifecycle(t *testing.T) {
 		if idx == nil {
 			t.Fatalf("fragment %d: index missing after churn+wait", f.ID)
 		}
-		if idx.AnyStale() {
-			t.Fatalf("fragment %d: stale index survived the last rebuild", f.ID)
+		n := int32(f.NumTotal())
+		for u := int32(0); u < n; u++ {
+			seen := localReach(f, u)
+			for v := int32(0); v < n; v++ {
+				if reached, out := idx.Reaches(u, v); out == reachindex.OutcomeHit && reached != seen[v] {
+					t.Fatalf("fragment %d: labels say %d reaches %d: %v, the fragment says %v", f.ID, u, v, reached, seen[v])
+				}
+			}
 		}
 	}
 	if st := fr.ReachIndexStats(); st.Rebuilds == 0 {
@@ -204,4 +212,21 @@ func TestIndexProbeCountsAcrossSwap(t *testing.T) {
 	if after.Hits != before.Hits+1 || after.Fallbacks != before.Fallbacks+1 {
 		t.Fatalf("stats %+v -> %+v: want one more hit and one more fallback", before, after)
 	}
+}
+
+// localReach returns the slots local slot u reaches over f's adjacency.
+func localReach(f *Fragment, u int32) []bool {
+	seen := make([]bool, f.NumTotal())
+	seen[u] = true
+	for stack := []int32{u}; len(stack) > 0; {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range f.Out(x) {
+			if !seen[w] {
+				seen[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return seen
 }

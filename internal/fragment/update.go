@@ -15,7 +15,7 @@ import (
 // mutations into transactional batches: Apply takes a sequence of ops,
 // applies them atomically under one write lock (ops are pre-validated, so
 // a rejected batch changes nothing), and reports one unioned dirty set —
-// the fragments whose partial answers (rvsets) may differ after the batch:
+// the fragments whose partial answers (rows) may differ after the batch:
 //
 //   - an internal edge dirties only the fragment storing it;
 //   - a cross edge dirties its source fragment (adjacency and virtual
@@ -30,7 +30,9 @@ import (
 // evicts exactly the keys whose evaluation touched a dirtied fragment
 // (core/touched.go argues why "the edge's source fragment is always dirty"
 // makes that sound), the reachability indexes of dirtied fragments are
-// rebuilt, and — the third consumer — every dirtied fragment's Generation
+// rebuilt (each mutation of a fragment's adjacency or slots retired its
+// labels, with the rest of its derived state, through dropDerived), and —
+// the third consumer — every dirtied fragment's Generation
 // is bumped before the write lock is released. The wire coordinator's
 // cached boundary rows are keyed by (Fragmentation.Instance, Generation),
 // which a site compares under its read lock on every query, so there is
@@ -286,22 +288,15 @@ func (fr *Fragmentation) insertEdgeLocked(u, v graph.NodeID) (dirty []int, chang
 	if a == b {
 		lv, _ := fa.ids.local(v)
 		fa.addLocalEdge(lu, lv)
-		fa.invalidateSCC()
-		fa.idxMarkDirty(lu)
 		return []int{a}, true
 	}
 	// Cross edge: the source fragment gains the edge (ending at a virtual
 	// node), the target fragment gains an in-node if v was not one yet.
-	// Only u's ancestor cone gains reachability, so only it goes stale;
-	// ensureVirtual may append a slot past the index's build range, which
-	// Equation treats as unreachable until the cone rebuild lands — exact,
-	// since the new slot is only reachable through the dirtied cone. The
-	// target side gaining an in-node needs no invalidation: a frontier
-	// that bypasses a new cut point is still a sound and complete cut.
+	// The target side's adjacency and slots stay as they are, so what is
+	// derived from them (LocalSCC, the labels) stays right: local
+	// reachability does not depend on which nodes are in-nodes.
 	lv := fa.ensureVirtual(v, fr.g.Label(v))
 	fa.addLocalEdge(lu, lv)
-	fa.invalidateSCC()
-	fa.idxMarkDirty(lu)
 	fr.crossEdges++
 	dirty = []int{a}
 	fb := fr.frags[b]
@@ -324,14 +319,11 @@ func (fr *Fragmentation) deleteEdgeLocked(u, v graph.NodeID) (dirty []int, chang
 	lu, _ := fa.ids.local(u)
 	lv, _ := fa.ids.local(v)
 	fa.removeLocalEdge(lu, lv)
-	fa.idxMarkDirty(lu)
 	if a == b {
-		fa.invalidateSCC()
 		return []int{a}, true
 	}
 	fr.crossEdges--
 	fa.dropVirtualIfOrphan(lv)
-	fa.invalidateSCC()
 	dirty = []int{a}
 	// v stays an in-node of its fragment iff some cross edge still enters
 	// it; the global graph (whose reverse adjacency is maintained
@@ -346,13 +338,9 @@ func (fr *Fragmentation) deleteEdgeLocked(u, v graph.NodeID) (dirty []int, chang
 	if !still {
 		fb := fr.frags[b]
 		if lb, _ := fb.ids.local(v); fb.isIn[lb] {
+			// v loses its row in fb's rows; fb's adjacency and slots,
+			// hence its labels, stay as they are.
 			fb.removeInNode(lb)
-			// v losing its in-node status removes its Boolean equation
-			// from fb's rvset, so any precomputed frontier in fb that
-			// lists v as a variable would go incomplete (the solver
-			// defaults unknowns to false). Those frontiers belong to
-			// exactly v's ancestor cone — invalidate it.
-			fb.idxMarkDirty(lb)
 			fr.vf--
 			dirty = append(dirty, b)
 		}
@@ -378,7 +366,6 @@ func (fr *Fragmentation) insertNodeLocked(label string, frag int) (graph.NodeID,
 	fr.owner[id] = int32(frag)
 	f := fr.frags[frag]
 	f.addRealNode(id, label)
-	f.invalidateSCC()
 	return id, frag
 }
 
@@ -405,7 +392,6 @@ func (fr *Fragmentation) deleteNodeLocked(v graph.NodeID) (map[int]bool, bool) {
 	fi := int(fr.owner[v])
 	f := fr.frags[fi]
 	f.removeRealNode(v)
-	f.invalidateSCC()
 	fr.owner[v] = -1
 	fr.g.DeleteNode(v) // edges are already gone; this leaves the tombstone
 	dirty[fi] = true
@@ -427,8 +413,8 @@ func copyRow(r []int32) []int32 {
 // one is relocated to a fresh tail slot to vacate index nLocal.
 func (f *Fragment) addRealNode(v graph.NodeID, label string) {
 	// Slot assignments shift (the relocated virtual, the new real slot at
-	// the old virtual boundary): slot-addressed index state is void.
-	f.retireReachIndex()
+	// the old virtual boundary).
+	f.dropDerived()
 	slot := int32(f.nLocal)
 	if f.NumVirtual() > 0 {
 		moved := f.ids.global(slot)
@@ -457,7 +443,7 @@ func (f *Fragment) addRealNode(v graph.NodeID, label string) {
 // the vacated slot, and the tail virtual node swaps into the freed
 // boundary slot so the real/virtual split stays contiguous.
 func (f *Fragment) removeRealNode(v graph.NodeID) {
-	f.retireReachIndex() // swap-removal renumbers slots
+	f.dropDerived() // swap-removal renumbers slots
 	lv, _ := f.ids.local(v)
 	last := int32(f.nLocal - 1)
 	if lv != last {
@@ -505,6 +491,7 @@ func (f *Fragment) remapRefs(from, to int32) {
 // addLocalEdge appends the local edge (lu, lv). The global graph has
 // already deduplicated, so the edge is known to be new.
 func (f *Fragment) addLocalEdge(lu, lv int32) {
+	f.dropDerived()
 	f.adj.Append(lu, lv)
 	f.edges++
 }
@@ -512,6 +499,7 @@ func (f *Fragment) addLocalEdge(lu, lv int32) {
 // removeLocalEdge deletes the local edge (lu, lv).
 func (f *Fragment) removeLocalEdge(lu, lv int32) {
 	if f.adj.RemoveFirst(lu, lv) {
+		f.dropDerived()
 		f.edges--
 	}
 }
@@ -522,6 +510,7 @@ func (f *Fragment) ensureVirtual(v graph.NodeID, label string) int32 {
 	if l, ok := f.ids.local(v); ok {
 		return l
 	}
+	f.dropDerived()
 	l := f.ids.append(v)
 	f.labs.append(label)
 	f.isIn = append(f.isIn, false)
@@ -541,7 +530,7 @@ func (f *Fragment) dropVirtualIfOrphan(lv int32) {
 	if f.adj.Contains(lv) {
 		return // still referenced
 	}
-	f.retireReachIndex() // the tail-swap below renumbers slots
+	f.dropDerived() // the tail-swap below renumbers slots
 	gone := f.ids.global(lv)
 	last := int32(f.ids.len() - 1)
 	if lv != last {

@@ -97,25 +97,9 @@ func (g *Graph) InDegree(v NodeID) int {
 func (g *Graph) buildReverse() {
 	g.revMu.Lock()
 	defer g.revMu.Unlock()
-	if g.rev != nil {
-		return
+	if g.rev == nil {
+		g.rev = csr.Transpose(len(g.labels), g.Out)
 	}
-	deg := make([]int32, len(g.labels))
-	g.Edges(func(_, w NodeID) bool {
-		deg[w]++
-		return true
-	})
-	rev := make([][]NodeID, len(g.labels))
-	for v := range rev {
-		if deg[v] > 0 {
-			rev[v] = make([]NodeID, 0, deg[v])
-		}
-	}
-	g.Edges(func(v, w NodeID) bool {
-		rev[w] = append(rev[w], v)
-		return true
-	})
-	g.rev = csr.FromRows(rev)
 }
 
 // InsertEdge adds the directed edge (u, v) in place, reporting whether the

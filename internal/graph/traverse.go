@@ -1,5 +1,7 @@
 package graph
 
+import "distreach/internal/csr"
+
 // This file contains the traversal primitives (BFS, DFS, reachability,
 // unweighted shortest distance, strongly connected components) used by both
 // the centralized baselines and the per-fragment local evaluation steps.
@@ -179,24 +181,7 @@ func (g *Graph) SCC() (comp []int32, n int) { return SCCOf(g.NumNodes(), g.Out) 
 // sinks first (Tarjan's) would have to renumber them to keep it.
 func SCCOf[T ~int32](n int, out func(T) []T) (comp []int32, nc int) {
 	post := dfsPostorder(n, out)
-	// The reverse adjacency, flat: in[off[v]:off[v+1]] are v's in-neighbors.
-	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		for _, w := range out(T(v)) {
-			off[w+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	in := make([]T, off[n])
-	fill := append([]int32(nil), off[:n]...)
-	for v := 0; v < n; v++ {
-		for _, w := range out(T(v)) {
-			in[fill[w]] = T(v)
-			fill[w]++
-		}
-	}
+	in := csr.Transpose(n, out)
 	comp = make([]int32, n)
 	for i := range comp {
 		comp[i] = -1
@@ -215,7 +200,7 @@ func SCCOf[T ~int32](n int, out func(T) []T) (comp []int32, nc int) {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, w := range in[off[v]:off[v+1]] {
+			for _, w := range in.Row(int32(v)) {
 				if comp[w] < 0 {
 					comp[w] = c
 					stack = append(stack, w)

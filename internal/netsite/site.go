@@ -305,11 +305,12 @@ func (s *Site) handle(j *frameJob) (uint64, uint64, []byte, error) {
 
 // evalAttrs renders one evaluation's reachability-index outcome as the
 // eval span's attribute: hit (the labels answered every probe), fallback
-// (every probe fell back to BFS — stale entry or over-budget component),
-// mixed, or off (no probe reached an index at all). /stats reachindex
-// aggregates the per-probe hits and fallbacks.
+// or mixed (an over-budget component sent the part to the search, after
+// none or some of the probes were answered), or off (no probe reached an
+// index at all). /stats reachindex aggregates the per-probe hits and
+// fallbacks.
 func evalAttrs(met *core.EvalMetrics) []obs.Attr {
-	fell := met.StaleEqs + met.OverBudgetEqs
+	fell := met.OverBudgetEqs
 	outcome := "off"
 	switch {
 	case met.IndexedEqs > 0 && fell == 0:

@@ -458,3 +458,41 @@ func TestSyncSnapshotFallback(t *testing.T) {
 		}
 	}
 }
+
+// TestBehindReplicaMissed: a replica one batch behind the log refuses the
+// next batch with fragment.ErrReplicaBehind, which reaches the coordinator
+// as text in an error frame. The update round must still succeed on the
+// replicas that are current and report the laggard in Missed, for
+// catch-up to heal — not fail the round.
+func TestBehindReplicaMissed(t *testing.T) {
+	g := gen.Uniform(gen.Config{Nodes: 30, Edges: 60, Labels: []string{"A"}, Seed: 5})
+	const k = 3
+	frTmp, err := fragment.Random(g.Clone(), k, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := make([]int, g.NumNodes())
+	for v := range assign {
+		assign[v] = frTmp.Owner(graph.NodeID(v))
+	}
+	d := deployIndependent(t, g, assign, k, nil)
+	// LSN 1 reaches every replica but the last.
+	first := []Op{{Kind: OpInsertEdge, U: 0, V: 1}}
+	for _, rep := range d.reps[:k-1] {
+		if _, _, err := rep.ApplyLSN(1, 1, first); err != nil {
+			t.Fatal(err)
+		}
+	}
+	co, err := Dial(d.addrs, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	res, _, err := co.Apply([]Op{{Kind: OpInsertEdge, U: 2, V: 3}})
+	if err != nil {
+		t.Fatalf("update with one replica behind failed the round: %v", err)
+	}
+	if res.LSN != 2 || len(res.Missed) != 1 || res.Missed[0] != k-1 {
+		t.Fatalf("LSN %d, missed %v; want LSN 2 and missed [%d]", res.LSN, res.Missed, k-1)
+	}
+}

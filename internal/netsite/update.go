@@ -257,10 +257,11 @@ func (c *Coordinator) ensureSeqInit(ctx context.Context, seq *oplog.Sequencer) e
 }
 
 // isBehindError reports whether a site's error reply marks a replica that
-// missed earlier batches (fragment.ErrReplicaBehind, flattened to text by
-// the wire's error frame).
+// missed earlier batches: the wire's error frame flattens
+// fragment.ErrReplicaBehind to text, so the reply carries the sentinel's
+// own text.
 func isBehindError(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "replica is behind the update log")
+	return err != nil && strings.Contains(err.Error(), fragment.ErrReplicaBehind.Error())
 }
 
 // ApplyContext is Apply honoring a context deadline or cancellation.

@@ -24,24 +24,18 @@
 // reachability (Jambulapati, Liu and Sidford; PAPERS.md) is the reference
 // should a single build ever need more than one core. Nothing about the
 // index is persisted; it is a cache of the fragment and is rebuilt from
-// it whenever it goes stale or the process restarts.
+// it whenever the fragment changes or the process restarts.
 //
-// Incremental maintenance is staleness-based: MarkDirty(u) marks the
-// ancestor cone of u's SCC stale (exactly the sources whose reachable set
-// may have changed); stale SCCs answer undecided and the caller falls
-// back until an asynchronous rebuild installs a fresh index — the same
-// swap-while-serving discipline the rebalance ('R') path uses.
+// There is no incremental maintenance: the index is immutable once built,
+// and the fragment that owns it retires it whole on any mutation of its
+// adjacency or slots, then installs a fresh build (internal/fragment's
+// reachidx.go). Until it does, the caller searches the fragment instead.
 //
-// Concurrency contract: MarkDirty must run while the caller excludes
-// readers (the Fragmentation write lock); Reaches may run concurrently
-// with itself under the matching read lock. The index counts nothing: the
-// fragment that installed it counts its probes.
+// Concurrency contract: Reaches may run concurrently with itself. The
+// index counts nothing: the fragment that installed it counts its probes.
 package reachindex
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
 // DefaultBudget is the per-fragment label budget in bytes. Labels beyond
 // it stay undecided.
@@ -65,20 +59,16 @@ type Spec struct {
 type Index struct {
 	n int // slot count at build time; later slots are undecided
 
-	comp      []int32   // build-time SCC of every slot
-	dagIn     [][]int32 // deduplicated reverse condensation adjacency
-	post      []int32   // DFS-forest postorder number per SCC
-	ivals     []int32   // flattened [lo,hi] interval pairs, all SCCs
-	ivOff     []int32   // per-SCC offsets into ivals (len nc+1)
-	undecided []bool    // label over budget (or transitively undecided)
+	comp      []int32 // build-time SCC of every slot
+	post      []int32 // DFS-forest postorder number per SCC
+	ivals     []int32 // flattened [lo,hi] interval pairs, all SCCs
+	ivOff     []int32 // per-SCC offsets into ivals (len nc+1)
+	undecided []bool  // label over budget (or transitively undecided)
 	bytes     int64
-
-	stale    []bool // mutated via MarkDirty under the external write lock
-	anyStale atomic.Bool
 }
 
 // Build computes the index. It reads spec.Out but retains nothing from it;
-// the returned index is immutable except for staleness.
+// the returned index is immutable.
 func Build(spec Spec) *Index {
 	comp := spec.Comp
 	nc := 0
@@ -93,10 +83,9 @@ func Build(spec Spec) *Index {
 		n:         spec.N,
 		comp:      comp,
 		undecided: make([]bool, nc),
-		stale:     make([]bool, nc),
 	}
 
-	dagOut := buildCondensation(ix, spec, nc)
+	dagOut := buildCondensation(spec, nc)
 	post, sz := dfsForest(dagOut, nc)
 	ix.post = post
 
@@ -111,14 +100,12 @@ func Build(spec Spec) *Index {
 	return ix
 }
 
-// buildCondensation assembles the deduplicated condensation DAG, both
-// directions: forward for the DFS forest and label propagation, reverse
-// for MarkDirty's ancestor walk. Adjacency lists keep first-occurrence
-// order of a scan in node order.
-func buildCondensation(ix *Index, spec Spec, nc int) [][]int32 {
+// buildCondensation assembles the deduplicated condensation DAG that the
+// DFS forest and the label propagation walk. Adjacency lists keep
+// first-occurrence order of a scan in node order.
+func buildCondensation(spec Spec, nc int) [][]int32 {
 	comp := spec.Comp
 	dagOut := make([][]int32, nc)
-	ix.dagIn = make([][]int32, nc)
 	seen := make(map[int64]struct{})
 	for u := int32(0); int(u) < spec.N; u++ {
 		cu := comp[u]
@@ -133,7 +120,6 @@ func buildCondensation(ix *Index, spec Spec, nc int) [][]int32 {
 			}
 			seen[key] = struct{}{}
 			dagOut[cu] = append(dagOut[cu], cw)
-			ix.dagIn[cw] = append(ix.dagIn[cw], cu)
 		}
 	}
 	return dagOut
@@ -271,8 +257,6 @@ const (
 	OutcomeHit Outcome = iota
 	// OutcomeUnslotted: a slot postdates the build (node added since).
 	OutcomeUnslotted
-	// OutcomeStale: a mutation invalidated the source's SCC cone.
-	OutcomeStale
 	// OutcomeOverBudget: the label budget excluded the source's SCC
 	// label, or one it depends on.
 	OutcomeOverBudget
@@ -282,60 +266,19 @@ const (
 
 // Reaches reports whether slot u reaches slot v locally. reached is
 // meaningful only when out is OutcomeHit; any other outcome says why the
-// labels cannot answer: a slot postdates the build, or u's SCC is stale or
-// over budget.
+// labels cannot answer: a slot postdates the build, or u's SCC is over
+// budget.
 func (ix *Index) Reaches(u, v int32) (reached bool, out Outcome) {
 	if u < 0 || int(u) >= ix.n || v < 0 || int(v) >= ix.n {
 		return false, OutcomeUnslotted
 	}
 	c := ix.comp[u]
-	switch {
-	case ix.stale[c]:
-		return false, OutcomeStale
-	case ix.undecided[c]:
+	if ix.undecided[c] {
 		return false, OutcomeOverBudget
 	}
 	d := ix.comp[v]
 	return c == d || ix.contains(c, ix.post[d]), OutcomeHit
 }
-
-// MarkDirty marks the labels invalidated by a mutation at slot u: the
-// ancestor cone of u's SCC in the build-time condensation — exactly the
-// sources whose reachable set may now differ. A slot outside the
-// build-time range (or a negative one, the caller's "everything changed"
-// signal) marks the whole index stale. Must run while the caller excludes
-// index readers (the Fragmentation write lock).
-func (ix *Index) MarkDirty(u int32) {
-	if ix == nil {
-		return
-	}
-	ix.anyStale.Store(true)
-	if u < 0 || int(u) >= ix.n {
-		for c := range ix.stale {
-			ix.stale[c] = true
-		}
-		return
-	}
-	c := ix.comp[u]
-	if ix.stale[c] {
-		return // the stale set is ancestor-closed: cone already marked
-	}
-	ix.stale[c] = true
-	queue := []int32{c}
-	for len(queue) > 0 {
-		x := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, p := range ix.dagIn[x] {
-			if !ix.stale[p] {
-				ix.stale[p] = true
-				queue = append(queue, p)
-			}
-		}
-	}
-}
-
-// AnyStale reports whether any label has been invalidated since the build.
-func (ix *Index) AnyStale() bool { return ix.anyStale.Load() }
 
 // LabelBytes reports the bytes charged against the budget.
 func (ix *Index) LabelBytes() int64 { return ix.bytes }

@@ -83,37 +83,20 @@ func TestBudgetNeverWrong(t *testing.T) {
 	}
 }
 
-func TestMarkDirtyAncestorCone(t *testing.T) {
-	// 0 -> 1 -> 2: dirtying 1 must invalidate its ancestors (0, 1) but
-	// leave the untouched descendant 2 decided.
+// TestReachesUnslotted: a slot outside the build's range — one a mutation
+// added after it, or a negative one — is undecided, never answered.
+func TestReachesUnslotted(t *testing.T) {
 	b := graph.NewBuilder(3)
 	b.AddNodes(3, "A")
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
-	g := b.MustBuild()
-	ix := buildFor(g, 1<<20)
-	if _, out := ix.Reaches(0, 2); out != OutcomeHit {
-		t.Fatal("fresh index undecided")
+	ix := buildFor(b.MustBuild(), 1<<20)
+	if reached, out := ix.Reaches(0, 2); out != OutcomeHit || !reached {
+		t.Fatalf("Reaches(0,2) = %v, outcome %d; want a hit", reached, out)
 	}
-	ix.MarkDirty(1)
-	if !ix.AnyStale() {
-		t.Fatal("AnyStale false after MarkDirty")
-	}
-	for _, u := range []int32{0, 1} {
-		if _, out := ix.Reaches(u, 2); out != OutcomeStale {
-			t.Fatalf("slot %d: outcome %d, want stale", u, out)
+	for _, p := range [][2]int32{{2, 3}, {3, 0}, {-1, 0}, {0, -1}} {
+		if _, out := ix.Reaches(p[0], p[1]); out != OutcomeUnslotted {
+			t.Fatalf("Reaches(%d,%d): outcome %d, want unslotted", p[0], p[1], out)
 		}
-	}
-	if reached, out := ix.Reaches(2, 0); out != OutcomeHit || reached {
-		t.Fatalf("descendant 2 should stay decided (got outcome %d reached=%v)", out, reached)
-	}
-	if _, out := ix.Reaches(2, 3); out != OutcomeUnslotted {
-		t.Fatalf("a slot past the build: outcome %d, want unslotted", out)
-	}
-	// Out-of-range slots mark everything.
-	ix2 := buildFor(g, 1<<20)
-	ix2.MarkDirty(99)
-	if _, out := ix2.Reaches(2, 0); out != OutcomeStale {
-		t.Fatal("out-of-range MarkDirty should stale the whole index")
 	}
 }
